@@ -768,7 +768,7 @@ func cacheLeg(smoke bool) (cacheBench, error) {
 // speedLeg benchmarks the three hot-path mechanisms against dedicated
 // lakes and enforces their floors: group commit must at least halve
 // slice-flush device writes, the scan path must hold its allocs/op at
-// least 30% under the pre-zero-copy baseline, and zone maps must cut a
+// the pinned ceiling (half the pre-zero-copy baseline), and zone maps must cut a
 // selective query's files-read by at least 5x.
 func speedLeg(smoke bool) (speedBench, error) {
 	var sb speedBench
@@ -820,8 +820,9 @@ func speedLeg(smoke bool) (speedBench, error) {
 	// Allocation probe: allocs per produce and per full-table scan.
 	// 41040 is what this exact scan loop measured before the zero-copy
 	// read path and scan-row reuse (per-row colfile.Row allocation)
-	// landed; the ceiling enforces a ≥30% cut with headroom for runtime
-	// variance.
+	// landed. The ceiling sits 1% above today's count, of which 20000
+	// are the scan's own distinct key strings: pooled inflate state took
+	// it from 21021 to 20548, and losing that fails the snapshot.
 	lake, err := streamlake.Open(streamlake.Config{Seed: 7})
 	if err != nil {
 		return sb, err
@@ -944,8 +945,8 @@ func speedLeg(smoke bool) (speedBench, error) {
 		return sb, fmt.Errorf("speed leg: group commit cut device writes %.2fx, floor is 2x (%d -> %d)",
 			sb.GCReductionX, sb.GCBaselineWrites, sb.GCGroupedWrites)
 	}
-	if sb.ScanAllocsPerOp > 28000 {
-		return sb, fmt.Errorf("speed leg: scan allocs/op %d above the 28000 ceiling (baseline %d, ≥30%% cut required)",
+	if sb.ScanAllocsPerOp > 20800 {
+		return sb, fmt.Errorf("speed leg: scan allocs/op %d above the 20800 ceiling (baseline %d, 20548 at pin time)",
 			sb.ScanAllocsPerOp, sb.ScanAllocsBaseline)
 	}
 	if sb.ProduceAllocsPerOp > 64 {

@@ -296,17 +296,17 @@ func TestQuickInt64RoundTrip(t *testing.T) {
 	// Property: any int64 sequence round-trips through delta encoding,
 	// including extremes and sign changes.
 	f := func(vals []int64) bool {
-		in := make([]Value, len(vals))
+		in := make([]Row, len(vals))
 		for i, v := range vals {
-			in[i] = IntValue(v)
+			in[i] = Row{IntValue(v)}
 		}
-		enc := encodeInt64Chunk(in)
+		enc := appendInt64Chunk(nil, in, 0)
 		out, err := decodeInt64Chunk(enc, len(in))
 		if err != nil {
 			return false
 		}
 		for i := range in {
-			if out[i].Int != in[i].Int {
+			if out[i].Int != in[i][0].Int {
 				return false
 			}
 		}
@@ -319,17 +319,17 @@ func TestQuickInt64RoundTrip(t *testing.T) {
 
 func TestQuickStringRoundTrip(t *testing.T) {
 	f := func(vals []string) bool {
-		in := make([]Value, len(vals))
+		in := make([]Row, len(vals))
 		for i, v := range vals {
-			in[i] = StringValue(v)
+			in[i] = Row{StringValue(v)}
 		}
-		enc := encodeStringChunk(in)
+		enc := appendStringChunk(nil, in, 0)
 		out, err := decodeStringChunk(enc, len(in))
 		if err != nil {
 			return false
 		}
 		for i := range in {
-			if out[i].Str != in[i].Str {
+			if out[i].Str != in[i][0].Str {
 				return false
 			}
 		}
@@ -402,19 +402,6 @@ func TestQuickFullFileRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkWrite(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w := NewWriter(testSchema, 0)
-		for j := 0; j < 10000; j++ {
-			w.Append(makeRow(j))
-		}
-		if _, err := w.Finish(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

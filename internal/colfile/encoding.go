@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 )
 
 // Column chunk encodings. Each chunk is encoded per its column type, then
@@ -21,17 +22,13 @@ const (
 	encDict
 )
 
-func encodeInt64Chunk(vals []Value) []byte {
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
+func appendInt64Chunk(buf []byte, rows []Row, c int) []byte {
 	prev := int64(0)
-	for _, v := range vals {
-		d := v.Int - prev
-		prev = v.Int
-		n := binary.PutVarint(tmp[:], d)
-		buf.Write(tmp[:n])
+	for _, r := range rows {
+		buf = binary.AppendVarint(buf, r[c].Int-prev)
+		prev = r[c].Int
 	}
-	return buf.Bytes()
+	return buf
 }
 
 func decodeInt64Chunk(data []byte, n int) ([]Value, error) {
@@ -53,12 +50,11 @@ func decodeInt64Chunk(data []byte, n int) ([]Value, error) {
 	return out, nil
 }
 
-func encodeFloat64Chunk(vals []Value) []byte {
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v.Float))
+func appendFloat64Chunk(buf []byte, rows []Row, c int) []byte {
+	for _, r := range rows {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r[c].Float))
 	}
-	return out
+	return buf
 }
 
 func decodeFloat64Chunk(data []byte, n int) ([]Value, error) {
@@ -72,47 +68,42 @@ func decodeFloat64Chunk(data []byte, n int) ([]Value, error) {
 	return out, nil
 }
 
-func encodeStringChunk(vals []Value) []byte {
+func appendStringChunk(buf []byte, rows []Row, c int) []byte {
 	// Try dictionary encoding: worthwhile when distinct values fit a
 	// byte and repeat.
 	dict := make(map[string]int)
-	for _, v := range vals {
-		if _, ok := dict[v.Str]; !ok {
+	for _, r := range rows {
+		if _, ok := dict[r[c].Str]; !ok {
 			if len(dict) >= 256 {
 				dict = nil
 				break
 			}
-			dict[v.Str] = len(dict)
+			dict[r[c].Str] = len(dict)
 		}
 	}
-	var buf bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	if dict != nil && len(dict)*2 < len(vals) {
-		buf.WriteByte(encDict)
+	if dict != nil && len(dict)*2 < len(rows) {
+		buf = append(buf, encDict)
 		// Dictionary block: count, then each entry.
 		words := make([]string, len(dict))
 		for w, i := range dict {
 			words[i] = w
 		}
-		n := binary.PutUvarint(tmp[:], uint64(len(words)))
-		buf.Write(tmp[:n])
+		buf = binary.AppendUvarint(buf, uint64(len(words)))
 		for _, w := range words {
-			n := binary.PutUvarint(tmp[:], uint64(len(w)))
-			buf.Write(tmp[:n])
-			buf.WriteString(w)
+			buf = binary.AppendUvarint(buf, uint64(len(w)))
+			buf = append(buf, w...)
 		}
-		for _, v := range vals {
-			buf.WriteByte(byte(dict[v.Str]))
+		for _, r := range rows {
+			buf = append(buf, byte(dict[r[c].Str]))
 		}
-		return buf.Bytes()
+		return buf
 	}
-	buf.WriteByte(encPlain)
-	for _, v := range vals {
-		n := binary.PutUvarint(tmp[:], uint64(len(v.Str)))
-		buf.Write(tmp[:n])
-		buf.WriteString(v.Str)
+	buf = append(buf, encPlain)
+	for _, r := range rows {
+		buf = binary.AppendUvarint(buf, uint64(len(r[c].Str)))
+		buf = append(buf, r[c].Str...)
 	}
-	return buf.Bytes()
+	return buf
 }
 
 func decodeStringChunk(data []byte, n int) ([]Value, error) {
@@ -172,14 +163,15 @@ func decodeStringChunk(data []byte, n int) ([]Value, error) {
 	return out, nil
 }
 
-func encodeBoolChunk(vals []Value) []byte {
-	out := make([]byte, (len(vals)+7)/8)
-	for i, v := range vals {
-		if v.Bool {
-			out[i/8] |= 1 << (i % 8)
+func appendBoolChunk(buf []byte, rows []Row, c int) []byte {
+	base := len(buf)
+	buf = append(buf, make([]byte, (len(rows)+7)/8)...)
+	for i, r := range rows {
+		if r[c].Bool {
+			buf[base+i/8] |= 1 << (i % 8)
 		}
 	}
-	return out
+	return buf
 }
 
 func decodeBoolChunk(data []byte, n int) ([]Value, error) {
@@ -193,37 +185,52 @@ func decodeBoolChunk(data []byte, n int) ([]Value, error) {
 	return out, nil
 }
 
-func encodeChunk(t Type, vals []Value) ([]byte, error) {
-	var raw []byte
+// appendChunk appends the uncompressed encoding of column c of rows.
+func appendChunk(buf []byte, t Type, rows []Row, c int) ([]byte, error) {
 	switch t {
 	case Int64:
-		raw = encodeInt64Chunk(vals)
+		return appendInt64Chunk(buf, rows, c), nil
 	case Float64:
-		raw = encodeFloat64Chunk(vals)
+		return appendFloat64Chunk(buf, rows, c), nil
 	case String:
-		raw = encodeStringChunk(vals)
+		return appendStringChunk(buf, rows, c), nil
 	case Bool:
-		raw = encodeBoolChunk(vals)
+		return appendBoolChunk(buf, rows, c), nil
 	default:
 		return nil, fmt.Errorf("colfile: unknown type %v", t)
 	}
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
+}
+
+// inflater is the reusable state of one chunk decode: the DEFLATE
+// reader (reset per chunk rather than rebuilt) and the buffer it
+// inflates into. Decoded values never alias raw, so it is safe to pool.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+	raw bytes.Buffer
+}
+
+var inflaters = sync.Pool{New: func() any { return new(inflater) }}
+
+// inflate decompresses one chunk into d.raw, valid until the next call.
+func (d *inflater) inflate(data []byte) ([]byte, error) {
+	d.src.Reset(data)
+	if d.fr == nil {
+		d.fr = flate.NewReader(&d.src)
+	} else if err := d.fr.(flate.Resetter).Reset(&d.src, nil); err != nil {
 		return nil, err
 	}
-	if _, err := w.Write(raw); err != nil {
+	d.raw.Reset()
+	if _, err := d.raw.ReadFrom(d.fr); err != nil {
 		return nil, err
 	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return d.raw.Bytes(), nil
 }
 
 func decodeChunk(t Type, data []byte, n int) ([]Value, error) {
-	r := flate.NewReader(bytes.NewReader(data))
-	raw, err := io.ReadAll(r)
+	d := inflaters.Get().(*inflater)
+	defer inflaters.Put(d)
+	raw, err := d.inflate(data)
 	if err != nil {
 		return nil, fmt.Errorf("colfile: decompress: %w", err)
 	}

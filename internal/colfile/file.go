@@ -2,6 +2,7 @@ package colfile
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -67,6 +68,12 @@ type Writer struct {
 	groups    []groupMeta
 	numRows   int64
 	finished  bool
+
+	// Chunk-encode state reused across every chunk of the file and
+	// released with the writer: the DEFLATE compressor (~1.2 MB to
+	// build, Reset per chunk) and the uncompressed chunk scratch.
+	fw  *flate.Writer
+	raw []byte
 }
 
 // NewWriter builds a writer for the schema; groupSize <= 0 selects
@@ -103,26 +110,36 @@ func (w *Writer) flushGroup() error {
 	}
 	g := groupMeta{rows: len(w.pending)}
 	for c, f := range w.schema.Fields {
-		col := make([]Value, len(w.pending))
-		for i, r := range w.pending {
-			col[i] = r[c]
-		}
-		st := Stats{Min: col[0], Max: col[0], Count: int64(len(col))}
-		for _, v := range col[1:] {
-			if Compare(v, st.Min) < 0 {
-				st.Min = v
+		st := Stats{Min: w.pending[0][c], Max: w.pending[0][c], Count: int64(len(w.pending))}
+		for _, r := range w.pending[1:] {
+			if Compare(r[c], st.Min) < 0 {
+				st.Min = r[c]
 			}
-			if Compare(v, st.Max) > 0 {
-				st.Max = v
+			if Compare(r[c], st.Max) > 0 {
+				st.Max = r[c]
 			}
 		}
-		enc, err := encodeChunk(f.Type, col)
-		if err != nil {
+		var err error
+		if w.raw, err = appendChunk(w.raw[:0], f.Type, w.pending, c); err != nil {
 			return err
 		}
-		g.chunks = append(g.chunks, chunkRef{offset: int64(w.buf.Len()), length: int64(len(enc))})
+		offset := w.buf.Len()
+		if w.fw == nil {
+			w.fw, err = flate.NewWriter(&w.buf, flate.BestSpeed)
+			if err != nil {
+				return err
+			}
+		} else {
+			w.fw.Reset(&w.buf)
+		}
+		if _, err := w.fw.Write(w.raw); err != nil {
+			return err
+		}
+		if err := w.fw.Close(); err != nil {
+			return err
+		}
+		g.chunks = append(g.chunks, chunkRef{offset: int64(offset), length: int64(w.buf.Len() - offset)})
 		g.stats = append(g.stats, st)
-		w.buf.Write(enc)
 	}
 	w.groups = append(w.groups, g)
 	w.pending = w.pending[:0]
@@ -142,6 +159,7 @@ func (w *Writer) Finish() ([]byte, error) {
 		return nil, err
 	}
 	w.finished = true
+	w.fw, w.raw = nil, nil
 
 	var f []byte
 	var tmp [binary.MaxVarintLen64]byte

@@ -215,11 +215,10 @@ func (c *Converter) doConvert(name string, cfg streamsvc.TopicConfig) (Result, t
 		if err != nil {
 			return res, cost, err
 		}
-		for _, rows := range byPartition {
-			if _, err := x.WriteRows(rows); err != nil {
-				return res, cost, err
-			}
-			res.Files++
+		files, err := x.WritePartitions(byPartition)
+		res.Files += len(files)
+		if err != nil {
+			return res, cost, err
 		}
 		_, err = x.Commit()
 		for errors.Is(err, tableobj.ErrConflict) {

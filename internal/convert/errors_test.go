@@ -1,6 +1,8 @@
 package convert
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -95,5 +97,48 @@ func TestTimeTriggerResetsAfterRun(t *testing.T) {
 	res, _, _ := e.conv.RunOnce()
 	if len(res) != 1 || res[0].Messages != 2 {
 		t.Fatalf("second time trigger: %+v", res)
+	}
+}
+
+// A conversion run writes one file per partition; which file gets which
+// id must follow from the messages, not from map iteration order. With
+// three partitions an unsorted walk agrees by chance one run in six.
+func TestConversionFileOrderIsDeterministic(t *testing.T) {
+	convert := func() []string {
+		e := newEnv(t)
+		e.svc.CreateTopic(convertTopic("logs"))
+		var paths []string
+		for run := 0; run < 3; run++ {
+			produceRows(t, e, "logs", 120)
+			if _, _, err := e.conv.RunOnce(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tbl, _, err := tableobj.Open(e.clock, e.fs, e.cat, "logs_table")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur, _, err := tbl.Current()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range cur.Files {
+			paths = append(paths, f.Path)
+		}
+		return paths
+	}
+	want := convert()
+	if len(want) != 9 {
+		t.Fatalf("%d files, want 9: %v", len(want), want)
+	}
+	for i := 0; i < len(want); i += 3 {
+		if !sort.StringsAreSorted(want[i : i+3]) {
+			t.Fatalf("run %d wrote its partitions out of order: %v", i/3, want[i:i+3])
+		}
+	}
+	for run := 0; run < 4; run++ {
+		if got := convert(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d wrote\n%v\nfirst run wrote\n%v", run, got, want)
+		}
 	}
 }

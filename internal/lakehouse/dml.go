@@ -34,6 +34,7 @@ func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duratio
 		return 0, cost, err
 	}
 	schema := st.tbl.Schema()
+	bound := bindFilters(schema, filters)
 	var deleted int64
 	for _, f := range plan.Files {
 		if fileFullyCovered(schema, f, filters) {
@@ -54,7 +55,7 @@ func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duratio
 		}
 		var keep []colfile.Row
 		r.Scan(func(row colfile.Row) bool {
-			if rowMatches(schema, row, filters) {
+			if rowMatches(row, bound) {
 				deleted++
 			} else {
 				keep = append(keep, append(colfile.Row(nil), row...))
@@ -123,6 +124,7 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 		return 0, cost, err
 	}
 	schema := st.tbl.Schema()
+	bound := bindFilters(schema, filters)
 	var updated int64
 	for _, f := range plan.Files {
 		blob, rc, err := e.fs.Read(f.Path)
@@ -139,7 +141,7 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 		var scanErr error
 		r.Scan(func(row colfile.Row) bool {
 			row = append(colfile.Row(nil), row...)
-			if rowMatches(schema, row, filters) {
+			if rowMatches(row, bound) {
 				row = set(row)
 				if err := schema.Validate(row); err != nil {
 					scanErr = err

@@ -173,13 +173,9 @@ func (e *Engine) Insert(name string, rows []colfile.Row) (time.Duration, error) 
 	if err != nil {
 		return 0, err
 	}
-	var files []tableobj.DataFile
-	for _, part := range byPartition {
-		f, err := x.WriteRows(part)
-		if err != nil {
-			return x.Cost(), err
-		}
-		files = append(files, f)
+	files, err := x.WritePartitions(byPartition)
+	if err != nil {
+		return x.Cost(), err
 	}
 
 	if !e.opts.Acceleration {

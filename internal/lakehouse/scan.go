@@ -291,38 +291,79 @@ func zonesOverlap(zones []tableobj.ZoneMap, c int, lo, hi *colfile.Value) bool {
 	return false
 }
 
-func fileMatches(schema colfile.Schema, f tableobj.DataFile, filters []RangeFilter) bool {
-	return filePrune(schema, f, filters) == pruneNone
+// boundFilter is a RangeFilter with its column resolved against the
+// table schema, so the per-row and per-group checks index directly.
+type boundFilter struct {
+	col    int
+	lo, hi *colfile.Value
 }
 
-func rowMatches(schema colfile.Schema, row colfile.Row, filters []RangeFilter) bool {
+// bindFilters resolves the filters' columns once per operation. A
+// filter naming no schema column constrains nothing and is dropped.
+func bindFilters(schema colfile.Schema, filters []RangeFilter) []boundFilter {
+	bound := make([]boundFilter, 0, len(filters))
 	for _, flt := range filters {
-		c := schema.FieldIndex(flt.Column)
-		if c < 0 {
-			continue
+		if c := schema.FieldIndex(flt.Column); c >= 0 {
+			bound = append(bound, boundFilter{col: c, lo: flt.Lo, hi: flt.Hi})
 		}
-		if flt.Lo != nil && colfile.Compare(row[c], *flt.Lo) < 0 {
+	}
+	return bound
+}
+
+func rowMatches(row colfile.Row, filters []boundFilter) bool {
+	for _, flt := range filters {
+		if flt.lo != nil && colfile.Compare(row[flt.col], *flt.lo) < 0 {
 			return false
 		}
-		if flt.Hi != nil && colfile.Compare(row[c], *flt.Hi) > 0 {
+		if flt.hi != nil && colfile.Compare(row[flt.col], *flt.hi) > 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// Scan reads the planned files and streams matching rows to fn,
-// skipping row groups whose statistics exclude the filters (data
+// Scan is ScanProjected over every column.
+func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, fn func(colfile.Row) bool) (ScanStats, time.Duration, error) {
+	return e.ScanProjected(name, plan, filters, nil, fn)
+}
+
+// ScanProjected reads the planned files and streams matching rows to
+// fn, skipping row groups whose statistics exclude the filters (data
 // skipping within the file) and returning the modelled read latency
 // plus the bytes actually read vs skipped. The row passed to fn is a
 // reused buffer, valid only for the duration of the callback: retain a
 // copy, not the row itself.
-func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, fn func(colfile.Row) bool) (ScanStats, time.Duration, error) {
+//
+// columns names the columns fn reads; nil means all of them. Only
+// those and the filter columns are decoded: the row keeps the schema's
+// width and positions, and every other cell is the zero Value. With no
+// column to decode (a bare count(*)) rows are counted from the footers.
+// Projection saves decode work only: a file is still read whole, so
+// the modelled latency and the byte figures do not depend on it.
+func (e *Engine) ScanProjected(name string, plan Plan, filters []RangeFilter, columns []string, fn func(colfile.Row) bool) (ScanStats, time.Duration, error) {
 	st, err := e.state(name)
 	if err != nil {
 		return ScanStats{}, 0, err
 	}
 	schema := st.tbl.Schema()
+	bound := bindFilters(schema, filters)
+	need := make([]bool, schema.NumFields())
+	for _, flt := range bound {
+		need[flt.col] = true
+	}
+	for _, col := range columns {
+		c := schema.FieldIndex(col)
+		if c < 0 {
+			return ScanStats{}, 0, errors.New("lakehouse: unknown column " + col)
+		}
+		need[c] = true
+	}
+	proj := make([]int, 0, len(need)) // non-nil even when empty: nil would read every column
+	for c := range need {
+		if need[c] || columns == nil {
+			proj = append(proj, c)
+		}
+	}
 	var stats ScanStats
 	var cost time.Duration
 	e.mu.Lock()
@@ -335,7 +376,7 @@ func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, fn func(col
 		m.skippedBytes.Add(stats.SkippedBytes)
 		m.scanLat.Observe(cost)
 	}()
-	var row colfile.Row // reused across rows; fn must not retain it
+	row := make(colfile.Row, len(need)) // reused across rows; fn must not retain it
 	for _, f := range plan.Files {
 		blob, rc, err := e.fs.Read(f.Path)
 		if err != nil {
@@ -347,25 +388,22 @@ func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, fn func(col
 			return stats, cost, err
 		}
 		for g := 0; g < r.NumRowGroups(); g++ {
-			if !groupMatches(schema, r, g, filters) {
+			if !groupMatches(r, g, bound) {
 				stats.SkippedBytes += r.GroupBytes(g)
 				stats.SkippedGroups++
 				continue
 			}
 			stats.ReadBytes += r.GroupBytes(g)
-			cols, err := r.ReadGroup(g, nil)
+			cols, err := r.ReadGroup(g, proj)
 			if err != nil {
 				return stats, cost, err
 			}
-			if len(row) != len(cols) {
-				row = make(colfile.Row, len(cols))
-			}
 			for i := 0; i < r.GroupRows(g); i++ {
-				for c := range cols {
-					row[c] = cols[c][i]
+				for k, c := range proj {
+					row[c] = cols[k][i]
 				}
 				stats.RowsScanned++
-				if rowMatches(schema, row, filters) {
+				if rowMatches(row, bound) {
 					stats.RowsMatched++
 					if !fn(row) {
 						return stats, cost, nil
@@ -377,13 +415,9 @@ func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, fn func(col
 	return stats, cost, nil
 }
 
-func groupMatches(schema colfile.Schema, r *colfile.Reader, g int, filters []RangeFilter) bool {
+func groupMatches(r *colfile.Reader, g int, filters []boundFilter) bool {
 	for _, flt := range filters {
-		c := schema.FieldIndex(flt.Column)
-		if c < 0 {
-			continue
-		}
-		if !r.GroupStats(g, c).Overlaps(flt.Lo, flt.Hi) {
+		if !r.GroupStats(g, flt.col).Overlaps(flt.lo, flt.hi) {
 			return false
 		}
 	}
@@ -428,8 +462,14 @@ func (e *Engine) AggregatePushdown(name string, filters []RangeFilter, groupColu
 	if sumColumn != "" && si < 0 {
 		return nil, cost, errors.New("lakehouse: unknown sum column " + sumColumn)
 	}
+	columns := []string{}
+	for _, col := range []string{groupColumn, sumColumn} {
+		if col != "" {
+			columns = append(columns, col)
+		}
+	}
 	groups := map[string]*AggregateResult{}
-	_, scanCost, err := e.Scan(name, plan, filters, func(row colfile.Row) bool {
+	_, scanCost, err := e.ScanProjected(name, plan, filters, columns, func(row colfile.Row) bool {
 		key := ""
 		if gi >= 0 {
 			key = row[gi].String()

@@ -109,33 +109,58 @@ func (e *Engine) Execute(stmt *Stmt) (*Result, error) {
 		return nil, err
 	}
 	schema := tbl.Schema()
-	filters, err := condsToFilters(schema, stmt.Where)
+	conds, err := bindConds(schema, stmt.Where)
 	if err != nil {
 		return nil, err
 	}
-	for _, item := range stmt.Select {
-		if item.Column != "" && item.Column != "*" && schema.FieldIndex(item.Column) < 0 {
+	filters := condsToFilters(schema, conds)
+	// What the scan must decode: select list ∪ WHERE ∪ GROUP BY ∪ SUM
+	// columns, nil (everything) under select *. itemCols is each select
+	// item's column index, -1 for * and count(*).
+	columns := []string{}
+	itemCols := make([]int, len(stmt.Select))
+	for i, item := range stmt.Select {
+		itemCols[i] = -1
+		if item.Column == "*" {
+			columns = nil
+		}
+		if item.Column == "" || item.Column == "*" {
+			continue
+		}
+		if itemCols[i] = schema.FieldIndex(item.Column); itemCols[i] < 0 {
 			return nil, fmt.Errorf("query: unknown column %q", item.Column)
 		}
+		if item.Agg != AggCount && columns != nil {
+			columns = append(columns, item.Column)
+		}
 	}
+	aggregated := allAggregates(stmt.Select) || stmt.GroupBy != ""
 	res := &Result{}
 	m := e.obsMetrics()
 	m.queries.Inc()
 
 	// Fast path: pure aggregates pushed down to storage — only when the
 	// range filters represent the conjuncts exactly (strict bounds on
-	// floats/strings cannot be closed soundly).
-	if e.Pushdown && allAggregates(stmt.Select) && condsExact(schema, stmt.Where) {
-		aggs, cost, err := e.executePushdown(stmt, filters)
+	// floats/strings cannot be closed soundly) and the SUM items share
+	// one column (all a pushed-down AggregateResult carries).
+	if sumColumn, one := singleSum(stmt.Select); one && e.Pushdown && allAggregates(stmt.Select) && condsExact(conds) {
+		pushed, cost, err := e.lh.AggregatePushdown(stmt.Table, filters, stmt.GroupBy, sumColumn)
 		if err != nil {
 			return nil, err
 		}
 		m.pushdownHits.Inc()
-		res.Stats.ComputeBytes = int64(len(aggs)) * rowShipBytes
+		res.Stats.ComputeBytes = int64(len(pushed)) * rowShipBytes
 		res.Stats.ExecCost = cost + e.net.Read(res.Stats.ComputeBytes)
 		m.computeBytes.Add(res.Stats.ComputeBytes)
 		if err := e.checkBudget(res.Stats.ComputeBytes); err != nil {
 			return nil, err
+		}
+		aggs := make([]aggRow, len(pushed))
+		for i, a := range pushed {
+			aggs[i] = aggRow{group: a.Group, count: a.Count, sums: make([]float64, len(itemCols))}
+			for j := range aggs[i].sums {
+				aggs[i].sums[j] = a.Sum
+			}
 		}
 		fillAggregateResult(res, stmt, aggs)
 		return res, nil
@@ -159,13 +184,6 @@ func (e *Engine) Execute(stmt *Stmt) (*Result, error) {
 		// happens compute-side.
 		scanFilters = nil
 	}
-	var shipped int64
-	type groupAgg struct {
-		count int64
-		sums  map[int]float64
-	}
-	groups := map[string]*groupAgg{}
-	var rawRows [][]string
 	gi := -1
 	if stmt.GroupBy != "" {
 		gi = schema.FieldIndex(stmt.GroupBy)
@@ -173,8 +191,19 @@ func (e *Engine) Execute(stmt *Stmt) (*Result, error) {
 			return nil, fmt.Errorf("query: unknown group-by column %q", stmt.GroupBy)
 		}
 	}
+	if columns != nil {
+		for _, c := range conds {
+			columns = append(columns, schema.Fields[c.col].Name)
+		}
+		if gi >= 0 {
+			columns = append(columns, stmt.GroupBy)
+		}
+	}
+	var shipped int64
+	groups := map[string]*aggRow{}
+	var rawRows [][]string
 	var oom error
-	stats, execCost, err := e.lh.Scan(stmt.Table, plan, scanFilters, func(row colfile.Row) bool {
+	stats, execCost, err := e.lh.ScanProjected(stmt.Table, plan, scanFilters, columns, func(row colfile.Row) bool {
 		shipped += rowShipBytes
 		if err := e.checkBudget(plan.MetadataBytes + shipped); err != nil {
 			oom = err
@@ -182,50 +211,43 @@ func (e *Engine) Execute(stmt *Stmt) (*Result, error) {
 		}
 		// The storage-side range filters are a (possibly loose) cover;
 		// the exact conjuncts are always re-checked here.
-		if !rowMatchesConds(schema, row, stmt.Where) {
+		if !rowMatchesConds(row, conds) {
 			return true
 		}
-		if allAggregates(stmt.Select) || stmt.GroupBy != "" {
+		if aggregated {
 			key := ""
 			if gi >= 0 {
 				key = row[gi].String()
 			}
 			g := groups[key]
 			if g == nil {
-				g = &groupAgg{sums: map[int]float64{}}
+				g = &aggRow{group: key, sums: make([]float64, len(itemCols))}
 				groups[key] = g
 			}
 			g.count++
 			for i, item := range stmt.Select {
-				if item.Agg == AggSum {
-					c := schema.FieldIndex(item.Column)
-					if c >= 0 {
-						switch row[c].Type {
-						case colfile.Int64:
-							g.sums[i] += float64(row[c].Int)
-						case colfile.Float64:
-							g.sums[i] += row[c].Float
-						}
-					}
+				if item.Agg != AggSum {
+					continue
+				}
+				switch v := row[itemCols[i]]; v.Type {
+				case colfile.Int64:
+					g.sums[i] += float64(v.Int)
+				case colfile.Float64:
+					g.sums[i] += v.Float
 				}
 			}
 			return true
 		}
 		// Plain projection.
 		var out []string
-		for _, item := range stmt.Select {
+		for i, item := range stmt.Select {
 			if item.Column == "*" {
 				for _, v := range row {
 					out = append(out, v.String())
 				}
 				continue
 			}
-			c := schema.FieldIndex(item.Column)
-			if c < 0 {
-				oom = fmt.Errorf("query: unknown column %q", item.Column)
-				return false
-			}
-			out = append(out, row[c].String())
+			out = append(out, row[itemCols[i]].String())
 		}
 		rawRows = append(rawRows, out)
 		return true
@@ -243,16 +265,12 @@ func (e *Engine) Execute(stmt *Stmt) (*Result, error) {
 	res.Stats.RowsScanned = stats.RowsScanned
 	m.computeBytes.Add(res.Stats.ComputeBytes)
 
-	if allAggregates(stmt.Select) || stmt.GroupBy != "" {
-		var aggs []lakehouse.AggregateResult
-		for key, g := range groups {
-			a := lakehouse.AggregateResult{Group: key, Count: g.count}
-			for _, s := range g.sums {
-				a.Sum = s
-			}
-			aggs = append(aggs, a)
+	if aggregated {
+		aggs := make([]aggRow, 0, len(groups))
+		for _, g := range groups {
+			aggs = append(aggs, *g)
 		}
-		sort.Slice(aggs, func(i, j int) bool { return aggs[i].Group < aggs[j].Group })
+		sort.Slice(aggs, func(i, j int) bool { return aggs[i].group < aggs[j].group })
 		fillAggregateResult(res, stmt, aggs)
 		return res, nil
 	}
@@ -261,14 +279,27 @@ func (e *Engine) Execute(stmt *Stmt) (*Result, error) {
 	return res, nil
 }
 
-func (e *Engine) executePushdown(stmt *Stmt, filters []lakehouse.RangeFilter) ([]lakehouse.AggregateResult, time.Duration, error) {
-	sumCol := ""
-	for _, item := range stmt.Select {
-		if item.Agg == AggSum {
-			sumCol = item.Column
+// aggRow is one group of an aggregate query: its row count and one sum
+// per select item (meaningful at the SUM items' positions).
+type aggRow struct {
+	group string
+	count int64
+	sums  []float64
+}
+
+// singleSum returns the column the statement's SUM items name ("" when
+// there is none); one is false when they name different columns.
+func singleSum(items []SelectItem) (col string, one bool) {
+	for _, it := range items {
+		if it.Agg != AggSum {
+			continue
 		}
+		if col != "" && col != it.Column {
+			return "", false
+		}
+		col = it.Column
 	}
-	return e.lh.AggregatePushdown(stmt.Table, filters, stmt.GroupBy, sumCol)
+	return col, true
 }
 
 func (e *Engine) checkBudget(used int64) error {
@@ -280,13 +311,10 @@ func (e *Engine) checkBudget(used int64) error {
 
 // condsExact reports whether every conjunct is exactly representable as
 // a closed range filter.
-func condsExact(schema colfile.Schema, conds []Cond) bool {
+func condsExact(conds []boundCond) bool {
 	for _, c := range conds {
-		if c.Op == OpLT || c.Op == OpGT {
-			ci := schema.FieldIndex(c.Column)
-			if ci < 0 || schema.Fields[ci].Type != colfile.Int64 {
-				return false
-			}
+		if (c.op == OpLT || c.op == OpGT) && c.val.Type != colfile.Int64 {
+			return false
 		}
 	}
 	return true
@@ -301,7 +329,7 @@ func allAggregates(items []SelectItem) bool {
 	return len(items) > 0
 }
 
-func fillAggregateResult(res *Result, stmt *Stmt, aggs []lakehouse.AggregateResult) {
+func fillAggregateResult(res *Result, stmt *Stmt, aggs []aggRow) {
 	if stmt.GroupBy != "" {
 		res.Columns = append(res.Columns, stmt.GroupBy)
 	}
@@ -320,14 +348,14 @@ func fillAggregateResult(res *Result, stmt *Stmt, aggs []lakehouse.AggregateResu
 	for _, a := range aggs {
 		var row []string
 		if stmt.GroupBy != "" {
-			row = append(row, a.Group)
+			row = append(row, a.group)
 		}
-		for _, item := range stmt.Select {
+		for i, item := range stmt.Select {
 			switch item.Agg {
 			case AggCount:
-				row = append(row, fmt.Sprintf("%d", a.Count))
+				row = append(row, fmt.Sprintf("%d", a.count))
 			case AggSum:
-				row = append(row, trimFloat(a.Sum))
+				row = append(row, trimFloat(a.sums[i]))
 			}
 		}
 		res.Rows = append(res.Rows, row)
@@ -359,10 +387,16 @@ func projectionColumns(stmt *Stmt, schema colfile.Schema) []string {
 	return out
 }
 
-// condsToFilters lowers WHERE conjuncts to storage range filters.
-func condsToFilters(schema colfile.Schema, conds []Cond) ([]lakehouse.RangeFilter, error) {
-	byCol := map[string]*lakehouse.RangeFilter{}
-	var order []string
+// boundCond is a WHERE conjunct resolved against the schema once per
+// query: the column's index and the literal as a value of its type.
+type boundCond struct {
+	col int
+	op  CondOp
+	val colfile.Value
+}
+
+func bindConds(schema colfile.Schema, conds []Cond) ([]boundCond, error) {
+	out := make([]boundCond, 0, len(conds))
 	for _, c := range conds {
 		ci := schema.FieldIndex(c.Column)
 		if ci < 0 {
@@ -372,31 +406,41 @@ func condsToFilters(schema colfile.Schema, conds []Cond) ([]lakehouse.RangeFilte
 		if err != nil {
 			return nil, err
 		}
-		f := byCol[c.Column]
+		out = append(out, boundCond{col: ci, op: c.Op, val: v})
+	}
+	return out, nil
+}
+
+// condsToFilters lowers WHERE conjuncts to storage range filters.
+func condsToFilters(schema colfile.Schema, conds []boundCond) []lakehouse.RangeFilter {
+	byCol := map[int]*lakehouse.RangeFilter{}
+	var order []int
+	for _, c := range conds {
+		f := byCol[c.col]
 		if f == nil {
-			f = &lakehouse.RangeFilter{Column: c.Column}
-			byCol[c.Column] = f
-			order = append(order, c.Column)
+			f = &lakehouse.RangeFilter{Column: schema.Fields[c.col].Name}
+			byCol[c.col] = f
+			order = append(order, c.col)
 		}
-		switch c.Op {
+		switch c.op {
 		case OpEQ:
-			setLo(f, v)
-			setHi(f, v)
+			setLo(f, c.val)
+			setHi(f, c.val)
 		case OpLE:
-			setHi(f, v)
+			setHi(f, c.val)
 		case OpGE:
-			setLo(f, v)
+			setLo(f, c.val)
 		case OpLT:
-			setHi(f, pred(v))
+			setHi(f, pred(c.val))
 		case OpGT:
-			setLo(f, succ(v))
+			setLo(f, succ(c.val))
 		}
 	}
 	out := make([]lakehouse.RangeFilter, 0, len(order))
 	for _, col := range order {
 		out = append(out, *byCol[col])
 	}
-	return out, nil
+	return out
 }
 
 func setLo(f *lakehouse.RangeFilter, v colfile.Value) {
@@ -456,18 +500,10 @@ func literalToValue(t colfile.Type, lit Literal) (colfile.Value, error) {
 
 // rowMatchesConds evaluates the original conjuncts (including strict
 // inequalities) compute-side.
-func rowMatchesConds(schema colfile.Schema, row colfile.Row, conds []Cond) bool {
+func rowMatchesConds(row colfile.Row, conds []boundCond) bool {
 	for _, c := range conds {
-		ci := schema.FieldIndex(c.Column)
-		if ci < 0 {
-			return false
-		}
-		v, err := literalToValue(schema.Fields[ci].Type, c.Lit)
-		if err != nil {
-			return false
-		}
-		cmp := colfile.Compare(row[ci], v)
-		switch c.Op {
+		cmp := colfile.Compare(row[c.col], c.val)
+		switch c.op {
 		case OpEQ:
 			if cmp != 0 {
 				return false

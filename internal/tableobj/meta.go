@@ -180,18 +180,22 @@ func readRange(data []byte) (min, max []colfile.Value, rest []byte, err error) {
 		return nil, nil, nil, errors.New("tableobj: truncated stats")
 	}
 	data = data[sz:]
-	for i := uint64(0); i < n; i++ {
-		var lo, hi colfile.Value
-		lo, data, err = colfile.ReadValue(data)
-		if err != nil {
+	// Untrusted count: a pair costs at least four bytes.
+	if n > uint64(len(data))/4 {
+		return nil, nil, nil, errors.New("tableobj: range count exceeds stats size")
+	}
+	if n == 0 {
+		return nil, nil, data, nil
+	}
+	vals := make([]colfile.Value, 2*n) // one allocation for both bounds
+	min, max = vals[:n:n], vals[n:]
+	for i := range min {
+		if min[i], data, err = colfile.ReadValue(data); err != nil {
 			return nil, nil, nil, err
 		}
-		hi, data, err = colfile.ReadValue(data)
-		if err != nil {
+		if max[i], data, err = colfile.ReadValue(data); err != nil {
 			return nil, nil, nil, err
 		}
-		min = append(min, lo)
-		max = append(max, hi)
 	}
 	return min, max, data, nil
 }
@@ -207,17 +211,18 @@ func fileToRow(op string, f DataFile) colfile.Row {
 	}
 }
 
-func rowToFile(r colfile.Row) (string, DataFile, error) {
+// rowToFile is the inverse of fileToRow less its op column.
+func rowToFile(r colfile.Row) (DataFile, error) {
 	f := DataFile{
-		Path:      r[1].Str,
-		Partition: r[2].Str,
-		Rows:      r[3].Int,
-		Bytes:     r[4].Int,
+		Path:      r[0].Str,
+		Partition: r[1].Str,
+		Rows:      r[2].Int,
+		Bytes:     r[3].Int,
 	}
-	if err := decodeStats(r[5].Str, &f); err != nil {
-		return "", DataFile{}, err
+	if err := decodeStats(r[4].Str, &f); err != nil {
+		return DataFile{}, err
 	}
-	return r[0].Str, f, nil
+	return f, nil
 }
 
 // EncodeCommit serializes a commit file.
@@ -262,11 +267,11 @@ func DecodeCommit(data []byte) (Commit, error) {
 		return c, errors.New("tableobj: commit batch has wrong schema")
 	}
 	for _, r := range rows {
-		kind, f, err := rowToFile(r)
+		f, err := rowToFile(r[1:])
 		if err != nil {
 			return c, err
 		}
-		c.Ops = append(c.Ops, FileOp{Add: kind == "add", File: f})
+		c.Ops = append(c.Ops, FileOp{Add: r[0].Str == "add", File: f})
 	}
 	return c, nil
 }
@@ -339,9 +344,11 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 	if !schema.Equal(snapshotFileSchema) {
 		return s, errors.New("tableobj: snapshot batch has wrong schema")
 	}
+	if len(rows) > 0 {
+		s.Files = make([]DataFile, 0, len(rows))
+	}
 	for _, r := range rows {
-		full := append(colfile.Row{colfile.StringValue("")}, r...)
-		_, f, err := rowToFile(full)
+		f, err := rowToFile(r)
 		if err != nil {
 			return s, err
 		}

@@ -3,6 +3,7 @@ package tableobj
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -157,21 +158,41 @@ func (t *Table) PartitionFor(row colfile.Row) string {
 
 // Txn stages data-file additions and removals for one atomic commit.
 type Txn struct {
-	t        *Table
+	t *Table
+	// base is the snapshot the transaction started from. Until Commit
+	// needs the manifest only its ID is set and baseBlob holds the
+	// encoded file: a transaction that just writes data files (Insert
+	// through the metadata cache) never pays the decode, which made a
+	// load quadratic in file count.
 	base     Snapshot
+	baseBlob []byte
 	adds     []DataFile
 	removes  []DataFile
 	cost     time.Duration
 	finished bool
 }
 
-// Begin starts a transaction against the current snapshot.
+// Begin starts a transaction against the current snapshot. Ids this
+// handle hands out from here on exceed the snapshot's: another handle
+// on the same table may have committed since this one was opened, and
+// numbering from the stale sequence would reuse — and overwrite — the
+// data files that commit wrote.
 func (t *Table) Begin() (*Txn, error) {
-	base, cost, err := t.Current()
+	ptr, cost, err := t.cat.SnapshotPointer(t.meta.Name)
 	if err != nil {
 		return nil, err
 	}
-	return &Txn{t: t, base: base, cost: cost}, nil
+	blob, c2, err := t.fs.Read(SnapshotPath(t.meta.Path, ptr))
+	if err != nil {
+		return nil, err
+	}
+	for {
+		seq := t.seq.Load()
+		if seq >= ptr || t.seq.CompareAndSwap(seq, ptr) {
+			break
+		}
+	}
+	return &Txn{t: t, base: Snapshot{ID: ptr}, baseBlob: blob, cost: cost + c2}, nil
 }
 
 // Cost reports the accumulated modelled latency of the transaction's
@@ -258,12 +279,40 @@ func (x *Txn) WriteRows(rows []colfile.Row) (DataFile, error) {
 	return f, nil
 }
 
+// WritePartitions writes one data file per partition (WriteRows each)
+// in sorted partition order, so which file gets which id — and with it
+// log placement, cache contents and virtual latency downstream —
+// follows from the rows, not from map iteration order.
+func (x *Txn) WritePartitions(byPartition map[string][]colfile.Row) ([]DataFile, error) {
+	partitions := make([]string, 0, len(byPartition))
+	for p := range byPartition {
+		partitions = append(partitions, p)
+	}
+	sort.Strings(partitions)
+	files := make([]DataFile, 0, len(partitions))
+	for _, p := range partitions {
+		f, err := x.WriteRows(byPartition[p])
+		if err != nil {
+			return files, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
 // Commit writes the commit file, builds and writes the next snapshot,
 // and publishes it with a catalog CAS. ErrConflict reports a losing race
 // with a concurrent writer; the staged files remain for a Retry.
 func (x *Txn) Commit() (Snapshot, error) {
 	if x.finished {
 		return Snapshot{}, errors.New("tableobj: transaction already finished")
+	}
+	if x.baseBlob != nil {
+		base, err := DecodeSnapshot(x.baseBlob)
+		if err != nil {
+			return Snapshot{}, err
+		}
+		x.base, x.baseBlob = base, nil
 	}
 	now := x.t.clock.Now()
 	commit := Commit{ID: x.t.nextID(), Timestamp: now}
@@ -350,7 +399,7 @@ func (x *Txn) Retry() (Snapshot, error) {
 			return Snapshot{}, fmt.Errorf("%w: file %s no longer current", ErrConflict, f.Path)
 		}
 	}
-	x.base = base
+	x.base, x.baseBlob = base, nil
 	return x.Commit()
 }
 

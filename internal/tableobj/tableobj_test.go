@@ -563,3 +563,87 @@ func TestQuickManifestAlgebra(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Each handle numbers the files it writes from its own sequence, seeded
+// from the snapshot pointer when the handle was opened. Begin must move
+// a handle past the snapshot it reads: commits through another handle
+// since then have used those ids, for data files as well.
+func TestBeginAdvancesSequencePastOtherHandlesCommits(t *testing.T) {
+	e := newEnv(t)
+	a := createTable(t, e, "t")
+	b, _, err := Open(e.clock, e.fs, e.cat, "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := map[string]bool{}
+	for i := 0; i < 4; i++ {
+		x, err := a.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := x.WriteRows([]colfile.Row{dpiRow("u", int64(i), "Beijing")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		written[f.Path] = true
+		if _, err := x.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x, err := b.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := x.WriteRows([]colfile.Row{dpiRow("u", 99, "Beijing")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if written[f.Path] {
+		t.Fatalf("second handle reused live data file %s", f.Path)
+	}
+	snap, err := x.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.RowCount != 5 || len(snap.Files) != 5 {
+		t.Fatalf("after the second handle's commit: %d rows in %d files", snap.RowCount, len(snap.Files))
+	}
+}
+
+// A transaction decodes its base manifest at Commit, not at Begin: the
+// base it commits against is still the snapshot Begin read, and a
+// manifest that does not decode fails the commit, not silently.
+func TestCommitDecodesTheBaseBeginRead(t *testing.T) {
+	e := newEnv(t)
+	tbl := createTable(t, e, "t")
+	x0, _ := tbl.Begin()
+	x0.WriteRows([]colfile.Row{dpiRow("u0", 0, "Beijing")})
+	base, err := x0.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, _ := tbl.Begin() // reads base
+	fresh, _ := tbl.Begin()
+	fresh.WriteRows([]colfile.Row{dpiRow("u1", 1, "Beijing")})
+	if _, err := fresh.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	stale.WriteRows([]colfile.Row{dpiRow("u2", 2, "Beijing")})
+	if _, err := stale.Commit(); !errors.Is(err, ErrConflict) {
+		t.Fatalf("commit against a superseded base: %v", err)
+	}
+	snap, err := stale.Retry()
+	if err != nil || snap.RowCount != 3 || snap.ParentID == base.ID {
+		t.Fatalf("retry: %+v %v", snap, err)
+	}
+
+	x, _ := tbl.Begin()
+	x.WriteRows([]colfile.Row{dpiRow("u3", 3, "Beijing")})
+	x.baseBlob = x.baseBlob[:len(x.baseBlob)/2]
+	if _, err := x.Commit(); err == nil {
+		t.Fatal("commit over an undecodable base manifest succeeded")
+	}
+	if cur, _, _ := tbl.Current(); cur.ID != snap.ID {
+		t.Fatalf("failed commit moved the table to snapshot %d", cur.ID)
+	}
+}
