@@ -400,26 +400,31 @@ func tenantLeg(smoke bool) (tenantBench, error) {
 	victimCfg := streamlake.TenantConfig{Name: "victim", Weight: 4}
 	noisyCfg := streamlake.TenantConfig{Name: "noisy", Weight: 1, Priority: 1, BandwidthBps: 2 << 20}
 
-	run := func(cfg streamlake.Config, ev int, specs ...mtraffic.TenantSpec) (mtraffic.Result, error) {
-		cfg.Seed = 7
-		lake, err := streamlake.Open(cfg)
+	// control attaches the unisolated shared-queue contention model in
+	// place of the QoS plane: one tenant's backlog delays everyone in
+	// its priority class.
+	run := func(tenants []streamlake.TenantConfig, control bool, ev int, specs ...mtraffic.TenantSpec) (mtraffic.Result, error) {
+		lake, err := streamlake.Open(streamlake.Config{Seed: 7, Tenants: tenants})
 		if err != nil {
 			return mtraffic.Result{}, err
+		}
+		if control {
+			lake.Service().SetContention()
 		}
 		if err := lake.CreateTopic(streamlake.TopicConfig{Name: "mt", StreamNum: 4}); err != nil {
 			return mtraffic.Result{}, err
 		}
 		return mtraffic.Run(lake, mtraffic.Config{Topic: "mt", Seed: 7, Events: ev, Tenants: specs})
 	}
-	solo, err := run(streamlake.Config{Tenants: []streamlake.TenantConfig{victimCfg}}, events/8, victim)
+	solo, err := run([]streamlake.TenantConfig{victimCfg}, false, events/8, victim)
 	if err != nil {
 		return tenantBench{}, fmt.Errorf("tenant leg solo: %w", err)
 	}
-	iso, err := run(streamlake.Config{Tenants: []streamlake.TenantConfig{victimCfg, noisyCfg}}, events, victim, noisy)
+	iso, err := run([]streamlake.TenantConfig{victimCfg, noisyCfg}, false, events, victim, noisy)
 	if err != nil {
 		return tenantBench{}, fmt.Errorf("tenant leg isolated: %w", err)
 	}
-	ctl, err := run(streamlake.Config{ModelContention: true}, events, victim, noisy)
+	ctl, err := run(nil, true, events, victim, noisy)
 	if err != nil {
 		return tenantBench{}, fmt.Errorf("tenant leg control: %w", err)
 	}
@@ -774,9 +779,8 @@ func speedLeg(smoke bool) (speedBench, error) {
 	var sb speedBench
 
 	// Group-commit probe: the same seeded append stream into two stream
-	// object stores, one flushing slice by slice (the pre-group-commit
-	// path, taken verbatim when the feature is off), one coalescing 8
-	// slices per device commit. Only slice flushes write to these pools,
+	// object stores, one committing slice by slice (group-commit target
+	// 1, the default), one coalescing 8 slices per device commit. Only slice flushes write to these pools,
 	// so the write-op delta is the coalescing, isolated.
 	appends := 8 * 1024
 	if smoke {
@@ -786,9 +790,7 @@ func speedLeg(smoke bool) (speedBench, error) {
 		clock := sim.NewClock()
 		p := pool.New("speed-gc", clock, sim.NVMeSSD, 6, 64<<20)
 		store := streamobj.NewStore(clock, plog.NewManager(p, 16<<20))
-		if slices > 1 {
-			store.EnableGroupCommit(slices)
-		}
+		store.EnableGroupCommit(slices)
 		o, err := store.Create(streamobj.CreateOptions{Topic: "bench"})
 		if err != nil {
 			return 0, err
@@ -809,7 +811,7 @@ func speedLeg(smoke bool) (speedBench, error) {
 		return writes, nil
 	}
 	var err error
-	if sb.GCBaselineWrites, err = gcRun(0); err != nil {
+	if sb.GCBaselineWrites, err = gcRun(1); err != nil {
 		return sb, err
 	}
 	if sb.GCGroupedWrites, err = gcRun(8); err != nil {

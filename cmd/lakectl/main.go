@@ -81,7 +81,7 @@ import (
 func main() {
 	oneShot := flag.String("c", "", "run one command and exit")
 	cacheMB := flag.Int("cache", 64, "read cache size in MB (0 disables)")
-	groupCommit := flag.Int("group-commit", 0, "coalesce this many slice flushes per device commit (0/1 disables)")
+	groupCommit := flag.Int("group-commit", 0, "coalesce up to this many slice flushes per device commit (0/1: one commit per slice)")
 	zoneMaps := flag.Bool("zonemaps", false, "record zone maps + bloom filters at insert time for scan pruning")
 	compress := flag.Bool("compress", false, "compress extents as tiering demotes logs to the HDD cold tier")
 	nodes := flag.Int("nodes", 0, "run a multi-node cluster of this size (0/1 single-node)")
@@ -978,7 +978,7 @@ func (s *shell) trace(rest []string) error {
 		}
 		sp := tr.Start("gateway.produce")
 		sp.SetAttr("topic", rest[1])
-		msg, cost, err := s.producer().SendSpan(rest[1], []byte(rest[2]), []byte(strings.Join(rest[3:], " ")), sp)
+		msg, cost, err := s.producer().SendSpanCtx(rest[1], []byte(rest[2]), []byte(strings.Join(rest[3:], " ")), sp, nil)
 		if err != nil {
 			return err
 		}

@@ -189,12 +189,12 @@ func (b *Bus) SetQoS(q QoS) {
 }
 
 // Send models transferring n bytes at the given priority and returns the
-// modelled latency the sender observes. It is the fault-blind legacy
-// path (equivalent to SendLink from this bus's own endpoint to an
+// modelled latency the sender observes. It is the fault-blind cost-model
+// call (equivalent to SendLinkT from this bus's own endpoint to an
 // unnamed peer): a fault-plane verdict against the anonymous link is
-// absorbed as latency rather than surfaced, which suits the cost-model
-// callers (benchmarks) that assume delivery. Data paths that must see
-// failures use SendLink.
+// absorbed as latency rather than surfaced, which suits the callers
+// that assume delivery — ablations and benchmarks. No data path uses
+// it; the produce path must see failures and sends with SendLinkT.
 func (b *Bus) Send(n int64, prio Priority) time.Duration {
 	b.mu.Lock()
 	local, hook := b.local, b.net
@@ -210,21 +210,16 @@ func (b *Bus) Send(n int64, prio Priority) time.Duration {
 	return b.deliver(n, prio, delay, "")
 }
 
-// SendLink models transferring n bytes on the directed link from→to at
+// SendLinkT models transferring n bytes on the directed link from→to at
 // the given priority. The network fault plane (when attached) rules on
 // the message first: a drop or partition returns the time the sender
 // lost (injected delay plus the drop timeout) and a non-nil error, and
 // leaves the aggregation batch accounting untouched — an undelivered
 // message must never fill a batch slot or double-charge the batch's
-// deferred fixed cost when it is retried.
-func (b *Bus) SendLink(from, to string, n int64, prio Priority) (time.Duration, error) {
-	return b.SendLinkT(from, to, n, prio, "")
-}
-
-// SendLinkT is SendLink with a tenant identity attached: the attached
-// QoS scheduler (when any) charges the send its weighted-fair queuing
-// delay within the priority class. The empty tenant is the system
-// identity and is never QoS-delayed.
+// deferred fixed cost when it is retried. The send carries a tenant
+// identity: the attached QoS scheduler (when any) charges it its
+// weighted-fair queuing delay within the priority class. The empty
+// tenant is the system identity and is never QoS-delayed.
 func (b *Bus) SendLinkT(from, to string, n int64, prio Priority, tenant string) (time.Duration, error) {
 	b.mu.Lock()
 	hook := b.net

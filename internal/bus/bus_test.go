@@ -174,7 +174,7 @@ func TestDroppedSendLeavesBatchAccountingIntact(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		// Retry each message until it lands, like the producer does.
 		for {
-			_, err := b.SendLink("client", "worker/0", 512, Normal)
+			_, err := b.SendLinkT("client", "worker/0", 512, Normal, "")
 			if err == nil {
 				delivered++
 				break
@@ -212,7 +212,7 @@ func TestDroppedSendLeavesBatchAccountingIntact(t *testing.T) {
 func TestDropChargesTimeoutNotTransfer(t *testing.T) {
 	b := New(Config{Path: RDMA, DropTimeout: time.Millisecond})
 	b.SetNet(&scriptHook{fail: []bool{true, false}, err: errDrop}, "client")
-	cost, err := b.SendLink("client", "worker/0", 1<<20, Normal)
+	cost, err := b.SendLinkT("client", "worker/0", 1<<20, Normal, "")
 	if err == nil {
 		t.Fatal("scripted drop did not surface")
 	}
@@ -222,7 +222,7 @@ func TestDropChargesTimeoutNotTransfer(t *testing.T) {
 	if got := b.Link().Stats().WriteBytes; got != 0 {
 		t.Fatalf("dropped bytes reached the link device: %d", got)
 	}
-	if _, err := b.SendLink("client", "worker/0", 1<<20, Normal); err != nil {
+	if _, err := b.SendLinkT("client", "worker/0", 1<<20, Normal, ""); err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
 	if got := b.Link().Stats().WriteBytes; got != 1<<20 {
@@ -230,14 +230,14 @@ func TestDropChargesTimeoutNotTransfer(t *testing.T) {
 	}
 }
 
-// TestSendWithoutHookUnchanged: with no fault plane attached, SendLink
+// TestSendWithoutHookUnchanged: with no fault plane attached, SendLinkT
 // behaves exactly like the legacy Send.
 func TestSendWithoutHookUnchanged(t *testing.T) {
 	a := New(Config{Path: TCP, Aggregation: true})
 	b := New(Config{Path: TCP, Aggregation: true})
 	for i := 0; i < 20; i++ {
 		want := a.Send(512, Normal)
-		got, err := b.SendLink("client", "worker/0", 512, Normal)
+		got, err := b.SendLinkT("client", "worker/0", 512, Normal, "")
 		if err != nil || got != want {
 			t.Fatalf("send %d: got (%v,%v) want (%v,nil)", i, got, err, want)
 		}

@@ -197,13 +197,12 @@ func RunDegraded(cfg Config, extra time.Duration) (Report, error) { return run(c
 func run(cfg Config, degrade time.Duration) (Report, error) {
 	cfg = cfg.withDefaults()
 	lakeCfg := streamlake.Config{
-		Workers:        cfg.Workers,
-		Seed:           cfg.Seed,
-		PLogCapacity:   1 << 20,
-		DisableHedging: !cfg.Hedging,
-		CacheMB:        cfg.CacheMB,
-		Nodes:          cfg.Nodes,
-		Compression:    cfg.Compressed,
+		Workers:      cfg.Workers,
+		Seed:         cfg.Seed,
+		PLogCapacity: 1 << 20,
+		CacheMB:      cfg.CacheMB,
+		Nodes:        cfg.Nodes,
+		Compression:  cfg.Compressed,
 	}
 	if cfg.Nodes > 1 {
 		// Give every node at least two disks so a dead node's share can
@@ -223,11 +222,11 @@ func run(cfg Config, degrade time.Duration) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	if cfg.Hedging {
-		// Chaos runs see few, large slice reads, so warm the hedge
-		// tracker faster and hedge off the median instead of the p95.
-		lake.Logs().SetHedge(plog.HedgeConfig{Enabled: true, Quantile: 0.5, MinSamples: 8})
-	}
+	// Chaos runs see few, large slice reads, so warm the hedge tracker
+	// faster and hedge off the median instead of the p95; with Hedging
+	// off the same config leaves hedging disabled (the tail-latency
+	// baseline: a slow replica is simply waited out).
+	lake.Logs().SetHedge(plog.HedgeConfig{Enabled: cfg.Hedging, Quantile: 0.5, MinSamples: 8})
 	if err := lake.CreateTopic(streamlake.TopicConfig{Name: topic, StreamNum: cfg.Streams}); err != nil {
 		return Report{}, err
 	}

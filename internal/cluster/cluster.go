@@ -551,13 +551,6 @@ func (c *Cluster) proposeMember(node int, status string) error {
 	return err
 }
 
-// NodeUp reports process liveness (pre-detection truth, for harnesses).
-func (c *Cluster) NodeUp(node int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return node >= 0 && node < len(c.nodes) && c.nodes[node].up
-}
-
 // Leader returns the current live leader's node ID, or -1.
 func (c *Cluster) Leader() int {
 	c.mu.Lock()

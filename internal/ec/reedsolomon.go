@@ -28,12 +28,6 @@ func New(k, m int) (*Codec, error) {
 	return &Codec{k: k, m: m, matrix: buildMatrix(k, m)}, nil
 }
 
-// DataShards returns k.
-func (c *Codec) DataShards() int { return c.k }
-
-// ParityShards returns m.
-func (c *Codec) ParityShards() int { return c.m }
-
 // Overhead returns the storage multiplier (k+m)/k of the code.
 func (c *Codec) Overhead() float64 { return float64(c.k+c.m) / float64(c.k) }
 

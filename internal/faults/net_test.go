@@ -137,7 +137,7 @@ func TestNetPlaneConcurrency(t *testing.T) {
 					return
 				default:
 				}
-				b.SendLink("client", links[i%2], 512, bus.Normal)
+				b.SendLinkT("client", links[i%2], 512, bus.Normal, "")
 				b.Send(512, bus.Normal)
 			}
 		}(g)

@@ -214,15 +214,6 @@ func (e *Env) QueryCost(i int) time.Duration {
 		time.Duration(float64(bytes)/(1<<30)*float64(time.Second))
 }
 
-// TotalQueryCost sums QueryCost over all partitions.
-func (e *Env) TotalQueryCost() time.Duration {
-	var total time.Duration
-	for i := range e.parts {
-		total += e.QueryCost(i)
-	}
-	return total
-}
-
 // CycleIngestRate sets the environment's ingest rate following a
 // high/low duty cycle — the varying file ingestion speed of the paper's
 // block-utilization experiment.

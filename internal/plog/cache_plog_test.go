@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"streamlake/internal/cache"
-	"streamlake/internal/obs"
-	"streamlake/internal/sim"
 )
 
 func newCachedManager(t *testing.T, disks int) (*Manager, *cache.Cache) {
@@ -138,48 +136,6 @@ func TestCacheBypassedWithoutVerification(t *testing.T) {
 	}
 	if st := c.Stats(); st.Fills != 1 {
 		t.Fatalf("unverified read filled the cache: %+v", st)
-	}
-}
-
-// ReadSpan annotates traces with the cache outcome and shows hits as
-// near-zero device time.
-func TestReadSpanCacheAnnotation(t *testing.T) {
-	m, _ := newCachedManager(t, 3)
-	l, _ := m.Create(ReplicateN(3))
-	payload := bytes.Repeat([]byte("t"), 512)
-	l.Append(payload)
-	clock := sim.NewClock()
-	tr := obs.NewTracer(clock)
-	findRead := func(sp *obs.Span) (string, int64) {
-		t.Helper()
-		for _, ch := range sp.JSON().Children {
-			if ch.Name == "plog.read" {
-				return ch.Attrs["cache"], ch.DurNs
-			}
-		}
-		t.Fatal("no plog.read child span")
-		return "", 0
-	}
-	cold := tr.Start("read-cold")
-	if _, _, err := l.ReadSpan(0, 512, cold); err != nil {
-		t.Fatal(err)
-	}
-	cold.End(0)
-	outcome, coldDur := findRead(cold)
-	if outcome != "miss" {
-		t.Fatalf("cold outcome %q, want miss", outcome)
-	}
-	warm := tr.Start("read-warm")
-	if _, _, err := l.ReadSpan(0, 512, warm); err != nil {
-		t.Fatal(err)
-	}
-	warm.End(0)
-	outcome, warmDur := findRead(warm)
-	if outcome != "hit" {
-		t.Fatalf("warm outcome %q, want hit", outcome)
-	}
-	if warmDur >= coldDur {
-		t.Fatalf("trace does not show the hit as cheaper: cold=%v warm=%v", coldDur, warmDur)
 	}
 }
 

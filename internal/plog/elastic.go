@@ -14,9 +14,8 @@ import (
 // birth i%N rule.
 
 // StaleByDiskIn sums the missing redundancy bytes per hosting disk,
-// counting only logs placed on p — the pool-aware form of StaleByDisk
-// that keeps SSD and HDD disk IDs from aliasing in per-node backlog
-// attribution.
+// counting only logs placed on p, which keeps SSD and HDD disk IDs
+// from aliasing in per-node backlog attribution.
 func (m *Manager) StaleByDiskIn(p *pool.Pool) map[pool.DiskID]int64 {
 	out := make(map[pool.DiskID]int64)
 	for _, l := range m.StaleLogs() {

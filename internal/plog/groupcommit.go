@@ -1,13 +1,14 @@
-// Group commit: the hot-path write coalescer of the "reunion" claim.
-// Streaming produces many small slice flushes; issuing one placement
-// write per slice pays the per-operation device overhead (seek/setup —
-// the fsync-equivalent of the simulated substrate) once per slice per
-// copy. AppendBatch coalesces a batch of payloads into ONE placement
-// write per copy sized to the whole batch, so the overhead is charged
-// once per batch per copy while every payload keeps its own extent and
-// per-copy CRC sidecar — reads, scrub, corruption injection, repair and
-// replay digests see exactly the extents a payload-at-a-time append
-// would have produced.
+// The append path. Every append is a batch: Append is a batch of one,
+// and group commit — the hot-path write coalescer of the "reunion"
+// claim — is the same call with more payloads. Streaming produces many
+// small slice flushes; issuing one placement write per slice pays the
+// per-operation device overhead (seek/setup — the fsync-equivalent of
+// the simulated substrate) once per slice per copy. AppendBatch writes
+// a batch of payloads as ONE placement write per copy sized to the
+// whole batch, so the overhead is charged once per batch per copy while
+// every payload keeps its own extent and per-copy CRC sidecar — reads,
+// scrub, corruption injection, repair and replay digests see exactly
+// the extents a payload-at-a-time append would have produced.
 package plog
 
 import (
@@ -20,10 +21,15 @@ import (
 	"streamlake/internal/pool"
 )
 
-// AppendBatch appends payloads back-to-back as one coalesced commit:
-// each placement copy receives a single pool write covering the batch's
+// AppendBatch appends payloads back-to-back as one commit: each
+// placement copy receives a single pool write covering the batch's
 // physical bytes (the sum of the per-payload copy/shard sizes — the
 // same byte accounting as appending one at a time, in one operation).
+// The placement writes are recorded as parallel pool.write children of
+// sp (they share a start offset; the slowest advances the request's
+// critical path); a nil span traces nothing and costs nothing. Only a
+// commit that actually coalesces (more than one payload) tags its spans
+// with the batch size and counts as a group commit.
 //
 // Degraded-write semantics are batch-granular: a copy that misses the
 // coalesced write misses every payload in it and goes stale for the
@@ -31,7 +37,7 @@ import (
 // policy's fault tolerance the whole batch rolls back all-or-nothing
 // and pool accounting is left untouched. The returned offsets are the
 // starting offsets of each payload; cost is the slowest parallel
-// placement write, exactly as in AppendSpan.
+// placement write.
 func (l *PLog) AppendBatch(payloads [][]byte, sp *obs.Span) (offsets []int64, cost time.Duration, err error) {
 	if len(payloads) == 0 {
 		return nil, 0, nil
@@ -62,7 +68,9 @@ func (l *PLog) AppendBatch(payloads [][]byte, sp *obs.Span) (offsets []int64, co
 		if sp != nil {
 			w := sp.Child("pool.write")
 			w.SetAttr("disk", strconv.Itoa(int(s.Disk)))
-			w.SetAttr("batch", strconv.Itoa(len(payloads)))
+			if len(payloads) > 1 {
+				w.SetAttr("batch", strconv.Itoa(len(payloads)))
+			}
 			w.End(d)
 		}
 		ok = append(ok, s.ID)
@@ -93,10 +101,15 @@ func (l *PLog) AppendBatch(payloads [][]byte, sp *obs.Span) (offsets []int64, co
 	}
 	l.metrics.appendLat.Observe(max)
 	l.metrics.appendBytes.Add(logical)
-	l.metrics.groupCommits.Inc()
-	l.metrics.groupPayloads.Add(int64(len(payloads)))
+	if len(payloads) > 1 {
+		l.metrics.groupCommits.Inc()
+		l.metrics.groupPayloads.Add(int64(len(payloads)))
+	}
 	if len(failed) > 0 {
 		l.metrics.degradedOps.Inc()
+		// Degraded write: some copies now hold stale ranges; drop the
+		// log's cached ranges rather than reason about which reads could
+		// have observed which copy.
 		l.invalidateCached()
 	}
 	return offsets, max, nil
@@ -125,7 +138,8 @@ type GroupCommitter struct {
 }
 
 // NewGroupCommitter builds a coordinator folding up to `slices` slice
-// flushes into one device commit. Values below 2 mean no coalescing.
+// flushes into one device commit. Values below 2 mean one commit per
+// slice.
 func NewGroupCommitter(slices int) *GroupCommitter {
 	if slices < 1 {
 		slices = 1
@@ -139,9 +153,6 @@ func (g *GroupCommitter) Target() int { return g.target }
 // Note records one coalesced commit of n payloads across a placement
 // group of the given width.
 func (g *GroupCommitter) Note(payloads, width int) {
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	g.stats.Commits++
 	g.stats.Payloads += int64(payloads)
@@ -153,9 +164,6 @@ func (g *GroupCommitter) Note(payloads, width int) {
 
 // Stats snapshots the coordinator's counters.
 func (g *GroupCommitter) Stats() GroupCommitStats {
-	if g == nil {
-		return GroupCommitStats{}
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.stats

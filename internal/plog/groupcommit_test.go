@@ -192,11 +192,6 @@ func TestMigrateAfterDestroyRefused(t *testing.T) {
 }
 
 func TestGroupCommitterStats(t *testing.T) {
-	var nilGC *GroupCommitter
-	if st := nilGC.Stats(); st != (GroupCommitStats{}) {
-		t.Fatalf("nil committer stats: %+v", st)
-	}
-	nilGC.Note(4, 3) // must not panic
 	gc := NewGroupCommitter(4)
 	if gc.Target() != 4 {
 		t.Fatalf("target: %d", gc.Target())

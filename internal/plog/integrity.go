@@ -448,9 +448,6 @@ func (m *Manager) SetVerifyOnRead(v bool) {
 	}
 }
 
-// VerifyOnRead reports whether reads verify checksums.
-func (m *Manager) VerifyOnRead() bool { return !m.verify.Load() }
-
 // CorruptCopy flips the stored checksum of one copy's extent of one log.
 func (m *Manager) CorruptCopy(id ID, sliceIdx, ext int) (bool, error) {
 	l := m.Get(id)

@@ -158,11 +158,6 @@ type PLog struct {
 	// migration, destroy — invalidates the log's cached ranges.
 	rcache *atomic.Pointer[cache.Cache]
 
-	// locality points at the manager's shared read-locality slot (see
-	// locality.go / Manager.SetLocalReads); nil — the default — keeps
-	// the legacy copy-order read path, byte for byte.
-	locality *atomic.Pointer[func(*pool.Pool, pool.DiskID) bool]
-
 	// compr points at the manager's shared compression-on-migrate
 	// configuration (see compress.go); the slot holds nil until
 	// SetCompression. compressed/ecomp are the log's own compression
@@ -255,73 +250,11 @@ func (r Redundancy) required() int {
 // did land, so a failed append leaves pool byte and latency accounting
 // untouched.
 func (l *PLog) Append(data []byte) (offset int64, cost time.Duration, err error) {
-	return l.AppendSpan(data, nil)
-}
-
-// AppendSpan is Append with tracing: the placement writes are recorded
-// as parallel pool.write children of sp (they share a start offset; the
-// slowest advances the request's critical path). A nil span traces
-// nothing and costs nothing.
-func (l *PLog) AppendSpan(data []byte, sp *obs.Span) (offset int64, cost time.Duration, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.sealed {
-		return 0, 0, ErrSealed
+	offs, cost, err := l.AppendBatch([][]byte{data}, nil)
+	if err != nil {
+		return 0, 0, err
 	}
-	if int64(len(l.buf))+int64(len(data)) > l.capacity {
-		return 0, 0, ErrFull
-	}
-	offset = int64(len(l.buf))
-	per := l.red.shardSize(int64(len(data)))
-	type landed struct {
-		id pool.SliceID
-	}
-	var ok []landed
-	var failed []int
-	var max time.Duration
-	for i, s := range l.slices {
-		d, werr := l.pool.Write(s.ID, per)
-		if werr != nil {
-			failed = append(failed, i)
-			continue
-		}
-		if sp != nil {
-			w := sp.Child("pool.write")
-			w.SetAttr("disk", strconv.Itoa(int(s.Disk)))
-			w.End(d)
-		}
-		ok = append(ok, landed{s.ID})
-		if d > max {
-			max = d
-		}
-	}
-	if len(ok) < l.red.required() {
-		// Beyond fault tolerance: all-or-nothing, refund the survivors.
-		for _, w := range ok {
-			l.pool.RollbackWrite(w.id, per)
-		}
-		return 0, 0, fmt.Errorf("%w: %d of %d placement writes failed",
-			ErrUnavailable, len(failed), len(l.slices))
-	}
-	sp.Advance(max) // the slowest parallel write gates the append
-	for _, i := range failed {
-		if l.stale == nil {
-			l.stale = make(map[int]int64)
-		}
-		l.stale[i] += per
-	}
-	l.buf = append(l.buf, data...)
-	l.recordExtent(offset, data, failed)
-	l.metrics.appendLat.Observe(max)
-	l.metrics.appendBytes.Add(int64(len(data)))
-	if len(failed) > 0 {
-		l.metrics.degradedOps.Inc()
-		// Degraded write: some copies now hold stale ranges; drop the
-		// log's cached ranges rather than reason about which reads could
-		// have observed which copy.
-		l.invalidateCached()
-	}
-	return offset, max, nil
+	return offs[0], cost, nil
 }
 
 // Read returns n bytes starting at offset, charging the device reads. For
@@ -341,19 +274,9 @@ func (l *PLog) AppendSpan(data []byte, sp *obs.Span) (offset int64, cost time.Du
 // capacity-capped, so the borrow stays valid and stable forever, even
 // across concurrent appends, seals and migrations; verified extent
 // bytes flow to the gateway and query scan with zero intermediate
-// copies. A caller that needs a private, mutable buffer uses ReadCopy.
+// copies. A caller that needs a private, mutable buffer copies it.
 func (l *PLog) Read(offset, n int64) (data []byte, cost time.Duration, err error) {
 	data, cost, _, err = l.readThrough(offset, n)
-	return data, cost, err
-}
-
-// ReadCopy is Read returning a private copy the caller may mutate
-// freely — the explicit-copy escape hatch of the borrow discipline.
-func (l *PLog) ReadCopy(offset, n int64) (data []byte, cost time.Duration, err error) {
-	data, cost, err = l.Read(offset, n)
-	if data != nil {
-		data = append([]byte(nil), data...)
-	}
 	return data, cost, err
 }
 
@@ -421,26 +344,6 @@ func (l *PLog) tryFill(c *cache.Cache, key string, data []byte, ver uint64) bool
 // enforce the "cached read never differs from device read" invariant.
 func (l *PLog) ReadDirect(offset, n int64) ([]byte, time.Duration, error) {
 	return l.read(offset, n)
-}
-
-// ReadSpan is Read with tracing: the read is recorded as a child span
-// of sp annotated with its cache outcome, so traces honestly show
-// cache hits as near-zero device time. A nil span traces nothing.
-func (l *PLog) ReadSpan(offset, n int64, sp *obs.Span) ([]byte, time.Duration, error) {
-	data, cost, hit, err := l.readThrough(offset, n)
-	if sp != nil && err == nil {
-		outcome := "uncached"
-		if l.cacheActive() != nil {
-			outcome = "miss"
-			if hit {
-				outcome = "hit"
-			}
-		}
-		ch := sp.Child("plog.read")
-		ch.SetAttr("cache", outcome)
-		ch.End(cost)
-	}
-	return data, cost, err
 }
 
 // cacheActive returns the attached read cache, or nil when there is
@@ -526,19 +429,7 @@ func (l *PLog) read(offset, n int64) (data []byte, cost time.Duration, err error
 	case Replicate:
 		var lastErr error
 		fellBack := false
-		// Placement-aware reads: when the manager carries a locality
-		// preference, local-domain copies are tried first and the loop
-		// degrades to cross-domain copies exactly as it always has when
-		// the local copy is missing, stale, quarantined, or failed. A nil
-		// order (the default) keeps the legacy index-order path with zero
-		// extra allocation.
-		order := l.localOrderLocked()
-		for k := 0; k < len(l.slices); k++ {
-			i := k
-			if order != nil {
-				i = order[k]
-			}
-			s := l.slices[i]
+		for i, s := range l.slices {
 			if l.missingIn(i, offset, n) {
 				continue // copy has holes here: degraded write or quarantined
 			}
@@ -933,10 +824,6 @@ type Manager struct {
 	// placer, when set, replaces the pool's default AllocGroup for new
 	// placement groups (the cluster's consistent-hash placement).
 	placer atomic.Pointer[func(width int) ([]*pool.Slice, error)]
-	// locality, when set, is the placement-aware read preference shared
-	// by every log (see SetLocalReads): copies whose disk it reports
-	// local are tried first on replicated reads.
-	locality atomic.Pointer[func(*pool.Pool, pool.DiskID) bool]
 	// compr is the shared compression-on-migrate slot (see compress.go);
 	// nil until SetCompression designates a cold pool.
 	compr atomic.Pointer[comprConfig]
@@ -1042,7 +929,6 @@ func (m *Manager) Create(red Redundancy) (*PLog, error) {
 		metrics:  &m.metrics,
 		hedge:    &m.hedge,
 		rcache:   &m.cache,
-		locality: &m.locality,
 		compr:    &m.compr,
 	}
 	m.logs[l.id] = l
@@ -1183,18 +1069,6 @@ func (m *Manager) MarkDisksStale(p *pool.Pool, disks map[pool.DiskID]bool) int64
 		total += l.MarkDiskStale(p, disks)
 	}
 	return total
-}
-
-// StaleByDisk sums the missing redundancy bytes per hosting disk — the
-// per-node re-replication backlog gauge.
-func (m *Manager) StaleByDisk() map[pool.DiskID]int64 {
-	out := make(map[pool.DiskID]int64)
-	for _, l := range m.StaleLogs() {
-		for _, si := range l.Stale() {
-			out[si.Disk] += si.Bytes
-		}
-	}
-	return out
 }
 
 // Pool exposes the storage pool the manager places logs on.

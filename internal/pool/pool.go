@@ -239,20 +239,6 @@ func (p *Pool) DomainOf(id DiskID) int {
 	return p.domainOfLocked(id)
 }
 
-// DomainDisks lists the disks assigned to one failure domain, in disk
-// order.
-func (p *Pool) DomainDisks(domain int) []DiskID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []DiskID
-	for _, d := range p.disks {
-		if p.domainOfLocked(d.id) == domain {
-			out = append(out, d.id)
-		}
-	}
-	return out
-}
-
 // DomainSlices counts the slices currently hosted in each failure
 // domain (the "slices owned" gauge for per-node observability).
 func (p *Pool) DomainSlices() map[int]int {
@@ -894,17 +880,6 @@ func (p *Pool) DiskStats(id DiskID) sim.DeviceStats {
 		return sim.DeviceStats{}
 	}
 	return p.disks[id].dev.Stats()
-}
-
-// DiskDevice exposes one disk's simulated device (latency-degradation
-// fault injection dials the device's slowdown).
-func (p *Pool) DiskDevice(id DiskID) *sim.Device {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if int(id) < 0 || int(id) >= len(p.disks) {
-		return nil
-	}
-	return p.disks[id].dev
 }
 
 // Reconstruct migrates every slice on failed disks onto healthy disks,

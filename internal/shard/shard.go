@@ -148,85 +148,86 @@ func NewSpace(mgr *plog.Manager, red plog.Redundancy) *Space {
 }
 
 // Append persists data in shard s, rolling the PLog chain as needed, and
-// returns the record's location and the modelled persistence latency.
+// returns the record's location and the modelled persistence latency: a
+// batch of one.
 func (sp *Space) Append(s ID, data []byte) (Loc, time.Duration, error) {
-	return sp.AppendSpan(s, data, nil)
+	locs, cost, err := sp.AppendBatch(s, [][]byte{data}, nil)
+	if err != nil {
+		return Loc{}, 0, err
+	}
+	return locs[0], cost, nil
 }
 
-// AppendSpan is Append with tracing: the PLog append is recorded as a
-// plog.append child of parent, annotated with the shard and log it
-// landed in. A nil span traces nothing.
-func (sp *Space) AppendSpan(s ID, data []byte, parent *obs.Span) (Loc, time.Duration, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return sp.appendOneLocked(s, data, parent)
-}
-
-// AppendBatch persists several payloads in shard s as one group commit:
-// every payload keeps its own offset and extent (so reads, checksums,
-// and replay are indistinguishable from individual appends) but the
-// whole batch costs one device write per placement copy
-// (plog.AppendBatch). The chain rolls like AppendSpan; a batch too
-// large even for a fresh log falls back to payload-at-a-time appends,
-// which can split it across the roll. Locs are returned in payload
-// order.
+// AppendBatch persists several payloads in shard s as one commit: every
+// payload keeps its own offset and extent (so reads, checksums, and
+// replay are indistinguishable from individual appends) but the whole
+// batch costs one device write per placement copy (plog.AppendBatch).
+// The append is recorded as a plog.append child of parent, annotated
+// with the shard and log it landed in (and the batch size when it
+// coalesces); a nil span traces nothing. The chain rolls to a fresh log
+// when the open one is full or sealed; a batch too large even for a
+// fresh log falls back to payload-at-a-time appends, which can split it
+// across the roll. Locs are returned in payload order.
 func (sp *Space) AppendBatch(s ID, payloads [][]byte, parent *obs.Span) ([]Loc, time.Duration, error) {
 	if len(payloads) == 0 {
 		return nil, 0, nil
 	}
-	if len(payloads) == 1 {
-		loc, cost, err := sp.AppendSpan(s, payloads[0], parent)
-		if err != nil {
-			return nil, 0, err
-		}
-		return []Loc{loc}, cost, nil
-	}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
+	return sp.appendBatchLocked(s, payloads, parent)
+}
+
+// rollLocked opens a fresh PLog at the end of shard s's chain.
+func (sp *Space) rollLocked(s ID) (*plog.PLog, error) {
+	l, err := sp.mgr.Create(sp.red)
+	if err != nil {
+		return nil, err
+	}
+	sp.open[s] = l
+	sp.chains[s] = append(sp.chains[s], l.ID())
+	return l, nil
+}
+
+func (sp *Space) appendBatchLocked(s ID, payloads [][]byte, parent *obs.Span) ([]Loc, time.Duration, error) {
 	l := sp.open[s]
 	if l == nil {
-		nl, err := sp.mgr.Create(sp.red)
-		if err != nil {
+		var err error
+		if l, err = sp.rollLocked(s); err != nil {
 			return nil, 0, err
 		}
-		l = nl
-		sp.open[s] = l
-		sp.chains[s] = append(sp.chains[s], l.ID())
 	}
 	var span *obs.Span
 	if parent != nil {
 		span = parent.Child("plog.append")
 		span.SetAttr("shard", strconv.Itoa(int(s)))
-		span.SetAttr("batch", strconv.Itoa(len(payloads)))
+		if len(payloads) > 1 {
+			span.SetAttr("batch", strconv.Itoa(len(payloads)))
+		}
 	}
 	offs, cost, err := l.AppendBatch(payloads, span)
 	if err == plog.ErrFull || err == plog.ErrSealed {
 		l.Seal()
-		nl, cerr := sp.mgr.Create(sp.red)
-		if cerr != nil {
-			return nil, 0, cerr
+		if l, err = sp.rollLocked(s); err != nil {
+			return nil, 0, err
 		}
-		sp.open[s] = nl
-		sp.chains[s] = append(sp.chains[s], nl.ID())
-		l = nl
 		offs, cost, err = l.AppendBatch(payloads, span)
 	}
-	if err == plog.ErrFull {
+	if err == plog.ErrFull && len(payloads) > 1 {
 		// The batch overflows even a fresh log: coalescing is off the
-		// table, so fall back to one append per payload (splitting
-		// across the chain as each log fills). parent is reused so each
-		// append traces as its own plog.append child.
+		// table, so fall back to one batch per payload (splitting across
+		// the chain as each log fills). parent is reused so each append
+		// traces as its own plog.append child.
 		if span != nil {
 			span.End(0)
 		}
 		locs := make([]Loc, len(payloads))
 		var total time.Duration
-		for i, p := range payloads {
-			loc, c, aerr := sp.appendOneLocked(s, p, parent)
+		for i := range payloads {
+			one, c, aerr := sp.appendBatchLocked(s, payloads[i:i+1], parent)
 			if aerr != nil {
 				return nil, total, aerr
 			}
-			locs[i] = loc
+			locs[i] = one[0]
 			if c > total {
 				total = c
 			}
@@ -246,47 +247,6 @@ func (sp *Space) AppendBatch(s ID, payloads [][]byte, parent *obs.Span) ([]Loc, 
 		locs[i] = Loc{Shard: s, Log: l.ID(), Offset: off, Len: int32(len(payloads[i]))}
 	}
 	return locs, cost, nil
-}
-
-// appendOneLocked is AppendSpan's body with sp.mu already held — the
-// oversized-batch fallback path of AppendBatch.
-func (sp *Space) appendOneLocked(s ID, data []byte, parent *obs.Span) (Loc, time.Duration, error) {
-	l := sp.open[s]
-	if l == nil {
-		nl, err := sp.mgr.Create(sp.red)
-		if err != nil {
-			return Loc{}, 0, err
-		}
-		l = nl
-		sp.open[s] = l
-		sp.chains[s] = append(sp.chains[s], l.ID())
-	}
-	var span *obs.Span
-	if parent != nil {
-		span = parent.Child("plog.append")
-		span.SetAttr("shard", strconv.Itoa(int(s)))
-	}
-	off, cost, err := l.AppendSpan(data, span)
-	if err == plog.ErrFull || err == plog.ErrSealed {
-		l.Seal()
-		nl, cerr := sp.mgr.Create(sp.red)
-		if cerr != nil {
-			return Loc{}, 0, cerr
-		}
-		sp.open[s] = nl
-		sp.chains[s] = append(sp.chains[s], nl.ID())
-		l = nl
-		off, cost, err = l.AppendSpan(data, span)
-	}
-	if err != nil {
-		return Loc{}, 0, err
-	}
-	if span != nil {
-		span.SetAttr("log", strconv.FormatInt(int64(l.ID()), 10))
-		span.End(cost)
-		parent.Advance(cost)
-	}
-	return Loc{Shard: s, Log: l.ID(), Offset: off, Len: int32(len(data))}, cost, nil
 }
 
 // Read fetches the record at loc.

@@ -103,6 +103,60 @@ func TestGroupCommitCoalescesSliceFlushes(t *testing.T) {
 	checkAll(t, go2, n)
 }
 
+// The one flush rule, at any target: while at least `target` full slices
+// are buffered the oldest `target` of them commit as one batch, and
+// Flush drains what is left — full slices and the short tail — in
+// commits of up to `target`. Target 1 (the default) is one commit per
+// slice.
+func TestFlushCommitsUpToTargetSlices(t *testing.T) {
+	const tail = 7
+	for _, tc := range []struct {
+		name          string
+		target, full  int
+		appendCommits int64 // device commits the one big append triggers
+		leftSlices    int   // full slices still buffered after it
+		coalesced     int64 // commits of >1 slice, Flush included
+	}{
+		{"target 4", 4, 9, 2, 1, 3}, // 4+4 on append, then 1+tail on Flush
+		{"default", 1, 3, 3, 0, 0},  // 1+1+1 on append, then the tail alone
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, p, _ := newStoreWithPool(t)
+			s.EnableGroupCommit(tc.target)
+			o, _ := s.Create(CreateOptions{Topic: "t"})
+			width := int64(o.opts.Redundancy.Width())
+			n := tc.full*SliceRecords + tail
+			batch := make([]Record, n)
+			for i := range batch {
+				batch[i] = rec(fmt.Sprintf("k%05d", i), fmt.Sprintf("v%05d", i))
+			}
+			if _, _, err := o.Append(batch, "p", 1); err != nil {
+				t.Fatal(err)
+			}
+			if got := writeOps(p); got != tc.appendCommits*width {
+				t.Fatalf("append issued %d device writes, want %d commits x %d copies", got, tc.appendCommits, width)
+			}
+			wantSlices := tc.full - tc.leftSlices
+			if st := o.Stats(); st.Slices != wantSlices || st.OpenBuf != tc.leftSlices*SliceRecords+tail {
+				t.Fatalf("after append: %+v, want %d slices persisted and %d full + tail buffered", st, wantSlices, tc.leftSlices)
+			}
+			if _, err := o.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if got := writeOps(p); got != (tc.appendCommits+1)*width {
+				t.Fatalf("Flush drained the rest in %d device writes, want one more commit", got-tc.appendCommits*width)
+			}
+			if st := o.Stats(); st.Slices != tc.full+1 || st.OpenBuf != 0 {
+				t.Fatalf("flush left records behind: %+v", st)
+			}
+			if st := s.GroupCommitStats(); st.Commits != tc.coalesced {
+				t.Fatalf("coalesced commits: %+v, want %d", st, tc.coalesced)
+			}
+			checkAll(t, o, n)
+		})
+	}
+}
+
 // Flush with group commit on drains full slices AND the short tail in
 // one coalesced commit; everything stays readable.
 func TestGroupCommitFlushDrainsTail(t *testing.T) {

@@ -104,10 +104,11 @@ type Store struct {
 	nextID  ObjectID
 	metrics storeMetrics
 
-	// gc is the optional group-commit coordinator (see
-	// plog.GroupCommitter): when set, full-slice flushes are deferred
-	// until its target count is buffered and folded into one coalesced
-	// PLog commit. Atomic so flush paths read it without the store lock.
+	// gc is the group-commit coordinator (see plog.GroupCommitter):
+	// full-slice flushes wait until its target count is buffered and
+	// fold into one PLog commit. The target is a size, not a switch — the
+	// default of 1 commits every slice on its own. Never nil; atomic so
+	// flush paths read it without the store lock.
 	gc atomic.Pointer[plog.GroupCommitter]
 
 	// tenants is the optional multi-tenancy plane: capacity quotas are
@@ -126,21 +127,16 @@ func (s *Store) SetTenants(reg *tenant.Registry) {
 	s.poolQoS.Store(tenant.NewSched(s.clock, reg, sim.Spec(sim.NVMeSSD).WriteBandwidth))
 }
 
-// EnableGroupCommit installs a group-commit coordinator folding up to
-// `slices` full-slice flushes into one coalesced PLog commit per
-// placement group. Values below 2 remove the coordinator (one device
-// commit per slice, the legacy path). Call at wiring time; flipping it
+// EnableGroupCommit sizes group commit: up to `slices` full-slice
+// flushes fold into one PLog commit per placement group (values below 2
+// mean one commit per slice, the default). Call at wiring time; resizing
 // mid-traffic is safe but makes flush timing config-dependent.
 func (s *Store) EnableGroupCommit(slices int) {
-	if slices > 1 {
-		s.gc.Store(plog.NewGroupCommitter(slices))
-	} else {
-		s.gc.Store(nil)
-	}
+	s.gc.Store(plog.NewGroupCommitter(slices))
 }
 
-// GroupCommitStats snapshots the group-commit coordinator's counters;
-// zeros when group commit is off.
+// GroupCommitStats snapshots the group-commit coordinator's counters:
+// commits that coalesced more than one slice, so zeros at target 1.
 func (s *Store) GroupCommitStats() plog.GroupCommitStats {
 	return s.gc.Load().Stats()
 }
@@ -177,7 +173,7 @@ func (s *Store) SetObs(reg *obs.Registry) {
 // the key-value record-lookup index for PLogs the paper describes; the
 // SCM device backs objects created with SCMCache.
 func NewStore(clock *sim.Clock, mgr *plog.Manager) *Store {
-	return &Store{
+	s := &Store{
 		clock:   clock,
 		mgr:     mgr,
 		index:   kv.Open(kv.Options{Device: sim.NewDeviceOf("plog-index", sim.SCM)}),
@@ -185,6 +181,8 @@ func NewStore(clock *sim.Clock, mgr *plog.Manager) *Store {
 		journal: sim.NewDeviceOf("stream-journal", sim.NVMeSSD),
 		objects: make(map[ObjectID]*Object),
 	}
+	s.EnableGroupCommit(1)
+	return s
 }
 
 // Create allocates a new stream object (CreateServerStreamObject).
@@ -318,37 +316,32 @@ type dedupEntry struct {
 // seen is acknowledged again without being re-appended, which is how
 // duplicate sends after a network failure are absorbed.
 func (o *Object) Append(records []Record, producerID string, seq int64) (int64, time.Duration, error) {
-	return o.AppendCtx(records, producerID, seq, nil, nil)
-}
-
-// AppendSpan is Append with tracing: the durable ack writes and any
-// slice flushes triggered by the batch are recorded as children of sp.
-// The flush children do not advance the span cursor — flushing happens
-// off the ack path, exactly as the returned latency excludes it. A nil
-// span traces nothing.
-func (o *Object) AppendSpan(records []Record, producerID string, seq int64, sp *obs.Span) (int64, time.Duration, error) {
-	return o.AppendCtx(records, producerID, seq, sp, nil)
-}
-
-// AppendCtx is AppendSpan under a resilience context carrying the
-// request's virtual-time deadline. The batch is all-or-nothing with
-// respect to visibility: every error that can leave nothing behind
-// (throttle, deadline on entry) is checked before the first record is
-// buffered, and once buffering starts the whole batch becomes durable.
-// If charging the ack cost then lands past the deadline, the batch IS
-// durable — its sequence number is recorded and the base offset is
-// returned alongside resil.ErrDeadlineExceeded, so an idempotent retry
-// resolves the ambiguous timeout with a duplicate ack instead of a
-// duplicate append.
-func (o *Object) AppendCtx(records []Record, producerID string, seq int64, sp *obs.Span, rc *resil.Ctx) (int64, time.Duration, error) {
-	base, cost, _, err := o.AppendTenantCtx(records, producerID, seq, "", sp, rc)
+	base, cost, _, err := o.AppendTenantCtx(records, producerID, seq, "", nil, nil)
 	return base, cost, err
 }
 
-// AppendTenantCtx is AppendCtx with a tenant identity: the batch's
-// durable bytes are charged against the tenant's capacity quota (rolled
-// back if the object-level throttle then rejects), and the flushed bytes
-// later pay weighted-fair pool admission. The appended return reports
+// AppendTenantCtx is Append with tracing, a resilience context, and a
+// tenant identity.
+//
+// Tracing: the durable ack writes and any slice flushes triggered by
+// the batch are recorded as children of sp. The flush children do not
+// advance the span cursor — flushing happens off the ack path, exactly
+// as the returned latency excludes it. A nil span traces nothing.
+//
+// Deadline: rc carries the request's virtual-time deadline. The batch is
+// all-or-nothing with respect to visibility: every error that can leave
+// nothing behind (throttle, deadline on entry) is checked before the
+// first record is buffered, and once buffering starts the whole batch
+// becomes durable. If charging the ack cost then lands past the
+// deadline, the batch IS durable — its sequence number is recorded and
+// the base offset is returned alongside resil.ErrDeadlineExceeded, so an
+// idempotent retry resolves the ambiguous timeout with a duplicate ack
+// instead of a duplicate append.
+//
+// Tenant: the batch's durable bytes are charged against the tenant's
+// capacity quota (rolled back if the object-level throttle then
+// rejects), and the flushed bytes later pay weighted-fair pool
+// admission. The appended return reports
 // whether records were actually buffered this call — false for a dedup
 // re-ack, which the producer uses to refund a fresh admission charge
 // that did no work. The system identity "" bypasses all tenant
@@ -436,22 +429,17 @@ func (o *Object) AppendTenantCtx(records []Record, producerID string, seq int64,
 	// the open buffer for the next flush attempt — because failing here
 	// after part of the batch became visible would make a retry
 	// double-append the rest.
-	if g := o.store.gc.Load(); g != nil {
-		// Group commit: full slices wait until the coordinator's target
-		// count is buffered, then fold into one coalesced PLog commit.
-		// Deferral risks nothing — the records are journal-durable and
-		// readable from the open buffer while they wait.
-		if len(o.buf) >= g.Target()*SliceRecords {
-			if _, err := o.flushGroupLocked(sp); err != nil {
-				o.store.metrics.flushDeferred.Inc()
-			}
-		}
-	} else {
-		for len(o.buf) >= SliceRecords {
-			if _, err := o.flushChunkLocked(SliceRecords, sp); err != nil {
-				o.store.metrics.flushDeferred.Inc()
-				break
-			}
+	//
+	// Group commit: full slices wait until the coordinator's target count
+	// is buffered, then the oldest `target` of them fold into one PLog
+	// commit (target 1, the default: every full slice commits on its
+	// own). Deferral risks nothing — the records are journal-durable and
+	// readable from the open buffer while they wait.
+	target := o.store.gc.Load().Target()
+	for len(o.buf) >= target*SliceRecords {
+		if _, err := o.flushBatchLocked(target, sp); err != nil {
+			o.store.metrics.flushDeferred.Inc()
+			break
 		}
 	}
 	derr := rc.Charge(cost)
@@ -568,33 +556,17 @@ func (o *Object) takeTokens(n int) error {
 
 // Flush persists everything in the open buffer, even a short trailing
 // slice — used on topic shutdown and before conversion so no records
-// are stranded in memory. If slice flushes were deferred by storage
-// errors the buffer may hold several slices' worth; they are persisted
-// in SliceRecords-sized chunks.
+// are stranded in memory. The buffer may hold several slices' worth
+// (group commit below its target, or flushes deferred by storage
+// errors); they drain oldest first in commits of up to the group-commit
+// target.
 func (o *Object) Flush() (time.Duration, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if o.store.gc.Load() != nil {
-		// Group commit drains the whole buffer — full slices plus the
-		// short tail — as one coalesced PLog commit.
-		var counts []int
-		for rem := len(o.buf); rem > 0; {
-			n := rem
-			if n > SliceRecords {
-				n = SliceRecords
-			}
-			counts = append(counts, n)
-			rem -= n
-		}
-		return o.flushBatchLocked(counts, nil)
-	}
+	target := o.store.gc.Load().Target()
 	var total time.Duration
 	for len(o.buf) > 0 {
-		n := len(o.buf)
-		if n > SliceRecords {
-			n = SliceRecords
-		}
-		cost, err := o.flushChunkLocked(n, nil)
+		cost, err := o.flushBatchLocked(target, nil)
 		total += cost
 		if err != nil {
 			return total, err
@@ -603,19 +575,46 @@ func (o *Object) Flush() (time.Duration, error) {
 	return total, nil
 }
 
-// flushChunkLocked persists the oldest n buffered records as one slice.
-// On error the records stay buffered and visible (they are journal-
-// durable); the caller decides whether to surface or defer.
-func (o *Object) flushChunkLocked(n int, sp *obs.Span) (time.Duration, error) {
-	if n <= 0 || len(o.buf) == 0 {
+// flushBatchLocked persists the oldest buffered records as up to
+// maxSlices consecutive slices (SliceRecords each; the last may be a
+// short tail) folded into ONE device commit per placement copy
+// (plog.AppendBatch): each slice keeps its own payload, CRC sidecar,
+// index entry, and SCM-cache entry — only the device write ops
+// coalesce. On a storage error nothing is persisted and the records
+// stay buffered and visible (they are journal-durable); the caller
+// decides whether to surface or defer.
+func (o *Object) flushBatchLocked(maxSlices int, sp *obs.Span) (time.Duration, error) {
+	slices := (len(o.buf) + SliceRecords - 1) / SliceRecords
+	if slices > maxSlices {
+		slices = maxSlices
+	}
+	if slices <= 0 {
 		return 0, nil
 	}
-	if n > len(o.buf) {
-		n = len(o.buf)
+	// chunk is the i-th slice's records: SliceRecords of them, or the
+	// short tail.
+	chunk := func(i int) []Record {
+		end := (i + 1) * SliceRecords
+		if end > len(o.buf) {
+			end = len(o.buf)
+		}
+		return o.buf[i*SliceRecords : end]
 	}
-	chunk := o.buf[:n]
-	bp := sliceBufPool.Get().(*[]byte)
-	data := encodeSliceInto((*bp)[:0], chunk)
+	payloads := make([][]byte, slices)
+	bufs := make([]*[]byte, slices)
+	for i := range payloads {
+		bufs[i] = sliceBufPool.Get().(*[]byte)
+		payloads[i] = encodeSliceInto((*bufs[i])[:0], chunk(i))
+	}
+	// The PLog copies each payload into its logical stream and computes
+	// sidecar checksums within the append, so the encode buffers are dead
+	// once it returns — success or not — and are recycled on the way out.
+	defer func() {
+		for i, p := range payloads {
+			*bufs[i] = p[:0]
+			sliceBufPool.Put(bufs[i])
+		}
+	}()
 	// Figure 4 a-d: the object is assigned to a logical shard by hashing
 	// topic and object id; the shard persists its slices through a chain
 	// of PLogs. Hashing the slice position here instead would give every
@@ -630,119 +629,50 @@ func (o *Object) flushChunkLocked(n int, sp *obs.Span) (time.Duration, error) {
 	var fsp *obs.Span
 	if sp != nil {
 		fsp = sp.Child("slice.flush")
-	}
-	loc, cost, err := o.space.AppendSpan(sh, data, fsp)
-	// The PLog copies the payload into its logical stream and computes
-	// sidecar checksums within the append, so the encode buffer is dead
-	// the moment the call returns — success or not — and can be recycled.
-	encoded := int64(len(data))
-	*bp = data[:0]
-	sliceBufPool.Put(bp)
-	if err != nil {
-		return 0, err
-	}
-	fsp.End(cost)
-	o.store.metrics.flushes.Inc()
-	o.store.metrics.flushBytes.Add(encoded)
-	entry := sliceEntry{base: o.bufBase, count: n, loc: loc}
-	o.slices = append(o.slices, entry)
-	// Persist the slice index in the KV store (the PLog lookup index).
-	key := fmt.Sprintf("sobj/%d/%020d", o.id, o.bufBase)
-	val := encodeLoc(loc, n)
-	if _, err := o.store.index.Put([]byte(key), val); err != nil {
-		return 0, err
-	}
-	if o.opts.SCMCache {
-		o.cacheSlice(o.bufBase, chunk)
-	}
-	o.bufBase += int64(n)
-	o.buf = append(o.buf[:0:0], o.buf[n:]...)
-	if len(o.buf) == 0 {
-		o.buf = nil
-	}
-	cost += o.poolAdmitLocked(encoded)
-	return cost, nil
-}
-
-// flushGroupLocked persists every full slice currently buffered as one
-// coalesced PLog commit. The short tail (if any) stays in the open
-// buffer for the next group or an explicit Flush.
-func (o *Object) flushGroupLocked(sp *obs.Span) (time.Duration, error) {
-	counts := make([]int, 0, len(o.buf)/SliceRecords)
-	for rem := len(o.buf); rem >= SliceRecords; rem -= SliceRecords {
-		counts = append(counts, SliceRecords)
-	}
-	return o.flushBatchLocked(counts, sp)
-}
-
-// flushBatchLocked persists the oldest buffered records as len(counts)
-// consecutive slices folded into ONE device commit per placement copy
-// (plog.AppendBatch): each slice keeps its own payload, CRC sidecar,
-// index entry, and SCM-cache entry — only the device write ops
-// coalesce. On error nothing is persisted and the records stay buffered
-// and visible, exactly like flushChunkLocked.
-func (o *Object) flushBatchLocked(counts []int, sp *obs.Span) (time.Duration, error) {
-	if len(counts) == 0 {
-		return 0, nil
-	}
-	if len(counts) == 1 {
-		return o.flushChunkLocked(counts[0], sp)
-	}
-	payloads := make([][]byte, len(counts))
-	bufs := make([]*[]byte, len(counts))
-	start := 0
-	for i, n := range counts {
-		bufs[i] = sliceBufPool.Get().(*[]byte)
-		payloads[i] = encodeSliceInto((*bufs[i])[:0], o.buf[start:start+n])
-		start += n
-	}
-	sh := shard.ForKey([]byte(fmt.Sprintf("%s/%d", o.opts.Topic, o.id)))
-	var fsp *obs.Span
-	if sp != nil {
-		fsp = sp.Child("slice.flush")
-		fsp.SetAttr("group", strconv.Itoa(len(counts)))
+		if slices > 1 {
+			fsp.SetAttr("group", strconv.Itoa(slices))
+		}
 	}
 	locs, cost, err := o.space.AppendBatch(sh, payloads, fsp)
-	encoded := make([]int64, len(payloads))
-	for i, p := range payloads {
-		encoded[i] = int64(len(p))
-		*bufs[i] = p[:0]
-		sliceBufPool.Put(bufs[i])
-	}
 	if err != nil {
 		return 0, err
 	}
 	fsp.End(cost)
-	o.store.gc.Load().Note(len(counts), o.opts.Redundancy.Width())
-	start = 0
-	for i, n := range counts {
-		chunk := o.buf[start : start+n]
-		o.store.metrics.flushes.Inc()
-		o.store.metrics.flushBytes.Add(encoded[i])
-		o.slices = append(o.slices, sliceEntry{base: o.bufBase, count: n, loc: locs[i]})
-		key := fmt.Sprintf("sobj/%d/%020d", o.id, o.bufBase)
-		_, perr := o.store.index.Put([]byte(key), encodeLoc(locs[i], n))
-		if o.opts.SCMCache {
-			o.cacheSlice(o.bufBase, chunk)
+	if slices > 1 {
+		o.store.gc.Load().Note(slices, o.opts.Redundancy.Width())
+	}
+	// trim drops the first n flushed records from the open buffer.
+	trim := func(n int) {
+		o.buf = append(o.buf[:0:0], o.buf[n:]...)
+		if len(o.buf) == 0 {
+			o.buf = nil
 		}
-		o.bufBase += int64(n)
-		start += n
+	}
+	var records int
+	var flushed int64
+	for i, loc := range locs {
+		recs := chunk(i)
+		o.store.metrics.flushes.Inc()
+		o.store.metrics.flushBytes.Add(int64(len(payloads[i])))
+		o.slices = append(o.slices, sliceEntry{base: o.bufBase, count: len(recs), loc: loc})
+		// Persist the slice index in the KV store (the PLog lookup index).
+		key := fmt.Sprintf("sobj/%d/%020d", o.id, o.bufBase)
+		_, perr := o.store.index.Put([]byte(key), encodeLoc(loc, len(recs)))
+		if o.opts.SCMCache {
+			o.cacheSlice(o.bufBase, recs)
+		}
+		o.bufBase += int64(len(recs))
+		records += len(recs)
+		flushed += int64(len(payloads[i]))
 		if perr != nil {
-			// This chunk is persisted and tracked in o.slices; trim
+			// This slice is persisted and tracked in o.slices; trim
 			// through it so a retry can't double-flush, then surface.
-			o.buf = append(o.buf[:0:0], o.buf[start:]...)
+			trim(records)
 			return cost, perr
 		}
 	}
-	o.buf = append(o.buf[:0:0], o.buf[start:]...)
-	if len(o.buf) == 0 {
-		o.buf = nil
-	}
-	var flushedTotal int64
-	for _, e := range encoded {
-		flushedTotal += e
-	}
-	cost += o.poolAdmitLocked(flushedTotal)
+	trim(records)
+	cost += o.poolAdmitLocked(flushed)
 	return cost, nil
 }
 

@@ -85,20 +85,10 @@ func (p *Producer) SendCtx(topic string, key, value []byte, rc *resil.Ctx) (Mess
 	return msgs[0], cost, nil
 }
 
-// SendBatchCtx is SendBatch under a resilience context.
-func (p *Producer) SendBatchCtx(topic string, recs []streamobj.Record, rc *resil.Ctx) ([]Message, time.Duration, error) {
-	return p.sendBatch(nil, topic, recs, rc)
-}
-
-// SendSpan is Send with tracing: the request's bus transfer, durable
-// append, and everything below (PLog placement writes, slice flushes)
-// are recorded as children of sp. A nil span traces nothing.
-func (p *Producer) SendSpan(topic string, key, value []byte, sp *obs.Span) (Message, time.Duration, error) {
-	return p.SendSpanCtx(topic, key, value, sp, nil)
-}
-
-// SendSpanCtx combines SendSpan and SendCtx for callers — the gateway —
-// that both trace a request and bound it with a virtual-time deadline.
+// SendSpanCtx is SendCtx with tracing, for callers — the gateway — that
+// both trace a request and bound it with a virtual-time deadline: the
+// request's bus transfer, durable append, and everything below (PLog
+// placement writes, slice flushes) are recorded as children of sp.
 // Either argument may be nil.
 func (p *Producer) SendSpanCtx(topic string, key, value []byte, sp *obs.Span, rc *resil.Ctx) (Message, time.Duration, error) {
 	msgs, cost, err := p.sendBatch(sp, topic, []streamobj.Record{{Key: key, Value: value}}, rc)
@@ -116,8 +106,7 @@ func (p *Producer) backoffRNG() *sim.RNG {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.rng == nil {
-		cfg, _ := p.svc.resilience()
-		p.rng = sim.NewRNG(uint64(cfg.Seed) ^ hashString("producer-backoff/"+p.id))
+		p.rng = sim.NewRNG(uint64(p.svc.resilience().Seed) ^ hashString("producer-backoff/"+p.id))
 	}
 	return p.rng
 }
@@ -130,15 +119,15 @@ func (p *Producer) sendBatch(sp *obs.Span, topic string, recs []streamobj.Record
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %s", ErrUnknownTopic, topic)
 	}
+	var total int64
+	for _, r := range recs {
+		total += int64(len(r.Key) + len(r.Value))
+	}
 	// Tenant admission: the whole client batch is charged against the
 	// tenant's IOPS and bandwidth buckets exactly once, before fan-out —
 	// internal per-stream retries below never re-admit, so a retried
 	// batch can't be double-charged.
 	if reg := p.svc.Tenants(); reg != nil && p.tenant != "" {
-		var total int64
-		for _, r := range recs {
-			total += int64(len(r.Key) + len(r.Value))
-		}
 		now := p.svc.clock.Now()
 		if rc != nil {
 			now = rc.Now()
@@ -153,7 +142,8 @@ func (p *Producer) sendBatch(sp *obs.Span, topic string, recs []streamobj.Record
 	// Group records by target stream.
 	byStream := make(map[int][]streamobj.Record)
 	for _, r := range recs {
-		byStream[routeKey(r.Key, len(ts.streams))] = append(byStream[routeKey(r.Key, len(ts.streams))], r)
+		idx := routeKey(r.Key, len(ts.streams))
+		byStream[idx] = append(byStream[idx], r)
 	}
 	// Deterministic stream order: map iteration order would make retry,
 	// backoff, and breaker decisions depend on runtime map layout,
@@ -185,10 +175,6 @@ func (p *Producer) sendBatch(sp *obs.Span, topic string, recs []streamobj.Record
 		}
 	}
 	m.producedMsgs.Add(int64(len(out)))
-	var total int64
-	for _, r := range recs {
-		total += int64(len(r.Key) + len(r.Value))
-	}
 	m.producedBytes.Add(total)
 	m.produceLat.Observe(cost)
 	return out, cost, nil
@@ -210,12 +196,9 @@ func (p *Producer) sendOne(sp *obs.Span, topic string, idx int, batch []streamob
 	seq := p.seq[streamKey(topic, idx)]
 	p.mu.Unlock()
 
-	cfg, on := p.svc.resilience()
+	cfg := p.svc.resilience()
 	ep := workerEndpoint(w.id)
-	var br *resil.Breaker
-	if on {
-		br = p.svc.breakerFor(ep)
-	}
+	br := p.svc.breakerFor(ep)
 	reg := p.svc.Tenants()
 	m := p.svc.metrics
 	var cost time.Duration
@@ -237,12 +220,9 @@ func (p *Producer) sendOne(sp *obs.Span, topic string, idx int, batch []streamob
 		}
 		return p.svc.clock.Now() + cost
 	}
-	attempts := 1
-	if on {
-		attempts = cfg.Retry.MaxAttempts
-		if attempts <= 0 {
-			attempts = resil.DefaultRetryPolicy().MaxAttempts
-		}
+	attempts := cfg.Retry.MaxAttempts
+	if attempts <= 0 {
+		attempts = resil.DefaultRetryPolicy().MaxAttempts
 	}
 
 	// attemptOnce runs one full try. final=true means the outcome must
@@ -253,7 +233,7 @@ func (p *Producer) sendOne(sp *obs.Span, topic string, idx int, batch []streamob
 		// has left Closed, lowest-priority tenant traffic is shed first —
 		// a deliberate 429 before any bytes move, so shed load never
 		// reaches storage and can never be acked-then-lost.
-		if br != nil && reg != nil && p.tenant != "" && br.State() != resil.Closed && reg.ShouldShed(p.tenant) {
+		if reg != nil && p.tenant != "" && br.State() != resil.Closed && reg.ShouldShed(p.tenant) {
 			m.sheds.Inc()
 			if sp != nil {
 				e := sp.Child("tenant.shed")
@@ -263,25 +243,17 @@ func (p *Producer) sendOne(sp *obs.Span, topic string, idx int, batch []streamob
 			}
 			return 0, reg.Shed(p.tenant, br.RetryAfter(vnow())), true
 		}
-		if br != nil {
-			if aerr := br.Allow(vnow()); aerr != nil {
-				m.sheds.Inc()
-				if sp != nil {
-					e := sp.Child("breaker.shed")
-					e.SetAttr("endpoint", ep)
-					e.End(0)
-				}
-				return 0, fmt.Errorf("streamsvc: produce to %s: %w", ep, aerr), true
+		if aerr := br.Allow(vnow()); aerr != nil {
+			m.sheds.Inc()
+			if sp != nil {
+				e := sp.Child("breaker.shed")
+				e.SetAttr("endpoint", ep)
+				e.End(0)
 			}
+			return 0, fmt.Errorf("streamsvc: produce to %s: %w", ep, aerr), true
 		}
 		// Forward transfer to the stream worker.
-		var busCost time.Duration
-		var serr error
-		if on {
-			busCost, serr = w.bus.SendLinkT("client", ep, bytes, bus.Normal, p.tenant)
-		} else {
-			busCost = w.bus.Send(bytes, bus.Normal)
-		}
+		busCost, serr := w.bus.SendLinkT("client", ep, bytes, bus.Normal, p.tenant)
 		cost += busCost
 		if sp != nil {
 			b := sp.Child("bus.send")
@@ -335,9 +307,7 @@ func (p *Producer) sendOne(sp *obs.Span, topic string, idx int, batch []streamob
 				// real systems where a timed-out produce may still have
 				// committed.
 				m.deadlines.Inc()
-				if br != nil {
-					br.Success(vnow())
-				}
+				br.Success(vnow())
 				return base, aerr, true
 			}
 			// Application errors (quota, sealed stream) are not endpoint
@@ -366,17 +336,12 @@ func (p *Producer) sendOne(sp *obs.Span, topic string, idx int, batch []streamob
 			}
 			if derr := rc.Charge(gc); derr != nil {
 				m.deadlines.Inc()
-				if br != nil {
-					br.Success(vnow())
-				}
+				br.Success(vnow())
 				return base, derr, true
 			}
 			if gerr != nil {
 				return 0, fmt.Errorf("streamsvc: commit %s/%d: %w", topic, idx, gerr), false
 			}
-		}
-		if !on {
-			return base, nil, true
 		}
 		// Acknowledgement on the reverse link: small and high-priority.
 		// A lost ack leaves the append durable but the client unsure —
@@ -389,18 +354,14 @@ func (p *Producer) sendOne(sp *obs.Span, topic string, idx int, batch []streamob
 		}
 		if derr := rc.Charge(ackCost); derr != nil {
 			m.deadlines.Inc()
-			if br != nil {
-				br.Success(vnow())
-			}
+			br.Success(vnow())
 			return base, derr, true
 		}
 		if ackErr != nil {
 			m.ackDrops.Inc()
 			return 0, fmt.Errorf("streamsvc: ack from %s lost: %w", ep, ackErr), false
 		}
-		if br != nil {
-			br.Success(vnow())
-		}
+		br.Success(vnow())
 		return base, nil, true
 	}
 
@@ -411,10 +372,8 @@ func (p *Producer) sendOne(sp *obs.Span, topic string, idx int, batch []streamob
 			return base, cost, err
 		}
 		lastErr = err
-		if br != nil {
-			if br.Failure(vnow()) {
-				m.trips.Inc()
-			}
+		if br.Failure(vnow()) {
+			m.trips.Inc()
 		}
 		if attempt+1 >= attempts {
 			break

@@ -16,11 +16,12 @@ import (
 // the gateway maps it to 503.
 var ErrRetriesExhausted = errors.New("retries exhausted")
 
-// ResilienceConfig turns on the produce path's end-to-end resilience
+// ResilienceConfig tunes the produce path's end-to-end resilience
 // machinery: seeded jittered retries over the fallible network links,
 // modelled acknowledgement transfers on the reverse link, and a circuit
-// breaker per stream-worker endpoint. Until SetResilience is called the
-// service uses the legacy infallible cost-model path.
+// breaker per stream-worker endpoint. The machinery is the produce
+// path — every service runs it, with the defaults until SetResilience
+// tunes them.
 type ResilienceConfig struct {
 	// Retry is the backoff schedule for dropped transfers and lost acks
 	// (zero fields take resil.DefaultRetryPolicy).
@@ -61,22 +62,21 @@ func (s *Service) SetNet(h bus.NetHook) {
 	}
 }
 
-// SetResilience enables retries, modelled acks, and per-endpoint
-// circuit breakers on the produce path (defaults applied; see
+// SetResilience tunes the produce path's retry schedule, ack size,
+// backoff seed, and per-endpoint circuit breakers (defaults applied; see
 // ResilienceConfig). Existing breaker state is reset.
 func (s *Service) SetResilience(cfg ResilienceConfig) {
 	s.mu.Lock()
 	s.resilCfg = cfg.withDefaults()
-	s.resilOn = true
 	s.breakers = make(map[string]*resil.Breaker)
 	s.mu.Unlock()
 }
 
-// resilience snapshots the resilience config and whether it is enabled.
-func (s *Service) resilience() (ResilienceConfig, bool) {
+// resilience snapshots the resilience config.
+func (s *Service) resilience() ResilienceConfig {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.resilCfg, s.resilOn
+	return s.resilCfg
 }
 
 // breakerFor returns the circuit breaker guarding an endpoint, creating
@@ -87,9 +87,6 @@ func (s *Service) resilience() (ResilienceConfig, bool) {
 func (s *Service) breakerFor(ep string) *resil.Breaker {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.resilOn {
-		return nil
-	}
 	b := s.breakers[ep]
 	if b == nil {
 		b = resil.NewBreaker(s.resilCfg.Breaker)
@@ -140,15 +137,4 @@ func (s *Service) RetryAfter(now time.Duration) time.Duration {
 		}
 	}
 	return max
-}
-
-// ResilienceStats aggregates breaker activity across endpoints.
-func (s *Service) ResilienceStats() resil.BreakerStats {
-	var total resil.BreakerStats
-	for _, eb := range s.BreakerStates() {
-		total.Trips += eb.Stats.Trips
-		total.Sheds += eb.Stats.Sheds
-		total.Probes += eb.Stats.Probes
-	}
-	return total
 }

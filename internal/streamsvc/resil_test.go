@@ -37,16 +37,21 @@ func (h *scriptNet) Deliver(from, to string, n int64) (time.Duration, error) {
 	return 0, nil
 }
 
+// resilService builds a one-worker service over hook. tuned=false leaves
+// the service exactly as New built it: resilience is the produce path,
+// not something SetResilience switches on.
 func resilService(t *testing.T, hook interface {
 	Deliver(from, to string, n int64) (time.Duration, error)
-}) (*Service, *obs.Registry) {
+}, tuned bool) (*Service, *obs.Registry) {
 	t.Helper()
 	s := newService(t, 1)
 	reg := obs.NewRegistry(s.Clock())
 	s.SetObs(reg)
 	s.Store().SetObs(reg)
 	s.SetNet(hook)
-	s.SetResilience(ResilienceConfig{Seed: 42})
+	if tuned {
+		s.SetResilience(ResilienceConfig{Seed: 42})
+	}
 	if err := s.CreateTopic(TopicConfig{Name: "t", StreamNum: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -54,26 +59,43 @@ func resilService(t *testing.T, hook interface {
 }
 
 // TestRetrySurvivesForwardDrops: dropped forward transfers are retried
-// with backoff until one lands; the record appends exactly once.
+// with backoff until one lands; the record appends and acks exactly
+// once — on a service tuned through SetResilience and on one built by
+// bare New + SetNet alike.
 func TestRetrySurvivesForwardDrops(t *testing.T) {
-	s, reg := resilService(t, &scriptNet{failFwd: 2})
-	p := s.Producer("p1")
-	msg, cost, err := p.Send("t", []byte("k"), []byte("v"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Offset != 0 {
-		t.Fatalf("offset: %d", msg.Offset)
-	}
-	objs, _ := s.Streams("t")
-	if end := objs[0].End(); end != 1 {
-		t.Fatalf("retries double-appended: end=%d want 1", end)
-	}
-	if got := reg.Counter("streamsvc_retries_total").Value(); got != 2 {
-		t.Fatalf("retries counter: %d want 2", got)
-	}
-	if cost <= 0 {
-		t.Fatalf("cost: %v", cost)
+	for _, tc := range []struct {
+		name    string
+		tuned   bool
+		failFwd int
+	}{
+		{"tuned", true, 2},
+		{"bare New", false, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := &scriptNet{failFwd: tc.failFwd}
+			s, reg := resilService(t, net, tc.tuned)
+			p := s.Producer("p1")
+			msg, cost, err := p.Send("t", []byte("k"), []byte("v"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg.Offset != 0 {
+				t.Fatalf("offset: %d", msg.Offset)
+			}
+			objs, _ := s.Streams("t")
+			if end := objs[0].End(); end != 1 {
+				t.Fatalf("retries double-appended: end=%d want 1", end)
+			}
+			if got := reg.Counter("streamsvc_retries_total").Value(); got != int64(tc.failFwd) {
+				t.Fatalf("retries counter: %d want %d", got, tc.failFwd)
+			}
+			if net.ack != 1 {
+				t.Fatalf("acks on the reverse link: %d want exactly 1", net.ack)
+			}
+			if cost <= 0 {
+				t.Fatalf("cost: %v", cost)
+			}
+		})
 	}
 }
 
@@ -81,7 +103,7 @@ func TestRetrySurvivesForwardDrops(t *testing.T) {
 // the append lands durably, the ack is lost, and the redelivered batch
 // must dedup to the original offset instead of appending twice.
 func TestLostAckDedups(t *testing.T) {
-	s, reg := resilService(t, &scriptNet{failAck: 1})
+	s, reg := resilService(t, &scriptNet{failAck: 1}, true)
 	p := s.Producer("p1")
 	msg, _, err := p.Send("t", []byte("k"), []byte("v"))
 	if err != nil {
@@ -165,7 +187,7 @@ func TestBreakerShedsAndRecovers(t *testing.T) {
 // TestProduceDeadline: a request that is already over budget fails
 // with ErrDeadlineExceeded before anything is appended.
 func TestProduceDeadline(t *testing.T) {
-	s, reg := resilService(t, &scriptNet{})
+	s, reg := resilService(t, &scriptNet{}, true)
 	p := s.Producer("p1")
 	rc := resil.NewCtx(s.Clock().Now(), time.Nanosecond)
 	rc.Charge(time.Millisecond) // over budget on arrival
@@ -185,7 +207,7 @@ func TestProduceDeadline(t *testing.T) {
 // TestPollCtxDeadline: an expired consumer deadline surfaces
 // ErrDeadlineExceeded; a fresh poll then drains normally.
 func TestPollCtxDeadline(t *testing.T) {
-	s, _ := resilService(t, &scriptNet{})
+	s, _ := resilService(t, &scriptNet{}, true)
 	p := s.Producer("p1")
 	for i := 0; i < 3; i++ {
 		if _, _, err := p.Send("t", []byte{byte(i)}, []byte("v")); err != nil {

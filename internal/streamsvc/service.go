@@ -47,13 +47,6 @@ type Worker struct {
 	down     bool // cluster verdict: the worker's node is dead or draining
 }
 
-// Down reports whether the worker is marked down by the cluster plane.
-func (w *Worker) Down() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.down
-}
-
 // ID returns the worker's index.
 func (w *Worker) ID() int { return w.id }
 
@@ -105,7 +98,6 @@ type Service struct {
 	// circuit breakers (keyed by endpoint name so they survive rescales).
 	netHook  bus.NetHook
 	resilCfg ResilienceConfig
-	resilOn  bool
 	breakers map[string]*resil.Breaker
 
 	// gate, when set, must commit every durable append to the cluster's
@@ -248,6 +240,7 @@ func New(clock *sim.Clock, store *streamobj.Store, workerCount int) *Service {
 		topics:    make(map[string]*topicState),
 		displaced: make(map[string]int),
 	}
+	s.SetResilience(ResilienceConfig{})
 	for i := 0; i < workerCount; i++ {
 		s.workers = append(s.workers, newWorker(i))
 	}

@@ -7,6 +7,8 @@
 # the race pass trims them with -short (only internal/bench checks it)
 # and a second, race-free pass runs them in full.
 set -eux
+# Size trajectory (no gate): non-test Go lines outside benchmark/.
+sh scripts/loc.sh
 go build ./...
 go vet ./...
 

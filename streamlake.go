@@ -124,37 +124,15 @@ type Config struct {
 	// PLogCapacity overrides the 128 MB PLog address space (tests use
 	// smaller logs).
 	PLogCapacity int64
-	// DisableMetadataAcceleration turns the lakehouse metadata cache
-	// off (the Figure 15 baseline).
-	DisableMetadataAcceleration bool
-	// DisableVerifyOnRead turns off checksum verification on the read
-	// path — the no-end-to-end-integrity baseline, where reads landing
-	// on a corrupt copy silently return wrong bytes.
-	DisableVerifyOnRead bool
-	// ScrubBytesPerPass bounds one scrub pass's verification bytes
-	// (0 = each pass sweeps every log once).
-	ScrubBytesPerPass int64
-	// ScrubRate is the scrubber's bandwidth in bytes per second of
-	// virtual time (default 64 MiB/s).
-	ScrubRate int64
 	// DisableObservability skips the metrics registry and tracer; every
 	// instrument becomes a no-op (the overhead baseline).
 	DisableObservability bool
-	// DisableResilience turns off the produce path's retry/ack/breaker
-	// machinery — the fragile baseline where any dropped transfer fails
-	// the send outright.
-	DisableResilience bool
-	// DisableHedging turns off hedged replica reads (the tail-latency
-	// baseline: a slow replica is simply waited out).
-	DisableHedging bool
-	// HedgeQuantile overrides the hedge-delay quantile (default 0.95).
-	HedgeQuantile float64
-	// GroupCommitSlices coalesces up to this many full slice flushes
-	// into one PLog group commit (one device write per placement copy
-	// instead of one per slice). 0 or 1 (the default) keeps the legacy
-	// one-commit-per-slice path; flush timing and device write-op counts
-	// change when enabled, so replay digests are comparable only between
-	// runs with the same setting.
+	// GroupCommitSlices sizes group commit: up to this many full slice
+	// flushes coalesce into one PLog commit (one device write per
+	// placement copy instead of one per slice). 0 or 1 (the default)
+	// commits every slice on its own. Flush timing and device write-op
+	// counts depend on the size, so replay digests are comparable only
+	// between runs with the same setting.
 	GroupCommitSlices int
 	// ZoneMaps records per-row-group column min/max values and per-column
 	// bloom filters in table file metadata at insert time, letting scan
@@ -181,16 +159,6 @@ type Config struct {
 	// byte-identical; replay digests are comparable only between runs
 	// with the same setting.
 	Nodes int
-	// PreferLocalReads turns on placement-aware reads: replicated plog
-	// reads try the copy in LocalReadNode's failure domain first and
-	// degrade to cross-domain copies when the local one is suspect,
-	// stale, quarantined, or failed. Requires Nodes > 1. Off by default:
-	// copy try-order changes when enabled, so replay digests are
-	// comparable only between runs with the same setting.
-	PreferLocalReads bool
-	// LocalReadNode is the node whose domain PreferLocalReads favors
-	// (the requester's location; default 0).
-	LocalReadNode int
 	// CacheMB sizes the two-tier (DRAM + SCM) read cache in megabytes;
 	// 0 (the default) disables it, leaving every read on the device
 	// path. The DRAM tier gets 1/8 of the budget, the SCM tier the
@@ -207,12 +175,6 @@ type Config struct {
 	// TenantQoS forces the tenant plane on even with an empty Tenants
 	// list (tenants are then added at runtime via SetTenant / lakectl).
 	TenantQoS bool
-	// ModelContention attaches the unisolated shared-queue contention
-	// model to the worker buses WITHOUT tenant isolation — the control
-	// baseline for the noisy-neighbor experiment, where one tenant's
-	// backlog delays everyone in its priority class. Mutually exclusive
-	// with Tenants/TenantQoS (isolation wins when both are set).
-	ModelContention bool
 	// Seed drives all randomized components deterministically.
 	Seed uint64
 }
@@ -269,11 +231,9 @@ func Open(cfg Config) (*Lake, error) {
 	svc := streamsvc.New(clock, store, cfg.Workers)
 	fs := tableobj.NewFileStore(logs)
 	cat := tableobj.NewCatalog(clock)
-	if cfg.GroupCommitSlices > 1 {
-		store.EnableGroupCommit(cfg.GroupCommitSlices)
-	}
+	store.EnableGroupCommit(cfg.GroupCommitSlices)
 	lh := lakehouse.New(clock, fs, cat, lakehouse.Options{
-		Acceleration: !cfg.DisableMetadataAcceleration,
+		Acceleration: true,
 		ZoneMaps:     cfg.ZoneMaps,
 	})
 	tiers := tiering.NewService(clock, tiering.Policy{DemoteAfter: time.Hour, ArchiveAfter: 24 * time.Hour})
@@ -297,7 +257,6 @@ func Open(cfg Config) (*Lake, error) {
 		sql:     query.New(lh),
 		inj:     inj,
 	}
-	logs.SetVerifyOnRead(!cfg.DisableVerifyOnRead)
 	if cfg.Compression {
 		logs.SetCompression(hdd)
 	}
@@ -310,11 +269,9 @@ func Open(cfg Config) (*Lake, error) {
 	}
 	// The network fault plane sits under every worker bus; the produce
 	// path rides it with retries, modelled acks, and per-endpoint circuit
-	// breakers unless the fragile baseline is requested.
+	// breakers, its backoff jitter seeded from the lake's seed.
 	svc.SetNet(inj.Net())
-	if !cfg.DisableResilience {
-		svc.SetResilience(streamsvc.ResilienceConfig{Seed: int64(cfg.Seed)})
-	}
+	svc.SetResilience(streamsvc.ResilienceConfig{Seed: int64(cfg.Seed)})
 	// Multi-tenancy plane: quota admission at the producer, weighted-fair
 	// scheduling on the worker buses and at pool admission, capacity
 	// charging at durable append. Off (nil registry) unless configured,
@@ -327,18 +284,10 @@ func Open(cfg Config) (*Lake, error) {
 		l.tenants = reg
 		svc.SetTenants(reg)
 		store.SetTenants(reg)
-	} else if cfg.ModelContention {
-		svc.SetContention()
 	}
-	if !cfg.DisableHedging {
-		logs.SetHedge(plog.HedgeConfig{Enabled: true, Quantile: cfg.HedgeQuantile})
-	}
+	logs.SetHedge(plog.HedgeConfig{Enabled: true})
 	l.rep = repair.New(clock, logs, repair.Config{})
-	l.scrub = scrub.New(clock, logs, l.rep, scrub.Config{
-		BytesPerPass: cfg.ScrubBytesPerPass,
-		Rate:         cfg.ScrubRate,
-		Repair:       true,
-	})
+	l.scrub = scrub.New(clock, logs, l.rep, scrub.Config{Repair: true})
 	if cfg.Nodes > 1 {
 		cl := cluster.New(cluster.Config{Nodes: cfg.Nodes, Seed: cfg.Seed}, clock, inj.Net())
 		cl.AttachPool(ssd, logs)
@@ -379,12 +328,6 @@ func Open(cfg Config) (*Lake, error) {
 			}
 		})
 		svc.SetCommitGate(cl)
-		if cfg.PreferLocalReads {
-			local := cfg.LocalReadNode
-			logs.SetLocalReads(func(p *pool.Pool, d pool.DiskID) bool {
-				return cl.DomainOfPoolDisk(p, d) == local
-			})
-		}
 		l.clus = cl
 	}
 	if !cfg.DisableObservability {
@@ -669,10 +612,6 @@ func (l *Lake) Stats() Stats {
 // Engine exposes the lakehouse engine for advanced use (benchmarks).
 func (l *Lake) Engine() *lakehouse.Engine { return l.lh }
 
-// SQLEngine exposes the SQL engine for advanced use (pushdown and
-// memory-budget knobs).
-func (l *Lake) SQLEngine() *query.Engine { return l.sql }
-
 // Service exposes the streaming service for advanced use.
 func (l *Lake) Service() *streamsvc.Service { return l.svc }
 
@@ -762,7 +701,7 @@ func (l *Lake) Net() *faults.NetPlane { return l.inj.Net() }
 func (l *Lake) HedgeStats() plog.HedgeStats { return l.logs.HedgeStats() }
 
 // GroupCommitStats reports slice-flush coalescing activity; zeros when
-// Config.GroupCommitSlices left group commit off.
+// Config.GroupCommitSlices left every slice committing on its own.
 func (l *Lake) GroupCommitStats() plog.GroupCommitStats { return l.store.GroupCommitStats() }
 
 // Repairer exposes the background repair service that re-replicates or
@@ -784,8 +723,8 @@ func (l *Lake) RepairUntilRedundant(maxRounds int) (RepairReport, bool) {
 // checksums and feeds what it finds into the repair service.
 func (l *Lake) Scrubber() *scrub.Service { return l.scrub }
 
-// RunScrub runs one scrub pass (bounded by Config.ScrubBytesPerPass)
-// and repairs what it found.
+// RunScrub runs one scrub pass — a sweep of every log unless the
+// scrubber's per-pass byte budget is set — and repairs what it found.
 func (l *Lake) RunScrub() (ScrubReport, error) { return l.scrub.RunOnce() }
 
 // ScrubCycle scrubs until every live PLog has been verified once — a
