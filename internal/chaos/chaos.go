@@ -1016,7 +1016,8 @@ func (h *harness) drainAndCheck() {
 // clusterCheck enforces the cluster-plane invariants after the drain:
 // every acked produce is in the applied metadata log, no term elected
 // two leaders, and every node's committed log agrees with every other's
-// on their common prefix.
+// on their common prefix — and Log Matching holds over the full logs,
+// uncommitted tails included.
 func (h *harness) clusterCheck() {
 	cl := h.clustered()
 	if cl == nil {
@@ -1033,6 +1034,9 @@ func (h *harness) clusterCheck() {
 		if wins > 1 {
 			h.violate("term %d elected %d leaders", term, wins)
 		}
+	}
+	if err := cl.CheckLogMatching(); err != nil {
+		h.violate("%v", err)
 	}
 	n := cl.Nodes()
 	logs := make([][]cluster.Entry, n)

@@ -98,6 +98,7 @@ type nodeState struct {
 	learner bool // catching up; replicated to but not counted for quorum
 	removed bool // tombstoned by a committed remove; never returns
 
+	ep        string          // nodeEndpoint(id), named once
 	lastHeard []time.Duration // [sender] when a heartbeat last arrived
 
 	role            Role
@@ -179,6 +180,7 @@ type Cluster struct {
 	removed     []bool // remove tombstone applied
 	lastTick    time.Duration
 	applied     int
+	walkSteps   int64 // entries reconcileLocked walked back over; only its cost guard reads it
 	produced    map[string]bool
 	meta        map[string]bool
 	termWins    map[int64]int
@@ -216,6 +218,7 @@ func New(cfg Config, clock *sim.Clock, net *faults.NetPlane) *Cluster {
 		jitter := time.Duration(rng.Int63n(int64(cfg.ElectionTimeout)))
 		c.nodes = append(c.nodes, &nodeState{
 			id:              i,
+			ep:              nodeEndpoint(i),
 			up:              true,
 			lastHeard:       make([]time.Duration, cfg.Nodes),
 			votedFor:        -1,
@@ -702,7 +705,7 @@ func (c *Cluster) boundaryLocked(t time.Duration, effects *[]func()) {
 				continue
 			}
 			c.stats.HeartbeatsSent++
-			if _, err := c.net.Deliver(nodeEndpoint(i.id), nodeEndpoint(j.id), heartbeatBytes); err != nil {
+			if _, err := c.net.Deliver(i.ep, j.ep, heartbeatBytes); err != nil {
 				c.stats.HeartbeatsLost++
 				continue
 			}

@@ -9,7 +9,7 @@ import (
 	"streamlake/internal/sim"
 )
 
-func newTestCluster(t *testing.T, nodes int, seed uint64) (*Cluster, *sim.Clock, *faults.NetPlane) {
+func newTestCluster(t testing.TB, nodes int, seed uint64) (*Cluster, *sim.Clock, *faults.NetPlane) {
 	t.Helper()
 	clock := sim.NewClock()
 	net := faults.NewNetPlane(seed)
@@ -200,9 +200,13 @@ func TestMinorityCannotCommit(t *testing.T) {
 }
 
 // assertPrefixConsistent checks every pair of committed logs agree on
-// their common prefix — the replicated-state safety invariant.
+// their common prefix — the replicated-state safety invariant — and
+// that Log Matching holds over the full logs.
 func assertPrefixConsistent(t *testing.T, c *Cluster) {
 	t.Helper()
+	if err := c.CheckLogMatching(); err != nil {
+		t.Fatal(err)
+	}
 	n := c.Nodes()
 	logs := make([][]Entry, n)
 	for i := 0; i < n; i++ {

@@ -83,7 +83,7 @@ func (c *Cluster) ProposeJoin(node int) error {
 		for _, e := range lead.log {
 			size += int64(len(e.Data))
 		}
-		if _, err := c.net.Deliver(nodeEndpoint(lead.id), nodeEndpoint(node), size); err != nil {
+		if _, err := c.net.Deliver(lead.ep, nodeEndpoint(node), size); err != nil {
 			c.mu.Unlock()
 			return fmt.Errorf("cluster: learner %d catch-up: %w", node, err)
 		}
@@ -93,6 +93,7 @@ func (c *Cluster) ProposeJoin(node int) error {
 		jitter := time.Duration(rng.Int63n(int64(c.cfg.ElectionTimeout)))
 		ns := &nodeState{
 			id:              node,
+			ep:              nodeEndpoint(node),
 			up:              true,
 			learner:         true,
 			lastHeard:       make([]time.Duration, node+1),

@@ -12,9 +12,9 @@ import (
 // election with the log-up-to-date restriction, term-fenced appends,
 // majority commit counted over the full membership (dead nodes cannot
 // ack, which is exactly what makes a minority partition unable to
-// commit), and full-log reconciliation instead of per-follower
-// nextIndex bookkeeping — the logs involved are metadata-sized, so the
-// longest-common-prefix scan is cheap and keeps the protocol auditable.
+// commit), and reconciliation that re-finds the match point on every
+// append instead of per-follower nextIndex bookkeeping — walking back
+// from the log's end, so an in-step follower costs one term compare.
 // Every message rides the NetPlane, so drops, delays, and partitions
 // shape elections and commits the same way they shape data traffic.
 
@@ -100,29 +100,23 @@ func (c *Cluster) currentLeaderLocked() *nodeState {
 	return lead
 }
 
-// reconcileLocked forces peer's log to match lead's: keep the longest
-// prefix where terms agree, truncate the conflict tail, append the
-// leader's remainder. Term-fencing happens at the call sites (a peer
-// with a higher term refuses the append and the stale leader steps
-// down).
+// reconcileLocked forces peer's log to match lead's: keep the prefix
+// below the match point k, truncate the conflict tail, append the
+// leader's remainder. k is the first index, walking back from the
+// shorter log's end, whose terms agree: by Log Matching all below it
+// agree too, so a scan up from 0 would stop at the same k. Term-fencing
+// happens at the call sites (a peer with a higher term refuses the
+// append and the stale leader steps down).
 func (c *Cluster) reconcileLocked(lead, peer *nodeState) {
-	n := len(peer.log)
-	if len(lead.log) < n {
-		n = len(lead.log)
-	}
-	k := 0
-	for k < n && peer.log[k].Term == lead.log[k].Term {
-		k++
+	k := min(len(peer.log), len(lead.log))
+	for ; k > 0 && peer.log[k-1].Term != lead.log[k-1].Term; k-- {
+		c.walkSteps++
 	}
 	if k < len(peer.log) {
 		peer.log = peer.log[:k:k]
 	}
 	peer.log = append(peer.log, lead.log[k:]...)
-	if lead.commit < len(peer.log) {
-		peer.commit = lead.commit
-	} else {
-		peer.commit = len(peer.log)
-	}
+	peer.commit = min(lead.commit, len(peer.log))
 }
 
 // runElectionLocked has node i campaign at boundary t. Vote requests and
@@ -140,7 +134,7 @@ func (c *Cluster) runElectionLocked(i *nodeState, t time.Duration) {
 		if j == i || !j.up || j.learner || j.removed {
 			continue
 		}
-		if _, err := c.net.Deliver(nodeEndpoint(i.id), nodeEndpoint(j.id), voteBytes); err != nil {
+		if _, err := c.net.Deliver(i.ep, j.ep, voteBytes); err != nil {
 			continue
 		}
 		if i.term > j.term {
@@ -165,7 +159,7 @@ func (c *Cluster) runElectionLocked(i *nodeState, t time.Duration) {
 		// The vote is recorded at the voter even if the grant message is
 		// lost on the way back — votedFor is the voter's promise.
 		j.votedFor = i.id
-		if _, err := c.net.Deliver(nodeEndpoint(j.id), nodeEndpoint(i.id), voteBytes); err != nil {
+		if _, err := c.net.Deliver(j.ep, i.ep, voteBytes); err != nil {
 			continue
 		}
 		votes++
@@ -183,7 +177,7 @@ func (c *Cluster) runElectionLocked(i *nodeState, t time.Duration) {
 		if j == i || !j.up {
 			continue
 		}
-		if _, err := c.net.Deliver(nodeEndpoint(i.id), nodeEndpoint(j.id), heartbeatBytes); err != nil {
+		if _, err := c.net.Deliver(i.ep, j.ep, heartbeatBytes); err != nil {
 			continue
 		}
 		if i.term >= j.term {
@@ -220,7 +214,7 @@ func (c *Cluster) proposeLocked(kind, data string, effects *[]func()) (time.Dura
 		if j == lead || !j.up {
 			continue
 		}
-		d1, err := c.net.Deliver(nodeEndpoint(lead.id), nodeEndpoint(j.id), size)
+		d1, err := c.net.Deliver(lead.ep, j.ep, size)
 		if err != nil {
 			continue
 		}
@@ -247,7 +241,7 @@ func (c *Cluster) proposeLocked(kind, data string, effects *[]func()) (time.Dura
 			// catching-up node must not swing commit decisions.
 			continue
 		}
-		d2, err := c.net.Deliver(nodeEndpoint(j.id), nodeEndpoint(lead.id), ackBytes)
+		d2, err := c.net.Deliver(j.ep, lead.ep, ackBytes)
 		if err != nil {
 			continue
 		}
@@ -398,8 +392,10 @@ const sep = "\x1f"
 const metaTombstone = "del" + sep
 
 func produceKey(topic string, stream int, base int64, count int) string {
-	return topic + sep + strconv.Itoa(stream) + sep +
-		strconv.FormatInt(base, 10) + sep + strconv.Itoa(count)
+	b := append(append(make([]byte, 0, 64), topic...), sep...) // on the stack: the string is the one allocation
+	b = append(strconv.AppendInt(b, int64(stream), 10), sep...)
+	b = append(strconv.AppendInt(b, base, 10), sep...)
+	return string(strconv.AppendInt(b, int64(count), 10))
 }
 
 // CommitProduce records an acknowledged produce batch in the replicated
@@ -485,6 +481,27 @@ func (c *Cluster) CommittedLog(node int) []Entry {
 	return append([]Entry(nil), n.log[:n.commit]...)
 }
 
+// CheckLogMatching verifies Raft's Log Matching over every pair of full
+// logs, uncommitted tails included: where two logs agree on an index's
+// term they hold identical entries there and everywhere below. It is
+// the precondition of reconcileLocked's backward walk.
+func (c *Cluster) CheckLogMatching() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for ai, a := range c.nodes {
+		for _, b := range c.nodes[ai+1:] {
+			matched := false
+			for i := min(len(a.log), len(b.log)) - 1; i >= 0; i-- {
+				matched = matched || a.log[i].Term == b.log[i].Term
+				if matched && a.log[i] != b.log[i] {
+					return fmt.Errorf("cluster: log matching broken: nodes %d and %d differ at index %d, at or below a term match", a.id, b.id, i)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // LeaderCountByTerm reports how many election wins each term recorded —
 // the at-most-one-leader-per-term invariant's evidence.
 func (c *Cluster) LeaderCountByTerm() map[int64]int {
@@ -497,4 +514,4 @@ func (c *Cluster) LeaderCountByTerm() map[int64]int {
 	return out
 }
 
-func nodeEndpoint(id int) string { return fmt.Sprintf("node/%d", id) }
+func nodeEndpoint(id int) string { return "node/" + strconv.Itoa(id) }

@@ -68,14 +68,16 @@ func NewNetPlane(seed uint64) *NetPlane {
 
 // lookupLocked resolves a directed link against a fault map using the
 // wildcard precedence. Caller holds np.mu.
-func lookupLocked[V any](m map[link]V, from, to string) (V, bool) {
+func lookupLocked[V any](m map[link]V, from, to string) (v V, ok bool) {
+	if len(m) == 0 {
+		return v, false // no rule of this kind: skip hashing four keys
+	}
 	for _, k := range [4]link{{from, to}, {from, "*"}, {"*", to}, {"*", "*"}} {
-		if v, ok := m[k]; ok {
+		if v, ok = m[k]; ok {
 			return v, true
 		}
 	}
-	var zero V
-	return zero, false
+	return v, false
 }
 
 // Deliver decides the fate of one message of n bytes on the directed

@@ -15,6 +15,12 @@ import (
 	"streamlake/internal/streamobj"
 )
 
+// streamID keys a producer's per-stream sequence numbers.
+type streamID struct {
+	topic string
+	idx   int
+}
+
 // Producer publishes messages to topics. The API mirrors the open-source
 // de facto standard of Figure 7: construct a producer, Send to a topic.
 // Producers are idempotent: every (producer, stream) batch carries a
@@ -25,7 +31,7 @@ type Producer struct {
 	tenant string // tenant identity carried on every batch; "" = system
 
 	mu  sync.Mutex
-	seq map[string]int64
+	seq map[streamID]int64
 	rng *sim.RNG // seeded backoff jitter, lazily built from the service's resilience seed
 }
 
@@ -41,7 +47,7 @@ func (s *Service) Producer(id string) *Producer {
 		id = fmt.Sprintf("producer-%d", s.txnSeq)
 		s.mu.Unlock()
 	}
-	return &Producer{svc: s, id: id, seq: make(map[string]int64)}
+	return &Producer{svc: s, id: id, seq: make(map[streamID]int64)}
 }
 
 // TenantProducer is Producer bound to a tenant identity: every batch is
@@ -192,12 +198,12 @@ func (p *Producer) sendOne(sp *obs.Span, topic string, idx int, batch []streamob
 		bytes += int64(len(r.Key) + len(r.Value))
 	}
 	p.mu.Lock()
-	p.seq[streamKey(topic, idx)]++
-	seq := p.seq[streamKey(topic, idx)]
+	p.seq[streamID{topic, idx}]++
+	seq := p.seq[streamID{topic, idx}]
 	p.mu.Unlock()
 
 	cfg := p.svc.resilience()
-	ep := workerEndpoint(w.id)
+	ep := w.ep
 	br := p.svc.breakerFor(ep)
 	reg := p.svc.Tenants()
 	m := p.svc.metrics
@@ -491,8 +497,8 @@ func (t *Txn) Commit() (time.Duration, error) {
 	for _, k := range keys {
 		part := t.parts[k]
 		t.p.mu.Lock()
-		t.p.seq[streamKey(part.topic, part.idx)]++
-		seq := t.p.seq[streamKey(part.topic, part.idx)]
+		t.p.seq[streamID{part.topic, part.idx}]++
+		seq := t.p.seq[streamID{part.topic, part.idx}]
 		t.p.mu.Unlock()
 		_, c, err := part.obj.Append(part.recs, t.p.id, seq)
 		if err != nil {

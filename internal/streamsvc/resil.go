@@ -2,8 +2,8 @@ package streamsvc
 
 import (
 	"errors"
-	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"streamlake/internal/bus"
@@ -46,7 +46,7 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 
 // workerEndpoint names a stream worker on the network fault plane; the
 // client side of every produce link is "client".
-func workerEndpoint(id int) string { return fmt.Sprintf("worker/%d", id) }
+func workerEndpoint(id int) string { return "worker/" + strconv.Itoa(id) }
 
 // SetNet installs the network fault hook on every worker bus, present
 // and future: workers created by later rescales inherit it. Each worker
@@ -58,7 +58,7 @@ func (s *Service) SetNet(h bus.NetHook) {
 	workers := append([]*Worker(nil), s.workers...)
 	s.mu.Unlock()
 	for _, w := range workers {
-		w.bus.SetNet(h, workerEndpoint(w.id))
+		w.bus.SetNet(h, w.ep)
 	}
 }
 

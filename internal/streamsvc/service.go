@@ -39,6 +39,7 @@ type topicState struct {
 // RDMA.
 type Worker struct {
 	id  int
+	ep  string // workerEndpoint(id), named once
 	bus *bus.Bus
 
 	mu       sync.Mutex
@@ -248,7 +249,7 @@ func New(clock *sim.Clock, store *streamobj.Store, workerCount int) *Service {
 }
 
 func newWorker(id int) *Worker {
-	return &Worker{id: id, bus: bus.New(bus.Config{Path: bus.RDMA, Aggregation: true}), streams: map[string]bool{}}
+	return &Worker{id: id, ep: workerEndpoint(id), bus: bus.New(bus.Config{Path: bus.RDMA, Aggregation: true}), streams: map[string]bool{}}
 }
 
 // Clock exposes the virtual clock the service charges costs against.
@@ -298,7 +299,7 @@ func (s *Service) assignStreamsLocked(topic string, n int) {
 	}
 }
 
-func streamKey(topic string, idx int) string { return fmt.Sprintf("%s/%d", topic, idx) }
+func streamKey(topic string, idx int) string { return topic + "/" + strconv.Itoa(idx) }
 
 func (s *Service) recordTopologyLocked() {
 	s.meta.Put([]byte("topology/version"), binary.AppendVarint(nil, s.topology))
@@ -414,7 +415,7 @@ func (s *Service) SetWorkerCount(n int) (moved int, cost time.Duration) {
 		workers[i] = newWorker(i)
 		workers[i].bus.SetObs(s.reg)
 		if s.netHook != nil {
-			workers[i].bus.SetNet(s.netHook, workerEndpoint(i))
+			workers[i].bus.SetNet(s.netHook, workers[i].ep)
 		}
 		if s.qosWire != nil {
 			s.qosWire(workers[i])

@@ -90,7 +90,13 @@ go test -count=1 -short -run 'TestCompressedMixedChaos|TestCompressionOffReplays
 # the scripted leader+storage-node drill inside its virtual-time
 # ceilings (detect <=80ms, producer gap <=120ms, rebalance <=2s). The
 # benchsnap smoke above enforces the same ceilings on every snapshot.
+# The race pass carries the O(1)-commit guards (the step counter of
+# TestCommitCostIsFlatInLogLength, the forward-scan oracle of
+# TestReconcileMatchPointEqualsForwardScan); the chaos runs end on the
+# Log Matching check; BenchmarkCommitProduce (log=1k vs log=64k, same
+# ns/op) runs once as a build-and-run smoke.
 go test -race -count=1 ./internal/cluster/
+go test -run '^$' -bench 'BenchmarkCommitProduce' -benchtime 1x ./internal/cluster/
 go test -count=1 -run 'TestClusterFailoverChaos|TestClusterSplitBrainChaos|TestClusterFailoverDrill|TestClusterRebalanceMovesBytes' ./internal/chaos/
 # Elastic gate: runtime membership churn (joins through the replicated
 # log's learner path, drain-then-tombstone removals) interleaved with
