@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"streamlake/internal/bus"
@@ -57,7 +58,7 @@ type AblationECPoint struct {
 	K, M           int
 	Overhead       float64
 	FaultTolerance int
-	EncodeCostMs   float64 // CPU encode cost per 64 MiB stripe (real time)
+	EncodeCostMs   float64 // wall-clock encode cost of one 4 MiB stripe, best of three
 }
 
 // RunAblationEC sweeps (k, m) configurations.
@@ -77,15 +78,21 @@ func RunAblationEC() ([]AblationECPoint, error) {
 				data[i][j] = byte(i * j)
 			}
 		}
-		start := nowMs()
-		if _, err := c.Encode(data); err != nil {
-			return nil, err
+		// Best of three: the first encode of a configuration also pays
+		// for faulting in its parity pages and whatever else is cold.
+		best := math.Inf(1)
+		for try := 0; try < 3; try++ {
+			start := nowMs()
+			if _, err := c.Encode(data); err != nil {
+				return nil, err
+			}
+			best = math.Min(best, nowMs()-start)
 		}
 		out = append(out, AblationECPoint{
 			K: cfg.k, M: cfg.m,
 			Overhead:       c.Overhead(),
 			FaultTolerance: cfg.m,
-			EncodeCostMs:   nowMs() - start,
+			EncodeCostMs:   best,
 		})
 	}
 	return out, nil

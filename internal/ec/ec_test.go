@@ -192,22 +192,53 @@ func TestQuickEncodeReconstruct(t *testing.T) {
 	}
 }
 
-func BenchmarkEncode4x2(b *testing.B) {
-	c, _ := New(4, 2)
-	data := make([][]byte, 4)
-	for i := range data {
-		data[i] = make([]byte, 64<<10)
-	}
-	r := sim.NewRNG(3)
-	for i := range data {
-		for j := range data[i] {
-			data[i][j] = byte(r.Intn(256))
-		}
-	}
-	b.SetBytes(4 * 64 << 10)
+func benchEncode(b *testing.B, k, m int) {
+	c, _ := New(k, m)
+	data := randomShards(sim.NewRNG(3), k, 64<<10)
+	b.SetBytes(int64(k) * 64 << 10)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Encode(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEncode4x2(b *testing.B)  { benchEncode(b, 4, 2) }
+func BenchmarkEncode10x4(b *testing.B) { benchEncode(b, 10, 4) }
+
+// BenchmarkEncodeSplit4x2 is the call plog makes per append, at the
+// pipeline workload's mean slice flush: 290 KB of contiguous payload.
+func BenchmarkEncodeSplit4x2(b *testing.B) {
+	c, _ := New(4, 2)
+	data := randomShards(sim.NewRNG(3), 1, 290_000)[0]
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Encode(c.Split(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReconstruct4x2 rebuilds two erased data shards, the decode a
+// repair of two failed disks runs.
+func BenchmarkReconstruct4x2(b *testing.B) {
+	c, _ := New(4, 2)
+	stripe, err := c.Encode(randomShards(sim.NewRNG(3), 4, 64<<10))
+	if err != nil {
+		b.Fatal(err)
+	}
+	damaged := make([][]byte, len(stripe))
+	b.SetBytes(4 * 64 << 10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(damaged, stripe)
+		damaged[0], damaged[2] = nil, nil
+		if err := c.Reconstruct(damaged); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,8 +8,9 @@ package ec
 
 // GF(2^8) arithmetic with the polynomial x^8+x^4+x^3+x^2+1 (0x11D), the
 // conventional Reed–Solomon field, for which 2 is a primitive element.
-// Multiplication and division go through log/antilog tables built once at
-// package init.
+// Multiplication and division of single coefficients go through log/antilog
+// tables built once at package init; shard-sized products go through the
+// fused tables of kernel.go.
 
 const gfPoly = 0x11D
 
@@ -55,17 +56,3 @@ func gfDiv(a, b byte) byte {
 
 // gfInv returns the multiplicative inverse of a.
 func gfInv(a byte) byte { return gfDiv(1, a) }
-
-// mulSlice computes out[i] ^= c * in[i] for all i (accumulating
-// multiply-add, the inner loop of encoding).
-func mulSliceAdd(c byte, in, out []byte) {
-	if c == 0 {
-		return
-	}
-	logC := int(gfLog[c])
-	for i, v := range in {
-		if v != 0 {
-			out[i] ^= gfExp[logC+int(gfLog[v])]
-		}
-	}
-}

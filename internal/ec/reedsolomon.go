@@ -3,29 +3,64 @@ package ec
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Codec is a systematic Reed–Solomon coder with k data shards and m parity
 // shards: any k of the k+m shards reconstruct the original data, so the
 // coded stripe tolerates m erasures at a storage overhead of (k+m)/k. The
 // paper's EC configuration with FT (fault tolerance) = m maps directly to
-// a Codec with that m.
+// a Codec with that m. A Codec is immutable and safe for concurrent use.
 type Codec struct {
 	k, m   int
 	matrix [][]byte // (k+m) x k encoding matrix; top k rows are identity
+	enc    *kernel  // the m Cauchy rows, compiled
 }
 
 // ErrTooFewShards is returned by Reconstruct when fewer than k shards are
 // present.
 var ErrTooFewShards = errors.New("ec: too few shards to reconstruct")
 
-// New creates a codec with k data and m parity shards. 1 <= k, 0 <= m, and
-// k+m <= 255 (the field size bounds the stripe width).
+// sharedTableBudget bounds the table bytes New keeps alive for sharing.
+// A codec's matrix and tables depend on (k, m) only, so every log of one
+// redundancy policy can use one instance — but the pair arrives from
+// clients (TopicConfig), so the memo must not grow with what they send.
+// EC(4,2) holds 4 KiB, EC(10,4) 12 KiB; a code too wide to fit what is
+// left of the budget is built unshared.
+const sharedTableBudget = 1 << 20
+
+var shared = struct {
+	sync.Mutex
+	codecs map[[2]int]*Codec
+	bytes  int
+}{codecs: make(map[[2]int]*Codec)}
+
+// New returns the codec with k data and m parity shards. 1 <= k, 0 <= m,
+// and k+m <= 255 (the field size bounds the stripe width). Calls with the
+// same (k, m) return the same instance while sharedTableBudget lasts.
 func New(k, m int) (*Codec, error) {
 	if k < 1 || m < 0 || k+m > 255 {
 		return nil, fmt.Errorf("ec: invalid parameters k=%d m=%d", k, m)
 	}
-	return &Codec{k: k, m: m, matrix: buildMatrix(k, m)}, nil
+	key := [2]int{k, m}
+	shared.Lock()
+	c := shared.codecs[key]
+	shared.Unlock()
+	if c != nil {
+		return c, nil
+	}
+	matrix := buildMatrix(k, m)
+	c = &Codec{k: k, m: m, matrix: matrix, enc: newKernel(matrix[k:], k)}
+	shared.Lock()
+	defer shared.Unlock()
+	if prev := shared.codecs[key]; prev != nil {
+		return prev, nil
+	}
+	if n := c.enc.tableBytes(); shared.bytes+n <= sharedTableBudget {
+		shared.codecs[key] = c
+		shared.bytes += n
+	}
+	return c, nil
 }
 
 // Overhead returns the storage multiplier (k+m)/k of the code.
@@ -55,7 +90,7 @@ func buildMatrix(k, m int) [][]byte {
 
 // Encode computes the m parity shards for k equal-length data shards,
 // returning the full stripe of k+m shards (data shards are aliased, not
-// copied).
+// copied; the parity shards are slices of one allocation).
 func (c *Codec) Encode(data [][]byte) ([][]byte, error) {
 	if len(data) != c.k {
 		return nil, fmt.Errorf("ec: Encode needs %d data shards, got %d", c.k, len(data))
@@ -68,15 +103,18 @@ func (c *Codec) Encode(data [][]byte) ([][]byte, error) {
 	}
 	shards := make([][]byte, c.k+c.m)
 	copy(shards, data)
-	for i := 0; i < c.m; i++ {
-		p := make([]byte, size)
-		row := c.matrix[c.k+i]
-		for j := 0; j < c.k; j++ {
-			mulSliceAdd(row[j], data[j], p)
-		}
-		shards[c.k+i] = p
-	}
+	carve(shards[c.k:], size)
+	c.enc.apply(data, shards[c.k:])
 	return shards, nil
+}
+
+// carve points every entry of shards at its own size-byte slice of one
+// fresh allocation.
+func carve(shards [][]byte, size int) {
+	buf := make([]byte, len(shards)*size)
+	for i := range shards {
+		shards[i], buf = buf[:size:size], buf[size:]
+	}
 }
 
 // Reconstruct fills in the missing (nil) shards of a stripe in place.
@@ -87,74 +125,72 @@ func (c *Codec) Reconstruct(shards [][]byte) error {
 		return fmt.Errorf("ec: Reconstruct needs %d shards, got %d", c.k+c.m, len(shards))
 	}
 	size := -1
-	present := 0
-	for _, s := range shards {
+	var missing []int
+	for i, s := range shards {
 		if s == nil {
+			missing = append(missing, i)
 			continue
 		}
-		present++
 		if size == -1 {
 			size = len(s)
 		} else if len(s) != size {
 			return errors.New("ec: inconsistent shard sizes")
 		}
 	}
-	if present < c.k {
+	if len(missing) > c.m {
 		return ErrTooFewShards
 	}
-	missingData := false
-	for i := 0; i < c.k; i++ {
-		if shards[i] == nil {
-			missingData = true
-			break
+	if len(missing) == 0 {
+		return nil
+	}
+	// The first k surviving shards are the kernel's inputs. Shard i of the
+	// stripe is matrix[i]·data, and data is inv·avail where inv inverts
+	// the survivors' matrix rows, so every missing shard, data or parity,
+	// is the row matrix[i]·inv applied to avail: one coefficient block,
+	// one pass. With all data present inv is the identity and is skipped.
+	avail := make([][]byte, 0, c.k)
+	rows := make([][]byte, 0, c.k)
+	for i := 0; len(avail) < c.k; i++ {
+		if shards[i] != nil {
+			avail = append(avail, shards[i])
+			rows = append(rows, c.matrix[i])
 		}
 	}
-	if missingData {
-		if err := c.reconstructData(shards, size); err != nil {
+	coef := make([][]byte, len(missing))
+	if missing[0] >= c.k {
+		for p, i := range missing {
+			coef[p] = c.matrix[i]
+		}
+	} else {
+		inv, err := invertMatrix(rows)
+		if err != nil {
 			return err
 		}
+		for p, i := range missing {
+			coef[p] = mulRowMatrix(c.matrix[i], inv)
+		}
 	}
-	// Recompute any missing parity from (now complete) data.
-	for i := 0; i < c.m; i++ {
-		if shards[c.k+i] != nil {
-			continue
-		}
-		p := make([]byte, size)
-		row := c.matrix[c.k+i]
-		for j := 0; j < c.k; j++ {
-			mulSliceAdd(row[j], shards[j], p)
-		}
-		shards[c.k+i] = p
+	out := make([][]byte, len(missing))
+	carve(out, size)
+	newKernel(coef, c.k).apply(avail, out)
+	for p, i := range missing {
+		shards[i] = out[p]
 	}
 	return nil
 }
 
-// reconstructData solves for the missing data shards using the first k
-// available shards' matrix rows.
-func (c *Codec) reconstructData(shards [][]byte, size int) error {
-	rows := make([][]byte, 0, c.k)
-	avail := make([][]byte, 0, c.k)
-	for i := 0; i < c.k+c.m && len(rows) < c.k; i++ {
-		if shards[i] != nil {
-			rows = append(rows, c.matrix[i])
-			avail = append(avail, shards[i])
-		}
-	}
-	inv, err := invertMatrix(rows)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < c.k; i++ {
-		if shards[i] != nil {
+// mulRowMatrix returns the row vector row·m over GF(256).
+func mulRowMatrix(row []byte, m [][]byte) []byte {
+	out := make([]byte, len(m[0]))
+	for l, r := range row {
+		if r == 0 {
 			continue
 		}
-		d := make([]byte, size)
-		for j := 0; j < c.k; j++ {
-			mulSliceAdd(inv[i][j], avail[j], d)
+		for j, v := range m[l] {
+			out[j] ^= gfMul(r, v)
 		}
-		shards[i] = d
 	}
-	return nil
+	return out
 }
 
 // invertMatrix inverts a k x k matrix over GF(256) by Gauss–Jordan
@@ -207,25 +243,31 @@ func invertMatrix(m [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Split pads data to a multiple of k and splits it into k equal shards.
-// The original length must be carried out of band (Join takes it back).
+// Split views data as k equal shards of ceil(len/k) bytes (one byte for
+// empty data). Shards that lie wholly inside data alias it, as Encode's
+// stripe aliases its inputs; only the ragged last one is copied into a
+// zero-padded buffer of its own, and the shards past the end of data all
+// share one zero buffer. Callers must treat the shards as read-only. The
+// original length must be carried out of band (Join takes it back).
 func (c *Codec) Split(data []byte) [][]byte {
-	shardSize := (len(data) + c.k - 1) / c.k
-	if shardSize == 0 {
-		shardSize = 1
-	}
+	size := max((len(data)+c.k-1)/c.k, 1)
 	shards := make([][]byte, c.k)
-	for i := 0; i < c.k; i++ {
-		s := make([]byte, shardSize)
-		start := i * shardSize
-		if start < len(data) {
-			end := start + shardSize
-			if end > len(data) {
-				end = len(data)
+	var zero []byte
+	for i := range shards {
+		start := i * size
+		switch end := start + size; {
+		case end <= len(data):
+			shards[i] = data[start:end:end]
+		case start < len(data):
+			s := make([]byte, size)
+			copy(s, data[start:])
+			shards[i] = s
+		default:
+			if zero == nil {
+				zero = make([]byte, size)
 			}
-			copy(s, data[start:end])
+			shards[i] = zero
 		}
-		shards[i] = s
 	}
 	return shards
 }

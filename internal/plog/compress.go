@@ -91,7 +91,8 @@ func (l *PLog) decompressCostLocked(e int) time.Duration {
 // size of every overlapping extent, and the decompress CPU for those
 // extents is returned alongside. Caller holds imu.
 func (l *PLog) compReadLocked(off, n int64) (devBytes int64, dec time.Duration) {
-	for _, e := range l.overlappingLocked(off, n) {
+	lo, hi := l.overlappingLocked(off, n)
+	for e := lo; e < hi; e++ {
 		devBytes += l.compShardLocked(e)
 		dec += l.decompressCostLocked(e)
 	}

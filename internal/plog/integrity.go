@@ -36,6 +36,11 @@ import (
 // castagnoli is the CRC-32C table used for every block checksum.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// zeroPad is the padding of an EC data column, for checksumming it
+// without materializing the column. A stripe pads k*ceil(len/k) - len < k
+// bytes in all (one per column for an empty extent), and k <= 255.
+var zeroPad [255]byte
+
 // corruptionMask is XORed into a copy's true checksum to model a latent
 // bit flip. Corrupting an already-corrupt copy keeps it corrupt (the
 // stored value is derived from the true sum, not flipped back and
@@ -122,23 +127,22 @@ func (l *PLog) recordExtent(off int64, data []byte, failed []int) {
 	}
 }
 
-// overlapping returns the extent indices intersecting [off, off+n).
-// Caller holds imu.
-func (l *PLog) overlappingLocked(off, n int64) []int {
+// overlappingLocked returns the half-open range [lo, hi) of extent
+// indices intersecting [off, off+n). Extents are appended in offset
+// order, so the intersecting ones are contiguous. Caller holds imu.
+func (l *PLog) overlappingLocked(off, n int64) (lo, hi int) {
 	if n <= 0 {
-		return nil
+		return 0, 0
 	}
 	end := off + n
-	// Extents are appended in offset order; binary-search the first one
-	// that ends past off.
-	i := sort.Search(len(l.extents), func(i int) bool {
+	lo = sort.Search(len(l.extents), func(i int) bool {
 		return l.extents[i].off+l.extents[i].len > off
 	})
-	var out []int
-	for ; i < len(l.extents) && l.extents[i].off < end; i++ {
-		out = append(out, i)
+	hi = lo
+	for hi < len(l.extents) && l.extents[hi].off < end {
+		hi++
 	}
-	return out
+	return lo, hi
 }
 
 // expectedSum returns the checksum copy i must hold for extent e. For
@@ -155,20 +159,14 @@ func (l *PLog) expectedSumLocked(i, e int) uint32 {
 	}
 	k := l.red.K
 	if i < k {
-		shardLen := (int(ext.len) + k - 1) / k
-		if shardLen == 0 {
-			shardLen = 1
-		}
-		start := i * shardLen
-		end := start + shardLen
-		col := make([]byte, shardLen)
-		if start < len(data) {
-			if end > len(data) {
-				end = len(data)
-			}
-			copy(col, data[start:end])
-		}
-		return crc32.Checksum(col, castagnoli)
+		// Column i as ec.Split lays it out: shardLen bytes of data from
+		// i*shardLen, zero-padded where data runs out. The CRC runs over
+		// l.buf in place, then over the padding.
+		shardLen := max((len(data)+k-1)/k, 1)
+		start := min(i*shardLen, len(data))
+		end := min(start+shardLen, len(data))
+		sum := crc32.Update(0, castagnoli, data[start:end])
+		return crc32.Update(sum, castagnoli, zeroPad[:shardLen-(end-start)])
 	}
 	return l.trueSums[e][i]
 }
@@ -180,7 +178,8 @@ func (l *PLog) expectedSumLocked(i, e int) uint32 {
 func (l *PLog) verifyCopyRange(i int, off, n int64) (bad []int) {
 	l.imu.Lock()
 	defer l.imu.Unlock()
-	for _, e := range l.overlappingLocked(off, n) {
+	lo, hi := l.overlappingLocked(off, n)
+	for e := lo; e < hi; e++ {
 		stored, ok := l.copySums[i][e]
 		if !ok {
 			continue
@@ -205,7 +204,8 @@ func (l *PLog) missingIn(i int, off, n int64) bool {
 	if len(l.extents) == 0 {
 		return false
 	}
-	for _, e := range l.overlappingLocked(off, n) {
+	lo, hi := l.overlappingLocked(off, n)
+	for e := lo; e < hi; e++ {
 		if _, ok := l.copySums[i][e]; !ok {
 			return true
 		}
@@ -219,7 +219,8 @@ func (l *PLog) missingIn(i int, off, n int64) bool {
 func (l *PLog) corruptIn(i int, off, n int64) int {
 	l.imu.Lock()
 	defer l.imu.Unlock()
-	for _, e := range l.overlappingLocked(off, n) {
+	lo, hi := l.overlappingLocked(off, n)
+	for e := lo; e < hi; e++ {
 		if stored, ok := l.copySums[i][e]; ok && stored != l.expectedSumLocked(i, e) {
 			return e
 		}

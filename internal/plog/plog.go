@@ -543,9 +543,10 @@ func (l *PLog) verifyReconstructLocked(erasures []int) error {
 	if l.red.Kind != ErasureCode {
 		return errors.New("plog: VerifyReconstruct on a replicated log")
 	}
-	data := append([]byte(nil), l.buf...)
-	shards := l.codec.Split(data)
-	stripe, err := l.codec.Encode(shards)
+	// Split and Encode alias l.buf and Reconstruct only fills the erased
+	// entries, so the log's bytes are read, never written or copied.
+	data := l.buf
+	stripe, err := l.codec.Encode(l.codec.Split(data))
 	if err != nil {
 		return err
 	}

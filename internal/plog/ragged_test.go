@@ -2,7 +2,11 @@ package plog
 
 import (
 	"bytes"
+	"hash/crc32"
 	"testing"
+
+	"streamlake/internal/pool"
+	"streamlake/internal/sim"
 )
 
 // TestECRaggedTailReconstructBitExact is the regression for the
@@ -184,4 +188,63 @@ func TestECRaggedTailCompressedRoundTrip(t *testing.T) {
 	}
 	readAll("promoted")
 	poolEmpty(t, hdd)
+}
+
+// TestExpectedSumMatchesSplitColumn pins the in-place column checksum to
+// the encoder's layout directly: for every data column of every extent,
+// the CRC taken over l.buf plus zero padding equals the CRC of the shard
+// ec.Split produces, for widths and lengths that make full, ragged and
+// all-padding columns.
+func TestExpectedSumMatchesSplitColumn(t *testing.T) {
+	_, m := newTestManager(t, 16)
+	for _, red := range []Redundancy{EC(1, 1), EC(3, 2), EC(4, 2), EC(10, 4)} {
+		l, err := m.Create(red)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var payloads [][]byte
+		for i, n := range []int{1, 2, 3, 5, 9, 12, 41, 1027} {
+			pl := payload(n, byte(7*i+3))
+			if _, _, err := l.Append(pl); err != nil {
+				t.Fatal(err)
+			}
+			payloads = append(payloads, pl)
+		}
+		l.imu.Lock()
+		for e, pl := range payloads {
+			for i, col := range l.codec.Split(pl) {
+				want := crc32.Checksum(col, castagnoli)
+				if got := l.expectedSumLocked(i, e); got != want {
+					t.Errorf("EC(%d,%d) extent %d (%d bytes) column %d: in-place CRC %#x, Split column CRC %#x",
+						red.K, red.M, e, len(pl), i, got, want)
+				}
+			}
+		}
+		l.imu.Unlock()
+	}
+}
+
+// BenchmarkVerifyReadEC is a verified read of one 64 KiB extent of an
+// EC(4,2) log: four data-column checksums re-computed over the log's
+// buffer. It must not allocate.
+func BenchmarkVerifyReadEC(b *testing.B) {
+	p := pool.New("bench", sim.NewClock(), sim.NVMeSSD, 8, 0)
+	m := NewManager(p, 64<<20)
+	l, err := m.Create(EC(4, 2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	data := payload(64<<10+1, 5) // ragged: the last column is padded
+	off, _, err := l.Append(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := l.Read(off, int64(len(data))); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
