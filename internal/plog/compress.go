@@ -4,9 +4,9 @@
 // manager's designated cold pool, each extent is negotiated against the
 // real codecs and the destination copies are written at compressed
 // size; migrating off the cold pool decompresses. The logical byte
-// stream (l.buf) stays authoritative and uncompressed — reads always
-// serve raw bytes, the read cache stores uncompressed verified bytes,
-// and every CRC-32C stays keyed over uncompressed data, so
+// stream (the extents' own bytes) stays authoritative and uncompressed —
+// reads always serve raw bytes, the read cache stores uncompressed
+// verified bytes, and every CRC-32C stays keyed over uncompressed data, so
 // verify-on-read, quarantine, EC reconstruction and the scrubber work
 // unchanged on compressed logs. What compression changes is accounting:
 // device bytes moved/stored/read shrink to compressed sizes, and the
@@ -72,7 +72,7 @@ func (l *PLog) compShardLocked(e int) int64 {
 	if l.compressed && e < len(l.ecomp) {
 		return l.red.shardSize(l.ecomp[e].clen)
 	}
-	return l.red.shardSize(l.extents[e].len)
+	return l.red.shardSize(l.extents[e].len())
 }
 
 // decompressCostLocked returns the virtual CPU time to decompress
@@ -82,7 +82,7 @@ func (l *PLog) decompressCostLocked(e int) time.Duration {
 	if !l.compressed || e >= len(l.ecomp) {
 		return 0
 	}
-	return compress.DecompressCost(l.ecomp[e].codec, l.extents[e].len)
+	return compress.DecompressCost(l.ecomp[e].codec, l.extents[e].len())
 }
 
 // compReadLocked sizes a device read of [off, off+n) on a compressed
@@ -161,7 +161,7 @@ func (m *Manager) CompressionStats() CompressionStats {
 		st.CompressedLogs++
 		l.imu.Lock()
 		for e, ext := range l.extents {
-			st.RawBytes += ext.len
+			st.RawBytes += ext.len()
 			if e < len(l.ecomp) {
 				st.CompressedBytes += l.ecomp[e].clen
 				switch l.ecomp[e].codec {
@@ -173,7 +173,7 @@ func (m *Manager) CompressionStats() CompressionStats {
 					st.NoneExtents++
 				}
 			} else {
-				st.CompressedBytes += ext.len
+				st.CompressedBytes += ext.len()
 				st.NoneExtents++
 			}
 		}

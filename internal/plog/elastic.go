@@ -56,7 +56,7 @@ func (m *Manager) EvacuateDisks(p *pool.Pool, disks map[pool.DiskID]bool) (moved
 			continue
 		}
 		changed := false
-		full := l.red.shardSize(int64(len(l.buf)))
+		full := l.red.shardSize(l.size)
 		for i, s := range l.slices {
 			if !disks[s.Disk] {
 				continue

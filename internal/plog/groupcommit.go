@@ -53,7 +53,7 @@ func (l *PLog) AppendBatch(payloads [][]byte, sp *obs.Span) (offsets []int64, co
 		logical += int64(len(p))
 		phys += l.red.shardSize(int64(len(p)))
 	}
-	if int64(len(l.buf))+logical > l.capacity {
+	if l.size+logical > l.capacity {
 		return nil, 0, ErrFull
 	}
 	var ok []pool.SliceID
@@ -95,9 +95,11 @@ func (l *PLog) AppendBatch(payloads [][]byte, sp *obs.Span) (offsets []int64, co
 	}
 	offsets = make([]int64, len(payloads))
 	for i, p := range payloads {
-		offsets[i] = int64(len(l.buf))
-		l.buf = append(l.buf, p...)
-		l.recordExtent(offsets[i], p, failed)
+		// The one copy a payload ever gets: exact-size and owned by its
+		// extent from here on (append onto nil skips the zeroing of make).
+		offsets[i] = l.size
+		l.recordExtent(l.size, append([]byte(nil), p...), failed)
+		l.size += int64(len(p))
 	}
 	l.metrics.appendLat.Observe(max)
 	l.metrics.appendBytes.Add(logical)

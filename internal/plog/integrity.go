@@ -8,10 +8,11 @@
 // a stored checksum disagrees with the data, so silent corruption is
 // surfaced as a counter and a repair-queue entry, never as wrong bytes.
 //
-// The simulated substrate keeps the logical bytes once (PLog.buf) and
-// models per-copy state separately, so a latent bit flip on one copy is
-// modeled as damage to that copy's stored checksum: the copy's data and
-// checksum no longer agree with the payload the log is known to hold.
+// The simulated substrate keeps the logical bytes once (each extent owns
+// its payload's bytes) and models per-copy state separately, so a latent
+// bit flip on one copy is modeled as damage to that copy's stored
+// checksum: the copy's data and checksum no longer agree with the
+// payload the log is known to hold.
 // Verification recomputes the CRC from the authoritative bytes (for
 // replication and EC data columns; parity columns compare against the
 // encode-time value) and compares it with what the copy "stored".
@@ -47,11 +48,18 @@ var zeroPad [255]byte
 // forth).
 const corruptionMask uint32 = 0xDEADBEEF
 
-// extent is one appended record: the byte range [off, off+len) of the
-// logical stream.
+// extent is one appended record: the byte range [off, off+len(data)) of
+// the logical stream and the log's only copy of those bytes. data is
+// exact-size, capacity-capped and immutable once recorded — nothing
+// appended is ever copied, cleared or reallocated again, which is what
+// keeps every Read borrow stable. The extent list only grows, under mu
+// and imu together, so a reader may hold either lock.
 type extent struct {
-	off, len int64
+	off  int64
+	data []byte
 }
+
+func (e extent) len() int64 { return int64(len(e.data)) }
 
 // IntegrityStats counts checksum activity on a log or across a manager.
 type IntegrityStats struct {
@@ -83,10 +91,10 @@ func (e CorruptionEvent) String() string {
 	return fmt.Sprintf("log %d copy %d (disk %d) extent %d", e.Log, e.SliceIdx, e.Disk, e.Extent)
 }
 
-// recordExtent computes and stores the per-copy checksums for a freshly
-// appended extent. failed lists the placement indices whose write was
-// absorbed as a degraded write; those copies get no checksum (the bytes
-// never landed) and are caught up by repair.
+// recordExtent takes ownership of data as the extent at off and computes
+// and stores its per-copy checksums. failed lists the placement indices
+// whose write was absorbed as a degraded write; those copies get no
+// checksum (the bytes never landed) and are caught up by repair.
 func (l *PLog) recordExtent(off int64, data []byte, failed []int) {
 	width := l.red.Width()
 	true_ := make([]uint32, width)
@@ -118,7 +126,7 @@ func (l *PLog) recordExtent(off int64, data []byte, failed []int) {
 		}
 	}
 	e := len(l.extents)
-	l.extents = append(l.extents, extent{off: off, len: int64(len(data))})
+	l.extents = append(l.extents, extent{off: off, data: data[:len(data):len(data)]})
 	l.trueSums = append(l.trueSums, true_)
 	for i := 0; i < width; i++ {
 		if !missed[i] {
@@ -129,14 +137,14 @@ func (l *PLog) recordExtent(off int64, data []byte, failed []int) {
 
 // overlappingLocked returns the half-open range [lo, hi) of extent
 // indices intersecting [off, off+n). Extents are appended in offset
-// order, so the intersecting ones are contiguous. Caller holds imu.
+// order, so the intersecting ones are contiguous. Caller holds mu or imu.
 func (l *PLog) overlappingLocked(off, n int64) (lo, hi int) {
 	if n <= 0 {
 		return 0, 0
 	}
 	end := off + n
 	lo = sort.Search(len(l.extents), func(i int) bool {
-		return l.extents[i].off+l.extents[i].len > off
+		return l.extents[i].off+l.extents[i].len() > off
 	})
 	hi = lo
 	for hi < len(l.extents) && l.extents[hi].off < end {
@@ -152,8 +160,7 @@ func (l *PLog) overlappingLocked(off, n int64) (lo, hi int) {
 // read would charge no different outcome at GF-math cost). Caller holds
 // imu.
 func (l *PLog) expectedSumLocked(i, e int) uint32 {
-	ext := l.extents[e]
-	data := l.buf[ext.off : ext.off+ext.len]
+	data := l.extents[e].data
 	if l.codec == nil {
 		return crc32.Checksum(data, castagnoli)
 	}
@@ -161,7 +168,7 @@ func (l *PLog) expectedSumLocked(i, e int) uint32 {
 	if i < k {
 		// Column i as ec.Split lays it out: shardLen bytes of data from
 		// i*shardLen, zero-padded where data runs out. The CRC runs over
-		// l.buf in place, then over the padding.
+		// the extent's bytes in place, then over the padding.
 		shardLen := max((len(data)+k-1)/k, 1)
 		start := min(i*shardLen, len(data))
 		end := min(start+shardLen, len(data))
@@ -239,7 +246,7 @@ func (l *PLog) quarantine(i int, bad []int) {
 			continue
 		}
 		delete(l.copySums[i], e)
-		per := l.red.shardSize(l.extents[e].len)
+		per := l.red.shardSize(l.extents[e].len())
 		if l.stale == nil {
 			l.stale = make(map[int]int64)
 		}

@@ -7,8 +7,10 @@
 package plog
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sort"
 	"strconv"
 	"sync"
@@ -108,7 +110,9 @@ var (
 
 // PLog is one append-only persistence unit. The logical byte stream is
 // retained in memory (the simulated substrate's stand-in for the disk
-// medium); redundancy is charged to the placement disks so space and time
+// medium) as the log's extents, each owning the bytes of one appended
+// payload (see integrity.go): a byte is copied in once and never moved.
+// Redundancy is charged to the placement disks so space and time
 // accounting match the policy.
 type PLog struct {
 	id       ID
@@ -119,7 +123,7 @@ type PLog struct {
 
 	mu     sync.RWMutex
 	slices []*pool.Slice
-	buf    []byte
+	size   int64 // logical bytes appended: the sum of the extents' lengths
 	sealed bool
 	// destroyed is set by Manager.Destroy under mu. A destroyed log's
 	// slices have been freed; late operations that raced the destroy
@@ -202,7 +206,7 @@ func (l *PLog) ID() ID { return l.id }
 func (l *PLog) Size() int64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return int64(len(l.buf))
+	return l.size
 }
 
 // Capacity returns the log's fixed address space.
@@ -268,13 +272,16 @@ func (l *PLog) Append(data []byte) (offset int64, cost time.Duration, err error)
 // ErrUnavailable only when the policy's fault tolerance is exceeded —
 // corrupt bytes are never returned while verification is on.
 //
-// Borrow discipline: the returned slice is a read-only borrow of the
-// log's immutable byte stream (or of a shared cache entry) — callers
-// MUST NOT mutate it. The log is append-only and the slice is
-// capacity-capped, so the borrow stays valid and stable forever, even
-// across concurrent appends, seals and migrations; verified extent
-// bytes flow to the gateway and query scan with zero intermediate
-// copies. A caller that needs a private, mutable buffer copies it.
+// Borrow discipline: a range inside one appended payload — every
+// data-path read: a payload is the unit shard.Loc and FileStore address
+// — returns a read-only, capacity-capped borrow of that extent's bytes
+// (or of a shared cache entry); callers MUST NOT mutate it. An extent's
+// bytes are never moved or rewritten once appended, so the borrow stays
+// valid and stable forever, even across concurrent appends, seals and
+// migrations; verified extent bytes flow to the gateway and query scan
+// with zero intermediate copies. A range spanning payloads is gathered
+// into a fresh copy (which a read cache may then share). A caller that
+// needs a private, mutable buffer copies either kind.
 func (l *PLog) Read(offset, n int64) (data []byte, cost time.Duration, err error) {
 	data, cost, _, err = l.readThrough(offset, n)
 	return data, cost, err
@@ -409,7 +416,7 @@ func (l *PLog) ReadCtx(offset, n int64, rc *resil.Ctx) (data []byte, cost time.D
 func (l *PLog) read(offset, n int64) (data []byte, cost time.Duration, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if offset < 0 || n < 0 || offset+n > int64(len(l.buf)) {
+	if offset < 0 || n < 0 || offset+n > l.size {
 		return nil, 0, ErrOutOfRange
 	}
 	verify := l.noVerify == nil || !l.noVerify.Load()
@@ -449,7 +456,7 @@ func (l *PLog) read(offset, n int64) (data []byte, cost time.Duration, err error
 				}
 			} else if bad := l.corruptIn(i, offset, n); bad >= 0 {
 				// No integrity layer: the corrupt copy is served as-is.
-				return l.corruptBytes(l.buf[offset:offset+n], offset, bad), cost, nil
+				return l.corruptBytes(l.bytesLocked(offset, n), offset, bad), cost, nil
 			}
 			if fellBack {
 				l.imu.Lock()
@@ -462,9 +469,7 @@ func (l *PLog) read(offset, n int64) (data []byte, cost time.Duration, err error
 			if saved := l.hedgeLocked(i, offset, n, devN, decCost, d, verify); saved > 0 {
 				cost -= saved
 			}
-			// Zero-copy borrow: buf is append-only, so this full-capped
-			// subslice stays valid and immutable even as the log grows.
-			return l.buf[offset : offset+n : offset+n], cost, nil
+			return l.bytesLocked(offset, n), cost, nil
 		}
 		if lastErr == nil {
 			lastErr = errors.New("all replicas stale")
@@ -516,23 +521,42 @@ func (l *PLog) read(offset, n int64) (data []byte, cost time.Duration, err error
 		if corruptServed >= 0 {
 			// No integrity layer: a corrupt shard column contributed to the
 			// decode, so the joined payload comes out wrong.
-			return l.corruptBytes(l.buf[offset:offset+n], offset, corruptServed), cost, nil
+			return l.corruptBytes(l.bytesLocked(offset, n), offset, corruptServed), cost, nil
 		}
 		if fellBack {
 			l.imu.Lock()
 			l.integ.FallbackReads++
 			l.imu.Unlock()
 		}
-		// Zero-copy borrow: see the Replicate branch.
-		return l.buf[offset : offset+n : offset+n], cost, nil
+		return l.bytesLocked(offset, n), cost, nil
 	}
 	return nil, 0, fmt.Errorf("plog: unknown redundancy kind %d", l.red.Kind)
 }
 
-// VerifyReconstruct exercises the actual erasure decode on the log's
-// contents: it splits the logical bytes into K shards, encodes parity,
-// erases `erasures` shards and reconstructs. It exists so failure
-// injection tests exercise real decoding, not just accounting.
+// bytesLocked returns the logical bytes [off, off+n), which the caller
+// has bounds-checked. A range inside one extent is a zero-copy,
+// capacity-capped borrow of that extent's immutable bytes; a range
+// spanning extents is gathered into a private copy. Caller holds mu.
+func (l *PLog) bytesLocked(off, n int64) []byte {
+	lo, hi := l.overlappingLocked(off, n)
+	if hi-lo == 1 {
+		from := off - l.extents[lo].off
+		return l.extents[lo].data[from : from+n : from+n]
+	}
+	out := make([]byte, 0, n)
+	for _, ext := range l.extents[lo:hi] {
+		out = append(out, ext.data[max(off-ext.off, 0):min(off+n-ext.off, ext.len())]...)
+	}
+	return out
+}
+
+// VerifyReconstruct exercises the actual erasure decode on the stripes
+// the log stores — one per extent, as recordExtent encoded and
+// checksummed them: it re-encodes each extent, erases the `erasures`
+// columns, reconstructs, and checks every column against its sidecar
+// CRC and the joined payload against the extent. It exists so failure
+// injection tests and repair exercise real decoding of the parity the
+// sidecars describe, not just accounting.
 func (l *PLog) VerifyReconstruct(erasures []int) error {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -543,29 +567,37 @@ func (l *PLog) verifyReconstructLocked(erasures []int) error {
 	if l.red.Kind != ErasureCode {
 		return errors.New("plog: VerifyReconstruct on a replicated log")
 	}
-	// Split and Encode alias l.buf and Reconstruct only fills the erased
-	// entries, so the log's bytes are read, never written or copied.
-	data := l.buf
-	stripe, err := l.codec.Encode(l.codec.Split(data))
-	if err != nil {
-		return err
-	}
-	for _, e := range erasures {
-		if e < 0 || e >= len(stripe) {
-			return fmt.Errorf("plog: erasure index %d out of range", e)
+	for _, i := range erasures {
+		if i < 0 || i >= l.red.Width() {
+			return fmt.Errorf("plog: erasure index %d out of range", i)
 		}
-		stripe[e] = nil
 	}
-	if err := l.codec.Reconstruct(stripe); err != nil {
-		return err
-	}
-	got, err := l.codec.Join(stripe, len(data))
-	if err != nil {
-		return err
-	}
-	for i := range got {
-		if got[i] != data[i] {
-			return fmt.Errorf("plog: reconstruction mismatch at byte %d", i)
+	// extents and trueSums only grow, under mu and imu together, so mu
+	// alone covers reading them. Split and Encode alias the extent and
+	// Reconstruct only fills the erased entries: the log's bytes are read,
+	// never written.
+	for e, ext := range l.extents {
+		stripe, err := l.codec.Encode(l.codec.Split(ext.data))
+		if err != nil {
+			return err
+		}
+		for _, i := range erasures {
+			stripe[i] = nil
+		}
+		if err := l.codec.Reconstruct(stripe); err != nil {
+			return err
+		}
+		for i, col := range stripe {
+			if crc32.Checksum(col, castagnoli) != l.trueSums[e][i] {
+				return fmt.Errorf("plog: reconstructed column %d of extent %d fails its checksum", i, e)
+			}
+		}
+		got, err := l.codec.Join(stripe, len(ext.data))
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, ext.data) {
+			return fmt.Errorf("plog: reconstruction mismatch in extent %d", e)
 		}
 	}
 	return nil
@@ -627,7 +659,7 @@ func (l *PLog) MarkDiskStale(p *pool.Pool, disks map[pool.DiskID]bool) int64 {
 	if l.destroyed || l.pool != p {
 		return 0
 	}
-	full := l.red.shardSize(int64(len(l.buf)))
+	full := l.red.shardSize(l.size)
 	var added int64
 	marked := false
 	for i, s := range l.slices {
@@ -683,7 +715,7 @@ func (l *PLog) RepairStale() (repaired int64, cost time.Duration, err error) {
 		idxs = append(idxs, i)
 	}
 	sort.Ints(idxs)
-	if l.codec != nil && len(l.buf) > 0 && len(idxs) <= l.red.M {
+	if l.codec != nil && len(idxs) <= l.red.M {
 		// Exercise the real erasure decode: erase every stale column and
 		// reconstruct the payload before charging any rebuild I/O.
 		if derr := l.verifyReconstructLocked(idxs); derr != nil {
@@ -715,7 +747,7 @@ func (l *PLog) RepairStale() (repaired int64, cost time.Duration, err error) {
 			if _, rerr := l.pool.Relocate(s.ID, exclude); rerr != nil {
 				return repaired, cost, fmt.Errorf("plog: relocate slice %d of log %d: %w", i, l.id, rerr)
 			}
-			rebuild = l.red.shardSize(int64(len(l.buf)))
+			rebuild = l.red.shardSize(l.size)
 			if l.compressed {
 				l.imu.Lock()
 				rebuild = l.copyPhysLocked()
@@ -796,13 +828,7 @@ func (l *PLog) PhysicalBytes() int64 {
 		l.imu.Unlock()
 		return per * int64(l.red.Width())
 	}
-	switch l.red.Kind {
-	case Replicate:
-		return int64(len(l.buf)) * int64(l.red.Replicas)
-	default:
-		shard := (int64(len(l.buf)) + int64(l.red.K) - 1) / int64(l.red.K)
-		return shard * int64(l.red.K+l.red.M)
-	}
+	return l.red.shardSize(l.size) * int64(l.red.Width())
 }
 
 // Manager creates and tracks PLogs over one storage pool.

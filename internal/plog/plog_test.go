@@ -315,6 +315,46 @@ func TestVerifyReconstructMaxErasures(t *testing.T) {
 	}
 }
 
+// TestVerifyReconstructPerExtent: the decode check runs on the stripes
+// the log stores — one per extent, ragged and empty ones included — and
+// holds every reconstructed column to the CRC its sidecar records.
+func TestVerifyReconstructPerExtent(t *testing.T) {
+	m := newManager(t, 8)
+	l, _ := m.Create(EC(4, 2))
+	for i, n := range []int{4096, 0, 1, 4097, 3, 0, 8191} {
+		if _, _, err := l.Append(payload(n, byte(i+1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, erasures := range [][]int{nil, {0}, {0, 1}, {4, 5}, {3, 5}} {
+		if err := l.VerifyReconstruct(erasures); err != nil {
+			t.Fatalf("erasures %v: %v", erasures, err)
+		}
+	}
+	if err := l.VerifyReconstruct([]int{0, 1, 2}); err == nil {
+		t.Fatal("M+1 erasures reconstructed")
+	}
+	// A sidecar that disagrees with what the decode produces — data or
+	// parity column, erased or not — fails the check.
+	for _, c := range []struct{ ext, col int }{{3, 0}, {6, 5}, {1, 2}} {
+		l.trueSums[c.ext][c.col] ^= 1
+		if err := l.VerifyReconstruct([]int{0, 5}); err == nil {
+			t.Fatalf("extent %d column %d: sidecar mismatch went unnoticed", c.ext, c.col)
+		}
+		l.trueSums[c.ext][c.col] ^= 1
+	}
+	// Repair's real decode walks the same stripes.
+	p := l.pool
+	p.FailDisk(l.slices[1].Disk)
+	if _, _, err := l.Append(payload(777, 9)); err != nil {
+		t.Fatal(err)
+	}
+	p.ReviveDisk(l.slices[1].Disk)
+	if _, _, err := l.RepairStale(); err != nil || !l.FullyRedundant() {
+		t.Fatalf("repair over ragged extents: err=%v redundant=%v", err, l.FullyRedundant())
+	}
+}
+
 func TestRepairStaleCatchUpInPlace(t *testing.T) {
 	p := pool.New("repinplace", sim.NewClock(), sim.NVMeSSD, 3, 1<<20)
 	m := NewManager(p, 1<<20)
@@ -361,12 +401,13 @@ func TestRepairStaleRelocatesFromDeadDisk(t *testing.T) {
 }
 
 // TestReadBorrowDiscipline pins the zero-copy read contract: Read
-// returns a read-only borrow of the log's byte stream (two reads of the
-// same range share a backing array, and the borrow stays intact across
-// later appends), while a caller that must mutate copies first — the
-// copy is private, so scribbling on it cannot corrupt the log. A caller violating the borrow contract WOULD corrupt
-// subsequent reads, which is exactly what makes the no-copy hot path
-// measurable; the mutation audit keeps all in-tree callers read-only.
+// returns a read-only borrow of the extent that holds the range (two
+// reads of the same range share a backing array, and the borrow stays
+// intact across later appends), while a caller that must mutate copies
+// first — the copy is private, so scribbling on it cannot corrupt the
+// log. A caller violating the borrow contract WOULD corrupt subsequent
+// reads, which is exactly what makes the no-copy hot path measurable;
+// the mutation audit keeps all in-tree callers read-only.
 func TestReadBorrowDiscipline(t *testing.T) {
 	m := newManager(t, 3)
 	l, _ := m.Create(ReplicateN(2))
@@ -380,15 +421,15 @@ func TestReadBorrowDiscipline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if &got[0] != &again[0] {
-		t.Fatal("Read copied; reads of one range should share the log's buffer")
+		t.Fatal("Read copied; reads of one range should share the extent's bytes")
 	}
 	// The borrow is full-capped: an append through it cannot land in the
-	// log's live buffer.
+	// extent's backing array.
 	if cap(got) != len(got) {
 		t.Fatalf("borrow not capacity-capped: len=%d cap=%d", len(got), cap(got))
 	}
-	// Appends after the borrow leave it intact (the logical stream is
-	// append-only; a growth reallocation copies, never overwrites).
+	// Appends after the borrow leave it intact: each lands in an extent
+	// of its own, and no extent's bytes are ever moved or rewritten.
 	for i := 0; i < 64; i++ {
 		if _, _, err := l.Append([]byte("growgrowgrowgrow")); err != nil {
 			t.Fatal(err)

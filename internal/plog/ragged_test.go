@@ -192,9 +192,9 @@ func TestECRaggedTailCompressedRoundTrip(t *testing.T) {
 
 // TestExpectedSumMatchesSplitColumn pins the in-place column checksum to
 // the encoder's layout directly: for every data column of every extent,
-// the CRC taken over l.buf plus zero padding equals the CRC of the shard
-// ec.Split produces, for widths and lengths that make full, ragged and
-// all-padding columns.
+// the CRC taken over the extent's bytes plus zero padding equals the CRC
+// of the shard ec.Split produces, for widths and lengths that make full,
+// ragged and all-padding columns.
 func TestExpectedSumMatchesSplitColumn(t *testing.T) {
 	_, m := newTestManager(t, 16)
 	for _, red := range []Redundancy{EC(1, 1), EC(3, 2), EC(4, 2), EC(10, 4)} {

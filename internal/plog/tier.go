@@ -67,9 +67,9 @@ func (l *PLog) Migrate(dst *pool.Pool) (time.Duration, error) {
 		l.imu.Lock()
 		newComp = make([]extComp, len(l.extents))
 		for e, ext := range l.extents {
-			codec, clen := compress.Negotiate(l.buf[ext.off : ext.off+ext.len])
+			codec, clen := compress.Negotiate(ext.data)
 			newComp[e] = extComp{codec: codec, clen: clen}
-			cost += compress.NegotiateCost(ext.len)
+			cost += compress.NegotiateCost(ext.len())
 		}
 		l.imu.Unlock()
 	}
@@ -83,7 +83,7 @@ func (l *PLog) Migrate(dst *pool.Pool) (time.Duration, error) {
 		l.imu.Unlock()
 	}
 
-	per := l.red.shardSize(int64(len(l.buf)))
+	per := l.red.shardSize(l.size)
 	for i, s := range l.slices {
 		// Only the bytes the copy actually holds move; stale holes stay
 		// holes on the destination (the repair service's job, not the

@@ -641,12 +641,14 @@ func (o *Object) flushBatchLocked(maxSlices int, sp *obs.Span) (time.Duration, e
 	if slices > 1 {
 		o.store.gc.Load().Note(slices, o.opts.Redundancy.Width())
 	}
-	// trim drops the first n flushed records from the open buffer.
+	// trim drops the first n flushed records from the open buffer,
+	// compacting in place so the buffer keeps its capacity across slices.
+	// Read and cacheSlice copy records out, so nothing aliases the
+	// vacated tail; clearing it lets the flushed keys and values go.
 	trim := func(n int) {
-		o.buf = append(o.buf[:0:0], o.buf[n:]...)
-		if len(o.buf) == 0 {
-			o.buf = nil
-		}
+		kept := copy(o.buf, o.buf[n:])
+		clear(o.buf[kept:])
+		o.buf = o.buf[:kept]
 	}
 	var records int
 	var flushed int64

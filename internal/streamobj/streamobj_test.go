@@ -339,3 +339,62 @@ func TestQuickWriteReadAnywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOpenBufferKeepsCapacity: a flush compacts the open-slice buffer in
+// place, so after the first slice has grown it to a slice's worth the
+// appends of every later slice allocate nothing for it.
+func TestOpenBufferKeepsCapacity(t *testing.T) {
+	s, _ := newStore(t)
+	o, _ := s.Create(CreateOptions{Topic: "t"})
+	one := []Record{rec("key", "value")}
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, _, err := o.Append(one, "", 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill(SliceRecords)
+	for slice := 1; slice < 10; slice++ {
+		// AllocsPerRun calls fill once to warm up and once to measure:
+		// 200 records into the open slice, short of a flush. A buffer
+		// regrown from nothing would double under the measured call.
+		if allocs := testing.AllocsPerRun(1, func() { fill(100) }); allocs != 0 {
+			t.Fatalf("slice %d: appending into the open slice allocated %.0f times, want 0", slice, allocs)
+		}
+		fill(SliceRecords - 200) // the last one flushes the slice
+	}
+	if st := o.Stats(); st.Slices != 10 || st.OpenBuf != 0 {
+		t.Fatalf("stats after 10 full slices: %+v", st)
+	}
+}
+
+// TestReadSurvivesFlush: Read copies records out of the open buffer, so
+// a result taken before a flush is untouched by the flush clearing the
+// flushed slots and by later appends reusing them.
+func TestReadSurvivesFlush(t *testing.T) {
+	s, _ := newStore(t)
+	o, _ := s.Create(CreateOptions{Topic: "t"})
+	for i := 0; i < 10; i++ {
+		o.Append([]Record{rec(fmt.Sprintf("k%d", i), fmt.Sprintf("v%d", i))}, "", 0)
+	}
+	before, _, err := o.Read(0, ReadCtrl{})
+	if err != nil || len(before) != 10 {
+		t.Fatalf("read of the open slice: %d records, %v", len(before), err)
+	}
+	if _, err := o.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		o.Append([]Record{rec("later", "later")}, "", 0)
+	}
+	for i, r := range before {
+		if string(r.Key) != fmt.Sprintf("k%d", i) || string(r.Value) != fmt.Sprintf("v%d", i) || r.Offset != int64(i) {
+			t.Fatalf("record %d changed after the flush: %q=%q @%d", i, r.Key, r.Value, r.Offset)
+		}
+	}
+	after, _, err := o.Read(0, ReadCtrl{MaxRecords: 30})
+	if err != nil || len(after) != 30 || string(after[9].Key) != "k9" || string(after[10].Key) != "later" {
+		t.Fatalf("read across the flushed slice and the open one: %d records, %v", len(after), err)
+	}
+}

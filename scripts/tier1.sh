@@ -114,6 +114,14 @@ go test -count=1 -run 'TestClusterElasticChaos|TestClusterElasticReplayIsBitIden
 # generation against the decoders that parse untrusted bytes.
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/rowcodec/
 go test -run='^$' -fuzz=FuzzOpen -fuzztime=5s ./internal/colfile/
+go test -run='^$' -fuzz=FuzzDecodeSlice -fuzztime=5s ./internal/streamobj/
 # The erasure kernel against its byte-wise oracle: random (k, m),
 # payloads and erasure sets.
 go test -run='^$' -fuzz=FuzzEncodeReconstruct -fuzztime=5s ./internal/ec/
+# The log is its extents: a commit costs the same whatever the log
+# already holds. The race pass above carries the guards
+# (TestAppendCopiesEachByteOnce, TestReadInsideExtentAllocatesNothing,
+# TestModelConformance against the flat-slice oracle);
+# BenchmarkAppendBatch (log=1MiB vs log=96MiB, same ns/op and B/op)
+# runs once as a build-and-run smoke.
+go test -run '^$' -bench 'BenchmarkAppendBatch' -benchtime 1x ./internal/plog/
