@@ -15,13 +15,17 @@
 //	GET  /v1/cluster                        node membership and consensus state
 //	POST /v1/cluster/join                   {"node": N} admit a node at runtime
 //	POST /v1/cluster/remove                 {"node": N} drain and retire a node
+//	GET  /v1/tenants                        tenant contracts and admission counters
 //	GET  /metrics                           Prometheus text exposition
 //	GET  /trace/{id}                        one recorded trace as JSON
 //
 // Every request must carry "Authorization: Bearer <token>"; tokens map
 // to principals whose ACL lists the verbs they may use. Produce
 // requests may add ?trace=1 to record a span tree of the request's path
-// through the stack; the response then carries the trace_id to fetch it.
+// through the stack; the response — an error envelope included —
+// then carries the trace_id to fetch it. A consume whose ?deadline_ms=
+// runs out mid-poll answers 200 with the messages read so far; 503 means
+// none were.
 //
 // Every error response — including the mux's own 404/405s — is a JSON
 // envelope {"error": "..."}, so clients never have to sniff the body.
@@ -34,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -90,22 +95,20 @@ func NewACL() *ACL { return &ACL{tokens: make(map[string]*Principal)} }
 
 // Grant registers a token for a principal with the given permissions.
 func (a *ACL) Grant(token, name string, perms ...Permission) {
-	p := &Principal{Name: name, Permissions: make(map[Permission]bool, len(perms))}
+	a.GrantTenant(token, name, "", perms...)
+}
+
+// GrantTenant registers a token for a principal bound to a tenant: the
+// tenant's quotas, fair share, and shed priority govern the principal's
+// produce traffic when the lake's tenant plane is on. The principal is
+// published complete: handlers read it with no lock once authenticated.
+func (a *ACL) GrantTenant(token, name, ten string, perms ...Permission) {
+	p := &Principal{Name: name, Tenant: ten, Permissions: make(map[Permission]bool, len(perms))}
 	for _, perm := range perms {
 		p.Permissions[perm] = true
 	}
 	a.mu.Lock()
 	a.tokens[token] = p
-	a.mu.Unlock()
-}
-
-// GrantTenant registers a token for a principal bound to a tenant: the
-// tenant's quotas, fair share, and shed priority govern the principal's
-// produce traffic when the lake's tenant plane is on.
-func (a *ACL) GrantTenant(token, name, ten string, perms ...Permission) {
-	a.Grant(token, name, perms...)
-	a.mu.Lock()
-	a.tokens[token].Tenant = ten
 	a.mu.Unlock()
 }
 
@@ -136,16 +139,23 @@ type Server struct {
 	mux  *http.ServeMux
 
 	mu        sync.Mutex
-	consumers map[string]*streamlake.Consumer
-	producers map[string]*streamlake.Producer
+	consumers map[consumerKey]*streamlake.Consumer
+	producers map[producerKey]*streamlake.Producer
 }
+
+// The cached clients' identities: as structs, no string is built per
+// request and ("a/b", "c") cannot collide with ("a", "b/c").
+type (
+	consumerKey struct{ group, topic string }
+	producerKey struct{ name, tenant string }
+)
 
 // New builds a gateway server.
 func New(lake *streamlake.Lake, acl *ACL) *Server {
 	s := &Server{
 		lake: lake, acl: acl, mux: http.NewServeMux(),
-		consumers: map[string]*streamlake.Consumer{},
-		producers: map[string]*streamlake.Producer{},
+		consumers: map[consumerKey]*streamlake.Consumer{},
+		producers: map[producerKey]*streamlake.Producer{},
 	}
 	s.mux.HandleFunc("GET /v1/topics", s.guard(PermAdmin, s.listTopics))
 	s.mux.HandleFunc("POST /v1/topics/{topic}/messages", s.guard(PermProduce, s.produce))
@@ -217,9 +227,7 @@ func (e *envelopeWriter) finish() {
 	if msg == "" {
 		msg = http.StatusText(e.code)
 	}
-	e.rw.Header().Set("Content-Type", "application/json")
-	e.rw.WriteHeader(e.code)
-	json.NewEncoder(e.rw).Encode(map[string]string{"error": msg})
+	writeError(e.rw, e.code, errorBody{Error: msg})
 }
 
 // guard wraps a handler with authentication and the required permission.
@@ -238,13 +246,22 @@ func (s *Server) guard(perm Permission, h func(http.ResponseWriter, *http.Reques
 	}
 }
 
+// query parses the query string, once per request (handlers pass it
+// on) and not at all when there is none: a nil Values answers "".
+func query(r *http.Request) url.Values {
+	if r.URL.RawQuery == "" {
+		return nil
+	}
+	return r.URL.Query()
+}
+
 // requestCtx builds the request's resilience context from the
 // ?deadline_ms= query parameter: a virtual-time budget the produce or
 // consume path charges its modelled costs against. No parameter means
 // no deadline (nil context). ok=false means the parameter was invalid
 // and the 400 is already written.
-func (s *Server) requestCtx(w http.ResponseWriter, r *http.Request) (rc *resil.Ctx, ok bool) {
-	d := r.URL.Query().Get("deadline_ms")
+func (s *Server) requestCtx(w http.ResponseWriter, q url.Values) (rc *resil.Ctx, ok bool) {
+	d := q.Get("deadline_ms")
 	if d == "" {
 		return nil, true
 	}
@@ -257,31 +274,38 @@ func (s *Server) requestCtx(w http.ResponseWriter, r *http.Request) (rc *resil.C
 	return resil.NewCtx(s.lake.Clock().Now(), time.Duration(ms)*time.Millisecond), true
 }
 
-// overloaded maps resilience failures — deadline exceeded, breaker
-// open, retries exhausted — to 503 + Retry-After. These mean the
-// service is sick or out of time, not that the request was wrong, so
-// the client's correct move is to back off and retry. Returns false
-// for every other error so the caller applies its own mapping.
-func (s *Server) overloaded(w http.ResponseWriter, err error) bool {
-	var wait time.Duration
+// fail answers a failed send or poll. Tenant admission rejections —
+// quota exceeded, shed under overload — are 429 and resilience failures
+// — deadline exceeded, breaker open, retries exhausted — 503, both with
+// Retry-After: the service is sick or out of time, not the request
+// wrong, so the client's correct move is to back off and retry. A
+// tenant the registry lost is 401; any other error keeps the caller's
+// code. A traced request's envelope carries its trace_id.
+func (s *Server) fail(w http.ResponseWriter, err error, code int, sp *obs.Span) {
+	wait := time.Duration(-1) // negative: no Retry-After
+	var qe *tenant.QuotaError
 	switch {
+	case errors.As(err, &qe):
+		code, wait = http.StatusTooManyRequests, qe.RetryAfter
+	case errors.Is(err, tenant.ErrUnknown):
+		code = http.StatusUnauthorized
 	case errors.Is(err, resil.ErrBreakerOpen):
 		// Hint the open breaker's remaining cooldown.
-		wait = s.lake.Service().RetryAfter(s.lake.Clock().Now())
-	case errors.Is(err, resil.ErrDeadlineExceeded),
-		errors.Is(err, streamsvc.ErrRetriesExhausted):
-	default:
-		return false
+		code, wait = http.StatusServiceUnavailable, s.lake.Service().RetryAfter(s.lake.Clock().Now())
+	case errors.Is(err, resil.ErrDeadlineExceeded), errors.Is(err, streamsvc.ErrRetriesExhausted):
+		code, wait = http.StatusServiceUnavailable, 0
 	}
-	// Retry-After is whole seconds; virtual cooldowns are sub-second, so
-	// round up to the smallest honest hint.
-	secs := (int64(wait) + int64(time.Second) - 1) / int64(time.Second)
-	if secs < 1 {
-		secs = 1
+	if wait >= 0 {
+		// Retry-After is whole seconds; virtual cooldowns are sub-second, so
+		// round up to the smallest honest hint.
+		secs := max(1, (int64(wait)+int64(time.Second)-1)/int64(time.Second))
+		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	httpError(w, http.StatusServiceUnavailable, err.Error())
-	return true
+	body := errorBody{Error: err.Error()}
+	if sp != nil {
+		body.TraceID = sp.ID
+	}
+	writeError(w, code, body)
 }
 
 // tenantOf resolves the tenant identity a principal's produce traffic
@@ -306,27 +330,20 @@ func (s *Server) tenantOf(w http.ResponseWriter, p *Principal) (string, bool) {
 	return ten, true
 }
 
-// quotaLimited maps tenant admission rejections — quota exceeded, shed
-// under overload — to 429 + Retry-After. Returns false for every other
-// error so the caller applies its own mapping.
-func quotaLimited(w http.ResponseWriter, err error) bool {
-	var qe *tenant.QuotaError
-	if !errors.As(err, &qe) {
-		return false
-	}
-	secs := (int64(qe.RetryAfter) + int64(time.Second) - 1) / int64(time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	httpError(w, http.StatusTooManyRequests, err.Error())
-	return true
+// errorBody is the error envelope.
+type errorBody struct {
+	Error   string `json:"error"`
+	TraceID int64  `json:"trace_id,omitempty"`
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {
+	writeError(w, code, errorBody{Error: msg})
+}
+
+func writeError(w http.ResponseWriter, code int, body errorBody) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+	json.NewEncoder(w).Encode(body)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -334,46 +351,167 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// decodeBody decodes a JSON request body of at most limit bytes into v.
-// Oversized bodies report 413, malformed ones 400; either way the
-// response is already written and the caller just returns.
-func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return false
+// bodyPool recycles request-body buffers; one that a large request grew
+// past 64 KiB is dropped instead, so it does not stay resident.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// parseBody reads a request body of at most limit bytes into a pooled
+// buffer and returns parse's reading of it. The buffer is recycled on
+// return, so nothing parse returns may alias it. Oversized bodies report
+// 413, unreadable ones and those parse refuses (its error is the
+// message) 400; either way the response is already written (ok=false)
+// and the caller just returns.
+func parseBody[T any](w http.ResponseWriter, r *http.Request, limit int64, parse func([]byte) (T, error)) (v T, ok bool) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= 64<<10 {
+			buf.Reset()
+			bodyPool.Put(buf)
 		}
+	}()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+		return v, false
+	case err != nil:
 		httpError(w, http.StatusBadRequest, "bad json: "+err.Error())
+		return v, false
+	}
+	if v, err = parse(buf.Bytes()); err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+	}
+	return v, err == nil
+}
+
+// decodeAs is encoding/json's reading of a body as a T — its first JSON
+// value, whatever follows — and the one definition of what a body means.
+func decodeAs[T any](body []byte) (v T, err error) {
+	if err = json.NewDecoder(bytes.NewReader(body)).Decode(&v); err != nil {
+		err = errors.New("bad json: " + err.Error())
+	}
+	return v, err
+}
+
+// flatObject recognises the one shape every client of these endpoints
+// sends: a JSON object, no whitespace, whose members are escape-free
+// ASCII strings named by keys. It points vals[k] at the value of keys[k]
+// inside body (the last, when a member repeats; nil when absent). For
+// anything else it says false and diagnoses nothing: the caller gives
+// the same bytes to encoding/json, which stays the one definition of
+// what a body means (FuzzDecodeFlat holds the two equal). Bytes after
+// the closing brace go unread, as json.Decoder leaves them.
+func flatObject(body []byte, vals [][]byte, keys ...string) bool {
+	if len(body) < 2 || body[0] != '{' {
 		return false
 	}
-	return true
+	if body[1] == '}' {
+		return true
+	}
+	for i := 1; ; {
+		key, j := flatString(body, i)
+		if j == len(body) || body[j] != ':' {
+			return false
+		}
+		val, j := flatString(body, j+1)
+		k := 0
+		for k < len(keys) && string(key) != keys[k] {
+			k++
+		}
+		if j == len(body) || k == len(keys) {
+			return false
+		}
+		vals[k] = val
+		if body[j] != ',' {
+			return body[j] == '}'
+		}
+		i = j + 1
+	}
+}
+
+// flatString reads the escape-free ASCII string literal that opens at
+// body[i]: its contents and the index after its closing quote, or, when
+// there is none, len(body), where nothing follows.
+func flatString(body []byte, i int) ([]byte, int) {
+	if i < len(body) && body[i] == '"' {
+		for j := i + 1; j < len(body) && body[j] != '\\' && body[j] >= 0x20 && body[j] < 0x80; j++ {
+			if body[j] == '"' {
+				return body[i+1 : j : j], j + 1
+			}
+		}
+	}
+	return nil, len(body)
 }
 
 func (s *Server) listTopics(w http.ResponseWriter, r *http.Request, _ *Principal) {
 	writeJSON(w, map[string]any{"topics": s.lake.Service().Topics()})
 }
 
-// produceRequest is the produce body.
+// produceRequest is the produce body, as encoding/json reads it.
 type produceRequest struct {
 	Key   string `json:"key"`
 	Value string `json:"value"` // base64
 }
 
+// Response fields are declared in the alphabetical order encoding/json
+// gives map keys: each body is byte for byte what a map[string]any gave.
+type (
+	produceResponse struct {
+		LatencyNs int64 `json:"latency_ns"`
+		Offset    int64 `json:"offset"`
+		Stream    int   `json:"stream"`
+		TraceID   int64 `json:"trace_id,omitempty"`
+	}
+	consumedMessage struct {
+		Key    string `json:"key"`
+		Offset int64  `json:"offset"`
+		Stream int    `json:"stream"`
+		Value  []byte `json:"value"` // encoding/json base64s it, StdEncoding
+	}
+	consumeResponse struct {
+		Messages []consumedMessage `json:"messages"`
+	}
+	sqlResponse struct {
+		Columns   []string   `json:"columns"`
+		LatencyNs int64      `json:"latency_ns"`
+		Rows      [][]string `json:"rows"`
+	}
+)
+
+// record is a produce request's key and value, cut from one allocation.
+type record struct{ key, value []byte }
+
+// produceRecord reads a produce body into the record to append: a fresh
+// allocation, as parseBody requires, and as it must be — streamobj keeps
+// key and value by reference until the slice flushes.
+func produceRecord(body []byte) (record, error) {
+	var f [2][]byte
+	if !flatObject(body, f[:], "key", "value") {
+		req, err := decodeAs[produceRequest](body)
+		if err != nil {
+			return record{}, err
+		}
+		f[0], f[1] = []byte(req.Key), []byte(req.Value)
+	}
+	buf := make([]byte, len(f[0])+base64.StdEncoding.DecodedLen(len(f[1])))
+	k := copy(buf, f[0])
+	n, err := base64.StdEncoding.Decode(buf[k:], f[1])
+	if err != nil {
+		return record{}, errors.New("value must be base64")
+	}
+	return record{buf[:k:k], buf[k : k+n]}, nil
+}
+
 func (s *Server) produce(w http.ResponseWriter, r *http.Request, p *Principal) {
 	topic := r.PathValue("topic")
-	var req produceRequest
-	if !decodeBody(w, r, MaxProduceBody, &req) {
+	rec, ok := parseBody(w, r, MaxProduceBody, produceRecord)
+	if !ok {
 		return
 	}
-	value, err := base64.StdEncoding.DecodeString(req.Value)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "value must be base64")
-		return
-	}
-	rc, ok := s.requestCtx(w, r)
+	q := query(r)
+	rc, ok := s.requestCtx(w, q)
 	if !ok {
 		return
 	}
@@ -386,7 +524,7 @@ func (s *Server) produce(w http.ResponseWriter, r *http.Request, p *Principal) {
 	// per request. Keyed by name and tenant so a rebound principal gets
 	// a fresh producer under its new contract.
 	s.mu.Lock()
-	pkey := p.Name + "\x00" + ten
+	pkey := producerKey{p.Name, ten}
 	producer, ok := s.producers[pkey]
 	if !ok {
 		producer = s.lake.TenantProducer("gw/"+p.Name, ten)
@@ -396,38 +534,36 @@ func (s *Server) produce(w http.ResponseWriter, r *http.Request, p *Principal) {
 	// ?trace=1 records the request's span tree; nil tracer (observability
 	// disabled) degrades to an untraced send.
 	var sp *obs.Span
-	if r.URL.Query().Get("trace") == "1" {
+	if q.Get("trace") == "1" {
 		sp = s.lake.Tracer().Start("gateway.produce")
 		sp.SetAttr("topic", topic)
 	}
-	msg, cost, err := producer.SendSpanCtx(topic, []byte(req.Key), value, sp, rc)
+	msg, cost, err := producer.SendSpanCtx(topic, rec.key, rec.value, sp, rc)
 	if err != nil {
-		switch {
-		case quotaLimited(w, err):
-		case errors.Is(err, tenant.ErrUnknown):
-			httpError(w, http.StatusUnauthorized, err.Error())
-		case s.overloaded(w, err):
-		default:
-			httpError(w, http.StatusNotFound, err.Error())
-		}
+		// A failed request is the one most worth diagnosing: close its
+		// span with the cost so far and name it in the envelope.
+		sp.SetAttr("error", err.Error())
+		sp.End(cost)
+		s.fail(w, err, http.StatusNotFound, sp)
 		return
 	}
 	sp.End(cost)
-	resp := map[string]any{"stream": msg.Stream, "offset": msg.Offset, "latency_ns": cost.Nanoseconds()}
+	resp := produceResponse{LatencyNs: cost.Nanoseconds(), Offset: msg.Offset, Stream: msg.Stream}
 	if sp != nil {
-		resp["trace_id"] = sp.ID
+		resp.TraceID = sp.ID
 	}
 	writeJSON(w, resp)
 }
 
 func (s *Server) consume(w http.ResponseWriter, r *http.Request, p *Principal) {
 	topic := r.PathValue("topic")
-	group := r.URL.Query().Get("group")
+	q := query(r)
+	group := q.Get("group")
 	if group == "" {
 		group = "gw/" + p.Name
 	}
 	max := 100
-	if m := r.URL.Query().Get("max"); m != "" {
+	if m := q.Get("max"); m != "" {
 		v, err := strconv.Atoi(m)
 		if err != nil || v <= 0 {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("max must be a positive integer, got %q", m))
@@ -438,12 +574,12 @@ func (s *Server) consume(w http.ResponseWriter, r *http.Request, p *Principal) {
 		}
 		max = v
 	}
-	rc, ok := s.requestCtx(w, r)
+	rc, ok := s.requestCtx(w, q)
 	if !ok {
 		return
 	}
 	s.mu.Lock()
-	key := group + "/" + topic
+	key := consumerKey{group, topic}
 	c, ok := s.consumers[key]
 	if !ok {
 		c = s.lake.Consumer(group)
@@ -456,22 +592,22 @@ func (s *Server) consume(w http.ResponseWriter, r *http.Request, p *Principal) {
 	}
 	s.mu.Unlock()
 	msgs, _, err := c.PollCtx(max, rc)
-	if err != nil {
-		if !s.overloaded(w, err) {
-			httpError(w, http.StatusInternalServerError, err.Error())
-		}
+	// A deadline that expires mid-poll keeps its partial batch: the
+	// consumer's offsets have moved past those messages, so dropping them
+	// here would lose them for the group. 503 only when nothing was read.
+	if err != nil && !(len(msgs) > 0 && errors.Is(err, resil.ErrDeadlineExceeded)) {
+		s.fail(w, err, http.StatusInternalServerError, nil)
 		return
 	}
 	c.CommitOffsets()
-	out := make([]map[string]any, 0, len(msgs))
-	for _, m := range msgs {
-		out = append(out, map[string]any{
-			"stream": m.Stream, "offset": m.Offset,
-			"key":   string(m.Key),
-			"value": base64.StdEncoding.EncodeToString(m.Value),
-		})
+	out := consumeResponse{Messages: make([]consumedMessage, len(msgs))}
+	for i, m := range msgs {
+		out.Messages[i] = consumedMessage{Key: string(m.Key), Offset: m.Offset, Stream: m.Stream, Value: m.Value}
+		if m.Value == nil {
+			out.Messages[i].Value = []byte{} // "", as ever: a nil []byte encodes as null
+		}
 	}
-	writeJSON(w, map[string]any{"messages": out})
+	writeJSON(w, out)
 }
 
 func (s *Server) listTables(w http.ResponseWriter, r *http.Request, _ *Principal) {
@@ -492,25 +628,32 @@ func (s *Server) snapshot(w http.ResponseWriter, r *http.Request, _ *Principal) 
 	})
 }
 
-// sqlRequest is the query body.
+// sqlRequest is the query body, as encoding/json reads it.
 type sqlRequest struct {
 	Query string `json:"query"`
 }
 
+// sqlQuery reads a SQL body's query.
+func sqlQuery(body []byte) (string, error) {
+	var f [1][]byte
+	if flatObject(body, f[:], "query") {
+		return string(f[0]), nil
+	}
+	req, err := decodeAs[sqlRequest](body)
+	return req.Query, err
+}
+
 func (s *Server) sql(w http.ResponseWriter, r *http.Request, _ *Principal) {
-	var req sqlRequest
-	if !decodeBody(w, r, MaxSQLBody, &req) {
+	query, ok := parseBody(w, r, MaxSQLBody, sqlQuery)
+	if !ok {
 		return
 	}
-	res, cost, err := s.lake.QueryCost(req.Query)
+	res, cost, err := s.lake.QueryCost(query)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, map[string]any{
-		"columns": res.Columns, "rows": res.Rows,
-		"latency_ns": cost.Nanoseconds(),
-	})
+	writeJSON(w, sqlResponse{Columns: res.Columns, LatencyNs: cost.Nanoseconds(), Rows: res.Rows})
 }
 
 func (s *Server) stats(w http.ResponseWriter, r *http.Request, _ *Principal) {
@@ -592,8 +735,8 @@ func (s *Server) clusterJoin(w http.ResponseWriter, r *http.Request, _ *Principa
 		httpError(w, http.StatusNotFound, "single-node lake: no cluster plane")
 		return
 	}
-	var req memberRequest
-	if !decodeBody(w, r, MaxSQLBody, &req) {
+	req, ok := parseBody(w, r, MaxSQLBody, decodeAs[memberRequest])
+	if !ok {
 		return
 	}
 	if err := cl.ProposeJoin(req.Node); err != nil {
@@ -615,8 +758,8 @@ func (s *Server) clusterRemove(w http.ResponseWriter, r *http.Request, _ *Princi
 		httpError(w, http.StatusNotFound, "single-node lake: no cluster plane")
 		return
 	}
-	var req memberRequest
-	if !decodeBody(w, r, MaxSQLBody, &req) {
+	req, ok := parseBody(w, r, MaxSQLBody, decodeAs[memberRequest])
+	if !ok {
 		return
 	}
 	if err := cl.ProposeRemove(req.Node); err != nil {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"streamlake"
 )
@@ -162,5 +163,55 @@ func TestTracedProduce(t *testing.T) {
 	}
 	if parsed.Root.DurNs <= 0 {
 		t.Errorf("root span duration = %d, want > 0", parsed.Root.DurNs)
+	}
+}
+
+// TestTracedProduceFailure: the request one most wants to diagnose is
+// the one that failed, so a ?trace=1 produce that errors still finishes
+// its span (error attribute, the cost so far) and names it in the
+// envelope. An unknown topic fails before any work; a blown deadline
+// fails after the bus has charged for it.
+func TestTracedProduceFailure(t *testing.T) {
+	cases := []struct {
+		name, path string
+		setup      func(*streamlake.Lake)
+		code       int
+		wantErr    string
+		wantCost   bool
+	}{
+		{name: "unknown topic", path: "/v1/topics/ghost/messages?trace=1",
+			code: http.StatusNotFound, wantErr: "unknown topic"},
+		{name: "deadline exceeded", path: "/v1/topics/t/messages?trace=1&deadline_ms=1",
+			setup: func(l *streamlake.Lake) { delayAllWorkers(l, 5*time.Millisecond) },
+			code:  http.StatusServiceUnavailable, wantErr: "deadline exceeded", wantCost: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t)
+			e.lake.CreateTopic(streamlake.TopicConfig{Name: "t", StreamNum: 1})
+			if tc.setup != nil {
+				tc.setup(e.lake)
+			}
+			resp, body := e.do(t, "POST", tc.path, "writer-token", map[string]string{"key": "k", "value": "aGVsbG8="})
+			if resp.StatusCode != tc.code {
+				t.Fatalf("status = %d, want %d (%v)", resp.StatusCode, tc.code, body)
+			}
+			id, ok := body["trace_id"].(float64)
+			if msg, _ := body["error"].(string); !ok || !strings.Contains(msg, tc.wantErr) {
+				t.Fatalf("envelope = %v, want an error mentioning %q and a trace_id", body, tc.wantErr)
+			}
+			resp, body = e.do(t, "GET", "/trace/"+strconv.FormatInt(int64(id), 10), "root-token", nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("trace %v: status %d (%v)", id, resp.StatusCode, body)
+			}
+			root, _ := body["root"].(map[string]any)
+			attrs, _ := root["attrs"].(map[string]any)
+			if msg, _ := attrs["error"].(string); !strings.Contains(msg, tc.wantErr) {
+				t.Fatalf("root span attrs = %v, want error mentioning %q", attrs, tc.wantErr)
+			}
+			if dur, _ := root["dur_ns"].(float64); tc.wantCost && dur <= 0 {
+				t.Fatalf("root span dur_ns = %v: the span was never ended with the cost so far", root["dur_ns"])
+			}
+		})
 	}
 }

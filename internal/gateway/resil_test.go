@@ -1,6 +1,8 @@
 package gateway
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -160,5 +162,69 @@ func TestBreakerOpenSurfaces503(t *testing.T) {
 	}
 	if out["offset"].(float64) != 0 {
 		t.Fatalf("offset after recovery: %v", out["offset"])
+	}
+}
+
+// TestConsumeDeadlineKeepsPartialBatch: a poll whose deadline expires
+// mid-way has already advanced the cached consumer past the messages it
+// read (PollCtx keeps partial progress), so answering 503 and dropping
+// them loses them for the group. The scenario needs device reads — the
+// first slices of a stream longer than the 64-slice read cache — so that
+// a 1 ms budget covers some of a 1000-message poll but not all of it.
+// Whatever mix of 200s and 503s comes back, the offsets delivered must
+// be gap-free from 0 to the end.
+func TestConsumeDeadlineKeepsPartialBatch(t *testing.T) {
+	e := newEnv(t)
+	h := e.ts.Config.Handler
+	if err := e.lake.CreateTopic(streamlake.TopicConfig{Name: "t", StreamNum: 1}); err != nil {
+		t.Fatal(err)
+	}
+	const total = 20_000
+	p := e.lake.Producer("filler")
+	value := bytes.Repeat([]byte("x"), 3<<10)
+	for i := 0; i < total; i++ {
+		if _, _, err := p.Send("t", []byte("k"), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next, partial, refused := int64(0), 0, 0
+	poll := func(url string) int {
+		rec := serve(h, "GET", url, "reader-token", nil)
+		var out struct {
+			Messages []struct{ Offset int64 }
+		}
+		switch rec.Code {
+		case http.StatusOK:
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+				t.Fatal(err)
+			}
+		case http.StatusServiceUnavailable:
+			if rec.Header().Get("Retry-After") == "" {
+				t.Fatal("503 without Retry-After")
+			}
+			refused++
+		default:
+			t.Fatalf("%s: %d %s", url, rec.Code, rec.Body)
+		}
+		for _, m := range out.Messages {
+			if m.Offset != next {
+				t.Fatalf("%s: offset %d follows %d: %d acked messages lost to the group", url, m.Offset, next-1, m.Offset-next)
+			}
+			next++
+		}
+		return len(out.Messages)
+	}
+	for i := 0; i < 3; i++ {
+		if n := poll("/v1/topics/t/messages?group=g&max=1000&deadline_ms=1"); n > 0 && n < 1000 {
+			partial++
+		}
+	}
+	for poll("/v1/topics/t/messages?group=g&max=1000") > 0 {
+	}
+	if next != total {
+		t.Fatalf("group read %d of %d messages", next, total)
+	}
+	if partial == 0 {
+		t.Fatalf("no poll was cut short by its deadline (%d refused): the scenario no longer reaches the partial-batch path", refused)
 	}
 }

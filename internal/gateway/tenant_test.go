@@ -135,3 +135,39 @@ func TestTenantsEndpointPlaneOff(t *testing.T) {
 		t.Fatalf("plane-off tenants status = %d, want 404", resp.StatusCode)
 	}
 }
+
+// TestGrantTenantPublishesWholePrincipal: handlers read a principal with
+// no lock once authenticate has returned it, so a grant must publish it
+// complete. "flip" is bound to the registered tenant "bronze" and is not
+// itself a tenant: a request that caught the principal between its
+// publication and its binding would run as tenant "flip" and be refused
+// (401), and the race detector flags the unlocked write either way.
+func TestGrantTenantPublishesWholePrincipal(t *testing.T) {
+	e := newEnv(t)
+	h := e.ts.Config.Handler
+	if err := e.lake.CreateTopic(streamlake.TopicConfig{Name: "t", StreamNum: 1}); err != nil {
+		t.Fatal(err)
+	}
+	e.acl.GrantTenant("flip-token", "flip", "bronze", PermProduce)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				e.acl.GrantTenant("flip-token", "flip", "bronze", PermProduce)
+			}
+		}
+	}()
+	body := []byte(`{"key":"k","value":"dg=="}`)
+	for i := 0; i < 2000; i++ {
+		if rec := serve(h, "POST", "/v1/topics/t/messages", "flip-token", body); rec.Code != http.StatusOK {
+			t.Errorf("request %d during a re-grant: %d %s", i, rec.Code, rec.Body)
+			break
+		}
+	}
+	close(stop)
+	<-done
+}

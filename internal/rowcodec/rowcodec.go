@@ -88,7 +88,7 @@ func Decode(data []byte) (colfile.Schema, []colfile.Row, error) {
 		if err != nil {
 			return colfile.Schema{}, nil, err
 		}
-		if uint64(len(data)) < nl+1 {
+		if nl >= uint64(len(data)) { // not nl+1 > len: nl is untrusted and may be 2^64-1
 			return colfile.Schema{}, nil, errors.New("rowcodec: truncated schema")
 		}
 		schema.Fields = append(schema.Fields, colfile.Field{

@@ -115,6 +115,9 @@ go test -count=1 -run 'TestClusterElasticChaos|TestClusterElasticReplayIsBitIden
 go test -run='^$' -fuzz=FuzzDecode -fuzztime=5s ./internal/rowcodec/
 go test -run='^$' -fuzz=FuzzOpen -fuzztime=5s ./internal/colfile/
 go test -run='^$' -fuzz=FuzzDecodeSlice -fuzztime=5s ./internal/streamobj/
+# The gateway's flat-body recogniser against encoding/json, which it
+# must equal on every input it accepts and defer to on every other.
+go test -run='^$' -fuzz=FuzzDecodeFlat -fuzztime=5s ./internal/gateway/
 # The erasure kernel against its byte-wise oracle: random (k, m),
 # payloads and erasure sets.
 go test -run='^$' -fuzz=FuzzEncodeReconstruct -fuzztime=5s ./internal/ec/
@@ -125,3 +128,9 @@ go test -run='^$' -fuzz=FuzzEncodeReconstruct -fuzztime=5s ./internal/ec/
 # BenchmarkAppendBatch (log=1MiB vs log=96MiB, same ns/op and B/op)
 # runs once as a build-and-run smoke.
 go test -run '^$' -bench 'BenchmarkAppendBatch' -benchtime 1x ./internal/plog/
+# A request costs its bytes: the race pass above carries the guards
+# (TestProduceRequestAllocs, TestResponsesByteIdentical,
+# TestProduceDoesNotAliasRequestBuffer); the request benchmarks, and the
+# handler-free baseline that shows the client's share of each, run once
+# as a build-and-run smoke.
+go test -run '^$' -bench 'Request' -benchtime 1x ./internal/gateway/
