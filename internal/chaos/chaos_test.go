@@ -134,6 +134,7 @@ func TestMixedWorkloadCacheCoherence(t *testing.T) {
 		if rep.CacheHits == 0 {
 			t.Errorf("seed %d: cache never hit under mixed workload", seed)
 		}
+		t.Logf("seed %d: digest %x, %d coherence probes, %d cache hits", seed, rep.Digest, rep.Coherence, rep.CacheHits)
 	}
 }
 
@@ -221,6 +222,7 @@ func TestCompressedMixedChaos(t *testing.T) {
 		if rep.Produced == 0 {
 			t.Errorf("seed %d: streaming side acked nothing", seed)
 		}
+		t.Logf("seed %d: digest %x, %d cold logs, %d of %d raw bytes stored", seed, rep.Digest, rep.ColdLogs, rep.ColdCompB, rep.ColdRawB)
 	}
 }
 

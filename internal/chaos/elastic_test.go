@@ -378,7 +378,7 @@ func TestClusterElasticDrill(t *testing.T) {
 		t.Fatalf("join moved %dB, bound %dB", res.moved, res.bound)
 	}
 	// Producer-gap ceiling: the 40-tick split window plus commit and
-	// retry rounds. 120ms is the enforced ceiling benchsnap also uses.
+	// retry rounds.
 	if budget := 120 * time.Millisecond; res.joinGap > budget {
 		t.Fatalf("producers gapped %v around the join, ceiling %v", res.joinGap, budget)
 	}

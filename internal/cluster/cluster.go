@@ -252,8 +252,7 @@ func (c *Cluster) Voters() int {
 
 // DomainOfDisk maps a disk index in the first attached pool to its
 // owning node via the view-versioned disk→node table; before any pool
-// attaches it falls back to the birth i%N rule. Pools with divergent
-// disk counts should use DomainOfPoolDisk.
+// attaches it falls back to the birth i%N rule.
 func (c *Cluster) DomainOfDisk(d pool.DiskID) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -263,22 +262,6 @@ func (c *Cluster) DomainOfDisk(d pool.DiskID) int {
 		}
 	}
 	return int(d) % c.cfg.Nodes
-}
-
-// DomainOfPoolDisk maps one pool's disk index to its owning node via
-// the disk→node table, or -1 when unknown.
-func (c *Cluster) DomainOfPoolDisk(p *pool.Pool, d pool.DiskID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, ap := range c.pools {
-		if ap.p == p {
-			if int(d) >= 0 && int(d) < len(ap.diskNode) {
-				return ap.diskNode[d]
-			}
-			return -1
-		}
-	}
-	return -1
 }
 
 // AttachPool registers a storage pool with the cluster: disk i joins

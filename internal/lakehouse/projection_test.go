@@ -421,3 +421,30 @@ func TestProjectionSkipsUnreadColumns(t *testing.T) {
 		t.Fatalf("bare count allocates %.0f times per scan, a one-column scan %.0f: chunks are being decoded", footers, one)
 	}
 }
+
+// TestFullScanAllocCeiling pins what a full scan of benchTable's 20,000
+// rows allocates with every column decoded (measured: 20,628, of which
+// 20,000 are the distinct url strings; 41,040 before the zero-copy read
+// path and scan-row reuse). The ceiling is under 1 % over the
+// measurement, so a per-row allocation, or losing colfile's pooled
+// inflaters (21,285), fails here first.
+func TestFullScanAllocCeiling(t *testing.T) {
+	e, plan := benchTable(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		var n int
+		if _, _, err := e.Scan("t", plan, nil, func(colfile.Row) bool { n++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		if n != 20000 {
+			t.Fatalf("scan saw %d rows", n)
+		}
+	})
+	ceiling := 20800.0
+	if raceEnabled {
+		ceiling += 400 // under the race detector sync.Pool drops a quarter of its puts
+	}
+	if allocs > ceiling {
+		t.Fatalf("a full scan allocates %.0f times, ceiling %.0f", allocs, ceiling)
+	}
+	t.Logf("full scan of 20000 rows: %.0f allocs", allocs)
+}

@@ -15,8 +15,10 @@ func newCachedManager(t *testing.T, disks int) (*Manager, *cache.Cache) {
 	return m, c
 }
 
-// A warm read must be served from the cache at near-zero cost, with
-// bytes identical to the device path.
+// A warm read must be served from the cache at least 5x cheaper than the
+// verified device read that filled it (the cache's floor; a DRAM hit is
+// free in virtual time at pin time), with bytes identical to the device
+// path.
 func TestCachedReadHitsAfterFill(t *testing.T) {
 	m, c := newCachedManager(t, 3)
 	l, err := m.Create(ReplicateN(3))
@@ -39,9 +41,10 @@ func TestCachedReadHitsAfterFill(t *testing.T) {
 	if !bytes.Equal(cold, warm) || !bytes.Equal(warm, payload) {
 		t.Fatal("warm read differs from cold read")
 	}
-	if warmCost >= coldCost {
-		t.Fatalf("warm read not cheaper: cold=%v warm=%v", coldCost, warmCost)
+	if warmCost*5 > coldCost {
+		t.Fatalf("warm read not 5x under cold: cold=%v warm=%v", coldCost, warmCost)
 	}
+	t.Logf("read of %d bytes: cold=%v warm=%v", n, coldCost, warmCost)
 	st := c.Stats()
 	if st.DRAMHits+st.SCMHits != 1 || st.Fills != 1 {
 		t.Fatalf("cache stats: %+v", st)

@@ -71,9 +71,16 @@ func TestMigrateCompressesOntoColdPool(t *testing.T) {
 	if cost <= 0 {
 		t.Fatal("compressed read charged nothing")
 	}
-	if after := l.IntegrityStats().Verifications; after <= before {
+	integ := l.IntegrityStats()
+	if integ.Verifications <= before {
 		t.Fatal("compressed read skipped checksum verification")
 	}
+	if integ.Mismatches != 0 {
+		t.Fatalf("%d checksum mismatches on clean compressed data", integ.Mismatches)
+	}
+	raw := int64(len(payload)) * 3
+	t.Logf("cold tier holds %d of %d raw device bytes (%.2fx), %d verifications, 0 mismatches",
+		live, raw, float64(live)/float64(raw), integ.Verifications)
 	// The device read moved compressed bytes, not raw ones.
 	var devRead int64
 	for i := 0; i < hdd.DiskCount(); i++ {

@@ -86,6 +86,7 @@ func TestModelConformance(t *testing.T) {
 	if testing.Short() {
 		steps = 50
 	}
+	t.Logf("%d steps per run", steps)
 	for _, red := range []Redundancy{ReplicateN(3), EC(4, 2)} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("%+v/seed=%d", red, seed), func(t *testing.T) {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -128,10 +127,4 @@ func (h *Histogram) Snapshot() Percentiles {
 		Mean:  h.Mean(),
 		Count: h.Count(),
 	}
-}
-
-// SortDurations sorts a duration slice ascending; a small helper shared by
-// tests and the benchmark harness.
-func SortDurations(ds []time.Duration) {
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 }

@@ -241,11 +241,3 @@ func TestQuickBucketRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSortDurations(t *testing.T) {
-	ds := []time.Duration{3, 1, 2}
-	SortDurations(ds)
-	if ds[0] != 1 || ds[1] != 2 || ds[2] != 3 {
-		t.Fatalf("not sorted: %v", ds)
-	}
-}

@@ -137,3 +137,72 @@ func TestDiurnalBurstsModulateArrivals(t *testing.T) {
 		t.Fatal("diurnal modulation had no effect on the arrival schedule")
 	}
 }
+
+// TestNoisyNeighborIsolation is the isolation gate: the same open-loop
+// two-tenant schedule (a paced in-quota victim, and a tenant offering
+// ~12.8 GB/s in 128 KiB values against a ~5.4 GB/s modelled link) runs
+// three ways on seed 7 — the victim alone, both tenants with the QoS
+// plane enforcing the noisy tenant's quota, and both on an unisolated
+// control lake whose shared-queue contention model stands in for the
+// QoS plane. Quotas must hold the victim's produce p99 within 2x its
+// solo baseline while the control collapses past that bound.
+//
+// The noisy tenant takes ~98 % of the arrivals, so the isolated victim's
+// "p99" is the maximum of a few dozen acks: the test logs both sample
+// counts and fails if a schedule change thins the victim's below 40.
+func TestNoisyNeighborIsolation(t *testing.T) {
+	const events = 2000
+	victim := TenantSpec{Name: "victim", Producers: 64, ValueBytes: 512, MeanGap: 400 * time.Microsecond}
+	noisy := TenantSpec{Name: "noisy", Producers: 2000, ValueBytes: 128 << 10, MeanGap: 10 * time.Microsecond, DiurnalAmp: 0.5}
+	victimCfg := streamlake.TenantConfig{Name: "victim", Weight: 4}
+	noisyCfg := streamlake.TenantConfig{Name: "noisy", Weight: 1, Priority: 1, BandwidthBps: 2 << 20}
+
+	run := func(tenants []streamlake.TenantConfig, control bool, ev int, specs ...TenantSpec) Result {
+		lake, err := streamlake.Open(streamlake.Config{Seed: 7, Tenants: tenants})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		if control {
+			lake.Service().SetContention()
+		}
+		if err := lake.CreateTopic(streamlake.TopicConfig{Name: "mt", StreamNum: 4}); err != nil {
+			t.Fatalf("topic: %v", err)
+		}
+		res, err := Run(lake, Config{Topic: "mt", Seed: 7, Events: ev, Tenants: specs})
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return res
+	}
+	solo := run([]streamlake.TenantConfig{victimCfg}, false, events/8, victim)
+	iso := run([]streamlake.TenantConfig{victimCfg, noisyCfg}, false, events, victim, noisy)
+	// A quarter of the schedule is enough to show the collapse (47x solo),
+	// and the control's 128 KiB sends are what the race pass pays for.
+	ctl := run(nil, true, events/4, victim, noisy)
+
+	soloV, _ := solo.Tenant("victim")
+	isoV, _ := iso.Tenant("victim")
+	isoN, _ := iso.Tenant("noisy")
+	ctlV, _ := ctl.Tenant("victim")
+	t.Logf("victim p99 solo=%v (%d acks) isolated=%v (%d acks) control=%v (%d acks); noisy throttled %d of %d",
+		soloV.P99, soloV.Acked, isoV.P99, isoV.Acked, ctlV.P99, ctlV.Acked, isoN.Throttled, isoN.Offered)
+
+	if soloV.Acked == 0 || soloV.Acked != soloV.Offered || soloV.P99 <= 0 {
+		t.Fatalf("degenerate solo baseline: %+v", soloV)
+	}
+	if isoV.Acked != isoV.Offered {
+		t.Fatalf("in-quota victim denied %d of %d sends", isoV.Offered-isoV.Acked, isoV.Offered)
+	}
+	if isoV.Acked < 40 {
+		t.Fatalf("isolated victim acked %d sends: too few for its p99 to mean anything (want ≥40)", isoV.Acked)
+	}
+	if isoN.Throttled == 0 {
+		t.Fatalf("noisy tenant never hit its quota: %+v", isoN)
+	}
+	if isoV.P99 > 2*soloV.P99 {
+		t.Fatalf("victim p99 %v under isolation, ceiling 2x solo %v", isoV.P99, soloV.P99)
+	}
+	if ctlV.P99 <= 2*soloV.P99 {
+		t.Fatalf("control held victim p99 at %v (solo %v): the contention model shows no collapse to isolate against", ctlV.P99, soloV.P99)
+	}
+}

@@ -107,18 +107,3 @@ func Run(svc *streamsvc.Service, cfg Config) (Result, error) {
 	}
 	return res, nil
 }
-
-// Sweep runs a rate sweep, creating a fresh topic per point so points
-// are independent.
-func Sweep(mk func() (*streamsvc.Service, string, bool), rates []float64, msgSize int) ([]Result, error) {
-	var out []Result
-	for _, r := range rates {
-		svc, topic, scm := mk()
-		res, err := Run(svc, Config{Topic: topic, MessageSize: msgSize, RatePerSec: r, SCM: scm})
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
-}

@@ -94,15 +94,6 @@ func TestLatencyRisesWithRate(t *testing.T) {
 	}
 }
 
-func TestSweep(t *testing.T) {
-	results, err := Sweep(func() (*streamsvc.Service, string, bool) {
-		return newSvc(t, false), "bench", false
-	}, []float64{10_000, 100_000}, 1024)
-	if err != nil || len(results) != 2 {
-		t.Fatalf("sweep: %v (%d results)", err, len(results))
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	svc := newSvc(t, false)
 	if _, err := Run(svc, Config{Topic: "ghost", RatePerSec: 1000, SampleMessages: 10}); err == nil {

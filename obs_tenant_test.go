@@ -147,9 +147,10 @@ func TestDisabledObsTenantOverhead(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The obs-on benchsnap gate pins produce at <=64 allocs/op; obs-off
-	// with tenancy must not blow past it (generous headroom for the
-	// runtime, not a license for instrument allocations).
+	// gateway.TestProduceRequestAllocs pins an obs-on produce request at
+	// <=12 allocs from ServeHTTP down; obs-off with tenancy gets generous
+	// headroom for the runtime and the key Sprintf above, not a license
+	// for instrument allocations.
 	if allocs > 96 {
 		t.Fatalf("disabled-obs tenanted produce = %.0f allocs/op, ceiling 96", allocs)
 	}
