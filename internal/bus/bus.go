@@ -9,6 +9,7 @@ package bus
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamlake/internal/obs"
@@ -104,9 +105,15 @@ type Bus struct {
 	batchFill   int   // small sends since the last fixed-cost payment
 	outstanding int64 // high-priority bytes notionally in flight
 	metrics     busMetrics
-	net         NetHook // consulted on every send when attached
-	local       string  // this bus's endpoint name on the fault plane
-	qos         QoS     // tenant-aware scheduler, nil = no tenant plane
+	qos         QoS // tenant-aware scheduler, nil = no tenant plane
+	net         atomic.Pointer[netAttach]
+}
+
+// netAttach is the fault plane every send consults, and this bus's
+// endpoint name on it.
+type netAttach struct {
+	hook  NetHook
+	local string
 }
 
 // busMetrics is the bus's obs instrument set, labelled by path so RDMA
@@ -172,10 +179,7 @@ func (b *Bus) Link() *sim.Device { return b.link }
 // drop/delay/partition verdict before any cost or aggregation state is
 // touched.
 func (b *Bus) SetNet(h NetHook, local string) {
-	b.mu.Lock()
-	b.net = h
-	b.local = local
-	b.mu.Unlock()
+	b.net.Store(&netAttach{hook: h, local: local})
 }
 
 // SetQoS attaches a tenant-aware scheduler. Every subsequent tenant-
@@ -196,13 +200,10 @@ func (b *Bus) SetQoS(q QoS) {
 // that assume delivery — ablations and benchmarks. No data path uses
 // it; the produce path must see failures and sends with SendLinkT.
 func (b *Bus) Send(n int64, prio Priority) time.Duration {
-	b.mu.Lock()
-	local, hook := b.local, b.net
-	b.mu.Unlock()
 	var delay time.Duration
 	var err error
-	if hook != nil {
-		delay, err = hook.Deliver(local, "", n)
+	if a := b.net.Load(); a != nil && a.hook != nil {
+		delay, err = a.hook.Deliver(a.local, "", n)
 	}
 	if err != nil {
 		return b.failSend(n, delay)
@@ -221,13 +222,10 @@ func (b *Bus) Send(n int64, prio Priority) time.Duration {
 // weighted-fair queuing delay within the priority class. The empty
 // tenant is the system identity and is never QoS-delayed.
 func (b *Bus) SendLinkT(from, to string, n int64, prio Priority, tenant string) (time.Duration, error) {
-	b.mu.Lock()
-	hook := b.net
-	b.mu.Unlock()
 	var delay time.Duration
 	var err error
-	if hook != nil {
-		delay, err = hook.Deliver(from, to, n)
+	if a := b.net.Load(); a != nil && a.hook != nil {
+		delay, err = a.hook.Deliver(from, to, n)
 	}
 	if err != nil {
 		return b.failSend(n, delay), err

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamlake/internal/sim"
@@ -53,6 +54,14 @@ type NetPlane struct {
 	delay map[link]delaySpec
 	part  map[link]bool
 	stats NetStats
+
+	// rules counts the standing rules of all three kinds: stored inside
+	// mu by every mutator, loaded by Deliver before it takes mu.
+	rules atomic.Int32
+}
+
+func (np *NetPlane) countRulesLocked() {
+	np.rules.Store(int32(len(np.drop) + len(np.delay) + len(np.part)))
 }
 
 // NewNetPlane builds a net plane whose drop and jitter decisions derive
@@ -86,6 +95,9 @@ func lookupLocked[V any](m map[link]V, from, to string) (v V, ok bool) {
 // Dropped messages still report their injected delay so the sender's
 // timeout accounting sees the time the message spent in flight.
 func (np *NetPlane) Deliver(from, to string, n int64) (time.Duration, error) {
+	if np.rules.Load() == 0 {
+		return 0, nil // nothing to look up, count or draw
+	}
 	np.mu.Lock()
 	defer np.mu.Unlock()
 	if blocked, _ := lookupLocked(np.part, from, to); blocked {
@@ -118,6 +130,7 @@ func (np *NetPlane) Deliver(from, to string, n int64) (time.Duration, error) {
 func (np *NetPlane) SetDropRate(from, to string, rate float64) {
 	np.mu.Lock()
 	defer np.mu.Unlock()
+	defer np.countRulesLocked()
 	k := link{from, to}
 	if rate <= 0 {
 		delete(np.drop, k)
@@ -132,6 +145,7 @@ func (np *NetPlane) SetDropRate(from, to string, rate float64) {
 func (np *NetPlane) SetDelay(from, to string, base, jitter time.Duration) {
 	np.mu.Lock()
 	defer np.mu.Unlock()
+	defer np.countRulesLocked()
 	k := link{from, to}
 	if base <= 0 && jitter <= 0 {
 		delete(np.delay, k)
@@ -152,6 +166,7 @@ func (np *NetPlane) Partition(from, to string) {
 	np.mu.Lock()
 	defer np.mu.Unlock()
 	np.part[link{from, to}] = true
+	np.countRulesLocked()
 }
 
 // Heal removes the directed partition from→to.
@@ -159,6 +174,7 @@ func (np *NetPlane) Heal(from, to string) {
 	np.mu.Lock()
 	defer np.mu.Unlock()
 	delete(np.part, link{from, to})
+	np.countRulesLocked()
 }
 
 // HealAll removes every partition (drop and delay rules stay).
@@ -166,6 +182,7 @@ func (np *NetPlane) HealAll() {
 	np.mu.Lock()
 	defer np.mu.Unlock()
 	np.part = make(map[link]bool)
+	np.countRulesLocked()
 }
 
 // Clear removes every standing network fault: drop rates, delays, and
@@ -176,6 +193,7 @@ func (np *NetPlane) Clear() {
 	np.drop = make(map[link]float64)
 	np.delay = make(map[link]delaySpec)
 	np.part = make(map[link]bool)
+	np.countRulesLocked()
 }
 
 // Stats snapshots the net plane's counters.

@@ -189,3 +189,76 @@ func TestNetPlaneConcurrency(t *testing.T) {
 		t.Fatalf("plane broken after churn: %v", err)
 	}
 }
+
+// TestDeliverWithoutRulesTakesNoLock: with no drop, delay or partition
+// rule standing, Deliver answers from one atomic load — it must return
+// while the test holds np.mu — and the count it loads follows every
+// mutator back to zero: the last Heal, HealAll, Clear, and a rate or
+// delay set to nothing.
+func TestDeliverWithoutRulesTakesNoLock(t *testing.T) {
+	np := NewNetPlane(7)
+	ruleFree := func(when string) {
+		t.Helper()
+		if n := np.rules.Load(); n != 0 {
+			t.Fatalf("%s: %d rules counted, want 0", when, n)
+		}
+		np.mu.Lock()
+		defer np.mu.Unlock()
+		done := make(chan error, 1)
+		go func() {
+			_, err := np.Deliver("client", "worker/0", 64)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: rule-free Deliver failed: %v", when, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Deliver waits for np.mu with no rule standing", when)
+		}
+	}
+	ruleFree("fresh plane")
+
+	np.Partition("client", "worker/0")
+	np.Partition("client", "worker/1")
+	np.Partition("client", "worker/1") // the same rule twice is one rule
+	if n := np.rules.Load(); n != 2 {
+		t.Fatalf("%d rules counted after two partitions, want 2", n)
+	}
+	if _, err := np.Deliver("client", "worker/0", 64); !errors.Is(err, ErrPartitioned) {
+		t.Fatalf("partitioned link delivered: %v", err)
+	}
+	np.Heal("client", "worker/0")
+	if _, err := np.Deliver("client", "worker/0", 64); err != nil {
+		t.Fatalf("healed link with another rule standing: %v", err)
+	}
+	np.Heal("client", "worker/1")
+	ruleFree("after the last Heal")
+
+	np.SetDropRate("*", "*", 1)
+	np.SetDelay("client", "*", time.Millisecond, 0)
+	np.Partition("a", "b")
+	if n := np.rules.Load(); n != 3 {
+		t.Fatalf("%d rules counted, want 3", n)
+	}
+	np.HealAll()
+	if n := np.rules.Load(); n != 2 {
+		t.Fatalf("%d rules counted after HealAll, want the drop and the delay", n)
+	}
+	if d, err := np.Deliver("client", "worker/0", 64); !errors.Is(err, ErrMsgDropped) || d != time.Millisecond {
+		t.Fatalf("drop and delay rules must survive HealAll: %v, %v", d, err)
+	}
+	np.SetDropRate("*", "*", 0)
+	np.SetDelay("client", "*", 0, 0)
+	ruleFree("after zeroing the rate and the delay")
+
+	np.SetDropRate("x", "y", 0.5)
+	np.SetDelay("x", "y", 0, time.Millisecond)
+	np.Partition("x", "y")
+	np.Clear()
+	ruleFree("after Clear")
+	if s := np.Stats(); s.Blocked != 1 || s.Drops != 1 || s.Delayed != 1 {
+		t.Fatalf("rule-free deliveries must not count: %+v", s)
+	}
+}

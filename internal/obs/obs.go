@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,24 +90,35 @@ func (g *Gauge) Value() float64 {
 const HistBuckets = 128
 
 // Histogram collects virtual-time latency samples in fixed log-scale
-// buckets. All operations are lock-free atomics.
+// buckets. All operations are lock-free atomics: an Observe is two, and
+// the sample count is the sum of the buckets, so they always agree.
 type Histogram struct {
 	buckets [HistBuckets]atomic.Int64
-	count   atomic.Int64
 	sum     atomic.Int64 // nanoseconds
 }
 
+// histLower[i] is the smallest duration, in nanoseconds, that lands in
+// bucket i: 2^(i/4) µs, rounded up to a whole nanosecond.
+var histLower = func() (lo [HistBuckets]int64) {
+	for i := range lo {
+		lo[i] = int64(math.Ceil(math.Exp2(float64(i)/4) * float64(time.Microsecond)))
+	}
+	return lo
+}()
+
+// histIndex returns d's bucket, floor(4·log2(d/1µs)) clamped to the bucket
+// range, in integers: the octave is the bit length of the whole
+// microseconds, the quarter within it three compares against histLower.
 func histIndex(d time.Duration) int {
-	us := float64(d) / float64(time.Microsecond)
-	if us < 1 {
+	if d < time.Microsecond {
 		return 0
 	}
-	i := int(math.Log2(us) * 4)
-	if i < 0 {
-		i = 0
-	}
+	i := 4 * (bits.Len64(uint64(d/time.Microsecond)) - 1)
 	if i >= HistBuckets {
-		i = HistBuckets - 1
+		return HistBuckets - 1
+	}
+	for q := 0; q < 3 && int64(d) >= histLower[i+1]; q++ {
+		i++
 	}
 	return i
 }
@@ -123,7 +135,6 @@ func (h *Histogram) Observe(d time.Duration) {
 		return
 	}
 	h.buckets[histIndex(d)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(int64(d))
 }
 
@@ -132,7 +143,7 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	return h.snapshot().Count
 }
 
 // Sum returns the total of all samples (zero for nil).
@@ -188,10 +199,10 @@ func (s HistogramSnapshot) Quantile(q float64) time.Duration {
 // is the usual histogram contract.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
-	s.Count = h.count.Load()
 	s.Sum = time.Duration(h.sum.Load())
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }

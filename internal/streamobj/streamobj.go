@@ -714,7 +714,7 @@ func (o *Object) Read(offset int64, ctrl ReadCtrl) ([]Record, time.Duration, err
 	if offset == o.nextOffset {
 		return nil, 0, nil // caught up; poll again
 	}
-	var out []Record
+	out := make([]Record, 0, min(int64(maxRecords), o.nextOffset-offset))
 	var cost time.Duration
 	var bytes int64
 	for int64(len(out)) == 0 || (offset < o.nextOffset && len(out) < maxRecords) {

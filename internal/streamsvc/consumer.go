@@ -41,9 +41,7 @@ func offsetKey(group, topic string, idx int) []byte {
 // Subscribe registers interest in a topic, resuming from the group's
 // committed offsets.
 func (c *Consumer) Subscribe(topic string) error {
-	c.svc.mu.Lock()
-	ts, ok := c.svc.topics[topic]
-	c.svc.mu.Unlock()
+	ts, ok := c.svc.routes.Load().topics[topic]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownTopic, topic)
 	}
@@ -65,11 +63,10 @@ func (c *Consumer) Subscribe(topic string) error {
 // returning the modelled read latency. An empty result means the
 // consumer is caught up.
 //
-// Lock ordering: c.mu is taken first, then svc.commitMu (shared), then
-// svc.mu — strictly in that order, and svc.mu only for the one-shot
-// topic snapshot below, never inside the stream loop. No code path may
-// acquire c.mu or commitMu while holding svc.mu, or c.mu while holding
-// commitMu; Txn.Commit takes commitMu exclusively without c.mu, which is
+// Lock ordering: c.mu is taken first, then svc.commitMu (shared); the
+// service itself is read through one load of its routing snapshot, never
+// svc.mu. No code path may acquire c.mu while holding commitMu;
+// Txn.Commit takes commitMu exclusively without c.mu, which is
 // consistent with this order.
 func (c *Consumer) Poll(max int) ([]Message, time.Duration, error) {
 	return c.PollCtx(max, nil)
@@ -95,20 +92,10 @@ func (c *Consumer) PollCtx(max int, rc *resil.Ctx) ([]Message, time.Duration, er
 	// The commit latch: transactions become visible atomically.
 	c.svc.commitMu.RLock()
 	defer c.svc.commitMu.RUnlock()
-	// Snapshot the topic states in one svc.mu acquisition, hoisted out of
-	// the per-subscription loop.
-	c.svc.mu.Lock()
-	states := make(map[string]*topicState, len(c.subs))
-	for topic := range c.subs {
-		if ts, ok := c.svc.topics[topic]; ok {
-			states[topic] = ts
-		}
-	}
-	m := c.svc.metrics
-	reg := c.svc.reg
-	c.svc.mu.Unlock()
+	rt := c.svc.routes.Load()
+	m, reg := rt.metrics, rt.reg
 	for _, sub := range c.subs {
-		ts, ok := states[sub.topic]
+		ts, ok := rt.topics[sub.topic]
 		if !ok {
 			continue
 		}
@@ -121,6 +108,11 @@ func (c *Consumer) PollCtx(max int, rc *resil.Ctx) ([]Message, time.Duration, er
 				continue
 			}
 			cost += rcost
+			if out == nil && len(recs) > 0 {
+				// Sized once, and not by an empty poll: the other streams
+				// are expected to hold about what the first one did.
+				out = make([]Message, 0, min(max, len(recs)*len(ts.streams)))
+			}
 			for _, r := range recs {
 				out = append(out, Message{
 					Topic: sub.topic, Stream: idx, Key: r.Key, Value: r.Value,
@@ -198,9 +190,7 @@ func (c *Consumer) Lag(topic string) (int64, error) {
 	if !ok {
 		return 0, ErrNotSubscribed
 	}
-	c.svc.mu.Lock()
-	ts, tok := c.svc.topics[topic]
-	c.svc.mu.Unlock()
+	ts, tok := c.svc.routes.Load().topics[topic]
 	if !tok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownTopic, topic)
 	}

@@ -1,0 +1,445 @@
+package streamsvc
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"streamlake/internal/faults"
+	"streamlake/internal/obs"
+	"streamlake/internal/streamobj"
+)
+
+// sendRig is a service wired the way Open wires a lake's — obs on the
+// service, its buses and the store, a fault plane with no rule standing
+// — over one topic, with keys that spread over its streams.
+func sendRig(t testing.TB, workers, streams int) (*Service, *faults.NetPlane, [][]byte) {
+	t.Helper()
+	s := newService(t, workers)
+	reg := obs.NewRegistry(s.Clock())
+	s.SetObs(reg)
+	s.Store().SetObs(reg)
+	np := faults.NewNetPlane(1)
+	s.SetNet(np)
+	if err := s.CreateTopic(TopicConfig{Name: "t", StreamNum: streams}); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%03d", i))
+	}
+	return s, np, keys
+}
+
+// TestSendAllocatesNothing: a steady-state Send makes no heap allocation
+// of its own — the record and its message live in the caller's frame,
+// routing is a snapshot load and two slice indexes, sequence numbers a
+// slice index. What still allocates is the slice flush, once per 256
+// records per stream, which AllocsPerRun's integer mean amortises away.
+func TestSendAllocatesNothing(t *testing.T) {
+	s, _, keys := sendRig(t, 2, 4)
+	p := s.Producer("allocs")
+	value := make([]byte, 1200)
+	send := func(i int) {
+		if _, _, err := p.Send("t", keys[i%len(keys)], value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2048; i++ { // every stream past its first flush
+		send(i)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(20480, func() { send(i); i++ })
+	if allocs != 0 {
+		t.Fatalf("a Send allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestEnabledObsOverheadBound is TestDisabledObsOverheadBound's other
+// half (internal/plog; this one lives where a Send is). First, exactly:
+// with a registry attached one Send observes into four histograms
+// (produce, ack, the forward and the reverse bus send) and moves five
+// counters with eight bumps (produced messages and bytes; sends, bytes
+// and aggregated-or-batches per bus send) — sixteen atomic adds, and a
+// new instrument on the produce path fails here first. Then, as a
+// wall-clock ratio (the full pass only): that work, timed in isolation,
+// is ≈ 92–110 ns against a Send of ≈ 0.7–1.0 µs, 9–14 % on the host this
+// was written on; the bound is 15 %, not the 10 % ROADMAP 4(A) hoped for
+// — the Send got cheaper than the instruments did, and 10 % needs fewer
+// instruments per send (the six bus counters duplicate Bus.Stats). Each
+// side is the best of three rounds, so a neighbour's burst does not
+// decide the ratio.
+func TestEnabledObsOverheadBound(t *testing.T) {
+	const n = 20000
+	value := make([]byte, 1200)
+	{
+		s, _, keys := sendRig(t, 2, 4)
+		p := s.Producer("count")
+		send := func() {
+			if _, _, err := p.Send("t", keys[0], value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		send() // the first send of a bus batch pays its fixed cost: a sixth counter
+		reg := s.routes.Load().reg
+		before := reg.Snapshot()
+		send()
+		after := reg.Snapshot()
+		var observes int64
+		var moved []string
+		for name, h := range after.Histograms {
+			observes += h.Count - before.Histograms[name].Count
+		}
+		for name, v := range after.Counters {
+			if v != before.Counters[name] {
+				moved = append(moved, name)
+			}
+		}
+		if observes != 4 || len(moved) != 5 {
+			t.Fatalf("one Send made %d histogram observes (want 4) and moved %d counters (want 5): %v", observes, len(moved), moved)
+		}
+	}
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	best := func(round func()) time.Duration {
+		min := time.Duration(1 << 62)
+		for r := 0; r < 3; r++ {
+			start := time.Now()
+			round()
+			if d := time.Since(start); d < min {
+				min = d
+			}
+		}
+		return min
+	}
+	sendRounds := func() time.Duration {
+		s, _, keys := sendRig(t, 2, 4)
+		p := s.Producer("ovh")
+		return best(func() {
+			for i := 0; i < n; i++ {
+				if _, _, err := p.Send("t", keys[i%len(keys)], value); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	// The first rig only grows the heap: its logs keep every byte sent, so
+	// its rounds are timed on fresh pages. Collected, it leaves the second
+	// rig memory the process already owns, as a long-running lake has.
+	sendRounds()
+	runtime.GC()
+	sendTime := sendRounds()
+
+	reg := obs.NewRegistry(nil)
+	var hists [4]*obs.Histogram
+	var ctrs [8]*obs.Counter
+	for i := range ctrs {
+		hists[i%4] = reg.Histogram(fmt.Sprint("h", i%4))
+		ctrs[i] = reg.Counter(fmt.Sprint("c", i))
+	}
+	obsTime := best(func() {
+		for i := 0; i < n; i++ {
+			d := time.Duration(3000 + i%50000) // a produce costs 3–50 µs of virtual time
+			for _, h := range hists {
+				h.Observe(d)
+			}
+			for _, c := range ctrs {
+				c.Add(int64(len(value)))
+			}
+		}
+	})
+	t.Logf("send: %.0f ns/op; enabled obs: %.1f ns/op, %.2f%%",
+		float64(sendTime.Nanoseconds())/n, float64(obsTime.Nanoseconds())/n, 100*float64(obsTime)/float64(sendTime))
+	if obsTime*20 > sendTime*3 {
+		t.Fatalf("enabled obs work %v is over 15%% of send time %v", obsTime, sendTime)
+	}
+}
+
+// drain reads a topic from offset 0 with a fresh group, per stream.
+func drain(t testing.TB, s *Service, group string, streams int) [][]Message {
+	t.Helper()
+	c := s.Consumer(group)
+	if err := c.Subscribe("t"); err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]Message, streams)
+	for {
+		msgs, _, err := c.Poll(500)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(msgs) == 0 {
+			return got
+		}
+		for _, m := range msgs {
+			got[m.Stream] = append(got[m.Stream], m)
+		}
+	}
+}
+
+// sameMessages fails unless want, grouped by stream, is exactly got.
+func sameMessages(t testing.TB, want []Message, got [][]Message) {
+	t.Helper()
+	next := make([]int, len(got))
+	for _, m := range want {
+		i := next[m.Stream]
+		if i >= len(got[m.Stream]) || got[m.Stream][i].Offset != m.Offset || string(got[m.Stream][i].Value) != string(m.Value) {
+			t.Fatalf("acked %s/%d offset %d value %q is not what the consumer read there", m.Topic, m.Stream, m.Offset, m.Value)
+		}
+		next[m.Stream]++
+	}
+	for st, n := range next {
+		if n != len(got[st]) {
+			t.Fatalf("stream %d holds %d messages, %d were acked", st, len(got[st]), n)
+		}
+	}
+}
+
+// mixedBatch is n records whose keys interleave over every stream.
+func mixedBatch(keys [][]byte, n int) []streamobj.Record {
+	recs := make([]streamobj.Record, n)
+	for i := range recs {
+		recs[i] = streamobj.Record{Key: keys[i%len(keys)], Value: []byte(fmt.Sprintf("v%03d", i))}
+	}
+	return recs
+}
+
+// TestSendBatchAcrossStreams: a batch whose keys interleave over three
+// streams comes back grouped by stream in ascending order, each stream's
+// records in the order given at contiguous offsets, having crossed the
+// bus once forward and once back per stream — and a second batch carries
+// on where the first stopped.
+func TestSendBatchAcrossStreams(t *testing.T) {
+	const streams = 3
+	s, _, keys := sendRig(t, 2, streams)
+	p := s.Producer("batch")
+	var acked []Message
+	for round := 0; round < 2; round++ {
+		recs := mixedBatch(keys, 60)
+		before := busSends(s)
+		msgs, cost, err := p.SendBatch("t", recs)
+		if err != nil || len(msgs) != len(recs) || cost <= 0 {
+			t.Fatalf("SendBatch: %d msgs, cost %v, err %v", len(msgs), cost, err)
+		}
+		if sent := busSends(s) - before; sent != 2*streams {
+			t.Fatalf("batch over %d streams crossed the bus %d times, want %d", streams, sent, 2*streams)
+		}
+		want := make([][]streamobj.Record, streams)
+		for _, r := range recs {
+			st := routeKey(r.Key, streams)
+			want[st] = append(want[st], r)
+		}
+		i := 0
+		for st := 0; st < streams; st++ {
+			if len(want[st]) == 0 {
+				t.Fatalf("test keys leave stream %d empty", st)
+			}
+			for j, r := range want[st] {
+				m := msgs[i]
+				if m.Stream != st || m.Offset != int64(round*len(want[st])+j) || string(m.Value) != string(r.Value) || string(m.Key) != string(r.Key) {
+					t.Fatalf("msgs[%d] = stream %d offset %d %q, want stream %d offset %d %q",
+						i, m.Stream, m.Offset, m.Value, st, round*len(want[st])+j, r.Value)
+				}
+				i++
+			}
+		}
+		acked = append(acked, msgs...)
+	}
+	sameMessages(t, acked, drain(t, s, "g", streams))
+	// Every record on one stream is the borrowed-slice path of every Send.
+	one := []streamobj.Record{{Key: keys[0], Value: []byte("a")}, {Key: keys[0], Value: []byte("b")}}
+	msgs, _, err := p.SendBatch("t", one)
+	if err != nil || len(msgs) != 2 || msgs[0].Stream != msgs[1].Stream || msgs[1].Offset != msgs[0].Offset+1 {
+		t.Fatalf("one-stream batch: %+v, %v", msgs, err)
+	}
+}
+
+func busSends(s *Service) (n int64) {
+	for _, w := range s.Workers() {
+		n += w.bus.Stats().Sends
+	}
+	return n
+}
+
+// TestSendBatchReportsPartialAcks: two workers, three streams, the worker
+// owning the middle stream partitioned away. Stream 0's records are
+// durable and sequence-numbered by the time stream 1 exhausts its
+// retries, so SendBatch returns them with the error — exactly what a
+// consumer then reads — and stream 2 was never attempted.
+func TestSendBatchReportsPartialAcks(t *testing.T) {
+	const streams = 3
+	s, np, keys := sendRig(t, 2, streams)
+	// Round-robin assignment: worker 1 owns stream 1 only.
+	np.Partition("client", "worker/1")
+	p := s.Producer("partial")
+	recs := mixedBatch(keys, 60)
+	msgs, _, err := p.SendBatch("t", recs)
+	if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, faults.ErrPartitioned) {
+		t.Fatalf("err = %v, want retries exhausted on a partitioned link", err)
+	}
+	var want int
+	for _, r := range recs {
+		if routeKey(r.Key, streams) == 0 {
+			want++
+		}
+	}
+	if len(msgs) != want || want == 0 {
+		t.Fatalf("%d messages returned with the error, want stream 0's %d", len(msgs), want)
+	}
+	for i, m := range msgs {
+		if m.Stream != 0 || m.Offset != int64(i) {
+			t.Fatalf("msgs[%d] = stream %d offset %d, want stream 0 offset %d", i, m.Stream, m.Offset, i)
+		}
+	}
+	sameMessages(t, msgs, drain(t, s, "g", streams))
+	// Healed, the caller resends what is missing and only that.
+	np.HealAll()
+	var rest []streamobj.Record
+	for _, r := range recs {
+		if routeKey(r.Key, streams) != 0 {
+			rest = append(rest, r)
+		}
+	}
+	s.Clock().Advance(time.Second) // past the breaker's cooldown
+	more, _, err := p.SendBatch("t", rest)
+	if err != nil || len(more) != len(rest) {
+		t.Fatalf("resend: %d of %d, %v", len(more), len(rest), err)
+	}
+	sameMessages(t, append(msgs, more...), drain(t, s, "g2", streams))
+}
+
+// TestProduceDuringRescale (-race): one producer sends while the fleet
+// cycles 2→3→4 workers and one worker flips down and up. Every ack's
+// offset is the next one of its stream, from 0, and a catch-up consumer
+// reads back exactly the acked set: a send sees the old fleet or the new
+// one, never a mix. A second reader resolves owners straight off the
+// snapshot beside the mutators — the lookup the produce path does, with
+// nothing in front of it for the race detector to hide behind.
+func TestProduceDuringRescale(t *testing.T) {
+	const streams = 4
+	s, _, keys := sendRig(t, 2, streams)
+	stop := make(chan struct{})
+	var churn sync.WaitGroup
+	churn.Add(1)
+	go func() {
+		defer churn.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.SetWorkerCount(2 + i%3)
+			s.SetWorkerDown(i%2, true)
+			s.SetWorkerDown(i%2, false)
+		}
+	}()
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for i := 0; i < 20000; i++ {
+			tr := s.routes.Load().topics["t"]
+			if w := tr.owners[i%streams]; w == nil || w.ep == "" {
+				t.Error("snapshot holds a stream without an owner")
+				return
+			}
+		}
+	}()
+	p := s.Producer("rescale")
+	next := make([]int64, streams)
+	var acked []Message
+	for i := 0; i < 3000; i++ {
+		m, _, err := p.Send("t", keys[i%len(keys)], []byte(fmt.Sprintf("v%04d", i)))
+		if err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		if m.Offset != next[m.Stream] {
+			t.Fatalf("send %d acked stream %d offset %d, want %d", i, m.Stream, m.Offset, next[m.Stream])
+		}
+		next[m.Stream]++
+		acked = append(acked, m)
+	}
+	readers.Wait()
+	close(stop)
+	churn.Wait()
+	sameMessages(t, acked, drain(t, s, "g", streams))
+}
+
+// ownerByRule is the per-message lookup the routing snapshot replaced,
+// kept as its oracle: the first up worker assigned the stream, else the
+// first up worker, else worker 0.
+func ownerByRule(s *Service, topic string, idx int) *Worker {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var firstUp *Worker
+	for _, w := range s.workers {
+		w.mu.Lock()
+		ok, down := w.streams[streamKey(topic, idx)], w.down
+		w.mu.Unlock()
+		if ok && !down {
+			return w
+		}
+		if firstUp == nil && !down {
+			firstUp = w
+		}
+	}
+	if firstUp != nil {
+		return firstUp
+	}
+	return s.workers[0]
+}
+
+// TestRoutesFollowEveryMutator: after each mutator that can change who
+// serves a stream — the all-workers-down SetWorkerDown that moves nothing
+// included — the published snapshot names the owner the rule names.
+func TestRoutesFollowEveryMutator(t *testing.T) {
+	const streams = 6
+	s, _, _ := sendRig(t, 3, streams)
+	check := func(after string) {
+		t.Helper()
+		rt := s.routes.Load()
+		for topic, tr := range rt.topics {
+			for i, got := range tr.owners {
+				if want := ownerByRule(s, topic, i); got != want {
+					t.Fatalf("after %s: %s/%d is routed to worker %d, the rule says %d", after, topic, i, got.id, want.id)
+				}
+			}
+		}
+		if _, ok := rt.topics["t"]; !ok {
+			t.Fatalf("after %s: topic t is gone from the snapshot", after)
+		}
+	}
+	check("CreateTopic")
+	s.SetWorkerDown(1, true)
+	check("one worker down")
+	s.SetWorkerDown(0, true)
+	s.SetWorkerDown(2, true)
+	check("every worker down")
+	s.SetWorkerDown(2, false)
+	check("one worker back")
+	s.SetWorkerDown(0, false)
+	s.SetWorkerDown(1, false)
+	check("all back")
+	s.SetWorkerCount(5)
+	check("SetWorkerCount(5)")
+	if _, err := s.FailWorker(3); err != nil {
+		t.Fatal(err)
+	}
+	check("FailWorker(3)")
+	if err := s.CreateTopic(TopicConfig{Name: "u", StreamNum: 2}); err != nil {
+		t.Fatal(err)
+	}
+	check("a second topic")
+	if err := s.DeleteTopic("u"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.routes.Load().topics["u"]; ok {
+		t.Fatal("deleted topic still routed")
+	}
+	check("DeleteTopic")
+}

@@ -15,12 +15,6 @@ import (
 	"streamlake/internal/streamobj"
 )
 
-// streamID keys a producer's per-stream sequence numbers.
-type streamID struct {
-	topic string
-	idx   int
-}
-
 // Producer publishes messages to topics. The API mirrors the open-source
 // de facto standard of Figure 7: construct a producer, Send to a topic.
 // Producers are idempotent: every (producer, stream) batch carries a
@@ -31,7 +25,7 @@ type Producer struct {
 	tenant string // tenant identity carried on every batch; "" = system
 
 	mu  sync.Mutex
-	seq map[streamID]int64
+	seq []int64  // last sequence number per stream, indexed by the stream object's ID
 	rng *sim.RNG // seeded backoff jitter, lazily built from the service's resilience seed
 }
 
@@ -47,7 +41,7 @@ func (s *Service) Producer(id string) *Producer {
 		id = fmt.Sprintf("producer-%d", s.txnSeq)
 		s.mu.Unlock()
 	}
-	return &Producer{svc: s, id: id, seq: make(map[streamID]int64)}
+	return &Producer{svc: s, id: id}
 }
 
 // TenantProducer is Producer bound to a tenant identity: every batch is
@@ -67,37 +61,37 @@ func (p *Producer) Tenant() string { return p.tenant }
 // the modelled end-to-end produce latency (bus transfer to the stream
 // worker plus the durable append).
 func (p *Producer) Send(topic string, key, value []byte) (Message, time.Duration, error) {
-	msgs, cost, err := p.SendBatch(topic, []streamobj.Record{{Key: key, Value: value}})
-	if err != nil {
-		return Message{}, cost, err
-	}
-	return msgs[0], cost, nil
+	return p.SendSpanCtx(topic, key, value, nil, nil)
 }
 
-// SendBatch publishes records that share a routing key stream (each
-// record routes independently by its key).
+// SendBatch publishes records, each routed to a stream by its own key.
+// Streams are served in ascending index order and the result is grouped
+// the same way, each stream's records in the order given. A batch that
+// spans streams is not atomic: when a later stream fails, the messages
+// already acknowledged on earlier streams are returned WITH the error —
+// they are durable and sequence-numbered, so a caller that resends must
+// resend only the records that are missing from the result.
 func (p *Producer) SendBatch(topic string, recs []streamobj.Record) ([]Message, time.Duration, error) {
-	return p.sendBatch(nil, topic, recs, nil)
+	return p.sendBatch(nil, topic, recs, nil, nil)
 }
 
 // SendCtx is Send under a resilience context: bus transfers, backoff
 // waits, and append costs are charged against rc's virtual-time
 // deadline. A nil rc is Send.
 func (p *Producer) SendCtx(topic string, key, value []byte, rc *resil.Ctx) (Message, time.Duration, error) {
-	msgs, cost, err := p.sendBatch(nil, topic, []streamobj.Record{{Key: key, Value: value}}, rc)
-	if err != nil {
-		return Message{}, cost, err
-	}
-	return msgs[0], cost, nil
+	return p.SendSpanCtx(topic, key, value, nil, rc)
 }
 
 // SendSpanCtx is SendCtx with tracing, for callers — the gateway — that
 // both trace a request and bound it with a virtual-time deadline: the
 // request's bus transfer, durable append, and everything below (PLog
 // placement writes, slice flushes) are recorded as children of sp.
-// Either argument may be nil.
+// Either argument may be nil. The record and its message live in this
+// frame, so a steady-state send allocates nothing.
 func (p *Producer) SendSpanCtx(topic string, key, value []byte, sp *obs.Span, rc *resil.Ctx) (Message, time.Duration, error) {
-	msgs, cost, err := p.sendBatch(sp, topic, []streamobj.Record{{Key: key, Value: value}}, rc)
+	rec := [1]streamobj.Record{{Key: key, Value: value}}
+	var msg [1]Message
+	msgs, cost, err := p.sendBatch(sp, topic, rec[:], rc, msg[:0])
 	if err != nil {
 		return Message{}, cost, err
 	}
@@ -112,16 +106,47 @@ func (p *Producer) backoffRNG() *sim.RNG {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.rng == nil {
-		p.rng = sim.NewRNG(uint64(p.svc.resilience().Seed) ^ hashString("producer-backoff/"+p.id))
+		p.rng = sim.NewRNG(uint64(p.svc.routes.Load().resil.Seed) ^ hashString("producer-backoff/"+p.id))
 	}
 	return p.rng
 }
 
-func (p *Producer) sendBatch(sp *obs.Span, topic string, recs []streamobj.Record, rc *resil.Ctx) ([]Message, time.Duration, error) {
-	p.svc.mu.Lock()
-	ts, ok := p.svc.topics[topic]
-	m := p.svc.metrics
-	p.svc.mu.Unlock()
+// nextSeq draws the next sequence number for one stream. Object IDs are
+// a store's small dense counter, so they index a slice.
+func (p *Producer) nextSeq(obj *streamobj.Object) int64 {
+	slot := int(obj.ID())
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if slot >= len(p.seq) {
+		p.seq = append(p.seq, make([]int64, slot+1-len(p.seq))...)
+	}
+	p.seq[slot]++
+	return p.seq[slot]
+}
+
+// groupByStream orders recs by target stream, ascending, each stream's
+// records in the order given. One record, or records that already come
+// that way, are returned as they are: borrowed, not copied.
+func groupByStream(recs []streamobj.Record, streams int) []streamobj.Record {
+	if len(recs) < 2 {
+		return recs
+	}
+	less := func(rs []streamobj.Record) func(i, j int) bool {
+		return func(i, j int) bool { return routeKey(rs[i].Key, streams) < routeKey(rs[j].Key, streams) }
+	}
+	if sort.SliceIsSorted(recs, less(recs)) {
+		return recs
+	}
+	out := append([]streamobj.Record(nil), recs...)
+	sort.SliceStable(out, less(out))
+	return out
+}
+
+// sendBatch is the one produce path: one load of the routing snapshot
+// tells it all it needs of the service. out is storage for the result.
+func (p *Producer) sendBatch(sp *obs.Span, topic string, recs []streamobj.Record, rc *resil.Ctx, out []Message) ([]Message, time.Duration, error) {
+	rt := p.svc.routes.Load()
+	tr, ok := rt.topics[topic]
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %s", ErrUnknownTopic, topic)
 	}
@@ -133,56 +158,55 @@ func (p *Producer) sendBatch(sp *obs.Span, topic string, recs []streamobj.Record
 	// tenant's IOPS and bandwidth buckets exactly once, before fan-out —
 	// internal per-stream retries below never re-admit, so a retried
 	// batch can't be double-charged.
-	if reg := p.svc.Tenants(); reg != nil && p.tenant != "" {
+	if rt.tenants != nil && p.tenant != "" {
 		now := p.svc.clock.Now()
 		if rc != nil {
 			now = rc.Now()
 		}
-		if err := reg.Admit(p.tenant, now, len(recs), total); err != nil {
+		if err := rt.tenants.Admit(p.tenant, now, len(recs), total); err != nil {
 			return nil, 0, err
 		}
 		if sp != nil {
 			sp.SetAttr("tenant", p.tenant)
 		}
 	}
-	// Group records by target stream.
-	byStream := make(map[int][]streamobj.Record)
-	for _, r := range recs {
-		idx := routeKey(r.Key, len(ts.streams))
-		byStream[idx] = append(byStream[idx], r)
-	}
-	// Deterministic stream order: map iteration order would make retry,
-	// backoff, and breaker decisions depend on runtime map layout,
-	// breaking bit-identical chaos replay.
-	idxs := make([]int, 0, len(byStream))
-	for idx := range byStream {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	var out []Message
+	// One run of recs per stream, in ascending stream order: retry,
+	// backoff and breaker decisions must not depend on anything but the
+	// batch, or chaos replay stops being bit-identical.
+	recs = groupByStream(recs, len(tr.streams))
 	var cost time.Duration
-	for _, idx := range idxs {
-		batch := byStream[idx]
-		obj := ts.streams[idx]
-		w := p.svc.ownerOf(topic, idx)
-		base, c, err := p.sendOne(sp, topic, idx, batch, obj, w, rc)
-		cost += c
-		if err != nil {
-			return nil, cost, err
+	var err error
+	for len(recs) > 0 {
+		idx := routeKey(recs[0].Key, len(tr.streams))
+		n := 1
+		for n < len(recs) && routeKey(recs[n].Key, len(tr.streams)) == idx {
+			n++
 		}
-		w.mu.Lock()
-		w.appended += int64(len(batch))
-		w.mu.Unlock()
-		for i, r := range batch {
+		base, c, serr := p.sendOne(sp, rt, tr, topic, idx, recs[:n], rc)
+		cost += c
+		if err = serr; err != nil {
+			break
+		}
+		tr.owners[idx].appended.Add(int64(n))
+		for i, r := range recs[:n] {
 			out = append(out, Message{
 				Topic: topic, Stream: idx, Key: r.Key, Value: r.Value,
 				Offset: base + int64(i), Timestamp: p.svc.clock.Now(),
 			})
 		}
+		recs = recs[n:]
 	}
-	m.producedMsgs.Add(int64(len(out)))
-	m.producedBytes.Add(total)
-	m.produceLat.Observe(cost)
+	// What was acknowledged is counted and returned even when a later
+	// stream failed; recs is then what was not.
+	for _, r := range recs {
+		total -= int64(len(r.Key) + len(r.Value))
+	}
+	rt.metrics.producedMsgs.Add(int64(len(out)))
+	rt.metrics.producedBytes.Add(total)
+	if err != nil {
+		return out, cost, err
+	}
+	rt.metrics.produceLat.Observe(cost)
 	return out, cost, nil
 }
 
@@ -192,21 +216,16 @@ func (p *Producer) sendBatch(sp *obs.Span, topic string, recs []streamobj.Record
 // first attempt and reused by every retry, so a redelivered batch —
 // whether the forward transfer or the ack was lost — lands in the
 // stream object's dedup window instead of appending twice.
-func (p *Producer) sendOne(sp *obs.Span, topic string, idx int, batch []streamobj.Record, obj *streamobj.Object, w *Worker, rc *resil.Ctx) (int64, time.Duration, error) {
+func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic string, idx int, batch []streamobj.Record, rc *resil.Ctx) (int64, time.Duration, error) {
 	var bytes int64
 	for _, r := range batch {
 		bytes += int64(len(r.Key) + len(r.Value))
 	}
-	p.mu.Lock()
-	p.seq[streamID{topic, idx}]++
-	seq := p.seq[streamID{topic, idx}]
-	p.mu.Unlock()
-
-	cfg := p.svc.resilience()
+	obj, w := tr.streams[idx], tr.owners[idx]
+	seq := p.nextSeq(obj)
+	cfg, reg, m := rt.resil, rt.tenants, rt.metrics
 	ep := w.ep
-	br := p.svc.breakerFor(ep)
-	reg := p.svc.Tenants()
-	m := p.svc.metrics
+	br := p.svc.breakerFor(w)
 	var cost time.Duration
 	// appendedThisCall: a real (non-dedup) append happened under this
 	// batch's admission; refunded: the admission was already refunded. A
@@ -448,17 +467,15 @@ func (t *Txn) Send(topic string, key, value []byte) error {
 	if t.state != TxnOpen {
 		return ErrTxnAborted
 	}
-	t.p.svc.mu.Lock()
-	ts, ok := t.p.svc.topics[topic]
-	t.p.svc.mu.Unlock()
+	tr, ok := t.p.svc.routes.Load().topics[topic]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownTopic, topic)
 	}
-	idx := routeKey(key, len(ts.streams))
+	idx := routeKey(key, len(tr.streams))
 	k := streamKey(topic, idx)
 	part, ok := t.parts[k]
 	if !ok {
-		part = &txnPart{topic: topic, idx: idx, obj: ts.streams[idx]}
+		part = &txnPart{topic: topic, idx: idx, obj: tr.streams[idx]}
 		t.parts[k] = part
 	}
 	part.recs = append(part.recs, streamobj.Record{Key: key, Value: value})
@@ -496,11 +513,7 @@ func (t *Txn) Commit() (time.Duration, error) {
 	var cost time.Duration
 	for _, k := range keys {
 		part := t.parts[k]
-		t.p.mu.Lock()
-		t.p.seq[streamID{part.topic, part.idx}]++
-		seq := t.p.seq[streamID{part.topic, part.idx}]
-		t.p.mu.Unlock()
-		_, c, err := part.obj.Append(part.recs, t.p.id, seq)
+		_, c, err := part.obj.Append(part.recs, t.p.id, t.p.nextSeq(part.obj))
 		if err != nil {
 			// Prepare validated capacity; failure here is a programming
 			// error surfaced loudly rather than silently partial.

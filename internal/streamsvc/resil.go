@@ -54,10 +54,9 @@ func workerEndpoint(id int) string { return "worker/" + strconv.Itoa(id) }
 // drop rates can target individual workers.
 func (s *Service) SetNet(h bus.NetHook) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.netHook = h
-	workers := append([]*Worker(nil), s.workers...)
-	s.mu.Unlock()
-	for _, w := range workers {
+	for _, w := range s.workers {
 		w.bus.SetNet(h, w.ep)
 	}
 }
@@ -67,31 +66,33 @@ func (s *Service) SetNet(h bus.NetHook) {
 // ResilienceConfig). Existing breaker state is reset.
 func (s *Service) SetResilience(cfg ResilienceConfig) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.resilCfg = cfg.withDefaults()
 	s.breakers = make(map[string]*resil.Breaker)
-	s.mu.Unlock()
+	for _, w := range s.workers {
+		w.breaker.Store(nil)
+	}
+	s.publishLocked()
 }
 
-// resilience snapshots the resilience config.
-func (s *Service) resilience() ResilienceConfig {
+// breakerFor returns the circuit breaker guarding a worker's endpoint,
+// creating it on first use. Breakers are keyed by endpoint name, not by
+// worker object, so they survive fleet rescales: a rebuilt "worker/0"
+// inherits the old one's open/closed state, which is what a client-side
+// breaker observing a named endpoint would do. The worker remembers the
+// answer, so only its first send pays the lock and the map probe.
+func (s *Service) breakerFor(w *Worker) *resil.Breaker {
+	if b := w.breaker.Load(); b != nil {
+		return b
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.resilCfg
-}
-
-// breakerFor returns the circuit breaker guarding an endpoint, creating
-// it on first use. Breakers are keyed by endpoint name, not by worker
-// object, so they survive fleet rescales: a rebuilt "worker/0" inherits
-// the old one's open/closed state, which is what a client-side breaker
-// observing a named endpoint would do.
-func (s *Service) breakerFor(ep string) *resil.Breaker {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b := s.breakers[ep]
+	b := s.breakers[w.ep]
 	if b == nil {
 		b = resil.NewBreaker(s.resilCfg.Breaker)
-		s.breakers[ep] = b
+		s.breakers[w.ep] = b
 	}
+	w.breaker.Store(b)
 	return b
 }
 
@@ -125,13 +126,9 @@ type EndpointBreaker struct {
 // no breaker is open.
 func (s *Service) RetryAfter(now time.Duration) time.Duration {
 	s.mu.Lock()
-	breakers := make([]*resil.Breaker, 0, len(s.breakers))
-	for _, b := range s.breakers {
-		breakers = append(breakers, b)
-	}
-	s.mu.Unlock()
+	defer s.mu.Unlock()
 	var max time.Duration
-	for _, b := range breakers {
+	for _, b := range s.breakers {
 		if r := b.RetryAfter(now); r > max {
 			max = r
 		}

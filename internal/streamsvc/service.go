@@ -28,10 +28,30 @@ var (
 	ErrTxnAborted    = errors.New("streamsvc: transaction aborted")
 )
 
-// topicState is the dispatcher's view of one topic.
+// topicState is the dispatcher's view of one topic; nothing in it changes
+// after CreateTopic.
 type topicState struct {
 	cfg     TopicConfig
 	streams []*streamobj.Object
+}
+
+// routes is what a send or a poll needs to know about the service. A
+// published value is never written again: every mutator that can change
+// an answer builds a new one under s.mu (publishLocked), so a request
+// loads one pointer, takes no lock, and sees one fleet — the old or the
+// new, never a mix.
+type routes struct {
+	topics  map[string]topicRoutes
+	tenants *tenant.Registry
+	resil   ResilienceConfig
+	metrics svcMetrics
+	reg     *obs.Registry
+}
+
+// topicRoutes is one topic in the snapshot: owners[i] serves streams[i].
+type topicRoutes struct {
+	*topicState
+	owners []*Worker
 }
 
 // Worker is one stream worker: it owns the stream object clients for the
@@ -42,10 +62,12 @@ type Worker struct {
 	ep  string // workerEndpoint(id), named once
 	bus *bus.Bus
 
-	mu       sync.Mutex
-	streams  map[string]bool // "topic/idx" keys currently assigned
-	appended int64
-	down     bool // cluster verdict: the worker's node is dead or draining
+	appended atomic.Int64
+	breaker  atomic.Pointer[resil.Breaker] // breakerFor's answer; SetResilience clears it
+
+	mu      sync.Mutex
+	streams map[string]bool // "topic/idx" keys currently assigned
+	down    bool            // cluster verdict: the worker's node is dead or draining
 }
 
 // ID returns the worker's index.
@@ -58,14 +80,8 @@ func (w *Worker) StreamCount() int {
 	return len(w.streams)
 }
 
-// Appended reports the messages appended through this worker. The
-// counter is written under w.mu on the produce path; reading it here
-// under the same lock is the only torn-read-free way to observe it.
-func (w *Worker) Appended() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.appended
-}
+// Appended reports the messages appended through this worker.
+func (w *Worker) Appended() int64 { return w.appended.Load() }
 
 // Service is the streaming service: dispatcher plus worker fleet.
 type Service struct {
@@ -78,6 +94,7 @@ type Service struct {
 	workers  []*Worker
 	topology int64 // topology version, bumped on every change
 	txnSeq   int64
+	routes   atomic.Pointer[routes] // stored under mu, loaded without
 
 	// displaced remembers the home worker of every stream moved off a
 	// down worker, so SetWorkerDown's revival leg returns exactly those
@@ -121,12 +138,8 @@ func (s *Service) SetTenants(reg *tenant.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.tenants = reg
-	s.qosWire = func(w *Worker) {
-		w.bus.SetQoS(tenant.NewSched(s.clock, reg, w.bus.Link().Spec().WriteBandwidth))
-	}
-	for _, w := range s.workers {
-		s.qosWire(w)
-	}
+	s.wireQoSLocked(reg)
+	s.publishLocked()
 }
 
 // SetContention attaches the unisolated shared-queue contention model
@@ -136,8 +149,12 @@ func (s *Service) SetTenants(reg *tenant.Registry) {
 func (s *Service) SetContention() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.wireQoSLocked(nil)
+}
+
+func (s *Service) wireQoSLocked(reg *tenant.Registry) {
 	s.qosWire = func(w *Worker) {
-		w.bus.SetQoS(tenant.NewSched(s.clock, nil, w.bus.Link().Spec().WriteBandwidth))
+		w.bus.SetQoS(tenant.NewSched(s.clock, reg, w.bus.Link().Spec().WriteBandwidth))
 	}
 	for _, w := range s.workers {
 		s.qosWire(w)
@@ -146,11 +163,7 @@ func (s *Service) SetContention() {
 
 // Tenants returns the attached tenant registry (nil on the legacy
 // single-tenant path).
-func (s *Service) Tenants() *tenant.Registry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tenants
-}
+func (s *Service) Tenants() *tenant.Registry { return s.routes.Load().tenants }
 
 // CommitGate is the cluster's produce-commit hook: called after a batch
 // is durably appended and before the client is acknowledged. An error
@@ -212,11 +225,11 @@ func (s *Service) SetObs(reg *obs.Registry) {
 		deadlines:     reg.Counter("streamsvc_deadline_exceeded_total"),
 		ackDrops:      reg.Counter("streamsvc_ack_drops_total"),
 	}
-	workers := append([]*Worker(nil), s.workers...)
-	s.mu.Unlock()
-	for _, w := range workers {
+	for _, w := range s.workers {
 		w.bus.SetObs(reg)
 	}
+	s.publishLocked()
+	s.mu.Unlock()
 	if reg == nil {
 		return
 	}
@@ -241,10 +254,10 @@ func New(clock *sim.Clock, store *streamobj.Store, workerCount int) *Service {
 		topics:    make(map[string]*topicState),
 		displaced: make(map[string]int),
 	}
-	s.SetResilience(ResilienceConfig{})
 	for i := 0; i < workerCount; i++ {
 		s.workers = append(s.workers, newWorker(i))
 	}
+	s.SetResilience(ResilienceConfig{})
 	return s
 }
 
@@ -282,8 +295,7 @@ func (s *Service) CreateTopic(cfg TopicConfig) error {
 	}
 	s.topics[cfg.Name] = ts
 	s.assignStreamsLocked(cfg.Name, cfg.StreamNum)
-	s.topology++
-	s.recordTopologyLocked()
+	s.topologyChangedLocked()
 	return nil
 }
 
@@ -301,9 +313,47 @@ func (s *Service) assignStreamsLocked(topic string, n int) {
 
 func streamKey(topic string, idx int) string { return topic + "/" + strconv.Itoa(idx) }
 
-func (s *Service) recordTopologyLocked() {
+// topologyChangedLocked closes every topology mutation.
+func (s *Service) topologyChangedLocked() {
+	s.topology++
 	s.meta.Put([]byte("topology/version"), binary.AppendVarint(nil, s.topology))
 	s.meta.Put([]byte("topology/workers"), binary.AppendVarint(nil, int64(len(s.workers))))
+	s.publishLocked()
+}
+
+// publishLocked rebuilds and publishes the routing snapshot. A stream's
+// owner is the first up worker it is assigned to; with none, the first
+// up worker; with the whole fleet down, worker 0, whose dead links fail
+// the send — the correct outcome. Lock order is s.mu → w.mu.
+func (s *Service) publishLocked() {
+	rt := &routes{topics: make(map[string]topicRoutes, len(s.topics)), tenants: s.tenants, resil: s.resilCfg, metrics: s.metrics, reg: s.reg}
+	assigned := make(map[string]*Worker)
+	var firstUp *Worker
+	for _, w := range s.workers {
+		w.mu.Lock()
+		if !w.down && firstUp == nil {
+			firstUp = w
+		}
+		for k := range w.streams {
+			if !w.down && assigned[k] == nil {
+				assigned[k] = w
+			}
+		}
+		w.mu.Unlock()
+	}
+	if firstUp == nil {
+		firstUp = s.workers[0]
+	}
+	for name, ts := range s.topics {
+		tr := topicRoutes{ts, make([]*Worker, len(ts.streams))}
+		for i := range tr.owners {
+			if tr.owners[i] = assigned[streamKey(name, i)]; tr.owners[i] == nil {
+				tr.owners[i] = firstUp
+			}
+		}
+		rt.topics[name] = tr
+	}
+	s.routes.Store(rt)
 }
 
 // DeleteTopic removes a topic and destroys its stream objects.
@@ -327,8 +377,7 @@ func (s *Service) DeleteTopic(name string) error {
 			delete(s.displaced, k)
 		}
 	}
-	s.topology++
-	s.recordTopologyLocked()
+	s.topologyChangedLocked()
 	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownTopic, name)
@@ -438,8 +487,7 @@ func (s *Service) SetWorkerCount(n int) (moved int, cost time.Duration) {
 		}
 	}
 	s.workers = workers
-	s.topology++
-	s.recordTopologyLocked()
+	s.topologyChangedLocked()
 	return moved, cost
 }
 
@@ -486,8 +534,7 @@ func (s *Service) FailWorker(id int) (int, error) {
 		w.mu.Unlock()
 		s.meta.Put([]byte("assign/"+k), []byte(fmt.Sprintf("%d", w.id)))
 	}
-	s.topology++
-	s.recordTopologyLocked()
+	s.topologyChangedLocked()
 	return len(orphans), nil
 }
 
@@ -528,6 +575,7 @@ func (s *Service) SetWorkerDown(id int, down bool) (moved int, cost time.Duratio
 			}
 		}
 		if len(up) == 0 {
+			s.publishLocked() // nothing moved, but every owner is now down
 			return 0, 0
 		}
 		w.mu.Lock()
@@ -578,8 +626,7 @@ func (s *Service) SetWorkerDown(id int, down bool) (moved int, cost time.Duratio
 			cost += c
 		}
 	}
-	s.topology++
-	s.recordTopologyLocked()
+	s.topologyChangedLocked()
 	return moved, cost
 }
 
@@ -605,31 +652,7 @@ func (s *Service) TopologyVersion() int64 {
 	return s.topology
 }
 
-// ownerOf returns the worker serving a stream, skipping workers the
-// cluster has marked down; with no up owner it falls back to the first
-// up worker, then to worker 0 (whose dead links will fail the send —
-// the correct outcome when the whole fleet is down).
-func (s *Service) ownerOf(topic string, idx int) *Worker {
-	key := streamKey(topic, idx)
-	var firstUp *Worker
-	for _, w := range s.workers {
-		w.mu.Lock()
-		ok := w.streams[key] && !w.down
-		if firstUp == nil && !w.down {
-			firstUp = w
-		}
-		w.mu.Unlock()
-		if ok {
-			return w
-		}
-	}
-	if firstUp != nil {
-		return firstUp
-	}
-	return s.workers[0]
-}
-
-// routeLocked picks the stream index for a key (hash routing, matching
+// routeKey picks the stream index for a key (hash routing, matching
 // the stream object's topic/key assignment of Figure 4).
 func routeKey(key []byte, n int) int {
 	if n == 1 {

@@ -3,12 +3,14 @@
 # twice — under the race detector with -short, then race-free in full.
 # Run from the repository root.
 #
-# Three packages look at -short. internal/bench trims its benchmark-shape
+# Four packages look at -short. internal/bench trims its benchmark-shape
 # replays (single-threaded simulation loops, the better part of an hour
 # under -race); internal/chaos runs one seed of three in its two mixed
 # workloads; internal/plog runs 50 steps of its model run, not 120, and
 # skips TestDisabledObsOverheadBound, a wall-clock ratio the detector
-# would distort. The second pass is where all of those run in full.
+# would distort, as internal/streamsvc skips the wall-clock half of
+# TestEnabledObsOverheadBound. The second pass is where all of those run
+# in full.
 #
 # Every performance floor is an ordinary test beside the package it
 # guards, so both passes run it; EXPERIMENTS.md ("Gates") is the index.
@@ -16,6 +18,8 @@ set -eux
 # Size ratchet: non-test Go lines outside benchmark/ may not exceed
 # scripts/loc_ceiling.txt (edit the file in the commit that must).
 sh scripts/loc.sh
+# Doc lint: every test name the docs cite exists.
+sh scripts/doclint.sh
 go build ./...
 go vet ./...
 
@@ -50,11 +54,11 @@ go test ./...
 
 # Fuzz smoke: five seconds of input generation against every target —
 # the decoders of stored or client bytes, the gateway's flat-body
-# recogniser against encoding/json, the erasure kernel against its
-# byte-wise oracle.
+# recogniser against encoding/json, the SQL parser against its own
+# rendering, the erasure kernel against its byte-wise oracle.
 for t in rowcodec:FuzzDecode colfile:FuzzOpen streamobj:FuzzDecodeSlice \
   tableobj:FuzzDecodeCommit tableobj:FuzzDecodeSnapshot \
-  gateway:FuzzDecodeFlat ec:FuzzEncodeReconstruct; do
+  gateway:FuzzDecodeFlat query:FuzzParse ec:FuzzEncodeReconstruct; do
   go test -run '^$' -fuzz "^${t#*:}\$" -fuzztime 5s "./internal/${t%%:*}/"
 done
 
