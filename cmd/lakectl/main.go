@@ -58,8 +58,9 @@
 //	cluster join <node> | remove <node>   (runtime grow/shrink via the metadata log)
 //	cluster tick [n]                  (n heartbeat rounds of virtual time)
 //	cluster rebalance [budget]        (re-replicate off dead nodes, e.g. 2s)
-//	tenant status                     (per-tenant quotas + admission counters; -qos)
+//	tenant status                     (per-tenant quotas + admission counters)
 //	tenant set <name> [weight=N] [priority=N] [capacity=BYTES] [iops=N] [bw=BPS]
+//	                                  (the first tenant set turns metering on)
 //	tenant produce <tenant> <topic> <key> <value>  (send under a tenant identity)
 //	help
 package main
@@ -85,7 +86,6 @@ func main() {
 	zoneMaps := flag.Bool("zonemaps", false, "record zone maps + bloom filters at insert time for scan pruning")
 	compress := flag.Bool("compress", false, "compress extents as tiering demotes logs to the HDD cold tier")
 	nodes := flag.Int("nodes", 0, "run a multi-node cluster of this size (0/1 single-node)")
-	qos := flag.Bool("qos", false, "enable the tenant QoS plane ('tenant set' registers tenants at runtime)")
 	flag.Parse()
 
 	cfg := streamlake.Config{
@@ -94,7 +94,6 @@ func main() {
 		ZoneMaps:          *zoneMaps,
 		Compression:       *compress,
 		Nodes:             *nodes,
-		TenantQoS:         *qos,
 	}
 	if *nodes > 1 {
 		// Every copy needs its own failure domain, and losing a node must
@@ -171,7 +170,7 @@ func (s *shell) exec(line string) error {
 		fmt.Println("          join <node> | remove <node> |")
 		fmt.Println("          tick [n] | rebalance [budget]   (start with -nodes N)")
 		fmt.Println("tenant:   status | set <name> [weight=N] [priority=N] [capacity=BYTES] [iops=N] [bw=BPS] |")
-		fmt.Println("          produce <tenant> <topic> <key> <value>   (start with -qos)")
+		fmt.Println("          produce <tenant> <topic> <key> <value>   (the first set turns metering on)")
 		fmt.Println("advance:  advance <duration> (virtual time, e.g. 30ms)")
 		return nil
 	case "create-topic":
@@ -314,11 +313,7 @@ func (s *shell) exec(line string) error {
 		return nil
 	case "stats":
 		if len(rest) > 0 && rest[0] == "obs" {
-			reg := s.lake.Obs()
-			if reg == nil {
-				return fmt.Errorf("observability disabled")
-			}
-			return reg.WriteProm(os.Stdout)
+			return s.lake.Obs().WriteProm(os.Stdout)
 		}
 		st := s.lake.Stats()
 		fmt.Printf("topics=%d streamObjects=%d tableFiles=%d logical=%dB physical=%dB util=%.1f%% degradedLogs=%d staleBytes=%dB\n",
@@ -855,13 +850,10 @@ func (s *shell) cluster(rest []string) error {
 
 // tenant drives the QoS plane: register or update per-tenant contracts,
 // inspect quotas and admission counters, and produce under a tenant
-// identity so throttling and shedding can be provoked by hand. Requires
-// the shell to have been started with -qos.
+// identity so throttling and shedding can be provoked by hand. Until the
+// first tenant is set, a tenant produce runs unmetered.
 func (s *shell) tenant(rest []string) error {
 	reg := s.lake.Tenants()
-	if reg == nil {
-		return fmt.Errorf("tenant plane is off (restart with -qos)")
-	}
 	sub := "status"
 	if len(rest) > 0 {
 		sub = rest[0]
@@ -965,9 +957,6 @@ func printChaos(rep *chaos.Report) {
 // a recorded trace by id.
 func (s *shell) trace(rest []string) error {
 	tr := s.lake.Tracer()
-	if tr == nil {
-		return fmt.Errorf("observability disabled")
-	}
 	if len(rest) == 0 {
 		return fmt.Errorf("usage: trace produce <topic> <key> <value> | trace last | trace <id>")
 	}

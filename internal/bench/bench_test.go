@@ -248,6 +248,27 @@ func TestFig16aShape(t *testing.T) {
 	Fig16aReport(points).Fprint(&buf)
 }
 
+// TestFig16aDeterministic: Fig 16(a) is a function of its seed. Each
+// partition draws its compaction-conflict roll from the seeded stream,
+// so the partitions must be visited in an order that does not come from
+// map iteration.
+func TestFig16aDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow experiment harness; run without -short")
+	}
+	a, err := RunFig16a([]int{8}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunFig16a([]int{8}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a[0] != b[0] {
+		t.Fatalf("two runs of one seed differ:\n%+v\n%+v", a[0], b[0])
+	}
+}
+
 func TestFig16aUtilShape(t *testing.T) {
 	points := RunFig16aUtil([]float64{5, 20}, 5)
 	for _, p := range points {

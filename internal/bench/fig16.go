@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"streamlake/internal/colfile"
@@ -151,18 +152,25 @@ func fig16aRun(rows int, seed uint64, def *compact.Default, auto *compact.Auto) 
 			return 0, err
 		}
 		byPart := map[string][]int64{}
+		var all []int64
 		for _, f := range cur.Files {
 			byPart[f.Partition] = append(byPart[f.Partition], f.Bytes)
-		}
-		var all []int64
-		for _, sizes := range byPart {
-			all = append(all, sizes...)
+			all = append(all, f.Bytes)
 		}
 		globalUtil := compact.BlockUtilization(all, blockSize)
 		// Feature normalization: ingest speed in training units (a storm
 		// tick's arrivals map to the trained storm rate).
 		ingestRate := float64(filesThisTick) / 3 * 20
-		for partName, sizes := range byPart {
+		// Partitions in sorted order: each draws its conflict roll from
+		// the seeded stream, so which partition gets which draw must not
+		// follow map iteration order.
+		parts := make([]string, 0, len(byPart))
+		for partName := range byPart {
+			parts = append(parts, partName)
+		}
+		sort.Strings(parts)
+		for _, partName := range parts {
+			sizes := byPart[partName]
 			st := compact.State{
 				TargetFileSize: targetFileSize,
 				IngestRate:     ingestRate,

@@ -178,7 +178,7 @@ func (row *Table1Row) runStreamLake(n int, seed uint64) {
 	fs := tableobj.NewFileStore(logs)
 	cat := tableobj.NewCatalog(clock)
 	lh := lakehouse.New(clock, fs, cat, lakehouse.Options{Acceleration: true})
-	conv := convert.New(clock, svc, fs, cat)
+	conv := convert.New(clock, svc, lh)
 
 	transform := func(key, value []byte) (colfile.Row, bool) {
 		_, rows, err := rowcodec.Decode(value)

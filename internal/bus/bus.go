@@ -105,7 +105,7 @@ type Bus struct {
 	batchFill   int   // small sends since the last fixed-cost payment
 	outstanding int64 // high-priority bytes notionally in flight
 	metrics     busMetrics
-	qos         QoS // tenant-aware scheduler, nil = no tenant plane
+	qos         QoS // tenant-aware scheduler; nil on a bare bus
 	net         atomic.Pointer[netAttach]
 }
 
@@ -184,8 +184,8 @@ func (b *Bus) SetNet(h NetHook, local string) {
 
 // SetQoS attaches a tenant-aware scheduler. Every subsequent tenant-
 // tagged send pays its weighted-fair queuing delay on top of the
-// priority model. A nil QoS (the default) keeps the legacy path
-// byte-identical.
+// priority model. Every stream worker's bus carries one; a bare bus
+// (ablations, benchmarks) schedules no tenant.
 func (b *Bus) SetQoS(q QoS) {
 	b.mu.Lock()
 	b.qos = q

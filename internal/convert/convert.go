@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"streamlake/internal/colfile"
+	"streamlake/internal/lakehouse"
 	"streamlake/internal/rowcodec"
 	"streamlake/internal/sim"
 	"streamlake/internal/streamobj"
@@ -53,23 +54,23 @@ type Result struct {
 type Converter struct {
 	clock *sim.Clock
 	svc   *streamsvc.Service
-	fs    *tableobj.FileStore
-	cat   *tableobj.Catalog
+	lh    *lakehouse.Engine
 
 	mu    sync.Mutex
 	state map[string]*topicState
 }
 
 type topicState struct {
-	table      *tableobj.Table
 	watermarks []int64
 	lastRun    time.Duration
 	converted  int64
 }
 
-// New builds a converter over the streaming service and table storage.
-func New(clock *sim.Clock, svc *streamsvc.Service, fs *tableobj.FileStore, cat *tableobj.Catalog) *Converter {
-	return &Converter{clock: clock, svc: svc, fs: fs, cat: cat, state: make(map[string]*topicState)}
+// New builds a converter over the streaming service and the lakehouse
+// engine. Conversion writes through the engine's handle on each table,
+// so converted files are written exactly as inserted ones are.
+func New(clock *sim.Clock, svc *streamsvc.Service, lh *lakehouse.Engine) *Converter {
+	return &Converter{clock: clock, svc: svc, lh: lh, state: make(map[string]*topicState)}
 }
 
 // Converted reports how many messages have been converted for a topic.
@@ -157,9 +158,7 @@ func (c *Converter) doConvert(name string, cfg streamsvc.TopicConfig) (Result, t
 	}
 	c.mu.Unlock()
 
-	var cost time.Duration
-	tbl, tcost, err := c.ensureTable(st, cfg)
-	cost += tcost
+	tbl, cost, err := c.table(cfg)
 	if err != nil {
 		return Result{}, cost, err
 	}
@@ -247,29 +246,24 @@ func (c *Converter) doConvert(name string, cfg streamsvc.TopicConfig) (Result, t
 	return res, cost, nil
 }
 
-func (c *Converter) ensureTable(st *topicState, cfg streamsvc.TopicConfig) (*tableobj.Table, time.Duration, error) {
-	c.mu.Lock()
-	tbl := st.table
-	c.mu.Unlock()
-	if tbl != nil {
-		return tbl, 0, nil
+// table resolves the topic's target table through the engine, creating
+// it on first use. A soft-dropped table is an error, not a fresh table.
+func (c *Converter) table(cfg streamsvc.TopicConfig) (*tableobj.Table, time.Duration, error) {
+	tbl, err := c.lh.Table(cfg.Convert.TableName)
+	if !errors.Is(err, tableobj.ErrUnknownTable) {
+		return tbl, 0, err
 	}
-	tbl, cost, err := tableobj.Open(c.clock, c.fs, c.cat, cfg.Convert.TableName)
-	if errors.Is(err, tableobj.ErrUnknownTable) {
-		tbl, cost, err = tableobj.Create(c.clock, c.fs, c.cat, tableobj.TableMeta{
-			Name:            cfg.Convert.TableName,
-			Path:            cfg.Convert.TablePath,
-			Schema:          cfg.Convert.TableSchema,
-			PartitionColumn: cfg.Convert.PartitionColumn,
-		})
-	}
+	cost, err := c.lh.CreateTable(tableobj.TableMeta{
+		Name:            cfg.Convert.TableName,
+		Path:            cfg.Convert.TablePath,
+		Schema:          cfg.Convert.TableSchema,
+		PartitionColumn: cfg.Convert.PartitionColumn,
+	})
 	if err != nil {
 		return nil, cost, err
 	}
-	c.mu.Lock()
-	st.table = tbl
-	c.mu.Unlock()
-	return tbl, cost, nil
+	tbl, err = c.lh.Table(cfg.Convert.TableName)
+	return tbl, cost, err
 }
 
 // Playback performs the reverse conversion (Section V-B): the rows of a

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"streamlake/internal/colfile"
+	"streamlake/internal/lakehouse"
 	"streamlake/internal/plog"
 	"streamlake/internal/pool"
 	"streamlake/internal/sim"
@@ -20,6 +21,7 @@ type env struct {
 	svc   *streamsvc.Service
 	fs    *tableobj.FileStore
 	cat   *tableobj.Catalog
+	lh    *lakehouse.Engine
 	conv  *Converter
 }
 
@@ -34,7 +36,8 @@ func newEnv(t testing.TB) *env {
 	svc := streamsvc.New(clock, store, 2)
 	fs := tableobj.NewFileStore(plog.NewManager(pool.New("convfs", clock, sim.NVMeSSD, 6, 4<<20), 8<<20))
 	cat := tableobj.NewCatalog(clock)
-	return &env{clock: clock, svc: svc, fs: fs, cat: cat, conv: New(clock, svc, fs, cat)}
+	lh := lakehouse.New(clock, fs, cat, lakehouse.Options{Acceleration: true})
+	return &env{clock: clock, svc: svc, fs: fs, cat: cat, lh: lh, conv: New(clock, svc, lh)}
 }
 
 func convertTopic(name string) streamsvc.TopicConfig {

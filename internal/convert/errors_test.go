@@ -1,6 +1,7 @@
 package convert
 
 import (
+	"errors"
 	"reflect"
 	"sort"
 	"testing"
@@ -32,6 +33,24 @@ func TestConverterReusesExistingTable(t *testing.T) {
 	res, _, err := e.conv.RunOnce()
 	if err != nil || len(res) != 1 || res[0].Messages != 20 {
 		t.Fatalf("conversion into existing table: %+v %v", res, err)
+	}
+}
+
+// A soft-dropped table is not a missing one: conversion into it fails
+// rather than writing files no snapshot the catalog serves will show.
+func TestConversionIntoSoftDroppedTableFails(t *testing.T) {
+	e := newEnv(t)
+	e.svc.CreateTopic(convertTopic("gone"))
+	produceRows(t, e, "gone", 10)
+	if _, _, err := e.conv.ForceTopic("gone"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.lh.DropSoft("gone_table"); err != nil {
+		t.Fatal(err)
+	}
+	produceRows(t, e, "gone", 10)
+	if _, _, err := e.conv.ForceTopic("gone"); !errors.Is(err, tableobj.ErrTableDropped) {
+		t.Fatalf("conversion into a soft-dropped table: %v, want ErrTableDropped", err)
 	}
 }
 

@@ -77,7 +77,7 @@ const (
 
 // Principal is an authenticated identity with its granted permissions.
 // Tenant binds the principal to a tenant's QoS contract; empty means the
-// principal's own name is used when the lake's tenant plane is on.
+// principal's own name is the tenant it produces as.
 type Principal struct {
 	Name        string
 	Tenant      string
@@ -100,7 +100,7 @@ func (a *ACL) Grant(token, name string, perms ...Permission) {
 
 // GrantTenant registers a token for a principal bound to a tenant: the
 // tenant's quotas, fair share, and shed priority govern the principal's
-// produce traffic when the lake's tenant plane is on. The principal is
+// produce traffic once the lake declares tenants. The principal is
 // published complete: handlers read it with no lock once authenticated.
 func (a *ACL) GrantTenant(token, name, ten string, perms ...Permission) {
 	p := &Principal{Name: name, Tenant: ten, Permissions: make(map[Permission]bool, len(perms))}
@@ -308,21 +308,17 @@ func (s *Server) fail(w http.ResponseWriter, err error, code int, sp *obs.Span) 
 	writeError(w, code, body)
 }
 
-// tenantOf resolves the tenant identity a principal's produce traffic
-// runs under. With the tenant plane off everything is the system
-// identity. With it on, the principal's bound tenant (or its own name)
-// must be registered — an unknown tenant is an authentication failure
-// (401, already written when ok=false): the token maps to no contract.
+// tenantOf names the tenant a principal's produce traffic is bound to:
+// its bound tenant, or its own name. The lake's registry decides what
+// that runs as — unmetered while no tenant is declared — and a tenant it
+// does not know is an authentication failure (401, already written when
+// ok=false): the token maps to no contract.
 func (s *Server) tenantOf(w http.ResponseWriter, p *Principal) (string, bool) {
-	reg := s.lake.Tenants()
-	if reg == nil {
-		return "", true
-	}
 	ten := p.Tenant
 	if ten == "" {
 		ten = p.Name
 	}
-	if !reg.Known(ten) {
+	if _, err := s.lake.Tenants().Resolve(ten); err != nil {
 		httpError(w, http.StatusUnauthorized,
 			fmt.Sprintf("principal %s: unknown tenant %q", p.Name, ten))
 		return "", false
@@ -521,8 +517,10 @@ func (s *Server) produce(w http.ResponseWriter, r *http.Request, p *Principal) {
 	}
 	// One long-lived producer per principal: its sequence numbers drive
 	// the stream objects' idempotent dedup, so it must not be recreated
-	// per request. Keyed by name and tenant so a rebound principal gets
-	// a fresh producer under its new contract.
+	// per request — not even when the first declared tenant turns
+	// metering on, which the producer resolves per batch. Keyed by name
+	// and tenant so a rebound principal gets a fresh producer under its
+	// new contract.
 	s.mu.Lock()
 	pkey := producerKey{p.Name, ten}
 	producer, ok := s.producers[pkey]
@@ -531,8 +529,7 @@ func (s *Server) produce(w http.ResponseWriter, r *http.Request, p *Principal) {
 		s.producers[pkey] = producer
 	}
 	s.mu.Unlock()
-	// ?trace=1 records the request's span tree; nil tracer (observability
-	// disabled) degrades to an untraced send.
+	// ?trace=1 records the request's span tree.
 	var sp *obs.Span
 	if q.Get("trace") == "1" {
 		sp = s.lake.Tracer().Start("gateway.produce")
@@ -769,16 +766,11 @@ func (s *Server) clusterRemove(w http.ResponseWriter, r *http.Request, _ *Princi
 	writeJSON(w, map[string]any{"node": req.Node, "removed": true})
 }
 
-// tenants serves every tenant's QoS contract and admission counters.
-// Lakes without a tenant plane report 404.
+// tenants serves every tenant's QoS contract and admission counters:
+// an empty list on a lake that declares none.
 func (s *Server) tenants(w http.ResponseWriter, r *http.Request, _ *Principal) {
-	reg := s.lake.Tenants()
-	if reg == nil {
-		httpError(w, http.StatusNotFound, "tenant plane is off")
-		return
-	}
 	out := make([]map[string]any, 0)
-	for _, st := range reg.Status() {
+	for _, st := range s.lake.Tenants().Status() {
 		out = append(out, map[string]any{
 			"name": st.Name, "weight": st.Weight, "priority": st.Priority,
 			"capacity_bytes": st.CapacityBytes, "iops": st.IOPS,
@@ -801,28 +793,18 @@ func (s *Server) tenants(w http.ResponseWriter, r *http.Request, _ *Principal) {
 // metrics serves the Prometheus text exposition of every layer's
 // counters, gauges, and virtual-time histograms.
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request, _ *Principal) {
-	reg := s.lake.Obs()
-	if reg == nil {
-		httpError(w, http.StatusNotFound, "observability disabled")
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	reg.WriteProm(w)
+	s.lake.Obs().WriteProm(w)
 }
 
 // trace serves one recorded span tree as JSON.
 func (s *Server) trace(w http.ResponseWriter, r *http.Request, _ *Principal) {
-	tr := s.lake.Tracer()
-	if tr == nil {
-		httpError(w, http.StatusNotFound, "observability disabled")
-		return
-	}
 	id, err := strconv.ParseInt(r.PathValue("id"), 10, 64)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "trace id must be an integer")
 		return
 	}
-	sp := tr.Get(id)
+	sp := s.lake.Tracer().Get(id)
 	if sp == nil {
 		httpError(w, http.StatusNotFound, fmt.Sprintf("no trace %d", id))
 		return

@@ -113,27 +113,80 @@ func TestTenantsEndpoint(t *testing.T) {
 	}
 }
 
-// TestTenantsEndpointPlaneOff: without the tenant plane, the admin
-// endpoint 404s (and produce ignores tenancy entirely).
-func TestTenantsEndpointPlaneOff(t *testing.T) {
+// TestFirstTenantTurnsMeteringOn: a lake that declares no tenant runs
+// every principal unmetered — no 401, no tenant on the span, an empty
+// admin list — and the first declared tenant turns metering on for the
+// same server and the same producers: an unbound principal is then
+// refused, a bound one is metered against its contract, and its
+// sequence numbers carry on, so nothing it sends is mistaken for a
+// retransmit.
+func TestFirstTenantTurnsMeteringOn(t *testing.T) {
 	lake, err := streamlake.Open(streamlake.Config{PLogCapacity: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	acl := NewACL()
-	acl.Grant("root-token", "root", PermAdmin)
-	ts := httptest.NewServer(New(lake, acl))
-	t.Cleanup(ts.Close)
-	req, _ := http.NewRequest("GET", ts.URL+"/v1/tenants", nil)
-	req.Header.Set("Authorization", "Bearer root-token")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
+	if err := lake.CreateTopic(streamlake.TopicConfig{Name: "t", StreamNum: 1}); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("plane-off tenants status = %d, want 404", resp.StatusCode)
+	acl := NewACL()
+	acl.Grant("root-token", "root", PermAdmin)
+	acl.Grant("stray-token", "stray", PermProduce)
+	acl.GrantTenant("gold-token", "gold", "gold", PermProduce)
+	ts := httptest.NewServer(New(lake, acl))
+	t.Cleanup(ts.Close)
+	e := &env{lake: lake, acl: acl, ts: ts}
+	small := map[string]string{"key": "k", "value": "dg=="}
+
+	rec := serve(ts.Config.Handler, "GET", "/v1/tenants", "root-token", nil)
+	if rec.Code != http.StatusOK || rec.Body.String() != "{\"tenants\":[]}\n" {
+		t.Fatalf("untenanted /v1/tenants: %d %q, want 200 {\"tenants\":[]}", rec.Code, rec.Body)
 	}
+	for _, token := range []string{"stray-token", "gold-token"} {
+		resp, out := e.do(t, "POST", "/v1/topics/t/messages?trace=1", token, small)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("untenanted produce as %s: %d (%v)", token, resp.StatusCode, out)
+		}
+		if ten, ok := traceAttrs(t, e, out)["tenant"]; ok {
+			t.Fatalf("untenanted produce as %s carries tenant=%v", token, ten)
+		}
+	}
+
+	if err := lake.SetTenant(streamlake.TenantConfig{Name: "gold", BandwidthBps: 2048}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, out := e.do(t, "POST", "/v1/topics/t/messages", "stray-token", small); resp.StatusCode != http.StatusUnauthorized {
+		t.Fatalf("unbound principal after the first tenant: %d (%v), want 401", resp.StatusCode, out)
+	}
+	resp, out := e.do(t, "POST", "/v1/topics/t/messages?trace=1", "gold-token", small)
+	if resp.StatusCode != http.StatusOK || out["offset"] != float64(2) {
+		t.Fatalf("gold produce after the first tenant: %d (%v), want 200 at offset 2", resp.StatusCode, out)
+	}
+	if ten := traceAttrs(t, e, out)["tenant"]; ten != "gold" {
+		t.Fatalf("metered produce tenant attribute = %v, want gold", ten)
+	}
+	over := map[string]string{"key": "k", "value": strings.Repeat("eHh4", 1024)}
+	if resp, out := e.do(t, "POST", "/v1/topics/t/messages", "gold-token", over); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("gold over quota: %d (%v), want 429", resp.StatusCode, out)
+	}
+	_, out = e.do(t, "GET", "/v1/tenants", "root-token", nil)
+	rows, _ := out["tenants"].([]any)
+	if len(rows) != 1 || rows[0].(map[string]any)["name"] != "gold" {
+		t.Fatalf("/v1/tenants after the first tenant: %v, want gold alone", out)
+	}
+}
+
+// traceAttrs fetches the trace a ?trace=1 produce response names and
+// returns its root span's attributes.
+func traceAttrs(t *testing.T, e *env, produced map[string]any) map[string]any {
+	t.Helper()
+	id, ok := produced["trace_id"].(float64)
+	if !ok {
+		t.Fatalf("no trace_id in %v", produced)
+	}
+	_, body := e.do(t, "GET", "/trace/"+strconv.FormatInt(int64(id), 10), "root-token", nil)
+	root, _ := body["root"].(map[string]any)
+	attrs, _ := root["attrs"].(map[string]any)
+	return attrs
 }
 
 // TestGrantTenantPublishesWholePrincipal: handlers read a principal with

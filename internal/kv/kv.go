@@ -383,35 +383,40 @@ func (db *DB) Checkpoint() []byte {
 }
 
 // Restore rebuilds a DB from a Checkpoint into a single immutable run.
-// Existing contents are discarded.
+// Existing contents are discarded. The run is binary-searched, so keys
+// must come strictly ascending, as Checkpoint writes them; lengths must
+// be minimal varints, so what Restore accepts Checkpoint reproduces.
 func (db *DB) Restore(data []byte) error {
 	if len(data) < 4 || string(data[:4]) != "KVC1" {
 		return errors.New("kv: bad checkpoint magic")
 	}
 	data = data[4:]
 	var es []entry
-	var bytes int64
+	var size int64
 	for len(data) > 0 {
 		kl, n := binary.Uvarint(data)
-		if n <= 0 || uint64(len(data)-n) < kl {
-			return errors.New("kv: truncated checkpoint key")
+		if n <= 0 || uint64(len(data)-n) < kl || (n > 1 && data[n-1] == 0) {
+			return errors.New("kv: malformed checkpoint key length")
 		}
 		data = data[n:]
 		key := append([]byte(nil), data[:kl]...)
 		data = data[kl:]
+		if len(es) > 0 && bytes.Compare(es[len(es)-1].key, key) >= 0 {
+			return errors.New("kv: checkpoint keys out of order")
+		}
 		vl, n := binary.Uvarint(data)
-		if n <= 0 || uint64(len(data)-n) < vl {
-			return errors.New("kv: truncated checkpoint value")
+		if n <= 0 || uint64(len(data)-n) < vl || (n > 1 && data[n-1] == 0) {
+			return errors.New("kv: malformed checkpoint value length")
 		}
 		data = data[n:]
 		val := append([]byte(nil), data[:vl]...)
 		data = data[vl:]
 		es = append(es, entry{key: key, value: val})
-		bytes += int64(len(key) + len(val))
+		size += int64(len(key) + len(val))
 	}
 	db.mu.Lock()
 	db.mem = newSkiplist(db.opts.Seed)
-	db.runs = []*run{{entries: es, bytes: bytes}}
+	db.runs = []*run{{entries: es, bytes: size}}
 	db.wal = 0
 	db.mu.Unlock()
 	return nil

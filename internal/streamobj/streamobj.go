@@ -111,10 +111,10 @@ type Store struct {
 	// flush paths read it without the store lock.
 	gc atomic.Pointer[plog.GroupCommitter]
 
-	// tenants is the optional multi-tenancy plane: capacity quotas are
-	// charged at durable append, and poolQoS imposes weighted-fair
-	// admission delay at the pool (slice-flush) entry point. Both nil on
-	// the legacy single-tenant path.
+	// tenants is the multi-tenancy plane: capacity quotas are charged at
+	// durable append, and poolQoS imposes weighted-fair admission delay
+	// at the pool (slice-flush) entry point. Never nil: NewStore starts
+	// with an empty registry, under which nothing is metered.
 	tenants atomic.Pointer[tenant.Registry]
 	poolQoS atomic.Pointer[tenant.Sched]
 }
@@ -182,6 +182,8 @@ func NewStore(clock *sim.Clock, mgr *plog.Manager) *Store {
 		objects: make(map[ObjectID]*Object),
 	}
 	s.EnableGroupCommit(1)
+	reg, _ := tenant.NewRegistry(nil) // no configs, no error
+	s.SetTenants(reg)
 	return s
 }
 
@@ -279,8 +281,8 @@ type Object struct {
 	lastRefill    time.Duration
 	appended      int64
 	bytesAppended int64
-	// Per-tenant byte accounting (lazily allocated, only with a tenant
-	// registry attached): pending counts journal-durable bytes awaiting
+	// Per-tenant byte accounting (lazily allocated, only once a metered
+	// batch arrives): pending counts journal-durable bytes awaiting
 	// pool admission at slice flush; stored counts capacity-charged
 	// bytes, credited back on reclamation.
 	tenantPending map[string]int64
@@ -371,7 +373,7 @@ func (o *Object) AppendTenantCtx(records []Record, producerID string, seq int64,
 	// The dedup window above already ruled the batch new, so a retried
 	// batch can never be capacity-charged twice.
 	reg := o.store.tenants.Load()
-	tenanted := reg != nil && ten != ""
+	tenanted := ten != ""
 	if tenanted {
 		if err := reg.ChargeCapacity(ten, batchBytes); err != nil {
 			return 0, 0, false, err
@@ -450,12 +452,12 @@ func (o *Object) AppendTenantCtx(records []Record, producerID string, seq int64,
 // weighted-fair admission scheduler as flushed bytes enter the SSD
 // pool, returning the scheduling delay to fold into the flush cost.
 // Draining walks tenants in sorted-name order so replays are
-// bit-identical. A no-op without a tenant plane.
+// bit-identical. A no-op until a metered batch arrives.
 func (o *Object) poolAdmitLocked(flushed int64) time.Duration {
-	sched := o.store.poolQoS.Load()
-	if sched == nil || flushed <= 0 || len(o.tenantPending) == 0 {
+	if flushed <= 0 || len(o.tenantPending) == 0 {
 		return 0
 	}
+	sched := o.store.poolQoS.Load()
 	names := make([]string, 0, len(o.tenantPending))
 	for n := range o.tenantPending {
 		names = append(names, n)
@@ -486,10 +488,10 @@ func (o *Object) poolAdmitLocked(flushed int64) time.Duration {
 // tenants, so per-slice attribution is not tracked). Sorted-name order
 // keeps replays bit-identical.
 func (o *Object) creditReclaimLocked(freed int64) {
-	reg := o.store.tenants.Load()
-	if reg == nil || freed <= 0 || len(o.tenantStored) == 0 {
+	if freed <= 0 || len(o.tenantStored) == 0 {
 		return
 	}
+	reg := o.store.tenants.Load()
 	var total int64
 	names := make([]string, 0, len(o.tenantStored))
 	for n, v := range o.tenantStored {

@@ -22,7 +22,7 @@ import (
 type Producer struct {
 	svc    *Service
 	id     string
-	tenant string // tenant identity carried on every batch; "" = system
+	tenant string // the tenant it is bound to, resolved per batch; "" = system
 
 	mu  sync.Mutex
 	seq []int64  // last sequence number per stream, indexed by the stream object's ID
@@ -47,15 +47,13 @@ func (s *Service) Producer(id string) *Producer {
 // TenantProducer is Producer bound to a tenant identity: every batch is
 // admitted against the tenant's quotas before fan-out and carries the
 // tenant through bus scheduling, storage accounting, spans, and load
-// shedding. An empty tenant is the system identity (plain Producer).
+// shedding. The registry resolves the tenant per batch: unmetered while
+// it declares none, metered from the first declared tenant on.
 func (s *Service) TenantProducer(id, ten string) *Producer {
 	p := s.Producer(id)
 	p.tenant = ten
 	return p
 }
-
-// Tenant returns the producer's tenant identity ("" = system).
-func (p *Producer) Tenant() string { return p.tenant }
 
 // Send publishes one key-value message, returning the stored message and
 // the modelled end-to-end produce latency (bus transfer to the stream
@@ -154,20 +152,25 @@ func (p *Producer) sendBatch(sp *obs.Span, topic string, recs []streamobj.Record
 	for _, r := range recs {
 		total += int64(len(r.Key) + len(r.Value))
 	}
-	// Tenant admission: the whole client batch is charged against the
-	// tenant's IOPS and bandwidth buckets exactly once, before fan-out —
-	// internal per-stream retries below never re-admit, so a retried
-	// batch can't be double-charged.
-	if rt.tenants != nil && p.tenant != "" {
+	// Tenant admission: the batch runs as the identity the registry
+	// resolves ("" while no tenant is declared), and a metered batch is
+	// charged against its tenant's IOPS and bandwidth buckets exactly
+	// once, before fan-out — internal per-stream retries below never
+	// re-admit, so a retried batch can't be double-charged.
+	ten, err := rt.tenants.Resolve(p.tenant)
+	if err != nil {
+		return nil, 0, err
+	}
+	if ten != "" {
 		now := p.svc.clock.Now()
 		if rc != nil {
 			now = rc.Now()
 		}
-		if err := rt.tenants.Admit(p.tenant, now, len(recs), total); err != nil {
+		if err := rt.tenants.Admit(ten, now, len(recs), total); err != nil {
 			return nil, 0, err
 		}
 		if sp != nil {
-			sp.SetAttr("tenant", p.tenant)
+			sp.SetAttr("tenant", ten)
 		}
 	}
 	// One run of recs per stream, in ascending stream order: retry,
@@ -175,14 +178,13 @@ func (p *Producer) sendBatch(sp *obs.Span, topic string, recs []streamobj.Record
 	// batch, or chaos replay stops being bit-identical.
 	recs = groupByStream(recs, len(tr.streams))
 	var cost time.Duration
-	var err error
 	for len(recs) > 0 {
 		idx := routeKey(recs[0].Key, len(tr.streams))
 		n := 1
 		for n < len(recs) && routeKey(recs[n].Key, len(tr.streams)) == idx {
 			n++
 		}
-		base, c, serr := p.sendOne(sp, rt, tr, topic, idx, recs[:n], rc)
+		base, c, serr := p.sendOne(sp, rt, tr, topic, idx, ten, recs[:n], rc)
 		cost += c
 		if err = serr; err != nil {
 			break
@@ -215,8 +217,9 @@ func (p *Producer) sendBatch(sp *obs.Span, topic string, recs []streamobj.Record
 // resilience config. The sequence number is assigned once before the
 // first attempt and reused by every retry, so a redelivered batch —
 // whether the forward transfer or the ack was lost — lands in the
-// stream object's dedup window instead of appending twice.
-func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic string, idx int, batch []streamobj.Record, rc *resil.Ctx) (int64, time.Duration, error) {
+// stream object's dedup window instead of appending twice. ten is the
+// identity the batch runs as ("" = unmetered).
+func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic string, idx int, ten string, batch []streamobj.Record, rc *resil.Ctx) (int64, time.Duration, error) {
 	var bytes int64
 	for _, r := range batch {
 		bytes += int64(len(r.Key) + len(r.Value))
@@ -258,15 +261,15 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 		// has left Closed, lowest-priority tenant traffic is shed first —
 		// a deliberate 429 before any bytes move, so shed load never
 		// reaches storage and can never be acked-then-lost.
-		if reg != nil && p.tenant != "" && br.State() != resil.Closed && reg.ShouldShed(p.tenant) {
+		if ten != "" && br.State() != resil.Closed && reg.ShouldShed(ten) {
 			m.sheds.Inc()
 			if sp != nil {
 				e := sp.Child("tenant.shed")
 				e.SetAttr("endpoint", ep)
-				e.SetAttr("tenant", p.tenant)
+				e.SetAttr("tenant", ten)
 				e.End(0)
 			}
-			return 0, reg.Shed(p.tenant, br.RetryAfter(vnow())), true
+			return 0, reg.Shed(ten, br.RetryAfter(vnow())), true
 		}
 		if aerr := br.Allow(vnow()); aerr != nil {
 			m.sheds.Inc()
@@ -278,7 +281,7 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 			return 0, fmt.Errorf("streamsvc: produce to %s: %w", ep, aerr), true
 		}
 		// Forward transfer to the stream worker.
-		busCost, serr := w.bus.SendLinkT("client", ep, bytes, bus.Normal, p.tenant)
+		busCost, serr := w.bus.SendLinkT("client", ep, bytes, bus.Normal, ten)
 		cost += busCost
 		if sp != nil {
 			b := sp.Child("bus.send")
@@ -308,7 +311,7 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 				osp.SetAttr("attempt", strconv.Itoa(attempt))
 			}
 		}
-		base, c, appended, aerr := obj.AppendTenantCtx(batch, p.id, seq, p.tenant, osp, rc)
+		base, c, appended, aerr := obj.AppendTenantCtx(batch, p.id, seq, ten, osp, rc)
 		if osp != nil {
 			osp.End(c)
 			sp.Advance(c)
@@ -316,12 +319,12 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 		cost += c
 		if appended {
 			appendedThisCall = true
-		} else if aerr == nil && !appendedThisCall && !refunded && reg != nil && p.tenant != "" {
+		} else if aerr == nil && !appendedThisCall && !refunded && ten != "" {
 			// Dedup re-ack of a batch some EARLIER producer incarnation
 			// appended: this call's fresh admission did no work — hand
 			// the tokens back so the retried batch nets one charge.
 			refunded = true
-			reg.Refund(p.tenant, len(batch), bytes)
+			reg.Refund(ten, len(batch), bytes)
 		}
 		if aerr != nil {
 			if errors.Is(aerr, resil.ErrDeadlineExceeded) {
@@ -372,7 +375,7 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 		// A lost ack leaves the append durable but the client unsure —
 		// the retry resends and the dedup window answers with the
 		// original base offset.
-		ackCost, ackErr := w.bus.SendLinkT(ep, "client", cfg.AckBytes, bus.High, p.tenant)
+		ackCost, ackErr := w.bus.SendLinkT(ep, "client", cfg.AckBytes, bus.High, ten)
 		cost += ackCost
 		if sp != nil {
 			sp.Advance(ackCost)

@@ -124,16 +124,17 @@ type Service struct {
 	// reads it without s.mu.
 	gate atomic.Pointer[CommitGate]
 
-	// tenants is the optional multi-tenancy plane (nil = legacy path);
-	// qosWire attaches the per-worker bus scheduler so rescaled fleets
-	// (SetWorkerCount) inherit it.
+	// tenants is the multi-tenancy plane, never nil (New starts with an
+	// empty registry); qosWire attaches the per-worker bus scheduler so
+	// rescaled fleets (SetWorkerCount) inherit it.
 	tenants *tenant.Registry
 	qosWire func(*Worker)
 }
 
 // SetTenants attaches the tenant registry and gives every worker bus a
 // weighted-fair scheduler over its link bandwidth. Workers created by
-// later rescales inherit the wiring. Call at wiring time.
+// later rescales inherit the wiring. Call at wiring time; the lake
+// shares one registry between the service and its store.
 func (s *Service) SetTenants(reg *tenant.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -161,8 +162,7 @@ func (s *Service) wireQoSLocked(reg *tenant.Registry) {
 	}
 }
 
-// Tenants returns the attached tenant registry (nil on the legacy
-// single-tenant path).
+// Tenants returns the attached tenant registry.
 func (s *Service) Tenants() *tenant.Registry { return s.routes.Load().tenants }
 
 // CommitGate is the cluster's produce-commit hook: called after a batch
@@ -257,6 +257,8 @@ func New(clock *sim.Clock, store *streamobj.Store, workerCount int) *Service {
 	for i := 0; i < workerCount; i++ {
 		s.workers = append(s.workers, newWorker(i))
 	}
+	reg, _ := tenant.NewRegistry(nil) // no configs, no error
+	s.SetTenants(reg)
 	s.SetResilience(ResilienceConfig{})
 	return s
 }
@@ -466,9 +468,7 @@ func (s *Service) SetWorkerCount(n int) (moved int, cost time.Duration) {
 		if s.netHook != nil {
 			workers[i].bus.SetNet(s.netHook, workers[i].ep)
 		}
-		if s.qosWire != nil {
-			s.qosWire(workers[i])
-		}
+		s.qosWire(workers[i])
 	}
 	// The fleet is rebuilt from scratch (fresh down flags, hash-based
 	// baseline): displaced-stream bookkeeping restarts with it.

@@ -131,16 +131,17 @@ func TestDedupReplayRefundsExactlyOnce(t *testing.T) {
 // coalesced commit is attributed to the tenant that produced it, not
 // lost in the fold.
 func TestGroupCommitFlushPaysPoolAdmission(t *testing.T) {
-	// The registry is attached to the store only, not the service: the
-	// worker buses carry no QoS scheduler, so weighted-fair pool
-	// admission at slice flush is the ONLY possible source of WFQ delay
-	// below.
+	// The worker buses carry the shared-backlog control scheduler, which
+	// attributes no delay to any tenant, so weighted-fair pool admission
+	// at slice flush is the ONLY possible source of WFQ delay below.
 	s := newService(t, 1)
 	reg, err := tenant.NewRegistry([]tenant.Config{{Name: "acme"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetTenants(reg)
 	s.Store().SetTenants(reg)
+	s.SetContention()
 	s.Store().EnableGroupCommit(2)
 	if err := s.CreateTopic(TopicConfig{Name: "t", StreamNum: 1}); err != nil {
 		t.Fatal(err)

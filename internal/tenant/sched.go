@@ -55,7 +55,9 @@ func NewSched(clock *sim.Clock, reg *Registry, bwBps int64) *Sched {
 // returns the queuing delay the send should observe. class is clamped to
 // [0,2] (bus High/Normal/Low).
 func (s *Sched) Delay(name string, class int, n int64) time.Duration {
-	if s == nil || s.bw <= 0 || n <= 0 {
+	// Isolated: the system identity is exempt, so an untenanted send
+	// pays this one compare and neither the clock nor the lock.
+	if s == nil || s.bw <= 0 || n <= 0 || (name == "" && s.reg != nil) {
 		return 0
 	}
 	if class < 0 {
@@ -83,10 +85,6 @@ func (s *Sched) Delay(name string, class int, n int64) time.Duration {
 		return time.Duration(q.shared / s.bw * float64(time.Second))
 	}
 
-	// Isolated: the anonymous tenant is exempt (legacy traffic).
-	if name == "" {
-		return 0
-	}
 	w, total, ok := s.reg.shareOf(name)
 	if !ok || total <= 0 {
 		return 0

@@ -8,9 +8,11 @@
 // clock, so two runs with the same seed admit, throttle, and delay the
 // same requests in the same order — the bit-identical-replay property
 // the chaos harness enforces. The empty tenant name "" is the system
-// identity (internal services, legacy single-tenant callers): it is
-// exempt from quotas and scheduling, which is what makes an empty
-// Config.Tenants registry byte-identical to the pre-tenant lake.
+// identity (internal services, untenanted callers): it is exempt from
+// quotas and scheduling. This package alone decides what is metered: a
+// registry that declares no tenant runs every name as the system
+// identity, and declaring the first tenant — at construction or through
+// Set — turns metering on (Resolve).
 package tenant
 
 import (
@@ -291,16 +293,34 @@ func (r *Registry) Names() []string {
 	return r.namesLocked()
 }
 
-// Known reports whether a tenant is registered. The system identity ""
-// is always known.
-func (r *Registry) Known(name string) bool {
+// Resolve names the identity a request for tenant name runs as: the
+// system identity "" while no tenant is declared, name itself when it
+// is registered, and ErrUnknown otherwise — the token maps to no
+// contract.
+func (r *Registry) Resolve(name string) (string, error) {
 	if name == "" {
-		return true
+		return "", nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	_, ok := r.ten[name]
-	return ok
+	if st, err := r.lookupLocked(name); st == nil {
+		return "", err
+	}
+	return name, nil
+}
+
+// lookupLocked is the metering rule: no state (and no error) for the
+// system identity and for every name while no tenant is declared, the
+// tenant's state when it is registered, ErrUnknown otherwise.
+func (r *Registry) lookupLocked(name string) (*state, error) {
+	if name == "" || len(r.ten) == 0 {
+		return nil, nil
+	}
+	st, ok := r.ten[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknown, name)
+	}
+	return st, nil
 }
 
 // Get returns a tenant's contract.
@@ -317,17 +337,14 @@ func (r *Registry) Get(name string) (Config, bool) {
 // Admit charges one produce batch (ops records, bytes payload) against
 // the tenant's IOPS and bandwidth buckets at virtual time now. Either
 // both buckets are charged or neither: a rejection consumes nothing and
-// returns a QuotaError carrying the refill wait. The system identity ""
-// is exempt; unknown tenants get ErrUnknown.
+// returns a QuotaError carrying the refill wait. What Resolve runs as
+// the system identity is exempt; unknown tenants get ErrUnknown.
 func (r *Registry) Admit(name string, now time.Duration, ops int, bytes int64) error {
-	if name == "" {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st, ok := r.ten[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknown, name)
+	st, err := r.lookupLocked(name)
+	if st == nil {
+		return err
 	}
 	iw, iok := st.iops.take(now, float64(st.cfg.IOPS), float64(ops))
 	if !iok {
@@ -375,14 +392,14 @@ func (r *Registry) Refund(name string, ops int, bytes int64) {
 // Called at durable append, after the dedup window has ruled the batch
 // new, so a retried batch is charged exactly once.
 func (r *Registry) ChargeCapacity(name string, bytes int64) error {
-	if name == "" || bytes <= 0 {
+	if bytes <= 0 {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st, ok := r.ten[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknown, name)
+	st, err := r.lookupLocked(name)
+	if st == nil {
+		return err
 	}
 	if st.cfg.CapacityBytes > 0 && st.stats.StoredBytes+bytes > st.cfg.CapacityBytes {
 		st.stats.CapacityRejects++

@@ -208,7 +208,38 @@ func TestStatusSortedByName(t *testing.T) {
 	if got := r.Names(); len(got) != 3 || got[0] != "alpha" {
 		t.Fatalf("names = %v", got)
 	}
-	if !r.Known("alpha") || r.Known("ghost") || !r.Known("") {
-		t.Fatal("Known misclassifies")
+}
+
+// TestResolveFirstTenantTurnsMeteringOn: with no tenant declared every
+// name runs as the system identity and nothing is metered; the first
+// declared tenant turns metering on, after which an undeclared name is
+// unknown.
+func TestResolveFirstTenantTurnsMeteringOn(t *testing.T) {
+	r := mustRegistry(t)
+	for _, name := range []string{"", "gold", "ghost"} {
+		if got, err := r.Resolve(name); got != "" || err != nil {
+			t.Fatalf("untenanted Resolve(%q) = %q, %v; want system identity", name, got, err)
+		}
+	}
+	if err := r.Admit("ghost", 0, 1, 1<<30); err != nil {
+		t.Fatalf("untenanted admit: %v", err)
+	}
+	if err := r.ChargeCapacity("ghost", 1<<30); err != nil {
+		t.Fatalf("untenanted capacity charge: %v", err)
+	}
+	if err := r.Set(Config{Name: "gold", BandwidthBps: 2048}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.Resolve("gold"); got != "gold" || err != nil {
+		t.Fatalf("Resolve(gold) = %q, %v", got, err)
+	}
+	if got, err := r.Resolve(""); got != "" || err != nil {
+		t.Fatalf("Resolve(\"\") = %q, %v", got, err)
+	}
+	if _, err := r.Resolve("ghost"); !errors.Is(err, ErrUnknown) {
+		t.Fatalf("Resolve(ghost) = %v, want ErrUnknown", err)
+	}
+	if err := r.Admit("gold", 0, 1, 4096); !errors.Is(err, ErrOverQuota) {
+		t.Fatalf("declared tenant over quota: %v, want ErrOverQuota", err)
 	}
 }

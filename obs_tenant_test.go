@@ -105,39 +105,24 @@ func TestMetricsDeterministicWithTenants(t *testing.T) {
 	}
 }
 
-// TestDisabledObsTenantOverhead: with observability off, the tenant
-// plane still enforces quotas through nil-safe instruments, and the
-// produce hot path stays within the allocation budget — the "you only
-// pay for what you scrape" contract extended to tenancy.
-func TestDisabledObsTenantOverhead(t *testing.T) {
+// TestTenantedProduceAllocs: a tenant-bound produce — resolution,
+// quota admission, weighted-fair scheduling, capacity charging and the
+// tenant's instruments — stays within the allocation budget. That quotas
+// bite with no metrics registry attached is the tenant package's own
+// concern (tenant.TestAdmitChargesBothBucketsOrNeither builds its
+// registry without one).
+func TestTenantedProduceAllocs(t *testing.T) {
 	lake, err := streamlake.Open(streamlake.Config{
-		PLogCapacity:         1 << 20,
-		Seed:                 7,
-		DisableObservability: true,
-		Tenants: []streamlake.TenantConfig{
-			{Name: "gold"},
-			{Name: "tin", BandwidthBps: 2048},
-		},
+		PLogCapacity: 1 << 20,
+		Seed:         7,
+		Tenants:      []streamlake.TenantConfig{{Name: "gold"}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lake.Obs() != nil {
-		t.Fatal("observability registry present despite DisableObservability")
-	}
 	if err := lake.CreateTopic(streamlake.TopicConfig{Name: "events", StreamNum: 2}); err != nil {
 		t.Fatal(err)
 	}
-	// Quotas still bite without a registry to report to.
-	tin := lake.TenantProducer("o-tin", "tin")
-	if _, _, err := tin.Send("events", []byte("k"), bytes.Repeat([]byte("v"), 4096)); !errors.Is(err, tenant.ErrOverQuota) {
-		t.Fatalf("unobserved over-quota send: %v, want ErrOverQuota", err)
-	}
-	st, ok := lake.Tenants().StatsOf("tin")
-	if !ok || st.Throttled != 1 {
-		t.Fatalf("unobserved throttle not counted: %+v", st)
-	}
-
 	gold := lake.TenantProducer("o-gold", "gold")
 	val := []byte("payload")
 	var i int
@@ -147,11 +132,14 @@ func TestDisabledObsTenantOverhead(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// gateway.TestProduceRequestAllocs pins an obs-on produce request at
-	// <=12 allocs from ServeHTTP down; obs-off with tenancy gets generous
-	// headroom for the runtime and the key Sprintf above, not a license
-	// for instrument allocations.
+	// gateway.TestProduceRequestAllocs pins a produce request at <=12
+	// allocs from ServeHTTP down; this gets generous headroom for the
+	// runtime and the key Sprintf above, not a license for instrument
+	// allocations.
 	if allocs > 96 {
-		t.Fatalf("disabled-obs tenanted produce = %.0f allocs/op, ceiling 96", allocs)
+		t.Fatalf("tenanted produce = %.0f allocs/op, ceiling 96", allocs)
+	}
+	if st, ok := lake.Tenants().StatsOf("gold"); !ok || st.Admitted == 0 {
+		t.Fatalf("gold sends were not metered: %+v", st)
 	}
 }

@@ -53,12 +53,14 @@ go test ./...
 (cd benchmark && go vet ./... && go test -short ./...)
 
 # Fuzz smoke: five seconds of input generation against every target —
-# the decoders of stored or client bytes, the gateway's flat-body
-# recogniser against encoding/json, the SQL parser against its own
-# rendering, the erasure kernel against its byte-wise oracle.
+# the decoders of stored or client bytes (KV checkpoints and compressed
+# extents among them), the gateway's flat-body recogniser against
+# encoding/json, the SQL parser against its own rendering, the erasure
+# kernel against its byte-wise oracle.
 for t in rowcodec:FuzzDecode colfile:FuzzOpen streamobj:FuzzDecodeSlice \
   tableobj:FuzzDecodeCommit tableobj:FuzzDecodeSnapshot \
-  gateway:FuzzDecodeFlat query:FuzzParse ec:FuzzEncodeReconstruct; do
+  gateway:FuzzDecodeFlat query:FuzzParse ec:FuzzEncodeReconstruct \
+  kv:FuzzRestore compress:FuzzDecode; do
   go test -run '^$' -fuzz "^${t#*:}\$" -fuzztime 5s "./internal/${t%%:*}/"
 done
 

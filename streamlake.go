@@ -124,9 +124,6 @@ type Config struct {
 	// PLogCapacity overrides the 128 MB PLog address space (tests use
 	// smaller logs).
 	PLogCapacity int64
-	// DisableObservability skips the metrics registry and tracer; every
-	// instrument becomes a no-op (the overhead baseline).
-	DisableObservability bool
 	// GroupCommitSlices sizes group commit: up to this many full slice
 	// flushes coalesce into one PLog commit (one device write per
 	// placement copy instead of one per slice). 0 or 1 (the default)
@@ -165,16 +162,14 @@ type Config struct {
 	// rest. Extent reads fill it only after checksum verification, and
 	// repair/scrub/migration/DML events invalidate affected entries.
 	CacheMB int
-	// Tenants declares the lake's tenants and their QoS contracts,
-	// turning on the multi-tenancy plane: per-tenant quota admission,
-	// weighted-fair scheduling on the worker buses and at pool
-	// admission, and priority-ordered load shedding under overload.
-	// Empty (the default) keeps the legacy single-tenant path
-	// byte-identical, including all chaos replay digests.
+	// Tenants declares the lake's tenants and their QoS contracts at
+	// Open: per-tenant quota admission, weighted-fair scheduling on the
+	// worker buses and at pool admission, and priority-ordered load
+	// shedding under overload. Every lake holds a tenant registry; while
+	// it declares no tenant (the default) every request runs as the
+	// unmetered system identity, and the first tenant declared — here
+	// or later through SetTenant — turns metering on.
 	Tenants []TenantConfig
-	// TenantQoS forces the tenant plane on even with an empty Tenants
-	// list (tenants are then added at runtime via SetTenant / lakectl).
-	TenantQoS bool
 	// Seed drives all randomized components deterministically.
 	Seed uint64
 }
@@ -200,11 +195,11 @@ type Lake struct {
 	inj     *faults.Injector
 	rep     *repair.Service
 	scrub   *scrub.Service
-	reg     *obs.Registry    // nil when observability is disabled
-	tracer  *obs.Tracer      // nil when observability is disabled
+	reg     *obs.Registry
+	tracer  *obs.Tracer
 	rcache  *cache.Cache     // nil when Config.CacheMB is 0
 	clus    *cluster.Cluster // nil when Config.Nodes <= 1
-	tenants *tenant.Registry // nil when the tenant plane is off
+	tenants *tenant.Registry
 
 	tierSizes map[plog.ID]int64 // per-log size at the last tiering pass
 }
@@ -250,7 +245,7 @@ func Open(cfg Config) (*Lake, error) {
 		fs:      fs,
 		cat:     cat,
 		lh:      lh,
-		conv:    convert.New(clock, svc, fs, cat),
+		conv:    convert.New(clock, svc, lh),
 		arch:    convert.NewArchiver(clock, svc, tiers),
 		tiers:   tiers,
 		repl:    tiering.NewReplicator(),
@@ -274,17 +269,15 @@ func Open(cfg Config) (*Lake, error) {
 	svc.SetResilience(streamsvc.ResilienceConfig{Seed: int64(cfg.Seed)})
 	// Multi-tenancy plane: quota admission at the producer, weighted-fair
 	// scheduling on the worker buses and at pool admission, capacity
-	// charging at durable append. Off (nil registry) unless configured,
-	// keeping the legacy path byte-identical.
-	if len(cfg.Tenants) > 0 || cfg.TenantQoS {
-		reg, err := tenant.NewRegistry(cfg.Tenants)
-		if err != nil {
-			return nil, err
-		}
-		l.tenants = reg
-		svc.SetTenants(reg)
-		store.SetTenants(reg)
+	// charging at durable append — one registry for the whole lake, which
+	// meters nothing until a tenant is declared.
+	tenants, err := tenant.NewRegistry(cfg.Tenants)
+	if err != nil {
+		return nil, err
 	}
+	l.tenants = tenants
+	svc.SetTenants(tenants)
+	store.SetTenants(tenants)
 	logs.SetHedge(plog.HedgeConfig{Enabled: true})
 	l.rep = repair.New(clock, logs, repair.Config{})
 	l.scrub = scrub.New(clock, logs, l.rep, scrub.Config{Repair: true})
@@ -330,28 +323,24 @@ func Open(cfg Config) (*Lake, error) {
 		svc.SetCommitGate(cl)
 		l.clus = cl
 	}
-	if !cfg.DisableObservability {
-		l.reg = obs.NewRegistry(clock)
-		l.tracer = obs.NewTracer(clock)
-		ssd.SetObs(l.reg)
-		hdd.SetObs(l.reg)
-		logs.SetObs(l.reg)
-		store.SetObs(l.reg)
-		svc.SetObs(l.reg)
-		lh.SetObs(l.reg)
-		l.sql.SetObs(l.reg)
-		l.rep.SetObs(l.reg)
-		l.scrub.SetObs(l.reg)
-		if l.rcache != nil {
-			l.rcache.SetObs(l.reg)
-		}
-		if l.clus != nil {
-			l.clus.SetObs(l.reg)
-		}
-		if l.tenants != nil {
-			l.tenants.SetObs(l.reg)
-		}
+	l.reg = obs.NewRegistry(clock)
+	l.tracer = obs.NewTracer(clock)
+	ssd.SetObs(l.reg)
+	hdd.SetObs(l.reg)
+	logs.SetObs(l.reg)
+	store.SetObs(l.reg)
+	svc.SetObs(l.reg)
+	lh.SetObs(l.reg)
+	l.sql.SetObs(l.reg)
+	l.rep.SetObs(l.reg)
+	l.scrub.SetObs(l.reg)
+	if l.rcache != nil {
+		l.rcache.SetObs(l.reg)
 	}
+	if l.clus != nil {
+		l.clus.SetObs(l.reg)
+	}
+	tenants.SetObs(l.reg)
 	if l.clus != nil {
 		if err := l.clus.Bootstrap(); err != nil {
 			return nil, err
@@ -372,13 +361,11 @@ func (l *Lake) FlushCache() int {
 	return l.rcache.Flush()
 }
 
-// Obs exposes the lake's metrics registry; nil when observability is
-// disabled. The registry aggregates every layer's counters, gauges, and
-// virtual-time histograms.
+// Obs exposes the lake's metrics registry, which aggregates every
+// layer's counters, gauges, and virtual-time histograms.
 func (l *Lake) Obs() *obs.Registry { return l.reg }
 
-// Tracer exposes the lake's request tracer; nil when observability is
-// disabled.
+// Tracer exposes the lake's request tracer.
 func (l *Lake) Tracer() *obs.Tracer { return l.tracer }
 
 // Clock exposes the lake's virtual clock (experiments advance it).
@@ -417,18 +404,13 @@ func (l *Lake) Producer(id string) *Producer { return l.svc.Producer(id) }
 // scheduling, storage accounting, and spans.
 func (l *Lake) TenantProducer(id, ten string) *Producer { return l.svc.TenantProducer(id, ten) }
 
-// Tenants exposes the tenant registry; nil when the tenant plane is off.
+// Tenants exposes the lake's tenant registry.
 func (l *Lake) Tenants() *tenant.Registry { return l.tenants }
 
-// SetTenant adds or updates a tenant's QoS contract at runtime. It
-// fails when the tenant plane is off (configure Tenants or TenantQoS at
-// Open).
-func (l *Lake) SetTenant(cfg TenantConfig) error {
-	if l.tenants == nil {
-		return fmt.Errorf("streamlake: tenant plane is off (set Config.Tenants or TenantQoS)")
-	}
-	return l.tenants.Set(cfg)
-}
+// SetTenant adds or updates a tenant's QoS contract at runtime. The
+// first tenant declared on a lake turns metering on: from then on a
+// tenant-bound request must name a declared tenant.
+func (l *Lake) SetTenant(cfg TenantConfig) error { return l.tenants.Set(cfg) }
 
 // Consumer returns a consumer handle in the given group.
 func (l *Lake) Consumer(group string) *Consumer { return l.svc.Consumer(group) }
