@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -25,6 +26,7 @@ func TestChaosInvariantsHold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDigest(t, "full-1", rep)
 	for _, v := range rep.Violations {
 		t.Errorf("invariant violated: %s", v)
 	}
@@ -49,6 +51,7 @@ func TestChaosReplayIsBitIdentical(t *testing.T) {
 	if !same {
 		t.Fatalf("replay diverged from original run (digest %x)", rep.Digest)
 	}
+	checkDigest(t, "full-7", rep)
 	if len(rep.Violations) != 0 {
 		t.Fatalf("violations: %v", rep.Violations)
 	}
@@ -57,6 +60,7 @@ func TestChaosReplayIsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDigest(t, "full-8", other)
 	if other.Digest == rep.Digest {
 		t.Fatal("different seeds produced identical digests")
 	}
@@ -75,6 +79,11 @@ func TestHedgingCutsTailLatency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		name := "unhedged-11"
+		if hedge {
+			name = "hedged-11"
+		}
+		checkDigest(t, name, rep)
 		if len(rep.Violations) != 0 {
 			t.Fatalf("violations (hedge=%v): %v", hedge, rep.Violations)
 		}
@@ -121,6 +130,7 @@ func TestMixedWorkloadCacheCoherence(t *testing.T) {
 		if !same {
 			t.Errorf("seed %d: mixed replay diverged (digest %x)", seed, rep.Digest)
 		}
+		checkDigest(t, fmt.Sprint("mixed-", seed), rep)
 		for _, v := range rep.Violations {
 			t.Errorf("seed %d: invariant violated: %s", seed, v)
 		}
@@ -161,6 +171,7 @@ func TestGroupCommitChaos(t *testing.T) {
 	if !same {
 		t.Fatalf("group-commit replay diverged (digest %x)", rep.Digest)
 	}
+	checkDigest(t, "group-commit-5", rep)
 	for _, v := range rep.Violations {
 		t.Errorf("invariant violated: %s", v)
 	}
@@ -205,6 +216,7 @@ func TestCompressedMixedChaos(t *testing.T) {
 		if !same {
 			t.Errorf("seed %d: compressed replay diverged (digest %x)", seed, rep.Digest)
 		}
+		checkDigest(t, fmt.Sprint("compressed-", seed), rep)
 		for _, v := range rep.Violations {
 			t.Errorf("seed %d: invariant violated: %s", seed, v)
 		}
@@ -237,6 +249,7 @@ func TestCompressionOffReplaysLegacyDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDigest(t, "mixed-300-7", a)
 	off := base
 	off.Compressed = false // explicit: the zero value must change nothing
 	b, err := Run(off)
@@ -252,6 +265,7 @@ func TestCompressionOffReplaysLegacyDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDigest(t, "compressed-300-7", c)
 	if len(c.Violations) != 0 {
 		t.Fatalf("compressed run violated invariants: %v", c.Violations)
 	}

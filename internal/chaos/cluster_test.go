@@ -27,6 +27,7 @@ func TestClusterFailoverChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDigest(t, "failover-3", rep)
 	for _, v := range rep.Violations {
 		t.Errorf("invariant violated: %s", v)
 	}
@@ -60,6 +61,7 @@ func TestClusterSplitBrainChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDigest(t, "split-brain-11", rep)
 	for _, v := range rep.Violations {
 		t.Errorf("invariant violated: %s", v)
 	}
@@ -90,6 +92,7 @@ func TestClusterChaosReplayIsBitIdentical(t *testing.T) {
 	if !same {
 		t.Fatalf("clustered replay diverged (digest %x)", rep.Digest)
 	}
+	checkDigest(t, "cluster-21", rep)
 	if len(rep.Violations) != 0 {
 		t.Fatalf("violations: %v", rep.Violations)
 	}

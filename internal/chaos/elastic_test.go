@@ -31,6 +31,7 @@ func TestClusterElasticChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDigest(t, "elastic-7", rep)
 	for _, v := range rep.Violations {
 		t.Errorf("invariant violated: %s", v)
 	}
@@ -67,6 +68,7 @@ func TestClusterElasticReplayIsBitIdentical(t *testing.T) {
 	if !same {
 		t.Fatalf("elastic replay diverged (digest %x)", rep.Digest)
 	}
+	checkDigest(t, "elastic-7", rep)
 	if len(rep.Violations) != 0 {
 		t.Fatalf("violations: %v", rep.Violations)
 	}
@@ -87,6 +89,7 @@ func TestClusterElasticLargeN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDigest(t, "large-n-101", rep)
 	for _, v := range rep.Violations {
 		t.Errorf("invariant violated: %s", v)
 	}

@@ -22,6 +22,7 @@ func TestNoisyNeighborChaos(t *testing.T) {
 	if !same {
 		t.Fatalf("noisy-neighbor replay diverged (digest %x)", rep.Digest)
 	}
+	checkDigest(t, "noisy-21", rep)
 	for _, v := range rep.Violations {
 		t.Errorf("invariant violated: %s", v)
 	}
@@ -44,6 +45,7 @@ func TestNoisyNeighborChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDigest(t, "noisy-22", other)
 	if other.Digest == rep.Digest {
 		t.Fatal("different seeds produced identical noisy-neighbor digests")
 	}

@@ -3,6 +3,7 @@ package streamsvc
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,7 +16,10 @@ import (
 // reads, registry snapshots and Prometheus renders all race. Under
 // -race this fails on any metric bumped outside its owning lock or any
 // snapshot path reading shared state unlocked (the GaugeFuncs call back
-// into Service/Worker accessors while traffic is live).
+// into Service/Worker accessors while traffic is live). The bus totals
+// must survive the rescales that retire every worker's bus: no snapshot
+// sees one go down, and the sends total ends with every message's
+// forward transfer and ack in it.
 func TestObsSnapshotRace(t *testing.T) {
 	s := newService(t, 3)
 	reg := obs.NewRegistry(sim.NewClock())
@@ -66,11 +70,19 @@ func TestObsSnapshotRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		last := map[string]int64{}
 		for i := 0; i < rounds; i++ {
 			snap := reg.Snapshot()
 			if snap.Counter("streamsvc_produced_messages_total") < 0 {
 				t.Error("negative counter")
 				return
+			}
+			for name, v := range snap.Counters {
+				if strings.HasPrefix(name, "bus_") && v < last[name] {
+					t.Errorf("%s went down from %d to %d", name, last[name], v)
+					return
+				}
+				last[name] = v
 			}
 			if err := reg.WriteProm(io.Discard); err != nil {
 				t.Error(err)
@@ -99,5 +111,8 @@ func TestObsSnapshotRace(t *testing.T) {
 	}
 	if workerTotal < 0 || workerTotal > produced {
 		t.Fatalf("worker appended sum %d outside [0, %d]", workerTotal, produced)
+	}
+	if sends := snap.Counter(`bus_sends_total{path="rdma"}`); sends < 2*produced {
+		t.Fatalf("bus sends = %d, want at least %d: a forward transfer and an ack per message", sends, 2*produced)
 	}
 }

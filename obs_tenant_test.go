@@ -53,46 +53,17 @@ func runTenantWorkload(t *testing.T) []byte {
 	if throttled == 0 {
 		t.Fatal("tin tenant never throttled — the workload is degenerate")
 	}
-	c := lake.Consumer("g")
-	if err := c.Subscribe("events"); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		msgs, _, err := c.Poll(128)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(msgs) == 0 {
-			break
-		}
-	}
-	var buf bytes.Buffer
-	if err := lake.Obs().WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	drainTopic(t, lake, "g", "events")
+	return renderMetrics(t, lake)
 }
 
 // TestMetricsDeterministicWithTenants: the tenant plane's instruments —
 // per-tenant admission, throttle, and WFQ-delay series — measure
 // virtual time and seeded decisions only, so the full exposition stays
-// byte-identical run to run with quotas actively rejecting traffic.
+// byte-identical run to run, and equal to its golden, with quotas
+// actively rejecting traffic.
 func TestMetricsDeterministicWithTenants(t *testing.T) {
-	a := runTenantWorkload(t)
-	b := runTenantWorkload(t)
-	if !bytes.Equal(a, b) {
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				lo := i - 100
-				if lo < 0 {
-					lo = 0
-				}
-				t.Fatalf("metrics diverge at byte %d:\nrun1: ...%s\nrun2: ...%s", i, a[lo:i+1], b[lo:i+1])
-			}
-		}
-		t.Fatalf("metrics lengths differ: %d vs %d", len(a), len(b))
-	}
-	text := string(a)
+	text := string(checkMetricsGolden(t, "tenants", runTenantWorkload))
 	for _, want := range []string{
 		`tenant_admitted_total{tenant="gold"}`,
 		`tenant_admitted_total{tenant="tin"}`,
