@@ -95,6 +95,37 @@ type Stats struct {
 	QueueDelayLow    time.Duration
 }
 
+// Add folds o's counts into s.
+func (s *Stats) Add(o Stats) {
+	s.Sends += o.Sends
+	s.Bytes += o.Bytes
+	s.Aggregated += o.Aggregated
+	s.Batches += o.Batches
+	s.Flushes += o.Flushes
+	s.FlushCost += o.FlushCost
+	s.QueueDelay += o.QueueDelay
+	s.Drops += o.Drops
+	s.DroppedBytes += o.DroppedBytes
+	s.NetDelay += o.NetDelay
+	s.QueueDelayHigh += o.QueueDelayHigh
+	s.QueueDelayNormal += o.QueueDelayNormal
+	s.QueueDelayLow += o.QueueDelayLow
+}
+
+// Tally holds the counts of buses their owner has retired (Retire), so
+// totals summed over a changing set of buses never go down.
+type Tally struct {
+	mu sync.Mutex
+	s  Stats
+}
+
+// Stats returns the retired buses' summed counts.
+func (t *Tally) Stats() Stats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.s
+}
+
 // Bus is one node's view of the data exchange fabric.
 type Bus struct {
 	link *sim.Device
@@ -105,7 +136,8 @@ type Bus struct {
 	batchFill   int   // small sends since the last fixed-cost payment
 	outstanding int64 // high-priority bytes notionally in flight
 	metrics     busMetrics
-	qos         QoS // tenant-aware scheduler; nil on a bare bus
+	qos         QoS    // tenant-aware scheduler; nil on a bare bus
+	retired     *Tally // set by Retire; stats move there as they are taken
 	net         atomic.Pointer[netAttach]
 }
 
@@ -116,41 +148,66 @@ type netAttach struct {
 	local string
 }
 
-// busMetrics is the bus's obs instrument set, labelled by path so RDMA
+// busMetrics is the bus's latency histograms, labelled by path so RDMA
 // and TCP traffic stay distinguishable on /metrics. Workers of one
-// service share instruments (the registry dedups by name), so totals
-// survive worker rescaling.
+// service share them (the registry dedups by name). The bus's counts
+// are its Stats, which its owner publishes with RegisterTotals.
 type busMetrics struct {
-	sends, bytes, aggregated, batches *obs.Counter
-	drops                             *obs.Counter
-	netDelay                          *obs.Counter // injected delay, ns
-	sendLat, flushLat                 *obs.Histogram
+	sendLat, flushLat *obs.Histogram
 }
 
-// pathLabel names the transport for metric labels.
-func (p Path) pathLabel() string {
+// label is the path's metric label set.
+func (p Path) label() string {
 	if p == TCP {
-		return "tcp"
+		return `{path="tcp"}`
 	}
-	return "rdma"
+	return `{path="rdma"}`
 }
 
-// SetObs registers the bus's telemetry with an obs registry. Call at
-// wiring time, before the bus carries traffic.
+// SetObs registers the bus's latency histograms with an obs registry.
+// Call at wiring time, before the bus carries traffic.
 func (b *Bus) SetObs(reg *obs.Registry) {
-	label := `{path="` + b.cfg.Path.pathLabel() + `"}`
+	label := b.cfg.Path.label()
 	b.mu.Lock()
 	b.metrics = busMetrics{
-		sends:      reg.Counter("bus_sends_total" + label),
-		bytes:      reg.Counter("bus_bytes_total" + label),
-		aggregated: reg.Counter("bus_aggregated_total" + label),
-		batches:    reg.Counter("bus_batches_total" + label),
-		drops:      reg.Counter("bus_drops_total" + label),
-		netDelay:   reg.Counter("bus_net_delay_ns_total" + label),
-		sendLat:    reg.Histogram("bus_send_seconds" + label),
-		flushLat:   reg.Histogram("bus_flush_seconds" + label),
+		sendLat:  reg.Histogram("bus_send_seconds" + label),
+		flushLat: reg.Histogram("bus_flush_seconds" + label),
 	}
 	b.mu.Unlock()
+}
+
+// RegisterTotals publishes the bus counter families of path p as
+// CounterFuncs over read, which must sum every bus that ever carried the
+// owner's traffic: its live buses' Peek plus its retired buses' Tally.
+func RegisterTotals(reg *obs.Registry, p Path, read func() Stats) {
+	label := p.label()
+	reg.CounterFunc("bus_sends_total"+label, func() int64 { return read().Sends })
+	reg.CounterFunc("bus_bytes_total"+label, func() int64 { return read().Bytes })
+	reg.CounterFunc("bus_aggregated_total"+label, func() int64 { return read().Aggregated })
+	reg.CounterFunc("bus_batches_total"+label, func() int64 { return read().Batches })
+	reg.CounterFunc("bus_drops_total"+label, func() int64 { return read().Drops })
+	reg.CounterFunc("bus_net_delay_ns_total"+label, func() int64 { return int64(read().NetDelay) })
+}
+
+// Retire moves the bus's counts into t, and every later count as it is
+// taken, so a send still in flight on a dropped bus is not lost. A
+// pending aggregation batch is not flushed.
+func (b *Bus) Retire(t *Tally) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.retired = t
+	b.forwardLocked()
+}
+
+// forwardLocked moves a retired bus's counts into its tally.
+func (b *Bus) forwardLocked() {
+	if b.retired == nil {
+		return
+	}
+	b.retired.mu.Lock()
+	b.retired.s.Add(b.stats)
+	b.retired.mu.Unlock()
+	b.stats = Stats{}
 }
 
 // New builds a bus over the given path with its default link device.
@@ -240,7 +297,7 @@ func (b *Bus) failSend(n int64, delay time.Duration) time.Duration {
 	defer b.mu.Unlock()
 	b.stats.Drops++
 	b.stats.DroppedBytes += n
-	b.metrics.drops.Inc()
+	b.forwardLocked()
 	return delay + b.cfg.DropTimeout
 }
 
@@ -256,8 +313,6 @@ func (b *Bus) deliver(n int64, prio Priority, delay time.Duration, tenant string
 	defer b.mu.Unlock()
 	b.stats.Sends++
 	b.stats.Bytes += n
-	b.metrics.sends.Inc()
-	b.metrics.bytes.Add(n)
 
 	cost := transfer
 	paysFixed := true
@@ -266,11 +321,9 @@ func (b *Bus) deliver(n int64, prio Priority, delay time.Duration, tenant string
 		if b.batchFill >= b.cfg.AggregationCount {
 			b.batchFill = 0
 			b.stats.Batches++
-			b.metrics.batches.Inc()
 		} else {
 			paysFixed = false
 			b.stats.Aggregated++
-			b.metrics.aggregated.Inc()
 		}
 	}
 	if paysFixed {
@@ -313,8 +366,8 @@ func (b *Bus) deliver(n int64, prio Priority, delay time.Duration, tenant string
 	if delay > 0 {
 		cost += delay
 		b.stats.NetDelay += delay
-		b.metrics.netDelay.Add(int64(delay))
 	}
+	b.forwardLocked()
 	b.metrics.sendLat.Observe(cost)
 	return cost
 }
@@ -339,7 +392,7 @@ func (b *Bus) flushLocked() time.Duration {
 	b.stats.Batches++
 	b.stats.Flushes++
 	b.stats.FlushCost += fixed
-	b.metrics.batches.Inc()
+	b.forwardLocked()
 	b.metrics.flushLat.Observe(fixed)
 	return fixed
 }
@@ -351,6 +404,15 @@ func (b *Bus) Stats() Stats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.flushLocked()
+	return b.stats
+}
+
+// Peek returns the bus counters as they stand, without Stats' flush: a
+// reader that must not move the bus's virtual costs (a /metrics scrape)
+// uses it.
+func (b *Bus) Peek() Stats {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	return b.stats
 }
 

@@ -303,3 +303,23 @@ func TestSendLinkTChargesQoSDelay(t *testing.T) {
 		t.Fatalf("qos delay not attributed to Normal class: %+v", st)
 	}
 }
+
+// TestRetireForwardsLaterCounts: Peek reads the counts without closing
+// the pending aggregation batch, Retire moves them into the tally, and
+// a send that lands on the bus after it was retired goes there too.
+func TestRetireForwardsLaterCounts(t *testing.T) {
+	b := New(Config{Path: RDMA, Aggregation: true})
+	b.Send(100, Normal)
+	if st := b.Peek(); st.Sends != 1 || st.Aggregated != 1 || st.Batches != 0 {
+		t.Fatalf("peek: %+v", st)
+	}
+	var tally Tally
+	b.Retire(&tally)
+	b.Send(50, Normal)
+	if st := tally.Stats(); st.Sends != 2 || st.Bytes != 150 || st.Batches != 0 {
+		t.Fatalf("tally: %+v", st)
+	}
+	if st := b.Peek(); st.Sends != 0 {
+		t.Fatalf("retired bus kept counts: %+v", st)
+	}
+}

@@ -98,19 +98,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.DRAMHits+s.SCMHits) / float64(total)
 }
 
-// cacheMetrics is the obs instrument set; nil-safe no-ops until SetObs.
-type cacheMetrics struct {
-	dramHits      *obs.Counter
-	scmHits       *obs.Counter
-	misses        *obs.Counter
-	fills         *obs.Counter
-	fillBytes     *obs.Counter
-	evictions     *obs.Counter
-	demotions     *obs.Counter
-	invalidations *obs.Counter
-	bytesSaved    *obs.Counter
-}
-
 // Cache is the two-tier read cache. All methods are safe for
 // concurrent use.
 type Cache struct {
@@ -129,8 +116,7 @@ type Cache struct {
 	usedMain  int64
 	usedSCM   int64
 
-	stats   Stats
-	metrics cacheMetrics
+	stats Stats
 }
 
 // New builds a cache. Zero-byte tiers disable that tier.
@@ -147,40 +133,25 @@ func New(cfg Config) *Cache {
 	}
 }
 
-// SetObs registers the cache's telemetry: hit/miss/eviction counters,
-// bytes saved, and tier occupancy gauges evaluated at scrape time.
+// SetObs registers the cache's telemetry, all read at scrape time: the
+// hit/miss/eviction counters and bytes saved from Stats, and the tier
+// occupancy gauges.
 func (c *Cache) SetObs(reg *obs.Registry) {
-	c.mu.Lock()
-	c.metrics = cacheMetrics{
-		dramHits:      reg.Counter(`cache_hits_total{tier="dram"}`),
-		scmHits:       reg.Counter(`cache_hits_total{tier="scm"}`),
-		misses:        reg.Counter("cache_misses_total"),
-		fills:         reg.Counter("cache_fills_total"),
-		fillBytes:     reg.Counter("cache_fill_bytes_total"),
-		evictions:     reg.Counter("cache_evictions_total"),
-		demotions:     reg.Counter("cache_demotions_total"),
-		invalidations: reg.Counter("cache_invalidations_total"),
-		bytesSaved:    reg.Counter("cache_bytes_saved_total"),
-	}
-	c.mu.Unlock()
 	if reg == nil {
 		return
 	}
-	reg.GaugeFunc(`cache_used_bytes{tier="dram"}`, func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(c.usedSmall + c.usedMain)
-	})
-	reg.GaugeFunc(`cache_used_bytes{tier="scm"}`, func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(c.usedSCM)
-	})
-	reg.GaugeFunc("cache_ghost_keys", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(c.ghostQ.Len())
-	})
+	reg.CounterFunc(`cache_hits_total{tier="dram"}`, func() int64 { return c.Stats().DRAMHits })
+	reg.CounterFunc(`cache_hits_total{tier="scm"}`, func() int64 { return c.Stats().SCMHits })
+	reg.CounterFunc("cache_misses_total", func() int64 { return c.Stats().Misses })
+	reg.CounterFunc("cache_fills_total", func() int64 { return c.Stats().Fills })
+	reg.CounterFunc("cache_fill_bytes_total", func() int64 { return c.Stats().FillBytes })
+	reg.CounterFunc("cache_evictions_total", func() int64 { return c.Stats().Evictions })
+	reg.CounterFunc("cache_demotions_total", func() int64 { return c.Stats().Demotions })
+	reg.CounterFunc("cache_invalidations_total", func() int64 { return c.Stats().Invalidations })
+	reg.CounterFunc("cache_bytes_saved_total", func() int64 { return c.Stats().BytesSaved })
+	reg.GaugeFunc(`cache_used_bytes{tier="dram"}`, func() float64 { return float64(c.Stats().UsedDRAM) })
+	reg.GaugeFunc(`cache_used_bytes{tier="scm"}`, func() float64 { return float64(c.Stats().UsedSCM) })
+	reg.GaugeFunc("cache_ghost_keys", func() float64 { return float64(c.Stats().GhostKeys) })
 }
 
 // Get looks key up, returning the cached bytes, the modelled lookup
@@ -198,7 +169,6 @@ func (c *Cache) Get(key string) ([]byte, time.Duration, bool) {
 	e, ok := c.index[key]
 	if !ok {
 		c.stats.Misses++
-		c.metrics.misses.Inc()
 		return nil, 0, false
 	}
 	if e.freq < 3 {
@@ -206,12 +176,10 @@ func (c *Cache) Get(key string) ([]byte, time.Duration, bool) {
 	}
 	n := int64(len(e.data))
 	c.stats.BytesSaved += n
-	c.metrics.bytesSaved.Add(n)
 	var cost time.Duration
 	if e.tier == tierSCM {
 		cost = c.scm.Read(n)
 		c.stats.SCMHits++
-		c.metrics.scmHits.Inc()
 		// Promote: SCM residency plus a re-reference means main-worthy.
 		c.scmQ.Remove(e.elem)
 		c.usedSCM -= n
@@ -221,7 +189,6 @@ func (c *Cache) Get(key string) ([]byte, time.Duration, bool) {
 		c.evictDRAMLocked()
 	} else {
 		c.stats.DRAMHits++
-		c.metrics.dramHits.Inc()
 	}
 	return e.data, cost, true
 }
@@ -275,8 +242,6 @@ func (c *Cache) Put(key string, data []byte) time.Duration {
 	c.index[key] = e
 	c.stats.Fills++
 	c.stats.FillBytes += n
-	c.metrics.fills.Inc()
-	c.metrics.fillBytes.Add(n)
 	c.evictDRAMLocked()
 	return 0
 }
@@ -347,7 +312,6 @@ func (c *Cache) demoteLocked(e *entry) {
 	e.elem = c.scmQ.PushBack(e)
 	c.usedSCM += n
 	c.stats.Demotions++
-	c.metrics.demotions.Inc()
 	for c.usedSCM > c.cfg.SCMBytes && c.scmQ.Len() > 0 {
 		v := c.scmQ.Remove(c.scmQ.Front()).(*entry)
 		c.usedSCM -= int64(len(v.data))
@@ -359,7 +323,6 @@ func (c *Cache) demoteLocked(e *entry) {
 func (c *Cache) dropLocked(e *entry) {
 	delete(c.index, e.key)
 	c.stats.Evictions++
-	c.metrics.evictions.Inc()
 	c.ghostAddLocked(e.key)
 }
 
@@ -402,7 +365,6 @@ func (c *Cache) Invalidate(key string) bool {
 	}
 	c.removeLocked(e)
 	c.stats.Invalidations++
-	c.metrics.invalidations.Inc()
 	return true
 }
 
@@ -423,7 +385,6 @@ func (c *Cache) InvalidatePrefix(prefix string) int {
 	}
 	n := len(victims)
 	c.stats.Invalidations += int64(n)
-	c.metrics.invalidations.Add(int64(n))
 	return n
 }
 

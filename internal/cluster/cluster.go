@@ -845,7 +845,8 @@ func diskNodeOf(ap attachedPool, d pool.DiskID) int {
 
 // SetObs registers the cluster's telemetry: per-node liveness, slice
 // ownership, and re-replication backlog gauges, plus election/commit
-// counters — the /metrics surface the failover runbooks watch.
+// counters read from Stats — the /metrics surface the failover
+// runbooks watch.
 func (c *Cluster) SetObs(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -895,10 +896,10 @@ func (c *Cluster) SetObs(reg *obs.Registry) {
 		})
 	}
 	reg.GaugeFunc("cluster_leader", func() float64 { return float64(c.Leader()) })
-	reg.GaugeFunc("cluster_elections_total", func() float64 { return float64(c.Stats().Elections) })
-	reg.GaugeFunc("cluster_commits_total", func() float64 { return float64(c.Stats().Commits) })
-	reg.GaugeFunc("cluster_commit_fails_total", func() float64 { return float64(c.Stats().CommitFails) })
-	reg.GaugeFunc("cluster_heartbeats_lost_total", func() float64 { return float64(c.Stats().HeartbeatsLost) })
+	reg.CounterFunc("cluster_elections_total", func() int64 { return c.Stats().Elections })
+	reg.CounterFunc("cluster_commits_total", func() int64 { return c.Stats().Commits })
+	reg.CounterFunc("cluster_commit_fails_total", func() int64 { return c.Stats().CommitFails })
+	reg.CounterFunc("cluster_heartbeats_lost_total", func() int64 { return c.Stats().HeartbeatsLost })
 }
 
 // distinctManagers returns each attached plog manager once, in attach

@@ -25,8 +25,10 @@
 package obs
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/bits"
 	"sort"
@@ -212,34 +214,29 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 type Registry struct {
 	clock *sim.Clock
 
-	mu       sync.RWMutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	gaugeFns map[string]func() float64
-	hists    map[string]*Histogram
+	mu         sync.RWMutex
+	counters   map[string]*Counter
+	counterFns map[string]func() int64
+	gauges     map[string]*Gauge
+	gaugeFns   map[string]func() float64
+	hists      map[string]*Histogram
 }
 
 // NewRegistry builds a registry measuring time against clock.
 func NewRegistry(clock *sim.Clock) *Registry {
 	return &Registry{
-		clock:    clock,
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		gaugeFns: make(map[string]func() float64),
-		hists:    make(map[string]*Histogram),
+		clock:      clock,
+		counters:   make(map[string]*Counter),
+		counterFns: make(map[string]func() int64),
+		gauges:     make(map[string]*Gauge),
+		gaugeFns:   make(map[string]func() float64),
+		hists:      make(map[string]*Histogram),
 	}
-}
-
-// Clock returns the registry's virtual clock (nil for a nil registry).
-func (r *Registry) Clock() *sim.Clock {
-	if r == nil {
-		return nil
-	}
-	return r.clock
 }
 
 // Counter returns the named counter, creating it on first use. A nil
-// registry returns a nil (no-op) counter.
+// registry returns a nil (no-op) counter. It panics when name is a
+// CounterFunc: one name has one kind.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
@@ -252,6 +249,9 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.counterFns[name] != nil {
+		panic("obs: " + name + " is a CounterFunc, not a Counter")
+	}
 	if c = r.counters[name]; c == nil {
 		c = &Counter{}
 		r.counters[name] = c
@@ -278,6 +278,22 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
+}
+
+// CounterFunc registers a callback counter, evaluated at snapshot time
+// and carried in Snapshot().Counters: how a layer publishes the tally
+// its Stats already keep. fn must never decrease. The last registration
+// for a name wins; a Counter's name panics. No-op on a nil registry.
+func (r *Registry) CounterFunc(name string, fn func() int64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.counters[name] != nil {
+		panic("obs: " + name + " is a Counter, not a CounterFunc")
+	}
+	r.counterFns[name] = fn
 }
 
 // GaugeFunc registers a callback gauge: fn is evaluated at snapshot and
@@ -316,8 +332,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 // Snapshot is a point-in-time copy of every instrument — the telemetry
 // feed LakeBrain policies consume.
 type Snapshot struct {
-	At         time.Duration // virtual time of the snapshot
-	Counters   map[string]int64
+	At         time.Duration      // virtual time of the snapshot
+	Counters   map[string]int64   // includes evaluated CounterFuncs
 	Gauges     map[string]float64 // includes evaluated GaugeFuncs
 	Histograms map[string]HistogramSnapshot
 }
@@ -340,27 +356,17 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	s.At = r.clock.Now()
 	r.mu.RLock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	fns := make(map[string]func() float64, len(r.gaugeFns))
-	for k, v := range r.gaugeFns {
-		fns[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
+	counters, counterFns := maps.Clone(r.counters), maps.Clone(r.counterFns)
+	gauges, fns, hists := maps.Clone(r.gauges), maps.Clone(r.gaugeFns), maps.Clone(r.hists)
 	r.mu.RUnlock()
-	// Instruments are read outside the registry lock: GaugeFuncs call
-	// back into subsystem Stats() methods that take their own locks.
+	// Instruments are read outside the registry lock: CounterFuncs and
+	// GaugeFuncs call back into subsystem Stats() methods that take their
+	// own locks.
 	for k, v := range counters {
 		s.Counters[k] = v.Value()
+	}
+	for k, fn := range counterFns {
+		s.Counters[k] = fn()
 	}
 	for k, v := range gauges {
 		s.Gauges[k] = v.Value()
@@ -434,23 +440,18 @@ func (r *Registry) WriteProm(w io.Writer) error {
 		add(name, "histogram")
 	}
 	sort.Strings(order)
+	var b bytes.Buffer
 	for _, fam := range order {
 		ss := families[fam]
 		sort.Slice(ss, func(i, j int) bool { return ss[i].name < ss[j].name })
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", fam, ss[0].kind); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "# TYPE %s %s\n", fam, ss[0].kind)
 		for _, s := range ss {
 			_, labels := splitName(s.name)
 			switch s.kind {
 			case "counter":
-				if _, err := fmt.Fprintf(w, "%s %d\n", s.name, snap.Counters[s.name]); err != nil {
-					return err
-				}
+				fmt.Fprintf(&b, "%s %d\n", s.name, snap.Counters[s.name])
 			case "gauge":
-				if _, err := fmt.Fprintf(w, "%s %s\n", s.name, formatFloat(snap.Gauges[s.name])); err != nil {
-					return err
-				}
+				fmt.Fprintf(&b, "%s %s\n", s.name, formatFloat(snap.Gauges[s.name]))
 			case "histogram":
 				h := snap.Histograms[s.name]
 				var cum int64
@@ -460,23 +461,14 @@ func (r *Registry) WriteProm(w io.Writer) error {
 					}
 					cum += h.Buckets[i]
 					le := formatFloat(histUpper(i).Seconds())
-					name := seriesName(fam+"_bucket", labels, `le="`+le+`"`)
-					if _, err := fmt.Fprintf(w, "%s %d\n", name, cum); err != nil {
-						return err
-					}
+					fmt.Fprintf(&b, "%s %d\n", seriesName(fam+"_bucket", labels, `le="`+le+`"`), cum)
 				}
-				name := seriesName(fam+"_bucket", labels, `le="+Inf"`)
-				if _, err := fmt.Fprintf(w, "%s %d\n", name, h.Count); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s %s\n", seriesName(fam+"_sum", labels, ""), formatFloat(h.Sum.Seconds())); err != nil {
-					return err
-				}
-				if _, err := fmt.Fprintf(w, "%s %d\n", seriesName(fam+"_count", labels, ""), h.Count); err != nil {
-					return err
-				}
+				fmt.Fprintf(&b, "%s %d\n", seriesName(fam+"_bucket", labels, `le="+Inf"`), h.Count)
+				fmt.Fprintf(&b, "%s %s\n", seriesName(fam+"_sum", labels, ""), formatFloat(h.Sum.Seconds()))
+				fmt.Fprintf(&b, "%s %d\n", seriesName(fam+"_count", labels, ""), h.Count)
 			}
 		}
 	}
-	return nil
+	_, err := w.Write(b.Bytes())
+	return err
 }

@@ -73,6 +73,40 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	}
 }
 
+// TestCounterFunc: a callback counter is read when the registry is, is
+// carried with the counters and rendered as one, and a name keeps the
+// kind it was first registered with — either order panics.
+func TestCounterFunc(t *testing.T) {
+	r := NewRegistry(sim.NewClock())
+	var n int64
+	r.CounterFunc(`sends_total{path="rdma"}`, func() int64 { return n })
+	n = 7
+	if got := r.Snapshot().Counter(`sends_total{path="rdma"}`); got != 7 {
+		t.Fatalf("snapshot read %d, want 7", got)
+	}
+	var b strings.Builder
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# TYPE sends_total counter\nsends_total{path=\"rdma\"} 7\n"; b.String() != want {
+		t.Fatalf("rendered %q, want %q", b.String(), want)
+	}
+	r.Counter("ops_total")
+	for name, register := range map[string]func(){
+		"Counter over CounterFunc": func() { r.Counter(`sends_total{path="rdma"}`) },
+		"CounterFunc over Counter": func() { r.CounterFunc("ops_total", func() int64 { return 0 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			register()
+		}()
+	}
+}
+
 func TestWritePromFormat(t *testing.T) {
 	r := NewRegistry(sim.NewClock())
 	r.Counter(`bus_bytes_total{path="rdma"}`).Add(100)

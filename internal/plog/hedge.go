@@ -168,10 +168,6 @@ func (l *PLog) hedgeLocked(primary int, offset, n, devN int64, decCost, primaryC
 			saved = primaryCost - eff
 		}
 		l.hedge.record(saved > 0, saved)
-		l.metrics.hedged.Inc()
-		if saved > 0 {
-			l.metrics.hedgeWins.Inc()
-		}
 		return saved
 	}
 	return 0

@@ -193,8 +193,6 @@ type logMetrics struct {
 	degradedOps    *obs.Counter // appends that left stale copies behind
 	quarantined    *obs.Counter // bytes quarantined on checksum mismatch
 	repairedBytes  *obs.Counter
-	hedged         *obs.Counter // reads that issued a hedge request
-	hedgeWins      *obs.Counter // hedges that beat the primary
 	groupCommits   *obs.Counter // coalesced AppendBatch commits
 	groupPayloads  *obs.Counter // payloads folded into coalesced commits
 }
@@ -895,8 +893,6 @@ func (m *Manager) SetObs(reg *obs.Registry) {
 		degradedOps:    reg.Counter("plog_degraded_appends_total"),
 		quarantined:    reg.Counter("plog_quarantined_bytes_total"),
 		repairedBytes:  reg.Counter("plog_repaired_bytes_total"),
-		hedged:         reg.Counter("plog_hedged_reads_total"),
-		hedgeWins:      reg.Counter("plog_hedge_wins_total"),
 		groupCommits:   reg.Counter("plog_group_commits_total"),
 		groupPayloads:  reg.Counter("plog_group_commit_payloads_total"),
 	}
@@ -908,6 +904,8 @@ func (m *Manager) SetObs(reg *obs.Registry) {
 	reg.GaugeFunc("plog_stale_bytes", func() float64 { return float64(m.StaleBytes()) })
 	reg.GaugeFunc("plog_logical_bytes", func() float64 { return float64(m.LogicalBytes()) })
 	reg.GaugeFunc("plog_physical_bytes", func() float64 { return float64(m.PhysicalBytes()) })
+	reg.CounterFunc("plog_hedged_reads_total", func() int64 { return m.HedgeStats().Hedged })
+	reg.CounterFunc("plog_hedge_wins_total", func() int64 { return m.HedgeStats().Wins })
 }
 
 // NewManager builds a manager creating logs of the given capacity (0

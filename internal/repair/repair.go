@@ -79,24 +79,19 @@ type Service struct {
 // repairMetrics is the repair service's obs instrument set; wired once
 // by SetObs, nil-safe no-ops until then.
 type repairMetrics struct {
-	rounds        *obs.Counter
-	repairedBytes *obs.Counter
-	attempts      *obs.Counter
-	failures      *obs.Counter
-	roundLat      *obs.Histogram
+	roundLat *obs.Histogram
 }
 
-// SetObs registers repair telemetry with the registry.
+// SetObs registers repair telemetry with the registry: the round
+// latency histogram, and counters read from Stats at scrape time.
 func (s *Service) SetObs(reg *obs.Registry) {
 	s.mu.Lock()
-	s.metrics = repairMetrics{
-		rounds:        reg.Counter("repair_rounds_total"),
-		repairedBytes: reg.Counter("repair_repaired_bytes_total"),
-		attempts:      reg.Counter("repair_attempts_total"),
-		failures:      reg.Counter("repair_failures_total"),
-		roundLat:      reg.Histogram("repair_round_seconds"),
-	}
+	s.metrics = repairMetrics{roundLat: reg.Histogram("repair_round_seconds")}
 	s.mu.Unlock()
+	reg.CounterFunc("repair_rounds_total", func() int64 { return s.Stats().Rounds })
+	reg.CounterFunc("repair_repaired_bytes_total", func() int64 { return s.Stats().RepairedBytes })
+	reg.CounterFunc("repair_attempts_total", func() int64 { return s.Stats().Attempts })
+	reg.CounterFunc("repair_failures_total", func() int64 { return s.Stats().Failures })
 }
 
 // New builds a repair service over the manager's logs.
@@ -147,10 +142,6 @@ func (s *Service) RunOnce() Report {
 	s.stats.Backoff += rep.Backoff
 	m := s.metrics
 	s.mu.Unlock()
-	m.rounds.Inc()
-	m.repairedBytes.Add(rep.RepairedBytes)
-	m.attempts.Add(rep.Attempts)
-	m.failures.Add(int64(rep.LogsFailed))
 	m.roundLat.Observe(rep.Cost + rep.Backoff)
 	return rep
 }

@@ -94,24 +94,19 @@ type Service struct {
 // scrubMetrics is the scrubber's obs instrument set; wired once by
 // SetObs, nil-safe no-ops until then.
 type scrubMetrics struct {
-	passes        *obs.Counter
-	bytesVerified *obs.Counter
-	mismatches    *obs.Counter
-	repairedBytes *obs.Counter
-	passLat       *obs.Histogram
+	passLat *obs.Histogram
 }
 
-// SetObs registers scrub telemetry with the registry.
+// SetObs registers scrub telemetry with the registry: the pass latency
+// histogram, and counters read from Stats at scrape time.
 func (s *Service) SetObs(reg *obs.Registry) {
 	s.mu.Lock()
-	s.metrics = scrubMetrics{
-		passes:        reg.Counter("scrub_passes_total"),
-		bytesVerified: reg.Counter("scrub_bytes_verified_total"),
-		mismatches:    reg.Counter("scrub_mismatches_total"),
-		repairedBytes: reg.Counter("scrub_repaired_bytes_total"),
-		passLat:       reg.Histogram("scrub_pass_seconds"),
-	}
+	s.metrics = scrubMetrics{passLat: reg.Histogram("scrub_pass_seconds")}
 	s.mu.Unlock()
+	reg.CounterFunc("scrub_passes_total", func() int64 { return s.Stats().Passes })
+	reg.CounterFunc("scrub_bytes_verified_total", func() int64 { return s.Stats().BytesScanned })
+	reg.CounterFunc("scrub_mismatches_total", func() int64 { return s.Stats().Mismatches })
+	reg.CounterFunc("scrub_repaired_bytes_total", func() int64 { return s.Stats().RepairedBytes })
 }
 
 // New builds a scrubber over the manager's logs. rep may be nil, in
@@ -178,10 +173,6 @@ func (s *Service) runOnceLocked() (Report, error) {
 	s.stats.Mismatches += int64(rep.Mismatches)
 	s.stats.RepairedBytes += rep.RepairedBytes
 	s.stats.Elapsed += rep.Elapsed
-	s.metrics.passes.Inc()
-	s.metrics.bytesVerified.Add(rep.BytesScanned)
-	s.metrics.mismatches.Add(int64(rep.Mismatches))
-	s.metrics.repairedBytes.Add(rep.RepairedBytes)
 	s.metrics.passLat.Observe(rep.Elapsed)
 	return rep, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -61,17 +62,14 @@ func TestSendAllocatesNothing(t *testing.T) {
 // TestEnabledObsOverheadBound is TestDisabledObsOverheadBound's other
 // half (internal/plog; this one lives where a Send is). First, exactly:
 // with a registry attached one Send observes into four histograms
-// (produce, ack, the forward and the reverse bus send) and moves five
-// counters with eight bumps (produced messages and bytes; sends, bytes
-// and aggregated-or-batches per bus send) — sixteen atomic adds, and a
-// new instrument on the produce path fails here first. Then, as a
-// wall-clock ratio (the full pass only): that work, timed in isolation,
-// is ≈ 92–110 ns against a Send of ≈ 0.7–1.0 µs, 9–14 % on the host this
-// was written on; the bound is 15 %, not the 10 % ROADMAP 4(A) hoped for
-// — the Send got cheaper than the instruments did, and 10 % needs fewer
-// instruments per send (the six bus counters duplicate Bus.Stats). Each
-// side is the best of three rounds, so a neighbour's burst does not
-// decide the ratio.
+// (produce, ack, the forward and the reverse bus send) and bumps two
+// counters (produced messages and bytes) — ten atomic adds, and a new
+// instrument on the produce path fails here first. The bus_* counters
+// move too, but they are the buses' Stats read at snapshot time and
+// cost the Send nothing. Then, as a wall-clock ratio (the full pass
+// only): that work, timed in isolation, must stay under 10 % of a Send.
+// Each side is the best of three rounds, so a neighbour's burst does
+// not decide the ratio.
 func TestEnabledObsOverheadBound(t *testing.T) {
 	const n = 20000
 	value := make([]byte, 1200)
@@ -83,23 +81,22 @@ func TestEnabledObsOverheadBound(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		send() // the first send of a bus batch pays its fixed cost: a sixth counter
 		reg := s.routes.Load().reg
 		before := reg.Snapshot()
 		send()
 		after := reg.Snapshot()
 		var observes int64
-		var moved []string
+		var bumped []string
 		for name, h := range after.Histograms {
 			observes += h.Count - before.Histograms[name].Count
 		}
 		for name, v := range after.Counters {
-			if v != before.Counters[name] {
-				moved = append(moved, name)
+			if v != before.Counters[name] && !strings.HasPrefix(name, "bus_") {
+				bumped = append(bumped, name)
 			}
 		}
-		if observes != 4 || len(moved) != 5 {
-			t.Fatalf("one Send made %d histogram observes (want 4) and moved %d counters (want 5): %v", observes, len(moved), moved)
+		if observes != 4 || len(bumped) != 2 {
+			t.Fatalf("one Send made %d histogram observes (want 4) and bumped %d counters (want 2): %v", observes, len(bumped), bumped)
 		}
 	}
 	if testing.Short() {
@@ -136,9 +133,11 @@ func TestEnabledObsOverheadBound(t *testing.T) {
 
 	reg := obs.NewRegistry(nil)
 	var hists [4]*obs.Histogram
-	var ctrs [8]*obs.Counter
+	var ctrs [2]*obs.Counter
+	for i := range hists {
+		hists[i] = reg.Histogram(fmt.Sprint("h", i))
+	}
 	for i := range ctrs {
-		hists[i%4] = reg.Histogram(fmt.Sprint("h", i%4))
 		ctrs[i] = reg.Counter(fmt.Sprint("c", i))
 	}
 	obsTime := best(func() {
@@ -154,8 +153,8 @@ func TestEnabledObsOverheadBound(t *testing.T) {
 	})
 	t.Logf("send: %.0f ns/op; enabled obs: %.1f ns/op, %.2f%%",
 		float64(sendTime.Nanoseconds())/n, float64(obsTime.Nanoseconds())/n, 100*float64(obsTime)/float64(sendTime))
-	if obsTime*20 > sendTime*3 {
-		t.Fatalf("enabled obs work %v is over 15%% of send time %v", obsTime, sendTime)
+	if obsTime*10 > sendTime {
+		t.Fatalf("enabled obs work %v is over 10%% of send time %v", obsTime, sendTime)
 	}
 }
 

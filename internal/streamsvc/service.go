@@ -110,6 +110,9 @@ type Service struct {
 	// register their buses too; metrics holds the service's instruments.
 	reg     *obs.Registry
 	metrics svcMetrics
+	// retired holds the counts of every worker bus a rescale or a worker
+	// failure dropped, so the service's bus totals never go down.
+	retired bus.Tally
 
 	// Resilience state (see resil.go): the network fault hook worker
 	// buses consult, the retry/ack/breaker config, and the per-endpoint
@@ -206,10 +209,10 @@ type svcMetrics struct {
 }
 
 // SetObs registers the service's telemetry — produce/consume throughput
-// counters, latency histograms, topology gauges — and wires the worker
-// buses (current and future: rescaled fleets inherit the registry, and
-// because bus instruments are shared by path label, totals survive the
-// rescale). Call at wiring time.
+// counters, latency histograms, topology gauges, and the worker buses'
+// counts summed over every bus the service has run (busTotals) — and
+// wires the worker buses' histograms (current and future: rescaled
+// fleets inherit the registry). Call at wiring time.
 func (s *Service) SetObs(reg *obs.Registry) {
 	s.mu.Lock()
 	s.reg = reg
@@ -239,6 +242,20 @@ func (s *Service) SetObs(reg *obs.Registry) {
 		return float64(len(s.topics))
 	})
 	reg.GaugeFunc("streamsvc_workers", func() float64 { return float64(s.WorkerCount()) })
+	bus.RegisterTotals(reg, workerBus.Path, s.busTotals)
+}
+
+// busTotals sums the counts of every worker bus the service has run:
+// the fleet's own, read without flushing a pending batch, and the
+// retired buses'.
+func (s *Service) busTotals() bus.Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	t := s.retired.Stats()
+	for _, w := range s.workers {
+		t.Add(w.bus.Peek())
+	}
+	return t
 }
 
 // New builds a streaming service with workerCount stream workers over
@@ -263,8 +280,11 @@ func New(clock *sim.Clock, store *streamobj.Store, workerCount int) *Service {
 	return s
 }
 
+// workerBus configures every stream worker's bus.
+var workerBus = bus.Config{Path: bus.RDMA, Aggregation: true}
+
 func newWorker(id int) *Worker {
-	return &Worker{id: id, ep: workerEndpoint(id), bus: bus.New(bus.Config{Path: bus.RDMA, Aggregation: true}), streams: map[string]bool{}}
+	return &Worker{id: id, ep: workerEndpoint(id), bus: bus.New(workerBus), streams: map[string]bool{}}
 }
 
 // Clock exposes the virtual clock the service charges costs against.
@@ -486,6 +506,9 @@ func (s *Service) SetWorkerCount(n int) (moved int, cost time.Duration) {
 			}
 		}
 	}
+	for _, w := range s.workers {
+		w.bus.Retire(&s.retired)
+	}
 	s.workers = workers
 	s.topologyChangedLocked()
 	return moved, cost
@@ -513,6 +536,7 @@ func (s *Service) FailWorker(id int) (int, error) {
 	}
 	dead := s.workers[id]
 	s.workers = append(s.workers[:id:id], s.workers[id+1:]...)
+	dead.bus.Retire(&s.retired)
 	// The crashed worker never comes back (unlike SetWorkerDown): streams
 	// displaced off it have no home to return to.
 	for k, home := range s.displaced {

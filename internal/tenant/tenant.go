@@ -186,15 +186,6 @@ type state struct {
 	iops  bucket
 	bw    bucket
 	stats Stats
-	m     tenantMetrics
-}
-
-// tenantMetrics is one tenant's obs instrument set, labelled by tenant
-// name; nil-safe no-ops until SetObs wires a registry.
-type tenantMetrics struct {
-	admitted, admittedBytes *obs.Counter
-	throttled, shed         *obs.Counter
-	wfqDelay                *obs.Counter
 }
 
 // Registry holds every tenant's contract, buckets, and counters.
@@ -241,10 +232,10 @@ func (r *Registry) Set(c Config) error {
 	return nil
 }
 
-// SetObs registers per-tenant instruments, labelled by tenant name so
-// every tenant's admission and scheduling activity is separable on
-// /metrics. Call at wiring time; tenants added later inherit the
-// registry.
+// SetObs publishes every tenant's Stats on /metrics, read at scrape
+// time and labelled by tenant name so every tenant's admission and
+// scheduling activity is separable. Call at wiring time; tenants added
+// later inherit the registry.
 func (r *Registry) SetObs(reg *obs.Registry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -258,23 +249,18 @@ func (r *Registry) wireLocked(st *state) {
 	if r.reg == nil {
 		return
 	}
-	label := `{tenant="` + st.cfg.Name + `"}`
-	st.m = tenantMetrics{
-		admitted:      r.reg.Counter("tenant_admitted_total" + label),
-		admittedBytes: r.reg.Counter("tenant_admitted_bytes_total" + label),
-		throttled:     r.reg.Counter("tenant_throttled_total" + label),
-		shed:          r.reg.Counter("tenant_shed_total" + label),
-		wfqDelay:      r.reg.Counter("tenant_wfq_delay_ns_total" + label),
-	}
 	name := st.cfg.Name
-	r.reg.GaugeFunc("tenant_stored_bytes"+label, func() float64 {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if st := r.ten[name]; st != nil {
-			return float64(st.stats.StoredBytes)
-		}
-		return 0
-	})
+	label := `{tenant="` + name + `"}`
+	stats := func() Stats {
+		s, _ := r.StatsOf(name)
+		return s
+	}
+	r.reg.CounterFunc("tenant_admitted_total"+label, func() int64 { return stats().Admitted })
+	r.reg.CounterFunc("tenant_admitted_bytes_total"+label, func() int64 { return stats().AdmittedBytes })
+	r.reg.CounterFunc("tenant_throttled_total"+label, func() int64 { s := stats(); return s.Throttled + s.CapacityRejects })
+	r.reg.CounterFunc("tenant_shed_total"+label, func() int64 { return stats().Shed })
+	r.reg.CounterFunc("tenant_wfq_delay_ns_total"+label, func() int64 { return int64(stats().WFQDelay) })
+	r.reg.GaugeFunc("tenant_stored_bytes"+label, func() float64 { return float64(stats().StoredBytes) })
 }
 
 func (r *Registry) namesLocked() []string {
@@ -349,7 +335,6 @@ func (r *Registry) Admit(name string, now time.Duration, ops int, bytes int64) e
 	iw, iok := st.iops.take(now, float64(st.cfg.IOPS), float64(ops))
 	if !iok {
 		st.stats.Throttled++
-		st.m.throttled.Inc()
 		return &QuotaError{Tenant: name, Kind: KindIOPS, RetryAfter: iw}
 	}
 	bw, bok := st.bw.take(now, float64(st.cfg.BandwidthBps), float64(bytes))
@@ -357,14 +342,11 @@ func (r *Registry) Admit(name string, now time.Duration, ops int, bytes int64) e
 		// All-or-nothing: give the IOPS charge back.
 		st.iops.refund(float64(st.cfg.IOPS), float64(ops))
 		st.stats.Throttled++
-		st.m.throttled.Inc()
 		return &QuotaError{Tenant: name, Kind: KindBandwidth, RetryAfter: bw}
 	}
 	st.stats.Admitted++
 	st.stats.AdmittedOps += int64(ops)
 	st.stats.AdmittedBytes += bytes
-	st.m.admitted.Inc()
-	st.m.admittedBytes.Add(bytes)
 	return nil
 }
 
@@ -403,7 +385,6 @@ func (r *Registry) ChargeCapacity(name string, bytes int64) error {
 	}
 	if st.cfg.CapacityBytes > 0 && st.stats.StoredBytes+bytes > st.cfg.CapacityBytes {
 		st.stats.CapacityRejects++
-		st.m.throttled.Inc()
 		return &QuotaError{Tenant: name, Kind: KindCapacity}
 	}
 	st.stats.StoredBytes += bytes
@@ -458,7 +439,6 @@ func (r *Registry) Shed(name string, retryAfter time.Duration) error {
 	r.mu.Lock()
 	if st, ok := r.ten[name]; ok {
 		st.stats.Shed++
-		st.m.shed.Inc()
 	}
 	r.mu.Unlock()
 	return &QuotaError{Tenant: name, Kind: KindShed, RetryAfter: retryAfter}
@@ -472,7 +452,6 @@ func (r *Registry) noteWFQ(name string, d time.Duration) {
 	r.mu.Lock()
 	if st, ok := r.ten[name]; ok {
 		st.stats.WFQDelay += d
-		st.m.wfqDelay.Add(int64(d))
 	}
 	r.mu.Unlock()
 }
