@@ -301,7 +301,7 @@ func TestQuickInt64RoundTrip(t *testing.T) {
 			in[i] = Row{IntValue(v)}
 		}
 		enc := appendInt64Chunk(nil, in, 0)
-		out, err := decodeInt64Chunk(enc, len(in))
+		out, err := decodeInt64Chunk(nil, enc, len(in))
 		if err != nil {
 			return false
 		}
@@ -324,7 +324,7 @@ func TestQuickStringRoundTrip(t *testing.T) {
 			in[i] = Row{StringValue(v)}
 		}
 		enc := appendStringChunk(nil, in, 0)
-		out, err := decodeStringChunk(enc, len(in))
+		out, err := decodeStringChunk(nil, enc, len(in))
 		if err != nil {
 			return false
 		}

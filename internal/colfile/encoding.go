@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -31,12 +32,15 @@ func appendInt64Chunk(buf []byte, rows []Row, c int) []byte {
 	return buf
 }
 
-func decodeInt64Chunk(data []byte, n int) ([]Value, error) {
-	// n is footer-supplied: each varint costs at least one byte.
+// The decode*Chunk functions append n values to out. n is
+// footer-supplied, so each checks it against the chunk before growing out.
+
+func decodeInt64Chunk(out []Value, data []byte, n int) ([]Value, error) {
+	// Each varint costs at least one byte.
 	if n < 0 || n > len(data) {
 		return nil, errors.New("colfile: int64 count exceeds chunk")
 	}
-	out := make([]Value, 0, n)
+	out = slices.Grow(out, n)
 	prev := int64(0)
 	for i := 0; i < n; i++ {
 		d, sz := binary.Varint(data)
@@ -57,11 +61,11 @@ func appendFloat64Chunk(buf []byte, rows []Row, c int) []byte {
 	return buf
 }
 
-func decodeFloat64Chunk(data []byte, n int) ([]Value, error) {
+func decodeFloat64Chunk(out []Value, data []byte, n int) ([]Value, error) {
 	if len(data) < 8*n {
 		return nil, errors.New("colfile: truncated float64 chunk")
 	}
-	out := make([]Value, 0, n)
+	out = slices.Grow(out, n)
 	for i := 0; i < n; i++ {
 		out = append(out, FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))))
 	}
@@ -106,16 +110,17 @@ func appendStringChunk(buf []byte, rows []Row, c int) []byte {
 	return buf
 }
 
-func decodeStringChunk(data []byte, n int) ([]Value, error) {
+func decodeStringChunk(out []Value, data []byte, n int) ([]Value, error) {
 	if len(data) < 1 {
 		return nil, errors.New("colfile: empty string chunk")
 	}
-	if n < 0 || n > len(data)*8 {
-		return nil, errors.New("colfile: string count exceeds chunk")
-	}
 	enc := data[0]
 	data = data[1:]
-	out := make([]Value, 0, n)
+	// Both encodings spend at least one byte per value: a length or a code.
+	if n < 0 || n > len(data) {
+		return nil, errors.New("colfile: string count exceeds chunk")
+	}
+	out = slices.Grow(out, n)
 	switch enc {
 	case encDict:
 		count, sz := binary.Uvarint(data)
@@ -174,11 +179,11 @@ func appendBoolChunk(buf []byte, rows []Row, c int) []byte {
 	return buf
 }
 
-func decodeBoolChunk(data []byte, n int) ([]Value, error) {
+func decodeBoolChunk(out []Value, data []byte, n int) ([]Value, error) {
 	if len(data) < (n+7)/8 {
 		return nil, errors.New("colfile: truncated bool chunk")
 	}
-	out := make([]Value, 0, n)
+	out = slices.Grow(out, n)
 	for i := 0; i < n; i++ {
 		out = append(out, BoolValue(data[i/8]&(1<<(i%8)) != 0))
 	}
@@ -227,7 +232,8 @@ func (d *inflater) inflate(data []byte) ([]byte, error) {
 	return d.raw.Bytes(), nil
 }
 
-func decodeChunk(t Type, data []byte, n int) ([]Value, error) {
+// decodeChunk appends the n values of one compressed chunk to out.
+func decodeChunk(out []Value, t Type, data []byte, n int) ([]Value, error) {
 	d := inflaters.Get().(*inflater)
 	defer inflaters.Put(d)
 	raw, err := d.inflate(data)
@@ -236,13 +242,13 @@ func decodeChunk(t Type, data []byte, n int) ([]Value, error) {
 	}
 	switch t {
 	case Int64:
-		return decodeInt64Chunk(raw, n)
+		return decodeInt64Chunk(out, raw, n)
 	case Float64:
-		return decodeFloat64Chunk(raw, n)
+		return decodeFloat64Chunk(out, raw, n)
 	case String:
-		return decodeStringChunk(raw, n)
+		return decodeStringChunk(out, raw, n)
 	case Bool:
-		return decodeBoolChunk(raw, n)
+		return decodeBoolChunk(out, raw, n)
 	default:
 		return nil, fmt.Errorf("colfile: unknown type %v", t)
 	}

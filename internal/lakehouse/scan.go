@@ -377,6 +377,7 @@ func (e *Engine) ScanProjected(name string, plan Plan, filters []RangeFilter, co
 		m.scanLat.Observe(cost)
 	}()
 	row := make(colfile.Row, len(need)) // reused across rows; fn must not retain it
+	var cols [][]colfile.Value          // decode buffers, reused across every group of every file
 	for _, f := range plan.Files {
 		blob, rc, err := e.fs.Read(f.Path)
 		if err != nil {
@@ -394,8 +395,7 @@ func (e *Engine) ScanProjected(name string, plan Plan, filters []RangeFilter, co
 				continue
 			}
 			stats.ReadBytes += r.GroupBytes(g)
-			cols, err := r.ReadGroup(g, proj)
-			if err != nil {
+			if cols, err = r.ReadGroupInto(g, proj, cols); err != nil {
 				return stats, cost, err
 			}
 			for i := 0; i < r.GroupRows(g); i++ {

@@ -91,7 +91,7 @@ func readBloom(data []byte) (*Bloom, []byte, error) {
 	if n == 0 {
 		return nil, data, nil
 	}
-	if uint64(len(data)) < n+1 {
+	if n >= uint64(len(data)) { // the bits and the probe count; n+1 would wrap
 		return nil, nil, errors.New("tableobj: truncated bloom bits")
 	}
 	b := &Bloom{Bits: append([]byte(nil), data[:n]...)}

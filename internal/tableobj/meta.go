@@ -88,19 +88,22 @@ var commitSchema = colfile.MustSchema(
 // statsV2Marker introduces the extended stats encoding (zone maps and
 // bloom filters appended after the legacy min/max pairs). The legacy
 // encoding starts with a uvarint column count, whose first byte is 0xFF
-// only for a multi-byte count of 127+ columns — no real schema — so the
-// marker is unambiguous. Files with no zones and no blooms keep the
-// legacy encoding byte-for-byte, which keeps metadata (and replay
-// digests) identical when zone maps are off.
+// only for a multi-byte count of 255, 383, … columns — no real schema —
+// and such a count is written in the v2 encoding, so the marker is
+// unambiguous. Other files with no zones and no blooms keep the legacy
+// encoding byte-for-byte, which keeps metadata (and replay digests)
+// identical when zone maps are off.
 const statsV2Marker = 0xFF
 
 func encodeStats(f DataFile) string {
 	var buf []byte
-	v2 := len(f.Zones) > 0 || len(f.Blooms) > 0
+	var count [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(count[:], uint64(len(f.Min)))
+	v2 := len(f.Zones) > 0 || len(f.Blooms) > 0 || count[0] == statsV2Marker
 	if v2 {
 		buf = append(buf, statsV2Marker)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(f.Min)))
+	buf = append(buf, count[:n]...)
 	for i := range f.Min {
 		buf = colfile.AppendValue(buf, f.Min[i])
 		buf = colfile.AppendValue(buf, f.Max[i])

@@ -58,7 +58,7 @@ go test ./...
 # encoding/json, the SQL parser against its own rendering, the erasure
 # kernel against its byte-wise oracle.
 for t in rowcodec:FuzzDecode colfile:FuzzOpen streamobj:FuzzDecodeSlice \
-  tableobj:FuzzDecodeCommit tableobj:FuzzDecodeSnapshot \
+  tableobj:FuzzDecodeCommit tableobj:FuzzDecodeSnapshot tableobj:FuzzDecodeStats \
   gateway:FuzzDecodeFlat query:FuzzParse ec:FuzzEncodeReconstruct \
   kv:FuzzRestore compress:FuzzDecode; do
   go test -run '^$' -fuzz "^${t#*:}\$" -fuzztime 5s "./internal/${t%%:*}/"
@@ -67,7 +67,8 @@ done
 # Benchmark smoke: each runs once, to prove it builds and runs. What
 # they measure is guarded by tests in the passes above: a commit costs
 # the same whatever the log holds (cluster, plog), a request costs its
-# bytes (gateway).
+# bytes (gateway), a table file costs its bytes (colfile).
 go test -run '^$' -bench 'BenchmarkCommitProduce' -benchtime 1x ./internal/cluster/
 go test -run '^$' -bench 'BenchmarkAppendBatch' -benchtime 1x ./internal/plog/
 go test -run '^$' -bench 'Request' -benchtime 1x ./internal/gateway/
+go test -run '^$' -bench 'WriteFile|ReadGroupProjected' -benchtime 1x ./internal/colfile/
