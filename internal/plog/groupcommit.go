@@ -14,7 +14,7 @@ package plog
 import (
 	"fmt"
 	"strconv"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamlake/internal/obs"
@@ -103,9 +103,10 @@ func (l *PLog) AppendBatch(payloads [][]byte, sp *obs.Span) (offsets []int64, co
 	}
 	l.metrics.appendLat.Observe(max)
 	l.metrics.appendBytes.Add(logical)
-	if len(payloads) > 1 {
-		l.metrics.groupCommits.Inc()
-		l.metrics.groupPayloads.Add(int64(len(payloads)))
+	if n := int64(len(payloads)); n > 1 {
+		l.groupCommits.commits.Add(1)
+		l.groupCommits.payloads.Add(n)
+		l.groupCommits.saved.Add((n - 1) * int64(len(l.slices)))
 	}
 	if len(failed) > 0 {
 		l.metrics.degradedOps.Inc()
@@ -117,56 +118,26 @@ func (l *PLog) AppendBatch(payloads [][]byte, sp *obs.Span) (offsets []int64, co
 	return offsets, max, nil
 }
 
-// GroupCommitStats counts the coalescing work a GroupCommitter has
-// coordinated.
+// GroupCommitStats counts the commits AppendBatch actually coalesced
+// across a manager's logs: only a batch of more than one payload that
+// landed as one write per placement copy counts.
 type GroupCommitStats struct {
 	Commits           int64 // coalesced device commits issued
-	Payloads          int64 // slice flushes folded into them
+	Payloads          int64 // payloads folded into them
 	SavedDeviceWrites int64 // placement writes avoided vs one per payload
 }
 
-// GroupCommitter is the commit coordinator the stream-object flush path
-// enqueues into: it owns the grouping policy (how many slices to fold
-// into one device commit) and the accounting of how much device work
-// coalescing saved. The committer holds no buffered data itself — the
-// records being grouped stay journal-durable and readable in the stream
-// object's open buffer until the coalesced AppendBatch lands — so a
-// crash between group commits loses nothing that was acknowledged.
-type GroupCommitter struct {
-	target int
-
-	mu    sync.Mutex
-	stats GroupCommitStats
+// groupCommitCounts is the manager-wide tally behind GroupCommitStats;
+// every log of the manager points at it.
+type groupCommitCounts struct {
+	commits, payloads, saved atomic.Int64
 }
 
-// NewGroupCommitter builds a coordinator folding up to `slices` slice
-// flushes into one device commit. Values below 2 mean one commit per
-// slice.
-func NewGroupCommitter(slices int) *GroupCommitter {
-	if slices < 1 {
-		slices = 1
+// GroupCommitStats snapshots the manager's coalesced-commit counters.
+func (m *Manager) GroupCommitStats() GroupCommitStats {
+	return GroupCommitStats{
+		Commits:           m.groupCommits.commits.Load(),
+		Payloads:          m.groupCommits.payloads.Load(),
+		SavedDeviceWrites: m.groupCommits.saved.Load(),
 	}
-	return &GroupCommitter{target: slices}
-}
-
-// Target reports how many slices the coordinator folds per commit.
-func (g *GroupCommitter) Target() int { return g.target }
-
-// Note records one coalesced commit of n payloads across a placement
-// group of the given width.
-func (g *GroupCommitter) Note(payloads, width int) {
-	g.mu.Lock()
-	g.stats.Commits++
-	g.stats.Payloads += int64(payloads)
-	if payloads > 1 {
-		g.stats.SavedDeviceWrites += int64(payloads-1) * int64(width)
-	}
-	g.mu.Unlock()
-}
-
-// Stats snapshots the coordinator's counters.
-func (g *GroupCommitter) Stats() GroupCommitStats {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.stats
 }

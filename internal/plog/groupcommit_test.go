@@ -69,6 +69,14 @@ func TestAppendBatchMatchesIndividualAppends(t *testing.T) {
 	if grp*int64(len(payloads)) != seq {
 		t.Fatalf("write ops: sequential %d, batched %d (want %dx reduction)", seq, grp, len(payloads))
 	}
+	// Only the batch coalesced; the six writes it saved are the difference.
+	want := GroupCommitStats{Commits: 1, Payloads: 4, SavedDeviceWrites: seq - grp}
+	if got := mb.GroupCommitStats(); got != want {
+		t.Fatalf("batched group-commit stats %+v, want %+v", got, want)
+	}
+	if got := ma.GroupCommitStats(); got != (GroupCommitStats{}) {
+		t.Fatalf("single appends counted as group commits: %+v", got)
+	}
 }
 
 // A batch against a failed disk degrades exactly like single appends:
@@ -139,6 +147,9 @@ func TestAppendBatchRollbackBeyondTolerance(t *testing.T) {
 	if l.StaleBytes() != 0 {
 		t.Fatalf("failed batch left stale bytes: %d", l.StaleBytes())
 	}
+	if st := m.GroupCommitStats(); st != (GroupCommitStats{}) {
+		t.Fatalf("rolled-back batch counted as a group commit: %+v", st)
+	}
 }
 
 // Oversized batches and sealed logs report the same sentinels as
@@ -152,6 +163,9 @@ func TestAppendBatchSentinels(t *testing.T) {
 	}
 	if l.Size() != 0 {
 		t.Fatal("rejected batch grew the log")
+	}
+	if st := m.GroupCommitStats(); st != (GroupCommitStats{}) {
+		t.Fatalf("rejected batch counted as a group commit: %+v", st)
 	}
 	l.Seal()
 	if _, _, err := l.AppendBatch([][]byte{[]byte("x")}, nil); !errors.Is(err, ErrSealed) {
@@ -188,18 +202,5 @@ func TestMigrateAfterDestroyRefused(t *testing.T) {
 	}
 	if _, _, err := l.AppendBatch([][]byte{[]byte("late")}, nil); !errors.Is(err, ErrSealed) {
 		t.Fatalf("late batch: %v", err)
-	}
-}
-
-func TestGroupCommitterStats(t *testing.T) {
-	gc := NewGroupCommitter(4)
-	if gc.Target() != 4 {
-		t.Fatalf("target: %d", gc.Target())
-	}
-	gc.Note(4, 3) // 4 payloads over 3 copies: 3 writes instead of 12
-	gc.Note(1, 3) // singleton: nothing saved
-	st := gc.Stats()
-	if st.Commits != 2 || st.Payloads != 5 || st.SavedDeviceWrites != 9 {
-		t.Fatalf("stats: %+v", st)
 	}
 }

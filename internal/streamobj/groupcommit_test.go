@@ -1,6 +1,7 @@
 package streamobj
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -68,7 +69,7 @@ func TestGroupCommitCoalescesSliceFlushes(t *testing.T) {
 	lo, _ := legacy.Create(CreateOptions{Topic: "t"})
 	fill(t, lo, n)
 
-	grouped, gp, _ := newStoreWithPool(t)
+	grouped, gp, gm := newStoreWithPool(t)
 	grouped.EnableGroupCommit(target)
 	go2, _ := grouped.Create(CreateOptions{Topic: "t"})
 	// One record short of the trigger: every slice flush is deferred.
@@ -92,7 +93,7 @@ func TestGroupCommitCoalescesSliceFlushes(t *testing.T) {
 	if lw, gw := writeOps(lp), writeOps(gp); gw >= lw {
 		t.Fatalf("group commit saved nothing: legacy %d, grouped %d", lw, gw)
 	}
-	st := grouped.GroupCommitStats()
+	st := gm.GroupCommitStats()
 	if st.Commits != 1 || st.Payloads != target || st.SavedDeviceWrites != perSlice*int64(target-1) {
 		t.Fatalf("group commit stats: %+v", st)
 	}
@@ -121,7 +122,7 @@ func TestFlushCommitsUpToTargetSlices(t *testing.T) {
 		{"default", 1, 3, 3, 0, 0},  // 1+1+1 on append, then the tail alone
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, p, _ := newStoreWithPool(t)
+			s, p, m := newStoreWithPool(t)
 			s.EnableGroupCommit(tc.target)
 			o, _ := s.Create(CreateOptions{Topic: "t"})
 			width := int64(o.opts.Redundancy.Width())
@@ -149,7 +150,7 @@ func TestFlushCommitsUpToTargetSlices(t *testing.T) {
 			if st := o.Stats(); st.Slices != tc.full+1 || st.OpenBuf != 0 {
 				t.Fatalf("flush left records behind: %+v", st)
 			}
-			if st := s.GroupCommitStats(); st.Commits != tc.coalesced {
+			if st := m.GroupCommitStats(); st.Commits != tc.coalesced {
 				t.Fatalf("coalesced commits: %+v, want %d", st, tc.coalesced)
 			}
 			checkAll(t, o, n)
@@ -160,7 +161,7 @@ func TestFlushCommitsUpToTargetSlices(t *testing.T) {
 // Flush with group commit on drains full slices AND the short tail in
 // one coalesced commit; everything stays readable.
 func TestGroupCommitFlushDrainsTail(t *testing.T) {
-	s, _, _ := newStoreWithPool(t)
+	s, _, m := newStoreWithPool(t)
 	s.EnableGroupCommit(8)
 	o, _ := s.Create(CreateOptions{Topic: "t"})
 	n := SliceRecords + 44 // one full slice plus a tail, below the trigger
@@ -175,8 +176,35 @@ func TestGroupCommitFlushDrainsTail(t *testing.T) {
 		t.Fatalf("flush left records behind: %+v", st)
 	}
 	checkAll(t, o, n)
-	if st := s.GroupCommitStats(); st.Commits != 1 || st.Payloads != 2 {
+	if st := m.GroupCommitStats(); st.Commits != 1 || st.Payloads != 2 {
 		t.Fatalf("stats after tail drain: %+v", st)
+	}
+}
+
+// A group too large for even a fresh log falls back to one append per
+// slice (shard.AppendBatch), so nothing coalesced and nothing may count
+// as a group commit: the four slices cost four writes per copy.
+func TestGroupCommitStatsCountOnlyCoalescedCommits(t *testing.T) {
+	clock := sim.NewClock()
+	p := pool.New("sobj-gc", clock, sim.NVMeSSD, 6, 16<<20)
+	m := plog.NewManager(p, 1<<20) // four 1 KiB-record slices overflow it
+	s := NewStore(clock, m)
+	s.EnableGroupCommit(4)
+	o, _ := s.Create(CreateOptions{Topic: "t"})
+	value := bytes.Repeat([]byte("v"), 1<<10)
+	for i := 0; i < 4*SliceRecords; i++ {
+		if _, _, err := o.Append([]Record{{Key: []byte(fmt.Sprintf("k%05d", i)), Value: value}}, "p", int64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := o.Stats(); st.Slices != 4 || st.OpenBuf != 0 {
+		t.Fatalf("the group did not flush: %+v", st)
+	}
+	if got, want := writeOps(p), 4*int64(o.opts.Redundancy.Width()); got != want {
+		t.Fatalf("fallback flush issued %d device writes, want %d", got, want)
+	}
+	if st := m.GroupCommitStats(); st != (plog.GroupCommitStats{}) {
+		t.Fatalf("a flush that fell back to single appends counted as coalesced: %+v", st)
 	}
 }
 

@@ -104,12 +104,13 @@ type Store struct {
 	nextID  ObjectID
 	metrics storeMetrics
 
-	// gc is the group-commit coordinator (see plog.GroupCommitter):
-	// full-slice flushes wait until its target count is buffered and
-	// fold into one PLog commit. The target is a size, not a switch — the
-	// default of 1 commits every slice on its own. Never nil; atomic so
-	// flush paths read it without the store lock.
-	gc atomic.Pointer[plog.GroupCommitter]
+	// groupTarget sizes group commit: full-slice flushes wait until this
+	// many slices are buffered and fold into one PLog commit
+	// (plog.AppendBatch, which also counts the commits that coalesce).
+	// The target is a size, not a switch — the default of 1 commits every
+	// slice on its own. Atomic so flush paths read it without the store
+	// lock.
+	groupTarget atomic.Int64
 
 	// tenants is the multi-tenancy plane: capacity quotas are charged at
 	// durable append, and poolQoS imposes weighted-fair admission delay
@@ -132,13 +133,7 @@ func (s *Store) SetTenants(reg *tenant.Registry) {
 // mean one commit per slice, the default). Call at wiring time; resizing
 // mid-traffic is safe but makes flush timing config-dependent.
 func (s *Store) EnableGroupCommit(slices int) {
-	s.gc.Store(plog.NewGroupCommitter(slices))
-}
-
-// GroupCommitStats snapshots the group-commit coordinator's counters:
-// commits that coalesced more than one slice, so zeros at target 1.
-func (s *Store) GroupCommitStats() plog.GroupCommitStats {
-	return s.gc.Load().Stats()
+	s.groupTarget.Store(int64(max(slices, 1)))
 }
 
 // storeMetrics is the stream-object layer's obs instrument set; wired
@@ -437,7 +432,7 @@ func (o *Object) AppendTenantCtx(records []Record, producerID string, seq int64,
 	// commit (target 1, the default: every full slice commits on its
 	// own). Deferral risks nothing — the records are journal-durable and
 	// readable from the open buffer while they wait.
-	target := o.store.gc.Load().Target()
+	target := int(o.store.groupTarget.Load())
 	for len(o.buf) >= target*SliceRecords {
 		if _, err := o.flushBatchLocked(target, sp); err != nil {
 			o.store.metrics.flushDeferred.Inc()
@@ -565,7 +560,7 @@ func (o *Object) takeTokens(n int) error {
 func (o *Object) Flush() (time.Duration, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	target := o.store.gc.Load().Target()
+	target := int(o.store.groupTarget.Load())
 	var total time.Duration
 	for len(o.buf) > 0 {
 		cost, err := o.flushBatchLocked(target, nil)
@@ -640,9 +635,6 @@ func (o *Object) flushBatchLocked(maxSlices int, sp *obs.Span) (time.Duration, e
 		return 0, err
 	}
 	fsp.End(cost)
-	if slices > 1 {
-		o.store.gc.Load().Note(slices, o.opts.Redundancy.Width())
-	}
 	// trim drops the first n flushed records from the open buffer,
 	// compacting in place so the buffer keeps its capacity across slices.
 	// Read and cacheSlice copy records out, so nothing aliases the

@@ -4,6 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"streamlake/internal/plog"
+	"streamlake/internal/pool"
+	"streamlake/internal/sim"
+	"streamlake/internal/streamobj"
 	"streamlake/internal/tenant"
 )
 
@@ -134,7 +138,9 @@ func TestGroupCommitFlushPaysPoolAdmission(t *testing.T) {
 	// The worker buses carry the shared-backlog control scheduler, which
 	// attributes no delay to any tenant, so weighted-fair pool admission
 	// at slice flush is the ONLY possible source of WFQ delay below.
-	s := newService(t, 1)
+	clock := sim.NewClock()
+	mgr := plog.NewManager(pool.New("svc", clock, sim.NVMeSSD, 6, 4<<20), 1<<20)
+	s := New(clock, streamobj.NewStore(clock, mgr), 1)
 	reg, err := tenant.NewRegistry([]tenant.Config{{Name: "acme"}})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +176,7 @@ func TestGroupCommitFlushPaysPoolAdmission(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if gcs := s.Store().GroupCommitStats(); gcs.Commits < 1 {
+	if gcs := mgr.GroupCommitStats(); gcs.Commits < 1 {
 		t.Fatalf("group commit never fired: %+v", gcs)
 	}
 	st, _ = reg.StatsOf("acme")
