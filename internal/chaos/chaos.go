@@ -63,16 +63,13 @@ type Config struct {
 	// Mixed interleaves lakehouse inserts, scans, tiering passes, and
 	// cache-coherence probes with the streaming schedule — the
 	// everything-at-once workload. The probes enforce the cache
-	// invariant: a cached read never differs from a device read.
+	// invariant: a cached read never differs from a device read. Its
+	// tiering passes migrate quiescent logs onto the HDD pool, where
+	// they compress, so the standard invariants cover compressed extents
+	// too: probes demand cached ≡ device bytes across codec transitions,
+	// the drain proves acked writes survive a compress/decompress round
+	// trip bit-exact, and the digest folds in the cold-tier counters.
 	Mixed bool
-	// Compressed runs the lake with cold-tier compression on (implies
-	// Mixed, whose tiering events migrate quiescent logs to the HDD pool
-	// — the compression boundary). The standard invariants now cover
-	// compressed extents: coherence probes demand cached ≡ device bytes
-	// across codec transitions, the drain proves acked writes survive a
-	// compress/decompress round trip bit-exact, and the digest (which
-	// folds in the compression counters) must replay identically.
-	Compressed bool
 	// GroupCommit runs the lake with slice group commit on (4 slices per
 	// coalesced device write), so the loss/duplication invariants and the
 	// replay digest are checked over the batched flush path.
@@ -130,11 +127,6 @@ func (c Config) withDefaults() Config {
 	if (c.Failover || c.SplitBrain || c.Elastic) && c.Nodes <= 1 {
 		c.Nodes = 5
 	}
-	if c.Compressed {
-		// Compression only engages at the tiering boundary; the Mixed
-		// schedule is what drives logs across it.
-		c.Mixed = true
-	}
 	return c
 }
 
@@ -163,7 +155,7 @@ type Report struct {
 	NoisyShed    int64         // noisy-tenant sends shed under overload
 	SteadyAcked  int64         // steady-tenant sends acked
 	SteadyDenied int64         // steady-tenant sends throttled or shed (should stay rare)
-	ColdLogs     int           // logs holding compressed extents at run end (Compressed runs)
+	ColdLogs     int           // logs holding compressed extents at run end (Mixed runs)
 	ColdRawB     int64         // logical bytes those logs hold
 	ColdCompB    int64         // those bytes as stored after codec negotiation
 	NodeKills    int           // whole-node kills (Failover runs)
@@ -202,7 +194,6 @@ func run(cfg Config, degrade time.Duration) (Report, error) {
 		PLogCapacity: 1 << 20,
 		CacheMB:      cfg.CacheMB,
 		Nodes:        cfg.Nodes,
-		Compression:  cfg.Compressed,
 	}
 	if cfg.Nodes > 1 {
 		// Give every node at least two disks so a dead node's share can
@@ -1089,7 +1080,7 @@ func (h *harness) report() Report {
 	if h.cfg.GroupCommit {
 		r.GroupCommits = h.lake.GroupCommitStats().Commits
 	}
-	if h.cfg.Compressed {
+	if h.cfg.Mixed {
 		cs := h.lake.Logs().CompressionStats()
 		r.ColdLogs = cs.CompressedLogs
 		r.ColdRawB = cs.RawBytes
@@ -1146,7 +1137,7 @@ func (h *harness) digest(r Report) uint64 {
 	if h.cfg.GroupCommit {
 		w("groupCommits=%d;", r.GroupCommits)
 	}
-	if h.cfg.Compressed {
+	if h.cfg.Mixed {
 		w("coldLogs=%d coldRaw=%d coldComp=%d;", r.ColdLogs, r.ColdRawB, r.ColdCompB)
 	}
 	if h.cfg.NoisyNeighbor {

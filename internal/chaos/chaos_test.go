@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
@@ -104,16 +103,15 @@ func TestHedgingCutsTailLatency(t *testing.T) {
 
 // TestMixedWorkloadCacheCoherence: the everything-at-once run — stream
 // produce/consume, lakehouse inserts and scans, scrub, physical tiering
-// migrations, and the read cache all active under the full fault mix.
-// It must replay bit-identically, break no streaming invariant, and
-// every cache-coherence probe must see device-identical bytes.
+// migrations onto the compressing HDD tier, and the read cache all
+// active under the full fault mix. It must replay bit-identically, break
+// no streaming invariant, every cache-coherence probe must see
+// device-identical bytes, and the cold tier must actually compress
+// (cold logs, stored < raw bytes). mixed-300-7 is a shorter schedule
+// without partitions or hedging and with a smaller cache.
 func TestMixedWorkloadCacheCoherence(t *testing.T) {
-	seeds := []uint64{1, 2, 3}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		cfg := Config{
+	full := func(seed uint64) Config {
+		return Config{
 			Seed:       seed,
 			Events:     400,
 			DiskKills:  true,
@@ -123,28 +121,50 @@ func TestMixedWorkloadCacheCoherence(t *testing.T) {
 			Mixed:      true,
 			CacheMB:    16,
 		}
-		rep, same, err := RunWithReplay(cfg)
+	}
+	runs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"mixed-1", full(1)},
+		{"mixed-300-7", Config{Seed: 7, Events: 300, DiskKills: true, Corruption: true, Mixed: true, CacheMB: 8}},
+		{"mixed-2", full(2)},
+		{"mixed-3", full(3)},
+	}
+	if testing.Short() {
+		runs = runs[:2]
+	}
+	for _, run := range runs {
+		rep, same, err := RunWithReplay(run.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !same {
-			t.Errorf("seed %d: mixed replay diverged (digest %x)", seed, rep.Digest)
+			t.Errorf("%s: mixed replay diverged (digest %x)", run.name, rep.Digest)
 		}
-		checkDigest(t, fmt.Sprint("mixed-", seed), rep)
+		checkDigest(t, run.name, rep)
 		for _, v := range rep.Violations {
-			t.Errorf("seed %d: invariant violated: %s", seed, v)
+			t.Errorf("%s: invariant violated: %s", run.name, v)
 		}
 		if rep.TableRows == 0 || rep.Coherence == 0 {
-			t.Errorf("seed %d: mixed schedule degenerate: rows=%d coherence=%d",
-				seed, rep.TableRows, rep.Coherence)
+			t.Errorf("%s: mixed schedule degenerate: rows=%d coherence=%d",
+				run.name, rep.TableRows, rep.Coherence)
 		}
 		if rep.Produced == 0 {
-			t.Errorf("seed %d: streaming side acked nothing", seed)
+			t.Errorf("%s: streaming side acked nothing", run.name)
 		}
 		if rep.CacheHits == 0 {
-			t.Errorf("seed %d: cache never hit under mixed workload", seed)
+			t.Errorf("%s: cache never hit under mixed workload", run.name)
 		}
-		t.Logf("seed %d: digest %x, %d coherence probes, %d cache hits", seed, rep.Digest, rep.Coherence, rep.CacheHits)
+		if rep.ColdLogs == 0 {
+			t.Errorf("%s: no log ever compressed — the schedule missed the tiering boundary", run.name)
+		}
+		if rep.ColdCompB >= rep.ColdRawB {
+			t.Errorf("%s: cold tier stored %d bytes for %d raw — compression bought nothing",
+				run.name, rep.ColdCompB, rep.ColdRawB)
+		}
+		t.Logf("%s: digest %x, %d coherence probes, %d cache hits, %d cold logs storing %d of %d raw bytes",
+			run.name, rep.Digest, rep.Coherence, rep.CacheHits, rep.ColdLogs, rep.ColdCompB, rep.ColdRawB)
 	}
 }
 
@@ -183,90 +203,5 @@ func TestGroupCommitChaos(t *testing.T) {
 	}
 	if rep.Drained < rep.Produced {
 		t.Fatalf("acked writes lost through the batched path: %+v", rep)
-	}
-}
-
-// TestCompressedMixedChaos: the mixed workload with cold-tier
-// compression on. Tiering events push quiescent logs onto the HDD pool
-// where their extents compress; subsequent reads, coherence probes, and
-// the final drain all land on compressed extents and must stay
-// bit-identical to the acked bytes. The run must actually compress
-// (cold logs with stored < raw bytes), never inflate, and replay to the
-// same digest — which now folds in the compression counters.
-func TestCompressedMixedChaos(t *testing.T) {
-	seeds := []uint64{1, 2, 3}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, seed := range seeds {
-		cfg := Config{
-			Seed:       seed,
-			Events:     400,
-			DiskKills:  true,
-			Corruption: true,
-			Partitions: true,
-			Hedging:    true,
-			Compressed: true,
-			CacheMB:    16,
-		}
-		rep, same, err := RunWithReplay(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !same {
-			t.Errorf("seed %d: compressed replay diverged (digest %x)", seed, rep.Digest)
-		}
-		checkDigest(t, fmt.Sprint("compressed-", seed), rep)
-		for _, v := range rep.Violations {
-			t.Errorf("seed %d: invariant violated: %s", seed, v)
-		}
-		if rep.ColdLogs == 0 {
-			t.Errorf("seed %d: no log ever compressed — the schedule missed the tiering boundary", seed)
-		}
-		if rep.ColdCompB >= rep.ColdRawB {
-			t.Errorf("seed %d: cold tier stored %d bytes for %d raw — compression bought nothing",
-				seed, rep.ColdCompB, rep.ColdRawB)
-		}
-		if rep.TableRows == 0 || rep.Coherence == 0 {
-			t.Errorf("seed %d: mixed schedule degenerate: rows=%d coherence=%d",
-				seed, rep.TableRows, rep.Coherence)
-		}
-		if rep.Produced == 0 {
-			t.Errorf("seed %d: streaming side acked nothing", seed)
-		}
-		t.Logf("seed %d: digest %x, %d cold logs, %d of %d raw bytes stored", seed, rep.Digest, rep.ColdLogs, rep.ColdCompB, rep.ColdRawB)
-	}
-}
-
-// TestCompressionOffReplaysLegacyDigest: Config.Compressed is a
-// digest-compat knob — with it off, the mixed schedule must produce the
-// exact digest it produced before compression existed (same RNG draws,
-// same costs, same acked set). Guarded by comparing the off-run digest
-// against a plain Mixed run of the same seed.
-func TestCompressionOffReplaysLegacyDigest(t *testing.T) {
-	base := Config{Seed: 7, Events: 300, DiskKills: true, Corruption: true, Mixed: true, CacheMB: 8}
-	a, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDigest(t, "mixed-300-7", a)
-	off := base
-	off.Compressed = false // explicit: the zero value must change nothing
-	b, err := Run(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Digest != b.Digest {
-		t.Fatalf("compression-off run diverged from the legacy schedule: %x vs %x", a.Digest, b.Digest)
-	}
-	on := base
-	on.Compressed = true
-	c, err := Run(on)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDigest(t, "compressed-300-7", c)
-	if len(c.Violations) != 0 {
-		t.Fatalf("compressed run violated invariants: %v", c.Violations)
 	}
 }

@@ -1,16 +1,16 @@
 // Cold-tier compression state for PLogs (see internal/compress for the
-// codecs and the calibrated virtual-CPU cost model). Compression is a
-// migration-time transform: when a log's placement group moves to the
-// manager's designated cold pool, each extent is negotiated against the
-// real codecs and the destination copies are written at compressed
-// size; migrating off the cold pool decompresses. The logical byte
-// stream (the extents' own bytes) stays authoritative and uncompressed —
-// reads always serve raw bytes, the read cache stores uncompressed
-// verified bytes, and every CRC-32C stays keyed over uncompressed data, so
-// verify-on-read, quarantine, EC reconstruction and the scrubber work
-// unchanged on compressed logs. What compression changes is accounting:
-// device bytes moved/stored/read shrink to compressed sizes, and the
-// codec CPU is charged to the virtual clock.
+// codecs and the calibrated virtual-CPU cost model). Compression is what
+// the HDD tier does to a log that moves onto it: when a log's placement
+// group migrates to a pool of HDD disks, each extent is negotiated
+// against the real codecs and the destination copies are written at
+// compressed size; migrating to any other pool decompresses. The logical
+// byte stream (the extents' own bytes) stays authoritative and
+// uncompressed — reads always serve raw bytes, the read cache stores
+// uncompressed verified bytes, and every CRC-32C stays keyed over
+// uncompressed data, so verify-on-read, quarantine, EC reconstruction
+// and the scrubber work unchanged on compressed logs. What compression
+// changes is accounting: device bytes moved/stored/read shrink to
+// compressed sizes, and the codec CPU is charged to the virtual clock.
 //
 // Locking: l.compressed and l.ecomp follow the placement-identity rule
 // (see Migrate): writers hold both mu and imu, so readers may hold
@@ -22,17 +22,7 @@ import (
 	"time"
 
 	"streamlake/internal/compress"
-	"streamlake/internal/pool"
 )
-
-// comprConfig is the manager-wide compression configuration every log
-// points at (the same atomic-slot lifetime trick as the read cache):
-// nil means compression-on-migrate is off.
-type comprConfig struct {
-	// cold is the pool whose incoming migrations compress; migrations
-	// leaving it decompress.
-	cold *pool.Pool
-}
 
 // extComp is one extent's negotiated compression outcome: the codec and
 // the exact on-device byte count of the whole extent under it. Parallel
@@ -41,19 +31,6 @@ type comprConfig struct {
 type extComp struct {
 	codec compress.Codec
 	clen  int64
-}
-
-// SetCompression enables compression-on-migrate for every log of the
-// manager: extents compress as their log migrates onto cold and
-// decompress as they migrate off it. nil disables negotiation for
-// future migrations; logs already compressed stay compressed (and keep
-// decompressing on reads) until they next migrate off the cold pool.
-func (m *Manager) SetCompression(cold *pool.Pool) {
-	if cold == nil {
-		m.compr.Store(nil)
-		return
-	}
-	m.compr.Store(&comprConfig{cold: cold})
 }
 
 // Compressed reports whether the log currently stores compressed

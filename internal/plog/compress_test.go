@@ -24,7 +24,6 @@ func compressible(n int) []byte {
 func TestMigrateCompressesOntoColdPool(t *testing.T) {
 	m := newManager(t, 3)
 	hdd := newHDDPool(3)
-	m.SetCompression(hdd)
 	l, err := m.Create(ReplicateN(3))
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +93,6 @@ func TestMigrateCompressesOntoColdPool(t *testing.T) {
 func TestMigrateDecompressesOffColdPool(t *testing.T) {
 	m := newManager(t, 3)
 	hdd := newHDDPool(3)
-	m.SetCompression(hdd)
 	l, _ := m.Create(ReplicateN(3))
 	payload := compressible(32 << 10)
 	l.Append(payload)
@@ -123,7 +121,6 @@ func TestMigrateDecompressesOffColdPool(t *testing.T) {
 func TestIncompressibleExtentsBailOutRaw(t *testing.T) {
 	m := newManager(t, 3)
 	hdd := newHDDPool(3)
-	m.SetCompression(hdd)
 	l, _ := m.Create(ReplicateN(3))
 	rng := sim.NewRNG(99)
 	payload := make([]byte, 32<<10)
@@ -150,32 +147,12 @@ func TestIncompressibleExtentsBailOutRaw(t *testing.T) {
 	}
 }
 
-// The compression boundary is config-gated: without SetCompression a
-// migration to any pool keeps the legacy raw accounting bit-identical.
-func TestMigrateWithoutCompressionConfigStaysRaw(t *testing.T) {
-	m := newManager(t, 3)
-	hdd := newHDDPool(3)
-	l, _ := m.Create(ReplicateN(3))
-	payload := compressible(16 << 10)
-	l.Append(payload)
-	if _, err := l.Migrate(hdd); err != nil {
-		t.Fatal(err)
-	}
-	if l.Compressed() {
-		t.Fatal("compression ran with no cold pool configured")
-	}
-	if got := hdd.Stats().Live; got != int64(len(payload))*3 {
-		t.Fatalf("cold live %d, want raw %d", got, int64(len(payload))*3)
-	}
-}
-
 // Scrub on a compressed log reads compressed bytes, still verifies the
 // CRC over uncompressed data, and finds exactly the corruption it would
 // have found raw.
 func TestScrubCompressedLogFindsCorruption(t *testing.T) {
 	m := newManager(t, 3)
 	hdd := newHDDPool(3)
-	m.SetCompression(hdd)
 	l, _ := m.Create(ReplicateN(3))
 	payload := compressible(32 << 10)
 	l.Append(payload)
@@ -254,9 +231,9 @@ func TestMigrateChargesReconstructionOnDeadSourceDisk(t *testing.T) {
 	if want := 3 * n; survivorReads != want {
 		t.Fatalf("survivors served %d read bytes, want %d (2 own copies + 1 reconstruction)", survivorReads, want)
 	}
-	// The destination still received all three copies.
-	if got := hdd.Stats().Live; got != 3*n {
-		t.Fatalf("cold live %d, want %d", got, 3*n)
+	// The destination still received all three copies, compressed.
+	if got, want := hdd.Stats().Live, 3*m.CompressionStats().CompressedBytes; got != want || want >= 3*n {
+		t.Fatalf("cold live %d, want %d (three compressed copies of %d raw bytes)", got, want, n)
 	}
 	got, _, err := l.Read(0, n)
 	if err != nil || !bytes.Equal(got, payload) {
@@ -397,7 +374,6 @@ func TestConcurrentReadMigrateFillGuard(t *testing.T) {
 func TestAppendAfterCompressingMigrate(t *testing.T) {
 	m := newManager(t, 3)
 	hdd := newHDDPool(3)
-	m.SetCompression(hdd)
 	l, _ := m.Create(ReplicateN(3))
 	first := compressible(8 << 10)
 	l.Append(first)

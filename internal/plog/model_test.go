@@ -102,7 +102,6 @@ func runModel(t *testing.T, red Redundancy, seed uint64, steps int) {
 	hot := pool.New("hot", clock, sim.NVMeSSD, 8, 0)
 	cold := pool.New("cold", clock, sim.SASHDD, 8, 0)
 	mgr := NewManager(hot, capacity)
-	mgr.SetCompression(cold)
 	l, err := mgr.Create(red)
 	if err != nil {
 		t.Fatal(err)

@@ -101,7 +101,6 @@ func TestECRaggedTailReconstructBitExact(t *testing.T) {
 func TestECRaggedTailCompressedRoundTrip(t *testing.T) {
 	p, m := newTestManager(t, 8)
 	hdd := newHDDPool(8)
-	m.SetCompression(hdd)
 	l, err := m.Create(EC(4, 2))
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 
 	"streamlake/internal/compress"
 	"streamlake/internal/pool"
+	"streamlake/internal/sim"
 )
 
 // Migrate moves the log's placement group to dst, reading each copy
@@ -21,13 +22,12 @@ import (
 // rolled back and the log stays where it was. Migrating to the current
 // pool is a no-op.
 //
-// When the manager designates a cold pool (Manager.SetCompression),
-// migration is also the compression boundary: extents negotiate a codec
-// on the way onto the cold pool (destination copies land at compressed
-// size, the trial-encode CPU is charged to the migration once per
-// extent) and decompress on the way off it. The checksums are keyed
-// over uncompressed bytes on both sides, so the sidecar still moves
-// verbatim.
+// Migration is also the compression boundary: extents negotiate a codec
+// on the way onto a pool of HDD disks, the cold tier (destination copies
+// land at compressed size, the trial-encode CPU is charged to the
+// migration once per extent), and decompress on the way to any other
+// pool. The checksums are keyed over uncompressed bytes on both sides,
+// so the sidecar still moves verbatim.
 func (l *PLog) Migrate(dst *pool.Pool) (time.Duration, error) {
 	if dst == nil {
 		return 0, fmt.Errorf("plog: migrate log %d to nil pool", l.id)
@@ -50,12 +50,9 @@ func (l *PLog) Migrate(dst *pool.Pool) (time.Duration, error) {
 		return 0, fmt.Errorf("plog: migrate log %d: %w", l.id, err)
 	}
 
-	var cc *comprConfig
-	if l.compr != nil {
-		cc = l.compr.Load()
-	}
-	compressTo := cc != nil && cc.cold == dst && !l.compressed
-	decompressFrom := l.compressed && (cc == nil || cc.cold != dst)
+	cold := dst.Class() == sim.SASHDD
+	compressTo := cold && !l.compressed
+	decompressFrom := l.compressed && !cold
 
 	var cost time.Duration
 	var newComp []extComp

@@ -155,6 +155,9 @@ func New(name string, clock *sim.Clock, class sim.DeviceClass, n int, sliceSize 
 // Name returns the pool's name.
 func (p *Pool) Name() string { return p.name }
 
+// Class returns the device class the pool's disks are built from.
+func (p *Pool) Class() sim.DeviceClass { return p.class }
+
 // SetFaultHook installs (or clears, with nil) the pool's fault-injection
 // hook. All slice reads and writes, including repair I/O, pass through
 // the hook.

@@ -1,16 +1,17 @@
 // Package tiering implements the data service layer's tiering and
-// replication services (Section III): static and dynamic data migration
-// and eviction between the SSD and HDD storage pools based on tiering
-// policies, plus the periodic replication to a remote site for backup
-// and recovery. Tiering is one of the levers behind the paper's TCO
-// claim — cold stream/table data automatically drains to cheap media
-// without an external archive system.
+// replication services (Section III): the policy that decides static
+// and dynamic data migration and eviction between the SSD and HDD
+// storage pools, plus the periodic replication to a remote site for
+// backup and recovery. Tiering is one of the levers behind the paper's
+// TCO claim — cold stream/table data automatically drains to cheap media
+// without an external archive system. The service only decides and
+// records moves; the layer that performs a move (plog.Migrate, for the
+// lake's logs) is the one that charges it.
 package tiering
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
@@ -88,7 +89,6 @@ type Migration struct {
 type Service struct {
 	clock  *sim.Clock
 	policy Policy
-	dev    map[Tier]*sim.Device
 
 	mu        sync.Mutex
 	items     map[string]*Item
@@ -99,46 +99,9 @@ type Service struct {
 // ErrUnknownItem is returned for operations on unregistered items.
 var ErrUnknownItem = errors.New("tiering: unknown item")
 
-// NewService builds a tiering service over per-tier devices created with
-// default specs (archive reuses the HDD cost model).
+// NewService builds a tiering service applying policy on clock's time.
 func NewService(clock *sim.Clock, policy Policy) *Service {
-	return &Service{
-		clock:  clock,
-		policy: policy,
-		dev: map[Tier]*sim.Device{
-			SSD:     sim.NewDeviceOf("tier-ssd", sim.NVMeSSD),
-			HDD:     sim.NewDeviceOf("tier-hdd", sim.SASHDD),
-			Archive: sim.NewDeviceOf("tier-archive", sim.SASHDD),
-		},
-		items: make(map[string]*Item),
-	}
-}
-
-// DegradeTier dials a latency slowdown onto one tier's device (factor
-// > 1 degrades, 1 restores) — the fault injector's model of a sick
-// media pool; migrations to and reads from the tier slow accordingly.
-// A factor <= 0 (or NaN) is rejected: the device layer would silently
-// clamp it to "healthy", masking a caller that meant to degrade.
-func (s *Service) DegradeTier(t Tier, factor float64) error {
-	if math.IsNaN(factor) || factor <= 0 {
-		return fmt.Errorf("tiering: invalid slowdown factor %v for tier %v", factor, t)
-	}
-	dev, ok := s.dev[t]
-	if !ok {
-		return fmt.Errorf("tiering: unknown tier %v", t)
-	}
-	dev.SetSlowdown(factor)
-	return nil
-}
-
-// TierSlowdown reports a tier's current latency multiplier (1 =
-// healthy).
-func (s *Service) TierSlowdown(t Tier) float64 {
-	dev, ok := s.dev[t]
-	if !ok {
-		return 1
-	}
-	return dev.Slowdown()
+	return &Service{clock: clock, policy: policy, items: make(map[string]*Item)}
 }
 
 // Register starts tracking an item at the given tier.
@@ -176,43 +139,38 @@ func (s *Service) Touch(id string) error {
 }
 
 // Promote moves an item to SSD immediately (static migration up).
-func (s *Service) Promote(id string) (time.Duration, error) {
+func (s *Service) Promote(id string) error {
 	return s.migrate(id, SSD)
 }
 
 // Demote moves an item to the given lower tier immediately (static
 // migration down / eviction).
-func (s *Service) Demote(id string, to Tier) (time.Duration, error) {
+func (s *Service) Demote(id string, to Tier) error {
 	return s.migrate(id, to)
 }
 
-func (s *Service) migrate(id string, to Tier) (time.Duration, error) {
-	// Validate the destination before touching any state: an unknown
-	// tier used to mutate it.Tier first and then nil-panic on the device
-	// lookup, leaving the item stranded on a tier nothing serves.
-	if _, ok := s.dev[to]; !ok {
-		return 0, fmt.Errorf("tiering: unknown tier %v", to)
+// migrate records a move of id to tier to. It charges nothing: the
+// caller that moves the item's bytes charges the move.
+func (s *Service) migrate(id string, to Tier) error {
+	// Validate the destination before touching any state, so a failed
+	// move never strands the item on a tier nothing serves.
+	if to < SSD || to > Archive {
+		return fmt.Errorf("tiering: unknown tier %v", to)
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	it, ok := s.items[id]
 	if !ok {
-		s.mu.Unlock()
-		return 0, ErrUnknownItem
+		return ErrUnknownItem
 	}
-	from := it.Tier
-	if from == to {
+	if it.Tier == to {
 		// Same-tier moves are strict no-ops: no migration bytes
-		// registered, no device charge, no state touched.
-		s.mu.Unlock()
-		return 0, nil
+		// registered, no state touched.
+		return nil
 	}
-	size := it.Size
 	it.Tier = to
-	s.migrated += size
-	s.mu.Unlock()
-	cost := s.dev[from].Read(size)
-	cost += s.dev[to].Write(size)
-	return cost, nil
+	s.migrated += it.Size
+	return nil
 }
 
 // TierOf reports an item's current tier.
@@ -226,24 +184,9 @@ func (s *Service) TierOf(id string) (Tier, error) {
 	return it.Tier, nil
 }
 
-// ReadCost charges a read of n bytes of the item at its current tier —
-// how the rest of the system experiences tiering.
-func (s *Service) ReadCost(id string, n int64) (time.Duration, error) {
-	s.mu.Lock()
-	it, ok := s.items[id]
-	if !ok {
-		s.mu.Unlock()
-		return 0, ErrUnknownItem
-	}
-	tier := it.Tier
-	it.LastAccess = s.clock.Now()
-	s.mu.Unlock()
-	return s.dev[tier].Read(n), nil
-}
-
 // RunOnce applies the dynamic policy to every unpinned item and returns
-// the migrations performed plus their total modelled cost.
-func (s *Service) RunOnce() ([]Migration, time.Duration) {
+// the migrations it decided, in item-ID order.
+func (s *Service) RunOnce() []Migration {
 	now := s.clock.Now()
 	s.mu.Lock()
 	var planned []*Item
@@ -263,7 +206,6 @@ func (s *Service) RunOnce() ([]Migration, time.Duration) {
 	s.mu.Unlock()
 
 	var out []Migration
-	var cost time.Duration
 	for _, it := range planned {
 		var to Tier
 		switch it.Tier {
@@ -275,17 +217,15 @@ func (s *Service) RunOnce() ([]Migration, time.Duration) {
 			continue
 		}
 		from := it.Tier
-		c, err := s.migrate(it.ID, to)
-		if err != nil {
+		if err := s.migrate(it.ID, to); err != nil {
 			continue
 		}
-		cost += c
 		s.mu.Lock()
 		s.evictions++
 		s.mu.Unlock()
 		out = append(out, Migration{ID: it.ID, From: from, To: to, Size: it.Size})
 	}
-	return out, cost
+	return out
 }
 
 // Stats summarizes tier occupancy and monthly media cost.

@@ -1,7 +1,6 @@
 package tiering
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -34,15 +33,18 @@ func TestDynamicDemotion(t *testing.T) {
 	s.Touch("hot") // refresh recency
 
 	clock.Advance(30 * time.Minute) // cold idle 2.5h, hot idle 0.5h
-	migs, cost := s.RunOnce()
-	if len(migs) != 1 || migs[0].ID != "cold" || migs[0].To != HDD {
+	migs := s.RunOnce()
+	if len(migs) != 1 || migs[0].ID != "cold" || migs[0].From != SSD || migs[0].To != HDD || migs[0].Size != 4<<20 {
 		t.Fatalf("migrations: %+v", migs)
 	}
-	if cost <= 0 {
-		t.Fatal("migration charged nothing")
+	if tier, _ := s.TierOf("cold"); tier != HDD {
+		t.Fatalf("cold item on %v after its demotion", tier)
 	}
 	if tier, _ := s.TierOf("hot"); tier != SSD {
 		t.Fatal("hot item demoted")
+	}
+	if st := s.Stats(); st.MigratedBytes != 4<<20 || st.Evictions != 1 {
+		t.Fatalf("stats after one demotion: %+v", st)
 	}
 }
 
@@ -53,7 +55,7 @@ func TestArchiveAfterLongIdle(t *testing.T) {
 	clock.Advance(2 * time.Hour)
 	s.RunOnce() // -> HDD
 	clock.Advance(25 * time.Hour)
-	migs, _ := s.RunOnce() // -> Archive
+	migs := s.RunOnce() // -> Archive
 	if len(migs) != 1 || migs[0].To != Archive {
 		t.Fatalf("migrations: %+v", migs)
 	}
@@ -71,8 +73,7 @@ func TestPinnedNeverMigrates(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Advance(100 * time.Hour)
-	migs, _ := s.RunOnce()
-	if len(migs) != 0 {
+	if migs := s.RunOnce(); len(migs) != 0 {
 		t.Fatalf("pinned item migrated: %+v", migs)
 	}
 }
@@ -80,53 +81,20 @@ func TestPinnedNeverMigrates(t *testing.T) {
 func TestStaticPromoteDemote(t *testing.T) {
 	s := newService(sim.NewClock())
 	s.Register("x", 1<<20, SSD)
-	if _, err := s.Demote("x", Archive); err != nil {
+	if err := s.Demote("x", Archive); err != nil {
 		t.Fatal(err)
 	}
 	if tier, _ := s.TierOf("x"); tier != Archive {
 		t.Fatal("demote failed")
 	}
-	if _, err := s.Promote("x"); err != nil {
+	if err := s.Promote("x"); err != nil {
 		t.Fatal(err)
 	}
 	if tier, _ := s.TierOf("x"); tier != SSD {
 		t.Fatal("promote failed")
 	}
-	// No-op migration costs nothing.
-	if cost, _ := s.Promote("x"); cost != 0 {
-		t.Fatalf("no-op promote cost %v", cost)
-	}
-	if _, err := s.Promote("nope"); err != ErrUnknownItem {
+	if err := s.Promote("nope"); err != ErrUnknownItem {
 		t.Fatalf("promote unknown: %v", err)
-	}
-}
-
-func TestReadCostReflectsTier(t *testing.T) {
-	s := newService(sim.NewClock())
-	s.Register("a", 1<<20, SSD)
-	s.Register("b", 1<<20, HDD)
-	fast, err := s.ReadCost("a", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := s.ReadCost("b", 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast >= slow {
-		t.Fatalf("SSD read %v >= HDD read %v", fast, slow)
-	}
-}
-
-func TestReadCostRefreshesRecency(t *testing.T) {
-	clock := sim.NewClock()
-	s := newService(clock)
-	s.Register("warm", 1<<20, SSD)
-	clock.Advance(59 * time.Minute)
-	s.ReadCost("warm", 100) // access just before the deadline
-	clock.Advance(2 * time.Minute)
-	if migs, _ := s.RunOnce(); len(migs) != 0 {
-		t.Fatalf("recently read item demoted: %+v", migs)
 	}
 }
 
@@ -165,33 +133,12 @@ func TestReplicator(t *testing.T) {
 	}
 }
 
-func TestDegradeTierRejectsInvalidFactor(t *testing.T) {
-	s := newService(sim.NewClock())
-	for _, factor := range []float64{0, -1, -0.5, math.NaN()} {
-		if err := s.DegradeTier(HDD, factor); err == nil {
-			t.Fatalf("DegradeTier accepted factor %v", factor)
-		}
-	}
-	if got := s.TierSlowdown(HDD); got != 1 {
-		t.Fatalf("rejected factor still changed slowdown: %v", got)
-	}
-	if err := s.DegradeTier(HDD, 3); err != nil {
-		t.Fatalf("valid factor rejected: %v", err)
-	}
-	if got := s.TierSlowdown(HDD); got != 3 {
-		t.Fatalf("slowdown = %v, want 3", got)
-	}
-	if err := s.DegradeTier(Tier(42), 2); err == nil {
-		t.Fatal("DegradeTier accepted an unknown tier")
-	}
-}
-
 func TestMigrateToUnknownTierFailsWithoutMutation(t *testing.T) {
 	s := newService(sim.NewClock())
 	s.Register("item", 1<<20, SSD)
-	// Used to set it.Tier before validating, then panic on the nil
-	// device — stranding the item on a tier nothing serves.
-	if _, err := s.Demote("item", Tier(42)); err == nil {
+	// Used to set it.Tier before validating — stranding the item on a
+	// tier nothing serves.
+	if err := s.Demote("item", Tier(42)); err == nil {
 		t.Fatal("Demote to unknown tier succeeded")
 	}
 	if tier, _ := s.TierOf("item"); tier != SSD {
@@ -207,12 +154,8 @@ func TestSameTierDemoteIsStrictNoOp(t *testing.T) {
 	s := newService(clock)
 	s.Register("item", 1<<20, HDD)
 	before := s.Stats()
-	cost, err := s.Demote("item", HDD)
-	if err != nil {
+	if err := s.Demote("item", HDD); err != nil {
 		t.Fatalf("same-tier demote: %v", err)
-	}
-	if cost != 0 {
-		t.Fatalf("same-tier demote charged %v", cost)
 	}
 	after := s.Stats()
 	if after.MigratedBytes != before.MigratedBytes {

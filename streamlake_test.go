@@ -8,7 +8,9 @@ import (
 
 	"streamlake/internal/colfile"
 	"streamlake/internal/lakehouse"
+	"streamlake/internal/plog"
 	"streamlake/internal/streamobj"
+	"streamlake/internal/tiering"
 )
 
 var logSchema = MustSchema("url:string", "start_time:int64", "province:string")
@@ -27,7 +29,7 @@ func openTestLake(t testing.TB) *Lake {
 // plane that wants a field deletes one first. ROADMAP direction 2 sets
 // the target at <= 9; lower the cap as fields go, never raise it.
 func TestConfigKnobRatchet(t *testing.T) {
-	const maxFields = 11
+	const maxFields = 10
 	if n := reflect.TypeOf(Config{}).NumField(); n > maxFields {
 		t.Fatalf("Config has %d fields, cap is %d: delete a knob before adding one", n, maxFields)
 	}
@@ -269,17 +271,24 @@ func TestPlaybackFacade(t *testing.T) {
 	}
 }
 
-func TestTieringAndReplicationIntegration(t *testing.T) {
+// coldTopicLake opens a lake whose "cold" topic holds 2000 1 KiB
+// messages: enough to seal PLogs of 1 MiB capacity for tiering to move.
+func coldTopicLake(t *testing.T) *Lake {
+	t.Helper()
 	l := openTestLake(t)
 	l.CreateTopic(TopicConfig{Name: "cold", StreamNum: 1})
 	p := l.Producer("gen")
-	// Enough data to seal at least one PLog (1 MiB capacity each).
 	payload := make([]byte, 1<<10)
 	for i := 0; i < 2000; i++ {
 		if _, _, err := p.Send("cold", []byte(fmt.Sprint(i)), payload); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return l
+}
+
+func TestTieringAndReplicationIntegration(t *testing.T) {
+	l := coldTopicLake(t)
 	// Two passes establish quiescence and register the cold logs;
 	// nothing migrates while they are fresh.
 	l.RunTiering()
@@ -320,6 +329,41 @@ func TestTieringAndReplicationIntegration(t *testing.T) {
 	n, rcost := l.ReplicateOffsite()
 	if n == 0 || rcost <= 0 {
 		t.Fatalf("replication shipped nothing: %d %v", n, rcost)
+	}
+}
+
+// TestTieringCostIsItsPoolMoves: the tiering service only decides moves
+// and plog.Migrate performs and charges them, so a pass costs exactly
+// its pool moves. A same-seed twin lake makes the same moves by hand
+// through MigrateLog, and the two costs must agree.
+func TestTieringCostIsItsPoolMoves(t *testing.T) {
+	tiered, twin := coldTopicLake(t), coldTopicLake(t)
+	tiered.RunTiering()
+	tiered.RunTiering()
+	tiered.Clock().Advance(2 * time.Hour)
+	migs, cost := tiered.RunTiering()
+	var moved int
+	var want time.Duration
+	for _, m := range migs {
+		var id plog.ID
+		if _, err := fmt.Sscanf(m.ID, "plog/%d", &id); err != nil {
+			t.Fatal(err)
+		}
+		if m.To != tiering.HDD || !twin.Logs().Get(id).Sealed() {
+			continue // open logs tier by accounting only
+		}
+		c, err := twin.Logs().MigrateLog(id, twin.HDDPool())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += c
+		moved++
+	}
+	if moved == 0 {
+		t.Fatalf("tiering moved no sealed log: %+v", migs)
+	}
+	if cost != want {
+		t.Fatalf("tiering charged %v for %d log moves that cost %v in the pools", cost, moved, want)
 	}
 }
 
