@@ -213,7 +213,6 @@ func (e *Engine) DropHard(name string) (time.Duration, error) {
 	// (1) Clear the write cache.
 	e.mu.Lock()
 	st.pendingAdds = nil
-	st.pendingRemoves = nil
 	e.mu.Unlock()
 	e.cache.Scan([]byte("wcache/"+name+"/"), []byte("wcache/"+name+"0"), func(k, v []byte) bool {
 		c, _ := e.cache.Delete(k)

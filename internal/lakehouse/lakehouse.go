@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamlake/internal/cache"
@@ -53,8 +54,8 @@ type Engine struct {
 	tables  map[string]*tableState
 	metrics scanMetrics
 	// rcache is the shared two-tier read cache, when one is attached:
-	// decoded-snapshot manifests are served from it at query-planning
-	// time keyed by snapshot id (immutable by id, so never stale in
+	// snapshot files are served from it at query-planning time keyed
+	// by snapshot id (immutable by id, so never stale in
 	// content), and DML commits invalidate the table's prefix.
 	rcache *cache.Cache
 }
@@ -89,9 +90,10 @@ type tableState struct {
 	tbl *tableobj.Table
 	// pending commit records in the write cache, not yet folded into a
 	// persistent snapshot by the MetaFresher.
-	pendingAdds    []tableobj.DataFile
-	pendingRemoves []tableobj.DataFile
-	cacheSeq       int64
+	pendingAdds []tableobj.DataFile
+	cacheSeq    int64
+	// manifest is the last snapshot planning decoded (currentManifest).
+	manifest atomic.Pointer[tableobj.Manifest]
 }
 
 // New builds an engine.
@@ -199,7 +201,7 @@ func (e *Engine) Insert(name string, rows []colfile.Row) (time.Duration, error) 
 		cost += c
 		st.pendingAdds = append(st.pendingAdds, f)
 	}
-	pending := len(st.pendingAdds) + len(st.pendingRemoves)
+	pending := len(st.pendingAdds)
 	e.mu.Unlock()
 
 	// (c) Metadata persistence: MetaFresher flushes when the buffer is
@@ -230,11 +232,9 @@ func (e *Engine) Flush(name string) (time.Duration, error) {
 	}
 	e.mu.Lock()
 	adds := st.pendingAdds
-	removes := st.pendingRemoves
 	st.pendingAdds = nil
-	st.pendingRemoves = nil
 	e.mu.Unlock()
-	if len(adds) == 0 && len(removes) == 0 {
+	if len(adds) == 0 {
 		return 0, nil
 	}
 	x, err := st.tbl.Begin()
@@ -244,9 +244,6 @@ func (e *Engine) Flush(name string) (time.Duration, error) {
 	for _, f := range adds {
 		x.AddFile(f)
 	}
-	for _, f := range removes {
-		x.RemoveFile(f)
-	}
 	_, err = x.Commit()
 	for errors.Is(err, tableobj.ErrConflict) {
 		_, err = x.Retry()
@@ -255,7 +252,6 @@ func (e *Engine) Flush(name string) (time.Duration, error) {
 		// Restore the cache so the records are not lost.
 		e.mu.Lock()
 		st.pendingAdds = append(adds, st.pendingAdds...)
-		st.pendingRemoves = append(removes, st.pendingRemoves...)
 		e.mu.Unlock()
 		return x.Cost(), err
 	}
@@ -274,7 +270,7 @@ func (e *Engine) Pending(name string) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if st, ok := e.tables[name]; ok {
-		return len(st.pendingAdds) + len(st.pendingRemoves)
+		return len(st.pendingAdds)
 	}
 	return 0
 }

@@ -31,7 +31,7 @@ func TestStatsLegacyEncodingUnchanged(t *testing.T) {
 		t.Fatalf("legacy encoding drifted:\n got %x\nwant %x", enc, legacy)
 	}
 	var back DataFile
-	if err := decodeStats(enc, &back); err != nil {
+	if err := decodeStats([]byte(enc), &back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back.Min, f.Min) || !reflect.DeepEqual(back.Max, f.Max) {
