@@ -74,35 +74,47 @@ func decodeFloat64Chunk(out []Value, data []byte, n int) ([]Value, error) {
 
 func appendStringChunk(buf []byte, rows []Row, c int) []byte {
 	// Try dictionary encoding: worthwhile when distinct values fit a
-	// byte and repeat.
-	dict := make(map[string]int)
-	for _, r := range rows {
-		if _, ok := dict[r[c].Str]; !ok {
-			if len(dict) >= 256 {
+	// byte and repeat. One pass builds the dictionary in first-seen order
+	// and appends each row's code after buf's end; a value equal to the
+	// previous row's repeats its code without a lookup.
+	start := len(buf)
+	dict := make(map[string]byte)
+	for i, r := range rows {
+		s := r[c].Str
+		if i > 0 && s == rows[i-1][c].Str {
+			buf = append(buf, buf[len(buf)-1])
+			continue
+		}
+		code, ok := dict[s]
+		if !ok {
+			if len(dict) == 256 {
 				dict = nil
 				break
 			}
-			dict[r[c].Str] = len(dict)
+			code = byte(len(dict))
+			dict[s] = code
 		}
+		buf = append(buf, code)
 	}
 	if dict != nil && len(dict)*2 < len(rows) {
-		buf = append(buf, encDict)
-		// Dictionary block: count, then each entry.
+		// Dictionary block: count, then each entry. It goes ahead of the
+		// codes: append it and a second copy of the codes, then slide
+		// both down over the first copy.
 		words := make([]string, len(dict))
 		for w, i := range dict {
 			words[i] = w
 		}
+		n := len(buf) - start
+		buf = append(buf, encDict)
 		buf = binary.AppendUvarint(buf, uint64(len(words)))
 		for _, w := range words {
 			buf = binary.AppendUvarint(buf, uint64(len(w)))
 			buf = append(buf, w...)
 		}
-		for _, r := range rows {
-			buf = append(buf, byte(dict[r[c].Str]))
-		}
-		return buf
+		buf = append(buf, buf[start:start+n]...)
+		return buf[:start+copy(buf[start:], buf[start+n:])]
 	}
-	buf = append(buf, encPlain)
+	buf = append(buf[:start], encPlain)
 	for _, r := range rows {
 		buf = binary.AppendUvarint(buf, uint64(len(r[c].Str)))
 		buf = append(buf, r[c].Str...)

@@ -170,6 +170,14 @@ func (w *Writer) flushGroup() error {
 // NumRows reports the rows appended so far.
 func (w *Writer) NumRows() int64 { return w.numRows }
 
+// NumRowGroups reports the row groups flushed so far: every group, once
+// Finish has returned.
+func (w *Writer) NumRowGroups() int { return len(w.groups) }
+
+// GroupStats returns the statistics of column c in flushed group g, the
+// ones the footer records; on ties Min and Max keep the first-seen value.
+func (w *Writer) GroupStats(g, c int) Stats { return w.groups[g].stats[c] }
+
 // Finish flushes the last group, writes the footer, and returns the
 // complete file bytes. The writer cannot be reused.
 func (w *Writer) Finish() ([]byte, error) {
@@ -417,4 +425,34 @@ func (r *Reader) Scan(fn func(Row) bool) error {
 		}
 	}
 	return nil
+}
+
+// RowDecoder reads whole files as rows, for callers that rewrite what
+// they read. It decodes each row group into column buffers it keeps from
+// group to group and file to file. The zero value is ready; it is not
+// safe for concurrent use.
+type RowDecoder struct{ cols [][]Value }
+
+// AppendRows decodes every row of r and appends them to dst, or appends
+// nothing if any chunk fails. A row group's rows share one backing array
+// of their own: they stay valid, and the caller may modify them, across
+// calls.
+func (d *RowDecoder) AppendRows(dst []Row, r *Reader) ([]Row, error) {
+	n, nc := len(dst), len(r.schema.Fields)
+	for g, gm := range r.groups {
+		var err error
+		if d.cols, err = r.ReadGroupInto(g, nil, d.cols); err != nil {
+			return dst[:n], err
+		}
+		vals := make([]Value, gm.rows*nc) // gm.rows: each column's chunk held that many
+		dst = slices.Grow(dst, gm.rows)
+		for i := 0; i < gm.rows; i++ {
+			row := vals[i*nc : (i+1)*nc : (i+1)*nc]
+			for c := range row {
+				row[c] = d.cols[c][i]
+			}
+			dst = append(dst, row)
+		}
+	}
+	return dst, nil
 }

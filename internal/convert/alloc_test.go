@@ -1,0 +1,115 @@
+package convert
+
+import (
+	"runtime"
+	"testing"
+
+	"streamlake/internal/colfile"
+	"streamlake/internal/lakehouse"
+	"streamlake/internal/plog"
+	"streamlake/internal/pool"
+	"streamlake/internal/rowcodec"
+	"streamlake/internal/sim"
+	"streamlake/internal/streamobj"
+	"streamlake/internal/streamsvc"
+	"streamlake/internal/tableobj"
+	"streamlake/internal/workload/dpi"
+)
+
+// dpiTopic is the pipeline's conversion: raw DPI packets on an EC(4,2)
+// topic are decoded, normalized and labelled into a table partitioned by
+// province, and the stream copy is reclaimed.
+func dpiTopic() streamsvc.TopicConfig {
+	return streamsvc.TopicConfig{
+		Name: "dpi", StreamNum: 2, Redundancy: plog.EC(4, 2),
+		Convert: streamsvc.ConvertConfig{
+			Enabled: true, TableName: "dpi_table", TablePath: "/lake/dpi",
+			TableSchema: dpi.LabeledSchema, PartitionColumn: "province",
+			SplitOffset: 1 << 40, DeleteMsg: true,
+			Transform: func(_, value []byte) (colfile.Row, bool) {
+				_, rows, err := rowcodec.Decode(value)
+				if err != nil || len(rows) != 1 {
+					return nil, false
+				}
+				norm, ok := dpi.Normalize(rows[0])
+				if !ok {
+					return nil, false
+				}
+				return dpi.Label(norm), true
+			},
+		},
+	}
+}
+
+// newDPIEnv is newEnv with logs large enough for slices of 1.2 KB
+// packets.
+func newDPIEnv(tb testing.TB) *env {
+	tb.Helper()
+	clock := sim.NewClock()
+	svc := streamsvc.New(clock, streamobj.NewStore(clock, plog.NewManager(pool.New("dpi", clock, sim.NVMeSSD, 6, 0), 8<<20)), 2)
+	svc.CreateTopic(dpiTopic())
+	fs := tableobj.NewFileStore(plog.NewManager(pool.New("dpifs", clock, sim.NVMeSSD, 6, 0), 8<<20))
+	lh := lakehouse.New(clock, fs, tableobj.NewCatalog(clock), lakehouse.Options{Acceleration: true})
+	return &env{clock: clock, svc: svc, fs: fs, lh: lh, conv: New(clock, svc, lh)}
+}
+
+func produceDPI(tb testing.TB, e *env, g *dpi.Generator, n int) {
+	tb.Helper()
+	p := e.svc.Producer("")
+	for i := 0; i < n; i++ {
+		key, val, err := g.Packet()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, _, err := p.Send("dpi", key, val); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// Converting a batch of DPI messages costs a bounded number of
+// allocations per row: the payload decode, the transform's rows, the
+// partition key and the table file, each once (17.0 per row). Building
+// the key twice per row costs 18.0; through fmt.Sprintf, 19.0; growing
+// the decoded schema field by field, 20.1; all three, 25.1.
+func TestConvertAllocsPerRow(t *testing.T) {
+	const batch, ceiling = 2000, 17.5
+	e := newDPIEnv(t)
+	g := dpi.NewGenerator(5)
+	produceDPI(t, e, g, 200) // the table and its first files exist
+	if _, _, err := e.conv.ForceTopic("dpi"); err != nil {
+		t.Fatal(err)
+	}
+	produceDPI(t, e, g, batch)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, _, err := e.conv.ForceTopic("dpi")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Messages < batch*9/10 {
+		t.Fatalf("converted %d of %d messages", res.Messages, batch)
+	}
+	per := float64(after.Mallocs-before.Mallocs) / float64(res.Messages)
+	t.Logf("%d rows converted: %.1f allocations per row", res.Messages, per)
+	if per > ceiling {
+		t.Fatalf("conversion made %.1f allocations per row, want <= %.1f", per, ceiling)
+	}
+}
+
+// BenchmarkConvert converts one batch of 1,000 DPI messages per
+// iteration, produced with the timer stopped.
+func BenchmarkConvert(b *testing.B) {
+	e := newDPIEnv(b)
+	g := dpi.NewGenerator(5)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		produceDPI(b, e, g, 1000)
+		b.StartTimer()
+		if _, _, err := e.conv.ForceTopic("dpi"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -202,7 +202,8 @@ func (c *Converter) doConvert(name string, cfg streamsvc.TopicConfig) (Result, t
 					res.Malformed++
 					continue
 				}
-				byPartition[tbl.PartitionFor(row)] = append(byPartition[tbl.PartitionFor(row)], row)
+				p := tbl.PartitionFor(row)
+				byPartition[p] = append(byPartition[p], row)
 				res.Messages++
 			}
 			off = recs[len(recs)-1].Offset + 1
@@ -268,36 +269,36 @@ func (c *Converter) table(cfg streamsvc.TopicConfig) (*tableobj.Table, time.Dura
 
 // Playback performs the reverse conversion (Section V-B): the rows of a
 // table snapshot are re-published as stream messages to a topic, for
-// data replay. It returns the number of messages produced.
+// data replay. It returns the number of messages produced. Each file is
+// decoded whole before any of its rows is sent, so a file that fails to
+// decode sends nothing.
 func Playback(tbl *tableobj.Table, snap tableobj.Snapshot, producer *streamsvc.Producer, topic string) (int64, time.Duration, error) {
 	var n int64
 	var cost time.Duration
 	schema := tbl.Schema()
+	var dec colfile.RowDecoder
+	var rows []colfile.Row
 	for _, f := range snap.Files {
 		r, rc, err := tbl.ReadFile(f)
 		if err != nil {
 			return n, cost, err
 		}
 		cost += rc
-		var scanErr error
-		r.Scan(func(row colfile.Row) bool {
+		if rows, err = dec.AppendRows(rows[:0], r); err != nil {
+			return n, cost, err
+		}
+		for _, row := range rows {
 			val, err := EncodeRow(schema, row)
 			if err != nil {
-				scanErr = err
-				return false
+				return n, cost, err
 			}
 			key := []byte(row[0].String())
 			_, sc, err := producer.Send(topic, key, val)
 			if err != nil {
-				scanErr = err
-				return false
+				return n, cost, err
 			}
 			cost += sc
 			n++
-			return true
-		})
-		if scanErr != nil {
-			return n, cost, scanErr
 		}
 	}
 	return n, cost, nil

@@ -264,6 +264,39 @@ func TestPlaybackTableToStream(t *testing.T) {
 	}
 }
 
+// Playback of a file it cannot decode fails and sends none of its rows;
+// it used to skip the rest of the file and report success.
+func TestPlaybackFailsOnUndecodableFile(t *testing.T) {
+	e := newEnv(t)
+	e.svc.CreateTopic(convertTopic("src"))
+	produceRows(t, e, "src", 150)
+	if _, _, err := e.conv.ForceTopic("src"); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _, _ := tableobj.Open(e.clock, e.fs, e.cat, "src_table")
+	snap, _, _ := tbl.Current()
+	// The first chunk follows the 5-byte header; give its first block the
+	// reserved DEFLATE type.
+	blob, _, _ := e.fs.Read(snap.Files[0].Path)
+	bad := append([]byte(nil), blob...)
+	bad[5] |= 0x06
+	if _, err := e.fs.Write(snap.Files[0].Path, bad); err != nil {
+		t.Fatal(err)
+	}
+	e.svc.CreateTopic(streamsvc.TopicConfig{Name: "replay", StreamNum: 2})
+	if n, _, err := Playback(tbl, snap, e.svc.Producer("pb"), "replay"); err == nil || n != 0 {
+		t.Fatalf("playback of a damaged first file: %d messages, err %v", n, err)
+	}
+	c := e.svc.Consumer("g")
+	c.Subscribe("replay")
+	if msgs, _, err := c.Poll(256); err != nil || len(msgs) != 0 {
+		t.Fatalf("the damaged file sent %d messages (err %v)", len(msgs), err)
+	}
+	if cur, _, _ := tbl.Current(); cur.RowCount != 150 {
+		t.Fatalf("count(*) = %d, want 150", cur.RowCount)
+	}
+}
+
 func TestArchiverRowToCol(t *testing.T) {
 	e := newEnv(t)
 	tiers := tiering.NewService(e.clock, tiering.Policy{})

@@ -25,7 +25,8 @@ const (
 	tileRows = 4
 	// blockLen is how many positions one pass covers before moving to the
 	// next tile, so the inputs of a block are still in L1 when the next
-	// row group reads them. It also sizes the scratch rows.
+	// row group reads them. It also sizes the scratch rows, and the
+	// blocks EncodeParity streams.
 	blockLen = 1024
 )
 

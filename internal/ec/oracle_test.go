@@ -161,6 +161,60 @@ func TestGoldenParity(t *testing.T) {
 	}
 }
 
+// checkStreamedParity holds EncodeParity's blocks, joined per row, to the
+// parity shards of Encode(Split(data)).
+func checkStreamedParity(c *Codec, data []byte) error {
+	stripe, err := c.Encode(c.Split(data))
+	if err != nil {
+		return err
+	}
+	got := make([][]byte, c.m)
+	c.EncodeParity(data, func(parity [][]byte) {
+		for p, row := range parity {
+			if len(row) > blockLen {
+				err = fmt.Errorf("a block of %d positions", len(row))
+			}
+			got[p] = append(got[p], row...)
+		}
+	})
+	for p := range got {
+		if err == nil && !bytes.Equal(got[p], stripe[c.k+p]) {
+			err = fmt.Errorf("parity row %d differs from Encode(Split(data))", p)
+		}
+	}
+	return err
+}
+
+// TestEncodeParityMatchesEncode: the streamed parity is Encode(Split)'s
+// at every length where the layout changes shape — empty, one byte,
+// k-1, each shard boundary of small data, each block boundary of the
+// column (and every ragged offset around it), and past three blocks.
+func TestEncodeParityMatchesEncode(t *testing.T) {
+	r := sim.NewRNG(30)
+	for _, code := range []struct{ k, m int }{{4, 2}, {10, 4}, {4, 9}} {
+		c, err := New(code.k, code.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := code.k
+		lengths := []int{3*blockLen*k + 1}
+		for n := 0; n <= 3*k; n++ {
+			lengths = append(lengths, n)
+		}
+		for b := 1; b <= 3; b++ {
+			for n := b*blockLen*k - 2*k; n <= b*blockLen*k+2*k; n++ {
+				lengths = append(lengths, n)
+			}
+		}
+		for _, n := range lengths {
+			data := randomShards(r, 1, n)[0]
+			if err := checkStreamedParity(c, data); err != nil {
+				t.Fatalf("EC(%d,%d) %d bytes: %v", k, code.m, n, err)
+			}
+		}
+	}
+}
+
 // sameMemory reports whether a and b are the same bytes, not equal ones.
 func sameMemory(a, b []byte) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
@@ -257,7 +311,8 @@ func TestSharingIsBounded(t *testing.T) {
 }
 
 // FuzzEncodeReconstruct derives (k, m), a payload and an erasure set from
-// the input, and asserts oracle agreement and the Split/Join round trip.
+// the input, and asserts oracle agreement, the Split/Join round trip and
+// the streamed parity.
 func FuzzEncodeReconstruct(f *testing.F) {
 	f.Add([]byte{3, 1, 0b101, 'h', 'e', 'l', 'l', 'o'})
 	f.Add([]byte{9, 3, 0xff, 0xff})
@@ -285,6 +340,9 @@ func FuzzEncodeReconstruct(f *testing.F) {
 		got, err := c.Join(shards, len(payload))
 		if err != nil || !bytes.Equal(got, payload) {
 			t.Fatalf("EC(%d,%d): Join(Split(x)) != x (err %v)", k, m, err)
+		}
+		if err := checkStreamedParity(c, payload); err != nil {
+			t.Fatalf("EC(%d,%d) %d bytes: %v", k, m, len(payload), err)
 		}
 	})
 }

@@ -108,6 +108,45 @@ func (c *Codec) Encode(data [][]byte) ([][]byte, error) {
 	return shards, nil
 }
 
+// zeroBlock is what a column lying past the end of the data reads in
+// EncodeParity. Never written.
+var zeroBlock [blockLen]byte
+
+// EncodeParity computes the parity of Encode(Split(data)) one kernel
+// block (blockLen positions) at a time and hands each block's m parity
+// rows to emit, in order; the rows are valid only during the call. Its
+// scratch is m+1 blocks whatever len(data) is: the parity rows and one
+// staging block for the ragged column. Columns wholly inside data are
+// read in place, and columns past its end read a shared zero block.
+func (c *Codec) EncodeParity(data []byte, emit func(parity [][]byte)) {
+	size := max((len(data)+c.k-1)/c.k, 1)
+	bl := min(size, blockLen)
+	scratch := make([]byte, (c.m+1)*bl)
+	ragged := scratch[c.m*bl:]
+	in, parity := make([][]byte, c.k), make([][]byte, c.m)
+	for off := 0; off < size; off += bl {
+		n := min(bl, size-off)
+		for i := range in {
+			switch start := i*size + off; {
+			case start+n <= len(data):
+				in[i] = data[start : start+n]
+			case start < len(data):
+				// The one block where data runs out: staged once per
+				// call, so the fresh scratch is still zero past it.
+				in[i] = ragged[:n]
+				copy(in[i], data[start:])
+			default:
+				in[i] = zeroBlock[:n]
+			}
+		}
+		for p := range parity {
+			parity[p] = scratch[p*bl : p*bl+n]
+		}
+		c.enc.apply(in, parity)
+		emit(parity)
+	}
+}
+
 // carve points every entry of shards at its own size-byte slice of one
 // fresh allocation.
 func carve(shards [][]byte, size int) {

@@ -293,6 +293,52 @@ func TestCompactPartitionRealTable(t *testing.T) {
 	}
 }
 
+// A compaction that meets a file it cannot decode fails and commits
+// nothing; it used to merge the rows read before the damage and drop the
+// rest with the file.
+func TestCompactPartitionFailsOnUndecodableFile(t *testing.T) {
+	clock := sim.NewClock()
+	fs := tableobj.NewFileStore(plog.NewManager(pool.New("cd", clock, sim.NVMeSSD, 8, 4<<20), 8<<20))
+	tbl, _, err := tableobj.Create(clock, fs, tableobj.NewCatalog(clock), tableobj.TableMeta{
+		Name: "t", Path: "/t", Schema: colfile.MustSchema("k:int64", "p:string"), PartitionColumn: "p",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{10_000, 1, 1} { // the first file has two row groups
+		rows := make([]colfile.Row, n)
+		for i := range rows {
+			rows[i] = colfile.Row{colfile.IntValue(int64(i)), colfile.StringValue("A")}
+		}
+		x, _ := tbl.Begin()
+		if _, err := x.WriteRows(rows); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cur, _, _ := tbl.Current()
+	// Damage the first chunk of the big file's last group: the reserved
+	// DEFLATE block type. Chunks follow the 5-byte header group by group.
+	blob, _, _ := fs.Read(cur.Files[0].Path)
+	r, err := colfile.Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), blob...)
+	bad[5+r.GroupBytes(0)] |= 0x06
+	if _, err := fs.Write(cur.Files[0].Path, bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := CompactPartition(tbl, "p=A", 1<<20); err == nil {
+		t.Fatal("compaction over a damaged file succeeded")
+	}
+	if after, _, _ := tbl.Current(); after.ID != cur.ID || after.RowCount != 10_002 {
+		t.Fatalf("after a failed compaction: snapshot %d -> %d, %d rows", cur.ID, after.ID, after.RowCount)
+	}
+}
+
 func TestCompactPartitionConflict(t *testing.T) {
 	clock := sim.NewClock()
 	p := pool.New("cc", clock, sim.NVMeSSD, 8, 4<<20)

@@ -285,18 +285,19 @@ func CompactPartition(tbl *tableobj.Table, partition string, targetFileSize int6
 		return 0, cost, err
 	}
 	merged := 0
+	var dec colfile.RowDecoder
+	var rows []colfile.Row
 	for _, bin := range plan {
-		var rows []colfile.Row
+		rows = rows[:0]
 		for _, idx := range bin {
 			r, rc, err := tbl.ReadFile(files[idx])
 			if err != nil {
 				return 0, cost, err
 			}
 			cost += rc
-			r.Scan(func(row colfile.Row) bool {
-				rows = append(rows, append(colfile.Row(nil), row...))
-				return true
-			})
+			if rows, err = dec.AppendRows(rows, r); err != nil {
+				return 0, cost, err
+			}
 			x.RemoveFile(files[idx])
 			merged++
 		}

@@ -36,6 +36,8 @@ func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duratio
 	schema := st.tbl.Schema()
 	bound := bindFilters(schema, filters)
 	var deleted int64
+	var dec colfile.RowDecoder
+	var rows []colfile.Row
 	for _, f := range plan.Files {
 		if fileFullyCovered(schema, f, filters) {
 			// Case 1: the whole file matches — metadata-only removal.
@@ -53,15 +55,17 @@ func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duratio
 		if err != nil {
 			return deleted, cost, err
 		}
-		var keep []colfile.Row
-		r.Scan(func(row colfile.Row) bool {
+		if rows, err = dec.AppendRows(rows[:0], r); err != nil {
+			return deleted, cost, err
+		}
+		keep := rows[:0]
+		for _, row := range rows {
 			if rowMatches(row, bound) {
 				deleted++
 			} else {
-				keep = append(keep, append(colfile.Row(nil), row...))
+				keep = append(keep, row)
 			}
-			return true
-		})
+		}
 		x.RemoveFile(f)
 		if len(keep) > 0 {
 			if _, err := x.WriteRows(keep); err != nil {
@@ -126,6 +130,8 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 	schema := st.tbl.Schema()
 	bound := bindFilters(schema, filters)
 	var updated int64
+	var dec colfile.RowDecoder
+	var rows []colfile.Row
 	for _, f := range plan.Files {
 		blob, rc, err := e.fs.Read(f.Path)
 		if err != nil {
@@ -136,31 +142,26 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 		if err != nil {
 			return updated, cost, err
 		}
-		var out []colfile.Row
+		if rows, err = dec.AppendRows(rows[:0], r); err != nil {
+			return updated, cost, err
+		}
 		changed := false
-		var scanErr error
-		r.Scan(func(row colfile.Row) bool {
-			row = append(colfile.Row(nil), row...)
-			if rowMatches(row, bound) {
-				row = set(row)
-				if err := schema.Validate(row); err != nil {
-					scanErr = err
-					return false
-				}
-				updated++
-				changed = true
+		for i, row := range rows {
+			if !rowMatches(row, bound) {
+				continue
 			}
-			out = append(out, row)
-			return true
-		})
-		if scanErr != nil {
-			return updated, cost, scanErr
+			rows[i] = set(row)
+			if err := schema.Validate(rows[i]); err != nil {
+				return updated, cost, err
+			}
+			updated++
+			changed = true
 		}
 		if !changed {
 			continue
 		}
 		x.RemoveFile(f)
-		if _, err := x.WriteRows(out); err != nil {
+		if _, err := x.WriteRows(rows); err != nil {
 			return updated, cost, err
 		}
 	}

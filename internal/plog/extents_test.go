@@ -2,7 +2,6 @@ package plog
 
 import (
 	"bytes"
-	"fmt"
 	"runtime"
 	"testing"
 
@@ -42,6 +41,35 @@ func TestAppendCopiesEachByteOnce(t *testing.T) {
 	t.Logf("allocated %.2fx the payload bytes", got)
 	if got > 1.15 {
 		t.Fatalf("appending %d MiB allocated %.2fx the payload bytes, want <= 1.15x", total>>20, got)
+	}
+}
+
+// TestECAppendAllocatesExtentPlusConstant: recording an extent on an
+// EC(4,2) log allocates its one copy plus bookkeeping that does not grow
+// with the payload. The parity CRCs are streamed through m+1 blocks of
+// scratch; materializing the parity shards cost m/k of the payload more
+// (525 KB beside a 1 MiB extent).
+func TestECAppendAllocatesExtentPlusConstant(t *testing.T) {
+	const n, ceiling = 32, 5 << 10
+	for _, size := range []int{4 << 10, 1 << 20} {
+		l, err := bigManager(int64(n * size)).Create(EC(4, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := payload(size, 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if _, _, err := l.Append(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		extra := float64(after.TotalAlloc-before.TotalAlloc)/n - float64(size)
+		t.Logf("%d B extent: %.0f B allocated beside it", size, extra)
+		if extra > ceiling {
+			t.Errorf("a %d B extent allocated %.0f B beside its copy, want <= %d", size, extra, ceiling)
+		}
 	}
 }
 
@@ -122,21 +150,31 @@ func TestSpanningReadIsPrivateCopy(t *testing.T) {
 // very different sizes: the cost of a commit must not depend on how
 // much the log already holds (ns/op within 1.5x, B/op ~ the payload at
 // both sizes). An iteration is one appended payload; a fresh log is
-// started whenever the current one is full.
+// started whenever the current one is full. The EC(4,2) case is the
+// append of an EC topic's slice or a table file: B/op ~ the payload too,
+// its parity streamed rather than materialized.
 func BenchmarkAppendBatch(b *testing.B) {
 	const chunk = 256 << 10
 	data := payload(chunk, 1)
-	for _, size := range []int{1 << 20, 96 << 20} {
-		b.Run(fmt.Sprintf("log=%dMiB", size>>20), func(b *testing.B) {
-			m := bigManager(int64(size))
+	for _, tc := range []struct {
+		name string
+		red  Redundancy
+		size int
+	}{
+		{"log=1MiB", ReplicateN(3), 1 << 20},
+		{"log=96MiB", ReplicateN(3), 96 << 20},
+		{"EC(4,2)/log=96MiB", EC(4, 2), 96 << 20},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			m := bigManager(int64(tc.size))
 			b.SetBytes(chunk)
 			b.ReportAllocs()
 			for n := 0; n < b.N; {
-				l, err := m.Create(ReplicateN(3))
+				l, err := m.Create(tc.red)
 				if err != nil {
 					b.Fatal(err)
 				}
-				for i := 0; i < size/chunk && n < b.N; i, n = i+1, n+1 {
+				for i := 0; i < tc.size/chunk && n < b.N; i, n = i+1, n+1 {
 					if _, _, err := l.AppendBatch([][]byte{data}, nil); err != nil {
 						b.Fatal(err)
 					}

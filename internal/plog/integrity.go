@@ -99,14 +99,15 @@ func (l *PLog) recordExtent(off int64, data []byte, failed []int) {
 	width := l.red.Width()
 	true_ := make([]uint32, width)
 	if l.codec != nil {
-		stripe, err := l.codec.Encode(l.codec.Split(data))
-		if err != nil {
-			// Cannot happen: Split always yields k equal shards.
-			panic(fmt.Sprintf("plog: encode for checksum: %v", err))
+		k := l.red.K
+		for i := 0; i < k; i++ {
+			true_[i] = columnSum(data, k, i)
 		}
-		for i := 0; i < width; i++ {
-			true_[i] = crc32.Checksum(stripe[i], castagnoli)
-		}
+		l.codec.EncodeParity(data, func(parity [][]byte) {
+			for p, row := range parity {
+				true_[k+p] = crc32.Update(true_[k+p], castagnoli, row)
+			}
+		})
 	} else {
 		sum := crc32.Checksum(data, castagnoli)
 		for i := 0; i < width; i++ {
@@ -164,18 +165,21 @@ func (l *PLog) expectedSumLocked(i, e int) uint32 {
 	if l.codec == nil {
 		return crc32.Checksum(data, castagnoli)
 	}
-	k := l.red.K
-	if i < k {
-		// Column i as ec.Split lays it out: shardLen bytes of data from
-		// i*shardLen, zero-padded where data runs out. The CRC runs over
-		// the extent's bytes in place, then over the padding.
-		shardLen := max((len(data)+k-1)/k, 1)
-		start := min(i*shardLen, len(data))
-		end := min(start+shardLen, len(data))
-		sum := crc32.Update(0, castagnoli, data[start:end])
-		return crc32.Update(sum, castagnoli, zeroPad[:shardLen-(end-start)])
+	if i < l.red.K {
+		return columnSum(data, l.red.K, i)
 	}
 	return l.trueSums[e][i]
+}
+
+// columnSum is the CRC-32C of data column i of k as ec.Split lays it
+// out: shardLen bytes of data from i*shardLen, zero-padded where data
+// runs out. The CRC runs over the bytes in place, then over the padding.
+func columnSum(data []byte, k, i int) uint32 {
+	shardLen := max((len(data)+k-1)/k, 1)
+	start := min(i*shardLen, len(data))
+	end := min(start+shardLen, len(data))
+	sum := crc32.Update(0, castagnoli, data[start:end])
+	return crc32.Update(sum, castagnoli, zeroPad[:shardLen-(end-start)])
 }
 
 // verifyCopyRange checks copy i's stored checksums for every extent

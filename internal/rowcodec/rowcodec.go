@@ -82,7 +82,9 @@ func Decode(data []byte) (colfile.Schema, []colfile.Row, error) {
 	if err != nil {
 		return colfile.Schema{}, nil, err
 	}
-	var schema colfile.Schema
+	// The untrusted count sizes Fields once, clamped: a field costs at
+	// least two bytes, a name length and a type.
+	schema := colfile.Schema{Fields: make([]colfile.Field, 0, min(nf, uint64(len(data))/2))}
 	for i := uint64(0); i < nf; i++ {
 		nl, err := readUvarint()
 		if err != nil {

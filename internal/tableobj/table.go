@@ -153,7 +153,7 @@ func (t *Table) PartitionFor(row colfile.Row) string {
 		return "default"
 	}
 	c := t.meta.Schema.FieldIndex(t.meta.PartitionColumn)
-	return fmt.Sprintf("%s=%s", t.meta.PartitionColumn, row[c].String())
+	return t.meta.PartitionColumn + "=" + row[c].String()
 }
 
 // Txn stages data-file additions and removals for one atomic commit.
@@ -212,22 +212,11 @@ func (x *Txn) WriteRows(rows []colfile.Row) (DataFile, error) {
 		return DataFile{}, errors.New("tableobj: WriteRows with no rows")
 	}
 	schema := x.t.meta.Schema
+	nf := schema.NumFields()
 	w := colfile.NewWriter(schema, 0)
-	min := make([]colfile.Value, schema.NumFields())
-	max := make([]colfile.Value, schema.NumFields())
-	copy(min, rows[0])
-	copy(max, rows[0])
 	for _, r := range rows {
 		if err := w.Append(r); err != nil {
 			return DataFile{}, err
-		}
-		for c := range r {
-			if colfile.Compare(r[c], min[c]) < 0 {
-				min[c] = r[c]
-			}
-			if colfile.Compare(r[c], max[c]) > 0 {
-				max[c] = r[c]
-			}
 		}
 	}
 	blob, err := w.Finish()
@@ -240,27 +229,38 @@ func (x *Txn) WriteRows(rows []colfile.Row) (DataFile, error) {
 		Partition: partition,
 		Rows:      int64(len(rows)),
 		Bytes:     int64(len(blob)),
-		Min:       min,
-		Max:       max,
+		Min:       make([]colfile.Value, nf),
+		Max:       make([]colfile.Value, nf),
 	}
-	if x.t.zoneMaps.Load() {
-		// Harvest per-row-group ranges from the freshly encoded footer
-		// (the writer already computed them) and build per-column blooms
-		// from the rows — planning-time pruning stats the commit carries.
-		if r, err := colfile.Open(blob); err == nil {
-			for g := 0; g < r.NumRowGroups(); g++ {
-				z := ZoneMap{
-					Min: make([]colfile.Value, schema.NumFields()),
-					Max: make([]colfile.Value, schema.NumFields()),
-				}
-				for c := 0; c < schema.NumFields(); c++ {
-					gs := r.GroupStats(g, c)
-					z.Min[c], z.Max[c] = gs.Min, gs.Max
-				}
-				f.Zones = append(f.Zones, z)
+	zoneMaps := x.t.zoneMaps.Load()
+	// The writer took each row group's range, keeping the first-seen value
+	// on ties; folding the groups in order keeps the file's first-seen
+	// value too. With zone maps on, the groups' ranges are the zones.
+	for g := 0; g < w.NumRowGroups(); g++ {
+		var z ZoneMap
+		if zoneMaps {
+			z = ZoneMap{Min: make([]colfile.Value, nf), Max: make([]colfile.Value, nf)}
+		}
+		for c := 0; c < nf; c++ {
+			gs := w.GroupStats(g, c)
+			if g == 0 || colfile.Compare(gs.Min, f.Min[c]) < 0 {
+				f.Min[c] = gs.Min
+			}
+			if g == 0 || colfile.Compare(gs.Max, f.Max[c]) > 0 {
+				f.Max[c] = gs.Max
+			}
+			if zoneMaps {
+				z.Min[c], z.Max[c] = gs.Min, gs.Max
 			}
 		}
-		f.Blooms = make([]*Bloom, schema.NumFields())
+		if zoneMaps {
+			f.Zones = append(f.Zones, z)
+		}
+	}
+	if zoneMaps {
+		// Per-column blooms from the rows: planning-time pruning stats
+		// the commit carries beside the zones.
+		f.Blooms = make([]*Bloom, nf)
 		for c := range f.Blooms {
 			f.Blooms[c] = NewBloom(len(rows))
 		}

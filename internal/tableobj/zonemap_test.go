@@ -3,10 +3,12 @@ package tableobj
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"streamlake/internal/colfile"
+	"streamlake/internal/sim"
 )
 
 // Files written without zone maps must keep the legacy stats encoding
@@ -115,9 +117,10 @@ func TestBloomMembership(t *testing.T) {
 	}
 }
 
-// With zone maps enabled on the table handle, WriteRows harvests
-// per-row-group ranges from the encoded footer and builds per-column
-// blooms covering every written value; disabled, files carry neither.
+// With zone maps enabled on the table handle, WriteRows takes the
+// per-row-group ranges the writer recorded in the footer and builds
+// per-column blooms covering every written value; disabled, files carry
+// neither.
 func TestWriteRowsHarvestsZoneMaps(t *testing.T) {
 	e := newEnv(t)
 	tbl := createTable(t, e, "zm")
@@ -180,4 +183,81 @@ func TestWriteRowsHarvestsZoneMaps(t *testing.T) {
 		t.Fatal("zone maps collected while disabled")
 	}
 	x2.Abort()
+}
+
+// naiveRange is one Compare pass over rows, the first-seen value kept on
+// ties: how WriteRows took a file's range before it read the writer's.
+func naiveRange(rows []colfile.Row) (lo, hi []colfile.Value) {
+	lo = append([]colfile.Value(nil), rows[0]...)
+	hi = append([]colfile.Value(nil), rows[0]...)
+	for _, r := range rows {
+		for c := range r {
+			if colfile.Compare(r[c], lo[c]) < 0 {
+				lo[c] = r[c]
+			}
+			if colfile.Compare(r[c], hi[c]) > 0 {
+				hi[c] = r[c]
+			}
+		}
+	}
+	return lo, hi
+}
+
+func sameValues(a, b []colfile.Value) bool {
+	for i := range a {
+		if a[i].Type != b[i].Type || a[i].Int != b[i].Int || a[i].Str != b[i].Str || a[i].Bool != b[i].Bool ||
+			math.Float64bits(a[i].Float) != math.Float64bits(b[i].Float) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// A file's range comes from the writer's row-group stats; on files of
+// three row groups it is what one Compare pass over the rows gives, and
+// each zone what the pass gives over its group. Column z holds only -0
+// and +0, which compare equal, so its bits show which value a tie kept.
+func TestWriteRowsStatsMatchNaivePass(t *testing.T) {
+	schema := colfile.MustSchema("k:int64", "f:float64", "z:float64", "s:string", "b:bool", "p:string")
+	e := newEnv(t)
+	tbl, _, err := Create(e.clock, e.fs, e.cat, TableMeta{Name: "st", Path: "/lake/st", Schema: schema, PartitionColumn: "p"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.SetZoneMaps(true)
+	rng := sim.NewRNG(7)
+	const group = colfile.DefaultRowGroupSize
+	for trial := 0; trial < 4; trial++ {
+		rows := make([]colfile.Row, 2*group+1+rng.Intn(500))
+		for i := range rows {
+			rows[i] = colfile.Row{
+				colfile.IntValue(int64(rng.Intn(50))),
+				colfile.FloatValue(rng.Float64() - 0.5),
+				colfile.FloatValue(math.Copysign(0, float64(rng.Intn(2))-0.5)),
+				colfile.StringValue(fmt.Sprintf("s%d", rng.Intn(40))),
+				colfile.BoolValue(rng.Intn(2) == 0),
+				colfile.StringValue("A"),
+			}
+		}
+		x, err := tbl.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := x.WriteRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.Abort()
+		if lo, hi := naiveRange(rows); !sameValues(f.Min, lo) || !sameValues(f.Max, hi) {
+			t.Fatalf("trial %d: file range %v..%v, one pass gives %v..%v", trial, f.Min, f.Max, lo, hi)
+		}
+		if len(f.Zones) != 3 {
+			t.Fatalf("trial %d: %d zones, want 3", trial, len(f.Zones))
+		}
+		for g, z := range f.Zones {
+			if lo, hi := naiveRange(rows[g*group : min((g+1)*group, len(rows))]); !sameValues(z.Min, lo) || !sameValues(z.Max, hi) {
+				t.Fatalf("trial %d zone %d: %v..%v, one pass gives %v..%v", trial, g, z.Min, z.Max, lo, hi)
+			}
+		}
+	}
 }

@@ -66,11 +66,14 @@ done
 
 # Benchmark smoke: each runs once, to prove it builds and runs. What
 # they measure is guarded by tests in the passes above: a commit costs
-# the same whatever the log holds (cluster, plog), a request costs its
-# bytes (gateway), a table file costs its bytes (colfile), a warm plan
-# costs the files it admits (lakehouse).
+# the same whatever the log holds (cluster, plog), an EC append allocates
+# its extent plus a constant (plog), a request costs its bytes (gateway),
+# a table file costs its bytes (colfile), a warm plan costs the files it
+# admits (lakehouse), a converted row costs a fixed count of allocations
+# (convert).
 go test -run '^$' -bench 'BenchmarkCommitProduce' -benchtime 1x ./internal/cluster/
 go test -run '^$' -bench 'BenchmarkAppendBatch' -benchtime 1x ./internal/plog/
+go test -run '^$' -bench 'BenchmarkConvert' -benchtime 1x ./internal/convert/
 go test -run '^$' -bench 'Request' -benchtime 1x ./internal/gateway/
 go test -run '^$' -bench 'WriteFile|ReadGroupProjected' -benchtime 1x ./internal/colfile/
 go test -run '^$' -bench 'BenchmarkPlanScan' -benchtime 1x ./internal/lakehouse/
