@@ -155,27 +155,6 @@ func (fs *FS) Read(path string) ([]byte, time.Duration, error) {
 	return out, cost, nil
 }
 
-// ReadCost charges the cost of reading a file without materializing its
-// contents.
-func (fs *FS) ReadCost(path string) (time.Duration, error) {
-	fs.mu.Lock()
-	f, ok := fs.files[path]
-	fs.mu.Unlock()
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	var cost time.Duration
-	for _, b := range f.blocks {
-		node := 0
-		if len(b.replicas) > 0 {
-			node = b.replicas[0]
-		}
-		cost += fs.nodes[node].Read(b.size)
-		cost += fs.net.Read(b.size)
-	}
-	return cost, nil
-}
-
 // Delete removes a path.
 func (fs *FS) Delete(path string) error {
 	fs.mu.Lock()
@@ -233,17 +212,4 @@ func (fs *FS) StorageBytes() int64 {
 		logical += f.size
 	}
 	return logical * int64(fs.cfg.Replication)
-}
-
-// FileCount returns the number of files.
-func (fs *FS) FileCount() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return len(fs.files)
-}
-
-// DiskUtilization returns logical/physical — 1/3 under 3x replication,
-// the number the paper contrasts with erasure coding's 91%.
-func (fs *FS) DiskUtilization() float64 {
-	return 1 / float64(fs.cfg.Replication)
 }

@@ -59,10 +59,6 @@ func TestReplicationAccounting(t *testing.T) {
 	if got := fs.StorageBytes(); got != 4500 {
 		t.Fatalf("storage: %d, want 4500", got)
 	}
-	// The paper's utilization contrast: 3x replication = 33%.
-	if u := fs.DiskUtilization(); u < 0.33 || u > 0.34 {
-		t.Fatalf("utilization: %v", u)
-	}
 }
 
 func TestOverwriteReplaces(t *testing.T) {
@@ -103,9 +99,6 @@ func TestListLinearCost(t *testing.T) {
 	_, small := fs.List("/warehouse/tbl/part=001")
 	if small >= cost {
 		t.Fatal("listing cost not proportional to results")
-	}
-	if fs.FileCount() != 200 {
-		t.Fatalf("file count: %d", fs.FileCount())
 	}
 }
 

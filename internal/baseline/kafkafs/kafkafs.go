@@ -50,17 +50,10 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// Record is one stored message.
-type Record struct {
-	Key, Value []byte
-	Offset     int64
-}
-
-// segment is one log segment file.
+// segment is one log segment file; the broker keeps its size, not its
+// records.
 type segment struct {
-	base    int64
-	records []Record
-	bytes   int64
+	bytes int64
 }
 
 // partition is one replicated topic partition.
@@ -151,12 +144,11 @@ func (b *Broker) Produce(name string, part int, key, value []byte) (int64, time.
 	n := int64(len(key) + len(value))
 	// Append to the active segment (page cache write).
 	if len(p.segments) == 0 || p.segments[len(p.segments)-1].bytes+n > b.cfg.SegmentBytes {
-		p.segments = append(p.segments, &segment{base: p.next})
+		p.segments = append(p.segments, &segment{})
 	}
 	seg := p.segments[len(p.segments)-1]
 	off := p.next
 	p.next++
-	seg.records = append(seg.records, Record{Key: key, Value: value, Offset: off})
 	seg.bytes += n
 	p.dirty += n
 	flush := p.dirty >= b.cfg.FlushBytes
@@ -188,66 +180,6 @@ func (b *Broker) Produce(name string, part int, key, value []byte) (int64, time.
 		}
 	}
 	return off, cost, nil
-}
-
-// Consume reads up to max records from a partition starting at offset.
-func (b *Broker) Consume(name string, part int, offset int64, max int) ([]Record, time.Duration, error) {
-	if max <= 0 {
-		max = 256
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t, ok := b.topics[name]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", ErrUnknownTopic, name)
-	}
-	if part < 0 || part >= len(t.parts) {
-		return nil, 0, ErrBadPartition
-	}
-	p := t.parts[part]
-	var out []Record
-	var bytes int64
-	for _, seg := range p.segments {
-		if seg.base+int64(len(seg.records)) <= offset {
-			continue
-		}
-		for _, r := range seg.records {
-			if r.Offset >= offset && len(out) < max {
-				out = append(out, r)
-				bytes += int64(len(r.Key) + len(r.Value))
-			}
-		}
-		if len(out) >= max {
-			break
-		}
-	}
-	// Hot reads come from page cache; Kafka's design point.
-	return out, b.pageCache.Read(bytes), nil
-}
-
-// End returns the next offset of a partition.
-func (b *Broker) End(name string, part int) (int64, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t, ok := b.topics[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownTopic, name)
-	}
-	if part < 0 || part >= len(t.parts) {
-		return 0, ErrBadPartition
-	}
-	return t.parts[part].next, nil
-}
-
-// Partitions returns a topic's partition count.
-func (b *Broker) Partitions(name string) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t, ok := b.topics[name]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownTopic, name)
-	}
-	return len(t.parts), nil
 }
 
 // StorageBytes reports the cluster-wide physical bytes: logical log

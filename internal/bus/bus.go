@@ -415,13 +415,3 @@ func (b *Bus) Peek() Stats {
 	defer b.mu.Unlock()
 	return b.stats
 }
-
-// PerMessageFixedCost reports the path's fixed per-operation latency, the
-// quantity RDMA exists to shrink. As a path-config query it also flushes
-// any pending aggregation batch.
-func (b *Bus) PerMessageFixedCost() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.flushLocked()
-	return b.link.Spec().WriteLatency
-}

@@ -12,7 +12,7 @@ func TestRDMABeatsTCP(t *testing.T) {
 	if rd, td := r.Send(n, Normal), c.Send(n, Normal); rd >= td {
 		t.Fatalf("rdma %v >= tcp %v", rd, td)
 	}
-	if r.PerMessageFixedCost() >= c.PerMessageFixedCost() {
+	if r.link.Spec().WriteLatency >= c.link.Spec().WriteLatency {
 		t.Fatal("rdma fixed cost should be lower")
 	}
 }
@@ -107,8 +107,8 @@ func TestStatsFlushesPendingBatch(t *testing.T) {
 	if st.Batches != 2 || st.Flushes != 1 {
 		t.Fatalf("stats did not flush the partial batch: %+v", st)
 	}
-	if st.FlushCost != b.PerMessageFixedCost() {
-		t.Fatalf("flush cost %v, want one fixed cost %v", st.FlushCost, b.PerMessageFixedCost())
+	if st.FlushCost != b.link.Spec().WriteLatency {
+		t.Fatalf("flush cost %v, want one fixed cost %v", st.FlushCost, b.link.Spec().WriteLatency)
 	}
 	// A full batch boundary leaves nothing pending: no extra flush.
 	b2 := New(Config{Path: TCP, Aggregation: true, AggregationCount: 16})

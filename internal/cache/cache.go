@@ -89,15 +89,6 @@ type Stats struct {
 	GhostKeys     int
 }
 
-// HitRate returns hits / lookups, 0 when nothing was looked up.
-func (s Stats) HitRate() float64 {
-	total := s.DRAMHits + s.SCMHits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.DRAMHits+s.SCMHits) / float64(total)
-}
-
 // Cache is the two-tier read cache. All methods are safe for
 // concurrent use.
 type Cache struct {
@@ -416,6 +407,3 @@ func (c *Cache) Stats() Stats {
 	s.GhostKeys = c.ghostQ.Len()
 	return s
 }
-
-// SCMDevice exposes the SCM tier's device for accounting inspection.
-func (c *Cache) SCMDevice() *sim.Device { return c.scm }

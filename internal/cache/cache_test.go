@@ -196,7 +196,7 @@ func TestDeterministicReplay(t *testing.T) {
 				c.InvalidatePrefix("k1")
 			}
 		}
-		return c.Stats(), c.SCMDevice().Used()
+		return c.Stats(), c.scm.Used()
 	}
 	s1, u1 := run()
 	s2, u2 := run()

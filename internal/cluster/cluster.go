@@ -250,20 +250,6 @@ func (c *Cluster) Voters() int {
 	return c.votersLocked()
 }
 
-// DomainOfDisk maps a disk index in the first attached pool to its
-// owning node via the view-versioned disk→node table; before any pool
-// attaches it falls back to the birth i%N rule.
-func (c *Cluster) DomainOfDisk(d pool.DiskID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, ap := range c.pools {
-		if int(d) >= 0 && int(d) < len(ap.diskNode) {
-			return ap.diskNode[d]
-		}
-	}
-	return int(d) % c.cfg.Nodes
-}
-
 // AttachPool registers a storage pool with the cluster: disk i joins
 // node i%N's failure domain at birth (the seed of the view's disk→node
 // table — later joins append their own disks to it), the allocation

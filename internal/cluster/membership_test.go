@@ -201,17 +201,25 @@ func TestJoinedNodeIsAFullVoter(t *testing.T) {
 	}
 }
 
+// domainOfDisk reads disk d's owning node from the first attached
+// pool's view-versioned disk→node table.
+func domainOfDisk(c *Cluster, d int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.pools[0].diskNode[d]
+}
+
 // TestPostJoinDiskAttribution: the regression the view-versioned
 // disk→node table exists for. A joined node's disks sit past the birth
 // range, where the old i%N rule would alias them onto founding domains;
-// DomainOfDisk must attribute them to the joiner instead.
+// the table must attribute them to the joiner instead.
 func TestPostJoinDiskAttribution(t *testing.T) {
 	c, _, _ := newTestCluster(t, 5, 42)
 	clock := sim.NewClock()
 	p := pool.New("ssd", clock, sim.NVMeSSD, 10, 0)
 	c.AttachPool(p, nil)
 	for i := 0; i < 10; i++ {
-		if got, want := c.DomainOfDisk(pool.DiskID(i)), i%5; got != want {
+		if got, want := domainOfDisk(c, i), i%5; got != want {
 			t.Fatalf("birth disk %d attributed to node %d, want %d", i, got, want)
 		}
 	}
@@ -222,7 +230,7 @@ func TestPostJoinDiskAttribution(t *testing.T) {
 		t.Fatal("join attached no disks for the new node")
 	}
 	for i := 10; i < p.DiskCount(); i++ {
-		got := c.DomainOfDisk(pool.DiskID(i))
+		got := domainOfDisk(c, i)
 		if got == i%5 && got != 5 {
 			t.Fatalf("joined disk %d aliased onto founding domain %d by the i%%N rule", i, got)
 		}

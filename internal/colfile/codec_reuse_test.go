@@ -183,13 +183,13 @@ func TestInflaterReuseAfterError(t *testing.T) {
 		broken[i] ^= 0x5a
 	}
 	if br, err := Open(broken); err == nil {
-		br.ReadColumn(2, 0) // error or garbage, never a panic
+		br.ReadGroup(2, []int{0}) // error or garbage, never a panic
 	}
-	vals, err := r.ReadColumn(2, 0)
+	cols, err := r.ReadGroup(2, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range vals {
+	for i, v := range cols[0] {
 		if v != makeRow(200 + i)[0] {
 			t.Fatalf("row %d after a failed decode: %v", i, v)
 		}

@@ -360,9 +360,6 @@ func (r *Reader) GroupBytes(g int) int64 {
 	return n
 }
 
-// ReadColumn decodes column c of group g.
-func (r *Reader) ReadColumn(g, c int) ([]Value, error) { return r.appendColumn(nil, g, c) }
-
 // appendColumn appends column c of group g to dst.
 func (r *Reader) appendColumn(dst []Value, g, c int) ([]Value, error) {
 	gm := r.groups[g]

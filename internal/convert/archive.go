@@ -36,7 +36,6 @@ type Archiver struct {
 	mu       sync.Mutex
 	marks    map[string][]int64 // per-topic per-stream archive watermarks
 	archived map[string]int64
-	extBytes int64
 	seq      int64
 }
 
@@ -51,13 +50,6 @@ func NewArchiver(clock *sim.Clock, svc *streamsvc.Service, tiers *tiering.Servic
 		marks:    make(map[string][]int64),
 		archived: make(map[string]int64),
 	}
-}
-
-// ExternalBytes reports bytes exported to external archive systems.
-func (a *Archiver) ExternalBytes() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.extBytes
 }
 
 // RunOnce archives every topic whose unarchived volume passed its
@@ -168,9 +160,6 @@ func (a *Archiver) archiveTopic(name string, cfg streamsvc.TopicConfig) (Archive
 	a.mu.Unlock()
 	if res.External {
 		cost += a.extDev.Write(archivedBytes)
-		a.mu.Lock()
-		a.extBytes += archivedBytes
-		a.mu.Unlock()
 	} else {
 		a.tiers.Register(id, archivedBytes, tiering.Archive)
 	}

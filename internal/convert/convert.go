@@ -63,7 +63,6 @@ type Converter struct {
 type topicState struct {
 	watermarks []int64
 	lastRun    time.Duration
-	converted  int64
 }
 
 // New builds a converter over the streaming service and the lakehouse
@@ -71,16 +70,6 @@ type topicState struct {
 // so converted files are written exactly as inserted ones are.
 func New(clock *sim.Clock, svc *streamsvc.Service, lh *lakehouse.Engine) *Converter {
 	return &Converter{clock: clock, svc: svc, lh: lh, state: make(map[string]*topicState)}
-}
-
-// Converted reports how many messages have been converted for a topic.
-func (c *Converter) Converted(topic string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st := c.state[topic]; st != nil {
-		return st.converted
-	}
-	return 0
 }
 
 // RunOnce evaluates every convert-enabled topic's trigger and converts
@@ -232,7 +221,6 @@ func (c *Converter) doConvert(name string, cfg streamsvc.TopicConfig) (Result, t
 	c.mu.Lock()
 	st.watermarks = newMarks
 	st.lastRun = c.clock.Now()
-	st.converted += res.Messages
 	c.mu.Unlock()
 
 	if cfg.Convert.DeleteMsg {

@@ -112,13 +112,6 @@ func (a *ACL) GrantTenant(token, name, ten string, perms ...Permission) {
 	a.mu.Unlock()
 }
 
-// Revoke removes a token.
-func (a *ACL) Revoke(token string) {
-	a.mu.Lock()
-	delete(a.tokens, token)
-	a.mu.Unlock()
-}
-
 // authenticate resolves a bearer token.
 func (a *ACL) authenticate(r *http.Request) (*Principal, bool) {
 	h := r.Header.Get("Authorization")

@@ -104,7 +104,9 @@ func TestACLEnforced(t *testing.T) {
 		t.Fatalf("admin produce: %d", resp.StatusCode)
 	}
 	// Revocation takes effect immediately.
-	e.acl.Revoke("writer-token")
+	e.acl.mu.Lock()
+	delete(e.acl.tokens, "writer-token")
+	e.acl.mu.Unlock()
 	resp, _ = e.do(t, "POST", "/v1/topics/t/messages", "writer-token", produceRequest{Key: "k", Value: "aGk="})
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("revoked token still works: %d", resp.StatusCode)

@@ -15,7 +15,6 @@ package kv
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"sort"
 	"sync"
@@ -355,71 +354,6 @@ func (db *DB) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// Checkpoint serializes the DB's live contents — the durable state a
-// fault-tolerant deployment ships to stable storage so a restarted node
-// can recover (the dispatcher's topology store and the catalog both
-// claim fault tolerance in the paper).
-func (db *DB) Checkpoint() []byte {
-	db.mu.RLock()
-	sources := [][]entry{db.mem.entries()}
-	for _, r := range db.runs {
-		sources = append(sources, r.entries)
-	}
-	db.mu.RUnlock()
-	var out []byte
-	out = append(out, 'K', 'V', 'C', '1')
-	for _, e := range mergeEntries(sources) {
-		if e.tomb {
-			continue
-		}
-		out = binary.AppendUvarint(out, uint64(len(e.key)))
-		out = append(out, e.key...)
-		out = binary.AppendUvarint(out, uint64(len(e.value)))
-		out = append(out, e.value...)
-	}
-	return out
-}
-
-// Restore rebuilds a DB from a Checkpoint into a single immutable run.
-// Existing contents are discarded. The run is binary-searched, so keys
-// must come strictly ascending, as Checkpoint writes them; lengths must
-// be minimal varints, so what Restore accepts Checkpoint reproduces.
-func (db *DB) Restore(data []byte) error {
-	if len(data) < 4 || string(data[:4]) != "KVC1" {
-		return errors.New("kv: bad checkpoint magic")
-	}
-	data = data[4:]
-	var es []entry
-	var size int64
-	for len(data) > 0 {
-		kl, n := binary.Uvarint(data)
-		if n <= 0 || uint64(len(data)-n) < kl || (n > 1 && data[n-1] == 0) {
-			return errors.New("kv: malformed checkpoint key length")
-		}
-		data = data[n:]
-		key := append([]byte(nil), data[:kl]...)
-		data = data[kl:]
-		if len(es) > 0 && bytes.Compare(es[len(es)-1].key, key) >= 0 {
-			return errors.New("kv: checkpoint keys out of order")
-		}
-		vl, n := binary.Uvarint(data)
-		if n <= 0 || uint64(len(data)-n) < vl || (n > 1 && data[n-1] == 0) {
-			return errors.New("kv: malformed checkpoint value length")
-		}
-		data = data[n:]
-		val := append([]byte(nil), data[:vl]...)
-		data = data[vl:]
-		es = append(es, entry{key: key, value: val})
-		size += int64(len(key) + len(val))
-	}
-	db.mu.Lock()
-	db.mem = newSkiplist(db.opts.Seed)
-	db.runs = []*run{{entries: es, bytes: size}}
-	db.wal = 0
-	db.mu.Unlock()
-	return nil
 }
 
 // Snapshot is a read-only point-in-time view of a DB.

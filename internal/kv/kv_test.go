@@ -371,49 +371,6 @@ func BenchmarkKVGet(b *testing.B) {
 	}
 }
 
-func TestCheckpointRestore(t *testing.T) {
-	db := Open(Options{})
-	for i := 0; i < 200; i++ {
-		db.Put([]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%d", i)))
-	}
-	db.Delete([]byte("k007"))
-	db.Flush()
-	db.Put([]byte("late"), []byte("write"))
-
-	blob := db.Checkpoint()
-	// A "restarted node": fresh DB restored from the checkpoint.
-	db2 := Open(Options{})
-	if err := db2.Restore(blob); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := db2.Get([]byte("k007")); ok {
-		t.Fatal("tombstoned key resurrected by recovery")
-	}
-	for _, k := range []string{"k000", "k199", "late"} {
-		if _, _, ok := db2.Get([]byte(k)); !ok {
-			t.Fatalf("key %s lost in recovery", k)
-		}
-	}
-	if got, want := db2.Stats().LiveKeys, db.Stats().LiveKeys; got != want {
-		t.Fatalf("live keys after restore: %d, want %d", got, want)
-	}
-	// Restored DB accepts writes.
-	if _, err := db2.Put([]byte("post"), []byte("restore")); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt checkpoints rejected.
-	if err := db2.Restore([]byte("XXXX")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	if err := db2.Restore(blob[:len(blob)-2]); err == nil {
-		t.Fatal("truncated checkpoint accepted")
-	}
-}
-
-// Concurrent readers share the RWMutex read lock, so the get counter
-// they bump must be atomic — a plain increment under RLock is a data
-// race between two Gets (caught by the query-layer race test first;
-// this pins it at the source).
 func TestConcurrentGetsRaceFree(t *testing.T) {
 	db := Open(Options{})
 	if _, err := db.Put([]byte("k"), []byte("v")); err != nil {

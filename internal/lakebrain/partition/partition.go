@@ -211,8 +211,6 @@ type Tree struct {
 	enc    *Encoder
 	root   *node
 	leaves []*node
-	est    *spn.SPN
-	rows   int64
 }
 
 // Config tunes tree building.
@@ -244,7 +242,7 @@ func Build(schema colfile.Schema, sample []colfile.Row, workload []Query, totalR
 		data[i] = enc.EncodeRow(r)
 	}
 	est := spn.Learn(data, cfg.SPN)
-	t := &Tree{enc: enc, est: est, rows: totalRows}
+	t := &Tree{enc: enc}
 	t.root = &node{reg: region{}}
 	t.leaves = []*node{t.root}
 
@@ -387,12 +385,6 @@ func (t *Tree) Route(row colfile.Row) int {
 // Touches implements Router.
 func (t *Tree) Touches(q Query, p int) bool {
 	return !disjoint(t.leaves[p].reg, t.enc.queryBounds(q))
-}
-
-// EstimatePartitionRows returns the SPN's cardinality estimate for a
-// partition.
-func (t *Tree) EstimatePartitionRows(p int) float64 {
-	return t.est.EstimateCount(map[int]spn.Range(t.leaves[p].reg), t.rows)
 }
 
 // Full is the no-partitioning baseline: one partition holding

@@ -262,27 +262,6 @@ func TestMinPartitionRowsRespected(t *testing.T) {
 	}
 }
 
-func TestEstimatePartitionRows(t *testing.T) {
-	rows := sample(4000, 9)
-	tree := Build(schema, rows, figure11Workload(), 4000, Config{MaxPartitions: 8})
-	var est float64
-	actual := make([]int, tree.NumPartitions())
-	for _, r := range rows {
-		actual[tree.Route(r)]++
-	}
-	for p := 0; p < tree.NumPartitions(); p++ {
-		e := tree.EstimatePartitionRows(p)
-		est += e
-		// Each estimate within a loose factor of the truth.
-		if actual[p] > 100 && (e < float64(actual[p])/4 || e > float64(actual[p])*4) {
-			t.Fatalf("partition %d estimate %f vs actual %d", p, e, actual[p])
-		}
-	}
-	if est < 2000 || est > 8000 {
-		t.Fatalf("total estimated rows %f", est)
-	}
-}
-
 func TestWorkloadWithINPredicates(t *testing.T) {
 	rows := sample(2000, 10)
 	workload := []Query{

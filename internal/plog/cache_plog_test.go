@@ -116,32 +116,6 @@ func TestCacheInvalidatedOnDegradedAppendAndRepair(t *testing.T) {
 	}
 }
 
-// With verification off the cache must stand down entirely: verified
-// fills are impossible, and serving previously verified bytes would
-// diverge from what a raw device read returns on a corrupt copy.
-func TestCacheBypassedWithoutVerification(t *testing.T) {
-	m, c := newCachedManager(t, 3)
-	l, _ := m.Create(ReplicateN(3))
-	payload := bytes.Repeat([]byte("v"), 1024)
-	l.Append(payload)
-	l.Read(0, 1024) // verified fill
-	m.SetVerifyOnRead(false)
-	if st := c.Stats(); st.EntriesDRAM+st.EntriesSCM != 0 {
-		t.Fatalf("disabling verification did not flush the cache: %+v", st)
-	}
-	disk := l.Placement()[0].Disk
-	ops := l.pool.DiskStats(disk).ReadOps
-	if _, _, err := l.Read(0, 1024); err != nil {
-		t.Fatal(err)
-	}
-	if got := l.pool.DiskStats(disk).ReadOps; got == ops {
-		t.Fatal("unverified read served from cache")
-	}
-	if st := c.Stats(); st.Fills != 1 {
-		t.Fatalf("unverified read filled the cache: %+v", st)
-	}
-}
-
 // Destroying a log reclaims its cache space.
 func TestCacheInvalidatedOnDestroy(t *testing.T) {
 	m, c := newCachedManager(t, 3)

@@ -33,14 +33,6 @@ type extComp struct {
 	clen  int64
 }
 
-// Compressed reports whether the log currently stores compressed
-// extents on its placement pool.
-func (l *PLog) Compressed() bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.compressed
-}
-
 // compShardLocked returns the per-copy physical bytes of extent e: the
 // compressed extent length for replication, one shard column of it for
 // EC. Extents beyond the negotiated set (appended post-migration) are

@@ -125,7 +125,7 @@ func (m *Manager) HedgeStats() HedgeStats {
 // would pay on top of its device read. It returns how much requester
 // latency the hedge saved (0 when it lost or no second replica was
 // usable).
-func (l *PLog) hedgeLocked(primary int, offset, n, devN int64, decCost, primaryCost time.Duration, verify bool) time.Duration {
+func (l *PLog) hedgeLocked(primary int, offset, n, devN int64, decCost, primaryCost time.Duration) time.Duration {
 	if l.hedge == nil || l.red.Kind != Replicate {
 		return 0
 	}
@@ -146,22 +146,14 @@ func (l *PLog) hedgeLocked(primary int, offset, n, devN int64, decCost, primaryC
 			// the failure detector distrusts. Never hedge there.
 			continue
 		}
-		if !verify && l.corruptIn(j, offset, n) >= 0 {
-			// Without verification a corrupt copy would "win" with bytes
-			// that differ from what the primary served — a stale win the
-			// latency model must not credit. Skip it.
-			continue
-		}
 		d2, rerr := l.pool.Read(s.ID, devN)
 		if rerr != nil {
 			continue
 		}
 		d2 += decCost
-		if verify {
-			if bad := l.verifyCopyRange(j, offset, n); len(bad) > 0 {
-				l.quarantine(j, bad)
-				continue
-			}
+		if bad := l.verifyCopyRange(j, offset, n); len(bad) > 0 {
+			l.quarantine(j, bad)
+			continue
 		}
 		var saved time.Duration
 		if eff := h + d2; eff < primaryCost {

@@ -6,35 +6,6 @@ import (
 	"time"
 )
 
-// With verification off a corrupt secondary used to be a valid hedge
-// target: the hedge "won" with bytes that differ from what the primary
-// served — a stale win credited to the latency model. Now corrupt
-// copies are ineligible, and with every secondary corrupt the slow
-// primary is simply endured.
-func TestHedgeSkipsCorruptCopiesWithoutVerification(t *testing.T) {
-	cfg := HedgeConfig{Enabled: true, Quantile: 0.5, MinSamples: 8, Floor: 100 * time.Microsecond}
-	m, l, payload := hedgeEnv(t, cfg, true)
-	for _, idx := range []int{1, 2} {
-		if ok, err := l.CorruptCopy(idx, 0); err != nil || !ok {
-			t.Fatalf("corrupt copy %d: %v %v", idx, ok, err)
-		}
-	}
-	m.SetVerifyOnRead(false)
-	data, cost, err := l.Read(0, int64(len(payload)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, payload) {
-		t.Fatal("read returned wrong bytes")
-	}
-	if cost < 2*time.Millisecond {
-		t.Fatalf("a hedge won against corrupt-only candidates: cost=%v", cost)
-	}
-	if st := m.HedgeStats(); st.Hedged != 0 {
-		t.Fatalf("hedge issued against ineligible copies: %+v", st)
-	}
-}
-
 // With verification on, a corrupt secondary loses the race honestly: it
 // is verified, quarantined, and the hedge falls through to the next
 // healthy replica — which wins. Subsequent reads skip the quarantined

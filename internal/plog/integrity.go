@@ -224,21 +224,6 @@ func (l *PLog) missingIn(i int, off, n int64) bool {
 	return false
 }
 
-// corruptIn returns the first corrupt extent of copy i inside
-// [off, off+n), or -1, without counting a verification — the peek the
-// verify-disabled read path uses to model serving wrong bytes.
-func (l *PLog) corruptIn(i int, off, n int64) int {
-	l.imu.Lock()
-	defer l.imu.Unlock()
-	lo, hi := l.overlappingLocked(off, n)
-	for e := lo; e < hi; e++ {
-		if stored, ok := l.copySums[i][e]; ok && stored != l.expectedSumLocked(i, e) {
-			return e
-		}
-	}
-	return -1
-}
-
 // quarantine marks copy i's corrupt extents stale so the repair service
 // rebuilds them, and drops their stored checksums so one corruption is
 // detected (and counted) exactly once. Caller holds mu.
@@ -281,23 +266,6 @@ func (l *PLog) restoreSums(i int) {
 			l.copySums[i][e] = l.trueSums[e][i]
 		}
 	}
-}
-
-// corruptBytes returns a copy of data with one bit flipped inside the
-// region covered by extent e — what a reader would see serving the
-// corrupt copy with verification disabled.
-func (l *PLog) corruptBytes(data []byte, off int64, e int) []byte {
-	out := append([]byte(nil), data...)
-	l.imu.Lock()
-	pos := l.extents[e].off - off
-	l.imu.Unlock()
-	if pos < 0 {
-		pos = 0
-	}
-	if pos < int64(len(out)) {
-		out[pos] ^= 0x01
-	}
-	return out
 }
 
 // CorruptCopy flips the stored checksum of one copy's extent, modeling a
@@ -442,22 +410,6 @@ func (l *PLog) Scrub() (ScrubResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// SetVerifyOnRead toggles checksum verification on every read across the
-// manager's logs (on by default). Disabling it models a system without
-// end-to-end integrity: reads that land on a corrupt copy silently
-// return wrong bytes. Because cache fills must be verified, disabling
-// verification also flushes and bypasses the read cache — resident
-// verified bytes could otherwise diverge from what a raw device read
-// would now return.
-func (m *Manager) SetVerifyOnRead(v bool) {
-	m.verify.Store(!v)
-	if !v {
-		if c := m.cache.Load(); c != nil {
-			c.Flush()
-		}
-	}
 }
 
 // CorruptCopy flips the stored checksum of one copy's extent of one log.

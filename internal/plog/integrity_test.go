@@ -69,37 +69,6 @@ func TestVerifyOnReadFallbackReplicated(t *testing.T) {
 	}
 }
 
-// TestVerifyDisabledServesCorruptBytes shows the baseline without the
-// integrity layer: a corrupt copy is served as-is.
-func TestVerifyDisabledServesCorruptBytes(t *testing.T) {
-	_, m := newTestManager(t, 3)
-	m.SetVerifyOnRead(false)
-	l, err := m.Create(ReplicateN(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := payload(256, 9)
-	if _, _, err := l.Append(want); err != nil {
-		t.Fatal(err)
-	}
-	if ok, err := l.CorruptCopy(0, 0); err != nil || !ok {
-		t.Fatalf("CorruptCopy: ok=%v err=%v", ok, err)
-	}
-	got, _, err := l.Read(0, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, want) {
-		t.Fatal("verification disabled yet corrupt copy served correct bytes")
-	}
-	// Turning verification back on catches it.
-	m.SetVerifyOnRead(true)
-	got, _, err = l.Read(0, 256)
-	if err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("read with verification restored: %v", err)
-	}
-}
-
 // TestECCorruptShardReconstructs corrupts one EC shard column and
 // verifies the read excludes it, decodes from the survivors, and repair
 // re-encodes it (exercising the real decoder).

@@ -143,12 +143,10 @@ type PLog struct {
 	trueSums [][]uint32       // [extent][copy] expected checksums
 	copySums []map[int]uint32 // per copy: extent index -> stored checksum
 	integ    IntegrityStats
-	noVerify *atomic.Bool // shared manager-wide verify-on-read toggle
 
-	// metrics points at the manager's shared instrument set (same
-	// lifetime trick as noVerify). The pointer is always valid for
-	// manager-created logs; the instruments inside stay nil (no-op)
-	// until Manager.SetObs wires a registry.
+	// metrics points at the manager's shared instrument set. The pointer
+	// is always valid for manager-created logs; the instruments inside
+	// stay nil (no-op) until Manager.SetObs wires a registry.
 	metrics *logMetrics
 
 	// hedge points at the manager's shared hedged-read state (see
@@ -261,13 +259,12 @@ func (l *PLog) Append(data []byte) (offset int64, cost time.Duration, err error)
 // Read returns n bytes starting at offset, charging the device reads. For
 // replication it reads one healthy copy; for erasure coding it reads K
 // healthy shards in parallel (cost is the slowest). Every copy served is
-// checksum-verified (unless the manager disabled verification): a
-// mismatch quarantines that copy as stale for the repair service and the
-// read transparently falls back to the next replica or reconstructs from
-// surviving shards. When placement disks have failed, fallen stale, or
+// checksum-verified: a mismatch quarantines that copy as stale for the
+// repair service and the read transparently falls back to the next
+// replica or reconstructs from surviving shards. When placement disks have failed, fallen stale, or
 // been found corrupt it degrades the same way, and returns
 // ErrUnavailable only when the policy's fault tolerance is exceeded —
-// corrupt bytes are never returned while verification is on.
+// corrupt bytes are never returned.
 //
 // Borrow discipline: a range inside one appended payload — every
 // data-path read: a payload is the unit shard.Loc and FileStore address
@@ -286,9 +283,8 @@ func (l *PLog) Read(offset, n int64) (data []byte, cost time.Duration, err error
 
 // readThrough is the cache-aware read path: a resident range is served
 // from the read cache (a DRAM hit at zero cost, an SCM hit at SCM
-// device cost); a miss goes to the devices and, when verification is
-// on, the verified bytes fill the cache. hit reports whether the cache
-// served the read.
+// device cost); a miss goes to the devices and the verified bytes fill
+// the cache. hit reports whether the cache served the read.
 func (l *PLog) readThrough(offset, n int64) (data []byte, cost time.Duration, hit bool, err error) {
 	c := l.cacheActive()
 	if c == nil || n <= 0 {
@@ -310,9 +306,8 @@ func (l *PLog) readThrough(offset, n int64) (data []byte, cost time.Duration, hi
 	if err == nil {
 		l.metrics.readLat.Observe(cost)
 		l.metrics.readBytes.Add(n)
-		// Verified fill: l.read only returns clean bytes while
-		// verification is on (cacheActive gates the off case away). The
-		// fill is version-guarded: if an invalidation (a migrate moving
+		// Verified fill: l.read only returns clean bytes. The fill is
+		// version-guarded: if an invalidation (a migrate moving
 		// the placement, a quarantine, a repair rewrite) ran between the
 		// device read and here, the fill loses — inserting would
 		// re-admit bytes keyed to the pre-invalidation placement.
@@ -351,14 +346,9 @@ func (l *PLog) ReadDirect(offset, n int64) ([]byte, time.Duration, error) {
 }
 
 // cacheActive returns the attached read cache, or nil when there is
-// none or verification is off — an unverified fill could launder
-// corrupt bytes, so the cache stands down entirely with verification
-// disabled.
+// none.
 func (l *PLog) cacheActive() *cache.Cache {
 	if l.rcache == nil {
-		return nil
-	}
-	if l.noVerify != nil && l.noVerify.Load() {
 		return nil
 	}
 	return l.rcache.Load()
@@ -416,7 +406,6 @@ func (l *PLog) read(offset, n int64) (data []byte, cost time.Duration, err error
 	if offset < 0 || n < 0 || offset+n > l.size {
 		return nil, 0, ErrOutOfRange
 	}
-	verify := l.noVerify == nil || !l.noVerify.Load()
 	// Compressed logs read whole extents at their compressed size and
 	// pay the decompress CPU before the uncompressed bytes can be
 	// CRC-verified — so a corrupt copy costs its read and its decompress
@@ -444,16 +433,11 @@ func (l *PLog) read(offset, n int64) (data []byte, cost time.Duration, err error
 			}
 			d += decCost
 			cost += d // wasted reads of corrupt copies stay charged
-			if verify {
-				if bad := l.verifyCopyRange(i, offset, n); len(bad) > 0 {
-					l.quarantine(i, bad)
-					lastErr = fmt.Errorf("%w on copy %d", ErrCorrupt, i)
-					fellBack = true
-					continue
-				}
-			} else if bad := l.corruptIn(i, offset, n); bad >= 0 {
-				// No integrity layer: the corrupt copy is served as-is.
-				return l.corruptBytes(l.bytesLocked(offset, n), offset, bad), cost, nil
+			if bad := l.verifyCopyRange(i, offset, n); len(bad) > 0 {
+				l.quarantine(i, bad)
+				lastErr = fmt.Errorf("%w on copy %d", ErrCorrupt, i)
+				fellBack = true
+				continue
 			}
 			if fellBack {
 				l.imu.Lock()
@@ -463,7 +447,7 @@ func (l *PLog) read(offset, n int64) (data []byte, cost time.Duration, err error
 			// Slow primary? Race a second replica after the hedge delay and
 			// let the requester observe the earlier finisher. Device time of
 			// both reads stays charged above.
-			if saved := l.hedgeLocked(i, offset, n, devN, decCost, d, verify); saved > 0 {
+			if saved := l.hedgeLocked(i, offset, n, devN, decCost, d); saved > 0 {
 				cost -= saved
 			}
 			return l.bytesLocked(offset, n), cost, nil
@@ -482,7 +466,6 @@ func (l *PLog) read(offset, n int64) (data []byte, cost time.Duration, err error
 		var max time.Duration
 		healthy := 0
 		fellBack := false
-		corruptServed := -1
 		for i, s := range l.slices {
 			if healthy == l.red.K {
 				break
@@ -494,15 +477,11 @@ func (l *PLog) read(offset, n int64) (data []byte, cost time.Duration, err error
 			if rerr != nil {
 				continue // failed disk; try the next shard (degraded read)
 			}
-			if verify {
-				if bad := l.verifyCopyRange(i, offset, n); len(bad) > 0 {
-					l.quarantine(i, bad)
-					fellBack = true
-					cost += d // wasted read of the corrupt shard
-					continue
-				}
-			} else if bad := l.corruptIn(i, offset, n); bad >= 0 && corruptServed < 0 {
-				corruptServed = bad
+			if bad := l.verifyCopyRange(i, offset, n); len(bad) > 0 {
+				l.quarantine(i, bad)
+				fellBack = true
+				cost += d // wasted read of the corrupt shard
+				continue
 			}
 			healthy++
 			if d > max {
@@ -514,11 +493,6 @@ func (l *PLog) read(offset, n int64) (data []byte, cost time.Duration, err error
 		cost += max + decCost
 		if healthy < l.red.K {
 			return nil, 0, ErrUnavailable
-		}
-		if corruptServed >= 0 {
-			// No integrity layer: a corrupt shard column contributed to the
-			// decode, so the joined payload comes out wrong.
-			return l.corruptBytes(l.bytesLocked(offset, n), offset, corruptServed), cost, nil
 		}
 		if fellBack {
 			l.imu.Lock()
@@ -547,22 +521,16 @@ func (l *PLog) bytesLocked(off, n int64) []byte {
 	return out
 }
 
-// VerifyReconstruct exercises the actual erasure decode on the stripes
-// the log stores — one per extent, as recordExtent encoded and
+// verifyReconstructLocked exercises the actual erasure decode on the
+// stripes the log stores — one per extent, as recordExtent encoded and
 // checksummed them: it re-encodes each extent, erases the `erasures`
 // columns, reconstructs, and checks every column against its sidecar
-// CRC and the joined payload against the extent. It exists so failure
-// injection tests and repair exercise real decoding of the parity the
-// sidecars describe, not just accounting.
-func (l *PLog) VerifyReconstruct(erasures []int) error {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.verifyReconstructLocked(erasures)
-}
-
+// CRC and the joined payload against the extent, so repair exercises
+// real decoding of the parity the sidecars describe, not just
+// accounting. Caller holds mu.
 func (l *PLog) verifyReconstructLocked(erasures []int) error {
 	if l.red.Kind != ErasureCode {
-		return errors.New("plog: VerifyReconstruct on a replicated log")
+		return errors.New("plog: erasure reconstruct on a replicated log")
 	}
 	for _, i := range erasures {
 		if i < 0 || i >= l.red.Width() {
@@ -832,9 +800,6 @@ func (l *PLog) PhysicalBytes() int64 {
 type Manager struct {
 	pool     *pool.Pool
 	capacity int64
-	// verify is inverted (noVerify) so the zero value means
-	// verification on — every log shares this toggle.
-	verify atomic.Bool
 	// metrics is shared by every log the manager creates (see
 	// PLog.metrics); zero until SetObs wires a registry.
 	metrics logMetrics
@@ -949,7 +914,6 @@ func (m *Manager) Create(red Redundancy) (*PLog, error) {
 		pool:         m.pool,
 		codec:        codec,
 		slices:       slices,
-		noVerify:     &m.verify,
 		metrics:      &m.metrics,
 		hedge:        &m.hedge,
 		groupCommits: &m.groupCommits,

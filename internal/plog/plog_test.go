@@ -493,3 +493,18 @@ func TestQuickAppendOffsetsContiguous(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// VerifyReconstruct runs the repair path's erasure-decode check under
+// the log's read lock.
+func (l *PLog) VerifyReconstruct(erasures []int) error {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.verifyReconstructLocked(erasures)
+}
+
+// Compressed reports whether the log stores compressed extents.
+func (l *PLog) Compressed() bool {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.compressed
+}

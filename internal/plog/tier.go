@@ -188,12 +188,3 @@ func (l *PLog) reconstructReadLocked(i int, n int64) time.Duration {
 	}
 	return max
 }
-
-// MigrateLog moves one log's placement group to dst (see PLog.Migrate).
-func (m *Manager) MigrateLog(id ID, dst *pool.Pool) (time.Duration, error) {
-	l := m.Get(id)
-	if l == nil {
-		return 0, fmt.Errorf("plog: no log %d", id)
-	}
-	return l.Migrate(dst)
-}

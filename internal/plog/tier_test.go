@@ -16,7 +16,7 @@ func newHDDPool(disks int) *pool.Pool {
 func poolEmpty(t *testing.T, p *pool.Pool) {
 	t.Helper()
 	for i := 0; i < p.DiskCount(); i++ {
-		if used := p.DiskUsed(pool.DiskID(i)); used != 0 {
+		if used := p.DiskStats(pool.DiskID(i)).Used; used != 0 {
 			t.Fatalf("disk %d of %s still holds %d bytes", i, p.Name(), used)
 		}
 	}
@@ -45,11 +45,14 @@ func TestMigrateMovesDataAcrossPools(t *testing.T) {
 		t.Fatalf("post-migration read: %v", err)
 	}
 	poolEmpty(t, m.Pool()) // source slices freed
-	var onHDD int64
+	var onHDD, want int64
 	for i := 0; i < hdd.DiskCount(); i++ {
-		onHDD += hdd.DiskUsed(pool.DiskID(i))
+		onHDD += hdd.DiskStats(pool.DiskID(i)).Used
 	}
-	if want := int64(len(l.Placement())) * hdd.SliceSize(); onHDD != want {
+	for _, s := range l.Placement() {
+		want += s.Size
+	}
+	if onHDD != want {
 		t.Fatalf("destination allocated %d bytes, want %d", onHDD, want)
 	}
 }

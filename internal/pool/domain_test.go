@@ -17,6 +17,13 @@ func newDomainPool(t *testing.T, disks, nodes int) *Pool {
 	return p
 }
 
+// domainOf reads a disk's failure domain, -1 on a single-domain pool.
+func domainOf(p *Pool, id DiskID) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.domainOfLocked(id)
+}
+
 func TestAllocGroupSpreadsDomains(t *testing.T) {
 	p := newDomainPool(t, 9, 3)
 	slices, err := p.AllocGroup(3)
@@ -25,7 +32,7 @@ func TestAllocGroupSpreadsDomains(t *testing.T) {
 	}
 	seen := make(map[int]bool)
 	for _, s := range slices {
-		d := p.DomainOf(s.Disk)
+		d := domainOf(p, s.Disk)
 		if seen[d] {
 			t.Fatalf("two copies share domain %d: %+v", d, slices)
 		}
@@ -41,7 +48,7 @@ func TestAllocGroupInHonorsPreference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range slices {
-		if got := p.DomainOf(s.Disk); got != pref[i] {
+		if got := domainOf(p, s.Disk); got != pref[i] {
 			t.Fatalf("slice %d landed in domain %d, want %d", i, got, pref[i])
 		}
 	}
@@ -55,12 +62,12 @@ func TestAllocGroupInFallsBackPastPreference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.DomainOf(slices[0].Disk); got != 1 {
+	if got := domainOf(p, slices[0].Disk); got != 1 {
 		t.Fatalf("first slice in domain %d, want 1", got)
 	}
 	seen := make(map[int]bool)
 	for _, s := range slices {
-		d := p.DomainOf(s.Disk)
+		d := domainOf(p, s.Disk)
 		if seen[d] {
 			t.Fatalf("two copies share domain %d", d)
 		}
@@ -76,7 +83,7 @@ func TestAvoidVetoesAllocation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range slices {
-		if p.DomainOf(s.Disk) == 1 {
+		if domainOf(p, s.Disk) == 1 {
 			t.Fatalf("allocated on avoided node: disk %d", s.Disk)
 		}
 	}
@@ -120,7 +127,7 @@ func TestRelocateExcludesDomainMates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.DomainOf(dst) == p.DomainOf(excluded) {
+	if domainOf(p, dst) == domainOf(p, excluded) {
 		t.Fatalf("relocation stayed in the failed domain: disk %d", dst)
 	}
 }

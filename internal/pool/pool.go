@@ -2,9 +2,8 @@
 // store layer (Section III). Physical space on every disk in the cluster
 // is divided into fixed-size slices; slices are organized as logical
 // units across disks in different servers for redundancy and load
-// balance. The pool also implements the storage-space features the paper
-// lists: garbage collection, data reconstruction after disk failure,
-// snapshot reference counting, and thin provisioning.
+// balance. The pool also implements data reconstruction after disk
+// failure.
 package pool
 
 import (
@@ -31,19 +30,11 @@ const DefaultSliceSize int64 = 4 << 20
 
 // Slice is one allocated unit of physical space on a specific disk.
 type Slice struct {
-	ID      SliceID
-	Disk    DiskID
-	Size    int64
-	refs    int32 // snapshot/clone reference count; freed at zero
-	garbage int64 // dead bytes awaiting GC
-	live    int64 // valid bytes written
+	ID   SliceID
+	Disk DiskID
+	Size int64
+	live int64 // valid bytes written
 }
-
-// Live reports the valid bytes in the slice.
-func (s *Slice) Live() int64 { return s.live }
-
-// Garbage reports the dead bytes in the slice.
-func (s *Slice) Garbage() int64 { return s.garbage }
 
 type disk struct {
 	id     DiskID
@@ -59,8 +50,6 @@ type Stats struct {
 	Capacity      int64
 	Used          int64 // bytes held by allocated slices
 	Live          int64
-	Garbage       int64
-	LogicalBytes  int64 // thin-provisioned logical commitments
 	SliceCount    int
 	Reconstructed int64 // bytes migrated by reconstruction so far
 }
@@ -98,7 +87,6 @@ type Pool struct {
 	domains       []int // failure domain per disk; nil = single-domain pool
 	slices        map[SliceID]*Slice
 	nextSlice     SliceID
-	logicalBytes  int64
 	reconstructed int64
 	hook          FaultHook
 	metrics       poolMetrics
@@ -234,14 +222,6 @@ func (p *Pool) domainOfLocked(id DiskID) int {
 	return p.domains[id]
 }
 
-// DomainOf reports a disk's failure domain, or -1 when the pool is
-// single-domain.
-func (p *Pool) DomainOf(id DiskID) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.domainOfLocked(id)
-}
-
 // DomainSlices counts the slices currently hosted in each failure
 // domain (the "slices owned" gauge for per-node observability).
 func (p *Pool) DomainSlices() map[int]int {
@@ -276,20 +256,8 @@ func (p *Pool) DiskAvoided(id DiskID) bool {
 	return fp != nil && (*fp)(id)
 }
 
-// SliceSize returns the allocation granularity.
-func (p *Pool) SliceSize() int64 { return p.sliceSize }
-
 // DiskCount returns the number of disks, healthy or not.
 func (p *Pool) DiskCount() int { return len(p.disks) }
-
-// Provision records a thin-provisioned logical commitment. Logical space
-// may exceed physical capacity; physical writes still fail when disks
-// fill, which is exactly what thin provisioning means.
-func (p *Pool) Provision(logical int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.logicalBytes += logical
-}
 
 // Alloc allocates one slice on the least-used healthy disk not in
 // exclude.
@@ -348,7 +316,7 @@ func (p *Pool) allocOnLocked(best *disk) (*Slice, error) {
 		return nil, fmt.Errorf("%w: %v", ErrNoSpace, err)
 	}
 	p.nextSlice++
-	s := &Slice{ID: p.nextSlice, Disk: best.id, Size: p.sliceSize, refs: 1}
+	s := &Slice{ID: p.nextSlice, Disk: best.id, Size: p.sliceSize}
 	p.slices[s.ID] = s
 	best.slices[s.ID] = s
 	return s, nil
@@ -456,22 +424,7 @@ func (p *Pool) pickInDomainLocked(domain int, exclude map[DiskID]bool) *disk {
 	return best
 }
 
-// Retain increments a slice's reference count (snapshot/clone support:
-// copy-on-write sharing keeps a slice alive while any snapshot points at
-// it).
-func (p *Pool) Retain(id SliceID) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s, ok := p.slices[id]
-	if !ok {
-		return ErrUnknownSlice
-	}
-	s.refs++
-	return nil
-}
-
-// Free decrements a slice's reference count, releasing the physical space
-// when it reaches zero.
+// Free releases a slice's physical space.
 func (p *Pool) Free(id SliceID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -482,10 +435,6 @@ func (p *Pool) freeLocked(id SliceID) error {
 	s, ok := p.slices[id]
 	if !ok {
 		return ErrUnknownSlice
-	}
-	s.refs--
-	if s.refs > 0 {
-		return nil
 	}
 	delete(p.slices, id)
 	d := p.disks[s.Disk]
@@ -578,51 +527,6 @@ func (p *Pool) Read(id SliceID, n int64) (time.Duration, error) {
 	m.readOps.Inc()
 	m.readBytes.Add(n)
 	return d.dev.Read(n) + extra, nil
-}
-
-// MarkGarbage converts n live bytes of the slice into garbage awaiting
-// collection (an overwrite or delete in the log-structured pools).
-func (p *Pool) MarkGarbage(id SliceID, n int64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s, ok := p.slices[id]
-	if !ok {
-		return ErrUnknownSlice
-	}
-	if n > s.live {
-		n = s.live
-	}
-	s.live -= n
-	s.garbage += n
-	return nil
-}
-
-// GC compacts slices whose garbage fraction exceeds threshold: live bytes
-// are rewritten (read + write charged) and the garbage is reclaimed. It
-// returns the bytes reclaimed and the total modelled device time.
-func (p *Pool) GC(threshold float64) (reclaimed int64, cost time.Duration) {
-	p.mu.Lock()
-	var victims []*Slice
-	for _, s := range p.slices {
-		if s.garbage > 0 && float64(s.garbage)/float64(s.garbage+s.live+1) >= threshold {
-			victims = append(victims, s)
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
-	p.mu.Unlock()
-
-	for _, s := range victims {
-		p.mu.Lock()
-		d := p.disks[s.Disk]
-		g, live := s.garbage, s.live
-		s.garbage = 0
-		p.mu.Unlock()
-		// Rewrite the live portion to reclaim the dead bytes.
-		cost += d.dev.Read(live)
-		cost += d.dev.Write(live)
-		reclaimed += g
-	}
-	return reclaimed, cost
 }
 
 // FailDisk marks a disk as failed. Its slices stay registered until
@@ -941,7 +845,6 @@ func (p *Pool) Stats() Stats {
 	defer p.mu.Unlock()
 	st := Stats{
 		Disks:         len(p.disks),
-		LogicalBytes:  p.logicalBytes,
 		SliceCount:    len(p.slices),
 		Reconstructed: p.reconstructed,
 	}
@@ -955,17 +858,6 @@ func (p *Pool) Stats() Stats {
 	}
 	for _, s := range p.slices {
 		st.Live += s.live
-		st.Garbage += s.garbage
 	}
 	return st
-}
-
-// DiskUsed reports the allocated bytes on one disk, for balance tests.
-func (p *Pool) DiskUsed(id DiskID) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if int(id) < 0 || int(id) >= len(p.disks) {
-		return 0
-	}
-	return p.disks[id].dev.Used()
 }

@@ -54,14 +54,6 @@ func NewCtx(now, timeout time.Duration) *Ctx {
 	return c
 }
 
-// Deadline returns the absolute virtual-time deadline (0 = none).
-func (c *Ctx) Deadline() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.deadline
-}
-
 // Now returns the request's effective virtual time: its start plus
 // every cost charged so far.
 func (c *Ctx) Now() time.Duration {
@@ -69,14 +61,6 @@ func (c *Ctx) Now() time.Duration {
 		return 0
 	}
 	return c.start + c.spent
-}
-
-// Spent returns the modelled cost accumulated so far.
-func (c *Ctx) Spent() time.Duration {
-	if c == nil {
-		return 0
-	}
-	return c.spent
 }
 
 // Check reports ErrDeadlineExceeded when the request's effective time
@@ -103,19 +87,6 @@ func (c *Ctx) Charge(d time.Duration) error {
 		c.spent += d
 	}
 	return c.Check()
-}
-
-// Remaining returns the virtual time left before the deadline (0 when
-// exceeded; a large positive value when no deadline is set).
-func (c *Ctx) Remaining() time.Duration {
-	if c == nil || c.deadline == 0 {
-		return time.Duration(1<<63 - 1)
-	}
-	r := c.deadline - (c.start + c.spent)
-	if r < 0 {
-		return 0
-	}
-	return r
 }
 
 // RetryPolicy is a seeded jittered exponential backoff schedule.

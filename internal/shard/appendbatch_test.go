@@ -67,7 +67,7 @@ func TestAppendBatchRollsChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(sp.Chain(s)); n != 2 {
+	if n := len(chain(sp, s)); n != 2 {
 		t.Fatalf("chain length %d, want 2 after the roll", n)
 	}
 	readBack(t, sp, locs, payloads)
@@ -83,7 +83,7 @@ func TestAppendBatchOversizedFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("oversized batch should fall back, got %v", err)
 	}
-	if len(sp.Chain(s)) < 2 {
+	if len(chain(sp, s)) < 2 {
 		t.Fatal("fallback never split the chain")
 	}
 	readBack(t, sp, locs, payloads)

@@ -8,13 +8,6 @@ import (
 	"streamlake/internal/sim"
 )
 
-func TestMapOwnerWithNoNodes(t *testing.T) {
-	m := NewMap(nil)
-	if m.Owner(0) != "" {
-		t.Fatal("empty map produced an owner")
-	}
-}
-
 func TestSpaceReadUnknownLog(t *testing.T) {
 	sp := newSpace(t)
 	if _, _, err := sp.Read(Loc{Log: 999, Len: 4}); err == nil {
@@ -39,7 +32,7 @@ func TestDestroyLogRemovesFromChain(t *testing.T) {
 	if err := sp.DestroyLog(loc.Log); err != nil {
 		t.Fatal(err)
 	}
-	if got := sp.Chain(5); len(got) != 0 {
+	if got := chain(sp, 5); len(got) != 0 {
 		t.Fatalf("chain after destroy: %v", got)
 	}
 	// Appends after destroy roll a fresh log.

@@ -1,10 +1,6 @@
 // Package shard implements the distributed hash table of Figure 4-d:
 // data slices are distributed evenly over 4096 logical shards, each of
-// which manages its storage space through a chain of PLogs. The package
-// also implements the serving-side shard→node map whose metadata-only
-// rebalance is what gives StreamLake its elasticity claim (Figure 14-c):
-// scaling the serving layer reassigns shard ownership without moving
-// data.
+// which manages its storage space through a chain of PLogs.
 package shard
 
 import (
@@ -31,88 +27,6 @@ func ForKey(key []byte) ID {
 	h := fnv.New32a()
 	h.Write(key)
 	return ID(h.Sum32() % NumShards)
-}
-
-// rendezvous computes the HRW weight of (node, shard); the owner of a
-// shard is the node with the highest weight, which changes for only
-// ~1/n of shards when a node joins or leaves.
-func rendezvous(node string, s ID) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(node))
-	h.Write([]byte{byte(s >> 8), byte(s)})
-	// FNV alone lacks avalanche in the high bits, which HRW's max
-	// comparison is sensitive to; finish with a splitmix64 mix.
-	z := h.Sum64() + 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// Map assigns shards to serving nodes with rendezvous hashing.
-type Map struct {
-	mu      sync.RWMutex
-	nodes   []string
-	version int64
-}
-
-// NewMap builds a map over the given serving nodes.
-func NewMap(nodes []string) *Map {
-	m := &Map{}
-	m.SetNodes(nodes)
-	return m
-}
-
-// Owner returns the node currently serving shard s, or "" with no nodes.
-func (m *Map) Owner(s ID) string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.ownerLocked(s)
-}
-
-func (m *Map) ownerLocked(s ID) string {
-	var best string
-	var bestW uint64
-	for _, n := range m.nodes {
-		if w := rendezvous(n, s); best == "" || w > bestW {
-			best, bestW = n, w
-		}
-	}
-	return best
-}
-
-// Nodes returns a copy of the current node set.
-func (m *Map) Nodes() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return append([]string(nil), m.nodes...)
-}
-
-// Version returns the map's topology version, bumped on every change.
-func (m *Map) Version() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.version
-}
-
-// SetNodes replaces the node set and returns how many shards changed
-// owner — the metadata-only "migration" of the disaggregated design.
-func (m *Map) SetNodes(nodes []string) (moved int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	old := make([]string, NumShards)
-	if len(m.nodes) > 0 {
-		for s := 0; s < NumShards; s++ {
-			old[s] = m.ownerLocked(ID(s))
-		}
-	}
-	m.nodes = append([]string(nil), nodes...)
-	m.version++
-	for s := 0; s < NumShards; s++ {
-		if old[s] != m.ownerLocked(ID(s)) {
-			moved++
-		}
-	}
-	return moved
 }
 
 // Loc addresses a record inside the shard space: which PLog, where, and
@@ -286,13 +200,6 @@ func (sp *Space) StaleBytes() int64 {
 		}
 	}
 	return total
-}
-
-// Chain returns the PLog chain of shard s, oldest first.
-func (sp *Space) Chain(s ID) []plog.ID {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	return append([]plog.ID(nil), sp.chains[s]...)
 }
 
 // DestroyLog destroys one PLog in the space, removing it from its

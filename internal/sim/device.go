@@ -122,9 +122,8 @@ type Device struct {
 	spec DeviceSpec
 	name string
 
-	mu       sync.Mutex
-	stats    DeviceStats
-	slowdown float64 // latency multiplier, 1 = healthy (fault injection)
+	mu    sync.Mutex
+	stats DeviceStats
 }
 
 // NewDevice creates a device with the given name and spec.
@@ -153,43 +152,12 @@ func transferTime(n int64, bw int64) time.Duration {
 	return time.Duration(float64(n) / float64(bw) * float64(time.Second))
 }
 
-// SetSlowdown degrades (factor > 1) or restores (factor <= 1) the
-// device's latency and bandwidth by a multiplier — the fault injector's
-// model of a sick-but-alive device (media retries, thermal throttling,
-// a congested link).
-func (d *Device) SetSlowdown(factor float64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if factor < 1 {
-		factor = 1
-	}
-	d.slowdown = factor
-}
-
-// Slowdown reports the current latency multiplier (1 = healthy).
-func (d *Device) Slowdown() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.slowdown < 1 {
-		return 1
-	}
-	return d.slowdown
-}
-
 func (d *Device) readDur(n int64) time.Duration {
-	dur := d.spec.ReadLatency + transferTime(n, d.spec.ReadBandwidth)
-	if d.slowdown > 1 {
-		dur = time.Duration(float64(dur) * d.slowdown)
-	}
-	return dur
+	return d.spec.ReadLatency + transferTime(n, d.spec.ReadBandwidth)
 }
 
 func (d *Device) writeDur(n int64) time.Duration {
-	dur := d.spec.WriteLatency + transferTime(n, d.spec.WriteBandwidth)
-	if d.slowdown > 1 {
-		dur = time.Duration(float64(dur) * d.slowdown)
-	}
-	return dur
+	return d.spec.WriteLatency + transferTime(n, d.spec.WriteBandwidth)
 }
 
 // Read charges the cost of reading n bytes and returns the modelled

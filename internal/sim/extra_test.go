@@ -44,25 +44,6 @@ func TestHistogramSnapshot(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Distribution(t *testing.T) {
-	r := NewRNG(17)
-	var sum, sumSq float64
-	n := 10_000
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / float64(n)
-	variance := sumSq/float64(n) - mean*mean
-	if mean < -0.1 || mean > 0.1 {
-		t.Fatalf("mean %v not near 0", mean)
-	}
-	if variance < 0.8 || variance > 1.2 {
-		t.Fatalf("variance %v not near 1", variance)
-	}
-}
-
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -49,16 +49,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// NormFloat64 returns an approximately standard-normal variate using the
-// sum of twelve uniforms (Irwin–Hall); plenty for workload synthesis.
-func (r *RNG) NormFloat64() float64 {
-	var s float64
-	for i := 0; i < 12; i++ {
-		s += r.Float64()
-	}
-	return s - 6
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

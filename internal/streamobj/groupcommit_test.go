@@ -283,8 +283,8 @@ func TestConcurrentFlushSealReclaimMigrate(t *testing.T) {
 			default:
 			}
 			for _, info := range mgr.Logs() {
-				if info.Sealed {
-					mgr.MigrateLog(info.ID, dst) // destroyed logs refuse; that's the fix
+				if l := mgr.Get(info.ID); l != nil && info.Sealed {
+					l.Migrate(dst) // destroyed logs refuse; that's the fix
 				}
 			}
 		}

@@ -1,10 +1,8 @@
 package streamobj
 
 import (
-	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"streamlake/internal/plog"
 	"streamlake/internal/pool"
@@ -117,26 +115,6 @@ func TestSCMCacheEviction(t *testing.T) {
 	recs, _, err := o.Read(0, ReadCtrl{MaxRecords: 3})
 	if err != nil || len(recs) != 3 {
 		t.Fatalf("read of evicted slice: %v", err)
-	}
-}
-
-func TestCanAppendPeeksWithoutConsuming(t *testing.T) {
-	s, clock := newStore(t)
-	o, _ := s.Create(CreateOptions{Topic: "t", QuotaPerSec: 10})
-	clock.Advance(time.Second)
-	// Peeking never consumes tokens.
-	for i := 0; i < 100; i++ {
-		if err := o.CanAppend(10); err != nil {
-			t.Fatalf("peek %d: %v", i, err)
-		}
-	}
-	if err := o.CanAppend(11); !errors.Is(err, ErrThrottled) {
-		t.Fatalf("over-quota peek: %v", err)
-	}
-	// Unlimited quota always admits.
-	free, _ := s.Create(CreateOptions{Topic: "free"})
-	if err := free.CanAppend(1 << 20); err != nil {
-		t.Fatal(err)
 	}
 }
 

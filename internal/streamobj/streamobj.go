@@ -512,26 +512,6 @@ func (o *Object) creditReclaimLocked(freed int64) {
 	}
 }
 
-// CanAppend reports whether the quota currently admits n more records,
-// without consuming tokens — the prepare check of the streaming
-// service's two-phase commit.
-func (o *Object) CanAppend(n int) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.opts.QuotaPerSec <= 0 {
-		return nil
-	}
-	now := o.store.clock.Now()
-	tokens := o.tokens + (now-o.lastRefill).Seconds()*float64(o.opts.QuotaPerSec)
-	if max := float64(o.opts.QuotaPerSec); tokens > max {
-		tokens = max
-	}
-	if tokens < float64(n) {
-		return ErrThrottled
-	}
-	return nil
-}
-
 // takeTokens enforces the per-second quota against the virtual clock.
 func (o *Object) takeTokens(n int) error {
 	if o.opts.QuotaPerSec <= 0 {

@@ -63,11 +63,8 @@ func (c *Consumer) Subscribe(topic string) error {
 // returning the modelled read latency. An empty result means the
 // consumer is caught up.
 //
-// Lock ordering: c.mu is taken first, then svc.commitMu (shared); the
-// service itself is read through one load of its routing snapshot, never
-// svc.mu. No code path may acquire c.mu while holding commitMu;
-// Txn.Commit takes commitMu exclusively without c.mu, which is
-// consistent with this order.
+// Lock ordering: c.mu, then one load of the service's routing snapshot;
+// never svc.mu.
 func (c *Consumer) Poll(max int) ([]Message, time.Duration, error) {
 	return c.PollCtx(max, nil)
 }
@@ -89,9 +86,6 @@ func (c *Consumer) PollCtx(max int, rc *resil.Ctx) ([]Message, time.Duration, er
 	}
 	var out []Message
 	var cost time.Duration
-	// The commit latch: transactions become visible atomically.
-	c.svc.commitMu.RLock()
-	defer c.svc.commitMu.RUnlock()
 	rt := c.svc.routes.Load()
 	m, reg := rt.metrics, rt.reg
 	for _, sub := range c.subs {
@@ -179,24 +173,4 @@ func (c *Consumer) Seek(topic string, stream int, offset int64) error {
 	}
 	sub.offsets[stream] = offset
 	return nil
-}
-
-// Lag reports how many messages the consumer is behind across a topic's
-// streams.
-func (c *Consumer) Lag(topic string) (int64, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sub, ok := c.subs[topic]
-	if !ok {
-		return 0, ErrNotSubscribed
-	}
-	ts, tok := c.svc.routes.Load().topics[topic]
-	if !tok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownTopic, topic)
-	}
-	var lag int64
-	for i, obj := range ts.streams {
-		lag += obj.End() - sub.offsets[i]
-	}
-	return lag, nil
 }

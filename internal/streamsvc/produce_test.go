@@ -1,7 +1,6 @@
 package streamsvc
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -11,7 +10,6 @@ import (
 
 	"streamlake/internal/faults"
 	"streamlake/internal/obs"
-	"streamlake/internal/streamobj"
 )
 
 // sendRig is a service wired the way Open wires a lake's — obs on the
@@ -198,119 +196,6 @@ func sameMessages(t testing.TB, want []Message, got [][]Message) {
 	}
 }
 
-// mixedBatch is n records whose keys interleave over every stream.
-func mixedBatch(keys [][]byte, n int) []streamobj.Record {
-	recs := make([]streamobj.Record, n)
-	for i := range recs {
-		recs[i] = streamobj.Record{Key: keys[i%len(keys)], Value: []byte(fmt.Sprintf("v%03d", i))}
-	}
-	return recs
-}
-
-// TestSendBatchAcrossStreams: a batch whose keys interleave over three
-// streams comes back grouped by stream in ascending order, each stream's
-// records in the order given at contiguous offsets, having crossed the
-// bus once forward and once back per stream — and a second batch carries
-// on where the first stopped.
-func TestSendBatchAcrossStreams(t *testing.T) {
-	const streams = 3
-	s, _, keys := sendRig(t, 2, streams)
-	p := s.Producer("batch")
-	var acked []Message
-	for round := 0; round < 2; round++ {
-		recs := mixedBatch(keys, 60)
-		before := busSends(s)
-		msgs, cost, err := p.SendBatch("t", recs)
-		if err != nil || len(msgs) != len(recs) || cost <= 0 {
-			t.Fatalf("SendBatch: %d msgs, cost %v, err %v", len(msgs), cost, err)
-		}
-		if sent := busSends(s) - before; sent != 2*streams {
-			t.Fatalf("batch over %d streams crossed the bus %d times, want %d", streams, sent, 2*streams)
-		}
-		want := make([][]streamobj.Record, streams)
-		for _, r := range recs {
-			st := routeKey(r.Key, streams)
-			want[st] = append(want[st], r)
-		}
-		i := 0
-		for st := 0; st < streams; st++ {
-			if len(want[st]) == 0 {
-				t.Fatalf("test keys leave stream %d empty", st)
-			}
-			for j, r := range want[st] {
-				m := msgs[i]
-				if m.Stream != st || m.Offset != int64(round*len(want[st])+j) || string(m.Value) != string(r.Value) || string(m.Key) != string(r.Key) {
-					t.Fatalf("msgs[%d] = stream %d offset %d %q, want stream %d offset %d %q",
-						i, m.Stream, m.Offset, m.Value, st, round*len(want[st])+j, r.Value)
-				}
-				i++
-			}
-		}
-		acked = append(acked, msgs...)
-	}
-	sameMessages(t, acked, drain(t, s, "g", streams))
-	// Every record on one stream is the borrowed-slice path of every Send.
-	one := []streamobj.Record{{Key: keys[0], Value: []byte("a")}, {Key: keys[0], Value: []byte("b")}}
-	msgs, _, err := p.SendBatch("t", one)
-	if err != nil || len(msgs) != 2 || msgs[0].Stream != msgs[1].Stream || msgs[1].Offset != msgs[0].Offset+1 {
-		t.Fatalf("one-stream batch: %+v, %v", msgs, err)
-	}
-}
-
-func busSends(s *Service) (n int64) {
-	for _, w := range s.Workers() {
-		n += w.bus.Stats().Sends
-	}
-	return n
-}
-
-// TestSendBatchReportsPartialAcks: two workers, three streams, the worker
-// owning the middle stream partitioned away. Stream 0's records are
-// durable and sequence-numbered by the time stream 1 exhausts its
-// retries, so SendBatch returns them with the error — exactly what a
-// consumer then reads — and stream 2 was never attempted.
-func TestSendBatchReportsPartialAcks(t *testing.T) {
-	const streams = 3
-	s, np, keys := sendRig(t, 2, streams)
-	// Round-robin assignment: worker 1 owns stream 1 only.
-	np.Partition("client", "worker/1")
-	p := s.Producer("partial")
-	recs := mixedBatch(keys, 60)
-	msgs, _, err := p.SendBatch("t", recs)
-	if !errors.Is(err, ErrRetriesExhausted) || !errors.Is(err, faults.ErrPartitioned) {
-		t.Fatalf("err = %v, want retries exhausted on a partitioned link", err)
-	}
-	var want int
-	for _, r := range recs {
-		if routeKey(r.Key, streams) == 0 {
-			want++
-		}
-	}
-	if len(msgs) != want || want == 0 {
-		t.Fatalf("%d messages returned with the error, want stream 0's %d", len(msgs), want)
-	}
-	for i, m := range msgs {
-		if m.Stream != 0 || m.Offset != int64(i) {
-			t.Fatalf("msgs[%d] = stream %d offset %d, want stream 0 offset %d", i, m.Stream, m.Offset, i)
-		}
-	}
-	sameMessages(t, msgs, drain(t, s, "g", streams))
-	// Healed, the caller resends what is missing and only that.
-	np.HealAll()
-	var rest []streamobj.Record
-	for _, r := range recs {
-		if routeKey(r.Key, streams) != 0 {
-			rest = append(rest, r)
-		}
-	}
-	s.Clock().Advance(time.Second) // past the breaker's cooldown
-	more, _, err := p.SendBatch("t", rest)
-	if err != nil || len(more) != len(rest) {
-		t.Fatalf("resend: %d of %d, %v", len(more), len(rest), err)
-	}
-	sameMessages(t, append(msgs, more...), drain(t, s, "g2", streams))
-}
-
 // TestProduceDuringRescale (-race): one producer sends while the fleet
 // cycles 2→3→4 workers and one worker flips down and up. Every ack's
 // offset is the next one of its stream, from 0, and a catch-up consumer
@@ -426,10 +311,8 @@ func TestRoutesFollowEveryMutator(t *testing.T) {
 	check("all back")
 	s.SetWorkerCount(5)
 	check("SetWorkerCount(5)")
-	if _, err := s.FailWorker(3); err != nil {
-		t.Fatal(err)
-	}
-	check("FailWorker(3)")
+	s.SetWorkerDown(3, true)
+	check("SetWorkerDown(3) after the rescale")
 	if err := s.CreateTopic(TopicConfig{Name: "u", StreamNum: 2}); err != nil {
 		t.Fatal(err)
 	}

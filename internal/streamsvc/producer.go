@@ -3,7 +3,6 @@ package streamsvc
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -17,12 +16,12 @@ import (
 
 // Producer publishes messages to topics. The API mirrors the open-source
 // de facto standard of Figure 7: construct a producer, Send to a topic.
-// Producers are idempotent: every (producer, stream) batch carries a
+// Producers are idempotent: every (producer, stream) send carries a
 // sequence number the stream object deduplicates on.
 type Producer struct {
 	svc    *Service
 	id     string
-	tenant string // the tenant it is bound to, resolved per batch; "" = system
+	tenant string // the tenant it is bound to, resolved per send; "" = system
 
 	mu  sync.Mutex
 	seq []int64  // last sequence number per stream, indexed by the stream object's ID
@@ -37,17 +36,17 @@ type Producer struct {
 func (s *Service) Producer(id string) *Producer {
 	if id == "" {
 		s.mu.Lock()
-		s.txnSeq++
-		id = fmt.Sprintf("producer-%d", s.txnSeq)
+		s.producerSeq++
+		id = fmt.Sprintf("producer-%d", s.producerSeq)
 		s.mu.Unlock()
 	}
 	return &Producer{svc: s, id: id}
 }
 
-// TenantProducer is Producer bound to a tenant identity: every batch is
-// admitted against the tenant's quotas before fan-out and carries the
+// TenantProducer is Producer bound to a tenant identity: every send is
+// admitted against the tenant's quotas before it moves and carries the
 // tenant through bus scheduling, storage accounting, spans, and load
-// shedding. The registry resolves the tenant per batch: unmetered while
+// shedding. The registry resolves the tenant per send: unmetered while
 // it declares none, metered from the first declared tenant on.
 func (s *Service) TenantProducer(id, ten string) *Producer {
 	p := s.Producer(id)
@@ -60,17 +59,6 @@ func (s *Service) TenantProducer(id, ten string) *Producer {
 // worker plus the durable append).
 func (p *Producer) Send(topic string, key, value []byte) (Message, time.Duration, error) {
 	return p.SendSpanCtx(topic, key, value, nil, nil)
-}
-
-// SendBatch publishes records, each routed to a stream by its own key.
-// Streams are served in ascending index order and the result is grouped
-// the same way, each stream's records in the order given. A batch that
-// spans streams is not atomic: when a later stream fails, the messages
-// already acknowledged on earlier streams are returned WITH the error —
-// they are durable and sequence-numbered, so a caller that resends must
-// resend only the records that are missing from the result.
-func (p *Producer) SendBatch(topic string, recs []streamobj.Record) ([]Message, time.Duration, error) {
-	return p.sendBatch(nil, topic, recs, nil, nil)
 }
 
 // SendCtx is Send under a resilience context: bus transfers, backoff
@@ -87,13 +75,44 @@ func (p *Producer) SendCtx(topic string, key, value []byte, rc *resil.Ctx) (Mess
 // Either argument may be nil. The record and its message live in this
 // frame, so a steady-state send allocates nothing.
 func (p *Producer) SendSpanCtx(topic string, key, value []byte, sp *obs.Span, rc *resil.Ctx) (Message, time.Duration, error) {
+	rt := p.svc.routes.Load()
+	tr, ok := rt.topics[topic]
+	if !ok {
+		return Message{}, 0, fmt.Errorf("%w: %s", ErrUnknownTopic, topic)
+	}
+	bytes := int64(len(key) + len(value))
+	// Tenant admission: the send runs as the identity the registry
+	// resolves ("" while no tenant is declared), and a metered send is
+	// charged against its tenant's IOPS and bandwidth buckets exactly
+	// once — the internal retries in sendOne never re-admit, so a retried
+	// send can't be double-charged.
+	ten, err := rt.tenants.Resolve(p.tenant)
+	if err != nil {
+		return Message{}, 0, err
+	}
+	if ten != "" {
+		now := p.svc.clock.Now()
+		if rc != nil {
+			now = rc.Now()
+		}
+		if err := rt.tenants.Admit(ten, now, 1, bytes); err != nil {
+			return Message{}, 0, err
+		}
+		if sp != nil {
+			sp.SetAttr("tenant", ten)
+		}
+	}
+	idx := routeKey(key, len(tr.streams))
 	rec := [1]streamobj.Record{{Key: key, Value: value}}
-	var msg [1]Message
-	msgs, cost, err := p.sendBatch(sp, topic, rec[:], rc, msg[:0])
+	base, cost, err := p.sendOne(sp, rt, tr, topic, idx, ten, rec[:], bytes, rc)
 	if err != nil {
 		return Message{}, cost, err
 	}
-	return msgs[0], cost, nil
+	tr.owners[idx].appended.Add(1)
+	rt.metrics.producedMsgs.Add(1)
+	rt.metrics.producedBytes.Add(bytes)
+	rt.metrics.produceLat.Observe(cost)
+	return Message{Topic: topic, Stream: idx, Key: key, Value: value, Offset: base, Timestamp: p.svc.clock.Now()}, cost, nil
 }
 
 // backoffRNG returns the producer's seeded backoff jitter stream,
@@ -122,108 +141,14 @@ func (p *Producer) nextSeq(obj *streamobj.Object) int64 {
 	return p.seq[slot]
 }
 
-// groupByStream orders recs by target stream, ascending, each stream's
-// records in the order given. One record, or records that already come
-// that way, are returned as they are: borrowed, not copied.
-func groupByStream(recs []streamobj.Record, streams int) []streamobj.Record {
-	if len(recs) < 2 {
-		return recs
-	}
-	less := func(rs []streamobj.Record) func(i, j int) bool {
-		return func(i, j int) bool { return routeKey(rs[i].Key, streams) < routeKey(rs[j].Key, streams) }
-	}
-	if sort.SliceIsSorted(recs, less(recs)) {
-		return recs
-	}
-	out := append([]streamobj.Record(nil), recs...)
-	sort.SliceStable(out, less(out))
-	return out
-}
-
-// sendBatch is the one produce path: one load of the routing snapshot
-// tells it all it needs of the service. out is storage for the result.
-func (p *Producer) sendBatch(sp *obs.Span, topic string, recs []streamobj.Record, rc *resil.Ctx, out []Message) ([]Message, time.Duration, error) {
-	rt := p.svc.routes.Load()
-	tr, ok := rt.topics[topic]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", ErrUnknownTopic, topic)
-	}
-	var total int64
-	for _, r := range recs {
-		total += int64(len(r.Key) + len(r.Value))
-	}
-	// Tenant admission: the batch runs as the identity the registry
-	// resolves ("" while no tenant is declared), and a metered batch is
-	// charged against its tenant's IOPS and bandwidth buckets exactly
-	// once, before fan-out — internal per-stream retries below never
-	// re-admit, so a retried batch can't be double-charged.
-	ten, err := rt.tenants.Resolve(p.tenant)
-	if err != nil {
-		return nil, 0, err
-	}
-	if ten != "" {
-		now := p.svc.clock.Now()
-		if rc != nil {
-			now = rc.Now()
-		}
-		if err := rt.tenants.Admit(ten, now, len(recs), total); err != nil {
-			return nil, 0, err
-		}
-		if sp != nil {
-			sp.SetAttr("tenant", ten)
-		}
-	}
-	// One run of recs per stream, in ascending stream order: retry,
-	// backoff and breaker decisions must not depend on anything but the
-	// batch, or chaos replay stops being bit-identical.
-	recs = groupByStream(recs, len(tr.streams))
-	var cost time.Duration
-	for len(recs) > 0 {
-		idx := routeKey(recs[0].Key, len(tr.streams))
-		n := 1
-		for n < len(recs) && routeKey(recs[n].Key, len(tr.streams)) == idx {
-			n++
-		}
-		base, c, serr := p.sendOne(sp, rt, tr, topic, idx, ten, recs[:n], rc)
-		cost += c
-		if err = serr; err != nil {
-			break
-		}
-		tr.owners[idx].appended.Add(int64(n))
-		for i, r := range recs[:n] {
-			out = append(out, Message{
-				Topic: topic, Stream: idx, Key: r.Key, Value: r.Value,
-				Offset: base + int64(i), Timestamp: p.svc.clock.Now(),
-			})
-		}
-		recs = recs[n:]
-	}
-	// What was acknowledged is counted and returned even when a later
-	// stream failed; recs is then what was not.
-	for _, r := range recs {
-		total -= int64(len(r.Key) + len(r.Value))
-	}
-	rt.metrics.producedMsgs.Add(int64(len(out)))
-	rt.metrics.producedBytes.Add(total)
-	if err != nil {
-		return out, cost, err
-	}
-	rt.metrics.produceLat.Observe(cost)
-	return out, cost, nil
-}
-
-// sendOne delivers one stream's batch to its worker: forward transfer,
-// durable append, acknowledgement, with retries under the service's
-// resilience config. The sequence number is assigned once before the
-// first attempt and reused by every retry, so a redelivered batch —
-// whether the forward transfer or the ack was lost — lands in the
-// stream object's dedup window instead of appending twice. ten is the
-// identity the batch runs as ("" = unmetered).
-func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic string, idx int, ten string, batch []streamobj.Record, rc *resil.Ctx) (int64, time.Duration, error) {
-	var bytes int64
-	for _, r := range batch {
-		bytes += int64(len(r.Key) + len(r.Value))
-	}
+// sendOne delivers one record of the given size to its stream's worker:
+// forward transfer, durable append, acknowledgement, with retries under
+// the service's resilience config. The sequence number is assigned once
+// before the first attempt and reused by every retry, so a redelivered
+// record — whether the forward transfer or the ack was lost — lands in
+// the stream object's dedup window instead of appending twice. ten is
+// the identity the send runs as ("" = unmetered).
+func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic string, idx int, ten string, rec []streamobj.Record, bytes int64, rc *resil.Ctx) (int64, time.Duration, error) {
 	obj, w := tr.streams[idx], tr.owners[idx]
 	seq := p.nextSeq(obj)
 	cfg, reg, m := rt.resil, rt.tenants, rt.metrics
@@ -231,7 +156,7 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 	br := p.svc.breakerFor(w)
 	var cost time.Duration
 	// appendedThisCall: a real (non-dedup) append happened under this
-	// batch's admission; refunded: the admission was already refunded. A
+	// send's admission; refunded: the admission was already refunded. A
 	// dedup re-ack refunds the admission exactly once, and only when no
 	// attempt of THIS call did the work (otherwise the charge stands).
 	var appendedThisCall, refunded bool
@@ -311,7 +236,7 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 				osp.SetAttr("attempt", strconv.Itoa(attempt))
 			}
 		}
-		base, c, appended, aerr := obj.AppendTenantCtx(batch, p.id, seq, ten, osp, rc)
+		base, c, appended, aerr := obj.AppendTenantCtx(rec, p.id, seq, ten, osp, rc)
 		if osp != nil {
 			osp.End(c)
 			sp.Advance(c)
@@ -320,11 +245,11 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 		if appended {
 			appendedThisCall = true
 		} else if aerr == nil && !appendedThisCall && !refunded && ten != "" {
-			// Dedup re-ack of a batch some EARLIER producer incarnation
+			// Dedup re-ack of a record some EARLIER producer incarnation
 			// appended: this call's fresh admission did no work — hand
-			// the tokens back so the retried batch nets one charge.
+			// the tokens back so the retried send nets one charge.
 			refunded = true
-			reg.Refund(ten, len(batch), bytes)
+			reg.Refund(ten, 1, bytes)
 		}
 		if aerr != nil {
 			if errors.Is(aerr, resil.ErrDeadlineExceeded) {
@@ -345,13 +270,13 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 		// Cluster commit gate: the append is durable, but in clustered
 		// mode it must also commit to the replicated metadata log before
 		// the client may be acknowledged. A quorum failure is retryable —
-		// the re-sent batch lands in the dedup window (same seq, same
+		// the re-sent record lands in the dedup window (same seq, same
 		// base) and the commit re-proposes idempotently, so failover
 		// neither loses the acked write nor duplicates it. A minority
 		// partition can never pass this gate, which is what "the minority
 		// side serves no new writes" means operationally.
 		if gate := p.svc.commitGate(); gate != nil {
-			gc, gerr := gate.CommitProduce(topic, idx, base, len(batch))
+			gc, gerr := gate.CommitProduce(topic, idx, base, 1)
 			cost += gc
 			if sp != nil {
 				g := sp.Child("cluster.commit")
@@ -422,128 +347,3 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 	}
 	return 0, cost, fmt.Errorf("streamsvc: %s: %w after %d attempts: %w", ep, ErrRetriesExhausted, attempts, lastErr)
 }
-
-// TxnState tracks a transaction through the two-phase commit protocol.
-type TxnState int
-
-const (
-	// TxnOpen accepts sends.
-	TxnOpen TxnState = iota
-	// TxnCommitted is terminal success.
-	TxnCommitted
-	// TxnAborted is terminal failure.
-	TxnAborted
-)
-
-// Txn is a producer transaction: sends are buffered and made durable
-// atomically at Commit through the transaction manager's two-phase
-// commit, giving exactly-once semantics — all of the transaction's
-// messages become visible together or not at all.
-type Txn struct {
-	p     *Producer
-	id    int64
-	state TxnState
-	// buffered records per (topic, stream).
-	parts map[string]*txnPart
-}
-
-type txnPart struct {
-	topic string
-	idx   int
-	obj   *streamobj.Object
-	recs  []streamobj.Record
-}
-
-// BeginTxn opens a transaction, logging it with the transaction manager
-// (the dispatcher's KV store).
-func (p *Producer) BeginTxn() *Txn {
-	p.svc.mu.Lock()
-	p.svc.txnSeq++
-	id := p.svc.txnSeq
-	p.svc.mu.Unlock()
-	p.svc.meta.Put([]byte(fmt.Sprintf("txn/%d", id)), []byte("begin"))
-	return &Txn{p: p, id: id, parts: make(map[string]*txnPart)}
-}
-
-// Send buffers one message in the transaction.
-func (t *Txn) Send(topic string, key, value []byte) error {
-	if t.state != TxnOpen {
-		return ErrTxnAborted
-	}
-	tr, ok := t.p.svc.routes.Load().topics[topic]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownTopic, topic)
-	}
-	idx := routeKey(key, len(tr.streams))
-	k := streamKey(topic, idx)
-	part, ok := t.parts[k]
-	if !ok {
-		part = &txnPart{topic: topic, idx: idx, obj: tr.streams[idx]}
-		t.parts[k] = part
-	}
-	part.recs = append(part.recs, streamobj.Record{Key: key, Value: value})
-	return nil
-}
-
-// Commit runs two-phase commit: every participant stream prepares
-// (validating it can accept the batch), then all batches are appended
-// under the service's commit latch so consumers observe the transaction
-// atomically. Any prepare failure aborts the whole transaction.
-func (t *Txn) Commit() (time.Duration, error) {
-	if t.state != TxnOpen {
-		return 0, ErrTxnAborted
-	}
-	svc := t.p.svc
-	// Participants in sorted key order: deterministic prepare/commit
-	// sequencing regardless of map layout, for bit-identical replay.
-	keys := make([]string, 0, len(t.parts))
-	for k := range t.parts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	// Phase 1: prepare.
-	for _, k := range keys {
-		part := t.parts[k]
-		if err := part.obj.CanAppend(len(part.recs)); err != nil {
-			t.abortInternal()
-			return 0, fmt.Errorf("%w: prepare failed on %s/%d: %v", ErrTxnAborted, part.topic, part.idx, err)
-		}
-	}
-	svc.meta.Put([]byte(fmt.Sprintf("txn/%d", t.id)), []byte("prepared"))
-	// Phase 2: commit. The commit latch makes the appends atomic with
-	// respect to polling consumers.
-	svc.commitMu.Lock()
-	var cost time.Duration
-	for _, k := range keys {
-		part := t.parts[k]
-		_, c, err := part.obj.Append(part.recs, t.p.id, t.p.nextSeq(part.obj))
-		if err != nil {
-			// Prepare validated capacity; failure here is a programming
-			// error surfaced loudly rather than silently partial.
-			svc.commitMu.Unlock()
-			t.state = TxnAborted
-			svc.meta.Put([]byte(fmt.Sprintf("txn/%d", t.id)), []byte("failed"))
-			return cost, fmt.Errorf("streamsvc: commit phase-2 append: %w", err)
-		}
-		cost += c
-	}
-	svc.commitMu.Unlock()
-	svc.meta.Put([]byte(fmt.Sprintf("txn/%d", t.id)), []byte("committed"))
-	t.state = TxnCommitted
-	return cost, nil
-}
-
-// Abort discards the transaction's buffered messages.
-func (t *Txn) Abort() {
-	if t.state == TxnOpen {
-		t.abortInternal()
-	}
-}
-
-func (t *Txn) abortInternal() {
-	t.state = TxnAborted
-	t.p.svc.meta.Put([]byte(fmt.Sprintf("txn/%d", t.id)), []byte("aborted"))
-}
-
-// State returns the transaction's current state.
-func (t *Txn) State() TxnState { return t.state }

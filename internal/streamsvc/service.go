@@ -25,7 +25,6 @@ var (
 	ErrUnknownTopic  = errors.New("streamsvc: unknown topic")
 	ErrTopicExists   = errors.New("streamsvc: topic already exists")
 	ErrNotSubscribed = errors.New("streamsvc: consumer not subscribed to topic")
-	ErrTxnAborted    = errors.New("streamsvc: transaction aborted")
 )
 
 // topicState is the dispatcher's view of one topic; nothing in it changes
@@ -73,13 +72,6 @@ type Worker struct {
 // ID returns the worker's index.
 func (w *Worker) ID() int { return w.id }
 
-// StreamCount reports how many streams the worker currently serves.
-func (w *Worker) StreamCount() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.streams)
-}
-
 // Appended reports the messages appended through this worker.
 func (w *Worker) Appended() int64 { return w.appended.Load() }
 
@@ -89,29 +81,24 @@ type Service struct {
 	store *streamobj.Store
 	meta  *kv.DB // the dispatcher's fault-tolerant key-value store
 
-	mu       sync.Mutex
-	topics   map[string]*topicState
-	workers  []*Worker
-	topology int64 // topology version, bumped on every change
-	txnSeq   int64
-	routes   atomic.Pointer[routes] // stored under mu, loaded without
+	mu          sync.Mutex
+	topics      map[string]*topicState
+	workers     []*Worker
+	topology    int64                  // topology version, bumped on every change
+	producerSeq int64                  // numbers the producers created without an id
+	routes      atomic.Pointer[routes] // stored under mu, loaded without
 
 	// displaced remembers the home worker of every stream moved off a
 	// down worker, so SetWorkerDown's revival leg returns exactly those
 	// streams and touches nothing else.
 	displaced map[string]int
 
-	// commitMu is the transaction visibility latch: Txn.Commit holds it
-	// exclusively while appending so Poll (shared) observes either all
-	// of a transaction's messages or none.
-	commitMu sync.RWMutex
-
 	// reg is retained so workers created after wiring (SetWorkerCount)
 	// register their buses too; metrics holds the service's instruments.
 	reg     *obs.Registry
 	metrics svcMetrics
-	// retired holds the counts of every worker bus a rescale or a worker
-	// failure dropped, so the service's bus totals never go down.
+	// retired holds the counts of every worker bus a rescale dropped, so
+	// the service's bus totals never go down.
 	retired bus.Tally
 
 	// Resilience state (see resil.go): the network fault hook worker
@@ -520,53 +507,11 @@ func hashString(s string) uint64 {
 	return h.Sum64()
 }
 
-// FailWorker simulates a stream worker crash: the dispatcher detects it
-// through the health exchange (Section V-A) and reassigns the dead
-// worker's streams across the survivors — a metadata-only failover,
-// since the stream objects live in disaggregated storage. It returns
-// how many streams were reassigned.
-func (s *Service) FailWorker(id int) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if id < 0 || id >= len(s.workers) {
-		return 0, fmt.Errorf("streamsvc: no worker %d", id)
-	}
-	if len(s.workers) < 2 {
-		return 0, errors.New("streamsvc: cannot fail the last worker")
-	}
-	dead := s.workers[id]
-	s.workers = append(s.workers[:id:id], s.workers[id+1:]...)
-	dead.bus.Retire(&s.retired)
-	// The crashed worker never comes back (unlike SetWorkerDown): streams
-	// displaced off it have no home to return to.
-	for k, home := range s.displaced {
-		if home == dead.id {
-			delete(s.displaced, k)
-		}
-	}
-	dead.mu.Lock()
-	orphans := make([]string, 0, len(dead.streams))
-	for k := range dead.streams {
-		orphans = append(orphans, k)
-	}
-	dead.streams = map[string]bool{}
-	dead.mu.Unlock()
-	for i, k := range orphans {
-		w := s.workers[i%len(s.workers)]
-		w.mu.Lock()
-		w.streams[k] = true
-		w.mu.Unlock()
-		s.meta.Put([]byte("assign/"+k), []byte(fmt.Sprintf("%d", w.id)))
-	}
-	s.topologyChangedLocked()
-	return len(orphans), nil
-}
-
 // SetWorkerDown flips one worker's cluster-liveness verdict — the
 // metadata-only failover the dispatcher runs when the cluster commits a
-// node dead (down=true) or back alive (down=false). Unlike FailWorker
-// the worker object survives, so a revived node's worker resumes with
-// its breaker history and bus wiring intact. Reassignment is minimal:
+// node dead (down=true) or back alive (down=false). The worker object
+// survives, so a revived node's worker resumes with its breaker history
+// and bus wiring intact. Reassignment is minimal:
 // marking a worker down moves only ITS streams, spread over the up
 // workers by rendezvous hashing, and marking it back up returns exactly
 // the streams displaced off it — streams on unaffected workers never
@@ -667,13 +612,6 @@ func rendezvousPick(key string, up []*Worker) *Worker {
 		}
 	}
 	return best
-}
-
-// TopologyVersion returns the dispatcher's topology version.
-func (s *Service) TopologyVersion() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.topology
 }
 
 // routeKey picks the stream index for a key (hash routing, matching

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"streamlake/internal/obs"
 	"streamlake/internal/plog"
 	"streamlake/internal/pool"
 	"streamlake/internal/sim"
@@ -61,8 +62,8 @@ func TestRoundRobinWorkerAssignment(t *testing.T) {
 	s := newService(t, 3)
 	s.CreateTopic(TopicConfig{Name: "t", StreamNum: 9})
 	for _, w := range s.workers {
-		if w.StreamCount() != 3 {
-			t.Fatalf("worker %d has %d streams, want 3", w.ID(), w.StreamCount())
+		if len(w.streams) != 3 {
+			t.Fatalf("worker %d has %d streams, want 3", w.ID(), len(w.streams))
 		}
 	}
 }
@@ -181,18 +182,20 @@ func TestSeekAndLag(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		p.Send("t", []byte("k"), []byte("v"))
 	}
+	reg := obs.NewRegistry(s.Clock())
+	s.SetObs(reg)
+	lag := reg.Gauge(`streamsvc_consumer_lag{group="g",topic="t"}`)
 	c := s.Consumer("g")
 	c.Subscribe("t")
-	lag, err := c.Lag("t")
-	if err != nil || lag != 20 {
-		t.Fatalf("lag: %d %v", lag, err)
+	if msgs, _, _ := c.Poll(1); len(msgs) != 1 || lag.Value() != 19 {
+		t.Fatalf("first poll: %d msgs, lag %v", len(msgs), lag.Value())
 	}
 	if err := c.Seek("t", 0, 15); err != nil {
 		t.Fatal(err)
 	}
 	msgs, _, _ := c.Poll(100)
-	if len(msgs) != 5 {
-		t.Fatalf("after seek: %d msgs", len(msgs))
+	if len(msgs) != 5 || lag.Value() != 0 {
+		t.Fatalf("after seek: %d msgs, lag %v", len(msgs), lag.Value())
 	}
 	if err := c.Seek("t", 9, 0); err == nil {
 		t.Fatal("seek to bad stream accepted")
@@ -252,92 +255,6 @@ func TestElasticScaleNoDataMigration(t *testing.T) {
 	}
 }
 
-func TestTransactionCommitAtomicVisibility(t *testing.T) {
-	s := newService(t, 2)
-	s.CreateTopic(TopicConfig{Name: "accounts", StreamNum: 4})
-	p := s.Producer("txn-p")
-	c := s.Consumer("g")
-	c.Subscribe("accounts")
-
-	txn := p.BeginTxn()
-	for i := 0; i < 10; i++ {
-		if err := txn.Send("accounts", []byte(fmt.Sprintf("acct-%d", i)), []byte("debit")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Nothing visible before commit.
-	if msgs, _, _ := c.Poll(100); len(msgs) != 0 {
-		t.Fatalf("uncommitted messages visible: %d", len(msgs))
-	}
-	if _, err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if txn.State() != TxnCommitted {
-		t.Fatalf("state: %v", txn.State())
-	}
-	var total int
-	for {
-		msgs, _, err := c.Poll(100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(msgs) == 0 {
-			break
-		}
-		total += len(msgs)
-	}
-	if total != 10 {
-		t.Fatalf("committed messages: %d", total)
-	}
-	// Terminal transactions reject further use.
-	if err := txn.Send("accounts", []byte("k"), []byte("v")); !errors.Is(err, ErrTxnAborted) {
-		t.Fatalf("send after commit: %v", err)
-	}
-	if _, err := txn.Commit(); !errors.Is(err, ErrTxnAborted) {
-		t.Fatalf("double commit: %v", err)
-	}
-}
-
-func TestTransactionAbortDiscardsAll(t *testing.T) {
-	s := newService(t, 1)
-	s.CreateTopic(TopicConfig{Name: "t", StreamNum: 2})
-	p := s.Producer("p")
-	txn := p.BeginTxn()
-	txn.Send("t", []byte("a"), []byte("1"))
-	txn.Send("t", []byte("b"), []byte("2"))
-	txn.Abort()
-	if txn.State() != TxnAborted {
-		t.Fatalf("state: %v", txn.State())
-	}
-	c := s.Consumer("g")
-	c.Subscribe("t")
-	if msgs, _, _ := c.Poll(100); len(msgs) != 0 {
-		t.Fatalf("aborted messages visible: %d", len(msgs))
-	}
-}
-
-func TestTransactionPrepareFailureAbortsAll(t *testing.T) {
-	// One participant stream has a tiny quota; 2PC must abort the whole
-	// transaction and no stream may receive anything.
-	s := newService(t, 1)
-	s.CreateTopic(TopicConfig{Name: "t", StreamNum: 2, QuotaPerSec: 5})
-	s.Clock().Advance(time.Second) // fill buckets: 5 tokens per stream
-	p := s.Producer("p")
-	txn := p.BeginTxn()
-	// Overload one stream (same key -> same stream) beyond its quota.
-	for i := 0; i < 8; i++ {
-		txn.Send("t", []byte("hot-key"), []byte("v"))
-	}
-	if _, err := txn.Commit(); !errors.Is(err, ErrTxnAborted) {
-		t.Fatalf("over-quota commit: %v", err)
-	}
-	c := s.Consumer("g")
-	c.Subscribe("t")
-	if msgs, _, _ := c.Poll(100); len(msgs) != 0 {
-		t.Fatalf("partial transaction visible: %d msgs", len(msgs))
-	}
-}
-
 func TestConcurrentProducersAndConsumer(t *testing.T) {
 	s := newService(t, 4)
 	s.CreateTopic(TopicConfig{Name: "t", StreamNum: 8})
@@ -375,13 +292,20 @@ func TestConcurrentProducersAndConsumer(t *testing.T) {
 	}
 }
 
+// topologyVersion reads the dispatcher's topology version.
+func topologyVersion(s *Service) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.topology
+}
+
 func TestTopologyVersionAdvances(t *testing.T) {
 	s := newService(t, 1)
-	v0 := s.TopologyVersion()
+	v0 := topologyVersion(s)
 	s.CreateTopic(TopicConfig{Name: "t"})
-	v1 := s.TopologyVersion()
+	v1 := topologyVersion(s)
 	s.SetWorkerCount(3)
-	v2 := s.TopologyVersion()
+	v2 := topologyVersion(s)
 	if !(v0 < v1 && v1 < v2) {
 		t.Fatalf("topology versions: %d %d %d", v0, v1, v2)
 	}
@@ -396,21 +320,17 @@ func TestWorkerFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	v := s.TopologyVersion()
-	moved, err := s.FailWorker(1)
-	if err != nil || moved != 3 {
-		t.Fatalf("failover moved %d streams: %v", moved, err)
+	v := topologyVersion(s)
+	if moved, _ := s.SetWorkerDown(1, true); moved != 3 {
+		t.Fatalf("failover moved %d streams, want 3", moved)
 	}
-	if s.WorkerCount() != 2 {
-		t.Fatalf("workers after failure: %d", s.WorkerCount())
-	}
-	if s.TopologyVersion() <= v {
+	if topologyVersion(s) <= v {
 		t.Fatal("topology version did not advance")
 	}
-	// Every stream is still owned and the service keeps flowing.
+	// Every stream is owned by a survivor and the service keeps flowing.
 	for _, w := range s.workers {
-		if w.StreamCount() == 0 {
-			t.Fatal("survivor owns nothing")
+		if (len(w.streams) == 0) != (w.id == 1) {
+			t.Fatalf("worker %d owns %d streams after worker 1 went down", w.id, len(w.streams))
 		}
 	}
 	if _, _, err := p.Send("t", []byte("post"), []byte("failover")); err != nil {
@@ -432,13 +352,12 @@ func TestWorkerFailover(t *testing.T) {
 	if total != 301 {
 		t.Fatalf("consumed %d after failover", total)
 	}
-	// Guard rails.
-	if _, err := s.FailWorker(99); err == nil {
-		t.Fatal("failed unknown worker")
+	// Guard rails: an unknown worker and a repeated verdict move nothing.
+	if moved, _ := s.SetWorkerDown(99, true); moved != 0 {
+		t.Fatalf("unknown worker moved %d streams", moved)
 	}
-	s.FailWorker(0)
-	if _, err := s.FailWorker(0); err == nil {
-		t.Fatal("failed the last worker")
+	if moved, _ := s.SetWorkerDown(1, true); moved != 0 {
+		t.Fatalf("repeated verdict moved %d streams", moved)
 	}
 }
 

@@ -110,22 +110,3 @@ func (s *Sched) Delay(name string, class int, n int64) time.Duration {
 	s.reg.noteWFQ(name, d)
 	return d
 }
-
-// Backlog reports the current queued bytes for a tenant in a class without
-// charging anything (test/introspection helper).
-func (s *Sched) Backlog(name string, class int) int64 {
-	if s == nil || class < 0 || class > 2 {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q := s.classes[class]
-	if s.reg == nil {
-		return int64(q.shared)
-	}
-	f := q.flows[name]
-	if f == nil {
-		return 0
-	}
-	return int64(f.backlog)
-}

@@ -104,7 +104,10 @@ func TestSchedClassesAreIndependent(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.Delay("a", 2, 1<<20)
 	}
-	if b := s.Backlog("a", 2); b == 0 {
+	s.mu.Lock()
+	backlog := s.classes[2].flows["a"].backlog
+	s.mu.Unlock()
+	if backlog == 0 {
 		t.Fatal("class 2 backlog missing")
 	}
 	if d := s.Delay("a", 0, 1<<10); d > 2*time.Millisecond {

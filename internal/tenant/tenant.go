@@ -272,13 +272,6 @@ func (r *Registry) namesLocked() []string {
 	return names
 }
 
-// Names lists registered tenants, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.namesLocked()
-}
-
 // Resolve names the identity a request for tenant name runs as: the
 // system identity "" while no tenant is declared, name itself when it
 // is registered, and ErrUnknown otherwise — the token maps to no

@@ -205,9 +205,6 @@ func TestStatusSortedByName(t *testing.T) {
 	if len(st) != 3 || st[0].Name != "alpha" || st[1].Name != "mid" || st[2].Name != "zeta" {
 		t.Fatalf("status order = %+v", st)
 	}
-	if got := r.Names(); len(got) != 3 || got[0] != "alpha" {
-		t.Fatalf("names = %v", got)
-	}
 }
 
 // TestResolveFirstTenantTurnsMeteringOn: with no tenant declared every

@@ -158,10 +158,6 @@ func DAUQuery(table string, day int) string {
 		table, FinAppURL, lo, hi)
 }
 
-// HourOf buckets a timestamp into an hour index from BaseTime — the
-// production partitioning unit of Figure 15(a).
-func HourOf(ts int64) int64 { return (ts - BaseTime) / 3600 }
-
 // Timestamp converts a start_time to a virtual duration since BaseTime,
 // useful for time-travel experiments.
 func Timestamp(ts int64) time.Duration {

@@ -106,21 +106,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// SkewedSpecs builds n tenant specs whose offered rates follow a Zipf
-// curve: tenant i is named <prefix>i and offers baseGap*(i+1)^s mean
-// gaps, so tenant 0 dominates the aggregate — the tenant-skew shape the
-// noisy-neighbor experiments start from.
-func SkewedSpecs(prefix string, n int, baseGap time.Duration, s float64) []TenantSpec {
-	specs := make([]TenantSpec, n)
-	for i := range specs {
-		specs[i] = TenantSpec{
-			Name:    fmt.Sprintf("%s%d", prefix, i),
-			MeanGap: time.Duration(float64(baseGap) * math.Pow(float64(i+1), s)),
-		}
-	}
-	return specs
-}
-
 // TenantResult is one tenant's outcome classification and ack-latency
 // quantiles over the run.
 type TenantResult struct {

@@ -1,6 +1,8 @@
 package mtraffic
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -95,7 +97,15 @@ func TestQuotaOutcomesClassified(t *testing.T) {
 }
 
 func TestSkewedSpecsShapeOfferedLoad(t *testing.T) {
-	specs := SkewedSpecs("t", 4, 300*time.Microsecond, 1.2)
+	// Tenant i offers a mean gap of 300µs·(i+1)^1.2: a Zipf curve whose
+	// head dominates the aggregate.
+	specs := make([]TenantSpec, 4)
+	for i := range specs {
+		specs[i] = TenantSpec{
+			Name:    fmt.Sprintf("t%d", i),
+			MeanGap: time.Duration(float64(300*time.Microsecond) * math.Pow(float64(i+1), 1.2)),
+		}
+	}
 	lake := newLake(t,
 		streamlake.TenantConfig{Name: "t0"},
 		streamlake.TenantConfig{Name: "t1"},

@@ -18,6 +18,9 @@ set -eux
 # Size ratchet: non-test Go lines outside benchmark/ may not exceed
 # scripts/loc_ceiling.txt (edit the file in the commit that must).
 sh scripts/loc.sh
+# Dead-API scan: every exported func outside benchmark/ has a non-test
+# caller, or is listed in scripts/deadapi_allowlist.txt with its reason.
+sh scripts/deadapi.sh
 # Doc lint: every test name the docs cite exists.
 sh scripts/doclint.sh
 go build ./...
@@ -53,14 +56,14 @@ go test ./...
 (cd benchmark && go vet ./... && go test -short ./...)
 
 # Fuzz smoke: five seconds of input generation against every target —
-# the decoders of stored or client bytes (KV checkpoints and compressed
-# extents among them), the gateway's flat-body recogniser against
+# the decoders of stored or client bytes (table metadata, slices and
+# compressed extents among them), the gateway's flat-body recogniser against
 # encoding/json, the SQL parser against its own rendering, the erasure
 # kernel against its byte-wise oracle.
 for t in rowcodec:FuzzDecode colfile:FuzzOpen streamobj:FuzzDecodeSlice \
   tableobj:FuzzDecodeCommit tableobj:FuzzDecodeSnapshot tableobj:FuzzDecodeStats \
   gateway:FuzzDecodeFlat query:FuzzParse ec:FuzzEncodeReconstruct \
-  kv:FuzzRestore compress:FuzzDecode; do
+  compress:FuzzDecode; do
   go test -run '^$' -fuzz "^${t#*:}\$" -fuzztime 5s "./internal/${t%%:*}/"
 done
 

@@ -180,7 +180,6 @@ type Lake struct {
 	conv    *convert.Converter
 	arch    *convert.Archiver
 	tiers   *tiering.Service
-	repl    *tiering.Replicator
 	sql     *query.Engine
 	inj     *faults.Injector
 	rep     *repair.Service
@@ -238,7 +237,6 @@ func Open(cfg Config) (*Lake, error) {
 		conv:    convert.New(clock, svc, lh),
 		arch:    convert.NewArchiver(clock, svc, tiers),
 		tiers:   tiers,
-		repl:    tiering.NewReplicator(),
 		sql:     query.New(lh),
 		inj:     inj,
 	}
@@ -633,27 +631,14 @@ func (l *Lake) RunTiering() ([]tiering.Migration, time.Duration) {
 		if lg == nil || !lg.Sealed() {
 			continue // open logs tier by accounting only
 		}
-		var dst *pool.Pool
-		switch m.To {
-		case tiering.HDD:
-			dst = l.hddPool
-		case tiering.SSD:
-			dst = l.ssdPool
-		default:
+		if m.To != tiering.HDD {
 			continue // the archive tier has no storage pool behind it
 		}
-		if c, err := lg.Migrate(dst); err == nil {
+		if c, err := lg.Migrate(l.hddPool); err == nil {
 			cost += c
 		}
 	}
 	return migs, cost
-}
-
-// ReplicateOffsite ships every tiered item to the remote backup site
-// (the replication service), returning the bytes shipped and the
-// modelled transfer time.
-func (l *Lake) ReplicateOffsite() (int64, time.Duration) {
-	return l.repl.Replicate(l.tiers)
 }
 
 // Cluster exposes the multi-node cluster plane; nil when Config.Nodes

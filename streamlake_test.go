@@ -9,7 +9,6 @@ import (
 	"streamlake/internal/colfile"
 	"streamlake/internal/lakehouse"
 	"streamlake/internal/plog"
-	"streamlake/internal/streamobj"
 	"streamlake/internal/tiering"
 )
 
@@ -54,7 +53,6 @@ func TestConvertedFilesCarryZoneMaps(t *testing.T) {
 	}
 	p := l.Producer("app")
 	const groups = 2 * colfile.DefaultRowGroupSize
-	batch := make([]streamobj.Record, 0, 1024)
 	for i := 0; i < groups; i++ {
 		ts := int64(i)
 		if i >= colfile.DefaultRowGroupSize {
@@ -64,12 +62,8 @@ func TestConvertedFilesCarryZoneMaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch = append(batch, streamobj.Record{Key: []byte("k"), Value: val})
-		if len(batch) == cap(batch) {
-			if _, _, err := p.SendBatch("zm", batch); err != nil {
-				t.Fatal(err)
-			}
-			batch = batch[:0]
+		if _, _, err := p.Send("zm", []byte("k"), val); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if res, _, err := l.ConvertNow("zm"); err != nil || res.Messages != groups {
@@ -325,17 +319,12 @@ func TestTieringAndReplicationIntegration(t *testing.T) {
 	if got != 2000 {
 		t.Fatalf("drained %d messages after migration, want 2000", got)
 	}
-	// Off-site replication ships the tiered bytes.
-	n, rcost := l.ReplicateOffsite()
-	if n == 0 || rcost <= 0 {
-		t.Fatalf("replication shipped nothing: %d %v", n, rcost)
-	}
 }
 
 // TestTieringCostIsItsPoolMoves: the tiering service only decides moves
 // and plog.Migrate performs and charges them, so a pass costs exactly
 // its pool moves. A same-seed twin lake makes the same moves by hand
-// through MigrateLog, and the two costs must agree.
+// through PLog.Migrate, and the two costs must agree.
 func TestTieringCostIsItsPoolMoves(t *testing.T) {
 	tiered, twin := coldTopicLake(t), coldTopicLake(t)
 	tiered.RunTiering()
@@ -352,7 +341,7 @@ func TestTieringCostIsItsPoolMoves(t *testing.T) {
 		if m.To != tiering.HDD || !twin.Logs().Get(id).Sealed() {
 			continue // open logs tier by accounting only
 		}
-		c, err := twin.Logs().MigrateLog(id, twin.HDDPool())
+		c, err := twin.Logs().Get(id).Migrate(twin.HDDPool())
 		if err != nil {
 			t.Fatal(err)
 		}
