@@ -1,54 +1,28 @@
 package hdfs
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"testing"
-
-	"streamlake/internal/sim"
 )
 
 func newFS(t testing.TB, cfg Config) *FS {
 	t.Helper()
-	return New(sim.NewClock(), cfg)
-}
-
-func TestWriteReadRoundTrip(t *testing.T) {
-	fs := newFS(t, Config{})
-	data := bytes.Repeat([]byte("hdfs"), 1000)
-	cost, err := fs.Write("/data/part-0000", data)
-	if err != nil || cost <= 0 {
-		t.Fatal(err)
-	}
-	got, rcost, err := fs.Read("/data/part-0000")
-	if err != nil || rcost <= 0 || !bytes.Equal(got, data) {
-		t.Fatalf("read: %v", err)
-	}
-	if n, _ := fs.Size("/data/part-0000"); n != int64(len(data)) {
-		t.Fatalf("size: %d", n)
-	}
-	if !fs.Exists("/data/part-0000") || fs.Exists("/nope") {
-		t.Fatal("Exists broken")
-	}
+	return New(cfg)
 }
 
 func TestBlockSplitting(t *testing.T) {
 	fs := newFS(t, Config{BlockSize: 1000})
-	data := make([]byte, 3500)
-	for i := range data {
-		data[i] = byte(i)
+	if cost, err := fs.Write("/big", make([]byte, 3500)); err != nil || cost <= 0 {
+		t.Fatalf("write: cost %v, %v", cost, err)
 	}
-	fs.Write("/big", data)
 	fs.mu.Lock()
-	blocks := len(fs.files["/big"].blocks)
-	fs.mu.Unlock()
-	if blocks != 4 {
-		t.Fatalf("blocks: %d, want 4", blocks)
+	defer fs.mu.Unlock()
+	var sizes []int64
+	for _, b := range fs.files["/big"].blocks {
+		sizes = append(sizes, b.size)
 	}
-	got, _, _ := fs.Read("/big")
-	if !bytes.Equal(got, data) {
-		t.Fatal("multi-block read mismatch")
+	if fmt.Sprint(sizes) != "[1000 1000 1000 500]" {
+		t.Fatalf("block sizes %v, want three full blocks and a 500-byte tail", sizes)
 	}
 }
 
@@ -70,46 +44,16 @@ func TestOverwriteReplaces(t *testing.T) {
 	}
 }
 
-func TestDeleteAndErrors(t *testing.T) {
-	fs := newFS(t, Config{})
-	fs.Write("/f", []byte("x"))
-	if err := fs.Delete("/f"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Delete("/f"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete: %v", err)
-	}
-	if _, _, err := fs.Read("/f"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("read deleted: %v", err)
-	}
-	if _, err := fs.Size("/f"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("size deleted: %v", err)
-	}
-}
-
-func TestListLinearCost(t *testing.T) {
-	fs := newFS(t, Config{})
-	for i := 0; i < 200; i++ {
-		fs.Write(fmt.Sprintf("/warehouse/tbl/part=%03d/f", i), []byte("x"))
-	}
-	paths, cost := fs.List("/warehouse/tbl/")
-	if len(paths) != 200 || cost <= 0 {
-		t.Fatalf("list: %d paths", len(paths))
-	}
-	_, small := fs.List("/warehouse/tbl/part=001")
-	if small >= cost {
-		t.Fatal("listing cost not proportional to results")
-	}
-}
-
 func TestEmptyFile(t *testing.T) {
 	fs := newFS(t, Config{})
 	if _, err := fs.Write("/empty", nil); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := fs.Read("/empty")
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty read: %v %v", got, err)
+	fs.mu.Lock()
+	f := fs.files["/empty"]
+	fs.mu.Unlock()
+	if f == nil || len(f.blocks) != 1 || f.size != 0 || fs.StorageBytes() != 0 {
+		t.Fatalf("empty file: %+v, %d bytes stored", f, fs.StorageBytes())
 	}
 }
 

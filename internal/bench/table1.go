@@ -96,7 +96,7 @@ func RunTable1(scales []int, seed uint64) []Table1Row {
 func (row *Table1Row) runHDFSKafka(n int, seed uint64) {
 	clock := sim.NewClock()
 	broker := kafkafs.New(clock, kafkafs.Config{Brokers: 3, Replication: 3})
-	dfs := hdfs.New(clock, hdfs.Config{DataNodes: 3, Replication: 3, DiscardData: true})
+	dfs := hdfs.New(hdfs.Config{DataNodes: 3, Replication: 3})
 	broker.CreateTopic("packets", 3)
 
 	gen := dpi.NewGenerator(seed)

@@ -121,22 +121,55 @@ func (w *Writer) Append(row Row) error {
 	if err := w.schema.Validate(row); err != nil {
 		return err
 	}
-	w.pending = append(w.pending, row)
+	w.pending = append(w.pending, row) // copies a borrowed tail: its cap is its len
 	w.numRows++
-	if len(w.pending) >= w.groupSize {
-		return w.flushGroup()
+	if len(w.pending) < w.groupSize {
+		return nil
+	}
+	err := w.flushGroup(w.pending)
+	w.pending = w.pending[:0] // full, so owned: a borrowed tail is shorter
+	return err
+}
+
+// AppendRows validates every row, then appends them all as Append would,
+// or appends none if one is invalid. Past a group Append left open, whole
+// row groups are encoded straight from rows and the last partial group
+// is kept by reference: the caller must leave rows unchanged until Finish.
+func (w *Writer) AppendRows(rows []Row) error {
+	if w.finished {
+		return errors.New("colfile: append after Finish")
+	}
+	for _, r := range rows {
+		if err := w.schema.Validate(r); err != nil {
+			return err
+		}
+	}
+	for ; len(w.pending) > 0 && len(rows) > 0; rows = rows[1:] { // the group Append left open
+		if err := w.Append(rows[0]); err != nil {
+			return err
+		}
+	}
+	w.numRows += int64(len(rows))
+	for ; len(rows) >= w.groupSize; rows = rows[w.groupSize:] {
+		if err := w.flushGroup(rows[:w.groupSize]); err != nil {
+			return err
+		}
+	}
+	if len(rows) > 0 {
+		w.pending = rows[:len(rows):len(rows)]
 	}
 	return nil
 }
 
-func (w *Writer) flushGroup() error {
-	if len(w.pending) == 0 {
+// flushGroup encodes rows as one row group.
+func (w *Writer) flushGroup(rows []Row) error {
+	if len(rows) == 0 {
 		return nil
 	}
-	g := groupMeta{rows: len(w.pending)}
+	g := groupMeta{rows: len(rows)}
 	for c, f := range w.schema.Fields {
-		st := Stats{Min: w.pending[0][c], Max: w.pending[0][c], Count: int64(len(w.pending))}
-		for _, r := range w.pending[1:] {
+		st := Stats{Min: rows[0][c], Max: rows[0][c], Count: int64(len(rows))}
+		for _, r := range rows[1:] {
 			if Compare(r[c], st.Min) < 0 {
 				st.Min = r[c]
 			}
@@ -145,7 +178,7 @@ func (w *Writer) flushGroup() error {
 			}
 		}
 		var err error
-		if w.raw, err = appendChunk(w.raw[:0], f.Type, w.pending, c); err != nil {
+		if w.raw, err = appendChunk(w.raw[:0], f.Type, rows, c); err != nil {
 			return err
 		}
 		offset := w.buf.Len()
@@ -163,7 +196,6 @@ func (w *Writer) flushGroup() error {
 		g.stats = append(g.stats, st)
 	}
 	w.groups = append(w.groups, g)
-	w.pending = w.pending[:0]
 	return nil
 }
 
@@ -184,14 +216,14 @@ func (w *Writer) Finish() ([]byte, error) {
 	if w.finished {
 		return nil, errors.New("colfile: double Finish")
 	}
-	if err := w.flushGroup(); err != nil {
+	if err := w.flushGroup(w.pending); err != nil {
 		return nil, err
 	}
 	w.finished = true
 	if w.fw != nil {
 		releaseCompressor(w.fw)
 	}
-	w.fw, w.raw = nil, nil
+	w.fw, w.raw, w.pending = nil, nil, nil
 
 	var f []byte
 	var tmp [binary.MaxVarintLen64]byte
@@ -426,14 +458,18 @@ func (r *Reader) Scan(fn func(Row) bool) error {
 
 // RowDecoder reads whole files as rows, for callers that rewrite what
 // they read. It decodes each row group into column buffers it keeps from
-// group to group and file to file. The zero value is ready; it is not
+// group to group and file to file, and carves the rows from value
+// storage it keeps until Recycle. The zero value is ready; it is not
 // safe for concurrent use.
-type RowDecoder struct{ cols [][]Value }
+type RowDecoder struct {
+	cols [][]Value
+	vals []Value // row storage; rows are carved from vals[used:]
+	used int
+}
 
 // AppendRows decodes every row of r and appends them to dst, or appends
-// nothing if any chunk fails. A row group's rows share one backing array
-// of their own: they stay valid, and the caller may modify them, across
-// calls.
+// nothing if any chunk fails. The rows, and those of earlier calls, stay
+// valid, and the caller may modify them, until the next Recycle.
 func (d *RowDecoder) AppendRows(dst []Row, r *Reader) ([]Row, error) {
 	n, nc := len(dst), len(r.schema.Fields)
 	for g, gm := range r.groups {
@@ -441,7 +477,12 @@ func (d *RowDecoder) AppendRows(dst []Row, r *Reader) ([]Row, error) {
 		if d.cols, err = r.ReadGroupInto(g, nil, d.cols); err != nil {
 			return dst[:n], err
 		}
-		vals := make([]Value, gm.rows*nc) // gm.rows: each column's chunk held that many
+		need := gm.rows * nc           // gm.rows: each column's chunk held that many
+		if len(d.vals)-d.used < need { // earlier rows keep the old storage
+			d.vals, d.used = make([]Value, max(need, 2*len(d.vals))), 0
+		}
+		vals := d.vals[d.used : d.used+need]
+		d.used += need
 		dst = slices.Grow(dst, gm.rows)
 		for i := 0; i < gm.rows; i++ {
 			row := vals[i*nc : (i+1)*nc : (i+1)*nc]
@@ -453,3 +494,9 @@ func (d *RowDecoder) AppendRows(dst []Row, r *Reader) ([]Row, error) {
 	}
 	return dst, nil
 }
+
+// Recycle releases the storage of every row AppendRows has returned: the
+// next call overwrites it. Call it once nothing reads those rows any
+// more — after the file they were rewritten into is written — so one
+// rewrite reuses one buffer, file after file.
+func (d *RowDecoder) Recycle() { d.used = 0 }

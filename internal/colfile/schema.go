@@ -11,8 +11,9 @@ import (
 	"strings"
 )
 
-// Type enumerates column types.
-type Type int
+// Type enumerates column types. It is one byte, as every encoding
+// stores it.
+type Type uint8
 
 const (
 	// Int64 is a signed 64-bit integer column.
@@ -116,12 +117,13 @@ func (s Schema) Equal(o Schema) bool {
 }
 
 // Value is a dynamically typed cell. Exactly the member matching Type is
-// meaningful.
+// meaningful. The layout is 40 bytes: the string header first, then the
+// two words, then Type and Bool sharing the last word's padding.
 type Value struct {
-	Type  Type
+	Str   string
 	Int   int64
 	Float float64
-	Str   string
+	Type  Type
 	Bool  bool
 }
 

@@ -272,6 +272,7 @@ func Playback(tbl *tableobj.Table, snap tableobj.Snapshot, producer *streamsvc.P
 			return n, cost, err
 		}
 		cost += rc
+		dec.Recycle() // the last file's rows are sent
 		if rows, err = dec.AppendRows(rows[:0], r); err != nil {
 			return n, cost, err
 		}

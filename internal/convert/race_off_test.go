@@ -1,0 +1,5 @@
+//go:build !race
+
+package convert
+
+const raceEnabled = false

@@ -288,6 +288,7 @@ func CompactPartition(tbl *tableobj.Table, partition string, targetFileSize int6
 	var dec colfile.RowDecoder
 	var rows []colfile.Row
 	for _, bin := range plan {
+		dec.Recycle() // the last bin's rows are written
 		rows = rows[:0]
 		for _, idx := range bin {
 			r, rc, err := tbl.ReadFile(files[idx])

@@ -55,6 +55,7 @@ func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duratio
 		if err != nil {
 			return deleted, cost, err
 		}
+		dec.Recycle() // the last file's survivors are written
 		if rows, err = dec.AppendRows(rows[:0], r); err != nil {
 			return deleted, cost, err
 		}
@@ -108,7 +109,9 @@ func fileFullyCovered(schema colfile.Schema, f tableobj.DataFile, filters []Rang
 
 // Update rewrites rows matching the filters through set (UPDATE in
 // Section V-B), using the same select-then-rewrite path as Delete with
-// pushdown on the file I/O. It returns how many rows were updated.
+// pushdown on the file I/O. Rows that set moves to another partition
+// are written to that partition's directory. It returns how many rows
+// were updated.
 func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row) colfile.Row) (int64, time.Duration, error) {
 	st, err := e.state(name)
 	if err != nil {
@@ -142,6 +145,7 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 		if err != nil {
 			return updated, cost, err
 		}
+		dec.Recycle() // the last file's rows are written
 		if rows, err = dec.AppendRows(rows[:0], r); err != nil {
 			return updated, cost, err
 		}
@@ -161,7 +165,12 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 			continue
 		}
 		x.RemoveFile(f)
-		if _, err := x.WriteRows(rows); err != nil {
+		if !st.tbl.SpansPartitions(rows) {
+			_, err = x.WriteRows(rows)
+		} else { // set moved rows to another partition
+			_, err = x.WritePartitions(byPartition(st.tbl, rows))
+		}
+		if err != nil {
 			return updated, cost, err
 		}
 	}
@@ -174,6 +183,16 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 		e.invalidateManifests(name)
 	}
 	return updated, cost, err
+}
+
+// byPartition groups rows by partition directory, keeping their order.
+func byPartition(tbl *tableobj.Table, rows []colfile.Row) map[string][]colfile.Row {
+	out := map[string][]colfile.Row{}
+	for _, r := range rows {
+		p := tbl.PartitionFor(r)
+		out[p] = append(out[p], r)
+	}
+	return out
 }
 
 // DropSoft unregisters a table, retaining data for restoration. The

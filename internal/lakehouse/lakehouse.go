@@ -163,19 +163,16 @@ func (e *Engine) Insert(name string, rows []colfile.Row) (time.Duration, error) 
 	}
 	// (a) Data persistence: records go straight to columnar files in the
 	// partition paths.
-	byPartition := map[string][]colfile.Row{}
 	for _, r := range rows {
 		if err := st.tbl.Schema().Validate(r); err != nil {
 			return 0, err
 		}
-		p := st.tbl.PartitionFor(r)
-		byPartition[p] = append(byPartition[p], r)
 	}
 	x, err := st.tbl.Begin()
 	if err != nil {
 		return 0, err
 	}
-	files, err := x.WritePartitions(byPartition)
+	files, err := x.WritePartitions(byPartition(st.tbl, rows))
 	if err != nil {
 		return x.Cost(), err
 	}

@@ -2,6 +2,7 @@ package lakehouse
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -348,5 +349,93 @@ func TestInsertValidatesRows(t *testing.T) {
 	}
 	if _, err := e.Insert("ghost", []colfile.Row{row("a", 1, "B", 1)}); err == nil {
 		t.Fatal("insert into unknown table accepted")
+	}
+}
+
+// An update that moves rows to another partition writes them to that
+// partition's directory: every file holds only rows of the partition it
+// is filed under, so compacting either partition sees all its rows.
+func TestUpdateMovesRowsAcrossPartitions(t *testing.T) {
+	e := newEngine(t, true)
+	mkTable(t, e, "t")
+	var rows []colfile.Row
+	for i := int64(0); i < 10; i++ {
+		rows = append(rows, row("http://a", i, "Beijing", i))
+	}
+	if _, err := e.Insert("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	prov := dpiSchema.FieldIndex("province")
+	n, _, err := e.Update("t", []RangeFilter{{Column: "start_time", Lo: iv(5)}}, func(r colfile.Row) colfile.Row {
+		r[prov] = colfile.StringValue("Shanghai")
+		return r
+	})
+	if err != nil || n != 5 {
+		t.Fatalf("update: %d %v", n, err)
+	}
+	tbl, _ := e.Table("t")
+	snap, _, err := tbl.Current()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPartition := map[string]int64{}
+	for _, f := range snap.Files {
+		r, _, err := tbl.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Scan(func(row colfile.Row) bool {
+			if p := tbl.PartitionFor(row); p != f.Partition {
+				t.Fatalf("a %s row in %s", p, f.Path)
+			}
+			return true
+		})
+		perPartition[f.Partition] += f.Rows
+	}
+	if perPartition["province=Beijing"] != 5 || perPartition["province=Shanghai"] != 5 {
+		t.Fatalf("rows per partition after the update: %v", perPartition)
+	}
+}
+
+// Update decodes each file into the storage the last one used: its
+// allocation grows by what a file's rewrite costs, not by a file's
+// decoded rows too. A decoded file here is 2,000 rows of 40-byte cells,
+// 320,000 bytes; an update that kept them all would grow by that per file.
+func TestUpdateRecyclesDecodeStorage(t *testing.T) {
+	const rowsPerFile = 2000
+	schema := colfile.MustSchema("k:int64", "a:int64", "b:int64", "c:int64")
+	updateBytes := func(files int) int64 {
+		e := newEngine(t, false)
+		if _, err := e.CreateTable(tableobj.TableMeta{Name: "t", Path: "/lake/t", Schema: schema}); err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < files; f++ {
+			rows := make([]colfile.Row, rowsPerFile)
+			for i := range rows {
+				k := int64(f*rowsPerFile + i)
+				rows[i] = colfile.Row{colfile.IntValue(k), colfile.IntValue(k % 7), colfile.IntValue(k % 11), colfile.IntValue(k % 13)}
+			}
+			if _, err := e.Insert("t", rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n, _, err := e.Update("t", nil, func(r colfile.Row) colfile.Row {
+			r[1] = colfile.IntValue(r[1].Int + 1)
+			return r
+		})
+		runtime.ReadMemStats(&after)
+		if err != nil || n != int64(files*rowsPerFile) {
+			t.Fatalf("update of %d files: %d rows, %v", files, n, err)
+		}
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	four, sixteen := updateBytes(4), updateBytes(16)
+	perFile := (sixteen - four) / 12
+	decoded := int64(rowsPerFile * schema.NumFields() * 40)
+	t.Logf("update of 4 files: %d KB; of 16: %d KB; %d KB more per file", four>>10, sixteen>>10, perFile>>10)
+	if perFile > decoded/2 {
+		t.Fatalf("each further file costs %d KB, want under half its %d KB of decoded rows", perFile>>10, decoded>>10)
 	}
 }

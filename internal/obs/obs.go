@@ -338,12 +338,6 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot
 }
 
-// Counter returns a counter value by name (zero if absent).
-func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
-
-// Gauge returns a gauge value by name (zero if absent).
-func (s Snapshot) Gauge(name string) float64 { return s.Gauges[name] }
-
 // Snapshot copies the registry. A nil registry snapshots empty.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{

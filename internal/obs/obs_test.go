@@ -58,7 +58,7 @@ func TestCountersGaugesHistograms(t *testing.T) {
 		t.Fatalf("hist count = %d", h.Count())
 	}
 	snap := r.Snapshot()
-	if snap.Counter("ops_total") != 4 || snap.Gauge("depth") != 2.5 || snap.Gauge("util") != 0.75 {
+	if snap.Counters["ops_total"] != 4 || snap.Gauges["depth"] != 2.5 || snap.Gauges["util"] != 0.75 {
 		t.Fatalf("snapshot mismatch: %+v", snap)
 	}
 	hs := snap.Histograms["lat_seconds"]
@@ -81,7 +81,7 @@ func TestCounterFunc(t *testing.T) {
 	var n int64
 	r.CounterFunc(`sends_total{path="rdma"}`, func() int64 { return n })
 	n = 7
-	if got := r.Snapshot().Counter(`sends_total{path="rdma"}`); got != 7 {
+	if got := r.Snapshot().Counters[`sends_total{path="rdma"}`]; got != 7 {
 		t.Fatalf("snapshot read %d, want 7", got)
 	}
 	var b strings.Builder

@@ -73,7 +73,7 @@ func TestObsSnapshotRace(t *testing.T) {
 		last := map[string]int64{}
 		for i := 0; i < rounds; i++ {
 			snap := reg.Snapshot()
-			if snap.Counter("streamsvc_produced_messages_total") < 0 {
+			if snap.Counters["streamsvc_produced_messages_total"] < 0 {
 				t.Error("negative counter")
 				return
 			}
@@ -105,14 +105,14 @@ func TestObsSnapshotRace(t *testing.T) {
 		workerTotal += w.Appended()
 	}
 	snap := reg.Snapshot()
-	produced := snap.Counter("streamsvc_produced_messages_total")
+	produced := snap.Counters["streamsvc_produced_messages_total"]
 	if produced != 2*rounds {
 		t.Fatalf("produced counter = %d, want %d", produced, 2*rounds)
 	}
 	if workerTotal < 0 || workerTotal > produced {
 		t.Fatalf("worker appended sum %d outside [0, %d]", workerTotal, produced)
 	}
-	if sends := snap.Counter(`bus_sends_total{path="rdma"}`); sends < 2*produced {
+	if sends := snap.Counters[`bus_sends_total{path="rdma"}`]; sends < 2*produced {
 		t.Fatalf("bus sends = %d, want at least %d: a forward transfer and an ack per message", sends, 2*produced)
 	}
 }

@@ -45,6 +45,7 @@ var (
 	ErrConflict      = errors.New("tableobj: concurrent commit conflict")
 	ErrTableDropped  = errors.New("tableobj: table is dropped")
 	ErrSchemaInvalid = errors.New("tableobj: invalid schema or partition column")
+	ErrPartitionSpan = errors.New("tableobj: rows span partitions")
 )
 
 // NewCatalog builds a catalog on an SCM-backed KV store.

@@ -153,7 +153,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 				t.Fatalf("entry %d decodes to %+v (%v), snapshot holds %+v", i, got, err, want)
 			}
 			for c := -1; c <= len(want.Min); c++ {
-				var loType, hiType colfile.Type = -1, -1 // lo meets Max[c], hi meets Min[c]
+				loType, hiType := noType, noType // lo meets Max[c], hi meets Min[c]
 				if c >= 0 && c < len(want.Min) {
 					loType, hiType = want.Max[c].Type, want.Min[c].Type
 				}
@@ -168,6 +168,10 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 	})
 }
+
+// noType is a column type no stats decoder accepts, so bounds(s, noType)
+// holds only the unbounded nil.
+const noType colfile.Type = 255
 
 // bounds returns nil and up to six values of type t from the files'
 // ranges and zones, as range bounds.

@@ -3,6 +3,7 @@ package tableobj
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -156,6 +157,24 @@ func (t *Table) PartitionFor(row colfile.Row) string {
 	return t.meta.PartitionColumn + "=" + row[c].String()
 }
 
+// SpansPartitions reports whether valid rows fall in more than one
+// partition, comparing partition-column values bit for bit: a float
+// partition's directory name tells -0 from 0.
+func (t *Table) SpansPartitions(rows []colfile.Row) bool {
+	if t.meta.PartitionColumn == "" || len(rows) == 0 {
+		return false
+	}
+	c := t.meta.Schema.FieldIndex(t.meta.PartitionColumn)
+	first := rows[0][c]
+	for _, r := range rows[1:] {
+		if v := r[c]; v.Str != first.Str || v.Int != first.Int || v.Bool != first.Bool ||
+			math.Float64bits(v.Float) != math.Float64bits(first.Float) {
+			return true
+		}
+	}
+	return false
+}
+
 // Txn stages data-file additions and removals for one atomic commit.
 type Txn struct {
 	t *Table
@@ -206,7 +225,9 @@ func (x *Txn) AddFile(f DataFile) { x.adds = append(x.adds, f) }
 func (x *Txn) RemoveFile(f DataFile) { x.removes = append(x.removes, f) }
 
 // WriteRows writes rows as one columnar data file in the right partition
-// directory and stages it. Rows must share one partition.
+// directory and stages it. Rows must share one partition: a batch that
+// spans two fails with ErrPartitionSpan. The rows are encoded in place,
+// so the caller may reuse their storage once WriteRows returns.
 func (x *Txn) WriteRows(rows []colfile.Row) (DataFile, error) {
 	if len(rows) == 0 {
 		return DataFile{}, errors.New("tableobj: WriteRows with no rows")
@@ -214,10 +235,11 @@ func (x *Txn) WriteRows(rows []colfile.Row) (DataFile, error) {
 	schema := x.t.meta.Schema
 	nf := schema.NumFields()
 	w := colfile.NewWriter(schema, 0)
-	for _, r := range rows {
-		if err := w.Append(r); err != nil {
-			return DataFile{}, err
-		}
+	if err := w.AppendRows(rows); err != nil {
+		return DataFile{}, err
+	}
+	if x.t.SpansPartitions(rows) {
+		return DataFile{}, fmt.Errorf("%w: the first row is in %s", ErrPartitionSpan, x.t.PartitionFor(rows[0]))
 	}
 	blob, err := w.Finish()
 	if err != nil {
@@ -421,11 +443,6 @@ func (x *Txn) Abort() error {
 // and data for potential restoration.
 func (t *Table) DropSoft() (time.Duration, error) {
 	return t.cat.SoftDrop(t.meta.Name)
-}
-
-// Restore re-registers a soft-dropped table.
-func (t *Table) Restore() (time.Duration, error) {
-	return t.cat.Restore(t.meta.Name)
 }
 
 // DropHard removes the table's data and metadata files and clears it

@@ -3,6 +3,7 @@ package tableobj
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -230,6 +231,38 @@ func TestInsertAndScan(t *testing.T) {
 	}
 }
 
+// WriteRows files a batch under one partition, so it refuses a batch
+// whose partition-column values differ anywhere, and writes nothing.
+func TestWriteRowsRejectsPartitionSpan(t *testing.T) {
+	e := newEnv(t)
+	tbl := createTable(t, e, "t")
+	x, err := tbl.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := e.fs.Count()
+	_, err = x.WriteRows([]colfile.Row{
+		dpiRow("http://a", 1, "Beijing"),
+		dpiRow("http://b", 2, "Shanghai"),
+		dpiRow("http://c", 3, "Beijing"),
+	})
+	if !errors.Is(err, ErrPartitionSpan) || e.fs.Count() != files {
+		t.Fatalf("a batch over two partitions: %v, %d files written", err, e.fs.Count()-files)
+	}
+	// A float partition tells -0 from 0, as its directory names do.
+	ft, _, err := Create(e.clock, e.fs, e.cat, TableMeta{
+		Name: "f", Path: "/lake/f", Schema: colfile.MustSchema("x:float64"), PartitionColumn: "x",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero, negZero := colfile.FloatValue(0), colfile.FloatValue(math.Copysign(0, -1))
+	if ft.PartitionFor(colfile.Row{zero}) == ft.PartitionFor(colfile.Row{negZero}) ||
+		!ft.SpansPartitions([]colfile.Row{{zero}, {negZero}}) || ft.SpansPartitions([]colfile.Row{{negZero}, {negZero}}) {
+		t.Fatal("float partitions compare unlike their names")
+	}
+}
+
 func TestSnapshotIsolationReadersUnaffected(t *testing.T) {
 	e := newEnv(t)
 	tbl := createTable(t, e, "t")
@@ -404,7 +437,7 @@ func TestDropSoftRestoreHard(t *testing.T) {
 		t.Fatal("soft drop deleted files")
 	}
 	// Restore brings it back with data intact.
-	if _, err := tbl.Restore(); err != nil {
+	if _, err := e.cat.Restore("t"); err != nil {
 		t.Fatal(err)
 	}
 	restored, _, err := Open(e.clock, e.fs, e.cat, "t")
@@ -645,5 +678,31 @@ func TestCommitDecodesTheBaseBeginRead(t *testing.T) {
 	}
 	if cur, _, _ := tbl.Current(); cur.ID != snap.ID {
 		t.Fatalf("failed commit moved the table to snapshot %d", cur.ID)
+	}
+}
+
+// BenchmarkWriteRows writes one partition's 20,000 rows (three row
+// groups) as a data file per iteration, then aborts, so the store stays
+// empty.
+func BenchmarkWriteRows(b *testing.B) {
+	e := newEnv(b)
+	tbl := createTable(b, e, "t")
+	rows := make([]colfile.Row, 20000)
+	for i := range rows {
+		rows[i] = dpiRow(fmt.Sprintf("http://site-%d.example", i%37), int64(i), "Beijing")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x, err := tbl.Begin()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := x.WriteRows(rows); err != nil {
+			b.Fatal(err)
+		}
+		if err := x.Abort(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -123,7 +123,9 @@ func (g *Generator) Packet() (key, value []byte, err error) {
 }
 
 // Normalize validates and privacy-shields one raw record (pipeline stage
-// b): malformed packets are rejected, subscriber ids are hashed.
+// b): malformed packets are rejected, subscriber ids are hashed. It works
+// in place: the hash overwrites raw's subscriber id and the result is
+// raw[:5], so raw's payload slot is the spare capacity Label fills.
 func Normalize(raw colfile.Row) (colfile.Row, bool) {
 	if len(raw) != RawSchema.NumFields() || raw[0].Str == "" {
 		return nil, false
@@ -136,17 +138,23 @@ func Normalize(raw colfile.Row) (colfile.Row, bool) {
 	if h < 0 {
 		h = -h
 	}
-	return colfile.Row{raw[0], raw[1], raw[2], colfile.IntValue(h), raw[4]}, true
+	raw[3] = colfile.IntValue(h)
+	return raw[:5], true
 }
 
 // Label attaches the knowledge-base application label (pipeline stage
-// c).
+// c). It writes the label into norm's spare capacity when there is any
+// — the slot after Normalize's result — and otherwise copies norm into
+// one exact-size row.
 func Label(norm colfile.Row) colfile.Row {
 	label, ok := labels[norm[0].Str]
 	if !ok {
 		label = "unknown"
 	}
-	return append(append(colfile.Row{}, norm...), colfile.StringValue(label))
+	if len(norm) == cap(norm) {
+		norm = append(make(colfile.Row, 0, len(norm)+1), norm...)
+	}
+	return append(norm, colfile.StringValue(label))
 }
 
 // DAUQuery is the Figure 13 query, parameterized by day offset from

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"streamlake/internal/colfile"
 	"streamlake/internal/rowcodec"
 )
 
@@ -50,6 +51,7 @@ func TestNormalizeValidatesAndShields(t *testing.T) {
 	valid, invalid := 0, 0
 	for i := 0; i < 2000; i++ {
 		raw := g.RawRow()
+		id := raw[3].Int // Normalize hashes it in place
 		norm, ok := Normalize(raw)
 		if !ok {
 			invalid++
@@ -60,7 +62,7 @@ func TestNormalizeValidatesAndShields(t *testing.T) {
 			t.Fatalf("norm shape: %d", len(norm))
 		}
 		// Privacy shielding: user id must not pass through unchanged.
-		if norm[3].Int == raw[3].Int && raw[3].Int != 0 {
+		if norm[3].Int == id && id != 0 {
 			t.Fatal("subscriber id leaked")
 		}
 		if norm[3].Int < 0 {
@@ -116,5 +118,27 @@ func TestDAUQuerySQL(t *testing.T) {
 func TestHourBucketing(t *testing.T) {
 	if Timestamp(BaseTime+60).Seconds() != 60 {
 		t.Fatal("timestamp conversion broken")
+	}
+}
+
+// Normalize and Label reuse the raw row: the label lands in the payload
+// slot. A normalized row with no spare capacity is copied once instead.
+func TestStagesRunInPlace(t *testing.T) {
+	g := NewGenerator(4)
+	raw := g.RawRow()
+	for raw[0].Str == "" {
+		raw = g.RawRow()
+	}
+	norm, ok := Normalize(raw)
+	if !ok || &norm[0] != &raw[0] {
+		t.Fatal("Normalize copied the raw row")
+	}
+	lab := Label(norm)
+	if &lab[0] != &raw[0] || raw[5].Str != lab[5].Str {
+		t.Fatal("Label did not fill the payload slot")
+	}
+	exact := append(colfile.Row(nil), norm...)[:5:5]
+	if lab2 := Label(exact); &lab2[0] == &exact[0] || len(lab2) != 6 || cap(lab2) != 6 || lab2[5].Str != lab[5].Str {
+		t.Fatalf("a full row labelled: len %d cap %d", len(lab2), cap(lab2))
 	}
 }
