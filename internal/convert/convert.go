@@ -29,7 +29,8 @@ func EncodeRow(schema colfile.Schema, row colfile.Row) ([]byte, error) {
 	return rowcodec.Encode(schema, []colfile.Row{row})
 }
 
-// DecodeRow parses a message value produced by EncodeRow.
+// DecodeRow parses a message value produced by EncodeRow. The row's
+// strings share data's bytes: leave data unchanged while they are in use.
 func DecodeRow(data []byte) (colfile.Row, error) {
 	_, rows, err := rowcodec.Decode(data)
 	if err != nil {

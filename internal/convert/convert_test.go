@@ -201,12 +201,19 @@ func TestMalformedMessagesCounted(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.Send("bad", []byte("k"), []byte("not-a-row"))
 	}
+	// A good row followed by junk is malformed too: the row must end
+	// the message.
+	good, err := EncodeRow(logSchema, colfile.Row{colfile.StringValue("u"), colfile.IntValue(7), colfile.StringValue("B")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Send("bad", []byte("k"), append(good, 0xde, 0xad))
 	produceRows(t, e, "bad", 3)
 	res, _, err := e.conv.ForceTopic("bad")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Messages != 3 || res.Malformed != 5 {
+	if res.Messages != 3 || res.Malformed != 6 {
 		t.Fatalf("result: %+v", res)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 
 	"streamlake/internal/colfile"
 )
@@ -64,7 +65,12 @@ func Encode(schema colfile.Schema, rows []colfile.Row) ([]byte, error) {
 }
 
 // Decode parses a batch produced by Encode, returning the embedded schema
-// and rows.
+// and rows. The batch must end data: trailing bytes are an error.
+//
+// Field names and string values are not copied: they share data's
+// bytes, so leave data unchanged while they are in use. Every caller
+// decodes stored bytes, which the lake never rewrites. A kept string
+// keeps all of data alive, so what outlives data copies what it keeps.
 func Decode(data []byte) (colfile.Schema, []colfile.Row, error) {
 	if len(data) < 4 || string(data[:4]) != string(magic) {
 		return colfile.Schema{}, nil, errors.New("rowcodec: bad magic")
@@ -93,10 +99,11 @@ func Decode(data []byte) (colfile.Schema, []colfile.Row, error) {
 		if nl >= uint64(len(data)) { // not nl+1 > len: nl is untrusted and may be 2^64-1
 			return colfile.Schema{}, nil, errors.New("rowcodec: truncated schema")
 		}
-		schema.Fields = append(schema.Fields, colfile.Field{
-			Name: string(data[:nl]),
-			Type: colfile.Type(data[nl]),
-		})
+		typ := colfile.Type(data[nl])
+		if typ > colfile.Bool {
+			return colfile.Schema{}, nil, fmt.Errorf("rowcodec: unknown type %d", typ)
+		}
+		schema.Fields = append(schema.Fields, colfile.Field{Name: borrow(data[:nl]), Type: typ})
 		data = data[nl+1:]
 	}
 	nr, err := readUvarint()
@@ -136,7 +143,7 @@ func Decode(data []byte) (colfile.Schema, []colfile.Row, error) {
 				if err != nil || uint64(len(data)) < l {
 					return colfile.Schema{}, nil, errors.New("rowcodec: truncated string")
 				}
-				row[c] = colfile.StringValue(string(data[:l]))
+				row[c] = colfile.StringValue(borrow(data[:l]))
 				data = data[l:]
 			case colfile.Bool:
 				if len(data) < 1 {
@@ -144,11 +151,21 @@ func Decode(data []byte) (colfile.Schema, []colfile.Row, error) {
 				}
 				row[c] = colfile.BoolValue(data[0] != 0)
 				data = data[1:]
-			default:
-				return colfile.Schema{}, nil, fmt.Errorf("rowcodec: unknown type %d", f.Type)
 			}
 		}
 		rows = append(rows, row)
 	}
+	if len(data) > 0 {
+		return colfile.Schema{}, nil, fmt.Errorf("rowcodec: %d bytes after the last row", len(data))
+	}
 	return schema, rows, nil
+}
+
+// borrow returns b as a string that shares b's bytes. An empty b gives
+// "", which points at nothing and so keeps nothing alive.
+func borrow(b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(&b[0], len(b))
 }

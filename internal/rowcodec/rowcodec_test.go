@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"streamlake/internal/colfile"
 	"streamlake/internal/sim"
@@ -55,9 +56,71 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 		"empty":     {},
 		"bad magic": append([]byte("XXXX"), good[4:]...),
 		"truncated": good[:len(good)-3],
+		// A valid batch followed by junk: the batch must end the input.
+		"trailing bytes": append(good[:len(good):len(good)], 0xde, 0xad),
+		// One field of type 9 and no rows: the schema block is checked
+		// even when no row would reach the bad type.
+		"unknown type": []byte("SLRC\x01\x01a\x09\x00"),
 	} {
 		if _, _, err := Decode(data); err == nil {
 			t.Fatalf("%s accepted", name)
+		}
+	}
+}
+
+// inside reports whether s's bytes lie within data's. An empty s is
+// inside when its pointer is, since that pointer alone would keep data
+// alive.
+func inside(s string, data []byte) bool {
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+	if len(s) == 0 {
+		return p >= lo && p < lo+uintptr(len(data))
+	}
+	return p >= lo && p+uintptr(len(s)) <= lo+uintptr(len(data))
+}
+
+// Decode copies no string: every field name and string value shares
+// the input's bytes, and an empty one is "", which points at nothing
+// in the input.
+func TestDecodeBorrowsStrings(t *testing.T) {
+	s := colfile.Schema{Fields: []colfile.Field{
+		{Name: "path", Type: colfile.String}, {Name: "n", Type: colfile.Int64},
+		{Name: "", Type: colfile.String}, {Name: "tag", Type: colfile.String},
+	}}
+	rows := []colfile.Row{
+		{colfile.StringValue("data/p=1/f1.col"), colfile.IntValue(1), colfile.StringValue("x"), colfile.StringValue("")},
+		{colfile.StringValue(""), colfile.IntValue(2), colfile.StringValue(""), colfile.StringValue("hot")},
+	}
+	data, err := Encode(s, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gs, got, err := Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what, str string) {
+		t.Helper()
+		if borrowed := inside(str, data); borrowed != (str != "") {
+			t.Fatalf("%s %q: shares the input's bytes = %v", what, str, borrowed)
+		}
+	}
+	for _, f := range gs.Fields {
+		check("field name", f.Name)
+	}
+	if !gs.Equal(s) || len(got) != len(rows) {
+		t.Fatalf("decoded %v with %d rows", gs, len(got))
+	}
+	for i, r := range got {
+		for c, v := range r {
+			if s.Fields[c].Type != colfile.String {
+				continue
+			}
+			if v.Str != rows[i][c].Str {
+				t.Fatalf("row %d col %d: %q, want %q", i, c, v.Str, rows[i][c].Str)
+			}
+			check(fmt.Sprintf("row %d col %d", i, c), v.Str)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -279,6 +280,7 @@ func (x *Txn) WriteRows(rows []colfile.Row) (DataFile, error) {
 			f.Zones = append(f.Zones, z)
 		}
 	}
+	f.ownBounds()
 	if zoneMaps {
 		// Per-column blooms from the rows: planning-time pruning stats
 		// the commit carries beside the zones.
@@ -299,6 +301,36 @@ func (x *Txn) WriteRows(rows []colfile.Row) (DataFile, error) {
 	x.cost += cost
 	x.AddFile(f)
 	return f, nil
+}
+
+// ownBounds moves f's string bounds into one allocation of f's own.
+// The writer took them from the caller's rows, whose strings may share
+// a far larger buffer (a decoded message's); f outlives the Txn in its
+// snapshot and must not keep that buffer alive.
+func (f *DataFile) ownBounds() {
+	bounds := [][]colfile.Value{f.Min, f.Max}
+	for _, z := range f.Zones {
+		bounds = append(bounds, z.Min, z.Max)
+	}
+	n := 0
+	for _, vs := range bounds {
+		for _, v := range vs {
+			n += len(v.Str)
+		}
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, vs := range bounds {
+		for _, v := range vs {
+			b.WriteString(v.Str)
+		}
+	}
+	s := b.String()
+	for _, vs := range bounds {
+		for i := range vs {
+			vs[i].Str, s = s[:len(vs[i].Str)], s[len(vs[i].Str):]
+		}
+	}
 }
 
 // WritePartitions writes one data file per partition (WriteRows each)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"streamlake/internal/colfile"
 	"streamlake/internal/plog"
@@ -260,6 +261,57 @@ func TestWriteRowsRejectsPartitionSpan(t *testing.T) {
 	if ft.PartitionFor(colfile.Row{zero}) == ft.PartitionFor(colfile.Row{negZero}) ||
 		!ft.SpansPartitions([]colfile.Row{{zero}, {negZero}}) || ft.SpansPartitions([]colfile.Row{{negZero}, {negZero}}) {
 		t.Fatal("float partitions compare unlike their names")
+	}
+}
+
+// A DataFile outlives its Txn in the snapshot, so the string bounds it
+// keeps must not share the rows' bytes: those may borrow a far larger
+// buffer, as rows decoded from stream messages do.
+func TestWriteRowsOwnsItsBounds(t *testing.T) {
+	e := newEnv(t)
+	tbl := createTable(t, e, "t")
+	tbl.SetZoneMaps(true)
+	x, err := tbl.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three row groups of rows whose strings all share buf.
+	n := 2*colfile.DefaultRowGroupSize + 7
+	var buf []byte
+	for i := 0; i < n; i++ {
+		buf = fmt.Appendf(buf, "http://u%05dBeijing", (i*7919)%n)
+	}
+	lo := uintptr(unsafe.Pointer(&buf[0]))
+	rows := make([]colfile.Row, n)
+	for i := range rows {
+		url := unsafe.String(&buf[i*20], 13)
+		rows[i] = dpiRow(url, int64(i), unsafe.String(&buf[i*20+13], 7))
+	}
+	f, err := x.WriteRows(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Zones) != 3 {
+		t.Fatalf("%d zones, want 3", len(f.Zones))
+	}
+	check := func(what string, vs []colfile.Value) {
+		t.Helper()
+		for c, v := range vs {
+			p := uintptr(unsafe.Pointer(unsafe.StringData(v.Str)))
+			if v.Str != "" && p >= lo && p < lo+uintptr(len(buf)) {
+				t.Fatalf("%s of column %d (%q) points into the rows' buffer", what, c, v.Str)
+			}
+		}
+	}
+	check("file min", f.Min)
+	check("file max", f.Max)
+	for g, z := range f.Zones {
+		check(fmt.Sprintf("zone %d min", g), z.Min)
+		check(fmt.Sprintf("zone %d max", g), z.Max)
+	}
+	if f.Min[0].Str != "http://u00000" || f.Max[0].Str != fmt.Sprintf("http://u%05d", n-1) ||
+		f.Min[2].Str != "Beijing" || f.Max[2].Str != "Beijing" {
+		t.Fatalf("file bounds %v .. %v", f.Min, f.Max)
 	}
 }
 

@@ -1,6 +1,7 @@
 package dpi
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -31,6 +32,34 @@ func TestPacketShape(t *testing.T) {
 	// The paper's average packet size is 1.2 KB.
 	if avg < 1100 || avg > 1300 {
 		t.Fatalf("avg packet size %d, want ~1200", avg)
+	}
+}
+
+// Decoding a packet costs the same bytes whatever its payload's size:
+// the decoded strings share the packet's bytes instead of copying them.
+func TestPacketDecodeCostIgnoresPayload(t *testing.T) {
+	raw := NewGenerator(3).RawRow()
+	decodeBytes := func(pad int) uint64 {
+		raw[5] = colfile.StringValue(strings.Repeat("x", pad))
+		value, err := rowcodec.Encode(RawSchema, []colfile.Row{raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		testing.AllocsPerRun(runs, func() {
+			if _, _, err := rowcodec.Decode(value); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun adds a warm-up call
+	}
+	small, large := decodeBytes(100), decodeBytes(64<<10)
+	t.Logf("a decode allocates %d bytes with a 100 B payload, %d with 64 KB", small, large)
+	if large != small {
+		t.Fatalf("a 64 KB payload costs %d bytes to decode, a 100 B one %d", large, small)
 	}
 }
 

@@ -47,6 +47,21 @@ if [ -n "$violations" ]; then
   exit 1
 fi
 
+# unsafe lint: a non-test file outside benchmark/ may import "unsafe"
+# only if scripts/unsafe_allowlist.txt lists it with a reason, and every
+# listed file must still import it.
+importers=$(grep -rlE '^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"unsafe"' \
+  --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . \
+  | sed 's|^\./||' | sort)
+listed=$(grep -v '^#' scripts/unsafe_allowlist.txt | awk 'NF >= 2 { print $1 }' | sort)
+if [ "$importers" != "$listed" ]; then
+  echo "files importing unsafe:" >&2
+  echo "$importers" >&2
+  echo "files scripts/unsafe_allowlist.txt lists with a reason:" >&2
+  echo "$listed" >&2
+  exit 1
+fi
+
 go test -race -short ./...
 go test ./...
 # lakebench is a module of its own (benchmark/go.mod), so ./... above

@@ -111,7 +111,9 @@ var (
 	// EncodeRow serializes a row as a stream message payload for
 	// stream-to-table conversion.
 	EncodeRow = convert.EncodeRow
-	// DecodeRow parses a message payload produced by EncodeRow.
+	// DecodeRow parses a message payload produced by EncodeRow. The
+	// row's strings share the payload's bytes: leave the payload
+	// unchanged while they are in use.
 	DecodeRow = convert.DecodeRow
 )
 
