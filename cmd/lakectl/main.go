@@ -122,18 +122,12 @@ func open(args []string, out io.Writer) (*shell, string, error) {
 	nodes := fs.Int("nodes", 0, "run a multi-node cluster of this size (0/1 single-node)")
 	fs.Parse(args)
 
-	cfg := streamlake.Config{
+	lake, err := streamlake.Open(streamlake.Config{
 		CacheMB:           *cacheMB,
 		GroupCommitSlices: *groupCommit,
 		ZoneMaps:          *zoneMaps,
 		Nodes:             *nodes,
-	}
-	if *nodes > 1 {
-		// Every copy needs its own failure domain, and losing a node must
-		// leave room to re-replicate: give each node two SSD disks.
-		cfg.SSDDisks = 2 * *nodes
-	}
-	lake, err := streamlake.Open(cfg)
+	})
 	if err != nil {
 		return nil, "", err
 	}
@@ -986,14 +980,8 @@ func (s *shell) scrub(rest []string) error {
 		sub = rest[0]
 	}
 	switch sub {
-	case "run", "cycle":
-		var rep streamlake.ScrubReport
-		var err error
-		if sub == "run" {
-			rep, err = s.lake.RunScrub()
-		} else {
-			rep, err = s.lake.ScrubCycle()
-		}
+	case "run", "cycle": // every pass sweeps every log, so the two agree
+		rep, err := s.lake.RunScrub()
 		if err != nil {
 			return err
 		}

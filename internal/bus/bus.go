@@ -47,17 +47,19 @@ type Config struct {
 	// is paid once per batch instead of once per message. The paper
 	// notes it can be disabled for latency-sensitive scenarios.
 	Aggregation bool
-	// AggregationCount is the number of small sends amortizing one fixed
-	// cost (default 16).
-	AggregationCount int
-	// SmallIOBytes is the threshold below which a send is eligible for
-	// aggregation (default 64 KiB).
-	SmallIOBytes int64
-	// DropTimeout is the virtual time a sender waits before concluding a
-	// message was lost (default 500 µs). Charged, on top of any injected
-	// delay, for every send the network fault plane fails.
-	DropTimeout time.Duration
 }
+
+const (
+	// aggregationCount is the number of small sends amortizing one
+	// fixed cost.
+	aggregationCount = 16
+	// smallIOBytes is the largest send eligible for aggregation.
+	smallIOBytes = 64 << 10
+	// dropTimeout is the virtual time a sender waits before concluding
+	// a message was lost. Charged, on top of any injected delay, for
+	// every send the network fault plane fails.
+	dropTimeout = 500 * time.Microsecond
+)
 
 // NetHook decides the fate of a message on the directed link from→to:
 // extra delivery delay, or an error when the message is dropped or the
@@ -212,15 +214,6 @@ func (b *Bus) forwardLocked() {
 
 // New builds a bus over the given path with its default link device.
 func New(cfg Config) *Bus {
-	if cfg.AggregationCount <= 0 {
-		cfg.AggregationCount = 16
-	}
-	if cfg.SmallIOBytes <= 0 {
-		cfg.SmallIOBytes = 64 << 10
-	}
-	if cfg.DropTimeout <= 0 {
-		cfg.DropTimeout = 500 * time.Microsecond
-	}
 	class := sim.NetRDMA
 	if cfg.Path == TCP {
 		class = sim.Net10GbE
@@ -298,7 +291,7 @@ func (b *Bus) failSend(n int64, delay time.Duration) time.Duration {
 	b.stats.Drops++
 	b.stats.DroppedBytes += n
 	b.forwardLocked()
-	return delay + b.cfg.DropTimeout
+	return delay + dropTimeout
 }
 
 // deliver charges a delivered message: transfer cost, aggregation-batch
@@ -316,9 +309,9 @@ func (b *Bus) deliver(n int64, prio Priority, delay time.Duration, tenant string
 
 	cost := transfer
 	paysFixed := true
-	if b.cfg.Aggregation && n <= b.cfg.SmallIOBytes {
+	if b.cfg.Aggregation && n <= smallIOBytes {
 		b.batchFill++
-		if b.batchFill >= b.cfg.AggregationCount {
+		if b.batchFill >= aggregationCount {
 			b.batchFill = 0
 			b.stats.Batches++
 		} else {

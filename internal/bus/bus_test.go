@@ -18,7 +18,7 @@ func TestRDMABeatsTCP(t *testing.T) {
 }
 
 func TestAggregationAmortizesFixedCost(t *testing.T) {
-	agg := New(Config{Path: TCP, Aggregation: true, AggregationCount: 16})
+	agg := New(Config{Path: TCP, Aggregation: true})
 	raw := New(Config{Path: TCP})
 	var aggTotal, rawTotal time.Duration
 	for i := 0; i < 160; i++ {
@@ -37,9 +37,9 @@ func TestAggregationAmortizesFixedCost(t *testing.T) {
 }
 
 func TestAggregationSkipsLargeIO(t *testing.T) {
-	b := New(Config{Path: TCP, Aggregation: true, SmallIOBytes: 1024})
+	b := New(Config{Path: TCP, Aggregation: true})
 	for i := 0; i < 100; i++ {
-		b.Send(1<<20, Normal) // 1 MiB: not small I/O
+		b.Send(smallIOBytes+1, Normal) // one byte past small I/O
 	}
 	if st := b.Stats(); st.Aggregated != 0 {
 		t.Fatalf("large I/O was aggregated: %+v", st)
@@ -77,7 +77,7 @@ func TestStatsAccumulate(t *testing.T) {
 }
 
 func TestFlushChargesPartialBatch(t *testing.T) {
-	b := New(Config{Path: TCP, Aggregation: true, AggregationCount: 16})
+	b := New(Config{Path: TCP, Aggregation: true})
 	fixed := b.Link().Spec().WriteLatency
 	// 5 small sends never fill the 16-slot batch, so all of them defer
 	// the fixed cost and the batch stays open until flushed.
@@ -97,7 +97,7 @@ func TestFlushChargesPartialBatch(t *testing.T) {
 }
 
 func TestStatsFlushesPendingBatch(t *testing.T) {
-	b := New(Config{Path: TCP, Aggregation: true, AggregationCount: 16})
+	b := New(Config{Path: TCP, Aggregation: true})
 	// 20 sends: one full batch (16) plus 4 pending. A stats snapshot must
 	// not leave the trailing partial batch riding free.
 	for i := 0; i < 20; i++ {
@@ -111,22 +111,12 @@ func TestStatsFlushesPendingBatch(t *testing.T) {
 		t.Fatalf("flush cost %v, want one fixed cost %v", st.FlushCost, b.link.Spec().WriteLatency)
 	}
 	// A full batch boundary leaves nothing pending: no extra flush.
-	b2 := New(Config{Path: TCP, Aggregation: true, AggregationCount: 16})
+	b2 := New(Config{Path: TCP, Aggregation: true})
 	for i := 0; i < 16; i++ {
 		b2.Send(512, Normal)
 	}
 	if st := b2.Stats(); st.Flushes != 0 || st.Batches != 1 {
 		t.Fatalf("aligned batch should not flush: %+v", st)
-	}
-}
-
-func TestDefaultsApplied(t *testing.T) {
-	b := New(Config{Path: TCP, Aggregation: true})
-	if b.cfg.AggregationCount != 16 || b.cfg.SmallIOBytes != 64<<10 {
-		t.Fatalf("defaults: %+v", b.cfg)
-	}
-	if b.cfg.DropTimeout <= 0 {
-		t.Fatalf("drop timeout default missing: %+v", b.cfg)
 	}
 }
 
@@ -166,7 +156,7 @@ func TestDroppedSendLeavesBatchAccountingIntact(t *testing.T) {
 	for i := 2; i < len(fail); i += 3 {
 		fail[i] = true
 	}
-	b := New(Config{Path: TCP, Aggregation: true, AggregationCount: 16})
+	b := New(Config{Path: TCP, Aggregation: true})
 	b.SetNet(&scriptHook{fail: fail, err: errDrop}, "client")
 	fixed := b.Link().Spec().WriteLatency
 
@@ -210,14 +200,14 @@ func TestDroppedSendLeavesBatchAccountingIntact(t *testing.T) {
 // sender its injected delay plus the drop timeout — never the transfer
 // or fixed cost — and the link device sees no bytes for it.
 func TestDropChargesTimeoutNotTransfer(t *testing.T) {
-	b := New(Config{Path: RDMA, DropTimeout: time.Millisecond})
+	b := New(Config{Path: RDMA})
 	b.SetNet(&scriptHook{fail: []bool{true, false}, err: errDrop}, "client")
 	cost, err := b.SendLinkT("client", "worker/0", 1<<20, Normal, "")
 	if err == nil {
 		t.Fatal("scripted drop did not surface")
 	}
-	if cost != time.Millisecond {
-		t.Fatalf("drop cost = %v, want the 1ms drop timeout", cost)
+	if cost != dropTimeout {
+		t.Fatalf("drop cost = %v, want the %v drop timeout", cost, dropTimeout)
 	}
 	if got := b.Link().Stats().WriteBytes; got != 0 {
 		t.Fatalf("dropped bytes reached the link device: %d", got)

@@ -36,22 +36,15 @@ type Config struct {
 	DRAMBytes int64
 	// SCMBytes caps the SCM victim tier.
 	SCMBytes int64
-	// SmallFrac is the fraction of DRAMBytes reserved for the
-	// probationary small FIFO (default 0.1, the S3-FIFO split).
-	SmallFrac float64
-	// GhostEntries bounds the ghost list (default 8192 keys).
-	GhostEntries int
 }
 
-func (c Config) withDefaults() Config {
-	if c.SmallFrac <= 0 || c.SmallFrac >= 1 {
-		c.SmallFrac = 0.1
-	}
-	if c.GhostEntries <= 0 {
-		c.GhostEntries = 8192
-	}
-	return c
-}
+const (
+	// smallFrac is the fraction of DRAMBytes reserved for the
+	// probationary small FIFO (the S3-FIFO split).
+	smallFrac = 0.1
+	// ghostEntries bounds the ghost list, in keys.
+	ghostEntries = 8192
+)
 
 // tier is where an entry currently lives.
 type tier int
@@ -113,7 +106,7 @@ type Cache struct {
 // New builds a cache. Zero-byte tiers disable that tier.
 func New(cfg Config) *Cache {
 	return &Cache{
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		scm:    sim.NewDeviceOf("read-cache-scm", sim.SCM),
 		index:  make(map[string]*entry),
 		small:  list.New(),
@@ -240,7 +233,7 @@ func (c *Cache) Put(key string, data []byte) time.Duration {
 // evictDRAMLocked restores the DRAM invariant: small ≤ its share and
 // small+main ≤ DRAMBytes. Caller holds c.mu.
 func (c *Cache) evictDRAMLocked() {
-	smallCap := int64(float64(c.cfg.DRAMBytes) * c.cfg.SmallFrac)
+	smallCap := int64(float64(c.cfg.DRAMBytes) * smallFrac)
 	for c.usedSmall+c.usedMain > c.cfg.DRAMBytes || c.usedSmall > smallCap {
 		if c.small.Len() > 0 && (c.usedSmall > smallCap || c.main.Len() == 0) {
 			c.evictSmallLocked()
@@ -322,7 +315,7 @@ func (c *Cache) ghostAddLocked(key string) {
 		return
 	}
 	c.ghost[key] = c.ghostQ.PushBack(key)
-	for c.ghostQ.Len() > c.cfg.GhostEntries {
+	for c.ghostQ.Len() > ghostEntries {
 		old := c.ghostQ.Remove(c.ghostQ.Front()).(string)
 		delete(c.ghost, old)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func testCache() *Cache {
-	return New(Config{DRAMBytes: 1 << 10, SCMBytes: 4 << 10, GhostEntries: 64})
+	return New(Config{DRAMBytes: 1 << 10, SCMBytes: 4 << 10})
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -117,7 +117,7 @@ func TestDemotionToSCMAndPromotion(t *testing.T) {
 // A key evicted all the way out is remembered by the ghost list and
 // readmitted straight to the main FIFO.
 func TestGhostReadmission(t *testing.T) {
-	c := New(Config{DRAMBytes: 512, SCMBytes: 512, GhostEntries: 64})
+	c := New(Config{DRAMBytes: 512, SCMBytes: 512})
 	c.Put("victim", make([]byte, 128))
 	// Push victim out of DRAM and then out of SCM.
 	for i := 0; i < 16; i++ {
@@ -135,6 +135,32 @@ func TestGhostReadmission(t *testing.T) {
 	c.mu.Unlock()
 	if e == nil || e.tier != tierMain {
 		t.Fatalf("ghosted key not readmitted to main: %+v", e)
+	}
+}
+
+// The ghost list remembers at most ghostEntries keys: once more keys
+// than that have been evicted, the oldest ghosts are forgotten and
+// return probationary, while recent ones still readmit to main.
+func TestGhostListBounded(t *testing.T) {
+	c := testCache()
+	const keys = ghostEntries + 1000
+	for i := 0; i < keys; i++ {
+		c.Put(fmt.Sprintf("k%d", i), make([]byte, 100))
+	}
+	if got := c.Stats().GhostKeys; got != ghostEntries {
+		t.Fatalf("ghost list holds %d keys, want the bound %d", got, ghostEntries)
+	}
+	tierOf := func(key string) tier {
+		c.Put(key, make([]byte, 100))
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.index[key].tier
+	}
+	if got := tierOf("k0"); got != tierSmall {
+		t.Fatalf("forgotten ghost readmitted to tier %d, want small", got)
+	}
+	if got := tierOf(fmt.Sprintf("k%d", keys-100)); got != tierMain {
+		t.Fatalf("recent ghost readmitted to tier %d, want main", got)
 	}
 }
 
@@ -185,7 +211,7 @@ func TestFlush(t *testing.T) {
 // the same stats, residency, and device accounting.
 func TestDeterministicReplay(t *testing.T) {
 	run := func() (Stats, int64) {
-		c := New(Config{DRAMBytes: 1 << 10, SCMBytes: 2 << 10, GhostEntries: 32})
+		c := New(Config{DRAMBytes: 1 << 10, SCMBytes: 2 << 10})
 		rng := sim.NewRNG(42)
 		for i := 0; i < 2000; i++ {
 			k := fmt.Sprintf("k%d", rng.Intn(64))

@@ -195,11 +195,6 @@ func run(cfg Config, degrade time.Duration) (Report, error) {
 		CacheMB:      cfg.CacheMB,
 		Nodes:        cfg.Nodes,
 	}
-	if cfg.Nodes > 1 {
-		// Give every node at least two disks so a dead node's share can
-		// re-replicate onto its survivors' domains.
-		lakeCfg.SSDDisks = 2 * cfg.Nodes
-	}
 	if cfg.GroupCommit {
 		lakeCfg.GroupCommitSlices = 4
 	}
@@ -878,7 +873,7 @@ func (h *harness) settle() {
 	}
 	h.lake.RepairUntilRedundant(16)
 	if h.cfg.Corruption {
-		h.lake.ScrubCycle()
+		h.lake.RunScrub()
 	}
 }
 

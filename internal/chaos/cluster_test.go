@@ -118,7 +118,6 @@ func runFailoverDrill(t *testing.T, seed uint64) drillResult {
 	lake, err := streamlake.Open(streamlake.Config{
 		Nodes:        5,
 		Workers:      5,
-		SSDDisks:     10,
 		Seed:         seed,
 		PLogCapacity: 1 << 20,
 	})
@@ -297,7 +296,6 @@ func TestClusterRebalanceMovesBytes(t *testing.T) {
 	lake, err := streamlake.Open(streamlake.Config{
 		Nodes:        5,
 		Workers:      2,
-		SSDDisks:     10,
 		Seed:         9,
 		PLogCapacity: 1 << 20,
 	})
@@ -395,7 +393,7 @@ func TestClusterFailoverDrill(t *testing.T) {
 	if res.acked < 100 {
 		t.Fatalf("drill acked only %d writes", res.acked)
 	}
-	// Detection budget: the detector needs DeadAfter of silence plus
+	// Detection budget: the detector needs 10ms of silence plus
 	// election and commit rounds — 4x the full reaction window is the
 	// enforced ceiling.
 	if budget := 80 * time.Millisecond; res.detect > budget {

@@ -120,7 +120,6 @@ func runElasticDrill(t *testing.T, seed uint64) elasticDrillResult {
 	lake, err := streamlake.Open(streamlake.Config{
 		Nodes:        5,
 		Workers:      5,
-		SSDDisks:     10,
 		Seed:         seed,
 		PLogCapacity: 1 << 20,
 	})

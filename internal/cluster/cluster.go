@@ -39,55 +39,38 @@ import (
 	"streamlake/internal/sim"
 )
 
-// Config shapes the cluster's detector and election timers. All
-// durations are virtual time.
+// Config sizes the cluster.
 type Config struct {
-	// Nodes is the birth cluster size. Disk i of every attached pool
-	// initially belongs to node i % Nodes; after runtime joins the
-	// view's disk→node table is the only truth (new disks belong to the
-	// node that joined with them, not to i % birth-N).
+	// Nodes is the birth cluster size (default 3). Disk i of every
+	// attached pool initially belongs to node i % Nodes; after runtime
+	// joins the view's disk→node table is the only truth (new disks
+	// belong to the node that joined with them, not to i % birth-N).
 	Nodes int
 	// Seed derives every per-node RNG (election-timeout jitter).
 	Seed uint64
-	// HeartbeatEvery is the all-to-all heartbeat period (default 1ms).
-	HeartbeatEvery time.Duration
-	// SuspectAfter marks a silent node suspect: placement avoids it,
-	// hedged reads and scrub skip its copies (default 4ms).
-	SuspectAfter time.Duration
-	// DeadAfter lets the leader propose a silent node dead, triggering
-	// re-replication of its slices (default 10ms).
-	DeadAfter time.Duration
-	// ElectionTimeout is the base follower patience before campaigning;
-	// each node adds seeded jitter in [0, ElectionTimeout) so timers
-	// stay staggered (default 5ms).
-	ElectionTimeout time.Duration
-	// MoveSlack bounds data movement on a join: growing N→N+1 may move
-	// at most (1/(N+1))·(1+MoveSlack) of the live bytes (default 0.5).
-	// Consistent hashing keeps the expected movement at 1/(N+1); the
-	// slack absorbs sampling variance at small N.
-	MoveSlack float64
 }
 
-func (c *Config) applyDefaults() {
-	if c.Nodes <= 0 {
-		c.Nodes = 3
-	}
-	if c.HeartbeatEvery <= 0 {
-		c.HeartbeatEvery = time.Millisecond
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 4 * time.Millisecond
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 10 * time.Millisecond
-	}
-	if c.ElectionTimeout <= 0 {
-		c.ElectionTimeout = 5 * time.Millisecond
-	}
-	if c.MoveSlack <= 0 {
-		c.MoveSlack = 0.5
-	}
-}
+// The failure detector's and elections' timers, all virtual time.
+const (
+	// heartbeatEvery is the all-to-all heartbeat period.
+	heartbeatEvery = time.Millisecond
+	// suspectAfter marks a silent node suspect: placement avoids it,
+	// hedged reads and scrub skip its copies.
+	suspectAfter = 4 * time.Millisecond
+	// deadAfter lets the leader propose a silent node dead, triggering
+	// re-replication of its slices.
+	deadAfter = 10 * time.Millisecond
+	// electionTimeout is the base follower patience before campaigning;
+	// each node adds seeded jitter in [0, electionTimeout) so timers
+	// stay staggered.
+	electionTimeout = 5 * time.Millisecond
+)
+
+// moveSlack bounds data movement on a join: growing N→N+1 may move at
+// most (1/(N+1))·(1+moveSlack) of the live bytes. Consistent hashing
+// keeps the expected movement at 1/(N+1); the slack absorbs sampling
+// variance at small N.
+const moveSlack = 0.5
 
 // nodeState is one node's cluster-visible state: process liveness, the
 // failure detector's receive timestamps, and its metadata-log
@@ -202,7 +185,9 @@ type Cluster struct {
 // plane. Pools, repair services, and callbacks attach afterwards;
 // Bootstrap then elects the first leader.
 func New(cfg Config, clock *sim.Clock, net *faults.NetPlane) *Cluster {
-	cfg.applyDefaults()
+	if cfg.Nodes <= 0 {
+		cfg.Nodes = 3
+	}
 	c := &Cluster{
 		cfg:      cfg,
 		clock:    clock,
@@ -215,14 +200,14 @@ func New(cfg Config, clock *sim.Clock, net *faults.NetPlane) *Cluster {
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		rng := sim.NewRNG(cfg.Seed ^ (0x636c7573746572 + uint64(i)*0x9E3779B9))
-		jitter := time.Duration(rng.Int63n(int64(cfg.ElectionTimeout)))
+		jitter := time.Duration(rng.Int63n(int64(electionTimeout)))
 		c.nodes = append(c.nodes, &nodeState{
 			id:              i,
 			ep:              nodeEndpoint(i),
 			up:              true,
 			lastHeard:       make([]time.Duration, cfg.Nodes),
 			votedFor:        -1,
-			electionTimeout: cfg.ElectionTimeout + jitter,
+			electionTimeout: electionTimeout + jitter,
 		})
 		c.alive = append(c.alive, true)
 		c.draining = append(c.draining, false)
@@ -589,13 +574,13 @@ func (c *Cluster) storeViewLocked(now time.Duration) {
 	for j := range c.nodes {
 		if lead != nil {
 			if j != lead.id {
-				v.Suspect[j] = now-lead.lastHeard[j] > c.cfg.SuspectAfter
+				v.Suspect[j] = now-lead.lastHeard[j] > suspectAfter
 			}
 			continue
 		}
 		heard := false
 		for _, m := range c.nodes {
-			if m.up && m.id != j && now-m.lastHeard[j] <= c.cfg.SuspectAfter {
+			if m.up && m.id != j && now-m.lastHeard[j] <= suspectAfter {
 				heard = true
 				break
 			}
@@ -621,8 +606,8 @@ func (c *Cluster) Tick() {
 	now := c.clock.Now()
 	var effects []func()
 	c.mu.Lock()
-	hb := c.cfg.HeartbeatEvery
-	window := 4 * (c.cfg.DeadAfter + 2*c.cfg.ElectionTimeout)
+	hb := heartbeatEvery
+	window := 4 * (deadAfter + 2*electionTimeout)
 	if now-c.lastTick > window {
 		start := now - window
 		lead := c.currentLeaderLocked()
@@ -717,7 +702,7 @@ func (c *Cluster) boundaryLocked(t time.Duration, effects *[]func()) {
 			continue
 		}
 		heardAgo := t - lead.lastHeard[j]
-		if c.alive[j] && heardAgo > c.cfg.DeadAfter {
+		if c.alive[j] && heardAgo > deadAfter {
 			data := strconv.Itoa(j) + sep + "dead"
 			if !c.pendingLocked(lead, "member", data) {
 				c.proposeLocked("member", data, effects)
@@ -726,7 +711,7 @@ func (c *Cluster) boundaryLocked(t time.Duration, effects *[]func()) {
 		// Revival rides on detector evidence alone (a recent heartbeat),
 		// never ground-truth process liveness — same discipline as the
 		// suspect/dead verdicts.
-		if !c.alive[j] && heardAgo <= c.cfg.SuspectAfter {
+		if !c.alive[j] && heardAgo <= suspectAfter {
 			data := strconv.Itoa(j) + sep + "alive"
 			if !c.pendingLocked(lead, "member", data) {
 				c.proposeLocked("member", data, effects)
@@ -742,7 +727,7 @@ func (c *Cluster) Bootstrap() error {
 		if c.Leader() >= 0 {
 			return nil
 		}
-		c.clock.Advance(c.cfg.HeartbeatEvery)
+		c.clock.Advance(heartbeatEvery)
 		c.Tick()
 	}
 	return errors.New("cluster: bootstrap elected no leader")

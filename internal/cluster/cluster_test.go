@@ -22,7 +22,7 @@ func newTestCluster(t testing.TB, nodes int, seed uint64) (*Cluster, *sim.Clock,
 
 // step advances one heartbeat period and ticks the cluster plane.
 func step(c *Cluster, clock *sim.Clock) {
-	clock.Advance(c.cfg.HeartbeatEvery)
+	clock.Advance(heartbeatEvery)
 	c.Tick()
 }
 
@@ -95,7 +95,7 @@ func TestLeaderFailoverAndDeadCommit(t *testing.T) {
 		t.Fatalf("no failover: leader=%d alive[%d]=%v", c.Leader(), old, c.CurrentView().Alive[old])
 	}
 	elapsed := clock.Now() - start
-	budget := 4 * (c.cfg.DeadAfter + 2*c.cfg.ElectionTimeout)
+	budget := 4 * (deadAfter + 2*electionTimeout)
 	if elapsed > budget {
 		t.Fatalf("failover took %v, budget %v", elapsed, budget)
 	}
@@ -118,7 +118,7 @@ func TestSuspectPrecedesDead(t *testing.T) {
 	c, clock, _ := newTestCluster(t, 3, 11)
 	victim := (c.Leader() + 1) % 3
 	c.KillNode(victim)
-	// After SuspectAfter of silence the view marks it suspect, while the
+	// After suspectAfter of silence the view marks it suspect, while the
 	// committed membership still lists it alive.
 	sawSuspectAlive := false
 	stepUntil(c, clock, 200, func() bool {

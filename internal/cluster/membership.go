@@ -42,7 +42,7 @@ type JoinReport struct {
 	Node        int
 	MovedBytes  int64 // stale bytes scheduled onto the new node (re-replication work)
 	MovedSlices int   // placement-group copies relocated
-	BoundBytes  int64 // (live/(N+1))·(1+MoveSlack) at join time
+	BoundBytes  int64 // (live/(N+1))·(1+moveSlack) at join time
 	Skipped     int   // groups the ring wanted moved but the bound (or a missing victim) deferred
 }
 
@@ -90,7 +90,7 @@ func (c *Cluster) ProposeJoin(node int) error {
 		// Same seeded jitter derivation as New: a cluster grown to N
 		// places its timers exactly like one born at N.
 		rng := sim.NewRNG(c.cfg.Seed ^ (0x636c7573746572 + uint64(node)*0x9E3779B9))
-		jitter := time.Duration(rng.Int63n(int64(c.cfg.ElectionTimeout)))
+		jitter := time.Duration(rng.Int63n(int64(electionTimeout)))
 		ns := &nodeState{
 			id:              node,
 			ep:              nodeEndpoint(node),
@@ -98,7 +98,7 @@ func (c *Cluster) ProposeJoin(node int) error {
 			learner:         true,
 			lastHeard:       make([]time.Duration, node+1),
 			votedFor:        -1,
-			electionTimeout: c.cfg.ElectionTimeout + jitter,
+			electionTimeout: electionTimeout + jitter,
 			lastLeaderBeat:  now,
 			lastElection:    now,
 		}
@@ -177,7 +177,7 @@ func (c *Cluster) ProposeRemove(node int) error {
 
 // nodeJoined runs the committed-join side effects: the new node's disks
 // join every attached pool, the disk→node table grows, and the ring's
-// arc migration relocates at most (live/(N+1))·(1+MoveSlack) bytes of
+// arc migration relocates at most (live/(N+1))·(1+moveSlack) bytes of
 // placement-group copies onto the new node. Relocated copies are marked
 // stale at their new home, so the ordinary repair plane re-replicates
 // them with real, charged I/O — "bytes moved" is re-replication work,
@@ -220,7 +220,7 @@ func (c *Cluster) nodeJoined(node int) {
 	}
 	rep := JoinReport{
 		Node:       node,
-		BoundBytes: int64(float64(total) / float64(nNew) * (1 + c.cfg.MoveSlack)),
+		BoundBytes: int64(float64(total) / float64(nNew) * (1 + moveSlack)),
 	}
 	type moveOp struct {
 		idx int // pool index (target disk set)

@@ -337,7 +337,7 @@ func (c *Cluster) applyLocked(e Entry, effects *[]func()) {
 		case "join":
 			// Promote the learner to voter in this single committed
 			// config entry: it enters the ring here, and the arc
-			// migration (bounded by MoveSlack) runs as a side effect.
+			// migration (bounded by moveSlack) runs as a side effect.
 			if !c.joining[n] {
 				return
 			}

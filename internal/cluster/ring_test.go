@@ -79,13 +79,12 @@ func TestRingStabilityOnDeath(t *testing.T) {
 
 // TestRingGrowMovementBound: the property the join-time movement bound
 // rests on. For every cluster size N in 2..9, growing the ring by one
-// node may re-home at most (1/(N+1))·(1+slack) of 10k sampled keys'
+// node may re-home at most (1/(N+1))·(1+moveSlack) of 10k sampled keys'
 // primary placements, and every key that does move must move TO the new
 // node — consistent hashing only carves arcs out for the newcomer, it
 // never shuffles keys between survivors.
 func TestRingGrowMovementBound(t *testing.T) {
 	const keys = 10_000
-	const slack = 0.5 // mirrors Config.MoveSlack's default
 	all := func(int) bool { return true }
 	for n := 2; n <= 9; n++ {
 		before := newRing(n)
@@ -103,7 +102,7 @@ func TestRingGrowMovementBound(t *testing.T) {
 				moved++
 			}
 		}
-		bound := int(float64(keys) / float64(n+1) * (1 + slack))
+		bound := int(float64(keys) / float64(n+1) * (1 + moveSlack))
 		if moved > bound {
 			t.Fatalf("N=%d grow moved %d/%d primaries, bound %d", n, moved, keys, bound)
 		}

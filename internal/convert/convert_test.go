@@ -303,7 +303,7 @@ func TestPlaybackFailsOnUndecodableFile(t *testing.T) {
 
 func TestArchiverRowToCol(t *testing.T) {
 	e := newEnv(t)
-	tiers := tiering.NewService(e.clock, tiering.Policy{})
+	tiers := tiering.NewService(e.clock)
 	arch := NewArchiver(e.clock, e.svc, tiers)
 	cfg := streamsvc.TopicConfig{
 		Name: "hist", StreamNum: 1,
@@ -341,7 +341,7 @@ func TestArchiverRowToCol(t *testing.T) {
 
 func TestArchiverExternalExport(t *testing.T) {
 	e := newEnv(t)
-	tiers := tiering.NewService(e.clock, tiering.Policy{})
+	tiers := tiering.NewService(e.clock)
 	arch := NewArchiver(e.clock, e.svc, tiers)
 	e.svc.CreateTopic(streamsvc.TopicConfig{
 		Name: "exp", StreamNum: 1,

@@ -25,7 +25,7 @@ func TestClusterEndpointSingleNode(t *testing.T) {
 // leader, and per-node detail; the endpoint is admin-only.
 func TestClusterEndpoint(t *testing.T) {
 	lake, err := streamlake.Open(streamlake.Config{
-		Nodes: 3, SSDDisks: 6, PLogCapacity: 1 << 20,
+		Nodes: 3, PLogCapacity: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestClusterEndpoint(t *testing.T) {
 // are 409, malformed ids 400.
 func TestClusterMembershipEndpoints(t *testing.T) {
 	lake, err := streamlake.Open(streamlake.Config{
-		Nodes: 5, SSDDisks: 10, PLogCapacity: 1 << 20,
+		Nodes: 5, PLogCapacity: 1 << 20,
 	})
 	if err != nil {
 		t.Fatal(err)

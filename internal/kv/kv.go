@@ -53,16 +53,15 @@ type Options struct {
 	// Device receives the modelled I/O charges (WAL appends, run reads).
 	// Nil means a pure in-memory store with zero cost, used for tests.
 	Device *sim.Device
-	// MemtableBytes triggers an automatic flush once the active memtable
-	// exceeds it. Zero means 4 MiB.
-	MemtableBytes int64
-	// Seed seeds the skiplist's level generator.
-	Seed uint64
 }
+
+// memtableBytes triggers an automatic flush once the active memtable
+// exceeds it.
+const memtableBytes = 4 << 20
 
 // DB is the key-value engine. The zero value is not usable; call Open.
 type DB struct {
-	opts Options
+	dev *sim.Device
 
 	mu   sync.RWMutex
 	mem  *skiplist
@@ -78,23 +77,17 @@ var ErrCASMismatch = errors.New("kv: compare-and-swap mismatch")
 
 // Open creates a DB with the given options.
 func Open(opts Options) *DB {
-	if opts.MemtableBytes <= 0 {
-		opts.MemtableBytes = 4 << 20
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 1
-	}
-	return &DB{opts: opts, mem: newSkiplist(opts.Seed)}
+	return &DB{dev: opts.Device, mem: newSkiplist(1)}
 }
 
 func (db *DB) charge(write bool, n int64) time.Duration {
-	if db.opts.Device == nil {
+	if db.dev == nil {
 		return 0
 	}
 	if write {
-		return db.opts.Device.Write(n)
+		return db.dev.Write(n)
 	}
-	return db.opts.Device.Read(n)
+	return db.dev.Read(n)
 }
 
 // Put stores key=value, returning the modelled WAL latency.
@@ -105,7 +98,7 @@ func (db *DB) Put(key, value []byte) (time.Duration, error) {
 	db.mem.put(k, v, false)
 	db.wal += int64(len(k) + len(v))
 	db.puts++
-	needFlush := db.mem.bytes > db.opts.MemtableBytes
+	needFlush := db.mem.bytes > memtableBytes
 	db.mu.Unlock()
 	cost := db.charge(true, int64(len(k)+len(v)))
 	if needFlush {
@@ -274,7 +267,7 @@ func (db *DB) Flush() time.Duration {
 	es := db.mem.entries()
 	r := &run{entries: es, bytes: db.mem.bytes}
 	db.runs = append([]*run{r}, db.runs...)
-	db.mem = newSkiplist(db.opts.Seed + uint64(len(db.runs)))
+	db.mem = newSkiplist(1 + uint64(len(db.runs)))
 	db.wal = 0
 	needCompact := len(db.runs) > 8
 	db.mu.Unlock()

@@ -61,9 +61,10 @@ func TestGetAcrossFlush(t *testing.T) {
 }
 
 func TestAutoFlushOnMemtableSize(t *testing.T) {
-	db := Open(Options{MemtableBytes: 1024})
-	for i := 0; i < 100; i++ {
-		db.Put([]byte(fmt.Sprintf("key-%03d", i)), make([]byte, 100))
+	db := Open(Options{})
+	value := make([]byte, 64<<10)
+	for i := 0; i < 100; i++ { // 6.4 MB, past the 4 MiB memtable
+		db.Put([]byte(fmt.Sprintf("key-%03d", i)), value)
 	}
 	if st := db.Stats(); st.Runs == 0 {
 		t.Fatal("no automatic flush happened")
@@ -333,12 +334,15 @@ func TestQuickSnapshotImmutable(t *testing.T) {
 }
 
 func TestConcurrentReadersAndWriter(t *testing.T) {
-	db := Open(Options{MemtableBytes: 1 << 10})
+	db := Open(Options{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 2000; i++ {
 			db.Put([]byte(fmt.Sprintf("k%d", i%64)), []byte(fmt.Sprintf("v%d", i)))
+			if i%64 == 63 {
+				db.Flush()
+			}
 		}
 	}()
 	for i := 0; i < 500; i++ {
@@ -349,7 +353,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 }
 
 func BenchmarkKVPut(b *testing.B) {
-	db := Open(Options{MemtableBytes: 64 << 20})
+	db := Open(Options{})
 	key := make([]byte, 16)
 	val := make([]byte, 100)
 	b.ResetTimer()
@@ -360,7 +364,7 @@ func BenchmarkKVPut(b *testing.B) {
 }
 
 func BenchmarkKVGet(b *testing.B) {
-	db := Open(Options{MemtableBytes: 64 << 20})
+	db := Open(Options{})
 	for i := 0; i < 10000; i++ {
 		db.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte("value"))
 	}

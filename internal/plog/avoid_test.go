@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"sync"
 	"testing"
-	"time"
 
 	"streamlake/internal/pool"
 )
@@ -16,7 +15,7 @@ import (
 func readOps(p *pool.Pool, d pool.DiskID) int64 { return p.DiskStats(d).ReadOps }
 
 func TestHedgeSkipsAvoidedCopy(t *testing.T) {
-	cfg := HedgeConfig{Enabled: true, Quantile: 0.5, MinSamples: 8, Floor: 100 * time.Microsecond}
+	cfg := HedgeConfig{Enabled: true, Quantile: 0.5, MinSamples: 8}
 	m, l, payload := hedgeEnv(t, cfg, true)
 	avoided := l.slices[1].Disk
 	l.pool.SetAvoid(func(d pool.DiskID) bool { return d == avoided })
@@ -134,7 +133,7 @@ func TestRepairFallsBackWhenAllSourcesAvoided(t *testing.T) {
 // hedged read path under -race: the hook is an atomic pointer, so
 // readers and the flipper must not trip the race detector.
 func TestAvoidFlipRace(t *testing.T) {
-	cfg := HedgeConfig{Enabled: true, Quantile: 0.5, MinSamples: 8, Floor: 100 * time.Microsecond}
+	cfg := HedgeConfig{Enabled: true, Quantile: 0.5, MinSamples: 8}
 	_, l, payload := hedgeEnv(t, cfg, true)
 	target := l.slices[1].Disk
 	var wg sync.WaitGroup

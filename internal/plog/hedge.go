@@ -26,13 +26,6 @@ type HedgeConfig struct {
 	// MinSamples is how many primary reads must be observed before the
 	// quantile is trusted (default 32). Until then nothing is hedged.
 	MinSamples int64
-	// Floor is the minimum hedge delay (default 500 µs): primaries faster
-	// than this are never hedged, keeping healthy fast reads hedge-free
-	// regardless of how tight the latency distribution gets.
-	Floor time.Duration
-	// Delay, when > 0, is a fixed hedge delay overriding the quantile
-	// (MinSamples still gates it off until the tracker warms).
-	Delay time.Duration
 }
 
 func (c HedgeConfig) withDefaults() HedgeConfig {
@@ -42,11 +35,13 @@ func (c HedgeConfig) withDefaults() HedgeConfig {
 	if c.MinSamples <= 0 {
 		c.MinSamples = 32
 	}
-	if c.Floor <= 0 {
-		c.Floor = 500 * time.Microsecond
-	}
 	return c
 }
+
+// hedgeFloor is the minimum hedge delay: primaries faster than this are
+// never hedged, keeping healthy fast reads hedge-free regardless of how
+// tight the latency distribution gets.
+const hedgeFloor = 500 * time.Microsecond
 
 // HedgeStats counts hedging activity across a manager's logs.
 type HedgeStats struct {
@@ -79,13 +74,7 @@ func (hs *hedgeState) threshold(primary time.Duration) time.Duration {
 	if hs.hist.Count() < cfg.MinSamples {
 		return -1
 	}
-	h := cfg.Delay
-	if h <= 0 {
-		h = hs.hist.Quantile(cfg.Quantile)
-	}
-	if h < cfg.Floor {
-		h = cfg.Floor
-	}
+	h := max(hs.hist.Quantile(cfg.Quantile), hedgeFloor)
 	if primary <= h {
 		return -1 // primary answered within the hedge window
 	}

@@ -11,7 +11,7 @@ import (
 // healthy replica — which wins. Subsequent reads skip the quarantined
 // copy outright.
 func TestHedgeQuarantinesCorruptCandidateAndWinsViaNext(t *testing.T) {
-	cfg := HedgeConfig{Enabled: true, Quantile: 0.5, MinSamples: 8, Floor: 100 * time.Microsecond}
+	cfg := HedgeConfig{Enabled: true, Quantile: 0.5, MinSamples: 8}
 	m, l, payload := hedgeEnv(t, cfg, true)
 	if ok, err := l.CorruptCopy(1, 0); err != nil || !ok {
 		t.Fatalf("corrupt: %v %v", ok, err)
@@ -44,7 +44,7 @@ func TestHedgeQuarantinesCorruptCandidateAndWinsViaNext(t *testing.T) {
 // A hedge against a dead disk is a guaranteed loss; the hedge must go
 // straight to a live replica.
 func TestHedgeSkipsFailedDisk(t *testing.T) {
-	cfg := HedgeConfig{Enabled: true, Quantile: 0.5, MinSamples: 8, Floor: 100 * time.Microsecond}
+	cfg := HedgeConfig{Enabled: true, Quantile: 0.5, MinSamples: 8}
 	m, l, payload := hedgeEnv(t, cfg, true)
 	l.pool.FailDisk(l.Placement()[1].Disk)
 	data, cost, err := l.Read(0, int64(len(payload)))

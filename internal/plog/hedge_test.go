@@ -53,7 +53,7 @@ func hedgeEnv(t *testing.T, cfg HedgeConfig, enable bool) (*Manager, *PLog, []by
 }
 
 func TestHedgedReadBeatsSlowPrimary(t *testing.T) {
-	cfg := HedgeConfig{Enabled: true, Quantile: 0.5, MinSamples: 8, Floor: 100 * time.Microsecond}
+	cfg := HedgeConfig{Enabled: true, Quantile: 0.5, MinSamples: 8}
 	m, l, payload := hedgeEnv(t, cfg, true)
 
 	data, cost, err := l.Read(0, int64(len(payload)))
@@ -88,7 +88,7 @@ func TestHedgedReadBeatsSlowPrimary(t *testing.T) {
 // TestHedgeChargesBothReadsToDevices: hedging trades extra device time
 // for requester latency — the win must not refund the primary's I/O.
 func TestHedgeChargesBothReadsToDevices(t *testing.T) {
-	cfg := HedgeConfig{Enabled: true, Quantile: 0.5, MinSamples: 8, Floor: 100 * time.Microsecond}
+	cfg := HedgeConfig{Enabled: true, Quantile: 0.5, MinSamples: 8}
 	_, l, payload := hedgeEnv(t, cfg, true)
 	readBytes := func() (total int64) {
 		for i := 0; i < l.pool.DiskCount(); i++ {

@@ -89,53 +89,28 @@ func (c *Ctx) Charge(d time.Duration) error {
 	return c.Check()
 }
 
-// RetryPolicy is a seeded jittered exponential backoff schedule.
-type RetryPolicy struct {
-	// MaxAttempts bounds total tries (first attempt included); <= 1
-	// means no retries.
-	MaxAttempts int
-	// Base is the backoff before the first retry.
-	Base time.Duration
-	// Cap bounds the exponential growth.
-	Cap time.Duration
-	// Multiplier grows the backoff per attempt (default 2).
-	Multiplier float64
-}
-
-// DefaultRetryPolicy matches the bus's RDMA-class timeouts: a handful
+// The retry schedule matches the bus's RDMA-class timeouts: a handful
 // of quick retries, jittered so synchronized retry storms decorrelate.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, Base: 200 * time.Microsecond, Cap: 5 * time.Millisecond, Multiplier: 2}
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	d := DefaultRetryPolicy()
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.Base <= 0 {
-		p.Base = d.Base
-	}
-	if p.Cap <= 0 {
-		p.Cap = d.Cap
-	}
-	if p.Multiplier <= 1 {
-		p.Multiplier = d.Multiplier
-	}
-	return p
-}
+const (
+	// MaxAttempts bounds a request's tries, the first included.
+	MaxAttempts = 4
+	// backoffBase is the backoff before the first retry; each further
+	// retry multiplies it by backoffMultiplier, up to backoffCap.
+	backoffBase       = 200 * time.Microsecond
+	backoffCap        = 5 * time.Millisecond
+	backoffMultiplier = 2.0
+)
 
 // Backoff returns the jittered wait before retry number attempt (0 =
 // first retry). Equal jitter: half the exponential step is fixed, half
 // drawn from rng, so backoff stays bounded away from zero while
 // decorrelating concurrent retriers. Deterministic given the rng state.
-func (p RetryPolicy) Backoff(attempt int, rng *sim.RNG) time.Duration {
-	p = p.withDefaults()
-	b := float64(p.Base)
+func Backoff(attempt int, rng *sim.RNG) time.Duration {
+	b := float64(backoffBase)
 	for i := 0; i < attempt; i++ {
-		b *= p.Multiplier
-		if b >= float64(p.Cap) {
-			b = float64(p.Cap)
+		b *= backoffMultiplier
+		if b >= float64(backoffCap) {
+			b = float64(backoffCap)
 			break
 		}
 	}
@@ -170,31 +145,14 @@ func (s BreakerState) String() string {
 	}
 }
 
-// BreakerConfig tunes a circuit breaker.
-type BreakerConfig struct {
-	// FailureThreshold is how many failures within Window trip the
-	// breaker (default 5).
-	FailureThreshold int
-	// Window is the virtual-time span failures are counted over
-	// (default 50ms).
-	Window time.Duration
-	// Cooldown is how long the breaker stays open before letting a
-	// half-open probe through (default 20ms).
-	Cooldown time.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 5
-	}
-	if c.Window <= 0 {
-		c.Window = 50 * time.Millisecond
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 20 * time.Millisecond
-	}
-	return c
-}
+// A breaker trips after breakerThreshold failures within
+// breakerWindow of virtual time and stays open for breakerCooldown
+// before letting a half-open probe through.
+const (
+	breakerThreshold = 5
+	breakerWindow    = 50 * time.Millisecond
+	breakerCooldown  = 20 * time.Millisecond
+)
 
 // BreakerStats counts breaker activity.
 type BreakerStats struct {
@@ -205,20 +163,14 @@ type BreakerStats struct {
 
 // Breaker is a per-endpoint circuit breaker over virtual time. All
 // times passed in are virtual (a request's effective now); the breaker
-// never reads a clock itself.
+// never reads a clock itself. The zero Breaker is closed.
 type Breaker struct {
 	mu       sync.Mutex
-	cfg      BreakerConfig
 	state    BreakerState
 	fails    []time.Duration // failure times within the window
 	openedAt time.Duration
 	probing  bool // a half-open probe is in flight
 	stats    BreakerStats
-}
-
-// NewBreaker builds a breaker with the given (defaulted) config.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	return &Breaker{cfg: cfg.withDefaults()}
 }
 
 // Allow reports whether a request may proceed at virtual time now. Open
@@ -232,7 +184,7 @@ func (b *Breaker) Allow(now time.Duration) error {
 	case Closed:
 		return nil
 	case Open:
-		if now >= b.openedAt+b.cfg.Cooldown {
+		if now >= b.openedAt+breakerCooldown {
 			b.state = HalfOpen
 			b.probing = true
 			b.stats.Probes++
@@ -282,12 +234,12 @@ func (b *Breaker) Failure(now time.Duration) (tripped bool) {
 	b.fails = append(b.fails, now)
 	keep := b.fails[:0]
 	for _, t := range b.fails {
-		if t+b.cfg.Window >= now {
+		if t+breakerWindow >= now {
 			keep = append(keep, t)
 		}
 	}
 	b.fails = keep
-	if len(b.fails) >= b.cfg.FailureThreshold {
+	if len(b.fails) >= breakerThreshold {
 		b.state = Open
 		b.openedAt = now
 		b.fails = b.fails[:0]
@@ -312,7 +264,7 @@ func (b *Breaker) RetryAfter(now time.Duration) time.Duration {
 	if b.state != Open {
 		return 0
 	}
-	r := b.openedAt + b.cfg.Cooldown - now
+	r := b.openedAt + breakerCooldown - now
 	if r < 0 {
 		return 0
 	}

@@ -56,21 +56,17 @@ func TestCtxNoDeadlineTracksCostOnly(t *testing.T) {
 }
 
 func TestBackoffDeterministicAndBounded(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 4, Base: 200 * time.Microsecond, Cap: 5 * time.Millisecond, Multiplier: 2}
 	a := sim.NewRNG(99)
 	b := sim.NewRNG(99)
 	for attempt := 0; attempt < 8; attempt++ {
-		d1 := p.Backoff(attempt, a)
-		d2 := p.Backoff(attempt, b)
+		d1 := Backoff(attempt, a)
+		d2 := Backoff(attempt, b)
 		if d1 != d2 {
 			t.Fatalf("attempt %d: same seed diverged: %v vs %v", attempt, d1, d2)
 		}
 		// Equal jitter: the wait is in [step/2, step] for the attempt's
 		// exponential step, and never exceeds the cap.
-		step := time.Duration(float64(p.Base) * float64(int(1)<<attempt))
-		if step > p.Cap {
-			step = p.Cap
-		}
+		step := min(backoffBase*time.Duration(1)<<attempt, backoffCap)
 		if d1 < step/2 || d1 > step {
 			t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d1, step/2, step)
 		}
@@ -78,26 +74,26 @@ func TestBackoffDeterministicAndBounded(t *testing.T) {
 }
 
 func TestBackoffNilRNGIsFullStep(t *testing.T) {
-	p := RetryPolicy{Base: time.Millisecond, Cap: time.Second, Multiplier: 2, MaxAttempts: 3}
-	if got := p.Backoff(0, nil); got != time.Millisecond {
+	if got := Backoff(0, nil); got != backoffBase {
 		t.Fatalf("nil rng backoff: %v", got)
 	}
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 3, Window: 10 * time.Millisecond, Cooldown: 5 * time.Millisecond})
+	var b Breaker
 	now := time.Duration(0)
 	if b.State() != Closed {
 		t.Fatal("new breaker not closed")
 	}
-	// Two failures stay under the threshold.
-	for i := 0; i < 2; i++ {
+	// Four failures inside the 50ms window stay under the threshold of 5.
+	for i := 0; i < 4; i++ {
 		if b.Failure(now) {
 			t.Fatal("tripped early")
 		}
+		now += 10 * time.Millisecond
 	}
 	if !b.Failure(now) {
-		t.Fatal("threshold failure did not trip")
+		t.Fatal("fifth failure within the window did not trip")
 	}
 	if b.State() != Open {
 		t.Fatalf("state after trip: %v", b.State())
@@ -106,11 +102,11 @@ func TestBreakerLifecycle(t *testing.T) {
 	if err := b.Allow(now + time.Millisecond); err != ErrBreakerOpen {
 		t.Fatalf("open breaker admitted: %v", err)
 	}
-	if got := b.RetryAfter(now + time.Millisecond); got != 4*time.Millisecond {
+	if got := b.RetryAfter(now + time.Millisecond); got != 19*time.Millisecond {
 		t.Fatalf("retry after: %v", got)
 	}
 	// Cooldown over: exactly one probe goes through, the rest shed.
-	now += 5 * time.Millisecond
+	now += 20 * time.Millisecond
 	if err := b.Allow(now); err != nil {
 		t.Fatalf("probe refused: %v", err)
 	}
@@ -125,7 +121,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("state after failed probe: %v", b.State())
 	}
 	// Next probe succeeds: closed, and the failure window is clear.
-	now += 5 * time.Millisecond
+	now += 20 * time.Millisecond
 	if err := b.Allow(now); err != nil {
 		t.Fatalf("second probe refused: %v", err)
 	}
@@ -143,11 +139,13 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 func TestBreakerWindowExpiry(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 2, Window: time.Millisecond, Cooldown: time.Millisecond})
-	b.Failure(0)
-	// The first failure ages out of the window before the second lands,
-	// so the breaker never sees two concurrent failures.
-	if b.Failure(5 * time.Millisecond) {
+	var b Breaker
+	for i := 0; i < 4; i++ {
+		b.Failure(0)
+	}
+	// The first four failures age out of the 50ms window before the
+	// fifth lands, so the breaker never sees five concurrent failures.
+	if b.Failure(51 * time.Millisecond) {
 		t.Fatal("stale failure counted toward the threshold")
 	}
 	if b.State() != Closed {

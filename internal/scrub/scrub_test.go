@@ -32,8 +32,7 @@ func newFixture(t *testing.T, disks, logs, extents int) (*sim.Clock, *plog.Manag
 
 func TestDetectAndRepairLoop(t *testing.T) {
 	clock, m, logs := newFixture(t, 5, 4, 3)
-	rep := repair.New(clock, m, repair.Config{})
-	s := New(clock, m, rep, Config{Repair: true})
+	s := New(clock, m, repair.New(clock, m))
 	// Plant corruption off the read path in two logs.
 	for _, li := range []int{1, 3} {
 		if ok, err := logs[li].CorruptCopy(2, 1); err != nil || !ok {
@@ -45,8 +44,8 @@ func TestDetectAndRepairLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.FullCycle || r.LogsScanned != 4 {
-		t.Fatalf("expected full cycle over 4 logs: %+v", r)
+	if r.LogsScanned != 4 || s.Cursor() != logs[3].ID() {
+		t.Fatalf("expected a sweep of all 4 logs ending on the last: %+v cursor=%d", r, s.Cursor())
 	}
 	if r.Mismatches != 2 {
 		t.Fatalf("found %d mismatches, want 2 (%+v)", r.Mismatches, r)
@@ -78,63 +77,6 @@ func TestDetectAndRepairLoop(t *testing.T) {
 	}
 }
 
-// TestBudgetedPassesCycleCursor bounds each pass to roughly one log and
-// checks the cursor walks the population round-robin, covering every
-// log across passes.
-func TestBudgetedPassesCycleCursor(t *testing.T) {
-	clock, m, logs := newFixture(t, 5, 4, 2)
-	// One log scrubs 2 extents x 3 copies x 1KB = 6KB; budget one log.
-	s := New(clock, m, nil, Config{BytesPerPass: 6 * 1024})
-	seen := map[plog.ID]bool{}
-	for pass := 0; pass < 4; pass++ {
-		r, err := s.RunOnce()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.LogsScanned != 1 {
-			t.Fatalf("pass %d scanned %d logs, want 1", pass, r.LogsScanned)
-		}
-		if r.FullCycle {
-			t.Fatalf("pass %d claims full cycle", pass)
-		}
-		seen[s.Cursor()] = true
-	}
-	if len(seen) != 4 {
-		t.Fatalf("4 budgeted passes covered %d distinct logs, want all 4", len(seen))
-	}
-	// Next pass wraps to the first log again.
-	if _, err := s.RunOnce(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Cursor() != logs[0].ID() {
-		t.Fatalf("cursor did not wrap: at %d", s.Cursor())
-	}
-}
-
-// TestRunCycleUnderBudget merges budgeted passes into one full sweep
-// and finds corruption wherever it hides.
-func TestRunCycleUnderBudget(t *testing.T) {
-	clock, m, logs := newFixture(t, 5, 4, 2)
-	rep := repair.New(clock, m, repair.Config{})
-	s := New(clock, m, rep, Config{BytesPerPass: 6 * 1024, Repair: true})
-	if ok, err := logs[3].CorruptCopy(1, 0); err != nil || !ok {
-		t.Fatalf("CorruptCopy: ok=%v err=%v", ok, err)
-	}
-	r, err := s.RunCycle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.FullCycle || r.LogsScanned < 4 {
-		t.Fatalf("cycle incomplete: %+v", r)
-	}
-	if r.Mismatches != 1 || r.RepairedBytes == 0 {
-		t.Fatalf("cycle missed the corruption: %+v", r)
-	}
-	if m.DegradedCount() != 0 {
-		t.Fatal("still degraded after cycle")
-	}
-}
-
 // TestScrubSkipsStaleAndDeadCopies: stale copies and failed disks are
 // the repair service's domain; scrub reports them as skipped.
 func TestScrubSkipsStaleAndDeadCopies(t *testing.T) {
@@ -143,7 +85,7 @@ func TestScrubSkipsStaleAndDeadCopies(t *testing.T) {
 	if err := m.Pool().FailDisk(l.Placement()[0].Disk); err != nil {
 		t.Fatal(err)
 	}
-	s := New(clock, m, nil, Config{})
+	s := New(clock, m, nil)
 	r, err := s.RunOnce()
 	if err != nil {
 		t.Fatal(err)
@@ -160,35 +102,29 @@ func TestEmptyManager(t *testing.T) {
 	clock := sim.NewClock()
 	p := pool.New("scrub", clock, sim.NVMeSSD, 3, 1<<20)
 	m := plog.NewManager(p, 1<<20)
-	s := New(clock, m, nil, Config{})
+	s := New(clock, m, nil)
 	r, err := s.RunOnce()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.FullCycle || r.LogsScanned != 0 {
+	if r.LogsScanned != 0 || r.Elapsed != 0 {
 		t.Fatalf("empty pass: %+v", r)
-	}
-	if _, err := s.RunCycle(); err != nil {
-		t.Fatal(err)
 	}
 }
 
-// A tiering migration in the middle of a budgeted scrub cycle must not
-// confuse the scrubber: the CRC sidecar and the cursor are keyed by
-// log ID, not device identity, so a migrated log's planted corruption
-// is found exactly once and nothing healthy is reported corrupt.
+// A tiering migration between scrub passes must not confuse the
+// scrubber: the CRC sidecar and the cursor are keyed by log ID, not
+// device identity, so a migrated log's planted corruption is found
+// exactly once and nothing healthy is reported corrupt.
 func TestMigrationUnderActiveScrubPass(t *testing.T) {
 	clock, m, logs := newFixture(t, 5, 4, 3)
 	hdd := pool.New("scrub-hdd", clock, sim.SASHDD, 5, 1<<20)
-	rep := repair.New(clock, m, repair.Config{})
-	// 10 KiB per pass: each pass covers one 3-extent 3-replica log
-	// (9 KiB) and parks the cursor, leaving the rest for later passes.
-	s := New(clock, m, rep, Config{BytesPerPass: 10 << 10, Repair: true})
-	if r, err := s.RunOnce(); err != nil || r.FullCycle {
-		t.Fatalf("first pass should park mid-population: %+v err=%v", r, err)
+	s := New(clock, m, repair.New(clock, m))
+	if r, err := s.RunOnce(); err != nil || r.Mismatches != 0 {
+		t.Fatalf("first pass over a clean population: %+v err=%v", r, err)
 	}
-	// Corrupt a copy of a not-yet-scanned log, then migrate that log to
-	// the cold pool while the cursor is parked before it.
+	// Corrupt a copy of a log, then migrate that log to the cold pool
+	// while the cursor is parked between passes.
 	victim := logs[2]
 	if ok, err := victim.CorruptCopy(1, 2); err != nil || !ok {
 		t.Fatalf("CorruptCopy: ok=%v err=%v", ok, err)
@@ -196,7 +132,7 @@ func TestMigrationUnderActiveScrubPass(t *testing.T) {
 	if _, err := victim.Migrate(hdd); err != nil {
 		t.Fatal(err)
 	}
-	rest, err := s.RunCycle()
+	rest, err := s.RunOnce()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,9 +145,9 @@ func TestMigrationUnderActiveScrubPass(t *testing.T) {
 	if m.DegradedCount() != 0 {
 		t.Fatal("logs still degraded after scrub+repair across pools")
 	}
-	// A fresh full cycle over the now-clean population must stay silent:
-	// no false corruption from the migration.
-	clean, err := s.RunCycle()
+	// A fresh sweep over the now-clean population must stay silent: no
+	// false corruption from the migration.
+	clean, err := s.RunOnce()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,37 +16,21 @@ import (
 
 // Config tunes structure learning.
 type Config struct {
-	// MinRows stops recursion: a slice smaller than this becomes leaves
-	// (default 64).
-	MinRows int
-	// CorrThreshold is the absolute Pearson correlation below which two
-	// columns are considered independent (default 0.3).
-	CorrThreshold float64
-	// Bins is the histogram resolution of leaves (default 32).
-	Bins int
-	// MaxDepth bounds recursion (default 12).
-	MaxDepth int
-	// Seed drives the clustering initialization.
+	// Seed drives the clustering initialization (0 means 1).
 	Seed uint64
 }
 
-func (c *Config) applyDefaults() {
-	if c.MinRows <= 0 {
-		c.MinRows = 64
-	}
-	if c.CorrThreshold <= 0 {
-		c.CorrThreshold = 0.3
-	}
-	if c.Bins <= 0 {
-		c.Bins = 32
-	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 12
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-}
+const (
+	// minRows stops recursion: a slice smaller than this becomes leaves.
+	minRows = 64
+	// corrThreshold is the absolute Pearson correlation below which two
+	// columns are considered independent.
+	corrThreshold = 0.3
+	// bins is the histogram resolution of leaves.
+	bins = 32
+	// maxDepth bounds recursion.
+	maxDepth = 12
+)
 
 // Range is a closed interval query bound; use math.Inf for open ends.
 type Range struct {
@@ -141,7 +125,9 @@ func (l *leafNode) prob(bounds []Range, active []bool) float64 {
 // categorical content should be dictionary-coded to floats by the
 // caller.
 func Learn(data [][]float64, cfg Config) *SPN {
-	cfg.applyDefaults()
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
 	if len(data) == 0 {
 		return &SPN{root: &productNode{}, rows: 0}
 	}
@@ -151,7 +137,7 @@ func Learn(data [][]float64, cfg Config) *SPN {
 		scope[i] = i
 	}
 	rng := sim.NewRNG(cfg.Seed)
-	root := learnNode(data, scope, cfg, rng, 0)
+	root := learnNode(data, scope, rng, 0)
 	return &SPN{root: root, rows: len(data), cols: cols}
 }
 
@@ -185,25 +171,25 @@ func (s *SPN) EstimateCount(q map[int]Range, n int64) float64 {
 	return s.Prob(q) * float64(n)
 }
 
-func learnNode(data [][]float64, scope []int, cfg Config, rng *sim.RNG, depth int) node {
+func learnNode(data [][]float64, scope []int, rng *sim.RNG, depth int) node {
 	if len(scope) == 1 {
-		return buildLeaf(data, scope[0], cfg)
+		return buildLeaf(data, scope[0])
 	}
-	if len(data) < cfg.MinRows || depth >= cfg.MaxDepth {
+	if len(data) < minRows || depth >= maxDepth {
 		// Factorize fully: naive independence at the base case.
 		p := &productNode{}
 		for _, c := range scope {
-			p.children = append(p.children, buildLeaf(data, c, cfg))
+			p.children = append(p.children, buildLeaf(data, c))
 		}
 		return p
 	}
 	// Try a product split: connected components of the "correlated"
 	// graph.
-	groups := independentGroups(data, scope, cfg.CorrThreshold)
+	groups := independentGroups(data, scope)
 	if len(groups) > 1 {
 		p := &productNode{}
 		for _, g := range groups {
-			p.children = append(p.children, learnNode(data, g, cfg, rng, depth+1))
+			p.children = append(p.children, learnNode(data, g, rng, depth+1))
 		}
 		return p
 	}
@@ -212,7 +198,7 @@ func learnNode(data [][]float64, scope []int, cfg Config, rng *sim.RNG, depth in
 	if len(a) == 0 || len(b) == 0 {
 		p := &productNode{}
 		for _, c := range scope {
-			p.children = append(p.children, buildLeaf(data, c, cfg))
+			p.children = append(p.children, buildLeaf(data, c))
 		}
 		return p
 	}
@@ -220,13 +206,13 @@ func learnNode(data [][]float64, scope []int, cfg Config, rng *sim.RNG, depth in
 		weights: []float64{float64(len(a)) / float64(len(data)), float64(len(b)) / float64(len(data))},
 	}
 	s.children = append(s.children,
-		learnNode(a, scope, cfg, rng, depth+1),
-		learnNode(b, scope, cfg, rng, depth+1))
+		learnNode(a, scope, rng, depth+1),
+		learnNode(b, scope, rng, depth+1))
 	return s
 }
 
-func buildLeaf(data [][]float64, col int, cfg Config) *leafNode {
-	l := &leafNode{col: col, counts: make([]float64, cfg.Bins)}
+func buildLeaf(data [][]float64, col int) *leafNode {
+	l := &leafNode{col: col, counts: make([]float64, bins)}
 	if len(data) == 0 {
 		return l
 	}
@@ -244,11 +230,11 @@ func buildLeaf(data [][]float64, col int, cfg Config) *leafNode {
 		l.counts[0] = 1
 		return l
 	}
-	width := (l.max - l.min) / float64(cfg.Bins)
+	width := (l.max - l.min) / float64(bins)
 	for _, r := range data {
 		i := int((r[col] - l.min) / width)
-		if i >= cfg.Bins {
-			i = cfg.Bins - 1
+		if i >= bins {
+			i = bins - 1
 		}
 		l.counts[i]++
 	}
@@ -259,8 +245,8 @@ func buildLeaf(data [][]float64, col int, cfg Config) *leafNode {
 }
 
 // independentGroups partitions scope columns into connected components
-// of the |corr| >= threshold graph.
-func independentGroups(data [][]float64, scope []int, threshold float64) [][]int {
+// of the |corr| >= corrThreshold graph.
+func independentGroups(data [][]float64, scope []int) [][]int {
 	n := len(scope)
 	adj := make([][]bool, n)
 	for i := range adj {
@@ -268,7 +254,7 @@ func independentGroups(data [][]float64, scope []int, threshold float64) [][]int
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if math.Abs(pearson(data, scope[i], scope[j])) >= threshold {
+			if math.Abs(pearson(data, scope[i], scope[j])) >= corrThreshold {
 				adj[i][j], adj[j][i] = true, true
 			}
 		}

@@ -123,7 +123,7 @@ func (p *Producer) backoffRNG() *sim.RNG {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.rng == nil {
-		p.rng = sim.NewRNG(uint64(p.svc.routes.Load().resil.Seed) ^ hashString("producer-backoff/"+p.id))
+		p.rng = sim.NewRNG(uint64(p.svc.routes.Load().seed) ^ hashString("producer-backoff/"+p.id))
 	}
 	return p.rng
 }
@@ -151,7 +151,7 @@ func (p *Producer) nextSeq(obj *streamobj.Object) int64 {
 func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic string, idx int, ten string, rec []streamobj.Record, bytes int64, rc *resil.Ctx) (int64, time.Duration, error) {
 	obj, w := tr.streams[idx], tr.owners[idx]
 	seq := p.nextSeq(obj)
-	cfg, reg, m := rt.resil, rt.tenants, rt.metrics
+	reg, m := rt.tenants, rt.metrics
 	ep := w.ep
 	br := p.svc.breakerFor(w)
 	var cost time.Duration
@@ -172,10 +172,6 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 			return rc.Now()
 		}
 		return p.svc.clock.Now() + cost
-	}
-	attempts := cfg.Retry.MaxAttempts
-	if attempts <= 0 {
-		attempts = resil.DefaultRetryPolicy().MaxAttempts
 	}
 
 	// attemptOnce runs one full try. final=true means the outcome must
@@ -300,7 +296,7 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 		// A lost ack leaves the append durable but the client unsure —
 		// the retry resends and the dedup window answers with the
 		// original base offset.
-		ackCost, ackErr := w.bus.SendLinkT(ep, "client", cfg.AckBytes, bus.High, ten)
+		ackCost, ackErr := w.bus.SendLinkT(ep, "client", ackBytes, bus.High, ten)
 		cost += ackCost
 		if sp != nil {
 			sp.Advance(ackCost)
@@ -319,7 +315,7 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 	}
 
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < resil.MaxAttempts; attempt++ {
 		base, err, final := attemptOnce(attempt)
 		if final {
 			return base, cost, err
@@ -328,11 +324,11 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 		if br.Failure(vnow()) {
 			m.trips.Inc()
 		}
-		if attempt+1 >= attempts {
+		if attempt+1 >= resil.MaxAttempts {
 			break
 		}
 		m.retries.Inc()
-		backoff := cfg.Retry.Backoff(attempt, p.backoffRNG())
+		backoff := resil.Backoff(attempt, p.backoffRNG())
 		cost += backoff
 		if sp != nil {
 			b := sp.Child("retry.backoff")
@@ -345,5 +341,5 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 			return 0, cost, derr
 		}
 	}
-	return 0, cost, fmt.Errorf("streamsvc: %s: %w after %d attempts: %w", ep, ErrRetriesExhausted, attempts, lastErr)
+	return 0, cost, fmt.Errorf("streamsvc: %s: %w after %d attempts: %w", ep, ErrRetriesExhausted, resil.MaxAttempts, lastErr)
 }

@@ -16,33 +16,9 @@ import (
 // the gateway maps it to 503.
 var ErrRetriesExhausted = errors.New("retries exhausted")
 
-// ResilienceConfig tunes the produce path's end-to-end resilience
-// machinery: seeded jittered retries over the fallible network links,
-// modelled acknowledgement transfers on the reverse link, and a circuit
-// breaker per stream-worker endpoint. The machinery is the produce
-// path — every service runs it, with the defaults until SetResilience
-// tunes them.
-type ResilienceConfig struct {
-	// Retry is the backoff schedule for dropped transfers and lost acks
-	// (zero fields take resil.DefaultRetryPolicy).
-	Retry resil.RetryPolicy
-	// Breaker tunes the per-endpoint circuit breakers (zero fields take
-	// the resil defaults).
-	Breaker resil.BreakerConfig
-	// Seed drives the per-producer backoff jitter RNGs; the same seed
-	// replays the same backoff schedule.
-	Seed int64
-	// AckBytes is the modelled size of a produce acknowledgement on the
-	// reverse link (default 64).
-	AckBytes int64
-}
-
-func (c ResilienceConfig) withDefaults() ResilienceConfig {
-	if c.AckBytes <= 0 {
-		c.AckBytes = 64
-	}
-	return c
-}
+// ackBytes is the modelled size of a produce acknowledgement on the
+// reverse link.
+const ackBytes = 64
 
 // workerEndpoint names a stream worker on the network fault plane; the
 // client side of every produce link is "client".
@@ -61,13 +37,16 @@ func (s *Service) SetNet(h bus.NetHook) {
 	}
 }
 
-// SetResilience tunes the produce path's retry schedule, ack size,
-// backoff seed, and per-endpoint circuit breakers (defaults applied; see
-// ResilienceConfig). Existing breaker state is reset.
-func (s *Service) SetResilience(cfg ResilienceConfig) {
+// SetResilience seeds the produce path's resilience machinery: seeded
+// jittered retries over the fallible network links (resil.Backoff),
+// modelled acknowledgements on the reverse link, and a circuit breaker
+// per stream-worker endpoint. The same seed replays the same backoff
+// schedule. Every service runs the machinery, seeded 0 until this call;
+// existing breaker state is reset.
+func (s *Service) SetResilience(seed int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.resilCfg = cfg.withDefaults()
+	s.backoffSeed = seed
 	s.breakers = make(map[string]*resil.Breaker)
 	for _, w := range s.workers {
 		w.breaker.Store(nil)
@@ -89,7 +68,7 @@ func (s *Service) breakerFor(w *Worker) *resil.Breaker {
 	defer s.mu.Unlock()
 	b := s.breakers[w.ep]
 	if b == nil {
-		b = resil.NewBreaker(s.resilCfg.Breaker)
+		b = new(resil.Breaker)
 		s.breakers[w.ep] = b
 	}
 	w.breaker.Store(b)

@@ -50,7 +50,7 @@ func resilService(t *testing.T, hook interface {
 	s.Store().SetObs(reg)
 	s.SetNet(hook)
 	if tuned {
-		s.SetResilience(ResilienceConfig{Seed: 42})
+		s.SetResilience(42)
 	}
 	if err := s.CreateTopic(TopicConfig{Name: "t", StreamNum: 1}); err != nil {
 		t.Fatal(err)
@@ -139,17 +139,15 @@ func TestBreakerShedsAndRecovers(t *testing.T) {
 	reg := obs.NewRegistry(s.Clock())
 	s.SetObs(reg)
 	s.SetNet(np)
-	s.SetResilience(ResilienceConfig{
-		Retry:   resil.RetryPolicy{MaxAttempts: 2},
-		Breaker: resil.BreakerConfig{FailureThreshold: 3, Window: time.Second, Cooldown: 10 * time.Millisecond},
-		Seed:    42,
-	})
+	s.SetResilience(42)
 	if err := s.CreateTopic(TopicConfig{Name: "t", StreamNum: 1}); err != nil {
 		t.Fatal(err)
 	}
 	np.Partition("client", "worker/0")
 	p := s.Producer("p1")
-	// 2 sends x 2 attempts = 4 failures >= threshold 3: breaker trips.
+	// 2 sends x 4 attempts, a few ms of drop timeouts and backoff in
+	// all: the fifth failure lands inside the 50ms window and trips the
+	// breaker.
 	for i := 0; i < 2; i++ {
 		if _, _, err := p.Send("t", []byte("k"), []byte("v")); err == nil {
 			t.Fatal("partitioned send succeeded")
@@ -169,9 +167,10 @@ func TestBreakerShedsAndRecovers(t *testing.T) {
 	if len(ebs) != 1 || ebs[0].Endpoint != "worker/0" || ebs[0].State != resil.Open {
 		t.Fatalf("breaker states: %+v", ebs)
 	}
-	// Heal, let the cooldown pass, and the half-open probe closes it.
+	// Heal, let the 20ms cooldown pass, and the half-open probe closes
+	// it.
 	np.Heal("client", "worker/0")
-	s.Clock().Advance(20 * time.Millisecond)
+	s.Clock().Advance(30 * time.Millisecond)
 	msg, _, err := p.Send("t", []byte("k"), []byte("v"))
 	if err != nil {
 		t.Fatalf("probe send: %v", err)

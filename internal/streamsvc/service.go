@@ -42,7 +42,7 @@ type topicState struct {
 type routes struct {
 	topics  map[string]topicRoutes
 	tenants *tenant.Registry
-	resil   ResilienceConfig
+	seed    int64 // SetResilience's backoff seed
 	metrics svcMetrics
 	reg     *obs.Registry
 }
@@ -102,11 +102,11 @@ type Service struct {
 	retired bus.Tally
 
 	// Resilience state (see resil.go): the network fault hook worker
-	// buses consult, the retry/ack/breaker config, and the per-endpoint
-	// circuit breakers (keyed by endpoint name so they survive rescales).
-	netHook  bus.NetHook
-	resilCfg ResilienceConfig
-	breakers map[string]*resil.Breaker
+	// buses consult, the backoff seed, and the per-endpoint circuit
+	// breakers (keyed by endpoint name so they survive rescales).
+	netHook     bus.NetHook
+	backoffSeed int64
+	breakers    map[string]*resil.Breaker
 
 	// gate, when set, must commit every durable append to the cluster's
 	// replicated metadata log before the producer acks (see
@@ -263,7 +263,7 @@ func New(clock *sim.Clock, store *streamobj.Store, workerCount int) *Service {
 	}
 	reg, _ := tenant.NewRegistry(nil) // no configs, no error
 	s.SetTenants(reg)
-	s.SetResilience(ResilienceConfig{})
+	s.SetResilience(0)
 	return s
 }
 
@@ -335,7 +335,7 @@ func (s *Service) topologyChangedLocked() {
 // up worker; with the whole fleet down, worker 0, whose dead links fail
 // the send — the correct outcome. Lock order is s.mu → w.mu.
 func (s *Service) publishLocked() {
-	rt := &routes{topics: make(map[string]topicRoutes, len(s.topics)), tenants: s.tenants, resil: s.resilCfg, metrics: s.metrics, reg: s.reg}
+	rt := &routes{topics: make(map[string]topicRoutes, len(s.topics)), tenants: s.tenants, seed: s.backoffSeed, metrics: s.metrics, reg: s.reg}
 	assigned := make(map[string]*Worker)
 	var firstUp *Worker
 	for _, w := range s.workers {

@@ -30,7 +30,7 @@ func acctService(t *testing.T, hook interface {
 	if hook != nil {
 		s.SetNet(hook)
 	}
-	s.SetResilience(ResilienceConfig{Seed: 42})
+	s.SetResilience(42)
 	if err := s.CreateTopic(TopicConfig{Name: "t", StreamNum: 1}); err != nil {
 		t.Fatal(err)
 	}

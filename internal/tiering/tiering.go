@@ -59,13 +59,12 @@ func (t Tier) CostPerGBMonth() float64 {
 	}
 }
 
-// Policy controls dynamic migration: items idle longer than DemoteAfter
-// move one tier down; items idle longer than ArchiveAfter move to
-// Archive.
-type Policy struct {
-	DemoteAfter  time.Duration
-	ArchiveAfter time.Duration
-}
+// The dynamic migration policy: SSD items idle for demoteAfter move to
+// HDD; HDD items idle for archiveAfter move to Archive.
+const (
+	demoteAfter  = time.Hour
+	archiveAfter = 24 * time.Hour
+)
 
 // Item is one tiered unit (a sealed PLog, a table file).
 type Item struct {
@@ -84,8 +83,7 @@ type Migration struct {
 
 // Service tracks tiered items and applies the policy.
 type Service struct {
-	clock  *sim.Clock
-	policy Policy
+	clock *sim.Clock
 
 	mu        sync.Mutex
 	items     map[string]*Item
@@ -96,9 +94,10 @@ type Service struct {
 // ErrUnknownItem is returned for operations on unregistered items.
 var ErrUnknownItem = errors.New("tiering: unknown item")
 
-// NewService builds a tiering service applying policy on clock's time.
-func NewService(clock *sim.Clock, policy Policy) *Service {
-	return &Service{clock: clock, policy: policy, items: make(map[string]*Item)}
+// NewService builds a tiering service applying the policy on clock's
+// time.
+func NewService(clock *sim.Clock) *Service {
+	return &Service{clock: clock, items: make(map[string]*Item)}
 }
 
 // Register starts tracking an item at the given tier.
@@ -130,9 +129,9 @@ func (s *Service) RunOnce() []Migration {
 	for _, it := range s.items {
 		idle := now - it.LastAccess
 		switch {
-		case it.Tier == SSD && s.policy.DemoteAfter > 0 && idle >= s.policy.DemoteAfter:
+		case it.Tier == SSD && idle >= demoteAfter:
 			planned = append(planned, it)
-		case it.Tier == HDD && s.policy.ArchiveAfter > 0 && idle >= s.policy.ArchiveAfter:
+		case it.Tier == HDD && idle >= archiveAfter:
 			planned = append(planned, it)
 		}
 	}

@@ -7,12 +7,8 @@ import (
 	"streamlake/internal/sim"
 )
 
-func newService(clock *sim.Clock) *Service {
-	return NewService(clock, Policy{DemoteAfter: time.Hour, ArchiveAfter: 24 * time.Hour})
-}
-
 func TestRegisterAndTierOf(t *testing.T) {
-	s := newService(sim.NewClock())
+	s := NewService(sim.NewClock())
 	s.Register("plog-1", 1<<20, SSD)
 	tier, err := s.TierOf("plog-1")
 	if err != nil || tier != SSD {
@@ -25,7 +21,7 @@ func TestRegisterAndTierOf(t *testing.T) {
 
 func TestDynamicDemotion(t *testing.T) {
 	clock := sim.NewClock()
-	s := newService(clock)
+	s := NewService(clock)
 	s.Register("cold", 4<<20, SSD)
 
 	clock.Advance(2 * time.Hour)
@@ -49,7 +45,7 @@ func TestDynamicDemotion(t *testing.T) {
 
 func TestArchiveAfterLongIdle(t *testing.T) {
 	clock := sim.NewClock()
-	s := newService(clock)
+	s := NewService(clock)
 	s.Register("ancient", 1<<20, SSD)
 	clock.Advance(2 * time.Hour)
 	s.RunOnce() // -> HDD
@@ -72,7 +68,7 @@ func TestTierCostOrdering(t *testing.T) {
 
 func TestStatsMonthlyCostDropsAfterTiering(t *testing.T) {
 	clock := sim.NewClock()
-	s := newService(clock)
+	s := NewService(clock)
 	s.Register("big", 10<<30, SSD)
 	before := s.Stats().MonthlyCost
 	clock.Advance(2 * time.Hour)

@@ -19,7 +19,9 @@ set -eux
 # scripts/loc_ceiling.txt (edit the file in the commit that must).
 sh scripts/loc.sh
 # Dead-API scan: every exported func outside benchmark/ has a non-test
-# caller, or is listed in scripts/deadapi_allowlist.txt with its reason.
+# caller, or is listed in scripts/deadapi_allowlist.txt with its reason;
+# every exported *Config/*Options/*Policy field has a non-test writer
+# outside its package, or is listed in scripts/deadknob_allowlist.txt.
 sh scripts/deadapi.sh
 # Doc lint: every test name the docs cite exists.
 sh scripts/doclint.sh

@@ -119,8 +119,10 @@ var (
 
 // Config sizes a Lake.
 type Config struct {
-	// SSDDisks and HDDDisks size the storage pools (defaults 6 and 6).
-	SSDDisks, HDDDisks int
+	// SSDDisks sizes the SSD pool (default 6, or two per node when
+	// Nodes > 1, so every copy has its own failure domain and a lost
+	// node leaves room to re-replicate). The HDD pool has six disks.
+	SSDDisks int
 	// Workers is the stream worker fleet size (default 3).
 	Workers int
 	// PLogCapacity overrides the 128 MB PLog address space (tests use
@@ -199,9 +201,9 @@ type Lake struct {
 func Open(cfg Config) (*Lake, error) {
 	if cfg.SSDDisks <= 0 {
 		cfg.SSDDisks = 6
-	}
-	if cfg.HDDDisks <= 0 {
-		cfg.HDDDisks = 6
+		if cfg.Nodes > 1 {
+			cfg.SSDDisks = 2 * cfg.Nodes
+		}
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 3
@@ -211,7 +213,7 @@ func Open(cfg Config) (*Lake, error) {
 	}
 	clock := sim.NewClock()
 	ssd := pool.New("ssd", clock, sim.NVMeSSD, cfg.SSDDisks, 0)
-	hdd := pool.New("hdd", clock, sim.SASHDD, cfg.HDDDisks, 0)
+	hdd := pool.New("hdd", clock, sim.SASHDD, 6, 0)
 	logs := plog.NewManager(ssd, cfg.PLogCapacity)
 	store := streamobj.NewStore(clock, logs)
 	svc := streamsvc.New(clock, store, cfg.Workers)
@@ -222,7 +224,7 @@ func Open(cfg Config) (*Lake, error) {
 		Acceleration: true,
 		ZoneMaps:     cfg.ZoneMaps,
 	})
-	tiers := tiering.NewService(clock, tiering.Policy{DemoteAfter: time.Hour, ArchiveAfter: 24 * time.Hour})
+	tiers := tiering.NewService(clock)
 	inj := faults.New(cfg.Seed)
 	inj.Attach(ssd)
 	inj.Attach(hdd)
@@ -253,7 +255,7 @@ func Open(cfg Config) (*Lake, error) {
 	// path rides it with retries, modelled acks, and per-endpoint circuit
 	// breakers, its backoff jitter seeded from the lake's seed.
 	svc.SetNet(inj.Net())
-	svc.SetResilience(streamsvc.ResilienceConfig{Seed: int64(cfg.Seed)})
+	svc.SetResilience(int64(cfg.Seed))
 	// Multi-tenancy plane: quota admission at the producer, weighted-fair
 	// scheduling on the worker buses and at pool admission, capacity
 	// charging at durable append — one registry for the whole lake, which
@@ -266,8 +268,8 @@ func Open(cfg Config) (*Lake, error) {
 	svc.SetTenants(tenants)
 	store.SetTenants(tenants)
 	logs.SetHedge(plog.HedgeConfig{Enabled: true})
-	l.rep = repair.New(clock, logs, repair.Config{})
-	l.scrub = scrub.New(clock, logs, l.rep, scrub.Config{Repair: true})
+	l.rep = repair.New(clock, logs)
+	l.scrub = scrub.New(clock, logs, l.rep)
 	if cfg.Nodes > 1 {
 		cl := cluster.New(cluster.Config{Nodes: cfg.Nodes, Seed: cfg.Seed}, clock, inj.Net())
 		cl.AttachPool(ssd, logs)
@@ -684,13 +686,9 @@ func (l *Lake) RepairUntilRedundant(maxRounds int) (RepairReport, bool) {
 // checksums and feeds what it finds into the repair service.
 func (l *Lake) Scrubber() *scrub.Service { return l.scrub }
 
-// RunScrub runs one scrub pass — a sweep of every log unless the
-// scrubber's per-pass byte budget is set — and repairs what it found.
+// RunScrub runs one scrub pass — a sweep of every live log — and
+// repairs what it found.
 func (l *Lake) RunScrub() (ScrubReport, error) { return l.scrub.RunOnce() }
-
-// ScrubCycle scrubs until every live PLog has been verified once — a
-// full population sweep, merging budgeted passes as needed.
-func (l *Lake) ScrubCycle() (ScrubReport, error) { return l.scrub.RunCycle() }
 
 // Integrity reports checksum activity across the lake's PLogs:
 // verifications, mismatches, fallback reads, injected corruptions.

@@ -25,10 +25,10 @@ func openTestLake(t testing.TB) *Lake {
 
 // TestConfigKnobRatchet caps the number of Config fields: every knob
 // doubles the configurations tests and benchmarks must cover, so a new
-// plane that wants a field deletes one first. ROADMAP direction 2 sets
-// the target at <= 9; lower the cap as fields go, never raise it.
+// plane that wants a field deletes one first. Lower the cap as fields
+// go, never raise it.
 func TestConfigKnobRatchet(t *testing.T) {
-	const maxFields = 10
+	const maxFields = 9
 	if n := reflect.TypeOf(Config{}).NumField(); n > maxFields {
 		t.Fatalf("Config has %d fields, cap is %d: delete a knob before adding one", n, maxFields)
 	}
@@ -362,7 +362,7 @@ func TestTieringCostIsItsPoolMoves(t *testing.T) {
 // and a recreate under the same name replicates again instead of hitting
 // the stale dedup entry.
 func TestClusteredMetadataLifecycle(t *testing.T) {
-	l, err := Open(Config{Nodes: 3, SSDDisks: 6, PLogCapacity: 1 << 20})
+	l, err := Open(Config{Nodes: 3, PLogCapacity: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
