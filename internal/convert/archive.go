@@ -107,13 +107,15 @@ func (a *Archiver) archiveTopic(name string, cfg streamsvc.TopicConfig) (Archive
 	var cost time.Duration
 	var rows []colfile.Row
 	rawSchema := colfile.MustSchema("key:string", "value:string", "offset:int64")
+	var buf []streamobj.Record // one read buffer for every slice
 	for i, o := range streams {
 		if _, err := o.Flush(); err != nil {
 			return res, cost, err
 		}
 		off := marks[i]
 		for off < o.End() {
-			recs, rc, err := o.Read(off, streamobj.ReadCtrl{MaxRecords: streamobj.SliceRecords})
+			recs, rc, err := o.ReadAppend(buf[:0], off, streamobj.ReadCtrl{MaxRecords: streamobj.SliceRecords})
+			buf = recs
 			if err != nil {
 				return res, cost, err
 			}

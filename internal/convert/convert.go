@@ -156,6 +156,7 @@ func (c *Converter) doConvert(name string, cfg streamsvc.TopicConfig) (Result, t
 	res := Result{Topic: name}
 	byPartition := map[string][]colfile.Row{}
 	newMarks := make([]int64, len(streams))
+	var buf []streamobj.Record // one read buffer for every slice
 	for i, o := range streams {
 		// Drain the open buffer so conversion sees everything.
 		if _, err := o.Flush(); err != nil {
@@ -163,7 +164,8 @@ func (c *Converter) doConvert(name string, cfg streamsvc.TopicConfig) (Result, t
 		}
 		off := st.watermarks[i]
 		for off < o.End() {
-			recs, rc, err := o.Read(off, streamobj.ReadCtrl{MaxRecords: streamobj.SliceRecords})
+			recs, rc, err := o.ReadAppend(buf[:0], off, streamobj.ReadCtrl{MaxRecords: streamobj.SliceRecords})
+			buf = recs
 			if err != nil {
 				return res, cost, err
 			}

@@ -2,6 +2,8 @@ package streamobj
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 	"time"
 )
@@ -21,32 +23,99 @@ func sameRecords(got, want []Record, base int64) bool {
 	return true
 }
 
-// FuzzDecodeSlice hardens the stored-slice decoder: arbitrary bytes
-// never panic it and never make it allocate more record headers than
-// the input could hold, whatever it accepts survives a re-encode, and
-// records carved out of the input round-trip through encodeSlice.
+// referenceDecode is the full decode walkSlice replaced: it builds a
+// header for every record of the slice. It accepts what the read path
+// accepted before the walk, except a slice with bytes after its last
+// record.
+func referenceDecode(data []byte, base int64) ([]Record, error) {
+	count, sz := binary.Uvarint(data)
+	if sz <= 0 {
+		return nil, errors.New("truncated slice")
+	}
+	data = data[sz:]
+	if count > uint64(len(data))/3+1 {
+		return nil, errors.New("record count exceeds slice size")
+	}
+	var out []Record
+	for i := uint64(0); i < count; i++ {
+		kl, sz := binary.Uvarint(data)
+		if sz <= 0 || uint64(len(data)-sz) < kl {
+			return nil, errors.New("truncated key")
+		}
+		key := data[sz : sz+int(kl)]
+		data = data[sz+int(kl):]
+		vl, sz := binary.Uvarint(data)
+		if sz <= 0 || uint64(len(data)-sz) < vl {
+			return nil, errors.New("truncated value")
+		}
+		val := data[sz : sz+int(vl)]
+		data = data[sz+int(vl):]
+		ts, sz := binary.Varint(data)
+		if sz <= 0 {
+			return nil, errors.New("truncated timestamp")
+		}
+		data = data[sz:]
+		out = append(out, Record{Key: key, Value: val, Offset: base + int64(i), Timestamp: time.Duration(ts)})
+	}
+	if len(data) > 0 {
+		return nil, errors.New("trailing bytes")
+	}
+	return out, nil
+}
+
+// FuzzDecodeSlice hardens the in-place slice walk against the full
+// decode. Arbitrary bytes never panic it. Started at any offset and
+// stopped at any record limit, appending to a buffer that already holds
+// a record, it accepts exactly the slices the full decode accepts and
+// appends that decode's records from the start offset on, up to the
+// limit; a rejected slice leaves the buffer at its incoming length with
+// nothing behind it. An accepted slice survives a re-encode, and records
+// carved out of the input round-trip through encodeSlice.
 func FuzzDecodeSlice(f *testing.F) {
 	valid := encodeSlice([]Record{
 		{Key: []byte("k1"), Value: []byte("v1"), Timestamp: 5 * time.Millisecond},
 		{Key: nil, Value: []byte{}},
 		{Key: bytes.Repeat([]byte("x"), 300), Value: bytes.Repeat([]byte("y"), 200), Timestamp: -time.Hour},
 	})
-	f.Add(valid, int64(42))
-	f.Add(valid[:len(valid)-1], int64(0))
-	f.Add(valid[:len(valid)/2], int64(7))
-	f.Add(valid[:1], int64(-3))
-	f.Add(encodeSlice(nil), int64(1)<<62)
-	f.Add([]byte{}, int64(0))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, int64(0)) // count = 2^64-1
-	f.Fuzz(func(t *testing.T, data []byte, base int64) {
-		if recs, err := decodeSlice(data, base); err == nil {
-			// A record is at least three bytes (two lengths and a
-			// timestamp), so the headers are bounded by the input.
-			if limit := len(data)/3 + 1; cap(recs) > limit {
-				t.Fatalf("%d input bytes allocated %d record headers (limit %d)", len(data), cap(recs), limit)
+	f.Add(valid, int64(42), uint16(0), uint16(3))
+	f.Add(valid, int64(42), uint16(1), uint16(1))
+	f.Add(valid, int64(0), uint16(2), uint16(0))
+	f.Add(valid, int64(0), uint16(5), uint16(9))
+	f.Add(append(valid[:len(valid):len(valid)], 0), int64(0), uint16(1), uint16(1)) // trailing byte
+	f.Add(valid[:len(valid)-1], int64(0), uint16(0), uint16(1))
+	f.Add(valid[:len(valid)/2], int64(7), uint16(1), uint16(1))
+	f.Add(valid[:1], int64(-3), uint16(0), uint16(2))
+	f.Add(encodeSlice(nil), int64(1)<<61, uint16(0), uint16(1))
+	f.Add([]byte{}, int64(0), uint16(0), uint16(1))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, int64(0), uint16(0), uint16(1)) // count = 2^64-1
+	f.Fuzz(func(t *testing.T, data []byte, base int64, skip, limit uint16) {
+		base %= 1 << 62 // offsets past base+skip stay clear of overflow
+		want, werr := referenceDecode(data, base)
+		kept := Record{Key: []byte("kept"), Offset: -1}
+		got, err := walkSlice([]Record{kept}, data, base, base+int64(skip), 1+int(limit))
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("walk error %v, full decode error %v", err, werr)
+		}
+		if len(got) == 0 || !bytes.Equal(got[0].Key, kept.Key) || got[0].Offset != -1 {
+			t.Fatalf("the buffer's incoming record was lost: %+v", got)
+		}
+		if err != nil {
+			if len(got) != 1 {
+				t.Fatalf("a rejected slice left %d records behind", len(got)-1)
 			}
-			again, err := decodeSlice(encodeSlice(recs), base)
-			if err != nil || !sameRecords(again, recs, base) {
+			for i, r := range got[1:cap(got)] {
+				if r.Key != nil || r.Value != nil {
+					t.Fatalf("a rejected slice left a borrow at %d", i+1)
+				}
+			}
+		} else {
+			suffix := want[min(int(skip), len(want)):]
+			suffix = suffix[:min(len(suffix), int(limit))]
+			if !sameRecords(got[1:], suffix, base+int64(skip)) {
+				t.Fatalf("from +%d limit %d: walk gave %d records, the full decode's suffix has %d", skip, limit, len(got)-1, len(suffix))
+			}
+			again, err := walkSlice(nil, encodeSlice(want), base, base, len(want))
+			if err != nil || !sameRecords(again, want, base) {
 				t.Fatalf("accepted slice does not survive a re-encode: %v", err)
 			}
 		}
@@ -61,8 +130,8 @@ func FuzzDecodeSlice(f *testing.F) {
 			recs = append(recs, Record{Key: rest[:kl], Value: rest[kl : kl+vl], Timestamp: time.Duration(ts) * time.Microsecond})
 			rest = rest[kl+vl:]
 		}
-		got, err := decodeSlice(encodeSlice(recs), base)
-		if err != nil || !sameRecords(got, recs, base) {
+		carved, err := walkSlice(nil, encodeSlice(recs), base, base, len(recs))
+		if err != nil || !sameRecords(carved, recs, base) {
 			t.Fatalf("%d records did not round-trip: %v", len(recs), err)
 		}
 	})

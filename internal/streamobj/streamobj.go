@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -71,8 +72,6 @@ type CreateOptions struct {
 type ReadCtrl struct {
 	// MaxRecords caps returned records; 0 means SliceRecords.
 	MaxRecords int
-	// MaxBytes caps returned payload bytes; 0 means unlimited.
-	MaxBytes int64
 	// Ctx carries the request's virtual-time deadline down through the
 	// shard space into the PLog reads; nil means no deadline. When a
 	// slice load pushes the request past its deadline, Read returns the
@@ -673,6 +672,14 @@ func (o *Object) cacheSlice(base int64, recs []Record) {
 // time returns the records collected so far with
 // resil.ErrDeadlineExceeded — partial progress is kept, not discarded.
 func (o *Object) Read(offset int64, ctrl ReadCtrl) ([]Record, time.Duration, error) {
+	return o.ReadAppend(nil, offset, ctrl)
+}
+
+// ReadAppend is Read appending into dst, so a caller that reads in a
+// loop reuses one buffer. Keys and values borrow the slice bytes (see
+// walkSlice). On an error other than a deadline, dst comes back at its
+// incoming length.
+func (o *Object) ReadAppend(dst []Record, offset int64, ctrl ReadCtrl) ([]Record, time.Duration, error) {
 	maxRecords := ctrl.MaxRecords
 	if maxRecords <= 0 {
 		maxRecords = SliceRecords
@@ -680,59 +687,43 @@ func (o *Object) Read(offset int64, ctrl ReadCtrl) ([]Record, time.Duration, err
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if err := ctrl.Ctx.Check(); err != nil {
-		return nil, 0, err
+		return dst, 0, err
 	}
 	if offset < 0 || offset > o.nextOffset {
-		return nil, 0, ErrPastEnd
+		return dst, 0, ErrPastEnd
 	}
 	if offset == o.nextOffset {
-		return nil, 0, nil // caught up; poll again
+		return dst, 0, nil // caught up; poll again
 	}
-	out := make([]Record, 0, min(int64(maxRecords), o.nextOffset-offset))
+	start := len(dst)
+	limit := start + maxRecords
+	dst = slices.Grow(dst, int(min(int64(maxRecords), o.nextOffset-offset)))
 	var cost time.Duration
-	var bytes int64
-	for int64(len(out)) == 0 || (offset < o.nextOffset && len(out) < maxRecords) {
+	for len(dst) == start || (offset < o.nextOffset && len(dst) < limit) {
 		if offset >= o.bufBase {
 			// Open slice: served from memory.
-			for _, r := range o.buf {
-				if r.Offset >= offset && len(out) < maxRecords {
-					if ctrl.MaxBytes > 0 && bytes+r.encodedSize() > ctrl.MaxBytes && len(out) > 0 {
-						return out, cost, nil
-					}
-					out = append(out, r)
-					bytes += r.encodedSize()
-					offset = r.Offset + 1
-				}
-			}
+			rest := o.buf[offset-o.bufBase:]
+			dst = append(dst, rest[:min(len(rest), limit-len(dst))]...)
 			break
 		}
 		entry, ok := o.findSlice(offset)
 		if !ok {
 			break
 		}
-		recs, c, err := o.loadSlice(entry, ctrl.Ctx)
+		var c time.Duration
+		var err error
+		dst, c, err = o.readSlice(dst, entry, offset, limit, ctrl.Ctx)
 		if errors.Is(err, resil.ErrDeadlineExceeded) {
-			return out, cost + c, err
+			return dst, cost + c, err
 		}
 		if err != nil {
-			return nil, 0, err
+			clear(dst[start:])
+			return dst[:start], 0, err
 		}
 		cost += c
-		for _, r := range recs {
-			if r.Offset >= offset && len(out) < maxRecords {
-				if ctrl.MaxBytes > 0 && bytes+r.encodedSize() > ctrl.MaxBytes && len(out) > 0 {
-					return out, cost, nil
-				}
-				out = append(out, r)
-				bytes += r.encodedSize()
-			}
-		}
 		offset = entry.base + int64(entry.count)
-		if len(out) >= maxRecords {
-			break
-		}
 	}
-	return out, cost, nil
+	return dst, cost, nil
 }
 
 // findSlice locates the persisted slice containing offset.
@@ -746,26 +737,29 @@ func (o *Object) findSlice(offset int64) (sliceEntry, bool) {
 	return o.slices[i], true
 }
 
-// loadSlice fetches a slice from SCM cache or PLog storage, charging
-// the load cost to the request context (when present).
-func (o *Object) loadSlice(e sliceEntry, rc *resil.Ctx) ([]Record, time.Duration, error) {
+// readSlice appends slice e's records at or past from to dst, up to
+// limit entries in all, loading the slice from the SCM cache or PLog
+// storage and charging the load to rc (when present). A load that
+// fails or runs out of time appends nothing.
+func (o *Object) readSlice(dst []Record, e sliceEntry, from int64, limit int, rc *resil.Ctx) ([]Record, time.Duration, error) {
 	if recs, ok := o.cache[e.base]; ok {
 		var n int64
 		for _, r := range recs {
 			n += r.encodedSize()
 		}
 		cost := o.store.scm.Read(n)
-		return recs, cost, rc.Charge(cost)
+		if err := rc.Charge(cost); err != nil {
+			return dst, cost, err
+		}
+		recs = recs[max(from-e.base, 0):]
+		return append(dst, recs[:min(len(recs), limit-len(dst))]...), cost, nil
 	}
 	data, cost, err := o.space.ReadCtx(e.loc, rc)
 	if err != nil {
-		return nil, cost, err
+		return dst, cost, err
 	}
-	recs, err := decodeSlice(data, e.base)
-	if err != nil {
-		return nil, 0, err
-	}
-	return recs, cost, nil
+	dst, err = walkSlice(dst, data, e.base, from, limit)
+	return dst, cost, err
 }
 
 // ReclaimThrough destroys the PLogs whose slices all end at or before
@@ -903,45 +897,61 @@ func encodeSliceInto(out []byte, recs []Record) []byte {
 	return out
 }
 
-func decodeSlice(data []byte, base int64) ([]Record, error) {
+// walkSlice walks the encoded slice data, whose first record sits at
+// offset base, in place: it appends to dst the records at offset from or
+// later until dst holds limit entries, building no header for the
+// records it skips. It validates the whole slice either way, so a
+// truncated slice, one with bytes after its last record, or one whose
+// count overstates its records appends nothing: dst comes back at its
+// incoming length.
+func walkSlice(dst []Record, data []byte, base, from int64, limit int) ([]Record, error) {
+	start := len(dst)
+	fail := func(what string) ([]Record, error) {
+		clear(dst[start:])
+		return dst[:start], errors.New("streamobj: " + what)
+	}
 	count, sz := binary.Uvarint(data)
 	if sz <= 0 {
-		return nil, errors.New("streamobj: truncated slice")
+		return fail("truncated slice")
 	}
 	data = data[sz:]
 	// Untrusted count: each record costs at least 3 bytes.
 	if count > uint64(len(data))/3+1 {
-		return nil, errors.New("streamobj: record count exceeds slice size")
+		return fail("record count exceeds slice size")
 	}
-	out := make([]Record, 0, count)
 	for i := uint64(0); i < count; i++ {
 		kl, sz := binary.Uvarint(data)
 		if sz <= 0 || uint64(len(data)-sz) < kl {
-			return nil, errors.New("streamobj: truncated key")
+			return fail("truncated key")
 		}
 		data = data[sz:]
 		// Zero-copy borrow: the key and value alias the slice buffer —
 		// either a read-only borrow of the PLog's logical stream or the
-		// object's SCM-cached copy, both immutable — so decoding a slice
-		// allocates only the Record headers, never the payload bytes.
-		// Full-capped so an append on a Record can't scribble on the log.
+		// object's SCM-cached copy, both immutable — so a read allocates
+		// no payload bytes. Full-capped so an append on a Record can't
+		// scribble on the log.
 		key := data[:kl:kl]
 		data = data[kl:]
 		vl, sz := binary.Uvarint(data)
 		if sz <= 0 || uint64(len(data)-sz) < vl {
-			return nil, errors.New("streamobj: truncated value")
+			return fail("truncated value")
 		}
 		data = data[sz:]
 		val := data[:vl:vl]
 		data = data[vl:]
 		ts, sz := binary.Varint(data)
 		if sz <= 0 {
-			return nil, errors.New("streamobj: truncated timestamp")
+			return fail("truncated timestamp")
 		}
 		data = data[sz:]
-		out = append(out, Record{Key: key, Value: val, Offset: base + int64(i), Timestamp: time.Duration(ts)})
+		if off := base + int64(i); off >= from && len(dst) < limit {
+			dst = append(dst, Record{Key: key, Value: val, Offset: off, Timestamp: time.Duration(ts)})
+		}
 	}
-	return out, nil
+	if len(data) > 0 {
+		return fail("bytes after the last record")
+	}
+	return dst, nil
 }
 
 func encodeLoc(loc shard.Loc, count int) []byte {

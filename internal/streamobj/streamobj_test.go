@@ -126,11 +126,6 @@ func TestReadLimits(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("MaxRecords: got %d", len(recs))
 	}
-	one := recs[0].encodedSize()
-	recs, _, _ = o.Read(0, ReadCtrl{MaxRecords: 10, MaxBytes: one*2 + 1})
-	if len(recs) != 2 {
-		t.Fatalf("MaxBytes: got %d", len(recs))
-	}
 }
 
 func TestReadPastEndAndCaughtUp(t *testing.T) {
@@ -294,7 +289,7 @@ func TestSliceCodecRoundTrip(t *testing.T) {
 		{Key: bytes.Repeat([]byte("x"), 300), Value: bytes.Repeat([]byte("y"), 1000), Timestamp: time.Hour},
 	}
 	enc := encodeSlice(recs)
-	got, err := decodeSlice(enc, 42)
+	got, err := walkSlice(nil, enc, 42, 42, len(recs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +301,7 @@ func TestSliceCodecRoundTrip(t *testing.T) {
 			t.Fatalf("record %d meta: %+v", i, got[i])
 		}
 	}
-	if _, err := decodeSlice(enc[:3], 0); err == nil {
+	if _, err := walkSlice(nil, enc[:3], 0, 0, len(recs)); err == nil {
 		t.Fatal("truncated slice accepted")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,7 +21,10 @@ type Consumer struct {
 	group string
 
 	mu   sync.Mutex
-	subs map[string]*subscription
+	subs []*subscription // in Subscribe order, which is the order Poll reads
+	// recs is the read buffer PollCtx reuses. It is cleared after every
+	// read, so an idle consumer pins no slice bytes.
+	recs []streamobj.Record
 }
 
 type subscription struct {
@@ -31,7 +35,12 @@ type subscription struct {
 
 // Consumer returns a consumer handle in the given group.
 func (s *Service) Consumer(group string) *Consumer {
-	return &Consumer{svc: s, group: group, subs: make(map[string]*subscription)}
+	return &Consumer{svc: s, group: group}
+}
+
+// find returns the index of topic's subscription, or -1. Callers hold c.mu.
+func (c *Consumer) find(topic string) int {
+	return slices.IndexFunc(c.subs, func(s *subscription) bool { return s.topic == topic })
 }
 
 func offsetKey(group, topic string, idx int) []byte {
@@ -39,7 +48,8 @@ func offsetKey(group, topic string, idx int) []byte {
 }
 
 // Subscribe registers interest in a topic, resuming from the group's
-// committed offsets.
+// committed offsets. Poll reads topics in the order they were first
+// subscribed; subscribing to a topic again keeps its place.
 func (c *Consumer) Subscribe(topic string) error {
 	ts, ok := c.svc.routes.Load().topics[topic]
 	if !ok {
@@ -54,7 +64,11 @@ func (c *Consumer) Subscribe(topic string) error {
 		}
 	}
 	c.mu.Lock()
-	c.subs[topic] = sub
+	if i := c.find(topic); i >= 0 {
+		c.subs[i] = sub
+	} else {
+		c.subs = append(c.subs, sub)
+	}
 	c.mu.Unlock()
 	return nil
 }
@@ -97,7 +111,8 @@ func (c *Consumer) PollCtx(max int, rc *resil.Ctx) ([]Message, time.Duration, er
 			idx := sub.rr % len(ts.streams)
 			sub.rr++
 			obj := ts.streams[idx]
-			recs, rcost, err := obj.Read(sub.offsets[idx], streamobj.ReadCtrl{MaxRecords: max - len(out), Ctx: rc})
+			recs, rcost, err := obj.ReadAppend(c.recs[:0], sub.offsets[idx], streamobj.ReadCtrl{MaxRecords: max - len(out), Ctx: rc})
+			c.recs = recs[:0]
 			if err == streamobj.ErrPastEnd {
 				continue
 			}
@@ -116,6 +131,7 @@ func (c *Consumer) PollCtx(max int, rc *resil.Ctx) ([]Message, time.Duration, er
 			if len(recs) > 0 {
 				sub.offsets[idx] = recs[len(recs)-1].Offset + 1
 			}
+			clear(recs) // the messages keep the borrows; the buffer must not
 			if err != nil {
 				// A deadline expiry keeps the partial batch: the records
 				// already read are delivered and the offsets above have
@@ -164,10 +180,11 @@ func (c *Consumer) CommitOffsets() (time.Duration, error) {
 func (c *Consumer) Seek(topic string, stream int, offset int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sub, ok := c.subs[topic]
-	if !ok {
+	i := c.find(topic)
+	if i < 0 {
 		return ErrNotSubscribed
 	}
+	sub := c.subs[i]
 	if stream < 0 || stream >= len(sub.offsets) {
 		return fmt.Errorf("streamsvc: topic %s has no stream %d", topic, stream)
 	}

@@ -92,7 +92,8 @@ done
 # admits (lakehouse), a converted row costs a fixed count of allocations
 # and bytes (convert), a data file is encoded from the caller's rows, not
 # a copy, and a rewrite decodes file after file into one buffer
-# (tableobj, lakehouse).
+# (tableobj, lakehouse), a poll costs one message header per message
+# (streamsvc).
 go test -run '^$' -bench 'BenchmarkCommitProduce' -benchtime 1x ./internal/cluster/
 go test -run '^$' -bench 'BenchmarkAppendBatch' -benchtime 1x ./internal/plog/
 go test -run '^$' -bench 'BenchmarkConvert' -benchtime 1x ./internal/convert/
@@ -100,3 +101,4 @@ go test -run '^$' -bench 'BenchmarkWriteRows' -benchtime 1x ./internal/tableobj/
 go test -run '^$' -bench 'Request' -benchtime 1x ./internal/gateway/
 go test -run '^$' -bench 'WriteFile|ReadGroupProjected' -benchtime 1x ./internal/colfile/
 go test -run '^$' -bench 'BenchmarkPlanScan' -benchtime 1x ./internal/lakehouse/
+go test -run '^$' -bench 'BenchmarkPoll' -benchtime 1x ./internal/streamsvc/
