@@ -139,6 +139,7 @@ type shell struct {
 	out         io.Writer
 	prod        *streamlake.Producer
 	tenantProds map[string]*streamlake.Producer
+	consumers   map[string]*streamlake.Consumer
 	lastChaos   *chaos.Report
 }
 
@@ -150,6 +151,33 @@ func (s *shell) producer() *streamlake.Producer {
 		s.prod = s.lake.Producer("lakectl")
 	}
 	return s.prod
+}
+
+// consumer returns the shell's long-lived consumer of topic in group,
+// re-subscribed so it resumes from the group's committed offsets as a
+// fresh handle would, and keeps the slice its last poll stopped inside.
+func (s *shell) consumer(topic, group string) (*streamlake.Consumer, error) {
+	key := group + "/" + topic
+	if s.consumers[key] == nil {
+		if s.consumers == nil {
+			s.consumers = map[string]*streamlake.Consumer{}
+		}
+		s.consumers[key] = s.lake.Consumer(group)
+	}
+	return s.consumers[key], s.consumers[key].Subscribe(topic)
+}
+
+// arg returns rest[i], or def when the command stops short of it.
+func arg(rest []string, i int, def string) string {
+	if i < len(rest) {
+		return rest[i]
+	}
+	return def
+}
+
+// intArg is arg for an integer argument.
+func intArg(rest []string, i, def int) (int, error) {
+	return strconv.Atoi(arg(rest, i, strconv.Itoa(def)))
 }
 
 func (s *shell) exec(line string) error {
@@ -202,12 +230,8 @@ func (s *shell) exec(line string) error {
 		if len(rest) < 1 {
 			return fmt.Errorf("usage: consume <topic> [group]")
 		}
-		group := "lakectl"
-		if len(rest) > 1 {
-			group = rest[1]
-		}
-		c := s.lake.Consumer(group)
-		if err := c.Subscribe(rest[0]); err != nil {
+		c, err := s.consumer(rest[0], arg(rest, 1, "lakectl"))
+		if err != nil {
 			return err
 		}
 		msgs, _, err := c.Poll(32)
@@ -337,13 +361,9 @@ func (s *shell) exec(line string) error {
 	case "faults":
 		return s.faults(rest)
 	case "repair":
-		rounds := 1
-		if len(rest) > 0 {
-			n, err := strconv.Atoi(rest[0])
-			if err != nil {
-				return err
-			}
-			rounds = n
+		rounds, err := intArg(rest, 0, 1)
+		if err != nil {
+			return err
 		}
 		rep, ok := s.lake.RepairUntilRedundant(rounds)
 		fmt.Fprintf(s.out, "repaired %d/%d log(s), %dB restored, %d attempt(s), cost=%v backoff=%v fullyRedundant=%v\n",
@@ -793,13 +813,9 @@ func (s *shell) cluster(rest []string) error {
 		fmt.Fprintf(s.out, "node %d back in placement\n", id)
 		return nil
 	case "tick":
-		rounds := 1
-		if len(rest) > 0 {
-			n, err := strconv.Atoi(rest[0])
-			if err != nil {
-				return err
-			}
-			rounds = n
+		rounds, err := intArg(rest, 0, 1)
+		if err != nil {
+			return err
 		}
 		for i := 0; i < rounds; i++ {
 			s.lake.Clock().Advance(time.Millisecond)
@@ -931,12 +947,12 @@ func (s *shell) printChaos(rep *chaos.Report) {
 	}
 }
 
-// trace runs a traced produce and renders its span tree, or re-prints
-// a recorded trace by id.
+// trace runs a traced produce or poll and renders its span tree, or
+// re-prints a recorded trace by id.
 func (s *shell) trace(rest []string) error {
 	tr := s.lake.Tracer()
 	if len(rest) == 0 {
-		return fmt.Errorf("usage: trace produce <topic> <key> <value> | trace last | trace <id>")
+		return fmt.Errorf("usage: trace produce <topic> <key> <value> | trace poll <topic> [group] [max] | trace last | trace <id>")
 	}
 	switch rest[0] {
 	case "produce":
@@ -953,6 +969,29 @@ func (s *shell) trace(rest []string) error {
 		fmt.Fprintf(s.out, "offset=%d stream=%d latency=%v trace=%d\n", msg.Offset, msg.Stream, cost, sp.ID)
 		fmt.Fprint(s.out, sp.Tree())
 		return nil
+	case "poll":
+		if len(rest) < 2 {
+			return fmt.Errorf("usage: trace poll <topic> [group] [max]")
+		}
+		max, err := intArg(rest, 3, 32)
+		if err != nil {
+			return err
+		}
+		c, err := s.consumer(rest[1], arg(rest, 2, "lakectl"))
+		if err != nil {
+			return err
+		}
+		sp := tr.Start("streamsvc.poll")
+		sp.SetAttr("topic", rest[1])
+		msgs, cost, err := c.PollSpanCtx(max, sp, nil)
+		if err != nil {
+			return err
+		}
+		sp.End(cost)
+		fmt.Fprintf(s.out, "%d message(s) latency=%v trace=%d\n", len(msgs), cost, sp.ID)
+		fmt.Fprint(s.out, sp.Tree())
+		_, err = c.CommitOffsets()
+		return err
 	case "last":
 		sp := tr.Last()
 		if sp == nil {
@@ -975,11 +1014,7 @@ func (s *shell) trace(rest []string) error {
 }
 
 func (s *shell) scrub(rest []string) error {
-	sub := "run"
-	if len(rest) > 0 {
-		sub = rest[0]
-	}
-	switch sub {
+	switch sub := arg(rest, 0, "run"); sub {
 	case "run", "cycle": // every pass sweeps every log, so the two agree
 		rep, err := s.lake.RunScrub()
 		if err != nil {
@@ -1008,11 +1043,7 @@ func (s *shell) cache(rest []string) error {
 	if c == nil {
 		return fmt.Errorf("read cache disabled (restart with -cache <MB>)")
 	}
-	sub := "status"
-	if len(rest) > 0 {
-		sub = rest[0]
-	}
-	switch sub {
+	switch sub := arg(rest, 0, "status"); sub {
 	case "status":
 		st := c.Stats()
 		lookups := st.DRAMHits + st.SCMHits + st.Misses

@@ -388,12 +388,22 @@ func (l *PLog) invalidateCached() {
 // charged to rc afterwards. A read whose cost pushes the request past
 // its deadline returns the data it fetched together with
 // resil.ErrDeadlineExceeded; the caller decides whether a late result
-// is still useful. A nil rc makes ReadCtx identical to Read.
-func (l *PLog) ReadCtx(offset, n int64, rc *resil.Ctx) (data []byte, cost time.Duration, err error) {
+// is still useful. A nil rc makes ReadCtx identical to Read. The read
+// is annotated on sp, the caller's plog.read span: its bytes and
+// whether the read cache or the devices served it (src). A nil span
+// traces nothing.
+func (l *PLog) ReadCtx(offset, n int64, rc *resil.Ctx, sp *obs.Span) (data []byte, cost time.Duration, err error) {
 	if err := rc.Check(); err != nil {
 		return nil, 0, err
 	}
-	data, cost, err = l.Read(offset, n)
+	data, cost, hit, err := l.readThrough(offset, n)
+	if sp != nil {
+		sp.SetAttr("bytes", strconv.FormatInt(n, 10))
+		sp.SetAttr("src", "device")
+		if hit {
+			sp.SetAttr("src", "cache")
+		}
+	}
 	if err != nil {
 		return data, cost, err
 	}

@@ -165,41 +165,25 @@ func (sp *Space) appendBatchLocked(s ID, payloads [][]byte, parent *obs.Span) ([
 
 // Read fetches the record at loc.
 func (sp *Space) Read(loc Loc) ([]byte, time.Duration, error) {
-	return sp.ReadCtx(loc, nil)
+	return sp.ReadCtx(loc, nil, nil)
 }
 
 // ReadCtx is Read under a resilience context: the deadline check and
-// cost charging happen in the PLog (see plog.ReadCtx). A nil rc makes
-// it identical to Read.
-func (sp *Space) ReadCtx(loc Loc, rc *resil.Ctx) ([]byte, time.Duration, error) {
+// cost charging happen in the PLog (see plog.ReadCtx). The read is
+// recorded as a plog.read child of parent, annotated with the log it
+// came from, and advances parent's cursor by its cost; a nil span
+// traces nothing. With nil rc and parent it is Read.
+func (sp *Space) ReadCtx(loc Loc, rc *resil.Ctx, parent *obs.Span) ([]byte, time.Duration, error) {
 	l := sp.mgr.Get(loc.Log)
 	if l == nil {
 		return nil, 0, fmt.Errorf("shard: no PLog %d", loc.Log)
 	}
-	return l.ReadCtx(loc.Offset, int64(loc.Len), rc)
-}
-
-// FullyRedundant reports whether every PLog across the space's chains
-// holds its full redundancy (no stale replicas or shards awaiting
-// repair) — the health signal stream objects surface after degraded
-// writes.
-func (sp *Space) FullyRedundant() bool {
-	return sp.StaleBytes() == 0
-}
-
-// StaleBytes sums the missing redundancy bytes across the space's logs.
-func (sp *Space) StaleBytes() int64 {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	var total int64
-	for _, chain := range sp.chains {
-		for _, id := range chain {
-			if l := sp.mgr.Get(id); l != nil {
-				total += l.StaleBytes()
-			}
-		}
-	}
-	return total
+	span := parent.Child("plog.read")
+	span.SetAttr("log", strconv.FormatInt(int64(loc.Log), 10))
+	data, cost, err := l.ReadCtx(loc.Offset, int64(loc.Len), rc, span)
+	span.End(cost)
+	parent.Advance(cost)
+	return data, cost, err
 }
 
 // DestroyLog destroys one PLog in the space, removing it from its

@@ -15,20 +15,26 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/ instead of comparing with them")
 
 // checkMetricsGolden is the one check every /metrics golden goes
+// through: see checkGolden; the file is testdata/metrics/<name>.prom.
+func checkMetricsGolden(t *testing.T, name string, run func(*testing.T) []byte) []byte {
+	t.Helper()
+	return checkGolden(t, filepath.Join("testdata", "metrics", name+".prom"), run)
+}
+
+// checkGolden is the one check every golden under testdata/ goes
 // through: run produces the text twice in this process, the two must be
 // byte-identical (so a map-order or wall-clock draw fails where it is
-// made), and then the text must equal testdata/metrics/<name>.prom.
-// With -update the file is rewritten instead. It returns the text.
-func checkMetricsGolden(t *testing.T, name string, run func(*testing.T) []byte) []byte {
+// made), and then the text must equal the file at path. With -update
+// the file is rewritten instead. It returns the text.
+func checkGolden(t *testing.T, path string, run func(*testing.T) []byte) []byte {
 	t.Helper()
 	a, b := run(t), run(t)
 	if len(a) == 0 {
-		t.Fatal("empty metrics output")
+		t.Fatal("empty output")
 	}
 	if d := firstDiff(a, b); d != "" {
-		t.Fatalf("two runs of one seeded workload render different /metrics: %s", d)
+		t.Fatalf("two runs of one seeded workload render different text: %s", d)
 	}
-	path := filepath.Join("testdata", "metrics", name+".prom")
 	if *update {
 		if err := os.WriteFile(path, a, 0o644); err != nil {
 			t.Fatal(err)
@@ -40,7 +46,7 @@ func checkMetricsGolden(t *testing.T, name string, run func(*testing.T) []byte) 
 		t.Fatalf("%v (go test -run %s -update writes it)", err, t.Name())
 	}
 	if d := firstDiff(a, want); d != "" {
-		t.Fatalf("/metrics differs from %s: %s", path, d)
+		t.Fatalf("output differs from %s: %s", path, d)
 	}
 	return a
 }
