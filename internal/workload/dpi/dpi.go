@@ -11,7 +11,6 @@ package dpi
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"streamlake/internal/colfile"
 	"streamlake/internal/rowcodec"
@@ -164,10 +163,4 @@ func DAUQuery(table string, day int) string {
 	hi := lo + 86400
 	return fmt.Sprintf(`Select COUNT(*) as DAU From %s Where url = '%s' and start_time >= %d and start_time < %d Group By province`,
 		table, FinAppURL, lo, hi)
-}
-
-// Timestamp converts a start_time to a virtual duration since BaseTime,
-// useful for time-travel experiments.
-func Timestamp(ts int64) time.Duration {
-	return time.Duration(ts-BaseTime) * time.Second
 }

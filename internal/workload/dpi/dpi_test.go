@@ -144,12 +144,6 @@ func TestDAUQuerySQL(t *testing.T) {
 	}
 }
 
-func TestHourBucketing(t *testing.T) {
-	if Timestamp(BaseTime+60).Seconds() != 60 {
-		t.Fatal("timestamp conversion broken")
-	}
-}
-
 // Normalize and Label reuse the raw row: the label lands in the payload
 // slot. A normalized row with no spare capacity is copied once instead.
 func TestStagesRunInPlace(t *testing.T) {
