@@ -14,6 +14,8 @@
 #
 # Every performance floor is an ordinary test beside the package it
 # guards, so both passes run it; EXPERIMENTS.md ("Gates") is the index.
+# Both passes also diff the goldens under testdata/: the /metrics texts
+# and the span trees.
 set -eux
 # Size ratchet: non-test Go lines outside benchmark/ may not exceed
 # scripts/loc_ceiling.txt (edit the file in the commit that must).
@@ -93,7 +95,7 @@ done
 # and bytes (convert), a data file is encoded from the caller's rows, not
 # a copy, and a rewrite decodes file after file into one buffer
 # (tableobj, lakehouse), a poll costs one message header per message
-# (streamsvc).
+# (streamsvc), a straddled slice is read once (streamobj).
 go test -run '^$' -bench 'BenchmarkCommitProduce' -benchtime 1x ./internal/cluster/
 go test -run '^$' -bench 'BenchmarkAppendBatch' -benchtime 1x ./internal/plog/
 go test -run '^$' -bench 'BenchmarkConvert' -benchtime 1x ./internal/convert/
