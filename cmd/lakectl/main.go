@@ -23,6 +23,8 @@
 //	                                   cold-tier compression counters show
 //	                                   once tiering demotes a log to HDD)
 //	trace produce <topic> <key> <value>  (traced send, prints the span tree)
+//	trace poll <topic> [group] [max]     (traced poll)
+//	trace sql <select statement>         (traced query: plan, scan, file reads)
 //	trace last | trace <id>
 //	faults status
 //	faults net [status]               (standing link faults + breaker states)
@@ -952,7 +954,7 @@ func (s *shell) printChaos(rep *chaos.Report) {
 func (s *shell) trace(rest []string) error {
 	tr := s.lake.Tracer()
 	if len(rest) == 0 {
-		return fmt.Errorf("usage: trace produce <topic> <key> <value> | trace poll <topic> [group] [max] | trace last | trace <id>")
+		return fmt.Errorf("usage: trace produce <topic> <key> <value> | trace poll <topic> [group] [max] | trace sql <statement> | trace last | trace <id>")
 	}
 	switch rest[0] {
 	case "produce":
@@ -992,6 +994,19 @@ func (s *shell) trace(rest []string) error {
 		fmt.Fprint(s.out, sp.Tree())
 		_, err = c.CommitOffsets()
 		return err
+	case "sql":
+		if len(rest) < 2 {
+			return fmt.Errorf("usage: trace sql <statement>")
+		}
+		sp := tr.Start("query.execute")
+		res, cost, err := s.lake.QuerySpan(strings.Join(rest[1:], " "), sp)
+		if err != nil {
+			return err
+		}
+		sp.End(cost)
+		fmt.Fprintf(s.out, "%d row(s) latency=%v trace=%d\n", len(res.Rows), cost, sp.ID)
+		fmt.Fprint(s.out, sp.Tree())
+		return nil
 	case "last":
 		sp := tr.Last()
 		if sp == nil {

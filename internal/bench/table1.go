@@ -273,7 +273,7 @@ func (row *Table1Row) runStreamLake(n int, seed uint64) {
 	}
 	_, queryCost, err := lh.AggregatePushdown("dpi_logs",
 		[]lakehouse.RangeFilter{{Column: "url", Lo: &urlV, Hi: &urlV}},
-		"province", "")
+		"province", "", nil)
 	if err != nil {
 		panic(err)
 	}

@@ -52,3 +52,55 @@ func runPollDrain(t *testing.T) []byte {
 func TestPollSpanGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "spans", "poll.txt"), runPollDrain)
 }
+
+// runSQLTrace loads a partitioned table in several inserts and traces a
+// selective projection, a full GROUP BY and a repeat of the first, and
+// returns the span trees.
+func runSQLTrace(t *testing.T) []byte {
+	t.Helper()
+	lake, err := streamlake.Open(streamlake.Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := streamlake.MustSchema("url:string", "start_time:int64", "province:string", "bytes:int64")
+	if err := lake.CreateTable(streamlake.TableMeta{Name: "logs", Path: "/logs", Schema: schema, PartitionColumn: "province"}); err != nil {
+		t.Fatal(err)
+	}
+	provinces := []string{"bj", "sh", "gz"}
+	for b := 0; b < 4; b++ {
+		var rows []streamlake.Row
+		for i := 0; i < 60; i++ {
+			ts := int64(b*100 + i)
+			rows = append(rows, streamlake.Row{
+				streamlake.StringValue(fmt.Sprintf("http://site/%d", i%7)), streamlake.IntValue(ts),
+				streamlake.StringValue(provinces[i%len(provinces)]), streamlake.IntValue(ts % 13),
+			})
+		}
+		if err := lake.Insert("logs", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lake.FlushTable("logs"); err != nil {
+		t.Fatal(err)
+	}
+	selective := "select url, bytes from logs where start_time >= 120 and start_time < 150"
+	var out bytes.Buffer
+	for _, sql := range []string{selective, "select count(*), sum(bytes) from logs group by province", selective} {
+		sp := lake.Tracer().Start("query.execute")
+		res, cost, err := lake.QuerySpan(sql, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.End(cost)
+		fmt.Fprintf(&out, "%s: %d row(s)\n%s", sql, len(res.Rows), sp.Tree())
+	}
+	return out.Bytes()
+}
+
+// TestSQLSpanGolden pins the SQL path's span tree: lakehouse.plan (files
+// total, pruned, admitted; where the manifest came from), then
+// lakehouse.scan with one tableobj.read per file, byte-identical to
+// testdata/spans/sql.txt.
+func TestSQLSpanGolden(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "spans", "sql.txt"), runSQLTrace)
+}

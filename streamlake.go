@@ -510,7 +510,18 @@ func (l *Lake) Query(sql string) (*Result, error) { return l.sql.Query(sql) }
 // QueryCost executes a query and also returns its modelled virtual
 // latency (planning plus execution).
 func (l *Lake) QueryCost(sql string) (*Result, time.Duration, error) {
-	res, err := l.sql.Query(sql)
+	return l.QuerySpan(sql, nil)
+}
+
+// QuerySpan is QueryCost recording the query's plan and scan under sp
+// (query.Engine.ExecuteSpan); the caller ends sp with the returned
+// cost. A nil sp traces nothing.
+func (l *Lake) QuerySpan(sql string, sp *obs.Span) (*Result, time.Duration, error) {
+	stmt, err := query.Parse(sql)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := l.sql.ExecuteSpan(stmt, sp)
 	if err != nil {
 		return nil, 0, err
 	}
