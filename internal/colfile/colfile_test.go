@@ -110,28 +110,34 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if r.NumRowGroups() != 8 { // ceil(1000/128)
 		t.Fatalf("groups: %d", r.NumRowGroups())
 	}
-	i := 0
-	err = r.Scan(func(row Row) bool {
+	var dec RowDecoder
+	rows, err := dec.AppendRows(nil, r)
+	if err != nil || len(rows) != 1000 {
+		t.Fatalf("decode: %d rows, err %v", len(rows), err)
+	}
+	for i, row := range rows {
 		want := makeRow(i)
 		for c := range row {
 			if Compare(row[c], want[c]) != 0 {
 				t.Fatalf("row %d col %d: got %v want %v", i, c, row[c], want[c])
 			}
 		}
-		i++
-		return true
-	})
-	if err != nil || i != 1000 {
-		t.Fatalf("scan: %d rows, err %v", i, err)
 	}
 }
 
-func TestScanEarlyStop(t *testing.T) {
+// A reader decodes one row group without touching the others: group 2
+// of ten holds rows 20 to 29, and a column subset comes back alone.
+func TestReadGroupReadsOneGroup(t *testing.T) {
 	r, _ := Open(buildFile(t, 100, 10))
-	n := 0
-	r.Scan(func(Row) bool { n++; return n < 25 })
-	if n != 25 {
-		t.Fatalf("scanned %d", n)
+	cols, err := r.ReadGroup(2, []int{1, 0})
+	if err != nil || len(cols) != 2 || len(cols[0]) != 10 {
+		t.Fatalf("group 2: %d columns, err %v", len(cols), err)
+	}
+	for i := range cols[0] {
+		want := makeRow(20 + i)
+		if Compare(cols[0][i], want[1]) != 0 || Compare(cols[1][i], want[0]) != 0 {
+			t.Fatalf("group 2 row %d: %v %v, want %v %v", i, cols[0][i], cols[1][i], want[1], want[0])
+		}
 	}
 }
 
@@ -287,8 +293,8 @@ func TestEmptyFile(t *testing.T) {
 	if r.NumRows() != 0 || r.NumRowGroups() != 0 {
 		t.Fatalf("empty file: %d rows, %d groups", r.NumRows(), r.NumRowGroups())
 	}
-	if err := r.Scan(func(Row) bool { t.Fatal("scan visited a row"); return false }); err != nil {
-		t.Fatal(err)
+	if rows := scanAll(t, r); len(rows) != 0 {
+		t.Fatalf("empty file decoded %d rows", len(rows))
 	}
 }
 
@@ -369,20 +375,16 @@ func TestQuickFullFileRoundTrip(t *testing.T) {
 		if err != nil || r.NumRows() != int64(n) {
 			return false
 		}
-		i := 0
-		ok := true
-		r.Scan(func(row Row) bool {
+		got := scanAll(t, r)
+		if len(got) != n {
+			return false
+		}
+		for i, row := range got {
 			for c := range row {
 				if Compare(row[c], rows[i][c]) != 0 {
-					ok = false
 					return false
 				}
 			}
-			i++
-			return true
-		})
-		if !ok || i != n {
-			return false
 		}
 		// Stats bound every value.
 		idx := 0
@@ -408,12 +410,14 @@ func TestQuickFullFileRoundTrip(t *testing.T) {
 func BenchmarkScan(b *testing.B) {
 	data := buildFile(b, 10000, 0)
 	r, _ := Open(data)
+	var dec RowDecoder
+	var rows []Row
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n := 0
-		r.Scan(func(Row) bool { n++; return true })
-		if n != 10000 {
-			b.Fatal("short scan")
+		dec.Recycle()
+		var err error
+		if rows, err = dec.AppendRows(rows[:0], r); err != nil || len(rows) != 10000 {
+			b.Fatalf("decoded %d rows, %v", len(rows), err)
 		}
 	}
 }

@@ -65,7 +65,6 @@ type Writer struct {
 	buf       bytes.Buffer
 	pending   []Row
 	groups    []groupMeta
-	numRows   int64
 	finished  bool
 
 	// Chunk-encode state reused across every chunk of the file: the
@@ -122,7 +121,6 @@ func (w *Writer) Append(row Row) error {
 		return err
 	}
 	w.pending = append(w.pending, row) // copies a borrowed tail: its cap is its len
-	w.numRows++
 	if len(w.pending) < w.groupSize {
 		return nil
 	}
@@ -149,7 +147,6 @@ func (w *Writer) AppendRows(rows []Row) error {
 			return err
 		}
 	}
-	w.numRows += int64(len(rows))
 	for ; len(rows) >= w.groupSize; rows = rows[w.groupSize:] {
 		if err := w.flushGroup(rows[:w.groupSize]); err != nil {
 			return err
@@ -198,9 +195,6 @@ func (w *Writer) flushGroup(rows []Row) error {
 	w.groups = append(w.groups, g)
 	return nil
 }
-
-// NumRows reports the rows appended so far.
-func (w *Writer) NumRows() int64 { return w.numRows }
 
 // NumRowGroups reports the row groups flushed so far: every group, once
 // Finish has returned.
@@ -269,15 +263,33 @@ type Reader struct {
 
 // Open parses a file produced by Writer.Finish.
 func Open(data []byte) (*Reader, error) {
+	r := new(Reader)
+	if err := r.Reset(data); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Reset parses another file into r, reusing the group, chunk and stats
+// storage of the file r held, so a scan opens file after file into one
+// reader. The previous schema's Fields are kept only when every name
+// and type match, and never written: Schema hands them to callers. A
+// failed Reset leaves r empty.
+func (r *Reader) Reset(data []byte) (err error) {
+	defer func() {
+		if err != nil {
+			r.data, r.schema, r.groups = nil, Schema{}, r.groups[:0]
+		}
+	}()
 	if len(data) < len(magic)+1+8 || !bytes.Equal(data[:4], magic) || !bytes.Equal(data[len(data)-4:], magic) {
-		return nil, errors.New("colfile: bad magic")
+		return errors.New("colfile: bad magic")
 	}
 	if data[4] != version {
-		return nil, fmt.Errorf("colfile: unsupported version %d", data[4])
+		return fmt.Errorf("colfile: unsupported version %d", data[4])
 	}
 	footerLen := binary.LittleEndian.Uint32(data[len(data)-8 : len(data)-4])
 	if int(footerLen) > len(data)-8 {
-		return nil, errors.New("colfile: footer length out of range")
+		return errors.New("colfile: footer length out of range")
 	}
 	f := data[len(data)-8-int(footerLen) : len(data)-8]
 
@@ -295,70 +307,81 @@ func Open(data []byte) (*Reader, error) {
 	const colBytes = 7
 	nf, err := readUvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	schema := Schema{Fields: make([]Field, 0, presize(nf, 2))}
-	for i := uint64(0); i < nf; i++ {
+	// fields stays the previous schema's while every field matches it.
+	prev := r.schema.Fields
+	fields, same := prev, uint64(len(prev)) == nf
+	if !same {
+		fields = make([]Field, 0, presize(nf, 2))
+	}
+	for i := 0; uint64(i) < nf; i++ {
 		nl, err := readUvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if nl >= uint64(len(f)) { // the name and its type byte; nl+1 would wrap
-			return nil, errors.New("colfile: truncated footer schema")
+			return errors.New("colfile: truncated footer schema")
 		}
-		name := string(f[:nl])
-		t := Type(f[nl])
+		name, t := f[:nl], Type(f[nl])
+		if same && (prev[i].Name != string(name) || prev[i].Type != t) {
+			same, fields = false, append(make([]Field, 0, i+presize(nf-uint64(i), 2)), prev[:i]...)
+		}
+		if !same {
+			fields = append(fields, Field{Name: string(name), Type: t})
+		}
 		f = f[nl+1:]
-		schema.Fields = append(schema.Fields, Field{Name: name, Type: t})
 	}
 	ng, err := readUvarint()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	nc := len(schema.Fields)
-	r := &Reader{data: data, schema: schema, groups: make([]groupMeta, 0, presize(ng, 1+colBytes*nc))}
+	nc := len(fields)
+	r.data, r.schema = data, Schema{Fields: fields}
+	r.groups = slices.Grow(r.groups[:0], presize(ng, 1+colBytes*nc))
 	for i := uint64(0); i < ng; i++ {
 		rows, err := readUvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Untrusted row count: guard the int conversion. Per-chunk
 		// decoders validate the count against the decompressed data
 		// (compression makes tighter file-size bounds unsound).
 		if rows > 1<<31 {
-			return nil, errors.New("colfile: group row count out of range")
+			return errors.New("colfile: group row count out of range")
 		}
+		r.groups = slices.Grow(r.groups, 1)[:len(r.groups)+1]
+		g := &r.groups[len(r.groups)-1] // with the storage of the group that held this slot, if any
 		cols := presize(uint64(nc), colBytes)
-		g := groupMeta{rows: int(rows), chunks: make([]chunkRef, 0, cols), stats: make([]Stats, 0, cols)}
+		g.rows, g.chunks, g.stats = int(rows), slices.Grow(g.chunks[:0], cols), slices.Grow(g.stats[:0], cols)
 		for c := 0; c < nc; c++ {
 			off, err := readUvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			length, err := readUvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			var st Stats
 			st.Min, f, err = readValue(f)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			st.Max, f, err = readValue(f)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			cnt, err := readUvarint()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			st.Count = int64(cnt)
 			g.chunks = append(g.chunks, chunkRef{offset: int64(off), length: int64(length)})
 			g.stats = append(g.stats, st)
 		}
-		r.groups = append(r.groups, g)
 	}
-	return r, nil
+	return nil
 }
 
 // Schema returns the file's schema.
@@ -431,29 +454,6 @@ func (r *Reader) ReadGroupInto(g int, cols []int, dst [][]Value) ([][]Value, err
 		dst[i] = vals
 	}
 	return dst, nil
-}
-
-// Scan iterates every row in order; fn returning false stops the scan.
-// The row passed to fn is reused, valid only for the duration of the
-// callback: retain a copy, not the row itself.
-func (r *Reader) Scan(fn func(Row) bool) error {
-	row := make(Row, len(r.schema.Fields))
-	var cols [][]Value
-	for g := range r.groups {
-		var err error
-		if cols, err = r.ReadGroupInto(g, nil, cols); err != nil {
-			return err
-		}
-		for i := 0; i < r.groups[g].rows; i++ {
-			for c := range cols {
-				row[c] = cols[c][i]
-			}
-			if !fn(row) {
-				return nil
-			}
-		}
-	}
-	return nil
 }
 
 // RowDecoder reads whole files as rows, for callers that rewrite what

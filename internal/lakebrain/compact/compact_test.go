@@ -286,7 +286,12 @@ func TestCompactPartitionRealTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.Scan(func(colfile.Row) bool { rows++; return true })
+		var dec colfile.RowDecoder
+		got, err := dec.AppendRows(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows += len(got)
 	}
 	if rows != 10 {
 		t.Fatalf("rows after compaction: %d", rows)

@@ -36,6 +36,7 @@ func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duratio
 	schema := st.tbl.Schema()
 	bound := bindFilters(schema, filters)
 	var deleted int64
+	var r colfile.Reader
 	var dec colfile.RowDecoder
 	var rows []colfile.Row
 	for _, f := range plan.Files {
@@ -51,12 +52,11 @@ func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duratio
 			return deleted, cost, err
 		}
 		cost += rc
-		r, err := colfile.Open(blob)
-		if err != nil {
+		if err := r.Reset(blob); err != nil {
 			return deleted, cost, err
 		}
 		dec.Recycle() // the last file's survivors are written
-		if rows, err = dec.AppendRows(rows[:0], r); err != nil {
+		if rows, err = dec.AppendRows(rows[:0], &r); err != nil {
 			return deleted, cost, err
 		}
 		keep := rows[:0]
@@ -133,6 +133,7 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 	schema := st.tbl.Schema()
 	bound := bindFilters(schema, filters)
 	var updated int64
+	var r colfile.Reader
 	var dec colfile.RowDecoder
 	var rows []colfile.Row
 	for _, f := range plan.Files {
@@ -141,12 +142,11 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 			return updated, cost, err
 		}
 		cost += rc
-		r, err := colfile.Open(blob)
-		if err != nil {
+		if err := r.Reset(blob); err != nil {
 			return updated, cost, err
 		}
 		dec.Recycle() // the last file's rows are written
-		if rows, err = dec.AppendRows(rows[:0], r); err != nil {
+		if rows, err = dec.AppendRows(rows[:0], &r); err != nil {
 			return updated, cost, err
 		}
 		changed := false
@@ -165,7 +165,7 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 			continue
 		}
 		x.RemoveFile(f)
-		if !st.tbl.SpansPartitions(rows) {
+		if st.tbl.PartitionRun(rows) == len(rows) {
 			_, err = x.WriteRows(rows)
 		} else { // set moved rows to another partition
 			_, err = x.WritePartitions(byPartition(st.tbl, rows))
@@ -185,12 +185,19 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 	return updated, cost, err
 }
 
-// byPartition groups rows by partition directory, keeping their order.
+// byPartition groups rows by partition directory, keeping their order,
+// and names each run of rows sharing a partition value once. A first run
+// is the caller's sub-slice, capped so a later run's append copies it.
 func byPartition(tbl *tableobj.Table, rows []colfile.Row) map[string][]colfile.Row {
 	out := map[string][]colfile.Row{}
-	for _, r := range rows {
-		p := tbl.PartitionFor(r)
-		out[p] = append(out[p], r)
+	for len(rows) > 0 {
+		n := tbl.PartitionRun(rows)
+		if p := tbl.PartitionFor(rows[0]); out[p] == nil {
+			out[p] = rows[:n:n]
+		} else {
+			out[p] = append(out[p], rows[:n]...)
+		}
+		rows = rows[n:]
 	}
 	return out
 }

@@ -261,13 +261,3 @@ func (e *Engine) Flush(name string) (time.Duration, error) {
 	e.invalidateManifests(name)
 	return x.Cost(), nil
 }
-
-// Pending reports the write-cache backlog for a table.
-func (e *Engine) Pending(name string) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if st, ok := e.tables[name]; ok {
-		return len(st.pendingAdds)
-	}
-	return 0
-}

@@ -158,22 +158,23 @@ func (t *Table) PartitionFor(row colfile.Row) string {
 	return t.meta.PartitionColumn + "=" + row[c].String()
 }
 
-// SpansPartitions reports whether valid rows fall in more than one
-// partition, comparing partition-column values bit for bit: a float
-// partition's directory name tells -0 from 0.
-func (t *Table) SpansPartitions(rows []colfile.Row) bool {
+// PartitionRun returns how many leading rows of valid rows share the
+// first one's partition, comparing partition-column values bit for bit:
+// a float partition's directory name tells -0 from 0. Unpartitioned,
+// that is every row.
+func (t *Table) PartitionRun(rows []colfile.Row) int {
 	if t.meta.PartitionColumn == "" || len(rows) == 0 {
-		return false
+		return len(rows)
 	}
 	c := t.meta.Schema.FieldIndex(t.meta.PartitionColumn)
 	first := rows[0][c]
-	for _, r := range rows[1:] {
+	for i, r := range rows {
 		if v := r[c]; v.Str != first.Str || v.Int != first.Int || v.Bool != first.Bool ||
 			math.Float64bits(v.Float) != math.Float64bits(first.Float) {
-			return true
+			return i
 		}
 	}
-	return false
+	return len(rows)
 }
 
 // Txn stages data-file additions and removals for one atomic commit.
@@ -239,7 +240,7 @@ func (x *Txn) WriteRows(rows []colfile.Row) (DataFile, error) {
 	if err := w.AppendRows(rows); err != nil {
 		return DataFile{}, err
 	}
-	if x.t.SpansPartitions(rows) {
+	if x.t.PartitionRun(rows) < len(rows) {
 		return DataFile{}, fmt.Errorf("%w: the first row is in %s", ErrPartitionSpan, x.t.PartitionFor(rows[0]))
 	}
 	blob, err := w.Finish()

@@ -225,8 +225,15 @@ func TestInsertAndScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var dec colfile.RowDecoder
+	rows, err := dec.AppendRows(nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var urls []string
-	r.Scan(func(row colfile.Row) bool { urls = append(urls, row[0].Str); return true })
+	for _, row := range rows {
+		urls = append(urls, row[0].Str)
+	}
 	if len(urls) != 2 || urls[0] != "http://a" {
 		t.Fatalf("rows: %v", urls)
 	}
@@ -259,7 +266,7 @@ func TestWriteRowsRejectsPartitionSpan(t *testing.T) {
 	}
 	zero, negZero := colfile.FloatValue(0), colfile.FloatValue(math.Copysign(0, -1))
 	if ft.PartitionFor(colfile.Row{zero}) == ft.PartitionFor(colfile.Row{negZero}) ||
-		!ft.SpansPartitions([]colfile.Row{{zero}, {negZero}}) || ft.SpansPartitions([]colfile.Row{{negZero}, {negZero}}) {
+		ft.PartitionRun([]colfile.Row{{zero}, {negZero}}) != 1 || ft.PartitionRun([]colfile.Row{{negZero}, {negZero}}) != 2 {
 		t.Fatal("float partitions compare unlike their names")
 	}
 }
