@@ -1,0 +1,257 @@
+package query
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"streamlake/internal/colfile"
+	"streamlake/internal/lakehouse"
+	"streamlake/internal/plog"
+	"streamlake/internal/pool"
+	"streamlake/internal/sim"
+	"streamlake/internal/tableobj"
+)
+
+// oracleTables are two tables of different schemas; queries alternate
+// between them, so one lake's scans switch schema from query to query.
+var oracleTables = []struct {
+	meta tableobj.TableMeta
+	row  func(*rand.Rand) colfile.Row
+}{
+	{tableobj.TableMeta{Name: "ev", Path: "/lake/ev", PartitionColumn: "province",
+		Schema: colfile.MustSchema("url:string", "ts:int64", "province:string", "bytes:int64", "score:float64")},
+		func(r *rand.Rand) colfile.Row {
+			return colfile.Row{colfile.StringValue(fmt.Sprintf("http://u/%d", r.Intn(6))), colfile.IntValue(int64(r.Intn(500))),
+				colfile.StringValue([]string{"bj", "sh", "gz", "cd"}[r.Intn(4)]), colfile.IntValue(int64(r.Intn(40))),
+				colfile.FloatValue(float64(r.Intn(80)) / 4)}
+		}},
+	{tableobj.TableMeta{Name: "acct", Path: "/lake/acct", PartitionColumn: "bucket",
+		Schema: colfile.MustSchema("id:int64", "bucket:int64", "name:string", "paid:bool", "amount:float64")},
+		func(r *rand.Rand) colfile.Row {
+			return colfile.Row{colfile.IntValue(int64(r.Intn(1000))), colfile.IntValue(int64(r.Intn(3))),
+				colfile.StringValue(string(rune('a' + r.Intn(5)))), colfile.BoolValue(r.Intn(2) == 0),
+				colfile.FloatValue(float64(r.Intn(40)) / 2)}
+		}},
+}
+
+// oracleLake is a lakehouse with both tables, zone maps on or off.
+func oracleLake(t *testing.T, zoneMaps bool) *Engine {
+	t.Helper()
+	clock := sim.NewClock()
+	fs := tableobj.NewFileStore(plog.NewManager(pool.New("q", clock, sim.NVMeSSD, 8, 64<<20), 8<<20))
+	lh := lakehouse.New(clock, fs, tableobj.NewCatalog(clock), lakehouse.Options{Acceleration: true, FlushEvery: 8, ZoneMaps: zoneMaps})
+	for _, tb := range oracleTables {
+		if _, err := lh.CreateTable(tb.meta); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return New(lh)
+}
+
+// randomQuery renders a SELECT over table tb: select *, a column list
+// or aggregates (count, one or two sums, maybe grouped), under up to
+// three random conjuncts on its comparable columns.
+func randomQuery(r *rand.Rand, schema colfile.Schema, table string) string {
+	pick := func() colfile.Field { return schema.Fields[r.Intn(len(schema.Fields))] }
+	var sel []string
+	group := ""
+	switch r.Intn(3) {
+	case 0:
+		sel = []string{"*"}
+	case 1:
+		for n := 1 + r.Intn(3); len(sel) < n; {
+			sel = append(sel, pick().Name)
+		}
+	default:
+		sel = []string{"count(*)"}
+		for n := r.Intn(3); n > 0; n-- {
+			if f := pick(); f.Type == colfile.Int64 || f.Type == colfile.Float64 {
+				sel = append(sel, "sum("+f.Name+")")
+			}
+		}
+		if f := pick(); r.Intn(2) == 0 && f.Type != colfile.Float64 {
+			group = " group by " + f.Name
+		}
+	}
+	var conds []string
+	for n := r.Intn(4); n > 0; n-- {
+		f := pick()
+		op := []string{"=", "<", "<=", ">", ">="}[r.Intn(5)]
+		switch f.Type {
+		case colfile.Int64:
+			conds = append(conds, fmt.Sprintf("%s %s %d", f.Name, op, r.Intn(520)))
+		case colfile.Float64:
+			conds = append(conds, fmt.Sprintf("%s %s %g", f.Name, op, float64(r.Intn(84))/4))
+		case colfile.String:
+			conds = append(conds, fmt.Sprintf("%s %s '%s'", f.Name, op, []string{"a", "c", "bj", "gz", "http://u/3", "z"}[r.Intn(6)]))
+		}
+	}
+	where := ""
+	if len(conds) > 0 {
+		where = " where " + strings.Join(conds, " and ")
+	}
+	return "select " + strings.Join(sel, ", ") + " from " + table + where + group
+}
+
+// evaluate is the reference: the statement over the raw rows, with the
+// engine's result shapes (aggregates by group in key order, no row when
+// nothing matches; rows as value strings, compared unordered).
+func evaluate(t *testing.T, stmt *Stmt, schema colfile.Schema, rows []colfile.Row) [][]string {
+	conds, err := bindConds(schema, stmt.Where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type agg struct {
+		count int64
+		sums  []float64
+	}
+	groups := map[string]*agg{}
+	var out [][]string
+	for _, row := range rows {
+		if !rowMatchesConds(row, conds) {
+			continue
+		}
+		if !allAggregates(stmt.Select) {
+			var vals []string
+			for _, it := range stmt.Select {
+				for c, f := range schema.Fields {
+					if it.Column == "*" || it.Column == f.Name {
+						vals = append(vals, row[c].String())
+					}
+				}
+			}
+			out = append(out, vals)
+			continue
+		}
+		key := ""
+		if stmt.GroupBy != "" {
+			key = row[schema.FieldIndex(stmt.GroupBy)].String()
+		}
+		if groups[key] == nil {
+			groups[key] = &agg{sums: make([]float64, len(stmt.Select))}
+		}
+		g := groups[key]
+		g.count++
+		for i, it := range stmt.Select {
+			if it.Agg == AggSum {
+				v := row[schema.FieldIndex(it.Column)]
+				g.sums[i] += float64(v.Int) + v.Float
+			}
+		}
+	}
+	keys := make([]string, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		var vals []string
+		if stmt.GroupBy != "" {
+			vals = append(vals, k)
+		}
+		for i, it := range stmt.Select {
+			if it.Agg == AggCount {
+				vals = append(vals, fmt.Sprint(groups[k].count))
+			} else {
+				vals = append(vals, trimFloat(groups[k].sums[i]))
+			}
+		}
+		out = append(out, vals)
+	}
+	return out
+}
+
+// sortedRows orders a result's rows, for the queries whose row order is
+// the scan's.
+func sortedRows(rows [][]string) [][]string {
+	out := append([][]string(nil), rows...)
+	sort.Slice(out, func(i, j int) bool { return strings.Join(out[i], "\x00") < strings.Join(out[j], "\x00") })
+	return out
+}
+
+// TestQueriesMatchReferenceEvaluator is the differential query oracle:
+// random rows, inserted in shuffled partition order into two tables of
+// different schemas, and random SELECTs over them. Every statement runs
+// with zone maps on and off and pushdown on and off, and a column list
+// also as select * (projection off); every answer must equal evaluate's
+// over the raw rows. The rows' sums are exact in float64 (quarters and
+// halves), so any summation order gives the same result.
+func TestQueriesMatchReferenceEvaluator(t *testing.T) {
+	batches, queries := 24, 300
+	if testing.Short() {
+		batches, queries = 8, 60
+	}
+	rng := rand.New(rand.NewSource(37))
+	lakes := []*Engine{oracleLake(t, false), oracleLake(t, true)}
+	raw := make([][]colfile.Row, len(oracleTables))
+	for b := 0; b < batches; b++ {
+		for ti, tb := range oracleTables {
+			var batch []colfile.Row
+			for n := 20 + rng.Intn(30); n > 0; n-- {
+				batch = append(batch, tb.row(rng))
+			}
+			raw[ti] = append(raw[ti], batch...)
+			for _, q := range lakes {
+				if _, err := q.lh.Insert(tb.meta.Name, append([]colfile.Row(nil), batch...)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for i := 0; i < queries; i++ {
+		ti := i % len(oracleTables)
+		tb := oracleTables[ti]
+		sql := randomQuery(rng, tb.meta.Schema, tb.meta.Name)
+		stmt, err := Parse(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		want := evaluate(t, stmt, tb.meta.Schema, raw[ti])
+		aggregated := allAggregates(stmt.Select)
+		if !aggregated {
+			want = sortedRows(want)
+		}
+		for li, q := range lakes {
+			for _, pushdown := range []bool{true, false} {
+				q.Pushdown = pushdown
+				res, err := q.Execute(stmt)
+				if err != nil {
+					t.Fatalf("%s (zone maps %v, pushdown %v): %v", sql, li == 1, pushdown, err)
+				}
+				got := res.Rows
+				if !aggregated {
+					got = sortedRows(got)
+				}
+				if len(got) != 0 || len(want) != 0 {
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s (zone maps %v, pushdown %v):\n got %v\nwant %v", sql, li == 1, pushdown, got, want)
+					}
+				}
+				if aggregated || stmt.Select[0].Column == "*" {
+					continue
+				}
+				all := *stmt
+				all.Select = []SelectItem{{Column: "*"}}
+				res, err = q.Execute(&all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var projected [][]string
+				for _, row := range res.Rows {
+					var vals []string
+					for _, it := range stmt.Select {
+						vals = append(vals, row[tb.meta.Schema.FieldIndex(it.Column)])
+					}
+					projected = append(projected, vals)
+				}
+				if projected = sortedRows(projected); len(projected) != len(want) || len(want) > 0 && !reflect.DeepEqual(projected, want) {
+					t.Fatalf("%s as select * (zone maps %v, pushdown %v): %d rows, want %d", sql, li == 1, pushdown, len(projected), len(want))
+				}
+			}
+		}
+	}
+}
