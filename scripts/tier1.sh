@@ -91,16 +91,17 @@ done
 # the same whatever the log holds (cluster, plog), an EC append allocates
 # its extent plus a constant (plog), a request costs its bytes (gateway),
 # a table file costs its bytes (colfile), a warm plan costs the files it
-# admits (lakehouse), a converted row costs a fixed count of allocations
-# and bytes (convert), a data file is encoded from the caller's rows, not
-# a copy, and a rewrite decodes file after file into one buffer
-# (tableobj, lakehouse), a poll costs one message header per message
-# (streamsvc), a straddled slice is read once (streamobj).
+# admits and a scan parses footers into one reader (lakehouse), a
+# converted row costs a fixed count of allocations and bytes (convert),
+# a data file is encoded from the caller's rows, not a copy, and a
+# rewrite decodes file after file into one buffer (tableobj, lakehouse),
+# a poll costs one message header per message (streamsvc), a straddled
+# slice is read once (streamobj).
 go test -run '^$' -bench 'BenchmarkCommitProduce' -benchtime 1x ./internal/cluster/
 go test -run '^$' -bench 'BenchmarkAppendBatch' -benchtime 1x ./internal/plog/
 go test -run '^$' -bench 'BenchmarkConvert' -benchtime 1x ./internal/convert/
 go test -run '^$' -bench 'BenchmarkWriteRows' -benchtime 1x ./internal/tableobj/
 go test -run '^$' -bench 'Request' -benchtime 1x ./internal/gateway/
 go test -run '^$' -bench 'WriteFile|ReadGroupProjected' -benchtime 1x ./internal/colfile/
-go test -run '^$' -bench 'BenchmarkPlanScan' -benchtime 1x ./internal/lakehouse/
+go test -run '^$' -bench 'BenchmarkPlanScan|BenchmarkScanProjected' -benchtime 1x ./internal/lakehouse/
 go test -run '^$' -bench 'BenchmarkPoll' -benchtime 1x ./internal/streamsvc/
