@@ -25,6 +25,9 @@
 //	trace produce <topic> <key> <value>  (traced send, prints the span tree)
 //	trace poll <topic> [group] [max]     (traced poll)
 //	trace sql <select statement>         (traced query: plan, scan, file reads)
+//	trace flush <table> [value...]       (inserts the row, if given, into the
+//	                                     write cache, then traces the
+//	                                     MetaFresher flush: commit, metadata writes)
 //	trace last | trace <id>
 //	faults status
 //	faults net [status]               (standing link faults + breaker states)
@@ -269,23 +272,7 @@ func (s *shell) exec(line string) error {
 		if len(rest) < 2 {
 			return fmt.Errorf("usage: insert <table> <value>...")
 		}
-		tbl, err := s.lake.Engine().Table(rest[0])
-		if err != nil {
-			return err
-		}
-		schema := tbl.Schema()
-		if len(rest)-1 != schema.NumFields() {
-			return fmt.Errorf("table has %d columns, got %d values", schema.NumFields(), len(rest)-1)
-		}
-		row := make(streamlake.Row, schema.NumFields())
-		for i, raw := range rest[1:] {
-			v, err := parseValue(schema, i, raw)
-			if err != nil {
-				return err
-			}
-			row[i] = v
-		}
-		if err := s.lake.Insert(rest[0], []streamlake.Row{row}); err != nil {
+		if err := s.insert(rest[0], rest[1:]); err != nil {
 			return err
 		}
 		if err := s.lake.FlushTable(rest[0]); err != nil {
@@ -949,12 +936,34 @@ func (s *shell) printChaos(rep *chaos.Report) {
 	}
 }
 
-// trace runs a traced produce or poll and renders its span tree, or
-// re-prints a recorded trace by id.
+// insert parses one row of table from raw values and inserts it into
+// the write cache, which the caller flushes.
+func (s *shell) insert(table string, raw []string) error {
+	tbl, err := s.lake.Engine().Table(table)
+	if err != nil {
+		return err
+	}
+	schema := tbl.Schema()
+	if len(raw) != schema.NumFields() {
+		return fmt.Errorf("table has %d columns, got %d values", schema.NumFields(), len(raw))
+	}
+	row := make(streamlake.Row, schema.NumFields())
+	for i, r := range raw {
+		v, err := parseValue(schema, i, r)
+		if err != nil {
+			return err
+		}
+		row[i] = v
+	}
+	return s.lake.Insert(table, []streamlake.Row{row})
+}
+
+// trace runs a traced produce, poll, query or flush and renders its span
+// tree, or re-prints a recorded trace by id.
 func (s *shell) trace(rest []string) error {
 	tr := s.lake.Tracer()
 	if len(rest) == 0 {
-		return fmt.Errorf("usage: trace produce <topic> <key> <value> | trace poll <topic> [group] [max] | trace sql <statement> | trace last | trace <id>")
+		return fmt.Errorf("usage: trace produce <topic> <key> <value> | trace poll <topic> [group] [max] | trace sql <statement> | trace flush <table> [value...] | trace last | trace <id>")
 	}
 	switch rest[0] {
 	case "produce":
@@ -1005,6 +1014,25 @@ func (s *shell) trace(rest []string) error {
 		}
 		sp.End(cost)
 		fmt.Fprintf(s.out, "%d row(s) latency=%v trace=%d\n", len(res.Rows), cost, sp.ID)
+		fmt.Fprint(s.out, sp.Tree())
+		return nil
+	case "flush":
+		if len(rest) < 2 {
+			return fmt.Errorf("usage: trace flush <table> [value...]")
+		}
+		if len(rest) > 2 {
+			if err := s.insert(rest[1], rest[2:]); err != nil {
+				return err
+			}
+		}
+		sp := tr.Start("lakehouse.flush")
+		sp.SetAttr("table", rest[1])
+		cost, err := s.lake.Engine().FlushSpan(rest[1], sp)
+		if err != nil {
+			return err
+		}
+		sp.End(cost)
+		fmt.Fprintf(s.out, "latency=%v trace=%d\n", cost, sp.ID)
 		fmt.Fprint(s.out, sp.Tree())
 		return nil
 	case "last":

@@ -104,3 +104,49 @@ func runSQLTrace(t *testing.T) []byte {
 func TestSQLSpanGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "spans", "sql.txt"), runSQLTrace)
 }
+
+// runFlushTrace loads a partitioned table in 12 rounds of 4
+// one-partition files, tracing the MetaFresher flush that commits each
+// round, and returns the span trees.
+func runFlushTrace(t *testing.T) []byte {
+	t.Helper()
+	lake, err := streamlake.Open(streamlake.Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := streamlake.MustSchema("url:string", "start_time:int64", "province:string", "bytes:int64")
+	if err := lake.CreateTable(streamlake.TableMeta{Name: "logs", Path: "/logs", Schema: schema, PartitionColumn: "province"}); err != nil {
+		t.Fatal(err)
+	}
+	provinces := []string{"bj", "sh", "gz", "sz"}
+	var out bytes.Buffer
+	for round := 0; round < 12; round++ {
+		var rows []streamlake.Row
+		for i := 0; i < 20; i++ {
+			ts := int64(round*100 + i)
+			rows = append(rows, streamlake.Row{
+				streamlake.StringValue(fmt.Sprintf("http://site/%d", i%7)), streamlake.IntValue(ts),
+				streamlake.StringValue(provinces[i%len(provinces)]), streamlake.IntValue(ts % 13),
+			})
+		}
+		if err := lake.Insert("logs", rows); err != nil {
+			t.Fatal(err)
+		}
+		sp := lake.Tracer().Start("lakehouse.flush")
+		cost, err := lake.Engine().FlushSpan("logs", sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.End(cost)
+		fmt.Fprintf(&out, "flush %d\n%s", round+1, sp.Tree())
+	}
+	return out.Bytes()
+}
+
+// TestCommitSpanGolden pins the commit path's span tree: lakehouse.flush
+// (files) → tableobj.commit (adds, removes) → one tableobj.write per
+// metadata file with its kind and bytes, byte-identical to
+// testdata/spans/commit.txt.
+func TestCommitSpanGolden(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "spans", "commit.txt"), runFlushTrace)
+}
