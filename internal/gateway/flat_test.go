@@ -188,13 +188,13 @@ func TestResponsesByteIdentical(t *testing.T) {
 			code: 200, want: `{"messages":[]}`},
 		{name: "sql count", method: "POST", url: "/v1/sql", token: "reader-token",
 			body: `{"query":"select count(*) from tb"}`,
-			code: 200, want: `{"columns":["count"],"latency_ns":210086,"rows":[["2"]]}`},
+			code: 200, want: `{"columns":["count"],"latency_ns":290088,"rows":[["2"]]}`},
 		{name: "sql rows", method: "POST", url: "/v1/sql", token: "reader-token",
 			body: `{"query":"select name, n from tb"}`,
-			code: 200, want: `{"columns":["name","n"],"latency_ns":210159,"rows":[["a\u003cb","1"],["b","2"]]}`},
+			code: 200, want: `{"columns":["name","n"],"latency_ns":210152,"rows":[["a\u003cb","1"],["b","2"]]}`},
 		{name: "sql no rows", method: "POST", url: "/v1/sql", token: "reader-token",
 			body: `{"query":"select name from tb where n > 5"}`,
-			code: 200, want: `{"columns":["name"],"latency_ns":130008,"rows":null}`},
+			code: 200, want: `{"columns":["name"],"latency_ns":130001,"rows":null}`},
 		{name: "not an object", method: "POST", url: "/v1/sql", token: "reader-token",
 			body: `"not json at all"`,
 			code: 400, want: `{"error":"bad json: json: cannot unmarshal string into Go value of type gateway.sqlRequest"}`},

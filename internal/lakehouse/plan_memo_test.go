@@ -15,11 +15,11 @@ import (
 )
 
 // referencePlan is the accelerated planner as it was before the
-// manifest memo: every plan decodes the whole snapshot and sends each
-// file through filePrune. It makes the same pointer read, cache Get and
-// Put and file read as PlanScan, so an engine planned by it stays in
-// step, charge for charge and cache state for cache state, with a twin
-// planned by PlanScan.
+// manifest memo decoded lazily: every plan decodes every file of the
+// snapshot and sends each through filePrune. It folds the snapshot with
+// the same reads, cache Gets and Puts as PlanScan, over a memo of its
+// own, so an engine planned by it stays in step, charge for charge and
+// cache state for cache state, with a twin planned by PlanScan.
 func referencePlan(t *testing.T, e *Engine, name string, filters []RangeFilter) (Plan, time.Duration) {
 	t.Helper()
 	st, err := e.state(name)
@@ -36,36 +36,44 @@ func referencePlan(t *testing.T, e *Engine, name string, filters []RangeFilter) 
 	return plan, cost
 }
 
+// referenceMemos is the manifest referencePlan last folded per table
+// state: a re-created table starts without one.
+var referenceMemos = map[*tableState]*tableobj.Manifest{}
+
 func referenceSnapshot(t *testing.T, e *Engine, st *tableState) (tableobj.Snapshot, time.Duration) {
 	t.Helper()
-	if e.rcache == nil {
-		snap, cost, err := st.tbl.Current()
+	meta := st.tbl.Meta()
+	ptr, cost, err := e.cat.SnapshotPointer(meta.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(path string) ([]byte, time.Duration, error) {
+		key := manifestKey(meta.Name, path)
+		if e.rcache == nil {
+			return e.fs.Read(path)
+		}
+		if blob, ccost, ok := e.rcache.Get(key); ok {
+			return blob, ccost, nil
+		}
+		blob, rc, err := e.fs.Read(path)
+		if err == nil {
+			e.rcache.Put(key, blob)
+		}
+		return blob, rc, err
+	}
+	m, rc, err := tableobj.LoadManifest(meta.Path, ptr, referenceMemos[st], read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	referenceMemos[st] = m
+	snap := m.Snapshot
+	for _, ent := range m.Entries {
+		f, err := ent.File()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return snap, cost
+		snap.Files = append(snap.Files, f)
 	}
-	name := st.tbl.Meta().Name
-	ptr, cost, err := e.cat.SnapshotPointer(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := manifestKey(name, ptr)
-	if blob, ccost, ok := e.rcache.Get(key); ok {
-		if snap, err := tableobj.DecodeSnapshot(blob); err == nil {
-			return snap, cost + ccost
-		}
-		e.rcache.Invalidate(key)
-	}
-	blob, rc, err := e.fs.Read(tableobj.SnapshotPath(st.tbl.Meta().Path, ptr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := tableobj.DecodeSnapshot(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.rcache.Put(key, blob)
 	return snap, cost + rc
 }
 
@@ -359,24 +367,29 @@ func TestPlanCorruptCachedStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := e.Table("t")
-	ptr, _, _ := e.cat.SnapshotPointer("t")
-	blob, _, err := e.fs.Read(tableobj.SnapshotPath(tbl.Meta().Path, ptr))
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The file's legacy stats: a column count, then each column's min
-	// and max, both the row's value. Give the last value a bad type byte.
+	// and max, both the row's value. Give the last value a bad type byte
+	// in the cached copy of the metadata file planning reads them from:
+	// the checkpoint the first commit wrote.
 	stats := binary.AppendUvarint(nil, uint64(len(r)))
 	for _, v := range r {
 		stats = colfile.AppendValue(colfile.AppendValue(stats, v), v)
 	}
+	paths, _ := e.fs.List(tbl.Meta().Path + "/metadata/checkpoints/")
+	if len(paths) != 1 {
+		t.Fatalf("metadata checkpoints: %v", paths)
+	}
+	blob, _, err := e.fs.Read(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	at := bytes.Index(blob, stats)
 	if at < 0 {
-		t.Fatal("stats not found in the snapshot file")
+		t.Fatal("stats not found in the checkpoint")
 	}
 	bad := append([]byte(nil), blob...)
 	bad[at+len(stats)-len(colfile.AppendValue(nil, r[3]))] = 0xEE
-	e.rcache.Put(manifestKey("t", ptr), bad)
+	e.rcache.Put(manifestKey("t", paths[0]), bad)
 
 	p, _, err := e.PlanScan("t", []RangeFilter{{Column: "start_time", Lo: iv(100)}})
 	if err != nil || p.SkippedFiles != 1 {

@@ -172,11 +172,13 @@ func rangeRejects(ent tableobj.ManifestEntry, filters []boundFilter) bool {
 }
 
 // currentManifest resolves the table's current snapshot manifest: the
-// pointer from the catalog, the file from the read cache if attached
-// (Figure 15: repeated planning reads no device bytes). Snapshot files
-// are immutable by id, so an unmoved pointer reuses the table's memo
-// after the same lookups and reads: only the decode is skipped. src
-// names what served the manifest: memo, cache or device.
+// pointer from the catalog, then the snapshot's header, checkpoint and
+// commit files (tableobj.LoadManifest), each from the read cache if
+// attached (Figure 15: repeated planning reads no device bytes). Those
+// files are immutable, so an unmoved pointer reuses the table's memo
+// after the same lookup and header read, and a moved one over the same
+// checkpoint reads only the commits the memo lacks. src names what
+// served the manifest: memo, cache (every file) or device.
 func (e *Engine) currentManifest(st *tableState) (m *tableobj.Manifest, src string, cost time.Duration, err error) {
 	e.mu.Lock()
 	c := e.rcache
@@ -186,37 +188,39 @@ func (e *Engine) currentManifest(st *tableState) (m *tableobj.Manifest, src stri
 	if err != nil {
 		return nil, "", cost, err
 	}
-	decode := func(blob []byte, from string) (*tableobj.Manifest, string, error) {
-		if memo != nil && memo.ID == ptr {
-			return memo, "memo", nil
-		}
-		m, err := tableobj.DecodeManifest(blob)
-		if err != nil {
-			return nil, from, err
-		}
-		st.manifest.Store(&m)
-		return &m, from, nil
-	}
-	var key string
-	if c != nil {
-		key = manifestKey(meta.Name, ptr)
-		if blob, ccost, ok := c.Get(key); ok {
-			if m, src, err := decode(blob, "cache"); err == nil {
-				return m, src, cost + ccost, nil
+	src, hits := "cache", 0
+	read := func(path string) ([]byte, time.Duration, error) {
+		key := manifestKey(meta.Name, path)
+		if c != nil {
+			if blob, ccost, ok := c.Get(key); ok {
+				hits++
+				return blob, ccost, nil
 			}
-			c.Invalidate(key) // undecodable header or file list: drop it and refill below
 		}
+		src = "device"
+		blob, rc, err := e.fs.Read(path)
+		if err == nil && c != nil {
+			c.Put(key, blob)
+		}
+		return blob, rc, err
 	}
-	blob, rc, err := e.fs.Read(tableobj.SnapshotPath(meta.Path, ptr))
+	m, rc, err := tableobj.LoadManifest(meta.Path, ptr, memo, read)
 	cost += rc
+	if err != nil && hits > 0 {
+		// Undecodable cached bytes: drop the table's files and read what
+		// fs holds.
+		c.InvalidatePrefix(manifestPrefix(meta.Name))
+		m, rc, err = tableobj.LoadManifest(meta.Path, ptr, memo, read)
+		cost += rc
+	}
 	if err != nil {
-		return nil, "device", cost, err
+		return nil, src, cost, err
 	}
-	m, src, err = decode(blob, "device")
-	if err == nil && c != nil {
-		c.Put(key, blob)
+	if m == memo {
+		return m, "memo", cost, nil
 	}
-	return m, src, cost, err
+	st.manifest.Store(m)
+	return m, src, cost, nil
 }
 
 func (e *Engine) planFileBased(st *tableState, filters []RangeFilter) (Plan, time.Duration, error) {

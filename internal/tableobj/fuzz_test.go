@@ -3,13 +3,16 @@ package tableobj
 import (
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"streamlake/internal/colfile"
 )
 
-// FuzzDecodeCommit hardens the commit-file parser.
+// FuzzDecodeCommit hardens the commit-file parser, and the fold over
+// it: a snapshot whose one commit since the empty table is any commit
+// DecodeCommit accepts folds, without panic, to that commit's adds.
 func FuzzDecodeCommit(f *testing.F) {
 	file := DataFile{
 		Path: "p/f1", Partition: "x=1", Rows: 3, Bytes: 100,
@@ -25,10 +28,19 @@ func FuzzDecodeCommit(f *testing.F) {
 		if err != nil {
 			return
 		}
+		adds := 0
 		for _, op := range c.Ops {
 			if len(op.File.Min) != len(op.File.Max) {
 				t.Fatal("asymmetric stats decoded")
 			}
+			if op.Add {
+				adds++
+			}
+		}
+		h := Manifest{kind: kindHeader, Snapshot: Snapshot{ID: c.ID}, since: []int64{c.ID}}
+		m, _, err := fold("t", &h, nil, func(string) ([]byte, time.Duration, error) { return data, 0, nil })
+		if err != nil || len(m.Entries) != adds || !slices.Equal(m.CommitIDs, []int64{c.ID}) {
+			t.Fatalf("a fold over an accepted commit of %d adds: %v", adds, err)
 		}
 	})
 }
@@ -95,17 +107,19 @@ func sameStats(a, b DataFile) bool {
 	return true
 }
 
-// FuzzDecodeSnapshot hardens the snapshot-file parser and holds the
-// lazy decoder to it. For any input DecodeSnapshot accepts, every file's
+// FuzzDecodeSnapshot hardens the snapshot-file parser, of headers and
+// of checkpoints, and holds the lazy decoder to it. A header it accepts
+// holds no files and survives encode and DecodeManifest unchanged. For
+// any input decodeSnapshot accepts, every file's
 // stats are symmetric, each manifest entry's File is the DataFile
-// DecodeSnapshot returned, and the entry's encoded range check answers
+// decodeSnapshot returned, and the entry's encoded range check answers
 // as DataFile.Overlaps does for
 // every column, with nil bounds and bounds drawn from the values the
 // snapshot's files hold (a file's own range always overlaps itself).
 // On inputs it refuses, truncated stats among them, the lazy path still
 // must not panic.
 func FuzzDecodeSnapshot(f *testing.F) {
-	valid, _ := EncodeSnapshot(Snapshot{
+	valid, _ := encodeSnapshot(Snapshot{
 		ID: 2, ParentID: 1, Timestamp: time.Second,
 		CommitIDs: []int64{1, 2}, RowCount: 5,
 	})
@@ -115,7 +129,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	b := NewBloom(8)
 	b.Add(colfile.StringValue("x"))
 	iv, sv, fv := colfile.IntValue, colfile.StringValue, colfile.FloatValue
-	files, _ := EncodeSnapshot(Snapshot{ID: 3, ParentID: 2, CommitIDs: []int64{3}, Files: []DataFile{
+	files, _ := encodeSnapshot(Snapshot{ID: 3, ParentID: 2, CommitIDs: []int64{3}, Files: []DataFile{
 		{Path: "t/a", Partition: "p=1", Rows: 4, Bytes: 90,
 			Min: []colfile.Value{sv("a"), iv(1), fv(0.5), colfile.BoolValue(false)},
 			Max: []colfile.Value{sv("q"), iv(9), fv(2.5), colfile.BoolValue(true)}},
@@ -124,9 +138,20 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}})
 	f.Add(files)
 	f.Add(files[:len(files)-3])
+	header, _ := (&Manifest{kind: kindHeader, Snapshot: Snapshot{ID: 9, ParentID: 3, Timestamp: time.Hour, RowCount: 6, AddedFiles: 1, AddedRows: 2},
+		checkpoint: 3, checkpointBytes: int64(len(files)), deltaBytes: 300, since: []int64{5, 9}}).encode()
+	f.Add(header)
+	f.Add(header[:len(header)-1])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, merr := DecodeManifest(data)
-		s, err := DecodeSnapshot(data)
+		if merr == nil && m.kind == kindHeader {
+			blob, _ := m.encode()
+			again, err := DecodeManifest(blob)
+			if err != nil || len(m.Entries) != 0 || !reflect.DeepEqual(again, m) {
+				t.Fatalf("header %+v re-decodes to %+v (%v)", m, again, err)
+			}
+		}
+		s, err := decodeSnapshot(data)
 		if err != nil {
 			for _, e := range m.Entries {
 				e.File()
@@ -144,7 +169,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			if len(want.Min) != len(want.Max) {
 				t.Fatal("asymmetric stats decoded")
 			}
-			// DecodeSnapshot is DecodeManifest plus File, so this pins only
+			// decodeSnapshot is DecodeManifest plus File, so this pins only
 			// that composition: entry order and a repeatable File. The
 			// range comparison below is the differential check.
 			got, err := e.File()
@@ -191,4 +216,23 @@ func bounds(s Snapshot, t colfile.Type) []*colfile.Value {
 		}
 	}
 	return out
+}
+
+// encodeSnapshot encodes s, files and all, as a checkpoint.
+func encodeSnapshot(s Snapshot) ([]byte, error) {
+	m := Manifest{kind: kindCheckpoint, Snapshot: s}
+	for _, f := range s.Files {
+		m.Entries = append(m.Entries, entryOfFile(f))
+	}
+	return m.encode()
+}
+
+// decodeSnapshot parses a header or a checkpoint with every file's
+// stats: a header holds no files.
+func decodeSnapshot(data []byte) (Snapshot, error) {
+	m, err := DecodeManifest(data)
+	if err != nil {
+		return m.Snapshot, err
+	}
+	return m.snapshot()
 }

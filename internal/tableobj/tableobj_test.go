@@ -131,11 +131,11 @@ func TestCommitSnapshotCodecRoundTrip(t *testing.T) {
 
 	s := Snapshot{ID: 9, ParentID: 7, Timestamp: 5 * time.Second, CommitIDs: []int64{1, 7, 9},
 		Files: []DataFile{f}, RowCount: 10, AddedFiles: 1, AddedRows: 10}
-	sblob, err := EncodeSnapshot(s)
+	sblob, err := encodeSnapshot(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs, err := DecodeSnapshot(sblob)
+	gs, err := decodeSnapshot(sblob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestCommitSnapshotCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeCommit(blob[:2]); err == nil {
 		t.Fatal("truncated commit accepted")
 	}
-	if _, err := DecodeSnapshot(sblob[:3]); err == nil {
+	if _, err := decodeSnapshot(sblob[:3]); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
 }
@@ -161,7 +161,7 @@ func TestCreateOpenTable(t *testing.T) {
 		t.Fatalf("schema: %+v", tbl.Schema())
 	}
 	// Creation wrote the initial snapshot and the table properties.
-	if !e.fs.Exists("/lake/dpi_logs/metadata/table.properties") {
+	if _, err := e.fs.Size("/lake/dpi_logs/metadata/table.properties"); err != nil {
 		t.Fatal("table.properties missing")
 	}
 	cur, _, err := tbl.Current()
@@ -381,7 +381,8 @@ func TestCompactionConflictFailsRetry(t *testing.T) {
 	tbl := createTable(t, e, "t")
 	x, _ := tbl.Begin()
 	x.WriteRows([]colfile.Row{dpiRow("u1", 1, "Beijing")})
-	base, _ := x.Commit()
+	x.Commit()
+	base, _, _ := tbl.Current()
 	target := base.Files[0]
 
 	// A "compaction" stages removal of the file; a concurrent delete
@@ -697,8 +698,9 @@ func TestBeginAdvancesSequencePastOtherHandlesCommits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.RowCount != 5 || len(snap.Files) != 5 {
-		t.Fatalf("after the second handle's commit: %d rows in %d files", snap.RowCount, len(snap.Files))
+	cur, _, err := b.Current()
+	if err != nil || snap.RowCount != 5 || cur.RowCount != 5 || len(cur.Files) != 5 {
+		t.Fatalf("after the second handle's commit: %d rows in %d files (%v)", cur.RowCount, len(cur.Files), err)
 	}
 }
 
