@@ -12,6 +12,7 @@ import (
 
 	"streamlake/internal/plog"
 	"streamlake/internal/pool"
+	"streamlake/internal/repair"
 	"streamlake/internal/sim"
 	"streamlake/internal/streamobj"
 	"streamlake/internal/streamsvc"
@@ -20,11 +21,12 @@ import (
 
 // TestDegradedReadsAfterDiskFailure injects a disk failure under a
 // replicated stream object and verifies reads continue from surviving
-// replicas, then reconstructs and verifies full health.
+// replicas, then repairs and verifies full health.
 func TestDegradedReadsAfterDiskFailure(t *testing.T) {
 	clock := sim.NewClock()
 	p := pool.New("it", clock, sim.NVMeSSD, 4, 4<<20)
-	store := streamobj.NewStore(clock, plog.NewManager(p, 1<<20))
+	mgr := plog.NewManager(p, 1<<20)
+	store := streamobj.NewStore(clock, mgr)
 	svc := streamsvc.New(clock, store, 2)
 	if err := svc.CreateTopic(streamsvc.TopicConfig{Name: "t", StreamNum: 2, Redundancy: plog.ReplicateN(3)}); err != nil {
 		t.Fatal(err)
@@ -55,16 +57,18 @@ func TestDegradedReadsAfterDiskFailure(t *testing.T) {
 	if total != 1000 {
 		t.Fatalf("degraded read returned %d/1000 messages", total)
 	}
-	// Reconstruction restores redundancy; service keeps working.
-	migrated, _, err := p.Reconstruct()
-	if err != nil {
-		t.Fatal(err)
+	// Writes go on degraded; repair relocates the dead disk's copies and
+	// restores redundancy.
+	for i := 0; i < 600; i++ {
+		if _, _, err := prod.Send("t", []byte(fmt.Sprintf("after%d", i)), []byte("recovery")); err != nil {
+			t.Fatalf("produce after the failure: %v", err)
+		}
 	}
-	if migrated == 0 {
+	if _, ok := repair.New(clock, mgr).RunUntilRedundant(8); !ok {
+		t.Fatal("repair left logs degraded")
+	}
+	if p.Stats().Reconstructed == 0 {
 		t.Fatal("nothing reconstructed")
-	}
-	if _, _, err := prod.Send("t", []byte("after"), []byte("recovery")); err != nil {
-		t.Fatalf("produce after reconstruction: %v", err)
 	}
 }
 

@@ -339,19 +339,6 @@ func (c *Cache) removeLocked(e *entry) {
 	delete(c.index, e.key)
 }
 
-// Invalidate drops one key. It reports whether the key was resident.
-func (c *Cache) Invalidate(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.index[key]
-	if !ok {
-		return false
-	}
-	c.removeLocked(e)
-	c.stats.Invalidations++
-	return true
-}
-
 // InvalidatePrefix drops every key with the given prefix — the
 // coherence edge used when a whole log or table changed under the
 // cache. It returns how many entries were dropped.

@@ -169,10 +169,10 @@ func TestInvalidate(t *testing.T) {
 	c.Put("a/1", []byte("x"))
 	c.Put("a/2", []byte("y"))
 	c.Put("b/1", []byte("z"))
-	if !c.Invalidate("a/1") {
+	if c.InvalidatePrefix("a/1") != 1 {
 		t.Fatal("invalidate missed resident key")
 	}
-	if c.Invalidate("a/1") {
+	if c.InvalidatePrefix("a/1") != 0 {
 		t.Fatal("double invalidate reported resident")
 	}
 	if n := c.InvalidatePrefix("a/"); n != 1 {

@@ -307,17 +307,6 @@ func (db *DB) Compact() time.Duration {
 	return db.charge(false, inBytes) + db.charge(true, outBytes)
 }
 
-// Snapshot returns a consistent point-in-time read-only view.
-func (db *DB) Snapshot() *Snapshot {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	frozen := &run{entries: db.mem.entries(), bytes: db.mem.bytes}
-	runs := make([]*run, 0, len(db.runs)+1)
-	runs = append(runs, frozen)
-	runs = append(runs, db.runs...)
-	return &Snapshot{runs: runs, db: db}
-}
-
 // Stats reports engine counters.
 type Stats struct {
 	Puts, Gets    int64
@@ -347,39 +336,4 @@ func (db *DB) Stats() Stats {
 		}
 	}
 	return st
-}
-
-// Snapshot is a read-only point-in-time view of a DB.
-type Snapshot struct {
-	runs []*run
-	db   *DB
-}
-
-// Get returns the value for key as of the snapshot.
-func (s *Snapshot) Get(key []byte) (value []byte, ok bool) {
-	for _, r := range s.runs {
-		if v, tomb, found := r.get(key); found {
-			if tomb {
-				return nil, false
-			}
-			return v, true
-		}
-	}
-	return nil, false
-}
-
-// Scan iterates live keys in [start, end) as of the snapshot.
-func (s *Snapshot) Scan(start, end []byte, fn func(key, value []byte) bool) {
-	sources := make([][]entry, len(s.runs))
-	for i, r := range s.runs {
-		sources[i] = sliceRange(r.entries, start, end)
-	}
-	for _, e := range mergeEntries(sources) {
-		if e.tomb {
-			continue
-		}
-		if !fn(e.key, e.value) {
-			return
-		}
-	}
 }

@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"sync"
@@ -185,30 +184,6 @@ func TestCASConcurrentOnlyOneWins(t *testing.T) {
 	}
 }
 
-func TestSnapshotIsolation(t *testing.T) {
-	db := Open(Options{})
-	db.Put([]byte("x"), []byte("old"))
-	snap := db.Snapshot()
-	db.Put([]byte("x"), []byte("new"))
-	db.Put([]byte("y"), []byte("created-later"))
-	db.Delete([]byte("x"))
-
-	if v, ok := snap.Get([]byte("x")); !ok || string(v) != "old" {
-		t.Fatalf("snapshot get: %q %v", v, ok)
-	}
-	if _, ok := snap.Get([]byte("y")); ok {
-		t.Fatal("snapshot sees later write")
-	}
-	var keys []string
-	snap.Scan(nil, nil, func(k, v []byte) bool {
-		keys = append(keys, string(k))
-		return true
-	})
-	if len(keys) != 1 || keys[0] != "x" {
-		t.Fatalf("snapshot scan: %v", keys)
-	}
-}
-
 func TestDeviceCostCharging(t *testing.T) {
 	dev := sim.NewDeviceOf("scm0", sim.SCM)
 	db := Open(Options{Device: dev})
@@ -289,46 +264,6 @@ func TestQuickModelConformance(t *testing.T) {
 		return sort.StringsAreSorted(scanned)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickSnapshotImmutable(t *testing.T) {
-	// Property: a snapshot's contents never change regardless of
-	// subsequent writes.
-	f := func(initial, later []uint8) bool {
-		db := Open(Options{})
-		for _, k := range initial {
-			db.Put([]byte{k}, []byte{k})
-		}
-		snap := db.Snapshot()
-		var before [][2][]byte
-		snap.Scan(nil, nil, func(k, v []byte) bool {
-			before = append(before, [2][]byte{append([]byte(nil), k...), append([]byte(nil), v...)})
-			return true
-		})
-		for _, k := range later {
-			db.Put([]byte{k}, []byte{k ^ 0xFF})
-			db.Delete([]byte{k ^ 0x55})
-		}
-		db.Flush()
-		db.Compact()
-		var after [][2][]byte
-		snap.Scan(nil, nil, func(k, v []byte) bool {
-			after = append(after, [2][]byte{k, v})
-			return true
-		})
-		if len(before) != len(after) {
-			return false
-		}
-		for i := range before {
-			if !bytes.Equal(before[i][0], after[i][0]) || !bytes.Equal(before[i][1], after[i][1]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

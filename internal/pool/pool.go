@@ -9,7 +9,6 @@ package pool
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -530,8 +529,7 @@ func (p *Pool) Read(id SliceID, n int64) (time.Duration, error) {
 }
 
 // FailDisk marks a disk as failed. Its slices stay registered until
-// Reconstruct or Relocate migrates them, or ReviveDisk brings the disk
-// back.
+// Relocate migrates them, or ReviveDisk brings the disk back.
 func (p *Pool) FailDisk(id DiskID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -696,8 +694,7 @@ func (p *Pool) Relocate(id SliceID, exclude map[DiskID]bool) (DiskID, error) {
 	}
 	old := p.disks[s.Disk]
 	// Fold the freshly allocated slice's space into the original slice's
-	// identity so callers' references stay valid (same trick Reconstruct
-	// uses).
+	// identity so callers' references stay valid.
 	delete(old.slices, s.ID)
 	delete(p.slices, target.ID)
 	nd := p.disks[target.Disk]
@@ -787,56 +784,6 @@ func (p *Pool) DiskStats(id DiskID) sim.DeviceStats {
 		return sim.DeviceStats{}
 	}
 	return p.disks[id].dev.Stats()
-}
-
-// Reconstruct migrates every slice on failed disks onto healthy disks,
-// charging the read (from a surviving redundancy copy, modelled as a read
-// of the slice's live bytes spread over healthy disks) and the write to
-// the new location. It returns bytes migrated and modelled time.
-func (p *Pool) Reconstruct() (migrated int64, cost time.Duration, err error) {
-	p.mu.Lock()
-	var victims []*Slice
-	for _, d := range p.disks {
-		if !d.failed {
-			continue
-		}
-		for _, s := range d.slices {
-			victims = append(victims, s)
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].ID < victims[j].ID })
-	p.mu.Unlock()
-
-	for _, s := range victims {
-		p.mu.Lock()
-		old := p.disks[s.Disk]
-		target, allocErr := p.allocLocked(map[DiskID]bool{s.Disk: true})
-		if allocErr != nil {
-			p.mu.Unlock()
-			return migrated, cost, allocErr
-		}
-		// Move the slice identity to the new location; the replacement
-		// slice record is folded into the original's ID so callers'
-		// references stay valid.
-		delete(old.slices, s.ID)
-		delete(p.slices, target.ID)
-		newDisk := p.disks[target.Disk]
-		delete(newDisk.slices, target.ID)
-		s.Disk = target.Disk
-		newDisk.slices[s.ID] = s
-		old.dev.Free(s.Size)
-		live := s.live
-		p.mu.Unlock()
-
-		// Rebuild cost: read redundancy from healthy peers, write here.
-		cost += newDisk.dev.Read(live)
-		cost += newDisk.dev.Write(live)
-		migrated += live
-		p.mu.Lock()
-		p.reconstructed += live
-		p.mu.Unlock()
-	}
-	return migrated, cost, nil
 }
 
 // Stats returns a snapshot of pool accounting.

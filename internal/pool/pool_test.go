@@ -91,7 +91,7 @@ func TestWriteReadAccounting(t *testing.T) {
 	}
 }
 
-func TestFailDiskAndReconstruct(t *testing.T) {
+func TestFailDiskAndRelocate(t *testing.T) {
 	p := newTestPool(t, 3)
 	var slices []*Slice
 	for i := 0; i < 9; i++ {
@@ -105,20 +105,17 @@ func TestFailDiskAndReconstruct(t *testing.T) {
 	if err := p.FailDisk(0); err != nil {
 		t.Fatal(err)
 	}
-	// Failed disk rejects I/O.
+	// Failed disk rejects I/O, until its slices move to healthy disks.
 	for _, s := range slices {
-		if s.Disk == 0 {
-			if _, err := p.Read(s.ID, 10); err != ErrDiskFailed {
-				t.Fatalf("read from failed disk: %v", err)
-			}
+		if s.Disk != 0 {
+			continue
 		}
-	}
-	migrated, cost, err := p.Reconstruct()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if migrated != 3*(1<<19) || cost <= 0 {
-		t.Fatalf("migrated %d cost %v", migrated, cost)
+		if _, err := p.Read(s.ID, 10); err != ErrDiskFailed {
+			t.Fatalf("read from failed disk: %v", err)
+		}
+		if d, err := p.Relocate(s.ID, nil); err != nil || d == 0 {
+			t.Fatalf("relocate: disk %d, %v", d, err)
+		}
 	}
 	// All slices must be readable again, and none on disk 0.
 	for _, s := range slices {
@@ -126,11 +123,10 @@ func TestFailDiskAndReconstruct(t *testing.T) {
 			t.Fatal("slice still placed on failed disk")
 		}
 		if _, err := p.Read(s.ID, 10); err != nil {
-			t.Fatalf("post-reconstruction read: %v", err)
+			t.Fatalf("post-relocation read: %v", err)
 		}
 	}
-	st := p.Stats()
-	if st.FailedDisks != 1 || st.Reconstructed != migrated {
+	if st := p.Stats(); st.FailedDisks != 1 || st.Live != 9*(1<<19) {
 		t.Fatalf("stats: %+v", st)
 	}
 }

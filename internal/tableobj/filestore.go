@@ -126,14 +126,6 @@ func (fs *FileStore) Size(path string) (int64, error) {
 	return e.size, nil
 }
 
-// Exists reports whether path exists.
-func (fs *FileStore) Exists(path string) bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	_, ok := fs.files[path]
-	return ok
-}
-
 // TotalBytes sums all file sizes, for storage accounting.
 func (fs *FileStore) TotalBytes() int64 {
 	fs.mu.Lock()
