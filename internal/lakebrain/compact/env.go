@@ -200,20 +200,6 @@ func (e *Env) applyPlan(p *envPartition, plan [][]int) int {
 	return mergedCount
 }
 
-// QueryCost models the read cost over a partition: a per-file open cost
-// plus a bandwidth term — why many small files hurt merge-on-read
-// queries.
-func (e *Env) QueryCost(i int) time.Duration {
-	p := e.parts[i]
-	const perFile = 2 * time.Millisecond
-	var bytes int64
-	for _, f := range p.files {
-		bytes += f
-	}
-	return time.Duration(len(p.files))*perFile +
-		time.Duration(float64(bytes)/(1<<30)*float64(time.Second))
-}
-
 // CycleIngestRate sets the environment's ingest rate following a
 // high/low duty cycle — the varying file ingestion speed of the paper's
 // block-utilization experiment.

@@ -32,15 +32,15 @@ func TestHistogramSnapshot(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
-	s := h.Snapshot()
-	if s.Count != 100 || s.Max != 100*time.Millisecond {
-		t.Fatalf("snapshot: %+v", s)
+	p50, p95, p99, max := h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Quantile(1)
+	if h.Count() != 100 || max != 100*time.Millisecond {
+		t.Fatalf("count %d, max %v", h.Count(), max)
 	}
-	if !(s.P50 <= s.P95 && s.P95 <= s.P99 && s.P99 <= s.Max) {
-		t.Fatalf("percentile ordering: %+v", s)
+	if !(p50 <= p95 && p95 <= p99 && p99 <= max) {
+		t.Fatalf("percentile ordering: %v %v %v %v", p50, p95, p99, max)
 	}
-	if s.Mean < 40*time.Millisecond || s.Mean > 60*time.Millisecond {
-		t.Fatalf("mean: %v", s.Mean)
+	if m := h.Mean(); m < 40*time.Millisecond || m > 60*time.Millisecond {
+		t.Fatalf("mean: %v", m)
 	}
 }
 

@@ -98,33 +98,3 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	}
 	return h.max
 }
-
-// Reset clears all samples.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.buckets = [128]int64{}
-	h.count = 0
-	h.sum = 0
-	h.min = 0
-	h.max = 0
-}
-
-// Percentiles is a convenience snapshot of common percentiles.
-type Percentiles struct {
-	P50, P95, P99, Max time.Duration
-	Mean               time.Duration
-	Count              int64
-}
-
-// Snapshot returns common percentiles in one locked pass.
-func (h *Histogram) Snapshot() Percentiles {
-	return Percentiles{
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-		Max:   h.Quantile(1),
-		Mean:  h.Mean(),
-		Count: h.Count(),
-	}
-}
