@@ -95,8 +95,9 @@ done
 # converted row costs a fixed count of allocations and bytes (convert),
 # a data file is encoded from the caller's rows, not a copy, and a
 # rewrite decodes file after file into one buffer (tableobj, lakehouse),
-# a poll costs one message header per message (streamsvc), a straddled
-# slice is read once (streamobj).
+# a commit writes a header, not the manifest (tableobj), a poll costs
+# one message header per message (streamsvc), a straddled slice is read
+# once (streamobj).
 go test -run '^$' -bench 'BenchmarkCommitProduce' -benchtime 1x ./internal/cluster/
 go test -run '^$' -bench 'BenchmarkAppendBatch' -benchtime 1x ./internal/plog/
 go test -run '^$' -bench 'BenchmarkConvert' -benchtime 1x ./internal/convert/
