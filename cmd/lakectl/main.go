@@ -28,6 +28,7 @@
 //	trace flush <table> [value...]       (inserts the row, if given, into the
 //	                                     write cache, then traces the
 //	                                     MetaFresher flush: commit, metadata writes)
+//	trace compact <table> <partition>    (traced compaction: bin merges, commit)
 //	trace last | trace <id>
 //	faults status
 //	faults net [status]               (standing link faults + breaker states)
@@ -81,6 +82,7 @@ import (
 
 	"streamlake"
 	"streamlake/internal/chaos"
+	"streamlake/internal/lakebrain/compact"
 )
 
 func main() {
@@ -958,12 +960,12 @@ func (s *shell) insert(table string, raw []string) error {
 	return s.lake.Insert(table, []streamlake.Row{row})
 }
 
-// trace runs a traced produce, poll, query or flush and renders its span
-// tree, or re-prints a recorded trace by id.
+// trace runs a traced produce, poll, query, flush or compaction and
+// renders its span tree, or re-prints a recorded trace by id.
 func (s *shell) trace(rest []string) error {
 	tr := s.lake.Tracer()
 	if len(rest) == 0 {
-		return fmt.Errorf("usage: trace produce <topic> <key> <value> | trace poll <topic> [group] [max] | trace sql <statement> | trace flush <table> [value...] | trace last | trace <id>")
+		return fmt.Errorf("usage: trace produce <topic> <key> <value> | trace poll <topic> [group] [max] | trace sql <statement> | trace flush <table> [value...] | trace compact <table> <partition> | trace last | trace <id>")
 	}
 	switch rest[0] {
 	case "produce":
@@ -1033,6 +1035,23 @@ func (s *shell) trace(rest []string) error {
 		}
 		sp.End(cost)
 		fmt.Fprintf(s.out, "latency=%v trace=%d\n", cost, sp.ID)
+		fmt.Fprint(s.out, sp.Tree())
+		return nil
+	case "compact":
+		if len(rest) < 3 {
+			return fmt.Errorf("usage: trace compact <table> <partition>")
+		}
+		tbl, err := s.lake.Engine().Table(rest[1])
+		if err != nil {
+			return err
+		}
+		sp := tr.Start("lakebrain.compact")
+		merged, cost, err := compact.CompactPartitionSpan(tbl, rest[2], 64<<20, sp)
+		if err != nil {
+			return err
+		}
+		sp.End(cost)
+		fmt.Fprintf(s.out, "merged %d files latency=%v trace=%d\n", merged, cost, sp.ID)
 		fmt.Fprint(s.out, sp.Tree())
 		return nil
 	case "last":

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"streamlake"
+	"streamlake/internal/lakebrain/compact"
 )
 
 // runPollDrain drains a two-stream topic whose 256-record slices a
@@ -149,4 +150,60 @@ func runFlushTrace(t *testing.T) []byte {
 // testdata/spans/commit.txt.
 func TestCommitSpanGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "spans", "commit.txt"), runFlushTrace)
+}
+
+// runCompactTrace loads a partitioned table in eight flushed inserts, so
+// each partition holds eight small files, and traces a compaction of
+// each partition into bins of at most 1 KB, and returns the span trees.
+func runCompactTrace(t *testing.T) []byte {
+	t.Helper()
+	lake, err := streamlake.Open(streamlake.Config{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := streamlake.MustSchema("url:string", "start_time:int64", "province:string", "bytes:int64")
+	if err := lake.CreateTable(streamlake.TableMeta{Name: "logs", Path: "/logs", Schema: schema, PartitionColumn: "province"}); err != nil {
+		t.Fatal(err)
+	}
+	provinces := []string{"bj", "sh", "gz"}
+	for b := 0; b < 8; b++ {
+		var rows []streamlake.Row
+		for i := 0; i < 15*(b+1); i++ {
+			ts := int64(b*100 + i)
+			rows = append(rows, streamlake.Row{
+				streamlake.StringValue(fmt.Sprintf("http://site/%d", i%7)), streamlake.IntValue(ts),
+				streamlake.StringValue(provinces[i%len(provinces)]), streamlake.IntValue(ts % 13),
+			})
+		}
+		if err := lake.Insert("logs", rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := lake.FlushTable("logs"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := lake.Engine().Table("logs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	for _, p := range provinces {
+		sp := lake.Tracer().Start("lakebrain.compact")
+		merged, cost, err := compact.CompactPartitionSpan(tbl, "province="+p, 1<<10, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.End(cost)
+		fmt.Fprintf(&out, "compact province=%s: %d file(s) merged\n%s", p, merged, sp.Tree())
+	}
+	return out.Bytes()
+}
+
+// TestCompactSpanGolden pins the compaction path's span tree:
+// lakebrain.compact (files, bins) → one tableobj.merge (files, rows) per
+// bin over a tableobj.read per input file and the merged file's
+// tableobj.write, then tableobj.commit → tableobj.write,
+// byte-identical to testdata/spans/compact.txt.
+func TestCompactSpanGolden(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "spans", "compact.txt"), runCompactTrace)
 }
