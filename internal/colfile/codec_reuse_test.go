@@ -10,23 +10,28 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
-// A writer reuses one DEFLATE compressor and one scratch buffer for all
-// its chunks, and the compressor is kept between files, so it last served
-// some other file. The file must be byte for byte what a fresh
-// compressor per chunk produces — the format, stored bytes and every
-// digest built on them depend on it.
+// A writer reuses one encoder — the DEFLATE compressor and the column
+// encoders' buffers — for all its chunks, and the encoder is kept
+// between files, so it last served some other file. The file must be
+// byte for byte what a fresh compressor per chunk produces — the format,
+// stored bytes and every digest built on them depend on it.
 func TestReusedEncoderStateIsByteIdentical(t *testing.T) {
-	// The compressor of another file: other schema, other group size,
-	// its last group left pending.
-	other := NewWriter(MustSchema("k:string", "v:float64", "n:int64"), 37)
+	// The encoder of another file: other schema, other group size, its
+	// last group left pending, its dictionaries full.
+	other := NewWriter(MustSchema("k:string", "v:float64", "n:int64", "s:string"), 37)
 	for i := 0; i < 500; i++ {
-		other.Append(Row{StringValue(fmt.Sprintf("key-%d", i*7919%613)), FloatValue(float64(i) / 3), IntValue(int64(i * i))})
+		other.Append(Row{StringValue(fmt.Sprintf("key-%d", i*7919%613)), FloatValue(float64(i) / 3), IntValue(int64(i * i)), StringValue(fmt.Sprint(i % 3))})
 	}
 	const rows, groupSize = 1000, 96 // eleven groups, the last one ragged
+	select {
+	case <-idleEncoder:
+	default:
+	}
+	idleEncoder <- other.enc // other is never finished, so only this puts it there
 	w := NewWriter(testSchema, groupSize)
-	w.fw = other.fw // other is never finished, so the idle slot never sees it
 	for i := 0; i < rows; i++ {
 		if err := w.Append(makeRow(i)); err != nil {
 			t.Fatal(err)
@@ -105,7 +110,7 @@ func TestWriterAllocBytesPerFile(t *testing.T) {
 	}
 	t.Logf("a 2000-row file allocates %d KB to encode", perFile>>10)
 
-	// The idle compressor outlives collections, so the heap holds it
+	// The idle encoder outlives collections, so the heap holds it
 	// whether or not the collector ran since the last file: the next file
 	// still builds none.
 	runtime.GC()
@@ -114,13 +119,13 @@ func TestWriterAllocBytesPerFile(t *testing.T) {
 	write()
 	runtime.ReadMemStats(&after)
 	if d := after.TotalAlloc - before.TotalAlloc; d > ceiling {
-		t.Fatalf("a file written after two collections allocates %d KB: the idle compressor was dropped", d>>10)
+		t.Fatalf("a file written after two collections allocates %d KB: the idle encoder was dropped", d>>10)
 	}
 }
 
 // A finished writer goes back to the garbage collector whole: the idle
-// compressor it used no longer points at its buffer, so one collection
-// frees it, its pending rows and the file it returned.
+// encoder it used no longer points at its buffer, so one collection
+// frees it and the file it returned.
 func TestFinishedWriterIsNotPinned(t *testing.T) {
 	freed := make(chan struct{})
 	func() {
@@ -137,7 +142,37 @@ func TestFinishedWriterIsNotPinned(t *testing.T) {
 	select {
 	case <-freed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("a finished Writer outlived a collection: the idle compressor still references it")
+		t.Fatal("a finished Writer outlived a collection: the idle encoder still references it")
+	}
+
+	// Nor does the idle encoder keep a caller's string: it copies what
+	// it keeps of one, so the buffer strings point into is freed by one
+	// collection, though they filled the last chunks' dictionaries and
+	// bounds.
+	type message struct{ b [1 << 16]byte }
+	bufFreed := make(chan struct{})
+	func() {
+		m := new(message)
+		for i := range m.b {
+			m.b[i] = 'a' + byte(i%26)
+		}
+		s := unsafe.String(&m.b[0], len(m.b)) // strings borrowing the buffer, as rowcodec.Decode's do
+		runtime.SetFinalizer(m, func(*message) { close(bufFreed) })
+		w := NewWriter(MustSchema("s:string", "t:string"), 64)
+		for i := 0; i < 100; i++ {
+			if err := w.Append(Row{StringValue(s[i : i+8]), StringValue(s[i*300 : i*300+300])}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	runtime.GC()
+	select {
+	case <-bufFreed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a caller's string buffer outlived a collection after Finish: the idle encoder keeps one of its strings")
 	}
 }
 
@@ -282,8 +317,8 @@ func TestConcurrentReadersShareInflaters(t *testing.T) {
 	wg.Wait()
 }
 
-// Writers on different goroutines share the idle compressor; run
-// under -race. Every file must equal the same rows written alone.
+// Writers on different goroutines share the idle encoder; run under
+// -race. Every file must equal the same rows written alone.
 func TestConcurrentWritersShareCompressors(t *testing.T) {
 	const workers = 8
 	want := make([][]byte, workers)
@@ -311,7 +346,7 @@ func TestConcurrentWritersShareCompressors(t *testing.T) {
 }
 
 // BenchmarkWriteFile encodes one 2,000-row file, the size of an insert
-// batch, through the idle compressor.
+// batch, through the idle encoder.
 func BenchmarkWriteFile(b *testing.B) {
 	rows := make([]Row, 2000)
 	for i := range rows {

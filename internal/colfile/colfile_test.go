@@ -302,17 +302,16 @@ func TestQuickInt64RoundTrip(t *testing.T) {
 	// Property: any int64 sequence round-trips through delta encoding,
 	// including extremes and sign changes.
 	f := func(vals []int64) bool {
-		in := make([]Row, len(vals))
+		in := make([]Value, len(vals))
 		for i, v := range vals {
-			in[i] = Row{IntValue(v)}
+			in[i] = IntValue(v)
 		}
-		enc := appendInt64Chunk(nil, in, 0)
-		out, err := decodeInt64Chunk(nil, enc, len(in))
+		out, err := decodeInt64Chunk(nil, encodeColumn(Int64, in), len(in))
 		if err != nil {
 			return false
 		}
 		for i := range in {
-			if out[i].Int != in[i][0].Int {
+			if out[i].Int != in[i].Int {
 				return false
 			}
 		}
@@ -325,17 +324,16 @@ func TestQuickInt64RoundTrip(t *testing.T) {
 
 func TestQuickStringRoundTrip(t *testing.T) {
 	f := func(vals []string) bool {
-		in := make([]Row, len(vals))
+		in := make([]Value, len(vals))
 		for i, v := range vals {
-			in[i] = Row{StringValue(v)}
+			in[i] = StringValue(v)
 		}
-		enc := appendStringChunk(nil, in, 0)
-		out, err := decodeStringChunk(nil, enc, len(in))
+		out, err := decodeStringChunk(nil, encodeColumn(String, in), len(in))
 		if err != nil {
 			return false
 		}
 		for i := range in {
-			if out[i].Str != in[i][0].Str {
+			if out[i].Str != in[i].Str {
 				return false
 			}
 		}

@@ -23,13 +23,108 @@ const (
 	encDict
 )
 
-func appendInt64Chunk(buf []byte, rows []Row, c int) []byte {
-	prev := int64(0)
-	for _, r := range rows {
-		buf = binary.AppendVarint(buf, r[c].Int-prev)
-		prev = r[c].Int
+// colEncoder encodes one column's chunk as its values arrive and keeps
+// the chunk's range, the first-seen value on ties. The strings it keeps
+// (range, dictionary) are the caller's until reset drops them.
+type colEncoder struct {
+	t        Type
+	n        int    // values in the chunk
+	raw      []byte // the chunk so far; a dictionary chunk's codes
+	spare    []byte // a string chunk's second buffer
+	prev     int64  // an int64 chunk's delta base
+	min, max Value
+	plain    bool // a string chunk past 256 distinct values
+	dict     map[string]byte
+	words    []string // the dictionary, first seen first
+}
+
+// reset empties e for a chunk of type t, keeping its buffers.
+func (e *colEncoder) reset(t Type) {
+	clear(e.dict)
+	clear(e.words)
+	e.t, e.n, e.prev, e.plain, e.min, e.max = t, 0, 0, false, Value{}, Value{}
+	e.raw, e.words = e.raw[:0], e.words[:0]
+}
+
+func (e *colEncoder) add(v Value) {
+	switch e.t {
+	case Int64:
+		e.raw = binary.AppendVarint(e.raw, v.Int-e.prev)
+		e.prev = v.Int
+	case Float64:
+		e.raw = binary.LittleEndian.AppendUint64(e.raw, math.Float64bits(v.Float))
+	case String:
+		e.addString(v.Str)
+	case Bool:
+		if e.n%8 == 0 {
+			e.raw = append(e.raw, 0)
+		}
+		if v.Bool {
+			e.raw[len(e.raw)-1] |= 1 << (e.n % 8)
+		}
 	}
-	return buf
+	if e.n == 0 || Compare(v, e.min) < 0 {
+		e.min = v
+	}
+	if e.n == 0 || Compare(v, e.max) > 0 {
+		e.max = v
+	}
+	e.n++
+}
+
+// addString appends s's dictionary code, a value equal to the last one
+// repeating its code without a lookup; the 257th distinct value turns
+// the chunk plain.
+func (e *colEncoder) addString(s string) {
+	if !e.plain {
+		if e.n > 0 && e.words[e.raw[len(e.raw)-1]] == s {
+			e.raw = append(e.raw, e.raw[len(e.raw)-1])
+			return
+		}
+		code, ok := e.dict[s]
+		if !ok && len(e.words) < 256 {
+			if e.dict == nil {
+				e.dict = make(map[string]byte)
+			}
+			code, ok = byte(len(e.words)), true
+			e.dict[s], e.words = code, append(e.words, s)
+		}
+		if ok {
+			e.raw = append(e.raw, code)
+			return
+		}
+		e.toPlain()
+	}
+	e.raw = binary.AppendUvarint(e.raw, uint64(len(s)))
+	e.raw = append(e.raw, s...)
+}
+
+// toPlain rewrites a dictionary chunk's codes as the plain encoding.
+func (e *colEncoder) toPlain() {
+	e.spare = append(e.spare[:0], encPlain)
+	for _, code := range e.raw {
+		e.spare = binary.AppendUvarint(e.spare, uint64(len(e.words[code])))
+		e.spare = append(e.spare, e.words[code]...)
+	}
+	e.raw, e.spare, e.plain = e.spare, e.raw, true
+}
+
+// chunk returns the uncompressed chunk as head then body. A string chunk
+// is its dictionary ahead of the codes while the dictionary is under
+// half the values; otherwise it is plain.
+func (e *colEncoder) chunk() (head, body []byte) {
+	if e.t == String && !e.plain && 2*len(e.words) >= e.n {
+		e.toPlain()
+	}
+	if e.t != String || e.plain {
+		return nil, e.raw
+	}
+	e.spare = binary.AppendUvarint(append(e.spare[:0], encDict), uint64(len(e.words)))
+	for _, w := range e.words {
+		e.spare = binary.AppendUvarint(e.spare, uint64(len(w)))
+		e.spare = append(e.spare, w...)
+	}
+	return e.spare, e.raw
 }
 
 // The decode*Chunk functions append n values to out. n is
@@ -54,13 +149,6 @@ func decodeInt64Chunk(out []Value, data []byte, n int) ([]Value, error) {
 	return out, nil
 }
 
-func appendFloat64Chunk(buf []byte, rows []Row, c int) []byte {
-	for _, r := range rows {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(r[c].Float))
-	}
-	return buf
-}
-
 func decodeFloat64Chunk(out []Value, data []byte, n int) ([]Value, error) {
 	if len(data) < 8*n {
 		return nil, errors.New("colfile: truncated float64 chunk")
@@ -70,56 +158,6 @@ func decodeFloat64Chunk(out []Value, data []byte, n int) ([]Value, error) {
 		out = append(out, FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))))
 	}
 	return out, nil
-}
-
-func appendStringChunk(buf []byte, rows []Row, c int) []byte {
-	// Try dictionary encoding: worthwhile when distinct values fit a
-	// byte and repeat. One pass builds the dictionary in first-seen order
-	// and appends each row's code after buf's end; a value equal to the
-	// previous row's repeats its code without a lookup.
-	start := len(buf)
-	dict := make(map[string]byte)
-	for i, r := range rows {
-		s := r[c].Str
-		if i > 0 && s == rows[i-1][c].Str {
-			buf = append(buf, buf[len(buf)-1])
-			continue
-		}
-		code, ok := dict[s]
-		if !ok {
-			if len(dict) == 256 {
-				dict = nil
-				break
-			}
-			code = byte(len(dict))
-			dict[s] = code
-		}
-		buf = append(buf, code)
-	}
-	if dict != nil && len(dict)*2 < len(rows) {
-		// Dictionary block: count, then each entry. It goes ahead of the
-		// codes: append it and a second copy of the codes, then slide
-		// both down over the first copy.
-		words := make([]string, len(dict))
-		for w, i := range dict {
-			words[i] = w
-		}
-		n := len(buf) - start
-		buf = append(buf, encDict)
-		buf = binary.AppendUvarint(buf, uint64(len(words)))
-		for _, w := range words {
-			buf = binary.AppendUvarint(buf, uint64(len(w)))
-			buf = append(buf, w...)
-		}
-		buf = append(buf, buf[start:start+n]...)
-		return buf[:start+copy(buf[start:], buf[start+n:])]
-	}
-	buf = append(buf[:start], encPlain)
-	for _, r := range rows {
-		buf = binary.AppendUvarint(buf, uint64(len(r[c].Str)))
-		buf = append(buf, r[c].Str...)
-	}
-	return buf
 }
 
 func decodeStringChunk(out []Value, data []byte, n int) ([]Value, error) {
@@ -180,17 +218,6 @@ func decodeStringChunk(out []Value, data []byte, n int) ([]Value, error) {
 	return out, nil
 }
 
-func appendBoolChunk(buf []byte, rows []Row, c int) []byte {
-	base := len(buf)
-	buf = append(buf, make([]byte, (len(rows)+7)/8)...)
-	for i, r := range rows {
-		if r[c].Bool {
-			buf[base+i/8] |= 1 << (i % 8)
-		}
-	}
-	return buf
-}
-
 func decodeBoolChunk(out []Value, data []byte, n int) ([]Value, error) {
 	if len(data) < (n+7)/8 {
 		return nil, errors.New("colfile: truncated bool chunk")
@@ -200,22 +227,6 @@ func decodeBoolChunk(out []Value, data []byte, n int) ([]Value, error) {
 		out = append(out, BoolValue(data[i/8]&(1<<(i%8)) != 0))
 	}
 	return out, nil
-}
-
-// appendChunk appends the uncompressed encoding of column c of rows.
-func appendChunk(buf []byte, t Type, rows []Row, c int) ([]byte, error) {
-	switch t {
-	case Int64:
-		return appendInt64Chunk(buf, rows, c), nil
-	case Float64:
-		return appendFloat64Chunk(buf, rows, c), nil
-	case String:
-		return appendStringChunk(buf, rows, c), nil
-	case Bool:
-		return appendBoolChunk(buf, rows, c), nil
-	default:
-		return nil, fmt.Errorf("colfile: unknown type %v", t)
-	}
 }
 
 // inflater is the reusable state of one chunk decode: the DEFLATE

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 )
 
 // File layout:
@@ -58,47 +59,31 @@ type groupMeta struct {
 	stats  []Stats
 }
 
-// Writer accumulates rows and serializes a columnar file.
+// Writer encodes rows into a columnar file as they arrive: a value is
+// in its column's chunk once the append that brought it returns, so the
+// caller may reuse what it passed.
 type Writer struct {
 	schema    Schema
 	groupSize int
 	buf       bytes.Buffer
-	pending   []Row
+	pending   int // rows in the open group
 	groups    []groupMeta
 	finished  bool
-
-	// Chunk-encode state reused across every chunk of the file: the
-	// DEFLATE compressor, taken from idleCompressor and Reset per chunk,
-	// and the uncompressed chunk scratch.
-	fw  *flate.Writer
-	raw []byte
+	enc       *encoder // taken at the first row, released by Finish
 }
 
-// idleCompressor keeps one DEFLATE compressor (≈1.2 MB to build, more
-// than most files it writes) between files. A one-slot channel, not a
-// sync.Pool: the heap holds the same one however collections fell. It
-// points at io.Discard, never at a finished writer's buffer.
-var idleCompressor = make(chan *flate.Writer, 1)
-
-// takeCompressor returns the idle compressor, or a new one while another
-// writer holds it; releaseCompressor refills the slot or drops fw.
-func takeCompressor() *flate.Writer {
-	select {
-	case fw := <-idleCompressor:
-		return fw
-	default:
-		fw, _ := flate.NewWriter(io.Discard, flate.BestSpeed) // fails only on a bad level
-		return fw
-	}
+// encoder is a writer's chunk-encode state: the DEFLATE compressor,
+// Reset per chunk, and one incremental encoder per column.
+type encoder struct {
+	fw   *flate.Writer
+	cols []colEncoder
 }
 
-func releaseCompressor(fw *flate.Writer) {
-	fw.Reset(io.Discard) // or the slot pins the writer through &w.buf
-	select {
-	case idleCompressor <- fw:
-	default:
-	}
-}
+// idleEncoder keeps one encoder (its compressor ≈1.2 MB to build) between
+// files: a one-slot channel, not a sync.Pool, so the heap holds the same
+// one however collections fell. Finish puts it there reset: its
+// compressor on io.Discard, not the writer's buffer, and no string.
+var idleEncoder = make(chan *encoder, 1)
 
 // NewWriter builds a writer for the schema; groupSize <= 0 selects
 // DefaultRowGroupSize.
@@ -112,87 +97,101 @@ func NewWriter(schema Schema, groupSize int) *Writer {
 	return w
 }
 
-// Append validates and buffers one row, flushing a row group when full.
-func (w *Writer) Append(row Row) error {
-	if w.finished {
-		return errors.New("colfile: append after Finish")
-	}
-	if err := w.schema.Validate(row); err != nil {
-		return err
-	}
-	w.pending = append(w.pending, row) // copies a borrowed tail: its cap is its len
-	if len(w.pending) < w.groupSize {
-		return nil
-	}
-	err := w.flushGroup(w.pending)
-	w.pending = w.pending[:0] // full, so owned: a borrowed tail is shorter
-	return err
-}
+// Append validates and encodes one row, flushing a row group when full.
+func (w *Writer) Append(row Row) error { return w.AppendRows([]Row{row}) }
 
-// AppendRows validates every row, then appends them all as Append would,
-// or appends none if one is invalid. Past a group Append left open, whole
-// row groups are encoded straight from rows and the last partial group
-// is kept by reference: the caller must leave rows unchanged until Finish.
+// AppendRows validates every row, then encodes them all as Append would,
+// or none if one is invalid.
 func (w *Writer) AppendRows(rows []Row) error {
-	if w.finished {
-		return errors.New("colfile: append after Finish")
-	}
 	for _, r := range rows {
 		if err := w.schema.Validate(r); err != nil {
 			return err
 		}
 	}
-	for ; len(w.pending) > 0 && len(rows) > 0; rows = rows[1:] { // the group Append left open
-		if err := w.Append(rows[0]); err != nil {
-			return err
+	return w.encode(len(rows), func(e *colEncoder, c, lo, hi int) {
+		for _, r := range rows[lo:hi] {
+			e.add(r[c])
+		}
+	})
+}
+
+// AppendColumns is AppendRows over column-major values, one slice per
+// field and all of one length, as Reader.ReadGroupInto returns them.
+func (w *Writer) AppendColumns(cols [][]Value) error {
+	if len(cols) != len(w.schema.Fields) {
+		return fmt.Errorf("colfile: %d columns, schema has %d fields", len(cols), len(w.schema.Fields))
+	}
+	n := 0
+	for c, f := range w.schema.Fields {
+		if n = len(cols[0]); len(cols[c]) != n || slices.ContainsFunc(cols[c], func(v Value) bool { return v.Type != f.Type }) {
+			return fmt.Errorf("colfile: column %q is not %d %v values", f.Name, n, f.Type)
 		}
 	}
-	for ; len(rows) >= w.groupSize; rows = rows[w.groupSize:] {
-		if err := w.flushGroup(rows[:w.groupSize]); err != nil {
-			return err
+	return w.encode(n, func(e *colEncoder, c, lo, hi int) {
+		for _, v := range cols[c][lo:hi] {
+			e.add(v)
+		}
+	})
+}
+
+// encode feeds n rows to the column encoders, group by group: add
+// encodes rows lo to hi of column c into e.
+func (w *Writer) encode(n int, add func(e *colEncoder, c, lo, hi int)) error {
+	if w.finished {
+		return errors.New("colfile: append after Finish")
+	}
+	if w.enc == nil { // the idle encoder, or a new one while another writer holds it
+		select {
+		case w.enc = <-idleEncoder:
+		default:
+			fw, _ := flate.NewWriter(io.Discard, flate.BestSpeed) // fails only on a bad level
+			w.enc = &encoder{fw: fw}
+		}
+		w.enc.cols = slices.Grow(w.enc.cols[:0], len(w.schema.Fields))[:len(w.schema.Fields)]
+		for c, f := range w.schema.Fields {
+			w.enc.cols[c].reset(f.Type)
 		}
 	}
-	if len(rows) > 0 {
-		w.pending = rows[:len(rows):len(rows)]
+	for lo := 0; lo < n; {
+		hi := lo + min(n-lo, w.groupSize-w.pending)
+		for c := range w.enc.cols {
+			add(&w.enc.cols[c], c, lo, hi)
+		}
+		w.pending, lo = w.pending+hi-lo, hi
+		if err := w.flushGroup(w.groupSize); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// flushGroup encodes rows as one row group.
-func (w *Writer) flushGroup(rows []Row) error {
-	if len(rows) == 0 {
+// flushGroup compresses the open group's chunks as one row group if it
+// holds any rows and at least atLeast.
+func (w *Writer) flushGroup(atLeast int) error {
+	if w.pending == 0 || w.pending < atLeast {
 		return nil
 	}
-	g := groupMeta{rows: len(rows)}
-	for c, f := range w.schema.Fields {
-		st := Stats{Min: rows[0][c], Max: rows[0][c], Count: int64(len(rows))}
-		for _, r := range rows[1:] {
-			if Compare(r[c], st.Min) < 0 {
-				st.Min = r[c]
-			}
-			if Compare(r[c], st.Max) > 0 {
-				st.Max = r[c]
-			}
-		}
-		var err error
-		if w.raw, err = appendChunk(w.raw[:0], f.Type, rows, c); err != nil {
-			return err
-		}
+	g := groupMeta{rows: w.pending}
+	for c := range w.enc.cols {
+		e := &w.enc.cols[c]
+		head, body := e.chunk()
 		offset := w.buf.Len()
-		if w.fw == nil {
-			w.fw = takeCompressor()
-		}
-		w.fw.Reset(&w.buf)
-		if _, err := w.fw.Write(w.raw); err != nil {
-			return err
-		}
-		if err := w.fw.Close(); err != nil {
+		w.enc.fw.Reset(&w.buf)
+		w.enc.fw.Write(head) // into a bytes.Buffer: the errors surface at Close
+		w.enc.fw.Write(body)
+		if err := w.enc.fw.Close(); err != nil {
 			return err
 		}
 		g.chunks = append(g.chunks, chunkRef{offset: int64(offset), length: int64(w.buf.Len() - offset)})
+		st := Stats{Min: e.min, Max: e.max, Count: int64(e.n)}
+		if e.t == String { // the caller's strings may share a far larger buffer
+			st.Min.Str, st.Max.Str = strings.Clone(st.Min.Str), strings.Clone(st.Max.Str)
+		}
 		g.stats = append(g.stats, st)
+		e.reset(e.t)
 	}
 	w.groups = append(w.groups, g)
+	w.pending = 0
 	return nil
 }
 
@@ -210,14 +209,18 @@ func (w *Writer) Finish() ([]byte, error) {
 	if w.finished {
 		return nil, errors.New("colfile: double Finish")
 	}
-	if err := w.flushGroup(w.pending); err != nil {
+	if err := w.flushGroup(0); err != nil {
 		return nil, err
 	}
 	w.finished = true
-	if w.fw != nil {
-		releaseCompressor(w.fw)
+	if w.enc != nil {
+		w.enc.fw.Reset(io.Discard) // or the idle slot pins w through &w.buf
+		select {
+		case idleEncoder <- w.enc:
+		default:
+		}
+		w.enc = nil
 	}
-	w.fw, w.raw, w.pending = nil, nil, nil
 
 	var f []byte
 	var tmp [binary.MaxVarintLen64]byte

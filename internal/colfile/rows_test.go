@@ -64,8 +64,7 @@ func TestAppendRowsMatchesAppend(t *testing.T) {
 }
 
 // Append and AppendRows interleave into the file an Append loop writes,
-// and the Append after AppendRows copies the borrowed tail rather than
-// writing into the caller's spare capacity.
+// and neither writes into the caller's spare capacity.
 func TestAppendRowsInterleavesWithAppend(t *testing.T) {
 	const gs = 16
 	all := make([]Row, 5*gs+3)

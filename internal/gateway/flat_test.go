@@ -357,7 +357,8 @@ func benchBody(i int) []byte {
 // ServeHTTP down, data plane included (measured: 7, none of them the
 // send's; the map-and-Decoder handlers it replaced: 31). The ceiling is 2
 // above the measurement, so a stray per-request string, map or decoder
-// fails here first.
+// fails here first. The count is the least of five windows, so what the
+// runtime allocates for itself inside one is not the request's.
 func TestProduceRequestAllocs(t *testing.T) {
 	e := newEnv(t)
 	h := e.ts.Config.Handler
@@ -366,13 +367,13 @@ func TestProduceRequestAllocs(t *testing.T) {
 	}
 	rp := newReplay("POST", "/v1/topics/t/messages", "writer-token", benchBody(0))
 	allocs := testing.AllocsPerRun(2000, func() { rp.serve(h) })
+	for w := 1; w < 5; w++ {
+		allocs = min(allocs, testing.AllocsPerRun(2000, func() { rp.serve(h) }))
+	}
 	if rp.code != http.StatusOK {
 		t.Fatalf("produce: %d %s", rp.code, rp.out.Bytes())
 	}
-	ceiling := 9.0
-	if raceEnabled {
-		ceiling += 2 // under the race detector sync.Pool drops a quarter of its puts
-	}
+	const ceiling = 9.0 // under -race too: the least window there is 9
 	if allocs > ceiling {
 		t.Fatalf("a produce request allocates %.0f times, ceiling %.0f", allocs, ceiling)
 	}

@@ -1,0 +1,94 @@
+package lakehouse
+
+import (
+	"errors"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"streamlake/internal/colfile"
+	"streamlake/internal/lakebrain/compact"
+	"streamlake/internal/plog"
+	"streamlake/internal/pool"
+	"streamlake/internal/sim"
+	"streamlake/internal/tableobj"
+)
+
+// onFirstWrite runs fn, once, before the first disk write after it is
+// armed: a compaction slipped between a transaction's Begin and its
+// Commit. The write a DELETE or UPDATE reaches first is the rewrite of
+// a file it read, whose log no other writer touches.
+type onFirstWrite struct {
+	armed atomic.Bool
+	fn    func()
+}
+
+func (h *onFirstWrite) BeforeWrite(pool.DiskID, int64) (time.Duration, error) {
+	if h.armed.CompareAndSwap(true, false) {
+		h.fn()
+	}
+	return 0, nil
+}
+
+func (h *onFirstWrite) BeforeRead(pool.DiskID, int64) (time.Duration, error) { return 0, nil }
+
+// A DELETE or UPDATE whose commit loses to a compaction that removed a
+// file it rewrites stops with tableobj.ErrFileGone after one retry,
+// withdraws the file it wrote and leaves the table as the compaction
+// did. The loops used to take the retry's failure for a conflict and
+// retry it forever.
+func TestDMLStopsWhenCompactionRemovedItsFile(t *testing.T) {
+	for _, op := range []string{"delete", "update"} {
+		clock := sim.NewClock()
+		p := pool.New("lh", clock, sim.NVMeSSD, 8, 4<<20)
+		fs := tableobj.NewFileStore(plog.NewManager(p, 8<<20))
+		e := New(clock, fs, tableobj.NewCatalog(clock), Options{Acceleration: true, FlushEvery: 8})
+		mkTable(t, e, "t")
+		for i := int64(0); i < 4; i++ {
+			if _, err := e.Insert("t", []colfile.Row{row("http://a", 10*i, "Beijing", 1), row("http://b", 10*i+1, "Beijing", 2)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := e.Flush("t"); err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := e.Table("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hook := &onFirstWrite{fn: func() {
+			if merged, _, err := compact.CompactPartition(tbl, "province=Beijing", 1<<20); err != nil || merged != 4 {
+				t.Errorf("%s: the racing compaction merged %d files: %v", op, merged, err)
+			}
+		}}
+		p.SetFaultHook(hook)
+		hook.armed.Store(true)
+		done := make(chan error, 1)
+		go func() {
+			var err error
+			filters := []RangeFilter{{Column: "start_time", Lo: iv(0), Hi: iv(0)}}
+			if op == "delete" {
+				_, _, err = e.Delete("t", filters)
+			} else {
+				_, _, err = e.Update("t", filters, func(r colfile.Row) colfile.Row { r[3] = colfile.IntValue(9); return r })
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, tableobj.ErrFileGone) || errors.Is(err, tableobj.ErrConflict) {
+				t.Fatalf("%s over a compacted file: %v, want ErrFileGone", op, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s over a compacted file is still retrying after 10 s", op)
+		}
+		cur, _, err := tbl.Current()
+		if err != nil || len(cur.Files) != 1 || cur.RowCount != 8 {
+			t.Fatalf("%s: after the race %d files, %d rows (%v); want the compaction's 1 file of 8", op, len(cur.Files), cur.RowCount, err)
+		}
+		// The inputs stay stored until their snapshots expire.
+		if paths, _ := fs.List("/lake/t/data/"); len(paths) != 5 {
+			t.Fatalf("%s: %d data files stored, want the four inputs and the merged one: the rewrite was not withdrawn", op, len(paths))
+		}
+	}
+}

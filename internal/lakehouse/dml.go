@@ -14,51 +14,20 @@ import (
 // file I/O kept at the storage side (pushdown). It returns how many rows
 // were deleted.
 func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duration, error) {
-	st, err := e.state(name)
-	if err != nil {
-		return 0, 0, err
-	}
-	// Deletes are barrier operations: fold the write cache first so the
-	// commit sees every file.
-	cost, err := e.Flush(name)
-	if err != nil {
-		return 0, cost, err
-	}
-	plan, pc, err := e.PlanScan(name, filters)
-	cost += pc
-	if err != nil {
-		return 0, cost, err
-	}
-	x, err := st.tbl.Begin()
-	if err != nil {
-		return 0, cost, err
-	}
-	schema := st.tbl.Schema()
-	bound := bindFilters(schema, filters)
 	var deleted int64
-	var r colfile.Reader
-	var dec colfile.RowDecoder
-	var rows []colfile.Row
-	for _, f := range plan.Files {
-		if fileFullyCovered(schema, f, filters) {
+	cost, err := e.rewrite(name, filters, func(x *tableobj.Txn, tbl *tableobj.Table, f tableobj.DataFile, read func() ([]colfile.Row, error)) error {
+		if fileFullyCovered(tbl.Schema(), f, filters) {
 			// Case 1: the whole file matches — metadata-only removal.
 			x.RemoveFile(f)
 			deleted += f.Rows
-			continue
+			return nil
 		}
 		// Case 2: partial match — rewrite the survivors.
-		blob, rc, err := e.fs.Read(f.Path)
+		rows, err := read()
 		if err != nil {
-			return deleted, cost, err
+			return err
 		}
-		cost += rc
-		if err := r.Reset(blob); err != nil {
-			return deleted, cost, err
-		}
-		dec.Recycle() // the last file's survivors are written
-		if rows, err = dec.AppendRows(rows[:0], &r); err != nil {
-			return deleted, cost, err
-		}
+		bound := bindFilters(tbl.Schema(), filters)
 		keep := rows[:0]
 		for _, row := range rows {
 			if rowMatches(row, bound) {
@@ -69,19 +38,10 @@ func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duratio
 		}
 		x.RemoveFile(f)
 		if len(keep) > 0 {
-			if _, err := x.WriteRows(keep); err != nil {
-				return deleted, cost, err
-			}
+			_, err = x.WriteRows(keep)
 		}
-	}
-	_, err = x.Commit()
-	for errors.Is(err, tableobj.ErrConflict) {
-		_, err = x.Retry()
-	}
-	cost += x.Cost()
-	if err == nil {
-		e.invalidateManifests(name)
-	}
+		return err
+	})
 	return deleted, cost, err
 }
 
@@ -113,65 +73,80 @@ func fileFullyCovered(schema colfile.Schema, f tableobj.DataFile, filters []Rang
 // are written to that partition's directory. It returns how many rows
 // were updated.
 func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row) colfile.Row) (int64, time.Duration, error) {
-	st, err := e.state(name)
-	if err != nil {
-		return 0, 0, err
-	}
-	cost, err := e.Flush(name)
-	if err != nil {
-		return 0, cost, err
-	}
-	plan, pc, err := e.PlanScan(name, filters)
-	cost += pc
-	if err != nil {
-		return 0, cost, err
-	}
-	x, err := st.tbl.Begin()
-	if err != nil {
-		return 0, cost, err
-	}
-	schema := st.tbl.Schema()
-	bound := bindFilters(schema, filters)
 	var updated int64
-	var r colfile.Reader
-	var dec colfile.RowDecoder
-	var rows []colfile.Row
-	for _, f := range plan.Files {
-		blob, rc, err := e.fs.Read(f.Path)
+	cost, err := e.rewrite(name, filters, func(x *tableobj.Txn, tbl *tableobj.Table, f tableobj.DataFile, read func() ([]colfile.Row, error)) error {
+		rows, err := read()
 		if err != nil {
-			return updated, cost, err
+			return err
 		}
-		cost += rc
-		if err := r.Reset(blob); err != nil {
-			return updated, cost, err
-		}
-		dec.Recycle() // the last file's rows are written
-		if rows, err = dec.AppendRows(rows[:0], &r); err != nil {
-			return updated, cost, err
-		}
-		changed := false
+		schema, bound, changed := tbl.Schema(), bindFilters(tbl.Schema(), filters), false
 		for i, row := range rows {
 			if !rowMatches(row, bound) {
 				continue
 			}
 			rows[i] = set(row)
 			if err := schema.Validate(rows[i]); err != nil {
-				return updated, cost, err
+				return err
 			}
 			updated++
 			changed = true
 		}
 		if !changed {
-			continue
+			return nil
 		}
 		x.RemoveFile(f)
-		if st.tbl.PartitionRun(rows) == len(rows) {
+		if tbl.PartitionRun(rows) == len(rows) {
 			_, err = x.WriteRows(rows)
 		} else { // set moved rows to another partition
-			_, err = x.WritePartitions(byPartition(st.tbl, rows))
+			_, err = x.WritePartitions(byPartition(tbl, rows))
+		}
+		return err
+	})
+	return updated, cost, err
+}
+
+// rewrite flushes the write cache (DML is a barrier), plans filters and,
+// in one transaction, has fn stage each planned file's removal and
+// rewrite; read decodes the file, its rows valid until the next read. A
+// lost commit is retried until it wins or a file it removes is gone.
+func (e *Engine) rewrite(name string, filters []RangeFilter, fn func(x *tableobj.Txn, tbl *tableobj.Table, f tableobj.DataFile, read func() ([]colfile.Row, error)) error) (time.Duration, error) {
+	st, err := e.state(name)
+	if err != nil {
+		return 0, err
+	}
+	cost, err := e.Flush(name)
+	if err != nil {
+		return cost, err
+	}
+	plan, pc, err := e.PlanScan(name, filters)
+	cost += pc
+	if err != nil {
+		return cost, err
+	}
+	x, err := st.tbl.Begin()
+	if err != nil {
+		return cost, err
+	}
+	var r colfile.Reader
+	var dec colfile.RowDecoder
+	var rows []colfile.Row
+	var f tableobj.DataFile
+	read := func() ([]colfile.Row, error) {
+		blob, rc, err := e.fs.Read(f.Path)
+		cost += rc
+		if err == nil {
+			err = r.Reset(blob)
 		}
 		if err != nil {
-			return updated, cost, err
+			return nil, err
+		}
+		dec.Recycle() // the last file's rows are written
+		rows, err = dec.AppendRows(rows[:0], &r)
+		return rows, err
+	}
+	for _, f = range plan.Files {
+		if err := fn(x, st.tbl, f, read); err != nil {
+			return cost, err
 		}
 	}
 	_, err = x.Commit()
@@ -182,7 +157,7 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 	if err == nil {
 		e.invalidateManifests(name)
 	}
-	return updated, cost, err
+	return cost, err
 }
 
 // byPartition groups rows by partition directory, keeping their order,

@@ -576,18 +576,23 @@ func (o *Object) flushBatchLocked(maxSlices int, sp *obs.Span) (time.Duration, e
 		return o.buf[i*SliceRecords : end]
 	}
 	payloads := make([][]byte, slices)
-	bufs := make([]*[]byte, slices)
 	for i := range payloads {
-		bufs[i] = sliceBufPool.Get().(*[]byte)
-		payloads[i] = encodeSliceInto((*bufs[i])[:0], chunk(i))
+		var buf []byte
+		select {
+		case buf = <-idleSliceBufs:
+		default:
+		}
+		payloads[i] = encodeSliceInto(buf, chunk(i))
 	}
 	// The PLog copies each payload into its logical stream and computes
 	// sidecar checksums within the append, so the encode buffers are dead
 	// once it returns — success or not — and are recycled on the way out.
 	defer func() {
-		for i, p := range payloads {
-			*bufs[i] = p[:0]
-			sliceBufPool.Put(bufs[i])
+		for _, p := range payloads {
+			select {
+			case idleSliceBufs <- p[:0]:
+			default:
+			}
 		}
 	}()
 	// Figure 4 a-d: the object is assigned to a logical shard by hashing
@@ -886,14 +891,11 @@ func (o *Object) Stats() Stats {
 // Slice wire format: count, then per record key/value lengths and bytes
 // plus the timestamp. Offsets are implicit from the slice base.
 
-// sliceBufPool recycles slice-encode buffers. A payload is copied into
-// the PLog's logical stream (and checksummed) within the append call,
-// so the encode buffer is dead the moment the append returns and the
-// next flush can reuse it instead of allocating.
-var sliceBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 16<<10)
-	return &b
-}}
+// idleSliceBufs keeps slice-encode buffers between flushes (four: a
+// group commit of four slices): the append copies a payload into the
+// PLog, so its buffer is dead once it returns. A channel, not a
+// sync.Pool: the heap holds the same buffers however collections fell.
+var idleSliceBufs = make(chan []byte, 4)
 
 func encodeSlice(recs []Record) []byte { return encodeSliceInto(nil, recs) }
 

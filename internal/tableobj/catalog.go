@@ -46,6 +46,8 @@ var (
 	ErrTableDropped  = errors.New("tableobj: table is dropped")
 	ErrSchemaInvalid = errors.New("tableobj: invalid schema or partition column")
 	ErrPartitionSpan = errors.New("tableobj: rows span partitions")
+	// ErrFileGone is no ErrConflict: no retry brings back a removed file.
+	ErrFileGone = errors.New("tableobj: a removed file is no longer current")
 )
 
 // NewCatalog builds a catalog on an SCM-backed KV store.

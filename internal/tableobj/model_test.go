@@ -243,7 +243,7 @@ func (m *tableModel) compact(fail bool) {
 	if _, err := x.Commit(); !errors.Is(err, ErrConflict) {
 		m.t.Fatalf("compaction over a moved pointer: %v", err)
 	}
-	if _, err := x.Retry(); !errors.Is(err, ErrConflict) {
+	if _, err := x.Retry(); !errors.Is(err, ErrFileGone) || errors.Is(err, ErrConflict) {
 		m.t.Fatalf("compaction retry after its file was deleted: %v", err)
 	}
 	if err := x.Abort(); err != nil {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -241,41 +240,124 @@ func (x *Txn) RemoveFile(f DataFile) { x.removes = append(x.removes, f) }
 
 // WriteRows writes rows as one columnar data file in the right partition
 // directory and stages it. Rows must share one partition: a batch that
-// spans two fails with ErrPartitionSpan. The rows are encoded in place,
-// so the caller may reuse their storage once WriteRows returns.
+// spans two fails with ErrPartitionSpan. The rows are encoded as they are
+// passed, so the caller may reuse their storage once WriteRows returns.
 func (x *Txn) WriteRows(rows []colfile.Row) (DataFile, error) {
 	if len(rows) == 0 {
 		return DataFile{}, errors.New("tableobj: WriteRows with no rows")
 	}
-	schema := x.t.meta.Schema
-	nf := schema.NumFields()
-	w := colfile.NewWriter(schema, 0)
+	w := colfile.NewWriter(x.t.meta.Schema, 0)
 	if err := w.AppendRows(rows); err != nil {
 		return DataFile{}, err
 	}
 	if x.t.PartitionRun(rows) < len(rows) {
 		return DataFile{}, fmt.Errorf("%w: the first row is in %s", ErrPartitionSpan, x.t.PartitionFor(rows[0]))
 	}
+	blooms := x.t.blooms(int64(len(rows)))
+	for _, r := range rows {
+		for c, b := range blooms {
+			b.Add(r[c])
+		}
+	}
+	return x.stage(w, x.t.PartitionFor(rows[0]), int64(len(rows)), blooms, nil)
+}
+
+// blooms returns an empty bloom per column for rows rows, the pruning
+// stats a commit carries beside the zones, or nil with zone maps off.
+func (t *Table) blooms(rows int64) []*Bloom {
+	var b []*Bloom
+	for c := 0; t.zoneMaps.Load() && c < t.meta.Schema.NumFields(); c++ {
+		b = append(b, NewBloom(int(rows)))
+	}
+	return b
+}
+
+// MergeFiles rewrites files of one partition as one data file, the one
+// WriteRows writes for their rows, and stages it with their removal.
+// Their row groups stream column by column into one writer, so no row is
+// built. Files of no rows write no file. The merge is a tableobj.merge
+// child of sp (files, rows) over a tableobj.read per file and the
+// tableobj.write; a nil sp traces nothing.
+func (x *Txn) MergeFiles(files []DataFile, sp *obs.Span) (merged DataFile, err error) {
+	var rows, want int64
+	msp, start := sp.Child("tableobj.merge"), x.cost
+	defer func() {
+		if msp != nil {
+			msp.SetAttr("files", strconv.Itoa(len(files)))
+			msp.SetAttr("rows", strconv.FormatInt(rows, 10))
+			msp.End(x.cost - start)
+			sp.Advance(x.cost - start)
+		}
+	}()
+	for _, f := range files {
+		if want += f.Rows; f.Partition != files[0].Partition {
+			return DataFile{}, fmt.Errorf("%w: %s and %s", ErrPartitionSpan, files[0].Partition, f.Partition)
+		}
+	}
+	w, blooms := colfile.NewWriter(x.t.meta.Schema, 0), x.t.blooms(want)
+	var r colfile.Reader
+	var cols [][]colfile.Value
+	for _, f := range files {
+		blob, cost, err := x.t.fs.Read(f.Path)
+		x.cost += cost
+		if rsp := msp.Child("tableobj.read"); rsp != nil {
+			rsp.SetAttr("bytes", strconv.Itoa(len(blob)))
+			rsp.End(cost)
+			msp.Advance(cost)
+		}
+		if err == nil {
+			err = r.Reset(blob)
+		}
+		for g := 0; err == nil && g < r.NumRowGroups(); g++ {
+			if cols, err = r.ReadGroupInto(g, nil, cols); err == nil {
+				err = w.AppendColumns(cols)
+			}
+			for c := 0; err == nil && c < len(blooms); c++ {
+				for _, v := range cols[c] {
+					blooms[c].Add(v)
+				}
+			}
+			rows += int64(r.GroupRows(g))
+		}
+		if err != nil {
+			return DataFile{}, err
+		}
+	}
+	if rows > 0 {
+		if merged, err = x.stage(w, files[0].Partition, rows, blooms, msp); err != nil {
+			return DataFile{}, err
+		}
+	}
+	for _, f := range files {
+		x.RemoveFile(f)
+	}
+	return merged, nil
+}
+
+// stage finishes w as a data file of rows rows in partition, writes it
+// and stages its addition. blooms, one per column, are non-nil with zone
+// maps on. The write is a tableobj.write child of sp.
+func (x *Txn) stage(w *colfile.Writer, partition string, rows int64, blooms []*Bloom, sp *obs.Span) (DataFile, error) {
 	blob, err := w.Finish()
 	if err != nil {
 		return DataFile{}, err
 	}
-	partition := x.t.PartitionFor(rows[0])
+	nf := x.t.meta.Schema.NumFields()
 	f := DataFile{
 		Path:      DataPath(x.t.meta.Path, partition, x.t.nextID()),
 		Partition: partition,
-		Rows:      int64(len(rows)),
+		Rows:      rows,
 		Bytes:     int64(len(blob)),
 		Min:       make([]colfile.Value, nf),
 		Max:       make([]colfile.Value, nf),
+		Blooms:    blooms,
 	}
-	zoneMaps := x.t.zoneMaps.Load()
 	// The writer took each row group's range, keeping the first-seen value
 	// on ties; folding the groups in order keeps the file's first-seen
 	// value too. With zone maps on, the groups' ranges are the zones.
 	for g := 0; g < w.NumRowGroups(); g++ {
 		var z ZoneMap
-		if zoneMaps {
+		if blooms != nil {
 			z = ZoneMap{Min: make([]colfile.Value, nf), Max: make([]colfile.Value, nf)}
 		}
 		for c := 0; c < nf; c++ {
@@ -286,26 +368,12 @@ func (x *Txn) WriteRows(rows []colfile.Row) (DataFile, error) {
 			if g == 0 || colfile.Compare(gs.Max, f.Max[c]) > 0 {
 				f.Max[c] = gs.Max
 			}
-			if zoneMaps {
+			if blooms != nil {
 				z.Min[c], z.Max[c] = gs.Min, gs.Max
 			}
 		}
-		if zoneMaps {
+		if blooms != nil {
 			f.Zones = append(f.Zones, z)
-		}
-	}
-	f.ownBounds()
-	if zoneMaps {
-		// Per-column blooms from the rows: planning-time pruning stats
-		// the commit carries beside the zones.
-		f.Blooms = make([]*Bloom, nf)
-		for c := range f.Blooms {
-			f.Blooms[c] = NewBloom(len(rows))
-		}
-		for _, r := range rows {
-			for c := range f.Blooms {
-				f.Blooms[c].Add(r[c])
-			}
 		}
 	}
 	cost, err := x.t.fs.Write(f.Path, blob)
@@ -313,38 +381,14 @@ func (x *Txn) WriteRows(rows []colfile.Row) (DataFile, error) {
 		return DataFile{}, err
 	}
 	x.cost += cost
+	if wsp := sp.Child("tableobj.write"); wsp != nil {
+		wsp.SetAttr("kind", "data")
+		wsp.SetAttr("bytes", strconv.Itoa(len(blob)))
+		wsp.End(cost)
+		sp.Advance(cost)
+	}
 	x.AddFile(f)
 	return f, nil
-}
-
-// ownBounds moves f's string bounds into one allocation of f's own.
-// The writer took them from the caller's rows, whose strings may share
-// a far larger buffer (a decoded message's); f outlives the Txn in its
-// snapshot and must not keep that buffer alive.
-func (f *DataFile) ownBounds() {
-	bounds := [][]colfile.Value{f.Min, f.Max}
-	for _, z := range f.Zones {
-		bounds = append(bounds, z.Min, z.Max)
-	}
-	n := 0
-	for _, vs := range bounds {
-		for _, v := range vs {
-			n += len(v.Str)
-		}
-	}
-	var b strings.Builder
-	b.Grow(n)
-	for _, vs := range bounds {
-		for _, v := range vs {
-			b.WriteString(v.Str)
-		}
-	}
-	s := b.String()
-	for _, vs := range bounds {
-		for i := range vs {
-			vs[i].Str, s = s[:len(vs[i].Str)], s[len(vs[i].Str):]
-		}
-	}
 }
 
 // WritePartitions writes one data file per partition (WriteRows each)
@@ -521,9 +565,9 @@ func (x *Txn) loadBase(sp *obs.Span) error {
 }
 
 // Retry refreshes the transaction's base snapshot after a conflict and
-// attempts the commit again. Removals that no longer exist in the new
-// base fail the retry (the compaction-vs-ingest conflict of Section
-// VI-A).
+// attempts the commit again. A removal the new base no longer holds
+// aborts the transaction with ErrFileGone (the compaction-vs-ingest
+// conflict of Section VI-A).
 func (x *Txn) Retry() (Snapshot, error) {
 	ptr, cost, err := x.t.cat.SnapshotPointer(x.t.meta.Name)
 	if err != nil {
@@ -549,7 +593,8 @@ func (x *Txn) Retry() (Snapshot, error) {
 		}
 		for _, f := range x.removes {
 			if !present[f.Path] {
-				return Snapshot{}, fmt.Errorf("%w: file %s no longer current", ErrConflict, f.Path)
+				x.Abort()
+				return Snapshot{}, fmt.Errorf("%w: %s", ErrFileGone, f.Path)
 			}
 		}
 	}

@@ -400,8 +400,8 @@ func TestCompactionConflictFailsRetry(t *testing.T) {
 	if _, err := compact.Commit(); !errors.Is(err, ErrConflict) {
 		t.Fatalf("compact commit: %v", err)
 	}
-	if _, err := compact.Retry(); !errors.Is(err, ErrConflict) {
-		t.Fatalf("compact retry should fail (file gone): %v", err)
+	if _, err := compact.Retry(); !errors.Is(err, ErrFileGone) || errors.Is(err, ErrConflict) {
+		t.Fatalf("compact retry should fail for good (file gone), not as a conflict: %v", err)
 	}
 }
 

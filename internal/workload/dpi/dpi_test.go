@@ -46,15 +46,19 @@ func TestPacketDecodeCostIgnoresPayload(t *testing.T) {
 			t.Fatal(err)
 		}
 		const runs = 100
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		testing.AllocsPerRun(runs, func() {
-			if _, _, err := rowcodec.Decode(value); err != nil {
-				t.Fatal(err)
-			}
-		})
-		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / (runs + 1) // AllocsPerRun adds a warm-up call
+		least := uint64(1 << 62)
+		for w := 0; w < 5; w++ { // the least window: the runtime's own allocations are not the decode's
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			testing.AllocsPerRun(runs, func() {
+				if _, _, err := rowcodec.Decode(value); err != nil {
+					t.Fatal(err)
+				}
+			})
+			runtime.ReadMemStats(&after)
+			least = min(least, (after.TotalAlloc-before.TotalAlloc)/(runs+1)) // AllocsPerRun adds a warm-up call
+		}
+		return least
 	}
 	small, large := decodeBytes(100), decodeBytes(64<<10)
 	t.Logf("a decode allocates %d bytes with a 100 B payload, %d with 64 KB", small, large)
