@@ -416,7 +416,11 @@ func (x *Txn) WritePartitions(byPartition map[string][]colfile.Row) ([]DataFile,
 // publishes it with a catalog CAS. It returns that header: the
 // snapshot's fields less Files and CommitIDs, which Current folds.
 // ErrConflict reports a losing race with a concurrent writer; the
-// staged files remain for a Retry.
+// staged files remain for a Retry. A removal the base no longer holds
+// aborts the transaction with ErrFileGone: a DELETE, UPDATE or
+// compaction planned on an older snapshot than it began on would
+// otherwise write rows another commit already moved (the
+// compaction-vs-ingest conflict of Section VI-A).
 //
 // The header names the base's checkpoint and the commits since, this
 // one included. When the bytes a fold would read past the checkpoint
@@ -477,7 +481,7 @@ func (x *Txn) commit(sp *obs.Span) (Snapshot, error) {
 		Snapshot:   Snapshot{ID: commit.ID, ParentID: b.ID, Timestamp: now, RowCount: b.RowCount},
 		checkpoint: b.checkpoint, checkpointBytes: b.checkpointBytes, deltaBytes: b.deltaBytes + int64(len(blob)),
 		since: append(b.since[:len(b.since):len(b.since)], commit.ID)}
-	if len(x.removes) > 0 { // only files the base holds count as removed
+	if len(x.removes) > 0 {
 		if err := x.loadBase(sp); err != nil {
 			return Snapshot{}, err
 		}
@@ -487,8 +491,15 @@ func (x *Txn) commit(sp *obs.Span) (Snapshot, error) {
 		}
 		for _, e := range x.manifest.Entries {
 			if removed[e.Path] {
+				delete(removed, e.Path)
 				next.RemovedFiles++
 				next.RemovedRows += e.Rows
+			}
+		}
+		for _, f := range x.removes {
+			if removed[f.Path] { // a concurrent commit removed it first
+				x.Abort()
+				return Snapshot{}, fmt.Errorf("%w: %s", ErrFileGone, f.Path)
 			}
 		}
 	}
@@ -565,9 +576,8 @@ func (x *Txn) loadBase(sp *obs.Span) error {
 }
 
 // Retry refreshes the transaction's base snapshot after a conflict and
-// attempts the commit again. A removal the new base no longer holds
-// aborts the transaction with ErrFileGone (the compaction-vs-ingest
-// conflict of Section VI-A).
+// attempts the commit again, which fails as any commit does when a file
+// it removes is gone.
 func (x *Txn) Retry() (Snapshot, error) {
 	ptr, cost, err := x.t.cat.SnapshotPointer(x.t.meta.Name)
 	if err != nil {
@@ -580,23 +590,8 @@ func (x *Txn) Retry() (Snapshot, error) {
 		x.base, err = DecodeManifest(blob)
 		x.baseBlob, x.manifest = nil, nil
 	}
-	if err == nil && len(x.removes) > 0 {
-		err = x.loadBase(x.sp)
-	}
 	if err != nil {
 		return Snapshot{}, err
-	}
-	if len(x.removes) > 0 {
-		present := make(map[string]bool, len(x.manifest.Entries))
-		for _, e := range x.manifest.Entries {
-			present[e.Path] = true
-		}
-		for _, f := range x.removes {
-			if !present[f.Path] {
-				x.Abort()
-				return Snapshot{}, fmt.Errorf("%w: %s", ErrFileGone, f.Path)
-			}
-		}
 	}
 	return x.CommitSpan(x.sp)
 }
