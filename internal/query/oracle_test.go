@@ -4,31 +4,40 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"streamlake/internal/colfile"
 	"streamlake/internal/lakehouse"
+	"streamlake/internal/obs"
 	"streamlake/internal/plog"
 	"streamlake/internal/pool"
 	"streamlake/internal/sim"
 	"streamlake/internal/tableobj"
 )
 
-// oracleTables are two tables of different schemas; queries alternate
-// between them, so one lake's scans switch schema from query to query.
+var (
+	evSchema = colfile.MustSchema("url:string", "ts:int64", "province:string", "bytes:int64", "score:float64")
+	evRow    = func(r *rand.Rand) colfile.Row {
+		return colfile.Row{colfile.StringValue(fmt.Sprintf("http://u/%d", r.Intn(6))), colfile.IntValue(int64(r.Intn(500))),
+			colfile.StringValue([]string{"bj", "sh", "gz", "cd"}[r.Intn(4)]), colfile.IntValue(int64(r.Intn(40))),
+			colfile.FloatValue(float64(r.Intn(80)) / 4)}
+	}
+)
+
+// oracleTables are three tables; queries rotate among them, so one
+// lake's scans switch schema from query to query. ev and acct, of
+// different schemas, hold many one-group files. big holds ev's rows in
+// one file of two row groups, sorted on ts, and every query of it bounds
+// ts, so its scans skip row groups inside the file.
 var oracleTables = []struct {
 	meta tableobj.TableMeta
 	row  func(*rand.Rand) colfile.Row
 }{
-	{tableobj.TableMeta{Name: "ev", Path: "/lake/ev", PartitionColumn: "province",
-		Schema: colfile.MustSchema("url:string", "ts:int64", "province:string", "bytes:int64", "score:float64")},
-		func(r *rand.Rand) colfile.Row {
-			return colfile.Row{colfile.StringValue(fmt.Sprintf("http://u/%d", r.Intn(6))), colfile.IntValue(int64(r.Intn(500))),
-				colfile.StringValue([]string{"bj", "sh", "gz", "cd"}[r.Intn(4)]), colfile.IntValue(int64(r.Intn(40))),
-				colfile.FloatValue(float64(r.Intn(80)) / 4)}
-		}},
+	{tableobj.TableMeta{Name: "ev", Path: "/lake/ev", PartitionColumn: "province", Schema: evSchema}, evRow},
 	{tableobj.TableMeta{Name: "acct", Path: "/lake/acct", PartitionColumn: "bucket",
 		Schema: colfile.MustSchema("id:int64", "bucket:int64", "name:string", "paid:bool", "amount:float64")},
 		func(r *rand.Rand) colfile.Row {
@@ -36,6 +45,7 @@ var oracleTables = []struct {
 				colfile.StringValue(string(rune('a' + r.Intn(5)))), colfile.BoolValue(r.Intn(2) == 0),
 				colfile.FloatValue(float64(r.Intn(40)) / 2)}
 		}},
+	{tableobj.TableMeta{Name: "big", Path: "/lake/big", PartitionColumn: "province", Schema: evSchema}, evRow},
 }
 
 // oracleLake is a lakehouse with both tables, zone maps on or off.
@@ -54,8 +64,9 @@ func oracleLake(t *testing.T, zoneMaps bool) *Engine {
 
 // randomQuery renders a SELECT over table tb: select *, a column list
 // or aggregates (count, one or two sums, maybe grouped), under up to
-// three random conjuncts on its comparable columns.
-func randomQuery(r *rand.Rand, schema colfile.Schema, table string) string {
+// three random conjuncts on its comparable columns, after the conjuncts
+// in must.
+func randomQuery(r *rand.Rand, schema colfile.Schema, table string, must ...string) string {
 	pick := func() colfile.Field { return schema.Fields[r.Intn(len(schema.Fields))] }
 	var sel []string
 	group := ""
@@ -77,7 +88,7 @@ func randomQuery(r *rand.Rand, schema colfile.Schema, table string) string {
 			group = " group by " + f.Name
 		}
 	}
-	var conds []string
+	conds := must
 	for n := r.Intn(4); n > 0; n-- {
 		f := pick()
 		op := []string{"=", "<", "<=", ">", ">="}[r.Intn(5)]
@@ -168,8 +179,15 @@ func evaluate(t *testing.T, stmt *Stmt, schema colfile.Schema, rows []colfile.Ro
 // sortedRows orders a result's rows, for the queries whose row order is
 // the scan's.
 func sortedRows(rows [][]string) [][]string {
-	out := append([][]string(nil), rows...)
-	sort.Slice(out, func(i, j int) bool { return strings.Join(out[i], "\x00") < strings.Join(out[j], "\x00") })
+	keys, idx := make([]string, len(rows)), make([]int, len(rows))
+	for i, row := range rows {
+		keys[i], idx[i] = strings.Join(row, "\x00"), i
+	}
+	sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+	out := make([][]string, len(rows))
+	for i, j := range idx {
+		out[i] = rows[j]
+	}
 	return out
 }
 
@@ -179,17 +197,18 @@ func sortedRows(rows [][]string) [][]string {
 // with zone maps on and off and pushdown on and off, and a column list
 // also as select * (projection off); every answer must equal evaluate's
 // over the raw rows. The rows' sums are exact in float64 (quarters and
-// halves), so any summation order gives the same result.
+// halves), so any summation order gives the same result. The test fails
+// if no scan of big skips a row group inside its file.
 func TestQueriesMatchReferenceEvaluator(t *testing.T) {
-	batches, queries := 24, 300
+	batches, queries := 24, 450
 	if testing.Short() {
-		batches, queries = 8, 60
+		batches, queries = 8, 90
 	}
 	rng := rand.New(rand.NewSource(37))
 	lakes := []*Engine{oracleLake(t, false), oracleLake(t, true)}
 	raw := make([][]colfile.Row, len(oracleTables))
 	for b := 0; b < batches; b++ {
-		for ti, tb := range oracleTables {
+		for ti, tb := range oracleTables[:2] {
 			var batch []colfile.Row
 			for n := 20 + rng.Intn(30); n > 0; n-- {
 				batch = append(batch, tb.row(rng))
@@ -202,10 +221,27 @@ func TestQueriesMatchReferenceEvaluator(t *testing.T) {
 			}
 		}
 	}
+	big := make([]colfile.Row, colfile.DefaultRowGroupSize+256) // two groups, one province
+	for i := range big {
+		big[i] = evRow(rng)
+		big[i][2] = colfile.StringValue("bj")
+	}
+	sort.SliceStable(big, func(i, j int) bool { return big[i][1].Int < big[j][1].Int })
+	raw[2] = big
+	for _, q := range lakes {
+		if _, err := q.lh.Insert("big", append([]colfile.Row(nil), big...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tracer, skipped := obs.NewTracer(sim.NewClock()), 0
 	for i := 0; i < queries; i++ {
 		ti := i % len(oracleTables)
 		tb := oracleTables[ti]
-		sql := randomQuery(rng, tb.meta.Schema, tb.meta.Name)
+		var must []string
+		if tb.meta.Name == "big" {
+			must = []string{fmt.Sprintf("ts %s %d", []string{"<", ">="}[rng.Intn(2)], rng.Intn(520))}
+		}
+		sql := randomQuery(rng, tb.meta.Schema, tb.meta.Name, must...)
 		stmt, err := Parse(sql)
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
@@ -218,9 +254,15 @@ func TestQueriesMatchReferenceEvaluator(t *testing.T) {
 		for li, q := range lakes {
 			for _, pushdown := range []bool{true, false} {
 				q.Pushdown = pushdown
-				res, err := q.Execute(stmt)
+				sp := tracer.Start("oracle")
+				res, err := q.ExecuteSpan(stmt, sp)
 				if err != nil {
 					t.Fatalf("%s (zone maps %v, pushdown %v): %v", sql, li == 1, pushdown, err)
+				}
+				for _, m := range skippedGroups.FindAllStringSubmatch(sp.Tree(), -1) {
+					if n, _ := strconv.Atoi(m[1]); tb.meta.Name == "big" {
+						skipped += n
+					}
 				}
 				got := res.Rows
 				if !aggregated {
@@ -254,4 +296,10 @@ func TestQueriesMatchReferenceEvaluator(t *testing.T) {
 			}
 		}
 	}
+	if skipped == 0 {
+		t.Fatal("no scan of big skipped a row group inside its file")
+	}
 }
+
+// skippedGroups reads the row groups a traced scan skipped.
+var skippedGroups = regexp.MustCompile(`skipped=(\d+)`)
