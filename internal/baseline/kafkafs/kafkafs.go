@@ -71,7 +71,6 @@ type topic struct {
 // Broker is a Kafka-style broker cluster.
 type Broker struct {
 	cfg   Config
-	clock *sim.Clock
 	disks []*sim.Device
 	net   *sim.Device
 	// pageCache models the memcpy-speed ack path of acks=1.
@@ -88,11 +87,10 @@ var (
 )
 
 // New builds a broker cluster.
-func New(clock *sim.Clock, cfg Config) *Broker {
+func New(cfg Config) *Broker {
 	cfg.applyDefaults()
 	b := &Broker{
 		cfg:    cfg,
-		clock:  clock,
 		net:    sim.NewDeviceOf("kafka-net", sim.Net10GbE),
 		topics: make(map[string]*topic),
 	}

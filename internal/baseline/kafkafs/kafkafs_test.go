@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-
-	"streamlake/internal/sim"
 )
 
 func newBroker(t testing.TB, cfg Config) *Broker {
 	t.Helper()
-	return New(sim.NewClock(), cfg)
+	return New(cfg)
 }
 
 func TestProduceConsume(t *testing.T) {
@@ -128,7 +126,7 @@ func TestThroughputParityData(t *testing.T) {
 }
 
 func ExampleBroker_Produce() {
-	b := New(sim.NewClock(), Config{})
+	b := New(Config{})
 	b.CreateTopic("demo", 1)
 	off, _, _ := b.Produce("demo", 0, []byte("key"), []byte("value"))
 	fmt.Println(off)

@@ -160,8 +160,7 @@ func RunFig14c() (Fig14cResult, error) {
 	res.StreamLakeRemap = cost
 
 	// Kafka: growing partitions re-spreads segment data.
-	kclock := sim.NewClock()
-	broker := kafkafs.New(kclock, kafkafs.Config{})
+	broker := kafkafs.New(kafkafs.Config{})
 	broker.CreateTopic("t", res.FromPartitions)
 	kgen := dpi.NewGenerator(1)
 	for i := 0; i < 20_000; i++ {

@@ -3,7 +3,6 @@ package bench
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"streamlake/internal/colfile"
 	"streamlake/internal/lakehouse"
@@ -168,6 +167,3 @@ func Fig1bReport(res Fig1bResult) *Report {
 		Notes: []string{"derived from the Table 1 measurement and the fleet-sizing model in DESIGN.md"},
 	}
 }
-
-// dur is a tiny helper used by reports needing explicit durations.
-func dur(d time.Duration) string { return d.String() }

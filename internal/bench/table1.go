@@ -94,8 +94,7 @@ func RunTable1(scales []int, seed uint64) []Table1Row {
 // after the collection, normalization and labeling jobs (the typical
 // ETL practice Section VII-B describes).
 func (row *Table1Row) runHDFSKafka(n int, seed uint64) {
-	clock := sim.NewClock()
-	broker := kafkafs.New(clock, kafkafs.Config{Brokers: 3, Replication: 3})
+	broker := kafkafs.New(kafkafs.Config{Brokers: 3, Replication: 3})
 	dfs := hdfs.New(hdfs.Config{DataNodes: 3, Replication: 3})
 	broker.CreateTopic("packets", 3)
 

@@ -30,7 +30,7 @@ func TestAggregationAmortizesFixedCost(t *testing.T) {
 	if aggTotal*4 > rawTotal {
 		t.Fatalf("aggregation saved too little: agg=%v raw=%v", aggTotal, rawTotal)
 	}
-	st := agg.Stats()
+	st := agg.Peek()
 	if st.Batches != 10 || st.Aggregated != 150 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -41,7 +41,7 @@ func TestAggregationSkipsLargeIO(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Send(smallIOBytes+1, Normal) // one byte past small I/O
 	}
-	if st := b.Stats(); st.Aggregated != 0 {
+	if st := b.Peek(); st.Aggregated != 0 {
 		t.Fatalf("large I/O was aggregated: %+v", st)
 	}
 }
@@ -58,7 +58,7 @@ func TestPriorityScheduling(t *testing.T) {
 	if !(hi < no && no < lo) {
 		t.Fatalf("priority ordering violated: high=%v normal=%v low=%v", hi, no, lo)
 	}
-	if b.Stats().QueueDelay <= 0 {
+	if b.Peek().QueueDelay <= 0 {
 		t.Fatal("no queue delay recorded")
 	}
 }
@@ -67,56 +67,12 @@ func TestStatsAccumulate(t *testing.T) {
 	b := New(Config{Path: RDMA})
 	b.Send(100, Normal)
 	b.Send(200, Normal)
-	st := b.Stats()
+	st := b.Peek()
 	if st.Sends != 2 || st.Bytes != 300 {
 		t.Fatalf("stats: %+v", st)
 	}
 	if b.Link().Stats().WriteBytes != 300 {
 		t.Fatalf("link bytes: %d", b.Link().Stats().WriteBytes)
-	}
-}
-
-func TestFlushChargesPartialBatch(t *testing.T) {
-	b := New(Config{Path: TCP, Aggregation: true})
-	fixed := b.Link().Spec().WriteLatency
-	// 5 small sends never fill the 16-slot batch, so all of them defer
-	// the fixed cost and the batch stays open until flushed.
-	for i := 0; i < 5; i++ {
-		b.Send(512, Normal)
-	}
-	if got := b.Flush(); got != fixed {
-		t.Fatalf("flush cost = %v, want %v", got, fixed)
-	}
-	if got := b.Flush(); got != 0 {
-		t.Fatalf("double flush charged %v", got)
-	}
-	st := b.Stats()
-	if st.Flushes != 1 || st.FlushCost != fixed || st.Batches != 1 || st.Aggregated != 5 {
-		t.Fatalf("stats after flush: %+v", st)
-	}
-}
-
-func TestStatsFlushesPendingBatch(t *testing.T) {
-	b := New(Config{Path: TCP, Aggregation: true})
-	// 20 sends: one full batch (16) plus 4 pending. A stats snapshot must
-	// not leave the trailing partial batch riding free.
-	for i := 0; i < 20; i++ {
-		b.Send(512, Normal)
-	}
-	st := b.Stats()
-	if st.Batches != 2 || st.Flushes != 1 {
-		t.Fatalf("stats did not flush the partial batch: %+v", st)
-	}
-	if st.FlushCost != b.link.Spec().WriteLatency {
-		t.Fatalf("flush cost %v, want one fixed cost %v", st.FlushCost, b.link.Spec().WriteLatency)
-	}
-	// A full batch boundary leaves nothing pending: no extra flush.
-	b2 := New(Config{Path: TCP, Aggregation: true})
-	for i := 0; i < 16; i++ {
-		b2.Send(512, Normal)
-	}
-	if st := b2.Stats(); st.Flushes != 0 || st.Batches != 1 {
-		t.Fatalf("aligned batch should not flush: %+v", st)
 	}
 }
 
@@ -158,7 +114,6 @@ func TestDroppedSendLeavesBatchAccountingIntact(t *testing.T) {
 	}
 	b := New(Config{Path: TCP, Aggregation: true})
 	b.SetNet(&scriptHook{fail: fail, err: errDrop}, "client")
-	fixed := b.Link().Spec().WriteLatency
 
 	delivered, dropped := 0, 0
 	for i := 0; i < 24; i++ {
@@ -175,24 +130,20 @@ func TestDroppedSendLeavesBatchAccountingIntact(t *testing.T) {
 	if delivered != 24 || dropped == 0 {
 		t.Fatalf("script did not exercise drops: delivered=%d dropped=%d", delivered, dropped)
 	}
-	st := b.Stats()
+	st := b.Peek()
 	if st.Sends != 24 || st.Bytes != 24*512 {
 		t.Fatalf("delivered accounting polluted by drops: %+v", st)
 	}
 	if st.Drops != int64(dropped) || st.DroppedBytes != int64(dropped)*512 {
 		t.Fatalf("drop accounting: %+v want %d drops", st, dropped)
 	}
-	// 24 delivered small sends = 1 full batch (16) + 8 pending flushed by
-	// Stats: exactly 2 batches, one flush, one deferred fixed cost.
-	if st.Batches != 2 || st.Flushes != 1 || st.FlushCost != fixed {
+	// 24 delivered small sends = 1 full batch (16) + 8 pending: exactly
+	// one batch, whatever the drops.
+	if st.Batches != 1 {
 		t.Fatalf("batch accounting double-charged or leaked: %+v", st)
 	}
 	if st.Aggregated != 23 { // all but the batch-closing 16th send deferred
 		t.Fatalf("aggregated count: %+v", st)
-	}
-	// Nothing pending afterwards: flushing again charges nothing.
-	if got := b.Flush(); got != 0 {
-		t.Fatalf("flush after stats charged %v", got)
 	}
 }
 
@@ -242,7 +193,7 @@ func TestQueueDelayPerPriorityBreakdown(t *testing.T) {
 	b.Send(1<<10, Normal)
 	b.Send(1<<20, High)
 	b.Send(1<<10, Low)
-	st := b.Stats()
+	st := b.Peek()
 	if st.QueueDelayNormal <= 0 || st.QueueDelayLow <= 0 {
 		t.Fatalf("missing per-class delay: %+v", st)
 	}
@@ -288,7 +239,7 @@ func TestSendLinkTChargesQoSDelay(t *testing.T) {
 	if system != base {
 		t.Fatalf("system identity delayed: %v vs %v", system, base)
 	}
-	st := b.Stats()
+	st := b.Peek()
 	if st.QueueDelayNormal != 3*time.Millisecond || st.QueueDelay != 3*time.Millisecond {
 		t.Fatalf("qos delay not attributed to Normal class: %+v", st)
 	}

@@ -142,7 +142,6 @@ type attachedPool struct {
 // ground-truth side channel: the key is the same one the placer hashed.
 type placementRec struct {
 	p      *pool.Pool
-	mgr    *plog.Manager
 	key    string
 	slices []pool.SliceID
 }
@@ -291,7 +290,7 @@ func (c *Cluster) AttachPool(p *pool.Pool, mgr *plog.Manager) {
 					ids[i] = s.ID
 				}
 				c.mu.Lock()
-				c.placements = append(c.placements, placementRec{p: p, mgr: mgr, key: key, slices: ids})
+				c.placements = append(c.placements, placementRec{p: p, key: key, slices: ids})
 				c.mu.Unlock()
 			}
 			return sl, err

@@ -28,7 +28,6 @@ type ArchiveResult struct {
 // optionally converted to columnar format first — or are exported to an
 // external system.
 type Archiver struct {
-	clock  *sim.Clock
 	svc    *streamsvc.Service
 	tiers  *tiering.Service
 	extDev *sim.Device
@@ -41,9 +40,8 @@ type Archiver struct {
 
 // NewArchiver builds an archiver storing into the given tiering service's
 // archive tier.
-func NewArchiver(clock *sim.Clock, svc *streamsvc.Service, tiers *tiering.Service) *Archiver {
+func NewArchiver(svc *streamsvc.Service, tiers *tiering.Service) *Archiver {
 	return &Archiver{
-		clock:    clock,
 		svc:      svc,
 		tiers:    tiers,
 		extDev:   sim.NewDeviceOf("external-archive", sim.Net10GbE),
@@ -90,11 +88,7 @@ func (a *Archiver) archiveTopic(name string, cfg streamsvc.TopicConfig) (Archive
 	// Volume check: unarchived bytes across the topic's streams.
 	var pendingBytes int64
 	for _, o := range streams {
-		st := o.Stats()
-		if st.End > 0 {
-			// Approximate: proportional share of appended bytes.
-			pendingBytes += st.Bytes
-		}
+		pendingBytes += o.AppendedBytes()
 	}
 	a.mu.Lock()
 	pendingBytes -= a.archived[name]

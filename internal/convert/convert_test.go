@@ -304,7 +304,7 @@ func TestPlaybackFailsOnUndecodableFile(t *testing.T) {
 func TestArchiverRowToCol(t *testing.T) {
 	e := newEnv(t)
 	tiers := tiering.NewService(e.clock)
-	arch := NewArchiver(e.clock, e.svc, tiers)
+	arch := NewArchiver(e.svc, tiers)
 	cfg := streamsvc.TopicConfig{
 		Name: "hist", StreamNum: 1,
 		Archive: streamsvc.ArchiveConfig{Enabled: true, ArchiveBytes: 1 << 10, RowToCol: true},
@@ -342,7 +342,7 @@ func TestArchiverRowToCol(t *testing.T) {
 func TestArchiverExternalExport(t *testing.T) {
 	e := newEnv(t)
 	tiers := tiering.NewService(e.clock)
-	arch := NewArchiver(e.clock, e.svc, tiers)
+	arch := NewArchiver(e.svc, tiers)
 	e.svc.CreateTopic(streamsvc.TopicConfig{
 		Name: "exp", StreamNum: 1,
 		Archive: streamsvc.ArchiveConfig{Enabled: true, ArchiveBytes: 100, ExternalURL: "hdfs://legacy/archive"},

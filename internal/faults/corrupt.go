@@ -21,9 +21,6 @@ type Corruptor interface {
 	// on one disk — the form the background bit-flip hook uses, so that
 	// corruption lands on the device whose write triggered the roll.
 	CorruptRandomOnDisk(d pool.DiskID, rng *sim.RNG) (plog.CorruptionEvent, bool)
-	// CorruptCopy damages one specific extent-copy. Returns false if it
-	// is already corrupt or the copy never stored that extent.
-	CorruptCopy(id plog.ID, sliceIdx, ext int) (bool, error)
 }
 
 // AttachCorruptor registers the corruption surface for an attached
@@ -75,22 +72,6 @@ func (in *Injector) CorruptRandom(poolName string) (plog.CorruptionEvent, error)
 	in.stats.InjectedCorruptions++
 	in.events = append(in.events, ev)
 	return ev, nil
-}
-
-// CorruptCopy damages one specific extent-copy, for targeted drills.
-func (in *Injector) CorruptCopy(poolName string, id plog.ID, sliceIdx, ext int) (bool, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	c, ok := in.corruptors[poolName]
-	if !ok {
-		return false, fmt.Errorf("faults: no corruptor attached for pool %q", poolName)
-	}
-	done, err := c.CorruptCopy(id, sliceIdx, ext)
-	if done {
-		in.stats.InjectedCorruptions++
-		in.events = append(in.events, plog.CorruptionEvent{Log: id, SliceIdx: sliceIdx, Extent: ext})
-	}
-	return done, err
 }
 
 // CorruptionLog returns every corruption the injector has planted, in

@@ -13,6 +13,15 @@ func newPool(name string, disks int) *pool.Pool {
 	return pool.New(name, sim.NewClock(), sim.NVMeSSD, disks, 1<<20)
 }
 
+// allocOne allocates a single slice, a placement group of one.
+func allocOne(p *pool.Pool) (*pool.Slice, error) {
+	g, err := p.AllocGroup(1)
+	if err != nil {
+		return nil, err
+	}
+	return g[0], nil
+}
+
 func TestKillAndReviveDisk(t *testing.T) {
 	p := newPool("ssd", 4)
 	in := New(1)
@@ -49,7 +58,7 @@ func TestTransientErrorsAreSeededDeterministic(t *testing.T) {
 		in := New(seed)
 		in.Attach(p)
 		in.SetWriteErrorRate(0.5)
-		s, err := p.Alloc(nil)
+		s, err := allocOne(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +99,7 @@ func TestInjectedErrorsAndClear(t *testing.T) {
 	p := newPool("ssd", 3)
 	in := New(7)
 	in.Attach(p)
-	s, err := p.Alloc(nil)
+	s, err := allocOne(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +139,7 @@ func TestDegradeDiskAddsLatency(t *testing.T) {
 	p := newPool("ssd", 2)
 	in := New(1)
 	in.Attach(p)
-	s, err := p.Alloc(nil)
+	s, err := allocOne(p)
 	if err != nil {
 		t.Fatal(err)
 	}

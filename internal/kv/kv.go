@@ -18,7 +18,6 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"streamlake/internal/sim"
@@ -66,9 +65,6 @@ type DB struct {
 	mu   sync.RWMutex
 	mem  *skiplist
 	runs []*run // newest first
-	wal  int64  // bytes appended to the WAL since the last flush
-	puts int64
-	gets atomic.Int64 // atomic: bumped under the shared read lock
 }
 
 // ErrCASMismatch is returned by CompareAndSwap when the current value
@@ -96,8 +92,6 @@ func (db *DB) Put(key, value []byte) (time.Duration, error) {
 	v := append([]byte(nil), value...)
 	db.mu.Lock()
 	db.mem.put(k, v, false)
-	db.wal += int64(len(k) + len(v))
-	db.puts++
 	needFlush := db.mem.bytes > memtableBytes
 	db.mu.Unlock()
 	cost := db.charge(true, int64(len(k)+len(v)))
@@ -112,7 +106,6 @@ func (db *DB) Delete(key []byte) (time.Duration, error) {
 	k := append([]byte(nil), key...)
 	db.mu.Lock()
 	db.mem.put(k, nil, true)
-	db.wal += int64(len(k) + 1)
 	db.mu.Unlock()
 	return db.charge(true, int64(len(k)+1)), nil
 }
@@ -122,7 +115,6 @@ func (db *DB) Delete(key []byte) (time.Duration, error) {
 // (RAM), which is what makes the metadata cache's O(1) lookups cheap.
 func (db *DB) Get(key []byte) (value []byte, cost time.Duration, ok bool) {
 	db.mu.RLock()
-	db.gets.Add(1)
 	if v, tomb, found := db.mem.get(key); found {
 		db.mu.RUnlock()
 		if tomb {
@@ -170,7 +162,6 @@ func (db *DB) CompareAndSwap(key, expect, next []byte) (time.Duration, error) {
 	k := append([]byte(nil), key...)
 	v := append([]byte(nil), next...)
 	db.mem.put(k, v, false)
-	db.wal += int64(len(k) + len(v))
 	db.mu.Unlock()
 	return db.charge(true, int64(len(k)+len(v))), nil
 }
@@ -268,7 +259,6 @@ func (db *DB) Flush() time.Duration {
 	r := &run{entries: es, bytes: db.mem.bytes}
 	db.runs = append([]*run{r}, db.runs...)
 	db.mem = newSkiplist(1 + uint64(len(db.runs)))
-	db.wal = 0
 	needCompact := len(db.runs) > 8
 	db.mu.Unlock()
 	cost := db.charge(true, r.bytes)
@@ -305,35 +295,4 @@ func (db *DB) Compact() time.Duration {
 	db.runs = []*run{{entries: live, bytes: outBytes}}
 	db.mu.Unlock()
 	return db.charge(false, inBytes) + db.charge(true, outBytes)
-}
-
-// Stats reports engine counters.
-type Stats struct {
-	Puts, Gets    int64
-	MemtableBytes int64
-	Runs          int
-	LiveKeys      int
-}
-
-// Stats returns a snapshot of engine counters. LiveKeys is exact but
-// costs a full merge; callers use it in tests and diagnostics.
-func (db *DB) Stats() Stats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	st := Stats{
-		Puts:          db.puts,
-		Gets:          db.gets.Load(),
-		MemtableBytes: db.mem.bytes,
-		Runs:          len(db.runs),
-	}
-	sources := [][]entry{db.mem.entries()}
-	for _, r := range db.runs {
-		sources = append(sources, r.entries)
-	}
-	for _, e := range mergeEntries(sources) {
-		if !e.tomb {
-			st.LiveKeys++
-		}
-	}
-	return st
 }

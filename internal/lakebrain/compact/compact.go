@@ -136,7 +136,6 @@ type QLearner struct {
 
 	replay    []experience
 	replayCap int
-	trained   int
 }
 
 // NewQLearner builds a learner with standard hyperparameters.
@@ -219,7 +218,6 @@ func (q *QLearner) Train(epochs int) {
 			q.update(q.replay[i])
 		}
 	}
-	q.trained += epochs
 }
 
 // SetEpsilon adjusts exploration (set to 0 for inference).
@@ -232,11 +230,6 @@ func Reward(success bool, utilBefore, utilAfter, expectedImprovement float64) fl
 		return utilAfter - utilBefore
 	}
 	return -(1 - expectedImprovement)
-}
-
-// Strategy decides whether to compact a partition given the state.
-type Strategy interface {
-	ShouldCompact(now time.Duration, s State) bool
 }
 
 // Default is the paper's Default-compaction baseline: compact on a fixed
@@ -273,7 +266,7 @@ func (d *Default) ForPartition(p string) *Default {
 	return &Default{Interval: d.Interval, last: d.last, key: p}
 }
 
-// Auto wraps a trained QLearner as a Strategy.
+// Auto is the learned strategy: a trained QLearner.
 type Auto struct {
 	Learner *QLearner
 }

@@ -206,7 +206,9 @@ func TestTrainAutoBeatsDefaultOnUtilization(t *testing.T) {
 	train := NewEnv(sim.NewClock(), 8, 7)
 	learner := TrainAuto(train, 300, 7)
 
-	run := func(strategy Strategy, seed uint64) float64 {
+	run := func(strategy interface {
+		ShouldCompact(time.Duration, State) bool
+	}, seed uint64) float64 {
 		clock := sim.NewClock()
 		env := NewEnv(clock, 8, seed)
 		var utilSum float64
@@ -219,7 +221,7 @@ func TestTrainAutoBeatsDefaultOnUtilization(t *testing.T) {
 				s := env.StateOf(i)
 				var act bool
 				if isDefault {
-					act = def.ForPartition(partName(i)).ShouldCompact(clock.Now(), s)
+					act = def.ForPartition(string(rune('a'+i))).ShouldCompact(clock.Now(), s)
 				} else {
 					act = strategy.ShouldCompact(clock.Now(), s)
 				}

@@ -29,7 +29,6 @@ type Env struct {
 }
 
 type envPartition struct {
-	name         string
 	files        []int64
 	accessFreq   float64
 	lastAccess   time.Duration
@@ -52,15 +51,10 @@ func NewEnv(clock *sim.Clock, n int, seed uint64) *Env {
 	}
 	for i := 0; i < n; i++ {
 		e.parts = append(e.parts, &envPartition{
-			name:       partName(i),
 			accessFreq: 0.2 + e.rng.Float64(),
 		})
 	}
 	return e
-}
-
-func partName(i int) string {
-	return string(rune('p')) + string(rune('0'+i%10)) + string(rune('0'+(i/10)%10))
 }
 
 // Partitions returns the partition count.

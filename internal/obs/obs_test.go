@@ -24,7 +24,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	}
 	h := r.Histogram("x_seconds")
 	h.Observe(time.Millisecond)
-	if h.Count() != 0 || h.Sum() != 0 {
+	if h.Count() != 0 {
 		t.Fatalf("nil histogram recorded samples")
 	}
 	r.GaugeFunc("f", func() float64 { return 1 })

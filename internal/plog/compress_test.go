@@ -253,7 +253,7 @@ func TestMigrateDeadSourceECChargesKColumnReads(t *testing.T) {
 	}
 	payload := compressible(16 << 10)
 	l.Append(payload)
-	col := l.Redundancy().shardSize(int64(len(payload)))
+	col := l.red.shardSize(int64(len(payload)))
 
 	deadDisk := l.Placement()[0].Disk
 	if err := p.FailDisk(deadDisk); err != nil {

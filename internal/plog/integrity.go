@@ -412,15 +412,6 @@ func (l *PLog) Scrub() (ScrubResult, error) {
 	return res, nil
 }
 
-// CorruptCopy flips the stored checksum of one copy's extent of one log.
-func (m *Manager) CorruptCopy(id ID, sliceIdx, ext int) (bool, error) {
-	l := m.Get(id)
-	if l == nil {
-		return false, fmt.Errorf("plog: no log %d", id)
-	}
-	return l.CorruptCopy(sliceIdx, ext)
-}
-
 // sortedLogs snapshots the live logs ordered by ID.
 func (m *Manager) sortedLogs() []*PLog {
 	m.mu.Lock()

@@ -112,6 +112,10 @@ func runModel(t *testing.T, red Redundancy, seed uint64, steps int) {
 	// dirty is the set of copies with an unrepaired fault; a read serves a
 	// range from whole copies, so it stays within the policy's tolerance.
 	dirty := map[int]bool{}
+	tolerance := red.M // disk losses the policy survives
+	if red.Kind == Replicate {
+		tolerance = red.Replicas - 1
+	}
 
 	read := func(off, n int64) []byte {
 		t.Helper()
@@ -145,7 +149,7 @@ func runModel(t *testing.T, red Redundancy, seed uint64, steps int) {
 		clear(dirty)
 	}
 	fault := func(i int) {
-		if !dirty[i] && len(dirty) == red.FaultTolerance() {
+		if !dirty[i] && len(dirty) == tolerance {
 			heal()
 		}
 		dirty[i] = true

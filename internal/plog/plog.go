@@ -70,14 +70,6 @@ func (r Redundancy) Overhead() float64 {
 	return float64(r.K+r.M) / float64(r.K)
 }
 
-// FaultTolerance returns how many disk losses the policy survives.
-func (r Redundancy) FaultTolerance() int {
-	if r.Kind == Replicate {
-		return r.Replicas - 1
-	}
-	return r.M
-}
-
 func (r Redundancy) validate() error {
 	switch r.Kind {
 	case Replicate:
@@ -204,18 +196,12 @@ func (l *PLog) Size() int64 {
 	return l.size
 }
 
-// Capacity returns the log's fixed address space.
-func (l *PLog) Capacity() int64 { return l.capacity }
-
 // Sealed reports whether the log has been sealed.
 func (l *PLog) Sealed() bool {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.sealed
 }
-
-// Redundancy returns the log's redundancy policy.
-func (l *PLog) Redundancy() Redundancy { return l.red }
 
 // shardSize returns the per-disk physical size of n logical bytes under
 // the policy: the full payload for replication, one shard column for EC.
@@ -849,9 +835,6 @@ func (m *Manager) SetPlacer(f func(width int) ([]*pool.Slice, error)) {
 // checksum verification, and the coherence edges (quarantine, repair,
 // degraded appends, migration, destroy) invalidate affected ranges.
 func (m *Manager) SetCache(c *cache.Cache) { m.cache.Store(c) }
-
-// Cache returns the attached read cache, or nil.
-func (m *Manager) Cache() *cache.Cache { return m.cache.Load() }
 
 // SetObs registers the plog layer's telemetry: latency histograms and
 // byte counters shared across the manager's logs, plus redundancy and

@@ -18,11 +18,11 @@ func newManager(t *testing.T, disks int) *Manager {
 
 func TestRedundancyPolicies(t *testing.T) {
 	r3 := ReplicateN(3)
-	if r3.Width() != 3 || r3.Overhead() != 3 || r3.FaultTolerance() != 2 {
+	if r3.Width() != 3 || r3.Overhead() != 3 {
 		t.Fatalf("replicate(3): %+v", r3)
 	}
 	e := EC(4, 2)
-	if e.Width() != 6 || e.Overhead() != 1.5 || e.FaultTolerance() != 2 {
+	if e.Width() != 6 || e.Overhead() != 1.5 {
 		t.Fatalf("ec(4,2): %+v", e)
 	}
 	// The paper's headline: EC lifts disk utilization from 33% (3x

@@ -258,14 +258,6 @@ func (p *Pool) DiskAvoided(id DiskID) bool {
 // DiskCount returns the number of disks, healthy or not.
 func (p *Pool) DiskCount() int { return len(p.disks) }
 
-// Alloc allocates one slice on the least-used healthy disk not in
-// exclude.
-func (p *Pool) Alloc(exclude map[DiskID]bool) (*Slice, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.allocLocked(exclude)
-}
-
 func (p *Pool) allocLocked(exclude map[DiskID]bool) (*Slice, error) {
 	return p.allocOnLocked(p.pickLocked(exclude, nil))
 }

@@ -12,10 +12,19 @@ func newTestPool(t *testing.T, disks int) *Pool {
 	return New("test", sim.NewClock(), sim.NVMeSSD, disks, 1<<20)
 }
 
+// allocOne allocates a single slice, a placement group of one.
+func allocOne(p *Pool) (*Slice, error) {
+	g, err := p.AllocGroup(1)
+	if err != nil {
+		return nil, err
+	}
+	return g[0], nil
+}
+
 func TestAllocBalancesAcrossDisks(t *testing.T) {
 	p := newTestPool(t, 4)
 	for i := 0; i < 40; i++ {
-		if _, err := p.Alloc(nil); err != nil {
+		if _, err := allocOne(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -68,7 +77,7 @@ func TestAllocGroupRollsBackOnFailure(t *testing.T) {
 
 func TestWriteReadAccounting(t *testing.T) {
 	p := newTestPool(t, 1)
-	s, _ := p.Alloc(nil)
+	s, _ := allocOne(p)
 	d1, err := p.Write(s.ID, 4096)
 	if err != nil || d1 <= 0 {
 		t.Fatalf("write: %v %v", d1, err)
@@ -95,7 +104,7 @@ func TestFailDiskAndRelocate(t *testing.T) {
 	p := newTestPool(t, 3)
 	var slices []*Slice
 	for i := 0; i < 9; i++ {
-		s, err := p.Alloc(nil)
+		s, err := allocOne(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +159,7 @@ func TestQuickAllocFreeInvariant(t *testing.T) {
 		var live []SliceID
 		for _, alloc := range ops {
 			if alloc || len(live) == 0 {
-				s, err := p.Alloc(nil)
+				s, err := allocOne(p)
 				if err != nil {
 					return false
 				}

@@ -38,17 +38,3 @@ func (c *Clock) Advance(d time.Duration) time.Duration {
 	}
 	return time.Duration(c.ns.Add(int64(d)))
 }
-
-// AdvanceTo moves the clock forward to at least t, returning the new time.
-// It is safe under concurrent use; the clock never moves backwards.
-func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
-	for {
-		cur := c.ns.Load()
-		if int64(t) <= cur {
-			return time.Duration(cur)
-		}
-		if c.ns.CompareAndSwap(cur, int64(t)) {
-			return t
-		}
-	}
-}

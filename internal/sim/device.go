@@ -136,12 +136,6 @@ func NewDeviceOf(name string, class DeviceClass) *Device {
 	return NewDevice(name, Spec(class))
 }
 
-// Name returns the device's name.
-func (d *Device) Name() string { return d.name }
-
-// Class returns the device's hardware class.
-func (d *Device) Class() DeviceClass { return d.spec.Class }
-
 // Spec returns the device's cost model.
 func (d *Device) Spec() DeviceSpec { return d.spec }
 

@@ -39,9 +39,6 @@ func TestHistogramSnapshot(t *testing.T) {
 	if !(p50 <= p95 && p95 <= p99 && p99 <= max) {
 		t.Fatalf("percentile ordering: %v %v %v %v", p50, p95, p99, max)
 	}
-	if m := h.Mean(); m < 40*time.Millisecond || m > 60*time.Millisecond {
-		t.Fatalf("mean: %v", m)
-	}
 }
 
 func TestIntnPanicsOnNonPositive(t *testing.T) {

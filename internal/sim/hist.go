@@ -13,7 +13,6 @@ type Histogram struct {
 	mu      sync.Mutex
 	buckets [128]int64 // bucket i covers [2^(i/4) .. 2^((i+1)/4)) microseconds-ish, see index
 	count   int64
-	sum     time.Duration
 	min     time.Duration
 	max     time.Duration
 }
@@ -48,7 +47,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	defer h.mu.Unlock()
 	h.buckets[bucketIndex(d)]++
 	h.count++
-	h.sum += d
 	if h.count == 1 || d < h.min {
 		h.min = d
 	}
@@ -62,16 +60,6 @@ func (h *Histogram) Count() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.count
-}
-
-// Mean reports the mean of all samples, or zero with no samples.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.count)
 }
 
 // Quantile reports the approximate q-quantile (0 <= q <= 1) of observed

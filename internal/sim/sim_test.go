@@ -22,18 +22,6 @@ func TestClockAdvance(t *testing.T) {
 	}
 }
 
-func TestClockAdvanceTo(t *testing.T) {
-	c := NewClock()
-	c.AdvanceTo(time.Second)
-	if c.Now() != time.Second {
-		t.Fatalf("AdvanceTo: got %v", c.Now())
-	}
-	c.AdvanceTo(time.Millisecond) // earlier than now: no-op
-	if c.Now() != time.Second {
-		t.Fatalf("AdvanceTo backwards moved clock to %v", c.Now())
-	}
-}
-
 func TestClockConcurrentAdvance(t *testing.T) {
 	c := NewClock()
 	var wg sync.WaitGroup
@@ -122,10 +110,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	if h.Quantile(1) != 1000*time.Microsecond {
 		t.Fatalf("max = %v", h.Quantile(1))
-	}
-	mean := h.Mean()
-	if mean < 450*time.Microsecond || mean > 550*time.Microsecond {
-		t.Fatalf("mean = %v", mean)
 	}
 }
 

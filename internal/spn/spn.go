@@ -43,7 +43,6 @@ func Unbounded() Range { return Range{Lo: math.Inf(-1), Hi: math.Inf(1)} }
 // SPN is a learned sum-product network over numeric columns.
 type SPN struct {
 	root node
-	rows int
 	cols int
 }
 
@@ -129,7 +128,7 @@ func Learn(data [][]float64, cfg Config) *SPN {
 		cfg.Seed = 1
 	}
 	if len(data) == 0 {
-		return &SPN{root: &productNode{}, rows: 0}
+		return &SPN{root: &productNode{}}
 	}
 	cols := len(data[0])
 	scope := make([]int, cols)
@@ -138,11 +137,8 @@ func Learn(data [][]float64, cfg Config) *SPN {
 	}
 	rng := sim.NewRNG(cfg.Seed)
 	root := learnNode(data, scope, rng, 0)
-	return &SPN{root: root, rows: len(data), cols: cols}
+	return &SPN{root: root, cols: cols}
 }
-
-// Rows returns the training row count.
-func (s *SPN) Rows() int { return s.rows }
 
 // Prob estimates P(AND of ranges) for the given per-column bounds.
 func (s *SPN) Prob(q map[int]Range) float64 {

@@ -117,8 +117,8 @@ func TestEstimateCountScales(t *testing.T) {
 func TestDegenerateInputs(t *testing.T) {
 	// Empty data.
 	s := Learn(nil, Config{})
-	if s.Rows() != 0 {
-		t.Fatal("empty SPN rows")
+	if p := s.Prob(nil); p != 1 {
+		t.Fatalf("empty SPN: Prob = %v, want 1", p)
 	}
 	// Constant column.
 	data := make([][]float64, 100)

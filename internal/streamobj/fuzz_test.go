@@ -70,9 +70,9 @@ func referenceDecode(data []byte, base int64) ([]Record, error) {
 // appends that decode's records from the start offset on, up to the
 // limit; a rejected slice leaves the buffer at its incoming length with
 // nothing behind it. An accepted slice survives a re-encode, and records
-// carved out of the input round-trip through encodeSlice.
+// carved out of the input round-trip through encodeSliceInto.
 func FuzzDecodeSlice(f *testing.F) {
-	valid := encodeSlice([]Record{
+	valid := encodeSliceInto(nil, []Record{
 		{Key: []byte("k1"), Value: []byte("v1"), Timestamp: 5 * time.Millisecond},
 		{Key: nil, Value: []byte{}},
 		{Key: bytes.Repeat([]byte("x"), 300), Value: bytes.Repeat([]byte("y"), 200), Timestamp: -time.Hour},
@@ -85,7 +85,7 @@ func FuzzDecodeSlice(f *testing.F) {
 	f.Add(valid[:len(valid)-1], int64(0), uint16(0), uint16(1))
 	f.Add(valid[:len(valid)/2], int64(7), uint16(1), uint16(1))
 	f.Add(valid[:1], int64(-3), uint16(0), uint16(2))
-	f.Add(encodeSlice(nil), int64(1)<<61, uint16(0), uint16(1))
+	f.Add(encodeSliceInto(nil, nil), int64(1)<<61, uint16(0), uint16(1))
 	f.Add([]byte{}, int64(0), uint16(0), uint16(1))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, int64(0), uint16(0), uint16(1)) // count = 2^64-1
 	f.Fuzz(func(t *testing.T, data []byte, base int64, skip, limit uint16) {
@@ -114,7 +114,7 @@ func FuzzDecodeSlice(f *testing.F) {
 			if !sameRecords(got[1:], suffix, base+int64(skip)) {
 				t.Fatalf("from +%d limit %d: walk gave %d records, the full decode's suffix has %d", skip, limit, len(got)-1, len(suffix))
 			}
-			again, err := walkSlice(nil, encodeSlice(want), base, base, len(want))
+			again, err := walkSlice(nil, encodeSliceInto(nil, want), base, base, len(want))
 			if err != nil || !sameRecords(again, want, base) {
 				t.Fatalf("accepted slice does not survive a re-encode: %v", err)
 			}
@@ -130,7 +130,7 @@ func FuzzDecodeSlice(f *testing.F) {
 			recs = append(recs, Record{Key: rest[:kl], Value: rest[kl : kl+vl], Timestamp: time.Duration(ts) * time.Microsecond})
 			rest = rest[kl+vl:]
 		}
-		carved, err := walkSlice(nil, encodeSlice(recs), base, base, len(recs))
+		carved, err := walkSlice(nil, encodeSliceInto(nil, recs), base, base, len(recs))
 		if err != nil || !sameRecords(carved, recs, base) {
 			t.Fatalf("%d records did not round-trip: %v", len(recs), err)
 		}

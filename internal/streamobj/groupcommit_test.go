@@ -74,14 +74,14 @@ func TestGroupCommitCoalescesSliceFlushes(t *testing.T) {
 	go2, _ := grouped.Create(CreateOptions{Topic: "t"})
 	// One record short of the trigger: every slice flush is deferred.
 	fill(t, go2, n-1)
-	if st := go2.Stats(); st.Slices != 0 || st.OpenBuf != n-1 {
+	if st := shapeOf(go2); st.Slices != 0 || st.OpenBuf != n-1 {
 		t.Fatalf("flushed before the group target: %+v", st)
 	}
 	flushedBefore := writeOps(gp)
 	if _, _, err := go2.Append([]Record{rec("last", fmt.Sprintf("v%05d", n-1))}, "p", int64(n)); err != nil {
 		t.Fatal(err)
 	}
-	if st := go2.Stats(); st.Slices != target || st.OpenBuf != 0 {
+	if st := shapeOf(go2); st.Slices != target || st.OpenBuf != 0 {
 		t.Fatalf("group flush did not drain %d slices: %+v", target, st)
 	}
 	// The coalesced flush costs one device write per placement copy —
@@ -138,7 +138,7 @@ func TestFlushCommitsUpToTargetSlices(t *testing.T) {
 				t.Fatalf("append issued %d device writes, want %d commits x %d copies", got, tc.appendCommits, width)
 			}
 			wantSlices := tc.full - tc.leftSlices
-			if st := o.Stats(); st.Slices != wantSlices || st.OpenBuf != tc.leftSlices*SliceRecords+tail {
+			if st := shapeOf(o); st.Slices != wantSlices || st.OpenBuf != tc.leftSlices*SliceRecords+tail {
 				t.Fatalf("after append: %+v, want %d slices persisted and %d full + tail buffered", st, wantSlices, tc.leftSlices)
 			}
 			if _, err := o.Flush(); err != nil {
@@ -147,7 +147,7 @@ func TestFlushCommitsUpToTargetSlices(t *testing.T) {
 			if got := writeOps(p); got != (tc.appendCommits+1)*width {
 				t.Fatalf("Flush drained the rest in %d device writes, want one more commit", got-tc.appendCommits*width)
 			}
-			if st := o.Stats(); st.Slices != tc.full+1 || st.OpenBuf != 0 {
+			if st := shapeOf(o); st.Slices != tc.full+1 || st.OpenBuf != 0 {
 				t.Fatalf("flush left records behind: %+v", st)
 			}
 			if st := m.GroupCommitStats(); st.Commits != tc.coalesced {
@@ -166,13 +166,13 @@ func TestGroupCommitFlushDrainsTail(t *testing.T) {
 	o, _ := s.Create(CreateOptions{Topic: "t"})
 	n := SliceRecords + 44 // one full slice plus a tail, below the trigger
 	fill(t, o, n)
-	if st := o.Stats(); st.Slices != 0 {
+	if st := shapeOf(o); st.Slices != 0 {
 		t.Fatalf("flushed below the trigger: %+v", st)
 	}
 	if _, err := o.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if st := o.Stats(); st.Slices != 2 || st.OpenBuf != 0 {
+	if st := shapeOf(o); st.Slices != 2 || st.OpenBuf != 0 {
 		t.Fatalf("flush left records behind: %+v", st)
 	}
 	checkAll(t, o, n)
@@ -197,7 +197,7 @@ func TestGroupCommitStatsCountOnlyCoalescedCommits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := o.Stats(); st.Slices != 4 || st.OpenBuf != 0 {
+	if st := shapeOf(o); st.Slices != 4 || st.OpenBuf != 0 {
 		t.Fatalf("the group did not flush: %+v", st)
 	}
 	if got, want := writeOps(p), 4*int64(o.opts.Redundancy.Width()); got != want {
@@ -216,7 +216,7 @@ func TestGroupCommitWithSCMCache(t *testing.T) {
 	o, _ := s.Create(CreateOptions{Topic: "t", SCMCache: true})
 	n := 2 * SliceRecords
 	fill(t, o, n)
-	if st := o.Stats(); st.Slices != 2 {
+	if st := shapeOf(o); st.Slices != 2 {
 		t.Fatalf("group flush: %+v", st)
 	}
 	checkAll(t, o, n)

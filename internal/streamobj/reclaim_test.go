@@ -68,7 +68,7 @@ func TestReclaimThroughFreesDrainedLogs(t *testing.T) {
 	if _, err := o.ReclaimThrough(o.End()); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.Stats().Slices; got != 0 {
+	if got := shapeOf(o).Slices; got != 0 {
 		t.Fatalf("slices left after full reclaim: %d", got)
 	}
 }

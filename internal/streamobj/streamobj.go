@@ -275,7 +275,6 @@ type Object struct {
 	// Quota token bucket on the virtual clock.
 	tokens        float64
 	lastRefill    time.Duration
-	appended      int64
 	bytesAppended int64
 	// Per-tenant byte accounting (lazily allocated, only once a metered
 	// batch arrives): pending counts journal-durable bytes awaiting
@@ -293,6 +292,13 @@ func (o *Object) End() int64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.nextOffset
+}
+
+// AppendedBytes returns the record bytes appended so far.
+func (o *Object) AppendedBytes() int64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.bytesAppended
 }
 
 // dedupEntry remembers, per producer, the last acknowledged batch: its
@@ -407,7 +413,6 @@ func (o *Object) AppendTenantCtx(records []Record, producerID string, seq int64,
 	if producerID != "" {
 		o.producerSeq[producerID] = dedupEntry{seq: seq, base: base}
 	}
-	o.appended += int64(len(records))
 	o.bytesAppended += batchBytes
 	if tenanted {
 		if o.tenantPending == nil {
@@ -866,28 +871,6 @@ func (o *Object) touchedShards() []shard.ID {
 	return out
 }
 
-// Stats reports object counters.
-type Stats struct {
-	Appended int64
-	Bytes    int64
-	End      int64
-	OpenBuf  int
-	Slices   int
-}
-
-// Stats returns a snapshot of the object's counters.
-func (o *Object) Stats() Stats {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return Stats{
-		Appended: o.appended,
-		Bytes:    o.bytesAppended,
-		End:      o.nextOffset,
-		OpenBuf:  len(o.buf),
-		Slices:   len(o.slices),
-	}
-}
-
 // Slice wire format: count, then per record key/value lengths and bytes
 // plus the timestamp. Offsets are implicit from the slice base.
 
@@ -896,8 +879,6 @@ func (o *Object) Stats() Stats {
 // PLog, so its buffer is dead once it returns. A channel, not a
 // sync.Pool: the heap holds the same buffers however collections fell.
 var idleSliceBufs = make(chan []byte, 4)
-
-func encodeSlice(recs []Record) []byte { return encodeSliceInto(nil, recs) }
 
 func encodeSliceInto(out []byte, recs []Record) []byte {
 	var tmp [binary.MaxVarintLen64]byte

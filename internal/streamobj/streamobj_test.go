@@ -80,7 +80,7 @@ func TestReadAcrossPersistedSlices(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := o.Stats()
+	st := shapeOf(o)
 	if st.Slices != 2 || st.OpenBuf != 600-512 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -255,7 +255,7 @@ func TestFlushShortSlice(t *testing.T) {
 	if _, err := o.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	st := o.Stats()
+	st := shapeOf(o)
 	if st.Slices != 1 || st.OpenBuf != 0 {
 		t.Fatalf("stats after flush: %+v", st)
 	}
@@ -285,7 +285,7 @@ func TestSliceCodecRoundTrip(t *testing.T) {
 		{Key: nil, Value: []byte{}, Timestamp: 0},
 		{Key: bytes.Repeat([]byte("x"), 300), Value: bytes.Repeat([]byte("y"), 1000), Timestamp: time.Hour},
 	}
-	enc := encodeSlice(recs)
+	enc := encodeSliceInto(nil, recs)
 	got, err := walkSlice(nil, enc, 42, 42, len(recs))
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +356,7 @@ func TestOpenBufferKeepsCapacity(t *testing.T) {
 		}
 		fill(SliceRecords - 200) // the last one flushes the slice
 	}
-	if st := o.Stats(); st.Slices != 10 || st.OpenBuf != 0 {
+	if st := shapeOf(o); st.Slices != 10 || st.OpenBuf != 0 {
 		t.Fatalf("stats after 10 full slices: %+v", st)
 	}
 }
@@ -389,4 +389,14 @@ func TestReadSurvivesFlush(t *testing.T) {
 	if err != nil || len(after) != 30 || string(after[9].Key) != "k9" || string(after[10].Key) != "later" {
 		t.Fatalf("read across the flushed slice and the open one: %d records, %v", len(after), err)
 	}
+}
+
+// objShape is what an object holds: the slices it flushed and the
+// records it buffers.
+type objShape struct{ Slices, OpenBuf int }
+
+func shapeOf(o *Object) objShape {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return objShape{len(o.slices), len(o.buf)}
 }

@@ -65,8 +65,8 @@ func TestObsSnapshotRace(t *testing.T) {
 			s.SetWorkerCount(2 + i%3)
 		}
 	}()
-	// Observers: registry snapshots, Prometheus renders, and per-worker
-	// counters, all while the writers above are live.
+	// Observers: registry snapshots and Prometheus renders, while the
+	// writers above are live.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -88,29 +88,14 @@ func TestObsSnapshotRace(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			for _, w := range s.Workers() {
-				if w.Appended() < 0 {
-					t.Error("negative appended")
-					return
-				}
-			}
 		}
 	}()
 	wg.Wait()
-	// Post-race consistency: the registry counter saw every send; the
-	// per-worker counters only bound it from below, since rescales
-	// replace worker objects (and their counts) mid-run.
-	var workerTotal int64
-	for _, w := range s.Workers() {
-		workerTotal += w.Appended()
-	}
+	// Post-race consistency: the registry counter saw every send.
 	snap := reg.Snapshot()
 	produced := snap.Counters["streamsvc_produced_messages_total"]
 	if produced != 2*rounds {
 		t.Fatalf("produced counter = %d, want %d", produced, 2*rounds)
-	}
-	if workerTotal < 0 || workerTotal > produced {
-		t.Fatalf("worker appended sum %d outside [0, %d]", workerTotal, produced)
 	}
 	if sends := snap.Counters[`bus_sends_total{path="rdma"}`]; sends < 2*produced {
 		t.Fatalf("bus sends = %d, want at least %d: a forward transfer and an ack per message", sends, 2*produced)

@@ -108,7 +108,6 @@ func (p *Producer) SendSpanCtx(topic string, key, value []byte, sp *obs.Span, rc
 	if err != nil {
 		return Message{}, cost, err
 	}
-	tr.owners[idx].appended.Add(1)
 	rt.metrics.producedMsgs.Add(1)
 	rt.metrics.producedBytes.Add(bytes)
 	rt.metrics.produceLat.Observe(cost)

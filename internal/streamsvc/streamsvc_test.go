@@ -63,7 +63,7 @@ func TestRoundRobinWorkerAssignment(t *testing.T) {
 	s.CreateTopic(TopicConfig{Name: "t", StreamNum: 9})
 	for _, w := range s.workers {
 		if len(w.streams) != 3 {
-			t.Fatalf("worker %d has %d streams, want 3", w.ID(), len(w.streams))
+			t.Fatalf("worker %d has %d streams, want 3", w.id, len(w.streams))
 		}
 	}
 }

@@ -115,28 +115,6 @@ func (fs *FileStore) List(prefix string) ([]string, time.Duration) {
 	return out, time.Duration(len(out)) * perEntry
 }
 
-// Size returns the byte size of path.
-func (fs *FileStore) Size(path string) (int64, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	e, ok := fs.files[path]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	return e.size, nil
-}
-
-// TotalBytes sums all file sizes, for storage accounting.
-func (fs *FileStore) TotalBytes() int64 {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var n int64
-	for _, e := range fs.files {
-		n += e.size
-	}
-	return n
-}
-
 // Count returns the number of files.
 func (fs *FileStore) Count() int {
 	fs.mu.Lock()

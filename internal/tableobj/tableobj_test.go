@@ -71,11 +71,8 @@ func TestFileStoreBasics(t *testing.T) {
 	if len(paths) != 1 || paths[0] != "a/b/one" || listCost <= 0 {
 		t.Fatalf("list: %v", paths)
 	}
-	if n, _ := e.fs.Size("a/b/one"); n != 5 {
-		t.Fatalf("size: %d", n)
-	}
-	if e.fs.TotalBytes() != 7 || e.fs.Count() != 2 {
-		t.Fatalf("totals: %d bytes %d files", e.fs.TotalBytes(), e.fs.Count())
+	if storedBytes(e.fs) != 7 || e.fs.Count() != 2 {
+		t.Fatalf("totals: %d bytes %d files", storedBytes(e.fs), e.fs.Count())
 	}
 	if err := e.fs.Delete("a/b/one"); err != nil {
 		t.Fatal(err)
@@ -161,7 +158,7 @@ func TestCreateOpenTable(t *testing.T) {
 		t.Fatalf("schema: %+v", tbl.Schema())
 	}
 	// Creation wrote the initial snapshot and the table properties.
-	if _, err := e.fs.Size("/lake/dpi_logs/metadata/table.properties"); err != nil {
+	if _, _, err := e.fs.Read("/lake/dpi_logs/metadata/table.properties"); err != nil {
 		t.Fatal("table.properties missing")
 	}
 	cur, _, err := tbl.Current()

@@ -1,15 +1,29 @@
 #!/usr/bin/env sh
-# Doc lint: every Test…/Fuzz…/Benchmark… name that EXPERIMENTS.md,
-# DESIGN.md or README.md cites must be the start of a func in some
+# Doc lint, on what EXPERIMENTS.md, DESIGN.md and README.md cite. Run from
+# the repository root.
+#
+# Every Test…/Fuzz…/Benchmark… name must be the start of a func in some
 # _test.go. Citations are `go test -run` regexes, so a prefix
 # (TestFaultInjection) is fine; a gate renamed out from under its
-# citation is not. Run from the repository root.
+# citation is not.
+#
+# Every scripts/… path must exist, so a doc never points at a script
+# that was replaced or deleted.
 set -eu
+docs="EXPERIMENTS.md DESIGN.md README.md"
 funcs=$(grep -rhoE '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]*' --include='*_test.go' . | cut -c6-)
 bad=0
-for name in $(grep -ohE '\b(Test|Fuzz|Benchmark)[A-Z][A-Za-z0-9_]*' EXPERIMENTS.md DESIGN.md README.md | sort -u); do
+# shellcheck disable=SC2086
+for name in $(grep -ohE '\b(Test|Fuzz|Benchmark)[A-Z][A-Za-z0-9_]*' $docs | sort -u); do
   if ! printf '%s\n' "$funcs" | grep -q "^$name"; then
     echo "doclint: $name is cited in the docs but no _test.go declares it" >&2
+    bad=1
+  fi
+done
+# shellcheck disable=SC2086
+for path in $(grep -ohE 'scripts/[A-Za-z0-9_/-]+(\.[A-Za-z0-9]+)?' $docs | sort -u); do
+  if [ ! -e "$path" ]; then
+    echo "doclint: $path is cited in the docs but does not exist" >&2
     bad=1
   fi
 done

@@ -239,7 +239,7 @@ func Open(cfg Config) (*Lake, error) {
 		cat:     cat,
 		lh:      lh,
 		conv:    convert.New(clock, svc, lh),
-		arch:    convert.NewArchiver(clock, svc, tiers),
+		arch:    convert.NewArchiver(svc, tiers),
 		tiers:   tiers,
 		sql:     query.New(lh),
 		inj:     inj,
