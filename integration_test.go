@@ -468,3 +468,48 @@ func TestTieringLifecycleWithArchiver(t *testing.T) {
 		t.Fatal("nothing landed in the archive tier")
 	}
 }
+
+// TestRepairRestoresRedundancyOnCluster: one SSD dies on a live cluster
+// and repair must restore full redundancy with that disk still dead. The
+// lost copy's only homes share a node with a surviving copy (the dead
+// disk's node-mate, or a node that already holds one), so relocation must
+// fall back to the least-crowded node rather than refuse every node that
+// holds a copy of the group.
+func TestRepairRestoresRedundancyOnCluster(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		nodes int
+		disks int
+		red   Redundancy
+	}{
+		{"nodes=3/replicate3", 3, 0, ReplicateN(3)},
+		{"nodes=3/ec4+2", 3, 9, EC(4, 2)},
+		{"nodes=2/replicate3", 2, 0, ReplicateN(3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lake, err := Open(Config{Nodes: tc.nodes, SSDDisks: tc.disks, PLogCapacity: 64 << 10, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lake.CreateTopic(TopicConfig{Name: "rep", StreamNum: 2, Redundancy: tc.red}); err != nil {
+				t.Fatal(err)
+			}
+			const total = 1200
+			faultWorkload(t, lake, "rep", total, map[int]func(){
+				600: func() {
+					if err := lake.Faults().KillDisk("ssd", 0); err != nil {
+						t.Fatal(err)
+					}
+				},
+			})
+			if st := lake.Stats(); st.DegradedLogs == 0 {
+				t.Fatalf("no degradation recorded after the kill: %+v", st)
+			}
+			rep, ok := lake.RepairUntilRedundant(8)
+			if !ok || rep.RepairedBytes == 0 {
+				t.Fatalf("redundancy not restored with ssd 0 dead: ok=%v %+v", ok, rep)
+			}
+			drainAll(t, lake, "rep", total)
+		})
+	}
+}

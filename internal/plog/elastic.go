@@ -61,9 +61,9 @@ func (m *Manager) EvacuateDisks(p *pool.Pool, disks map[pool.DiskID]bool) (moved
 			if !disks[s.Disk] {
 				continue
 			}
-			// Exclude the group's other copies' disks (and, inside
-			// Relocate, their whole domains) so the evacuated copy lands
-			// on a node that holds none of this group.
+			// Exclude the group's other copies' disks: Relocate then
+			// prefers a node that holds none of this group, and the
+			// leaving node's own disks are vetoed as draining.
 			exclude := make(map[pool.DiskID]bool, len(l.slices)-1)
 			for j, o := range l.slices {
 				if j != i {

@@ -194,8 +194,8 @@ func (p *Pool) SetObs(reg *obs.Registry) {
 // SetDomains assigns each disk to a failure domain (a cluster node, a
 // rack). AllocGroup then spreads a placement group across as many
 // domains as possible — replicas and EC shards of one group never share
-// a domain while enough domains exist — and Relocate refuses targets in
-// the domains of the group's surviving copies. A nil assignment (the
+// a domain while enough domains exist — and Relocate prefers domains
+// that hold none of the group's surviving copies. A nil assignment (the
 // default) keeps the pool single-domain: allocation order is then
 // byte-identical to the pre-domain allocator, so existing seeded runs
 // replay unchanged.
@@ -257,10 +257,6 @@ func (p *Pool) DiskAvoided(id DiskID) bool {
 
 // DiskCount returns the number of disks, healthy or not.
 func (p *Pool) DiskCount() int { return len(p.disks) }
-
-func (p *Pool) allocLocked(exclude map[DiskID]bool) (*Slice, error) {
-	return p.allocOnLocked(p.pickLocked(exclude, nil))
-}
 
 // pickLocked selects the least-used healthy disk outside exclude.
 // Vetoed disks (SetAvoid) are skipped unless no other candidate exists.
@@ -651,9 +647,12 @@ func (p *Pool) SliceDisk(id SliceID) (DiskID, error) {
 }
 
 // Relocate moves a slice — keeping its identity and byte accounting —
-// from its current disk onto a healthy disk not in exclude. It is the
-// placement half of repairing a slice stranded on a dead disk; the
-// caller charges the rebuild I/O separately via RepairSlice.
+// from its current disk onto a healthy disk not in exclude, the disks of
+// the group's surviving copies. Like AllocGroup it prefers a failure
+// domain that holds none of those copies and falls back to the one
+// holding fewest, so a lost copy finds a home while any disk is free. It
+// is the placement half of repairing a slice stranded on a dead disk;
+// the caller charges the rebuild I/O separately via RepairSlice.
 func (p *Pool) Relocate(id SliceID, exclude map[DiskID]bool) (DiskID, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -663,24 +662,12 @@ func (p *Pool) Relocate(id SliceID, exclude map[DiskID]bool) (DiskID, error) {
 	}
 	ex := make(map[DiskID]bool, len(exclude)+1)
 	ex[s.Disk] = true
+	used := make(map[int]int, len(exclude))
 	for d := range exclude {
 		ex[d] = true
+		used[p.domainOfLocked(d)]++
 	}
-	// Domain-aware pools also exclude every domain-mate of an excluded
-	// disk: a slice relocated off a dead node must not land on a node
-	// that already hosts one of the group's surviving copies.
-	if p.domains != nil {
-		doms := make(map[int]bool, len(ex))
-		for d := range ex {
-			doms[p.domainOfLocked(d)] = true
-		}
-		for _, dd := range p.disks {
-			if doms[p.domainOfLocked(dd.id)] {
-				ex[dd.id] = true
-			}
-		}
-	}
-	target, err := p.allocLocked(ex)
+	target, err := p.allocOnLocked(p.pickLocked(ex, used))
 	if err != nil {
 		return 0, err
 	}
