@@ -57,7 +57,7 @@
 //	chaos run [seed [events]]         (one seeded chaos drill, fresh lake)
 //	chaos replay [seed [events]]      (run twice, assert bit-identical digests)
 //	chaos status                      (report of the shell's last drill)
-//	cluster status                    (per-node membership, roles, backlog; -nodes N)
+//	cluster status                    (per-node membership, roles, backlog; -nodes N sizes it)
 //	cluster kill <node> | revive <node>
 //	cluster drain <node> | undrain <node>
 //	cluster join <node> | remove <node>   (runtime grow/shrink via the metadata log)
@@ -126,7 +126,7 @@ func open(args []string, out io.Writer) (*shell, string, error) {
 	cacheMB := fs.Int("cache", 64, "read cache size in MB (0 disables)")
 	groupCommit := fs.Int("group-commit", 0, "coalesce up to this many slice flushes per device commit (0/1: one commit per slice)")
 	zoneMaps := fs.Bool("zonemaps", false, "record zone maps + bloom filters at insert time for scan pruning")
-	nodes := fs.Int("nodes", 0, "run a multi-node cluster of this size (0/1 single-node)")
+	nodes := fs.Int("nodes", 0, "cluster size (0 is the same one-node lake as 1)")
 	fs.Parse(args)
 
 	lake, err := streamlake.Open(streamlake.Config{
@@ -205,7 +205,7 @@ func (s *shell) exec(line string) error {
 		fmt.Fprintln(s.out, "chaos:    run [seed [events]] | replay [seed [events]] | status")
 		fmt.Fprintln(s.out, "cluster:  status | kill <node> | revive <node> | drain <node> | undrain <node> |")
 		fmt.Fprintln(s.out, "          join <node> | remove <node> |")
-		fmt.Fprintln(s.out, "          tick [n] | rebalance [budget]   (start with -nodes N)")
+		fmt.Fprintln(s.out, "          tick [n] | rebalance [budget]   (-nodes N sizes the cluster)")
 		fmt.Fprintln(s.out, "tenant:   status | set <name> [weight=N] [priority=N] [capacity=BYTES] [iops=N] [bw=BPS] |")
 		fmt.Fprintln(s.out, "          produce <tenant> <topic> <key> <value>   (the first set turns metering on)")
 		fmt.Fprintln(s.out, "advance:  advance <duration> (virtual time, e.g. 30ms)")
@@ -686,14 +686,11 @@ func (s *shell) chaos(rest []string) error {
 	}
 }
 
-// cluster drives the multi-node membership plane: status, kill/revive,
-// drain, heartbeat ticks, and bounded re-replication. Requires the
-// shell to have been started with -nodes N (N > 1).
+// cluster drives the membership plane: status, kill/revive, drain,
+// heartbeat ticks, and bounded re-replication. The lake has -nodes
+// members, one by default.
 func (s *shell) cluster(rest []string) error {
 	cl := s.lake.Cluster()
-	if cl == nil {
-		return fmt.Errorf("single-node lake (restart with -nodes <N>)")
-	}
 	sub := "status"
 	if len(rest) > 0 {
 		sub = rest[0]

@@ -310,8 +310,6 @@ type splitState struct {
 	links    [][2]string
 }
 
-func (h *harness) clustered() *cluster.Cluster { return h.lake.Cluster() }
-
 func (h *harness) violate(format string, args ...any) {
 	h.violations = append(h.violations, fmt.Sprintf(format, args...))
 }
@@ -325,13 +323,11 @@ func (h *harness) ctx() *resil.Ctx {
 
 // step runs one weighted scheduler event.
 func (h *harness) step(i int) {
-	// Cluster-mode draws are gated on their flags, so legacy schedules
+	// Cluster-mode draws are gated on their flags, so other schedules
 	// (and their digests) are untouched; the trailing Tick keeps the
 	// detector and election timers current with whatever virtual time the
 	// event consumed.
-	if cl := h.clustered(); cl != nil {
-		defer cl.Tick()
-	}
+	defer h.lake.Cluster().Tick()
 	if h.cfg.Failover && h.rng.Intn(12) == 0 {
 		h.failoverEvent()
 		return
@@ -396,7 +392,7 @@ func (h *harness) step(i int) {
 // is no quorum to ack against), and half the kills aim straight at the
 // current metadata leader, the paper's hardest failover case.
 func (h *harness) failoverEvent() {
-	cl := h.clustered()
+	cl := h.lake.Cluster()
 	n := cl.Nodes()
 	// The down budget counts against the quorum denominator, not the
 	// node-ID space: after elastic removals, tombstoned IDs still occupy
@@ -432,7 +428,7 @@ func (h *harness) failoverEvent() {
 // for a majority-side commit, which is exactly the property the produce
 // check below enforces.
 func (h *harness) splitBrainEvent() {
-	cl := h.clustered()
+	cl := h.lake.Cluster()
 	np := h.lake.Net()
 	if h.split != nil {
 		for _, p := range h.split.links {
@@ -496,7 +492,7 @@ func (h *harness) splitBrainEvent() {
 // faults (no leader, partitioned joiner, thin quorum) are legitimate:
 // later events or settle retry the half-done change.
 func (h *harness) elasticEvent() {
-	cl := h.clustered()
+	cl := h.lake.Cluster()
 	switch r := h.rng.Intn(10); {
 	case r < 5:
 		n := cl.Nodes()
@@ -696,7 +692,7 @@ func (h *harness) recordAck(msg streamlake.Message, key string) {
 		// With the metadata plane split, an ack can only have committed
 		// through the majority side's leader — the minority must be
 		// write-dead, whatever its stale leader believes.
-		if l := h.clustered().Leader(); l >= 0 && h.split.minority[l] {
+		if l := h.lake.Cluster().Leader(); l >= 0 && h.split.minority[l] {
 			h.violate("produce acked while the committing leader %d sits in the minority partition", l)
 		}
 	}
@@ -826,13 +822,12 @@ func (h *harness) settle() {
 	// Revive dead nodes before the blanket heal: ReviveNode restores
 	// their worker links itself, and the detector needs their heartbeats
 	// flowing again before membership can converge.
-	if cl := h.clustered(); cl != nil {
-		for _, node := range h.nodeKills {
-			cl.ReviveNode(node)
-		}
-		h.nodeKills = nil
-		h.split = nil // HealAll below removes its links
+	cl := h.lake.Cluster()
+	for _, node := range h.nodeKills {
+		cl.ReviveNode(node)
 	}
+	h.nodeKills = nil
+	h.split = nil // HealAll below removes its links
 	np.HealAll()
 	np.Clear()
 	for _, k := range h.kills {
@@ -842,34 +837,32 @@ func (h *harness) settle() {
 	}
 	h.kills = nil
 	h.lake.Clock().Advance(50 * time.Millisecond) // breaker cooldowns elapse
-	if cl := h.clustered(); cl != nil {
-		// Converge membership: tick until every node's revival commits
-		// and a leader stands, then re-replicate the dead interval's
-		// stale copies inside a bounded virtual-time budget.
-		for i := 0; i < 512; i++ {
-			v := cl.CurrentView()
-			all := cl.Leader() >= 0
-			for n := 0; n < cl.Nodes(); n++ {
-				// Tombstoned nodes never come back; their Alive=false is
-				// the converged state, not a pending revival.
-				if !v.Alive[n] && !v.Removed[n] {
-					all = false
-				}
+	// Converge membership: tick until every node's revival commits
+	// and a leader stands, then re-replicate the dead interval's
+	// stale copies inside a bounded virtual-time budget.
+	for i := 0; i < 512; i++ {
+		v := cl.CurrentView()
+		all := cl.Leader() >= 0
+		for n := 0; n < cl.Nodes(); n++ {
+			// Tombstoned nodes never come back; their Alive=false is
+			// the converged state, not a pending revival.
+			if !v.Alive[n] && !v.Removed[n] {
+				all = false
 			}
-			if all {
-				break
-			}
-			h.lake.Clock().Advance(time.Millisecond)
-			cl.Tick()
 		}
-		if h.cfg.Elastic {
-			h.settleMembership(cl)
+		if all {
+			break
 		}
-		h.reb = cl.RunRebalance(2 * time.Second)
-		if !h.reb.Complete {
-			h.violate("rebalance left %d degraded logs (%d stale bytes) after its budget",
-				h.reb.RemainingLogs, h.reb.RemainingStale)
-		}
+		h.lake.Clock().Advance(time.Millisecond)
+		cl.Tick()
+	}
+	if h.cfg.Elastic {
+		h.settleMembership(cl)
+	}
+	h.reb = cl.RunRebalance(2 * time.Second)
+	if !h.reb.Complete {
+		h.violate("rebalance left %d degraded logs (%d stale bytes) after its budget",
+			h.reb.RemainingLogs, h.reb.RemainingStale)
 	}
 	h.lake.RepairUntilRedundant(16)
 	if h.cfg.Corruption {
@@ -999,16 +992,14 @@ func (h *harness) drainAndCheck() {
 	}
 }
 
-// clusterCheck enforces the cluster-plane invariants after the drain:
-// every acked produce is in the applied metadata log, no term elected
-// two leaders, and every node's committed log agrees with every other's
-// on their common prefix — and Log Matching holds over the full logs,
-// uncommitted tails included.
+// clusterCheck enforces the cluster-plane invariants after the drain,
+// on every lake (a one-node lake is a one-node cluster): every acked
+// produce is in the applied metadata log, no term elected two leaders,
+// no committed entry differed between nodes when the log dropped it,
+// and Log Matching holds over what the logs still hold, uncommitted
+// tails included.
 func (h *harness) clusterCheck() {
-	cl := h.clustered()
-	if cl == nil {
-		return
-	}
+	cl := h.lake.Cluster()
 	for stream, offs := range h.acked {
 		for off := range offs {
 			if !cl.ProduceCommitted(topic, stream, off, 1) {
@@ -1024,23 +1015,8 @@ func (h *harness) clusterCheck() {
 	if err := cl.CheckLogMatching(); err != nil {
 		h.violate("%v", err)
 	}
-	n := cl.Nodes()
-	logs := make([][]cluster.Entry, n)
-	for i := 0; i < n; i++ {
-		logs[i] = cl.CommittedLog(i)
-	}
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			m := len(logs[a])
-			if len(logs[b]) < m {
-				m = len(logs[b])
-			}
-			for i := 0; i < m; i++ {
-				if logs[a][i] != logs[b][i] {
-					h.violate("committed logs diverge at index %d between nodes %d and %d", i, a, b)
-				}
-			}
-		}
+	if d := cl.Stats().Diverged; d != 0 {
+		h.violate("%d committed log entries diverged between nodes", d)
 	}
 }
 
@@ -1096,19 +1072,17 @@ func (h *harness) report() Report {
 		r.SteadyAcked = h.steadyAcked
 		r.SteadyDenied = h.steadyDenied
 	}
-	if cl := h.clustered(); cl != nil {
-		cs := cl.Stats()
-		r.NodeKills = h.nodeKillCount
-		r.Elections = cs.Elections
-		r.MetaCommits = cs.Commits
-		r.RebalancedB = h.reb.RepairedBytes
-		r.RebalanceOK = h.reb.Complete
-		if h.cfg.Elastic {
-			r.Joins = int(cs.Joins)
-			r.Removes = int(cs.Removes)
-			r.JoinMovedB = cs.JoinMovedBytes
-			r.EvacuatedB = cs.EvacuatedBytes
-		}
+	cs := h.lake.Cluster().Stats()
+	r.NodeKills = h.nodeKillCount
+	r.Elections = cs.Elections
+	r.MetaCommits = cs.Commits
+	r.RebalancedB = h.reb.RepairedBytes
+	r.RebalanceOK = h.reb.Complete
+	if h.cfg.Elastic {
+		r.Joins = int(cs.Joins)
+		r.Removes = int(cs.Removes)
+		r.JoinMovedB = cs.JoinMovedBytes
+		r.EvacuatedB = cs.EvacuatedBytes
 	}
 	r.Digest = h.digest(r)
 	return r

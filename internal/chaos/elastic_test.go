@@ -238,17 +238,12 @@ func runElasticDrill(t *testing.T, seed uint64) elasticDrillResult {
 
 	// The join is in the replicated log on every live node — including
 	// the joiner, which only ever heard about itself via catch-up and
-	// reconciliation. Followers converge on leader beats, so allow a few
+	// reconciliation. The view shows the join applied, so it sits below
+	// the applied index: a node whose commit index reaches that index has
+	// committed it. Followers converge on leader beats, so allow a few
 	// boundaries for the commit index to propagate.
-	joinEntry := "5" + "\x1f" + "join"
-	hasJoin := func(n int) bool {
-		for _, e := range cl.CommittedLog(n) {
-			if e.Kind == "member" && e.Data == joinEntry {
-				return true
-			}
-		}
-		return false
-	}
+	joinedBy := cl.Applied()
+	hasJoin := func(n int) bool { return cl.Status().Nodes[n].Commit >= joinedBy }
 	for n := 0; n < 6; n++ {
 		if n == storage {
 			continue

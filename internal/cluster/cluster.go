@@ -87,8 +87,9 @@ type nodeState struct {
 	role            Role
 	term            int64
 	votedFor        int
-	log             []Entry
-	commit          int
+	log             []Entry // entries from the cluster's base index on
+	commit          int     // absolute: entries below it are committed
+	end             int     // absolute log length when removed; its log is released
 	lastLeaderBeat  time.Duration
 	lastElection    time.Duration
 	electionTimeout time.Duration // fixed seeded jitter, staggered per node
@@ -128,6 +129,7 @@ type Stats struct {
 	Removes         int64 // committed node removals
 	JoinMovedBytes  int64 // live bytes scheduled to move by join arc migration
 	EvacuatedBytes  int64 // live bytes relocated off leaving nodes
+	Diverged        int64 // committed entries that differed between nodes when dropped
 }
 
 type attachedPool struct {
@@ -161,9 +163,11 @@ type Cluster struct {
 	leaving     []bool // leave entry applied, remove entry not yet
 	removed     []bool // remove tombstone applied
 	lastTick    time.Duration
-	applied     int
+	applied     int   // absolute: entries below it are applied
+	base        int   // absolute index of every live log's first entry
+	baseTerm    int64 // term of the entry just below base (0 at birth)
 	walkSteps   int64 // entries reconcileLocked walked back over; only its cost guard reads it
-	produced    map[string]bool
+	produced    map[streamKey]*offsetRuns
 	meta        map[string]bool
 	termWins    map[int64]int
 	placeSeq    map[string]uint64
@@ -191,7 +195,7 @@ func New(cfg Config, clock *sim.Clock, net *faults.NetPlane) *Cluster {
 		cfg:      cfg,
 		clock:    clock,
 		net:      net,
-		produced: make(map[string]bool),
+		produced: make(map[streamKey]*offsetRuns),
 		meta:     make(map[string]bool),
 		termWins: make(map[int64]int),
 		placeSeq: make(map[string]uint64),
@@ -250,9 +254,6 @@ func (c *Cluster) AttachPool(p *pool.Pool, mgr *plog.Manager) {
 	name := p.Name()
 	p.SetAvoid(func(d pool.DiskID) bool {
 		v := c.view.Load()
-		if v == nil {
-			return false
-		}
 		node := -1
 		if table := v.DiskNode[name]; int(d) < len(table) {
 			node = table[d]
@@ -499,7 +500,7 @@ func (c *Cluster) proposeMember(node int, status string) error {
 		return fmt.Errorf("cluster: node %d was removed", node)
 	}
 	var effects []func()
-	_, err := c.proposeLocked("member", strconv.Itoa(node)+sep+status, &effects)
+	_, err := c.proposeLocked(Entry{Kind: "member", Data: strconv.Itoa(node) + sep + status}, &effects)
 	now := c.clock.Now()
 	c.storeViewLocked(now)
 	c.mu.Unlock()
@@ -517,13 +518,9 @@ func (c *Cluster) Leader() int {
 	return -1
 }
 
-// CurrentView returns the latest liveness snapshot.
-func (c *Cluster) CurrentView() View {
-	if v := c.view.Load(); v != nil {
-		return *v
-	}
-	return View{}
-}
+// CurrentView returns the latest liveness snapshot (New stores the
+// first).
+func (c *Cluster) CurrentView() View { return *c.view.Load() }
 
 // Stats snapshots cluster-plane counters.
 func (c *Cluster) Stats() Stats {
@@ -634,6 +631,8 @@ func (c *Cluster) Tick() {
 	for t := c.lastTick - c.lastTick%hb + hb; t <= now; t += hb {
 		c.boundaryLocked(t, &effects)
 	}
+	// Leader beats carried the commit index: drop what all now hold.
+	c.compactLocked()
 	c.lastTick = now
 	c.storeViewLocked(now)
 	c.mu.Unlock()
@@ -704,7 +703,7 @@ func (c *Cluster) boundaryLocked(t time.Duration, effects *[]func()) {
 		if c.alive[j] && heardAgo > deadAfter {
 			data := strconv.Itoa(j) + sep + "dead"
 			if !c.pendingLocked(lead, "member", data) {
-				c.proposeLocked("member", data, effects)
+				c.proposeLocked(Entry{Kind: "member", Data: data}, effects)
 			}
 		}
 		// Revival rides on detector evidence alone (a recent heartbeat),
@@ -713,15 +712,24 @@ func (c *Cluster) boundaryLocked(t time.Duration, effects *[]func()) {
 		if !c.alive[j] && heardAgo <= suspectAfter {
 			data := strconv.Itoa(j) + sep + "alive"
 			if !c.pendingLocked(lead, "member", data) {
-				c.proposeLocked("member", data, effects)
+				c.proposeLocked(Entry{Kind: "member", Data: data}, effects)
 			}
 		}
 	}
 }
 
-// Bootstrap advances virtual time in heartbeat steps until the first
-// leader is elected — call once at wiring time, before traffic.
+// Bootstrap elects the first leader — call once at wiring time, before
+// traffic. A lone voter needs no votes, so it wins at once and the clock
+// stays put; a larger cluster advances virtual time in heartbeat steps
+// until its election timers elect one.
 func (c *Cluster) Bootstrap() error {
+	now := c.clock.Now()
+	c.mu.Lock()
+	if c.votersLocked() == 1 && c.currentLeaderLocked() == nil {
+		c.runElectionLocked(c.nodes[0], now)
+		c.storeViewLocked(now)
+	}
+	c.mu.Unlock()
 	for i := 0; i < 256; i++ {
 		if c.Leader() >= 0 {
 			return nil
@@ -771,9 +779,13 @@ func (c *Cluster) Status() ClusterStatus {
 	}
 	nodes := make([]NodeStatus, len(c.nodes))
 	for i, n := range c.nodes {
+		logLen := c.base + len(n.log)
+		if n.removed {
+			logLen = n.end
+		}
 		nodes[i] = NodeStatus{
 			ID: i, Up: n.up, Role: n.role.String(), Term: n.term,
-			LogLen: len(n.log), Commit: n.commit,
+			LogLen: logLen, Commit: n.commit,
 			Alive: c.alive[i], Draining: c.draining[i],
 			Joining: c.joining[i], Leaving: c.leaving[i], Removed: c.removed[i],
 		}
@@ -818,9 +830,6 @@ func diskNodeOf(ap attachedPool, d pool.DiskID) int {
 // counters read from Stats — the /metrics surface the failover
 // runbooks watch.
 func (c *Cluster) SetObs(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
 	for i := 0; i < c.cfg.Nodes; i++ {
 		node := i
 		label := `{node="` + strconv.Itoa(i) + `"}`

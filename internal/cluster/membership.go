@@ -76,12 +76,13 @@ func (c *Cluster) ProposeJoin(node int) error {
 		return ErrNoLeader
 	}
 	if node == len(c.nodes) {
-		// Learner catch-up: ship the committed log before admitting the
-		// node. A partitioned or lossy path fails here, before any
+		// Learner catch-up: ship the leader's log before admitting the
+		// node (what lies below the shared base is applied state, not
+		// log). A partitioned or lossy path fails here, before any
 		// cluster state changes.
-		size := int64(entryOverhead) * int64(len(lead.log)+1)
+		size := int64(entryOverhead)
 		for _, e := range lead.log {
-			size += int64(len(e.Data))
+			size += e.size()
 		}
 		if _, err := c.net.Deliver(lead.ep, nodeEndpoint(node), size); err != nil {
 			c.mu.Unlock()
@@ -118,7 +119,7 @@ func (c *Cluster) ProposeJoin(node int) error {
 	ns := c.nodes[node]
 	ns.term = lead.term
 	c.reconcileLocked(lead, ns)
-	_, err := c.proposeLocked("member", strconv.Itoa(node)+sep+"join", &effects)
+	_, err := c.proposeLocked(Entry{Kind: "member", Data: strconv.Itoa(node) + sep + "join"}, &effects)
 	c.storeViewLocked(now)
 	c.mu.Unlock()
 	c.runEffects(effects)
@@ -161,14 +162,14 @@ func (c *Cluster) ProposeRemove(node int) error {
 	}
 	var err error
 	if !c.leaving[node] {
-		if _, err = c.proposeLocked("member", strconv.Itoa(node)+sep+"leave", &effects); err != nil {
+		if _, err = c.proposeLocked(Entry{Kind: "member", Data: strconv.Itoa(node) + sep + "leave"}, &effects); err != nil {
 			c.storeViewLocked(now)
 			c.mu.Unlock()
 			c.runEffects(effects)
 			return err
 		}
 	}
-	_, err = c.proposeLocked("member", strconv.Itoa(node)+sep+"remove", &effects)
+	_, err = c.proposeLocked(Entry{Kind: "member", Data: strconv.Itoa(node) + sep + "remove"}, &effects)
 	c.storeViewLocked(now)
 	c.mu.Unlock()
 	c.runEffects(effects)

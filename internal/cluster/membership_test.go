@@ -2,23 +2,18 @@ package cluster
 
 import (
 	"errors"
-	"strconv"
 	"testing"
 
 	"streamlake/internal/pool"
 	"streamlake/internal/sim"
 )
 
-// hasMemberEntry reports whether node n's committed log carries the
-// given membership entry — the only legitimate channel a join or
-// removal may arrive through.
-func hasMemberEntry(c *Cluster, n int, data string) bool {
-	for _, e := range c.CommittedLog(n) {
-		if e.Kind == "member" && e.Data == data {
-			return true
-		}
-	}
-	return false
+// committedThrough reports whether node n has committed every entry
+// below the absolute index idx. A membership change applied at idx
+// reached n through the log — the only legitimate channel a join or
+// removal may arrive through — once this holds.
+func committedThrough(c *Cluster, n, idx int) bool {
+	return c.Status().Nodes[n].Commit >= idx
 }
 
 // TestProposeJoinCommitsThroughLog: a join lands as a committed log
@@ -37,10 +32,11 @@ func TestProposeJoinCommitsThroughLog(t *testing.T) {
 	if got := c.Voters(); got != 4 {
 		t.Fatalf("voters after join: %d, want 4", got)
 	}
-	entry := "3" + sep + "join"
+	// The join entry is the last one applied.
+	joinedBy := c.Applied()
 	for n := 0; n < 4; n++ {
-		if !stepUntil(c, clock, 100, func() bool { return hasMemberEntry(c, n, entry) }) {
-			t.Fatalf("node %d's committed log is missing the join entry", n)
+		if !stepUntil(c, clock, 100, func() bool { return committedThrough(c, n, joinedBy) }) {
+			t.Fatalf("node %d never committed the join entry (index %d)", n, joinedBy-1)
 		}
 	}
 	if st := c.Stats(); st.Joins != 1 {
@@ -120,11 +116,12 @@ func TestProposeRemoveDrainsThenTombstones(t *testing.T) {
 			break
 		}
 	}
+	before := c.Applied()
 	if err := c.ProposeRemove(victim); err != nil {
 		t.Fatalf("remove: %v", err)
 	}
 	v := c.CurrentView()
-	if !v.Removed[victim] || v.Alive[victim] {
+	if !v.Removed[victim] || v.Alive[victim] || !v.Draining[victim] {
 		t.Fatalf("removal committed but view disagrees: %+v", v)
 	}
 	if got := c.Voters(); got != 4 {
@@ -136,11 +133,13 @@ func TestProposeRemoveDrainsThenTombstones(t *testing.T) {
 	if ok {
 		t.Fatal("placement still admits the removed node")
 	}
-	for _, kind := range []string{"leave", "remove"} {
-		entry := strconv.Itoa(victim) + sep + kind
-		if !stepUntil(c, clock, 100, func() bool { return hasMemberEntry(c, c.Leader(), entry) }) {
-			t.Fatalf("leader's committed log is missing the %s entry", kind)
-		}
+	// Two entries applied — the leave (draining) and the tombstone
+	// (removed) — and the leader has committed both.
+	if got := c.Applied(); got != before+2 {
+		t.Fatalf("removal applied %d entries, want leave and remove", got-before)
+	}
+	if !stepUntil(c, clock, 100, func() bool { return committedThrough(c, c.Leader(), before+2) }) {
+		t.Fatal("leader never committed the leave and remove entries")
 	}
 	if st := c.Stats(); st.Removes != 1 {
 		t.Fatalf("stats count %d removes, want 1", st.Removes)

@@ -3,6 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -17,6 +19,15 @@ import (
 // from the log's end, so an in-step follower costs one term compare.
 // Every message rides the NetPlane, so drops, delays, and partitions
 // shape elections and commits the same way they shape data traffic.
+//
+// The log keeps only its uncommitted tail: once every node still in the
+// cluster has committed a prefix, the prefix is dropped from every log
+// (compactLocked), so a lone voter's log empties at each commit. The
+// applied state machine is shared, so nothing below the drop point is
+// ever needed again. Indices stay absolute through one shared base: a
+// node's log holds entries base, base+1, ..., its commit and the
+// cluster's applied index count from zero, and baseTerm stands in for
+// the term of the last dropped entry.
 
 // Role is a node's position in the metadata log's consensus.
 type Role int
@@ -40,11 +51,28 @@ func (r Role) String() string {
 	}
 }
 
-// Entry is one record of the replicated metadata log.
+// Entry is one record of the replicated metadata log. A produce record
+// carries its batch in Stream, Base and Count and its topic in Data, so
+// proposing one allocates nothing.
 type Entry struct {
-	Term int64
-	Kind string // "produce", "member", "meta"
-	Data string
+	Term   int64
+	Kind   string // "produce", "member", "meta"
+	Data   string
+	Stream int
+	Base   int64
+	Count  int
+}
+
+// size is the entry's modelled wire size; a produce record is sized as
+// its "topic␟stream␟base␟count" key.
+func (e Entry) size() int64 {
+	n := len(e.Data)
+	if e.Kind == "produce" {
+		var b [20]byte
+		n += 3 + len(strconv.AppendInt(b[:0], int64(e.Stream), 10)) +
+			len(strconv.AppendInt(b[:0], e.Base, 10)) + len(strconv.AppendInt(b[:0], int64(e.Count), 10))
+	}
+	return entryOverhead + int64(n)
 }
 
 // Errors surfaced by metadata-log operations.
@@ -80,9 +108,9 @@ func (c *Cluster) votersLocked() int {
 	return n
 }
 
-func lastTerm(n *nodeState) int64 {
+func (c *Cluster) lastTermLocked(n *nodeState) int64 {
 	if len(n.log) == 0 {
-		return 0
+		return c.baseTerm
 	}
 	return n.log[len(n.log)-1].Term
 }
@@ -116,7 +144,52 @@ func (c *Cluster) reconcileLocked(lead, peer *nodeState) {
 		peer.log = peer.log[:k:k]
 	}
 	peer.log = append(peer.log, lead.log[k:]...)
-	peer.commit = min(lead.commit, len(peer.log))
+	peer.commit = min(lead.commit, c.base+len(peer.log))
+}
+
+// compactLocked drops the log prefix that every node not removed has
+// committed. It first checks that prefix is the same entry for entry on
+// all of them; a committed entry that differs is a broken replica,
+// counted in Stats.Diverged (the chaos harness holds it at zero). Logs
+// shift down in place, so a compaction allocates nothing.
+func (c *Cluster) compactLocked() {
+	var ref *nodeState
+	upTo := 0
+	for _, n := range c.nodes {
+		if n.removed {
+			continue
+		}
+		if end := min(n.commit, c.base+len(n.log)); ref == nil || end < upTo {
+			upTo = end
+		}
+		if ref == nil {
+			ref = n
+		}
+	}
+	d := upTo - c.base
+	if d <= 0 {
+		return
+	}
+	for _, n := range c.nodes {
+		if n.removed || n == ref {
+			continue
+		}
+		for i, e := range n.log[:d] {
+			if e != ref.log[i] {
+				c.stats.Diverged++
+			}
+		}
+	}
+	c.base, c.baseTerm = upTo, ref.log[d-1].Term
+	for _, n := range c.nodes {
+		if n.removed {
+			n.log = nil
+			continue
+		}
+		k := copy(n.log, n.log[d:])
+		clear(n.log[k:])
+		n.log = n.log[:k]
+	}
 }
 
 // runElectionLocked has node i campaign at boundary t. Vote requests and
@@ -151,8 +224,8 @@ func (c *Cluster) runElectionLocked(i *nodeState, t time.Duration) {
 			i.role = Follower
 			return
 		}
-		upToDate := lastTerm(i) > lastTerm(j) ||
-			(lastTerm(i) == lastTerm(j) && len(i.log) >= len(j.log))
+		ti, tj := c.lastTermLocked(i), c.lastTermLocked(j)
+		upToDate := ti > tj || (ti == tj && len(i.log) >= len(j.log))
 		if j.votedFor != -1 && j.votedFor != i.id || !upToDate {
 			continue
 		}
@@ -200,19 +273,23 @@ func (c *Cluster) runElectionLocked(i *nodeState, t time.Duration) {
 // minority side never commits (and therefore never acknowledges a
 // producer). The returned cost is the slowest replication round trip,
 // which the caller charges to the requesting operation.
-func (c *Cluster) proposeLocked(kind, data string, effects *[]func()) (time.Duration, error) {
+func (c *Cluster) proposeLocked(e Entry, effects *[]func()) (time.Duration, error) {
 	lead := c.currentLeaderLocked()
 	if lead == nil {
 		c.stats.CommitFails++
 		return 0, ErrNoLeader
 	}
-	lead.log = append(lead.log, Entry{Term: lead.term, Kind: kind, Data: data})
-	size := int64(entryOverhead + len(data))
+	e.Term = lead.term
+	lead.log = append(lead.log, e)
+	var size int64 // a lone voter sends nothing, so it never needs this
 	acks := 1
 	var cost time.Duration
 	for _, j := range c.nodes {
 		if j == lead || !j.up {
 			continue
+		}
+		if size == 0 {
+			size = e.size()
 		}
 		d1, err := c.net.Deliver(lead.ep, j.ep, size)
 		if err != nil {
@@ -254,9 +331,10 @@ func (c *Cluster) proposeLocked(kind, data string, effects *[]func()) (time.Dura
 		c.stats.CommitFails++
 		return cost, ErrNoQuorum
 	}
-	lead.commit = len(lead.log)
+	lead.commit = c.base + len(lead.log)
 	c.stats.Commits++
 	c.advanceApplyLocked(lead, effects)
+	c.compactLocked()
 	return cost, nil
 }
 
@@ -265,10 +343,7 @@ func (c *Cluster) proposeLocked(kind, data string, effects *[]func()) (time.Dura
 // quorum-less leader from appending the same membership proposal every
 // heartbeat boundary.
 func (c *Cluster) pendingLocked(lead *nodeState, kind, data string) bool {
-	from := c.applied
-	if from > len(lead.log) {
-		from = len(lead.log)
-	}
+	from := min(max(c.applied-c.base, 0), len(lead.log))
 	for _, e := range lead.log[from:] {
 		if e.Kind == kind && e.Data == data {
 			return true
@@ -284,7 +359,7 @@ func (c *Cluster) pendingLocked(lead *nodeState, kind, data string) bool {
 // after unlocking.
 func (c *Cluster) advanceApplyLocked(lead *nodeState, effects *[]func()) {
 	for idx := c.applied; idx < lead.commit; idx++ {
-		c.applyLocked(lead.log[idx], effects)
+		c.applyLocked(lead.log[idx-c.base], effects)
 	}
 	if lead.commit > c.applied {
 		c.applied = lead.commit
@@ -294,10 +369,16 @@ func (c *Cluster) advanceApplyLocked(lead *nodeState, effects *[]func()) {
 func (c *Cluster) applyLocked(e Entry, effects *[]func()) {
 	switch e.Kind {
 	case "produce":
-		// Idempotent by construction: the key includes the stream's base
-		// offset, so a retried batch (same base via the dedup window)
-		// folds into one record no matter how many proposals committed.
-		c.produced[e.Data] = true
+		// Idempotent by construction: a retried batch (same base via the
+		// dedup window) covers the same offsets, so it folds into the
+		// stream's runs no matter how many proposals committed.
+		k := streamKey{e.Data, e.Stream}
+		runs := c.produced[k]
+		if runs == nil {
+			runs = new(offsetRuns)
+			c.produced[k] = runs
+		}
+		runs.add(e.Base, e.Base+int64(e.Count))
 	case "member":
 		parts := strings.SplitN(e.Data, sep, 2)
 		if len(parts) != 2 {
@@ -365,11 +446,15 @@ func (c *Cluster) applyLocked(e Entry, effects *[]func()) {
 			c.removed[n] = true
 			c.leaving[n] = false
 			c.alive[n] = false
-			c.nodes[n].removed = true
-			c.nodes[n].up = false
-			if c.nodes[n].role == Leader {
-				c.nodes[n].role = Follower
+			rn := c.nodes[n]
+			rn.removed = true
+			rn.up = false
+			if rn.role == Leader {
+				rn.role = Follower
 			}
+			// The tombstoned node leaves the shared base behind: the next
+			// compaction releases its log, and Status keeps its length.
+			rn.end = c.base + len(rn.log)
 			c.ringT.removeNode(n)
 			c.stats.Removes++
 			*effects = append(*effects, func() { c.nodeRemoved(n) })
@@ -391,42 +476,70 @@ const sep = "\x1f"
 // minority partition can do neither.
 const metaTombstone = "del" + sep
 
-func produceKey(topic string, stream int, base int64, count int) string {
-	b := append(append(make([]byte, 0, 64), topic...), sep...) // on the stack: the string is the one allocation
-	b = append(strconv.AppendInt(b, int64(stream), 10), sep...)
-	b = append(strconv.AppendInt(b, base, 10), sep...)
-	return string(strconv.AppendInt(b, int64(count), 10))
+// streamKey names one stream of one topic.
+type streamKey struct {
+	topic  string
+	stream int
+}
+
+// offsetRuns is a stream's committed offsets: sorted, disjoint,
+// non-touching half-open ranges [lo, hi). A stream produced in order is
+// one run however many batches committed.
+type offsetRuns [][2]int64
+
+// covers reports whether one run holds all of [lo, hi); a nil set
+// holds nothing.
+func (r *offsetRuns) covers(lo, hi int64) bool {
+	if r == nil {
+		return false
+	}
+	s := *r
+	i := sort.Search(len(s), func(i int) bool { return s[i][1] >= hi })
+	return i < len(s) && s[i][0] <= lo
+}
+
+// add folds [lo, hi) in, merging every run it overlaps or touches. The
+// next batch of an in-order stream extends the last run in place.
+func (r *offsetRuns) add(lo, hi int64) {
+	s := *r
+	i := sort.Search(len(s), func(i int) bool { return s[i][1] >= lo })
+	j := i
+	for ; j < len(s) && s[j][0] <= hi; j++ {
+		lo, hi = min(lo, s[j][0]), max(hi, s[j][1])
+	}
+	*r = slices.Replace(s, i, j, [2]int64{lo, hi})
 }
 
 // CommitProduce records an acknowledged produce batch in the replicated
 // metadata log — the commit gate the stream service calls between the
-// durable append and the client ack. An already-committed key (a retry
+// durable append and the client ack. An already-committed batch (a retry
 // whose previous attempt committed but whose ack was lost) returns
 // immediately: the dedup window already re-served the original base, and
 // re-proposing would only bloat the log. On ErrNoLeader/ErrNoQuorum the
 // producer must NOT ack; its retry re-enters here after the appended
-// batch deduplicates.
+// batch deduplicates. On a one-node cluster the commit is a local apply
+// that costs nothing and allocates nothing.
 func (c *Cluster) CommitProduce(topic string, stream int, base int64, count int) (time.Duration, error) {
-	key := produceKey(topic, stream, base, count)
 	var effects []func()
 	c.mu.Lock()
-	if c.produced[key] {
+	if c.produced[streamKey{topic, stream}].covers(base, base+int64(count)) {
 		c.mu.Unlock()
 		return 0, nil
 	}
-	cost, err := c.proposeLocked("produce", key, &effects)
+	cost, err := c.proposeLocked(Entry{Kind: "produce", Data: topic, Stream: stream, Base: base, Count: count}, &effects)
 	c.mu.Unlock()
 	c.runEffects(effects)
 	return cost, err
 }
 
-// ProduceCommitted reports whether an acked produce batch made it into
-// the applied metadata log — the chaos harness's coverage checker: every
-// acknowledged write must satisfy this after the drill settles.
+// ProduceCommitted reports whether every offset of a produce batch made
+// it into the applied metadata log — the chaos harness's coverage
+// checker: every acknowledged write must satisfy this after the drill
+// settles.
 func (c *Cluster) ProduceCommitted(topic string, stream int, base int64, count int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.produced[produceKey(topic, stream, base, count)]
+	return c.produced[streamKey{topic, stream}].covers(base, base+int64(count))
 }
 
 // ProposeMeta replicates one opaque metadata record (topic and table
@@ -438,7 +551,7 @@ func (c *Cluster) ProposeMeta(data string) (time.Duration, error) {
 		c.mu.Unlock()
 		return 0, nil
 	}
-	cost, err := c.proposeLocked("meta", data, &effects)
+	cost, err := c.proposeLocked(Entry{Kind: "meta", Data: data}, &effects)
 	c.mu.Unlock()
 	c.runEffects(effects)
 	return cost, err
@@ -455,7 +568,7 @@ func (c *Cluster) ProposeMetaDelete(data string) (time.Duration, error) {
 		c.mu.Unlock()
 		return 0, nil
 	}
-	cost, err := c.proposeLocked("meta", metaTombstone+data, &effects)
+	cost, err := c.proposeLocked(Entry{Kind: "meta", Data: metaTombstone + data}, &effects)
 	c.mu.Unlock()
 	c.runEffects(effects)
 	return cost, err
@@ -468,23 +581,12 @@ func (c *Cluster) MetaCommitted(data string) bool {
 	return c.meta[data]
 }
 
-// CommittedLog snapshots one node's committed log prefix — the chaos
-// harness compares these across nodes to prove replicated-state
-// agreement.
-func (c *Cluster) CommittedLog(node int) []Entry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if node < 0 || node >= len(c.nodes) {
-		return nil
-	}
-	n := c.nodes[node]
-	return append([]Entry(nil), n.log[:n.commit]...)
-}
-
-// CheckLogMatching verifies Raft's Log Matching over every pair of full
+// CheckLogMatching verifies Raft's Log Matching over every pair of
 // logs, uncommitted tails included: where two logs agree on an index's
 // term they hold identical entries there and everywhere below. It is
-// the precondition of reconcileLocked's backward walk.
+// the precondition of reconcileLocked's backward walk. Below the shared
+// base, agreement was checked entry by entry as the prefix was dropped
+// (Stats.Diverged).
 func (c *Cluster) CheckLogMatching() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -494,7 +596,7 @@ func (c *Cluster) CheckLogMatching() error {
 			for i := min(len(a.log), len(b.log)) - 1; i >= 0; i-- {
 				matched = matched || a.log[i].Term == b.log[i].Term
 				if matched && a.log[i] != b.log[i] {
-					return fmt.Errorf("cluster: log matching broken: nodes %d and %d differ at index %d, at or below a term match", a.id, b.id, i)
+					return fmt.Errorf("cluster: log matching broken: nodes %d and %d differ at index %d, at or below a term match", a.id, b.id, c.base+i)
 				}
 			}
 		}

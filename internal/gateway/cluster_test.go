@@ -8,16 +8,24 @@ import (
 	"streamlake"
 )
 
-// TestClusterEndpointSingleNode: a single-node lake has no cluster
-// plane, and the endpoint says so rather than inventing one.
+// TestClusterEndpointSingleNode: a lake opened without Nodes is a
+// one-node cluster, and the endpoint reports it: one node, alive and
+// up, leading term 1.
 func TestClusterEndpointSingleNode(t *testing.T) {
 	e := newEnv(t)
 	resp, body := e.do(t, "GET", "/v1/cluster", "root-token", nil)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("single-node /v1/cluster: %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("one-node /v1/cluster: %d", resp.StatusCode)
 	}
-	if body["error"] == "" {
-		t.Fatal("404 without an error envelope")
+	if body["leader"] != 0.0 || body["term"] != 1.0 {
+		t.Fatalf("leader %v term %v, want 0 and 1", body["leader"], body["term"])
+	}
+	nodes, ok := body["nodes"].([]any)
+	if !ok || len(nodes) != 1 {
+		t.Fatalf("want 1 node, got %v", body["nodes"])
+	}
+	if n := nodes[0].(map[string]any); n["alive"] != true || n["up"] != true || n["role"] != "leader" {
+		t.Fatalf("the one node: %v", n)
 	}
 }
 

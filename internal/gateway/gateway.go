@@ -655,16 +655,10 @@ func (s *Server) stats(w http.ResponseWriter, r *http.Request, _ *Principal) {
 	})
 }
 
-// cluster serves the multi-node membership and consensus snapshot.
-// Single-node lakes (Config.Nodes <= 1) report 404: there is no
-// cluster plane to inspect.
+// cluster serves the membership and consensus snapshot; a one-node
+// lake reports its one node.
 func (s *Server) cluster(w http.ResponseWriter, r *http.Request, _ *Principal) {
-	cl := s.lake.Cluster()
-	if cl == nil {
-		httpError(w, http.StatusNotFound, "single-node lake: no cluster plane")
-		return
-	}
-	st := cl.Status()
+	st := s.lake.Cluster().Status()
 	nodes := make([]map[string]any, 0, len(st.Nodes))
 	for _, n := range st.Nodes {
 		nodes = append(nodes, map[string]any{
@@ -721,10 +715,6 @@ func memberError(w http.ResponseWriter, err error) {
 // migration. The response reports what the join actually moved.
 func (s *Server) clusterJoin(w http.ResponseWriter, r *http.Request, _ *Principal) {
 	cl := s.lake.Cluster()
-	if cl == nil {
-		httpError(w, http.StatusNotFound, "single-node lake: no cluster plane")
-		return
-	}
 	req, ok := parseBody(w, r, MaxSQLBody, decodeAs[memberRequest])
 	if !ok {
 		return
@@ -744,10 +734,6 @@ func (s *Server) clusterJoin(w http.ResponseWriter, r *http.Request, _ *Principa
 // clusterRemove retires a node: drain, relocate, committed tombstone.
 func (s *Server) clusterRemove(w http.ResponseWriter, r *http.Request, _ *Principal) {
 	cl := s.lake.Cluster()
-	if cl == nil {
-		httpError(w, http.StatusNotFound, "single-node lake: no cluster plane")
-		return
-	}
 	req, ok := parseBody(w, r, MaxSQLBody, decodeAs[memberRequest])
 	if !ok {
 		return

@@ -83,7 +83,7 @@ type Pool struct {
 
 	mu            sync.Mutex
 	disks         []*disk
-	domains       []int // failure domain per disk; nil = single-domain pool
+	domains       []int // failure domain per disk; all 0 until SetDomains
 	slices        map[SliceID]*Slice
 	nextSlice     SliceID
 	reconstructed int64
@@ -127,6 +127,7 @@ func New(name string, clock *sim.Clock, class sim.DeviceClass, n int, sliceSize 
 		clock:     clock,
 		class:     class,
 		sliceSize: sliceSize,
+		domains:   make([]int, n),
 		slices:    make(map[SliceID]*Slice),
 	}
 	for i := 0; i < n; i++ {
@@ -192,21 +193,15 @@ func (p *Pool) SetObs(reg *obs.Registry) {
 }
 
 // SetDomains assigns each disk to a failure domain (a cluster node, a
-// rack). AllocGroup then spreads a placement group across as many
-// domains as possible — replicas and EC shards of one group never share
-// a domain while enough domains exist — and Relocate prefers domains
-// that hold none of the group's surviving copies. A nil assignment (the
-// default) keeps the pool single-domain: allocation order is then
-// byte-identical to the pre-domain allocator, so existing seeded runs
-// replay unchanged.
+// rack). AllocGroup spreads a placement group across as many domains as
+// possible — replicas and EC shards of one group never share a domain
+// while enough domains exist — and Relocate prefers domains that hold
+// none of the group's surviving copies. A new pool is one domain, where
+// every disk ties on that count and allocation falls to the least-used
+// disk.
 func (p *Pool) SetDomains(domainOf []int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if domainOf == nil {
-		p.domains = nil
-		return
-	}
-	p.domains = make([]int, len(p.disks))
 	for i := range p.domains {
 		if i < len(domainOf) {
 			p.domains[i] = domainOf[i]
@@ -215,7 +210,7 @@ func (p *Pool) SetDomains(domainOf []int) {
 }
 
 func (p *Pool) domainOfLocked(id DiskID) int {
-	if p.domains == nil || int(id) < 0 || int(id) >= len(p.domains) {
+	if int(id) < 0 || int(id) >= len(p.domains) {
 		return -1
 	}
 	return p.domains[id]
@@ -258,13 +253,11 @@ func (p *Pool) DiskAvoided(id DiskID) bool {
 // DiskCount returns the number of disks, healthy or not.
 func (p *Pool) DiskCount() int { return len(p.disks) }
 
-// pickLocked selects the least-used healthy disk outside exclude.
-// Vetoed disks (SetAvoid) are skipped unless no other candidate exists.
-// When domainUsed is non-nil the primary sort key becomes "fewest
-// group-mates already placed in this disk's domain", which spreads a
-// placement group across failure domains; ties fall through to the
-// least-used rule, so a nil domainUsed (or a single-domain pool, where
-// every count is equal) reproduces the legacy allocator exactly.
+// pickLocked selects, among healthy disks outside exclude, one in the
+// domain holding fewest group-mates (domainUsed), which spreads a
+// placement group across failure domains; ties fall to the least-used
+// disk, the whole rule on a single-domain pool. Vetoed disks (SetAvoid)
+// are skipped unless no other candidate exists.
 func (p *Pool) pickLocked(exclude map[DiskID]bool, domainUsed map[int]int) *disk {
 	var avoid func(DiskID) bool
 	if fp := p.avoid.Load(); fp != nil {
@@ -280,10 +273,7 @@ func (p *Pool) pickLocked(exclude map[DiskID]bool, domainUsed map[int]int) *disk
 			if pass == 0 && avoid != nil && avoid(d.id) {
 				continue
 			}
-			du := 0
-			if domainUsed != nil {
-				du = domainUsed[p.domainOfLocked(d.id)]
-			}
+			du := domainUsed[p.domainOfLocked(d.id)]
 			if best == nil || du < bestDom || (du == bestDom && d.dev.Used() < best.dev.Used()) {
 				best, bestDom = d, du
 			}
@@ -309,43 +299,10 @@ func (p *Pool) allocOnLocked(best *disk) (*Slice, error) {
 	return s, nil
 }
 
-// AllocGroup allocates n slices on n distinct healthy disks — the
-// placement-group primitive the PLog layer uses for replication and
-// erasure-coded stripes.
-func (p *Pool) AllocGroup(n int) ([]*Slice, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	healthy := 0
-	for _, d := range p.disks {
-		if !d.failed {
-			healthy++
-		}
-	}
-	if healthy < n {
-		return nil, fmt.Errorf("%w: need %d, have %d", ErrNotEnough, n, healthy)
-	}
-	exclude := make(map[DiskID]bool, n)
-	var domainUsed map[int]int
-	if p.domains != nil {
-		domainUsed = make(map[int]int)
-	}
-	out := make([]*Slice, 0, n)
-	for i := 0; i < n; i++ {
-		s, err := p.allocOnLocked(p.pickLocked(exclude, domainUsed))
-		if err != nil {
-			for _, prev := range out {
-				p.freeLocked(prev.ID)
-			}
-			return nil, err
-		}
-		exclude[s.Disk] = true
-		if domainUsed != nil {
-			domainUsed[p.domainOfLocked(s.Disk)]++
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
+// AllocGroup allocates n slices on n distinct healthy disks, spread
+// across failure domains — the placement-group primitive the PLog layer
+// uses for replication and erasure-coded stripes.
+func (p *Pool) AllocGroup(n int) ([]*Slice, error) { return p.AllocGroupIn(nil, n) }
 
 // AllocGroupIn allocates n slices, steering the i-th toward preferred
 // failure domain pref[i] (the cluster's consistent-hash placement
@@ -563,16 +520,6 @@ func (p *Pool) AddDisks(n int, domain int) []DiskID {
 	if n <= 0 {
 		return nil
 	}
-	// A domain assignment only makes sense on a domain-aware pool; seed
-	// the table with each existing disk's current domain (identity) so
-	// single-domain pools stay single-domain until SetDomains says
-	// otherwise.
-	if p.domains == nil && domain >= 0 {
-		p.domains = make([]int, len(p.disks))
-		for i := range p.domains {
-			p.domains[i] = i
-		}
-	}
 	ids := make([]DiskID, 0, n)
 	for i := 0; i < n; i++ {
 		id := DiskID(len(p.disks))
@@ -581,9 +528,7 @@ func (p *Pool) AddDisks(n int, domain int) []DiskID {
 			dev:    sim.NewDeviceOf(fmt.Sprintf("%s-disk%d", p.name, int(id)), p.class),
 			slices: make(map[SliceID]*Slice),
 		})
-		if p.domains != nil {
-			p.domains = append(p.domains, domain)
-		}
+		p.domains = append(p.domains, domain)
 		ids = append(ids, id)
 	}
 	return ids

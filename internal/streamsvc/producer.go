@@ -262,14 +262,15 @@ func (p *Producer) sendOne(sp *obs.Span, rt *routes, tr topicRoutes, topic strin
 			// failures; surface them without burning the breaker.
 			return 0, aerr, true
 		}
-		// Cluster commit gate: the append is durable, but in clustered
-		// mode it must also commit to the replicated metadata log before
-		// the client may be acknowledged. A quorum failure is retryable —
-		// the re-sent record lands in the dedup window (same seq, same
-		// base) and the commit re-proposes idempotently, so failover
-		// neither loses the acked write nor duplicates it. A minority
-		// partition can never pass this gate, which is what "the minority
-		// side serves no new writes" means operationally.
+		// Cluster commit gate: the append is durable, but it must also
+		// commit to the lake's replicated metadata log (on one node, a
+		// local apply) before the client may be acknowledged. A quorum
+		// failure is retryable — the re-sent record lands in the dedup
+		// window (same seq, same base) and the commit re-proposes
+		// idempotently, so failover neither loses the acked write nor
+		// duplicates it. A minority partition can never pass this gate,
+		// which is what "the minority side serves no new writes" means
+		// operationally.
 		if gate := p.svc.commitGate(); gate != nil {
 			gc, gerr := gate.CommitProduce(topic, idx, base, 1)
 			cost += gc

@@ -141,14 +141,14 @@ type Config struct {
 	// Off by default: the stats encoding changes when enabled, so replay
 	// digests are comparable only between runs with the same setting.
 	ZoneMaps bool
-	// Nodes turns on the multi-node cluster plane with this many nodes:
-	// disks partition into per-node failure domains, placement spreads
-	// copies across nodes via consistent hashing, a heartbeat failure
-	// detector and Raft-lite replicated metadata log run over the network
-	// fault plane, and every produce ack waits for a majority metadata
-	// commit. 0 or 1 (the default) keeps the single-node legacy behavior
-	// byte-identical; replay digests are comparable only between runs
-	// with the same setting.
+	// Nodes sizes the cluster plane every lake runs on: disks partition
+	// into per-node failure domains, placement spreads copies across
+	// nodes via consistent hashing, a heartbeat failure detector and
+	// Raft-lite replicated metadata log run over the network fault plane,
+	// and every produce ack waits for a majority metadata commit. 0 and 1
+	// (the default) are the same one-node lake, whose commit is a local
+	// apply that costs nothing; replay digests are comparable only
+	// between runs with the same node count.
 	Nodes int
 	// CacheMB sizes the two-tier (DRAM + SCM) read cache in megabytes;
 	// 0 (the default) disables it, leaving every read on the device
@@ -190,8 +190,8 @@ type Lake struct {
 	scrub   *scrub.Service
 	reg     *obs.Registry
 	tracer  *obs.Tracer
-	rcache  *cache.Cache     // nil when Config.CacheMB is 0
-	clus    *cluster.Cluster // nil when Config.Nodes <= 1
+	rcache  *cache.Cache // nil when Config.CacheMB is 0
+	clus    *cluster.Cluster
 	tenants *tenant.Registry
 
 	tierSizes map[plog.ID]int64 // per-log size at the last tiering pass
@@ -270,48 +270,47 @@ func Open(cfg Config) (*Lake, error) {
 	logs.SetHedge(plog.HedgeConfig{Enabled: true})
 	l.rep = repair.New(clock, logs)
 	l.scrub = scrub.New(clock, logs, l.rep)
-	if cfg.Nodes > 1 {
-		cl := cluster.New(cluster.Config{Nodes: cfg.Nodes, Seed: cfg.Seed}, clock, inj.Net())
-		cl.AttachPool(ssd, logs)
-		cl.AttachPool(hdd, logs) // shares the SSD manager's logs (tiering migrates them)
-		cl.AttachRepair(l.rep)
-		workers := cfg.Workers
-		nodes := cfg.Nodes
-		net := inj.Net()
-		// A killed node's process is gone before any detection: its
-		// workers' client links partition immediately, and heal on revival.
-		// Stream workers map onto the birth nodes only; a node joined at
-		// runtime (id >= birth N) contributes storage and consensus but
-		// hosts no workers — without the guard its id would alias onto an
-		// old node's workers (node%nodes) and kill the wrong links.
-		cl.OnKill(func(node int, up bool) {
-			if node >= nodes {
-				return
+	// cluster.New reads 0 nodes as its default of 3; a lake's 0 is one.
+	nodes := max(cfg.Nodes, 1)
+	cl := cluster.New(cluster.Config{Nodes: nodes, Seed: cfg.Seed}, clock, inj.Net())
+	cl.AttachPool(ssd, logs)
+	cl.AttachPool(hdd, logs) // shares the SSD manager's logs (tiering migrates them)
+	cl.AttachRepair(l.rep)
+	workers := cfg.Workers
+	net := inj.Net()
+	// A killed node's process is gone before any detection: its
+	// workers' client links partition immediately, and heal on revival.
+	// Stream workers map onto the birth nodes only; a node joined at
+	// runtime (id >= birth N) contributes storage and consensus but
+	// hosts no workers — without the guard its id would alias onto an
+	// old node's workers (node%nodes) and kill the wrong links.
+	cl.OnKill(func(node int, up bool) {
+		if node >= nodes {
+			return
+		}
+		for w := node % nodes; w < workers; w += nodes {
+			ep := fmt.Sprintf("worker/%d", w)
+			if up {
+				net.Heal("client", ep)
+				net.Heal(ep, "client")
+			} else {
+				net.Partition("client", ep)
+				net.Partition(ep, "client")
 			}
-			for w := node % nodes; w < workers; w += nodes {
-				ep := fmt.Sprintf("worker/%d", w)
-				if up {
-					net.Heal("client", ep)
-					net.Heal(ep, "client")
-				} else {
-					net.Partition("client", ep)
-					net.Partition(ep, "client")
-				}
-			}
-		})
-		// Committed membership changes reassign the node's stream workers
-		// (same birth-node aliasing guard as OnKill).
-		cl.OnMembership(func(node int, serving bool) {
-			if node >= nodes {
-				return
-			}
-			for w := node % nodes; w < workers; w += nodes {
-				svc.SetWorkerDown(w, !serving)
-			}
-		})
-		svc.SetCommitGate(cl)
-		l.clus = cl
-	}
+		}
+	})
+	// Committed membership changes reassign the node's stream workers
+	// (same birth-node aliasing guard as OnKill).
+	cl.OnMembership(func(node int, serving bool) {
+		if node >= nodes {
+			return
+		}
+		for w := node % nodes; w < workers; w += nodes {
+			svc.SetWorkerDown(w, !serving)
+		}
+	})
+	svc.SetCommitGate(cl)
+	l.clus = cl
 	l.reg = obs.NewRegistry(clock)
 	l.tracer = obs.NewTracer(clock)
 	ssd.SetObs(l.reg)
@@ -326,14 +325,10 @@ func Open(cfg Config) (*Lake, error) {
 	if l.rcache != nil {
 		l.rcache.SetObs(l.reg)
 	}
-	if l.clus != nil {
-		l.clus.SetObs(l.reg)
-	}
+	cl.SetObs(l.reg)
 	tenants.SetObs(l.reg)
-	if l.clus != nil {
-		if err := l.clus.Bootstrap(); err != nil {
-			return nil, err
-		}
+	if err := cl.Bootstrap(); err != nil {
+		return nil, err
 	}
 	return l, nil
 }
@@ -360,27 +355,23 @@ func (l *Lake) Tracer() *obs.Tracer { return l.tracer }
 // Clock exposes the lake's virtual clock (experiments advance it).
 func (l *Lake) Clock() *sim.Clock { return l.clock }
 
-// CreateTopic declares a message topic. On a clustered lake the
-// definition replicates through the metadata log first — a minority
-// partition cannot create topics.
+// CreateTopic declares a message topic. The definition replicates
+// through the metadata log first — a minority partition cannot create
+// topics.
 func (l *Lake) CreateTopic(cfg TopicConfig) error {
-	if l.clus != nil {
-		if _, err := l.clus.ProposeMeta("topic/" + cfg.Name); err != nil {
-			return fmt.Errorf("streamlake: replicate topic %q: %w", cfg.Name, err)
-		}
+	if _, err := l.clus.ProposeMeta("topic/" + cfg.Name); err != nil {
+		return fmt.Errorf("streamlake: replicate topic %q: %w", cfg.Name, err)
 	}
 	return l.svc.CreateTopic(cfg)
 }
 
-// DeleteTopic removes a topic and its stream objects. On a clustered
-// lake the deletion replicates through the metadata log first — the
-// mirror of CreateTopic, so a minority partition can neither create nor
-// delete, and a later CreateTopic of the same name replicates again.
+// DeleteTopic removes a topic and its stream objects. The deletion
+// replicates through the metadata log first — the mirror of
+// CreateTopic, so a minority partition can neither create nor delete,
+// and a later CreateTopic of the same name replicates again.
 func (l *Lake) DeleteTopic(name string) error {
-	if l.clus != nil {
-		if _, err := l.clus.ProposeMetaDelete("topic/" + name); err != nil {
-			return fmt.Errorf("streamlake: replicate topic delete %q: %w", name, err)
-		}
+	if _, err := l.clus.ProposeMetaDelete("topic/" + name); err != nil {
+		return fmt.Errorf("streamlake: replicate topic delete %q: %w", name, err)
 	}
 	return l.svc.DeleteTopic(name)
 }
@@ -430,12 +421,10 @@ func (l *Lake) Playback(table string, snap Snapshot, topic string) (int64, time.
 }
 
 // CreateTable registers a lakehouse table, replicating the definition
-// through the metadata log on a clustered lake.
+// through the metadata log.
 func (l *Lake) CreateTable(meta TableMeta) error {
-	if l.clus != nil {
-		if _, err := l.clus.ProposeMeta("table/" + meta.Name); err != nil {
-			return fmt.Errorf("streamlake: replicate table %q: %w", meta.Name, err)
-		}
+	if _, err := l.clus.ProposeMeta("table/" + meta.Name); err != nil {
+		return fmt.Errorf("streamlake: replicate table %q: %w", meta.Name, err)
 	}
 	_, err := l.lh.CreateTable(meta)
 	return err
@@ -467,37 +456,31 @@ func (l *Lake) Update(table, column string, lo, hi *Value, set func(Row) Row) (i
 }
 
 // DropTableSoft unregisters a table, keeping its data restorable. Like
-// CreateTable, the catalog change replicates through the metadata log on
-// a clustered lake before taking local effect.
+// CreateTable, the catalog change replicates through the metadata log
+// before taking local effect.
 func (l *Lake) DropTableSoft(table string) error {
-	if l.clus != nil {
-		if _, err := l.clus.ProposeMetaDelete("table/" + table); err != nil {
-			return fmt.Errorf("streamlake: replicate table drop %q: %w", table, err)
-		}
+	if _, err := l.clus.ProposeMetaDelete("table/" + table); err != nil {
+		return fmt.Errorf("streamlake: replicate table drop %q: %w", table, err)
 	}
 	_, err := l.lh.DropSoft(table)
 	return err
 }
 
 // RestoreTable re-registers a soft-dropped table, re-replicating the
-// registration on a clustered lake.
+// registration.
 func (l *Lake) RestoreTable(table string) error {
-	if l.clus != nil {
-		if _, err := l.clus.ProposeMeta("table/" + table); err != nil {
-			return fmt.Errorf("streamlake: replicate table restore %q: %w", table, err)
-		}
+	if _, err := l.clus.ProposeMeta("table/" + table); err != nil {
+		return fmt.Errorf("streamlake: replicate table restore %q: %w", table, err)
 	}
 	_, err := l.lh.Restore(table)
 	return err
 }
 
 // DropTableHard removes a table's data, metadata and catalog entry; the
-// deletion replicates through the metadata log on a clustered lake.
+// deletion replicates through the metadata log.
 func (l *Lake) DropTableHard(table string) error {
-	if l.clus != nil {
-		if _, err := l.clus.ProposeMetaDelete("table/" + table); err != nil {
-			return fmt.Errorf("streamlake: replicate table drop %q: %w", table, err)
-		}
+	if _, err := l.clus.ProposeMetaDelete("table/" + table); err != nil {
+		return fmt.Errorf("streamlake: replicate table drop %q: %w", table, err)
 	}
 	_, err := l.lh.DropHard(table)
 	return err
@@ -656,8 +639,8 @@ func (l *Lake) RunTiering() ([]tiering.Migration, time.Duration) {
 	return migs, cost
 }
 
-// Cluster exposes the multi-node cluster plane; nil when Config.Nodes
-// left the lake single-node.
+// Cluster exposes the lake's cluster plane: membership, placement and
+// the replicated metadata log, with Config.Nodes members (one when 0).
 func (l *Lake) Cluster() *cluster.Cluster { return l.clus }
 
 // Faults exposes the fault injector attached to the lake's storage

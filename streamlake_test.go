@@ -408,3 +408,34 @@ func TestClusteredMetadataLifecycle(t *testing.T) {
 		t.Fatal("hard drop did not tombstone the replicated key")
 	}
 }
+
+// TestOneNodeLakeIsOneNodeCluster: Nodes 0 and 1 open the same lake, a
+// one-node cluster whose lone voter won term 1 at Open without moving
+// the virtual clock, and whose produce acks commit through the metadata
+// log like a larger cluster's.
+func TestOneNodeLakeIsOneNodeCluster(t *testing.T) {
+	for _, nodes := range []int{0, 1} {
+		l, err := Open(Config{Nodes: nodes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := l.Cluster().Status()
+		if len(st.Nodes) != 1 || st.Leader != 0 || st.Term != 1 || st.Stats.Elections != 1 {
+			t.Fatalf("Nodes: %d opened %d node(s), leader %d, term %d, %d election(s); want 1, 0, 1, 1",
+				nodes, len(st.Nodes), st.Leader, st.Term, st.Stats.Elections)
+		}
+		if now := l.Clock().Now(); now != 0 {
+			t.Fatalf("Nodes: %d: opening advanced the clock to %v", nodes, now)
+		}
+		if err := l.CreateTopic(TopicConfig{Name: "t", StreamNum: 1}); err != nil {
+			t.Fatal(err)
+		}
+		msg, _, err := l.Producer("p").Send("t", []byte("k"), []byte("v"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !l.Cluster().ProduceCommitted("t", msg.Stream, msg.Offset, 1) {
+			t.Fatalf("Nodes: %d: the acked send is not in the metadata log", nodes)
+		}
+	}
+}
