@@ -864,7 +864,6 @@ func (h *harness) settle() {
 		h.violate("rebalance left %d degraded logs (%d stale bytes) after its budget",
 			h.reb.RemainingLogs, h.reb.RemainingStale)
 	}
-	h.lake.RepairUntilRedundant(16)
 	if h.cfg.Corruption {
 		h.lake.RunScrub()
 	}

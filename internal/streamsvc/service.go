@@ -155,13 +155,7 @@ type CommitGate interface {
 }
 
 // SetCommitGate installs (or clears, with nil) the produce commit gate.
-func (s *Service) SetCommitGate(g CommitGate) {
-	if g == nil {
-		s.gate.Store(nil)
-		return
-	}
-	s.gate.Store(&g)
-}
+func (s *Service) SetCommitGate(g CommitGate) { s.gate.Store(&g) }
 
 func (s *Service) commitGate() CommitGate {
 	if gp := s.gate.Load(); gp != nil {

@@ -211,8 +211,9 @@ func runClusterWorkload(t *testing.T) []byte {
 	for _, g := range []string{"g4", "g5"} {
 		drainTopic(t, lake, g, "events")
 	}
-	// Appends past a dead disk leave stale copies: repair fails while the
-	// disk is down and succeeds once it is back.
+	// Appends past a dead disk leave stale copies: repair moves them to a
+	// live disk and rebuilds them there while the disk is still down, so
+	// the pass after the revival finds nothing left to do.
 	disk, err := lake.Faults().KillRandomDisk("ssd")
 	if err != nil {
 		t.Fatal(err)
