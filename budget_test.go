@@ -47,11 +47,6 @@ type budgetRow struct {
 
 func newBudget() *budget { return &budget{rows: map[string]*budgetRow{}} }
 
-// root opens a traced operation.
-func (b *budget) root(lake *streamlake.Lake, name string) *obs.Span {
-	return lake.Tracer().Start(name)
-}
-
 // end closes a traced operation with its cost and folds its tree; counted
 // adds the cost to the workload's virtual total.
 func (b *budget) end(sp *obs.Span, cost time.Duration, counted bool) {
@@ -144,7 +139,7 @@ func budgetProduce(t *testing.T, b *budget, lake *streamlake.Lake, p *streamlake
 			before(i)
 		}
 		key, value := next(i)
-		sp := b.root(lake, "produce")
+		sp := lake.Tracer().Start("produce")
 		_, cost, err := p.SendSpanCtx(topic, key, value, sp, nil)
 		if err != nil {
 			t.Fatalf("send %d: %v", i, err)
@@ -165,7 +160,7 @@ func budgetDrain(t *testing.T, b *budget, lake *streamlake.Lake, topic, group st
 	}
 	total := 0
 	for {
-		sp := b.root(lake, "poll")
+		sp := lake.Tracer().Start("poll")
 		msgs, cost, err := c.PollSpanCtx(500, sp, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -240,7 +235,7 @@ func budgetWarehouse(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 		}
 		sort.Strings(modes)
 		for _, m := range modes {
-			sp := b.root(lake, "insert")
+			sp := lake.Tracer().Start("insert")
 			cost, err := lake.Engine().Insert("lineitem", byMode[m])
 			if err != nil {
 				t.Fatal(err)
@@ -253,7 +248,7 @@ func budgetWarehouse(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 			}
 		}
 	}
-	sp := b.root(lake, "lakehouse.flush")
+	sp := lake.Tracer().Start("lakehouse.flush")
 	cost, err := lake.Engine().FlushSpan("lineitem", sp)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +267,7 @@ func budgetWarehouse(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 
 func budgetQuery(t *testing.T, b *budget, lake *streamlake.Lake, sql string) {
 	t.Helper()
-	sp := b.root(lake, "query.execute")
+	sp := lake.Tracer().Start("query.execute")
 	_, cost, err := lake.QuerySpan(sql, sp)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
@@ -312,7 +307,7 @@ func budgetPipeline(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 	next := dpiPackets(t, seed)
 	for burst := 0; burst < 4; burst++ {
 		budgetProduce(t, b, lake, p, "t", 500, next, nil)
-		sp := b.root(lake, "convert")
+		sp := lake.Tracer().Start("convert")
 		_, cost, err := lake.RunConversion()
 		if err != nil {
 			t.Fatal(err)
@@ -323,7 +318,7 @@ func budgetPipeline(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 		}
 	}
 	lo, hi := streamlake.IntValue(dpi.BaseTime), streamlake.IntValue(dpi.BaseTime+2*86400/10-1)
-	sp := b.root(lake, "update")
+	sp := lake.Tracer().Start("update")
 	_, cost, err := lake.Engine().Update("dpi", []lakehouse.RangeFilter{{Column: "start_time", Lo: &lo, Hi: &hi}}, func(row streamlake.Row) streamlake.Row {
 		out := append(streamlake.Row(nil), row...)
 		out[3] = streamlake.IntValue(row[3].Int ^ 0x5555)
@@ -338,7 +333,7 @@ func budgetPipeline(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 		t.Fatal(err)
 	}
 	for _, prov := range dpi.Provinces {
-		sp := b.root(lake, "lakebrain.compact")
+		sp := lake.Tracer().Start("lakebrain.compact")
 		_, cost, err := compact.CompactPartitionSpan(tbl, "province="+prov, 32<<20, sp)
 		if err != nil {
 			t.Fatal(err)
@@ -415,7 +410,7 @@ func budgetRest(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 		if err := json.Unmarshal(call("GET", "/v1/topics/t/messages?group=bench&max=500", "token-gold", nil), &resp); err != nil {
 			t.Fatal(err)
 		}
-		b.end(b.root(lake, "gateway.consume"), 0, false)
+		b.end(lake.Tracer().Start("gateway.consume"), 0, false)
 		if len(resp.Messages) == 0 {
 			break
 		}
@@ -427,7 +422,7 @@ func budgetRest(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 		if err := json.Unmarshal(call("POST", "/v1/sql", "token-"+tenants[i%2], []byte(`{"query":"select count(*) from kv"}`)), &resp); err != nil {
 			t.Fatal(err)
 		}
-		b.end(b.root(lake, "gateway.sql"), time.Duration(resp.LatencyNs), true)
+		b.end(lake.Tracer().Start("gateway.sql"), time.Duration(resp.LatencyNs), true)
 	}
 	return lake
 }

@@ -167,7 +167,7 @@ type Cluster struct {
 	base        int   // absolute index of every live log's first entry
 	baseTerm    int64 // term of the entry just below base (0 at birth)
 	walkSteps   int64 // entries reconcileLocked walked back over; only its cost guard reads it
-	produced    map[streamKey]*offsetRuns
+	produced    map[string][]offsetRuns
 	meta        map[string]bool
 	termWins    map[int64]int
 	placeSeq    map[string]uint64
@@ -195,7 +195,7 @@ func New(cfg Config, clock *sim.Clock, net *faults.NetPlane) *Cluster {
 		cfg:      cfg,
 		clock:    clock,
 		net:      net,
-		produced: make(map[streamKey]*offsetRuns),
+		produced: make(map[string][]offsetRuns),
 		meta:     make(map[string]bool),
 		termWins: make(map[int64]int),
 		placeSeq: make(map[string]uint64),

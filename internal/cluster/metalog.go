@@ -372,13 +372,12 @@ func (c *Cluster) applyLocked(e Entry, effects *[]func()) {
 		// Idempotent by construction: a retried batch (same base via the
 		// dedup window) covers the same offsets, so it folds into the
 		// stream's runs no matter how many proposals committed.
-		k := streamKey{e.Data, e.Stream}
-		runs := c.produced[k]
-		if runs == nil {
-			runs = new(offsetRuns)
-			c.produced[k] = runs
+		streams := c.produced[e.Data]
+		if e.Stream >= len(streams) {
+			streams = append(streams, make([]offsetRuns, e.Stream+1-len(streams))...)
+			c.produced[e.Data] = streams
 		}
-		runs.add(e.Base, e.Base+int64(e.Count))
+		streams[e.Stream].add(e.Base, e.Base+int64(e.Count))
 	case "member":
 		parts := strings.SplitN(e.Data, sep, 2)
 		if len(parts) != 2 {
@@ -476,24 +475,19 @@ const sep = "\x1f"
 // minority partition can do neither.
 const metaTombstone = "del" + sep
 
-// streamKey names one stream of one topic.
-type streamKey struct {
-	topic  string
-	stream int
-}
-
-// offsetRuns is a stream's committed offsets: sorted, disjoint,
-// non-touching half-open ranges [lo, hi). A stream produced in order is
-// one run however many batches committed.
+// offsetRuns is one stream's committed offsets (produced maps a topic to
+// its streams' runs): sorted, disjoint, non-touching half-open ranges
+// [lo, hi). A stream produced in order is one run, whatever its batches.
 type offsetRuns [][2]int64
 
-// covers reports whether one run holds all of [lo, hi); a nil set
-// holds nothing.
-func (r *offsetRuns) covers(lo, hi int64) bool {
-	if r == nil {
+// committedLocked reports whether one run of a stream's committed
+// offsets holds all of [lo, hi).
+func (c *Cluster) committedLocked(topic string, stream int, lo, hi int64) bool {
+	streams := c.produced[topic]
+	if stream < 0 || stream >= len(streams) {
 		return false
 	}
-	s := *r
+	s := streams[stream]
 	i := sort.Search(len(s), func(i int) bool { return s[i][1] >= hi })
 	return i < len(s) && s[i][0] <= lo
 }
@@ -522,7 +516,7 @@ func (r *offsetRuns) add(lo, hi int64) {
 func (c *Cluster) CommitProduce(topic string, stream int, base int64, count int) (time.Duration, error) {
 	var effects []func()
 	c.mu.Lock()
-	if c.produced[streamKey{topic, stream}].covers(base, base+int64(count)) {
+	if c.committedLocked(topic, stream, base, base+int64(count)) {
 		c.mu.Unlock()
 		return 0, nil
 	}
@@ -539,7 +533,7 @@ func (c *Cluster) CommitProduce(topic string, stream int, base int64, count int)
 func (c *Cluster) ProduceCommitted(topic string, stream int, base int64, count int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.produced[streamKey{topic, stream}].covers(base, base+int64(count))
+	return c.committedLocked(topic, stream, base, base+int64(count))
 }
 
 // ProposeMeta replicates one opaque metadata record (topic and table
