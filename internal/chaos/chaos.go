@@ -159,8 +159,8 @@ type Report struct {
 	ColdRawB     int64         // logical bytes those logs hold
 	ColdCompB    int64         // those bytes as stored after codec negotiation
 	NodeKills    int           // whole-node kills (Failover runs)
-	Elections    int64         // metadata-leader elections (clustered runs)
-	MetaCommits  int64         // metadata-log commits (clustered runs)
+	Elections    int64         // metadata-leader elections
+	MetaCommits  int64         // metadata-log commits
 	RebalancedB  int64         // bytes re-replicated by the settle rebalance
 	RebalanceOK  bool          // settle rebalance restored full redundancy
 	Joins        int           // committed runtime node joins (Elastic runs)
