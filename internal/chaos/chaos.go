@@ -160,7 +160,7 @@ type Report struct {
 	ColdCompB    int64         // those bytes as stored after codec negotiation
 	NodeKills    int           // whole-node kills (Failover runs)
 	Elections    int64         // metadata-leader elections
-	MetaCommits  int64         // metadata-log commits
+	MetaCommits  int64         // metadata-log commits by a replication round (0 on one node)
 	RebalancedB  int64         // bytes re-replicated by the settle rebalance
 	RebalanceOK  bool          // settle rebalance restored full redundancy
 	Joins        int           // committed runtime node joins (Elastic runs)

@@ -25,6 +25,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -118,8 +119,8 @@ type View struct {
 // Stats counts cluster-plane activity.
 type Stats struct {
 	Elections       int64
-	Commits         int64
-	CommitFails     int64
+	Commits         int64 // entries a replication round committed; a lone voter's show only in Applied
+	CommitFails     int64 // proposals that found no leader or no quorum
 	HeartbeatsSent  int64
 	HeartbeatsLost  int64
 	NodesKilled     int64
@@ -167,6 +168,7 @@ type Cluster struct {
 	base        int   // absolute index of every live log's first entry
 	baseTerm    int64 // term of the entry just below base (0 at birth)
 	walkSteps   int64 // entries reconcileLocked walked back over; only its cost guard reads it
+	dropped     int64 // modelled bytes of every entry compaction dropped; a joiner's catch-up ships them as state
 	produced    map[string][]offsetRuns
 	meta        map[string]bool
 	termWins    map[int64]int
@@ -175,6 +177,7 @@ type Cluster struct {
 	repairs     []*repair.Service
 	ringT       *ring
 	placements  []placementRec
+	placeKept   int // len(placements) after its last sweep
 	stats       Stats
 	lastJoin    JoinReport
 	viewVersion int64
@@ -292,6 +295,17 @@ func (c *Cluster) AttachPool(p *pool.Pool, mgr *plog.Manager) {
 				}
 				c.mu.Lock()
 				c.placements = append(c.placements, placementRec{p: p, key: key, slices: ids})
+				// Once the list doubles, drop the groups their pool no
+				// longer holds (destroyed or migrated; join migration
+				// skips them anyway): the records stay within twice the
+				// live groups, at a constant amortised cost.
+				if len(c.placements) >= 2*c.placeKept+64 {
+					c.placements = slices.DeleteFunc(c.placements, func(r placementRec) bool {
+						_, err := r.p.SliceDisk(r.slices[0])
+						return err != nil
+					})
+					c.placeKept = len(c.placements)
+				}
 				c.mu.Unlock()
 			}
 			return sl, err

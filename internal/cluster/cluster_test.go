@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"streamlake/internal/faults"
+	"streamlake/internal/plog"
+	"streamlake/internal/pool"
 	"streamlake/internal/sim"
 )
 
@@ -384,5 +386,37 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 	if leaders != 1 {
 		t.Fatalf("status shows %d leaders", leaders)
+	}
+}
+
+// TestPlacementRecordsStayBounded: each log the cluster places leaves a
+// record for join-time migration, and a destroyed log's record must go,
+// so a lake that creates and destroys logs for ever (every table
+// compaction does) keeps a list bounded by its live logs.
+func TestPlacementRecordsStayBounded(t *testing.T) {
+	for _, nodes := range []int{1, 3} {
+		c, clock, _ := newTestCluster(t, nodes, 5)
+		p := pool.New("ssd", clock, sim.NVMeSSD, 2*nodes, 0)
+		mgr := plog.NewManager(p, 0)
+		c.AttachPool(p, mgr)
+		var live []plog.ID
+		for i := 0; i < 10_000; i++ {
+			l, err := mgr.Create(plog.ReplicateN(min(nodes, 2)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live = append(live, l.ID()); len(live) > 8 {
+				if err := mgr.Destroy(live[0]); err != nil {
+					t.Fatal(err)
+				}
+				live = live[1:]
+			}
+		}
+		c.mu.Lock()
+		n := len(c.placements)
+		c.mu.Unlock()
+		if n > 2*len(live)+64 {
+			t.Fatalf("nodes=%d: %d placement records for %d live logs", nodes, n, len(live))
+		}
 	}
 }

@@ -77,10 +77,10 @@ func (c *Cluster) ProposeJoin(node int) error {
 	}
 	if node == len(c.nodes) {
 		// Learner catch-up: ship the leader's log before admitting the
-		// node (what lies below the shared base is applied state, not
-		// log). A partitioned or lossy path fails here, before any
-		// cluster state changes.
-		size := int64(entryOverhead)
+		// node, with the applied state below the shared base sized as the
+		// entries compaction dropped. A partitioned or lossy path fails
+		// here, before any cluster state changes.
+		size := entryOverhead + c.dropped
 		for _, e := range lead.log {
 			size += e.size()
 		}

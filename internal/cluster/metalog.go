@@ -180,6 +180,9 @@ func (c *Cluster) compactLocked() {
 			}
 		}
 	}
+	for _, e := range ref.log[:d] {
+		c.dropped += e.size()
+	}
 	c.base, c.baseTerm = upTo, ref.log[d-1].Term
 	for _, n := range c.nodes {
 		if n.removed {
@@ -327,12 +330,15 @@ func (c *Cluster) proposeLocked(e Entry, effects *[]func()) (time.Duration, erro
 		}
 		acks++
 	}
-	if acks*2 <= c.votersLocked() {
+	voters := c.votersLocked()
+	if acks*2 <= voters {
 		c.stats.CommitFails++
 		return cost, ErrNoQuorum
 	}
 	lead.commit = c.base + len(lead.log)
-	c.stats.Commits++
+	if voters > 1 {
+		c.stats.Commits++ // a lone voter commits as it appends, with no round
+	}
 	c.advanceApplyLocked(lead, effects)
 	c.compactLocked()
 	return cost, nil
