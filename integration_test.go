@@ -513,3 +513,58 @@ func TestRepairRestoresRedundancyOnCluster(t *testing.T) {
 		})
 	}
 }
+
+// TestNodeLossRepairKeepsCopiesApart: a whole node dies, repair runs
+// while it is down, and the node comes back. Every group must end with
+// its three copies on three nodes: a copy lost with its node waits for
+// that node instead of moving in beside a surviving copy, where it would
+// stay after the revival.
+func TestNodeLossRepairKeepsCopiesApart(t *testing.T) {
+	lake, err := Open(Config{Nodes: 3, PLogCapacity: 64 << 10, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lake.CreateTopic(TopicConfig{Name: "rep", StreamNum: 2, Redundancy: ReplicateN(3)}); err != nil {
+		t.Fatal(err)
+	}
+	cl := lake.Cluster()
+	const victim = 2
+	settle := func(alive bool) {
+		for i := 0; cl.CurrentView().Alive[victim] != alive; i++ {
+			if i == 400 {
+				t.Fatalf("node %d never declared alive=%v", victim, alive)
+			}
+			lake.Clock().Advance(time.Millisecond)
+			cl.Tick()
+		}
+	}
+	const total = 1200
+	faultWorkload(t, lake, "rep", total, map[int]func(){
+		600: func() {
+			if err := cl.KillNode(victim); err != nil {
+				t.Fatal(err)
+			}
+			settle(false)
+		},
+	})
+	lake.RepairUntilRedundant(8)
+	if err := cl.ReviveNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	settle(true)
+	if reb := cl.RunRebalance(2 * time.Second); !reb.Complete {
+		t.Fatalf("rebalance left %d degraded logs", reb.RemainingLogs)
+	}
+	nodeOf := cl.CurrentView().DiskNode[lake.SSDPool().Name()]
+	for _, info := range lake.Logs().Logs() {
+		seen := map[int]bool{}
+		for _, s := range lake.Logs().Get(info.ID).Placement() {
+			n := nodeOf[s.Disk]
+			if seen[n] {
+				t.Fatalf("log %d keeps two copies on node %d after the revival", info.ID, n)
+			}
+			seen[n] = true
+		}
+	}
+	drainAll(t, lake, "rep", total)
+}

@@ -152,7 +152,7 @@ func TestAvoidFlipRace(t *testing.T) {
 			if on {
 				l.pool.SetAvoid(func(d pool.DiskID) bool { return d == target })
 			} else {
-				l.pool.SetAvoid(nil)
+				l.pool.SetAvoid(func(pool.DiskID) bool { return false })
 			}
 		}
 	}()

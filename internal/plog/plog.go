@@ -809,8 +809,9 @@ type Manager struct {
 	// cache is the shared read-cache slot every log points at; nil
 	// until SetCache attaches one.
 	cache atomic.Pointer[cache.Cache]
-	// placer, when set, replaces the pool's default AllocGroup for new
-	// placement groups (the cluster's consistent-hash placement).
+	// placer allocates each new log's placement group: the pool's own
+	// AllocGroup until SetPlacer installs the cluster's consistent-hash
+	// placement.
 	placer atomic.Pointer[func(width int) ([]*pool.Slice, error)]
 
 	mu     sync.Mutex
@@ -818,17 +819,11 @@ type Manager struct {
 	nextID ID
 }
 
-// SetPlacer installs (or clears, with nil) the placement-group
-// allocator consulted by Create instead of pool.AllocGroup. The cluster
-// layer uses it to route each new log's placement group through the
-// consistent-hash ring so groups spread across node failure domains.
-func (m *Manager) SetPlacer(f func(width int) ([]*pool.Slice, error)) {
-	if f == nil {
-		m.placer.Store(nil)
-		return
-	}
-	m.placer.Store(&f)
-}
+// SetPlacer installs the placement-group allocator Create consults in
+// place of pool.AllocGroup. The cluster layer uses it to route each new
+// log's placement group through the consistent-hash ring so groups
+// spread across node failure domains.
+func (m *Manager) SetPlacer(f func(width int) ([]*pool.Slice, error)) { m.placer.Store(&f) }
 
 // SetCache attaches a two-tier read cache shared by every log of the
 // manager (nil detaches it). Extent reads fill the cache only after
@@ -871,7 +866,9 @@ func NewManager(p *pool.Pool, capacity int64) *Manager {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Manager{pool: p, capacity: capacity, logs: make(map[ID]*PLog)}
+	m := &Manager{pool: p, capacity: capacity, logs: make(map[ID]*PLog)}
+	m.SetPlacer(p.AllocGroup)
+	return m
 }
 
 // Create allocates a new PLog with the given redundancy policy: a
@@ -880,13 +877,7 @@ func (m *Manager) Create(red Redundancy) (*PLog, error) {
 	if err := red.validate(); err != nil {
 		return nil, err
 	}
-	var slices []*pool.Slice
-	var err error
-	if fp := m.placer.Load(); fp != nil {
-		slices, err = (*fp)(red.Width())
-	} else {
-		slices, err = m.pool.AllocGroup(red.Width())
-	}
+	slices, err := (*m.placer.Load())(red.Width())
 	if err != nil {
 		return nil, err
 	}

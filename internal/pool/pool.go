@@ -130,6 +130,7 @@ func New(name string, clock *sim.Clock, class sim.DeviceClass, n int, sliceSize 
 		domains:   make([]int, n),
 		slices:    make(map[SliceID]*Slice),
 	}
+	p.SetAvoid(func(DiskID) bool { return false })
 	for i := 0; i < n; i++ {
 		p.disks = append(p.disks, &disk{
 			id:     DiskID(i),
@@ -228,27 +229,18 @@ func (p *Pool) DomainSlices() map[int]int {
 	return out
 }
 
-// SetAvoid installs (or clears, with nil) the placement veto consulted
-// on every allocation. A vetoed disk takes no new slices while any
-// non-vetoed disk can serve; if every candidate is vetoed the allocator
-// falls back to ignoring the veto rather than failing, so draining a
-// whole pool never bricks allocation. The hook runs under the pool
-// lock and must not call back into the pool.
-func (p *Pool) SetAvoid(f func(DiskID) bool) {
-	if f == nil {
-		p.avoid.Store(nil)
-		return
-	}
-	p.avoid.Store(&f)
-}
+// SetAvoid installs the placement veto consulted on every allocation
+// (New installs one that vetoes nothing). A vetoed disk takes no new
+// slices while any non-vetoed disk can serve; if every candidate is
+// vetoed the allocator falls back to ignoring the veto rather than
+// failing, so draining a whole pool never bricks allocation. The hook
+// runs under the pool lock and must not call back into the pool.
+func (p *Pool) SetAvoid(f func(DiskID) bool) { p.avoid.Store(&f) }
 
 // DiskAvoided reports whether the placement veto currently excludes a
 // disk — read paths (hedging, scrub, repair sources) use it to skip
 // copies on suspect or draining nodes.
-func (p *Pool) DiskAvoided(id DiskID) bool {
-	fp := p.avoid.Load()
-	return fp != nil && (*fp)(id)
-}
+func (p *Pool) DiskAvoided(id DiskID) bool { return (*p.avoid.Load())(id) }
 
 // DiskCount returns the number of disks, healthy or not.
 func (p *Pool) DiskCount() int { return len(p.disks) }
@@ -259,10 +251,7 @@ func (p *Pool) DiskCount() int { return len(p.disks) }
 // disk, the whole rule on a single-domain pool. Vetoed disks (SetAvoid)
 // are skipped unless no other candidate exists.
 func (p *Pool) pickLocked(exclude map[DiskID]bool, domainUsed map[int]int) *disk {
-	var avoid func(DiskID) bool
-	if fp := p.avoid.Load(); fp != nil {
-		avoid = *fp
-	}
+	avoid := *p.avoid.Load()
 	for pass := 0; pass < 2; pass++ {
 		var best *disk
 		bestDom := 0
@@ -270,7 +259,7 @@ func (p *Pool) pickLocked(exclude map[DiskID]bool, domainUsed map[int]int) *disk
 			if d.failed || exclude[d.id] {
 				continue
 			}
-			if pass == 0 && avoid != nil && avoid(d.id) {
+			if pass == 0 && avoid(d.id) {
 				continue
 			}
 			du := domainUsed[p.domainOfLocked(d.id)]
@@ -278,7 +267,7 @@ func (p *Pool) pickLocked(exclude map[DiskID]bool, domainUsed map[int]int) *disk
 				best, bestDom = d, du
 			}
 		}
-		if best != nil || avoid == nil {
+		if best != nil {
 			return best
 		}
 	}
@@ -349,16 +338,10 @@ func (p *Pool) AllocGroupIn(pref []int, n int) ([]*Slice, error) {
 // pickInDomainLocked selects the least-used healthy, non-vetoed disk of
 // one failure domain, or nil when the domain has no candidate.
 func (p *Pool) pickInDomainLocked(domain int, exclude map[DiskID]bool) *disk {
-	var avoid func(DiskID) bool
-	if fp := p.avoid.Load(); fp != nil {
-		avoid = *fp
-	}
+	avoid := *p.avoid.Load()
 	var best *disk
 	for _, d := range p.disks {
-		if d.failed || exclude[d.id] || p.domainOfLocked(d.id) != domain {
-			continue
-		}
-		if avoid != nil && avoid(d.id) {
+		if d.failed || exclude[d.id] || p.domainOfLocked(d.id) != domain || avoid(d.id) {
 			continue
 		}
 		if best == nil || d.dev.Used() < best.dev.Used() {
@@ -595,9 +578,13 @@ func (p *Pool) SliceDisk(id SliceID) (DiskID, error) {
 // from its current disk onto a healthy disk not in exclude, the disks of
 // the group's surviving copies. Like AllocGroup it prefers a failure
 // domain that holds none of those copies and falls back to the one
-// holding fewest, so a lost copy finds a home while any disk is free. It
-// is the placement half of repairing a slice stranded on a dead disk;
-// the caller charges the rebuild I/O separately via RepairSlice.
+// holding fewest, so a copy lost with one disk of a live node finds a
+// home while any disk is free. A copy whose disk is vetoed (its node
+// dead, suspect or draining) takes no such fallback: it moves only to a
+// domain holding no copy, or fails and waits for its node, so no two
+// copies come to share a domain that has a spare one coming back. It is
+// the placement half of repairing a slice stranded on a dead disk; the
+// caller charges the rebuild I/O separately via RepairSlice.
 func (p *Pool) Relocate(id SliceID, exclude map[DiskID]bool) (DiskID, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -612,7 +599,11 @@ func (p *Pool) Relocate(id SliceID, exclude map[DiskID]bool) (DiskID, error) {
 		ex[d] = true
 		used[p.domainOfLocked(d)]++
 	}
-	target, err := p.allocOnLocked(p.pickLocked(ex, used))
+	best := p.pickLocked(ex, used)
+	if best != nil && used[p.domainOfLocked(best.id)] > 0 && p.DiskAvoided(s.Disk) {
+		return 0, fmt.Errorf("%w: no domain without a copy of the group is available", ErrNoSpace)
+	}
+	target, err := p.allocOnLocked(best)
 	if err != nil {
 		return 0, err
 	}

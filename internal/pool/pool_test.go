@@ -58,6 +58,7 @@ func TestAllocGroupRollsBackOnFailure(t *testing.T) {
 	// partial allocations behind.
 	clock := sim.NewClock()
 	p := &Pool{name: "tiny", clock: clock, sliceSize: 1 << 20, slices: map[SliceID]*Slice{}}
+	p.SetAvoid(func(DiskID) bool { return false })
 	for i := 0; i < 3; i++ {
 		spec := sim.Spec(sim.NVMeSSD)
 		spec.Capacity = 1 << 20 // one slice each

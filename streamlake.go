@@ -276,19 +276,20 @@ func Open(cfg Config) (*Lake, error) {
 	cl.AttachPool(ssd, logs)
 	cl.AttachPool(hdd, logs) // shares the SSD manager's logs (tiering migrates them)
 	cl.AttachRepair(l.rep)
-	workers := cfg.Workers
 	net := inj.Net()
+	// Stream workers map onto the birth nodes only (worker w on node
+	// w%nodes); a node joined at runtime (id >= birth N) contributes
+	// storage and consensus but hosts no workers, so its id must not
+	// alias onto an old node's workers and kill the wrong links.
+	workersOf := func(node int, f func(w int)) {
+		for w := node; node < nodes && w < cfg.Workers; w += nodes {
+			f(w)
+		}
+	}
 	// A killed node's process is gone before any detection: its
 	// workers' client links partition immediately, and heal on revival.
-	// Stream workers map onto the birth nodes only; a node joined at
-	// runtime (id >= birth N) contributes storage and consensus but
-	// hosts no workers — without the guard its id would alias onto an
-	// old node's workers (node%nodes) and kill the wrong links.
 	cl.OnKill(func(node int, up bool) {
-		if node >= nodes {
-			return
-		}
-		for w := node % nodes; w < workers; w += nodes {
+		workersOf(node, func(w int) {
 			ep := fmt.Sprintf("worker/%d", w)
 			if up {
 				net.Heal("client", ep)
@@ -297,17 +298,11 @@ func Open(cfg Config) (*Lake, error) {
 				net.Partition("client", ep)
 				net.Partition(ep, "client")
 			}
-		}
+		})
 	})
-	// Committed membership changes reassign the node's stream workers
-	// (same birth-node aliasing guard as OnKill).
+	// Committed membership changes reassign the node's stream workers.
 	cl.OnMembership(func(node int, serving bool) {
-		if node >= nodes {
-			return
-		}
-		for w := node % nodes; w < workers; w += nodes {
-			svc.SetWorkerDown(w, !serving)
-		}
+		workersOf(node, func(w int) { svc.SetWorkerDown(w, !serving) })
 	})
 	svc.SetCommitGate(cl)
 	l.clus = cl
