@@ -308,7 +308,7 @@ func budgetPipeline(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 	for burst := 0; burst < 4; burst++ {
 		budgetProduce(t, b, lake, p, "t", 500, next, nil)
 		sp := lake.Tracer().Start("convert")
-		_, cost, err := lake.RunConversion()
+		_, cost, err := lake.RunConversionSpan(sp)
 		if err != nil {
 			t.Fatal(err)
 		}

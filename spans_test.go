@@ -207,3 +207,60 @@ func runCompactTrace(t *testing.T) []byte {
 func TestCompactSpanGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "spans", "compact.txt"), runCompactTrace)
 }
+
+// runConvertTrace produces three rounds of 600 rows, two of them
+// malformed, into a two-stream topic converted with delete_msg to a table
+// partitioned by province, tracing the conversion pass after each round,
+// and returns the span trees.
+func runConvertTrace(t *testing.T) []byte {
+	t.Helper()
+	lake, err := streamlake.Open(streamlake.Config{PLogCapacity: 1 << 20, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := streamlake.MustSchema("url:string", "start_time:int64", "province:string", "bytes:int64")
+	if err := lake.CreateTopic(streamlake.TopicConfig{Name: "dpi", StreamNum: 2, Convert: streamlake.ConvertConfig{
+		Enabled: true, TableName: "logs", TablePath: "/logs", TableSchema: schema,
+		PartitionColumn: "province", SplitOffset: 500, DeleteMsg: true,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	p := lake.Producer("spans")
+	provinces := []string{"bj", "sh", "gz"}
+	var out bytes.Buffer
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 600; i++ {
+			ts := int64(round*1000 + i)
+			value, err := streamlake.EncodeRow(schema, streamlake.Row{
+				streamlake.StringValue(fmt.Sprintf("http://site/%d", i%7)), streamlake.IntValue(ts),
+				streamlake.StringValue(provinces[i%len(provinces)]), streamlake.IntValue(ts % 13),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i%300 == 299 {
+				value = value[:len(value)-1]
+			}
+			if _, _, err := p.Send("dpi", []byte(fmt.Sprintf("k%d", i)), value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sp := lake.Tracer().Start("convert")
+		results, cost, err := lake.RunConversionSpan(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.End(cost)
+		fmt.Fprintf(&out, "conversion pass %d: %d topic(s)\n%s", round+1, len(results), sp.Tree())
+	}
+	return out.Bytes()
+}
+
+// TestConvertSpanGolden pins the conversion path's span tree: convert
+// (topic, messages, malformed, files) → one streamobj.read per slice read
+// over its plog.read, a tableobj.write {kind=data} per partition file,
+// tableobj.commit → tableobj.write and a streamobj.reclaim per stream,
+// byte-identical to testdata/spans/convert.txt.
+func TestConvertSpanGolden(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "spans", "convert.txt"), runConvertTrace)
+}
