@@ -92,3 +92,47 @@ func TestDMLStopsWhenCompactionRemovedItsFile(t *testing.T) {
 		}
 	}
 }
+
+// failFrom fails every pool write from the nth one while n > 0.
+type failFrom struct{ n, seen atomic.Int64 }
+
+func (h *failFrom) BeforeWrite(pool.DiskID, int64) (time.Duration, error) {
+	if n := h.n.Load(); n > 0 && h.seen.Add(1) >= n {
+		return 0, errors.New("injected write fault")
+	}
+	return 0, nil
+}
+
+func (h *failFrom) BeforeRead(pool.DiskID, int64) (time.Duration, error) { return 0, nil }
+
+// An unaccelerated insert of three partitions whose writes start failing
+// at any point leaves no data file the current snapshot does not reach.
+func TestFailedInsertLeavesNoDataFiles(t *testing.T) {
+	rows := []colfile.Row{row("a", 1, "Beijing", 1), row("b", 2, "Shanghai", 2), row("c", 3, "Guangdong", 3)}
+	for n := int64(1); ; n++ {
+		clock := sim.NewClock()
+		p := pool.New("lh", clock, sim.NVMeSSD, 8, 4<<20)
+		fs := tableobj.NewFileStore(plog.NewManager(p, 8<<20))
+		e := New(clock, fs, tableobj.NewCatalog(clock), Options{})
+		mkTable(t, e, "t")
+		hook := &failFrom{}
+		hook.n.Store(n)
+		p.SetFaultHook(hook)
+		_, err := e.Insert("t", rows)
+		hook.n.Store(0)
+		tbl, terr := e.Table("t")
+		if terr != nil {
+			t.Fatal(terr)
+		}
+		cur, _, terr := tbl.Current()
+		if terr != nil {
+			t.Fatal(terr)
+		}
+		if stored, _ := fs.List("/lake/t/data/"); len(stored) != len(cur.Files) {
+			t.Fatalf("writes failing from the %dth: %d data files stored, the snapshot reaches %d", n, len(stored), len(cur.Files))
+		}
+		if err == nil {
+			return
+		}
+	}
+}
