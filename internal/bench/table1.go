@@ -214,14 +214,14 @@ func (row *Table1Row) runStreamLake(n int, seed uint64) {
 			panic(err)
 		}
 		if (i+1)%table1Chunk == 0 {
-			_, c, err := conv.RunOnce()
+			_, c, err := conv.RunOnce(nil)
 			if err != nil {
 				panic(err)
 			}
 			convCost += c
 		}
 	}
-	if _, c, err := conv.ForceTopic("packets"); err != nil {
+	if _, c, err := conv.ForceTopic("packets", nil); err != nil {
 		panic(err)
 	} else {
 		convCost += c

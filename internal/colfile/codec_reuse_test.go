@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -26,11 +27,10 @@ func TestReusedEncoderStateIsByteIdentical(t *testing.T) {
 		other.Append(Row{StringValue(fmt.Sprintf("key-%d", i*7919%613)), FloatValue(float64(i) / 3), IntValue(int64(i * i)), StringValue(fmt.Sprint(i % 3))})
 	}
 	const rows, groupSize = 1000, 96 // eleven groups, the last one ragged
-	select {
-	case <-idleEncoder:
-	default:
+	for len(idleColumns) > 0 {
+		<-idleColumns
 	}
-	idleEncoder <- other.enc // other is never finished, so only this puts it there
+	idleColumns <- other.cols // other is never finished, so only this puts them there
 	w := NewWriter(testSchema, groupSize)
 	for i := 0; i < rows; i++ {
 		if err := w.Append(makeRow(i)); err != nil {
@@ -382,5 +382,57 @@ func BenchmarkReadGroupProjected(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// Ten writers open at once — a conversion's partition files — borrow the
+// one idle compressor for each row-group flush in turn: together they
+// allocate less than one compressor costs to build. Writers that each
+// held a compressor from their first row to Finish built nine.
+func TestOpenWritersShareOneCompressor(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	flate.NewWriter(io.Discard, flate.BestSpeed)
+	runtime.ReadMemStats(&after)
+	compressor := after.TotalAlloc - before.TotalAlloc
+	buildFile(t, 100, 0) // the idle compressor exists
+	ws := make([]*Writer, 10)
+	for i := range ws {
+		ws[i] = NewWriter(testSchema, 256)
+	}
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 3000; i++ { // each writer flushes a group, and one more at Finish
+		if err := ws[i%len(ws)].Append(makeRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, w := range ws {
+		if _, err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= compressor {
+		t.Fatalf("ten open writers allocated %d KB, a compressor costs %d KB", got>>10, compressor>>10)
+	}
+}
+
+// Once its column buffers have held a group, a writer appends a row
+// without allocating.
+func TestWriterAppendAllocatesNothingPerRow(t *testing.T) {
+	const groupSize = 1024
+	rows := make([]Row, groupSize)
+	for i := range rows {
+		rows[i] = makeRow(i)
+	}
+	w := NewWriter(testSchema, groupSize)
+	for _, r := range rows { // the first group sizes the buffers
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	if n := testing.AllocsPerRun(groupSize-2, func() { w.Append(rows[i]); i++ }); n != 0 {
+		t.Fatalf("Append made %v allocations per row, want 0", n)
 	}
 }

@@ -69,21 +69,19 @@ type Writer struct {
 	pending   int // rows in the open group
 	groups    []groupMeta
 	finished  bool
-	enc       *encoder // taken at the first row, released by Finish
+	cols      []colEncoder // taken at the first row, released by Finish
 }
 
-// encoder is a writer's chunk-encode state: the DEFLATE compressor,
-// Reset per chunk, and one incremental encoder per column.
-type encoder struct {
-	fw   *flate.Writer
-	cols []colEncoder
-}
-
-// idleEncoder keeps one encoder (its compressor ≈1.2 MB to build) between
-// files: a one-slot channel, not a sync.Pool, so the heap holds the same
-// one however collections fell. Finish puts it there reset: its
-// compressor on io.Discard, not the writer's buffer, and no string.
-var idleEncoder = make(chan *encoder, 1)
+// idleCompressor keeps the DEFLATE compressor (≈1.2 MB to build) every
+// writer borrows for a row-group flush, so open writers share one.
+// idleColumns keeps finished files' column encoders, as many as a
+// conversion holds partition files open. Channels, not sync.Pools, so
+// the heap holds the same ones however collections fell; they hold no
+// writer's buffer and no string.
+var (
+	idleCompressor = make(chan *flate.Writer, 1)
+	idleColumns    = make(chan []colEncoder, 16)
+)
 
 // NewWriter builds a writer for the schema; groupSize <= 0 selects
 // DefaultRowGroupSize.
@@ -140,22 +138,20 @@ func (w *Writer) encode(n int, add func(e *colEncoder, c, lo, hi int)) error {
 	if w.finished {
 		return errors.New("colfile: append after Finish")
 	}
-	if w.enc == nil { // the idle encoder, or a new one while another writer holds it
+	if w.cols == nil { // idle encoders, or new ones while other writers hold them all
 		select {
-		case w.enc = <-idleEncoder:
+		case w.cols = <-idleColumns:
 		default:
-			fw, _ := flate.NewWriter(io.Discard, flate.BestSpeed) // fails only on a bad level
-			w.enc = &encoder{fw: fw}
 		}
-		w.enc.cols = slices.Grow(w.enc.cols[:0], len(w.schema.Fields))[:len(w.schema.Fields)]
+		w.cols = slices.Grow(w.cols[:0], len(w.schema.Fields))[:len(w.schema.Fields)]
 		for c, f := range w.schema.Fields {
-			w.enc.cols[c].reset(f.Type)
+			w.cols[c].reset(f.Type)
 		}
 	}
 	for lo := 0; lo < n; {
 		hi := lo + min(n-lo, w.groupSize-w.pending)
-		for c := range w.enc.cols {
-			add(&w.enc.cols[c], c, lo, hi)
+		for c := range w.cols {
+			add(&w.cols[c], c, lo, hi)
 		}
 		w.pending, lo = w.pending+hi-lo, hi
 		if err := w.flushGroup(w.groupSize); err != nil {
@@ -171,15 +167,28 @@ func (w *Writer) flushGroup(atLeast int) error {
 	if w.pending == 0 || w.pending < atLeast {
 		return nil
 	}
+	var fw *flate.Writer
+	select {
+	case fw = <-idleCompressor:
+	default:
+		fw, _ = flate.NewWriter(io.Discard, flate.BestSpeed) // fails only on a bad level
+	}
+	defer func() {
+		fw.Reset(io.Discard) // or the idle slot pins w through &w.buf
+		select {
+		case idleCompressor <- fw:
+		default:
+		}
+	}()
 	g := groupMeta{rows: w.pending}
-	for c := range w.enc.cols {
-		e := &w.enc.cols[c]
+	for c := range w.cols {
+		e := &w.cols[c]
 		head, body := e.chunk()
 		offset := w.buf.Len()
-		w.enc.fw.Reset(&w.buf)
-		w.enc.fw.Write(head) // into a bytes.Buffer: the errors surface at Close
-		w.enc.fw.Write(body)
-		if err := w.enc.fw.Close(); err != nil {
+		fw.Reset(&w.buf)
+		fw.Write(head) // into a bytes.Buffer: the errors surface at Close
+		fw.Write(body)
+		if err := fw.Close(); err != nil {
 			return err
 		}
 		g.chunks = append(g.chunks, chunkRef{offset: int64(offset), length: int64(w.buf.Len() - offset)})
@@ -213,13 +222,12 @@ func (w *Writer) Finish() ([]byte, error) {
 		return nil, err
 	}
 	w.finished = true
-	if w.enc != nil {
-		w.enc.fw.Reset(io.Discard) // or the idle slot pins w through &w.buf
+	if w.cols != nil { // flushGroup reset them
 		select {
-		case idleEncoder <- w.enc:
+		case idleColumns <- w.cols:
 		default:
 		}
-		w.enc = nil
+		w.cols = nil
 	}
 
 	var f []byte

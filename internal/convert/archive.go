@@ -99,8 +99,10 @@ func (a *Archiver) archiveTopic(name string, cfg streamsvc.TopicConfig) (Archive
 
 	res := ArchiveResult{Topic: name, External: cfg.Archive.ExternalURL != ""}
 	var cost time.Duration
-	var rows []colfile.Row
-	rawSchema := colfile.MustSchema("key:string", "value:string", "offset:int64")
+	var w *colfile.Writer // the columnar archive, encoded as the records arrive
+	if cfg.Archive.RowToCol {
+		w = colfile.NewWriter(colfile.MustSchema("key:string", "value:string", "offset:int64"), 0)
+	}
 	var buf []streamobj.Record // one read buffer for every slice
 	for i, o := range streams {
 		if _, err := o.Flush(); err != nil {
@@ -120,12 +122,11 @@ func (a *Archiver) archiveTopic(name string, cfg streamsvc.TopicConfig) (Archive
 			for _, r := range recs {
 				res.Messages++
 				res.RawBytes += int64(len(r.Key) + len(r.Value))
-				if cfg.Archive.RowToCol {
-					rows = append(rows, colfile.Row{
-						colfile.StringValue(string(r.Key)),
-						colfile.StringValue(string(r.Value)),
-						colfile.IntValue(r.Offset),
-					})
+				if w != nil {
+					row := colfile.Row{colfile.StringValue(string(r.Key)), colfile.StringValue(string(r.Value)), colfile.IntValue(r.Offset)}
+					if err := w.Append(row); err != nil {
+						return res, cost, err
+					}
 				}
 			}
 			off = recs[len(recs)-1].Offset + 1
@@ -136,13 +137,7 @@ func (a *Archiver) archiveTopic(name string, cfg streamsvc.TopicConfig) (Archive
 	// Land the archive: columnar re-encode shrinks it (EC+Col-store of
 	// Figure 14-d); otherwise raw bytes move as-is.
 	archivedBytes := res.RawBytes
-	if cfg.Archive.RowToCol && len(rows) > 0 {
-		w := colfile.NewWriter(rawSchema, 0)
-		for _, r := range rows {
-			if err := w.Append(r); err != nil {
-				return res, cost, err
-			}
-		}
+	if w != nil && res.Messages > 0 {
 		blob, err := w.Finish()
 		if err != nil {
 			return res, cost, err

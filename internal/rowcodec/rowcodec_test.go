@@ -68,6 +68,21 @@ func TestDecodeRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// inShapeTable reports whether a non-empty s is a field name an entry of
+// the shape table owns.
+func inShapeTable(s string) bool {
+	for i := range shapes {
+		if e := shapes[i].Load(); e != nil && s != "" {
+			for _, f := range e.schema.Fields {
+				if unsafe.StringData(f.Name) == unsafe.StringData(s) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // inside reports whether s's bytes lie within data's. An empty s is
 // inside when its pointer is, since that pointer alone would keep data
 // alive.
@@ -80,9 +95,10 @@ func inside(s string, data []byte) bool {
 	return p >= lo && p+uintptr(len(s)) <= lo+uintptr(len(data))
 }
 
-// Decode copies no string: every field name and string value shares
-// the input's bytes, and an empty one is "", which points at nothing
-// in the input.
+// Decode copies no string: every string value shares the input's bytes,
+// and so does every field name of a shape the table lacked; an empty one
+// is "", which points at nothing in the input. A second decode of the
+// shape takes the names the table owns.
 func TestDecodeBorrowsStrings(t *testing.T) {
 	s := colfile.Schema{Fields: []colfile.Field{
 		{Name: "path", Type: colfile.String}, {Name: "n", Type: colfile.Int64},
@@ -107,7 +123,9 @@ func TestDecodeBorrowsStrings(t *testing.T) {
 		}
 	}
 	for _, f := range gs.Fields {
-		check("field name", f.Name)
+		if !inShapeTable(f.Name) {
+			check("field name", f.Name)
+		}
 	}
 	if !gs.Equal(s) || len(got) != len(rows) {
 		t.Fatalf("decoded %v with %d rows", gs, len(got))

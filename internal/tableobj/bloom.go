@@ -34,19 +34,20 @@ func NewBloom(n int) *Bloom {
 	return &Bloom{K: bloomProbes, Bits: make([]byte, (bits+7)/8)}
 }
 
-// hashValue derives the two FNV-64 hashes double hashing combines.
-func hashValue(v colfile.Value) (uint64, uint64) {
+// hashValue is the FNV-64 hash of v's canonical encoding, the first of
+// the two hashes double hashing combines.
+func hashValue(v colfile.Value) uint64 {
 	h := fnv.New64a()
 	h.Write(colfile.AppendValue(nil, v))
-	h1 := h.Sum64()
-	// Derived second hash (odd, so probe steps cycle the whole table).
-	h2 := h1>>33 | h1<<31 | 1
-	return h1, h2
+	return h.Sum64()
 }
 
 // Add records a value.
-func (b *Bloom) Add(v colfile.Value) {
-	h1, h2 := hashValue(v)
+func (b *Bloom) Add(v colfile.Value) { b.addHash(hashValue(v)) }
+
+// addHash records the value whose hashValue is h1.
+func (b *Bloom) addHash(h1 uint64) {
+	h2 := h1>>33 | h1<<31 | 1 // the second hash: odd, so probe steps cycle the whole table
 	n := uint64(len(b.Bits)) * 8
 	for i := uint64(0); i < uint64(b.K); i++ {
 		bit := (h1 + i*h2) % n
@@ -60,8 +61,8 @@ func (b *Bloom) MayContain(v colfile.Value) bool {
 	if b == nil || len(b.Bits) == 0 {
 		return true // no filter: cannot prune
 	}
-	h1, h2 := hashValue(v)
-	n := uint64(len(b.Bits)) * 8
+	h1 := hashValue(v)
+	h2, n := h1>>33|h1<<31|1, uint64(len(b.Bits))*8
 	for i := uint64(0); i < uint64(b.K); i++ {
 		bit := (h1 + i*h2) % n
 		if b.Bits[bit/8]&(1<<(bit%8)) == 0 {
