@@ -95,7 +95,9 @@ done
 # its extent plus a constant (plog), a request costs its bytes (gateway),
 # a table file costs its bytes (colfile), a warm plan costs the files it
 # admits and a scan parses footers into one reader (lakehouse), a
-# converted row costs a fixed count of allocations and bytes (convert),
+# converted row costs a fixed count of allocations and bytes: it streams
+# into its partition's writer, the writers share one compressor, and a
+# known message shape decodes no schema (convert, colfile, rowcodec),
 # a data file is encoded from the caller's rows, not a copy, and a
 # rewrite decodes file after file into one buffer (tableobj, lakehouse),
 # a commit writes a header, not the manifest (tableobj), a poll costs
