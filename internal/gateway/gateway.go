@@ -20,7 +20,7 @@
 //	GET  /trace/{id}                        one recorded trace as JSON
 //
 // Every request must carry "Authorization: Bearer <token>"; tokens map
-// to principals whose ACL lists the verbs they may use. Produce
+// to principals whose ACL lists the verbs they may use. Produce and SQL
 // requests may add ?trace=1 to record a span tree of the request's path
 // through the stack; the response — an error envelope included —
 // then carries the trace_id to fetch it. A consume whose ?deadline_ms=
@@ -273,8 +273,10 @@ func (s *Server) requestCtx(w http.ResponseWriter, q url.Values) (rc *resil.Ctx,
 // Retry-After: the service is sick or out of time, not the request
 // wrong, so the client's correct move is to back off and retry. A
 // tenant the registry lost is 401; any other error keeps the caller's
-// code. A traced request's envelope carries its trace_id.
+// code. A traced request's span is marked with the error and its
+// envelope carries the trace_id.
 func (s *Server) fail(w http.ResponseWriter, err error, code int, sp *obs.Span) {
+	sp.SetAttr("error", err.Error())
 	wait := time.Duration(-1) // negative: no Retry-After
 	var qe *tenant.QuotaError
 	switch {
@@ -299,6 +301,15 @@ func (s *Server) fail(w http.ResponseWriter, err error, code int, sp *obs.Span) 
 		body.TraceID = sp.ID
 	}
 	writeError(w, code, body)
+}
+
+// startTrace opens the root span of a request that asks for ?trace=1,
+// and returns nil for any other.
+func (s *Server) startTrace(q url.Values, name string) *obs.Span {
+	if q.Get("trace") != "1" {
+		return nil
+	}
+	return s.lake.Tracer().Start(name)
 }
 
 // tenantOf names the tenant a principal's produce traffic is bound to:
@@ -466,6 +477,7 @@ type (
 		Columns   []string   `json:"columns"`
 		LatencyNs int64      `json:"latency_ns"`
 		Rows      [][]string `json:"rows"`
+		TraceID   int64      `json:"trace_id,omitempty"`
 	}
 )
 
@@ -522,22 +534,16 @@ func (s *Server) produce(w http.ResponseWriter, r *http.Request, p *Principal) {
 		s.producers[pkey] = producer
 	}
 	s.mu.Unlock()
-	// ?trace=1 records the request's span tree.
-	var sp *obs.Span
-	if q.Get("trace") == "1" {
-		sp = s.lake.Tracer().Start("gateway.produce")
-		sp.SetAttr("topic", topic)
-	}
+	sp := s.startTrace(q, "gateway.produce")
+	sp.SetAttr("topic", topic)
 	msg, cost, err := producer.SendSpanCtx(topic, rec.key, rec.value, sp, rc)
+	sp.End(cost)
 	if err != nil {
-		// A failed request is the one most worth diagnosing: close its
-		// span with the cost so far and name it in the envelope.
-		sp.SetAttr("error", err.Error())
-		sp.End(cost)
+		// A failed request is the one most worth diagnosing: its span
+		// closes with the cost so far, and the envelope names it.
 		s.fail(w, err, http.StatusNotFound, sp)
 		return
 	}
-	sp.End(cost)
 	resp := produceResponse{LatencyNs: cost.Nanoseconds(), Offset: msg.Offset, Stream: msg.Stream}
 	if sp != nil {
 		resp.TraceID = sp.ID
@@ -634,16 +640,22 @@ func sqlQuery(body []byte) (string, error) {
 }
 
 func (s *Server) sql(w http.ResponseWriter, r *http.Request, _ *Principal) {
-	query, ok := parseBody(w, r, MaxSQLBody, sqlQuery)
+	stmt, ok := parseBody(w, r, MaxSQLBody, sqlQuery)
 	if !ok {
 		return
 	}
-	res, cost, err := s.lake.QueryCost(query)
+	sp := s.startTrace(query(r), "gateway.sql")
+	res, cost, err := s.lake.QuerySpan(stmt, sp)
+	sp.End(cost)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
+		s.fail(w, err, http.StatusBadRequest, sp)
 		return
 	}
-	writeJSON(w, sqlResponse{Columns: res.Columns, LatencyNs: cost.Nanoseconds(), Rows: res.Rows})
+	resp := sqlResponse{Columns: res.Columns, LatencyNs: cost.Nanoseconds(), Rows: res.Rows}
+	if sp != nil {
+		resp.TraceID = sp.ID
+	}
+	writeJSON(w, resp)
 }
 
 func (s *Server) stats(w http.ResponseWriter, r *http.Request, _ *Principal) {

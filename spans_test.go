@@ -2,11 +2,14 @@ package streamlake_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
 	"streamlake"
+	"streamlake/internal/gateway"
 	"streamlake/internal/lakebrain/compact"
 )
 
@@ -54,10 +57,9 @@ func TestPollSpanGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "spans", "poll.txt"), runPollDrain)
 }
 
-// runSQLTrace loads a partitioned table in several inserts and traces a
-// selective projection, a full GROUP BY and a repeat of the first, and
-// returns the span trees.
-func runSQLTrace(t *testing.T) []byte {
+// sqlTraceLake opens a lake holding a partitioned table loaded in
+// several inserts, and returns it with a selective projection over it.
+func sqlTraceLake(t *testing.T) (*streamlake.Lake, string) {
 	t.Helper()
 	lake, err := streamlake.Open(streamlake.Config{Seed: 42})
 	if err != nil {
@@ -84,7 +86,14 @@ func runSQLTrace(t *testing.T) []byte {
 	if err := lake.FlushTable("logs"); err != nil {
 		t.Fatal(err)
 	}
-	selective := "select url, bytes from logs where start_time >= 120 and start_time < 150"
+	return lake, "select url, bytes from logs where start_time >= 120 and start_time < 150"
+}
+
+// runSQLTrace traces a selective projection, a full GROUP BY and a
+// repeat of the first, and returns the span trees.
+func runSQLTrace(t *testing.T) []byte {
+	t.Helper()
+	lake, selective := sqlTraceLake(t)
 	var out bytes.Buffer
 	for _, sql := range []string{selective, "select count(*), sum(bytes) from logs group by province", selective} {
 		sp := lake.Tracer().Start("query.execute")
@@ -104,6 +113,51 @@ func runSQLTrace(t *testing.T) []byte {
 // testdata/spans/sql.txt.
 func TestSQLSpanGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "spans", "sql.txt"), runSQLTrace)
+}
+
+// runGatewaySQLTrace posts a selective projection, a pushed-down
+// GROUP BY and a statement naming an unknown column to POST
+// /v1/sql?trace=1, and returns each status, row count, trace_id, error
+// and span tree.
+func runGatewaySQLTrace(t *testing.T) []byte {
+	t.Helper()
+	lake, selective := sqlTraceLake(t)
+	acl := gateway.NewACL()
+	acl.Grant("token", "analyst", gateway.PermQuery)
+	srv := gateway.New(lake, acl)
+	var out bytes.Buffer
+	for _, sql := range []string{selective, "select count(*), sum(bytes) from logs group by province", "select ghost from logs"} {
+		body, _ := json.Marshal(map[string]string{"query": sql})
+		req := httptest.NewRequest("POST", "/v1/sql?trace=1", bytes.NewReader(body))
+		req.Header.Set("Authorization", "Bearer token")
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		var resp struct {
+			Error   string     `json:"error"`
+			Rows    [][]string `json:"rows"`
+			TraceID int64      `json:"trace_id"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		sp := lake.Tracer().Get(resp.TraceID)
+		if sp == nil {
+			t.Fatalf("%s: no trace %d", sql, resp.TraceID)
+		}
+		if resp.Error != "" {
+			resp.Error = ", " + resp.Error
+		}
+		fmt.Fprintf(&out, "%s: %d, %d row(s), trace_id=%d%s\n%s", sql, rec.Code, len(resp.Rows), resp.TraceID, resp.Error, sp.Tree())
+	}
+	return out.Bytes()
+}
+
+// TestGatewaySQLSpanGolden pins a traced SQL request's span tree: a
+// gateway.sql root over the query's lakehouse.plan and lakehouse.scan,
+// its trace_id in the response, an error envelope's included,
+// byte-identical to testdata/spans/gateway_sql.txt.
+func TestGatewaySQLSpanGolden(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "spans", "gateway_sql.txt"), runGatewaySQLTrace)
 }
 
 // runFlushTrace loads a partitioned table in 12 rounds of 4
