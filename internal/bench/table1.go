@@ -270,7 +270,7 @@ func (row *Table1Row) runStreamLake(n int, seed uint64) {
 	if err != nil {
 		panic(err)
 	}
-	_, queryCost, err := lh.AggregatePushdown("dpi_logs",
+	_, dau, err := lh.AggregatePushdown("dpi_logs",
 		[]lakehouse.RangeFilter{{Column: "url", Lo: &urlV, Hi: &urlV}},
 		"province", "", nil)
 	if err != nil {
@@ -280,7 +280,7 @@ func (row *Table1Row) runStreamLake(n int, seed uint64) {
 	row.StreamLakeStorage = logs.PhysicalBytes()
 	row.StreamLakeRate = sustainedRate(n, int64(n)*dpi.PacketSize)
 
-	batch := convCost + updateCost + compactCost + planCost + queryCost
+	batch := convCost + updateCost + compactCost + planCost + dau.PlanCost + dau.ScanCost
 	batch += 4 * jobStartup // the same four pipeline jobs
 	// Transform compute: the conversion fuses normalize+label into one
 	// pass (two passes' work); the pushed-down query evaluates only the

@@ -165,12 +165,12 @@ func TestAggregatePushdownDAUQuery(t *testing.T) {
 	}
 	e.Insert("tb_dpi_log_hours", rows)
 	e.Flush("tb_dpi_log_hours")
-	results, cost, err := e.AggregatePushdown("tb_dpi_log_hours",
+	results, qs, err := e.AggregatePushdown("tb_dpi_log_hours",
 		[]RangeFilter{
 			{Column: "url", Lo: sv("http://streamlake_fin_app.com"), Hi: sv("http://streamlake_fin_app.com")},
 			{Column: "start_time", Lo: iv(1656806400), Hi: iv(1656806400 + 999)},
 		}, "province", "", nil)
-	if err != nil || cost <= 0 {
+	if err != nil || qs.PlanCost+qs.ScanCost <= 0 {
 		t.Fatal(err)
 	}
 	if len(results) != 3 {

@@ -56,6 +56,8 @@ type RangeFilter struct {
 // visit, plus accounting of the planning work — the quantities Figure 15
 // measures.
 type Plan struct {
+	// Files are the admitted files. In a plan Query makes, a file the
+	// manifest admitted carries no statistics: they were only checked.
 	Files []tableobj.DataFile
 	// MetadataBytes is how much metadata the compute engine had to load
 	// to plan the query; the baseline loads the whole listing, the
@@ -83,13 +85,14 @@ const fileMetaBytes = 220 // approximate manifest entry footprint
 // partition count); without it the engine behaves like a file-based
 // catalog: it lists the data directory and opens every file's footer.
 func (e *Engine) PlanScan(name string, filters []RangeFilter) (Plan, time.Duration, error) {
-	return e.PlanScanSpan(name, filters, nil)
+	return e.plan(name, filters, nil, true)
 }
 
-// PlanScanSpan is PlanScan recording a lakehouse.plan child of sp: the
-// total, pruned and admitted files, and what served the manifest (memo,
-// cache or device). A nil sp traces nothing.
-func (e *Engine) PlanScanSpan(name string, filters []RangeFilter, sp *obs.Span) (Plan, time.Duration, error) {
+// plan is PlanScan recording a lakehouse.plan child of sp: the total,
+// pruned and admitted files, and what served the manifest (memo, cache
+// or device). A nil sp traces nothing. Only with decode does a file the
+// manifest admits carry its decoded statistics.
+func (e *Engine) plan(name string, filters []RangeFilter, sp *obs.Span, decode bool) (Plan, time.Duration, error) {
 	st, err := e.state(name)
 	if err != nil {
 		return Plan{}, 0, err
@@ -98,7 +101,7 @@ func (e *Engine) PlanScanSpan(name string, filters []RangeFilter, sp *obs.Span) 
 	var plan Plan
 	var cost time.Duration
 	if e.opts.Acceleration {
-		plan, cost, err = e.planAccelerated(st, filters, psp)
+		plan, cost, err = e.planAccelerated(st, filters, psp, decode)
 	} else {
 		plan, cost, err = e.planFileBased(st, filters)
 	}
@@ -121,7 +124,7 @@ func (e *Engine) PlanScanSpan(name string, filters []RangeFilter, sp *obs.Span) 
 	return plan, cost, err
 }
 
-func (e *Engine) planAccelerated(st *tableState, filters []RangeFilter, sp *obs.Span) (Plan, time.Duration, error) {
+func (e *Engine) planAccelerated(st *tableState, filters []RangeFilter, sp *obs.Span, decode bool) (Plan, time.Duration, error) {
 	m, src, cost, err := e.currentManifest(st)
 	if err != nil {
 		return Plan{}, cost, err
@@ -138,7 +141,15 @@ func (e *Engine) planAccelerated(st *tableState, filters []RangeFilter, sp *obs.
 			plan.SkippedFiles++
 			continue
 		}
-		f, err := ent.File()
+		// Past rangeRejects, only an extended entry's zones and blooms can
+		// still prune it: any other admits as its bare DataFile.
+		f := tableobj.DataFile{Path: ent.Path, Partition: ent.Partition, Rows: ent.Rows, Bytes: ent.Bytes}
+		var err error
+		if decode || ent.Extended() && len(bound) > 0 {
+			f, err = ent.File()
+		} else {
+			err = ent.Check()
+		}
 		if err != nil {
 			// Undecodable stats: forget the memo and the cached file, so
 			// the next plan decodes the bytes fs holds.
@@ -435,8 +446,17 @@ func (e *Engine) ScanProjected(name string, plan Plan, filters []RangeFilter, co
 		}
 	}()
 	row := make(colfile.Row, len(need)) // reused across rows; fn must not retain it
-	var cols [][]colfile.Value          // decode buffers, reused across every group of every file
-	var r colfile.Reader                // every file's footer parses into its storage
+	// The decode buffers, reused across every group of every file, are
+	// sized once for the largest group the plan's row counts allow.
+	var most int64
+	for _, f := range plan.Files {
+		most = max(most, min(f.Rows, colfile.DefaultRowGroupSize))
+	}
+	cols := make([][]colfile.Value, len(proj))
+	for k := range cols {
+		cols[k] = make([]colfile.Value, 0, most)
+	}
+	var r colfile.Reader // every file's footer parses into its storage
 	for _, f := range plan.Files {
 		blob, rc, err := e.fs.Read(f.Path)
 		if ssp != nil {
@@ -506,29 +526,41 @@ type AggregateResult struct {
 	Sum   float64
 }
 
+// QueryStats accounts one Query: its plan and its scan, each with its
+// virtual cost.
+type QueryStats struct {
+	Plan               Plan
+	Scan               ScanStats
+	PlanCost, ScanCost time.Duration
+}
+
+// Query plans a filtered scan as PlanScan does, recording it under sp,
+// but without decoding the statistics of a file the manifest admits:
+// the scan reads only its path. check, when not nil, sees the plan
+// before any file is read, and an error from it ends the query. Then
+// ScanProjected reads what the plan admits, under scanFilters.
+func (e *Engine) Query(name string, filters, scanFilters []RangeFilter, columns []string, sp *obs.Span, check func(Plan) error, fn func(colfile.Row) bool) (qs QueryStats, err error) {
+	if qs.Plan, qs.PlanCost, err = e.plan(name, filters, sp, false); err == nil && check != nil {
+		err = check(qs.Plan)
+	}
+	if err == nil {
+		qs.Scan, qs.ScanCost, err = e.ScanProjected(name, qs.Plan, scanFilters, columns, sp, fn)
+	}
+	return qs, err
+}
+
 // AggregatePushdown runs COUNT (and SUM of sumColumn, when non-empty)
 // grouped by groupColumn entirely at the storage side — the computation
 // pushdown that keeps the Figure 13 DAU query from shipping raw rows to
-// the compute engine. Its plan and scan are recorded under sp as
-// PlanScanSpan and ScanProjected record them; a nil sp traces nothing.
-func (e *Engine) AggregatePushdown(name string, filters []RangeFilter, groupColumn, sumColumn string, sp *obs.Span) ([]AggregateResult, time.Duration, error) {
+// the compute engine — through Query, which records it under sp.
+func (e *Engine) AggregatePushdown(name string, filters []RangeFilter, groupColumn, sumColumn string, sp *obs.Span) ([]AggregateResult, QueryStats, error) {
 	st, err := e.state(name)
 	if err != nil {
-		return nil, 0, err
-	}
-	plan, cost, err := e.PlanScanSpan(name, filters, sp)
-	if err != nil {
-		return nil, cost, err
+		return nil, QueryStats{}, err
 	}
 	schema := st.tbl.Schema()
 	gi := schema.FieldIndex(groupColumn)
-	if groupColumn != "" && gi < 0 {
-		return nil, cost, errors.New("lakehouse: unknown group column " + groupColumn)
-	}
 	si := schema.FieldIndex(sumColumn)
-	if sumColumn != "" && si < 0 {
-		return nil, cost, errors.New("lakehouse: unknown sum column " + sumColumn)
-	}
 	columns := []string{}
 	for _, col := range []string{groupColumn, sumColumn} {
 		if col != "" {
@@ -536,7 +568,7 @@ func (e *Engine) AggregatePushdown(name string, filters []RangeFilter, groupColu
 		}
 	}
 	groups := map[string]*AggregateResult{}
-	_, scanCost, err := e.ScanProjected(name, plan, filters, columns, sp, func(row colfile.Row) bool {
+	qs, err := e.Query(name, filters, filters, columns, sp, nil, func(row colfile.Row) bool {
 		key := ""
 		if gi >= 0 {
 			key = row[gi].String()
@@ -557,14 +589,13 @@ func (e *Engine) AggregatePushdown(name string, filters []RangeFilter, groupColu
 		}
 		return true
 	})
-	cost += scanCost
 	if err != nil {
-		return nil, cost, err
+		return nil, qs, err
 	}
 	out := make([]AggregateResult, 0, len(groups))
 	for _, g := range groups {
 		out = append(out, *g)
 	}
 	slices.SortFunc(out, func(a, b AggregateResult) int { return strings.Compare(a.Group, b.Group) })
-	return out, cost, nil
+	return out, qs, nil
 }

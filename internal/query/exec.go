@@ -151,13 +151,14 @@ func (e *Engine) ExecuteSpan(stmt *Stmt, sp *obs.Span) (*Result, error) {
 	// one column (all a pushed-down AggregateResult carries).
 	if sumColumn, one := singleSum(stmt.Select); one && e.Pushdown && allAggregates(stmt.Select) && condsExact(conds) {
 		sp.SetAttr("path", "pushdown")
-		pushed, cost, err := e.lh.AggregatePushdown(stmt.Table, filters, stmt.GroupBy, sumColumn, sp)
+		pushed, qs, err := e.lh.AggregatePushdown(stmt.Table, filters, stmt.GroupBy, sumColumn, sp)
 		if err != nil {
 			return nil, err
 		}
 		m.pushdownHits.Inc()
+		res.Stats = planStats(qs)
 		res.Stats.ComputeBytes = int64(len(pushed)) * rowShipBytes
-		res.Stats.ExecCost = cost + e.net.Read(res.Stats.ComputeBytes)
+		res.Stats.ExecCost += e.net.Read(res.Stats.ComputeBytes)
 		m.computeBytes.Add(res.Stats.ComputeBytes)
 		if err := e.checkBudget(res.Stats.ComputeBytes); err != nil {
 			return nil, err
@@ -174,17 +175,6 @@ func (e *Engine) ExecuteSpan(stmt *Stmt, sp *obs.Span) (*Result, error) {
 	}
 
 	// General path: plan, scan, compute-side evaluation.
-	plan, planCost, err := e.lh.PlanScanSpan(stmt.Table, filters, sp)
-	if err != nil {
-		return nil, err
-	}
-	res.Stats.PlanCost = planCost
-	res.Stats.MetadataBytes = plan.MetadataBytes
-	res.Stats.FilesRead = len(plan.Files)
-	res.Stats.FilesSkipped = plan.SkippedFiles
-	if err := e.checkBudget(plan.MetadataBytes); err != nil {
-		return nil, err
-	}
 	scanFilters := filters
 	if !e.Pushdown {
 		// Without pushdown the storage returns whole files; filtering
@@ -206,13 +196,17 @@ func (e *Engine) ExecuteSpan(stmt *Stmt, sp *obs.Span) (*Result, error) {
 			columns = append(columns, stmt.GroupBy)
 		}
 	}
-	var shipped int64
+	var shipped, metadata int64
 	groups := map[string]*aggRow{}
 	var rawRows [][]string
 	var oom error
-	stats, execCost, err := e.lh.ScanProjected(stmt.Table, plan, scanFilters, columns, sp, func(row colfile.Row) bool {
+	check := func(plan lakehouse.Plan) error {
+		metadata = plan.MetadataBytes
+		return e.checkBudget(metadata)
+	}
+	qs, err := e.lh.Query(stmt.Table, filters, scanFilters, columns, sp, check, func(row colfile.Row) bool {
 		shipped += rowShipBytes
-		if err := e.checkBudget(plan.MetadataBytes + shipped); err != nil {
+		if err := e.checkBudget(metadata + shipped); err != nil {
 			oom = err
 			return false
 		}
@@ -266,10 +260,9 @@ func (e *Engine) ExecuteSpan(stmt *Stmt, sp *obs.Span) (*Result, error) {
 		return nil, err
 	}
 	// Every shipped row crosses the storage-to-compute link.
-	execCost += e.net.Read(shipped)
-	res.Stats.ExecCost = execCost
-	res.Stats.ComputeBytes = shipped + plan.MetadataBytes
-	res.Stats.RowsScanned = stats.RowsScanned
+	res.Stats = planStats(qs)
+	res.Stats.ExecCost += e.net.Read(shipped)
+	res.Stats.ComputeBytes = shipped + metadata
 	m.computeBytes.Add(res.Stats.ComputeBytes)
 
 	if aggregated {
@@ -284,6 +277,12 @@ func (e *Engine) ExecuteSpan(stmt *Stmt, sp *obs.Span) (*Result, error) {
 	res.Columns = projectionColumns(stmt, schema)
 	res.Rows = rawRows
 	return res, nil
+}
+
+// planStats is a query's accounting of its plan and scan.
+func planStats(qs lakehouse.QueryStats) ExecStats {
+	return ExecStats{PlanCost: qs.PlanCost, ExecCost: qs.ScanCost, MetadataBytes: qs.Plan.MetadataBytes,
+		RowsScanned: qs.Scan.RowsScanned, FilesRead: len(qs.Plan.Files), FilesSkipped: qs.Plan.SkippedFiles}
 }
 
 // aggRow is one group of an aggregate query: its row count and one sum

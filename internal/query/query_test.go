@@ -1,10 +1,13 @@
 package query
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
 
+	"streamlake/internal/cache"
 	"streamlake/internal/colfile"
 	"streamlake/internal/lakehouse"
 	"streamlake/internal/plog"
@@ -253,5 +256,104 @@ func TestStrictFloatBoundsCorrect(t *testing.T) {
 	// scores 0.0..0.9 -> 10 rows; strict < must exclude 1.0.
 	if res.Rows[0][0] != "10" {
 		t.Fatalf("strict float count: %v", res.Rows)
+	}
+}
+
+// A pushed-down query reports the plan it ran on: the same statement
+// with pushdown on and off reads, skips and loads the same files and
+// metadata, and on both paths the plan's cost is its own, not folded
+// into the execution's.
+func TestPushdownReportsItsPlan(t *testing.T) {
+	e, lh := newEngine(t)
+	for b := 0; b < 4; b++ {
+		var rows []colfile.Row
+		for i := 0; i < 50; i++ {
+			rows = append(rows, colfile.Row{colfile.StringValue("http://fin.app"), colfile.IntValue(int64(1000*b + i)),
+				colfile.StringValue([]string{"Beijing", "Shanghai"}[i%2]), colfile.IntValue(int64(i % 10)), colfile.FloatValue(0)})
+		}
+		if _, err := lh.Insert("logs", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := lh.Flush("logs"); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{"select count(*) from logs", "select count(*), sum(bytes) from logs where start_time >= 3000 group by province"} {
+		var stats [2]ExecStats
+		for i, pushdown := range []bool{true, false} {
+			e.Pushdown = pushdown
+			res, err := e.Query(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats[i] = res.Stats
+		}
+		on, off := stats[0], stats[1]
+		if on.FilesRead == 0 || on.PlanCost == 0 || off.PlanCost == 0 || on.RowsScanned == 0 ||
+			on.FilesRead != off.FilesRead || on.FilesSkipped != off.FilesSkipped || on.MetadataBytes != off.MetadataBytes {
+			t.Fatalf("%q: pushdown on %+v, off %+v", sql, on, off)
+		}
+	}
+}
+
+// Damaged statistics fail a SQL query that admits their file, on the
+// pushdown path and the general path alike, although neither decodes
+// an admitted file's statistics: planning walks them. One row's stats
+// have their last value's type byte damaged in the cached checkpoint;
+// a query that range-rejects the file on an intact column answers, one
+// that admits it fails and drops the cached copy, and the next reads
+// the intact file fs holds.
+func TestQueryCorruptCachedStats(t *testing.T) {
+	for _, pushdown := range []bool{true, false} {
+		clock := sim.NewClock()
+		fs := tableobj.NewFileStore(plog.NewManager(pool.New("q", clock, sim.NVMeSSD, 8, 4<<20), 8<<20))
+		lh := lakehouse.New(clock, fs, tableobj.NewCatalog(clock), lakehouse.Options{Acceleration: true})
+		c := cache.New(cache.Config{DRAMBytes: 1 << 20, SCMBytes: 4 << 20})
+		lh.SetCache(c)
+		if _, err := lh.CreateTable(tableobj.TableMeta{Name: "logs", Path: "/lake/logs", Schema: dpiSchema}); err != nil {
+			t.Fatal(err)
+		}
+		r := colfile.Row{colfile.StringValue("http://fin.app"), colfile.IntValue(5), colfile.StringValue("bj"), colfile.IntValue(7), colfile.FloatValue(0.5)}
+		if _, err := lh.Insert("logs", []colfile.Row{r}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lh.Flush("logs"); err != nil {
+			t.Fatal(err)
+		}
+		stats := binary.AppendUvarint(nil, uint64(len(r)))
+		for _, v := range r {
+			stats = colfile.AppendValue(colfile.AppendValue(stats, v), v)
+		}
+		paths, _ := fs.List("/lake/logs/metadata/checkpoints/")
+		if len(paths) != 1 {
+			t.Fatalf("metadata checkpoints: %v", paths)
+		}
+		blob, _, err := fs.Read(paths[0])
+		at := bytes.Index(blob, stats)
+		if err != nil || at < 0 {
+			t.Fatalf("stats not found in the checkpoint: %v", err)
+		}
+		bad := append([]byte(nil), blob...)
+		bad[at+len(stats)-len(colfile.AppendValue(nil, r[4]))] = 0xEE
+		c.Put("manifest/logs/"+paths[0], bad) // the key planning reads the checkpoint under
+
+		e := New(lh)
+		e.Pushdown = pushdown
+		count := func(sql string) (string, error) {
+			res, err := e.Query(sql)
+			if err != nil || len(res.Rows) == 0 { // no row matched: no group
+				return "0", err
+			}
+			return res.Rows[0][0], nil
+		}
+		if n, err := count("select count(*) from logs where start_time >= 100"); err != nil || n != "0" {
+			t.Fatalf("pushdown=%v: a query rejecting the file on an intact column: %q, %v", pushdown, n, err)
+		}
+		if _, err := count("select count(*) from logs"); err == nil {
+			t.Fatalf("pushdown=%v: a query admitting the file with damaged stats succeeded", pushdown)
+		}
+		if n, err := count("select count(*) from logs"); err != nil || n != "1" {
+			t.Fatalf("pushdown=%v: the query after the failure did not reread the intact file: %q, %v", pushdown, n, err)
+		}
 	}
 }

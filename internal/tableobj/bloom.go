@@ -82,8 +82,9 @@ func appendBloom(buf []byte, b *Bloom) []byte {
 	return append(buf, byte(b.K))
 }
 
-// readBloom parses one filter, returning nil for an absent one.
-func readBloom(data []byte) (*Bloom, []byte, error) {
+// readBloom parses one filter, returning nil for an absent one, or
+// unless keep, for every one: it then only checks and skips the bytes.
+func readBloom(data []byte, keep bool) (*Bloom, []byte, error) {
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 {
 		return nil, nil, errors.New("tableobj: truncated bloom length")
@@ -95,10 +96,11 @@ func readBloom(data []byte) (*Bloom, []byte, error) {
 	if n >= uint64(len(data)) { // the bits and the probe count; n+1 would wrap
 		return nil, nil, errors.New("tableobj: truncated bloom bits")
 	}
-	b := &Bloom{Bits: append([]byte(nil), data[:n]...)}
-	b.K = data[n]
-	if b.K == 0 {
+	if data[n] == 0 {
 		return nil, nil, errors.New("tableobj: bloom with zero probes")
 	}
-	return b, data[n+1:], nil
+	if !keep {
+		return nil, data[n+1:], nil
+	}
+	return &Bloom{Bits: append([]byte(nil), data[:n]...), K: data[n]}, data[n+1:], nil
 }

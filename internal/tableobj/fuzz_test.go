@@ -69,11 +69,15 @@ func FuzzDecodeStats(f *testing.F) {
 	f.Add(string(append(wide, 0, 0)))
 	f.Fuzz(func(t *testing.T, s string) {
 		var df DataFile
-		if decodeStats([]byte(s), &df) != nil {
+		err := decodeStats([]byte(s), &df, true)
+		if walked := (ManifestEntry{stats: []byte(s)}).Check(); (walked == nil) != (err == nil) {
+			t.Fatalf("the stats walk and the decode disagree: %v, %v", walked, err)
+		}
+		if err != nil {
 			return
 		}
 		var again DataFile
-		if err := decodeStats([]byte(encodeStats(df)), &again); err != nil {
+		if err := decodeStats([]byte(encodeStats(df)), &again, true); err != nil {
 			t.Fatalf("accepted stats re-encode to bytes that do not decode: %v", err)
 		}
 		if !sameStats(df, again) {

@@ -122,13 +122,15 @@ func encodeStats(f DataFile) string {
 	return string(buf)
 }
 
-func decodeStats(data []byte, f *DataFile) error {
+// decodeStats parses encodeStats's bytes into f, or unless keep only
+// walks them, allocating nothing: both fail on exactly the same bytes.
+func decodeStats(data []byte, f *DataFile, keep bool) error {
 	v2 := len(data) > 0 && data[0] == statsV2Marker
 	if v2 {
 		data = data[1:]
 	}
 	var err error
-	f.Min, f.Max, data, err = readRange(data)
+	f.Min, f.Max, data, err = readRange(data, keep)
 	if err != nil {
 		return err
 	}
@@ -146,11 +148,12 @@ func decodeStats(data []byte, f *DataFile) error {
 	}
 	for i := uint64(0); i < groups; i++ {
 		var z ZoneMap
-		z.Min, z.Max, data, err = readRange(data)
-		if err != nil {
+		if z.Min, z.Max, data, err = readRange(data, keep); err != nil {
 			return err
 		}
-		f.Zones = append(f.Zones, z)
+		if keep {
+			f.Zones = append(f.Zones, z)
+		}
 	}
 	cols, sz := binary.Uvarint(data)
 	if sz <= 0 {
@@ -162,17 +165,19 @@ func decodeStats(data []byte, f *DataFile) error {
 	}
 	for i := uint64(0); i < cols; i++ {
 		var b *Bloom
-		b, data, err = readBloom(data)
-		if err != nil {
+		if b, data, err = readBloom(data, keep); err != nil {
 			return err
 		}
-		f.Blooms = append(f.Blooms, b)
+		if keep {
+			f.Blooms = append(f.Blooms, b)
+		}
 	}
 	return nil
 }
 
-// readRange parses one count-prefixed sequence of min/max value pairs.
-func readRange(data []byte) (min, max []colfile.Value, rest []byte, err error) {
+// readRange parses one count-prefixed sequence of min/max value pairs;
+// unless keep, it only skips them and returns no values.
+func readRange(data []byte, keep bool) (min, max []colfile.Value, rest []byte, err error) {
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 {
 		return nil, nil, nil, errors.New("tableobj: truncated stats")
@@ -181,6 +186,12 @@ func readRange(data []byte) (min, max []colfile.Value, rest []byte, err error) {
 	// Untrusted count: a pair costs at least four bytes.
 	if n > uint64(len(data))/4 {
 		return nil, nil, nil, errors.New("tableobj: range count exceeds stats size")
+	}
+	if !keep {
+		for i := uint64(0); i < 2*n && err == nil; i++ {
+			data, err = colfile.SkipValue(data)
+		}
+		return nil, nil, data, err
 	}
 	if n == 0 {
 		return nil, nil, data, nil
@@ -232,11 +243,15 @@ func entryOfFile(f DataFile) ManifestEntry {
 // File decodes the entry's full DataFile, with fresh value slices.
 func (m ManifestEntry) File() (DataFile, error) {
 	f := DataFile{Path: m.Path, Partition: m.Partition, Rows: m.Rows, Bytes: m.Bytes}
-	if err := decodeStats(m.stats, &f); err != nil {
+	if err := decodeStats(m.stats, &f, true); err != nil {
 		return DataFile{}, err
 	}
 	return f, nil
 }
+
+// Check walks the entry's statistics as File decodes them, allocating
+// nothing, and fails exactly where File would.
+func (m ManifestEntry) Check() error { return decodeStats(m.stats, &DataFile{}, false) }
 
 // Extended reports whether the stats may carry zone maps and blooms.
 func (m ManifestEntry) Extended() bool { return len(m.stats) > 0 && m.stats[0] == statsV2Marker }

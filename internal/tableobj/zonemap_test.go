@@ -33,7 +33,7 @@ func TestStatsLegacyEncodingUnchanged(t *testing.T) {
 		t.Fatalf("legacy encoding drifted:\n got %x\nwant %x", enc, legacy)
 	}
 	var back DataFile
-	if err := decodeStats([]byte(enc), &back); err != nil {
+	if err := decodeStats([]byte(enc), &back, true); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back.Min, f.Min) || !reflect.DeepEqual(back.Max, f.Max) {
@@ -259,5 +259,28 @@ func TestWriteRowsStatsMatchNaivePass(t *testing.T) {
 				t.Fatalf("trial %d zone %d: %v..%v, one pass gives %v..%v", trial, g, z.Min, z.Max, lo, hi)
 			}
 		}
+	}
+}
+
+// Planning checks every admitted entry's statistics with Check, which
+// walks them as File decodes them but keeps nothing: extended stats with
+// string bounds, zone maps and blooms cost no allocation.
+func TestCheckAllocatesNothing(t *testing.T) {
+	b := NewBloom(8)
+	b.Add(colfile.StringValue("bj"))
+	s := colfile.StringValue
+	f := DataFile{Min: []colfile.Value{s("a"), colfile.IntValue(1)}, Max: []colfile.Value{s("z"), colfile.IntValue(9)},
+		Zones:  []ZoneMap{{Min: []colfile.Value{s("a"), colfile.IntValue(1)}, Max: []colfile.Value{s("m"), colfile.IntValue(4)}}},
+		Blooms: []*Bloom{b, nil}}
+	ent := entryOfFile(f)
+	if !ent.Extended() {
+		t.Fatal("the entry's stats are not extended")
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if err := ent.Check(); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Check allocates %.0f times", n)
 	}
 }
