@@ -214,8 +214,9 @@ func budgetIngest(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 }
 
 // budgetWarehouse: 4,000 TPC-H lineitem rows in two insert batches, one
-// insert per shipmode, with a 2 MB cache; then selective and full-scan
-// SQL. The ops are the queries.
+// insert per shipmode, with a 2 MB cache, the MetaFresher flushing after
+// each insert, so the table's metadata is a run of commits over its
+// checkpoints; then selective and full-scan SQL. The ops are the queries.
 func budgetWarehouse(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 	lake := budgetOpen(t, streamlake.Config{Seed: seed, CacheMB: 2})
 	meta := streamlake.TableMeta{Name: "lineitem", Path: "/lake/lineitem", Schema: tpch.LineitemSchema, PartitionColumn: "l_shipmode"}
@@ -246,14 +247,13 @@ func budgetWarehouse(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 					b.user += int64(max(len(v.Str), 8))
 				}
 			}
+			sp = lake.Tracer().Start("lakehouse.flush")
+			if cost, err = lake.Engine().FlushSpan("lineitem", sp); err != nil {
+				t.Fatal(err)
+			}
+			b.end(sp, cost, false)
 		}
 	}
-	sp := lake.Tracer().Start("lakehouse.flush")
-	cost, err := lake.Engine().FlushSpan("lineitem", sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.end(sp, cost, false)
 	sqls := []string{"select l_shipmode, count(*), sum(l_quantity) from lineitem group by l_shipmode"}
 	for _, q := range tpch.RandomQueries(8, seed+1) {
 		sqls = append(sqls, tpch.QuerySQL("lineitem", q))
