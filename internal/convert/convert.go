@@ -200,25 +200,15 @@ func (c *Converter) convertTopic(name string, cfg streamsvc.TopicConfig, force b
 		newMarks[i] = off
 	}
 	if res.Messages > 0 {
-		x, err := tbl.Begin()
+		_, wc, err := tbl.Write(sp, func(x *tableobj.Txn) error {
+			files, err := sink.Stage(x, sp) // it removes nothing, so Write runs this once
+			res.Files = len(files)
+			return err
+		})
 		if err != nil {
 			return res, cost, err
 		}
-		defer x.Abort()      // withdraws the files of a failed conversion; a no-op once committed
-		sp.Advance(x.Cost()) // the pointer and base reads
-		files, err := sink.Stage(x, sp)
-		res.Files += len(files)
-		if err != nil {
-			return res, cost, err
-		}
-		_, err = x.CommitSpan(sp)
-		for errors.Is(err, tableobj.ErrConflict) {
-			_, err = x.Retry()
-		}
-		if err != nil {
-			return res, cost, err
-		}
-		cost += x.Cost()
+		cost += wc
 	}
 	c.mu.Lock()
 	st.watermarks = newMarks

@@ -394,3 +394,68 @@ func TestCompactPartitionConflict(t *testing.T) {
 		t.Fatalf("stale compaction commit: %v", err)
 	}
 }
+
+// failFrom fails every pool write from the nth one while n > 0.
+type failFrom struct{ n, seen int }
+
+func (h *failFrom) BeforeWrite(pool.DiskID, int64) (time.Duration, error) {
+	if h.n > 0 {
+		if h.seen++; h.seen >= h.n {
+			return 0, errors.New("injected write fault")
+		}
+	}
+	return 0, nil
+}
+
+func (h *failFrom) BeforeRead(pool.DiskID, int64) (time.Duration, error) { return 0, nil }
+
+// A compaction of two bins whose writes start failing at any point (the
+// first bin's merged file, the second's, or a metadata file of the
+// commit) leaves no stored data file the current snapshot does not
+// reach, once the snapshots before it expire.
+func TestFailedCompactionLeavesNoDataFiles(t *testing.T) {
+	for n := 1; ; n++ {
+		clock := sim.NewClock()
+		p := pool.New("cf", clock, sim.NVMeSSD, 8, 4<<20)
+		fs := tableobj.NewFileStore(plog.NewManager(p, 8<<20))
+		tbl, _, err := tableobj.Create(clock, fs, tableobj.NewCatalog(clock), tableobj.TableMeta{
+			Name: "t", Path: "/t", Schema: colfile.MustSchema("k:int64", "p:string"), PartitionColumn: "p",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var most int64
+		for i := 0; i < 6; i++ {
+			x, _ := tbl.Begin()
+			f, err := x.WriteRows([]colfile.Row{{colfile.IntValue(int64(i)), colfile.StringValue("A")}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := x.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			most = max(most, f.Bytes)
+		}
+		clock.Advance(time.Hour) // so an expiry at the end keeps only the last snapshot
+		hook := &failFrom{n: n}
+		p.SetFaultHook(hook)
+		merged, _, err := CompactPartition(tbl, "p=A", 3*most) // two bins of three
+		hook.n = 0
+		if err == nil && merged != 6 {
+			t.Fatalf("the compaction merged %d files, want 6", merged)
+		}
+		if _, err := tbl.ExpireSnapshots(clock.Now()); err != nil {
+			t.Fatal(err)
+		}
+		cur, _, cerr := tbl.Current()
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
+		if stored, _ := fs.List("/t/data/"); len(stored) != len(cur.Files) {
+			t.Fatalf("writes failing from the %dth: %d data files stored, the snapshot reaches %d (%v)", n, len(stored), len(cur.Files), err)
+		}
+		if err == nil {
+			return
+		}
+	}
+}

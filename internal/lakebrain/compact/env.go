@@ -1,7 +1,6 @@
 package compact
 
 import (
-	"errors"
 	"strconv"
 	"time"
 
@@ -151,37 +150,21 @@ func (e *Env) Compact(i int) StepResult {
 	}
 }
 
+// utilAfterPlan is the block utilization files would have after plan.
 func (e *Env) utilAfterPlan(files []int64, plan [][]int) float64 {
-	out := append([]int64(nil), files...)
-	inPlan := map[int]bool{}
-	var merged []int64
-	for _, bin := range plan {
-		var sum int64
-		for _, idx := range bin {
-			inPlan[idx] = true
-			sum += files[idx]
-		}
-		merged = append(merged, sum)
-	}
-	kept := merged
-	for i, f := range out {
-		if !inPlan[i] {
-			kept = append(kept, f)
-		}
-	}
-	return BlockUtilization(kept, e.BlockSize)
+	p := &envPartition{files: files}
+	e.applyPlan(p, plan)
+	return BlockUtilization(p.files, e.BlockSize)
 }
 
 func (e *Env) applyPlan(p *envPartition, plan [][]int) int {
 	inPlan := map[int]bool{}
 	var merged []int64
-	mergedCount := 0
 	for _, bin := range plan {
 		var sum int64
 		for _, idx := range bin {
 			inPlan[idx] = true
 			sum += p.files[idx]
-			mergedCount++
 		}
 		merged = append(merged, sum)
 	}
@@ -192,7 +175,7 @@ func (e *Env) applyPlan(p *envPartition, plan [][]int) int {
 		}
 	}
 	p.files = append(kept, merged...)
-	return mergedCount
+	return len(inPlan) // the bins are disjoint
 }
 
 // CycleIngestRate sets the environment's ingest rate following a
@@ -240,9 +223,11 @@ func TrainAuto(env *Env, rounds int, seed uint64) *QLearner {
 
 // CompactPartition merges a real table partition's small files binpack-
 // style in one transaction: each bin's files are rewritten as one file
-// and the inputs removed. A concurrent commit surfaces as
-// tableobj.ErrConflict — the real-system failure the RL reward models.
-// It returns how many files were merged away and the modelled I/O cost.
+// and the inputs removed, planned on the transaction's base: a lost race
+// is re-planned (tableobj.Table.Write), and a failure withdraws what was
+// merged. Env.ConflictProb still models the paper's Iceberg-style
+// failure for the RL reward. It returns how many files were merged away
+// and the modelled I/O cost.
 func CompactPartition(tbl *tableobj.Table, partition string, targetFileSize int64) (int, time.Duration, error) {
 	return CompactPartitionSpan(tbl, partition, targetFileSize, nil)
 }
@@ -252,49 +237,32 @@ func CompactPartition(tbl *tableobj.Table, partition string, targetFileSize int6
 // tableobj.merge child per bin (Txn.MergeFiles) and the commit's
 // tableobj.commit. The caller ends sp with the returned cost. A nil sp
 // traces nothing.
-func CompactPartitionSpan(tbl *tableobj.Table, partition string, targetFileSize int64, sp *obs.Span) (int, time.Duration, error) {
-	snap, cost, err := tbl.Current()
+func CompactPartitionSpan(tbl *tableobj.Table, partition string, targetFileSize int64, sp *obs.Span) (merged int, cost time.Duration, err error) {
+	_, cost, err = tbl.Write(sp, func(x *tableobj.Txn) error {
+		all, err := x.BaseFiles(sp)
+		var files []tableobj.DataFile
+		var sizes []int64
+		for _, f := range all {
+			if f.Partition == partition {
+				files, sizes = append(files, f), append(sizes, f.Bytes)
+			}
+		}
+		plan := BinpackPlan(sizes, targetFileSize)
+		merged = 0
+		for k := 0; err == nil && k < len(plan); k++ {
+			bin := make([]tableobj.DataFile, len(plan[k]))
+			for j, i := range plan[k] {
+				bin[j] = files[i]
+			}
+			merged += len(bin)
+			_, err = x.MergeFiles(bin, sp)
+		}
+		sp.SetAttr("files", strconv.Itoa(merged))
+		sp.SetAttr("bins", strconv.Itoa(len(plan)))
+		return err
+	})
 	if err != nil {
-		return 0, cost, err
+		merged = 0
 	}
-	var files []tableobj.DataFile
-	var sizes []int64
-	for _, f := range snap.Files {
-		if f.Partition == partition {
-			files = append(files, f)
-			sizes = append(sizes, f.Bytes)
-		}
-	}
-	plan := BinpackPlan(sizes, targetFileSize)
-	merged := 0
-	for _, bin := range plan {
-		merged += len(bin)
-	}
-	sp.SetAttr("files", strconv.Itoa(merged))
-	sp.SetAttr("bins", strconv.Itoa(len(plan)))
-	if len(plan) == 0 {
-		return 0, cost, nil
-	}
-	x, err := tbl.Begin()
-	if err != nil {
-		return 0, cost, err
-	}
-	sp.Advance(cost + x.Cost()) // the snapshot, pointer and base reads
-	var bin []tableobj.DataFile
-	for _, idx := range plan {
-		bin = bin[:0]
-		for _, i := range idx {
-			bin = append(bin, files[i])
-		}
-		if _, err := x.MergeFiles(bin, sp); err != nil {
-			return 0, cost + x.Cost(), err
-		}
-	}
-	if _, err := x.CommitSpan(sp); err != nil {
-		if errors.Is(err, tableobj.ErrConflict) {
-			x.Abort()
-		}
-		return 0, cost + x.Cost(), err
-	}
-	return merged, cost + x.Cost(), nil
+	return merged, cost, err
 }

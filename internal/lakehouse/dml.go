@@ -1,7 +1,6 @@
 package lakehouse
 
 import (
-	"errors"
 	"time"
 
 	"streamlake/internal/colfile"
@@ -14,42 +13,34 @@ import (
 // file I/O kept at the storage side (pushdown). It returns how many rows
 // were deleted.
 func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duration, error) {
-	var deleted int64
-	cost, err := e.rewrite(name, filters, func(x *tableobj.Txn, tbl *tableobj.Table, f tableobj.DataFile, read func() ([]colfile.Row, error)) error {
+	return e.rewrite(name, filters, func(x *tableobj.Txn, tbl *tableobj.Table, f tableobj.DataFile, read func() ([]colfile.Row, error)) (int64, error) {
 		if fileFullyCovered(tbl.Schema(), f, filters) {
 			// Case 1: the whole file matches — metadata-only removal.
 			x.RemoveFile(f)
-			deleted += f.Rows
-			return nil
+			return f.Rows, nil
 		}
 		// Case 2: partial match — rewrite the survivors.
 		rows, err := read()
 		if err != nil {
-			return err
+			return 0, err
 		}
 		bound := bindFilters(tbl.Schema(), filters)
 		keep := rows[:0]
 		for _, row := range rows {
-			if rowMatches(row, bound) {
-				deleted++
-			} else {
+			if !rowMatches(row, bound) {
 				keep = append(keep, row)
 			}
 		}
 		x.RemoveFile(f)
 		_, err = writeRows(x, tbl, keep)
-		return err
+		return int64(len(rows) - len(keep)), err
 	})
-	return deleted, cost, err
 }
 
 // fileFullyCovered reports whether every row of f is guaranteed to match
 // the filters: each filter's bounds contain the file's whole value range
 // for that column.
 func fileFullyCovered(schema colfile.Schema, f tableobj.DataFile, filters []RangeFilter) bool {
-	if len(filters) == 0 {
-		return true
-	}
 	for _, flt := range filters {
 		c := schema.FieldIndex(flt.Column)
 		if c < 0 || c >= len(f.Min) {
@@ -71,57 +62,45 @@ func fileFullyCovered(schema colfile.Schema, f tableobj.DataFile, filters []Rang
 // are written to that partition's directory. It returns how many rows
 // were updated.
 func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row) colfile.Row) (int64, time.Duration, error) {
-	var updated int64
-	cost, err := e.rewrite(name, filters, func(x *tableobj.Txn, tbl *tableobj.Table, f tableobj.DataFile, read func() ([]colfile.Row, error)) error {
+	return e.rewrite(name, filters, func(x *tableobj.Txn, tbl *tableobj.Table, f tableobj.DataFile, read func() ([]colfile.Row, error)) (int64, error) {
 		rows, err := read()
 		if err != nil {
-			return err
+			return 0, err
 		}
-		schema, bound, changed := tbl.Schema(), bindFilters(tbl.Schema(), filters), false
+		schema, bound, updated := tbl.Schema(), bindFilters(tbl.Schema(), filters), int64(0)
 		for i, row := range rows {
 			if !rowMatches(row, bound) {
 				continue
 			}
 			rows[i] = set(row)
 			if err := schema.Validate(rows[i]); err != nil {
-				return err
+				return 0, err
 			}
 			updated++
-			changed = true
 		}
-		if !changed {
-			return nil
+		if updated == 0 {
+			return 0, nil
 		}
 		x.RemoveFile(f) // set may move rows to other partitions
 		_, err = writeRows(x, tbl, rows)
-		return err
+		return updated, err
 	})
-	return updated, cost, err
 }
 
-// rewrite flushes the write cache (DML is a barrier), plans filters and,
-// in one transaction, has fn stage each planned file's removal and
-// rewrite; read decodes the file, its rows valid until the next read. A
-// lost commit is retried until it wins or a file it removes is gone.
-func (e *Engine) rewrite(name string, filters []RangeFilter, fn func(x *tableobj.Txn, tbl *tableobj.Table, f tableobj.DataFile, read func() ([]colfile.Row, error)) error) (time.Duration, error) {
+// rewrite flushes the write cache (DML is a barrier) and, in one
+// Table.Write, plans filters on the transaction's base and has fn stage
+// each planned file's removal and rewrite and count its changed rows;
+// read decodes the file, its rows valid until the next read. The count
+// is the committed attempt's.
+func (e *Engine) rewrite(name string, filters []RangeFilter, fn func(x *tableobj.Txn, tbl *tableobj.Table, f tableobj.DataFile, read func() ([]colfile.Row, error)) (int64, error)) (int64, time.Duration, error) {
 	st, err := e.state(name)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	cost, err := e.Flush(name)
 	if err != nil {
-		return cost, err
+		return 0, cost, err
 	}
-	plan, pc, err := e.PlanScan(name, filters)
-	cost += pc
-	if err != nil {
-		return cost, err
-	}
-	x, err := st.tbl.Begin()
-	if err != nil {
-		return cost, err
-	}
-	defer x.Abort() // withdraws the rewrites of a failed statement; a no-op once committed
 	var r colfile.Reader
 	var dec colfile.RowDecoder
 	var rows []colfile.Row
@@ -139,20 +118,28 @@ func (e *Engine) rewrite(name string, filters []RangeFilter, fn func(x *tableobj
 		rows, err = dec.AppendRows(rows[:0], &r)
 		return rows, err
 	}
-	for _, f = range plan.Files {
-		if err := fn(x, st.tbl, f, read); err != nil {
-			return cost, err
+	var n int64
+	_, wc, err := st.tbl.Write(nil, func(x *tableobj.Txn) error {
+		plan, pc, err := e.plan(name, x.BaseID(), filters, nil, true)
+		cost += pc
+		if err != nil {
+			return err
 		}
-	}
-	_, err = x.Commit()
-	for errors.Is(err, tableobj.ErrConflict) {
-		_, err = x.Retry()
-	}
-	cost += x.Cost()
+		n = 0
+		for _, f = range plan.Files {
+			c, err := fn(x, st.tbl, f, read)
+			if err != nil {
+				return err
+			}
+			n += c
+		}
+		return nil
+	})
+	cost += wc
 	if err == nil {
 		e.invalidateManifests(name)
 	}
-	return cost, err
+	return n, cost, err
 }
 
 // writeRows writes rows into x through a sink of tbl: a data file per

@@ -94,7 +94,10 @@ type tableState struct {
 	// persistent snapshot by the MetaFresher.
 	pendingAdds []tableobj.DataFile
 	cacheSeq    int64
-	// manifest is the last snapshot planning decoded (currentManifest).
+	// flushMu runs one flush at a time: a DML's barrier flush returns
+	// only once the records another flush took are committed.
+	flushMu sync.Mutex
+	// manifest is the last snapshot planning decoded (Engine.manifest).
 	manifest atomic.Pointer[tableobj.Manifest]
 }
 
@@ -165,6 +168,15 @@ func (e *Engine) Insert(name string, rows []colfile.Row) (time.Duration, error) 
 	}
 	// (a) Data persistence: records go straight to columnar files in the
 	// partition paths.
+	if !e.opts.Acceleration {
+		// Baseline: every insert persists commit + snapshot files — the
+		// flood of small metadata I/O the cache exists to absorb.
+		_, cost, err := st.tbl.Write(nil, func(x *tableobj.Txn) error {
+			_, err := writeRows(x, st.tbl, rows)
+			return err
+		})
+		return cost, err
+	}
 	x, err := st.tbl.Begin()
 	if err != nil {
 		return 0, err
@@ -172,19 +184,6 @@ func (e *Engine) Insert(name string, rows []colfile.Row) (time.Duration, error) 
 	files, err := writeRows(x, st.tbl, rows)
 	if err != nil {
 		x.Abort() // withdraw the files already written
-		return x.Cost(), err
-	}
-
-	if !e.opts.Acceleration {
-		// Baseline: every insert persists commit + snapshot files — the
-		// flood of small metadata I/O the cache exists to absorb.
-		_, err := x.Commit()
-		for errors.Is(err, tableobj.ErrConflict) {
-			_, err = x.Retry()
-		}
-		if err != nil {
-			x.Abort()
-		}
 		return x.Cost(), err
 	}
 
@@ -227,13 +226,15 @@ func (e *Engine) Flush(name string) (time.Duration, error) { return e.FlushSpan(
 
 // FlushSpan is Flush recording under sp, the caller's lakehouse.flush
 // span: how many files it commits, and the transaction's tableobj.commit
-// child (Txn.CommitSpan). The caller ends sp with the returned cost. A
-// nil sp traces nothing.
+// child (Table.Write). The caller ends sp with the returned cost. A nil
+// sp traces nothing.
 func (e *Engine) FlushSpan(name string, sp *obs.Span) (time.Duration, error) {
 	st, err := e.state(name)
 	if err != nil {
 		return 0, err
 	}
+	st.flushMu.Lock()
+	defer st.flushMu.Unlock()
 	e.mu.Lock()
 	adds := st.pendingAdds
 	st.pendingAdds = nil
@@ -242,24 +243,18 @@ func (e *Engine) FlushSpan(name string, sp *obs.Span) (time.Duration, error) {
 	if len(adds) == 0 {
 		return 0, nil
 	}
-	x, err := st.tbl.Begin()
+	_, cost, err := st.tbl.Write(sp, func(x *tableobj.Txn) error {
+		for _, f := range adds {
+			x.AddFile(f)
+		}
+		return nil
+	})
 	if err != nil {
-		return 0, err
-	}
-	sp.Advance(x.Cost()) // the pointer and base reads
-	for _, f := range adds {
-		x.AddFile(f)
-	}
-	_, err = x.CommitSpan(sp)
-	for errors.Is(err, tableobj.ErrConflict) {
-		_, err = x.Retry()
-	}
-	if err != nil {
-		// Restore the cache so the records are not lost.
+		// Restore the cache so the records, whose files Abort left, are not lost.
 		e.mu.Lock()
 		st.pendingAdds = append(adds, st.pendingAdds...)
 		e.mu.Unlock()
-		return x.Cost(), err
+		return cost, err
 	}
 	// Clear the flushed entries from the write cache, and drop cached
 	// manifests now pointing at a superseded snapshot.
@@ -268,5 +263,5 @@ func (e *Engine) FlushSpan(name string, sp *obs.Span) (time.Duration, error) {
 		return true
 	})
 	e.invalidateManifests(name)
-	return x.Cost(), nil
+	return cost, nil
 }

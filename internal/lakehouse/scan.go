@@ -85,14 +85,15 @@ const fileMetaBytes = 220 // approximate manifest entry footprint
 // partition count); without it the engine behaves like a file-based
 // catalog: it lists the data directory and opens every file's footer.
 func (e *Engine) PlanScan(name string, filters []RangeFilter) (Plan, time.Duration, error) {
-	return e.plan(name, filters, nil, true)
+	return e.plan(name, 0, filters, nil, true)
 }
 
 // plan is PlanScan recording a lakehouse.plan child of sp: the total,
 // pruned and admitted files, and what served the manifest (memo, cache
 // or device). A nil sp traces nothing. Only with decode does a file the
-// manifest admits carry its decoded statistics.
-func (e *Engine) plan(name string, filters []RangeFilter, sp *obs.Span, decode bool) (Plan, time.Duration, error) {
+// manifest admits carry its decoded statistics. A writer plans on the
+// snapshot id it commits against, and the plan admits only its files.
+func (e *Engine) plan(name string, id int64, filters []RangeFilter, sp *obs.Span, decode bool) (Plan, time.Duration, error) {
 	st, err := e.state(name)
 	if err != nil {
 		return Plan{}, 0, err
@@ -100,8 +101,8 @@ func (e *Engine) plan(name string, filters []RangeFilter, sp *obs.Span, decode b
 	psp := sp.Child("lakehouse.plan")
 	var plan Plan
 	var cost time.Duration
-	if e.opts.Acceleration {
-		plan, cost, err = e.planAccelerated(st, filters, psp, decode)
+	if e.opts.Acceleration || id != 0 {
+		plan, cost, err = e.planAccelerated(st, id, filters, psp, decode)
 	} else {
 		plan, cost, err = e.planFileBased(st, filters)
 	}
@@ -124,8 +125,8 @@ func (e *Engine) plan(name string, filters []RangeFilter, sp *obs.Span, decode b
 	return plan, cost, err
 }
 
-func (e *Engine) planAccelerated(st *tableState, filters []RangeFilter, sp *obs.Span, decode bool) (Plan, time.Duration, error) {
-	m, src, cost, err := e.currentManifest(st)
+func (e *Engine) planAccelerated(st *tableState, id int64, filters []RangeFilter, sp *obs.Span, decode bool) (Plan, time.Duration, error) {
+	m, src, cost, err := e.manifest(st, id)
 	if err != nil {
 		return Plan{}, cost, err
 	}
@@ -133,6 +134,9 @@ func (e *Engine) planAccelerated(st *tableState, filters []RangeFilter, sp *obs.
 	e.mu.Lock()
 	pending := st.pendingAdds
 	e.mu.Unlock()
+	if id != 0 {
+		pending = nil // a plan at a snapshot admits only its files
+	}
 	schema := st.tbl.Schema()
 	bound := bindFilters(schema, filters)
 	plan := Plan{TotalFiles: len(m.Entries) + len(pending)}
@@ -182,22 +186,23 @@ func rangeRejects(ent tableobj.ManifestEntry, filters []boundFilter) bool {
 	return ent.Rows == 0
 }
 
-// currentManifest resolves the table's current snapshot manifest: the
-// pointer from the catalog, then the snapshot's header, checkpoint and
-// commit files (tableobj.LoadManifest), each from the read cache if
-// attached (Figure 15: repeated planning reads no device bytes). Those
-// files are immutable, so an unmoved pointer reuses the table's memo
-// after the same lookup and header read, and a moved one over the same
-// checkpoint reads only the commits the memo lacks. src names what
-// served the manifest: memo, cache (every file) or device.
-func (e *Engine) currentManifest(st *tableState) (m *tableobj.Manifest, src string, cost time.Duration, err error) {
+// manifest resolves the manifest of snapshot id, the current one for id
+// 0: the snapshot's header, checkpoint and commit files
+// (tableobj.LoadManifest), each from the read cache if attached (Figure
+// 15: repeated planning reads no device bytes). Those files are
+// immutable, so an unmoved pointer reuses the table's memo after the same
+// lookup and header read, and a moved one over the same checkpoint reads
+// only the commits the memo lacks. src names what served the manifest:
+// memo, cache (every file) or device.
+func (e *Engine) manifest(st *tableState, id int64) (m *tableobj.Manifest, src string, cost time.Duration, err error) {
 	e.mu.Lock()
 	c := e.rcache
 	e.mu.Unlock()
 	memo, meta := st.manifest.Load(), st.tbl.Meta()
-	ptr, cost, err := e.cat.SnapshotPointer(meta.Name)
-	if err != nil {
-		return nil, "", cost, err
+	if id == 0 {
+		if id, cost, err = e.cat.SnapshotPointer(meta.Name); err != nil {
+			return nil, "", cost, err
+		}
 	}
 	src, hits := "cache", 0
 	read := func(path string) ([]byte, time.Duration, error) {
@@ -215,13 +220,13 @@ func (e *Engine) currentManifest(st *tableState) (m *tableobj.Manifest, src stri
 		}
 		return blob, rc, err
 	}
-	m, rc, err := tableobj.LoadManifest(meta.Path, ptr, memo, read)
+	m, rc, err := tableobj.LoadManifest(meta.Path, id, memo, read)
 	cost += rc
 	if err != nil && hits > 0 {
 		// Undecodable cached bytes: drop the table's files and read what
 		// fs holds.
 		c.InvalidatePrefix(manifestPrefix(meta.Name))
-		m, rc, err = tableobj.LoadManifest(meta.Path, ptr, memo, read)
+		m, rc, err = tableobj.LoadManifest(meta.Path, id, memo, read)
 		cost += rc
 	}
 	if err != nil {
@@ -540,7 +545,7 @@ type QueryStats struct {
 // before any file is read, and an error from it ends the query. Then
 // ScanProjected reads what the plan admits, under scanFilters.
 func (e *Engine) Query(name string, filters, scanFilters []RangeFilter, columns []string, sp *obs.Span, check func(Plan) error, fn func(colfile.Row) bool) (qs QueryStats, err error) {
-	if qs.Plan, qs.PlanCost, err = e.plan(name, filters, sp, false); err == nil && check != nil {
+	if qs.Plan, qs.PlanCost, err = e.plan(name, 0, filters, sp, false); err == nil && check != nil {
 		err = check(qs.Plan)
 	}
 	if err == nil {

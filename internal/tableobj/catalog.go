@@ -46,7 +46,8 @@ var (
 	ErrTableDropped  = errors.New("tableobj: table is dropped")
 	ErrSchemaInvalid = errors.New("tableobj: invalid schema or partition column")
 	ErrPartitionSpan = errors.New("tableobj: rows span partitions")
-	// ErrFileGone is no ErrConflict: no retry brings back a removed file.
+	// ErrFileGone is no ErrConflict: no re-base brings back a removed
+	// file, so Table.Write plans the transaction again.
 	ErrFileGone = errors.New("tableobj: a removed file is no longer current")
 )
 

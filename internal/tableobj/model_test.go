@@ -97,16 +97,36 @@ func (m *tableModel) write(x *Txn, rows []colfile.Row) []DataFile {
 	return files
 }
 
-// committed checks the snapshot x's commit or retry published against
-// the full rewrite of the last one, and appends it to the history.
-func (m *tableModel) committed(x *Txn, head Snapshot, err error) {
+// commit stages fn through Table.Write and checks what it commits.
+// race, when not nil, runs once, in fn's first run after it staged:
+// another writer's commit lands before this one's CAS, so Write re-bases
+// the staged files or, when race removed a file fn removes, runs fn again
+// on the new snapshot. fn reports an error by failing the test; one that
+// stages nothing commits nothing.
+func (m *tableModel) commit(fn func(x *Txn), race func()) {
 	m.t.Helper()
-	for errors.Is(err, ErrConflict) {
-		head, err = x.Retry()
-	}
+	var last *Txn
+	head, _, err := m.tbl.Write(nil, func(x *Txn) error {
+		last = x
+		fn(x)
+		if race != nil {
+			race()
+			race = nil
+		}
+		return nil
+	})
 	if err != nil {
 		m.t.Fatal(err)
 	}
+	if len(last.adds)+len(last.removes) > 0 {
+		m.committed(last, head)
+	}
+}
+
+// committed checks the snapshot x's commit published against the full
+// rewrite of the last one, and appends it to the history.
+func (m *tableModel) committed(x *Txn, head Snapshot) {
+	m.t.Helper()
 	want := fullRewrite(m.cur(), head, x.adds, x.removes)
 	h := want
 	h.Files, h.CommitIDs = nil, nil
@@ -173,84 +193,100 @@ func (m *tableModel) timeTravel() {
 	m.checkRows(got)
 }
 
-// compact merges one partition's files in a transaction. A concurrent
-// commit lands between its staging and its commit: an ingest, after
-// which the retry succeeds, or a delete of one of its files, after
-// which the retry fails and the compaction aborts. With fail set, one
-// file does not decode and the compaction aborts before committing.
+// compact merges one partition's files through Table.Write, planning
+// on the snapshot its transaction began on. A concurrent commit lands
+// between its staging and its commit: an ingest, after which Write
+// re-bases it, or a delete of one of its files, after which Write runs
+// it again on the new snapshot. The first run's merged file is withdrawn
+// either way it is replaced. With fail set, one file does not decode and
+// the compaction aborts before committing.
 func (m *tableModel) compact(fail bool) {
 	m.t.Helper()
-	byPart := map[string][]DataFile{}
-	for _, f := range m.cur().Files {
-		byPart[f.Partition] = append(byPart[f.Partition], f)
-	}
-	var victims []DataFile
-	for _, p := range []string{"province=Beijing", "province=Shanghai", "province=Guangzhou"} {
-		if len(byPart[p]) >= 2 {
-			victims = byPart[p]
-			break
-		}
-	}
-	if victims == nil {
-		return
-	}
 	files, before := m.e.fs.Count(), m.cur()
-	x, err := m.tbl.Begin()
-	if err != nil {
-		m.t.Fatal(err)
-	}
-	var merged []colfile.Row
-	var dec colfile.RowDecoder
-	for i, f := range victims {
-		blob, _, err := m.e.fs.Read(f.Path)
+	var firstMerge []DataFile
+	race := func(victims []DataFile) {
+		if m.rng.Intn(2) == 0 {
+			ing, _ := m.tbl.Begin()
+			m.write(ing, m.randomRows(3))
+			head, err := ing.Commit()
+			if err != nil {
+				m.t.Fatal(err)
+			}
+			m.committed(ing, head)
+			return
+		}
+		del, _ := m.tbl.Begin()
+		del.RemoveFile(victims[0])
+		head, err := del.Commit()
 		if err != nil {
 			m.t.Fatal(err)
 		}
-		if fail && i == len(victims)-1 {
-			blob = blob[:len(blob)/2] // the injected decode failure
-		}
-		r, err := colfile.Open(blob)
-		if err == nil {
-			merged, err = dec.AppendRows(merged, r)
-		}
-		if err != nil {
-			if !fail {
-				m.t.Fatal(err)
-			}
-			if err := x.Abort(); err != nil {
-				m.t.Fatal(err)
-			}
-			if now, _, _ := m.tbl.Current(); m.e.fs.Count() != files || !reflect.DeepEqual(now, before) {
-				m.t.Fatalf("an aborted compaction left %d files (was %d) and snapshot %d (was %d)", m.e.fs.Count(), files, now.ID, before.ID)
-			}
-			return
-		}
-		x.RemoveFile(f)
+		m.committed(del, head)
 	}
-	m.write(x, merged)
-	if m.rng.Intn(2) == 0 {
-		ing, _ := m.tbl.Begin()
-		m.write(ing, m.randomRows(3))
-		head, err := ing.Commit()
-		m.committed(ing, head, err)
-		if _, err := x.Commit(); !errors.Is(err, ErrConflict) {
-			m.t.Fatalf("compaction over a moved pointer: %v", err)
+	var last *Txn
+	runs := 0
+	head, _, err := m.tbl.Write(nil, func(x *Txn) error {
+		last, runs = x, runs+1
+		base, err := x.BaseFiles(nil)
+		if err != nil {
+			m.t.Fatal(err)
 		}
-		m.committed(x, Snapshot{}, ErrConflict)
+		byPart := map[string][]DataFile{}
+		for _, f := range base {
+			byPart[f.Partition] = append(byPart[f.Partition], f)
+		}
+		var victims []DataFile
+		for _, p := range []string{"province=Beijing", "province=Shanghai", "province=Guangzhou"} {
+			if len(byPart[p]) >= 2 {
+				victims = byPart[p]
+				break
+			}
+		}
+		var merged []colfile.Row
+		var dec colfile.RowDecoder
+		for i, f := range victims {
+			blob, _, err := m.e.fs.Read(f.Path)
+			if err != nil {
+				m.t.Fatal(err)
+			}
+			if fail && i == len(victims)-1 {
+				blob = blob[:len(blob)/2] // the injected decode failure
+			}
+			r, err := colfile.Open(blob)
+			if err == nil {
+				merged, err = dec.AppendRows(merged, r)
+			}
+			if err != nil {
+				return err
+			}
+			x.RemoveFile(f)
+		}
+		if len(merged) == 0 {
+			return nil
+		}
+		staged := m.write(x, merged)
+		if firstMerge == nil {
+			firstMerge = staged
+			race(victims)
+		}
+		return nil
+	})
+	if fail && err != nil {
+		if now, _, _ := m.tbl.Current(); m.e.fs.Count() != files || !reflect.DeepEqual(now, before) {
+			m.t.Fatalf("an aborted compaction left %d files (was %d) and snapshot %d (was %d)", m.e.fs.Count(), files, now.ID, before.ID)
+		}
 		return
 	}
-	del, _ := m.tbl.Begin()
-	del.RemoveFile(victims[0])
-	head, err := del.Commit()
-	m.committed(del, head, err)
-	if _, err := x.Commit(); !errors.Is(err, ErrConflict) {
-		m.t.Fatalf("compaction over a moved pointer: %v", err)
-	}
-	if _, err := x.Retry(); !errors.Is(err, ErrFileGone) || errors.Is(err, ErrConflict) {
-		m.t.Fatalf("compaction retry after its file was deleted: %v", err)
-	}
-	if err := x.Abort(); err != nil {
+	if err != nil {
 		m.t.Fatal(err)
+	}
+	if len(last.adds)+len(last.removes) > 0 {
+		m.committed(last, head)
+	}
+	if runs > 1 {
+		if _, _, err := m.e.fs.Read(firstMerge[0].Path); !errors.Is(err, ErrNotFound) {
+			m.t.Fatalf("the merged file of a compaction that planned again is still stored: %v", err)
+		}
 	}
 }
 
@@ -293,11 +329,11 @@ func (m *tableModel) expire() {
 }
 
 // TestTableMatchesRowModel runs seeded random sequences of
-// converter-style commits (write and commit in one transaction),
+// converter-style commits (write and commit in one Table.Write),
 // engine-style commits (files written by one transaction, committed by
-// a later flush), OCC races with Retry, compactions against an ingest
-// and against a delete, a compaction whose input does not decode, time
-// travel and expiry, across checkpoint boundaries, and holds every
+// a later flush), OCC races that Write re-bases, compactions against an
+// ingest and against a delete, a compaction whose input does not decode,
+// time travel and expiry, across checkpoint boundaries, and holds every
 // snapshot to the naive model.
 func TestTableMatchesRowModel(t *testing.T) {
 	seeds, ops := 8, 160
@@ -319,33 +355,31 @@ func TestTableMatchesRowModel(t *testing.T) {
 			e.clock.Advance(time.Duration(m.rng.Intn(3)) * time.Minute)
 			switch k := m.rng.Intn(10); {
 			case k < 3: // converter-style
-				x, _ := m.tbl.Begin()
-				m.write(x, m.randomRows(1+m.rng.Intn(6)))
-				head, err := x.Commit()
-				m.committed(x, head, err)
+				rows := m.randomRows(1 + m.rng.Intn(6))
+				m.commit(func(x *Txn) { m.write(x, rows) }, nil)
 			case k < 5: // engine-style: Insert writes, a later flush commits
 				x, _ := m.tbl.Begin()
 				m.pending = append(m.pending, m.write(x, m.randomRows(1+m.rng.Intn(4)))...)
 				if len(m.pending) >= 3 {
-					f, _ := m.tbl.Begin()
-					for _, df := range m.pending {
-						f.AddFile(df)
-					}
+					pending := m.pending
 					m.pending = nil
-					head, err := f.Commit()
-					m.committed(f, head, err)
+					m.commit(func(f *Txn) {
+						for _, df := range pending {
+							f.AddFile(df)
+						}
+					}, nil)
 				}
 			case k < 6: // two writers race from one base
-				a, _ := m.tbl.Begin()
-				b, _ := m.tbl.Begin()
-				m.write(a, m.randomRows(2))
-				m.write(b, m.randomRows(2))
-				head, err := a.Commit()
-				m.committed(a, head, err)
-				if _, err := b.Commit(); !errors.Is(err, ErrConflict) {
-					t.Fatalf("seed %d: the second of two racing commits: %v", seed, err)
-				}
-				m.committed(b, Snapshot{}, ErrConflict)
+				rows := m.randomRows(2)
+				m.commit(func(b *Txn) { m.write(b, rows) }, func() {
+					a, _ := m.tbl.Begin()
+					m.write(a, m.randomRows(2))
+					head, err := a.Commit()
+					if err != nil {
+						t.Fatal(err)
+					}
+					m.committed(a, head)
+				})
 			case k < 8:
 				m.compact(m.rng.Intn(4) == 0)
 			case k < 9:

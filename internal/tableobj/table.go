@@ -183,9 +183,9 @@ type Txn struct {
 	manifest *Manifest
 	adds     []DataFile
 	removes  []DataFile
+	written  []string // the data files this transaction wrote, which Abort withdraws
 	cost     time.Duration
 	finished bool
-	sp       *obs.Span // CommitSpan's, which a Retry records under too
 }
 
 // Begin starts a transaction against the current snapshot. Ids this
@@ -194,28 +194,94 @@ type Txn struct {
 // numbering from the stale sequence would reuse — and overwrite — the
 // data files that commit wrote.
 func (t *Table) Begin() (*Txn, error) {
-	ptr, cost, err := t.cat.SnapshotPointer(t.meta.Name)
-	if err != nil {
+	x := &Txn{t: t}
+	if err := x.rebase(nil); err != nil {
 		return nil, err
 	}
-	blob, c2, err := t.fs.Read(SnapshotPath(t.meta.Path, ptr))
+	return x, nil
+}
+
+// rebase makes the current snapshot the transaction's base, charging the
+// reads to sp's cursor.
+func (x *Txn) rebase(sp *obs.Span) error {
+	ptr, cost, err := x.t.cat.SnapshotPointer(x.t.meta.Name)
 	if err != nil {
-		return nil, err
+		return err
+	}
+	blob, c2, err := x.t.fs.Read(SnapshotPath(x.t.meta.Path, ptr))
+	if err != nil {
+		return err
 	}
 	for {
-		seq := t.seq.Load()
-		if seq >= ptr || t.seq.CompareAndSwap(seq, ptr) {
+		seq := x.t.seq.Load()
+		if seq >= ptr || x.t.seq.CompareAndSwap(seq, ptr) {
 			break
 		}
 	}
-	return &Txn{t: t, base: Manifest{Snapshot: Snapshot{ID: ptr}}, baseBlob: blob, cost: cost + c2}, nil
+	x.base, x.baseBlob, x.manifest = Manifest{Snapshot: Snapshot{ID: ptr}}, blob, nil
+	x.cost += cost + c2
+	sp.Advance(cost + c2)
+	return nil
+}
+
+// writeAttempts bounds the runs of a Write's fn.
+const writeAttempts = 4
+
+// Write is how a writer changes the table: it runs fn in a transaction
+// begun on the current snapshot, fn planning on that snapshot (BaseID,
+// BaseFiles), and commits what fn staged, if anything. A lost CAS
+// (ErrConflict) re-bases the staged files on the new snapshot, whose
+// removals the commit checks; a removed file gone from it (ErrFileGone)
+// aborts the attempt and runs fn again, at most writeAttempts times. Any
+// other error aborts. Each commit is a tableobj.commit child of sp, which
+// the pointer and header reads advance; the cost is every attempt's.
+func (t *Table) Write(sp *obs.Span, fn func(x *Txn) error) (Snapshot, time.Duration, error) {
+	var cost time.Duration
+	for attempt := 1; ; attempt++ {
+		x := &Txn{t: t}
+		if err := x.rebase(sp); err != nil {
+			return Snapshot{}, cost, err
+		}
+		var snap Snapshot
+		err := fn(x)
+		if err == nil && len(x.adds)+len(x.removes) > 0 {
+			snap, err = x.commit(sp)
+			for errors.Is(err, ErrConflict) {
+				if err = x.rebase(sp); err == nil {
+					snap, err = x.commit(sp)
+				}
+			}
+		}
+		cost += x.cost
+		if err == nil {
+			return snap, cost, nil
+		}
+		x.Abort()
+		if !errors.Is(err, ErrFileGone) || attempt == writeAttempts {
+			return Snapshot{}, cost, err
+		}
+	}
 }
 
 // Cost reports the accumulated modelled latency of the transaction's
 // storage operations so far.
 func (x *Txn) Cost() time.Duration { return x.cost }
 
-// AddFile stages an already-written data file for addition.
+// BaseID is the id of the snapshot the transaction began on.
+func (x *Txn) BaseID() int64 { return x.base.ID }
+
+// BaseFiles folds the base's manifest, charging sp's cursor, and returns
+// its data files. A commit that removes files reuses the fold.
+func (x *Txn) BaseFiles(sp *obs.Span) ([]DataFile, error) {
+	if err := x.loadBase(sp); err != nil {
+		return nil, err
+	}
+	s, err := x.manifest.snapshot()
+	return s.Files, err
+}
+
+// AddFile stages another writer's data file, which Abort leaves, for
+// addition.
 func (x *Txn) AddFile(f DataFile) { x.adds = append(x.adds, f) }
 
 // RemoveFile stages a data file for removal.
@@ -464,6 +530,7 @@ func (x *Txn) stage(w *colfile.Writer, partition string, rows int64, blooms []*B
 		sp.Advance(cost)
 	}
 	x.AddFile(f)
+	x.written = append(x.written, f.Path)
 	return f, nil
 }
 
@@ -471,10 +538,10 @@ func (x *Txn) stage(w *colfile.Writer, partition string, rows int64, blooms []*B
 // publishes it with a catalog CAS. It returns that header: the
 // snapshot's fields less Files and CommitIDs, which Current folds.
 // ErrConflict reports a losing race with a concurrent writer; the
-// staged files remain for a Retry. A removal the base no longer holds
-// aborts the transaction with ErrFileGone: a DELETE, UPDATE or
-// compaction planned on an older snapshot than it began on would
-// otherwise write rows another commit already moved (the
+// staged files remain, and Write re-bases them. A removal the base no
+// longer holds aborts the transaction with ErrFileGone: a DELETE, UPDATE
+// or compaction planned on an older snapshot than it commits against
+// would otherwise write rows another commit already moved (the
 // compaction-vs-ingest conflict of Section VI-A).
 //
 // The header names the base's checkpoint and the commits since, this
@@ -483,24 +550,7 @@ func (x *Txn) stage(w *colfile.Writer, partition string, rows int64, blooms []*B
 // commit also writes a new checkpoint, the base with this commit
 // applied. So checkpoints at least double, and what a commit writes and
 // a fold reads stays within a constant factor of the manifest.
-func (x *Txn) Commit() (Snapshot, error) { return x.CommitSpan(nil) }
-
-// CommitSpan is Commit recording a tableobj.commit child of sp, with its
-// adds and removes, and one tableobj.write child per metadata file it
-// writes, with the file's kind and bytes. A Retry records its commit
-// under sp as well. A nil sp traces nothing.
-func (x *Txn) CommitSpan(sp *obs.Span) (Snapshot, error) {
-	x.sp = sp
-	csp, start := sp.Child("tableobj.commit"), x.cost
-	snap, err := x.commit(csp)
-	if csp != nil {
-		csp.SetAttr("adds", strconv.Itoa(len(x.adds)))
-		csp.SetAttr("removes", strconv.Itoa(len(x.removes)))
-		csp.End(x.cost - start)
-		sp.Advance(x.cost - start)
-	}
-	return snap, err
-}
+func (x *Txn) Commit() (Snapshot, error) { return x.commit(nil) }
 
 // metaFile is one metadata file a commit writes.
 type metaFile struct {
@@ -508,16 +558,24 @@ type metaFile struct {
 	blob       []byte
 }
 
-func (x *Txn) commit(sp *obs.Span) (Snapshot, error) {
+// commit is Commit recording a tableobj.commit child of parent, with its
+// adds and removes, and one tableobj.write child per metadata file it
+// writes, with the file's kind and bytes. A nil parent traces nothing.
+func (x *Txn) commit(parent *obs.Span) (Snapshot, error) {
+	sp, start := parent.Child("tableobj.commit"), x.cost
+	defer func() {
+		if sp != nil {
+			sp.SetAttr("adds", strconv.Itoa(len(x.adds)))
+			sp.SetAttr("removes", strconv.Itoa(len(x.removes)))
+			sp.End(x.cost - start)
+			parent.Advance(x.cost - start)
+		}
+	}()
 	if x.finished {
 		return Snapshot{}, errors.New("tableobj: transaction already finished")
 	}
-	if x.baseBlob != nil {
-		base, err := DecodeManifest(x.baseBlob)
-		if err != nil {
-			return Snapshot{}, err
-		}
-		x.base, x.baseBlob = base, nil
+	if err := x.decodeBase(); err != nil {
+		return Snapshot{}, err
 	}
 	now := x.t.clock.Now()
 	commit := Commit{ID: x.t.nextID(), Timestamp: now}
@@ -602,7 +660,7 @@ func (x *Txn) commit(sp *obs.Span) (Snapshot, error) {
 	x.cost += c3
 	if err != nil {
 		// Losing writer: withdraw this attempt's metadata files; staged
-		// data files stay for Retry.
+		// data files stay for Write to re-base.
 		x.withdraw(files)
 		return Snapshot{}, err
 	}
@@ -617,11 +675,24 @@ func (x *Txn) withdraw(files []metaFile) {
 	}
 }
 
-// loadBase folds the base's manifest, once per base, charging its
-// reads to the transaction and sp's cursor.
+// decodeBase decodes the base's header, once per base.
+func (x *Txn) decodeBase() (err error) {
+	if x.baseBlob != nil {
+		if x.base, err = DecodeManifest(x.baseBlob); err == nil {
+			x.baseBlob = nil
+		}
+	}
+	return err
+}
+
+// loadBase folds the base's manifest, once per base, charging its reads
+// to the transaction and sp's cursor.
 func (x *Txn) loadBase(sp *obs.Span) error {
 	if x.manifest != nil {
 		return nil
+	}
+	if err := x.decodeBase(); err != nil {
+		return err
 	}
 	m, cost, err := fold(x.t.meta.Path, &x.base, nil, x.t.fs.Read)
 	x.cost += cost
@@ -630,35 +701,15 @@ func (x *Txn) loadBase(sp *obs.Span) error {
 	return err
 }
 
-// Retry refreshes the transaction's base snapshot after a conflict and
-// attempts the commit again, which fails as any commit does when a file
-// it removes is gone.
-func (x *Txn) Retry() (Snapshot, error) {
-	ptr, cost, err := x.t.cat.SnapshotPointer(x.t.meta.Name)
-	if err != nil {
-		return Snapshot{}, err
-	}
-	blob, c2, err := x.t.fs.Read(SnapshotPath(x.t.meta.Path, ptr))
-	x.cost += cost + c2
-	x.sp.Advance(cost + c2)
-	if err == nil {
-		x.base, err = DecodeManifest(blob)
-		x.baseBlob, x.manifest = nil, nil
-	}
-	if err != nil {
-		return Snapshot{}, err
-	}
-	return x.CommitSpan(x.sp)
-}
-
-// Abort withdraws the transaction, deleting any data files it wrote.
+// Abort withdraws the transaction, deleting the data files it wrote. A
+// file staged with AddFile is its writer's, and stays.
 func (x *Txn) Abort() error {
 	if x.finished {
 		return nil
 	}
 	x.finished = true
-	for _, f := range x.adds {
-		if err := x.t.fs.Delete(f.Path); err != nil && !errors.Is(err, ErrNotFound) {
+	for _, p := range x.written {
+		if err := x.t.fs.Delete(p); err != nil && !errors.Is(err, ErrNotFound) {
 			return err
 		}
 	}

@@ -354,56 +354,71 @@ func TestSnapshotIsolationReadersUnaffected(t *testing.T) {
 	}
 }
 
+// Two transactions race from the same base: the first commits while
+// the second stages, so the second's commit loses the CAS, and Write
+// re-bases it without running its fn again. Both rows are in.
 func TestConcurrentCommitConflictAndRetry(t *testing.T) {
 	e := newEnv(t)
 	tbl := createTable(t, e, "t")
-	// Two transactions race from the same base.
-	x1, _ := tbl.Begin()
-	x2, _ := tbl.Begin()
-	x1.WriteRows([]colfile.Row{dpiRow("u1", 1, "Beijing")})
-	x2.WriteRows([]colfile.Row{dpiRow("u2", 2, "Beijing")})
-	if _, err := x1.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := x2.Commit(); !errors.Is(err, ErrConflict) {
-		t.Fatalf("second commit: %v", err)
-	}
-	// Retry rebases and succeeds; both rows are in.
-	snap, err := x2.Retry()
+	var base, first Snapshot
+	runs := 0
+	snap, _, err := tbl.Write(nil, func(x2 *Txn) error {
+		runs++
+		base.ID = x2.BaseID()
+		x1, _ := tbl.Begin()
+		x1.WriteRows([]colfile.Row{dpiRow("u1", 1, "Beijing")})
+		var err error
+		if first, err = x1.Commit(); err != nil {
+			return err
+		}
+		_, err = x2.WriteRows([]colfile.Row{dpiRow("u2", 2, "Beijing")})
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.RowCount != 2 {
-		t.Fatalf("after retry: %+v", snap)
+	if snap.RowCount != 2 || snap.ParentID != first.ID || first.ParentID != base.ID || runs != 1 {
+		t.Fatalf("after the re-based commit: %+v, over %d from %d, %d runs", snap, first.ID, base.ID, runs)
 	}
 }
 
-func TestCompactionConflictFailsRetry(t *testing.T) {
+// A compaction stages the removal of a file and its rewrite; a delete
+// removes the file first. The compaction's commit finds the file gone
+// from its new base, so Write withdraws the rewrite and plans again on
+// the delete's snapshot, where there is nothing to compact.
+func TestCompactionReplansWhenItsFileIsGone(t *testing.T) {
 	e := newEnv(t)
 	tbl := createTable(t, e, "t")
 	x, _ := tbl.Begin()
 	x.WriteRows([]colfile.Row{dpiRow("u1", 1, "Beijing")})
 	x.Commit()
-	base, _, _ := tbl.Current()
-	target := base.Files[0]
 
-	// A "compaction" stages removal of the file; a concurrent delete
-	// removes it first.
-	compact, _ := tbl.Begin()
-	compact.RemoveFile(target)
-	compact.WriteRows([]colfile.Row{dpiRow("u1", 1, "Beijing")})
-
-	del, _ := tbl.Begin()
-	del.RemoveFile(target)
-	if _, err := del.Commit(); err != nil {
-		t.Fatal(err)
+	var rewrites []DataFile
+	_, _, err := tbl.Write(nil, func(compact *Txn) error {
+		base, err := compact.BaseFiles(nil)
+		if err != nil || len(base) == 0 {
+			return err
+		}
+		compact.RemoveFile(base[0])
+		f, err := compact.WriteRows([]colfile.Row{dpiRow("u1", 1, "Beijing")})
+		rewrites = append(rewrites, f)
+		if len(rewrites) == 1 {
+			del, _ := tbl.Begin()
+			del.RemoveFile(base[0])
+			if _, err := del.Commit(); err != nil {
+				return err
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatalf("compaction over a deleted file: %v", err)
 	}
-
-	if _, err := compact.Commit(); !errors.Is(err, ErrConflict) {
-		t.Fatalf("compact commit: %v", err)
+	if cur, _, err := tbl.Current(); err != nil || len(cur.Files) != 0 || cur.RowCount != 0 || len(rewrites) != 1 {
+		t.Fatalf("after the race: %d files, %d rows, %d rewrites (%v); want the delete's empty table", len(cur.Files), cur.RowCount, len(rewrites), err)
 	}
-	if _, err := compact.Retry(); !errors.Is(err, ErrFileGone) || errors.Is(err, ErrConflict) {
-		t.Fatalf("compact retry should fail for good (file gone), not as a conflict: %v", err)
+	if _, _, err := e.fs.Read(rewrites[0].Path); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("the withdrawn attempt's rewrite is still stored: %v", err)
 	}
 }
 
@@ -416,22 +431,11 @@ func TestManyConcurrentWritersAllCommit(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			x, err := tbl.Begin()
-			if err != nil {
+			if _, _, err := tbl.Write(nil, func(x *Txn) error {
+				_, err := x.WriteRows([]colfile.Row{dpiRow(fmt.Sprintf("u%d", i), int64(i), "Beijing")})
+				return err
+			}); err != nil {
 				errs <- err
-				return
-			}
-			if _, err := x.WriteRows([]colfile.Row{dpiRow(fmt.Sprintf("u%d", i), int64(i), "Beijing")}); err != nil {
-				errs <- err
-				return
-			}
-			if _, err := x.Commit(); err != nil {
-				for errors.Is(err, ErrConflict) {
-					_, err = x.Retry()
-				}
-				if err != nil {
-					errs <- err
-				}
 			}
 		}(i)
 	}
@@ -718,19 +722,19 @@ func TestCommitDecodesTheBaseBeginRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale, _ := tbl.Begin() // reads base
-	fresh, _ := tbl.Begin()
-	fresh.WriteRows([]colfile.Row{dpiRow("u1", 1, "Beijing")})
-	if _, err := fresh.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	stale.WriteRows([]colfile.Row{dpiRow("u2", 2, "Beijing")})
-	if _, err := stale.Commit(); !errors.Is(err, ErrConflict) {
-		t.Fatalf("commit against a superseded base: %v", err)
-	}
-	snap, err := stale.Retry()
-	if err != nil || snap.RowCount != 3 || snap.ParentID == base.ID {
-		t.Fatalf("retry: %+v %v", snap, err)
+	var staleBase int64
+	snap, _, err := tbl.Write(nil, func(stale *Txn) error { // reads base
+		staleBase = stale.BaseID()
+		fresh, _ := tbl.Begin()
+		fresh.WriteRows([]colfile.Row{dpiRow("u1", 1, "Beijing")})
+		if _, err := fresh.Commit(); err != nil {
+			return err
+		}
+		_, err := stale.WriteRows([]colfile.Row{dpiRow("u2", 2, "Beijing")})
+		return err
+	})
+	if err != nil || snap.RowCount != 3 || staleBase != base.ID || snap.ParentID == base.ID {
+		t.Fatalf("commit against a superseded base, re-based: %+v %v", snap, err)
 	}
 
 	x, _ := tbl.Begin()
