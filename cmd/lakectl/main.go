@@ -636,10 +636,7 @@ func (s *shell) chaos(rest []string) error {
 	}
 	switch sub {
 	case "run", "replay":
-		cfg := chaos.Config{
-			Seed: 1, DiskKills: true, Corruption: true,
-			Partitions: true, Hedging: true, DeadlineMS: 50,
-		}
+		cfg := chaos.Config{Seed: 1}
 		if len(rest) > 0 {
 			seed, err := strconv.ParseUint(rest[0], 10, 64)
 			if err != nil {
@@ -886,12 +883,10 @@ func (s *shell) tenant(rest []string) error {
 }
 
 func (s *shell) printChaos(rep *chaos.Report) {
-	fmt.Fprintf(s.out, "events=%d produced=%d consumed=%d drained=%d\n",
-		rep.Events, rep.Produced, rep.Consumed, rep.Drained)
-	fmt.Fprintf(s.out, "retries=%d netDrops=%d sheds=%d trips=%d deadlines=%d\n",
-		rep.Retries, rep.NetDrops, rep.Sheds, rep.Trips, rep.Deadlines)
-	fmt.Fprintf(s.out, "hedged=%d hedgeWins=%d diskKills=%d corrupted=%d readP99=%v\n",
-		rep.Hedged, rep.HedgeWins, rep.DiskKills, rep.Corrupted, rep.ReadP99)
+	fmt.Fprintf(s.out, "events=%d\n", rep.Events)
+	for _, line := range rep.Actors {
+		fmt.Fprintln(s.out, line)
+	}
 	fmt.Fprintf(s.out, "digest=%016x\n", rep.Digest)
 	if len(rep.Violations) == 0 {
 		fmt.Fprintln(s.out, "invariants: all hold (no acked-write loss, no duplicate appends, monotonic offsets)")

@@ -11,93 +11,6 @@ import (
 	"streamlake"
 )
 
-// TestClusterFailoverChaos: randomized node kills and revives —
-// including the metadata leader — break none of the invariants: no
-// acked write lost, nothing duplicated, every ack in the replicated
-// metadata log, committed logs agree.
-func TestClusterFailoverChaos(t *testing.T) {
-	rep, err := Run(Config{
-		Seed:       3,
-		Events:     400,
-		Workers:    5,
-		Failover:   true,
-		Partitions: true,
-		DeadlineMS: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDigest(t, "failover-3", rep)
-	for _, v := range rep.Violations {
-		t.Errorf("invariant violated: %s", v)
-	}
-	if rep.Produced == 0 {
-		t.Fatal("clustered chaos run acked nothing")
-	}
-	if rep.NodeKills == 0 {
-		t.Fatal("failover schedule killed no nodes")
-	}
-	if rep.Elections == 0 {
-		t.Fatal("no elections — the leader was never disturbed")
-	}
-	if rep.MetaCommits == 0 {
-		t.Fatal("no metadata commits")
-	}
-	t.Logf("failover chaos: acked=%d kills=%d elections=%d metaCommits=%d",
-		rep.Produced, rep.NodeKills, rep.Elections, rep.MetaCommits)
-}
-
-// TestClusterSplitBrainChaos: metadata-plane splits put the leader in a
-// minority; acks may only come from the majority side, and healed logs
-// must converge.
-func TestClusterSplitBrainChaos(t *testing.T) {
-	rep, err := Run(Config{
-		Seed:       11,
-		Events:     400,
-		Workers:    5,
-		SplitBrain: true,
-		DeadlineMS: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDigest(t, "split-brain-11", rep)
-	for _, v := range rep.Violations {
-		t.Errorf("invariant violated: %s", v)
-	}
-	if rep.Produced == 0 {
-		t.Fatal("split-brain run acked nothing")
-	}
-	if rep.Elections == 0 {
-		t.Fatal("no elections — no split ever isolated the leader")
-	}
-	t.Logf("split-brain chaos: acked=%d elections=%d", rep.Produced, rep.Elections)
-}
-
-// TestClusterChaosReplayIsBitIdentical: the full cluster fault mix is
-// still a pure function of its seed.
-func TestClusterChaosReplayIsBitIdentical(t *testing.T) {
-	cfg := Config{
-		Seed:       21,
-		Events:     300,
-		Workers:    5,
-		Failover:   true,
-		SplitBrain: true,
-		DeadlineMS: 50,
-	}
-	rep, same, err := RunWithReplay(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !same {
-		t.Fatalf("clustered replay diverged (digest %x)", rep.Digest)
-	}
-	checkDigest(t, "cluster-21", rep)
-	if len(rep.Violations) != 0 {
-		t.Fatalf("violations: %v", rep.Violations)
-	}
-}
-
 // drillResult is one scripted failover drill's outcome.
 type drillResult struct {
 	digest    uint64
@@ -417,4 +330,55 @@ func TestClusterFailoverDrill(t *testing.T) {
 	}
 	t.Logf("drill: acked=%d detect=%v unavail=%v rebalance=%v",
 		res.acked, res.detect, res.unavail, res.rebalance)
+}
+
+// TestClusterReadmittedNodeKeepsItsCopies: a node declared dead and then
+// readmitted comes back with its disks, so the copies its death verdict
+// marked stale are whole again without a byte of repair; the stale marks
+// only queue re-replication while the node is out.
+func TestClusterReadmittedNodeKeepsItsCopies(t *testing.T) {
+	lake, err := streamlake.Open(streamlake.Config{Nodes: 5, Workers: 2, Seed: 9, PLogCapacity: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := lake.Cluster()
+	if err := lake.CreateTopic(streamlake.TopicConfig{Name: "bulk", StreamNum: 1}); err != nil {
+		t.Fatal(err)
+	}
+	prod := lake.Producer("bulk-producer")
+	for i := 0; i < 600; i++ {
+		if _, _, err := prod.Send("bulk", []byte(fmt.Sprintf("k%04d", i)), bytes.Repeat([]byte("x"), 512)); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	victim := -1
+	for _, n := range cl.Status().Nodes {
+		if n.SlicesOwned > 0 && n.ID != cl.Leader() {
+			victim = n.ID
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no follower owns a durable slice")
+	}
+	tick := func(until func() bool) {
+		for i := 0; i < 200 && !until(); i++ {
+			lake.Clock().Advance(time.Millisecond)
+			cl.Tick()
+		}
+	}
+	if err := cl.KillNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	tick(func() bool { return cl.Stats().StaleMarkedByte > 0 })
+	if lake.Logs().DegradedCount() == 0 {
+		t.Fatal("the death verdict marked nothing stale")
+	}
+	if err := cl.ReviveNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	tick(func() bool { return cl.CurrentView().Alive[victim] })
+	if n := lake.Logs().DegradedCount(); n != 0 {
+		t.Fatalf("%d logs still degraded after node %d was readmitted with its disks", n, victim)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -16,8 +17,12 @@ var update = flag.Bool("update", false, "rewrite the rows of "+digestFile+" this
 // up as a reviewable diff here, not only as a replay mismatch.
 const digestFile = "testdata/digests.txt"
 
-// digestRows is digestFile's table, read once by TestMain.
-var digestRows = map[string]string{}
+// digestRows is digestFile's table, read once by TestMain; parallel
+// tests share it under digestMu.
+var (
+	digestRows = map[string]string{}
+	digestMu   sync.Mutex
+)
 
 // checkDigest compares rep's digest with the row for name. A test calls
 // it once per configuration it runs, after the run, so the table costs
@@ -25,6 +30,8 @@ var digestRows = map[string]string{}
 // -update the row is recorded instead, and TestMain writes the table.
 func checkDigest(t *testing.T, name string, rep Report) {
 	t.Helper()
+	digestMu.Lock()
+	defer digestMu.Unlock()
 	got := fmt.Sprintf("%016x", rep.Digest)
 	if *update {
 		digestRows[name] = got

@@ -13,92 +13,6 @@ import (
 	"streamlake/internal/cluster"
 )
 
-// TestClusterElasticChaos: runtime joins and removals interleaved with
-// node kills, metadata splits, and disk kills break none of the
-// invariants — and at least one join and one removal actually commit,
-// so the schedule exercised the paths it claims to.
-func TestClusterElasticChaos(t *testing.T) {
-	rep, err := Run(Config{
-		Seed:       7,
-		Events:     600,
-		Workers:    5,
-		Elastic:    true,
-		Failover:   true,
-		SplitBrain: true,
-		DiskKills:  true,
-		DeadlineMS: 50,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDigest(t, "elastic-7", rep)
-	for _, v := range rep.Violations {
-		t.Errorf("invariant violated: %s", v)
-	}
-	if rep.Produced == 0 {
-		t.Fatal("elastic chaos run acked nothing")
-	}
-	if rep.Joins == 0 {
-		t.Fatal("elastic schedule committed no joins")
-	}
-	if rep.Removes == 0 {
-		t.Fatal("elastic schedule committed no removals")
-	}
-	t.Logf("elastic chaos: acked=%d joins=%d removes=%d moved=%dB evacuated=%dB kills=%d elections=%d",
-		rep.Produced, rep.Joins, rep.Removes, rep.JoinMovedB, rep.EvacuatedB, rep.NodeKills, rep.Elections)
-}
-
-// TestClusterElasticReplayIsBitIdentical: membership churn under fire is
-// still a pure function of the seed.
-func TestClusterElasticReplayIsBitIdentical(t *testing.T) {
-	cfg := Config{
-		Seed:       7,
-		Events:     600,
-		Workers:    5,
-		Elastic:    true,
-		Failover:   true,
-		SplitBrain: true,
-		DiskKills:  true,
-		DeadlineMS: 50,
-	}
-	rep, same, err := RunWithReplay(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !same {
-		t.Fatalf("elastic replay diverged (digest %x)", rep.Digest)
-	}
-	checkDigest(t, "elastic-7", rep)
-	if len(rep.Violations) != 0 {
-		t.Fatalf("violations: %v", rep.Violations)
-	}
-}
-
-// TestClusterElasticLargeN: grow toward the nine-node ceiling with the
-// full fault mix on — more nodes, more simultaneous failures, same
-// invariants.
-func TestClusterElasticLargeN(t *testing.T) {
-	rep, err := Run(Config{
-		Seed:     101,
-		Events:   900,
-		Workers:  5,
-		Nodes:    7,
-		Elastic:  true,
-		Failover: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkDigest(t, "large-n-101", rep)
-	for _, v := range rep.Violations {
-		t.Errorf("invariant violated: %s", v)
-	}
-	if rep.Joins == 0 {
-		t.Fatal("large-N schedule committed no joins")
-	}
-	t.Logf("large-N elastic: acked=%d joins=%d removes=%d kills=%d", rep.Produced, rep.Joins, rep.Removes, rep.NodeKills)
-}
-
 // elasticDrillResult is one scripted join-under-fire drill's outcome.
 type elasticDrillResult struct {
 	digest  uint64

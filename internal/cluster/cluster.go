@@ -371,7 +371,7 @@ func (c *Cluster) nodeDeclaredDead(node int) {
 		if ap.mgr == nil {
 			continue
 		}
-		marked += ap.mgr.MarkDisksStale(ap.p, nodeDisksOf(ap, node))
+		marked += ap.mgr.MarkDisksStale(ap.p, nodeDisksOf(ap, node), true)
 	}
 	c.mu.Lock()
 	c.stats.StaleMarkedByte += marked
@@ -383,8 +383,15 @@ func (c *Cluster) nodeDeclaredDead(node int) {
 
 func (c *Cluster) nodeDeclaredAlive(node int, serving bool) {
 	c.mu.Lock()
+	pools := append([]attachedPool(nil), c.pools...)
 	cb := c.onMember
 	c.mu.Unlock()
+	// The node is back with its disks, and with the copies on them.
+	for _, ap := range pools {
+		if ap.mgr != nil {
+			ap.mgr.Reached(ap.p, nodeDisksOf(ap, node))
+		}
+	}
 	if cb != nil && serving {
 		cb(node, true)
 	}
@@ -689,6 +696,22 @@ func (c *Cluster) boundaryLocked(t time.Duration, effects *[]func()) {
 				// nodes converge without waiting for the next proposal.
 				c.reconcileLocked(i, j)
 			}
+		}
+	}
+	// The beats carried the leader's log: once a majority holds a tail of
+	// its term it commits, as Raft's heartbeat AppendEntries does, rather
+	// than wait for a next proposal that may never come.
+	if lead := c.currentLeaderLocked(); lead != nil && lead.commit < c.base+len(lead.log) && c.lastTermLocked(lead) == lead.term {
+		acks := 1
+		for _, j := range c.nodes {
+			if j != lead && j.up && !j.learner && !j.removed && j.term == lead.term &&
+				j.lastLeaderBeat == t && lead.lastHeard[j.id] == t {
+				acks++
+			}
+		}
+		if acks*2 > c.votersLocked() {
+			lead.commit = c.base + len(lead.log)
+			c.advanceApplyLocked(lead, effects)
 		}
 	}
 	for _, i := range c.nodes {

@@ -420,3 +420,66 @@ func TestPlacementRecordsStayBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestProposalStepsDownADeposedLeader: a leader cut off in a minority
+// while the majority elects anew first hears of the newer term from the
+// new leader's proposal after the heal. It must step down there: kept
+// as a leader in the adopted term, it would be that term's second one
+// and reconcile its own log onto its peers.
+func TestProposalStepsDownADeposedLeader(t *testing.T) {
+	c, clock, net := newTestCluster(t, 5, 13)
+	old := c.Leader()
+	minority := []int{old, (old + 1) % 5}
+	var majority []int
+	for i := 0; i < 5; i++ {
+		if i != minority[0] && i != minority[1] {
+			majority = append(majority, i)
+		}
+	}
+	partitionNodes(net, minority, majority)
+	if !stepUntil(c, clock, 400, func() bool { l := c.Leader(); return l >= 0 && l != old }) {
+		t.Fatal("majority never elected a leader")
+	}
+	net.HealAll()
+	if _, err := c.CommitProduce("t", 0, 0, 1); err != nil {
+		t.Fatalf("commit after heal: %v", err)
+	}
+	leaders := 0
+	for _, n := range c.Status().Nodes {
+		if n.Role == Leader.String() {
+			leaders++
+		}
+	}
+	if leaders != 1 {
+		t.Fatalf("%d nodes lead after the new leader's first proposal, want 1: %+v", leaders, c.Status().Nodes)
+	}
+}
+
+// TestBeatsCommitAnEntryProposedWithoutQuorum: an entry the leader
+// appended while a majority was down commits on its heartbeats once the
+// followers are back, without waiting for a next proposal.
+func TestBeatsCommitAnEntryProposedWithoutQuorum(t *testing.T) {
+	c, clock, _ := newTestCluster(t, 5, 7)
+	lead := c.Leader()
+	var down []int
+	for i := 0; i < 5 && len(down) < 3; i++ {
+		if i != lead {
+			down = append(down, i)
+			if err := c.KillNode(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := c.CommitProduce("t", 0, 0, 1); !errors.Is(err, ErrNoQuorum) {
+		t.Fatalf("commit with three of five down: %v, want ErrNoQuorum", err)
+	}
+	for _, i := range down {
+		if err := c.ReviveNode(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !stepUntil(c, clock, 20, func() bool { return c.ProduceCommitted("t", 0, 0, 1) }) {
+		t.Fatal("the entry never committed after its quorum came back")
+	}
+	assertPrefixConsistent(t, c)
+}

@@ -34,6 +34,9 @@ var (
 	// ErrTooFewVoters keeps the voter set at three or more: below that a
 	// single failure stalls the metadata plane.
 	ErrTooFewVoters = errors.New("cluster: removal would leave fewer than 3 voters")
+	// ErrNodeHoldsCopies defers a tombstone, which fails the node's disks
+	// for good, while they still hold copies; a retry evacuates again.
+	ErrNodeHoldsCopies = errors.New("cluster: leaving node still holds copies")
 )
 
 // JoinReport records what one committed join actually moved — the
@@ -128,9 +131,10 @@ func (c *Cluster) ProposeJoin(node int) error {
 
 // ProposeRemove retires a node: a committed "leave" entry drains it and
 // relocates its slices off (the evacuation side effect), then a
-// committed "remove" tombstone drops it permanently. Safe to retry — a
-// half-done removal (leave committed, remove not) resumes at the
-// tombstone.
+// committed "remove" tombstone drops it permanently. The tombstone
+// waits until the node's disks hold no copy (ErrNodeHoldsCopies). Safe
+// to retry — a half-done removal (leave committed, remove not) evacuates
+// again and resumes at the tombstone.
 func (c *Cluster) ProposeRemove(node int) error {
 	now := c.clock.Now()
 	var effects []func()
@@ -160,16 +164,29 @@ func (c *Cluster) ProposeRemove(node int) error {
 		c.mu.Unlock()
 		return ErrTooFewVoters
 	}
-	var err error
 	if !c.leaving[node] {
-		if _, err = c.proposeLocked(Entry{Kind: "member", Data: strconv.Itoa(node) + sep + "leave"}, &effects); err != nil {
-			c.storeViewLocked(now)
-			c.mu.Unlock()
-			c.runEffects(effects)
+		_, err := c.proposeLocked(Entry{Kind: "member", Data: strconv.Itoa(node) + sep + "leave"}, &effects)
+		c.storeViewLocked(now)
+		c.mu.Unlock()
+		c.runEffects(effects)
+		if err != nil {
 			return err
 		}
+		effects = nil
+	} else {
+		c.mu.Unlock()
+		c.evacuate(node)
 	}
-	_, err = c.proposeLocked(Entry{Kind: "member", Data: strconv.Itoa(node) + sep + "remove"}, &effects)
+	c.mu.Lock()
+	pools := append([]attachedPool(nil), c.pools...)
+	c.mu.Unlock()
+	for _, ap := range pools {
+		if ap.p.DomainSlices()[node] > 0 {
+			return ErrNodeHoldsCopies
+		}
+	}
+	c.mu.Lock()
+	_, err := c.proposeLocked(Entry{Kind: "member", Data: strconv.Itoa(node) + sep + "remove"}, &effects)
 	c.storeViewLocked(now)
 	c.mu.Unlock()
 	c.runEffects(effects)
@@ -285,20 +302,29 @@ func (c *Cluster) nodeJoined(node int) {
 	}
 	c.mu.Unlock()
 
+	// A moved copy arrives empty, so one its group cannot spare stays.
+	mgrs := distinctManagers(pools)
 	for _, op := range ops {
+		spared := true
+		for _, mgr := range mgrs {
+			spared = spared && mgr.Spares(pools[op.idx].p, op.id)
+		}
+		if !spared {
+			rep.Skipped++
+			continue
+		}
 		if _, err := pools[op.idx].p.RelocateTo(op.id, newDisks[op.idx]); err == nil {
 			rep.MovedSlices++
 		}
 	}
 	// Every copy now sitting on the new node's disks arrived empty:
 	// mark it stale so repair rebuilds it from its group peers.
-	mgrs := distinctManagers(pools)
 	for idx, set := range newDisks {
 		if len(set) == 0 {
 			continue
 		}
 		for _, mgr := range mgrs {
-			rep.MovedBytes += mgr.MarkDisksStale(pools[idx].p, set)
+			rep.MovedBytes += mgr.MarkDisksStale(pools[idx].p, set, false)
 		}
 	}
 
@@ -318,9 +344,20 @@ func (c *Cluster) nodeJoined(node int) {
 // its new home, repaired from group peers) and its stream workers hand
 // off.
 func (c *Cluster) nodeLeaving(node int) {
+	c.evacuate(node)
+	c.mu.Lock()
+	cb := c.onMember
+	c.mu.Unlock()
+	if cb != nil {
+		cb(node, false)
+	}
+}
+
+// evacuate relocates every placement copy off node's disks, in every
+// attached pool, and counts the bytes queued for re-replication.
+func (c *Cluster) evacuate(node int) {
 	c.mu.Lock()
 	pools := append([]attachedPool(nil), c.pools...)
-	cb := c.onMember
 	c.mu.Unlock()
 	var moved int64
 	mgrs := distinctManagers(pools)
@@ -338,9 +375,6 @@ func (c *Cluster) nodeLeaving(node int) {
 	c.stats.EvacuatedBytes += moved
 	c.storeViewLocked(c.clock.Now())
 	c.mu.Unlock()
-	if cb != nil {
-		cb(node, false)
-	}
 }
 
 // nodeRemoved runs the tombstone side effects: the departed node's

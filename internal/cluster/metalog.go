@@ -311,9 +311,10 @@ func (c *Cluster) proposeLocked(e Entry, effects *[]func()) (time.Duration, erro
 		}
 		if lead.term > j.term {
 			// Same rule on the follower side: adopting a higher term voids
-			// any vote the follower cast in its old term.
+			// its old vote, and a deposed leader steps down.
 			j.term = lead.term
 			j.votedFor = -1
+			j.role = Follower
 		}
 		c.reconcileLocked(lead, j)
 		if j.learner {

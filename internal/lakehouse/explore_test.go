@@ -163,6 +163,18 @@ func exploreWriters() []exploreWriter {
 			_, err := x.tbl.ExpireSnapshots(x.clock.Now())
 			return 0, err
 		}, same},
+		// A query counts the rows it sees: all of them, once each, before
+		// or after the other writer, never a flush's rows in neither the
+		// write cache nor the snapshot.
+		{"query", false, func(x *exploreLake) (int64, error) {
+			plan, _, err := x.e.PlanScan("t", nil)
+			if err != nil {
+				return 0, err
+			}
+			var n int64
+			_, _, err = x.e.Scan("t", plan, nil, func(colfile.Row) bool { n++; return true })
+			return n, err
+		}, func(rows []exploreRow) ([]exploreRow, int64) { return rows, int64(len(rows)) }},
 	}
 }
 

@@ -177,9 +177,9 @@ func (e *Engine) Insert(name string, rows []colfile.Row) (time.Duration, error) 
 		})
 		return cost, err
 	}
-	x, err := st.tbl.Begin()
+	x, err := st.tbl.Stage()
 	if err != nil {
-		return 0, err
+		return x.Cost(), err
 	}
 	files, err := writeRows(x, st.tbl, rows)
 	if err != nil {
@@ -235,9 +235,10 @@ func (e *Engine) FlushSpan(name string, sp *obs.Span) (time.Duration, error) {
 	}
 	st.flushMu.Lock()
 	defer st.flushMu.Unlock()
+	// The records stay cached, at its head, until their commit lands: a
+	// plan meanwhile finds them there or in the snapshot (planAccelerated).
 	e.mu.Lock()
 	adds := st.pendingAdds
-	st.pendingAdds = nil
 	e.mu.Unlock()
 	sp.SetAttr("files", strconv.Itoa(len(adds)))
 	if len(adds) == 0 {
@@ -250,12 +251,11 @@ func (e *Engine) FlushSpan(name string, sp *obs.Span) (time.Duration, error) {
 		return nil
 	})
 	if err != nil {
-		// Restore the cache so the records, whose files Abort left, are not lost.
-		e.mu.Lock()
-		st.pendingAdds = append(adds, st.pendingAdds...)
-		e.mu.Unlock()
-		return cost, err
+		return cost, err // the records, whose files Abort left, stay cached
 	}
+	e.mu.Lock()
+	st.pendingAdds = st.pendingAdds[min(len(adds), len(st.pendingAdds)):] // DropHard may have cleared it
+	e.mu.Unlock()
 	// Clear the flushed entries from the write cache, and drop cached
 	// manifests now pointing at a superseded snapshot.
 	e.cache.Scan([]byte("wcache/"+name+"/"), []byte("wcache/"+name+"0"), func(k, v []byte) bool {

@@ -1,6 +1,7 @@
 package plog
 
 import (
+	"slices"
 	"sort"
 
 	"streamlake/internal/pool"
@@ -32,12 +33,29 @@ func (m *Manager) StaleByDiskIn(p *pool.Pool) map[pool.DiskID]int64 {
 	return out
 }
 
+// Spares reports whether the log holding slice id of p could lose that
+// copy and still rebuild it from its other fresh copies. A slice no log
+// of m holds is spared.
+func (m *Manager) Spares(p *pool.Pool, id pool.SliceID) bool {
+	for _, l := range m.sortedLogs() {
+		l.mu.RLock()
+		i := slices.IndexFunc(l.slices, func(s *pool.Slice) bool { return s.ID == id })
+		short := l.pool == p && i >= 0 && l.fresh(i, nil) < l.red.required()
+		l.mu.RUnlock()
+		if short {
+			return false
+		}
+	}
+	return true
+}
+
 // EvacuateDisks relocates every live copy hosted on the given disks of
 // p onto other failure domains — the drain leg of a node removal. The
 // relocation preserves slice identity but carries no data: each moved
 // copy is marked fully stale at its new home, so the ordinary repair
 // plane rebuilds it from its surviving group peers with real, charged
-// I/O. Copies that cannot relocate (no admissible target) stay put and
+// I/O; one its group cannot spare is copied across whole instead.
+// Copies that cannot relocate (no admissible target) stay put and
 // stay healthy; the caller retries after conditions improve. Logs are
 // visited in ID order so seeded runs replay bit-identically. Returns
 // the copies moved and the stale bytes queued for re-replication.
@@ -70,11 +88,28 @@ func (m *Manager) EvacuateDisks(p *pool.Pool, disks map[pool.DiskID]bool) (moved
 					exclude[o.Disk] = true
 				}
 			}
+			// A copy its group cannot spare moves with its bytes, read
+			// from the leaving node, which still serves them.
+			carry := full > 0 && l.stale[i] == 0 && l.fresh(i, nil) < l.red.required()
 			if _, err := p.Relocate(s.ID, exclude); err != nil {
-				continue
+				// Every other domain holds a copy: share one rather than
+				// strand the copy on disks the tombstone fails.
+				others := make(map[pool.DiskID]bool)
+				for d := pool.DiskID(0); int(d) < p.DiskCount(); d++ {
+					others[d] = !exclude[d] && !disks[d]
+				}
+				if _, err := p.RelocateTo(s.ID, others); err != nil {
+					continue
+				}
 			}
 			moved++
 			changed = true
+			delete(l.unreached, i)
+			if carry {
+				if _, err := p.RepairSlice(s.ID, nil, full, 0); err == nil {
+					continue
+				}
+			}
 			if full > 0 {
 				if l.stale == nil {
 					l.stale = make(map[int]int64)

@@ -126,6 +126,9 @@ type PLog struct {
 	// (or shard column) is missing after degraded writes. A stale slice
 	// never serves reads and is the repair service's work queue.
 	stale map[int]int64
+	// unreached keeps what each copy its node's death verdict staled held,
+	// for Manager.Reached; relocating or rebuilding the slice forgets it.
+	unreached map[int]unreachedCopy
 
 	// Integrity state (see integrity.go). Guarded by imu, not mu, so the
 	// fault injector can corrupt copies from pool-hook context; never
@@ -605,16 +608,12 @@ func (l *PLog) StaleBytes() int64 {
 	return total
 }
 
-// MarkDiskStale records every placement copy of this log hosted on one
-// of the given disks of p as fully stale — the cluster layer's "node
-// died" edge. The copy stops serving reads immediately (its stored
-// checksums are dropped, so every range of it reads as missing) and
-// enters the repair queue; RepairStale later relocates the slice off
-// the dead disk and rebuilds it from surviving peers. The pool-identity
-// check guards against disk-ID aliasing: a log migrated to another pool
-// numbers its disks in that pool's space, so only logs still placed on
-// p match. Returns the stale bytes newly recorded.
-func (l *PLog) MarkDiskStale(p *pool.Pool, disks map[pool.DiskID]bool) int64 {
+// markStale records every placement copy of this log on the given disks
+// of p as fully stale: its checksums are dropped (remembered with keep),
+// so it serves no reads, and RepairStale rebuilds it from its peers. Only
+// logs still placed on p match, as disk IDs alias across pools. Returns
+// the stale bytes newly recorded.
+func (l *PLog) markStale(p *pool.Pool, disks map[pool.DiskID]bool, keep bool) int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.destroyed || l.pool != p {
@@ -630,13 +629,20 @@ func (l *PLog) MarkDiskStale(p *pool.Pool, disks map[pool.DiskID]bool) int64 {
 		if l.stale == nil {
 			l.stale = make(map[int]int64)
 		}
-		if have, ok := l.stale[i]; !ok || have < full {
-			added += full - l.stale[i]
+		have := l.stale[i]
+		if have < full {
+			added += full - have
 			l.stale[i] = full
 			marked = true
 		}
 		l.imu.Lock()
 		if i < len(l.copySums) && l.copySums[i] != nil {
+			if _, held := l.unreached[i]; keep && !held && have < full {
+				if l.unreached == nil {
+					l.unreached = make(map[int]unreachedCopy)
+				}
+				l.unreached[i] = unreachedCopy{sums: l.copySums[i], bytes: full - have}
+			}
 			l.copySums[i] = make(map[int]uint32)
 		}
 		l.imu.Unlock()
@@ -645,6 +651,43 @@ func (l *PLog) MarkDiskStale(p *pool.Pool, disks map[pool.DiskID]bool) int64 {
 		l.invalidateCached()
 	}
 	return added
+}
+
+// unreachedCopy is what a copy held when its node was declared dead.
+type unreachedCopy struct {
+	sums  map[int]uint32
+	bytes int64
+}
+
+// reached restores the copies on the given disks of p that markStale
+// kept and nothing moved since; only the appends they missed stay stale.
+// Returns the stale bytes cleared.
+func (l *PLog) reached(p *pool.Pool, disks map[pool.DiskID]bool) int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.destroyed || l.pool != p {
+		return 0
+	}
+	var cleared int64
+	for i, u := range l.unreached {
+		if s := l.slices[i]; !disks[s.Disk] || p.DiskFailed(s.Disk) {
+			continue
+		}
+		delete(l.unreached, i)
+		l.imu.Lock()
+		for e, sum := range u.sums {
+			l.copySums[i][e] = sum
+		}
+		l.imu.Unlock()
+		cleared += min(u.bytes, l.stale[i])
+		if l.stale[i] -= u.bytes; l.stale[i] <= 0 {
+			delete(l.stale, i)
+		}
+	}
+	if cleared > 0 {
+		l.invalidateCached()
+	}
+	return cleared
 }
 
 // FullyRedundant reports whether every placement slice holds its full
@@ -708,6 +751,7 @@ func (l *PLog) RepairStale() (repaired int64, cost time.Duration, err error) {
 			if _, rerr := l.pool.Relocate(s.ID, exclude); rerr != nil {
 				return repaired, cost, fmt.Errorf("plog: relocate slice %d of log %d: %w", i, l.id, rerr)
 			}
+			delete(l.unreached, i)
 			rebuild = l.red.shardSize(l.size)
 			if l.compressed {
 				l.imu.Lock()
@@ -756,6 +800,7 @@ func (l *PLog) RepairStale() (repaired int64, cost time.Duration, err error) {
 		cost += c
 		repaired += staleBytes
 		delete(l.stale, i)
+		delete(l.unreached, i)
 		// The copy holds true bytes again; its checksums verify anew.
 		l.restoreSums(i)
 	}
@@ -1012,6 +1057,48 @@ func (m *Manager) DegradedCount() int {
 	return n
 }
 
+// Tolerates reports whether every live log would keep spare more fresh
+// copies than its redundancy needs (one, or K shards) if the disks down
+// names failed too: the question a fault schedule asks before each kill
+// or corruption, to inject no more loss than the logs survive.
+func (m *Manager) Tolerates(spare int, down func(p *pool.Pool, d pool.DiskID) bool) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, l := range m.logs {
+		l.mu.RLock()
+		short := l.fresh(-1, func(d pool.DiskID) bool { return down(l.pool, d) }) < l.red.required()+spare
+		l.mu.RUnlock()
+		if short {
+			return false
+		}
+	}
+	return true
+}
+
+// fresh counts the log's copies, but copy skip, that could serve a
+// rebuild: not stale, not corrupt, on a healthy disk down does not name
+// (nil names none). Caller holds mu.
+func (l *PLog) fresh(skip int, down func(pool.DiskID) bool) int {
+	l.imu.Lock()
+	defer l.imu.Unlock()
+	n := 0
+next:
+	for i, s := range l.slices {
+		if i == skip || l.stale[i] > 0 || l.pool.DiskFailed(s.Disk) || down != nil && down(s.Disk) {
+			continue
+		}
+		if i < len(l.copySums) {
+			for e, sum := range l.copySums[i] {
+				if sum != l.trueSums[e][i] {
+					continue next
+				}
+			}
+		}
+		n++
+	}
+	return n
+}
+
 // StaleBytes sums the missing redundancy bytes across all live logs.
 func (m *Manager) StaleBytes() int64 {
 	m.mu.Lock()
@@ -1024,21 +1111,24 @@ func (m *Manager) StaleBytes() int64 {
 }
 
 // MarkDisksStale marks every live log's copies on the given disks of p
-// fully stale, in log-ID order for determinism, and returns the total
-// stale bytes recorded — the bulk form of PLog.MarkDiskStale the
-// cluster applies when a committed membership change declares a node
-// dead.
-func (m *Manager) MarkDisksStale(p *pool.Pool, disks map[pool.DiskID]bool) int64 {
-	m.mu.Lock()
-	logs := make([]*PLog, 0, len(m.logs))
-	for _, l := range m.logs {
-		logs = append(logs, l)
-	}
-	m.mu.Unlock()
-	sort.Slice(logs, func(i, j int) bool { return logs[i].id < logs[j].id })
+// fully stale, in log-ID order, and returns the stale bytes recorded:
+// copies moved onto a joining node, which arrive empty, or with unreached
+// those of a node declared dead, which Reached restores.
+func (m *Manager) MarkDisksStale(p *pool.Pool, disks map[pool.DiskID]bool, unreached bool) int64 {
 	var total int64
-	for _, l := range logs {
-		total += l.MarkDiskStale(p, disks)
+	for _, l := range m.sortedLogs() {
+		total += l.markStale(p, disks, unreached)
+	}
+	return total
+}
+
+// Reached restores every live log's copies on the given disks of p that
+// MarkDisksUnreachable marked and nothing moved since — a readmitted
+// node's copies hold their bytes — and returns the stale bytes cleared.
+func (m *Manager) Reached(p *pool.Pool, disks map[pool.DiskID]bool) int64 {
+	var total int64
+	for _, l := range m.sortedLogs() {
+		total += l.reached(p, disks)
 	}
 	return total
 }

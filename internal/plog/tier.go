@@ -141,6 +141,7 @@ func (l *PLog) Migrate(dst *pool.Pool) (time.Duration, error) {
 	l.imu.Lock()
 	l.slices = newSlices
 	l.pool = dst
+	l.unreached = nil // the new copies hold only what the old ones did
 	if compressTo {
 		l.compressed = true
 		l.ecomp = newComp

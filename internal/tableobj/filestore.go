@@ -23,6 +23,7 @@ import (
 // converted to PLogs in the storage for redundant persistence").
 type FileStore struct {
 	mgr *plog.Manager
+	red plog.Redundancy // every file's erasure code, EC(4,2) by default
 
 	mu    sync.Mutex
 	files map[string]fileEntry
@@ -38,13 +39,17 @@ var ErrNotFound = errors.New("tableobj: file not found")
 
 // NewFileStore builds a file store creating PLogs from mgr.
 func NewFileStore(mgr *plog.Manager) *FileStore {
-	return &FileStore{mgr: mgr, files: make(map[string]fileEntry)}
+	return &FileStore{mgr: mgr, red: plog.EC(4, 2), files: make(map[string]fileEntry)}
 }
+
+// SetRedundancy sets the erasure code later writes use. Call at wiring
+// time.
+func (fs *FileStore) SetRedundancy(red plog.Redundancy) { fs.red = red }
 
 // Write persists data at path (overwriting), returning the modelled
 // write latency.
 func (fs *FileStore) Write(path string, data []byte) (time.Duration, error) {
-	l, err := fs.mgr.Create(plog.EC(4, 2))
+	l, err := fs.mgr.Create(fs.red)
 	if err != nil {
 		return 0, err
 	}

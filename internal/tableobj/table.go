@@ -201,10 +201,34 @@ func (t *Table) Begin() (*Txn, error) {
 	return x, nil
 }
 
+// Stage starts a transaction that only writes data files for another to
+// commit (Insert through the write cache): it reads the pointer its ids
+// must exceed but no snapshot, so it can abort but not commit.
+func (t *Table) Stage() (*Txn, error) {
+	x := &Txn{t: t}
+	_, err := x.pointer()
+	return x, err
+}
+
+// pointer reads the current snapshot pointer, charging the read, and
+// moves the handle's ids past it.
+func (x *Txn) pointer() (int64, error) {
+	ptr, cost, err := x.t.cat.SnapshotPointer(x.t.meta.Name)
+	x.cost += cost
+	for err == nil {
+		seq := x.t.seq.Load()
+		if seq >= ptr || x.t.seq.CompareAndSwap(seq, ptr) {
+			break
+		}
+	}
+	return ptr, err
+}
+
 // rebase makes the current snapshot the transaction's base, charging the
 // reads to sp's cursor.
 func (x *Txn) rebase(sp *obs.Span) error {
-	ptr, cost, err := x.t.cat.SnapshotPointer(x.t.meta.Name)
+	before := x.cost
+	ptr, err := x.pointer()
 	if err != nil {
 		return err
 	}
@@ -212,14 +236,9 @@ func (x *Txn) rebase(sp *obs.Span) error {
 	if err != nil {
 		return err
 	}
-	for {
-		seq := x.t.seq.Load()
-		if seq >= ptr || x.t.seq.CompareAndSwap(seq, ptr) {
-			break
-		}
-	}
+	cost := x.cost - before
 	x.base, x.baseBlob, x.manifest = Manifest{Snapshot: Snapshot{ID: ptr}}, blob, nil
-	x.cost += cost + c2
+	x.cost += c2
 	sp.Advance(cost + c2)
 	return nil
 }

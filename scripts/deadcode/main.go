@@ -34,7 +34,7 @@ import (
 )
 
 var (
-	knobExempt = regexp.MustCompile(`^internal/(bench|baseline|workload|chaos)/`)
+	knobExempt = regexp.MustCompile(`^internal/(bench|baseline|workload)/`)
 	knobType   = regexp.MustCompile(`(Config|Options|Policy)$`)
 	moduleLine = regexp.MustCompile(`(?m)^module\s+(\S+)`)
 	allowlists = []struct {

@@ -5,12 +5,12 @@
 #
 # Four packages look at -short. internal/bench trims its benchmark-shape
 # replays (single-threaded simulation loops, the better part of an hour
-# under -race); internal/chaos runs one seed of three in its two mixed
-# workloads; internal/plog runs 50 steps of its model run, not 120, and
-# skips TestDisabledObsOverheadBound, a wall-clock ratio the detector
-# would distort, as internal/streamsvc skips the wall-clock half of
-# TestEnabledObsOverheadBound. The second pass is where all of those run
-# in full.
+# under -race); internal/chaos sweeps its all-actor schedule over 20
+# seeds of 300 events, not 100 of 600; internal/plog runs 50 steps of
+# its model run, not 120, and skips TestDisabledObsOverheadBound, a
+# wall-clock ratio the detector would distort, as internal/streamsvc
+# skips the wall-clock half of TestEnabledObsOverheadBound. The second
+# pass is where all of those run in full.
 #
 # Every performance floor is an ordinary test beside the package it
 # guards, so both passes run it; EXPERIMENTS.md ("Gates") is the index.

@@ -218,6 +218,7 @@ func Open(cfg Config) (*Lake, error) {
 	store := streamobj.NewStore(clock, logs)
 	svc := streamsvc.New(clock, store, cfg.Workers)
 	fs := tableobj.NewFileStore(logs)
+	fs.SetRedundancy(tableRedundancy(cfg.Nodes))
 	cat := tableobj.NewCatalog(clock)
 	store.EnableGroupCommit(cfg.GroupCommitSlices)
 	lh := lakehouse.New(clock, fs, cat, lakehouse.Options{
@@ -326,6 +327,18 @@ func Open(cfg Config) (*Lake, error) {
 		return nil, err
 	}
 	return l, nil
+}
+
+// tableRedundancy is the widest EC(k,2), k ≤ 4, whose shards the (n−1)/2
+// node failures a quorum of n survives cannot take three of: EC(3,2) on
+// five nodes, where six shards put two on one node; else EC(4,2).
+func tableRedundancy(nodes int) plog.Redundancy {
+	for k := 4; k > 1; k-- {
+		if perNode := (k + 1 + nodes) / max(nodes, 1); perNode*((nodes-1)/2) <= 2 {
+			return plog.EC(k, 2)
+		}
+	}
+	return plog.EC(4, 2)
 }
 
 // Cache exposes the two-tier read cache; nil when Config.CacheMB is 0.
@@ -606,9 +619,9 @@ func (l *Lake) Catalog() *tableobj.Catalog { return l.cat }
 // accounting verbatim so scrub and repair stay coherent across the
 // move, and their extents compress on the way onto the HDD pool (see
 // plog.Migrate). The returned cost is the sum of those moves; deciding
-// them is free. A migration that fails (e.g. the destination pool is
-// full) is left for the next pass; the accounting-level move stands
-// either way.
+// them is free. A log with stale copies is not moved, and a migration
+// that fails (e.g. the destination pool is full) is left for the next
+// pass; the accounting-level move stands either way.
 func (l *Lake) RunTiering() ([]tiering.Migration, time.Duration) {
 	if l.tierSizes == nil {
 		l.tierSizes = make(map[plog.ID]int64)
@@ -637,6 +650,9 @@ func (l *Lake) RunTiering() ([]tiering.Migration, time.Duration) {
 		}
 		if m.To != tiering.HDD {
 			continue // the archive tier has no storage pool behind it
+		}
+		if !lg.FullyRedundant() {
+			continue // a log with stale copies moves once repaired
 		}
 		if c, err := lg.Migrate(l.hddPool); err == nil {
 			cost += c

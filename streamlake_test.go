@@ -439,3 +439,16 @@ func TestOneNodeLakeIsOneNodeCluster(t *testing.T) {
 		}
 	}
 }
+
+// TestTableRedundancyOutlastsTheQuorum: table files use the widest
+// EC(k,2) whose shards the node failures a quorum survives cannot take
+// three of — EC(3,2) on five nodes, one shard per node, and EC(4,2)
+// where six shards spread thin enough (or no k would do).
+func TestTableRedundancyOutlastsTheQuorum(t *testing.T) {
+	for nodes, want := range map[int]plog.Redundancy{1: plog.EC(4, 2), 3: plog.EC(4, 2), 4: plog.EC(4, 2),
+		5: plog.EC(3, 2), 6: plog.EC(4, 2), 9: plog.EC(4, 2)} {
+		if got := tableRedundancy(nodes); got != want {
+			t.Errorf("%d nodes: %+v, want %+v", nodes, got, want)
+		}
+	}
+}
