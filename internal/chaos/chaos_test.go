@@ -117,6 +117,94 @@ func TestChaosInvariantsHold(t *testing.T) {
 	t.Logf("%d seeds of %d events: %v", seeds, events, sum)
 }
 
+// runChecked runs cfg — twice when replay is set, and then both runs
+// must give one digest — checks its "all-<seed>-<events>" digest row and
+// fails on any violation, on an acked write the drain missed, on a
+// denied steady-tenant write, and on a run that acked nothing.
+func runChecked(t *testing.T, cfg Config, replay bool) Report {
+	t.Helper()
+	var rep Report
+	var err error
+	if replay {
+		var same bool
+		rep, same, err = RunWithReplay(cfg)
+		if err == nil && !same {
+			t.Errorf("seed %d: replay diverged (digest %x)", cfg.Seed, rep.Digest)
+		}
+	} else {
+		rep, err = Run(cfg)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDigest(t, fmt.Sprintf("all-%d-%d", cfg.Seed, cfg.Events), rep)
+	for _, v := range rep.Violations {
+		t.Errorf("seed %d: invariant violated: %s", cfg.Seed, v)
+	}
+	c := rep.Counters
+	if c["stream.produced"] == 0 {
+		t.Errorf("seed %d: acked nothing, the schedule is degenerate: %v", cfg.Seed, rep.Actors)
+	}
+	if c["stream.drained"] < c["stream.produced"] {
+		t.Errorf("seed %d: drained %d of %d acked", cfg.Seed, c["stream.drained"], c["stream.produced"])
+	}
+	if c["tenants.steadyDenied"] != 0 {
+		t.Errorf("seed %d: protected tenant denied %d times", cfg.Seed, c["tenants.steadyDenied"])
+	}
+	return rep
+}
+
+// requireLive fails for each named counter that rep left at 0.
+func requireLive(t *testing.T, rep Report, names ...string) {
+	t.Helper()
+	for _, k := range names {
+		if rep.Counters[k] == 0 {
+			t.Errorf("%s is 0: %v", k, rep.Actors)
+		}
+	}
+}
+
+// TestChaosReplayIsBitIdentical: same seed, same digest — the whole
+// run, every actor's faults included, is a pure function of its config;
+// and a different seed is a different run.
+func TestChaosReplayIsBitIdentical(t *testing.T) {
+	t.Parallel()
+	rep := runChecked(t, Config{Seed: 7, Events: 600}, true)
+	other := runChecked(t, Config{Seed: 8, Events: 600}, false)
+	if other.Digest == rep.Digest {
+		t.Fatal("different seeds produced identical digests")
+	}
+}
+
+// TestMixedWorkloadCacheCoherence: stream produce/consume, lakehouse
+// inserts and scans, scrub, physical tiering onto the compressing HDD
+// tier and the read cache, all under the fault actors. Each run replays
+// bit-identically, every cache-coherence probe sees device-identical
+// bytes (a mismatch is a violation), and the cold tier compresses.
+func TestMixedWorkloadCacheCoherence(t *testing.T) {
+	t.Parallel()
+	for _, seed := range []uint64{2, 3} {
+		rep := runChecked(t, Config{Seed: seed, Events: 600}, true)
+		requireLive(t, rep, "lakehouse.rows", "lakehouse.coherence", "lakehouse.cacheHits", "lakehouse.coldLogs")
+		c := rep.Counters
+		if c["lakehouse.coldComp"] >= c["lakehouse.coldRaw"] {
+			t.Errorf("seed %d: cold tier stored %d bytes for %d raw: compression bought nothing",
+				seed, c["lakehouse.coldComp"], c["lakehouse.coldRaw"])
+		}
+		t.Logf("seed %d: %d coherence probes, %d cache hits, %d cold logs storing %d of %d raw bytes", seed,
+			c["lakehouse.coherence"], c["lakehouse.cacheHits"], c["lakehouse.coldLogs"], c["lakehouse.coldComp"], c["lakehouse.coldRaw"])
+	}
+}
+
+// TestGroupCommitChaos: the batched flush path under disk kills acks
+// and keeps every write, actually coalesces commits, and replays
+// bit-identically.
+func TestGroupCommitChaos(t *testing.T) {
+	t.Parallel()
+	rep := runChecked(t, Config{Seed: 5, Events: 600}, true)
+	requireLive(t, rep, "stream.groupCommits", "disks.kills")
+}
+
 // TestHedgingCutsTailLatency: with one SSD slowed, re-reading the same
 // run's data from the devices ends with a lower virtual-time read p99
 // when hedged reads are on than when they are off.

@@ -11,6 +11,35 @@ import (
 	"streamlake"
 )
 
+// TestClusterFailoverChaos: randomized node kills and revives —
+// including the metadata leader — break none of the invariants: no
+// acked write lost, nothing duplicated, every ack in the replicated
+// metadata log, committed logs agree.
+func TestClusterFailoverChaos(t *testing.T) {
+	t.Parallel()
+	rep := runChecked(t, Config{Seed: 3, Events: 400}, false)
+	requireLive(t, rep, "failover.nodeKills", "failover.elections", "failover.metaCommits")
+	t.Logf("failover chaos: %v", rep.Actors)
+}
+
+// TestClusterSplitBrainChaos: metadata-plane splits put the leader in a
+// minority; acks may only come from the majority side (an ack the
+// minority leader gave is a violation), and healed logs must converge.
+func TestClusterSplitBrainChaos(t *testing.T) {
+	t.Parallel()
+	rep := runChecked(t, Config{Seed: 11, Events: 400}, false)
+	requireLive(t, rep, "split-brain.splits", "failover.elections")
+}
+
+// TestClusterChaosReplayIsBitIdentical: the cluster fault actors —
+// node kills, splits, membership churn — are still a pure function of
+// the seed.
+func TestClusterChaosReplayIsBitIdentical(t *testing.T) {
+	t.Parallel()
+	rep := runChecked(t, Config{Seed: 21, Events: 300}, true)
+	requireLive(t, rep, "failover.nodeKills", "failover.elections")
+}
+
 // drillResult is one scripted failover drill's outcome.
 type drillResult struct {
 	digest    uint64

@@ -13,6 +13,36 @@ import (
 	"streamlake/internal/cluster"
 )
 
+// TestClusterElasticChaos: runtime joins and removals interleaved with
+// node kills, metadata splits and disk kills break none of the
+// invariants (every join inside its movement bound, every change
+// committed by settle) — and joins and removals actually commit.
+func TestClusterElasticChaos(t *testing.T) {
+	t.Parallel()
+	rep := runChecked(t, Config{Seed: 7, Events: 600}, false)
+	requireLive(t, rep, "elastic.joins", "elastic.removes")
+	t.Logf("elastic chaos: %v", rep.Actors)
+}
+
+// TestClusterElasticReplayIsBitIdentical: membership churn under fire is
+// still a pure function of the seed.
+func TestClusterElasticReplayIsBitIdentical(t *testing.T) {
+	t.Parallel()
+	rep := runChecked(t, Config{Seed: 7, Events: 600}, true)
+	requireLive(t, rep, "elastic.joins", "elastic.removes")
+}
+
+// TestClusterElasticLargeN: a longer schedule grows the founding nodes
+// to the nine-node ceiling with every fault actor on — more nodes, more
+// simultaneous failures, same invariants.
+func TestClusterElasticLargeN(t *testing.T) {
+	t.Parallel()
+	rep := runChecked(t, Config{Seed: 101, Events: 900}, false)
+	if j := rep.Counters["elastic.joins"]; j != maxNodes-nodes {
+		t.Fatalf("%d joins, want %d to reach the %d-node ceiling", j, maxNodes-nodes, maxNodes)
+	}
+}
+
 // elasticDrillResult is one scripted join-under-fire drill's outcome.
 type elasticDrillResult struct {
 	digest  uint64
