@@ -272,7 +272,7 @@ func (row *Table1Row) runStreamLake(n int, seed uint64) {
 	}
 	_, dau, err := lh.AggregatePushdown("dpi_logs",
 		[]lakehouse.RangeFilter{{Column: "url", Lo: &urlV, Hi: &urlV}},
-		"province", "", nil)
+		"province", nil, nil, nil)
 	if err != nil {
 		panic(err)
 	}

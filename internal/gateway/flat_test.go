@@ -195,6 +195,9 @@ func TestResponsesByteIdentical(t *testing.T) {
 		{name: "sql no rows", method: "POST", url: "/v1/sql", token: "reader-token",
 			body: `{"query":"select name from tb where n > 5"}`,
 			code: 200, want: `{"columns":["name"],"latency_ns":130001,"rows":null}`},
+		{name: "sql group key selected", method: "POST", url: "/v1/sql", token: "reader-token",
+			body: `{"query":"select count(*), name as k from tb group by name"}`,
+			code: 200, want: `{"columns":["count","k"],"latency_ns":210152,"rows":[["1","a\u003cb"],["1","b"]]}`},
 		{name: "not an object", method: "POST", url: "/v1/sql", token: "reader-token",
 			body: `"not json at all"`,
 			code: 400, want: `{"error":"bad json: json: cannot unmarshal string into Go value of type gateway.sqlRequest"}`},

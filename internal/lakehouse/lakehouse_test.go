@@ -3,6 +3,7 @@ package lakehouse
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -169,7 +170,7 @@ func TestAggregatePushdownDAUQuery(t *testing.T) {
 		[]RangeFilter{
 			{Column: "url", Lo: sv("http://streamlake_fin_app.com"), Hi: sv("http://streamlake_fin_app.com")},
 			{Column: "start_time", Lo: iv(1656806400), Hi: iv(1656806400 + 999)},
-		}, "province", "", nil)
+		}, "province", nil, nil, nil)
 	if err != nil || qs.PlanCost+qs.ScanCost <= 0 {
 		t.Fatal(err)
 	}
@@ -188,10 +189,10 @@ func TestAggregatePushdownDAUQuery(t *testing.T) {
 		t.Fatalf("group order: %+v", results)
 	}
 	// Unknown columns are rejected.
-	if _, _, err := e.AggregatePushdown("tb_dpi_log_hours", nil, "zz", "", nil); err == nil {
+	if _, _, err := e.AggregatePushdown("tb_dpi_log_hours", nil, "zz", nil, nil, nil); err == nil {
 		t.Fatal("unknown group column accepted")
 	}
-	if _, _, err := e.AggregatePushdown("tb_dpi_log_hours", nil, "", "zz", nil); err == nil {
+	if _, _, err := e.AggregatePushdown("tb_dpi_log_hours", nil, "", []string{"zz"}, nil, nil); err == nil {
 		t.Fatal("unknown sum column accepted")
 	}
 }
@@ -204,12 +205,17 @@ func TestAggregateSum(t *testing.T) {
 		row("b", 2, "B", 20),
 		row("c", 3, "S", 5),
 	})
-	results, _, err := e.AggregatePushdown("t", nil, "province", "bytes", nil)
+	results, _, err := e.AggregatePushdown("t", nil, "province", []string{"bytes", "start_time"}, nil, nil)
 	if err != nil || len(results) != 2 {
 		t.Fatalf("%+v %v", results, err)
 	}
-	if results[0].Group != "B" || results[0].Sum != 30 || results[1].Sum != 5 {
+	if results[0].Group != "B" || !slices.Equal(results[0].Sums, []float64{30, 3}) || !slices.Equal(results[1].Sums, []float64{5, 3}) {
 		t.Fatalf("sums: %+v", results)
+	}
+	// keep drops a row the ranges admit before it is folded.
+	results, _, err = e.AggregatePushdown("t", nil, "province", []string{"bytes"}, func(r colfile.Row) bool { return r[3].Int != 10 }, nil)
+	if err != nil || len(results) != 2 || results[0].Count != 1 || results[0].Sums[0] != 20 {
+		t.Fatalf("kept: %+v %v", results, err)
 	}
 }
 

@@ -339,7 +339,7 @@ func TestConcurrentScansAndInserts(t *testing.T) {
 	if _, err := e.Flush("t"); err != nil {
 		t.Fatal(err)
 	}
-	aggs, _, err := e.AggregatePushdown("t", nil, "", "", nil)
+	aggs, _, err := e.AggregatePushdown("t", nil, "", nil, nil, nil)
 	if err != nil || len(aggs) != 1 || aggs[0].Count != writers*batches*perBatch {
 		t.Fatalf("final count %+v, %v; want %d", aggs, err, writers*batches*perBatch)
 	}

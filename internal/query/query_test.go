@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"streamlake/internal/cache"
@@ -133,6 +135,65 @@ func TestCountGroupBy(t *testing.T) {
 	}
 	if total != 750 {
 		t.Fatalf("total count: %d", total)
+	}
+}
+
+// An aggregate's columns follow its select list: a group key the list
+// names keeps its position and alias, and one it does not name comes
+// first. The key once came first regardless, and its item added an
+// empty column name, over rows one value shorter than the header.
+func TestGroupKeyFollowsTheSelectList(t *testing.T) {
+	e, lh := newEngine(t)
+	loadRows(t, lh, 40)
+	cases := []struct {
+		sql  string
+		cols []string
+	}{
+		{"select province, count(*), sum(bytes) from logs group by province", []string{"province", "count", "sum(bytes)"}},
+		{"select count(*), province from logs group by province", []string{"count", "province"}},
+		{"select sum(bytes) as b, province as p, count(*) from logs group by province", []string{"b", "p", "count"}},
+		{"select count(*) from logs group by province", []string{"province", "count"}},
+		{"select province from logs group by province", []string{"province"}},
+	}
+	for _, tc := range cases {
+		for _, pushdown := range []bool{true, false} {
+			e.Pushdown = pushdown
+			res, err := e.Query(tc.sql)
+			if err != nil {
+				t.Fatalf("%q pushdown=%v: %v", tc.sql, pushdown, err)
+			}
+			if !reflect.DeepEqual(res.Columns, tc.cols) || len(res.Rows) != 2 {
+				t.Fatalf("%q pushdown=%v: columns %q over rows %v", tc.sql, pushdown, res.Columns, res.Rows)
+			}
+			for _, row := range res.Rows {
+				if len(row) != len(tc.cols) || !slices.Contains(row, "Beijing") && !slices.Contains(row, "Shanghai") {
+					t.Fatalf("%q pushdown=%v: row %v under %q", tc.sql, pushdown, row, tc.cols)
+				}
+			}
+		}
+	}
+	for _, sql := range []string{"select url, count(*) from logs group by province", "select url, count(*) from logs", "select *, count(*) from logs"} {
+		if _, err := e.Query(sql); err == nil {
+			t.Fatalf("%q: an item neither grouped nor aggregated was accepted", sql)
+		}
+	}
+}
+
+// An aggregate without GROUP BY answers one row even when no row
+// matches: COUNT is 0 and SUM is NULL. A grouped one answers no row.
+func TestAggregateOverNoRowsAnswersOneRow(t *testing.T) {
+	e, lh := newEngine(t)
+	loadRows(t, lh, 40)
+	for _, pushdown := range []bool{true, false} {
+		e.Pushdown = pushdown
+		res, err := e.Query("select count(*), sum(bytes) as b from logs where start_time > 99999")
+		if err != nil || !reflect.DeepEqual(res.Rows, [][]string{{"0", "NULL"}}) || !reflect.DeepEqual(res.Columns, []string{"count", "b"}) {
+			t.Fatalf("pushdown=%v: %+v, %v", pushdown, res, err)
+		}
+		res, err = e.Query("select count(*) from logs where start_time > 99999 group by province")
+		if err != nil || len(res.Rows) != 0 {
+			t.Fatalf("pushdown=%v grouped: %+v, %v", pushdown, res, err)
+		}
 	}
 }
 
