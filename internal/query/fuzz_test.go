@@ -14,6 +14,7 @@ var fuzzSeeds = []string{
 	"select * from logs where start_time = 1003",
 	"select * from logs where start_time >= 1010 and start_time < 1013",
 	"select * from t",
+	"select *, count(*) from logs",
 	"select 1",
 	"select a from t extra junk",
 	"select a from t group a",
@@ -30,23 +31,32 @@ var fuzzSeeds = []string{
 	"select count(*) from logs where province = 'Beijing' group by url",
 	"select count(*) from logs where score < 1.0",
 	"select count(*) from logs where score < 12.5 and start_time > 1004",
+	"select count(*) from logs where start_time > 99999 group by province",
 	"select count(*) from logs where start_time >= 1000 and start_time <= 1500 group by province",
 	"select count(*) from logs where url = 5",
 	"select count(*) from logs",
 	"select count(*) from t where a = 1 and",
 	"select count(*) from t where x = '",
+	"select count(*), name as k from tb group by name",
+	"select count(*), province from logs group by province",
+	"select count(*), sum(bytes) as b from logs where start_time > 99999",
 	"select count(*), sum(v) as total from t where s = 'x' and n <= 5",
 	"select count(url) from logs where province = 'Beijing'",
 	"select from t",
 	"select ghost from logs",
 	"select name from tb where n > 5",
 	"select name, n from tb",
+	"select province from logs group by province",
+	"select province, count(*), sum(bytes) from logs group by province",
 	"select sum(a), sum(b)",
 	"select sum(amount) from ledger where account = 'alice'",
+	"select sum(bytes) as b, province as p, count(*) from logs group by province",
 	"select sum(bytes), count(*), sum(bytes) from logs where start_time >= 1100 group by province",
 	"select sum(bytes), sum(start_time) as s from logs where start_time >= 1100 group by province",
 	"select sum(x) from t group by y",
 	"select url from logs where bytes = 7 and score < 3.0",
+	"select url, count(*) from logs group by province",
+	"select url, count(*) from logs",
 	"select url, start_time from logs where start_time = 1003",
 	`
 		Select COUNT(*) as DAU From visits
