@@ -128,14 +128,12 @@ func open(args []string, out io.Writer) (*shell, string, error) {
 	oneShot := fs.String("c", "", "run one command and exit")
 	cacheMB := fs.Int("cache", 64, "read cache size in MB (0 disables)")
 	groupCommit := fs.Int("group-commit", 0, "coalesce up to this many slice flushes per device commit (0/1: one commit per slice)")
-	zoneMaps := fs.Bool("zonemaps", false, "record zone maps + bloom filters at insert time for scan pruning")
 	nodes := fs.Int("nodes", 0, "cluster size (0 is the same one-node lake as 1)")
 	fs.Parse(args)
 
 	lake, err := streamlake.Open(streamlake.Config{
 		CacheMB:           *cacheMB,
 		GroupCommitSlices: *groupCommit,
-		ZoneMaps:          *zoneMaps,
 		Nodes:             *nodes,
 	})
 	if err != nil {

@@ -25,7 +25,7 @@ func dpiLikeRow(i int, prov string) colfile.Row {
 
 // smallFileTable returns a table whose partition province=A holds one
 // committed file per entry of sizes, of that many rows.
-func smallFileTable(t testing.TB, zoneMaps bool, sizes ...int) *tableobj.Table {
+func smallFileTable(t testing.TB, sizes ...int) *tableobj.Table {
 	t.Helper()
 	clock := sim.NewClock()
 	fs := tableobj.NewFileStore(plog.NewManager(pool.New("cm", clock, sim.NVMeSSD, 8, 64<<20), 64<<20))
@@ -35,7 +35,6 @@ func smallFileTable(t testing.TB, zoneMaps bool, sizes ...int) *tableobj.Table {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl.SetZoneMaps(zoneMaps)
 	row := 0
 	for _, n := range sizes {
 		rows := make([]colfile.Row, n)
@@ -75,7 +74,7 @@ func TestCompactAllocsPerRow(t *testing.T) {
 	}
 	least := uint64(1 << 62)
 	for w := 0; w < 5; w++ {
-		tbl := smallFileTable(t, false, sizes...)
+		tbl := smallFileTable(t, sizes...)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		merged, _, err := CompactPartition(tbl, "province=A", 64<<20)

@@ -36,11 +36,6 @@ type Options struct {
 	// MetaFresher folds the cache into persistent metadata when it
 	// fills. Zero means 64.
 	FlushEvery int
-	// ZoneMaps records per-row-group min/max values and per-column
-	// bloom filters in data-file metadata at insert time; planning
-	// consults them to prune files before any device read. Off by
-	// default (the stats encoding changes when on).
-	ZoneMaps bool
 }
 
 // Engine executes lakehouse operations over a file store and catalog.
@@ -122,7 +117,6 @@ func (e *Engine) CreateTable(meta tableobj.TableMeta) (time.Duration, error) {
 	if err != nil {
 		return cost, err
 	}
-	tbl.SetZoneMaps(e.opts.ZoneMaps)
 	e.mu.Lock()
 	e.tables[meta.Name] = &tableState{tbl: tbl}
 	e.mu.Unlock()
@@ -139,7 +133,6 @@ func (e *Engine) state(name string) (*tableState, error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl.SetZoneMaps(e.opts.ZoneMaps)
 	st := &tableState{tbl: tbl}
 	e.tables[name] = st
 	return st, nil

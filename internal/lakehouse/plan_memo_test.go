@@ -78,10 +78,9 @@ func referenceSnapshot(t *testing.T, e *Engine, st *tableState) (tableobj.Snapsh
 }
 
 // oracleFile draws the statistics of a data file that was never
-// written: random per-column ranges over dpiSchema and, when extended,
-// zone maps with gaps between them and blooms over a few values. Files
-// staged with Txn.AddFile are planned from these stats alone.
-func oracleFile(rng *rand.Rand, id int, extended bool) tableobj.DataFile {
+// written: random per-column ranges over dpiSchema. Files staged with
+// Txn.AddFile are planned from these stats alone.
+func oracleFile(rng *rand.Rand, id int) tableobj.DataFile {
 	f := tableobj.DataFile{Path: fmt.Sprintf("/lake/t/data/synthetic/%06d.col", id), Partition: "synthetic",
 		Rows: int64(rng.Intn(6)), Bytes: 100}
 	word := func(i int) colfile.Value { return colfile.StringValue(fmt.Sprintf("w%02d", i)) }
@@ -91,25 +90,6 @@ func oracleFile(rng *rand.Rand, id int, extended bool) tableobj.DataFile {
 		lo := rng.Intn(40)
 		f.Min = append(f.Min, v(lo))
 		f.Max = append(f.Max, v(lo+rng.Intn(40)))
-	}
-	if !extended {
-		return f
-	}
-	for z := rng.Intn(3); z >= 0; z-- {
-		var zm tableobj.ZoneMap
-		for _, v := range cols {
-			lo := rng.Intn(40)
-			zm.Min = append(zm.Min, v(lo))
-			zm.Max = append(zm.Max, v(lo+rng.Intn(10)))
-		}
-		f.Zones = append(f.Zones, zm)
-	}
-	for _, v := range cols {
-		b := tableobj.NewBloom(4)
-		for k := 0; k < 4; k++ {
-			b.Add(v(rng.Intn(80)))
-		}
-		f.Blooms = append(f.Blooms, b)
 	}
 	return f
 }
@@ -144,107 +124,97 @@ func oracleFilters(rng *rand.Rand) []RangeFilter {
 }
 
 // The manifest memo changes how a plan is computed, never what it says:
-// over random filters on tables of legacy and extended stats, with and
-// without the read cache, PlanScan and the decode-everything reference
-// agree on every file, every prune attribution, the metadata bytes and
-// the charged cost. A file pre-rejected on its encoded ranges must be
-// one filePrune would call pruneRange, so the fixed case below, whose
-// first filter zone-prunes and whose second falls outside the file's
-// range, must stay a zone prune.
+// over random filters, with and without the read cache, PlanScan and
+// the decode-everything reference agree on every file, every prune, the
+// metadata bytes and the charged cost. A file pre-rejected on its
+// encoded ranges must be one filePrune would prune, so the fixed case
+// below, whose first filter overlaps the file's range and whose second
+// falls outside it, must stay a prune.
 func TestPlanMatchesDecodeEverythingOracle(t *testing.T) {
-	for _, zoneMaps := range []bool{false, true} {
-		for _, cached := range []bool{false, true} {
-			t.Run(fmt.Sprintf("zonemaps=%v/cache=%v", zoneMaps, cached), func(t *testing.T) {
-				var engines [2]*Engine
-				for i := range engines {
-					engines[i] = newEngine(t, true)
-					engines[i].opts.ZoneMaps = zoneMaps
-					if cached {
-						engines[i].SetCache(cache.New(cache.Config{DRAMBytes: 8 << 10, SCMBytes: 32 << 10}))
-					}
-					mkTable(t, engines[i], "t")
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
+			var engines [2]*Engine
+			for i := range engines {
+				engines[i] = newEngine(t, true)
+				if cached {
+					engines[i].SetCache(cache.New(cache.Config{DRAMBytes: 8 << 10, SCMBytes: 32 << 10}))
 				}
-				memo, ref := engines[0], engines[1]
-				rng := rand.New(rand.NewSource(1))
-				commit := func(files ...tableobj.DataFile) {
-					for _, e := range engines {
-						tbl, _ := e.Table("t")
-						x, err := tbl.Begin()
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, f := range files {
-							x.AddFile(f)
-						}
-						if _, err := x.Commit(); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				// Zones 0..9 and 30..39 on start_time: [20, 25] overlaps the
-				// file but no zone; bytes [90, 99] misses the file's range.
-				island := tableobj.DataFile{Path: "/lake/t/data/synthetic/island.col", Rows: 4,
-					Min: []colfile.Value{colfile.StringValue("a"), colfile.IntValue(0), colfile.StringValue("a"), colfile.IntValue(0)},
-					Max: []colfile.Value{colfile.StringValue("z"), colfile.IntValue(39), colfile.StringValue("z"), colfile.IntValue(9)}}
-				island.Zones = []tableobj.ZoneMap{
-					{Min: island.Min, Max: []colfile.Value{island.Max[0], colfile.IntValue(9), island.Max[2], island.Max[3]}},
-					{Min: []colfile.Value{island.Min[0], colfile.IntValue(30), island.Min[2], island.Min[3]}, Max: island.Max},
-				}
-				fixed := []RangeFilter{{Column: "start_time", Lo: iv(20), Hi: iv(25)}, {Column: "bytes", Lo: iv(90), Hi: iv(99)}}
-				var plans, admitted, ranged, zoned, bloomed int
-				check := func(filters []RangeFilter) Plan {
-					t.Helper()
-					got, gotCost, err := memo.PlanScan("t", filters)
+				mkTable(t, engines[i], "t")
+			}
+			memo, ref := engines[0], engines[1]
+			rng := rand.New(rand.NewSource(1))
+			commit := func(files ...tableobj.DataFile) {
+				for _, e := range engines {
+					tbl, _ := e.Table("t")
+					x, err := tbl.Begin()
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, wantCost := referencePlan(t, ref, "t", filters)
-					if gotCost != wantCost || !reflect.DeepEqual(got, want) {
-						t.Fatalf("plan %d, filters %+v:\nmemo      %+v (cost %v)\nreference %+v (cost %v)",
-							plans, filters, got, gotCost, want, wantCost)
+					for _, f := range files {
+						x.AddFile(f)
 					}
-					plans++
-					admitted += len(got.Files)
-					ranged += got.SkippedFiles - got.ZonePrunedFiles - got.BloomPrunedFiles
-					zoned += got.ZonePrunedFiles
-					bloomed += got.BloomPrunedFiles
-					return got
-				}
-				commit(island)
-				if p := check(fixed); p.ZonePrunedFiles != 1 {
-					t.Fatalf("the island file is not a zone prune: %+v", p)
-				}
-				for round := 0; round < 30; round++ {
-					switch rng.Intn(3) {
-					case 0:
-						var rows []colfile.Row
-						for i := rng.Intn(12) + 1; i > 0; i-- {
-							rows = append(rows, row(fmt.Sprintf("w%02d", rng.Intn(80)), int64(rng.Intn(80)),
-								fmt.Sprintf("w%02d", rng.Intn(3)), int64(rng.Intn(80))))
-						}
-						for _, e := range engines {
-							if _, err := e.Insert("t", rows); err != nil {
-								t.Fatal(err)
-							}
-						}
-					case 1:
-						var files []tableobj.DataFile
-						for i := rng.Intn(4); i >= 0; i-- {
-							files = append(files, oracleFile(rng, round*10+i, zoneMaps && rng.Intn(3) > 0))
-						}
-						commit(files...)
+					if _, err := x.Commit(); err != nil {
+						t.Fatal(err)
 					}
-					for q := 0; q < 4; q++ {
-						check(oracleFilters(rng))
+				}
+			}
+			// start_time [20, 25] overlaps the file's range; bytes
+			// [90, 99] misses it.
+			island := tableobj.DataFile{Path: "/lake/t/data/synthetic/island.col", Rows: 4,
+				Min: []colfile.Value{colfile.StringValue("a"), colfile.IntValue(0), colfile.StringValue("a"), colfile.IntValue(0)},
+				Max: []colfile.Value{colfile.StringValue("z"), colfile.IntValue(39), colfile.StringValue("z"), colfile.IntValue(9)}}
+			fixed := []RangeFilter{{Column: "start_time", Lo: iv(20), Hi: iv(25)}, {Column: "bytes", Lo: iv(90), Hi: iv(99)}}
+			var plans, admitted, pruned int
+			check := func(filters []RangeFilter) Plan {
+				t.Helper()
+				got, gotCost, err := memo.PlanScan("t", filters)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantCost := referencePlan(t, ref, "t", filters)
+				if gotCost != wantCost || !reflect.DeepEqual(got, want) {
+					t.Fatalf("plan %d, filters %+v:\nmemo      %+v (cost %v)\nreference %+v (cost %v)",
+						plans, filters, got, gotCost, want, wantCost)
+				}
+				plans++
+				admitted += len(got.Files)
+				pruned += got.SkippedFiles
+				return got
+			}
+			commit(island)
+			if p := check(fixed); p.SkippedFiles != 1 {
+				t.Fatalf("the island file is not pruned: %+v", p)
+			}
+			for round := 0; round < 30; round++ {
+				switch rng.Intn(3) {
+				case 0:
+					var rows []colfile.Row
+					for i := rng.Intn(12) + 1; i > 0; i-- {
+						rows = append(rows, row(fmt.Sprintf("w%02d", rng.Intn(80)), int64(rng.Intn(80)),
+							fmt.Sprintf("w%02d", rng.Intn(3)), int64(rng.Intn(80))))
 					}
-					check(fixed)
+					for _, e := range engines {
+						if _, err := e.Insert("t", rows); err != nil {
+							t.Fatal(err)
+						}
+					}
+				case 1:
+					var files []tableobj.DataFile
+					for i := rng.Intn(4); i >= 0; i-- {
+						files = append(files, oracleFile(rng, round*10+i))
+					}
+					commit(files...)
 				}
-				t.Logf("%d plans: %d files admitted, %d range-, %d zone- and %d bloom-pruned", plans, admitted, ranged, zoned, bloomed)
-				if admitted == 0 || ranged == 0 || zoneMaps && bloomed == 0 {
-					t.Fatal("the draws leave a verdict unexercised")
+				for q := 0; q < 4; q++ {
+					check(oracleFilters(rng))
 				}
-			})
-		}
+				check(fixed)
+			}
+			t.Logf("%d plans: %d files admitted, %d pruned", plans, admitted, pruned)
+			if admitted == 0 || pruned == 0 {
+				t.Fatal("the draws leave a verdict unexercised")
+			}
+		})
 	}
 }
 

@@ -21,8 +21,6 @@ type scanMetrics struct {
 	skippedBytes *obs.Counter
 	plans        *obs.Counter
 	prunedFiles  *obs.Counter
-	zonePruned   *obs.Counter
-	bloomPruned  *obs.Counter
 	scanLat      *obs.Histogram
 }
 
@@ -37,8 +35,6 @@ func (e *Engine) SetObs(reg *obs.Registry) {
 		skippedBytes: reg.Counter("lakehouse_scan_skipped_bytes_total"),
 		plans:        reg.Counter("lakehouse_plans_total"),
 		prunedFiles:  reg.Counter("lakehouse_pruned_files_total"),
-		zonePruned:   reg.Counter("lakehouse_zone_pruned_files_total"),
-		bloomPruned:  reg.Counter("lakehouse_bloom_pruned_files_total"),
 		scanLat:      reg.Histogram("lakehouse_scan_seconds"),
 	}
 	e.mu.Unlock()
@@ -66,13 +62,6 @@ type Plan struct {
 	MetadataBytes int64
 	// SkippedFiles counts files pruned by statistics.
 	SkippedFiles int
-	// ZonePrunedFiles counts the SkippedFiles subset pruned only by zone
-	// maps: the file-level range overlapped the predicate but no single
-	// row group's did.
-	ZonePrunedFiles int
-	// BloomPrunedFiles counts the SkippedFiles subset pruned only by a
-	// bloom filter on an equality predicate.
-	BloomPrunedFiles int
 	// TotalFiles is the table's current file count.
 	TotalFiles int
 }
@@ -119,8 +108,6 @@ func (e *Engine) plan(name string, id int64, filters []RangeFilter, sp *obs.Span
 		e.mu.Unlock()
 		m.plans.Inc()
 		m.prunedFiles.Add(int64(plan.SkippedFiles))
-		m.zonePruned.Add(int64(plan.ZonePrunedFiles))
-		m.bloomPruned.Add(int64(plan.BloomPrunedFiles))
 	}
 	return plan, cost, err
 }
@@ -159,11 +146,11 @@ func (e *Engine) planAccelerated(st *tableState, id int64, filters []RangeFilter
 			plan.SkippedFiles++
 			continue
 		}
-		// Past rangeRejects, only an extended entry's zones and blooms can
-		// still prune it: any other admits as its bare DataFile.
+		// Past rangeRejects nothing prunes it: it admits as its bare
+		// DataFile unless the plan decodes statistics.
 		f := tableobj.DataFile{Path: ent.Path, Partition: ent.Partition, Rows: ent.Rows, Bytes: ent.Bytes}
 		var err error
-		if decode || ent.Extended() && len(bound) > 0 {
+		if decode {
 			f, err = ent.File()
 		} else {
 			err = ent.Check()
@@ -175,7 +162,7 @@ func (e *Engine) planAccelerated(st *tableState, id int64, filters []RangeFilter
 			e.invalidateManifests(st.tbl.Meta().Name)
 			return Plan{}, cost, err
 		}
-		plan.admit(schema, f, filters)
+		plan.Files = append(plan.Files, f)
 	}
 	for _, f := range pending {
 		if cached[f.Path] {
@@ -187,16 +174,11 @@ func (e *Engine) planAccelerated(st *tableState, id int64, filters []RangeFilter
 	return plan, cost, nil
 }
 
-// rangeRejects reports whether the entry's encoded ranges earn it
-// filePrune's verdict, pruneRange. On extended stats a filter whose
-// range overlaps may zone- or bloom-prune, so no later filter may.
+// rangeRejects is filePrune on the entry's encoded ranges.
 func rangeRejects(ent tableobj.ManifestEntry, filters []boundFilter) bool {
 	for _, flt := range filters {
 		if !ent.Overlaps(flt.col, flt.lo, flt.hi) {
 			return true
-		}
-		if ent.Extended() {
-			return false
 		}
 	}
 	return ent.Rows == 0
@@ -303,65 +285,23 @@ func partitionOf(path string) string {
 	return ""
 }
 
-// admit routes one file into the plan or the skip counters, attributing
-// zone-map and bloom prunes separately from file-level range prunes.
+// admit routes one file into the plan or the skip count.
 func (p *Plan) admit(schema colfile.Schema, f tableobj.DataFile, filters []RangeFilter) {
-	switch filePrune(schema, f, filters) {
-	case pruneNone:
+	if filePrune(schema, f, filters) {
+		p.SkippedFiles++
+	} else {
 		p.Files = append(p.Files, f)
-	case pruneRange:
-		p.SkippedFiles++
-	case pruneZone:
-		p.SkippedFiles++
-		p.ZonePrunedFiles++
-	case pruneBloom:
-		p.SkippedFiles++
-		p.BloomPrunedFiles++
 	}
 }
 
-type pruneReason int
-
-const (
-	pruneNone  pruneReason = iota
-	pruneRange             // file-level min/max (or an empty file) excludes the predicate
-	pruneZone              // file range overlaps, but no row group's range does
-	pruneBloom             // ranges overlap, but the bloom filter rules out an equality probe
-)
-
-// filePrune decides whether the file's statistics exclude the filters,
-// consulting (in escalating precision) the file-level value ranges, the
-// per-row-group zone maps, and the per-column bloom filters for
-// equality predicates. Files written without zone maps carry neither
-// zones nor blooms and behave exactly as before.
-func filePrune(schema colfile.Schema, f tableobj.DataFile, filters []RangeFilter) pruneReason {
+// filePrune reports whether the file's value ranges, or its having no
+// rows, exclude the filters.
+func filePrune(schema colfile.Schema, f tableobj.DataFile, filters []RangeFilter) bool {
 	if f.Rows == 0 {
-		return pruneRange
+		return true
 	}
 	for _, flt := range filters {
-		c := schema.FieldIndex(flt.Column)
-		if c < 0 {
-			continue
-		}
-		if !f.Overlaps(c, flt.Lo, flt.Hi) {
-			return pruneRange
-		}
-		if len(f.Zones) > 0 && !zonesOverlap(f.Zones, c, flt.Lo, flt.Hi) {
-			return pruneZone
-		}
-		if flt.Lo != nil && flt.Hi != nil && colfile.Compare(*flt.Lo, *flt.Hi) == 0 &&
-			c < len(f.Blooms) && !f.Blooms[c].MayContain(*flt.Lo) {
-			return pruneBloom
-		}
-	}
-	return pruneNone
-}
-
-// zonesOverlap reports whether any row group's range for column c can
-// intersect [lo, hi].
-func zonesOverlap(zones []tableobj.ZoneMap, c int, lo, hi *colfile.Value) bool {
-	for _, z := range zones {
-		if (tableobj.DataFile{Min: z.Min, Max: z.Max}).Overlaps(c, lo, hi) {
+		if c := schema.FieldIndex(flt.Column); c >= 0 && !f.Overlaps(c, flt.Lo, flt.Hi) {
 			return true
 		}
 	}

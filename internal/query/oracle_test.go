@@ -49,12 +49,12 @@ var oracleTables = []struct {
 	{tableobj.TableMeta{Name: "big", Path: "/lake/big", PartitionColumn: "province", Schema: evSchema}, evRow},
 }
 
-// oracleLake is a lakehouse with both tables, zone maps on or off.
-func oracleLake(t *testing.T, zoneMaps bool) *Engine {
+// oracleLake is a lakehouse with both tables.
+func oracleLake(t *testing.T) *Engine {
 	t.Helper()
 	clock := sim.NewClock()
 	fs := tableobj.NewFileStore(plog.NewManager(pool.New("q", clock, sim.NVMeSSD, 8, 64<<20), 8<<20))
-	lh := lakehouse.New(clock, fs, tableobj.NewCatalog(clock), lakehouse.Options{Acceleration: true, FlushEvery: 8, ZoneMaps: zoneMaps})
+	lh := lakehouse.New(clock, fs, tableobj.NewCatalog(clock), lakehouse.Options{Acceleration: true, FlushEvery: 8})
 	for _, tb := range oracleTables {
 		if _, err := lh.CreateTable(tb.meta); err != nil {
 			t.Fatal(err)
@@ -262,7 +262,7 @@ func sortedRows(rows [][]string) [][]string {
 // TestQueriesMatchReferenceEvaluator is the differential query oracle:
 // random rows, inserted in shuffled partition order into two tables of
 // different schemas, and random SELECTs over them. Every statement runs
-// with zone maps on and off and pushdown on and off, and a column list
+// with pushdown on and off, and a column list
 // also as select * (projection off); every answer, columns and rows,
 // must equal evaluate's over the raw rows, and with pushdown on every
 // aggregate must have run at the storage side. The rows' sums are exact
@@ -275,13 +275,10 @@ func TestQueriesMatchReferenceEvaluator(t *testing.T) {
 		batches, queries = 8, 90
 	}
 	rng := rand.New(rand.NewSource(37))
-	lakes := []*Engine{oracleLake(t, false), oracleLake(t, true)}
-	hits := make([]*obs.Counter, len(lakes))
-	for i, q := range lakes {
-		reg := obs.NewRegistry(sim.NewClock())
-		q.SetObs(reg)
-		hits[i] = reg.Counter("query_pushdown_hits_total")
-	}
+	q := oracleLake(t)
+	reg := obs.NewRegistry(sim.NewClock())
+	q.SetObs(reg)
+	hits := reg.Counter("query_pushdown_hits_total")
 	raw := make([][]colfile.Row, len(oracleTables))
 	for b := 0; b < batches; b++ {
 		for ti, tb := range oracleTables[:2] {
@@ -290,10 +287,8 @@ func TestQueriesMatchReferenceEvaluator(t *testing.T) {
 				batch = append(batch, tb.row(rng))
 			}
 			raw[ti] = append(raw[ti], batch...)
-			for _, q := range lakes {
-				if _, err := q.lh.Insert(tb.meta.Name, append([]colfile.Row(nil), batch...)); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := q.lh.Insert(tb.meta.Name, append([]colfile.Row(nil), batch...)); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -304,10 +299,8 @@ func TestQueriesMatchReferenceEvaluator(t *testing.T) {
 	}
 	sort.SliceStable(big, func(i, j int) bool { return big[i][1].Int < big[j][1].Int })
 	raw[2] = big
-	for _, q := range lakes {
-		if _, err := q.lh.Insert("big", append([]colfile.Row(nil), big...)); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := q.lh.Insert("big", append([]colfile.Row(nil), big...)); err != nil {
+		t.Fatal(err)
 	}
 	tracer, skipped := obs.NewTracer(sim.NewClock()), 0
 	for i := 0; i < queries; i++ {
@@ -327,54 +320,52 @@ func TestQueriesMatchReferenceEvaluator(t *testing.T) {
 		if !aggregated {
 			want = sortedRows(want)
 		}
-		for li, q := range lakes {
-			for _, pushdown := range []bool{true, false} {
-				q.Pushdown = pushdown
-				sp, before := tracer.Start("oracle"), hits[li].Value()
-				res, err := q.ExecuteSpan(stmt, sp)
-				if err != nil {
-					t.Fatalf("%s (zone maps %v, pushdown %v): %v", sql, li == 1, pushdown, err)
+		for _, pushdown := range []bool{true, false} {
+			q.Pushdown = pushdown
+			sp, before := tracer.Start("oracle"), hits.Value()
+			res, err := q.ExecuteSpan(stmt, sp)
+			if err != nil {
+				t.Fatalf("%s (pushdown %v): %v", sql, pushdown, err)
+			}
+			if pushed := hits.Value() > before; pushed != (aggregated && pushdown) {
+				t.Fatalf("%s (pushdown %v): aggregated at the storage side: %v", sql, pushdown, pushed)
+			}
+			if !reflect.DeepEqual(res.Columns, cols) {
+				t.Fatalf("%s (pushdown %v): columns %q, want %q", sql, pushdown, res.Columns, cols)
+			}
+			for _, m := range skippedGroups.FindAllStringSubmatch(sp.Tree(), -1) {
+				if n, _ := strconv.Atoi(m[1]); tb.meta.Name == "big" {
+					skipped += n
 				}
-				if pushed := hits[li].Value() > before; pushed != (aggregated && pushdown) {
-					t.Fatalf("%s (zone maps %v, pushdown %v): aggregated at the storage side: %v", sql, li == 1, pushdown, pushed)
+			}
+			got := res.Rows
+			if !aggregated {
+				got = sortedRows(got)
+			}
+			if len(got) != 0 || len(want) != 0 {
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s (pushdown %v):\n got %v\nwant %v", sql, pushdown, got, want)
 				}
-				if !reflect.DeepEqual(res.Columns, cols) {
-					t.Fatalf("%s (zone maps %v, pushdown %v): columns %q, want %q", sql, li == 1, pushdown, res.Columns, cols)
+			}
+			if aggregated || stmt.Select[0].Column == "*" {
+				continue
+			}
+			all := *stmt
+			all.Select = []SelectItem{{Column: "*"}}
+			res, err = q.Execute(&all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var projected [][]string
+			for _, row := range res.Rows {
+				var vals []string
+				for _, it := range stmt.Select {
+					vals = append(vals, row[tb.meta.Schema.FieldIndex(it.Column)])
 				}
-				for _, m := range skippedGroups.FindAllStringSubmatch(sp.Tree(), -1) {
-					if n, _ := strconv.Atoi(m[1]); tb.meta.Name == "big" {
-						skipped += n
-					}
-				}
-				got := res.Rows
-				if !aggregated {
-					got = sortedRows(got)
-				}
-				if len(got) != 0 || len(want) != 0 {
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s (zone maps %v, pushdown %v):\n got %v\nwant %v", sql, li == 1, pushdown, got, want)
-					}
-				}
-				if aggregated || stmt.Select[0].Column == "*" {
-					continue
-				}
-				all := *stmt
-				all.Select = []SelectItem{{Column: "*"}}
-				res, err = q.Execute(&all)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var projected [][]string
-				for _, row := range res.Rows {
-					var vals []string
-					for _, it := range stmt.Select {
-						vals = append(vals, row[tb.meta.Schema.FieldIndex(it.Column)])
-					}
-					projected = append(projected, vals)
-				}
-				if projected = sortedRows(projected); len(projected) != len(want) || len(want) > 0 && !reflect.DeepEqual(projected, want) {
-					t.Fatalf("%s as select * (zone maps %v, pushdown %v): %d rows, want %d", sql, li == 1, pushdown, len(projected), len(want))
-				}
+				projected = append(projected, vals)
+			}
+			if projected = sortedRows(projected); len(projected) != len(want) || len(want) > 0 && !reflect.DeepEqual(projected, want) {
+				t.Fatalf("%s as select * (pushdown %v): %d rows, want %d", sql, pushdown, len(projected), len(want))
 			}
 		}
 	}

@@ -45,24 +45,24 @@ func FuzzDecodeCommit(f *testing.F) {
 	})
 }
 
-// FuzzDecodeStats hardens the per-file stats decoder, legacy and v2, on
-// its own: no input panics, and any DataFile it accepts survives
-// encodeStats and decodeStats unchanged.
+// FuzzDecodeStats hardens the per-file stats decoder on its own: no
+// input panics, Check accepts exactly the bytes decodeStats does, and
+// any DataFile it accepts survives encodeStats and decodeStats
+// unchanged.
 func FuzzDecodeStats(f *testing.F) {
-	b := NewBloom(8)
-	b.Add(colfile.StringValue("x"))
 	iv := colfile.IntValue
 	for _, df := range []DataFile{
 		{},
 		{Min: []colfile.Value{iv(1), colfile.StringValue("a")}, Max: []colfile.Value{iv(9), colfile.StringValue("z")}},
-		{Min: []colfile.Value{iv(1)}, Max: []colfile.Value{iv(9)},
-			Zones: []ZoneMap{{Min: []colfile.Value{iv(1)}, Max: []colfile.Value{iv(4)}}, {}}, Blooms: []*Bloom{b, nil}},
 	} {
 		f.Add(encodeStats(df))
 	}
-	// v2 stats of 255 columns, no zones, no blooms: the count's first
-	// byte, 0xFF, is the v2 marker, so these must not re-encode as legacy.
-	wide := binary.AppendUvarint([]byte{statsV2Marker}, 255)
+	// Bytes an earlier encoding wrote: a 0xFF marker, one column's range,
+	// then two zones and a bloom filter over one column. The count
+	// 0xFF 0x01 they start with is far more pairs than the bytes hold.
+	f.Add("\xff\x01\x00\x02\x00\x12\x02\x01\x00\x02\x00\b\x00\x02\n\x00\x00@\x10\x00\x00\x00\x02\b\x00\x04\x00")
+	// The same earlier encoding of 255 columns, marker first.
+	wide := binary.AppendUvarint([]byte{0xFF}, 255)
 	for i := 0; i < 255; i++ {
 		wide = colfile.AppendValue(colfile.AppendValue(wide, iv(int64(i))), iv(int64(i)))
 	}
@@ -100,15 +100,7 @@ func sameStats(a, b DataFile) bool {
 		}
 		return true
 	}
-	if !same(a.Min, b.Min) || !same(a.Max, b.Max) || len(a.Zones) != len(b.Zones) || !reflect.DeepEqual(a.Blooms, b.Blooms) {
-		return false
-	}
-	for i := range a.Zones {
-		if !same(a.Zones[i].Min, b.Zones[i].Min) || !same(a.Zones[i].Max, b.Zones[i].Max) {
-			return false
-		}
-	}
-	return true
+	return same(a.Min, b.Min) && same(a.Max, b.Max)
 }
 
 // FuzzDecodeSnapshot hardens the snapshot-file parser, of headers and
@@ -130,15 +122,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add(valid[:4])
-	b := NewBloom(8)
-	b.Add(colfile.StringValue("x"))
 	iv, sv, fv := colfile.IntValue, colfile.StringValue, colfile.FloatValue
 	files, _ := encodeSnapshot(Snapshot{ID: 3, ParentID: 2, CommitIDs: []int64{3}, Files: []DataFile{
 		{Path: "t/a", Partition: "p=1", Rows: 4, Bytes: 90,
 			Min: []colfile.Value{sv("a"), iv(1), fv(0.5), colfile.BoolValue(false)},
 			Max: []colfile.Value{sv("q"), iv(9), fv(2.5), colfile.BoolValue(true)}},
-		{Path: "t/b", Rows: 2, Min: []colfile.Value{sv("c"), iv(3)}, Max: []colfile.Value{sv("x"), iv(7)},
-			Zones: []ZoneMap{{Min: []colfile.Value{sv("c"), iv(3)}, Max: []colfile.Value{sv("d"), iv(4)}}}, Blooms: []*Bloom{b, nil}},
+		{Path: "t/b", Rows: 2, Min: []colfile.Value{sv("c"), iv(3)}, Max: []colfile.Value{sv("x"), iv(7)}},
 	}})
 	f.Add(files)
 	f.Add(files[:len(files)-3])
@@ -203,15 +192,11 @@ func FuzzDecodeSnapshot(f *testing.F) {
 const noType colfile.Type = 255
 
 // bounds returns nil and up to six values of type t from the files'
-// ranges and zones, as range bounds.
+// ranges, as range bounds.
 func bounds(s Snapshot, t colfile.Type) []*colfile.Value {
 	out := []*colfile.Value{nil}
 	for _, f := range s.Files {
-		vals := [][]colfile.Value{f.Min, f.Max}
-		for _, z := range f.Zones {
-			vals = append(vals, z.Min, z.Max)
-		}
-		for _, vs := range vals {
+		for _, vs := range [][]colfile.Value{f.Min, f.Max} {
 			for i := range vs {
 				if vs[i].Type == t && len(out) < 7 {
 					out = append(out, &vs[i])

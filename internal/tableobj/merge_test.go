@@ -29,46 +29,42 @@ func commitRows(t *testing.T, tbl *Table, batches ...[]colfile.Row) []DataFile {
 }
 
 // MergeFiles writes the file WriteRows writes for the inputs' rows, byte
-// for byte, and the same commit metadata — bounds, and with zone maps on
-// the zones and blooms — though the inputs' row groups end where the
-// merged file's do not.
+// for byte, and the same commit metadata, though the inputs' row groups
+// end where the merged file's do not.
 func TestMergeFilesEqualsWriteRows(t *testing.T) {
-	for _, zoneMaps := range []bool{false, true} {
-		e := newEnv(t)
-		tbl := createTable(t, e, "t")
-		tbl.SetZoneMaps(zoneMaps)
-		var batches [][]colfile.Row
-		var all []colfile.Row
-		for b, n := range []int{5000, 7000, 300, 1} {
-			rows := make([]colfile.Row, n)
-			for i := range rows {
-				rows[i] = dpiRow(fmt.Sprintf("http://u/%d", (i*7+b)%(50+250*b)), int64(b*10000-i), "Beijing")
-			}
-			batches, all = append(batches, rows), append(all, rows...)
+	e := newEnv(t)
+	tbl := createTable(t, e, "t")
+	var batches [][]colfile.Row
+	var all []colfile.Row
+	for b, n := range []int{5000, 7000, 300, 1} {
+		rows := make([]colfile.Row, n)
+		for i := range rows {
+			rows[i] = dpiRow(fmt.Sprintf("http://u/%d", (i*7+b)%(50+250*b)), int64(b*10000-i), "Beijing")
 		}
-		files := commitRows(t, tbl, batches...)
-		x, _ := tbl.Begin()
-		merged, err := x.MergeFiles(files, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		y, _ := tbl.Begin()
-		want, err := y.WriteRows(all)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, _ := e.fs.Read(merged.Path)
-		wantBlob, _, _ := e.fs.Read(want.Path)
-		if !bytes.Equal(got, wantBlob) {
-			t.Fatalf("zone maps %v: the merged file (%d B) differs from WriteRows' (%d B)", zoneMaps, len(got), len(wantBlob))
-		}
-		merged.Path, want.Path = "", ""
-		if !reflect.DeepEqual(merged, want) {
-			t.Fatalf("zone maps %v: merged file metadata %+v, WriteRows' %+v", zoneMaps, merged, want)
-		}
-		if len(x.removes) != len(files) || len(x.adds) != 1 {
-			t.Fatalf("zone maps %v: staged %d adds and %d removes", zoneMaps, len(x.adds), len(x.removes))
-		}
+		batches, all = append(batches, rows), append(all, rows...)
+	}
+	files := commitRows(t, tbl, batches...)
+	x, _ := tbl.Begin()
+	merged, err := x.MergeFiles(files, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, _ := tbl.Begin()
+	want, err := y.WriteRows(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, _ := e.fs.Read(merged.Path)
+	wantBlob, _, _ := e.fs.Read(want.Path)
+	if !bytes.Equal(got, wantBlob) {
+		t.Fatalf("the merged file (%d B) differs from WriteRows' (%d B)", len(got), len(wantBlob))
+	}
+	merged.Path, want.Path = "", ""
+	if !reflect.DeepEqual(merged, want) {
+		t.Fatalf("merged file metadata %+v, WriteRows' %+v", merged, want)
+	}
+	if len(x.removes) != len(files) || len(x.adds) != 1 {
+		t.Fatalf("staged %d adds and %d removes", len(x.adds), len(x.removes))
 	}
 }
 

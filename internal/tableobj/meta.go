@@ -20,22 +20,6 @@ type DataFile struct {
 	Rows      int64
 	Bytes     int64
 	Min, Max  []colfile.Value // aligned with the table schema
-
-	// Zones are optional per-row-group value ranges (zone maps): finer
-	// statistics than Min/Max that let planning prune a file when no
-	// single row group can satisfy a predicate, even though the file's
-	// overall range overlaps it. Empty on files written without zone
-	// maps enabled.
-	Zones []ZoneMap
-	// Blooms are optional per-column membership filters consulted by
-	// equality predicates; nil entries mean no filter for that column.
-	Blooms []*Bloom
-}
-
-// ZoneMap is one row group's per-column value range, aligned with the
-// table schema.
-type ZoneMap struct {
-	Min, Max []colfile.Value
 }
 
 // Overlaps reports whether the file's value range for column c can
@@ -81,132 +65,49 @@ type Snapshot struct {
 var commitSchema = colfile.MustSchema(
 	"op:string", "path:string", "partition:string", "rows:int64", "bytes:int64", "stats:string")
 
-// statsV2Marker introduces the extended stats encoding (zone maps and
-// bloom filters appended after the legacy min/max pairs). The legacy
-// encoding starts with a uvarint column count, whose first byte is 0xFF
-// only for a multi-byte count of 255, 383, … columns — no real schema —
-// and such a count is written in the v2 encoding, so the marker is
-// unambiguous. Other files with no zones and no blooms keep the legacy
-// encoding byte-for-byte, which keeps metadata (and replay digests)
-// identical when zone maps are off.
-const statsV2Marker = 0xFF
-
+// encodeStats is f's statistics: a uvarint column count, then each
+// column's min and max.
 func encodeStats(f DataFile) string {
-	var buf []byte
-	var count [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(count[:], uint64(len(f.Min)))
-	v2 := len(f.Zones) > 0 || len(f.Blooms) > 0 || count[0] == statsV2Marker
-	if v2 {
-		buf = append(buf, statsV2Marker)
-	}
-	buf = append(buf, count[:n]...)
+	buf := binary.AppendUvarint(nil, uint64(len(f.Min)))
 	for i := range f.Min {
 		buf = colfile.AppendValue(buf, f.Min[i])
 		buf = colfile.AppendValue(buf, f.Max[i])
-	}
-	if !v2 {
-		return string(buf)
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(f.Zones)))
-	for _, z := range f.Zones {
-		buf = binary.AppendUvarint(buf, uint64(len(z.Min)))
-		for i := range z.Min {
-			buf = colfile.AppendValue(buf, z.Min[i])
-			buf = colfile.AppendValue(buf, z.Max[i])
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(f.Blooms)))
-	for _, b := range f.Blooms {
-		buf = appendBloom(buf, b)
 	}
 	return string(buf)
 }
 
 // decodeStats parses encodeStats's bytes into f, or unless keep only
 // walks them, allocating nothing: both fail on exactly the same bytes.
-func decodeStats(data []byte, f *DataFile, keep bool) error {
-	v2 := len(data) > 0 && data[0] == statsV2Marker
-	if v2 {
-		data = data[1:]
-	}
-	var err error
-	f.Min, f.Max, data, err = readRange(data, keep)
-	if err != nil {
-		return err
-	}
-	if !v2 {
-		return nil
-	}
-	groups, sz := binary.Uvarint(data)
-	if sz <= 0 {
-		return errors.New("tableobj: truncated zone maps")
-	}
-	data = data[sz:]
-	// Untrusted count: each zone costs at least one byte.
-	if groups > uint64(len(data))+1 {
-		return errors.New("tableobj: zone count exceeds stats size")
-	}
-	for i := uint64(0); i < groups; i++ {
-		var z ZoneMap
-		if z.Min, z.Max, data, err = readRange(data, keep); err != nil {
-			return err
-		}
-		if keep {
-			f.Zones = append(f.Zones, z)
-		}
-	}
-	cols, sz := binary.Uvarint(data)
-	if sz <= 0 {
-		return errors.New("tableobj: truncated bloom list")
-	}
-	data = data[sz:]
-	if cols > uint64(len(data))+1 {
-		return errors.New("tableobj: bloom count exceeds stats size")
-	}
-	for i := uint64(0); i < cols; i++ {
-		var b *Bloom
-		if b, data, err = readBloom(data, keep); err != nil {
-			return err
-		}
-		if keep {
-			f.Blooms = append(f.Blooms, b)
-		}
-	}
-	return nil
-}
-
-// readRange parses one count-prefixed sequence of min/max value pairs;
-// unless keep, it only skips them and returns no values.
-func readRange(data []byte, keep bool) (min, max []colfile.Value, rest []byte, err error) {
+func decodeStats(data []byte, f *DataFile, keep bool) (err error) {
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 {
-		return nil, nil, nil, errors.New("tableobj: truncated stats")
+		return errors.New("tableobj: truncated stats")
 	}
 	data = data[sz:]
 	// Untrusted count: a pair costs at least four bytes.
 	if n > uint64(len(data))/4 {
-		return nil, nil, nil, errors.New("tableobj: range count exceeds stats size")
+		return errors.New("tableobj: range count exceeds stats size")
 	}
 	if !keep {
 		for i := uint64(0); i < 2*n && err == nil; i++ {
 			data, err = colfile.SkipValue(data)
 		}
-		return nil, nil, data, err
+		return err
 	}
 	if n == 0 {
-		return nil, nil, data, nil
+		return nil
 	}
 	vals := make([]colfile.Value, 2*n) // one allocation for both bounds
-	min, max = vals[:n:n], vals[n:]
-	for i := range min {
-		if min[i], data, err = colfile.ReadValue(data); err != nil {
-			return nil, nil, nil, err
+	f.Min, f.Max = vals[:n:n], vals[n:]
+	for i := range f.Min {
+		if f.Min[i], data, err = colfile.ReadValue(data); err != nil {
+			return err
 		}
-		if max[i], data, err = colfile.ReadValue(data); err != nil {
-			return nil, nil, nil, err
+		if f.Max[i], data, err = colfile.ReadValue(data); err != nil {
+			return err
 		}
 	}
-	return min, max, data, nil
+	return nil
 }
 
 func fileToRow(op string, f DataFile) colfile.Row {
@@ -253,21 +154,14 @@ func (m ManifestEntry) File() (DataFile, error) {
 // nothing, and fails exactly where File would.
 func (m ManifestEntry) Check() error { return decodeStats(m.stats, &DataFile{}, false) }
 
-// Extended reports whether the stats may carry zone maps and blooms.
-func (m ManifestEntry) Extended() bool { return len(m.stats) > 0 && m.stats[0] == statsV2Marker }
-
 // Overlaps is File().Overlaps reading only column c's pair. Stats it
 // cannot parse cannot skip the file; File reports their error.
 func (m ManifestEntry) Overlaps(c int, lo, hi *colfile.Value) bool {
-	data := m.stats
-	if m.Extended() {
-		data = data[1:]
-	}
-	n, sz := binary.Uvarint(data)
+	n, sz := binary.Uvarint(m.stats)
 	if sz <= 0 || c < 0 || uint64(c) >= n {
 		return true
 	}
-	data = data[sz:]
+	data := m.stats[sz:]
 	var err error
 	for i := 0; i < 2*c && err == nil; i++ {
 		data, err = colfile.SkipValue(data)

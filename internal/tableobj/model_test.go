@@ -344,7 +344,6 @@ func TestTableMatchesRowModel(t *testing.T) {
 		e := newEnv(t)
 		e.clock.Advance(time.Hour)
 		m := &tableModel{t: t, e: e, tbl: createTable(t, e, "t"), rng: rand.New(rand.NewSource(int64(seed))), rows: map[string][]string{}}
-		m.tbl.SetZoneMaps(seed%2 == 0)
 		first, _, err := m.tbl.Current()
 		if err != nil {
 			t.Fatal(err)

@@ -33,19 +33,13 @@ func randomValue(rng *sim.RNG, t colfile.Type, partition bool) colfile.Value {
 }
 
 // writeRowsRef stages rows, all of one partition, as WriteRows did before
-// it wrote through a sink: one writer over the whole batch, blooms sized
-// by it and fed each value.
+// it wrote through a sink: one writer over the whole batch.
 func writeRowsRef(t *testing.T, x *Txn, rows []colfile.Row) DataFile {
-	w, blooms := colfile.NewWriter(x.t.meta.Schema, 0), x.t.blooms(int64(len(rows)))
+	w := colfile.NewWriter(x.t.meta.Schema, 0)
 	if err := w.AppendRows(rows); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range rows {
-		for c, b := range blooms {
-			b.Add(r[c])
-		}
-	}
-	f, err := x.stage(w, x.t.PartitionFor(rows[0]), int64(len(rows)), blooms, nil)
+	f, err := x.stage(w, x.t.PartitionFor(rows[0]), int64(len(rows)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +47,9 @@ func writeRowsRef(t *testing.T, x *Txn, rows []colfile.Row) DataFile {
 }
 
 // A sink's files, over random schemas partitioned by a string, int, bool
-// or float column, with zone maps on and off, equal what WriteRows wrote
-// for each partition's rows (writeRowsRef), partition by partition in
-// sorted order: the same paths and bytes, and the same Min, Max, Zones
-// and Blooms.
+// or float column, equal what WriteRows wrote for each partition's rows
+// (writeRowsRef), partition by partition in sorted order: the same paths
+// and bytes, and the same Min and Max.
 func TestRowSinkMatchesWriteRows(t *testing.T) {
 	rng := sim.NewRNG(11)
 	for trial := 0; trial < 24; trial++ {
@@ -65,12 +58,11 @@ func TestRowSinkMatchesWriteRows(t *testing.T) {
 		for c := range specs {
 			specs[c] = fmt.Sprintf("c%d:%s", c, types[rng.Intn(4)])
 		}
-		pc := rng.Intn(len(specs)) // partitioned by each type, zone maps on and off
+		pc := rng.Intn(len(specs)) // partitioned by each type
 		specs[pc] = fmt.Sprintf("c%d:%s", pc, types[trial/2%4])
 		schema := colfile.MustSchema(specs...)
 		part := schema.Fields[pc]
 		meta := TableMeta{Name: "t", Path: "/lake/t", Schema: schema, PartitionColumn: part.Name}
-		zoneMaps := trial%2 == 1
 		rows := make([]colfile.Row, 1+rng.Intn([]int{50, 3000, 20000}[trial%3]))
 		for i := range rows {
 			for c, f := range schema.Fields {
@@ -83,7 +75,6 @@ func TestRowSinkMatchesWriteRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tbl.SetZoneMaps(zoneMaps)
 			x, err := tbl.Begin()
 			if err != nil {
 				t.Fatal(err)
@@ -119,7 +110,7 @@ func TestRowSinkMatchesWriteRows(t *testing.T) {
 			}
 			return files
 		})
-		what := fmt.Sprintf("trial %d (%v by %s, %d rows, zone maps %v)", trial, schema, part.Name, len(rows), zoneMaps)
+		what := fmt.Sprintf("trial %d (%v by %s, %d rows)", trial, schema, part.Name, len(rows))
 		if len(got) != len(want) {
 			t.Fatalf("%s: the sink wrote %d files, the reference %d", what, len(got), len(want))
 		}

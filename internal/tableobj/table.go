@@ -25,15 +25,7 @@ type Table struct {
 	meta  TableMeta
 
 	seq atomic.Int64 // unique ids for data files, commits and snapshots
-
-	zoneMaps atomic.Bool // collect zone maps + blooms on WriteRows
 }
-
-// SetZoneMaps toggles zone-map and bloom-filter statistics collection
-// for data files written through this handle (see DataFile.Zones). Off
-// by default: enabling changes the commit metadata encoding, so runs
-// are digest-comparable only with the same setting.
-func (t *Table) SetZoneMaps(on bool) { t.zoneMaps.Store(on) }
 
 // Create registers a new table: catalog entry, /data and /metadata
 // directories, and an initial empty snapshot (CREATE TABLE in Section
@@ -349,10 +341,9 @@ type partKey struct {
 }
 
 type sinkPart struct {
-	name   string // the directory name, rendered once
-	w      *colfile.Writer
-	rows   int64
-	hashes [][]uint64 // with zone maps on, each column's value hashes
+	name string // the directory name, rendered once
+	w    *colfile.Writer
+	rows int64
 }
 
 // Sink returns an empty row sink over the table.
@@ -382,9 +373,6 @@ func (s *RowSink) Append(row colfile.Row) error {
 	p := s.byKey[k]
 	if p == nil {
 		p = &sinkPart{name: s.t.PartitionFor(row), w: colfile.NewWriter(s.t.meta.Schema, 0)}
-		if s.t.zoneMaps.Load() {
-			p.hashes = make([][]uint64, len(row))
-		}
 		k.s = p.name[len(p.name)-len(k.s):] // the row's string may share a far larger buffer
 		s.byKey[k], s.parts = p, append(s.parts, p)
 	}
@@ -392,14 +380,10 @@ func (s *RowSink) Append(row colfile.Row) error {
 		return err
 	}
 	p.rows++
-	for c := range p.hashes {
-		p.hashes[c] = append(p.hashes[c], hashValue(row[c]))
-	}
 	return nil
 }
 
-// Stage finishes each partition's file, its blooms sized by its rows,
-// and writes and stages it in x in sorted partition order, so which file
+// Stage finishes each partition's file and writes and stages it in x in sorted partition order, so which file
 // gets which id (and with it log placement, cache contents and virtual
 // latency downstream) follows from the rows, not their arrival. Each
 // write is a tableobj.write child of sp; a nil sp traces nothing.
@@ -407,30 +391,13 @@ func (s *RowSink) Stage(x *Txn, sp *obs.Span) ([]DataFile, error) {
 	slices.SortStableFunc(s.parts, func(a, b *sinkPart) int { return strings.Compare(a.name, b.name) })
 	files := make([]DataFile, 0, len(s.parts))
 	for _, p := range s.parts {
-		var blooms []*Bloom
-		for _, hs := range p.hashes {
-			blooms = append(blooms, NewBloom(int(p.rows)))
-			for _, h := range hs {
-				blooms[len(blooms)-1].addHash(h)
-			}
-		}
-		f, err := x.stage(p.w, p.name, p.rows, blooms, sp)
+		f, err := x.stage(p.w, p.name, p.rows, sp)
 		if err != nil {
 			return files, err
 		}
 		files = append(files, f)
 	}
 	return files, nil
-}
-
-// blooms returns an empty bloom per column for rows rows, the pruning
-// stats a commit carries beside the zones, or nil with zone maps off.
-func (t *Table) blooms(rows int64) []*Bloom {
-	var b []*Bloom
-	for c := 0; t.zoneMaps.Load() && c < t.meta.Schema.NumFields(); c++ {
-		b = append(b, NewBloom(int(rows)))
-	}
-	return b
 }
 
 // MergeFiles rewrites files of one partition as one data file, the one
@@ -440,7 +407,7 @@ func (t *Table) blooms(rows int64) []*Bloom {
 // child of sp (files, rows) over a tableobj.read per file and the
 // tableobj.write; a nil sp traces nothing.
 func (x *Txn) MergeFiles(files []DataFile, sp *obs.Span) (merged DataFile, err error) {
-	var rows, want int64
+	var rows int64
 	msp, start := sp.Child("tableobj.merge"), x.cost
 	defer func() {
 		if msp != nil {
@@ -451,11 +418,11 @@ func (x *Txn) MergeFiles(files []DataFile, sp *obs.Span) (merged DataFile, err e
 		}
 	}()
 	for _, f := range files {
-		if want += f.Rows; f.Partition != files[0].Partition {
+		if f.Partition != files[0].Partition {
 			return DataFile{}, fmt.Errorf("%w: %s and %s", ErrPartitionSpan, files[0].Partition, f.Partition)
 		}
 	}
-	w, blooms := colfile.NewWriter(x.t.meta.Schema, 0), x.t.blooms(want)
+	w := colfile.NewWriter(x.t.meta.Schema, 0)
 	var r colfile.Reader
 	var cols [][]colfile.Value
 	for _, f := range files {
@@ -473,11 +440,6 @@ func (x *Txn) MergeFiles(files []DataFile, sp *obs.Span) (merged DataFile, err e
 			if cols, err = r.ReadGroupInto(g, nil, cols); err == nil {
 				err = w.AppendColumns(cols)
 			}
-			for c := 0; err == nil && c < len(blooms); c++ {
-				for _, v := range cols[c] {
-					blooms[c].Add(v)
-				}
-			}
 			rows += int64(r.GroupRows(g))
 		}
 		if err != nil {
@@ -485,7 +447,7 @@ func (x *Txn) MergeFiles(files []DataFile, sp *obs.Span) (merged DataFile, err e
 		}
 	}
 	if rows > 0 {
-		if merged, err = x.stage(w, files[0].Partition, rows, blooms, msp); err != nil {
+		if merged, err = x.stage(w, files[0].Partition, rows, msp); err != nil {
 			return DataFile{}, err
 		}
 	}
@@ -496,9 +458,8 @@ func (x *Txn) MergeFiles(files []DataFile, sp *obs.Span) (merged DataFile, err e
 }
 
 // stage finishes w as a data file of rows rows in partition, writes it
-// and stages its addition. blooms, one per column, are non-nil with zone
-// maps on. The write is a tableobj.write child of sp.
-func (x *Txn) stage(w *colfile.Writer, partition string, rows int64, blooms []*Bloom, sp *obs.Span) (DataFile, error) {
+// and stages its addition. The write is a tableobj.write child of sp.
+func (x *Txn) stage(w *colfile.Writer, partition string, rows int64, sp *obs.Span) (DataFile, error) {
 	blob, err := w.Finish()
 	if err != nil {
 		return DataFile{}, err
@@ -511,16 +472,11 @@ func (x *Txn) stage(w *colfile.Writer, partition string, rows int64, blooms []*B
 		Bytes:     int64(len(blob)),
 		Min:       make([]colfile.Value, nf),
 		Max:       make([]colfile.Value, nf),
-		Blooms:    blooms,
 	}
 	// The writer took each row group's range, keeping the first-seen value
 	// on ties; folding the groups in order keeps the file's first-seen
-	// value too. With zone maps on, the groups' ranges are the zones.
+	// value too.
 	for g := 0; g < w.NumRowGroups(); g++ {
-		var z ZoneMap
-		if blooms != nil {
-			z = ZoneMap{Min: make([]colfile.Value, nf), Max: make([]colfile.Value, nf)}
-		}
 		for c := 0; c < nf; c++ {
 			gs := w.GroupStats(g, c)
 			if g == 0 || colfile.Compare(gs.Min, f.Min[c]) < 0 {
@@ -529,12 +485,6 @@ func (x *Txn) stage(w *colfile.Writer, partition string, rows int64, blooms []*B
 			if g == 0 || colfile.Compare(gs.Max, f.Max[c]) > 0 {
 				f.Max[c] = gs.Max
 			}
-			if blooms != nil {
-				z.Min[c], z.Max[c] = gs.Min, gs.Max
-			}
-		}
-		if blooms != nil {
-			f.Zones = append(f.Zones, z)
 		}
 	}
 	cost, err := x.t.fs.Write(f.Path, blob)

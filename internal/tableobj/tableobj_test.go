@@ -279,7 +279,6 @@ func TestWriteRowsRejectsPartitionSpan(t *testing.T) {
 func TestWriteRowsOwnsItsBounds(t *testing.T) {
 	e := newEnv(t)
 	tbl := createTable(t, e, "t")
-	tbl.SetZoneMaps(true)
 	x, err := tbl.Begin()
 	if err != nil {
 		t.Fatal(err)
@@ -300,9 +299,6 @@ func TestWriteRowsOwnsItsBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Zones) != 3 {
-		t.Fatalf("%d zones, want 3", len(f.Zones))
-	}
 	check := func(what string, vs []colfile.Value) {
 		t.Helper()
 		for c, v := range vs {
@@ -314,10 +310,6 @@ func TestWriteRowsOwnsItsBounds(t *testing.T) {
 	}
 	check("file min", f.Min)
 	check("file max", f.Max)
-	for g, z := range f.Zones {
-		check(fmt.Sprintf("zone %d min", g), z.Min)
-		check(fmt.Sprintf("zone %d max", g), z.Max)
-	}
 	if f.Min[0].Str != "http://u00000" || f.Max[0].Str != fmt.Sprintf("http://u%05d", n-1) ||
 		f.Min[2].Str != "Beijing" || f.Max[2].Str != "Beijing" {
 		t.Fatalf("file bounds %v .. %v", f.Min, f.Max)

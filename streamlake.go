@@ -135,12 +135,6 @@ type Config struct {
 	// counts depend on the size, so replay digests are comparable only
 	// between runs with the same setting.
 	GroupCommitSlices int
-	// ZoneMaps records per-row-group column min/max values and per-column
-	// bloom filters in table file metadata at insert time, letting scan
-	// planning prune files no predicate can match before any device read.
-	// Off by default: the stats encoding changes when enabled, so replay
-	// digests are comparable only between runs with the same setting.
-	ZoneMaps bool
 	// Nodes sizes the cluster plane every lake runs on: disks partition
 	// into per-node failure domains, placement spreads copies across
 	// nodes via consistent hashing, a heartbeat failure detector and
@@ -221,10 +215,7 @@ func Open(cfg Config) (*Lake, error) {
 	fs.SetRedundancy(tableRedundancy(cfg.Nodes))
 	cat := tableobj.NewCatalog(clock)
 	store.EnableGroupCommit(cfg.GroupCommitSlices)
-	lh := lakehouse.New(clock, fs, cat, lakehouse.Options{
-		Acceleration: true,
-		ZoneMaps:     cfg.ZoneMaps,
-	})
+	lh := lakehouse.New(clock, fs, cat, lakehouse.Options{Acceleration: true})
 	tiers := tiering.NewService(clock)
 	inj := faults.New(cfg.Seed)
 	inj.Attach(ssd)

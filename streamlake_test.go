@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"streamlake/internal/colfile"
-	"streamlake/internal/lakehouse"
 	"streamlake/internal/plog"
 	"streamlake/internal/tiering"
 )
@@ -28,66 +26,9 @@ func openTestLake(t testing.TB) *Lake {
 // plane that wants a field deletes one first. Lower the cap as fields
 // go, never raise it.
 func TestConfigKnobRatchet(t *testing.T) {
-	const maxFields = 9
+	const maxFields = 8
 	if n := reflect.TypeOf(Config{}).NumField(); n > maxFields {
 		t.Fatalf("Config has %d fields, cap is %d: delete a knob before adding one", n, maxFields)
-	}
-}
-
-// TestConvertedFilesCarryZoneMaps: conversion writes through the
-// engine's handle on the table, so on a ZoneMaps lake converted files
-// carry zone maps and blooms exactly as inserted ones do, and a
-// selective scan prunes on them. The one converted file holds two row
-// groups with a gap between their start_time ranges; a probe into the
-// gap overlaps the file's min/max but no zone.
-func TestConvertedFilesCarryZoneMaps(t *testing.T) {
-	l, err := Open(Config{ZoneMaps: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.CreateTopic(TopicConfig{Name: "zm", StreamNum: 1, Convert: ConvertConfig{
-		Enabled: true, TableName: "zm_table", TablePath: "/lake/zm",
-		TableSchema: logSchema, PartitionColumn: "province", SplitOffset: 1 << 40,
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	p := l.Producer("app")
-	const groups = 2 * colfile.DefaultRowGroupSize
-	for i := 0; i < groups; i++ {
-		ts := int64(i)
-		if i >= colfile.DefaultRowGroupSize {
-			ts += 1 << 20
-		}
-		val, err := EncodeRow(logSchema, Row{StringValue("u"), IntValue(ts), StringValue("Beijing")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := p.Send("zm", []byte("k"), val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if res, _, err := l.ConvertNow("zm"); err != nil || res.Messages != groups {
-		t.Fatalf("conversion: %+v %v", res, err)
-	}
-	snap, err := l.TableSnapshot("zm_table")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Files) == 0 {
-		t.Fatal("conversion wrote no files")
-	}
-	for _, f := range snap.Files {
-		if len(f.Zones) == 0 || len(f.Blooms) == 0 {
-			t.Fatalf("converted file %s: %d zones, %d blooms; want both", f.Path, len(f.Zones), len(f.Blooms))
-		}
-	}
-	lo, hi := IntValue(1<<19), IntValue(1<<19+10)
-	plan, _, err := l.Engine().PlanScan("zm_table", []lakehouse.RangeFilter{{Column: "start_time", Lo: &lo, Hi: &hi}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.ZonePrunedFiles == 0 {
-		t.Fatalf("selective scan zone-pruned nothing: %+v", plan)
 	}
 }
 
