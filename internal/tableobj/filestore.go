@@ -55,6 +55,7 @@ func (fs *FileStore) Write(path string, data []byte) (time.Duration, error) {
 	}
 	_, cost, err := l.Append(data)
 	if err != nil {
+		_ = fs.mgr.Destroy(l.ID()) // nothing was stored: free the log; the append error is the one to report
 		return 0, fmt.Errorf("tableobj: write %s: %w", path, err)
 	}
 	l.Seal()
