@@ -71,6 +71,10 @@ fi
 
 go test -race -short ./...
 go test ./...
+# System coverage: every function of the lake's packages that no
+# lake-level test runs is listed, with its reason, in
+# scripts/syscover_allowlist.txt, and every listed one is still unrun.
+sh scripts/syscover.sh -check
 # lakebench is a module of its own (benchmark/go.mod), so ./... above
 # does not reach it: vet and smoke-test it here, or a change to a
 # signature its layer ladder pins (Scan, ReadGroup, NewWriter/Append/
