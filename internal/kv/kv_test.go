@@ -6,109 +6,41 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"streamlake/internal/sim"
 )
 
 func TestPutGetDelete(t *testing.T) {
-	db := Open(Options{})
-	if _, err := db.Put([]byte("a"), []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	v, _, ok := db.Get([]byte("a"))
+	db := Open(nil)
+	db.Put([]byte("a"), []byte("1"))
+	v, ok := db.Get([]byte("a"))
 	if !ok || string(v) != "1" {
 		t.Fatalf("get: %q %v", v, ok)
 	}
-	if _, _, ok := db.Get([]byte("missing")); ok {
+	if _, ok := db.Get([]byte("missing")); ok {
 		t.Fatal("phantom key")
 	}
 	db.Delete([]byte("a"))
-	if _, _, ok := db.Get([]byte("a")); ok {
+	if _, ok := db.Get([]byte("a")); ok {
 		t.Fatal("get after delete")
 	}
 	// Overwrite.
 	db.Put([]byte("b"), []byte("x"))
 	db.Put([]byte("b"), []byte("y"))
-	v, _, _ = db.Get([]byte("b"))
+	v, _ = db.Get([]byte("b"))
 	if string(v) != "y" {
 		t.Fatalf("overwrite: %q", v)
 	}
 }
 
-func TestGetAcrossFlush(t *testing.T) {
-	db := Open(Options{})
-	db.Put([]byte("k1"), []byte("v1"))
-	db.Flush()
-	db.Put([]byte("k2"), []byte("v2"))
-	for _, k := range []string{"k1", "k2"} {
-		if v, _, ok := db.Get([]byte(k)); !ok || string(v) != "v"+k[1:] {
-			t.Fatalf("get %s after flush: %q %v", k, v, ok)
-		}
-	}
-	// Newest version wins across runs.
-	db.Put([]byte("k1"), []byte("v1b"))
-	db.Flush()
-	if v, _, _ := db.Get([]byte("k1")); string(v) != "v1b" {
-		t.Fatalf("version order: %q", v)
-	}
-	// Tombstone in a newer run hides an older value.
-	db.Delete([]byte("k1"))
-	db.Flush()
-	if _, _, ok := db.Get([]byte("k1")); ok {
-		t.Fatal("tombstone not honored across runs")
-	}
-}
-
-func TestAutoFlushOnMemtableSize(t *testing.T) {
-	db := Open(Options{})
-	value := make([]byte, 64<<10)
-	for i := 0; i < 100; i++ { // 6.4 MB, past the 4 MiB memtable
-		db.Put([]byte(fmt.Sprintf("key-%03d", i)), value)
-	}
-	if len(db.runs) == 0 {
-		t.Fatal("no automatic flush happened")
-	}
-	for i := 0; i < 100; i++ {
-		if _, _, ok := db.Get([]byte(fmt.Sprintf("key-%03d", i))); !ok {
-			t.Fatalf("key %d lost across auto flush", i)
-		}
-	}
-}
-
-func TestCompactDropsTombstonesAndOldVersions(t *testing.T) {
-	db := Open(Options{})
-	for i := 0; i < 10; i++ {
-		db.Put([]byte(fmt.Sprintf("k%d", i)), []byte("v"))
-		db.Flush()
-	}
-	db.Delete([]byte("k0"))
-	db.Put([]byte("k1"), []byte("v2"))
-	db.Flush()
-	db.Compact()
-	if len(db.runs) != 1 {
-		t.Fatalf("runs after compact: %d", len(db.runs))
-	}
-	live := 0
-	db.Scan(nil, nil, func(k, v []byte) bool { live++; return true })
-	if live != 9 {
-		t.Fatalf("live keys: %d, want 9", live)
-	}
-	if _, _, ok := db.Get([]byte("k0")); ok {
-		t.Fatal("deleted key resurrected by compaction")
-	}
-	if v, _, _ := db.Get([]byte("k1")); string(v) != "v2" {
-		t.Fatalf("k1 = %q", v)
-	}
-}
-
 func TestScanOrderedAndBounded(t *testing.T) {
-	db := Open(Options{})
+	db := Open(nil)
 	keys := []string{"b", "d", "a", "e", "c"}
 	for _, k := range keys {
 		db.Put([]byte(k), []byte("v-"+k))
 	}
-	db.Flush()
-	db.Put([]byte("bb"), []byte("v-bb")) // memtable entry merged into scan
+	db.Put([]byte("bb"), []byte("v-bb"))
 	db.Delete([]byte("d"))
 
 	var got []string
@@ -133,8 +65,36 @@ func TestScanOrderedAndBounded(t *testing.T) {
 	}
 }
 
+func TestScanMayDeleteWhatItVisits(t *testing.T) {
+	// The write cache's flush: delete every key of a prefix from inside
+	// the scan that visits it.
+	db := Open(nil)
+	for _, k := range []string{"w/3", "w/1", "x/0", "w/2", "v/9", "w/10"} {
+		db.Put([]byte(k), []byte("v"))
+	}
+	var got []string
+	db.Scan([]byte("w/"), []byte("w0"), func(k, v []byte) bool {
+		got = append(got, string(k))
+		db.Delete(k)
+		return true
+	})
+	if want := []string{"w/1", "w/10", "w/2", "w/3"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("visited %v, want %v", got, want)
+	}
+	left := 0
+	db.Scan([]byte("w/"), []byte("w0"), func(k, v []byte) bool { left++; return true })
+	if left != 0 {
+		t.Fatalf("%d keys left in the range", left)
+	}
+	for _, k := range []string{"v/9", "x/0"} {
+		if _, ok := db.Get([]byte(k)); !ok {
+			t.Fatalf("%s outside the range was lost", k)
+		}
+	}
+}
+
 func TestCompareAndSwap(t *testing.T) {
-	db := Open(Options{})
+	db := Open(nil)
 	// Create when absent: expect nil.
 	if _, err := db.CompareAndSwap([]byte("ptr"), nil, []byte("s1")); err != nil {
 		t.Fatal(err)
@@ -151,19 +111,22 @@ func TestCompareAndSwap(t *testing.T) {
 	if _, err := db.CompareAndSwap([]byte("ptr"), []byte("s1"), []byte("s3")); err != ErrCASMismatch {
 		t.Fatalf("stale swap: %v", err)
 	}
-	v, _, _ := db.Get([]byte("ptr"))
+	v, _ := db.Get([]byte("ptr"))
 	if string(v) != "s2" {
 		t.Fatalf("final value %q", v)
 	}
-	// CAS sees values in flushed runs too.
-	db.Flush()
-	if _, err := db.CompareAndSwap([]byte("ptr"), []byte("s2"), []byte("s3")); err != nil {
-		t.Fatalf("CAS across flush: %v", err)
+	// A deleted key is absent again: only a nil expectation recreates it.
+	db.Delete([]byte("ptr"))
+	if _, err := db.CompareAndSwap([]byte("ptr"), []byte("s2"), []byte("s3")); err != ErrCASMismatch {
+		t.Fatalf("swap of a deleted key: %v", err)
+	}
+	if _, err := db.CompareAndSwap([]byte("ptr"), nil, []byte("s3")); err != nil {
+		t.Fatalf("recreate after delete: %v", err)
 	}
 }
 
 func TestCASConcurrentOnlyOneWins(t *testing.T) {
-	db := Open(Options{})
+	db := Open(nil)
 	db.Put([]byte("head"), []byte("v0"))
 	var wins int32
 	var mu sync.Mutex
@@ -187,42 +150,47 @@ func TestCASConcurrentOnlyOneWins(t *testing.T) {
 
 func TestDeviceCostCharging(t *testing.T) {
 	dev := sim.NewDeviceOf("scm0", sim.SCM)
-	db := Open(Options{Device: dev})
-	cost, _ := db.Put([]byte("k"), []byte("v"))
-	if cost <= 0 {
-		t.Fatal("put did not charge the device")
+	db := Open(dev)
+	spec := dev.Spec()
+	wal := func(n int64) time.Duration {
+		return spec.WriteLatency + time.Duration(float64(n)/float64(spec.WriteBandwidth)*float64(time.Second))
 	}
-	// Memtable hit is free (RAM).
-	if _, cost, _ := db.Get([]byte("k")); cost != 0 {
-		t.Fatalf("memtable hit charged %v", cost)
+	// Each write charges one WAL append: key and value for a Put or a
+	// swap, key and a tombstone byte for a Delete.
+	if cost := db.Put([]byte("key"), []byte("value")); cost != wal(8) {
+		t.Fatalf("put charged %v, want %v", cost, wal(8))
 	}
-	db.Flush()
-	// Run hit charges one device read.
-	if _, cost, ok := db.Get([]byte("k")); !ok || cost <= 0 {
-		t.Fatalf("run hit: ok=%v cost=%v", ok, cost)
+	if cost, err := db.CompareAndSwap([]byte("key"), []byte("value"), []byte("v2")); err != nil || cost != wal(5) {
+		t.Fatalf("swap charged %v (%v), want %v", cost, err, wal(5))
 	}
-	if dev.Stats().WriteOps == 0 || dev.Stats().ReadOps == 0 {
-		t.Fatalf("device counters: %+v", dev.Stats())
+	if cost := db.Delete([]byte("key")); cost != wal(4) {
+		t.Fatalf("delete charged %v, want %v", cost, wal(4))
+	}
+	// A failed swap charges nothing; reads are served from memory.
+	if cost, err := db.CompareAndSwap([]byte("key"), []byte("v2"), []byte("v3")); err != ErrCASMismatch || cost != 0 {
+		t.Fatalf("failed swap: %v, %v", cost, err)
+	}
+	db.Put([]byte("k"), []byte("v"))
+	db.Get([]byte("k"))
+	db.Scan(nil, nil, func(k, v []byte) bool { return true })
+	if st := dev.Stats(); st.WriteOps != 4 || st.WriteBytes != 8+5+4+2 || st.ReadOps != 0 {
+		t.Fatalf("device counters: %+v", st)
 	}
 }
 
 func TestQuickModelConformance(t *testing.T) {
 	// Property: the DB behaves like a map[string]string under random
-	// put/delete/flush interleavings, and Scan returns keys sorted.
+	// put/delete interleavings, and Scan returns keys sorted.
 	type op struct {
-		Key   uint8
-		Val   uint16
-		Del   bool
-		Flush bool
+		Key uint8
+		Val uint16
+		Del bool
 	}
 	f := func(ops []op) bool {
-		db := Open(Options{})
+		db := Open(nil)
 		model := map[string]string{}
 		for _, o := range ops {
 			k := fmt.Sprintf("key-%d", o.Key%32)
-			if o.Flush {
-				db.Flush()
-			}
 			if o.Del {
 				db.Delete([]byte(k))
 				delete(model, k)
@@ -234,7 +202,7 @@ func TestQuickModelConformance(t *testing.T) {
 		}
 		// Point lookups agree.
 		for k, want := range model {
-			got, _, ok := db.Get([]byte(k))
+			got, ok := db.Get([]byte(k))
 			if !ok || string(got) != want {
 				return false
 			}
@@ -259,14 +227,14 @@ func TestQuickModelConformance(t *testing.T) {
 }
 
 func TestConcurrentReadersAndWriter(t *testing.T) {
-	db := Open(Options{})
+	db := Open(nil)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 2000; i++ {
 			db.Put([]byte(fmt.Sprintf("k%d", i%64)), []byte(fmt.Sprintf("v%d", i)))
 			if i%64 == 63 {
-				db.Flush()
+				db.Delete([]byte(fmt.Sprintf("k%d", i%7)))
 			}
 		}
 	}()
@@ -278,7 +246,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 }
 
 func BenchmarkKVPut(b *testing.B) {
-	db := Open(Options{})
+	db := Open(nil)
 	key := make([]byte, 16)
 	val := make([]byte, 100)
 	b.ResetTimer()
@@ -289,11 +257,10 @@ func BenchmarkKVPut(b *testing.B) {
 }
 
 func BenchmarkKVGet(b *testing.B) {
-	db := Open(Options{})
+	db := Open(nil)
 	for i := 0; i < 10000; i++ {
 		db.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte("value"))
 	}
-	db.Flush()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db.Get([]byte(fmt.Sprintf("key-%05d", i%10000)))
@@ -301,11 +268,8 @@ func BenchmarkKVGet(b *testing.B) {
 }
 
 func TestConcurrentGetsRaceFree(t *testing.T) {
-	db := Open(Options{})
-	if _, err := db.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	db.Flush()
+	db := Open(nil)
+	db.Put([]byte("k"), []byte("v"))
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -318,7 +282,7 @@ func TestConcurrentGetsRaceFree(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if v, _, ok := db.Get([]byte("k")); !ok || string(v) != "v" {
+	if v, ok := db.Get([]byte("k")); !ok || string(v) != "v" {
 		t.Fatalf("after concurrent reads: %q, %v", v, ok)
 	}
 }

@@ -194,8 +194,7 @@ func (e *Engine) DropHard(name string) (time.Duration, error) {
 	st.pendingAdds = nil
 	e.mu.Unlock()
 	e.cache.Scan([]byte("wcache/"+name+"/"), []byte("wcache/"+name+"0"), func(k, v []byte) bool {
-		c, _ := e.cache.Delete(k)
-		cost += c
+		cost += e.cache.Delete(k)
 		return true
 	})
 	// (2) Delete from disk and the catalog.

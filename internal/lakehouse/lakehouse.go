@@ -106,7 +106,7 @@ func New(clock *sim.Clock, fs *tableobj.FileStore, cat *tableobj.Catalog, opts O
 		fs:     fs,
 		cat:    cat,
 		opts:   opts,
-		cache:  kv.Open(kv.Options{Device: sim.NewDeviceOf("meta-cache-scm", sim.SCM)}),
+		cache:  kv.Open(sim.NewDeviceOf("meta-cache-scm", sim.SCM)),
 		tables: make(map[string]*tableState),
 	}
 }
@@ -187,8 +187,7 @@ func (e *Engine) Insert(name string, rows []colfile.Row) (time.Duration, error) 
 	for _, f := range files {
 		st.cacheSeq++
 		key := fmt.Sprintf("wcache/%s/%012d", name, st.cacheSeq)
-		c, _ := e.cache.Put([]byte(key), encodeCachedFile(f))
-		cost += c
+		cost += e.cache.Put([]byte(key), encodeCachedFile(f))
 		st.pendingAdds = append(st.pendingAdds, f)
 	}
 	pending := len(st.pendingAdds)

@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"streamlake/internal/kv"
 	"streamlake/internal/obs"
 	"streamlake/internal/plog"
 	"streamlake/internal/resil"
@@ -113,7 +112,6 @@ type ObjectID int64
 type Store struct {
 	clock   *sim.Clock
 	mgr     *plog.Manager
-	index   *kv.DB
 	scm     *sim.Device
 	journal *sim.Device
 
@@ -182,14 +180,13 @@ func (s *Store) SetObs(reg *obs.Registry) {
 	reg.GaugeFunc("streamobj_objects", func() float64 { return float64(s.Count()) })
 }
 
-// NewStore builds a store creating PLogs from mgr. The index DB serves as
-// the key-value record-lookup index for PLogs the paper describes; the
+// NewStore builds a store creating PLogs from mgr. Each object finds its
+// slices' PLog locations in its own slice directory (Object.slices); the
 // SCM device backs objects created with SCMCache.
 func NewStore(clock *sim.Clock, mgr *plog.Manager) *Store {
 	s := &Store{
 		clock:   clock,
 		mgr:     mgr,
-		index:   kv.Open(kv.Options{Device: sim.NewDeviceOf("plog-index", sim.SCM)}),
 		scm:     sim.NewDeviceOf("stream-scm", sim.SCM),
 		journal: sim.NewDeviceOf("stream-journal", sim.NVMeSSD),
 		objects: make(map[ObjectID]*Object),
@@ -559,7 +556,7 @@ func (o *Object) Flush() (time.Duration, error) {
 // maxSlices consecutive slices (SliceRecords each; the last may be a
 // short tail) folded into ONE device commit per placement copy
 // (plog.AppendBatch): each slice keeps its own payload, CRC sidecar,
-// index entry, and SCM-cache entry — only the device write ops
+// slice-directory entry, and SCM-cache entry — only the device write ops
 // coalesce. On a storage error nothing is persisted and the records
 // stay buffered and visible (they are journal-durable); the caller
 // decides whether to surface or defer.
@@ -623,15 +620,6 @@ func (o *Object) flushBatchLocked(maxSlices int, sp *obs.Span) (time.Duration, e
 		return 0, err
 	}
 	fsp.End(cost)
-	// trim drops the first n flushed records from the open buffer,
-	// compacting in place so the buffer keeps its capacity across slices.
-	// Read and cacheSlice copy records out, so nothing aliases the
-	// vacated tail; clearing it lets the flushed keys and values go.
-	trim := func(n int) {
-		kept := copy(o.buf, o.buf[n:])
-		clear(o.buf[kept:])
-		o.buf = o.buf[:kept]
-	}
 	var records int
 	var flushed int64
 	for i, loc := range locs {
@@ -639,23 +627,20 @@ func (o *Object) flushBatchLocked(maxSlices int, sp *obs.Span) (time.Duration, e
 		o.store.metrics.flushes.Inc()
 		o.store.metrics.flushBytes.Add(int64(len(payloads[i])))
 		o.slices = append(o.slices, sliceEntry{base: o.bufBase, count: len(recs), loc: loc})
-		// Persist the slice index in the KV store (the PLog lookup index).
-		key := fmt.Sprintf("sobj/%d/%020d", o.id, o.bufBase)
-		_, perr := o.store.index.Put([]byte(key), encodeLoc(loc, len(recs)))
 		if o.opts.SCMCache {
 			o.cacheSlice(o.bufBase, recs)
 		}
 		o.bufBase += int64(len(recs))
 		records += len(recs)
 		flushed += int64(len(payloads[i]))
-		if perr != nil {
-			// This slice is persisted and tracked in o.slices; trim
-			// through it so a retry can't double-flush, then surface.
-			trim(records)
-			return cost, perr
-		}
 	}
-	trim(records)
+	// Drop the flushed records from the open buffer, compacting in place
+	// so the buffer keeps its capacity across slices. Read and cacheSlice
+	// copy records out, so nothing aliases the vacated tail; clearing it
+	// lets the flushed keys and values go.
+	kept := copy(o.buf, o.buf[records:])
+	clear(o.buf[kept:])
+	o.buf = o.buf[:kept]
 	cost += o.poolAdmitLocked(flushed)
 	return cost, nil
 }
@@ -952,14 +937,4 @@ func walkSlice(dst []Record, data []byte, base, from int64, limit int) ([]Record
 		return fail("bytes after the last record")
 	}
 	return dst, nil
-}
-
-func encodeLoc(loc shard.Loc, count int) []byte {
-	var out []byte
-	var tmp [binary.MaxVarintLen64]byte
-	for _, v := range []int64{int64(loc.Shard), int64(loc.Log), loc.Offset, int64(loc.Len), int64(count)} {
-		n := binary.PutVarint(tmp[:], v)
-		out = append(out, tmp[:n]...)
-	}
-	return out
 }

@@ -62,7 +62,7 @@ func (c *Consumer) Subscribe(topic string) error {
 	n := len(ts.streams)
 	sub := &subscription{topic: topic, offsets: make([]int64, n), cursors: make([]streamobj.Cursor, n)}
 	for i := range sub.offsets {
-		if blob, _, ok := c.svc.meta.Get(offsetKey(c.group, topic, i)); ok {
+		if blob, ok := c.svc.meta.Get(offsetKey(c.group, topic, i)); ok {
 			if v, n := binary.Varint(blob); n > 0 {
 				sub.offsets[i] = v
 			}
@@ -190,11 +190,7 @@ func (c *Consumer) CommitOffsets() (time.Duration, error) {
 	var cost time.Duration
 	for _, sub := range c.subs {
 		for i, off := range sub.offsets {
-			cst, err := c.svc.meta.Put(offsetKey(c.group, sub.topic, i), binary.AppendVarint(nil, off))
-			if err != nil {
-				return cost, err
-			}
-			cost += cst
+			cost += c.svc.meta.Put(offsetKey(c.group, sub.topic, i), binary.AppendVarint(nil, off))
 		}
 	}
 	return cost, nil

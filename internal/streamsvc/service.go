@@ -234,7 +234,7 @@ func New(clock *sim.Clock, store *streamobj.Store, workerCount int) *Service {
 	s := &Service{
 		clock:     clock,
 		store:     store,
-		meta:      kv.Open(kv.Options{Device: sim.NewDeviceOf("dispatcher-kv", sim.SCM)}),
+		meta:      kv.Open(sim.NewDeviceOf("dispatcher-kv", sim.SCM)),
 		topics:    make(map[string]*topicState),
 		displaced: make(map[string]int),
 	}
@@ -459,8 +459,7 @@ func (s *Service) SetWorkerCount(n int) (moved int, cost time.Duration) {
 			if old[k] != target {
 				moved++
 				// Metadata-only move: one dispatcher KV update.
-				c, _ := s.meta.Put([]byte("assign/"+k), []byte(fmt.Sprintf("%d", target)))
-				cost += c
+				cost += s.meta.Put([]byte("assign/"+k), []byte(fmt.Sprintf("%d", target)))
 			}
 		}
 	}
@@ -537,8 +536,7 @@ func (s *Service) SetWorkerDown(id int, down bool) (moved int, cost time.Duratio
 				s.displaced[k] = id
 			}
 			moved++
-			c, _ := s.meta.Put([]byte("assign/"+k), []byte(fmt.Sprintf("%d", target.id)))
-			cost += c
+			cost += s.meta.Put([]byte("assign/"+k), []byte(fmt.Sprintf("%d", target.id)))
 		}
 	} else {
 		keys := make([]string, 0, len(s.displaced))
@@ -562,8 +560,7 @@ func (s *Service) SetWorkerDown(id int, down bool) (moved int, cost time.Duratio
 			w.streams[k] = true
 			w.mu.Unlock()
 			moved++
-			c, _ := s.meta.Put([]byte("assign/"+k), []byte(fmt.Sprintf("%d", id)))
-			cost += c
+			cost += s.meta.Put([]byte("assign/"+k), []byte(fmt.Sprintf("%d", id)))
 		}
 	}
 	s.topologyChangedLocked()

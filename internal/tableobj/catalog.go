@@ -54,7 +54,7 @@ var (
 // NewCatalog builds a catalog on an SCM-backed KV store.
 func NewCatalog(clock *sim.Clock) *Catalog {
 	return &Catalog{
-		db:    kv.Open(kv.Options{Device: sim.NewDeviceOf("catalog-scm", sim.SCM)}),
+		db:    kv.Open(sim.NewDeviceOf("catalog-scm", sim.SCM)),
 		clock: clock,
 	}
 }
@@ -65,7 +65,7 @@ func snapKey(name string) []byte { return []byte("cat/snap/" + name) }
 // Register creates a catalog entry for a new table and initializes its
 // snapshot pointer to snapID.
 func (c *Catalog) Register(meta TableMeta, snapID int64) (time.Duration, error) {
-	if _, _, ok := c.db.Get(metaKey(meta.Name)); ok {
+	if _, ok := c.db.Get(metaKey(meta.Name)); ok {
 		return 0, fmt.Errorf("%w: %s", ErrTableExists, meta.Name)
 	}
 	meta.CreatedAt = c.clock.Now()
@@ -74,25 +74,22 @@ func (c *Catalog) Register(meta TableMeta, snapID int64) (time.Duration, error) 
 	if err != nil {
 		return 0, err
 	}
-	cost, err := c.db.Put(metaKey(meta.Name), blob)
-	if err != nil {
-		return 0, err
-	}
+	cost := c.db.Put(metaKey(meta.Name), blob)
 	c2, err := c.db.CompareAndSwap(snapKey(meta.Name), nil, encodeSnapPointer(snapID))
 	return cost + c2, err
 }
 
 // Get returns a table's profile.
 func (c *Catalog) Get(name string) (TableMeta, time.Duration, error) {
-	blob, cost, ok := c.db.Get(metaKey(name))
+	blob, ok := c.db.Get(metaKey(name))
 	if !ok {
-		return TableMeta{}, cost, fmt.Errorf("%w: %s", ErrUnknownTable, name)
+		return TableMeta{}, 0, fmt.Errorf("%w: %s", ErrUnknownTable, name)
 	}
 	var meta TableMeta
 	if err := json.Unmarshal(blob, &meta); err != nil {
-		return TableMeta{}, cost, err
+		return TableMeta{}, 0, err
 	}
-	return meta, cost, nil
+	return meta, 0, nil
 }
 
 // put replaces a table's profile.
@@ -102,20 +99,20 @@ func (c *Catalog) put(meta TableMeta) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	return c.db.Put(metaKey(meta.Name), blob)
+	return c.db.Put(metaKey(meta.Name), blob), nil
 }
 
 // SnapshotPointer returns the table's current snapshot id.
 func (c *Catalog) SnapshotPointer(name string) (int64, time.Duration, error) {
-	blob, cost, ok := c.db.Get(snapKey(name))
+	blob, ok := c.db.Get(snapKey(name))
 	if !ok {
-		return 0, cost, fmt.Errorf("%w: %s", ErrUnknownTable, name)
+		return 0, 0, fmt.Errorf("%w: %s", ErrUnknownTable, name)
 	}
 	id, n := binary.Varint(blob)
 	if n <= 0 {
-		return 0, cost, errors.New("tableobj: corrupt snapshot pointer")
+		return 0, 0, errors.New("tableobj: corrupt snapshot pointer")
 	}
-	return id, cost, nil
+	return id, 0, nil
 }
 
 // AdvanceSnapshot publishes a new snapshot by compare-and-swap on the
@@ -163,9 +160,7 @@ func (c *Catalog) Restore(name string) (time.Duration, error) {
 // HardDrop clears the table from the catalog entirely (DROP TABLE hard's
 // catalog half; the file half is Table.DropHard).
 func (c *Catalog) HardDrop(name string) (time.Duration, error) {
-	c1, _ := c.db.Delete(metaKey(name))
-	c2, _ := c.db.Delete(snapKey(name))
-	return c1 + c2, nil
+	return c.db.Delete(metaKey(name)) + c.db.Delete(snapKey(name)), nil
 }
 
 // List returns the names of registered (non-dropped) tables.
