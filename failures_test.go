@@ -10,6 +10,7 @@ import (
 	"streamlake/internal/plog"
 	"streamlake/internal/pool"
 	"streamlake/internal/sim"
+	"streamlake/internal/tenant"
 )
 
 // passHook passes the next pass pool writes and fails every one after.
@@ -128,6 +129,19 @@ func TestGroupCommitBeyondToleranceRefundsWrites(t *testing.T) {
 		t.Fatalf("failed flushes left charges:\nlive %d -> %d\ndisks %+v\n   -> %+v",
 			beforeStats.Live, afterStats.Live, beforeDisks, afterDisks)
 	}
+	// /metrics counts what the disks kept, so the refunded writes are
+	// gone from it too.
+	var ops, bytes int64
+	for _, d := range afterDisks {
+		ops, bytes = ops+d.WriteOps, bytes+d.WriteBytes
+	}
+	c := l.Obs().Snapshot().Counters
+	if got := c[`pool_write_ops_total{pool="ssd"}`]; got != ops {
+		t.Fatalf("pool_write_ops_total = %d, the disks' WriteOps sum to %d", got, ops)
+	}
+	if got := c[`pool_write_bytes_total{pool="ssd"}`]; got != bytes {
+		t.Fatalf("pool_write_bytes_total = %d, the disks' WriteBytes sum to %d", got, bytes)
+	}
 }
 
 // A producer restarted under the same id resends a batch the stream
@@ -156,5 +170,50 @@ func TestDedupedResendRefundsTenantTokens(t *testing.T) {
 	}
 	if _, _, err := l.TenantProducer("other", "acme").Send("orders", []byte("k"), []byte("v2")); err != nil {
 		t.Fatalf("a send within the refunded quota: %v", err)
+	}
+}
+
+// Converting a delete_msg topic releases the stream copy, and the bytes
+// it frees come back to the tenant's capacity quota: a send the cap
+// refused before the conversion is accepted after it.
+func TestConversionReclaimCreditsTenantCapacity(t *testing.T) {
+	l, err := Open(Config{PLogCapacity: 16 << 10, Tenants: []TenantConfig{{Name: "acme", CapacityBytes: 64 << 10}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := MustSchema("url:string", "ts:int64")
+	if err := l.CreateTopic(TopicConfig{Name: "events", StreamNum: 1, Convert: ConvertConfig{
+		Enabled: true, TableName: "events_tbl", TablePath: "/events", TableSchema: schema, DeleteMsg: true,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	p := l.TenantProducer("app", "acme")
+	send := func(i int) error {
+		val, _ := EncodeRow(schema, Row{StringValue("u"), IntValue(int64(i))})
+		_, _, err := p.Send("events", []byte(fmt.Sprint(i)), val)
+		return err
+	}
+	var refused error
+	sent := 0
+	for ; sent < 10000; sent++ {
+		if refused = send(sent); refused != nil {
+			break
+		}
+	}
+	var qe *tenant.QuotaError
+	if !errors.As(refused, &qe) || qe.Kind != tenant.KindCapacity {
+		t.Fatalf("send %d: %v, want a capacity refusal", sent, refused)
+	}
+	before, _ := l.Tenants().StatsOf("acme")
+	res, _, err := l.ConvertNow("events")
+	if err != nil || res.Messages != int64(sent) || res.FreedLog == 0 {
+		t.Fatalf("conversion of %d messages: %+v, %v", sent, res, err)
+	}
+	after, _ := l.Tenants().StatsOf("acme")
+	if after.StoredBytes >= before.StoredBytes {
+		t.Fatalf("stored bytes %d -> %d after reclaiming %d bytes", before.StoredBytes, after.StoredBytes, res.FreedLog)
+	}
+	if err := send(sent); err != nil {
+		t.Fatalf("the refused send after the reclaim: %v", err)
 	}
 }

@@ -88,7 +88,6 @@ type Pool struct {
 	nextSlice     SliceID
 	reconstructed int64
 	hook          FaultHook
-	metrics       poolMetrics
 
 	// avoid vetoes new placements on a disk without failing it (the disk
 	// still serves reads and repairs-in-place). Stored atomically so the
@@ -97,14 +96,6 @@ type Pool struct {
 	// taking pool locks — the hook itself must therefore never call back
 	// into the pool.
 	avoid atomic.Pointer[func(DiskID) bool]
-}
-
-// poolMetrics holds the pool's obs instruments. All fields are nil-safe
-// no-ops until SetObs wires a registry; they are copied out under p.mu
-// and bumped outside it, so the hot path pays one atomic add per event.
-type poolMetrics struct {
-	writeOps, writeBytes *obs.Counter
-	readOps, readBytes   *obs.Counter
 }
 
 // Errors returned by pool operations.
@@ -157,22 +148,31 @@ func (p *Pool) SetFaultHook(h FaultHook) {
 }
 
 // SetObs registers the pool's telemetry with an obs registry: I/O
-// counters labelled by pool name, plus utilization / queue-depth /
-// health gauges evaluated from Stats at scrape time. A nil registry
-// leaves the pool unobserved at ~zero cost.
+// counters labelled by pool name, summed from the disks' device stats
+// (repair I/O counts; a rolled-back write does not, unless a scrape
+// lands before its rollback), plus utilization / queue-depth / health
+// gauges evaluated from Stats at scrape time. A nil registry is a no-op.
 func (p *Pool) SetObs(reg *obs.Registry) {
-	label := `{pool="` + p.name + `"}`
-	p.mu.Lock()
-	p.metrics = poolMetrics{
-		writeOps:   reg.Counter("pool_write_ops_total" + label),
-		writeBytes: reg.Counter("pool_write_bytes_total" + label),
-		readOps:    reg.Counter("pool_read_ops_total" + label),
-		readBytes:  reg.Counter("pool_read_bytes_total" + label),
-	}
-	p.mu.Unlock()
 	if reg == nil {
 		return
 	}
+	label := `{pool="` + p.name + `"}`
+	sum := func(f func(sim.DeviceStats) int64) func() int64 {
+		return func() int64 {
+			var n int64
+			p.mu.Lock()
+			for _, d := range p.disks {
+				n += f(d.dev.Stats())
+			}
+			p.mu.Unlock()
+			return n
+		}
+	}
+	reg.CounterFunc("pool_write_ops_total"+label, sum(func(s sim.DeviceStats) int64 { return s.WriteOps }))
+	reg.CounterFunc("pool_write_bytes_total"+label, sum(func(s sim.DeviceStats) int64 { return s.WriteBytes }))
+	reg.CounterFunc("pool_read_ops_total"+label, sum(func(s sim.DeviceStats) int64 { return s.ReadOps }))
+	reg.CounterFunc("pool_read_bytes_total"+label, sum(func(s sim.DeviceStats) int64 { return s.ReadBytes }))
+	busy := sum(func(s sim.DeviceStats) int64 { return int64(s.BusyTime) })
 	reg.GaugeFunc("pool_utilization"+label, func() float64 { return p.Stats().Utilization() })
 	reg.GaugeFunc("pool_failed_disks"+label, func() float64 { return float64(p.Stats().FailedDisks) })
 	reg.GaugeFunc("pool_slices"+label, func() float64 { return float64(p.Stats().SliceCount) })
@@ -183,13 +183,7 @@ func (p *Pool) SetObs(reg *obs.Registry) {
 		if now == 0 {
 			return 0
 		}
-		var busy time.Duration
-		p.mu.Lock()
-		for _, d := range p.disks {
-			busy += d.dev.Stats().BusyTime
-		}
-		p.mu.Unlock()
-		return float64(busy) / float64(now)
+		return float64(busy()) / float64(now)
 	})
 }
 
@@ -387,7 +381,6 @@ func (p *Pool) Write(id SliceID, n int64) (time.Duration, error) {
 		return 0, ErrDiskFailed
 	}
 	hook := p.hook
-	m := p.metrics
 	diskID := s.Disk
 	p.mu.Unlock()
 	var extra time.Duration
@@ -401,8 +394,6 @@ func (p *Pool) Write(id SliceID, n int64) (time.Duration, error) {
 	p.mu.Lock()
 	s.live += n
 	p.mu.Unlock()
-	m.writeOps.Inc()
-	m.writeBytes.Add(n)
 	return d.dev.Write(n) + extra, nil
 }
 
@@ -440,7 +431,6 @@ func (p *Pool) Read(id SliceID, n int64) (time.Duration, error) {
 		return 0, ErrDiskFailed
 	}
 	hook := p.hook
-	m := p.metrics
 	diskID := s.Disk
 	p.mu.Unlock()
 	var extra time.Duration
@@ -451,8 +441,6 @@ func (p *Pool) Read(id SliceID, n int64) (time.Duration, error) {
 		}
 		extra = e
 	}
-	m.readOps.Inc()
-	m.readBytes.Add(n)
 	return d.dev.Read(n) + extra, nil
 }
 

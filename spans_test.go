@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"streamlake"
@@ -55,6 +56,39 @@ func runPollDrain(t *testing.T) []byte {
 // byte-identical to testdata/spans/poll.txt.
 func TestPollSpanGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "spans", "poll.txt"), runPollDrain)
+}
+
+// A topic with the SCM cache keeps its recently flushed slices in
+// storage-class memory, so a poll of them is served from there: every
+// slice load of the drain is src=scm, none reaches the PLog's devices.
+func TestSCMCacheServesRecentSlices(t *testing.T) {
+	lake, err := streamlake.Open(streamlake.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lake.CreateTopic(streamlake.TopicConfig{Name: "hot", StreamNum: 1, SCMCache: true}); err != nil {
+		t.Fatal(err)
+	}
+	p := lake.Producer("spans")
+	for i := 0; i < 600; i++ { // two flushed slices and an open tail
+		if _, _, err := p.Send("hot", []byte(fmt.Sprintf("k%d", i)), bytes.Repeat([]byte("x"), 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := lake.Consumer("g")
+	if err := c.Subscribe("hot"); err != nil {
+		t.Fatal(err)
+	}
+	sp := lake.Tracer().Start("streamsvc.poll")
+	msgs, cost, err := c.PollSpanCtx(500, sp, nil)
+	if err != nil || len(msgs) != 500 {
+		t.Fatalf("poll: %d message(s), %v", len(msgs), err)
+	}
+	sp.End(cost)
+	tree := sp.Tree()
+	if strings.Count(tree, "src=scm") != 2 || strings.Contains(tree, "src=device") {
+		t.Fatalf("slice loads of a cached topic:\n%s", tree)
+	}
 }
 
 // sqlTraceLake opens a lake holding a partitioned table loaded in
