@@ -235,20 +235,19 @@ func (x *Txn) rebase(sp *obs.Span) error {
 	return nil
 }
 
-// writeAttempts bounds the runs of a Write's fn.
-const writeAttempts = 4
-
 // Write is how a writer changes the table: it runs fn in a transaction
 // begun on the current snapshot, fn planning on that snapshot (BaseID,
 // BaseFiles), and commits what fn staged, if anything. A lost CAS
 // (ErrConflict) re-bases the staged files on the new snapshot, whose
 // removals the commit checks; a removed file gone from it (ErrFileGone)
-// aborts the attempt and runs fn again, at most writeAttempts times. Any
+// aborts the attempt and runs fn again: another writer's commit removed
+// the file, so every rerun follows some writer's progress, and reruns
+// end once the other writers stop removing files. Any
 // other error aborts. Each commit is a tableobj.commit child of sp, which
 // the pointer and header reads advance; the cost is every attempt's.
 func (t *Table) Write(sp *obs.Span, fn func(x *Txn) error) (Snapshot, time.Duration, error) {
 	var cost time.Duration
-	for attempt := 1; ; attempt++ {
+	for {
 		x := &Txn{t: t}
 		if err := x.rebase(sp); err != nil {
 			return Snapshot{}, cost, err
@@ -268,7 +267,7 @@ func (t *Table) Write(sp *obs.Span, fn func(x *Txn) error) (Snapshot, time.Durat
 			return snap, cost, nil
 		}
 		x.Abort()
-		if !errors.Is(err, ErrFileGone) || attempt == writeAttempts {
+		if !errors.Is(err, ErrFileGone) {
 			return Snapshot{}, cost, err
 		}
 	}
