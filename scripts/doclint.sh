@@ -9,6 +9,9 @@
 #
 # Every scripts/… path must exist, so a doc never points at a script
 # that was replaced or deleted.
+#
+# DESIGN.md states what the system does; no line of it cites a PR by
+# number ("PR 7", "PRs 1–5", "pre-PR-14"). The history is CHANGES.md's.
 set -eu
 docs="EXPERIMENTS.md DESIGN.md README.md"
 funcs=$(grep -rhoE '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]*' --include='*_test.go' . | cut -c6-)
@@ -27,4 +30,8 @@ for path in $(grep -ohE 'scripts/[A-Za-z0-9_/-]+(\.[A-Za-z0-9]+)?' $docs | sort 
     bad=1
   fi
 done
+if grep -nE '\bPRs? ?-?[0-9]' DESIGN.md >&2; then
+  echo "doclint: DESIGN.md cites a PR by number (above); say what the system does" >&2
+  bad=1
+fi
 exit $bad
