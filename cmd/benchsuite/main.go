@@ -159,11 +159,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		spnRes, err := bench.RunAblationSPN(*seed)
-		if err != nil {
-			return err
-		}
-		bench.AblationReport(busRes, ecRes, pd, spnRes).Fprint(os.Stdout)
+		bench.AblationReport(busRes, ecRes, pd, bench.RunAblationSPN(*seed)).Fprint(os.Stdout)
 		return nil
 	})
 }

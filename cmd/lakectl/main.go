@@ -270,8 +270,8 @@ func (s *shell) exec(line string) error {
 			fmt.Fprintf(s.out, "  %d: %s = %s\n", m.Offset, m.Key, m.Value)
 		}
 		fmt.Fprintf(s.out, "%d message(s)\n", len(msgs))
-		_, err = c.CommitOffsets()
-		return err
+		c.CommitOffsets()
+		return nil
 	case "create-table":
 		schema, err := streamlake.NewSchema(rest[2:]...)
 		if err != nil {
@@ -933,7 +933,8 @@ func (s *shell) trace(rest []string) error {
 		if err != nil {
 			return err
 		}
-		return s.printTrace(sp, cost, "offset=%d stream=%d ", msg.Offset, msg.Stream)
+		s.printTrace(sp, cost, "offset=%d stream=%d ", msg.Offset, msg.Stream)
+		return nil
 	case "poll":
 		max, err := intArg(rest, 3, 32)
 		if err != nil {
@@ -950,15 +951,16 @@ func (s *shell) trace(rest []string) error {
 			return err
 		}
 		s.printTrace(sp, cost, "%d message(s) ", len(msgs))
-		_, err = c.CommitOffsets()
-		return err
+		c.CommitOffsets()
+		return nil
 	case "sql":
 		sp := tr.Start("query.execute")
 		res, cost, err := s.lake.QuerySpan(strings.Join(rest[1:], " "), sp)
 		if err != nil {
 			return err
 		}
-		return s.printTrace(sp, cost, "%d row(s) ", len(res.Rows))
+		s.printTrace(sp, cost, "%d row(s) ", len(res.Rows))
+		return nil
 	case "flush":
 		if len(rest) > 2 {
 			if err := s.insert(rest[1], rest[2:]); err != nil {
@@ -971,7 +973,8 @@ func (s *shell) trace(rest []string) error {
 		if err != nil {
 			return err
 		}
-		return s.printTrace(sp, cost, "")
+		s.printTrace(sp, cost, "")
+		return nil
 	case "compact":
 		tbl, err := s.lake.Engine().Table(rest[1])
 		if err != nil {
@@ -982,14 +985,16 @@ func (s *shell) trace(rest []string) error {
 		if err != nil {
 			return err
 		}
-		return s.printTrace(sp, cost, "merged %d files ", merged)
+		s.printTrace(sp, cost, "merged %d files ", merged)
+		return nil
 	case "convert":
 		sp := tr.Start("convert")
 		res, cost, err := s.lake.ConvertNowSpan(rest[1], sp)
 		if err != nil {
 			return err
 		}
-		return s.printTrace(sp, cost, "converted %d messages into %d files ", res.Messages, res.Files)
+		s.printTrace(sp, cost, "converted %d messages into %d files ", res.Messages, res.Files)
+		return nil
 	case "last":
 		sp := tr.Last()
 		if sp == nil {
@@ -1013,20 +1018,16 @@ func (s *shell) trace(rest []string) error {
 
 // printTrace ends sp with cost and prints a line, the format's text then
 // the latency and the trace id, over the span tree.
-func (s *shell) printTrace(sp *obs.Span, cost time.Duration, format string, args ...any) error {
+func (s *shell) printTrace(sp *obs.Span, cost time.Duration, format string, args ...any) {
 	sp.End(cost)
 	fmt.Fprintf(s.out, format+"latency=%v trace=%d\n", append(args, cost, sp.ID)...)
 	fmt.Fprint(s.out, sp.Tree())
-	return nil
 }
 
 func (s *shell) scrub(rest []string) error {
 	switch sub := arg(rest, 0, "run"); sub {
 	case "run", "cycle": // every pass sweeps every log, so the two agree
-		rep, err := s.lake.RunScrub()
-		if err != nil {
-			return err
-		}
+		rep := s.lake.RunScrub()
 		fmt.Fprintf(s.out, "scanned %d log(s), %d extent-cop(ies), %dB verified; %d mismatch(es), %dB repaired, %d copy(ies) skipped, took %v\n",
 			rep.LogsScanned, rep.ExtentsChecked, rep.BytesScanned,
 			rep.Mismatches, rep.RepairedBytes, rep.SkippedCopies, rep.Elapsed)

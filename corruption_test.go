@@ -34,9 +34,7 @@ func corruptWorkload(t *testing.T, lake *Lake, topic string, total int, triggers
 			injected++
 		}
 		if scrubEvery > 0 && i > 0 && i%scrubEvery == 0 {
-			if _, err := lake.RunScrub(); err != nil {
-				t.Fatalf("scrub at %d: %v", i, err)
-			}
+			lake.RunScrub()
 		}
 		if _, _, err := p.Send(topic, []byte(fmt.Sprintf("k%d", i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
 			t.Fatalf("send %d: %v", i, err)
@@ -83,10 +81,7 @@ func drainVerify(t *testing.T, lake *Lake, topic string, want int) {
 func scrubAndVerifyHealed(t *testing.T, lake *Lake, injected int) {
 	t.Helper()
 	before := lake.Clock().Now()
-	rep, err := lake.RunScrub()
-	if err != nil {
-		t.Fatalf("scrub: %v", err)
-	}
+	rep := lake.RunScrub()
 	elapsed := lake.Clock().Now() - before
 	if rep.LogsScanned == 0 || rep.BytesScanned == 0 {
 		t.Fatalf("scrub did not sweep the population: %+v", rep)
@@ -121,10 +116,7 @@ func scrubAndVerifyHealed(t *testing.T, lake *Lake, injected int) {
 		t.Fatalf("scrub stats empty: %+v", ss)
 	}
 	// A follow-up sweep finds a clean lake.
-	again, err := lake.RunScrub()
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := lake.RunScrub()
 	if again.Mismatches != 0 {
 		t.Fatalf("second sweep still found corruption: %+v", again)
 	}
@@ -210,9 +202,7 @@ func TestSilentCorruptionDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		corruptWorkload(t, lake, "det", 800, []int{600, 700}, 250)
-		if _, err := lake.RunScrub(); err != nil {
-			t.Fatal(err)
-		}
+		lake.RunScrub()
 		return lake.Faults().CorruptionLog(), lake.Integrity()
 	}
 	evA, stA := run()

@@ -79,7 +79,7 @@ func New(cfg Config) *FS {
 // writing each block through the replication pipeline (client →
 // datanode → datanode → datanode). The modelled cost is the pipeline's
 // critical path.
-func (fs *FS) Write(path string, data []byte) (time.Duration, error) {
+func (fs *FS) Write(path string, data []byte) time.Duration {
 	f := &file{size: int64(len(data))}
 	var cost time.Duration
 	for off := int64(0); off < int64(len(data)) || (len(data) == 0 && off == 0); off += fs.cfg.BlockSize {
@@ -109,7 +109,7 @@ func (fs *FS) Write(path string, data []byte) (time.Duration, error) {
 	fs.mu.Lock()
 	fs.files[path] = f
 	fs.mu.Unlock()
-	return cost, nil
+	return cost
 }
 
 // StorageBytes reports physical bytes: logical size times replication —

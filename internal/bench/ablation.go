@@ -164,7 +164,7 @@ type AblationSPNResult struct {
 
 // RunAblationSPN evaluates both estimators against ground truth on
 // lineitem.
-func RunAblationSPN(seed uint64) (AblationSPNResult, error) {
+func RunAblationSPN(seed uint64) AblationSPNResult {
 	rows := tpch.Lineitem(20_000, seed)
 	enc := partition.NewEncoder(tpch.LineitemSchema, rows)
 	data := make([][]float64, len(rows))
@@ -221,7 +221,7 @@ func RunAblationSPN(seed uint64) (AblationSPNResult, error) {
 			res.SPNWinsCount++
 		}
 	}
-	return res, nil
+	return res
 }
 
 // AblationReport renders all ablations as one report.

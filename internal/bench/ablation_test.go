@@ -57,10 +57,7 @@ func TestAblationPushdown(t *testing.T) {
 }
 
 func TestAblationSPN(t *testing.T) {
-	res, err := RunAblationSPN(13)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := RunAblationSPN(13)
 	if res.SPNMeanErr >= res.UniformErr {
 		t.Fatalf("SPN (%.3f) no better than uniform (%.3f)", res.SPNMeanErr, res.UniformErr)
 	}
@@ -79,12 +76,8 @@ func TestAblationReportRenders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spnRes, err := RunAblationSPN(13)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	AblationReport(busRes, ecRes, pd, spnRes).Fprint(&buf)
+	AblationReport(busRes, ecRes, pd, RunAblationSPN(13)).Fprint(&buf)
 	if buf.Len() == 0 {
 		t.Fatal("empty report")
 	}

@@ -189,19 +189,19 @@ func (c *Cache) Contains(key string) bool {
 // Put inserts a verified fill. Admission: a key the ghost list
 // remembers goes straight to the main FIFO; a cold key enters the
 // probationary small FIFO. Objects larger than the DRAM tier are not
-// admitted. The returned duration is any foreground device cost (none
-// today: DRAM insertion is free and destaging is background busy time).
+// admitted. A fill costs no foreground time: DRAM insertion is free and
+// destaging is background busy time.
 //
 // The cache retains data itself — no defensive copy — so the caller
 // must hand over bytes that stay immutable for the entry's lifetime
 // (the fill path passes borrowed slices of append-only PLog streams,
 // which satisfy this by construction).
-func (c *Cache) Put(key string, data []byte) time.Duration {
+func (c *Cache) Put(key string, data []byte) {
 	n := int64(len(data))
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n == 0 || n > c.cfg.DRAMBytes {
-		return 0
+		return
 	}
 	if e, ok := c.index[key]; ok {
 		// Fills are verified reads of immutable ranges, so a re-fill can
@@ -209,7 +209,7 @@ func (c *Cache) Put(key string, data []byte) time.Duration {
 		if e.freq < 3 {
 			e.freq++
 		}
-		return 0
+		return
 	}
 	e := &entry{key: key, data: data}
 	if el, ghosted := c.ghost[key]; ghosted {
@@ -227,7 +227,6 @@ func (c *Cache) Put(key string, data []byte) time.Duration {
 	c.stats.Fills++
 	c.stats.FillBytes += n
 	c.evictDRAMLocked()
-	return 0
 }
 
 // evictDRAMLocked restores the DRAM invariant: small ≤ its share and

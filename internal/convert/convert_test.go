@@ -118,7 +118,7 @@ func TestConversionTriggeredByCount(t *testing.T) {
 		t.Fatalf("result: %+v", results[0])
 	}
 	// The table now holds all rows, partitioned by province.
-	tbl, _, err := tableobj.Open(e.clock, e.fs, e.cat, "logs_table")
+	tbl, err := tableobj.Open(e.clock, e.fs, e.cat, "logs_table")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestConversionIncremental(t *testing.T) {
 	if results[0].Messages != 150 {
 		t.Fatalf("incremental run re-read old messages: %+v", results[0])
 	}
-	tbl, _, _ := tableobj.Open(e.clock, e.fs, e.cat, "inc_table")
+	tbl, _ := tableobj.Open(e.clock, e.fs, e.cat, "inc_table")
 	cur, _, _ := tbl.Current()
 	if cur.RowCount != 270 {
 		t.Fatalf("table rows: %d", cur.RowCount)
@@ -189,7 +189,7 @@ func TestDeleteMsgReclaimsStreamStorage(t *testing.T) {
 		t.Fatalf("no stream storage reclaimed: %+v", results[0])
 	}
 	// The table copy is intact.
-	tbl, _, _ := tableobj.Open(e.clock, e.fs, e.cat, "reclaim_table")
+	tbl, _ := tableobj.Open(e.clock, e.fs, e.cat, "reclaim_table")
 	cur, _, _ := tbl.Current()
 	if cur.RowCount != 2000 {
 		t.Fatalf("table rows: %d", cur.RowCount)
@@ -238,7 +238,7 @@ func TestPlaybackTableToStream(t *testing.T) {
 	if _, _, err := e.conv.ForceTopic("src", nil); err != nil {
 		t.Fatal(err)
 	}
-	tbl, _, _ := tableobj.Open(e.clock, e.fs, e.cat, "src_table")
+	tbl, _ := tableobj.Open(e.clock, e.fs, e.cat, "src_table")
 	snap, _, _ := tbl.Current()
 
 	// Play the table back into a fresh topic.
@@ -279,7 +279,7 @@ func TestPlaybackFailsOnUndecodableFile(t *testing.T) {
 	if _, _, err := e.conv.ForceTopic("src", nil); err != nil {
 		t.Fatal(err)
 	}
-	tbl, _, _ := tableobj.Open(e.clock, e.fs, e.cat, "src_table")
+	tbl, _ := tableobj.Open(e.clock, e.fs, e.cat, "src_table")
 	snap, _, _ := tbl.Current()
 	// The first chunk follows the 5-byte header; give its first block the
 	// reserved DEFLATE type.

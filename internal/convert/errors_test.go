@@ -135,7 +135,7 @@ func TestConversionFileOrderIsDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		tbl, _, err := tableobj.Open(e.clock, e.fs, e.cat, "logs_table")
+		tbl, err := tableobj.Open(e.clock, e.fs, e.cat, "logs_table")
 		if err != nil {
 			t.Fatal(err)
 		}

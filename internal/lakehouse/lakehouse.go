@@ -129,7 +129,7 @@ func (e *Engine) state(name string) (*tableState, error) {
 	if st, ok := e.tables[name]; ok {
 		return st, nil
 	}
-	tbl, _, err := tableobj.Open(e.clock, e.fs, e.cat, name)
+	tbl, err := tableobj.Open(e.clock, e.fs, e.cat, name)
 	if err != nil {
 		return nil, err
 	}

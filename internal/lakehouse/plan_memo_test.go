@@ -43,7 +43,7 @@ var referenceMemos = map[*tableState]*tableobj.Manifest{}
 func referenceSnapshot(t *testing.T, e *Engine, st *tableState) (tableobj.Snapshot, time.Duration) {
 	t.Helper()
 	meta := st.tbl.Meta()
-	ptr, cost, err := e.cat.SnapshotPointer(meta.Name)
+	ptr, err := e.cat.SnapshotPointer(meta.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func referenceSnapshot(t *testing.T, e *Engine, st *tableState) (tableobj.Snapsh
 		}
 		return blob, rc, err
 	}
-	m, rc, err := tableobj.LoadManifest(meta.Path, ptr, referenceMemos[st], read)
+	m, cost, err := tableobj.LoadManifest(meta.Path, ptr, referenceMemos[st], read)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func referenceSnapshot(t *testing.T, e *Engine, st *tableState) (tableobj.Snapsh
 		}
 		snap.Files = append(snap.Files, f)
 	}
-	return snap, cost + rc
+	return snap, cost
 }
 
 // oracleFile draws the statistics of a data file that was never
@@ -287,7 +287,7 @@ func TestPlanSeesEverySnapshot(t *testing.T) {
 		insert(10)
 		e.Flush("t")
 		last := expect("soft drop and restore")
-		dropped, _, _ := e.cat.SnapshotPointer("t")
+		dropped, _ := e.cat.SnapshotPointer("t")
 		if _, err := e.DropHard("t"); err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +295,7 @@ func TestPlanSeesEverySnapshot(t *testing.T) {
 		insert(200)
 		e.Flush("t")
 		for {
-			ptr, _, _ := e.cat.SnapshotPointer("t")
+			ptr, _ := e.cat.SnapshotPointer("t")
 			if ptr == dropped {
 				break
 			}

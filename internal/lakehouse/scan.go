@@ -198,8 +198,8 @@ func (e *Engine) manifest(st *tableState, id int64) (m *tableobj.Manifest, src s
 	e.mu.Unlock()
 	memo, meta := st.manifest.Load(), st.tbl.Meta()
 	if id == 0 {
-		if id, cost, err = e.cat.SnapshotPointer(meta.Name); err != nil {
-			return nil, "", cost, err
+		if id, err = e.cat.SnapshotPointer(meta.Name); err != nil {
+			return nil, "", 0, err
 		}
 	}
 	src, hits := "cache", 0

@@ -87,8 +87,7 @@ func (g *Gauge) Value() float64 {
 }
 
 // HistBuckets is the fixed bucket count: log-scaled, 4 buckets per
-// doubling anchored at 1µs (the same scheme as sim.Histogram), covering
-// 1µs .. ~4300s of virtual time.
+// doubling anchored at 1µs, covering 1µs .. ~4300s of virtual time.
 const HistBuckets = 128
 
 // Histogram collects virtual-time latency samples in fixed log-scale
@@ -174,7 +173,7 @@ func (s *HistogramSnapshot) Add(o HistogramSnapshot) {
 }
 
 // Quantile returns the approximate q-quantile (bucket upper bound).
-func (s HistogramSnapshot) Quantile(q float64) time.Duration {
+func (s *HistogramSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
 	}

@@ -71,6 +71,25 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	if q := hs.Quantile(1.0); q < 5*time.Millisecond {
 		t.Fatalf("p100 = %v", q)
 	}
+	// 5,000 seeded samples: the count is the number observed, and the
+	// quantiles rise with q.
+	seeded := r.Histogram("seeded_seconds")
+	rng := sim.NewRNG(7)
+	for i := 0; i < 5000; i++ {
+		seeded.Observe(time.Duration(rng.Intn(1_000_000)) * time.Nanosecond)
+	}
+	ss := r.Snapshot().Histograms["seeded_seconds"]
+	if seeded.Count() != 5000 || ss.Count != 5000 {
+		t.Fatalf("seeded count = %d, snapshot %d, want 5000", seeded.Count(), ss.Count)
+	}
+	last := time.Duration(0)
+	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
+		v := ss.Quantile(q)
+		if v < last {
+			t.Fatalf("quantiles not monotone: q=%v -> %v < %v", q, v, last)
+		}
+		last = v
+	}
 }
 
 // TestCounterFunc: a callback counter is read when the registry is, is

@@ -4,7 +4,7 @@ import (
 	"sync"
 	"time"
 
-	"streamlake/internal/sim"
+	"streamlake/internal/obs"
 )
 
 // Hedged reads ("The Tail at Scale"): when the primary replica of a
@@ -56,7 +56,7 @@ type HedgeStats struct {
 type hedgeState struct {
 	mu    sync.Mutex
 	cfg   HedgeConfig
-	hist  sim.Histogram // primary-read latencies (pre-hedge)
+	hist  obs.HistogramSnapshot // primary-read latencies (pre-hedge), under mu
 	stats HedgeStats
 }
 
@@ -64,17 +64,14 @@ type hedgeState struct {
 // delay to race it against, or -1 when this read must not hedge
 // (disabled, cold tracker, or primary under the floor).
 func (hs *hedgeState) threshold(primary time.Duration) time.Duration {
-	hs.hist.Observe(primary)
 	hs.mu.Lock()
-	cfg := hs.cfg
+	hs.hist.Observe(primary)
+	if !hs.cfg.Enabled || hs.hist.Count < hs.cfg.MinSamples {
+		hs.mu.Unlock()
+		return -1
+	}
+	h := max(hs.hist.Quantile(hs.cfg.Quantile), hedgeFloor)
 	hs.mu.Unlock()
-	if !cfg.Enabled {
-		return -1
-	}
-	if hs.hist.Count() < cfg.MinSamples {
-		return -1
-	}
-	h := max(hs.hist.Quantile(cfg.Quantile), hedgeFloor)
 	if primary <= h {
 		return -1 // primary answered within the hedge window
 	}

@@ -346,7 +346,7 @@ type ScrubResult struct {
 // reads to the placement disks. Corrupt copies are quarantined as stale
 // for the repair service. Copies on failed disks or already stale are
 // skipped; they are the repair service's problem, not the scrubber's.
-func (l *PLog) Scrub() (ScrubResult, error) {
+func (l *PLog) Scrub() ScrubResult {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var res ScrubResult
@@ -409,7 +409,7 @@ func (l *PLog) Scrub() (ScrubResult, error) {
 			res.Mismatches += len(bad)
 		}
 	}
-	return res, nil
+	return res
 }
 
 // sortedLogs snapshots the live logs ordered by ID.

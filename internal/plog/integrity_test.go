@@ -183,10 +183,7 @@ func TestScrubFindsCorruptionOffTheReadPath(t *testing.T) {
 	if st := l.IntegrityStats(); st.Mismatches != 0 {
 		t.Fatalf("read path touched the corrupt copy: %+v", st)
 	}
-	res, err := l.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := l.Scrub()
 	if res.Mismatches != 1 {
 		t.Fatalf("scrub found %d mismatches, want 1 (%+v)", res.Mismatches, res)
 	}
@@ -200,7 +197,7 @@ func TestScrubFindsCorruptionOffTheReadPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second scrub pass is clean.
-	res2, _ := l.Scrub()
+	res2 := l.Scrub()
 	if res2.Mismatches != 0 {
 		t.Fatalf("second scrub still dirty: %+v", res2)
 	}
@@ -305,8 +302,8 @@ func TestDegradedWriteThenCorruptionInterplay(t *testing.T) {
 	if ok, err := l.CorruptCopy(1, 0); err != nil || !ok {
 		t.Fatalf("CorruptCopy: ok=%v err=%v", ok, err)
 	}
-	if res, err := l.Scrub(); err != nil || res.Mismatches != 1 {
-		t.Fatalf("scrub: %+v err=%v", res, err)
+	if res := l.Scrub(); res.Mismatches != 1 {
+		t.Fatalf("scrub: %+v", res)
 	}
 	if _, _, err := l.RepairStale(); err != nil {
 		t.Fatal(err)
@@ -314,7 +311,7 @@ func TestDegradedWriteThenCorruptionInterplay(t *testing.T) {
 	if !l.FullyRedundant() {
 		t.Fatal("repair left stale state")
 	}
-	if res, _ := l.Scrub(); res.Mismatches != 0 {
+	if res := l.Scrub(); res.Mismatches != 0 {
 		t.Fatalf("post-repair scrub dirty: %+v", res)
 	}
 }

@@ -173,8 +173,8 @@ func TestECRaggedTailCompressedRoundTrip(t *testing.T) {
 	if st := l.IntegrityStats(); st.Mismatches != mismatches {
 		t.Fatalf("repaired compressed shards failed re-verification: %+v", st)
 	}
-	if res, serr := l.Scrub(); serr != nil || res.Mismatches != 0 {
-		t.Fatalf("compressed scrub after repair: %+v %v", res, serr)
+	if res := l.Scrub(); res.Mismatches != 0 {
+		t.Fatalf("compressed scrub after repair: %+v", res)
 	}
 
 	// Promote back to the hot pool: extents decompress, state clears,

@@ -101,7 +101,7 @@ func New(clock *sim.Clock, mgr *plog.Manager, rep *repair.Service) *Service {
 // around), it verifies every live log, charges the verification I/O and
 // pacing to the virtual clock, and — given a repair service — repairs
 // what it found. The cursor parks on the last log scanned.
-func (s *Service) RunOnce() (Report, error) {
+func (s *Service) RunOnce() Report {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var rep Report
@@ -110,10 +110,7 @@ func (s *Service) RunOnce() (Report, error) {
 		if l == nil { // destroyed since the snapshot
 			continue
 		}
-		res, err := l.Scrub()
-		if err != nil {
-			return rep, err
-		}
+		res := l.Scrub()
 		rep.LogsScanned++
 		rep.ExtentsChecked += res.Extents
 		rep.BytesScanned += res.Bytes
@@ -141,7 +138,7 @@ func (s *Service) RunOnce() (Report, error) {
 	s.stats.RepairedBytes += rep.RepairedBytes
 	s.stats.Elapsed += rep.Elapsed
 	s.metrics.passLat.Observe(rep.Elapsed)
-	return rep, nil
+	return rep
 }
 
 // scanOrder returns the live log IDs in scan order: ascending, rotated

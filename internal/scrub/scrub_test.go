@@ -40,10 +40,7 @@ func TestDetectAndRepairLoop(t *testing.T) {
 		}
 	}
 	before := clock.Now()
-	r, err := s.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := s.RunOnce()
 	if r.LogsScanned != 4 || s.Cursor() != logs[3].ID() {
 		t.Fatalf("expected a sweep of all 4 logs ending on the last: %+v cursor=%d", r, s.Cursor())
 	}
@@ -64,10 +61,7 @@ func TestDetectAndRepairLoop(t *testing.T) {
 		t.Fatalf("checked %d extent-copies, want 36", r.ExtentsChecked)
 	}
 	// Second pass is clean and cheaper than a repair cycle.
-	r2, err := s.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r2 := s.RunOnce()
 	if r2.Mismatches != 0 || r2.RepairedBytes != 0 {
 		t.Fatalf("second pass dirty: %+v", r2)
 	}
@@ -86,10 +80,7 @@ func TestScrubSkipsStaleAndDeadCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(clock, m, nil)
-	r, err := s.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := s.RunOnce()
 	if r.SkippedCopies != 1 {
 		t.Fatalf("skipped %d copies, want 1: %+v", r.SkippedCopies, r)
 	}
@@ -103,10 +94,7 @@ func TestEmptyManager(t *testing.T) {
 	p := pool.New("scrub", clock, sim.NVMeSSD, 3, 1<<20)
 	m := plog.NewManager(p, 1<<20)
 	s := New(clock, m, nil)
-	r, err := s.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := s.RunOnce()
 	if r.LogsScanned != 0 || r.Elapsed != 0 {
 		t.Fatalf("empty pass: %+v", r)
 	}
@@ -120,8 +108,8 @@ func TestMigrationUnderActiveScrubPass(t *testing.T) {
 	clock, m, logs := newFixture(t, 5, 4, 3)
 	hdd := pool.New("scrub-hdd", clock, sim.SASHDD, 5, 1<<20)
 	s := New(clock, m, repair.New(clock, m))
-	if r, err := s.RunOnce(); err != nil || r.Mismatches != 0 {
-		t.Fatalf("first pass over a clean population: %+v err=%v", r, err)
+	if r := s.RunOnce(); r.Mismatches != 0 {
+		t.Fatalf("first pass over a clean population: %+v", r)
 	}
 	// Corrupt a copy of a log, then migrate that log to the cold pool
 	// while the cursor is parked between passes.
@@ -132,10 +120,7 @@ func TestMigrationUnderActiveScrubPass(t *testing.T) {
 	if _, err := victim.Migrate(hdd); err != nil {
 		t.Fatal(err)
 	}
-	rest, err := s.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rest := s.RunOnce()
 	if rest.Mismatches != 1 {
 		t.Fatalf("scrub over migrated population found %d mismatches, want exactly 1", rest.Mismatches)
 	}
@@ -147,10 +132,7 @@ func TestMigrationUnderActiveScrubPass(t *testing.T) {
 	}
 	// A fresh sweep over the now-clean population must stay silent: no
 	// false corruption from the migration.
-	clean, err := s.RunOnce()
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := s.RunOnce()
 	if clean.Mismatches != 0 {
 		t.Fatalf("clean population reported %d mismatches after migration", clean.Mismatches)
 	}

@@ -183,8 +183,8 @@ func (c *Consumer) PollSpanCtx(max int, sp *obs.Span, rc *resil.Ctx) ([]Message,
 }
 
 // CommitOffsets persists the group's current read positions to the
-// dispatcher KV store.
-func (c *Consumer) CommitOffsets() (time.Duration, error) {
+// dispatcher KV store and returns the WAL latency.
+func (c *Consumer) CommitOffsets() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var cost time.Duration
@@ -193,7 +193,7 @@ func (c *Consumer) CommitOffsets() (time.Duration, error) {
 			cost += c.svc.meta.Put(offsetKey(c.group, sub.topic, i), binary.AppendVarint(nil, off))
 		}
 	}
-	return cost, nil
+	return cost
 }
 
 // Seek repositions the consumer on one stream of a topic.

@@ -63,33 +63,32 @@ func metaKey(name string) []byte { return []byte("cat/meta/" + name) }
 func snapKey(name string) []byte { return []byte("cat/snap/" + name) }
 
 // Register creates a catalog entry for a new table and initializes its
-// snapshot pointer to snapID.
+// snapshot pointer to snapID. It claims the name by compare-and-swap on
+// the pointer before it writes the profile, so the loser of two creates
+// of one name writes nothing.
 func (c *Catalog) Register(meta TableMeta, snapID int64) (time.Duration, error) {
-	if _, ok := c.db.Get(metaKey(meta.Name)); ok {
-		return 0, fmt.Errorf("%w: %s", ErrTableExists, meta.Name)
-	}
 	meta.CreatedAt = c.clock.Now()
 	meta.ModifiedAt = meta.CreatedAt
 	blob, err := json.Marshal(meta)
 	if err != nil {
 		return 0, err
 	}
-	cost := c.db.Put(metaKey(meta.Name), blob)
-	c2, err := c.db.CompareAndSwap(snapKey(meta.Name), nil, encodeSnapPointer(snapID))
-	return cost + c2, err
+	cost, err := c.db.CompareAndSwap(snapKey(meta.Name), nil, encodeSnapPointer(snapID))
+	if err != nil {
+		return 0, fmt.Errorf("%w: %s", ErrTableExists, meta.Name)
+	}
+	return cost + c.db.Put(metaKey(meta.Name), blob), nil
 }
 
 // Get returns a table's profile.
-func (c *Catalog) Get(name string) (TableMeta, time.Duration, error) {
+func (c *Catalog) Get(name string) (TableMeta, error) {
 	blob, ok := c.db.Get(metaKey(name))
 	if !ok {
-		return TableMeta{}, 0, fmt.Errorf("%w: %s", ErrUnknownTable, name)
+		return TableMeta{}, fmt.Errorf("%w: %s", ErrUnknownTable, name)
 	}
 	var meta TableMeta
-	if err := json.Unmarshal(blob, &meta); err != nil {
-		return TableMeta{}, 0, err
-	}
-	return meta, 0, nil
+	err := json.Unmarshal(blob, &meta)
+	return meta, err
 }
 
 // put replaces a table's profile.
@@ -103,16 +102,16 @@ func (c *Catalog) put(meta TableMeta) (time.Duration, error) {
 }
 
 // SnapshotPointer returns the table's current snapshot id.
-func (c *Catalog) SnapshotPointer(name string) (int64, time.Duration, error) {
+func (c *Catalog) SnapshotPointer(name string) (int64, error) {
 	blob, ok := c.db.Get(snapKey(name))
 	if !ok {
-		return 0, 0, fmt.Errorf("%w: %s", ErrUnknownTable, name)
+		return 0, fmt.Errorf("%w: %s", ErrUnknownTable, name)
 	}
 	id, n := binary.Varint(blob)
 	if n <= 0 {
-		return 0, 0, errors.New("tableobj: corrupt snapshot pointer")
+		return 0, errors.New("tableobj: corrupt snapshot pointer")
 	}
-	return id, 0, nil
+	return id, nil
 }
 
 // AdvanceSnapshot publishes a new snapshot by compare-and-swap on the
@@ -133,34 +132,32 @@ func encodeSnapPointer(id int64) []byte {
 // SoftDrop unregisters the table but keeps its metadata and data for
 // restoration (DROP TABLE soft).
 func (c *Catalog) SoftDrop(name string) (time.Duration, error) {
-	meta, cost, err := c.Get(name)
+	meta, err := c.Get(name)
 	if err != nil {
-		return cost, err
+		return 0, err
 	}
 	meta.Dropped = true
-	c2, err := c.put(meta)
-	return cost + c2, err
+	return c.put(meta)
 }
 
 // Restore re-registers a soft-dropped table, linking the new entry to
 // the original table path.
 func (c *Catalog) Restore(name string) (time.Duration, error) {
-	meta, cost, err := c.Get(name)
+	meta, err := c.Get(name)
 	if err != nil {
-		return cost, err
+		return 0, err
 	}
 	if !meta.Dropped {
-		return cost, fmt.Errorf("tableobj: table %s is not dropped", name)
+		return 0, fmt.Errorf("tableobj: table %s is not dropped", name)
 	}
 	meta.Dropped = false
-	c2, err := c.put(meta)
-	return cost + c2, err
+	return c.put(meta)
 }
 
 // HardDrop clears the table from the catalog entirely (DROP TABLE hard's
 // catalog half; the file half is Table.DropHard).
-func (c *Catalog) HardDrop(name string) (time.Duration, error) {
-	return c.db.Delete(metaKey(name)) + c.db.Delete(snapKey(name)), nil
+func (c *Catalog) HardDrop(name string) time.Duration {
+	return c.db.Delete(metaKey(name)) + c.db.Delete(snapKey(name))
 }
 
 // List returns the names of registered (non-dropped) tables.

@@ -466,7 +466,7 @@ func TestFailedMetadataWriteLeavesNoFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		files := e.fs.Count()
-		ptr, _, _ := e.cat.SnapshotPointer("t")
+		ptr, _ := e.cat.SnapshotPointer("t")
 		calls := 0
 		mgr.SetPlacer(func(width int) ([]*pool.Slice, error) {
 			if calls++; calls == failAt {
@@ -479,7 +479,7 @@ func TestFailedMetadataWriteLeavesNoFiles(t *testing.T) {
 		if _, err := x.Commit(); err == nil {
 			t.Fatalf("write %d of the commit failed, yet it committed", failAt)
 		}
-		if got, _, _ := e.cat.SnapshotPointer("t"); e.fs.Count() != files || got != ptr || calls != failAt {
+		if got, _ := e.cat.SnapshotPointer("t"); e.fs.Count() != files || got != ptr || calls != failAt {
 			t.Fatalf("write %d failed: %d files (was %d), pointer %d (was %d), %d writes", failAt, e.fs.Count(), files, got, ptr, calls)
 		}
 	}

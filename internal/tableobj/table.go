@@ -42,41 +42,45 @@ func Create(clock *sim.Clock, fs *FileStore, cat *Catalog, meta TableMeta) (*Tab
 	}
 	t := &Table{fs: fs, cat: cat, clock: clock, meta: meta}
 	initial := Manifest{kind: kindHeader, Snapshot: Snapshot{ID: t.nextID(), Timestamp: clock.Now()}}
-	blob, _ := initial.encode()
-	cost, err := fs.Write(SnapshotPath(meta.Path, initial.ID), blob)
+	// Claim the name before writing any file: a create that collides
+	// with an existing table must not overwrite its first header.
+	cost, err := cat.Register(meta, initial.ID)
 	if err != nil {
+		return nil, 0, err
+	}
+	blob, _ := initial.encode()
+	c2, err := fs.Write(SnapshotPath(meta.Path, initial.ID), blob)
+	if err != nil {
+		cat.HardDrop(meta.Name)
 		return nil, 0, err
 	}
 	// Persist the table configuration under /metadata as the paper
 	// describes (schema, partition spec, target file size).
 	cfg := fmt.Sprintf("name=%s\npartition=%s\ntarget_file_size=%d\nfields=%d\n",
 		meta.Name, meta.PartitionColumn, meta.TargetFileSize, meta.Schema.NumFields())
-	c2, err := fs.Write(meta.Path+"/metadata/table.properties", []byte(cfg))
+	c3, err := fs.Write(meta.Path+"/metadata/table.properties", []byte(cfg))
 	if err != nil {
-		return nil, 0, err
-	}
-	c3, err := cat.Register(meta, initial.ID)
-	if err != nil {
+		cat.HardDrop(meta.Name)
 		return nil, 0, err
 	}
 	return t, cost + c2 + c3, nil
 }
 
 // Open attaches to an existing table by catalog name.
-func Open(clock *sim.Clock, fs *FileStore, cat *Catalog, name string) (*Table, time.Duration, error) {
-	meta, cost, err := cat.Get(name)
+func Open(clock *sim.Clock, fs *FileStore, cat *Catalog, name string) (*Table, error) {
+	meta, err := cat.Get(name)
 	if err != nil {
-		return nil, cost, err
+		return nil, err
 	}
 	if meta.Dropped {
-		return nil, cost, fmt.Errorf("%w: %s", ErrTableDropped, name)
+		return nil, fmt.Errorf("%w: %s", ErrTableDropped, name)
 	}
 	t := &Table{fs: fs, cat: cat, clock: clock, meta: meta}
 	// Seed the id sequence past anything persisted.
-	if ptr, _, err := cat.SnapshotPointer(name); err == nil {
+	if ptr, err := cat.SnapshotPointer(name); err == nil {
 		t.seq.Store(ptr)
 	}
-	return t, cost, nil
+	return t, nil
 }
 
 // Meta returns the table's profile.
@@ -89,12 +93,11 @@ func (t *Table) nextID() int64 { return t.seq.Add(1) }
 
 // Current reads the table's current snapshot.
 func (t *Table) Current() (Snapshot, time.Duration, error) {
-	ptr, cost, err := t.cat.SnapshotPointer(t.meta.Name)
+	ptr, err := t.cat.SnapshotPointer(t.meta.Name)
 	if err != nil {
-		return Snapshot{}, cost, err
+		return Snapshot{}, 0, err
 	}
-	s, c2, err := t.SnapshotByID(ptr)
-	return s, cost + c2, err
+	return t.SnapshotByID(ptr)
 }
 
 // SnapshotByID reads a specific snapshot: its header, folded over its
@@ -122,7 +125,8 @@ func (t *Table) header(id int64) (Manifest, time.Duration, error) {
 // travel. It walks the parent chain of headers from the current
 // snapshot and folds only the one it returns.
 func (t *Table) AsOf(ts time.Duration) (Snapshot, time.Duration, error) {
-	id, cost, err := t.cat.SnapshotPointer(t.meta.Name)
+	var cost time.Duration
+	id, err := t.cat.SnapshotPointer(t.meta.Name)
 	for h := (Manifest{}); err == nil; id = h.ParentID {
 		var c time.Duration
 		h, c, err = t.header(id)
@@ -202,11 +206,10 @@ func (t *Table) Stage() (*Txn, error) {
 	return x, err
 }
 
-// pointer reads the current snapshot pointer, charging the read, and
-// moves the handle's ids past it.
+// pointer reads the current snapshot pointer and moves the handle's ids
+// past it.
 func (x *Txn) pointer() (int64, error) {
-	ptr, cost, err := x.t.cat.SnapshotPointer(x.t.meta.Name)
-	x.cost += cost
+	ptr, err := x.t.cat.SnapshotPointer(x.t.meta.Name)
 	for err == nil {
 		seq := x.t.seq.Load()
 		if seq >= ptr || x.t.seq.CompareAndSwap(seq, ptr) {
@@ -217,21 +220,19 @@ func (x *Txn) pointer() (int64, error) {
 }
 
 // rebase makes the current snapshot the transaction's base, charging the
-// reads to sp's cursor.
+// header read to sp's cursor.
 func (x *Txn) rebase(sp *obs.Span) error {
-	before := x.cost
 	ptr, err := x.pointer()
 	if err != nil {
 		return err
 	}
-	blob, c2, err := x.t.fs.Read(SnapshotPath(x.t.meta.Path, ptr))
+	blob, cost, err := x.t.fs.Read(SnapshotPath(x.t.meta.Path, ptr))
 	if err != nil {
 		return err
 	}
-	cost := x.cost - before
 	x.base, x.baseBlob, x.manifest = Manifest{Snapshot: Snapshot{ID: ptr}}, blob, nil
-	x.cost += c2
-	sp.Advance(cost + c2)
+	x.cost += cost
+	sp.Advance(cost)
 	return nil
 }
 
@@ -699,8 +700,7 @@ func (t *Table) DropHard() (time.Duration, error) {
 			return cost, err
 		}
 	}
-	c2, err := t.cat.HardDrop(t.meta.Name)
-	return cost + c2, err
+	return cost + t.cat.HardDrop(t.meta.Name), nil
 }
 
 // ExpireSnapshots deletes the snapshots older than keepAfter on the
@@ -709,7 +709,7 @@ func (t *Table) DropHard() (time.Duration, error) {
 // retained snapshot's fold reads them. The current snapshot is always
 // retained. It returns the number of snapshots expired.
 func (t *Table) ExpireSnapshots(keepAfter time.Duration) (int, error) {
-	id, _, err := t.cat.SnapshotPointer(t.meta.Name)
+	id, err := t.cat.SnapshotPointer(t.meta.Name)
 	// The chain, newest first, as far back as headers remain. Timestamps
 	// fall along it, so the retained snapshots are a prefix.
 	var chain []Manifest

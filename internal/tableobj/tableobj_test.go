@@ -170,11 +170,11 @@ func TestCreateOpenTable(t *testing.T) {
 		t.Fatalf("duplicate create: %v", err)
 	}
 	// Open by name.
-	opened, _, err := Open(e.clock, e.fs, e.cat, "dpi_logs")
+	opened, err := Open(e.clock, e.fs, e.cat, "dpi_logs")
 	if err != nil || opened.Meta().Path != "/lake/dpi_logs" {
 		t.Fatalf("open: %+v %v", opened.Meta(), err)
 	}
-	if _, _, err := Open(e.clock, e.fs, e.cat, "nope"); !errors.Is(err, ErrUnknownTable) {
+	if _, err := Open(e.clock, e.fs, e.cat, "nope"); !errors.Is(err, ErrUnknownTable) {
 		t.Fatalf("open unknown: %v", err)
 	}
 	// Invalid schemas rejected.
@@ -183,6 +183,71 @@ func TestCreateOpenTable(t *testing.T) {
 	}
 	if _, _, err := Create(e.clock, e.fs, e.cat, TableMeta{Name: "bad2", Path: "/b", Schema: dpiSchema, PartitionColumn: "zz"}); !errors.Is(err, ErrSchemaInvalid) {
 		t.Fatalf("bad partition column: %v", err)
+	}
+}
+
+// A CREATE TABLE that collides with an existing table writes nothing:
+// the table keeps its first snapshot header, so time travel to it still
+// works, and its properties file is its own.
+func TestRejectedCreateLeavesTableIntact(t *testing.T) {
+	e := newEnv(t)
+	e.clock.Advance(time.Second)
+	tbl := createTable(t, e, "t")
+	props, _, _ := e.fs.Read("/lake/t/metadata/table.properties")
+	e.clock.Advance(time.Second)
+	x, _ := tbl.Begin()
+	if _, err := x.WriteRows([]colfile.Row{dpiRow("u", 1, "Beijing")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if s, _, err := tbl.AsOf(time.Second); err != nil || s.ID != 1 {
+		t.Fatalf("as of 1s before the collision: snapshot %d, %v", s.ID, err)
+	}
+	files := e.fs.Count()
+	dup := TableMeta{Name: "t", Path: "/lake/t", Schema: dpiSchema, TargetFileSize: 1 << 20}
+	if _, _, err := Create(e.clock, e.fs, e.cat, dup); !errors.Is(err, ErrTableExists) {
+		t.Fatalf("duplicate create: %v", err)
+	}
+	if s, _, err := tbl.AsOf(time.Second); err != nil || s.ID != 1 {
+		t.Fatalf("as of 1s after the collision: snapshot %d, %v", s.ID, err)
+	}
+	if got, _, _ := e.fs.Read("/lake/t/metadata/table.properties"); string(got) != string(props) || e.fs.Count() != files {
+		t.Fatalf("the collision rewrote table.properties (%q, was %q) or wrote files (%d, was %d)", got, props, e.fs.Count(), files)
+	}
+}
+
+// Of concurrent creates of one name exactly one wins; each loser returns
+// ErrTableExists and leaves the winner's profile as the winner wrote it.
+func TestConcurrentCreatesOneWinner(t *testing.T) {
+	e := newEnv(t)
+	const n = 8
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, _, errs[i] = Create(e.clock, e.fs, e.cat, TableMeta{Name: "t", Path: fmt.Sprintf("/lake/t%d", i), Schema: dpiSchema})
+		}()
+	}
+	wg.Wait()
+	winner := -1
+	for i, err := range errs {
+		switch {
+		case err == nil && winner < 0:
+			winner = i
+		case !errors.Is(err, ErrTableExists):
+			t.Fatalf("create %d: %v (winner %d)", i, err, winner)
+		}
+	}
+	meta, err := e.cat.Get("t")
+	if winner < 0 || err != nil || meta.Path != fmt.Sprintf("/lake/t%d", winner) {
+		t.Fatalf("winner %d, profile %+v, %v", winner, meta, err)
+	}
+	if paths, _ := e.fs.List("/lake/"); len(paths) != 2 {
+		t.Fatalf("files after the creates: %v, want the winner's header and properties", paths)
 	}
 }
 
@@ -487,7 +552,7 @@ func TestDropSoftRestoreHard(t *testing.T) {
 	if _, err := tbl.DropSoft(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(e.clock, e.fs, e.cat, "t"); !errors.Is(err, ErrTableDropped) {
+	if _, err := Open(e.clock, e.fs, e.cat, "t"); !errors.Is(err, ErrTableDropped) {
 		t.Fatalf("open soft-dropped: %v", err)
 	}
 	// Data retained.
@@ -498,7 +563,7 @@ func TestDropSoftRestoreHard(t *testing.T) {
 	if _, err := e.cat.Restore("t"); err != nil {
 		t.Fatal(err)
 	}
-	restored, _, err := Open(e.clock, e.fs, e.cat, "t")
+	restored, err := Open(e.clock, e.fs, e.cat, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +579,7 @@ func TestDropSoftRestoreHard(t *testing.T) {
 	if e.fs.Count() != 0 {
 		t.Fatalf("hard drop left %d files", e.fs.Count())
 	}
-	if _, _, err := Open(e.clock, e.fs, e.cat, "t"); !errors.Is(err, ErrUnknownTable) {
+	if _, err := Open(e.clock, e.fs, e.cat, "t"); !errors.Is(err, ErrUnknownTable) {
 		t.Fatalf("open hard-dropped: %v", err)
 	}
 }
@@ -662,7 +727,7 @@ func TestQuickManifestAlgebra(t *testing.T) {
 func TestBeginAdvancesSequencePastOtherHandlesCommits(t *testing.T) {
 	e := newEnv(t)
 	a := createTable(t, e, "t")
-	b, _, err := Open(e.clock, e.fs, e.cat, "t")
+	b, err := Open(e.clock, e.fs, e.cat, "t")
 	if err != nil {
 		t.Fatal(err)
 	}

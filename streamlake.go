@@ -695,7 +695,7 @@ func (l *Lake) Scrubber() *scrub.Service { return l.scrub }
 
 // RunScrub runs one scrub pass — a sweep of every live log — and
 // repairs what it found.
-func (l *Lake) RunScrub() (ScrubReport, error) { return l.scrub.RunOnce() }
+func (l *Lake) RunScrub() ScrubReport { return l.scrub.RunOnce() }
 
 // Integrity reports checksum activity across the lake's PLogs:
 // verifications, mismatches, fallback reads, injected corruptions.
