@@ -31,6 +31,7 @@
 //	trace compact <table> <partition>    (traced compaction: bin merges, commit)
 //	trace convert <topic>                (traced forced conversion: slice reads,
 //	                                     partition files, commit, reclaim)
+//	trace tiering                        (traced tiering pass: one migrate per moved log)
 //	trace last | trace <id>
 //	faults status
 //	faults net [status]               (standing link faults + breaker states)
@@ -53,9 +54,9 @@
 //	repair [rounds]
 //	scrub [run|cycle|status]
 //	cache [status|flush]              (two-tier read cache; -cache sizes it)
-//	tiering run                       (one tiering pass: quiescent logs
-//	                                   demote by policy, and demotion to
-//	                                   HDD compresses extents)
+//	tiering run                       (one tiering pass: sealed logs idle
+//	                                   on SSD for an hour move to HDD,
+//	                                   which compresses their extents)
 //	chaos run [seed [events]]         (one seeded chaos drill, fresh lake)
 //	chaos replay [seed [events]]      (run twice, assert bit-identical digests)
 //	chaos status                      (report of the shell's last drill)
@@ -374,9 +375,9 @@ func (s *shell) exec(line string) error {
 		if len(rest) == 0 || rest[0] != "run" {
 			return fmt.Errorf("usage: tiering run")
 		}
-		migs, cost := s.lake.RunTiering()
+		migs, cost := s.lake.RunTiering(nil)
 		for _, m := range migs {
-			fmt.Fprintf(s.out, "%s: %s -> %s (%dB)\n", m.ID, m.From, m.To, m.Size)
+			fmt.Fprintf(s.out, "plog/%d: ssd -> hdd (%dB)\n", m.ID, m.Size)
 		}
 		fmt.Fprintf(s.out, "%d migrations, cost=%v\n", len(migs), cost)
 		return nil
@@ -917,13 +918,13 @@ func (s *shell) insert(table string, raw []string) error {
 	return s.lake.Insert(table, []streamlake.Row{row})
 }
 
-// trace runs a traced produce, poll, query, flush, compaction or
-// conversion and renders its span tree, or re-prints a recorded trace by
-// id.
+// trace runs a traced produce, poll, query, flush, compaction,
+// conversion or tiering pass and renders its span tree, or re-prints a
+// recorded trace by id.
 func (s *shell) trace(rest []string) error {
 	tr := s.lake.Tracer()
 	if len(rest) == 0 {
-		return fmt.Errorf("usage: trace produce <topic> <key> <value> | trace poll <topic> [group] [max] | trace sql <statement> | trace flush <table> [value...] | trace compact <table> <partition> | trace convert <topic> | trace last | trace <id>")
+		return fmt.Errorf("usage: trace produce <topic> <key> <value> | trace poll <topic> [group] [max] | trace sql <statement> | trace flush <table> [value...] | trace compact <table> <partition> | trace convert <topic> | trace tiering | trace last | trace <id>")
 	}
 	switch rest[0] {
 	case "produce":
@@ -994,6 +995,11 @@ func (s *shell) trace(rest []string) error {
 			return err
 		}
 		s.printTrace(sp, cost, "converted %d messages into %d files ", res.Messages, res.Files)
+		return nil
+	case "tiering":
+		sp := tr.Start("tiering")
+		migs, cost := s.lake.RunTiering(sp)
+		s.printTrace(sp, cost, "%d migration(s) ", len(migs))
 		return nil
 	case "last":
 		sp := tr.Last()

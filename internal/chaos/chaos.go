@@ -303,12 +303,12 @@ func (a *streamActor) act(h *harness) {
 			key := fmt.Sprintf("k%06d", h.eventSeq)
 			// A send dropped past its retries, shed or out of deadline is
 			// legitimate under chaos; only an ack creates obligations.
-			if msg, _, err := h.prod.SendCtx(topic, []byte(key), []byte("v"+key), h.ctx()); err == nil {
+			if msg, _, err := h.prod.SendSpanCtx(topic, []byte(key), []byte("v"+key), nil, h.ctx()); err == nil {
 				h.recordAck(msg, key)
 			}
 		}
 	case r < 8:
-		msgs, _, err := h.cons.PollCtx(64, h.ctx())
+		msgs, _, err := h.cons.PollSpanCtx(64, nil, h.ctx())
 		if err != nil && !errors.Is(err, resil.ErrDeadlineExceeded) {
 			h.violate("poll failed: %v", err)
 			return
@@ -496,7 +496,7 @@ func (a *lakehouseActor) act(h *harness) {
 		// it would have watched those minutes pass.
 		h.lake.Clock().Advance(time.Duration(10+a.rng.Intn(111)) * time.Minute)
 		h.lake.Cluster().Tick()
-		h.lake.RunTiering()
+		h.lake.RunTiering(nil)
 	}
 }
 
@@ -575,7 +575,7 @@ func (a *tenantActor) act(h *harness) {
 func (a *tenantActor) send(h *harness, p *streamlake.Producer, prefix string, val []byte, acked, limited, shed *int64) {
 	h.eventSeq++
 	key := fmt.Sprintf("%s%06d", prefix, h.eventSeq)
-	msg, _, err := p.SendCtx(topic, []byte(key), val, h.ctx())
+	msg, _, err := p.SendSpanCtx(topic, []byte(key), val, nil, h.ctx())
 	switch {
 	case err == nil:
 		*acked++

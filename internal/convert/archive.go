@@ -1,7 +1,6 @@
 package convert
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -35,7 +34,6 @@ type Archiver struct {
 	mu       sync.Mutex
 	marks    map[string][]int64 // per-topic per-stream archive watermarks
 	archived map[string]int64
-	seq      int64
 }
 
 // NewArchiver builds an archiver storing into the given tiering service's
@@ -145,14 +143,10 @@ func (a *Archiver) archiveTopic(name string, cfg streamsvc.TopicConfig) (Archive
 		archivedBytes = int64(len(blob))
 	}
 	res.ArchivedBytes = archivedBytes
-	a.mu.Lock()
-	a.seq++
-	id := fmt.Sprintf("archive/%s/%d", name, a.seq)
-	a.mu.Unlock()
 	if res.External {
 		cost += a.extDev.Write(archivedBytes)
 	} else {
-		a.tiers.Register(id, archivedBytes, tiering.Archive)
+		a.tiers.AddArchived(archivedBytes)
 	}
 
 	// Archived stream data is reclaimed from the hot tier.

@@ -23,7 +23,8 @@ type env struct {
 	cat   *tableobj.Catalog
 	lh    *lakehouse.Engine
 	conv  *Converter
-	tpool *pool.Pool // the table files' pool
+	logs  *plog.Manager // the streams' logs
+	tpool *pool.Pool    // the table files' pool
 }
 
 var logSchema = colfile.MustSchema("url:string", "start_time:int64", "province:string")
@@ -39,7 +40,7 @@ func newEnv(t testing.TB) *env {
 	fs := tableobj.NewFileStore(plog.NewManager(tpool, 8<<20))
 	cat := tableobj.NewCatalog(clock)
 	lh := lakehouse.New(clock, fs, cat, lakehouse.Options{Acceleration: true})
-	return &env{clock: clock, svc: svc, fs: fs, cat: cat, lh: lh, conv: New(clock, svc, lh), tpool: tpool}
+	return &env{clock: clock, svc: svc, fs: fs, cat: cat, lh: lh, conv: New(clock, svc, lh), logs: mgr, tpool: tpool}
 }
 
 func convertTopic(name string) streamsvc.TopicConfig {
@@ -305,7 +306,7 @@ func TestPlaybackFailsOnUndecodableFile(t *testing.T) {
 
 func TestArchiverRowToCol(t *testing.T) {
 	e := newEnv(t)
-	tiers := tiering.NewService(e.clock)
+	tiers := tiering.NewService(e.clock, e.logs, nil)
 	arch := NewArchiver(e.svc, tiers)
 	cfg := streamsvc.TopicConfig{
 		Name: "hist", StreamNum: 1,
@@ -343,7 +344,7 @@ func TestArchiverRowToCol(t *testing.T) {
 
 func TestArchiverExternalExport(t *testing.T) {
 	e := newEnv(t)
-	tiers := tiering.NewService(e.clock)
+	tiers := tiering.NewService(e.clock, e.logs, nil)
 	arch := NewArchiver(e.svc, tiers)
 	e.svc.CreateTopic(streamsvc.TopicConfig{
 		Name: "exp", StreamNum: 1,

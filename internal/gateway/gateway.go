@@ -587,7 +587,7 @@ func (s *Server) consume(w http.ResponseWriter, r *http.Request, p *Principal) {
 		s.consumers[key] = c
 	}
 	s.mu.Unlock()
-	msgs, _, err := c.PollCtx(max, rc)
+	msgs, _, err := c.PollSpanCtx(max, nil, rc)
 	// A deadline that expires mid-poll keeps its partial batch: the
 	// consumer's offsets have moved past those messages, so dropping them
 	// here would lose them for the group. 503 only when nothing was read.

@@ -167,7 +167,7 @@ func TestBreakerOpenSurfaces503(t *testing.T) {
 
 // TestConsumeDeadlineKeepsPartialBatch: a poll whose deadline expires
 // mid-way has already advanced the cached consumer past the messages it
-// read (PollCtx keeps partial progress), so answering 503 and dropping
+// read (PollSpanCtx keeps partial progress), so answering 503 and dropping
 // them loses them for the group. The scenario needs device reads — the
 // first slices of a stream longer than the 64-slice read cache — so that
 // a 1 ms budget covers some of a 1000-message poll but not all of it.

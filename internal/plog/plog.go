@@ -1015,7 +1015,8 @@ type LogInfo struct {
 	ID     ID
 	Size   int64
 	Sealed bool
-	Stale  int64 // bytes missing across stale placement slices
+	Stale  int64      // bytes missing across stale placement slices
+	Pool   *pool.Pool // the pool its placement group lives on
 }
 
 // Logs snapshots all live logs.
@@ -1024,7 +1025,10 @@ func (m *Manager) Logs() []LogInfo {
 	defer m.mu.Unlock()
 	out := make([]LogInfo, 0, len(m.logs))
 	for _, l := range m.logs {
-		out = append(out, LogInfo{ID: l.ID(), Size: l.Size(), Sealed: l.Sealed(), Stale: l.StaleBytes()})
+		l.mu.RLock()
+		p := l.pool
+		l.mu.RUnlock()
+		out = append(out, LogInfo{ID: l.ID(), Size: l.Size(), Sealed: l.Sealed(), Stale: l.StaleBytes(), Pool: p})
 	}
 	return out
 }

@@ -36,8 +36,8 @@ type Engine struct {
 
 	// metrics holds the obs instrument set behind an atomic pointer so
 	// SetObs can be wired (or re-wired) while queries are in flight;
-	// Execute loads one consistent set per query. A zero engineMetrics
-	// is all nil-safe no-op counters.
+	// ExecuteSpan loads one consistent set per query. A zero
+	// engineMetrics is all nil-safe no-op counters.
 	metrics atomic.Pointer[engineMetrics]
 }
 
@@ -51,7 +51,7 @@ type engineMetrics struct {
 // SetObs registers the query engine's telemetry: query volume, how
 // often the aggregate pushdown fast path fired (the pushdown hit rate
 // is hits/queries), and the bytes shipped into compute memory. Safe to
-// call concurrently with Execute: the instrument set is swapped
+// call concurrently with ExecuteSpan: the instrument set is swapped
 // atomically, never mutated in place.
 func (e *Engine) SetObs(reg *obs.Registry) {
 	e.metrics.Store(&engineMetrics{
@@ -100,16 +100,14 @@ func (e *Engine) Query(sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.Execute(stmt)
+	return e.ExecuteSpan(stmt, nil)
 }
 
-// Execute runs a parsed statement, untraced.
-func (e *Engine) Execute(stmt *Stmt) (*Result, error) { return e.ExecuteSpan(stmt, nil) }
-
-// ExecuteSpan is Execute recording lakehouse.plan, lakehouse.scan and
-// query.ship (the transfer into compute memory) under sp, tagging sp
-// path=pushdown when the aggregates ran at the storage side. The caller
-// ends sp with the statement's cost. A nil sp traces nothing.
+// ExecuteSpan runs a parsed statement, recording lakehouse.plan,
+// lakehouse.scan and query.ship (the transfer into compute memory)
+// under sp, tagging sp path=pushdown when the aggregates ran at the
+// storage side. The caller ends sp with the statement's cost. A nil sp
+// traces nothing.
 func (e *Engine) ExecuteSpan(stmt *Stmt, sp *obs.Span) (*Result, error) {
 	tbl, err := e.lh.Table(stmt.Table)
 	if err != nil {

@@ -352,7 +352,7 @@ func TestQueriesMatchReferenceEvaluator(t *testing.T) {
 			}
 			all := *stmt
 			all.Select = []SelectItem{{Column: "*"}}
-			res, err = q.Execute(&all)
+			res, err = q.ExecuteSpan(&all, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -10,7 +10,7 @@ import (
 
 // SetObs used to write the engine's counter fields without any
 // synchronization, so wiring observability after the engine started
-// serving raced with Execute's counter reads. The instrument set now
+// serving raced with ExecuteSpan's counter reads. The instrument set now
 // swaps atomically; this must stay clean under -race.
 func TestSetObsConcurrentWithQueries(t *testing.T) {
 	e, lh := newEngine(t)

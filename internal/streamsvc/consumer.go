@@ -24,7 +24,7 @@ type Consumer struct {
 
 	mu   sync.Mutex
 	subs []*subscription // in Subscribe order, which is the order Poll reads
-	// recs is the read buffer PollCtx reuses. It is cleared after every
+	// recs is the read buffer PollSpanCtx reuses. It is cleared after every
 	// read, so an idle consumer pins only its cursors' slices.
 	recs []streamobj.Record
 }
@@ -86,22 +86,17 @@ func (c *Consumer) Subscribe(topic string) error {
 // Lock ordering: c.mu, then one load of the service's routing snapshot;
 // never svc.mu.
 func (c *Consumer) Poll(max int) ([]Message, time.Duration, error) {
-	return c.PollCtx(max, nil)
+	return c.PollSpanCtx(max, nil, nil)
 }
 
-// PollCtx is Poll under a resilience context: slice-load and cache
-// costs are charged against rc's virtual-time deadline as the scan
-// proceeds. When the deadline expires mid-poll the messages fetched so
-// far are returned (offsets advanced past them) alongside
+// PollSpanCtx is Poll traced and under a resilience context: slice-load
+// and cache costs are charged against rc's virtual-time deadline as the
+// scan proceeds. When the deadline expires mid-poll the messages
+// fetched so far are returned (offsets advanced past them) alongside
 // resil.ErrDeadlineExceeded, so a caller can consume the partial batch
-// and poll again. A nil rc is Poll.
-func (c *Consumer) PollCtx(max int, rc *resil.Ctx) ([]Message, time.Duration, error) {
-	return c.PollSpanCtx(max, nil, rc)
-}
-
-// PollSpanCtx is PollCtx with tracing: each stream read is recorded as a
-// streamobj.read child of sp (its stream, offset and records), with the
-// slice loads under it as plog.read children. A nil sp traces nothing.
+// and poll again. Each stream read is recorded as a streamobj.read
+// child of sp (its stream, offset and records), with the slice loads
+// under it as plog.read children. Either argument may be nil.
 func (c *Consumer) PollSpanCtx(max int, sp *obs.Span, rc *resil.Ctx) ([]Message, time.Duration, error) {
 	if max <= 0 {
 		max = 256

@@ -140,7 +140,7 @@ func heldBase(c *Consumer) (int64, bool) {
 // stream, the one its last read stopped inside, and never serves one
 // that was reclaimed: its first read after ReclaimThrough lets the
 // held bytes go. The read buffer it reuses across polls references no
-// slice bytes once PollCtx returns — after a full poll, a poll cut
+// slice bytes once PollSpanCtx returns — after a full poll, a poll cut
 // short by its deadline mid-read, a poll whose slice read fails, and a
 // caught-up poll.
 func TestPollBufferHoldsNoBorrows(t *testing.T) {
@@ -178,7 +178,7 @@ func TestPollBufferHoldsNoBorrows(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := resil.NewCtx(s.Clock().Now(), oneSlice+oneSlice/2)
-	msgs, _, err := c.PollCtx(500, rc)
+	msgs, _, err := c.PollSpanCtx(500, nil, rc)
 	if !errors.Is(err, resil.ErrDeadlineExceeded) || len(msgs) != 3*streamobj.SliceRecords-400 {
 		t.Fatalf("deadline poll: %d messages, %v; want %d and the deadline", len(msgs), err, 3*streamobj.SliceRecords-400)
 	}

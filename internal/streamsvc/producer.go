@@ -61,19 +61,14 @@ func (p *Producer) Send(topic string, key, value []byte) (Message, time.Duration
 	return p.SendSpanCtx(topic, key, value, nil, nil)
 }
 
-// SendCtx is Send under a resilience context: bus transfers, backoff
-// waits, and append costs are charged against rc's virtual-time
-// deadline. A nil rc is Send.
-func (p *Producer) SendCtx(topic string, key, value []byte, rc *resil.Ctx) (Message, time.Duration, error) {
-	return p.SendSpanCtx(topic, key, value, nil, rc)
-}
-
-// SendSpanCtx is SendCtx with tracing, for callers — the gateway — that
-// both trace a request and bound it with a virtual-time deadline: the
-// request's bus transfer, durable append, and everything below (PLog
-// placement writes, slice flushes) are recorded as children of sp.
-// Either argument may be nil. The record and its message live in this
-// frame, so a steady-state send allocates nothing.
+// SendSpanCtx is Send traced and under a resilience context, for
+// callers — the gateway — that trace a request and bound it with a
+// virtual-time deadline: bus transfers, backoff waits, and append costs
+// are charged against rc's deadline, and the request's bus transfer,
+// durable append, and everything below (PLog placement writes, slice
+// flushes) are recorded as children of sp. Either argument may be nil.
+// The record and its message live in this frame, so a steady-state send
+// allocates nothing.
 func (p *Producer) SendSpanCtx(topic string, key, value []byte, sp *obs.Span, rc *resil.Ctx) (Message, time.Duration, error) {
 	rt := p.svc.routes.Load()
 	tr, ok := rt.topics[topic]

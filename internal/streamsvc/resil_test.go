@@ -190,7 +190,7 @@ func TestProduceDeadline(t *testing.T) {
 	p := s.Producer("p1")
 	rc := resil.NewCtx(s.Clock().Now(), time.Nanosecond)
 	rc.Charge(time.Millisecond) // over budget on arrival
-	_, _, err := p.SendCtx("t", []byte("k"), []byte("v"), rc)
+	_, _, err := p.SendSpanCtx("t", []byte("k"), []byte("v"), nil, rc)
 	if !errors.Is(err, resil.ErrDeadlineExceeded) {
 		t.Fatalf("want deadline exceeded, got %v", err)
 	}
@@ -219,7 +219,7 @@ func TestPollCtxDeadline(t *testing.T) {
 	}
 	rc := resil.NewCtx(s.Clock().Now(), time.Nanosecond)
 	rc.Charge(time.Millisecond) // request already over budget on arrival
-	msgs, _, err := c.PollCtx(10, rc)
+	msgs, _, err := c.PollSpanCtx(10, nil, rc)
 	if !errors.Is(err, resil.ErrDeadlineExceeded) {
 		t.Fatalf("want deadline exceeded, got %v (msgs=%d)", err, len(msgs))
 	}

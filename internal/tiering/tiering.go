@@ -1,19 +1,23 @@
 // Package tiering implements the data service layer's tiering service
-// (Section III): the policy that decides dynamic data migration and
-// eviction between the SSD and HDD storage pools. Tiering is one of the levers behind the paper's
-// TCO claim — cold stream/table data automatically drains to cheap media
-// without an external archive system. The service only decides and
-// records moves; the layer that performs a move (plog.Migrate, for the
-// lake's logs) is the one that charges it.
+// (Section III): the policy that drains cold logs from the SSD pool to
+// the HDD pool. Tiering is one of the levers behind the paper's TCO
+// claim — cold stream/table data automatically drains to cheap media
+// without an external archive system. Which pool a log is on is its
+// placement, and plog.Migrate, which charges the move, is the only
+// thing that changes it: the service keeps no tier per log, only an
+// idle clock per sealed log on the SSD pool. The archive tier is
+// convert.Archiver's; the service counts the bytes it landed there.
 package tiering
 
 import (
-	"errors"
-	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
+	"streamlake/internal/obs"
+	"streamlake/internal/plog"
+	"streamlake/internal/pool"
 	"streamlake/internal/sim"
 )
 
@@ -25,129 +29,116 @@ const (
 	SSD Tier = iota
 	// HDD holds warm data.
 	HDD
-	// Archive holds cold data (the cost-effective archive pool of the
+	// Archive holds cold data: the bytes convert.Archiver landed (the
 	// stream configuration's archive block, Figure 8).
 	Archive
 )
-
-// String returns the tier name.
-func (t Tier) String() string {
-	switch t {
-	case SSD:
-		return "ssd"
-	case HDD:
-		return "hdd"
-	case Archive:
-		return "archive"
-	default:
-		return fmt.Sprintf("tier-%d", int(t))
-	}
-}
 
 // CostPerGBMonth is a relative media cost model used in TCO reporting:
 // HDD is ~4x cheaper than SSD per byte, archive ~10x.
 func (t Tier) CostPerGBMonth() float64 {
 	switch t {
-	case SSD:
-		return 0.08
 	case HDD:
 		return 0.02
 	case Archive:
 		return 0.008
-	default:
+	default: // SSD
 		return 0.08
 	}
 }
 
-// The dynamic migration policy: SSD items idle for demoteAfter move to
-// HDD; HDD items idle for archiveAfter move to Archive.
-const (
-	demoteAfter  = time.Hour
-	archiveAfter = 24 * time.Hour
-)
+// demoteAfter is the dynamic migration policy: a sealed log idle on the
+// SSD pool for demoteAfter moves to the HDD pool.
+const demoteAfter = time.Hour
 
-// Item is one tiered unit (a sealed PLog, a table file).
-type Item struct {
-	ID         string
-	Size       int64
-	Tier       Tier
-	LastAccess time.Duration // virtual time of the last access
-}
-
-// Migration records one completed move.
+// Migration records one completed move from the SSD to the HDD pool.
 type Migration struct {
-	ID       string
-	From, To Tier
-	Size     int64
+	ID   plog.ID
+	Size int64 // the log's logical bytes
 }
 
-// Service tracks tiered items and applies the policy.
+// Service applies the policy to the logs of one plog.Manager, whose pool
+// is the SSD tier.
 type Service struct {
 	clock *sim.Clock
+	logs  *plog.Manager
+	hdd   *pool.Pool
 
 	mu        sync.Mutex
-	items     map[string]*Item
-	migrated  int64 // bytes moved so far
+	idleSince map[plog.ID]time.Duration // sealed SSD logs: when a pass first saw each
+	archived  int64                     // bytes convert.Archiver landed
+	migrated  int64                     // bytes moved so far
 	evictions int64
 }
 
-// ErrUnknownItem is returned for operations on unregistered items.
-var ErrUnknownItem = errors.New("tiering: unknown item")
-
-// NewService builds a tiering service applying the policy on clock's
-// time.
-func NewService(clock *sim.Clock) *Service {
-	return &Service{clock: clock, items: make(map[string]*Item)}
+// NewService builds a tiering service that drains logs' sealed logs to
+// hdd on clock's time.
+func NewService(clock *sim.Clock, logs *plog.Manager, hdd *pool.Pool) *Service {
+	return &Service{clock: clock, logs: logs, hdd: hdd, idleSince: make(map[plog.ID]time.Duration)}
 }
 
-// Register starts tracking an item at the given tier.
-func (s *Service) Register(id string, size int64, tier Tier) {
+// RunOnce looks at every sealed log on the SSD pool and moves to the HDD
+// pool each one that is fully redundant and has sat there idle for
+// demoteAfter since the first pass that saw it. It returns the moves in
+// log-ID order and the sum of their plog.Migrate costs; deciding them
+// is free. A log with stale copies, or whose move fails (the HDD pool
+// is full, say), stays on the SSD pool, so the next pass tries it
+// again. Each move is a tiering.migrate child of sp with the log, its
+// raw (logical) and stored (physical) bytes; a nil sp traces nothing.
+func (s *Service) RunOnce(sp *obs.Span) ([]Migration, time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.items[id] = &Item{ID: id, Size: size, Tier: tier, LastAccess: s.clock.Now()}
-}
-
-// TierOf reports an item's current tier.
-func (s *Service) TierOf(id string) (Tier, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	it, ok := s.items[id]
-	if !ok {
-		return 0, ErrUnknownItem
-	}
-	return it.Tier, nil
-}
-
-// RunOnce applies the dynamic policy to every item and returns the
-// migrations it decided, in item-ID order. It charges nothing: the
-// caller that moves each item's bytes charges the move.
-func (s *Service) RunOnce() []Migration {
 	now := s.clock.Now()
+	ssd := s.logs.Pool()
+	var due []plog.ID
+	seen := make(map[plog.ID]time.Duration, len(s.idleSince))
+	for _, info := range s.logs.Logs() {
+		if !info.Sealed || info.Pool != ssd {
+			continue
+		}
+		since, ok := s.idleSince[info.ID]
+		if !ok {
+			since = now
+		}
+		seen[info.ID] = since
+		if now-since >= demoteAfter {
+			due = append(due, info.ID)
+		}
+	}
+	s.idleSince = seen
+	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
+	var out []Migration
+	var total time.Duration
+	for _, id := range due {
+		lg := s.logs.Get(id)
+		if lg == nil || !lg.FullyRedundant() {
+			continue // reclaimed since, or it moves once repaired
+		}
+		cost, err := lg.Migrate(s.hdd)
+		if err != nil {
+			continue
+		}
+		m := Migration{ID: id, Size: lg.Size()}
+		if c := sp.Child("tiering.migrate"); c != nil {
+			c.SetAttr("log", strconv.FormatInt(int64(id), 10))
+			c.SetAttr("raw", strconv.FormatInt(m.Size, 10))
+			c.SetAttr("stored", strconv.FormatInt(lg.PhysicalBytes(), 10))
+			c.End(cost)
+		}
+		sp.Advance(cost)
+		total += cost
+		out = append(out, m)
+		s.migrated += m.Size
+		s.evictions++
+	}
+	return out, total
+}
+
+// AddArchived counts n bytes convert.Archiver landed in the archive tier.
+func (s *Service) AddArchived(n int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var planned []*Item
-	for _, it := range s.items {
-		idle := now - it.LastAccess
-		switch {
-		case it.Tier == SSD && idle >= demoteAfter:
-			planned = append(planned, it)
-		case it.Tier == HDD && idle >= archiveAfter:
-			planned = append(planned, it)
-		}
-	}
-	sort.Slice(planned, func(i, j int) bool { return planned[i].ID < planned[j].ID })
-	out := make([]Migration, 0, len(planned))
-	for _, it := range planned {
-		from, to := it.Tier, HDD
-		if from == HDD {
-			to = Archive
-		}
-		it.Tier = to
-		s.migrated += it.Size
-		s.evictions++
-		out = append(out, Migration{ID: it.ID, From: from, To: to, Size: it.Size})
-	}
-	return out
+	s.archived += n
 }
 
 // Stats summarizes tier occupancy and monthly media cost.
@@ -158,14 +149,23 @@ type Stats struct {
 	MonthlyCost   float64 // relative cost units from CostPerGBMonth
 }
 
-// Stats returns the service's occupancy snapshot.
+// Stats reads tier occupancy from what holds the bytes: the logical
+// sizes of the logs each pool holds, and what the archiver landed.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := Stats{BytesPerTier: map[Tier]int64{}, MigratedBytes: s.migrated, Evictions: s.evictions}
-	for _, it := range s.items {
-		st.BytesPerTier[it.Tier] += it.Size
+	st := Stats{BytesPerTier: map[Tier]int64{}}
+	ssd := s.logs.Pool()
+	for _, info := range s.logs.Logs() {
+		switch info.Pool {
+		case ssd:
+			st.BytesPerTier[SSD] += info.Size
+		case s.hdd:
+			st.BytesPerTier[HDD] += info.Size
+		}
 	}
+	s.mu.Lock()
+	st.BytesPerTier[Archive] = s.archived
+	st.MigratedBytes, st.Evictions = s.migrated, s.evictions
+	s.mu.Unlock()
 	for tier, b := range st.BytesPerTier {
 		st.MonthlyCost += float64(b) / (1 << 30) * tier.CostPerGBMonth()
 	}

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"streamlake"
 	"streamlake/internal/gateway"
@@ -351,4 +352,43 @@ func runConvertTrace(t *testing.T) []byte {
 // byte-identical to testdata/spans/convert.txt.
 func TestConvertSpanGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "spans", "convert.txt"), runConvertTrace)
+}
+
+// runTieringTrace produces two rounds of 1,000 messages into a topic of
+// 64 KiB logs and traces three tiering passes two hours apart: each pass
+// moves the sealed logs the pass before it saw, and the first starts
+// their idle clocks.
+func runTieringTrace(t *testing.T) []byte {
+	t.Helper()
+	lake, err := streamlake.Open(streamlake.Config{PLogCapacity: 64 << 10, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lake.CreateTopic(streamlake.TopicConfig{Name: "dpi", StreamNum: 1}); err != nil {
+		t.Fatal(err)
+	}
+	p := lake.Producer("spans")
+	agent := strings.Repeat("Mozilla/5.0 ", 12)
+	var out bytes.Buffer
+	for pass := 1; pass <= 3; pass++ {
+		for i := 0; pass < 3 && i < 1000; i++ {
+			value := fmt.Sprintf("http://site/%d?user=%04d&bytes=%d agent=%s", i%7, i%97, i%13, agent)
+			if _, _, err := p.Send("dpi", []byte(fmt.Sprintf("k%d", i)), []byte(value)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sp := lake.Tracer().Start("tiering")
+		migs, cost := lake.RunTiering(sp)
+		sp.End(cost)
+		fmt.Fprintf(&out, "tiering pass %d: %d move(s)\n%s", pass, len(migs), sp.Tree())
+		lake.Clock().Advance(2 * time.Hour)
+	}
+	return out.Bytes()
+}
+
+// TestTieringSpanGolden pins the tiering path's span tree: one
+// tiering.migrate per moved log (its log, raw and stored bytes) under
+// the pass, byte-identical to testdata/spans/tiering.txt.
+func TestTieringSpanGolden(t *testing.T) {
+	checkGolden(t, filepath.Join("testdata", "spans", "tiering.txt"), runTieringTrace)
 }

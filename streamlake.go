@@ -187,8 +187,6 @@ type Lake struct {
 	rcache  *cache.Cache // nil when Config.CacheMB is 0
 	clus    *cluster.Cluster
 	tenants *tenant.Registry
-
-	tierSizes map[plog.ID]int64 // per-log size at the last tiering pass
 }
 
 // Open builds a Lake.
@@ -216,7 +214,7 @@ func Open(cfg Config) (*Lake, error) {
 	cat := tableobj.NewCatalog(clock)
 	store.EnableGroupCommit(cfg.GroupCommitSlices)
 	lh := lakehouse.New(clock, fs, cat, lakehouse.Options{Acceleration: true})
-	tiers := tiering.NewService(clock)
+	tiers := tiering.NewService(clock, logs, hdd)
 	inj := faults.New(cfg.Seed)
 	inj.Attach(ssd)
 	inj.Attach(hdd)
@@ -599,57 +597,18 @@ func (l *Lake) Archiver() *convert.Archiver { return l.arch }
 // Catalog exposes the table catalog.
 func (l *Lake) Catalog() *tableobj.Catalog { return l.cat }
 
-// RunTiering registers quiescent PLogs with the tiering service and
-// applies the dynamic migration policy once: data idle past the policy's
-// thresholds drains from SSD toward HDD and the archive tier (the data
-// service layer's tiering service, Section III). A log is quiescent when
-// it is sealed, or when its size has not changed since the previous
-// tiering pass (streaming chains stay open but go cold). Sealed logs
-// demoted between the SSD and HDD tiers are physically migrated: their
-// placement groups move pools, carrying the CRC sidecar and stale
+// RunTiering runs one pass of the tiering service (the data service
+// layer's, Section III): sealed logs idle on the SSD pool for the
+// policy's window drain to the HDD pool. Each move is physical: the
+// log's placement group moves pools, carrying the CRC sidecar and stale
 // accounting verbatim so scrub and repair stay coherent across the
-// move, and their extents compress on the way onto the HDD pool (see
+// move, and its extents compress on the way onto the HDD pool (see
 // plog.Migrate). The returned cost is the sum of those moves; deciding
-// them is free. A log with stale copies is not moved, and a migration
-// that fails (e.g. the destination pool is full) is left for the next
-// pass; the accounting-level move stands either way.
-func (l *Lake) RunTiering() ([]tiering.Migration, time.Duration) {
-	if l.tierSizes == nil {
-		l.tierSizes = make(map[plog.ID]int64)
-	}
-	for _, info := range l.logs.Logs() {
-		quiescent := info.Sealed || (info.Size > 0 && l.tierSizes[info.ID] == info.Size)
-		l.tierSizes[info.ID] = info.Size
-		if !quiescent {
-			continue
-		}
-		id := fmt.Sprintf("plog/%d", info.ID)
-		if _, err := l.tiers.TierOf(id); err != nil {
-			l.tiers.Register(id, info.Size, tiering.SSD)
-		}
-	}
-	migs := l.tiers.RunOnce()
-	var cost time.Duration
-	for _, m := range migs {
-		var id int64
-		if _, err := fmt.Sscanf(m.ID, "plog/%d", &id); err != nil {
-			continue
-		}
-		lg := l.logs.Get(plog.ID(id))
-		if lg == nil || !lg.Sealed() {
-			continue // open logs tier by accounting only
-		}
-		if m.To != tiering.HDD {
-			continue // the archive tier has no storage pool behind it
-		}
-		if !lg.FullyRedundant() {
-			continue // a log with stale copies moves once repaired
-		}
-		if c, err := lg.Migrate(l.hddPool); err == nil {
-			cost += c
-		}
-	}
-	return migs, cost
+// them is free. A log with stale copies, or whose move fails, is tried
+// again by the next pass. Each move is recorded as a tiering.migrate
+// child of sp; a nil sp traces nothing.
+func (l *Lake) RunTiering(sp *obs.Span) ([]tiering.Migration, time.Duration) {
+	return l.tiers.RunOnce(sp)
 }
 
 // Cluster exposes the lake's cluster plane: membership, placement and

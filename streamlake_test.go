@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"streamlake/internal/plog"
+	"streamlake/internal/pool"
 	"streamlake/internal/tiering"
 )
 
@@ -224,16 +225,16 @@ func coldTopicLake(t *testing.T) *Lake {
 
 func TestTieringAndReplicationIntegration(t *testing.T) {
 	l := coldTopicLake(t)
-	// Two passes establish quiescence and register the cold logs;
-	// nothing migrates while they are fresh.
-	l.RunTiering()
-	migs, _ := l.RunTiering()
+	// The first pass starts the sealed logs' idle clocks; nothing
+	// migrates while they are fresh.
+	l.RunTiering(nil)
+	migs, _ := l.RunTiering(nil)
 	if len(migs) != 0 {
 		t.Fatalf("fresh data migrated: %+v", migs)
 	}
-	// After the demotion window, quiescent logs drain to HDD.
+	// After the demotion window, sealed logs drain to HDD.
 	l.Clock().Advance(2 * time.Hour)
-	migs, cost := l.RunTiering()
+	migs, cost := l.RunTiering(nil)
 	if len(migs) == 0 || cost <= 0 {
 		t.Fatalf("no migrations after idle window: %+v", migs)
 	}
@@ -268,33 +269,151 @@ func TestTieringAndReplicationIntegration(t *testing.T) {
 // through PLog.Migrate, and the two costs must agree.
 func TestTieringCostIsItsPoolMoves(t *testing.T) {
 	tiered, twin := coldTopicLake(t), coldTopicLake(t)
-	tiered.RunTiering()
-	tiered.RunTiering()
+	tiered.RunTiering(nil)
 	tiered.Clock().Advance(2 * time.Hour)
-	migs, cost := tiered.RunTiering()
-	var moved int
+	migs, cost := tiered.RunTiering(nil)
+	if len(migs) == 0 {
+		t.Fatal("tiering moved no sealed log")
+	}
 	var want time.Duration
 	for _, m := range migs {
-		var id plog.ID
-		if _, err := fmt.Sscanf(m.ID, "plog/%d", &id); err != nil {
-			t.Fatal(err)
-		}
-		if m.To != tiering.HDD || !twin.Logs().Get(id).Sealed() {
-			continue // open logs tier by accounting only
-		}
-		c, err := twin.Logs().Get(id).Migrate(twin.HDDPool())
+		c, err := twin.Logs().Get(m.ID).Migrate(twin.HDDPool())
 		if err != nil {
 			t.Fatal(err)
 		}
 		want += c
-		moved++
-	}
-	if moved == 0 {
-		t.Fatalf("tiering moved no sealed log: %+v", migs)
 	}
 	if cost != want {
-		t.Fatalf("tiering charged %v for %d log moves that cost %v in the pools", cost, moved, want)
+		t.Fatalf("tiering charged %v for %d log moves that cost %v in the pools", cost, len(migs), want)
 	}
+}
+
+// tierEvery runs a tiering pass on each lake, then n more passes 2 h
+// apart.
+func tierEvery(n int, lakes ...*Lake) {
+	for _, l := range lakes {
+		l.RunTiering(nil)
+		for range n {
+			l.Clock().Advance(2 * time.Hour)
+			l.RunTiering(nil)
+		}
+	}
+}
+
+// TestStaleLogTiersOnceRepaired: a log skipped for stale copies stays a
+// candidate, so it moves on the first pass after its repair, and the
+// HDD pool ends holding what a twin that never went stale holds.
+func TestStaleLogTiersOnceRepaired(t *testing.T) {
+	stale, twin := coldTopicLake(t), coldTopicLake(t)
+	stale.Logs().MarkDisksStale(stale.SSDPool(), map[pool.DiskID]bool{0: true}, false)
+	tierEvery(1, stale, twin)
+	if got, want := stale.HDDPool().Stats().Used, twin.HDDPool().Stats().Used; got >= want {
+		t.Fatalf("logs with stale copies moved: HDD pool holds %dB, twin %dB", got, want)
+	}
+	if _, ok := stale.RepairUntilRedundant(8); !ok {
+		t.Fatal("repair left the lake degraded")
+	}
+	tierEvery(3, stale, twin)
+	if got, want := stale.HDDPool().Stats().Used, twin.HDDPool().Stats().Used; got != want || want == 0 {
+		t.Fatalf("after repair the HDD pool holds %dB, the unstaled twin %dB", got, want)
+	}
+}
+
+// TestFailedMoveIsRetried: a move that fails because the HDD pool's
+// disks are dead leaves the log on SSD, and a later pass moves it.
+func TestFailedMoveIsRetried(t *testing.T) {
+	l, twin := coldTopicLake(t), coldTopicLake(t)
+	tierEvery(0, l, twin)
+	l.Clock().Advance(2 * time.Hour)
+	twin.Clock().Advance(2 * time.Hour)
+	disks := l.HDDPool().Stats().Disks
+	for d := range disks {
+		if err := l.Faults().KillDisk("hdd", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if migs, _ := l.RunTiering(nil); len(migs) != 0 {
+		t.Fatalf("moved onto a dead pool: %+v", migs)
+	}
+	for d := range disks {
+		if err := l.Faults().ReviveDisk("hdd", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, _ := l.RunTiering(nil)
+	want, _ := twin.RunTiering(nil)
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("retried pass moved %+v, twin moved %+v", got, want)
+	}
+	if got, want := l.HDDPool().Stats().Used, twin.HDDPool().Stats().Used; got != want {
+		t.Fatalf("HDD pool holds %dB after the retry, twin %dB", got, want)
+	}
+}
+
+// TestTierStatsAreWhatHoldsTheBytes: through passes, moves, archiving
+// (which reclaims its stream's logs) and a day's idling, the tiering
+// service reports on each tier exactly the logical bytes of the live
+// logs its passes moved (HDD) or did not (SSD), and what the archiver
+// landed.
+func TestTierStatsAreWhatHoldsTheBytes(t *testing.T) {
+	l := coldTopicLake(t)
+	if err := l.CreateTopic(TopicConfig{
+		Name: "history", StreamNum: 1,
+		Archive: ArchiveConfig{Enabled: true, ArchiveBytes: 10 << 10, RowToCol: true},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p := l.Producer("gen")
+	pad := make([]byte, 1<<10)
+	for i := 0; i < 2000; i++ {
+		if _, _, err := p.Send("history", []byte("sensor"), append([]byte(fmt.Sprintf("reading-%06d", i%50)), pad...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moved := map[plog.ID]bool{}
+	var archived int64
+	pass := func() {
+		migs, _ := l.RunTiering(nil)
+		for _, m := range migs {
+			moved[m.ID] = true
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		want := map[tiering.Tier]int64{tiering.Archive: archived}
+		for _, info := range l.Logs().Logs() {
+			if moved[info.ID] {
+				want[tiering.HDD] += info.Size
+			} else {
+				want[tiering.SSD] += info.Size
+			}
+		}
+		got := l.Tiering().Stats().BytesPerTier
+		for _, tier := range []tiering.Tier{tiering.SSD, tiering.HDD, tiering.Archive} {
+			if got[tier] != want[tier] {
+				t.Fatalf("%s: tier %d reports %dB, holds %dB", step, tier, got[tier], want[tier])
+			}
+		}
+	}
+	pass()
+	check("first pass")
+	l.Clock().Advance(2 * time.Hour)
+	pass()
+	check("demotion")
+	if len(moved) == 0 {
+		t.Fatal("no log moved")
+	}
+	// The archive reclaims the history stream's logs, moved ones too.
+	results, _, err := l.Archiver().RunOnce()
+	if err != nil || len(results) != 1 {
+		t.Fatalf("archive: %+v %v", results, err)
+	}
+	archived = results[0].ArchivedBytes
+	check("archive")
+	pass()
+	l.Clock().Advance(30 * time.Hour)
+	pass()
+	check("a day idle")
 }
 
 // TestClusteredMetadataLifecycle pins the symmetric replication of
