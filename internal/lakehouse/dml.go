@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"streamlake/internal/colfile"
+	"streamlake/internal/obs"
 	"streamlake/internal/tableobj"
 )
 
@@ -32,7 +33,7 @@ func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duratio
 			}
 		}
 		x.RemoveFile(f)
-		_, err = writeRows(x, tbl, keep)
+		_, err = writeRows(x, tbl, keep, nil)
 		return int64(len(rows) - len(keep)), err
 	})
 }
@@ -82,7 +83,7 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 			return 0, nil
 		}
 		x.RemoveFile(f) // set may move rows to other partitions
-		_, err = writeRows(x, tbl, rows)
+		_, err = writeRows(x, tbl, rows, nil)
 		return updated, err
 	})
 }
@@ -143,15 +144,16 @@ func (e *Engine) rewrite(name string, filters []RangeFilter, fn func(x *tableobj
 }
 
 // writeRows writes rows into x through a sink of tbl: a data file per
-// partition, in sorted partition order, and none for no rows.
-func writeRows(x *tableobj.Txn, tbl *tableobj.Table, rows []colfile.Row) ([]tableobj.DataFile, error) {
+// partition, in sorted partition order, and none for no rows. Each
+// file's write is a tableobj.write child of sp.
+func writeRows(x *tableobj.Txn, tbl *tableobj.Table, rows []colfile.Row, sp *obs.Span) ([]tableobj.DataFile, error) {
 	sink := tbl.Sink()
 	for _, r := range rows {
 		if err := sink.Append(r); err != nil {
 			return nil, err
 		}
 	}
-	return sink.Stage(x, nil)
+	return sink.Stage(x, sp)
 }
 
 // DropSoft unregisters a table, retaining data for restoration. The
