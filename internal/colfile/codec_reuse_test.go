@@ -80,13 +80,15 @@ func TestReusedEncoderStateIsByteIdentical(t *testing.T) {
 // What a 2,000-row file (an insert batch) allocates to encode, measured
 // over many files: the file's own buffers, far below the ≈1.2 MB a
 // DEFLATE compressor costs to build. Building one per file fails here,
-// and so does keeping it where a collection can drop it.
+// and so does keeping it where a collection can drop it. A writer that
+// is recycled encodes into the shared file buffer, so what is left is
+// the group directory and the compressor's per-chunk state.
 func TestWriterAllocBytesPerFile(t *testing.T) {
 	rows := make([]Row, 2000)
 	for i := range rows {
 		rows[i] = makeRow(i)
 	}
-	write := func() {
+	write := func(recycle bool) {
 		w := NewWriter(testSchema, 256)
 		for _, r := range rows {
 			w.Append(r)
@@ -94,29 +96,41 @@ func TestWriterAllocBytesPerFile(t *testing.T) {
 		if _, err := w.Finish(); err != nil {
 			t.Fatal(err)
 		}
+		if recycle {
+			w.Recycle()
+		}
 	}
-	write() // the first file builds the compressor
+	write(true) // the first file builds the compressor and the file buffer
 	const files = 100
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < files; i++ {
-		write()
+	perFile := func(recycle bool) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < files; i++ {
+			write(recycle)
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / files
 	}
-	runtime.ReadMemStats(&after)
-	perFile := (after.TotalAlloc - before.TotalAlloc) / files
-	const ceiling = 128 << 10
-	if perFile > ceiling {
-		t.Fatalf("a 2000-row file allocates %d KB to encode, ceiling %d KB", perFile>>10, ceiling>>10)
+	const ceiling, recycled = 128 << 10, 7 << 10
+	if got := perFile(true); got > recycled {
+		t.Fatalf("a recycled 2000-row file allocates %d B to encode, ceiling %d B", got, recycled)
+	} else {
+		t.Logf("a recycled 2000-row file allocates %d B to encode", got)
 	}
-	t.Logf("a 2000-row file allocates %d KB to encode", perFile>>10)
+	got := perFile(false)
+	if got > ceiling {
+		t.Fatalf("a 2000-row file allocates %d KB to encode, ceiling %d KB", got>>10, ceiling>>10)
+	}
+	t.Logf("a 2000-row file allocates %d KB to encode", got>>10)
 
 	// The idle encoder outlives collections, so the heap holds it
 	// whether or not the collector ran since the last file: the next file
 	// still builds none.
 	runtime.GC()
 	runtime.GC()
+	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	write()
+	write(false)
 	runtime.ReadMemStats(&after)
 	if d := after.TotalAlloc - before.TotalAlloc; d > ceiling {
 		t.Fatalf("a file written after two collections allocates %d KB: the idle encoder was dropped", d>>10)
@@ -124,12 +138,18 @@ func TestWriterAllocBytesPerFile(t *testing.T) {
 }
 
 // A finished writer goes back to the garbage collector whole: the idle
-// encoder it used no longer points at its buffer, so one collection
-// frees it and the file it returned.
+// encoder it used no longer points at its buffer, and the shared file
+// buffer it recycled, now at rest, does not point at it, so one
+// collection frees it.
 func TestFinishedWriterIsNotPinned(t *testing.T) {
+	runtime.GC()                        // drops an earlier test's writer that kept the file buffer unrecycled
+	NewWriter(testSchema, 64).Recycle() // so this one takes it and puts it at rest
 	freed := make(chan struct{})
 	func() {
 		w := NewWriter(testSchema, 64)
+		if w.lease == nil {
+			t.Fatal("a writer did not borrow the file buffer at rest")
+		}
 		for i := 0; i < 200; i++ {
 			w.Append(makeRow(i))
 		}
@@ -137,12 +157,16 @@ func TestFinishedWriterIsNotPinned(t *testing.T) {
 		if _, err := w.Finish(); err != nil {
 			t.Fatal(err)
 		}
+		w.Recycle()
 	}()
 	runtime.GC()
 	select {
 	case <-freed:
 	case <-time.After(5 * time.Second):
-		t.Fatal("a finished Writer outlived a collection: the idle encoder still references it")
+		t.Fatal("a finished Writer outlived a collection: an idle slot still references it")
+	}
+	if cap(fileBuf.idle) != fileBufSize {
+		t.Fatalf("the file buffer at rest has capacity %d, want %d", cap(fileBuf.idle), fileBufSize)
 	}
 
 	// Nor does the idle encoder keep a caller's string: it copies what
@@ -346,7 +370,8 @@ func TestConcurrentWritersShareCompressors(t *testing.T) {
 }
 
 // BenchmarkWriteFile encodes one 2,000-row file, the size of an insert
-// batch, through the idle encoder.
+// batch, through the idle encoder into the shared file buffer, which it
+// recycles as a table write does.
 func BenchmarkWriteFile(b *testing.B) {
 	rows := make([]Row, 2000)
 	for i := range rows {
@@ -362,6 +387,7 @@ func BenchmarkWriteFile(b *testing.B) {
 		if _, err := w.Finish(); err != nil {
 			b.Fatal(err)
 		}
+		w.Recycle()
 	}
 }
 

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // File layout:
@@ -66,7 +68,8 @@ type Writer struct {
 	schema    Schema
 	groupSize int
 	buf       bytes.Buffer
-	pending   int // rows in the open group
+	lease     *fileLease // the shared file buffer buf began in, until Recycle
+	pending   int        // rows in the open group
 	groups    []groupMeta
 	finished  bool
 	cols      []colEncoder // taken at the first row, released by Finish
@@ -83,6 +86,28 @@ var (
 	idleColumns    = make(chan []colEncoder, 16)
 )
 
+// fileBuf is the one shared file buffer, of fileBufSize bytes: at rest
+// in idle, or lent to one writer until its Recycle, while a new writer
+// grows its own. The first writer makes it, and so does one after the
+// holder was dropped unrecycled (its lease's finalizer ran), as that
+// file may still be in use.
+var fileBuf struct {
+	sync.Mutex
+	idle []byte
+	lent bool
+}
+
+const fileBufSize = 64 << 10 // most files an insert or a compaction writes fit
+
+// fileLease is a writer's hold on the shared file buffer.
+type fileLease struct{ buf []byte }
+
+func setFileBuf(idle []byte, lent bool) {
+	fileBuf.Lock()
+	fileBuf.idle, fileBuf.lent = idle, lent
+	fileBuf.Unlock()
+}
+
 // NewWriter builds a writer for the schema; groupSize <= 0 selects
 // DefaultRowGroupSize.
 func NewWriter(schema Schema, groupSize int) *Writer {
@@ -90,6 +115,16 @@ func NewWriter(schema Schema, groupSize int) *Writer {
 		groupSize = DefaultRowGroupSize
 	}
 	w := &Writer{schema: schema, groupSize: groupSize}
+	fileBuf.Lock()
+	if fileBuf.idle == nil && !fileBuf.lent {
+		fileBuf.idle = make([]byte, 0, fileBufSize)
+	}
+	if b := fileBuf.idle; b != nil {
+		fileBuf.idle, fileBuf.lent, w.lease = nil, true, &fileLease{b}
+		runtime.SetFinalizer(w.lease, func(*fileLease) { setFileBuf(nil, false) })
+		w.buf = *bytes.NewBuffer(b)
+	}
+	fileBuf.Unlock()
 	w.buf.Write(magic)
 	w.buf.WriteByte(version)
 	return w
@@ -180,7 +215,7 @@ func (w *Writer) flushGroup(atLeast int) error {
 		default:
 		}
 	}()
-	g := groupMeta{rows: w.pending}
+	g := groupMeta{rows: w.pending, chunks: make([]chunkRef, 0, len(w.cols)), stats: make([]Stats, 0, len(w.cols))}
 	for c := range w.cols {
 		e := &w.cols[c]
 		head, body := e.chunk()
@@ -204,16 +239,24 @@ func (w *Writer) flushGroup(atLeast int) error {
 	return nil
 }
 
-// NumRowGroups reports the row groups flushed so far: every group, once
-// Finish has returned.
-func (w *Writer) NumRowGroups() int { return len(w.groups) }
+// FileRange is column c's range over the row groups flushed so far, as
+// the footer records them: on ties Min and Max keep the first-seen value.
+func (w *Writer) FileRange(c int) (lo, hi Value) { return fileRange(w.groups, c) }
 
-// GroupStats returns the statistics of column c in flushed group g, the
-// ones the footer records; on ties Min and Max keep the first-seen value.
-func (w *Writer) GroupStats(g, c int) Stats { return w.groups[g].stats[c] }
+func fileRange(groups []groupMeta, c int) (lo, hi Value) {
+	for g, m := range groups {
+		if st := m.stats[c]; g == 0 || Compare(st.Min, lo) < 0 {
+			lo = st.Min
+		}
+		if st := m.stats[c]; g == 0 || Compare(st.Max, hi) > 0 {
+			hi = st.Max
+		}
+	}
+	return lo, hi
+}
 
 // Finish flushes the last group, writes the footer, and returns the
-// complete file bytes. The writer cannot be reused.
+// complete file bytes, valid until Recycle. The writer cannot be reused.
 func (w *Writer) Finish() ([]byte, error) {
 	if w.finished {
 		return nil, errors.New("colfile: double Finish")
@@ -230,7 +273,7 @@ func (w *Writer) Finish() ([]byte, error) {
 		w.cols = nil
 	}
 
-	var f []byte
+	f := w.buf.AvailableBuffer() // the footer, encoded in place when it fits
 	var tmp [binary.MaxVarintLen64]byte
 	putUvarint := func(v uint64) {
 		n := binary.PutUvarint(tmp[:], v)
@@ -262,6 +305,17 @@ func (w *Writer) Finish() ([]byte, error) {
 	copy(trailer[4:], magic)
 	w.buf.Write(trailer[:])
 	return w.buf.Bytes(), nil
+}
+
+// Recycle puts the shared file buffer back at rest if w holds it. The
+// bytes Finish returned may share it, so call Recycle once they are
+// copied or stored; w must not be used after.
+func (w *Writer) Recycle() {
+	if w.lease != nil {
+		runtime.SetFinalizer(w.lease, nil)
+		setFileBuf(w.lease.buf[:0], false)
+	}
+	w.lease, w.buf = nil, bytes.Buffer{}
 }
 
 // Reader provides random and scanning access to a columnar file held in
@@ -415,6 +469,9 @@ func (r *Reader) GroupRows(g int) int { return r.groups[g].rows }
 
 // GroupStats returns the statistics of column c in group g.
 func (r *Reader) GroupStats(g, c int) Stats { return r.groups[g].stats[c] }
+
+// FileRange is Writer.FileRange over the file's footer.
+func (r *Reader) FileRange(c int) (lo, hi Value) { return fileRange(r.groups, c) }
 
 // GroupBytes returns the encoded size of group g across all columns,
 // used for byte-level skipping accounting (Figure 16-b).

@@ -268,12 +268,12 @@ func sameFile(t *testing.T, what string, got, want []byte, gw, ww *Writer) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("%s: %d bytes, the row-major reference %d", what, len(got), len(want))
 	}
-	if gw.NumRowGroups() != ww.NumRowGroups() {
-		t.Fatalf("%s: %d groups, the reference %d", what, gw.NumRowGroups(), ww.NumRowGroups())
+	if len(gw.groups) != len(ww.groups) {
+		t.Fatalf("%s: %d groups, the reference %d", what, len(gw.groups), len(ww.groups))
 	}
-	for g := 0; g < ww.NumRowGroups(); g++ {
+	for g := range ww.groups {
 		for c := range ww.schema.Fields {
-			if a, b := gw.GroupStats(g, c), ww.GroupStats(g, c); !sameValue(a.Min, b.Min) || !sameValue(a.Max, b.Max) || a.Count != b.Count {
+			if a, b := gw.groups[g].stats[c], ww.groups[g].stats[c]; !sameValue(a.Min, b.Min) || !sameValue(a.Max, b.Max) || a.Count != b.Count {
 				t.Fatalf("%s: group %d column %d stats %+v, the reference %+v", what, g, c, a, b)
 			}
 		}

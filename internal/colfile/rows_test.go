@@ -50,12 +50,12 @@ func TestAppendRowsMatchesAppend(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("%d rows: AppendRows wrote %d bytes unlike Append's %d", n, len(b), len(a))
 		}
-		if wa.NumRowGroups() != wb.NumRowGroups() {
-			t.Fatalf("%d rows: %d groups, Append %d", n, wb.NumRowGroups(), wa.NumRowGroups())
+		if len(wa.groups) != len(wb.groups) {
+			t.Fatalf("%d rows: %d groups, Append %d", n, len(wb.groups), len(wa.groups))
 		}
-		for g := 0; g < wa.NumRowGroups(); g++ {
+		for g := range wa.groups {
 			for c := range testSchema.Fields {
-				if sa, sb := wa.GroupStats(g, c), wb.GroupStats(g, c); !sameValue(sa.Min, sb.Min) || !sameValue(sa.Max, sb.Max) || sa.Count != sb.Count {
+				if sa, sb := wa.groups[g].stats[c], wb.groups[g].stats[c]; !sameValue(sa.Min, sb.Min) || !sameValue(sa.Max, sb.Max) || sa.Count != sb.Count {
 					t.Fatalf("%d rows group %d column %d: stats %+v, Append %+v", n, g, c, sb, sa)
 				}
 			}
@@ -108,8 +108,8 @@ func TestAppendRowsInterleavesWithAppend(t *testing.T) {
 func TestAppendRowsRejectsWholeBatch(t *testing.T) {
 	w := NewWriter(testSchema, 4)
 	rows := []Row{makeRow(0), makeRow(1), {IntValue(1)}}
-	if err := w.AppendRows(rows); err == nil || w.NumRowGroups() != 0 {
-		t.Fatalf("invalid batch: err %v, %d groups", err, w.NumRowGroups())
+	if err := w.AppendRows(rows); err == nil || len(w.groups) != 0 {
+		t.Fatalf("invalid batch: err %v, %d groups", err, len(w.groups))
 	}
 	data, err := w.Finish()
 	if err != nil {

@@ -137,13 +137,29 @@ func (e *Engine) planAccelerated(st *tableState, id int64, filters []RangeFilter
 	schema := st.tbl.Schema()
 	bound := bindFilters(schema, filters)
 	plan := Plan{TotalFiles: len(m.Entries) + len(pending)}
+	// Prune first, so Files is made once at its final length.
+	var small [1024]bool
+	keep := small[:0] // keep[i]: entry i passes rangeRejects
 	for _, ent := range m.Entries {
 		if cached[ent.Path] {
 			cached[ent.Path] = false
 			plan.TotalFiles--
 		}
-		if rangeRejects(ent, bound) {
+		if keep = append(keep, !rangeRejects(ent, bound)); !keep[len(keep)-1] {
 			plan.SkippedFiles++
+		}
+	}
+	admitted := len(m.Entries) - plan.SkippedFiles
+	for _, f := range pending {
+		if cached[f.Path] && !filePrune(schema, f, filters) {
+			admitted++
+		}
+	}
+	if admitted > 0 {
+		plan.Files = make([]tableobj.DataFile, 0, admitted)
+	}
+	for i, ent := range m.Entries {
+		if !keep[i] {
 			continue
 		}
 		// Past rangeRejects nothing prunes it: it admits as its bare
@@ -257,18 +273,8 @@ func (e *Engine) planFileBased(st *tableState, filters []RangeFilter) (Plan, tim
 		f := tableobj.DataFile{Path: p, Partition: partitionOf(p), Rows: r.NumRows(), Bytes: int64(len(blob))}
 		// Reconstruct file-level stats from the row-group footers.
 		for c := 0; c < schema.NumFields(); c++ {
-			var lo, hi colfile.Value
-			for g := 0; g < r.NumRowGroups(); g++ {
-				gs := r.GroupStats(g, c)
-				if g == 0 || colfile.Compare(gs.Min, lo) < 0 {
-					lo = gs.Min
-				}
-				if g == 0 || colfile.Compare(gs.Max, hi) > 0 {
-					hi = gs.Max
-				}
-			}
-			f.Min = append(f.Min, lo)
-			f.Max = append(f.Max, hi)
+			lo, hi := r.FileRange(c)
+			f.Min, f.Max = append(f.Min, lo), append(f.Max, hi)
 		}
 		plan.admit(schema, f, filters)
 	}

@@ -462,6 +462,7 @@ func (x *Txn) MergeFiles(files []DataFile, sp *obs.Span) (merged DataFile, err e
 func (x *Txn) stage(w *colfile.Writer, partition string, rows int64, sp *obs.Span) (DataFile, error) {
 	blob, err := w.Finish()
 	if err != nil {
+		w.Recycle()
 		return DataFile{}, err
 	}
 	nf := x.t.meta.Schema.NumFields()
@@ -473,21 +474,11 @@ func (x *Txn) stage(w *colfile.Writer, partition string, rows int64, sp *obs.Spa
 		Min:       make([]colfile.Value, nf),
 		Max:       make([]colfile.Value, nf),
 	}
-	// The writer took each row group's range, keeping the first-seen value
-	// on ties; folding the groups in order keeps the file's first-seen
-	// value too.
-	for g := 0; g < w.NumRowGroups(); g++ {
-		for c := 0; c < nf; c++ {
-			gs := w.GroupStats(g, c)
-			if g == 0 || colfile.Compare(gs.Min, f.Min[c]) < 0 {
-				f.Min[c] = gs.Min
-			}
-			if g == 0 || colfile.Compare(gs.Max, f.Max[c]) > 0 {
-				f.Max[c] = gs.Max
-			}
-		}
+	for c := range f.Min {
+		f.Min[c], f.Max[c] = w.FileRange(c)
 	}
 	cost, err := x.t.fs.Write(f.Path, blob)
+	w.Recycle() // Write copied blob into the file's log
 	if err != nil {
 		return DataFile{}, err
 	}
