@@ -97,8 +97,10 @@ done
 # they measure is guarded by tests in the passes above: a commit costs
 # the same whatever the log holds (cluster, plog), an EC append allocates
 # its extent plus a constant (plog), a request costs its bytes (gateway),
-# a table file costs its bytes (colfile), a warm plan costs the files it
-# admits and a scan parses footers into one reader (lakehouse), a
+# a table file is encoded into one shared buffer and costs its group
+# directory (colfile), a plan makes its file list once, a warm plan
+# costs the files it admits and a scan parses footers into one reader
+# (lakehouse), a
 # converted row costs a fixed count of allocations and bytes: it streams
 # into its partition's writer, the writers share one compressor, and a
 # known message shape decodes no schema (convert, colfile, rowcodec),
