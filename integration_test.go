@@ -469,6 +469,52 @@ func TestTieringLifecycleWithArchiver(t *testing.T) {
 	}
 }
 
+// TestArchiveKeepsUnconvertedData: an archive pass on a topic that
+// also converts reclaims none of the stream data the converter has yet
+// to read, so a conversion after the pass still finds every message;
+// once they are converted, the next pass reclaims them.
+func TestArchiveKeepsUnconvertedData(t *testing.T) {
+	lake, err := Open(Config{PLogCapacity: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := MustSchema("url:string", "ts:int64")
+	if err := lake.CreateTopic(TopicConfig{
+		Name: "events", StreamNum: 2,
+		Convert: ConvertConfig{Enabled: true, TableName: "events_tbl", TablePath: "/events", TableSchema: schema},
+		Archive: ArchiveConfig{Enabled: true, ArchiveBytes: 10 << 10},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	p := lake.Producer("src")
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			val, _ := EncodeRow(schema, Row{StringValue("u"), IntValue(int64(i))})
+			if _, _, err := p.Send("events", []byte(fmt.Sprint(i)), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send(20_000)
+	results, _, err := lake.Archiver().RunOnce()
+	if err != nil || len(results) != 1 {
+		t.Fatalf("archive: %+v %v", results, err)
+	}
+	if results[0].Freed != 0 {
+		t.Fatalf("the archive freed %d B the converter had not read", results[0].Freed)
+	}
+	if res, _, err := lake.ConvertNow("events"); err != nil || res.Messages != 20_000 {
+		t.Fatalf("conversion after the archive pass: %+v %v", res, err)
+	}
+	if res, err := lake.Query("select count(*) from events_tbl"); err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "20000" {
+		t.Fatalf("count(*) after archive and conversion: %+v %v", res, err)
+	}
+	send(1_000)
+	if results, _, err = lake.Archiver().RunOnce(); err != nil || len(results) != 1 || results[0].Freed == 0 {
+		t.Fatalf("the pass after the conversion reclaimed nothing: %+v %v", results, err)
+	}
+}
+
 // TestRepairRestoresRedundancyOnCluster: one SSD dies on a live cluster
 // and repair must restore full redundancy with that disk still dead. The
 // lost copy's only homes share a node with a surviving copy (the dead

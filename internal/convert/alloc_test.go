@@ -1,7 +1,9 @@
 package convert
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"streamlake/internal/streamobj"
 	"streamlake/internal/streamsvc"
 	"streamlake/internal/tableobj"
+	"streamlake/internal/tiering"
 	"streamlake/internal/workload/dpi"
 )
 
@@ -138,5 +141,51 @@ func BenchmarkConvert(b *testing.B) {
 		if _, _, err := e.conv.ForceTopic("dpi", nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestArchiveRecyclesFileBuffer: a row-to-column archive pass puts the
+// shared file buffer back at rest, so the table write after it borrows
+// the buffer and allocates what the same write did before the pass,
+// not a buffer of its own for a file of about 30 KB.
+func TestArchiveRecyclesFileBuffer(t *testing.T) {
+	e := newEnv(t)
+	arch := NewArchiver(e.conv, tiering.NewService(e.clock, e.logs, nil))
+	e.svc.CreateTopic(streamsvc.TopicConfig{
+		Name: "hist", StreamNum: 1,
+		Archive: streamsvc.ArchiveConfig{Enabled: true, ArchiveBytes: 1 << 10, RowToCol: true},
+	})
+	schema := colfile.MustSchema("v:string")
+	if _, err := e.lh.CreateTable(tableobj.TableMeta{Name: "t", Path: "/lake/t", Schema: schema}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	rows := make([]colfile.Row, 400)
+	for i := range rows {
+		rows[i] = colfile.Row{colfile.StringValue(fmt.Sprintf("%016x%016x%016x%016x", rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()))}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	insert := func() uint64 {
+		t.Helper()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := e.lh.Insert("t", rows); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	insert() // the first writes build what every later one reuses
+	atRest := min(insert(), insert())
+	p := e.svc.Producer("p")
+	for i := 0; i < 500; i++ {
+		p.Send("hist", []byte("sensor"), []byte(fmt.Sprintf("reading-%04d", i%10)))
+	}
+	if results, _, err := arch.RunOnce(); err != nil || len(results) != 1 {
+		t.Fatalf("archive: %+v %v", results, err)
+	}
+	if got := insert(); got > atRest+16<<10 {
+		t.Fatalf("a table write after an archive pass allocated %d KB, %d KB before it: the archive kept the file buffer", got>>10, atRest>>10)
 	}
 }

@@ -25,9 +25,10 @@ type ArchiveResult struct {
 // archive block of Figure 8): when a topic accumulates archive_size
 // bytes, its drained messages move to the cost-effective archive pool —
 // optionally converted to columnar format first — or are exported to an
-// external system.
+// external system. A convert-enabled topic's stream data is reclaimed
+// only once its converter has converted it.
 type Archiver struct {
-	svc    *streamsvc.Service
+	conv   *Converter
 	tiers  *tiering.Service
 	extDev *sim.Device
 
@@ -36,11 +37,11 @@ type Archiver struct {
 	archived map[string]int64
 }
 
-// NewArchiver builds an archiver storing into the given tiering service's
-// archive tier.
-func NewArchiver(svc *streamsvc.Service, tiers *tiering.Service) *Archiver {
+// NewArchiver builds an archiver over the converter's topics, storing
+// into the given tiering service's archive tier.
+func NewArchiver(conv *Converter, tiers *tiering.Service) *Archiver {
 	return &Archiver{
-		svc:      svc,
+		conv:     conv,
 		tiers:    tiers,
 		extDev:   sim.NewDeviceOf("external-archive", sim.Net10GbE),
 		marks:    make(map[string][]int64),
@@ -53,8 +54,8 @@ func NewArchiver(svc *streamsvc.Service, tiers *tiering.Service) *Archiver {
 func (a *Archiver) RunOnce() ([]ArchiveResult, time.Duration, error) {
 	var out []ArchiveResult
 	var total time.Duration
-	for _, name := range a.svc.Topics() {
-		cfg, err := a.svc.Topic(name)
+	for _, name := range a.conv.svc.Topics() {
+		cfg, err := a.conv.svc.Topic(name)
 		if err != nil || !cfg.Archive.Enabled {
 			continue
 		}
@@ -71,7 +72,7 @@ func (a *Archiver) RunOnce() ([]ArchiveResult, time.Duration, error) {
 }
 
 func (a *Archiver) archiveTopic(name string, cfg streamsvc.TopicConfig) (ArchiveResult, time.Duration, error) {
-	streams, err := a.svc.Streams(name)
+	streams, err := a.conv.svc.Streams(name)
 	if err != nil {
 		return ArchiveResult{}, 0, err
 	}
@@ -100,6 +101,7 @@ func (a *Archiver) archiveTopic(name string, cfg streamsvc.TopicConfig) (Archive
 	var w *colfile.Writer // the columnar archive, encoded as the records arrive
 	if cfg.Archive.RowToCol {
 		w = colfile.NewWriter(colfile.MustSchema("key:string", "value:string", "offset:int64"), 0)
+		defer w.Recycle() // the archive keeps only the file's size
 	}
 	var buf []streamobj.Record // one read buffer for every slice
 	for i, o := range streams {
@@ -149,9 +151,14 @@ func (a *Archiver) archiveTopic(name string, cfg streamsvc.TopicConfig) (Archive
 		a.tiers.AddArchived(archivedBytes)
 	}
 
-	// Archived stream data is reclaimed from the hot tier.
+	// Archived stream data is reclaimed from the hot tier, but never
+	// what the topic's converter has yet to read.
+	through := marks
+	if cfg.Convert.Enabled {
+		through = a.conv.converted(name, marks)
+	}
 	for i, o := range streams {
-		freed, err := o.ReclaimThrough(marks[i])
+		freed, err := o.ReclaimThrough(through[i])
 		if err != nil {
 			return res, cost, err
 		}

@@ -230,6 +230,20 @@ func (c *Converter) convertTopic(name string, cfg streamsvc.TopicConfig, force b
 	return res, cost, nil
 }
 
+// converted returns, per stream of the topic, the lesser of marks[i] and
+// the converter's watermark: 0 for a topic it has not run on yet.
+func (c *Converter) converted(name string, marks []int64) []int64 {
+	out := make([]int64, len(marks))
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if st := c.state[name]; st != nil {
+		for i := range out {
+			out[i] = min(marks[i], st.watermarks[i])
+		}
+	}
+	return out
+}
+
 // table resolves the topic's target table through the engine, creating
 // it on first use. A soft-dropped table is an error, not a fresh table.
 func (c *Converter) table(cfg streamsvc.TopicConfig) (*tableobj.Table, time.Duration, error) {

@@ -307,7 +307,7 @@ func TestPlaybackFailsOnUndecodableFile(t *testing.T) {
 func TestArchiverRowToCol(t *testing.T) {
 	e := newEnv(t)
 	tiers := tiering.NewService(e.clock, e.logs, nil)
-	arch := NewArchiver(e.svc, tiers)
+	arch := NewArchiver(e.conv, tiers)
 	cfg := streamsvc.TopicConfig{
 		Name: "hist", StreamNum: 1,
 		Archive: streamsvc.ArchiveConfig{Enabled: true, ArchiveBytes: 1 << 10, RowToCol: true},
@@ -345,7 +345,7 @@ func TestArchiverRowToCol(t *testing.T) {
 func TestArchiverExternalExport(t *testing.T) {
 	e := newEnv(t)
 	tiers := tiering.NewService(e.clock, e.logs, nil)
-	arch := NewArchiver(e.svc, tiers)
+	arch := NewArchiver(e.conv, tiers)
 	e.svc.CreateTopic(streamsvc.TopicConfig{
 		Name: "exp", StreamNum: 1,
 		Archive: streamsvc.ArchiveConfig{Enabled: true, ArchiveBytes: 100, ExternalURL: "hdfs://legacy/archive"},

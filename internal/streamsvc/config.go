@@ -2,9 +2,10 @@
 // (Section V-A, Figure 6): producers and consumers connected through a
 // stream dispatcher to stream workers, which persist messages in stream
 // objects. The dispatcher keeps topics, streams, workers and their
-// relationships as key-value pairs in a fault-tolerant KV store; workers
-// are assigned streams round-robin; scaling the worker fleet is a
-// metadata-only remap with no data migration. Exactly-once delivery is
+// relationships as key-value pairs in a fault-tolerant KV store; stream
+// i's home is worker i mod n, and while it is down the up worker that
+// rendezvous hashing ranks first serves the stream; scaling the worker
+// fleet is a metadata-only remap with no data migration. Exactly-once delivery is
 // provided by a transaction manager running two-phase commit across the
 // stream workers.
 package streamsvc

@@ -2,7 +2,9 @@ package streamsvc
 
 import (
 	"fmt"
+	"hash/fnv"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -265,36 +267,41 @@ func TestProduceDuringRescale(t *testing.T) {
 	sameMessages(t, acked, drain(t, s, "g", streams))
 }
 
-// ownerByRule is the per-message lookup the routing snapshot replaced,
-// kept as its oracle: the first up worker assigned the stream, else the
-// first up worker, else worker 0.
+// ownerByRule is the routing rule restated as the snapshot's oracle:
+// stream idx's home is worker idx % n while up; otherwise the up worker
+// whose fnv-64a hash of "topic/idx\x00id" is highest; with no worker up,
+// worker 0.
 func ownerByRule(s *Service, topic string, idx int) *Worker {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var firstUp *Worker
+	if home := s.workers[idx%len(s.workers)]; !home.down {
+		return home
+	}
+	var best *Worker
+	var bestScore uint64
 	for _, w := range s.workers {
-		w.mu.Lock()
-		ok, down := w.streams[streamKey(topic, idx)], w.down
-		w.mu.Unlock()
-		if ok && !down {
-			return w
-		}
-		if firstUp == nil && !down {
-			firstUp = w
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s/%d\x00%d", topic, idx, w.id)
+		if score := h.Sum64(); !w.down && (best == nil || score > bestScore) {
+			best, bestScore = w, score
 		}
 	}
-	if firstUp != nil {
-		return firstUp
+	if best == nil {
+		return s.workers[0]
 	}
-	return s.workers[0]
+	return best
 }
 
 // TestRoutesFollowEveryMutator: after each mutator that can change who
-// serves a stream — the all-workers-down SetWorkerDown that moves nothing
-// included — the published snapshot names the owner the rule names.
+// serves a stream — a topic created during an outage and the
+// all-workers-down SetWorkerDown included — the published snapshot names
+// the owner the rule names, the dispatcher KV holds one assign/ record
+// per routed stream, naming its routed owner, and a returned moved
+// counts exactly the streams whose owner changed.
 func TestRoutesFollowEveryMutator(t *testing.T) {
 	const streams = 6
 	s, _, _ := sendRig(t, 3, streams)
+	var owners map[string]int
 	check := func(after string) {
 		t.Helper()
 		rt := s.routes.Load()
@@ -303,27 +310,56 @@ func TestRoutesFollowEveryMutator(t *testing.T) {
 				if want := ownerByRule(s, topic, i); got != want {
 					t.Fatalf("after %s: %s/%d is routed to worker %d, the rule says %d", after, topic, i, got.id, want.id)
 				}
+				if rec, _ := s.meta.Get([]byte("assign/" + streamKey(topic, i))); string(rec) != strconv.Itoa(got.id) {
+					t.Fatalf("after %s: %s/%d is routed to worker %d, its assign/ record says %q", after, topic, i, got.id, rec)
+				}
 			}
 		}
 		if _, ok := rt.topics["t"]; !ok {
 			t.Fatalf("after %s: topic t is gone from the snapshot", after)
 		}
+		owners = snapshotAssignments(s)
+		records := 0
+		s.meta.Scan([]byte("assign/"), []byte("assign0"), func(_, _ []byte) bool { records++; return true })
+		if records != len(owners) {
+			t.Fatalf("after %s: %d assign/ records for %d routed streams", after, records, len(owners))
+		}
+	}
+	moves := func(after string, moved int) {
+		t.Helper()
+		was := owners
+		check(after)
+		changed := 0
+		for k, id := range owners {
+			if old, ok := was[k]; !ok || old != id {
+				changed++
+			}
+		}
+		if moved != changed {
+			t.Fatalf("after %s: moved %d, but %d streams changed owner", after, moved, changed)
+		}
+	}
+	down := func(after string, id int, down bool) {
+		t.Helper()
+		moved, _ := s.SetWorkerDown(id, down)
+		moves(after, moved)
 	}
 	check("CreateTopic")
-	s.SetWorkerDown(1, true)
-	check("one worker down")
-	s.SetWorkerDown(0, true)
-	s.SetWorkerDown(2, true)
-	check("every worker down")
-	s.SetWorkerDown(2, false)
-	check("one worker back")
-	s.SetWorkerDown(0, false)
-	s.SetWorkerDown(1, false)
-	check("all back")
-	s.SetWorkerCount(5)
-	check("SetWorkerCount(5)")
-	s.SetWorkerDown(3, true)
-	check("SetWorkerDown(3) after the rescale")
+	down("one worker down", 1, true)
+	if err := s.CreateTopic(TopicConfig{Name: "v", StreamNum: streams}); err != nil {
+		t.Fatal(err)
+	}
+	check("a topic created while worker 1 is down")
+	down("a second worker down", 0, true)
+	down("worker 1 back while worker 0 is down", 1, false)
+	down("worker 1 down again", 1, true)
+	down("every worker down", 2, true)
+	down("one worker back", 2, false)
+	down("worker 0 back", 0, false)
+	down("all back", 1, false)
+	moved, _ := s.SetWorkerCount(5)
+	moves("SetWorkerCount(5)", moved)
+	down("SetWorkerDown(3) after the rescale", 3, true)
 	if err := s.CreateTopic(TopicConfig{Name: "u", StreamNum: 2}); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -54,8 +53,7 @@ type topicRoutes struct {
 }
 
 // Worker is one stream worker: it owns the stream object clients for the
-// streams assigned to it and talks to storage over the data bus via
-// RDMA.
+// streams routed to it and talks to storage over the data bus via RDMA.
 type Worker struct {
 	id  int
 	ep  string // workerEndpoint(id), named once
@@ -63,9 +61,7 @@ type Worker struct {
 
 	breaker atomic.Pointer[resil.Breaker] // breakerFor's answer; SetResilience clears it
 
-	mu      sync.Mutex
-	streams map[string]bool // "topic/idx" keys currently assigned
-	down    bool            // cluster verdict: the worker's node is dead or draining
+	down bool // cluster verdict: the worker's node is dead or draining; under Service.mu
 }
 
 // Service is the streaming service: dispatcher plus worker fleet.
@@ -80,11 +76,6 @@ type Service struct {
 	topology    int64                  // topology version, bumped on every change
 	producerSeq int64                  // numbers the producers created without an id
 	routes      atomic.Pointer[routes] // stored under mu, loaded without
-
-	// displaced remembers the home worker of every stream moved off a
-	// down worker, so SetWorkerDown's revival leg returns exactly those
-	// streams and touches nothing else.
-	displaced map[string]int
 
 	// reg is retained so workers created after wiring (SetWorkerCount)
 	// register their buses too; metrics holds the service's instruments.
@@ -232,11 +223,10 @@ func New(clock *sim.Clock, store *streamobj.Store, workerCount int) *Service {
 		workerCount = 1
 	}
 	s := &Service{
-		clock:     clock,
-		store:     store,
-		meta:      kv.Open(sim.NewDeviceOf("dispatcher-kv", sim.SCM)),
-		topics:    make(map[string]*topicState),
-		displaced: make(map[string]int),
+		clock:  clock,
+		store:  store,
+		meta:   kv.Open(sim.NewDeviceOf("dispatcher-kv", sim.SCM)),
+		topics: make(map[string]*topicState),
 	}
 	for i := 0; i < workerCount; i++ {
 		s.workers = append(s.workers, newWorker(i))
@@ -251,7 +241,7 @@ func New(clock *sim.Clock, store *streamobj.Store, workerCount int) *Service {
 var workerBus = bus.Config{Path: bus.RDMA, Aggregation: true}
 
 func newWorker(id int) *Worker {
-	return &Worker{id: id, ep: workerEndpoint(id), bus: bus.New(workerBus), streams: map[string]bool{}}
+	return &Worker{id: id, ep: workerEndpoint(id), bus: bus.New(workerBus)}
 }
 
 // Clock exposes the virtual clock the service charges costs against.
@@ -261,7 +251,7 @@ func (s *Service) Clock() *sim.Clock { return s.clock }
 func (s *Service) Store() *streamobj.Store { return s.store }
 
 // CreateTopic declares a topic: StreamNum stream objects are created and
-// the streams are added to the stream workers in a round-robin manner.
+// publishLocked routes them to the workers.
 func (s *Service) CreateTopic(cfg TopicConfig) error {
 	cfg.applyDefaults()
 	s.mu.Lock()
@@ -283,66 +273,71 @@ func (s *Service) CreateTopic(cfg TopicConfig) error {
 		ts.streams = append(ts.streams, o)
 	}
 	s.topics[cfg.Name] = ts
-	s.assignStreamsLocked(cfg.Name, cfg.StreamNum)
 	s.topologyChangedLocked()
 	return nil
 }
 
-// assignStreamsLocked distributes a topic's streams round-robin over the
-// workers, recording each assignment in the dispatcher KV store.
-func (s *Service) assignStreamsLocked(topic string, n int) {
-	for i := 0; i < n; i++ {
-		w := s.workers[i%len(s.workers)]
-		w.mu.Lock()
-		w.streams[streamKey(topic, i)] = true
-		w.mu.Unlock()
-		s.meta.Put([]byte("assign/"+streamKey(topic, i)), []byte(fmt.Sprintf("%d", w.id)))
-	}
-}
-
 func streamKey(topic string, idx int) string { return topic + "/" + strconv.Itoa(idx) }
 
-// topologyChangedLocked closes every topology mutation.
-func (s *Service) topologyChangedLocked() {
+// topologyChangedLocked closes every topology mutation: it bumps the
+// version and publishes, returning what publishLocked moved.
+func (s *Service) topologyChangedLocked() (moved int, cost time.Duration) {
 	s.topology++
 	s.meta.Put([]byte("topology/version"), binary.AppendVarint(nil, s.topology))
 	s.meta.Put([]byte("topology/workers"), binary.AppendVarint(nil, int64(len(s.workers))))
-	s.publishLocked()
+	return s.publishLocked()
 }
 
-// publishLocked rebuilds and publishes the routing snapshot. A stream's
-// owner is the first up worker it is assigned to; with none, the first
-// up worker; with the whole fleet down, worker 0, whose dead links fail
-// the send — the correct outcome. Lock order is s.mu → w.mu.
-func (s *Service) publishLocked() {
-	rt := &routes{topics: make(map[string]topicRoutes, len(s.topics)), tenants: s.tenants, seed: s.backoffSeed, metrics: s.metrics, reg: s.reg}
-	assigned := make(map[string]*Worker)
-	var firstUp *Worker
-	for _, w := range s.workers {
-		w.mu.Lock()
-		if !w.down && firstUp == nil {
-			firstUp = w
-		}
-		for k := range w.streams {
-			if !w.down && assigned[k] == nil {
-				assigned[k] = w
-			}
-		}
-		w.mu.Unlock()
+// publishLocked rebuilds and publishes the routing snapshot. Every
+// stream's owner comes from one rule: stream i's home is workers[i % n],
+// which serves it while up; otherwise the up worker rendezvousPick ranks
+// first serves it; with the whole fleet down, worker 0, whose dead links
+// fail the send — the correct outcome. Each stream whose owner differs
+// from the previous snapshot's is recorded in the dispatcher KV
+// (assign/<topic>/<i>): moved counts them and cost sums the
+// metadata-only writes. A deleted topic's records are deleted.
+func (s *Service) publishLocked() (moved int, cost time.Duration) {
+	prev := s.routes.Load()
+	if prev == nil { // New's first publish
+		prev = &routes{}
 	}
-	if firstUp == nil {
-		firstUp = s.workers[0]
+	rt := &routes{topics: make(map[string]topicRoutes, len(s.topics)), tenants: s.tenants, seed: s.backoffSeed, metrics: s.metrics, reg: s.reg}
+	up := make([]*Worker, 0, len(s.workers))
+	for _, w := range s.workers {
+		if !w.down {
+			up = append(up, w)
+		}
 	}
 	for name, ts := range s.topics {
 		tr := topicRoutes{ts, make([]*Worker, len(ts.streams))}
+		was := prev.topics[name].owners
 		for i := range tr.owners {
-			if tr.owners[i] = assigned[streamKey(name, i)]; tr.owners[i] == nil {
-				tr.owners[i] = firstUp
+			w := s.workers[i%len(s.workers)]
+			if w.down {
+				w = s.workers[0]
+				if len(up) > 0 {
+					w = rendezvousPick(streamKey(name, i), up)
+				}
 			}
+			tr.owners[i] = w
+			if i < len(was) && was[i].id == w.id {
+				continue
+			}
+			moved++
+			cost += s.meta.Put([]byte("assign/"+streamKey(name, i)), []byte(strconv.Itoa(w.id)))
 		}
 		rt.topics[name] = tr
 	}
+	for name, tr := range prev.topics {
+		if s.topics[name] != nil {
+			continue
+		}
+		for i := range tr.owners {
+			s.meta.Delete([]byte("assign/" + streamKey(name, i)))
+		}
+	}
 	s.routes.Store(rt)
+	return moved, cost
 }
 
 // DeleteTopic removes a topic and destroys its stream objects.
@@ -351,20 +346,6 @@ func (s *Service) DeleteTopic(name string) error {
 	ts, ok := s.topics[name]
 	if ok {
 		delete(s.topics, name)
-	}
-	for _, w := range s.workers {
-		w.mu.Lock()
-		for k := range w.streams {
-			if len(k) > len(name) && k[:len(name)] == name && k[len(name)] == '/' {
-				delete(w.streams, k)
-			}
-		}
-		w.mu.Unlock()
-	}
-	for k := range s.displaced {
-		if len(k) > len(name) && k[:len(name)] == name && k[len(name)] == '/' {
-			delete(s.displaced, k)
-		}
 	}
 	s.topologyChangedLocked()
 	s.mu.Unlock()
@@ -424,51 +405,30 @@ func (s *Service) WorkerCount() int {
 // disaggregated, only the stream→worker mapping changes: the method
 // returns how many stream assignments moved and the modelled remap time
 // (a metadata update per moved stream), with zero data migration —
-// the elasticity of Figure 14(c).
+// the elasticity of Figure 14(c). Each worker id the new fleet keeps
+// keeps its down verdict.
 func (s *Service) SetWorkerCount(n int) (moved int, cost time.Duration) {
 	if n <= 0 {
 		n = 1
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Collect all stream keys in deterministic topic order.
-	old := make(map[string]int) // stream key -> worker id
-	for _, w := range s.workers {
-		w.mu.Lock()
-		for k := range w.streams {
-			old[k] = w.id
-		}
-		w.mu.Unlock()
-	}
 	workers := make([]*Worker, n)
-	for i := 0; i < n; i++ {
+	for i := range workers {
 		workers[i] = newWorker(i)
+		if i < len(s.workers) {
+			workers[i].down = s.workers[i].down
+		}
 		if s.netHook != nil {
 			workers[i].bus.SetNet(s.netHook, workers[i].ep)
 		}
 		s.qosWire(workers[i])
 	}
-	// The fleet is rebuilt from scratch (fresh down flags, hash-based
-	// baseline): displaced-stream bookkeeping restarts with it.
-	s.displaced = make(map[string]int)
-	for name, ts := range s.topics {
-		for i := range ts.streams {
-			k := streamKey(name, i)
-			target := int(hashString(k) % uint64(n))
-			workers[target].streams[k] = true
-			if old[k] != target {
-				moved++
-				// Metadata-only move: one dispatcher KV update.
-				cost += s.meta.Put([]byte("assign/"+k), []byte(fmt.Sprintf("%d", target)))
-			}
-		}
-	}
 	for _, w := range s.workers {
 		w.bus.Retire(&s.retired)
 	}
 	s.workers = workers
-	s.topologyChangedLocked()
-	return moved, cost
+	return s.topologyChangedLocked()
 }
 
 func hashString(s string) uint64 {
@@ -481,90 +441,20 @@ func hashString(s string) uint64 {
 // metadata-only failover the dispatcher runs when the cluster commits a
 // node dead (down=true) or back alive (down=false). The worker object
 // survives, so a revived node's worker resumes with its breaker history
-// and bus wiring intact. Reassignment is minimal:
-// marking a worker down moves only ITS streams, spread over the up
-// workers by rendezvous hashing, and marking it back up returns exactly
-// the streams displaced off it — streams on unaffected workers never
-// churn. It returns how many stream assignments moved and the modelled
-// remap cost.
+// and bus wiring intact. publishLocked's rule keeps the churn minimal:
+// marking a worker down moves only the streams it served, spread over the
+// up workers by rendezvous hashing, and marking it back up returns its
+// home streams. With another worker still down, a revived worker also
+// takes that worker's streams that rendezvous ranks it first for. It
+// returns how many stream assignments moved and the modelled remap cost.
 func (s *Service) SetWorkerDown(id int, down bool) (moved int, cost time.Duration) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id < 0 || id >= len(s.workers) {
+	if id < 0 || id >= len(s.workers) || s.workers[id].down == down {
 		return 0, 0
 	}
-	w := s.workers[id]
-	w.mu.Lock()
-	changed := w.down != down
-	w.down = down
-	w.mu.Unlock()
-	if !changed {
-		return 0, 0
-	}
-	if down {
-		// Up-worker set in ID order; with every worker down, ownership is
-		// left untouched (no ack can succeed anyway — links are dead).
-		up := make([]*Worker, 0, len(s.workers))
-		for _, cand := range s.workers {
-			cand.mu.Lock()
-			ok := !cand.down
-			cand.mu.Unlock()
-			if ok {
-				up = append(up, cand)
-			}
-		}
-		if len(up) == 0 {
-			s.publishLocked() // nothing moved, but every owner is now down
-			return 0, 0
-		}
-		w.mu.Lock()
-		keys := make([]string, 0, len(w.streams))
-		for k := range w.streams {
-			keys = append(keys, k)
-		}
-		w.streams = map[string]bool{}
-		w.mu.Unlock()
-		sort.Strings(keys)
-		for _, k := range keys {
-			target := rendezvousPick(k, up)
-			target.mu.Lock()
-			target.streams[k] = true
-			target.mu.Unlock()
-			// A stream hopping across a second down event keeps its
-			// original home, so it returns there on that node's revival.
-			if _, ok := s.displaced[k]; !ok {
-				s.displaced[k] = id
-			}
-			moved++
-			cost += s.meta.Put([]byte("assign/"+k), []byte(fmt.Sprintf("%d", target.id)))
-		}
-	} else {
-		keys := make([]string, 0, len(s.displaced))
-		for k, home := range s.displaced {
-			if home == id {
-				keys = append(keys, k)
-			}
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			delete(s.displaced, k)
-			for _, cand := range s.workers {
-				if cand == w {
-					continue
-				}
-				cand.mu.Lock()
-				delete(cand.streams, k)
-				cand.mu.Unlock()
-			}
-			w.mu.Lock()
-			w.streams[k] = true
-			w.mu.Unlock()
-			moved++
-			cost += s.meta.Put([]byte("assign/"+k), []byte(fmt.Sprintf("%d", id)))
-		}
-	}
-	s.topologyChangedLocked()
-	return moved, cost
+	s.workers[id].down = down
+	return s.topologyChangedLocked()
 }
 
 // rendezvousPick chooses a stream's owner among the up workers by

@@ -61,9 +61,9 @@ func TestTopicDefaults(t *testing.T) {
 func TestRoundRobinWorkerAssignment(t *testing.T) {
 	s := newService(t, 3)
 	s.CreateTopic(TopicConfig{Name: "t", StreamNum: 9})
-	for _, w := range s.workers {
-		if len(w.streams) != 3 {
-			t.Fatalf("worker %d has %d streams, want 3", w.id, len(w.streams))
+	for id, n := range streamsPerWorker(s) {
+		if n != 3 {
+			t.Fatalf("worker %d has %d streams, want 3", id, n)
 		}
 	}
 }
@@ -326,9 +326,9 @@ func TestWorkerFailover(t *testing.T) {
 		t.Fatal("topology version did not advance")
 	}
 	// Every stream is owned by a survivor and the service keeps flowing.
-	for _, w := range s.workers {
-		if (len(w.streams) == 0) != (w.id == 1) {
-			t.Fatalf("worker %d owns %d streams after worker 1 went down", w.id, len(w.streams))
+	for id, n := range streamsPerWorker(s) {
+		if (n == 0) != (id == 1) {
+			t.Fatalf("worker %d owns %d streams after worker 1 went down", id, n)
 		}
 	}
 	if _, _, err := p.Send("t", []byte("post"), []byte("failover")); err != nil {
@@ -359,19 +359,24 @@ func TestWorkerFailover(t *testing.T) {
 	}
 }
 
-// snapshotAssignments maps every assigned stream key to its owner.
+// snapshotAssignments maps every routed stream key to its owner.
 func snapshotAssignments(s *Service) map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make(map[string]int)
-	for _, w := range s.workers {
-		w.mu.Lock()
-		for k := range w.streams {
-			out[k] = w.id
+	for name, tr := range s.routes.Load().topics {
+		for i, w := range tr.owners {
+			out[streamKey(name, i)] = w.id
 		}
-		w.mu.Unlock()
 	}
 	return out
+}
+
+// streamsPerWorker counts the streams routed to each worker of the fleet.
+func streamsPerWorker(s *Service) []int {
+	n := make([]int, s.WorkerCount())
+	for _, id := range snapshotAssignments(s) {
+		n[id]++
+	}
+	return n
 }
 
 // TestSetWorkerDownMinimalChurn pins the failover reassignment contract:
@@ -413,5 +418,34 @@ func TestSetWorkerDownMinimalChurn(t *testing.T) {
 		if restored[k] != owner {
 			t.Fatalf("stream %s not restored: %d, want %d", k, restored[k], owner)
 		}
+	}
+}
+
+// TestSetWorkerCountSameSizeKeepsVerdicts: a rescale changes the fleet
+// and nothing else — to the current size it moves no stream, and every
+// worker id it keeps keeps its down verdict, so no stream goes back to
+// a worker whose node is still dead.
+func TestSetWorkerCountSameSizeKeepsVerdicts(t *testing.T) {
+	s := newService(t, 3)
+	if err := s.CreateTopic(TopicConfig{Name: "t", StreamNum: 6}); err != nil {
+		t.Fatal(err)
+	}
+	s.SetWorkerDown(1, true)
+	before := snapshotAssignments(s)
+	if moved, cost := s.SetWorkerCount(3); moved != 0 || cost != 0 {
+		t.Fatalf("a rescale to the same size moved %d streams in %v", moved, cost)
+	}
+	for k, owner := range snapshotAssignments(s) {
+		if before[k] != owner {
+			t.Fatalf("stream %s moved %d -> %d in a same-size rescale", k, before[k], owner)
+		}
+	}
+	s.SetWorkerCount(4)
+	if n := streamsPerWorker(s)[1]; n != 0 {
+		t.Fatalf("worker 1, still down, serves %d streams after a rescale", n)
+	}
+	// The verdict is kept, not reset: reviving worker 1 moves its streams home.
+	if moved, _ := s.SetWorkerDown(1, false); moved == 0 {
+		t.Fatal("worker 1 came back up with nothing to return to it: the rescale forgot its verdict")
 	}
 }

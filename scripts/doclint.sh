@@ -12,6 +12,11 @@
 #
 # DESIGN.md states what the system does; no line of it cites a PR by
 # number ("PR 7", "PRs 1–5", "pre-PR-14"). The history is CHANGES.md's.
+#
+# DESIGN.md and EXPERIMENTS.md may not exceed their line counts in
+# scripts/doc_ceiling.txt ("<file> <lines>" per line). A commit that
+# needs more lines raises the number in the same commit, as with
+# scripts/loc_ceiling.txt; one that shrinks a file lowers it.
 set -eu
 docs="EXPERIMENTS.md DESIGN.md README.md"
 funcs=$(grep -rhoE '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]*' --include='*_test.go' . | cut -c6-)
@@ -34,4 +39,11 @@ if grep -nE '\bPRs? ?-?[0-9]' DESIGN.md >&2; then
   echo "doclint: DESIGN.md cites a PR by number (above); say what the system does" >&2
   bad=1
 fi
+while read -r doc ceiling; do
+  lines=$(wc -l < "$doc")
+  if [ "$lines" -gt "$ceiling" ]; then
+    echo "doclint: $doc has $lines lines, over its ceiling of $ceiling in scripts/doc_ceiling.txt" >&2
+    bad=1
+  fi
+done < scripts/doc_ceiling.txt
 exit $bad

@@ -215,6 +215,7 @@ func Open(cfg Config) (*Lake, error) {
 	store.EnableGroupCommit(cfg.GroupCommitSlices)
 	lh := lakehouse.New(clock, fs, cat, lakehouse.Options{Acceleration: true})
 	tiers := tiering.NewService(clock, logs, hdd)
+	conv := convert.New(clock, svc, lh)
 	inj := faults.New(cfg.Seed)
 	inj.Attach(ssd)
 	inj.Attach(hdd)
@@ -228,8 +229,8 @@ func Open(cfg Config) (*Lake, error) {
 		fs:      fs,
 		cat:     cat,
 		lh:      lh,
-		conv:    convert.New(clock, svc, lh),
-		arch:    convert.NewArchiver(svc, tiers),
+		conv:    conv,
+		arch:    convert.NewArchiver(conv, tiers),
 		tiers:   tiers,
 		sql:     query.New(lh),
 		inj:     inj,
