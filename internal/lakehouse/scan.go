@@ -365,7 +365,7 @@ func (e *Engine) Scan(name string, plan Plan, filters []RangeFilter, fn func(col
 // the modelled latency and the byte figures do not depend on it.
 // The scan is a lakehouse.scan child of sp (files, groups read and
 // skipped, rows) over a tableobj.read child per file read, with its
-// bytes. A nil sp traces nothing.
+// bytes and src (cache or device). A nil sp traces nothing.
 func (e *Engine) ScanProjected(name string, plan Plan, filters []RangeFilter, columns []string, sp *obs.Span, fn func(colfile.Row) bool) (ScanStats, time.Duration, error) {
 	st, err := e.state(name)
 	if err != nil {
@@ -425,13 +425,10 @@ func (e *Engine) ScanProjected(name string, plan Plan, filters []RangeFilter, co
 	}
 	var r colfile.Reader // every file's footer parses into its storage
 	for _, f := range plan.Files {
-		blob, rc, err := e.fs.Read(f.Path)
-		if ssp != nil {
-			rsp := ssp.Child("tableobj.read")
-			rsp.SetAttr("bytes", strconv.Itoa(len(blob)))
-			rsp.End(rc)
-			ssp.Advance(rc)
-		}
+		rsp := ssp.Child("tableobj.read")
+		blob, rc, err := e.fs.ReadSpan(f.Path, rsp)
+		rsp.End(rc)
+		ssp.Advance(rc)
 		if err != nil {
 			return stats, cost, err
 		}

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"time"
 
+	"streamlake/internal/obs"
 	"streamlake/internal/plog"
 )
 
@@ -73,6 +74,13 @@ func (fs *FileStore) Write(path string, data []byte) (time.Duration, error) {
 
 // Read returns the contents at path with the modelled read latency.
 func (fs *FileStore) Read(path string) ([]byte, time.Duration, error) {
+	return fs.ReadSpan(path, nil)
+}
+
+// ReadSpan is Read annotated on sp, the caller's tableobj.read span: the
+// file's bytes and whether the read cache or the devices served it (src,
+// see plog.ReadCtx). A nil span traces nothing.
+func (fs *FileStore) ReadSpan(path string, sp *obs.Span) ([]byte, time.Duration, error) {
 	fs.mu.Lock()
 	e, ok := fs.files[path]
 	fs.mu.Unlock()
@@ -83,7 +91,7 @@ func (fs *FileStore) Read(path string) ([]byte, time.Duration, error) {
 	if l == nil {
 		return nil, 0, fmt.Errorf("tableobj: dangling plog for %s", path)
 	}
-	return l.Read(0, e.size)
+	return l.ReadCtx(0, e.size, nil, sp)
 }
 
 // Delete removes the file at path.
