@@ -12,6 +12,17 @@ func testCache() *Cache {
 	return New(Config{DRAMBytes: 1 << 10, SCMBytes: 4 << 10})
 }
 
+// tierOf reports the tier of key's slot and whether key is resident.
+func tierOf(c *Cache, key string) (tier, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i, ok := c.index[key]
+	if !ok {
+		return 0, false
+	}
+	return c.slab[i].tier, true
+}
+
 func TestMissThenHit(t *testing.T) {
 	c := testCache()
 	if _, _, ok := c.Get("k"); ok {
@@ -93,11 +104,7 @@ func TestDemotionToSCMAndPromotion(t *testing.T) {
 	var key string
 	for i := 0; i < 24; i++ {
 		k := fmt.Sprintf("k%d", i)
-		c.mu.Lock()
-		e, ok := c.index[k]
-		scm := ok && e.tier == tierSCM
-		c.mu.Unlock()
-		if scm {
+		if tr, ok := tierOf(c, k); ok && tr == tierSCM {
 			key = k
 			break
 		}
@@ -130,11 +137,8 @@ func TestGhostReadmission(t *testing.T) {
 		t.Fatal("no ghost keys recorded")
 	}
 	c.Put("victim", make([]byte, 128))
-	c.mu.Lock()
-	e := c.index["victim"]
-	c.mu.Unlock()
-	if e == nil || e.tier != tierMain {
-		t.Fatalf("ghosted key not readmitted to main: %+v", e)
+	if tr, ok := tierOf(c, "victim"); !ok || tr != tierMain {
+		t.Fatalf("ghosted key not readmitted to main: tier %d, resident %v", tr, ok)
 	}
 }
 
@@ -150,16 +154,15 @@ func TestGhostListBounded(t *testing.T) {
 	if got := c.Stats().GhostKeys; got != ghostEntries {
 		t.Fatalf("ghost list holds %d keys, want the bound %d", got, ghostEntries)
 	}
-	tierOf := func(key string) tier {
+	refill := func(key string) tier {
 		c.Put(key, make([]byte, 100))
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.index[key].tier
+		tr, _ := tierOf(c, key)
+		return tr
 	}
-	if got := tierOf("k0"); got != tierSmall {
+	if got := refill("k0"); got != tierSmall {
 		t.Fatalf("forgotten ghost readmitted to tier %d, want small", got)
 	}
-	if got := tierOf(fmt.Sprintf("k%d", keys-100)); got != tierMain {
+	if got := refill(fmt.Sprintf("k%d", keys-100)); got != tierMain {
 		t.Fatalf("recent ghost readmitted to tier %d, want main", got)
 	}
 }
@@ -183,11 +186,8 @@ func TestInvalidate(t *testing.T) {
 	}
 	// Invalidated keys earn no ghost credit: a re-fill is probationary.
 	c.Put("a/1", []byte("x"))
-	c.mu.Lock()
-	tier := c.index["a/1"].tier
-	c.mu.Unlock()
-	if tier != tierSmall {
-		t.Fatalf("invalidated key readmitted to tier %d, want small", tier)
+	if tr, _ := tierOf(c, "a/1"); tr != tierSmall {
+		t.Fatalf("invalidated key readmitted to tier %d, want small", tr)
 	}
 }
 

@@ -85,11 +85,12 @@ sh scripts/syscover.sh -check
 # the decoders of stored or client bytes (table metadata, slices and
 # compressed extents among them), the gateway's flat-body recogniser against
 # encoding/json, the SQL parser against its own rendering, the erasure
-# kernel against its byte-wise oracle.
+# kernel against its byte-wise oracle, the read cache against the
+# container/list cache it replaced.
 for t in rowcodec:FuzzDecode colfile:FuzzOpen streamobj:FuzzDecodeSlice \
   tableobj:FuzzDecodeCommit tableobj:FuzzDecodeSnapshot tableobj:FuzzDecodeStats \
   gateway:FuzzDecodeFlat query:FuzzParse ec:FuzzEncodeReconstruct \
-  compress:FuzzDecode; do
+  compress:FuzzDecode cache:FuzzCacheOps; do
   go test -run '^$' -fuzz "^${t#*:}\$" -fuzztime 5s "./internal/${t%%:*}/"
 done
 
