@@ -107,8 +107,9 @@ func (h *failFrom) BeforeWrite(pool.DiskID, int64) (time.Duration, error) {
 
 func (h *failFrom) BeforeRead(pool.DiskID, int64) (time.Duration, error) { return 0, nil }
 
-// An unaccelerated insert of three partitions whose writes start failing
-// at any point leaves no data file the current snapshot does not reach.
+// An insert of three partitions and its flush, whose writes start
+// failing at any point, leave no data file that the snapshot does not
+// reach once a flush succeeds.
 func TestFailedInsertLeavesNoDataFiles(t *testing.T) {
 	rows := []colfile.Row{row("a", 1, "Beijing", 1), row("b", 2, "Shanghai", 2), row("c", 3, "Guangdong", 3)}
 	for n := int64(1); ; n++ {
@@ -121,7 +122,13 @@ func TestFailedInsertLeavesNoDataFiles(t *testing.T) {
 		hook.n.Store(n)
 		p.SetFaultHook(hook)
 		_, err := e.Insert("t", rows)
+		if err == nil {
+			_, err = e.Flush("t")
+		}
 		hook.n.Store(0)
+		if _, ferr := e.Flush("t"); ferr != nil {
+			t.Fatalf("writes failing from the %dth: the flush after them: %v", n, ferr)
+		}
 		tbl, terr := e.Table("t")
 		if terr != nil {
 			t.Fatal(terr)
@@ -154,6 +161,9 @@ func TestCompactionRacingInsertSucceeds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if _, err := e.Flush("t"); err != nil {
+		t.Fatal(err)
+	}
 	tbl, err := e.Table("t")
 	if err != nil {
 		t.Fatal(err)
@@ -161,6 +171,9 @@ func TestCompactionRacingInsertSucceeds(t *testing.T) {
 	hook := &onFirstWrite{fn: func() {
 		if _, err := e.Insert("t", []colfile.Row{row("http://c", 99, "Beijing", 3)}); err != nil {
 			t.Errorf("the racing insert: %v", err)
+		}
+		if _, err := e.Flush("t"); err != nil {
+			t.Errorf("the racing insert's flush: %v", err)
 		}
 	}}
 	p.SetFaultHook(hook)

@@ -28,9 +28,11 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Acceleration enables the metadata write cache and cached planning.
-	// Disabled, the engine behaves like a file-based catalog system —
-	// the baseline of Figure 15.
+	// Acceleration enables cached planning from the snapshot manifest
+	// and the write cache. Disabled, planning behaves like a file-based
+	// catalog system, listing the data directory and opening every
+	// file's footer — the baseline of Figure 15. Inserts take the write
+	// cache either way.
 	Acceleration bool
 	// FlushEvery is the write-cache capacity in commit records: the
 	// MetaFresher folds the cache into persistent metadata when it
@@ -148,9 +150,8 @@ func (e *Engine) Table(name string) (*tableobj.Table, error) {
 }
 
 // Insert writes rows (split by partition) as data files and records
-// their commit metadata — through the write cache when acceleration is
-// on (Figure 9 steps b-1..b-3), or as an immediate commit + snapshot
-// write when it is off.
+// their commit metadata through the write cache (Figure 9 steps
+// b-1..b-3).
 func (e *Engine) Insert(name string, rows []colfile.Row) (time.Duration, error) {
 	return e.InsertSpan(name, rows, nil)
 }
@@ -168,15 +169,6 @@ func (e *Engine) InsertSpan(name string, rows []colfile.Row, sp *obs.Span) (time
 	}
 	// (a) Data persistence: records go straight to columnar files in the
 	// partition paths.
-	if !e.opts.Acceleration {
-		// Baseline: every insert persists commit + snapshot files — the
-		// flood of small metadata I/O the cache exists to absorb.
-		_, cost, err := st.tbl.Write(sp, func(x *tableobj.Txn) error {
-			_, err := writeRows(x, st.tbl, rows, sp)
-			return err
-		})
-		return cost, err
-	}
 	x, err := st.tbl.Stage()
 	if err != nil {
 		return x.Cost(), err

@@ -33,13 +33,14 @@ type extComp struct {
 	clen  int64
 }
 
-// compShardLocked returns the per-copy physical bytes of extent e: the
-// compressed extent length for replication, one shard column of it for
-// EC. Extents beyond the negotiated set (appended post-migration) are
-// raw. Caller holds imu on a compressed log.
-func (l *PLog) compShardLocked(e int) int64 {
-	if l.compressed && e < len(l.ecomp) {
-		return l.red.shardSize(l.ecomp[e].clen)
+// compShardLocked returns the per-copy on-device bytes of extent e under
+// the codec table comp (l.ecomp, or the one a migration is about to
+// commit): one copy or shard column of its compressed length when comp
+// covers it, of its raw length otherwise (an extent appended after the
+// compressing migration, or any extent of a raw log). Caller holds imu.
+func (l *PLog) compShardLocked(e int, comp []extComp) int64 {
+	if e < len(comp) {
+		return l.red.shardSize(comp[e].clen)
 	}
 	return l.red.shardSize(l.extents[e].len())
 }
@@ -62,46 +63,41 @@ func (l *PLog) decompressCostLocked(e int) time.Duration {
 func (l *PLog) compReadLocked(off, n int64) (devBytes int64, dec time.Duration) {
 	lo, hi := l.overlappingLocked(off, n)
 	for e := lo; e < hi; e++ {
-		devBytes += l.compShardLocked(e)
+		devBytes += l.compShardLocked(e, l.ecomp)
 		dec += l.decompressCostLocked(e)
 	}
 	return devBytes, dec
 }
 
-// heldPhysLocked returns the physical bytes copy i holds on its device:
-// the per-copy size of every extent present in its checksum sidecar
-// (presence ⟺ the copy physically holds the extent; degraded appends
-// and quarantine remove entries). Caller holds imu.
-func (l *PLog) heldPhysLocked(i int) int64 {
-	var total int64
-	for e := range l.extents {
+// copyBytesLocked walks copy i's checksum sidecar, where an entry for
+// extent e means the copy holds e: degraded appends, quarantine and
+// stale marking remove entries, repair and a reached node restore them.
+// It returns the raw shard bytes of the extents the copy lacks (its
+// stale bytes), and the on-device bytes under comp of the extents it
+// holds and of those it lacks. Caller holds imu.
+func (l *PLog) copyBytesLocked(i int, comp []extComp) (stale, held, missing int64) {
+	for e, ext := range l.extents {
 		if _, ok := l.copySums[i][e]; ok {
-			total += l.compShardLocked(e)
+			held += l.compShardLocked(e, comp)
+			continue
 		}
+		stale += l.red.shardSize(ext.len())
+		missing += l.compShardLocked(e, comp)
 	}
-	return total
+	return stale, held, missing
 }
 
-// missingPhysLocked returns the physical bytes copy i is missing — the
-// compressed-aware rebuild size for repair. Caller holds imu.
-func (l *PLog) missingPhysLocked(i int) int64 {
-	var total int64
-	for e := range l.extents {
-		if _, ok := l.copySums[i][e]; !ok {
-			total += l.compShardLocked(e)
-		}
-	}
-	return total
+// staleLocked reports whether copy i lacks any extent: its sidecar has
+// fewer entries than the log has extents. Caller holds imu.
+func (l *PLog) staleLocked(i int) bool {
+	return i < len(l.copySums) && len(l.copySums[i]) < len(l.extents)
 }
 
-// copyPhysLocked returns the full per-copy physical size of the log —
-// every extent, held or not. Caller holds imu.
-func (l *PLog) copyPhysLocked() int64 {
-	var total int64
-	for e := range l.extents {
-		total += l.compShardLocked(e)
-	}
-	return total
+// copyStale is staleLocked taking imu.
+func (l *PLog) copyStale(i int) bool {
+	l.imu.Lock()
+	defer l.imu.Unlock()
+	return l.staleLocked(i)
 }
 
 // CompressionStats summarizes the cold-tier byte reduction across a

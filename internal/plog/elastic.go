@@ -74,7 +74,6 @@ func (m *Manager) EvacuateDisks(p *pool.Pool, disks map[pool.DiskID]bool) (moved
 			continue
 		}
 		changed := false
-		full := l.red.shardSize(l.size)
 		for i, s := range l.slices {
 			if !disks[s.Disk] {
 				continue
@@ -88,9 +87,14 @@ func (m *Manager) EvacuateDisks(p *pool.Pool, disks map[pool.DiskID]bool) (moved
 					exclude[o.Disk] = true
 				}
 			}
+			l.imu.Lock()
+			stale, held, missing := l.copyBytesLocked(i, l.ecomp)
+			whole := !l.staleLocked(i)
+			l.imu.Unlock()
+			full := held + missing
 			// A copy its group cannot spare moves with its bytes, read
 			// from the leaving node, which still serves them.
-			carry := full > 0 && l.stale[i] == 0 && l.fresh(i, nil) < l.red.required()
+			carry := full > 0 && whole && l.fresh(i, nil) < l.red.required()
 			if _, err := p.Relocate(s.ID, exclude); err != nil {
 				// Every other domain holds a copy: share one rather than
 				// strand the copy on disks the tombstone fails.
@@ -106,23 +110,16 @@ func (m *Manager) EvacuateDisks(p *pool.Pool, disks map[pool.DiskID]bool) (moved
 			changed = true
 			delete(l.unreached, i)
 			if carry {
-				if _, err := p.RepairSlice(s.ID, nil, full, 0); err == nil {
+				if _, err := p.RepairSlice(s.ID, nil, full, full); err == nil {
 					continue
 				}
 			}
 			if full > 0 {
-				if l.stale == nil {
-					l.stale = make(map[int]int64)
-				}
-				if have := l.stale[i]; have < full {
-					bytes += full - have
-					l.stale[i] = full
-				}
 				l.imu.Lock()
-				if i < len(l.copySums) && l.copySums[i] != nil {
-					l.copySums[i] = make(map[int]uint32)
-				}
+				l.copySums[i] = make(map[int]uint32)
+				after, _, _ := l.copyBytesLocked(i, l.ecomp)
 				l.imu.Unlock()
+				bytes += after - stale
 			}
 		}
 		l.mu.Unlock()

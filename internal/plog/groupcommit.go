@@ -87,12 +87,6 @@ func (l *PLog) AppendBatch(payloads [][]byte, sp *obs.Span) (offsets []int64, co
 			ErrUnavailable, len(failed), len(l.slices))
 	}
 	sp.Advance(max) // the slowest parallel write gates the commit
-	for _, i := range failed {
-		if l.stale == nil {
-			l.stale = make(map[int]int64)
-		}
-		l.stale[i] += phys
-	}
 	offsets = make([]int64, len(payloads))
 	for i, p := range payloads {
 		// The one copy a payload ever gets: exact-size and owned by its

@@ -207,8 +207,8 @@ func (l *PLog) verifyCopyRange(i int, off, n int64) (bad []int) {
 // missingIn reports whether copy i lacks any extent overlapping
 // [off, off+n) — holes from degraded writes or quarantined corruption.
 // A copy that is stale elsewhere can still serve ranges it holds
-// intact, so reads check the requested range rather than the coarse
-// per-copy stale counter.
+// intact, so reads check the requested range rather than the whole
+// copy.
 func (l *PLog) missingIn(i int, off, n int64) bool {
 	l.imu.Lock()
 	defer l.imu.Unlock()
@@ -224,9 +224,9 @@ func (l *PLog) missingIn(i int, off, n int64) bool {
 	return false
 }
 
-// quarantine marks copy i's corrupt extents stale so the repair service
-// rebuilds them, and drops their stored checksums so one corruption is
-// detected (and counted) exactly once. Caller holds mu.
+// quarantine drops the stored checksums of copy i's corrupt extents:
+// the copy is then stale, so the repair service rebuilds them, and one
+// corruption is detected (and counted) exactly once. Caller holds mu.
 func (l *PLog) quarantine(i int, bad []int) {
 	l.imu.Lock()
 	quarantined := false
@@ -236,10 +236,6 @@ func (l *PLog) quarantine(i int, bad []int) {
 		}
 		delete(l.copySums[i], e)
 		per := l.red.shardSize(l.extents[e].len())
-		if l.stale == nil {
-			l.stale = make(map[int]int64)
-		}
-		l.stale[i] += per
 		l.integ.Quarantined += per
 		l.metrics.quarantined.Add(per)
 		quarantined = true
@@ -354,7 +350,7 @@ func (l *PLog) Scrub() ScrubResult {
 	nExt := len(l.extents)
 	l.imu.Unlock()
 	for i, s := range l.slices {
-		if l.stale[i] > 0 || l.pool.DiskFailed(s.Disk) || l.pool.DiskAvoided(s.Disk) {
+		if l.copyStale(i) || l.pool.DiskFailed(s.Disk) || l.pool.DiskAvoided(s.Disk) {
 			// Failed/stale copies are the repair service's problem;
 			// avoided disks sit on suspect or draining nodes, where a
 			// scrub read races the failure detector's verdict.
@@ -370,7 +366,7 @@ func (l *PLog) Scrub() ScrubResult {
 			// size and must decompress before its CRC — which stays
 			// keyed over the uncompressed bytes — can be checked; both
 			// collapse to the raw shard size and zero CPU on a raw log.
-			per := l.compShardLocked(e)
+			per := l.compShardLocked(e, l.ecomp)
 			dec := l.decompressCostLocked(e)
 			var want uint32
 			if ok {

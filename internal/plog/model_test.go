@@ -32,11 +32,10 @@ type borrow struct {
 	data []byte
 }
 
+// physical is the log's footprint with every copy whole: each copy holds
+// one copy or shard column of every extent at its stored length, as the
+// appends charge the pool.
 func (m *logModel) physical() int64 {
-	width := int64(m.red.Width())
-	if m.clens == nil {
-		return m.red.shardSize(m.size()) * width
-	}
 	var per int64
 	for e, n := range m.lens {
 		if e < len(m.clens) {
@@ -44,7 +43,7 @@ func (m *logModel) physical() int64 {
 		}
 		per += m.red.shardSize(n)
 	}
-	return per * width
+	return per * int64(m.red.Width())
 }
 
 // modelPayload draws a payload of 0..64 KiB: runs (RLE-friendly), text-like
@@ -79,8 +78,10 @@ func modelPayload(rng *sim.RNG) []byte {
 
 // TestModelConformance drives seeded random operation sequences against
 // a PLog and the flat-slice model side by side: bytes, Size,
-// PhysicalBytes and returned offsets agree after every step, and every
-// borrow handed out along the way still reads true at the end.
+// PhysicalBytes and returned offsets agree after every step, the pools'
+// live bytes equal the model's footprint after every step that leaves
+// the log fully redundant, and every borrow handed out along the way
+// still reads true at the end.
 func TestModelConformance(t *testing.T) {
 	steps := 120
 	if testing.Short() {
@@ -256,6 +257,11 @@ func runModel(t *testing.T, red Redundancy, seed uint64, steps int) {
 		}
 		if got, want := l.PhysicalBytes(), model.physical(); got != want {
 			t.Fatalf("step %d: PhysicalBytes %d, model %d", step, got, want)
+		}
+		if l.FullyRedundant() {
+			if live := hot.Stats().Live + cold.Stats().Live; live != model.physical() {
+				t.Fatalf("step %d: fully redundant log, pools hold %d live bytes, model %d", step, live, model.physical())
+			}
 		}
 		read(0, model.size())
 		for _, r := range []struct{ off, n int64 }{{-1, 1}, {0, -1}, {0, model.size() + 1}, {model.size(), 1}} {

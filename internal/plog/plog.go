@@ -122,17 +122,16 @@ type PLog struct {
 	// (a tiering migrate holding a stale pointer, a straggler append)
 	// must fail deterministically instead of touching freed slices.
 	destroyed bool
-	// stale maps a placement-slice index to the logical bytes that copy
-	// (or shard column) is missing after degraded writes. A stale slice
-	// never serves reads and is the repair service's work queue.
-	stale map[int]int64
-	// unreached keeps what each copy its node's death verdict staled held,
-	// for Manager.Reached; relocating or rebuilding the slice forgets it.
-	unreached map[int]unreachedCopy
+	// unreached keeps the checksum sidecar of each copy its node's death
+	// verdict staled, for Manager.Reached; relocating or rebuilding the
+	// slice forgets it.
+	unreached map[int]map[int]uint32
 
 	// Integrity state (see integrity.go). Guarded by imu, not mu, so the
 	// fault injector can corrupt copies from pool-hook context; never
-	// hold imu while doing pool I/O.
+	// hold imu while doing pool I/O. copySums is also the one record of
+	// what each copy holds: a copy whose sidecar lacks an extent is stale,
+	// never serves that range, and is the repair service's work queue.
 	imu      sync.Mutex
 	extents  []extent
 	trueSums [][]uint32       // [extent][copy] expected checksums
@@ -580,7 +579,7 @@ type StaleInfo struct {
 	Log      ID
 	SliceIdx int
 	Disk     pool.DiskID
-	Bytes    int64 // logical bytes the copy/shard is missing
+	Bytes    int64 // raw shard bytes of the extents the copy lacks
 }
 
 // Stale snapshots the log's stale placement slices, ordered by slice
@@ -588,9 +587,12 @@ type StaleInfo struct {
 func (l *PLog) Stale() []StaleInfo {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	out := make([]StaleInfo, 0, len(l.stale))
+	l.imu.Lock()
+	defer l.imu.Unlock()
+	var out []StaleInfo
 	for i, s := range l.slices {
-		if b := l.stale[i]; b > 0 {
+		if l.staleLocked(i) {
+			b, _, _ := l.copyBytesLocked(i, l.ecomp)
 			out = append(out, StaleInfo{Log: l.id, SliceIdx: i, Disk: s.Disk, Bytes: b})
 		}
 	}
@@ -599,11 +601,9 @@ func (l *PLog) Stale() []StaleInfo {
 
 // StaleBytes sums the bytes missing across the log's stale slices.
 func (l *PLog) StaleBytes() int64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	var total int64
-	for _, b := range l.stale {
-		total += b
+	for _, si := range l.Stale() {
+		total += si.Bytes
 	}
 	return total
 }
@@ -619,44 +619,30 @@ func (l *PLog) markStale(p *pool.Pool, disks map[pool.DiskID]bool, keep bool) in
 	if l.destroyed || l.pool != p {
 		return 0
 	}
-	full := l.red.shardSize(l.size)
 	var added int64
 	marked := false
+	l.imu.Lock()
 	for i, s := range l.slices {
-		if !disks[s.Disk] {
+		if !disks[s.Disk] || i >= len(l.copySums) || len(l.copySums[i]) == 0 {
 			continue
 		}
-		if l.stale == nil {
-			l.stale = make(map[int]int64)
-		}
-		have := l.stale[i]
-		if have < full {
-			added += full - have
-			l.stale[i] = full
-			marked = true
-		}
-		l.imu.Lock()
-		if i < len(l.copySums) && l.copySums[i] != nil {
-			if _, held := l.unreached[i]; keep && !held && have < full {
-				if l.unreached == nil {
-					l.unreached = make(map[int]unreachedCopy)
-				}
-				l.unreached[i] = unreachedCopy{sums: l.copySums[i], bytes: full - have}
+		before, _, _ := l.copyBytesLocked(i, l.ecomp)
+		if _, held := l.unreached[i]; keep && !held {
+			if l.unreached == nil {
+				l.unreached = make(map[int]map[int]uint32)
 			}
-			l.copySums[i] = make(map[int]uint32)
+			l.unreached[i] = l.copySums[i]
 		}
-		l.imu.Unlock()
+		l.copySums[i] = make(map[int]uint32)
+		after, _, _ := l.copyBytesLocked(i, l.ecomp)
+		added += after - before
+		marked = true
 	}
+	l.imu.Unlock()
 	if marked {
 		l.invalidateCached()
 	}
 	return added
-}
-
-// unreachedCopy is what a copy held when its node was declared dead.
-type unreachedCopy struct {
-	sums  map[int]uint32
-	bytes int64
 }
 
 // reached restores the copies on the given disks of p that markStale
@@ -669,21 +655,20 @@ func (l *PLog) reached(p *pool.Pool, disks map[pool.DiskID]bool) int64 {
 		return 0
 	}
 	var cleared int64
-	for i, u := range l.unreached {
+	l.imu.Lock()
+	for i, sums := range l.unreached {
 		if s := l.slices[i]; !disks[s.Disk] || p.DiskFailed(s.Disk) {
 			continue
 		}
 		delete(l.unreached, i)
-		l.imu.Lock()
-		for e, sum := range u.sums {
+		before, _, _ := l.copyBytesLocked(i, l.ecomp)
+		for e, sum := range sums {
 			l.copySums[i][e] = sum
 		}
-		l.imu.Unlock()
-		cleared += min(u.bytes, l.stale[i])
-		if l.stale[i] -= u.bytes; l.stale[i] <= 0 {
-			delete(l.stale, i)
-		}
+		after, _, _ := l.copyBytesLocked(i, l.ecomp)
+		cleared += before - after
 	}
+	l.imu.Unlock()
 	if cleared > 0 {
 		l.invalidateCached()
 	}
@@ -695,7 +680,14 @@ func (l *PLog) reached(p *pool.Pool, disks map[pool.DiskID]bool) int64 {
 func (l *PLog) FullyRedundant() bool {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	return len(l.stale) == 0
+	l.imu.Lock()
+	defer l.imu.Unlock()
+	for i := range l.slices {
+		if l.staleLocked(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // RepairStale restores redundancy on the log's stale slices. A stale
@@ -711,14 +703,17 @@ func (l *PLog) FullyRedundant() bool {
 func (l *PLog) RepairStale() (repaired int64, cost time.Duration, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.stale) == 0 {
+	var idxs []int
+	l.imu.Lock()
+	for i := range l.slices {
+		if l.staleLocked(i) {
+			idxs = append(idxs, i)
+		}
+	}
+	l.imu.Unlock()
+	if len(idxs) == 0 {
 		return 0, 0, nil
 	}
-	idxs := make([]int, 0, len(l.stale))
-	for i := range l.stale {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
 	if l.codec != nil && len(idxs) <= l.red.M {
 		// Exercise the real erasure decode: erase every stale column and
 		// reconstruct the payload before charging any rebuild I/O.
@@ -726,20 +721,16 @@ func (l *PLog) RepairStale() (repaired int64, cost time.Duration, err error) {
 			return 0, 0, fmt.Errorf("plog: repair decode: %w", derr)
 		}
 	}
+	need := l.red.required()
 	for _, i := range idxs {
-		staleBytes := l.stale[i]
+		// The copy's sidecar says what it lacks: those extents are
+		// rebuilt at their on-device (compressed) size, and the rebuilt
+		// copy holds them all.
+		l.imu.Lock()
+		staleBytes, held, missing := l.copyBytesLocked(i, l.ecomp)
+		l.imu.Unlock()
+		rebuild := missing
 		s := l.slices[i]
-		// Rebuild and live-delta accounting: raw logs move staleBytes;
-		// compressed logs move the compressed size of the extents the
-		// copy is actually missing (its sidecar presence set), since
-		// that is what the peers store and the device will hold.
-		rebuild, liveDelta := staleBytes, staleBytes
-		if l.compressed {
-			l.imu.Lock()
-			rebuild = l.missingPhysLocked(i)
-			l.imu.Unlock()
-			liveDelta = rebuild
-		}
 		if l.pool.DiskFailed(s.Disk) {
 			// Dead disk: move the slice, then rebuild the entire column.
 			exclude := make(map[pool.DiskID]bool, len(l.slices)-1)
@@ -752,26 +743,18 @@ func (l *PLog) RepairStale() (repaired int64, cost time.Duration, err error) {
 				return repaired, cost, fmt.Errorf("plog: relocate slice %d of log %d: %w", i, l.id, rerr)
 			}
 			delete(l.unreached, i)
-			rebuild = l.red.shardSize(l.size)
-			if l.compressed {
-				l.imu.Lock()
-				rebuild = l.copyPhysLocked()
-				l.imu.Unlock()
-			}
+			rebuild = held + missing
 		}
 		// Reconstruction sources: healthy, non-stale peers — one for
-		// replication, K for EC.
-		need := 1
-		if l.red.Kind == ErasureCode {
-			need = l.red.K
-		}
-		// Prefer sources on trusted disks; only when those cannot cover
-		// the rebuild fall back to avoided (suspect/draining-node) disks,
-		// which still hold good bytes but may vanish mid-repair.
+		// replication, K for EC. Prefer sources on trusted disks; only
+		// when those cannot cover the rebuild fall back to avoided
+		// (suspect/draining-node) disks, which still hold good bytes but
+		// may vanish mid-repair.
 		sources := make([]pool.SliceID, 0, need)
 		var fallback []pool.SliceID
+		l.imu.Lock()
 		for j, o := range l.slices {
-			if j == i || l.stale[j] > 0 || l.pool.DiskFailed(o.Disk) {
+			if j == i || l.staleLocked(j) || l.pool.DiskFailed(o.Disk) {
 				continue
 			}
 			if l.pool.DiskAvoided(o.Disk) {
@@ -783,6 +766,7 @@ func (l *PLog) RepairStale() (repaired int64, cost time.Duration, err error) {
 				break
 			}
 		}
+		l.imu.Unlock()
 		for _, id := range fallback {
 			if len(sources) == need {
 				break
@@ -793,13 +777,12 @@ func (l *PLog) RepairStale() (repaired int64, cost time.Duration, err error) {
 			return repaired, cost, fmt.Errorf("%w: %d of %d reconstruction sources available",
 				ErrUnavailable, len(sources), need)
 		}
-		c, rerr := l.pool.RepairSlice(s.ID, sources, rebuild, liveDelta)
+		c, rerr := l.pool.RepairSlice(s.ID, sources, rebuild, held+missing)
 		if rerr != nil {
 			return repaired, cost, fmt.Errorf("plog: rebuild slice %d of log %d: %w", i, l.id, rerr)
 		}
 		cost += c
 		repaired += staleBytes
-		delete(l.stale, i)
 		delete(l.unreached, i)
 		// The copy holds true bytes again; its checksums verify anew.
 		l.restoreSums(i)
@@ -823,18 +806,15 @@ func (l *PLog) Seal() {
 }
 
 // PhysicalBytes reports the redundant bytes this log occupies on disk
-// — compressed per-copy sizes when the log's extents are compressed on
-// the cold tier.
+// with every copy whole: each extent's on-device copy or shard column
+// (compressed on the cold tier), times the width.
 func (l *PLog) PhysicalBytes() int64 {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if l.compressed {
-		l.imu.Lock()
-		per := l.copyPhysLocked()
-		l.imu.Unlock()
-		return per * int64(l.red.Width())
-	}
-	return l.red.shardSize(l.size) * int64(l.red.Width())
+	l.imu.Lock()
+	defer l.imu.Unlock()
+	_, held, missing := l.copyBytesLocked(0, l.ecomp)
+	return (held + missing) * int64(l.red.Width())
 }
 
 // Manager creates and tracks PLogs over one storage pool.
@@ -1049,17 +1029,7 @@ func (m *Manager) StaleLogs() []*PLog {
 }
 
 // DegradedCount reports how many live logs have stale slices.
-func (m *Manager) DegradedCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, l := range m.logs {
-		if !l.FullyRedundant() {
-			n++
-		}
-	}
-	return n
-}
+func (m *Manager) DegradedCount() int { return len(m.StaleLogs()) }
 
 // Tolerates reports whether every live log would keep spare more fresh
 // copies than its redundancy needs (one, or K shards) if the disks down
@@ -1088,7 +1058,7 @@ func (l *PLog) fresh(skip int, down func(pool.DiskID) bool) int {
 	n := 0
 next:
 	for i, s := range l.slices {
-		if i == skip || l.stale[i] > 0 || l.pool.DiskFailed(s.Disk) || down != nil && down(s.Disk) {
+		if i == skip || l.staleLocked(i) || l.pool.DiskFailed(s.Disk) || down != nil && down(s.Disk) {
 			continue
 		}
 		if i < len(l.copySums) {

@@ -55,17 +55,18 @@ func (l *PLog) Migrate(dst *pool.Pool) (time.Duration, error) {
 	decompressFrom := l.compressed && !cold
 
 	var cost time.Duration
-	var newComp []extComp
+	// dstComp is the codec table the destination copies are sized by.
+	dstComp := l.ecomp
 	if compressTo {
 		// Negotiate a codec per extent against the authoritative bytes.
 		// The trial encodes run once per extent regardless of how many
 		// copies move — negotiation is a logical transform, the copies
 		// just store its output.
 		l.imu.Lock()
-		newComp = make([]extComp, len(l.extents))
+		dstComp = make([]extComp, len(l.extents))
 		for e, ext := range l.extents {
 			codec, clen := compress.Negotiate(ext.data)
-			newComp[e] = extComp{codec: codec, clen: clen}
+			dstComp[e] = extComp{codec: codec, clen: clen}
 			cost += compress.NegotiateCost(ext.len())
 		}
 		l.imu.Unlock()
@@ -78,33 +79,18 @@ func (l *PLog) Migrate(dst *pool.Pool) (time.Duration, error) {
 			cost += l.decompressCostLocked(e)
 		}
 		l.imu.Unlock()
+		dstComp = nil
 	}
 
-	per := l.red.shardSize(l.size)
 	for i, s := range l.slices {
-		// Only the bytes the copy actually holds move; stale holes stay
-		// holes on the destination (the repair service's job, not the
+		// Only the extents the copy holds move; stale holes stay holes
+		// on the destination (the repair service's job, not the
 		// migration's). srcN is what the copy physically stores today,
 		// dstN what it will store after the codec transition.
-		srcN := per - l.stale[i]
-		if l.compressed {
-			l.imu.Lock()
-			srcN = l.heldPhysLocked(i)
-			l.imu.Unlock()
-		}
-		dstN := srcN
-		if compressTo {
-			l.imu.Lock()
-			dstN = 0
-			for e := range l.extents {
-				if _, ok := l.copySums[i][e]; ok {
-					dstN += l.red.shardSize(newComp[e].clen)
-				}
-			}
-			l.imu.Unlock()
-		} else if decompressFrom {
-			dstN = per - l.stale[i]
-		}
+		l.imu.Lock()
+		_, srcN, _ := l.copyBytesLocked(i, l.ecomp)
+		_, dstN, _ := l.copyBytesLocked(i, dstComp)
+		l.imu.Unlock()
 		if srcN <= 0 && dstN <= 0 {
 			continue
 		}
@@ -142,13 +128,8 @@ func (l *PLog) Migrate(dst *pool.Pool) (time.Duration, error) {
 	l.slices = newSlices
 	l.pool = dst
 	l.unreached = nil // the new copies hold only what the old ones did
-	if compressTo {
-		l.compressed = true
-		l.ecomp = newComp
-	} else if decompressFrom {
-		l.compressed = false
-		l.ecomp = nil
-	}
+	l.compressed = cold
+	l.ecomp = dstComp
 	l.imu.Unlock()
 	for _, s := range old {
 		oldPool.Free(s.ID)
@@ -172,7 +153,7 @@ func (l *PLog) reconstructReadLocked(i int, n int64) time.Duration {
 	var max time.Duration
 	found := 0
 	for j, o := range l.slices {
-		if j == i || l.stale[j] > 0 || l.pool.DiskFailed(o.Disk) {
+		if j == i || l.copyStale(j) || l.pool.DiskFailed(o.Disk) {
 			continue
 		}
 		c, err := l.pool.Read(o.ID, n)

@@ -610,11 +610,11 @@ func (p *Pool) Relocate(id SliceID, exclude map[DiskID]bool) (DiskID, error) {
 
 // RepairSlice charges the reconstruction I/O for rebuilding redundancy
 // on the target slice: rebuild bytes are read from each source slice in
-// parallel (cost is the slowest source) and written to the target.
-// liveDelta restores live-byte accounting the failed original writes
-// never charged. Repair I/O passes through the fault hook, so repairs
-// themselves can suffer injected faults and must be retried.
-func (p *Pool) RepairSlice(target SliceID, sources []SliceID, rebuild, liveDelta int64) (time.Duration, error) {
+// parallel (cost is the slowest source) and written to the target,
+// which then holds live bytes — the whole rebuilt copy, whatever the
+// slice held before. Repair I/O passes through the fault hook, so
+// repairs themselves can suffer injected faults and must be retried.
+func (p *Pool) RepairSlice(target SliceID, sources []SliceID, rebuild, live int64) (time.Duration, error) {
 	p.mu.Lock()
 	ts, ok := p.slices[target]
 	if !ok {
@@ -672,7 +672,7 @@ func (p *Pool) RepairSlice(target SliceID, sources []SliceID, rebuild, liveDelta
 	}
 	cost += td.dev.Write(rebuild) + extra
 	p.mu.Lock()
-	ts.live += liveDelta
+	ts.live = live
 	p.reconstructed += rebuild
 	p.mu.Unlock()
 	return cost, nil

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -50,7 +51,7 @@ func Encode(schema colfile.Schema, rows []colfile.Row) ([]byte, error) {
 				out = append(out, tmp[:n]...)
 			case colfile.Float64:
 				var b [8]byte
-				binary.LittleEndian.PutUint64(b[:], floatBits(v.Float))
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.Float))
 				out = append(out, b[:]...)
 			case colfile.String:
 				putUvarint(uint64(len(v.Str)))
@@ -146,7 +147,7 @@ func Decode(data []byte) (colfile.Schema, []colfile.Row, error) {
 				if len(data) < 8 {
 					return colfile.Schema{}, nil, errors.New("rowcodec: truncated float")
 				}
-				row[c] = colfile.FloatValue(floatFrom(binary.LittleEndian.Uint64(data)))
+				row[c] = colfile.FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(data)))
 				data = data[8:]
 			case colfile.String:
 				l, err := readUvarint()
