@@ -54,8 +54,9 @@ func newBudget() *budget { return &budget{rows: map[string]*budgetRow{}} }
 
 // phase starts the workload phase name (produce, drain, query, ...): the
 // allocations from here to the next phase change count towards it. A
-// phase may be entered many times; its counts add up. Without a meter it
-// does nothing.
+// phase may be entered many times; its counts add up. The phase "" is
+// the harness's own work (generating inputs, folding traces), counted
+// nowhere. Without a meter it does nothing.
 func (b *budget) phase(name string) {
 	if m := b.mem; m != nil && m.cur != name {
 		runtime.ReadMemStats(&m.now)
@@ -83,8 +84,14 @@ type allocMeter struct {
 type allocRow struct{ mallocs, bytes uint64 }
 
 // end closes a traced operation with its cost and folds its tree; counted
-// adds the cost to the workload's virtual total.
+// adds the cost to the workload's virtual total. The fold is the
+// harness's, so the meter pauses for it.
 func (b *budget) end(sp *obs.Span, cost time.Duration, counted bool) {
+	if m := b.mem; m != nil {
+		cur := m.cur
+		b.phase("")
+		defer b.phase(cur)
+	}
 	sp.End(cost)
 	if counted {
 		b.virt += cost
@@ -167,14 +174,20 @@ func budgetOpen(t *testing.T, cfg streamlake.Config) *streamlake.Lake {
 }
 
 // budgetProduce sends n messages from next, each under a "produce" root.
+// The messages are generated before the phase starts.
 func budgetProduce(t *testing.T, b *budget, lake *streamlake.Lake, p *streamlake.Producer, topic string, n int, next func(i int) ([]byte, []byte), before func(i int)) {
 	t.Helper()
+	b.phase("")
+	msgs := make([][2][]byte, n)
+	for i := range msgs {
+		msgs[i][0], msgs[i][1] = next(i)
+	}
 	b.phase("produce")
-	for i := 0; i < n; i++ {
+	for i, msg := range msgs {
 		if before != nil {
 			before(i)
 		}
-		key, value := next(i)
+		key, value := msg[0], msg[1]
 		sp := lake.Tracer().Start("produce")
 		_, cost, err := p.SendSpanCtx(topic, key, value, sp, nil)
 		if err != nil {
@@ -262,6 +275,7 @@ func budgetWarehouse(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 	}
 	rows := tpch.Lineitem(4000, seed)
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i][9].Int < rows[j][9].Int })
+	var batches [][]streamlake.Row // each half of the rows, one batch per shipmode
 	for lo := 0; lo < len(rows); lo += 2000 {
 		byMode := map[string][]streamlake.Row{}
 		for _, r := range rows[lo : lo+2000] {
@@ -272,29 +286,32 @@ func budgetWarehouse(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 			modes = append(modes, m)
 		}
 		sort.Strings(modes)
-		b.phase("insert")
 		for _, m := range modes {
-			sp := lake.Tracer().Start("insert")
-			cost, err := lake.Engine().InsertSpan("lineitem", byMode[m], sp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b.end(sp, cost, true)
-			for _, r := range byMode[m] {
-				for _, v := range r {
-					b.user += int64(max(len(v.Str), 8))
-				}
-			}
-			sp = lake.Tracer().Start("lakehouse.flush")
-			if cost, err = lake.Engine().FlushSpan("lineitem", sp); err != nil {
-				t.Fatal(err)
-			}
-			b.end(sp, cost, false)
+			batches = append(batches, byMode[m])
 		}
 	}
 	sqls := []string{"select l_shipmode, count(*), sum(l_quantity) from lineitem group by l_shipmode"}
 	for _, q := range tpch.RandomQueries(8, seed+1) {
 		sqls = append(sqls, tpch.QuerySQL("lineitem", q))
+	}
+	b.phase("insert")
+	for _, batch := range batches {
+		sp := lake.Tracer().Start("insert")
+		cost, err := lake.Engine().InsertSpan("lineitem", batch, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.end(sp, cost, true)
+		for _, r := range batch {
+			for _, v := range r {
+				b.user += int64(max(len(v.Str), 8))
+			}
+		}
+		sp = lake.Tracer().Start("lakehouse.flush")
+		if cost, err = lake.Engine().FlushSpan("lineitem", sp); err != nil {
+			t.Fatal(err)
+		}
+		b.end(sp, cost, false)
 	}
 	for _, sql := range sqls {
 		budgetQuery(t, b, lake, sql)
@@ -418,55 +435,57 @@ func budgetRest(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 		acl.GrantTenant("token-"+ten, "client-"+ten, ten, gateway.PermProduce, gateway.PermConsume, gateway.PermQuery)
 	}
 	srv := gateway.New(lake, acl)
-	call := func(method, url, token string, body []byte) []byte {
+	// call serves one request in phase and parses its response into v.
+	// Building the request and parsing the response are the harness's.
+	call := func(phase, method, url, token string, body []byte, v any) {
+		b.phase("")
 		req := httptest.NewRequest(method, url, bytes.NewReader(body))
 		req.Header.Set("Authorization", "Bearer "+token)
 		rec := httptest.NewRecorder()
+		b.phase(phase)
 		srv.ServeHTTP(rec, req)
+		b.phase("")
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s %s: %d %s", method, url, rec.Code, rec.Body.Bytes())
 		}
-		return rec.Body.Bytes()
+		if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+			t.Fatal(err)
+		}
+		b.phase(phase)
 	}
 	next := smallMessages(seed)
-	b.phase("produce")
-	for i := 0; i < 2000; i++ {
+	bodies := make([][]byte, 2000)
+	for i := range bodies {
 		key, value := next(i)
-		body, _ := json.Marshal(map[string]string{"key": string(key), "value": base64.StdEncoding.EncodeToString(value)})
+		bodies[i], _ = json.Marshal(map[string]string{"key": string(key), "value": base64.StdEncoding.EncodeToString(value)})
+		b.ops++
+		b.user += int64(len(key) + len(value))
+	}
+	for i, body := range bodies {
 		var resp struct {
 			TraceID   int64 `json:"trace_id"`
 			LatencyNs int64 `json:"latency_ns"`
 		}
-		if err := json.Unmarshal(call("POST", "/v1/topics/t/messages?trace=1", "token-"+tenants[i%2], body), &resp); err != nil {
-			t.Fatal(err)
-		}
+		call("produce", "POST", "/v1/topics/t/messages?trace=1", "token-"+tenants[i%2], body, &resp)
 		sp := lake.Tracer().Get(resp.TraceID)
 		if sp == nil {
 			t.Fatalf("produce %d: no trace %d", i, resp.TraceID)
 		}
 		b.end(sp, time.Duration(resp.LatencyNs), true)
-		b.ops++
-		b.user += int64(len(key) + len(value))
 	}
-	b.phase("drain")
 	for {
 		var resp struct{ Messages []json.RawMessage }
-		if err := json.Unmarshal(call("GET", "/v1/topics/t/messages?group=bench&max=500", "token-gold", nil), &resp); err != nil {
-			t.Fatal(err)
-		}
+		call("drain", "GET", "/v1/topics/t/messages?group=bench&max=500", "token-gold", nil, &resp)
 		b.end(lake.Tracer().Start("gateway.consume"), 0, false)
 		if len(resp.Messages) == 0 {
 			break
 		}
 	}
-	b.phase("sql")
 	for i := 0; i < 4; i++ {
 		var resp struct {
 			LatencyNs int64 `json:"latency_ns"`
 		}
-		if err := json.Unmarshal(call("POST", "/v1/sql", "token-"+tenants[i%2], []byte(`{"query":"select count(*) from kv"}`)), &resp); err != nil {
-			t.Fatal(err)
-		}
+		call("sql", "POST", "/v1/sql", "token-"+tenants[i%2], []byte(`{"query":"select count(*) from kv"}`), &resp)
 		b.end(lake.Tracer().Start("gateway.sql"), time.Duration(resp.LatencyNs), true)
 	}
 	return lake
@@ -557,9 +576,10 @@ const allocRuns = 5
 // measureAllocs runs the workload at the first budget seed once to warm
 // the process (lazily built tables, pools, the compressor and encoder
 // slots), then allocRuns times measured, and returns each phase's least
-// mallocs and least bytes over the measured runs. What a run does before
-// its first phase (opening the lake, generating rows) is not counted. A
-// measured run has one P and no collection,
+// mallocs and least bytes over the measured runs. Only lake calls count:
+// what a run does before its first phase (opening the lake), generating
+// a phase's inputs, building and parsing HTTP messages, and folding each
+// trace run with the meter paused. A measured run has one P and no collection,
 // so no pool is drained and no goroutine allocates between its phases;
 // what still varies between runs (a map's table split falls with its
 // random hash seed) only ever adds, and the least run drops it.
