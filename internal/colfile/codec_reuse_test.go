@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -257,20 +256,36 @@ func TestInflaterReuseAfterError(t *testing.T) {
 
 // ReadGroup with a projection returns exactly the named columns of the
 // all-column read, for any group size and any projection (empty and
-// repeated columns included) — and so does ReadGroupInto, whatever its
-// dst holds: too few buffers or too many, buffers shorter or longer than
+// repeated columns included) — and so does ReadColumns, whatever its
+// dst holds: too few columns or too many, buffers shorter or longer than
 // the group, and leftovers of other column types.
 func TestProjectedReadGroupEqualsFullRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	dirty := func(n int) [][]Value {
-		dst := make([][]Value, n)
+	dirty := func(n int) []Column {
+		dst := make([]Column, n)
 		for i := range dst {
-			dst[i] = make([]Value, rng.Intn(200))
-			for j := range dst[i] {
-				dst[i][j] = makeRow(j)[(i+j)%testSchema.NumFields()]
+			dst[i] = MakeColumn(Type(rng.Intn(4)), 0)
+			for j := rng.Intn(200); j > 0; j-- {
+				dst[i].Ints = append(dst[i].Ints, int64(j))
+				dst[i].Floats = append(dst[i].Floats, float64(j))
+				dst[i].Strs = append(dst[i].Strs, fmt.Sprint(j))
+				dst[i].Bools = append(dst[i].Bools, j%2 == 0)
 			}
 		}
 		return dst
+	}
+	same := func(got []Column, cols []int, full [][]Value) bool {
+		for i, c := range cols {
+			if got[i].Len() != len(full[c]) {
+				return false
+			}
+			for j, v := range full[c] {
+				if got[i].Value(j) != v {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	for trial := 0; trial < 40; trial++ {
 		rows, groupSize := 1+rng.Intn(400), 1+rng.Intn(120)
@@ -288,21 +303,20 @@ func TestProjectedReadGroupEqualsFullRead(t *testing.T) {
 				cols[i] = rng.Intn(testSchema.NumFields())
 			}
 			spare := dirty(len(cols) + 3)
-			for _, dst := range [][][]Value{nil, dirty(len(cols) / 2), spare[:len(cols)/2], dirty(len(cols) + 3), spare} {
-				got, err := r.ReadGroupInto(g, cols, dst)
+			for _, dst := range [][]Column{nil, dirty(len(cols) / 2), spare[:len(cols)/2], dirty(len(cols) + 3), spare} {
+				got, err := r.ReadColumns(g, cols, dst)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(got) != len(cols) {
 					t.Fatalf("projection %v returned %d columns", cols, len(got))
 				}
-				for i, c := range cols {
-					if !reflect.DeepEqual(got[i], full[c]) {
-						t.Fatalf("rows %d group size %d group %d: projected column %d differs", rows, groupSize, g, c)
-					}
+				if !same(got, cols, full) {
+					t.Fatalf("rows %d group size %d group %d: projection %v differs", rows, groupSize, g, cols)
 				}
 			}
-			if got, err := r.ReadGroupInto(g, nil, dirty(2)); err != nil || !reflect.DeepEqual(got, full) {
+			all := []int{0, 1, 2, 3, 4, 5}
+			if got, err := r.ReadColumns(g, nil, dirty(2)); err != nil || len(got) != len(full) || !same(got, all, full) {
 				t.Fatalf("group %d: all-column read into dirty buffers differs (%v)", g, err)
 			}
 		}
@@ -391,20 +405,21 @@ func BenchmarkWriteFile(b *testing.B) {
 	}
 }
 
-// BenchmarkReadGroupProjected decodes two of six columns of every group
-// into buffers it keeps, what a selective query asks of a file.
-func BenchmarkReadGroupProjected(b *testing.B) {
+// BenchmarkReadColumnsProjected decodes two of six columns of every
+// group into typed columns it keeps, what a selective query asks of a
+// file.
+func BenchmarkReadColumnsProjected(b *testing.B) {
 	r, err := Open(buildFile(b, 10000, 0))
 	if err != nil {
 		b.Fatal(err)
 	}
 	cols := []int{1, 3}
-	var dst [][]Value
+	var dst []Column
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for g := 0; g < r.NumRowGroups(); g++ {
-			if dst, err = r.ReadGroupInto(g, cols, dst); err != nil {
+			if dst, err = r.ReadColumns(g, cols, dst); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -311,7 +311,7 @@ func TestQuickInt64RoundTrip(t *testing.T) {
 			return false
 		}
 		for i := range in {
-			if out[i].Int != in[i].Int {
+			if out[i] != in[i].Int {
 				return false
 			}
 		}
@@ -333,7 +333,7 @@ func TestQuickStringRoundTrip(t *testing.T) {
 			return false
 		}
 		for i := range in {
-			if out[i].Str != in[i].Str {
+			if out[i] != in[i].Str {
 				return false
 			}
 		}

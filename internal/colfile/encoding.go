@@ -130,7 +130,7 @@ func (e *colEncoder) chunk() (head, body []byte) {
 // The decode*Chunk functions append n values to out. n is
 // footer-supplied, so each checks it against the chunk before growing out.
 
-func decodeInt64Chunk(out []Value, data []byte, n int) ([]Value, error) {
+func decodeInt64Chunk(out []int64, data []byte, n int) ([]int64, error) {
 	// Each varint costs at least one byte.
 	if n < 0 || n > len(data) {
 		return nil, errors.New("colfile: int64 count exceeds chunk")
@@ -144,23 +144,23 @@ func decodeInt64Chunk(out []Value, data []byte, n int) ([]Value, error) {
 		}
 		data = data[sz:]
 		prev += d
-		out = append(out, IntValue(prev))
+		out = append(out, prev)
 	}
 	return out, nil
 }
 
-func decodeFloat64Chunk(out []Value, data []byte, n int) ([]Value, error) {
+func decodeFloat64Chunk(out []float64, data []byte, n int) ([]float64, error) {
 	if len(data) < 8*n {
 		return nil, errors.New("colfile: truncated float64 chunk")
 	}
 	out = slices.Grow(out, n)
 	for i := 0; i < n; i++ {
-		out = append(out, FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))))
+		out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:])))
 	}
 	return out, nil
 }
 
-func decodeStringChunk(out []Value, data []byte, n int) ([]Value, error) {
+func decodeStringChunk(out []string, data []byte, n int) ([]string, error) {
 	if len(data) < 1 {
 		return nil, errors.New("colfile: empty string chunk")
 	}
@@ -200,7 +200,7 @@ func decodeStringChunk(out []Value, data []byte, n int) ([]Value, error) {
 			if code >= len(words) {
 				return nil, errors.New("colfile: dictionary code out of range")
 			}
-			out = append(out, StringValue(words[code]))
+			out = append(out, words[code])
 		}
 	case encPlain:
 		for i := 0; i < n; i++ {
@@ -209,7 +209,7 @@ func decodeStringChunk(out []Value, data []byte, n int) ([]Value, error) {
 				return nil, errors.New("colfile: truncated string")
 			}
 			data = data[sz:]
-			out = append(out, StringValue(string(data[:l])))
+			out = append(out, string(data[:l]))
 			data = data[l:]
 		}
 	default:
@@ -218,13 +218,13 @@ func decodeStringChunk(out []Value, data []byte, n int) ([]Value, error) {
 	return out, nil
 }
 
-func decodeBoolChunk(out []Value, data []byte, n int) ([]Value, error) {
+func decodeBoolChunk(out []bool, data []byte, n int) ([]bool, error) {
 	if len(data) < (n+7)/8 {
 		return nil, errors.New("colfile: truncated bool chunk")
 	}
 	out = slices.Grow(out, n)
 	for i := 0; i < n; i++ {
-		out = append(out, BoolValue(data[i/8]&(1<<(i%8)) != 0))
+		out = append(out, data[i/8]&(1<<(i%8)) != 0)
 	}
 	return out, nil
 }
@@ -255,43 +255,38 @@ func (d *inflater) inflate(data []byte) ([]byte, error) {
 	return d.raw.Bytes(), nil
 }
 
-// decodeChunk appends the n values of one compressed chunk to out.
-func decodeChunk(out []Value, t Type, data []byte, n int) ([]Value, error) {
+// decodeChunk decodes the n values of one compressed chunk of type t
+// into dst, over what it held.
+func decodeChunk(dst *Column, t Type, data []byte, n int) error {
 	d := inflaters.Get().(*inflater)
 	defer inflaters.Put(d)
 	raw, err := d.inflate(data)
 	if err != nil {
-		return nil, fmt.Errorf("colfile: decompress: %w", err)
+		return fmt.Errorf("colfile: decompress: %w", err)
 	}
+	dst.Type = t
 	switch t {
 	case Int64:
-		return decodeInt64Chunk(out, raw, n)
+		dst.Ints, err = decodeInt64Chunk(dst.Ints[:0], raw, n)
 	case Float64:
-		return decodeFloat64Chunk(out, raw, n)
+		dst.Floats, err = decodeFloat64Chunk(dst.Floats[:0], raw, n)
 	case String:
-		return decodeStringChunk(out, raw, n)
+		dst.Strs, err = decodeStringChunk(dst.Strs[:0], raw, n)
 	case Bool:
-		return decodeBoolChunk(out, raw, n)
+		dst.Bools, err = decodeBoolChunk(dst.Bools[:0], raw, n)
 	default:
-		return nil, fmt.Errorf("colfile: unknown type %v", t)
+		err = fmt.Errorf("colfile: unknown type %v", t)
 	}
+	return err
 }
 
 // Value wire encoding used in footers (stats) and by the row codec.
-
-// AppendValue appends the wire encoding of v to buf. Together with
-// ReadValue it is the shared typed-value codec used by file footers and
-// by table-object commit metadata.
-func AppendValue(buf []byte, v Value) []byte { return appendValue(buf, v) }
-
-// ReadValue decodes one value from data, returning the remaining bytes.
-func ReadValue(data []byte) (Value, []byte, error) { return readValue(data) }
 
 // SkipValue returns the bytes after one encoded value without decoding
 // it: nothing is allocated, whatever its type.
 func SkipValue(data []byte) ([]byte, error) {
 	if len(data) == 0 || Type(data[0]) != String {
-		_, rest, err := readValue(data) // allocates for strings only
+		_, rest, err := ReadValue(data) // allocates for strings only
 		return rest, err
 	}
 	l, sz := binary.Uvarint(data[1:])
@@ -301,7 +296,10 @@ func SkipValue(data []byte) ([]byte, error) {
 	return data[1+sz+int(l):], nil
 }
 
-func appendValue(buf []byte, v Value) []byte {
+// AppendValue appends the wire encoding of v to buf. Together with
+// ReadValue it is the shared typed-value codec used by file footers and
+// by table-object commit metadata.
+func AppendValue(buf []byte, v Value) []byte {
 	buf = append(buf, byte(v.Type))
 	var tmp [binary.MaxVarintLen64]byte
 	switch v.Type {
@@ -326,7 +324,8 @@ func appendValue(buf []byte, v Value) []byte {
 	return buf
 }
 
-func readValue(data []byte) (Value, []byte, error) {
+// ReadValue decodes one value from data, returning the remaining bytes.
+func ReadValue(data []byte) (Value, []byte, error) {
 	if len(data) < 1 {
 		return Value{}, nil, errors.New("colfile: truncated value")
 	}

@@ -148,21 +148,21 @@ func (w *Writer) AppendRows(rows []Row) error {
 	})
 }
 
-// AppendColumns is AppendRows over column-major values, one slice per
-// field and all of one length, as Reader.ReadGroupInto returns them.
-func (w *Writer) AppendColumns(cols [][]Value) error {
+// AppendColumns is AppendRows over typed columns, one per field and
+// all of one length, as Reader.ReadColumns returns them.
+func (w *Writer) AppendColumns(cols []Column) error {
 	if len(cols) != len(w.schema.Fields) {
 		return fmt.Errorf("colfile: %d columns, schema has %d fields", len(cols), len(w.schema.Fields))
 	}
 	n := 0
 	for c, f := range w.schema.Fields {
-		if n = len(cols[0]); len(cols[c]) != n || slices.ContainsFunc(cols[c], func(v Value) bool { return v.Type != f.Type }) {
+		if n = cols[0].Len(); cols[c].Type != f.Type || cols[c].Len() != n {
 			return fmt.Errorf("colfile: column %q is not %d %v values", f.Name, n, f.Type)
 		}
 	}
 	return w.encode(n, func(e *colEncoder, c, lo, hi int) {
-		for _, v := range cols[c][lo:hi] {
-			e.add(v)
+		for i := lo; i < hi; i++ {
+			e.add(cols[c].Value(i))
 		}
 	})
 }
@@ -294,8 +294,8 @@ func (w *Writer) Finish() ([]byte, error) {
 			putUvarint(uint64(g.chunks[c].offset))
 			putUvarint(uint64(g.chunks[c].length))
 			st := g.stats[c]
-			f = appendValue(f, st.Min)
-			f = appendValue(f, st.Max)
+			f = AppendValue(f, st.Min)
+			f = AppendValue(f, st.Max)
 			putUvarint(uint64(st.Count))
 		}
 	}
@@ -429,11 +429,11 @@ func (r *Reader) Reset(data []byte) (err error) {
 				return err
 			}
 			var st Stats
-			st.Min, f, err = readValue(f)
+			st.Min, f, err = ReadValue(f)
 			if err != nil {
 				return err
 			}
-			st.Max, f, err = readValue(f)
+			st.Max, f, err = ReadValue(f)
 			if err != nil {
 				return err
 			}
@@ -483,54 +483,116 @@ func (r *Reader) GroupBytes(g int) int64 {
 	return n
 }
 
-// appendColumn appends column c of group g to dst.
-func (r *Reader) appendColumn(dst []Value, g, c int) ([]Value, error) {
-	gm := r.groups[g]
-	ch := gm.chunks[c]
-	if ch.offset+ch.length > int64(len(r.data)) {
-		return nil, errors.New("colfile: chunk out of range")
+// Column is one column of a row group, its values in the slice of its
+// Type: Ints, Floats, Strs or Bools. A Column read into again keeps the
+// other slices' storage.
+type Column struct {
+	Type   Type
+	Ints   []int64
+	Floats []float64
+	Strs   []string
+	Bools  []bool
+}
+
+// MakeColumn returns an empty column of type t with room for n values.
+func MakeColumn(t Type, n int) Column {
+	c := Column{Type: t}
+	switch t {
+	case Int64:
+		c.Ints = make([]int64, 0, n)
+	case Float64:
+		c.Floats = make([]float64, 0, n)
+	case String:
+		c.Strs = make([]string, 0, n)
+	case Bool:
+		c.Bools = make([]bool, 0, n)
 	}
-	return decodeChunk(dst, r.schema.Fields[c].Type, r.data[ch.offset:ch.offset+ch.length], gm.rows)
+	return c
 }
 
-// ReadGroup decodes the named columns (nil means all) of group g,
-// returning column-major values aligned with cols.
-func (r *Reader) ReadGroup(g int, cols []int) ([][]Value, error) {
-	return r.ReadGroupInto(g, cols, nil)
+// Len returns the number of values.
+func (c *Column) Len() int {
+	switch c.Type {
+	case Int64:
+		return len(c.Ints)
+	case Float64:
+		return len(c.Floats)
+	case String:
+		return len(c.Strs)
+	case Bool:
+		return len(c.Bools)
+	}
+	return 0
 }
 
-// ReadGroupInto is ReadGroup decoding into dst's buffers, whatever they
-// hold: the result reuses dst's backing arrays (and the column buffers
-// up to its capacity), so a caller that passes back what the last call
-// returned decodes group after group without allocating. The values are
-// valid until dst is passed again.
-func (r *Reader) ReadGroupInto(g int, cols []int, dst [][]Value) ([][]Value, error) {
+// Value returns value i as a Value.
+func (c *Column) Value(i int) Value {
+	switch c.Type {
+	case Int64:
+		return IntValue(c.Ints[i])
+	case Float64:
+		return FloatValue(c.Floats[i])
+	case String:
+		return StringValue(c.Strs[i])
+	case Bool:
+		return BoolValue(c.Bools[i])
+	}
+	return Value{}
+}
+
+// ReadColumns decodes the named columns (nil means all) of group g into
+// dst's columns, whatever they hold, and returns them aligned with cols.
+// The result reuses dst's backing array and each column's storage, so a
+// caller that passes back what the last call returned decodes group
+// after group without allocating. The values are valid until dst is
+// passed again. On an error it returns no column.
+func (r *Reader) ReadColumns(g int, cols []int, dst []Column) ([]Column, error) {
 	n := len(cols)
 	if cols == nil {
 		n = len(r.schema.Fields)
 	}
 	dst = slices.Grow(dst[:0], n)[:n]
+	gm := r.groups[g]
 	for i := range dst {
 		c := i
 		if cols != nil {
 			c = cols[i]
 		}
-		vals, err := r.appendColumn(dst[i][:0], g, c)
-		if err != nil {
-			return nil, err
+		ch := gm.chunks[c]
+		if ch.offset+ch.length > int64(len(r.data)) {
+			return dst[:0], errors.New("colfile: chunk out of range")
 		}
-		dst[i] = vals
+		if err := decodeChunk(&dst[i], r.schema.Fields[c].Type, r.data[ch.offset:ch.offset+ch.length], gm.rows); err != nil {
+			return dst[:0], err
+		}
 	}
 	return dst, nil
 }
 
+// ReadGroup is ReadColumns into new Values: the named columns (nil means
+// all) of group g, column-major, aligned with cols.
+func (r *Reader) ReadGroup(g int, cols []int) ([][]Value, error) {
+	typed, err := r.ReadColumns(g, cols, nil)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]Value, len(typed))
+	for k := range typed {
+		out[k] = make([]Value, typed[k].Len())
+		for i := range out[k] {
+			out[k][i] = typed[k].Value(i)
+		}
+	}
+	return out, nil
+}
+
 // RowDecoder reads whole files as rows, for callers that rewrite what
-// they read. It decodes each row group into column buffers it keeps from
+// they read. It decodes each row group into typed columns it keeps from
 // group to group and file to file, and carves the rows from value
 // storage it keeps until Recycle. The zero value is ready; it is not
 // safe for concurrent use.
 type RowDecoder struct {
-	cols [][]Value
+	cols []Column
 	vals []Value // row storage; rows are carved from vals[used:]
 	used int
 }
@@ -542,7 +604,7 @@ func (d *RowDecoder) AppendRows(dst []Row, r *Reader) ([]Row, error) {
 	n, nc := len(dst), len(r.schema.Fields)
 	for g, gm := range r.groups {
 		var err error
-		if d.cols, err = r.ReadGroupInto(g, nil, d.cols); err != nil {
+		if d.cols, err = r.ReadColumns(g, nil, d.cols); err != nil {
 			return dst[:n], err
 		}
 		need := gm.rows * nc           // gm.rows: each column's chunk held that many
@@ -555,7 +617,7 @@ func (d *RowDecoder) AppendRows(dst []Row, r *Reader) ([]Row, error) {
 		for i := 0; i < gm.rows; i++ {
 			row := vals[i*nc : (i+1)*nc : (i+1)*nc]
 			for c := range row {
-				row[c] = d.cols[c][i]
+				row[c] = d.cols[c].Value(i)
 			}
 			dst = append(dst, row)
 		}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -203,13 +205,16 @@ func randomTable(rng *rand.Rand, n int) (Schema, []Row) {
 	return schema, rows
 }
 
-// columns returns rows as column-major values.
-func columns(schema Schema, rows []Row) [][]Value {
-	cols := make([][]Value, len(schema.Fields))
-	for c := range cols {
-		cols[c] = make([]Value, len(rows))
-		for i, r := range rows {
-			cols[c][i] = r[c]
+// columns returns rows as typed columns.
+func columns(schema Schema, rows []Row) []Column {
+	cols := make([]Column, len(schema.Fields))
+	for c, f := range schema.Fields {
+		cols[c] = MakeColumn(f.Type, len(rows))
+		for _, r := range rows {
+			cols[c].Ints = append(cols[c].Ints, r[c].Int)
+			cols[c].Floats = append(cols[c].Floats, r[c].Float)
+			cols[c].Strs = append(cols[c].Strs, r[c].Str)
+			cols[c].Bools = append(cols[c].Bools, r[c].Bool)
 		}
 	}
 	return cols
@@ -326,10 +331,11 @@ func TestWriterMatchesRowMajorReference(t *testing.T) {
 func TestAppendColumnsRejectsMisfits(t *testing.T) {
 	s := MustSchema("i:int64", "s:string")
 	w := NewWriter(s, 4)
-	for _, cols := range [][][]Value{
-		{{IntValue(1)}},
-		{{IntValue(1)}, {StringValue("a"), StringValue("b")}},
-		{{IntValue(1)}, {IntValue(2)}},
+	for _, cols := range [][]Column{
+		{{Type: Int64, Ints: []int64{1}}},
+		{{Type: Int64, Ints: []int64{1}}, {Type: String, Strs: []string{"a", "b"}}},
+		{{Type: Int64, Ints: []int64{1}}, {Type: Int64, Ints: []int64{2}}},
+		{{Type: Int64, Ints: []int64{1}}, {Type: String, Ints: []int64{2}, Strs: []string{}}},
 	} {
 		if err := w.AppendColumns(cols); err == nil {
 			t.Fatalf("AppendColumns(%v) succeeded", cols)
@@ -342,4 +348,140 @@ func TestAppendColumnsRejectsMisfits(t *testing.T) {
 	if r, err := Open(data); err != nil || r.NumRows() != 0 {
 		t.Fatalf("the file after rejected columns: err %v", err)
 	}
+}
+
+// The Value decoders the reader used before it decoded into typed
+// columns: each appends n Values to out. They are the reference the
+// typed decoders are checked against.
+
+func refDecodeInt64Chunk(out []Value, data []byte, n int) ([]Value, error) {
+	// Each varint costs at least one byte.
+	if n < 0 || n > len(data) {
+		return nil, errors.New("colfile: int64 count exceeds chunk")
+	}
+	out = slices.Grow(out, n)
+	prev := int64(0)
+	for i := 0; i < n; i++ {
+		d, sz := binary.Varint(data)
+		if sz <= 0 {
+			return nil, errors.New("colfile: truncated int64 chunk")
+		}
+		data = data[sz:]
+		prev += d
+		out = append(out, IntValue(prev))
+	}
+	return out, nil
+}
+
+func refDecodeFloat64Chunk(out []Value, data []byte, n int) ([]Value, error) {
+	if len(data) < 8*n {
+		return nil, errors.New("colfile: truncated float64 chunk")
+	}
+	out = slices.Grow(out, n)
+	for i := 0; i < n; i++ {
+		out = append(out, FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))))
+	}
+	return out, nil
+}
+
+func refDecodeStringChunk(out []Value, data []byte, n int) ([]Value, error) {
+	if len(data) < 1 {
+		return nil, errors.New("colfile: empty string chunk")
+	}
+	enc := data[0]
+	data = data[1:]
+	// Both encodings spend at least one byte per value: a length or a code.
+	if n < 0 || n > len(data) {
+		return nil, errors.New("colfile: string count exceeds chunk")
+	}
+	out = slices.Grow(out, n)
+	switch enc {
+	case encDict:
+		count, sz := binary.Uvarint(data)
+		if sz <= 0 {
+			return nil, errors.New("colfile: truncated dictionary")
+		}
+		data = data[sz:]
+		// Untrusted dictionary size: entries cost at least one byte.
+		if count > uint64(len(data)) {
+			return nil, errors.New("colfile: dictionary size exceeds chunk")
+		}
+		words := make([]string, count)
+		for i := range words {
+			l, sz := binary.Uvarint(data)
+			if sz <= 0 || uint64(len(data)-sz) < l {
+				return nil, errors.New("colfile: truncated dictionary entry")
+			}
+			data = data[sz:]
+			words[i] = string(data[:l])
+			data = data[l:]
+		}
+		if len(data) < n {
+			return nil, errors.New("colfile: truncated dictionary codes")
+		}
+		for i := 0; i < n; i++ {
+			code := int(data[i])
+			if code >= len(words) {
+				return nil, errors.New("colfile: dictionary code out of range")
+			}
+			out = append(out, StringValue(words[code]))
+		}
+	case encPlain:
+		for i := 0; i < n; i++ {
+			l, sz := binary.Uvarint(data)
+			if sz <= 0 || uint64(len(data)-sz) < l {
+				return nil, errors.New("colfile: truncated string")
+			}
+			data = data[sz:]
+			out = append(out, StringValue(string(data[:l])))
+			data = data[l:]
+		}
+	default:
+		return nil, fmt.Errorf("colfile: unknown string encoding %d", enc)
+	}
+	return out, nil
+}
+
+func refDecodeBoolChunk(out []Value, data []byte, n int) ([]Value, error) {
+	if len(data) < (n+7)/8 {
+		return nil, errors.New("colfile: truncated bool chunk")
+	}
+	out = slices.Grow(out, n)
+	for i := 0; i < n; i++ {
+		out = append(out, BoolValue(data[i/8]&(1<<(i%8)) != 0))
+	}
+	return out, nil
+}
+
+// refReadGroup decodes every column of group g through the reference
+// decoders, as ReadGroup(g, nil) did.
+func refReadGroup(r *Reader, g int) ([][]Value, error) {
+	gm := r.groups[g]
+	out := make([][]Value, len(r.schema.Fields))
+	for c, f := range r.schema.Fields {
+		ch := gm.chunks[c]
+		if ch.offset+ch.length > int64(len(r.data)) {
+			return nil, errors.New("colfile: chunk out of range")
+		}
+		raw, err := new(inflater).inflate(r.data[ch.offset : ch.offset+ch.length])
+		if err != nil {
+			return nil, err
+		}
+		switch f.Type {
+		case Int64:
+			out[c], err = refDecodeInt64Chunk(nil, raw, gm.rows)
+		case Float64:
+			out[c], err = refDecodeFloat64Chunk(nil, raw, gm.rows)
+		case String:
+			out[c], err = refDecodeStringChunk(nil, raw, gm.rows)
+		case Bool:
+			out[c], err = refDecodeBoolChunk(nil, raw, gm.rows)
+		default:
+			err = fmt.Errorf("colfile: unknown type %v", f.Type)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

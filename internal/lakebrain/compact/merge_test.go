@@ -55,16 +55,17 @@ func smallFileTable(t testing.TB, sizes ...int) *tableobj.Table {
 
 // TestCompactAllocsPerRow bounds what a compaction allocates per row it
 // merges: 24 files of 1,000 six-column rows, one row group each, into
-// one file of three. The column buffers are reused from group to group,
-// so it is the strings a plain chunk decodes, the file bytes read and
-// written, and the footers: far less than the 240 B of values a
+// one file of three. The typed column buffers are reused from group to
+// group, so it is the strings a plain chunk decodes, the file bytes read
+// and written, and the footers: far less than the 240 B of values a
 // six-column row holds. Each window is a fresh table; the least of
 // five is kept, so the runtime's own allocations in a window do not
-// decide it. (Measured: 65 B a row, 229–256 B under -race; decoding
-// every bin into rows and re-encoding them, 519 B.)
+// decide it. (Measured: 48 B a row, 191–228 B under -race; 56 B when
+// the columns decoded into Values; decoding every bin into rows and
+// re-encoding them, 519 B.)
 func TestCompactAllocsPerRow(t *testing.T) {
 	const files, rows = 24, 1000
-	ceiling := uint64(96)
+	ceiling := uint64(52)
 	if raceEnabled {
 		ceiling += 224 // the race detector drops a quarter of sync.Pool puts: each dropped inflater is built again
 	}

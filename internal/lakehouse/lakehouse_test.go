@@ -2,6 +2,7 @@ package lakehouse
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -411,6 +412,11 @@ func TestUpdateMovesRowsAcrossPartitions(t *testing.T) {
 // allocation grows by what a file's rewrite costs, not by a file's
 // decoded rows too. A decoded file here is 2,000 rows of 40-byte cells,
 // 320,000 bytes; an update that kept them all would grow by that per file.
+// Measured: 10 KB more per file, and 555 KB for four files (811 KB when
+// each group decoded into 40-byte Values before its rows were built).
+// Under the race detector sync.Pool drops a quarter of its puts, each
+// dropped inflater built again (37–56 KB a file, 766–955 KB for four),
+// so there only the half-a-file bound holds.
 func TestUpdateRecyclesDecodeStorage(t *testing.T) {
 	const rowsPerFile = 2000
 	schema := colfile.MustSchema("k:int64", "a:int64", "b:int64", "c:int64")
@@ -445,7 +451,12 @@ func TestUpdateRecyclesDecodeStorage(t *testing.T) {
 	perFile := (sixteen - four) / 12
 	decoded := int64(rowsPerFile * schema.NumFields() * 40)
 	t.Logf("update of 4 files: %d KB; of 16: %d KB; %d KB more per file", four>>10, sixteen>>10, perFile>>10)
-	if perFile > decoded/2 {
-		t.Fatalf("each further file costs %d KB, want under half its %d KB of decoded rows", perFile>>10, decoded>>10)
+	perFileCeiling, fourCeiling := int64(16<<10), int64(640<<10)
+	if raceEnabled {
+		perFileCeiling, fourCeiling = decoded/2, math.MaxInt64
+	}
+	if perFile > perFileCeiling || four > fourCeiling {
+		t.Fatalf("each further file costs %d KB (ceiling %d KB; a file's decoded rows are %d KB), four files %d KB (ceiling %d KB)",
+			perFile>>10, perFileCeiling>>10, decoded>>10, four>>10, fourCeiling>>10)
 	}
 }

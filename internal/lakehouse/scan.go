@@ -419,9 +419,9 @@ func (e *Engine) ScanProjected(name string, plan Plan, filters []RangeFilter, co
 	for _, f := range plan.Files {
 		most = max(most, min(f.Rows, colfile.DefaultRowGroupSize))
 	}
-	cols := make([][]colfile.Value, len(proj))
-	for k := range cols {
-		cols[k] = make([]colfile.Value, 0, most)
+	cols := make([]colfile.Column, len(proj))
+	for k, c := range proj {
+		cols[k] = colfile.MakeColumn(schema.Fields[c].Type, int(most))
 	}
 	var r colfile.Reader // every file's footer parses into its storage
 	for _, f := range plan.Files {
@@ -445,12 +445,12 @@ func (e *Engine) ScanProjected(name string, plan Plan, filters []RangeFilter, co
 			}
 			stats.ReadBytes += r.GroupBytes(g)
 			groups++
-			if cols, err = r.ReadGroupInto(g, proj, cols); err != nil {
+			if cols, err = r.ReadColumns(g, proj, cols); err != nil {
 				return stats, cost, err
 			}
 			for i := 0; i < r.GroupRows(g); i++ {
 				for k, c := range proj {
-					row[c] = cols[k][i]
+					row[c] = cols[k].Value(i)
 				}
 				stats.RowsScanned++
 				if rowMatches(row, bound) {

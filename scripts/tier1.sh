@@ -99,14 +99,16 @@ done
 # the same whatever the log holds (cluster, plog), an EC append allocates
 # its extent plus a constant (plog), a request costs its bytes (gateway),
 # a table file is encoded into one shared buffer and costs its group
-# directory (colfile), a plan makes its file list once, a warm plan
-# costs the files it admits and a scan parses footers into one reader
-# (lakehouse), a
+# directory, and a group decodes into typed columns, 8 bytes an integer
+# (colfile), a plan makes its file list once, a warm plan costs the
+# files it admits, a scan parses footers into one reader and decodes
+# into typed columns sized once (lakehouse), a
 # converted row costs a fixed count of allocations and bytes: it streams
 # into its partition's writer, the writers share one compressor, and a
 # known message shape decodes no schema (convert, colfile, rowcodec),
-# a data file is encoded from the caller's rows, not a copy, and a
-# rewrite decodes file after file into one buffer (tableobj, lakehouse),
+# a data file is encoded from the caller's rows, not a copy, a rewrite
+# decodes file after file into one buffer, and a merge streams typed
+# columns into its writer (tableobj, lakehouse),
 # a commit writes a header, not the manifest (tableobj), a poll costs
 # one message header per message (streamsvc), a straddled slice is read
 # once (streamobj).
@@ -115,6 +117,6 @@ go test -run '^$' -bench 'BenchmarkAppendBatch' -benchtime 1x ./internal/plog/
 go test -run '^$' -bench 'BenchmarkConvert' -benchtime 1x ./internal/convert/
 go test -run '^$' -bench 'BenchmarkWriteRows' -benchtime 1x ./internal/tableobj/
 go test -run '^$' -bench 'Request' -benchtime 1x ./internal/gateway/
-go test -run '^$' -bench 'WriteFile|ReadGroupProjected' -benchtime 1x ./internal/colfile/
+go test -run '^$' -bench 'WriteFile|ReadColumnsProjected' -benchtime 1x ./internal/colfile/
 go test -run '^$' -bench 'BenchmarkPlanScan|BenchmarkScanProjected' -benchtime 1x ./internal/lakehouse/
 go test -run '^$' -bench 'BenchmarkPoll' -benchtime 1x ./internal/streamsvc/
