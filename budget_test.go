@@ -377,11 +377,11 @@ func budgetPipeline(t *testing.T, seed uint64, b *budget) *streamlake.Lake {
 	lo, hi := streamlake.IntValue(dpi.BaseTime), streamlake.IntValue(dpi.BaseTime+2*86400/10-1)
 	b.phase("update")
 	sp := lake.Tracer().Start("update")
-	_, cost, err := lake.Engine().Update("dpi", []lakehouse.RangeFilter{{Column: "start_time", Lo: &lo, Hi: &hi}}, func(row streamlake.Row) streamlake.Row {
+	_, cost, err := lake.Engine().UpdateSpan("dpi", []lakehouse.RangeFilter{{Column: "start_time", Lo: &lo, Hi: &hi}}, func(row streamlake.Row) streamlake.Row {
 		out := append(streamlake.Row(nil), row...)
 		out[3] = streamlake.IntValue(row[3].Int ^ 0x5555)
 		return out
-	})
+	}, sp)
 	if err != nil {
 		t.Fatal(err)
 	}

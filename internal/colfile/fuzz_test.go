@@ -3,6 +3,7 @@ package colfile
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -171,4 +172,86 @@ func sameWrites(t *testing.T, r *Reader, rows []Row) {
 		t.Fatalf("AppendColumns wrote %d bytes, AppendRows %d, not the same", len(a), len(b))
 	}
 	byRows.Recycle()
+}
+
+// FuzzDecodeChunk feeds uncompressed chunk bytes straight to the typed
+// decode*Chunk functions, past the inflate step that stops FuzzOpen's
+// mutations: each accepts exactly the chunks its reference Value decoder
+// accepts, appends the same values after what the column held, and
+// leaves them unchanged across colEncoder and a second decode.
+func FuzzDecodeChunk(f *testing.F) {
+	// Every type's chunks, both string encodings among them, as the
+	// reference encoders write them for random columns.
+	rng := rand.New(rand.NewSource(58))
+	for i := 0; i < 12; i++ {
+		schema, rows := randomTable(rng, 1+rng.Intn(400))
+		for c, fl := range schema.Fields {
+			raw, err := appendChunk(nil, fl.Type, rows, c)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(byte(fl.Type), uint16(len(rows)), raw)
+		}
+	}
+	f.Add(byte(String), uint16(3), []byte{encDict, 1, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, typ byte, n uint16, data []byte) {
+		ty := Type(typ % 4)
+		prefix := MakeColumn(ty, 0)
+		decode := func(data []byte) (Column, error) {
+			col := prefix
+			var err error
+			switch ty {
+			case Int64:
+				col.Ints, err = decodeInt64Chunk(append(col.Ints, -1), data, int(n))
+			case Float64:
+				col.Floats, err = decodeFloat64Chunk(append(col.Floats, -1), data, int(n))
+			case String:
+				col.Strs, err = decodeStringChunk(append(col.Strs, "held"), data, int(n))
+			case Bool:
+				col.Bools, err = decodeBoolChunk(append(col.Bools, true), data, int(n))
+			}
+			return col, err
+		}
+		var ref []Value
+		var rerr error
+		switch ty {
+		case Int64:
+			ref, rerr = refDecodeInt64Chunk(nil, data, int(n))
+		case Float64:
+			ref, rerr = refDecodeFloat64Chunk(nil, data, int(n))
+		case String:
+			ref, rerr = refDecodeStringChunk(nil, data, int(n))
+		case Bool:
+			ref, rerr = refDecodeBoolChunk(nil, data, int(n))
+		}
+		col, err := decode(data)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("%v chunk of %d: typed %v, the reference %v", ty, n, err, rerr)
+		}
+		if err != nil {
+			return
+		}
+		held := map[Type]Value{Int64: IntValue(-1), Float64: FloatValue(-1), String: StringValue("held"), Bool: BoolValue(true)}[ty]
+		if col.Len() != 1+len(ref) || !sameValue(col.Value(0), held) {
+			t.Fatalf("%v chunk of %d: %d values after %v, the reference %d", ty, n, col.Len()-1, col.Value(0), len(ref))
+		}
+		var e colEncoder
+		e.reset(ty)
+		for i, v := range ref {
+			if !sameValue(col.Value(1+i), v) {
+				t.Fatalf("%v chunk value %d: typed %v, the reference %v", ty, i, col.Value(1+i), v)
+			}
+			e.add(v)
+		}
+		head, body := e.chunk()
+		again, err := decode(append(slices.Clip(head), body...))
+		if err != nil {
+			t.Fatalf("%v chunk of %d re-encoded: %v", ty, n, err)
+		}
+		for i, v := range ref {
+			if !sameValue(again.Value(1+i), v) {
+				t.Fatalf("%v chunk value %d re-encoded: %v, want %v", ty, i, again.Value(1+i), v)
+			}
+		}
+	})
 }

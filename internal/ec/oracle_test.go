@@ -215,6 +215,28 @@ func TestEncodeParityMatchesEncode(t *testing.T) {
 	}
 }
 
+// TestWarmEncodeParityAllocatesNothing: EncodeParity works in the
+// codec's idle scratch, so once one call has built it, a call of any
+// length allocates nothing. A scratch left holding 0xFF bytes still reads
+// as zero past the ragged column's data (TestEncodeParityMatchesEncode
+// checks the bytes over many lengths in a row).
+func TestWarmEncodeParityAllocatesNothing(t *testing.T) {
+	c, _ := New(4, 2)
+	ones := bytes.Repeat([]byte{0xFF}, 3*blockLen*4+5)
+	var sum byte
+	emit := func(parity [][]byte) { sum ^= parity[0][0] }
+	c.EncodeParity(ones, emit)
+	for _, n := range []int{1, 4097, 2*blockLen*4 + 3, 3*blockLen*4 + 5} {
+		if a := testing.AllocsPerRun(20, func() { c.EncodeParity(ones[:n], emit) }); a != 0 {
+			t.Errorf("a warm EncodeParity of %d bytes allocated %.0f times", n, a)
+		}
+		c.EncodeParity(ones, emit)
+		if err := checkStreamedParity(c, ones[:n]); err != nil {
+			t.Errorf("%d bytes after a scratch of 0xFF: %v", n, err)
+		}
+	}
+}
+
 // sameMemory reports whether a and b are the same bytes, not equal ones.
 func sameMemory(a, b []byte) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
@@ -262,7 +284,8 @@ func TestSplitAliasesFullShards(t *testing.T) {
 	}
 }
 
-// TestSharedCodecIsConcurrencySafe runs Encode and Reconstruct on the one
+// TestSharedCodecIsConcurrencySafe runs Encode, Reconstruct and
+// EncodeParity, whose scratch goroutines pass between them, on the one
 // instance New hands out for (4,2) from many goroutines; run under -race.
 func TestSharedCodecIsConcurrencySafe(t *testing.T) {
 	c1, _ := New(4, 2)
@@ -281,6 +304,10 @@ func TestSharedCodecIsConcurrencySafe(t *testing.T) {
 				erased := r.Perm(6)[:r.Intn(3)]
 				if err := checkAgainstOracle(c1, data, erased); err != nil {
 					t.Errorf("goroutine %d: %v", seed, err)
+					return
+				}
+				if err := checkStreamedParity(c1, data[0]); err != nil {
+					t.Errorf("goroutine %d, %d bytes streamed: %v", seed, len(data[0]), err)
 					return
 				}
 			}

@@ -10,11 +10,16 @@ import (
 // shards: any k of the k+m shards reconstruct the original data, so the
 // coded stripe tolerates m erasures at a storage overhead of (k+m)/k. The
 // paper's EC configuration with FT (fault tolerance) = m maps directly to
-// a Codec with that m. A Codec is immutable and safe for concurrent use.
+// a Codec with that m. A Codec is safe for concurrent use: only its
+// idle EncodeParity scratch changes hands.
 type Codec struct {
 	k, m   int
 	matrix [][]byte // (k+m) x k encoding matrix; top k rows are identity
 	enc    *kernel  // the m Cauchy rows, compiled
+	// idle holds one EncodeParity scratch between calls, a channel as
+	// colfile's idle compressor is: k input rows, m parity rows, then the
+	// m+1 blocks of blockLen bytes they point into.
+	idle chan [][]byte
 }
 
 // ErrTooFewShards is returned by Reconstruct when fewer than k shards are
@@ -50,7 +55,7 @@ func New(k, m int) (*Codec, error) {
 		return c, nil
 	}
 	matrix := buildMatrix(k, m)
-	c = &Codec{k: k, m: m, matrix: matrix, enc: newKernel(matrix[k:], k)}
+	c = &Codec{k: k, m: m, matrix: matrix, enc: newKernel(matrix[k:], k), idle: make(chan [][]byte, 1)}
 	shared.Lock()
 	defer shared.Unlock()
 	if prev := shared.codecs[key]; prev != nil {
@@ -117,13 +122,20 @@ var zeroBlock [blockLen]byte
 // rows to emit, in order; the rows are valid only during the call. Its
 // scratch is m+1 blocks whatever len(data) is: the parity rows and one
 // staging block for the ragged column. Columns wholly inside data are
-// read in place, and columns past its end read a shared zero block.
+// read in place, and columns past its end read a shared zero block. The
+// scratch is the codec's idle one unless another call holds it, so a
+// warm call allocates nothing.
 func (c *Codec) EncodeParity(data []byte, emit func(parity [][]byte)) {
+	var s [][]byte
+	select {
+	case s = <-c.idle:
+	default:
+		s = append(make([][]byte, c.k+c.m, c.k+c.m+1), make([]byte, (c.m+1)*blockLen))
+	}
 	size := max((len(data)+c.k-1)/c.k, 1)
 	bl := min(size, blockLen)
-	scratch := make([]byte, (c.m+1)*bl)
-	ragged := scratch[c.m*bl:]
-	in, parity := make([][]byte, c.k), make([][]byte, c.m)
+	buf, in, parity := s[c.k+c.m], s[:c.k], s[c.k:c.k+c.m]
+	ragged := buf[c.m*bl : (c.m+1)*bl]
 	for off := 0; off < size; off += bl {
 		n := min(bl, size-off)
 		for i := range in {
@@ -131,19 +143,23 @@ func (c *Codec) EncodeParity(data []byte, emit func(parity [][]byte)) {
 			case start+n <= len(data):
 				in[i] = data[start : start+n]
 			case start < len(data):
-				// The one block where data runs out: staged once per
-				// call, so the fresh scratch is still zero past it.
+				// The one block where data runs out, zero past it: an
+				// earlier call may have left bytes there.
 				in[i] = ragged[:n]
-				copy(in[i], data[start:])
+				clear(in[i][copy(in[i], data[start:]):])
 			default:
 				in[i] = zeroBlock[:n]
 			}
 		}
 		for p := range parity {
-			parity[p] = scratch[p*bl : p*bl+n]
+			parity[p] = buf[p*bl : p*bl+n]
 		}
 		c.enc.apply(in, parity)
 		emit(parity)
+	}
+	select {
+	case c.idle <- s:
+	default: // another call's scratch went back first
 	}
 }
 

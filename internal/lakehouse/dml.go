@@ -14,7 +14,12 @@ import (
 // file I/O kept at the storage side (pushdown). It returns how many rows
 // were deleted.
 func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duration, error) {
-	return e.rewrite(name, filters, func(x *tableobj.Txn, tbl *tableobj.Table, f tableobj.DataFile, read func() ([]colfile.Row, error)) (int64, error) {
+	return e.DeleteSpan(name, filters, nil)
+}
+
+// DeleteSpan is Delete traced under sp (see rewrite); the caller ends sp.
+func (e *Engine) DeleteSpan(name string, filters []RangeFilter, sp *obs.Span) (int64, time.Duration, error) {
+	return e.rewrite(name, filters, sp, func(x *tableobj.Txn, tbl *tableobj.Table, f tableobj.DataFile, read func() ([]colfile.Row, error)) (int64, error) {
 		if fileFullyCovered(tbl.Schema(), f, filters) {
 			// Case 1: the whole file matches — metadata-only removal.
 			x.RemoveFile(f)
@@ -33,7 +38,7 @@ func (e *Engine) Delete(name string, filters []RangeFilter) (int64, time.Duratio
 			}
 		}
 		x.RemoveFile(f)
-		_, err = writeRows(x, tbl, keep, nil)
+		_, err = writeRows(x, tbl, keep, sp)
 		return int64(len(rows) - len(keep)), err
 	})
 }
@@ -63,7 +68,12 @@ func fileFullyCovered(schema colfile.Schema, f tableobj.DataFile, filters []Rang
 // are written to that partition's directory. It returns how many rows
 // were updated.
 func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row) colfile.Row) (int64, time.Duration, error) {
-	return e.rewrite(name, filters, func(x *tableobj.Txn, tbl *tableobj.Table, f tableobj.DataFile, read func() ([]colfile.Row, error)) (int64, error) {
+	return e.UpdateSpan(name, filters, set, nil)
+}
+
+// UpdateSpan is Update traced under sp (see rewrite); the caller ends sp.
+func (e *Engine) UpdateSpan(name string, filters []RangeFilter, set func(colfile.Row) colfile.Row, sp *obs.Span) (int64, time.Duration, error) {
+	return e.rewrite(name, filters, sp, func(x *tableobj.Txn, tbl *tableobj.Table, f tableobj.DataFile, read func() ([]colfile.Row, error)) (int64, error) {
 		rows, err := read()
 		if err != nil {
 			return 0, err
@@ -83,7 +93,7 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 			return 0, nil
 		}
 		x.RemoveFile(f) // set may move rows to other partitions
-		_, err = writeRows(x, tbl, rows, nil)
+		_, err = writeRows(x, tbl, rows, sp)
 		return updated, err
 	})
 }
@@ -92,13 +102,17 @@ func (e *Engine) Update(name string, filters []RangeFilter, set func(colfile.Row
 // Table.Write, plans filters on the transaction's base and has fn stage
 // each planned file's removal and rewrite and count its changed rows;
 // read decodes the file, its rows valid until the next read. The count
-// is the committed attempt's.
-func (e *Engine) rewrite(name string, filters []RangeFilter, fn func(x *tableobj.Txn, tbl *tableobj.Table, f tableobj.DataFile, read func() ([]colfile.Row, error)) (int64, error)) (int64, time.Duration, error) {
+// is the committed attempt's. Under sp, nil for none, it records the
+// flush, each plan, file read and commit, and fn records its writes.
+func (e *Engine) rewrite(name string, filters []RangeFilter, sp *obs.Span, fn func(x *tableobj.Txn, tbl *tableobj.Table, f tableobj.DataFile, read func() ([]colfile.Row, error)) (int64, error)) (int64, time.Duration, error) {
 	st, err := e.state(name)
 	if err != nil {
 		return 0, 0, err
 	}
-	cost, err := e.Flush(name)
+	fsp := sp.Child("lakehouse.flush")
+	cost, err := e.FlushSpan(name, fsp)
+	fsp.End(cost)
+	sp.Advance(cost)
 	if err != nil {
 		return 0, cost, err
 	}
@@ -107,7 +121,7 @@ func (e *Engine) rewrite(name string, filters []RangeFilter, fn func(x *tableobj
 	var rows []colfile.Row
 	var f tableobj.DataFile
 	read := func() ([]colfile.Row, error) {
-		blob, rc, err := e.fs.Read(f.Path)
+		blob, rc, err := e.fs.ReadSpan(f.Path, sp)
 		cost += rc
 		if err == nil {
 			err = r.Reset(blob)
@@ -120,8 +134,8 @@ func (e *Engine) rewrite(name string, filters []RangeFilter, fn func(x *tableobj
 		return rows, err
 	}
 	var n int64
-	_, wc, err := st.tbl.Write(nil, func(x *tableobj.Txn) error {
-		plan, pc, err := e.plan(name, x.BaseID(), filters, nil, true)
+	_, wc, err := st.tbl.Write(sp, func(x *tableobj.Txn) error {
+		plan, pc, err := e.plan(name, x.BaseID(), filters, sp, true)
 		cost += pc
 		if err != nil {
 			return err

@@ -425,10 +425,7 @@ func (e *Engine) ScanProjected(name string, plan Plan, filters []RangeFilter, co
 	}
 	var r colfile.Reader // every file's footer parses into its storage
 	for _, f := range plan.Files {
-		rsp := ssp.Child("tableobj.read")
-		blob, rc, err := e.fs.ReadSpan(f.Path, rsp)
-		rsp.End(rc)
-		ssp.Advance(rc)
+		blob, rc, err := e.fs.ReadSpan(f.Path, ssp)
 		if err != nil {
 			return stats, cost, err
 		}

@@ -46,11 +46,13 @@ func TestAppendCopiesEachByteOnce(t *testing.T) {
 
 // TestECAppendAllocatesExtentPlusConstant: recording an extent on an
 // EC(4,2) log allocates its one copy plus bookkeeping that does not grow
-// with the payload. The parity CRCs are streamed through m+1 blocks of
-// scratch; materializing the parity shards cost m/k of the payload more
-// (525 KB beside a 1 MiB extent).
+// with the payload. The parity CRCs are streamed through the codec's
+// idle scratch of m+1 blocks, so a warm append allocates none of it
+// (3.1 KB beside every extent while each call made its own);
+// materializing the parity shards cost m/k of the payload more (525 KB
+// beside a 1 MiB extent).
 func TestECAppendAllocatesExtentPlusConstant(t *testing.T) {
-	const n, ceiling = 32, 5 << 10
+	const n, ceiling = 32, 1536
 	for _, size := range []int{4 << 10, 1 << 20} {
 		l, err := bigManager(int64(n * size)).Create(EC(4, 2))
 		if err != nil {
@@ -150,31 +152,32 @@ func TestSpanningReadIsPrivateCopy(t *testing.T) {
 // very different sizes: the cost of a commit must not depend on how
 // much the log already holds (ns/op within 1.5x, B/op ~ the payload at
 // both sizes). An iteration is one appended payload; a fresh log is
-// started whenever the current one is full. The EC(4,2) case is the
-// append of an EC topic's slice or a table file: B/op ~ the payload too,
-// its parity streamed rather than materialized.
+// started whenever the current one is full. The EC(4,2) cases are the
+// append of an EC topic's slice and of a small table file: B/op ~ the
+// payload too, its parity streamed through the codec's idle scratch
+// rather than materialized.
 func BenchmarkAppendBatch(b *testing.B) {
-	const chunk = 256 << 10
-	data := payload(chunk, 1)
 	for _, tc := range []struct {
-		name string
-		red  Redundancy
-		size int
+		name        string
+		red         Redundancy
+		chunk, size int
 	}{
-		{"log=1MiB", ReplicateN(3), 1 << 20},
-		{"log=96MiB", ReplicateN(3), 96 << 20},
-		{"EC(4,2)/log=96MiB", EC(4, 2), 96 << 20},
+		{"log=1MiB", ReplicateN(3), 256 << 10, 1 << 20},
+		{"log=96MiB", ReplicateN(3), 256 << 10, 96 << 20},
+		{"EC(4,2)/log=96MiB", EC(4, 2), 256 << 10, 96 << 20},
+		{"EC(4,2)/4KiB", EC(4, 2), 4 << 10, 1 << 20},
 	} {
+		data := payload(tc.chunk, 1)
 		b.Run(tc.name, func(b *testing.B) {
 			m := bigManager(int64(tc.size))
-			b.SetBytes(chunk)
+			b.SetBytes(int64(tc.chunk))
 			b.ReportAllocs()
 			for n := 0; n < b.N; {
 				l, err := m.Create(tc.red)
 				if err != nil {
 					b.Fatal(err)
 				}
-				for i := 0; i < tc.size/chunk && n < b.N; i, n = i+1, n+1 {
+				for i := 0; i < tc.size/tc.chunk && n < b.N; i, n = i+1, n+1 {
 					if _, _, err := l.AppendBatch([][]byte{data}, nil); err != nil {
 						b.Fatal(err)
 					}

@@ -22,54 +22,59 @@ import (
 var magic = []byte("SLRC")
 
 // Encode serializes rows (validated against schema) into a
-// self-describing batch.
+// self-describing batch: AppendHeader, then each row's values in field
+// order through AppendField.
 func Encode(schema colfile.Schema, rows []colfile.Row) ([]byte, error) {
-	var out []byte
-	out = append(out, magic...)
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		out = append(out, tmp[:n]...)
-	}
-	// Schema block.
-	putUvarint(uint64(len(schema.Fields)))
-	for _, f := range schema.Fields {
-		putUvarint(uint64(len(f.Name)))
-		out = append(out, f.Name...)
-		out = append(out, byte(f.Type))
-	}
-	// Rows.
-	putUvarint(uint64(len(rows)))
+	out := AppendHeader(nil, schema, len(rows))
 	for i, r := range rows {
 		if err := schema.Validate(r); err != nil {
 			return nil, fmt.Errorf("rowcodec: row %d: %w", i, err)
 		}
-		for c, v := range r {
-			switch schema.Fields[c].Type {
-			case colfile.Int64:
-				n := binary.PutVarint(tmp[:], v.Int)
-				out = append(out, tmp[:n]...)
-			case colfile.Float64:
-				var b [8]byte
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.Float))
-				out = append(out, b[:]...)
-			case colfile.String:
-				putUvarint(uint64(len(v.Str)))
-				out = append(out, v.Str...)
-			case colfile.Bool:
-				if v.Bool {
-					out = append(out, 1)
-				} else {
-					out = append(out, 0)
-				}
-			}
+		for _, v := range r {
+			out = AppendField(out, v)
 		}
 	}
 	return out, nil
 }
 
+// AppendHeader appends a batch's magic, schema block and row count to
+// buf. The rows follow, each field's value in schema order through
+// AppendField; the caller keeps to schema and count.
+func AppendHeader(buf []byte, schema colfile.Schema, rows int) []byte {
+	buf = binary.AppendUvarint(append(buf, magic...), uint64(len(schema.Fields)))
+	for _, f := range schema.Fields {
+		buf = append(AppendField(buf, colfile.StringValue(f.Name)), byte(f.Type))
+	}
+	return binary.AppendUvarint(buf, uint64(rows))
+}
+
+// AppendField appends v as a field of its type: a varint, eight bytes
+// little-endian, a uvarint length and the bytes, or one byte.
+func AppendField(buf []byte, v colfile.Value) []byte {
+	switch v.Type {
+	case colfile.Int64:
+		return binary.AppendVarint(buf, v.Int)
+	case colfile.Float64:
+		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float))
+	case colfile.String:
+		return AppendString(buf, v.Str)
+	case colfile.Bool:
+		if v.Bool {
+			return append(buf, 1)
+		}
+		return append(buf, 0)
+	}
+	return buf
+}
+
+// AppendString appends a String field's value, given as a string or as
+// its bytes.
+func AppendString[S string | []byte](buf []byte, s S) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(s))), s...)
+}
+
 // Decode parses a batch produced by Encode, returning the embedded schema
-// and rows. The batch must end data: trailing bytes are an error.
+// and rows: a Decoder's rows, each in a Row of its own.
 //
 // String values are not copied: they share data's bytes, so leave data
 // unchanged while they are in use. Every caller decodes stored bytes,
@@ -77,8 +82,36 @@ func Encode(schema colfile.Schema, rows []colfile.Row) ([]byte, error) {
 // so what outlives data copies what it keeps. The schema is the shape
 // table's, or borrows its names from data: never modify its Fields.
 func Decode(data []byte) (colfile.Schema, []colfile.Row, error) {
+	var d Decoder
+	err := d.Reset(data)
+	rows := make([]colfile.Row, 0, min(d.Len(), 1024))
+	for err == nil && d.Len() > 0 {
+		row := make(colfile.Row, len(d.Schema.Fields))
+		err = d.Next(row)
+		rows = append(rows, row)
+	}
+	if err != nil {
+		return colfile.Schema{}, nil, err
+	}
+	return d.Schema, rows, nil
+}
+
+// A Decoder reads a batch a row at a time into the caller's row: Reset
+// parses the header and Next decodes a row while Len is not 0, and both
+// check, once no row is left, that the batch ends there. It borrows what
+// Decode borrows, and fails on exactly the bytes Decode fails on.
+type Decoder struct {
+	Schema colfile.Schema // the batch's, as Decode returns it
+	block  []byte         // the schema block, unless the shape table has it
+	data   []byte         // the rows not yet decoded
+	left   uint64         // how many
+}
+
+// Reset starts decoding data, parsing its magic, schema and row count.
+func (d *Decoder) Reset(data []byte) error {
+	*d = Decoder{}
 	if len(data) < 4 || string(data[:4]) != string(magic) {
-		return colfile.Schema{}, nil, errors.New("rowcodec: bad magic")
+		return errors.New("rowcodec: bad magic")
 	}
 	data = data[4:]
 	readUvarint := func() (uint64, error) {
@@ -91,11 +124,11 @@ func Decode(data []byte) (colfile.Schema, []colfile.Row, error) {
 	}
 	schema, known, block := colfile.Schema{}, lookupShape(data), data
 	if known != nil {
-		schema, data = known.schema, data[len(known.block):]
+		schema, data, block = known.schema, data[len(known.block):], nil
 	} else {
 		nf, err := readUvarint()
 		if err != nil {
-			return colfile.Schema{}, nil, err
+			return err
 		}
 		// The untrusted count sizes Fields once, clamped: a field costs at
 		// least two bytes, a name length and a type.
@@ -103,14 +136,14 @@ func Decode(data []byte) (colfile.Schema, []colfile.Row, error) {
 		for i := uint64(0); i < nf; i++ {
 			nl, err := readUvarint()
 			if err != nil {
-				return colfile.Schema{}, nil, err
+				return err
 			}
 			if nl >= uint64(len(data)) { // not nl+1 > len: nl is untrusted and may be 2^64-1
-				return colfile.Schema{}, nil, errors.New("rowcodec: truncated schema")
+				return errors.New("rowcodec: truncated schema")
 			}
 			typ := colfile.Type(data[nl])
 			if typ > colfile.Bool {
-				return colfile.Schema{}, nil, fmt.Errorf("rowcodec: unknown type %d", typ)
+				return fmt.Errorf("rowcodec: unknown type %d", typ)
 			}
 			schema.Fields = append(schema.Fields, colfile.Field{Name: borrow(data[:nl]), Type: typ})
 			data = data[nl+1:]
@@ -119,64 +152,75 @@ func Decode(data []byte) (colfile.Schema, []colfile.Row, error) {
 	}
 	nr, err := readUvarint()
 	if err != nil {
-		return colfile.Schema{}, nil, err
+		return err
 	}
 	// The count is untrusted input: rows cost at least one byte each, so
-	// a count beyond the remaining bytes is corrupt, and preallocation
-	// is clamped regardless.
+	// a count beyond the remaining bytes is corrupt.
 	if nr > uint64(len(data))+1 {
-		return colfile.Schema{}, nil, errors.New("rowcodec: row count exceeds input")
+		return errors.New("rowcodec: row count exceeds input")
 	}
-	cap := nr
-	if cap > 1024 {
-		cap = 1024
-	}
-	rows := make([]colfile.Row, 0, cap)
-	for i := uint64(0); i < nr; i++ {
-		row := make(colfile.Row, len(schema.Fields))
-		for c, f := range schema.Fields {
-			switch f.Type {
-			case colfile.Int64:
-				v, sz := binary.Varint(data)
-				if sz <= 0 {
-					return colfile.Schema{}, nil, errors.New("rowcodec: truncated int")
-				}
-				data = data[sz:]
-				row[c] = colfile.IntValue(v)
-			case colfile.Float64:
-				if len(data) < 8 {
-					return colfile.Schema{}, nil, errors.New("rowcodec: truncated float")
-				}
-				row[c] = colfile.FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(data)))
-				data = data[8:]
-			case colfile.String:
-				l, err := readUvarint()
-				if err != nil || uint64(len(data)) < l {
-					return colfile.Schema{}, nil, errors.New("rowcodec: truncated string")
-				}
-				row[c] = colfile.StringValue(borrow(data[:l]))
-				data = data[l:]
-			case colfile.Bool:
-				if len(data) < 1 {
-					return colfile.Schema{}, nil, errors.New("rowcodec: truncated bool")
-				}
-				row[c] = colfile.BoolValue(data[0] != 0)
-				data = data[1:]
+	*d = Decoder{Schema: schema, block: block, data: data, left: nr}
+	return d.end()
+}
+
+// Len is how many rows are left to decode: at most one more than the
+// bytes left, as a corrupt count is refused beyond that.
+func (d *Decoder) Len() int { return int(d.left) }
+
+// Next decodes the next row into row, one value per field.
+func (d *Decoder) Next(row colfile.Row) error {
+	data := d.data
+	for c, f := range d.Schema.Fields {
+		switch f.Type {
+		case colfile.Int64:
+			v, sz := binary.Varint(data)
+			if sz <= 0 {
+				return errors.New("rowcodec: truncated int")
 			}
+			data = data[sz:]
+			row[c] = colfile.IntValue(v)
+		case colfile.Float64:
+			if len(data) < 8 {
+				return errors.New("rowcodec: truncated float")
+			}
+			row[c] = colfile.FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(data)))
+			data = data[8:]
+		case colfile.String:
+			l, sz := binary.Uvarint(data)
+			if sz <= 0 || uint64(len(data)-sz) < l {
+				return errors.New("rowcodec: truncated string")
+			}
+			row[c] = colfile.StringValue(borrow(data[sz : sz+int(l)]))
+			data = data[sz+int(l):]
+		case colfile.Bool:
+			if len(data) < 1 {
+				return errors.New("rowcodec: truncated bool")
+			}
+			row[c] = colfile.BoolValue(data[0] != 0)
+			data = data[1:]
 		}
-		rows = append(rows, row)
 	}
-	if len(data) > 0 {
-		return colfile.Schema{}, nil, fmt.Errorf("rowcodec: %d bytes after the last row", len(data))
+	d.data, d.left = data, d.left-1
+	return d.end()
+}
+
+// end checks, once no row is left, that the batch ends there, and then
+// admits its schema to the shape table.
+func (d *Decoder) end() error {
+	if d.left > 0 {
+		return nil
 	}
-	if known == nil { // admit a copy whose names it owns
-		s := &shape{block: string(block), schema: colfile.Schema{Fields: slices.Clone(schema.Fields)}}
+	if len(d.data) > 0 {
+		return fmt.Errorf("rowcodec: %d bytes after the last row", len(d.data))
+	}
+	if d.block != nil { // admit a copy whose names it owns
+		s := &shape{block: string(d.block), schema: colfile.Schema{Fields: slices.Clone(d.Schema.Fields)}}
 		for i, f := range s.schema.Fields {
 			s.schema.Fields[i].Name = strings.Clone(f.Name)
 		}
 		shapes[nextShape.Add(1)%uint32(len(shapes))].Store(s)
 	}
-	return schema, rows, nil
+	return nil
 }
 
 // The shape table holds the schemas of the last 16 batches that decoded
@@ -205,6 +249,10 @@ func lookupShape(data []byte) *shape {
 	}
 	return nil
 }
+
+// Bytes returns s, a string a Decoder borrowed from a batch, as the
+// batch's bytes it shares, without a copy: read them only.
+func Bytes(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
 
 // borrow returns b as a string that shares b's bytes. An empty b gives
 // "", which points at nothing and so keeps nothing alive.

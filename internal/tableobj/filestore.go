@@ -77,10 +77,12 @@ func (fs *FileStore) Read(path string) ([]byte, time.Duration, error) {
 	return fs.ReadSpan(path, nil)
 }
 
-// ReadSpan is Read annotated on sp, the caller's tableobj.read span: the
-// file's bytes and whether the read cache or the devices served it (src,
-// see plog.ReadCtx). A nil span traces nothing.
-func (fs *FileStore) ReadSpan(path string, sp *obs.Span) ([]byte, time.Duration, error) {
+// ReadSpan is Read recorded as a tableobj.read child of parent, whose
+// cursor it advances: the file's bytes and whether the read cache or the
+// devices served it (src, see plog.ReadCtx). A nil parent traces nothing.
+func (fs *FileStore) ReadSpan(path string, parent *obs.Span) (data []byte, cost time.Duration, err error) {
+	sp := parent.Child("tableobj.read")
+	defer func() { sp.End(cost); parent.Advance(cost) }()
 	fs.mu.Lock()
 	e, ok := fs.files[path]
 	fs.mu.Unlock()

@@ -1,6 +1,7 @@
 package tableobj
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
 	"slices"
@@ -11,31 +12,60 @@ import (
 )
 
 // FuzzDecodeCommit hardens the commit-file parser, and the fold over
-// it: a snapshot whose one commit since the empty table is any commit
-// DecodeCommit accepts folds, without panic, to that commit's adds.
+// it, and holds both codecs to their Value-row reference: decodeCommit
+// accepts exactly the inputs DecodeCommit accepts, with the same id and
+// ops, each entry's File the reference's DataFile; encodeCommit of an
+// accepted commit's files writes refEncodeCommit's bytes for its ops,
+// adds first; and a snapshot whose
+// one commit since the empty table is any commit DecodeCommit accepts
+// folds, without panic, to that commit's adds.
 func FuzzDecodeCommit(f *testing.F) {
 	file := DataFile{
 		Path: "p/f1", Partition: "x=1", Rows: 3, Bytes: 100,
 		Min: []colfile.Value{colfile.IntValue(1)},
 		Max: []colfile.Value{colfile.IntValue(9)},
 	}
-	valid, _ := EncodeCommit(Commit{ID: 1, Timestamp: time.Second, Ops: []FileOp{{Add: true, File: file}}})
+	wide := DataFile{Path: "p/f2", Rows: 1 << 40, Bytes: -1,
+		Min: []colfile.Value{colfile.StringValue("a"), colfile.FloatValue(-0.5), colfile.BoolValue(false)},
+		Max: []colfile.Value{colfile.StringValue(string(bytes.Repeat([]byte("z"), 130))), colfile.FloatValue(2), colfile.BoolValue(true)}}
+	valid := encodeOps(Commit{ID: 1, Timestamp: time.Second, Ops: []FileOp{{Add: true, File: file}}})
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add(valid[:len(valid)/3])
+	f.Add(encodeOps(Commit{ID: 5, Timestamp: time.Hour, Ops: []FileOp{{Add: true, File: wide}, {Add: true, File: DataFile{Path: "p/f3"}}, {File: file}}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		type op struct {
+			add bool
+			e   ManifestEntry
+		}
+		var ops []op
+		id, gerr := decodeCommit(data, func(add bool, e ManifestEntry) { ops = append(ops, op{add, e}) })
 		c, err := DecodeCommit(data)
+		if (err == nil) != (gerr == nil) {
+			t.Fatalf("decodeCommit: %v; the reference: %v", gerr, err)
+		}
 		if err != nil {
 			return
 		}
+		if id != c.ID || len(ops) != len(c.Ops) {
+			t.Fatalf("decodeCommit: commit %d of %d ops; the reference: %d of %d", id, len(ops), c.ID, len(c.Ops))
+		}
 		adds := 0
-		for _, op := range c.Ops {
-			if len(op.File.Min) != len(op.File.Max) {
+		for i, o := range c.Ops {
+			if len(o.File.Min) != len(o.File.Max) {
 				t.Fatal("asymmetric stats decoded")
 			}
-			if op.Add {
+			got, err := ops[i].e.File()
+			if ops[i].add != o.Add || err != nil || got.Path != o.File.Path || got.Partition != o.File.Partition ||
+				got.Rows != o.File.Rows || got.Bytes != o.File.Bytes || !sameStats(got, o.File) {
+				t.Fatalf("op %d: %v %+v (%v); the reference: %v %+v", i, ops[i].add, got, err, o.Add, o.File)
+			}
+			if o.Add {
 				adds++
 			}
+		}
+		if want, err := refEncodeCommit(addsFirst(c)); err != nil || !bytes.Equal(encodeOps(c), want) {
+			t.Fatalf("encodeCommit %x; the reference %x (%v)", encodeOps(c), want, err)
 		}
 		h := Manifest{kind: kindHeader, Snapshot: Snapshot{ID: c.ID}, since: []int64{c.ID}}
 		m, _, err := fold("t", &h, nil, func(string) ([]byte, time.Duration, error) { return data, 0, nil })
@@ -55,7 +85,7 @@ func FuzzDecodeStats(f *testing.F) {
 		{},
 		{Min: []colfile.Value{iv(1), colfile.StringValue("a")}, Max: []colfile.Value{iv(9), colfile.StringValue("z")}},
 	} {
-		f.Add(encodeStats(df))
+		f.Add(string(encodeStats(nil, df)))
 	}
 	// Bytes an earlier encoding wrote: a 0xFF marker, one column's range,
 	// then two zones and a bloom filter over one column. The count
@@ -77,7 +107,7 @@ func FuzzDecodeStats(f *testing.F) {
 			return
 		}
 		var again DataFile
-		if err := decodeStats([]byte(encodeStats(df)), &again, true); err != nil {
+		if err := decodeStats(encodeStats(nil, df), &again, true); err != nil {
 			t.Fatalf("accepted stats re-encode to bytes that do not decode: %v", err)
 		}
 		if !sameStats(df, again) {
@@ -104,7 +134,10 @@ func sameStats(a, b DataFile) bool {
 }
 
 // FuzzDecodeSnapshot hardens the snapshot-file parser, of headers and
-// of checkpoints, and holds the lazy decoder to it. A header it accepts
+// of checkpoints, and holds the lazy decoder to it. DecodeManifest
+// accepts exactly what its Value-row reference accepts, with the same
+// fields and entries, and encode writes the reference's bytes for what
+// it accepted. A header it accepts
 // holds no files and survives encode and DecodeManifest unchanged. For
 // any input decodeSnapshot accepts, every file's
 // stats are symmetric, each manifest entry's File is the DataFile
@@ -115,7 +148,7 @@ func sameStats(a, b DataFile) bool {
 // On inputs it refuses, truncated stats among them, the lazy path still
 // must not panic.
 func FuzzDecodeSnapshot(f *testing.F) {
-	valid, _ := encodeSnapshot(Snapshot{
+	valid := encodeSnapshot(Snapshot{
 		ID: 2, ParentID: 1, Timestamp: time.Second,
 		CommitIDs: []int64{1, 2}, RowCount: 5,
 	})
@@ -123,7 +156,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(valid[:4])
 	iv, sv, fv := colfile.IntValue, colfile.StringValue, colfile.FloatValue
-	files, _ := encodeSnapshot(Snapshot{ID: 3, ParentID: 2, CommitIDs: []int64{3}, Files: []DataFile{
+	files := encodeSnapshot(Snapshot{ID: 3, ParentID: 2, CommitIDs: []int64{3}, Files: []DataFile{
 		{Path: "t/a", Partition: "p=1", Rows: 4, Bytes: 90,
 			Min: []colfile.Value{sv("a"), iv(1), fv(0.5), colfile.BoolValue(false)},
 			Max: []colfile.Value{sv("q"), iv(9), fv(2.5), colfile.BoolValue(true)}},
@@ -131,14 +164,26 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}})
 	f.Add(files)
 	f.Add(files[:len(files)-3])
-	header, _ := (&Manifest{kind: kindHeader, Snapshot: Snapshot{ID: 9, ParentID: 3, Timestamp: time.Hour, RowCount: 6, AddedFiles: 1, AddedRows: 2},
-		checkpoint: 3, checkpointBytes: int64(len(files)), deltaBytes: 300, since: []int64{5, 9}}).encode()
+	header := (&Manifest{kind: kindHeader, Snapshot: Snapshot{ID: 9, ParentID: 3, Timestamp: time.Hour, RowCount: 6, AddedFiles: 1, AddedRows: 2},
+		checkpoint: 3, checkpointBytes: int64(len(files)), deltaBytes: 300, since: []int64{5, 9}}).encode(nil)
 	f.Add(header)
 	f.Add(header[:len(header)-1])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, merr := DecodeManifest(data)
+		ref, rerr := refDecodeManifest(data)
+		if (merr == nil) != (rerr == nil) {
+			t.Fatalf("DecodeManifest: %v; the reference: %v", merr, rerr)
+		}
+		if merr == nil {
+			if !sameEntries(m.Entries, ref.Entries) || !reflect.DeepEqual(withoutEntries(m), withoutEntries(ref)) {
+				t.Fatalf("DecodeManifest: %+v; the reference: %+v", m, ref)
+			}
+			if want, err := refEncodeManifest(&m); err != nil || !bytes.Equal(m.encode(nil), want) {
+				t.Fatalf("encode %x; the reference %x (%v)", m.encode(nil), want, err)
+			}
+		}
 		if merr == nil && m.kind == kindHeader {
-			blob, _ := m.encode()
+			blob := m.encode(nil)
 			again, err := DecodeManifest(blob)
 			if err != nil || len(m.Entries) != 0 || !reflect.DeepEqual(again, m) {
 				t.Fatalf("header %+v re-decodes to %+v (%v)", m, again, err)
@@ -207,13 +252,26 @@ func bounds(s Snapshot, t colfile.Type) []*colfile.Value {
 	return out
 }
 
+// sameEntries compares two manifests' entries field by field.
+func sameEntries(a, b []ManifestEntry) bool {
+	return slices.EqualFunc(a, b, func(x, y ManifestEntry) bool {
+		return x.Path == y.Path && x.Partition == y.Partition && x.Rows == y.Rows && x.Bytes == y.Bytes && bytes.Equal(x.stats, y.stats)
+	})
+}
+
+// withoutEntries is m less its entries.
+func withoutEntries(m Manifest) Manifest {
+	m.Entries = nil
+	return m
+}
+
 // encodeSnapshot encodes s, files and all, as a checkpoint.
-func encodeSnapshot(s Snapshot) ([]byte, error) {
+func encodeSnapshot(s Snapshot) []byte {
 	m := Manifest{kind: kindCheckpoint, Snapshot: s}
 	for _, f := range s.Files {
 		m.Entries = append(m.Entries, entryOfFile(f))
 	}
-	return m.encode()
+	return m.encode(nil)
 }
 
 // decodeSnapshot parses a header or a checkpoint with every file's

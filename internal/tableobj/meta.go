@@ -31,20 +31,6 @@ func (f DataFile) Overlaps(c int, lo, hi *colfile.Value) bool {
 	return colfile.RangeOverlaps(f.Min[c], f.Max[c], lo, hi)
 }
 
-// FileOp is one entry in a commit: a data file added or removed.
-type FileOp struct {
-	Add  bool
-	File DataFile
-}
-
-// Commit is the paper's commit file: file-level metadata and statistics
-// recording the changes of one insert/update/delete operation.
-type Commit struct {
-	ID        int64
-	Timestamp time.Duration
-	Ops       []FileOp
-}
-
 // Snapshot is the paper's snapshot index: the set of valid commits for
 // a time period, the current complete file manifest, and operation log
 // statistics (rows/files added and removed). On disk it is a small
@@ -65,15 +51,14 @@ type Snapshot struct {
 var commitSchema = colfile.MustSchema(
 	"op:string", "path:string", "partition:string", "rows:int64", "bytes:int64", "stats:string")
 
-// encodeStats is f's statistics: a uvarint column count, then each
-// column's min and max.
-func encodeStats(f DataFile) string {
-	buf := binary.AppendUvarint(nil, uint64(len(f.Min)))
+// encodeStats appends f's statistics to buf: a uvarint column count,
+// then each column's min and max.
+func encodeStats(buf []byte, f DataFile) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(f.Min)))
 	for i := range f.Min {
-		buf = colfile.AppendValue(buf, f.Min[i])
-		buf = colfile.AppendValue(buf, f.Max[i])
+		buf = colfile.AppendValue(colfile.AppendValue(buf, f.Min[i]), f.Max[i])
 	}
-	return string(buf)
+	return buf
 }
 
 // decodeStats parses encodeStats's bytes into f, or unless keep only
@@ -110,17 +95,6 @@ func decodeStats(data []byte, f *DataFile, keep bool) (err error) {
 	return nil
 }
 
-func fileToRow(op string, f DataFile) colfile.Row {
-	return colfile.Row{
-		colfile.StringValue(op),
-		colfile.StringValue(f.Path),
-		colfile.StringValue(f.Partition),
-		colfile.IntValue(f.Rows),
-		colfile.IntValue(f.Bytes),
-		colfile.StringValue(encodeStats(f)),
-	}
-}
-
 // ManifestEntry is one data file of a Manifest, its statistics kept
 // encoded: Overlaps reads them in place, File decodes the DataFile.
 type ManifestEntry struct {
@@ -131,14 +105,24 @@ type ManifestEntry struct {
 	stats     []byte // encodeStats's bytes
 }
 
-// entryOf is the inverse of fileToRow less its op column.
-func entryOf(r colfile.Row) ManifestEntry {
-	return ManifestEntry{Path: r[0].Str, Partition: r[1].Str, Rows: r[2].Int, Bytes: r[3].Int, stats: []byte(r[4].Str)}
+// appendEntry appends an entry's row but its stats: a checkpoint row's
+// fields, which a commit row has after its op.
+func appendEntry(b []byte, path, partition string, rows, bytes int64) []byte {
+	b = rowcodec.AppendField(rowcodec.AppendField(b, colfile.StringValue(path)), colfile.StringValue(partition))
+	return rowcodec.AppendField(rowcodec.AppendField(b, colfile.IntValue(rows)), colfile.IntValue(bytes))
 }
 
-// entryOfFile is f's entry, its statistics encoded.
-func entryOfFile(f DataFile) ManifestEntry {
-	return ManifestEntry{Path: f.Path, Partition: f.Partition, Rows: f.Rows, Bytes: f.Bytes, stats: []byte(encodeStats(f))}
+// idleMeta holds the buffer a commit encodes its metadata files into, a
+// channel as colfile's idle compressor is. FileStore.Write stores a copy,
+// so the buffer is free again once the files are written.
+var idleMeta = make(chan []byte, 1)
+
+// appendFile appends what enc appends to *buf and returns it, as a slice
+// that later appends leave alone.
+func appendFile(buf *[]byte, enc func([]byte) []byte) []byte {
+	at := len(*buf)
+	*buf = enc(*buf)
+	return (*buf)[at:len(*buf):len(*buf)]
 }
 
 // File decodes the entry's full DataFile, with fresh value slices.
@@ -176,55 +160,54 @@ func (m ManifestEntry) Overlaps(c int, lo, hi *colfile.Value) bool {
 	return err != nil || colfile.RangeOverlaps(min, max, lo, hi)
 }
 
-// EncodeCommit serializes a commit file.
-func EncodeCommit(c Commit) ([]byte, error) {
-	var hdr []byte
-	hdr = binary.AppendVarint(hdr, c.ID)
-	hdr = binary.AppendVarint(hdr, int64(c.Timestamp))
-	rows := make([]colfile.Row, len(c.Ops))
-	for i, op := range c.Ops {
-		kind := "add"
-		if !op.Add {
-			kind = "remove"
+// encodeCommit appends the commit file of commit id at ts to b: the id
+// and timestamp, then a batch of one row per file added, then per file
+// removed.
+func encodeCommit(b []byte, id int64, ts time.Duration, adds, removes []DataFile) []byte {
+	b = binary.AppendVarint(binary.AppendVarint(b, id), int64(ts))
+	b = rowcodec.AppendHeader(b, commitSchema, len(adds)+len(removes))
+	for k, files := range [2][]DataFile{adds, removes} {
+		for _, f := range files {
+			b = rowcodec.AppendField(b, colfile.StringValue([2]string{"add", "remove"}[k]))
+			var stats [256]byte // most files' stats fit
+			b = rowcodec.AppendString(appendEntry(b, f.Path, f.Partition, f.Rows, f.Bytes), encodeStats(stats[:0], f))
 		}
-		rows[i] = fileToRow(kind, op.File)
 	}
-	batch, err := rowcodec.Encode(commitSchema, rows)
-	if err != nil {
-		return nil, err
-	}
-	return append(hdr, batch...), nil
+	return b
 }
 
-// DecodeCommit parses a commit file.
-func DecodeCommit(data []byte) (Commit, error) {
-	var c Commit
+// decodeCommit parses a commit file, handing fn each op's entry as it
+// decodes it: stats borrowed from data, as the path is, and checked, so
+// stats File could not decode fail here. It returns the commit's id.
+func decodeCommit(data []byte, fn func(add bool, e ManifestEntry)) (int64, error) {
 	id, sz := binary.Varint(data)
 	if sz <= 0 {
-		return c, errors.New("tableobj: truncated commit id")
+		return 0, errors.New("tableobj: truncated commit id")
 	}
 	data = data[sz:]
-	ts, sz := binary.Varint(data)
-	if sz <= 0 {
-		return c, errors.New("tableobj: truncated commit timestamp")
+	if _, sz = binary.Varint(data); sz <= 0 {
+		return 0, errors.New("tableobj: truncated commit timestamp")
 	}
-	data = data[sz:]
-	c.ID, c.Timestamp = id, time.Duration(ts)
-	schema, rows, err := rowcodec.Decode(data)
-	if err != nil {
-		return c, err
+	var d rowcodec.Decoder
+	if err := d.Reset(data[sz:]); err != nil {
+		return 0, err
 	}
-	if !schema.Equal(commitSchema) {
-		return c, errors.New("tableobj: commit batch has wrong schema")
+	if !d.Schema.Equal(commitSchema) {
+		return 0, errors.New("tableobj: commit batch has wrong schema")
 	}
-	for _, r := range rows {
-		f, err := entryOf(r[1:]).File()
-		if err != nil {
-			return c, err
+	var row [6]colfile.Value
+	for d.Len() > 0 {
+		if err := d.Next(row[:]); err != nil {
+			return 0, err
 		}
-		c.Ops = append(c.Ops, FileOp{Add: r[0].Str == "add", File: f})
+		r := row[1:] // the checkpoint row's fields, which borrow from data
+		e := ManifestEntry{Path: r[0].Str, Partition: r[1].Str, Rows: r[2].Int, Bytes: r[3].Int, stats: rowcodec.Bytes(r[4].Str)}
+		if err := e.Check(); err != nil {
+			return 0, err
+		}
+		fn(row[0].Str == "add", e)
 	}
-	return c, nil
+	return id, nil
 }
 
 var snapshotFileSchema = colfile.MustSchema(
@@ -254,17 +237,19 @@ type Manifest struct {
 	since                                   []int64
 }
 
-// encode serializes m as its kind: the snapshot fields, then a header's
-// checkpoint, sizes and commits since, or a checkpoint's commit ids and
-// entries.
-func (m *Manifest) encode() ([]byte, error) {
+// encode appends m to b as its kind: the snapshot fields, then a
+// header's checkpoint, sizes and commits since, or a checkpoint's commit
+// ids and entries.
+func (m *Manifest) encode(b []byte) []byte {
 	s, ids := m.Snapshot, m.CommitIDs
-	fields := []int64{s.ID, s.ParentID, int64(s.Timestamp), s.RowCount, s.AddedFiles, s.RemovedFiles, s.AddedRows, s.RemovedRows}
+	fields := [...]int64{s.ID, s.ParentID, int64(s.Timestamp), s.RowCount, s.AddedFiles, s.RemovedFiles, s.AddedRows, s.RemovedRows,
+		m.checkpoint, m.checkpointBytes, m.deltaBytes}
+	nf := 8
 	if m.kind == kindHeader {
-		fields, ids = append(fields, m.checkpoint, m.checkpointBytes, m.deltaBytes), m.since
+		nf, ids = len(fields), m.since
 	}
-	b := []byte{m.kind}
-	for _, v := range fields {
+	b = append(b, m.kind)
+	for _, v := range fields[:nf] {
 		b = binary.AppendVarint(b, v)
 	}
 	b = binary.AppendUvarint(b, uint64(len(ids)))
@@ -272,15 +257,13 @@ func (m *Manifest) encode() ([]byte, error) {
 		b = binary.AppendVarint(b, id)
 	}
 	if m.kind == kindHeader {
-		return b, nil
+		return b
 	}
-	rows := make([]colfile.Row, len(m.Entries))
-	for i, e := range m.Entries {
-		rows[i] = colfile.Row{colfile.StringValue(e.Path), colfile.StringValue(e.Partition),
-			colfile.IntValue(e.Rows), colfile.IntValue(e.Bytes), colfile.StringValue(string(e.stats))}
+	b = rowcodec.AppendHeader(b, snapshotFileSchema, len(m.Entries))
+	for _, e := range m.Entries {
+		b = rowcodec.AppendString(appendEntry(b, e.Path, e.Partition, e.Rows, e.Bytes), e.stats)
 	}
-	batch, err := rowcodec.Encode(snapshotFileSchema, rows)
-	return append(b, batch...), err
+	return b
 }
 
 // snapshot is m with every entry's DataFile decoded.
@@ -339,16 +322,21 @@ func DecodeManifest(data []byte) (Manifest, error) {
 		return m, err
 	}
 	s.CommitIDs, m.checkpoint = ids, s.ID
-	schema, rows, err := rowcodec.Decode(data)
-	if err != nil {
+	var d rowcodec.Decoder
+	if err := d.Reset(data); err != nil {
 		return m, err
 	}
-	if !schema.Equal(snapshotFileSchema) {
+	if !d.Schema.Equal(snapshotFileSchema) {
 		return m, errors.New("tableobj: snapshot batch has wrong schema")
 	}
-	m.Entries = make([]ManifestEntry, len(rows))
-	for i, r := range rows {
-		m.Entries[i] = entryOf(r)
+	// The untrusted count sizes Entries, clamped: a row costs 5 bytes.
+	m.Entries = make([]ManifestEntry, 0, min(d.Len(), len(data)/5))
+	var r [5]colfile.Value // path, partition and stats borrow from data
+	for d.Len() > 0 {
+		if err := d.Next(r[:]); err != nil {
+			return m, err
+		}
+		m.Entries = append(m.Entries, ManifestEntry{Path: r[0].Str, Partition: r[1].Str, Rows: r[2].Int, Bytes: r[3].Int, stats: rowcodec.Bytes(r[4].Str)})
 	}
 	return m, nil
 }
@@ -407,22 +395,21 @@ func fold(tablePath string, h, memo *Manifest, read func(string) ([]byte, time.D
 	for i, id := range since {
 		blob, c, err := read(CommitPath(tablePath, id))
 		cost += c
-		var commit Commit
+		var got int64
 		if err == nil {
-			commit, err = DecodeCommit(blob)
+			got, err = decodeCommit(blob, func(add bool, e ManifestEntry) {
+				if add {
+					adds, addedAt = append(adds, e), append(addedAt, i)
+				} else {
+					removedAt[e.Path] = i
+				}
+			})
 		}
-		if err == nil && commit.ID != id {
-			err = fmt.Errorf("tableobj: commit file %d holds commit %d", id, commit.ID)
+		if err == nil && got != id {
+			err = fmt.Errorf("tableobj: commit file %d holds commit %d", id, got)
 		}
 		if err != nil {
 			return nil, cost, err
-		}
-		for _, op := range commit.Ops {
-			if op.Add {
-				adds, addedAt = append(adds, entryOfFile(op.File)), append(addedAt, i)
-			} else {
-				removedAt[op.File.Path] = i
-			}
 		}
 	}
 	if len(adds) > 0 || len(removedAt) > 0 {

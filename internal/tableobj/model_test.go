@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -448,6 +449,67 @@ func TestCommitBytesFlatInFiles(t *testing.T) {
 	t.Logf("mean metadata bytes per one-file commit: %.0f at 100 files, %.0f at 1,000", small, large)
 	if large > 2*small {
 		t.Fatalf("a one-file commit writes %.0f B at 1,000 files, %.1fx the %.0f B at 100; want within 2x", large, large/small, small)
+	}
+}
+
+// TestCommitAllocsFollowAdds is the gate on what a commit allocates
+// between checkpoints: its commit file is encoded into one buffer, from
+// the files' fields rather than Value rows, and copied out at its size.
+// Over 64 commits that write no checkpoint, on tables of 100 and 1,000
+// files, a commit of 16 adds makes no more mallocs than one of 1 add
+// (give or take 4), allocates at most 600 B more per extra add, and a
+// 1-add commit on the larger table allocates within 1.5x of one on the
+// smaller. Encoding each commit's rows as Values cost 96 more mallocs
+// and about 1,600 B more per add.
+func TestCommitAllocsFollowAdds(t *testing.T) {
+	perCommit := func(files, adds int) (mallocs, bytes float64) {
+		clock := sim.NewClock()
+		fs := NewFileStore(plog.NewManager(pool.New("tbl", clock, sim.NVMeSSD, 8, 64<<20), 8<<20))
+		tbl, _, err := Create(clock, fs, NewCatalog(clock), TableMeta{Name: "t", Path: "/lake/t", Schema: dpiSchema, PartitionColumn: "province"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, _ := tbl.Begin()
+		for i := 0; i < files; i++ {
+			x.AddFile(syntheticFile(i))
+		}
+		if _, err := x.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		n := 0
+		for next := files; n < 64; {
+			x, _ := tbl.Begin()
+			for j := 0; j < adds; j, next = j+1, next+1 {
+				x.AddFile(syntheticFile(next))
+			}
+			written := fs.Count()
+			runtime.ReadMemStats(&before)
+			_, err := x.Commit()
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fs.Count()-written == 2 { // a commit file and a header: no checkpoint
+				mallocs += float64(after.Mallocs - before.Mallocs)
+				bytes += float64(after.TotalAlloc - before.TotalAlloc)
+				n++
+			}
+		}
+		return mallocs / 64, bytes / 64
+	}
+	var one [2]float64
+	for k, files := range []int{100, 1000} {
+		m1, b1 := perCommit(files, 1)
+		m16, b16 := perCommit(files, 16)
+		one[k] = b1
+		t.Logf("%d files: a commit of 1 add %.0f mallocs %.0f B, of 16 adds %.0f mallocs %.0f B", files, m1, b1, m16, b16)
+		if m16 > m1+4 || b16-b1 > 15*600 {
+			t.Errorf("%d files: 15 more adds cost %.0f more mallocs and %.0f B more a commit; want <= 4 and <= %d B", files, m16-m1, b16-b1, 15*600)
+		}
+	}
+	if one[1] > 1.5*one[0] {
+		t.Errorf("a 1-add commit allocates %.0f B at 1,000 files, %.1fx the %.0f B at 100; want within 1.5x", one[1], one[1]/one[0], one[0])
 	}
 }
 

@@ -92,3 +92,50 @@ func TestStagedFileOutlivesTheReusedBuffer(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// A commit's metadata files are encoded into one buffer that the next
+// commit reuses once FileStore.Write has stored its copies, and a
+// checkpoint is folded from a copy of the commit file, not the buffer.
+// So commits running at once, checkpoints among them, must each store
+// the files they encoded: every commit file decodes to the file its
+// commit added, and the last snapshot folds to every file.
+func TestCommitFilesOutliveTheReusedBuffer(t *testing.T) {
+	e := newEnv(t)
+	tbl := createTable(t, e, "t")
+	const committers, commits = 4, 60
+	var mu sync.Mutex
+	added := map[int64]DataFile{} // commit id → the file it added
+	var wg sync.WaitGroup
+	for g := 0; g < committers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < commits; i++ {
+				f := syntheticFile(1000*g + i)
+				s, _, err := tbl.Write(nil, func(x *Txn) error { x.AddFile(f); return nil })
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				added[s.ID] = f
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	s, _, err := tbl.Current()
+	if err != nil || len(s.Files) != committers*commits {
+		t.Fatalf("the last snapshot holds %d files (%v), want %d", len(s.Files), err, committers*commits)
+	}
+	for id, want := range added {
+		blob, _, err := e.fs.Read(CommitPath("/lake/t", id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := DecodeCommit(blob)
+		if err != nil || c.ID != id || len(c.Ops) != 1 || c.Ops[0].File.Path != want.Path || !sameStats(c.Ops[0].File, want) {
+			t.Fatalf("commit file %d: %+v (%v), its commit added %+v", id, c, err, want)
+		}
+	}
+}

@@ -17,7 +17,7 @@ func TestStatsEncodingUnchanged(t *testing.T) {
 		Min: []colfile.Value{colfile.IntValue(1), colfile.StringValue("a")},
 		Max: []colfile.Value{colfile.IntValue(9), colfile.StringValue("z")},
 	}
-	enc := encodeStats(f)
+	enc := string(encodeStats(nil, f))
 	var legacy []byte
 	legacy = append(legacy, 2) // uvarint field count
 	for i := range f.Min {

@@ -48,7 +48,7 @@ func Create(clock *sim.Clock, fs *FileStore, cat *Catalog, meta TableMeta) (*Tab
 	if err != nil {
 		return nil, 0, err
 	}
-	blob, _ := initial.encode()
+	blob := initial.encode(nil)
 	c2, err := fs.Write(SnapshotPath(meta.Path, initial.ID), blob)
 	if err != nil {
 		cat.HardDrop(meta.Name)
@@ -426,10 +426,7 @@ func (x *Txn) MergeFiles(files []DataFile, sp *obs.Span) (merged DataFile, err e
 	var r colfile.Reader
 	var cols []colfile.Column
 	for _, f := range files {
-		rsp := msp.Child("tableobj.read")
-		blob, cost, err := x.t.fs.ReadSpan(f.Path, rsp)
-		rsp.End(cost)
-		msp.Advance(cost)
+		blob, cost, err := x.t.fs.ReadSpan(f.Path, msp)
 		x.cost += cost
 		if err == nil {
 			err = r.Reset(blob)
@@ -536,22 +533,18 @@ func (x *Txn) commit(parent *obs.Span) (Snapshot, error) {
 		return Snapshot{}, err
 	}
 	now := x.t.clock.Now()
-	commit := Commit{ID: x.t.nextID(), Timestamp: now}
-	for _, f := range x.adds {
-		commit.Ops = append(commit.Ops, FileOp{Add: true, File: f})
+	id := x.t.nextID()
+	var buf []byte // every metadata file's bytes, one after another
+	select {
+	case buf = <-idleMeta:
+	default:
 	}
-	for _, f := range x.removes {
-		commit.Ops = append(commit.Ops, FileOp{Add: false, File: f})
-	}
-	blob, err := EncodeCommit(commit)
-	if err != nil {
-		return Snapshot{}, err
-	}
+	blob := appendFile(&buf, func(b []byte) []byte { return encodeCommit(b, id, now, x.adds, x.removes) })
 	b := &x.base
 	next := Manifest{kind: kindHeader,
-		Snapshot:   Snapshot{ID: commit.ID, ParentID: b.ID, Timestamp: now, RowCount: b.RowCount},
+		Snapshot:   Snapshot{ID: id, ParentID: b.ID, Timestamp: now, RowCount: b.RowCount},
 		checkpoint: b.checkpoint, checkpointBytes: b.checkpointBytes, deltaBytes: b.deltaBytes + int64(len(blob)),
-		since: append(b.since[:len(b.since):len(b.since)], commit.ID)}
+		since: append(b.since[:len(b.since):len(b.since)], id)}
 	if len(x.removes) > 0 {
 		if err := x.loadBase(sp); err != nil {
 			return Snapshot{}, err
@@ -579,25 +572,22 @@ func (x *Txn) commit(parent *obs.Span) (Snapshot, error) {
 		next.AddedRows += f.Rows
 	}
 	next.RowCount += next.AddedRows - next.RemovedRows
-	files := []metaFile{{"commit", CommitPath(x.t.meta.Path, commit.ID), blob}}
-	header, _ := next.encode()
+	files := []metaFile{{"commit", CommitPath(x.t.meta.Path, id), blob}}
+	header := appendFile(&buf, next.encode)
 	if next.deltaBytes+int64(len(header)) >= next.checkpointBytes {
-		// The base folded, then this commit applied, from its blob.
+		// The base folded, then this commit applied, from a copy of its blob (buf is reused).
 		if err := x.loadBase(sp); err != nil {
 			return Snapshot{}, err
 		}
-		ck, _, err := fold(x.t.meta.Path, &next, x.manifest, func(string) ([]byte, time.Duration, error) { return blob, 0, nil })
+		ck, _, err := fold(x.t.meta.Path, &next, x.manifest, func(string) ([]byte, time.Duration, error) { return slices.Clone(blob), 0, nil })
 		if err != nil {
 			return Snapshot{}, err
 		}
 		ck.kind = kindCheckpoint
-		cblob, err := ck.encode()
-		if err != nil {
-			return Snapshot{}, err
-		}
+		cblob := appendFile(&buf, ck.encode)
 		files = append(files, metaFile{"checkpoint", checkpointPath(x.t.meta.Path, next.ID), cblob})
 		next.checkpoint, next.checkpointBytes, next.deltaBytes, next.since = next.ID, int64(len(cblob)), 0, nil
-		header, _ = next.encode()
+		header = appendFile(&buf, next.encode)
 	}
 	files = append(files, metaFile{"snapshot", SnapshotPath(x.t.meta.Path, next.ID), header})
 	for i, f := range files {
@@ -612,6 +602,12 @@ func (x *Txn) commit(parent *obs.Span) (Snapshot, error) {
 			wsp.SetAttr("bytes", strconv.Itoa(len(f.blob)))
 			wsp.End(cost)
 			sp.Advance(cost)
+		}
+	}
+	if cap(buf) <= 64<<10 { // the files are stored: buf is free, unless a large checkpoint grew it
+		select {
+		case idleMeta <- buf[:0]:
+		default:
 		}
 	}
 	c3, err := x.t.cat.AdvanceSnapshot(x.t.meta.Name, b.ID, next.ID)

@@ -83,11 +83,13 @@ sh scripts/syscover.sh -check
 
 # Fuzz smoke: five seconds of input generation against every target —
 # the decoders of stored or client bytes (table metadata, slices and
-# compressed extents among them), the gateway's flat-body recogniser against
+# compressed extents among them; the record codec and table metadata
+# against their Value-row references, column chunks uninflated against
+# the Value decoders), the gateway's flat-body recogniser against
 # encoding/json, the SQL parser against its own rendering, the erasure
 # kernel against its byte-wise oracle, the read cache against the
 # container/list cache it replaced.
-for t in rowcodec:FuzzDecode colfile:FuzzOpen streamobj:FuzzDecodeSlice \
+for t in rowcodec:FuzzDecode rowcodec:FuzzDecoder colfile:FuzzOpen colfile:FuzzDecodeChunk streamobj:FuzzDecodeSlice \
   tableobj:FuzzDecodeCommit tableobj:FuzzDecodeSnapshot tableobj:FuzzDecodeStats \
   gateway:FuzzDecodeFlat query:FuzzParse ec:FuzzEncodeReconstruct \
   compress:FuzzDecode cache:FuzzCacheOps; do
@@ -97,7 +99,7 @@ done
 # Benchmark smoke: each runs once, to prove it builds and runs. What
 # they measure is guarded by tests in the passes above: a commit costs
 # the same whatever the log holds (cluster, plog), an EC append allocates
-# its extent plus a constant (plog), a request costs its bytes (gateway),
+# its extent (plog), a request costs its bytes (gateway),
 # a table file is encoded into one shared buffer and costs its group
 # directory, and a group decodes into typed columns, 8 bytes an integer
 # (colfile), a plan makes its file list once, a warm plan costs the
